@@ -236,8 +236,8 @@ class QueryRegistry:
             epoch=None,
             family=manager.family_of(name),
             total=manager.total_results(name),
-            results=tuple(result for result, _ in entries),
-            meta=tuple(meta for _, meta in entries),
+            results=entries.rows,
+            meta=entries.metas,
         )
 
     # ------------------------------------------------------------------

@@ -27,10 +27,12 @@ import dataclasses
 import math
 import random
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.catalog.database import Database
 from repro.core.config import ENGINES, MaintainerConfig, coerce_config
+from repro.core.entries import SynopsisEntries
 from repro.core.sjoin import SJoinEngine
 from repro.core.stats_api import (
     ApplyResult,
@@ -276,18 +278,9 @@ class JoinSynopsisMaintainer:
     # ------------------------------------------------------------------
     def synopsis(self, limit: Optional[int] = None
                  ) -> List[Tuple[int, ...]]:
-        """The current synopsis as original-range-table TID tuples.
-
-        Residual filters are applied; for fixed-size synopses at most the
-        originally requested size is returned (the engine over-allocates).
-        """
-        results = self.engine.synopsis_results()
-        cap = limit
-        if cap is None and self.requested_spec.size is not None:
-            cap = self.requested_spec.size
-        if cap is not None and len(results) > cap:
-            results = results[:cap]
-        return results
+        """The current synopsis as original-range-table TID tuples: the
+        rows of :meth:`synopsis_entries`, as a fresh list."""
+        return list(self.synopsis_entries(limit).rows)
 
     @property
     def family(self) -> str:
@@ -295,10 +288,16 @@ class JoinSynopsisMaintainer:
         return self.requested_spec.family
 
     def synopsis_entries(self, limit: Optional[int] = None
-                         ) -> List[Tuple[Tuple[int, ...], dict]]:
-        """Like :meth:`synopsis`, each row paired with its sampling
-        metadata (``weight``; plus ``inclusion_probability`` on the
-        subset family).  Row order and capping match :meth:`synopsis`.
+                         ) -> SynopsisEntries:
+        """The current synopsis as ``(result, meta)`` pairs: original-
+        range-table TID tuples with residual filters applied, each with
+        its read-only sampling metadata (``weight``; plus
+        ``inclusion_probability`` on the subset family).
+
+        For fixed-size synopses at most the originally requested size is
+        returned (the engine over-allocates).  The engine keeps the
+        entries per sample (:mod:`repro.core.entries`), so the call
+        costs the samples that changed since the previous one.
         """
         entries = self.engine.synopsis_entries()
         cap = limit
@@ -308,9 +307,9 @@ class JoinSynopsisMaintainer:
             entries = entries[:cap]
         return entries
 
-    def synopsis_meta(self, limit: Optional[int] = None) -> List[dict]:
+    def synopsis_meta(self, limit: Optional[int] = None) -> List[Mapping]:
         """Per-row sampling metadata aligned with :meth:`synopsis`."""
-        return [meta for _, meta in self.synopsis_entries(limit)]
+        return list(self.synopsis_entries(limit).metas)
 
     def synopsis_rows(self, limit: Optional[int] = None
                       ) -> List[Tuple[tuple, ...]]:
@@ -355,7 +354,7 @@ class JoinSynopsisMaintainer:
         metrics.update(self.engine.metrics_snapshot())
         return MaintainerStats(
             total_results=self.total_results(),
-            synopsis_size=len(self.synopsis()),
+            synopsis_size=len(self.synopsis_entries()),
             algorithm=self.algorithm,
             index_backend=self.index_backend,
             metrics=metrics,

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog.database import Database
 from repro.core.config import MaintainerConfig, coerce_config
+from repro.core.entries import SynopsisEntries
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.stats_api import (
     ApplyResult,
@@ -419,7 +420,7 @@ class SynopsisManager:
         return self.maintainer(name).synopsis(limit)
 
     def synopsis_entries(self, name: str, limit: Optional[int] = None
-                         ) -> List[Tuple[Tuple[int, ...], dict]]:
+                         ) -> SynopsisEntries:
         """One query's synopsis rows paired with sampling metadata."""
         return self.maintainer(name).synopsis_entries(limit)
 

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
+from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.fk_runtime import CombinedNodeRuntime
 from repro.core.synopsis import SubsetSynopsis, SynopsisSpec
 from repro.errors import IntegrityError, SynopsisError
@@ -101,6 +103,9 @@ class SJoinEngine:
                                        tuple_weight=tuple_weight)
         self.index_backend = self.graph.index_backend
         self.synopsis = spec.build(self.rng, obs=self.obs)
+        self._entries = EntryStore(
+            self.plan, query,
+            meta_of=None if tuple_weight is None else self._result_meta)
         self.stats = EngineStats()
         if fk_optimize:
             self.name = "sjoin-opt"
@@ -411,15 +416,20 @@ class SJoinEngine:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
+    def synopsis_entries(self) -> SynopsisEntries:
+        """Current synopsis as original-range-table TID tuples, residual
+        multi-table filters applied (§5.1), each paired with its
+        read-only sampling metadata: ``{"weight": int}`` plus, for the
+        subset family, ``{"inclusion_probability": float}``.
+
+        Costs the samples that changed since the previous call (see
+        :mod:`repro.core.entries`); an unchanged synopsis returns the
+        same object."""
+        return self._entries.entries(self.synopsis)
+
     def synopsis_results(self) -> List[Tuple[int, ...]]:
-        """Current synopsis as original-range-table TID tuples, with any
-        residual multi-table filters applied (§5.1)."""
-        out = []
-        for plan_result in self.synopsis.samples():
-            original = self.plan.expand_result(plan_result)
-            if self._passes_residual(original):
-                out.append(original)
-        return out
+        """The rows of :meth:`synopsis_entries`, as a fresh list."""
+        return list(self.synopsis_entries().rows)
 
     def raw_samples(self) -> List[PlanResult]:
         """Plan-level samples, before residual filtering/expansion."""
@@ -447,23 +457,13 @@ class SJoinEngine:
         return synopsis.inclusion_probability(
             self.result_weight(plan_result))
 
-    def synopsis_entries(self) -> List[Tuple[Tuple[int, ...], dict]]:
-        """Like :meth:`synopsis_results`, each row paired with its
-        sampling metadata: ``{"weight": int}`` plus, for the subset
-        family, ``{"inclusion_probability": float}``."""
-        subset = isinstance(self.synopsis, SubsetSynopsis)
-        out = []
-        for plan_result in self.synopsis.samples():
-            original = self.plan.expand_result(plan_result)
-            if not self._passes_residual(original):
-                continue
-            weight = self.result_weight(plan_result)
-            meta = {"weight": weight}
-            if subset:
-                meta["inclusion_probability"] = \
-                    self.synopsis.inclusion_probability(weight)
-            out.append((original, meta))
-        return out
+    def _result_meta(self, plan_result: PlanResult) -> Mapping[str, object]:
+        weight = self.result_weight(plan_result)
+        meta = {"weight": weight}
+        if isinstance(self.synopsis, SubsetSynopsis):
+            meta["inclusion_probability"] = \
+                self.synopsis.inclusion_probability(weight)
+        return MappingProxyType(meta)
 
     def total_results(self) -> int:
         """``J``: exact current number of (tree-predicate) join results."""
@@ -513,7 +513,7 @@ class SJoinEngine:
             obs.counter(name).value = value
         obs.gauge(metric_names.TOTAL_RESULTS).set(self.total_results())
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
-            len(self.synopsis.samples()))
+            self.synopsis.valid_count)
         obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(sum(
             getattr(tree, "rotations", 0)
             for tree in self.graph.trees.values()
@@ -535,23 +535,6 @@ class SJoinEngine:
                                ).schema
         for flt in filters:
             if not flt.matches(row[schema.index_of(flt.attr)]):
-                return False
-        return True
-
-    def _passes_residual(self, original: Tuple[int, ...]) -> bool:
-        for mflt in self.plan.demoted:
-            values = [
-                self.plan.original_value(original, alias, attr)
-                for alias, attr in mflt.inputs
-            ]
-            if not mflt.matches(values):
-                return False
-        for mflt in self.query.multi_filters:
-            values = [
-                self.plan.original_value(original, alias, attr)
-                for alias, attr in mflt.inputs
-            ]
-            if not mflt.matches(values):
                 return False
         return True
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
+from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
 from repro.graph.join_graph import WeightedJoinGraph  # only for type refs
@@ -98,6 +99,7 @@ class SymmetricJoinEngine:
                 f"family, not {self.family!r} (use the sjoin engine)"
             )
         self.synopsis = spec.build(self.rng, obs=self.obs)
+        self._entries = EntryStore(self.plan, query)
         self.stats = SJStats()
         self._obs_on = self.obs.enabled
         # per-op trace span, mirrored from SJoinEngine
@@ -354,22 +356,16 @@ class SymmetricJoinEngine:
     # ------------------------------------------------------------------
     # reads (same surface as SJoinEngine)
     # ------------------------------------------------------------------
+    def synopsis_entries(self) -> SynopsisEntries:
+        """See :meth:`SJoinEngine.synopsis_entries`; SJ is uniform-only,
+        so every row weighs 1."""
+        return self._entries.entries(self.synopsis)
+
     def synopsis_results(self) -> List[Tuple[int, ...]]:
-        out = []
-        for plan_result in self.synopsis.samples():
-            original = self.plan.expand_result(plan_result)
-            if self._passes_residual(original):
-                out.append(original)
-        return out
+        return list(self.synopsis_entries().rows)
 
     def raw_samples(self) -> List[PlanResult]:
         return self.synopsis.samples()
-
-    def synopsis_entries(self) -> List[Tuple[Tuple[int, ...], dict]]:
-        """Surface parity with :meth:`SJoinEngine.synopsis_entries`;
-        SJ is uniform-only, so every row weighs 1."""
-        return [(original, {"weight": 1})
-                for original in self.synopsis_results()]
 
     def total_results(self) -> int:
         return self.synopsis.total_seen
@@ -395,7 +391,7 @@ class SymmetricJoinEngine:
             obs.counter(name).value = value
         obs.gauge(metric_names.TOTAL_RESULTS).set(self.total_results())
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
-            len(self.synopsis.samples()))
+            self.synopsis.valid_count)
         obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(sum(
             getattr(tree, "rotations", 0)
             for tree in self._indexes.values()
@@ -498,15 +494,5 @@ class SymmetricJoinEngine:
                                ).schema
         for flt in filters:
             if not flt.matches(row[schema.index_of(flt.attr)]):
-                return False
-        return True
-
-    def _passes_residual(self, original: Tuple[int, ...]) -> bool:
-        for mflt in list(self.plan.demoted) + list(self.query.multi_filters):
-            values = [
-                self.plan.original_value(original, alias, attr)
-                for alias, attr in mflt.inputs
-            ]
-            if not mflt.matches(values):
                 return False
         return True

@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace as dc_replace
 from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SynopsisError
 from repro.obs.metrics import as_registry
@@ -225,6 +225,31 @@ class SynopsisBase:
         self.accepts = 0
         self.replaces = 0
         self.purges = 0
+        # positions of slots() whose content changed since the engine's
+        # entry store last read them; None means every position (a
+        # fresh, reset or restored synopsis).  Derived, never persisted.
+        self._changed: Optional[Set[int]] = None
+
+    # -- change tracking (repro.core.entries) ----------------------------
+    def slots(self) -> Sequence[Optional[PlanResult]]:
+        """The positional sample storage itself — read-only for callers;
+        ``None`` marks an empty slot.  :meth:`samples` is its copy with
+        the empty slots dropped."""
+        raise NotImplementedError
+
+    def changed_positions(self) -> Optional[Set[int]]:
+        """Positions of :meth:`slots` written since the last
+        :meth:`changes_read` (``None``: all of them).  Positions past
+        the current length belong to samples removed since."""
+        return self._changed
+
+    def changes_read(self) -> None:
+        """The one reader (the engine's entry store) is in sync."""
+        self._changed = set()
+
+    def _touch(self, pos: int) -> None:
+        if self._changed is not None:
+            self._changed.add(pos)
 
     # -- persistence (repro.persist) ------------------------------------
     def state_dict(self) -> dict:
@@ -328,6 +353,9 @@ class FixedSizeWithoutReplacement(SynopsisBase):
     def samples(self) -> List[PlanResult]:
         return list(self._samples)
 
+    def slots(self) -> Sequence[Optional[PlanResult]]:
+        return self._samples
+
     def contains(self, result: PlanResult) -> bool:
         return result in self._distinct
 
@@ -358,6 +386,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
         self._pending_skip = int(state["pending_skip"])
         self._skipper.load_state(state["skipper"])
         self._load_base_state(state)
+        self._changed = None
 
     # ------------------------------------------------------------------
     def consume(self, view) -> int:
@@ -402,6 +431,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
         self._samples.append(result)
         self._distinct.add(result)
         _index_add(self._index, result, pos)
+        self._touch(pos)
 
     def _replace(self, pos: int, result: PlanResult) -> None:
         old = self._samples[pos]
@@ -410,6 +440,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
         self._samples[pos] = result
         self._distinct.add(result)
         _index_add(self._index, result, pos)
+        self._touch(pos)
 
     # ------------------------------------------------------------------
     def decrease_total(self, amount: int) -> None:
@@ -450,6 +481,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
             self._samples[pos] = moved
             _index_add(self._index, moved, pos)
         self._samples.pop()
+        self._touch(pos)
 
     # ------------------------------------------------------------------
     def add_redrawn(self, result: PlanResult) -> bool:
@@ -470,6 +502,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
         self.total_seen = 0
         self._pending_skip = 0
         self._skipper = VitterSkipSampler(self.m, self._rng)
+        self._changed = None
 
     # ------------------------------------------------------------------
     def replenish(self, engine) -> None:
@@ -524,6 +557,9 @@ class FixedSizeWithReplacement(SynopsisBase):
     def samples(self) -> List[PlanResult]:
         return [slot for slot in self._slots if slot is not None]
 
+    def slots(self) -> Sequence[Optional[PlanResult]]:
+        return self._slots
+
     def slot_values(self) -> List[Optional[PlanResult]]:
         return list(self._slots)
 
@@ -558,6 +594,7 @@ class FixedSizeWithReplacement(SynopsisBase):
                 _index_add(self._index, result, pos)
         self._skips.load_state(state["skips"])
         self._load_base_state(state)
+        self._changed = None
 
     # ------------------------------------------------------------------
     def consume(self, view) -> int:
@@ -591,6 +628,7 @@ class FixedSizeWithReplacement(SynopsisBase):
         self._slots[slot] = result
         if result is not None:
             _index_add(self._index, result, slot)
+        self._touch(slot)
 
     # ------------------------------------------------------------------
     def decrease_total(self, amount: int) -> None:
@@ -675,6 +713,9 @@ class BernoulliSynopsis(SynopsisBase):
     def samples(self) -> List[PlanResult]:
         return list(self._samples)
 
+    def slots(self) -> Sequence[Optional[PlanResult]]:
+        return self._samples
+
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         state = self._base_state()
@@ -699,6 +740,7 @@ class BernoulliSynopsis(SynopsisBase):
             _index_add(self._index, result, pos)
         self._pending_skip = int(state["pending_skip"])
         self._load_base_state(state)
+        self._changed = None
 
     # ------------------------------------------------------------------
     def consume(self, view) -> int:
@@ -729,6 +771,7 @@ class BernoulliSynopsis(SynopsisBase):
         pos = len(self._samples)
         self._samples.append(result)
         _index_add(self._index, result, pos)
+        self._touch(pos)
 
     # ------------------------------------------------------------------
     def decrease_total(self, amount: int) -> None:
@@ -757,6 +800,7 @@ class BernoulliSynopsis(SynopsisBase):
             self._samples[pos] = moved
             _index_add(self._index, moved, pos)
         self._samples.pop()
+        self._touch(pos)
 
 
 class WeightedFixedSize(FixedSizeWithoutReplacement):

@@ -61,8 +61,7 @@ from repro.persist.state import (
 )
 from repro.persist.wal import scan_frames
 from repro.replicate.transport import ReplicationTransport, as_transport
-from repro.service.runtime import (ReadView, SynopsisService,
-                                   build_view_maps)
+from repro.service.runtime import ReadView, SynopsisService, build_view
 
 
 class FollowerService:
@@ -380,22 +379,9 @@ class FollowerService:
             return replay_manager_entry(self.target, entry)
         return replay_maintainer_entry(self.target, entry)
 
-    # ------------------------------------------------------------------
-    # view publication (mirrors SynopsisService._build_view)
-    # ------------------------------------------------------------------
     def _publish_view(self) -> None:
-        target = self.target
-        synopses, totals, families, sample_meta = build_view_maps(
-            target, self._manager_mode)
-        self._view = ReadView(
-            epoch=self._applied_lsn,
-            synopses=synopses,
-            total_results=totals,
-            stats=target.stats(),
-            published_ns=time.perf_counter_ns(),
-            families=families,
-            sample_meta=sample_meta,
-        )
+        self._view = build_view(
+            self.target, self._manager_mode, epoch=self._applied_lsn)
 
     def _publish_gauges(self, manifest: dict) -> None:
         if not self.obs.enabled:
@@ -500,17 +486,7 @@ class FollowerService:
     def synopsis_payload(self, name: Optional[str] = None,
                          limit: Optional[int] = None) -> dict:
         """The ``/synopsis`` reply, built from ONE captured view."""
-        view = self.view()
-        rows = SynopsisService._view_synopsis(view, name, limit)
-        return {
-            "epoch": view.epoch,
-            "name": name,
-            "total_results": SynopsisService._view_total(view, name),
-            "family": view.families.get(name, "uniform"),
-            "synopsis": [list(row) for row in rows],
-            "meta": [dict(m) for m in
-                     view.sample_meta.get(name, ())[:len(rows)]],
-        }
+        return SynopsisService._view_payload(self.view(), name, limit)
 
     def stats(self):
         """The published view's typed stats snapshot."""

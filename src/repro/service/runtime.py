@@ -152,34 +152,6 @@ class ServiceConfig:
         object.__setattr__(self, "events", events)
 
 
-def build_view_maps(target, manager_mode: bool) -> Tuple[dict, dict,
-                                                         dict, dict]:
-    """Capture the per-query read maps for one view publication.
-
-    Returns ``(synopses, totals, families, sample_meta)`` keyed by
-    registered query name (maintainer mode uses the single key
-    ``None``).  Shared by the service ingest thread and follower
-    replicas so both sides publish identically shaped views.
-    """
-    names = list(target.names()) if manager_mode else [None]
-    synopses: dict = {}
-    totals: dict = {}
-    families: dict = {}
-    sample_meta: dict = {}
-    for name in names:
-        if manager_mode:
-            entries = target.synopsis_entries(name)
-            totals[name] = target.total_results(name)
-            families[name] = target.family_of(name)
-        else:
-            entries = target.synopsis_entries()
-            totals[name] = target.total_results()
-            families[name] = target.family
-        synopses[name] = tuple(result for result, _ in entries)
-        sample_meta[name] = tuple(meta for _, meta in entries)
-    return synopses, totals, families, sample_meta
-
-
 @dataclasses.dataclass(frozen=True)
 class ReadView:
     """One immutable, epoch-stamped snapshot served to readers.
@@ -201,10 +173,10 @@ class ReadView:
     #: ``"subset"``); defaulted so pre-family view builders still work
     families: Mapping[Optional[str], str] = dataclasses.field(
         default_factory=dict)
-    #: per-sample metadata dicts, aligned index-for-index with
-    #: ``synopses`` (``weight``, and ``inclusion_probability`` on
-    #: subset synopses)
-    sample_meta: Mapping[Optional[str], Tuple[dict, ...]] = (
+    #: per-sample read-only metadata mappings, aligned index-for-index
+    #: with ``synopses`` (``weight``, and ``inclusion_probability`` on
+    #: subset synopses); shared between consecutive views
+    sample_meta: Mapping[Optional[str], Tuple[Mapping, ...]] = (
         dataclasses.field(default_factory=dict))
 
     def __post_init__(self):
@@ -218,6 +190,42 @@ class ReadView:
         object.__setattr__(
             self, "sample_meta",
             MappingProxyType(dict(self.sample_meta)))
+
+
+def build_view(target, manager_mode: bool, epoch: int) -> ReadView:
+    """Capture one :class:`ReadView` of ``target`` — the only view
+    builder: the service's ingest thread and follower replicas both
+    publish through it, so their views cannot drift.
+
+    The per-query row and meta tuples are the ones the engine's entry
+    store holds (:mod:`repro.core.entries`): building a view costs the
+    samples that changed since the previous one, and a query whose
+    synopsis did not change shares its tuples with the previous view.
+    """
+    synopses: dict = {}
+    totals: dict = {}
+    families: dict = {}
+    sample_meta: dict = {}
+    for name in (target.names() if manager_mode else (None,)):
+        if manager_mode:
+            entries = target.synopsis_entries(name)
+            totals[name] = target.total_results(name)
+            families[name] = target.family_of(name)
+        else:
+            entries = target.synopsis_entries()
+            totals[name] = target.total_results()
+            families[name] = target.family
+        synopses[name] = entries.rows
+        sample_meta[name] = entries.metas
+    return ReadView(
+        epoch=epoch,
+        synopses=synopses,
+        total_results=totals,
+        stats=target.stats(),
+        published_ns=time.perf_counter_ns(),
+        families=families,
+        sample_meta=sample_meta,
+    )
 
 
 class _Submission:
@@ -296,7 +304,7 @@ class SynopsisService:
         self._applied_batches = 0
         self._ingest_errors = 0
         self._last_error: Optional[BaseException] = None
-        self._view = self._build_view(epoch=0)
+        self._view = build_view(target, self._manager_mode, epoch=0)
         # seed the serving gauges so /metrics covers them before the
         # first write publishes (scrapes can land on a fresh service)
         if self.obs.enabled:
@@ -538,14 +546,19 @@ class SynopsisService:
         reply can never mix epoch N's total with epoch N+1's rows even
         if the ingest thread publishes between field reads.
         """
-        view = self._view
-        rows = self._view_synopsis(view, name, limit)
-        meta = list(view.sample_meta.get(name, ())[:len(rows)])
+        return self._view_payload(self._view, name, limit)
+
+    @staticmethod
+    def _view_payload(view: ReadView, name, limit) -> dict:
+        rows = SynopsisService._view_synopsis(view, name, limit)
+        meta = view.sample_meta.get(name, ())[:len(rows)]
         return {
             "epoch": view.epoch,
             "name": name,
-            "total_results": self._view_total(view, name),
+            "total_results": SynopsisService._view_total(view, name),
             "family": view.families.get(name, "uniform"),
+            # views share rows and metas with their successors: the
+            # reply gets its own mutable copies
             "synopsis": [list(row) for row in rows],
             "meta": [dict(m) for m in meta],
         }
@@ -877,7 +890,7 @@ class SynopsisService:
 
     def _publish(self) -> None:
         self._epoch += 1
-        view = self._build_view(self._epoch)
+        view = build_view(self.target, self._manager_mode, self._epoch)
         # immutable view + single reference store: the degenerate
         # seqlock — readers can never observe a torn or stale-epoch mix
         self._view = view
@@ -885,20 +898,6 @@ class SynopsisService:
             self.obs.gauge(metric_names.SERVICE_EPOCH).set(view.epoch)
             self.obs.gauge(metric_names.SERVICE_EPOCH_LAG).set(
                 self._queued_ops)
-
-    def _build_view(self, epoch: int) -> ReadView:
-        target = self.target
-        synopses, totals, families, sample_meta = build_view_maps(
-            target, self._manager_mode)
-        return ReadView(
-            epoch=epoch,
-            synopses=synopses,
-            total_results=totals,
-            stats=target.stats(),
-            published_ns=time.perf_counter_ns(),
-            families=families,
-            sample_meta=sample_meta,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "manager" if self._manager_mode else "maintainer"
