@@ -1,16 +1,6 @@
-"""Legacy build shim: metadata lives in pyproject.toml."""
+"""Legacy build shim: all metadata lives in pyproject.toml (the version
+is read from ``repro.__version__``)."""
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "SJoin: efficient join synopsis maintenance for data warehouses "
-        "(SIGMOD 2020 reproduction)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed"]},
-    python_requires=">=3.9",
-)
+setup(package_data={"repro": ["py.typed"]})

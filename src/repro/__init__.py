@@ -11,9 +11,9 @@ paper's uniform kinds, weight-proportional kinds driven by a per-tuple
 weight column, and a Poisson/subset kind with exact per-result
 inclusion probabilities (see ``docs/api.md``).
 
-Version 2.0 adds the SQL front door (:mod:`repro.aqp`): register a
-query by SQL and get error-bounded approximate COUNT/SUM/AVG and GROUP
-BY answers from the maintained synopsis (see ``docs/sql.md``)::
+The SQL front door (:mod:`repro.aqp`) registers a query by SQL and
+answers error-bounded approximate COUNT/SUM/AVG and GROUP BY from the
+maintained synopsis (see ``docs/sql.md``)::
 
     from repro import QueryRegistry
 
@@ -21,7 +21,8 @@ BY answers from the maintained synopsis (see ``docs/sql.md``)::
     q = registry.register("SELECT * FROM r, s WHERE r.a = s.a")
     q.estimate("count")                        # value, stderr, 95% CI
 
-Quickstart::
+Quickstart — the engine-facing unit maintains one query, addressed by
+range-table alias::
 
     from repro import (Column, Database, DataType, JoinSynopsisMaintainer,
                        MaintainerConfig, SynopsisSpec, TableSchema)
@@ -37,11 +38,16 @@ Quickstart::
     m.insert("s", (1, 20))
     print(m.synopsis())        # [(0, 0)]
 
-To serve the synopsis to concurrent writers and readers::
+Everything above the engine — durability, the serving layer,
+replication, AQP — wraps a :class:`SynopsisManager` (one registration
+per maintained query, updates addressed by base table).  To serve a
+synopsis to concurrent writers and readers::
 
-    from repro import SynopsisService
+    from repro import SynopsisManager, SynopsisService
 
-    with SynopsisService(m) as service:
+    manager = SynopsisManager(db)
+    manager.register("rs", "SELECT * FROM r, s WHERE r.a = s.a")
+    with SynopsisService(manager) as service:
         service.insert("r", (2, 11))     # thread-safe, queued + applied
         service.synopsis()               # lock-free snapshot read
 
@@ -57,7 +63,6 @@ from repro.catalog import (
     TableSchema,
 )
 from repro.core import (
-    ApplyResult,
     BatchResult,
     BernoulliSynopsis,
     DeleteOp,
@@ -70,7 +75,6 @@ from repro.core import (
     MaintainerStats,
     ManagerStats,
     OpOutcome,
-    SerializedMaintainer,
     SerializedManager,
     SJoinEngine,
     SlidingWindowMaintainer,
@@ -79,6 +83,7 @@ from repro.core import (
     SymmetricJoinEngine,
     SynopsisManager,
     SynopsisSpec,
+    SynopsisTarget,
     SYNOPSIS_FAMILIES,
     UpdateOp,
     WeightedFixedSize,
@@ -140,7 +145,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # catalog
@@ -155,14 +160,14 @@ __all__ = [
     "WeightedFixedSize", "WeightedWithReplacement", "SubsetSynopsis",
     "SYNOPSIS_FAMILIES", "family_of_kind", "register_synopsis_kind",
     "SJoinEngine", "SymmetricJoinEngine", "JoinSynopsisMaintainer",
-    "SynopsisManager", "SerializedMaintainer", "SerializedManager",
+    "SynopsisManager", "SynopsisTarget", "SerializedManager",
     "StaticJoinSampler", "SlidingWindowMaintainer",
     # configuration
     "MaintainerConfig", "ENGINES",
     # stats / batch-update API ("UpdateOp", the Insert|Delete union alias,
     # is importable but not listed: typing aliases carry no docstring)
-    "ApplyResult", "BatchResult", "OpOutcome", "MaintainerStats",
-    "ManagerStats", "InsertOp", "DeleteOp",
+    "BatchResult", "OpOutcome", "MaintainerStats", "ManagerStats",
+    "InsertOp", "DeleteOp",
     # approximate query processing (SQL front door)
     "QueryRegistry", "RegisteredQuery", "AGGREGATES",
     # concurrent serving layer

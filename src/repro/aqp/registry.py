@@ -1,9 +1,11 @@
 """The registered-query front door: SQL in, error-bounded answers out.
 
-:class:`QueryRegistry` wraps any manager-backed target — a bare
-:class:`~repro.core.manager.SynopsisManager`, a
-:class:`~repro.service.runtime.SynopsisService`, a persistent manager,
-or a :class:`~repro.replicate.follower.FollowerService` replica — and
+:class:`QueryRegistry` wraps a
+:class:`~repro.core.manager.SynopsisTarget` — a
+:class:`~repro.core.manager.SynopsisManager`, bare or behind its
+serialized/persistent wrapper — or a
+:class:`~repro.service.runtime.SynopsisService` /
+:class:`~repro.replicate.follower.FollowerService` holding one, and
 turns it into an approximate-query-processing endpoint:
 
     registry = QueryRegistry(service)
@@ -36,8 +38,8 @@ from typing import Dict, List, Optional
 
 from repro.aqp.audit import AccuracyAuditor, AuditConfig
 from repro.aqp.estimation import Snapshot, estimate_from_snapshot
-from repro.core.manager import spec_for_plan
 from repro.core.config import MaintainerConfig
+from repro.core.manager import SynopsisTarget, spec_for_plan
 from repro.errors import ServiceError, SynopsisError
 from repro.query.explain import explain_plan
 from repro.query.parser import parse_query
@@ -142,13 +144,13 @@ class RegisteredQuery:
 
 
 class QueryRegistry:
-    """Register SQL queries on a manager-backed target and answer them.
+    """Register SQL queries on a target and answer them.
 
-    ``target`` is anything that ultimately wraps a
-    :class:`~repro.core.manager.SynopsisManager`: the manager itself, a
-    :class:`~repro.service.runtime.SynopsisService`, a persistent
-    manager, or a follower replica (read-only: ``register`` raises
-    :class:`~repro.errors.FollowerReadOnlyError` there, pointing at the
+    ``target`` is a :class:`~repro.core.manager.SynopsisTarget` (the
+    manager itself, or its serialized/persistent wrapper), or a
+    :class:`~repro.service.runtime.SynopsisService` /
+    follower replica serving one (read-only there: ``register`` raises
+    :class:`~repro.errors.FollowerReadOnlyError`, pointing at the
     leader).
 
     The registry owns an :class:`~repro.aqp.audit.AccuracyAuditor`
@@ -161,7 +163,14 @@ class QueryRegistry:
 
     def __init__(self, target, obs=None, events=None,
                  audit: Optional[AuditConfig] = None):
+        # deferred: repro.service imports repro.aqp for its HTTP routes
+        from repro.replicate.follower import FollowerService
+        from repro.service.runtime import SynopsisService
+
         self._target = target
+        #: a service or follower answers reads from its published
+        #: ReadView and holds the manager one hop away, as ``.target``
+        self._served = isinstance(target, (SynopsisService, FollowerService))
         self._queries: Dict[str, RegisteredQuery] = {}
         self._lock = threading.Lock()
         self._auto = 0
@@ -174,24 +183,16 @@ class QueryRegistry:
     # ------------------------------------------------------------------
     # target resolution (lazy: never cache across calls)
     # ------------------------------------------------------------------
-    def _manager(self):
-        """The underlying manager object (has db/names/maintainer)."""
-        target = self._target
-        for _ in range(4):
-            if target is None:
-                break
-            if (hasattr(target, "db")
-                    and callable(getattr(target, "names", None))
-                    and callable(getattr(target, "maintainer", None))):
-                return target
-            target = (getattr(target, "target", None)
-                      or getattr(target, "manager", None))
-        raise ServiceError(
-            "AQP needs a manager-backed target (a SynopsisManager, or a "
-            "service/follower wrapping one); got "
-            f"{type(self._target).__name__} — a follower reports this "
-            "until its first bootstrap completes"
-        )
+    def _manager(self) -> SynopsisTarget:
+        """The manager behind the target, in at most one hop."""
+        if not self._served:
+            return self._target
+        manager = self._target.target
+        if manager is None:
+            raise ServiceError(
+                "the follower has not bootstrapped yet (nothing "
+                "shipped); AQP answers once its first snapshot restores")
+        return manager
 
     # ------------------------------------------------------------------
     # the narrow read API registered queries answer from
@@ -207,24 +208,19 @@ class QueryRegistry:
 
     def snapshot_of(self, name: str) -> Snapshot:
         """One epoch-consistent read of ``name``'s synopsis state."""
-        view_fn = getattr(self._target, "view", None)
-        if callable(view_fn):
-            view = view_fn()
+        if self._served:
+            view = self._target.view()
             if name not in view.synopses:
-                known = sorted(k for k in view.synopses if k is not None)
-                if known or None not in view.synopses:
-                    raise SynopsisError(
-                        f"no registered query {name!r} in the current "
-                        f"view (epoch {view.epoch}); known: {known}")
-                raise ServiceError(
-                    "AQP needs a manager-backed service; this service "
-                    "wraps a single maintainer")
+                raise SynopsisError(
+                    f"no registered query {name!r} in the current "
+                    f"view (epoch {view.epoch}); known: "
+                    f"{sorted(view.synopses)}")
             return Snapshot(
                 epoch=view.epoch,
-                family=view.families.get(name, "uniform"),
+                family=view.families[name],
                 total=view.total_results[name],
                 results=view.synopses[name],
-                meta=view.sample_meta.get(name, ()),
+                meta=view.sample_meta[name],
             )
         manager = self._manager()
         if name not in manager.names():

@@ -17,7 +17,7 @@ workload with observability enabled and dumps the metrics snapshot
 ``checkpoint`` runs a TPC-DS workload under WAL durability and leaves a
 recoverable state directory behind; ``restore`` recovers such a
 directory — snapshot load, verification, WAL-tail replay — and prints
-the recovered maintainer's stats::
+the recovered queries' stats::
 
     python -m repro.cli checkpoint --dir /tmp/qy --query QY --scale tiny
     python -m repro.cli restore --dir /tmp/qy
@@ -25,7 +25,11 @@ the recovered maintainer's stats::
 ``serve`` stands up the concurrent serving layer (:mod:`repro.service`)
 over a freshly-preloaded workload — or, with ``--dir``, over a durable
 state directory (recovered if it exists, created otherwise) — and
-answers JSON over HTTP until interrupted::
+answers JSON over HTTP until interrupted.  The workload's query is
+registered under its name (``QX``/``QY``/``QZ``) on a
+:class:`~repro.core.manager.SynopsisManager`; writes address base
+tables, and the AQP routes (``POST /query/QY/estimate``) answer from
+the same synopsis::
 
     python -m repro.cli serve --query QY --scale tiny --port 8080
     python -m repro.cli serve --dir /tmp/qy --port 8080   # durable
@@ -66,6 +70,7 @@ log; ``query audit`` fetches a registered query's accuracy audit::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -73,7 +78,7 @@ from typing import Optional
 from repro.bench.harness import run_stream
 from repro.bench.reporting import format_series, format_table
 from repro.core import (MaintainerConfig, SJoinEngine, SymmetricJoinEngine,
-                        SynopsisSpec)
+                        SynopsisManager, SynopsisSpec)
 from repro.datagen.linear_road import LinearRoadConfig, setup_qb
 from repro.datagen.tpcds import TpcdsScale, setup_query
 from repro.datagen.workload import Insert, StreamPlayer, \
@@ -512,63 +517,102 @@ def cmd_lag(args) -> None:
         print(format_lag(body))
 
 
-def cmd_checkpoint(args) -> None:
-    """Run a TPC-DS workload under WAL durability; leave a state dir."""
-    from repro.core.maintainer import JoinSynopsisMaintainer
-    from repro.persist import PersistentMaintainer
+def build_workload_manager(args, obs=None, tracer=None):
+    """A :class:`SynopsisManager` over the TPC-DS workload ``args``
+    names, its query registered as ``args.query`` (``QX``/``QY``/``QZ``).
 
+    Returns ``(manager, preload, stream)``; both event lists address
+    *base tables*, the manager stack's convention — the generators emit
+    range-table aliases, and every shipped workload maps the two one to
+    one.  ``obs``/``tracer`` are shared by the manager and the query's
+    engine so one registry/ring carries both.
+    """
     setup = setup_query(args.query, parse_scale(args.scale),
                         seed=args.seed)
-    maintainer = JoinSynopsisMaintainer(
-        setup.db, setup.sql,
-        MaintainerConfig(spec=parse_synopsis(args.synopsis),
-                         engine=args.algorithm, seed=args.seed,
-                         index_backend=args.index_backend),
-    )
+    manager = SynopsisManager(setup.db, MaintainerConfig(obs=obs))
+    maintainer = manager.register(args.query, setup.sql, MaintainerConfig(
+        spec=parse_synopsis(args.synopsis), engine=args.algorithm,
+        seed=args.seed, index_backend=args.index_backend,
+        obs=obs, tracer=tracer, quality=getattr(args, "quality", False),
+    ))
+    table_of = {rt.alias: rt.table_name
+                for rt in maintainer.query.range_tables}
+
+    def by_table(events):
+        return [dataclasses.replace(e, alias=table_of[e.alias])
+                for e in events]
+
+    return manager, by_table(setup.preload), by_table(setup.stream)
+
+
+def _shared(values):
+    """The one value every query agrees on, else ``None``."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
+def _print_query_stats(stats) -> None:
+    for name, query in stats.queries.items():
+        print(f"  query {name}")
+        print(f"    algorithm          {query.algorithm}")
+        print(f"    index backend      {query.index_backend}")
+        print(f"    total results (J)  {query.total_results}")
+        print(f"    synopsis size      {query.synopsis_size}")
+
+
+def cmd_checkpoint(args) -> None:
+    """Run a TPC-DS workload under WAL durability; leave a state dir."""
+    from repro.persist import PersistentManager
+
+    manager, preload, events = build_workload_manager(args)
     # the preload is base state, folded into the initial checkpoint the
     # wrapper writes; only the stream proper goes through the WAL
-    StreamPlayer(maintainer).run(setup.preload)
-    pm = PersistentMaintainer(maintainer, args.dir, sync=args.sync)
-    events = setup.stream
+    StreamPlayer(manager).run(preload)
+    pm = PersistentManager(manager, args.dir, sync=args.sync)
     if args.events is not None:
         events = events[:args.events]
     StreamPlayer(pm).run(events)
     path = pm.checkpoint()
     pm.close()
-    stats = pm.stats()
     print(f"checkpointed {args.query}/{args.algorithm} -> {path}")
     print(f"  events applied     {len(events)}")
-    print(f"  index backend      {stats.index_backend}")
-    print(f"  total results (J)  {stats.total_results}")
-    print(f"  synopsis size      {stats.synopsis_size}")
+    _print_query_stats(pm.stats())
     for key, value in sorted(pm.persist_metrics().items()):
         print(f"  {key:<18} {value}")
 
 
 def cmd_restore(args) -> None:
     """Recover a ``checkpoint`` state dir; print the verified stats."""
-    from repro.persist import PersistentMaintainer
+    from repro.persist import PersistentManager
 
-    pm = PersistentMaintainer.recover(args.dir, sync=args.sync)
+    pm = PersistentManager.recover(args.dir, sync=args.sync)
     stats = pm.stats()
     pm.close()
     if args.json:
+        queries = stats.queries.values()
         print(json.dumps(
             {
-                "algorithm": stats.algorithm,
-                "index_backend": stats.index_backend,
+                # one value when every recovered query agrees (a
+                # ``repro checkpoint`` dir holds exactly one), else null
+                "algorithm": _shared(q.algorithm for q in queries),
+                "index_backend": _shared(
+                    q.index_backend for q in queries),
                 "total_results": stats.total_results,
                 "synopsis_size": stats.synopsis_size,
+                "queries": {
+                    name: {"algorithm": q.algorithm,
+                           "index_backend": q.index_backend,
+                           "total_results": q.total_results,
+                           "synopsis_size": q.synopsis_size}
+                    for name, q in stats.queries.items()
+                },
                 "persist": pm.persist_metrics(),
             },
             indent=2, sort_keys=True,
         ))
         return
     print(f"recovered {args.dir} (verified against snapshot record)")
-    print(f"  algorithm          {stats.algorithm}")
-    print(f"  index backend      {stats.index_backend}")
-    print(f"  total results (J)  {stats.total_results}")
-    print(f"  synopsis size      {stats.synopsis_size}")
+    _print_query_stats(stats)
     for key, value in sorted(pm.persist_metrics().items()):
         print(f"  {key:<18} {value}")
 
@@ -593,44 +637,36 @@ def build_serve_target(args, obs=None, tracer=None):
     """Construct the maintenance target the ``serve`` command wraps.
 
     Returns ``(target, close)`` where ``close`` releases any durable
-    resources.  With ``--dir`` the target is a
-    :class:`~repro.persist.PersistentMaintainer` — recovered from the
-    directory when it already holds state, freshly created (workload
-    preload folded into the initial checkpoint) otherwise.  ``obs`` and
-    ``tracer`` are shared with the maintainer (and, for durable
-    targets, the persistence layer) so one registry/ring carries engine
-    and service telemetry together; a recovered target only traces WAL
-    and snapshot spans because the engine inside the snapshot was built
-    before the flag existed.  Exposed separately from :func:`cmd_serve`
-    so tests can drive the exact CLI construction path without binding
-    a socket.
+    resources.  The target is a manager with the workload's query
+    registered under its name (:func:`build_workload_manager`); with
+    ``--dir`` it sits behind a :class:`~repro.persist.PersistentManager`
+    — recovered from the directory when it already holds state, freshly
+    created (workload preload folded into the initial checkpoint)
+    otherwise.  ``obs`` and ``tracer`` are shared with the engine (and,
+    for durable targets, the persistence layer) so one registry/ring
+    carries engine and service telemetry together; a recovered target
+    only traces WAL and snapshot spans (and runs no quality monitor)
+    because the engine inside the snapshot was built before the flags
+    existed.  Exposed separately from :func:`cmd_serve` so tests can
+    drive the exact CLI construction path without binding a socket.
     """
-    from repro.core.maintainer import JoinSynopsisMaintainer
-    from repro.persist import PersistentMaintainer
+    from repro.persist import PersistentManager
     from repro.persist.runtime import has_state
 
     if args.dir and has_state(args.dir):
-        pm = PersistentMaintainer.recover(
+        pm = PersistentManager.recover(
             args.dir, sync=args.sync, obs=obs, tracer=tracer,
-            maintainer_obs=obs)
+            manager_obs=obs)
         return pm, pm.close
-    setup = setup_query(args.query, parse_scale(args.scale),
-                        seed=args.seed)
-    maintainer = JoinSynopsisMaintainer(
-        setup.db, setup.sql,
-        MaintainerConfig(spec=parse_synopsis(args.synopsis),
-                         engine=args.algorithm, seed=args.seed,
-                         index_backend=args.index_backend,
-                         obs=obs, tracer=tracer,
-                         quality=getattr(args, "quality", False)),
-    )
+    manager, preload, _ = build_workload_manager(
+        args, obs=obs, tracer=tracer)
     if args.preload:
-        StreamPlayer(maintainer).run(setup.preload)
+        StreamPlayer(manager).run(preload)
     if args.dir:
-        pm = PersistentMaintainer(maintainer, args.dir, sync=args.sync,
-                                  obs=obs, tracer=tracer)
+        pm = PersistentManager(manager, args.dir, sync=args.sync,
+                               obs=obs, tracer=tracer)
         return pm, pm.close
-    return maintainer, lambda: None
+    return manager, lambda: None
 
 
 def cmd_ship(args) -> None:
@@ -710,9 +746,9 @@ def cmd_serve(args) -> None:
     ))
     server = ServiceHTTPServer(service, host=args.host, port=args.port)
     host, port = server.address
-    print(f"serving on http://{host}:{port} "
-          f"(GET /healthz /metrics /synopsis /stats; "
-          f"POST /insert /delete)")
+    print(f"serving {args.query} on http://{host}:{port} "
+          f"(GET /healthz /metrics /synopsis /stats /queries; "
+          f"POST /insert /delete /query/{args.query}/estimate)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -731,9 +767,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def engine_options(p, algorithms=("sjoin-opt", "sjoin", "sj")):
         p.add_argument("--algorithm", default="sjoin-opt",
-                       choices=["sjoin-opt", "sjoin", "sj"])
+                       choices=list(algorithms))
         p.add_argument("--synopsis", default="fixed:500",
                        help="fixed:M | replacement:M | bernoulli:P | "
                             "weighted:M[@a.w] | "
@@ -744,18 +780,34 @@ def make_parser() -> argparse.ArgumentParser:
                        help="aggregate-index backend (default: "
                             "$REPRO_INDEX_BACKEND or avl)")
         p.add_argument("--seed", type=int, default=0)
+
+    def common(p):
+        engine_options(p)
         p.add_argument("--budget", type=float, default=None,
                        help="wall-clock cap in seconds")
         p.add_argument("--checkpoint", type=int, default=1000)
         p.add_argument("--explain", action="store_true",
                        help="print the query plan before running")
 
+    def tpcds_options(p, scale):
+        p.add_argument("--query", default="QY",
+                       choices=["QX", "QY", "QZ"])
+        p.add_argument("--scale", default=scale,
+                       choices=["tiny", "small", "bench"])
+
+    def either_workload(p, scale):
+        common(p)
+        p.add_argument("--workload", default="tpcds",
+                       choices=["tpcds", "linear-road"])
+        tpcds_options(p, scale)
+        p.add_argument("--deletions", action="store_true")
+        p.add_argument("--d", type=int, default=100)
+        p.add_argument("--cars", type=int, default=60)
+        p.add_argument("--ticks", type=int, default=10)
+
     tpcds = sub.add_parser("tpcds", help="run QX/QY/QZ")
     common(tpcds)
-    tpcds.add_argument("--query", default="QY",
-                       choices=["QX", "QY", "QZ"])
-    tpcds.add_argument("--scale", default="small",
-                       choices=["tiny", "small", "bench"])
+    tpcds_options(tpcds, "small")
     tpcds.add_argument("--deletions", action="store_true",
                        help="interleave the §7.3 deletion pattern")
 
@@ -767,31 +819,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare",
                              help="run all algorithms on one workload")
-    common(compare)
-    compare.add_argument("--workload", default="tpcds",
-                         choices=["tpcds", "linear-road"])
-    compare.add_argument("--query", default="QY",
-                         choices=["QX", "QY", "QZ"])
-    compare.add_argument("--scale", default="small",
-                         choices=["tiny", "small", "bench"])
-    compare.add_argument("--deletions", action="store_true")
-    compare.add_argument("--d", type=int, default=100)
-    compare.add_argument("--cars", type=int, default=60)
-    compare.add_argument("--ticks", type=int, default=10)
+    either_workload(compare, "small")
 
     stats = sub.add_parser(
         "stats", help="run one workload with metrics on; dump the snapshot")
-    common(stats)
-    stats.add_argument("--workload", default="tpcds",
-                       choices=["tpcds", "linear-road"])
-    stats.add_argument("--query", default="QY",
-                       choices=["QX", "QY", "QZ"])
-    stats.add_argument("--scale", default="small",
-                       choices=["tiny", "small", "bench"])
-    stats.add_argument("--deletions", action="store_true")
-    stats.add_argument("--d", type=int, default=100)
-    stats.add_argument("--cars", type=int, default=60)
-    stats.add_argument("--ticks", type=int, default=10)
+    either_workload(stats, "small")
     stats.add_argument("--json", action="store_true",
                        help="dump the snapshot as JSON instead of a table")
 
@@ -799,17 +831,7 @@ def make_parser() -> argparse.ArgumentParser:
         "metrics",
         help="run one workload with metrics on; print the Prometheus "
              "text exposition")
-    common(metrics)
-    metrics.add_argument("--workload", default="tpcds",
-                         choices=["tpcds", "linear-road"])
-    metrics.add_argument("--query", default="QY",
-                         choices=["QX", "QY", "QZ"])
-    metrics.add_argument("--scale", default="tiny",
-                         choices=["tiny", "small", "bench"])
-    metrics.add_argument("--deletions", action="store_true")
-    metrics.add_argument("--d", type=int, default=100)
-    metrics.add_argument("--cars", type=int, default=60)
-    metrics.add_argument("--ticks", type=int, default=10)
+    either_workload(metrics, "tiny")
 
     top = sub.add_parser(
         "top", help="poll a running serve endpoint; live health view")
@@ -824,22 +846,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="run a workload under WAL durability; leave a state dir")
     checkpoint.add_argument("--dir", required=True,
                             help="state directory (wal/ + snapshots/)")
-    checkpoint.add_argument("--algorithm", default="sjoin-opt",
-                            choices=["sjoin-opt", "sjoin"])
-    checkpoint.add_argument("--synopsis", default="fixed:500",
-                            help="fixed:M | replacement:M | bernoulli:P | "
-                            "weighted:M[@a.w] | "
-                            "weighted-replacement:M[@a.w] | "
-                            "subset:P[@a.w]")
-    checkpoint.add_argument("--index-backend", default=None,
-                            choices=list(available_backends()),
-                            help="aggregate-index backend (default: "
-                                 "$REPRO_INDEX_BACKEND or avl)")
-    checkpoint.add_argument("--seed", type=int, default=0)
-    checkpoint.add_argument("--query", default="QY",
-                            choices=["QX", "QY", "QZ"])
-    checkpoint.add_argument("--scale", default="tiny",
-                            choices=["tiny", "small", "bench"])
+    engine_options(checkpoint, algorithms=("sjoin-opt", "sjoin"))
+    tpcds_options(checkpoint, "tiny")
     checkpoint.add_argument("--events", type=int, default=None,
                             help="cap the stream length")
     checkpoint.add_argument("--sync", default="batch",
@@ -854,22 +862,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="serve a synopsis over JSON/HTTP (repro.service)")
-    serve.add_argument("--query", default="QY",
-                       choices=["QX", "QY", "QZ"])
-    serve.add_argument("--scale", default="tiny",
-                       choices=["tiny", "small", "bench"])
-    serve.add_argument("--algorithm", default="sjoin-opt",
-                       choices=["sjoin-opt", "sjoin"])
-    serve.add_argument("--synopsis", default="fixed:500",
-                       help="fixed:M | replacement:M | bernoulli:P | "
-                            "weighted:M[@a.w] | "
-                            "weighted-replacement:M[@a.w] | "
-                            "subset:P[@a.w]")
-    serve.add_argument("--index-backend", default=None,
-                       choices=list(available_backends()),
-                       help="aggregate-index backend (default: "
-                            "$REPRO_INDEX_BACKEND or avl)")
-    serve.add_argument("--seed", type=int, default=0)
+    tpcds_options(serve, "tiny")
+    engine_options(serve, algorithms=("sjoin-opt", "sjoin"))
     serve.add_argument("--no-preload", dest="preload",
                        action="store_false",
                        help="start from empty tables instead of the "

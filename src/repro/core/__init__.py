@@ -20,7 +20,6 @@ from repro.core.synopsis import (
 from repro.core.config import ENGINES, MaintainerConfig
 from repro.core.sjoin import SJoinEngine
 from repro.core.stats_api import (
-    ApplyResult,
     BatchResult,
     DeleteOp,
     InsertOp,
@@ -31,8 +30,8 @@ from repro.core.stats_api import (
 )
 from repro.core.symmetric_join import SymmetricJoinEngine
 from repro.core.maintainer import JoinSynopsisMaintainer
-from repro.core.manager import SynopsisManager
-from repro.core.serialize import SerializedMaintainer, SerializedManager
+from repro.core.manager import SynopsisManager, SynopsisTarget
+from repro.core.serialize import SerializedManager
 from repro.core.static_sampler import StaticJoinSampler
 from repro.core.window import SlidingWindowMaintainer
 
@@ -53,7 +52,7 @@ __all__ = [
     "SymmetricJoinEngine",
     "JoinSynopsisMaintainer",
     "SynopsisManager",
-    "ApplyResult",
+    "SynopsisTarget",
     "BatchResult",
     "OpOutcome",
     "MaintainerStats",
@@ -61,7 +60,6 @@ __all__ = [
     "InsertOp",
     "DeleteOp",
     "UpdateOp",
-    "SerializedMaintainer",
     "SerializedManager",
     "StaticJoinSampler",
     "SlidingWindowMaintainer",

@@ -17,7 +17,7 @@ than one entry per slot.  It is derived state: nothing of it is
 snapshotted, and a restored synopsis reports every position as changed.
 A read may therefore write the store: like the engine that owns it, it
 is single-threaded (the service's ingest thread, or the lock of
-:class:`~repro.core.serialize.SerializedMaintainer`).
+:class:`~repro.core.serialize.SerializedManager`).
 """
 
 from __future__ import annotations

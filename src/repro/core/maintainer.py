@@ -31,11 +31,10 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from repro.catalog.database import Database
-from repro.core.config import ENGINES, MaintainerConfig, coerce_config
+from repro.core.config import MaintainerConfig, coerce_config
 from repro.core.entries import SynopsisEntries
 from repro.core.sjoin import SJoinEngine
 from repro.core.stats_api import (
-    ApplyResult,
     BatchResult,
     DeleteOp,
     InsertOp,
@@ -54,10 +53,6 @@ from repro.obs.trace import as_tracer
 from repro.query.parser import parse_query
 from repro.query.query import JoinQuery
 from repro.query.query_tree import build_query_tree
-
-#: kept as an alias of :data:`repro.core.config.ENGINES` for callers
-#: that pinned the pre-redesign name
-ALGORITHMS = ENGINES
 
 
 class JoinSynopsisMaintainer:
@@ -186,11 +181,11 @@ class JoinSynopsisMaintainer:
     def apply_batch(self, ops: Iterable[UpdateOp]) -> BatchResult:
         """Apply a micro-batch of :class:`InsertOp` / :class:`DeleteOp`.
 
-        This is the batch-first primary update path — :meth:`apply`,
-        :meth:`insert` and :meth:`delete` all delegate here.
-        ``op.target`` is a range-table alias.  Consecutive inserts — whatever their target
-        aliases — are handed to the engine as one run: the graph
-        propagates their weight deltas once per (vertex, direction),
+        The one update path — :meth:`insert` and :meth:`delete` delegate
+        here.  ``op.target`` is a range-table alias.  Consecutive
+        inserts — whatever their target aliases — are handed to the
+        engine as one run: the graph propagates their weight deltas
+        once per (vertex, direction),
         skip-sampling reads the coalesced delta views, and span/timer
         bookkeeping happens once per same-alias segment (the engine may
         reorder hash-only registrations across a run, never anything
@@ -254,13 +249,6 @@ class JoinSynopsisMaintainer:
         return BatchResult.from_outcomes(
             outcomes, elapsed_ns=time.perf_counter_ns() - started
         )
-
-    def apply(self, ops: Iterable[UpdateOp]) -> ApplyResult:
-        """Apply a batch of ops: a thin wrapper over :meth:`apply_batch`
-        returning the legacy :class:`ApplyResult` shape (``tids`` has one
-        entry per op: the TID for inserts, -1 when rejected by a
-        pre-filter, None for deletes)."""
-        return self.apply_batch(ops).to_apply_result()
 
     def insert(self, alias: str, row: Sequence[object]) -> int:
         """Insert a row into range table ``alias``; returns its TID

@@ -25,14 +25,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Protocol, Sequence,
+                    Tuple, Union)
 
 from repro.catalog.database import Database
 from repro.core.config import MaintainerConfig, coerce_config
 from repro.core.entries import SynopsisEntries
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.stats_api import (
-    ApplyResult,
     BatchResult,
     DeleteOp,
     InsertOp,
@@ -87,6 +87,46 @@ class _Registration:
     maintainer: JoinSynopsisMaintainer
     #: base table name -> aliases referencing it in this query
     aliases_of: Dict[str, List[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for rt in self.maintainer.query.range_tables:
+            self.aliases_of.setdefault(rt.table_name, []).append(rt.alias)
+
+
+class SynopsisTarget(Protocol):
+    """What every layer above the engine relies on from the unit it
+    wraps — a declaration only, nothing inherits from it.
+
+    :class:`SynopsisManager` satisfies it, and so do the wrappers that
+    stack on one (:class:`~repro.core.serialize.SerializedManager`,
+    :class:`~repro.persist.PersistentManager`), so persistence, the
+    service, replication and AQP all hold "a ``SynopsisTarget``" and
+    never ask which.  A single maintained query is a target with one
+    registration; updates are addressed by base-table name.
+    """
+
+    db: Database
+
+    def names(self) -> List[str]: ...
+
+    def maintainer(self, name: str) -> JoinSynopsisMaintainer: ...
+
+    def register(self, name: str, query: Union[str, JoinQuery],
+                 config: Optional[MaintainerConfig] = None,
+                 ) -> JoinSynopsisMaintainer: ...
+
+    def unregister(self, name: str) -> None: ...
+
+    def apply_batch(self, ops: Iterable[UpdateOp]) -> BatchResult: ...
+
+    def synopsis_entries(self, name: str, limit: Optional[int] = None
+                         ) -> SynopsisEntries: ...
+
+    def total_results(self, name: str) -> int: ...
+
+    def family_of(self, name: str) -> str: ...
+
+    def stats(self) -> ManagerStats: ...
 
 
 class SynopsisManager:
@@ -160,11 +200,6 @@ class SynopsisManager:
                 f"registering query {name!r} (algorithm {algorithm!r}) "
                 f"failed: {exc}"
             ) from exc
-        registration = _Registration(name, maintainer)
-        for rt in maintainer.query.range_tables:
-            registration.aliases_of.setdefault(rt.table_name, []).append(
-                rt.alias
-            )
         # backfill already-live tuples, in TID order per table.  FK-collapse
         # routing requires PK-side members to be registered before any
         # anchor tuple references them, so aliases are backfilled in
@@ -192,7 +227,7 @@ class SynopsisManager:
                         f"{algorithm!r}) failed during backfill of alias "
                         f"{alias!r} from table {table_name!r}: {exc}"
                     ) from exc
-        self._registrations[name] = registration
+        self._registrations[name] = _Registration(name, maintainer)
         return maintainer
 
     def register_sql(self, name: str, sql: str, *,
@@ -230,12 +265,7 @@ class SynopsisManager:
         """
         if name in self._registrations:
             raise SynopsisError(f"query {name!r} is already registered")
-        registration = _Registration(name, maintainer)
-        for rt in maintainer.query.range_tables:
-            registration.aliases_of.setdefault(rt.table_name, []).append(
-                rt.alias
-            )
-        self._registrations[name] = registration
+        self._registrations[name] = _Registration(name, maintainer)
 
     def unregister(self, name: str) -> None:
         if name not in self._registrations:
@@ -258,10 +288,9 @@ class SynopsisManager:
     def apply_batch(self, ops: Iterable[UpdateOp]) -> BatchResult:
         """Apply a micro-batch of :class:`InsertOp` / :class:`DeleteOp`.
 
-        The batch-first primary update path — :meth:`apply`,
-        :meth:`insert`, :meth:`delete` and the deprecated
-        :meth:`delete` delegate here.  ``op.target`` is a *base
-        table* name (not a range-table alias).  Consecutive inserts into
+        The one update path — :meth:`insert` and :meth:`delete`
+        delegate here.  ``op.target`` is a *base table* name (not a
+        range-table alias).  Consecutive inserts into
         the same base table are stored and fanned out as one run: the
         heap rows are appended first, then each registered query is
         notified once per run (batched when the query references the
@@ -308,12 +337,6 @@ class SynopsisManager:
         return BatchResult.from_outcomes(
             outcomes, elapsed_ns=time.perf_counter_ns() - started
         )
-
-    def apply(self, ops: Iterable[UpdateOp]) -> ApplyResult:
-        """Apply a batch of ops: a thin wrapper over :meth:`apply_batch`
-        returning the legacy :class:`ApplyResult` shape (``tids`` has one
-        entry per op: the heap TID for inserts, None for deletes)."""
-        return self.apply_batch(ops).to_apply_result()
 
     def insert(self, table_name: str, row: Sequence[object]) -> int:
         """Insert ``row`` into the base table and notify every registered

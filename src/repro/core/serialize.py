@@ -2,88 +2,27 @@
 
 The paper assumes "the system fully serialize[s] all updates and synopsis
 requests, which can be done using simple concurrency control schemes such
-as locking".  :class:`SerializedMaintainer` is that scheme: a re-entrant
-lock around every update and read of a wrapped maintainer (or manager),
-making it safe to drive from multiple threads.  The paper's §9 names
-finer-grained concurrency as future work; this wrapper is the stated
-baseline scheme, not that future work.  For reads that must *never*
-block behind a writer, use :class:`repro.service.SynopsisService`
-instead: one ingest thread plus immutable published snapshots, rather
-than a lock shared by readers and writers.
-
-``apply_batch``/``apply`` return whatever the wrapped facade returns — a
-typed :class:`~repro.core.stats_api.BatchResult` /
-:class:`~repro.core.stats_api.ApplyResult` since the batch-first
-redesign.
+as locking".  :class:`SerializedManager` is that scheme: a re-entrant
+lock around every update and read of a wrapped manager, making it safe
+to drive from multiple threads.  The paper's §9 names finer-grained
+concurrency as future work; this wrapper is the stated baseline scheme,
+not that future work.  For reads that must *never* block behind a
+writer, use :class:`repro.service.SynopsisService` instead: one ingest
+thread plus immutable published snapshots, rather than a lock shared by
+readers and writers.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
-from repro.core.stats_api import ApplyResult, BatchResult
-
-
-class SerializedMaintainer:
-    """Thread-safe facade over a :class:`JoinSynopsisMaintainer`."""
-
-    def __init__(self, maintainer):
-        self._maintainer = maintainer
-        self._lock = threading.RLock()
-
-    @property
-    def maintainer(self):
-        return self._maintainer
-
-    def apply_batch(self, ops: Iterable) -> BatchResult:
-        with self._lock:
-            return self._maintainer.apply_batch(ops)
-
-    def apply(self, ops: Iterable) -> ApplyResult:
-        with self._lock:
-            return self._maintainer.apply(ops)
-
-    def insert(self, alias: str, row: Sequence[object]) -> int:
-        with self._lock:
-            return self._maintainer.insert(alias, row)
-
-    def delete(self, alias: str, tid: int) -> None:
-        with self._lock:
-            self._maintainer.delete(alias, tid)
-
-    def synopsis(self, limit: Optional[int] = None
-                 ) -> List[Tuple[int, ...]]:
-        with self._lock:
-            return self._maintainer.synopsis(limit)
-
-    def synopsis_rows(self, limit: Optional[int] = None):
-        with self._lock:
-            return self._maintainer.synopsis_rows(limit)
-
-    def synopsis_entries(self, limit: Optional[int] = None):
-        with self._lock:
-            return self._maintainer.synopsis_entries(limit)
-
-    def synopsis_meta(self, limit: Optional[int] = None):
-        with self._lock:
-            return self._maintainer.synopsis_meta(limit)
-
-    @property
-    def family(self) -> str:
-        return self._maintainer.family
-
-    def total_results(self) -> int:
-        with self._lock:
-            return self._maintainer.total_results()
-
-    def stats(self):
-        with self._lock:
-            return self._maintainer.stats()
+from repro.core.stats_api import BatchResult
 
 
 class SerializedManager:
-    """Thread-safe facade over a :class:`SynopsisManager`."""
+    """Thread-safe facade over a :class:`SynopsisManager` (itself a
+    :class:`~repro.core.manager.SynopsisTarget`)."""
 
     def __init__(self, manager):
         self._manager = manager
@@ -92,6 +31,10 @@ class SerializedManager:
     @property
     def manager(self):
         return self._manager
+
+    @property
+    def db(self):
+        return self._manager.db
 
     def register(self, *args, **kwargs):
         with self._lock:
@@ -109,13 +52,16 @@ class SerializedManager:
         with self._lock:
             return self._manager.names()
 
+    def maintainer(self, name: str):
+        """The raw (unsynchronized) maintainer of one query — for
+        metadata reads (``sql``, ``algorithm``); drive updates and
+        synopsis reads through this facade."""
+        with self._lock:
+            return self._manager.maintainer(name)
+
     def apply_batch(self, ops: Iterable) -> BatchResult:
         with self._lock:
             return self._manager.apply_batch(ops)
-
-    def apply(self, ops: Iterable) -> ApplyResult:
-        with self._lock:
-            return self._manager.apply(ops)
 
     def insert(self, table_name: str, row: Sequence[object]) -> int:
         with self._lock:

@@ -16,30 +16,21 @@ redesigned surface is uniform:
 attached — the full :meth:`~repro.obs.MetricsRegistry.snapshot`, keyed by
 the catalogue names of :mod:`repro.obs.names`.
 
-Both stats types keep a dict-style ``__getitem__`` shim for one release:
-``stats["inserts"]`` still answers, with a :class:`DeprecationWarning`.
+Both stats types are read through their typed attributes (and the
+``metrics`` mapping).
 
 :class:`InsertOp` / :class:`DeleteOp` are the operations accepted by the
-batch entry points ``apply_batch(ops)`` / ``apply(ops)``; ``target`` is a
-range-table alias at the maintainer level and a base-table name at the
-manager level.  ``apply_batch`` — the batch-first primary entry point —
-returns a :class:`BatchResult` carrying one :class:`OpOutcome` per op
-plus the aggregate counters; ``apply`` remains as a thin wrapper
-returning the older :class:`ApplyResult` shape.
+one update entry point ``apply_batch(ops)``; ``target`` is a range-table
+alias at the maintainer level and a base-table name at the manager
+level and above.  ``apply_batch`` returns a :class:`BatchResult`
+carrying one :class:`OpOutcome` per op plus the aggregate counters.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
-
-_SHIM_MESSAGE = (
-    "dict-style access on {cls} is deprecated and will be removed in the "
-    "next release; use the typed attributes (or the 'metrics' mapping) "
-    "instead"
-)
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -75,66 +66,6 @@ UpdateOp = Union[InsertOp, DeleteOp]
 
 
 @dataclass(frozen=True)
-class ApplyResult:
-    """Typed result of a batch ``apply(ops)`` call.
-
-    ``tids`` has one entry per op, in op order: the TID for inserts
-    (-1 when rejected by a pre-filter), ``None`` for deletes — exactly
-    the list the pre-redesign ``apply()`` returned, so existing callers
-    migrate mechanically to ``result.tids``.  ``inserted``/``deleted``/
-    ``rejected`` are derived counts and ``elapsed_ns`` is the wall-clock
-    time the batch spent inside the facade.
-
-    The old list shape also still answers through ``len()``, iteration
-    and indexing for one release, with a :class:`DeprecationWarning`.
-    """
-
-    tids: Tuple[Optional[int], ...]
-    inserted: int
-    deleted: int
-    rejected: int
-    elapsed_ns: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "tids", tuple(self.tids))
-
-    @classmethod
-    def from_tids(cls, tids: Iterable[Optional[int]],
-                  elapsed_ns: int = 0) -> "ApplyResult":
-        """Build a result from the per-op TID list, deriving the counts."""
-        tids = tuple(tids)
-        deleted = sum(1 for t in tids if t is None)
-        rejected = sum(1 for t in tids if t == -1)
-        return cls(
-            tids=tids,
-            inserted=len(tids) - deleted - rejected,
-            deleted=deleted,
-            rejected=rejected,
-            elapsed_ns=elapsed_ns,
-        )
-
-    def _warn_sequence_shim(self) -> None:
-        warnings.warn(
-            "sequence-style access on ApplyResult is deprecated and will "
-            "be removed in the next release; use the 'tids' tuple (or the "
-            "typed count attributes) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-
-    def __len__(self) -> int:
-        self._warn_sequence_shim()
-        return len(self.tids)
-
-    def __iter__(self) -> Iterator[Optional[int]]:
-        self._warn_sequence_shim()
-        return iter(self.tids)
-
-    def __getitem__(self, index):
-        self._warn_sequence_shim()
-        return self.tids[index]
-
-
-@dataclass(frozen=True)
 class OpOutcome:
     """What one operation of a batch did.
 
@@ -160,9 +91,8 @@ class BatchResult:
     ``outcomes`` has one :class:`OpOutcome` per op, in op order;
     ``inserted``/``deleted``/``rejected`` are the aggregate counters and
     ``elapsed_ns`` the wall-clock time inside the facade.  ``tids``
-    derives the per-op TID tuple in the :class:`ApplyResult` convention
-    (``None`` for deletes, ``-1`` for rejected inserts), which is also
-    how :meth:`to_apply_result` bridges the legacy single-op surface.
+    derives the per-op TID tuple: the TID for inserts (``-1`` when a
+    pre-filter rejected the row), ``None`` for deletes.
     """
 
     outcomes: Tuple[OpOutcome, ...]
@@ -193,20 +123,11 @@ class BatchResult:
 
     @property
     def tids(self) -> Tuple[Optional[int], ...]:
-        """Per-op TIDs in the :class:`ApplyResult` convention."""
+        """Per-op TIDs: ``None`` for deletes, ``-1`` for rejected
+        inserts."""
         return tuple(
             None if o.kind == "delete" else (-1 if o.rejected else o.tid)
             for o in self.outcomes
-        )
-
-    def to_apply_result(self) -> ApplyResult:
-        """The same batch as the legacy :class:`ApplyResult` shape."""
-        return ApplyResult(
-            tids=self.tids,
-            inserted=self.inserted,
-            deleted=self.deleted,
-            rejected=self.rejected,
-            elapsed_ns=self.elapsed_ns,
         )
 
     def slice(self, start: int, stop: int,
@@ -242,17 +163,6 @@ class MaintainerStats:
             self, "metrics", MappingProxyType(dict(self.metrics))
         )
 
-    def __getitem__(self, key: str):
-        """Deprecated dict-style access shim (one release)."""
-        warnings.warn(
-            _SHIM_MESSAGE.format(cls="MaintainerStats"),
-            DeprecationWarning, stacklevel=2,
-        )
-        if key in ("total_results", "synopsis_size", "algorithm",
-                   "index_backend", "metrics"):
-            return getattr(self, key)
-        return self.metrics[key]
-
 
 @dataclass(frozen=True)
 class ManagerStats:
@@ -267,16 +177,6 @@ class ManagerStats:
     synopsis_size: int
     queries: Mapping[str, MaintainerStats] = field(default_factory=dict)
     metrics: Mapping[str, object] = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        """Deprecated dict-style access shim (one release)."""
-        warnings.warn(
-            _SHIM_MESSAGE.format(cls="ManagerStats"),
-            DeprecationWarning, stacklevel=2,
-        )
-        if key in ("total_results", "synopsis_size", "queries", "metrics"):
-            return getattr(self, key)
-        return self.queries[key]
 
     def __post_init__(self):
         object.__setattr__(

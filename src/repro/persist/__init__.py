@@ -2,31 +2,32 @@
 
 Public surface:
 
-* :class:`PersistentMaintainer` / :class:`PersistentManager` — durable
-  wrappers around the in-memory facades (log → apply → acknowledge).
+* :class:`PersistentManager` — the durable wrapper around a
+  :class:`~repro.core.manager.SynopsisManager` (log → apply →
+  acknowledge); a single maintained query is a manager with one
+  registration.
 * :class:`WriteAheadLog` — CRC-framed, segmented op log.
 * :class:`SnapshotStore` — atomic, versioned, CRC-verified snapshots.
-* :func:`capture_maintainer` & friends — the logical-state capture layer.
+* :func:`capture_manager` & friends — the logical-state capture layer
+  (one format: version :data:`STATE_VERSION`, kind ``"manager"``).
 * :class:`CrashPoint` / :class:`CrashPointInjector` — deterministic
   crash injection at every fsync boundary, for the crash-matrix tests.
 * :class:`SegmentInfo` / :class:`SnapshotInfo` — metadata views of the
   on-disk artifacts, the hooks :mod:`repro.replicate` ships through.
 * :func:`has_state` — the recover-or-create discriminator.
-* :func:`replay_maintainer_entry` / :func:`replay_manager_entry` — the
-  single logical-replay decoders shared by crash recovery and follower
-  replicas.
+* :func:`replay_manager_entry` — the single logical-replay decoder
+  shared by crash recovery and follower replicas.
 """
 
 from repro.persist.crashpoints import CrashPoint, CrashPointInjector
 from repro.persist.runtime import (
-    PersistentMaintainer,
     PersistentManager,
     has_state,
-    replay_maintainer_entry,
     replay_manager_entry,
 )
 from repro.persist.snapshot import SnapshotStore, SnapshotInfo
 from repro.persist.state import (
+    STATE_VERSION,
     capture_database,
     capture_maintainer,
     capture_manager,
@@ -39,8 +40,8 @@ from repro.persist.wal import SegmentInfo, WriteAheadLog
 __all__ = [
     "CrashPoint",
     "CrashPointInjector",
-    "PersistentMaintainer",
     "PersistentManager",
+    "STATE_VERSION",
     "SegmentInfo",
     "SnapshotInfo",
     "SnapshotStore",
@@ -49,7 +50,6 @@ __all__ = [
     "capture_maintainer",
     "capture_manager",
     "has_state",
-    "replay_maintainer_entry",
     "replay_manager_entry",
     "restore_database",
     "restore_maintainer",

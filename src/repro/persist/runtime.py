@@ -1,7 +1,7 @@
-"""Durable wrappers: write-ahead logging + checkpoints + recovery.
+"""The durable wrapper: write-ahead logging + checkpoints + recovery.
 
-:class:`PersistentMaintainer` and :class:`PersistentManager` wrap the
-in-memory facades with the write-ahead discipline::
+:class:`PersistentManager` wraps a :class:`~repro.core.manager.SynopsisManager`
+with the write-ahead discipline::
 
     log (fsync per policy)  →  apply in memory  →  acknowledge
 
@@ -10,7 +10,9 @@ an atomic snapshot of the full logical state and truncates the log
 segments the snapshot covers.  ``recover()`` loads the newest valid
 snapshot, verifies it against its capture-time record, replays the WAL
 tail, and returns a wrapper that continues — including the random sample
-stream — exactly where the crashed process stopped.
+stream — exactly where the crashed process stopped.  A single maintained
+query is a manager with one registration; there is no other durable
+unit.
 
 Directory layout (one per persistent instance)::
 
@@ -26,33 +28,31 @@ lost*, not exactly-once for unacknowledged calls.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import MaintainerConfig, coerce_config
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.manager import SynopsisManager
 from repro.core.stats_api import (
-    ApplyResult,
     BatchResult,
     DeleteOp,
     InsertOp,
-    MaintainerStats,
     ManagerStats,
     UpdateOp,
 )
 from repro.errors import PersistError, ReproError
-from repro.index.api import RETIRED_BACKENDS, resolve_backend, \
-    retired_fallback
+from repro.index.api import resolve_backend
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.obs.trace import as_tracer
 from repro.persist.snapshot import SnapshotStore
 from repro.persist.state import (
+    STATE_KIND,
     capture_database,
-    capture_maintainer,
     capture_manager,
+    check_snapshot_format,
     restore_database,
-    restore_maintainer,
     restore_manager,
     spec_from_dict,
     spec_to_dict,
@@ -62,45 +62,30 @@ from repro.persist.wal import WriteAheadLog
 WAL_SUBDIR = "wal"
 SNAPSHOT_SUBDIR = "snapshots"
 
+#: fields of a ``register`` WAL record, after the kind tag
+_REGISTER_FIELDS = ("name", "sql", "spec", "engine", "seed",
+                    "index_backend")
+
 
 def has_state(directory: str) -> bool:
     """True when ``directory`` holds recoverable durable state (at least
     one header-valid snapshot) — the discriminator between ``recover()``
-    and a fresh ``PersistentMaintainer``/``PersistentManager`` over the
-    same path."""
+    and a fresh :class:`PersistentManager` over the same path."""
     snapshot_dir = os.path.join(directory, SNAPSHOT_SUBDIR)
     if not os.path.isdir(snapshot_dir):
         return False
     return SnapshotStore(snapshot_dir).newest() is not None
 
 
-def replay_maintainer_entry(maintainer: JoinSynopsisMaintainer,
-                            entry) -> int:
-    """Apply one maintainer WAL entry; returns the op count it carried.
-
-    The single decoder of the maintainer log format, shared by crash
-    recovery (:meth:`PersistentMaintainer.recover`) and the replication
-    follower's logical replay — both must interpret a shipped record
-    byte-for-byte identically or replicas diverge.
-    """
-    kind = entry[0]
-    if kind != "apply":
-        raise PersistError(
-            f"unknown WAL entry kind {kind!r} in a maintainer log"
-        )
-    ops = entry[1]
-    maintainer.apply_batch(ops)
-    return len(ops)
-
-
 def replay_manager_entry(manager: SynopsisManager, entry) -> int:
-    """Apply one manager WAL entry; returns the op count it carried.
+    """Apply one WAL entry; returns the op count it carried.
 
-    Shared by crash recovery and the replication follower (see
-    :func:`replay_maintainer_entry`).  Handles the historical entry
-    shapes: pre-backend-pin 6-tuple registers replay onto ``"avl"``,
-    and registers pinning a since-retired backend replay onto its
-    documented fallback.
+    The single decoder of the log format, shared by crash recovery
+    (:meth:`PersistentManager.recover`) and the replication follower's
+    logical replay — both must interpret a shipped record byte-for-byte
+    identically or replicas diverge.  A record this release did not
+    write (unknown kind, a ``register`` of another arity) is a
+    :class:`~repro.errors.PersistError`, never a partial decode.
     """
     kind = entry[0]
     if kind == "apply":
@@ -108,18 +93,13 @@ def replay_manager_entry(manager: SynopsisManager, entry) -> int:
         manager.apply_batch(ops)
         return len(ops)
     if kind == "register":
-        # logs written before the backend was pinned are 6-tuples;
-        # they replay onto "avl", the old implicit default
-        if len(entry) == 6:
-            _, name, sql, spec_state, algorithm, seed = entry
-            index_backend = "avl"
-        else:
-            (_, name, sql, spec_state, algorithm, seed,
-             index_backend) = entry
-        if index_backend in RETIRED_BACKENDS:
-            # logs recorded against a since-retired backend replay
-            # onto the built-in default
-            index_backend = retired_fallback(index_backend)
+        if len(entry) != 1 + len(_REGISTER_FIELDS):
+            raise PersistError(
+                f"register WAL record has {len(entry) - 1} fields, "
+                f"expected {len(_REGISTER_FIELDS)} {_REGISTER_FIELDS}; "
+                "the log was not written by this release"
+            )
+        _, name, sql, spec_state, algorithm, seed, index_backend = entry
         spec = (spec_from_dict(spec_state)
                 if spec_state is not None else None)
         manager.register(name, sql, MaintainerConfig(
@@ -130,19 +110,24 @@ def replay_manager_entry(manager: SynopsisManager, entry) -> int:
     if kind == "unregister":
         manager.unregister(entry[1])
         return 1
-    raise PersistError(
-        f"unknown WAL entry kind {kind!r} in a manager log"
-    )
+    raise PersistError(f"unknown WAL entry kind {kind!r}")
 
 
-class _PersistentBase:
-    """Shared WAL/snapshot plumbing of the two wrappers."""
+class PersistentManager:
+    """A :class:`SynopsisManager` with WAL + checkpoint durability.
 
-    _kind = "base"
+    Registrations are WAL-logged alongside update ops: a ``register``
+    with no explicit seed draws it from the manager's seed RNG, whose
+    state is part of every snapshot — so replaying the registration after
+    a crash derives the *same* per-query seed.
+    """
 
-    def _init_storage(self, directory: str, sync: str,
-                      segment_max_bytes: int, retain: int,
-                      sync_hook, obs, tracer=None) -> None:
+    def __init__(self, manager: SynopsisManager, directory: str,
+                 sync: str = "batch",
+                 segment_max_bytes: int = 4 * 1024 * 1024,
+                 retain: int = 2, sync_hook=None, obs=None, tracer=None,
+                 _recovered: bool = False):
+        self.manager = manager
         self.directory = directory
         self.obs = as_registry(obs)
         self.tracer = as_tracer(tracer)
@@ -158,302 +143,6 @@ class _PersistentBase:
         self.replayed_ops = 0
         self.replay_failures = 0
         self.recoveries = 0
-
-    # ------------------------------------------------------------------
-    def _log(self, entry: object) -> None:
-        if not self.tracer.enabled:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.PERSIST_WAL_APPEND_NS):
-                    self.wal.append(entry)
-            else:
-                self.wal.append(entry)
-            return
-        span = self.tracer.start("wal.append")
-        syncs0 = self.wal.syncs
-        bytes0 = self.wal.bytes_written
-        try:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.PERSIST_WAL_APPEND_NS):
-                    self.wal.append(entry)
-            else:
-                self.wal.append(entry)
-        finally:
-            span.annotate(fsyncs=self.wal.syncs - syncs0,
-                          bytes=self.wal.bytes_written - bytes0)
-            self.tracer.finish(span)
-
-    def checkpoint(self) -> str:
-        """Durably snapshot the full logical state; truncate covered WAL.
-
-        Returns the snapshot file path.  Ops applied before this call are
-        covered by the snapshot; the WAL restarts from a fresh segment.
-        """
-        lsn = self.wal.next_lsn
-        payload = {"kind": self._kind, "wal_lsn": lsn,
-                   **self._capture()}
-        span = (self.tracer.start("snapshot.write")
-                if self.tracer.enabled else None)
-        try:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.PERSIST_SNAPSHOT_WRITE_NS):
-                    path = self.snapshots.write(payload, wal_lsn=lsn)
-            else:
-                path = self.snapshots.write(payload, wal_lsn=lsn)
-        finally:
-            if span is not None:
-                span.annotate(wal_lsn=lsn)
-                self.tracer.finish(span)
-        self.wal.rotate()
-        self.wal.truncate_through(lsn - 1)
-        self._publish_metrics()
-        return path
-
-    def _capture(self) -> dict:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def persist_metrics(self) -> dict:
-        """Plain-dict persistence counters (always available, obs or not)."""
-        return {
-            "wal_appends": self.wal.appends,
-            "wal_bytes": self.wal.bytes_written,
-            "wal_syncs": self.wal.syncs,
-            "wal_rotations": self.wal.rotations,
-            "snapshot_writes": self.snapshots.writes,
-            "snapshot_bytes": self.snapshots.bytes_written,
-            "recoveries": self.recoveries,
-            "replayed_ops": self.replayed_ops,
-            "replay_failures": self.replay_failures,
-        }
-
-    def _publish_metrics(self) -> None:
-        obs = self.obs
-        if not obs.enabled:
-            return
-        publish = [
-            (metric_names.PERSIST_WAL_APPENDS, self.wal.appends),
-            (metric_names.PERSIST_WAL_BYTES, self.wal.bytes_written),
-            (metric_names.PERSIST_WAL_SYNCS, self.wal.syncs),
-            (metric_names.PERSIST_WAL_ROTATIONS, self.wal.rotations),
-            (metric_names.PERSIST_SNAPSHOT_WRITES, self.snapshots.writes),
-            (metric_names.PERSIST_SNAPSHOT_BYTES,
-             self.snapshots.bytes_written),
-            (metric_names.PERSIST_RECOVERIES, self.recoveries),
-            (metric_names.PERSIST_RECOVERY_REPLAYED_OPS,
-             self.replayed_ops),
-        ]
-        for name, value in publish:
-            obs.counter(name).value = value
-
-    def _replay_tail(self, from_lsn: int) -> None:
-        for _, entry in self.wal.replay(from_lsn=from_lsn):
-            try:
-                self._replay_entry(entry)
-            except ReproError:
-                # deterministic replay from the identical snapshot state:
-                # an entry that fails now also failed (without mutating
-                # state) in the original run — it was logged before apply
-                self.replay_failures += 1
-
-    def _replay_entry(self, entry: object) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush and close the log (state remains recoverable)."""
-        self.wal.close()
-
-    def abandon(self) -> None:
-        """Drop handles without syncing — crash simulation teardown."""
-        self.wal.abandon()
-
-
-class PersistentMaintainer(_PersistentBase):
-    """A :class:`JoinSynopsisMaintainer` with WAL + checkpoint durability.
-
-    Build one with a *fresh* maintainer (the directory must not already
-    hold a snapshot — recover instead)::
-
-        pm = PersistentMaintainer(maintainer, "/data/q1")
-        pm.insert("r", (1, 2))          # logged, applied, acknowledged
-        pm.checkpoint()
-
-    and after a crash::
-
-        pm = PersistentMaintainer.recover("/data/q1")
-
-    The constructor writes an initial checkpoint so recovery always has
-    a base snapshot, whatever the crash timing.
-    """
-
-    _kind = "maintainer"
-
-    def __init__(self, maintainer: JoinSynopsisMaintainer, directory: str,
-                 sync: str = "batch",
-                 segment_max_bytes: int = 4 * 1024 * 1024,
-                 retain: int = 2, sync_hook=None, obs=None, tracer=None,
-                 _recovered: bool = False):
-        self.maintainer = maintainer
-        self._init_storage(directory, sync, segment_max_bytes, retain,
-                           sync_hook, obs, tracer=tracer)
-        if not _recovered:
-            if self.snapshots.load_latest() is not None:
-                raise PersistError(
-                    f"{directory!r} already holds snapshots; use "
-                    "PersistentMaintainer.recover() instead of wrapping "
-                    "a fresh maintainer over existing state"
-                )
-            self.checkpoint()
-
-    @classmethod
-    def create(cls, db, query, directory: str,
-               config: Optional[MaintainerConfig] = None,
-               sync: str = "batch",
-               segment_max_bytes: int = 4 * 1024 * 1024,
-               retain: int = 2, sync_hook=None, obs=None, tracer=None,
-               ) -> "PersistentMaintainer":
-        """Build a fresh maintainer from ``config`` and wrap it durably.
-
-        Convenience for the common construct-then-wrap sequence.  The SJ
-        baseline is not persistable (see :mod:`repro.persist.state`).
-        """
-        config = coerce_config(config,
-                               owner="PersistentMaintainer.create")
-        if config.engine == "sj":
-            raise PersistError(
-                "engine 'sj' does not support persistence; use a plain "
-                "JoinSynopsisMaintainer instead"
-            )
-        maintainer = JoinSynopsisMaintainer(db, query, config)
-        return cls(maintainer, directory, sync=sync,
-                   segment_max_bytes=segment_max_bytes, retain=retain,
-                   sync_hook=sync_hook, obs=obs, tracer=tracer)
-
-    # ------------------------------------------------------------------
-    # updates: log → apply → acknowledge (by returning)
-    # ------------------------------------------------------------------
-    def apply_batch(self, ops: Iterable[UpdateOp]) -> BatchResult:
-        """Log the whole micro-batch as one WAL entry, then apply it."""
-        ops = list(ops)
-        self._log(("apply", ops))
-        return self.maintainer.apply_batch(ops)
-
-    def apply(self, ops: Iterable[UpdateOp]) -> ApplyResult:
-        return self.apply_batch(ops).to_apply_result()
-
-    def insert(self, alias: str, row: Sequence[object]) -> int:
-        return self.apply_batch(
-            (InsertOp(alias, tuple(row)),)
-        ).outcomes[0].tid
-
-    def delete(self, alias: str, tid: int) -> None:
-        self.apply_batch((DeleteOp(alias, tid),))
-
-    # ------------------------------------------------------------------
-    # reads (pass-throughs)
-    # ------------------------------------------------------------------
-    def synopsis(self, limit: Optional[int] = None):
-        return self.maintainer.synopsis(limit)
-
-    def synopsis_rows(self, limit: Optional[int] = None):
-        return self.maintainer.synopsis_rows(limit)
-
-    def synopsis_entries(self, limit: Optional[int] = None):
-        return self.maintainer.synopsis_entries(limit)
-
-    def synopsis_meta(self, limit: Optional[int] = None):
-        return self.maintainer.synopsis_meta(limit)
-
-    @property
-    def family(self) -> str:
-        return self.maintainer.family
-
-    def total_results(self) -> int:
-        return self.maintainer.total_results()
-
-    def stats(self) -> MaintainerStats:
-        self._publish_metrics()
-        return self.maintainer.stats()
-
-    @property
-    def db(self):
-        return self.maintainer.db
-
-    # ------------------------------------------------------------------
-    # snapshot + recovery
-    # ------------------------------------------------------------------
-    def _capture(self) -> dict:
-        return {
-            "database": capture_database(self.maintainer.db),
-            "maintainer": capture_maintainer(self.maintainer),
-        }
-
-    def _replay_entry(self, entry) -> None:
-        self.replayed_ops += replay_maintainer_entry(self.maintainer, entry)
-
-    @classmethod
-    def recover(cls, directory: str, sync: str = "batch",
-                segment_max_bytes: int = 4 * 1024 * 1024,
-                retain: int = 2, sync_hook=None, obs=None, tracer=None,
-                maintainer_obs=None) -> "PersistentMaintainer":
-        """Load snapshot, verify, replay the WAL tail, resume."""
-        registry = as_registry(obs)
-        if registry.enabled:
-            with registry.timer(metric_names.PERSIST_RECOVERY_NS):
-                return cls._recover(directory, sync, segment_max_bytes,
-                                    retain, sync_hook, registry, tracer,
-                                    maintainer_obs)
-        return cls._recover(directory, sync, segment_max_bytes, retain,
-                            sync_hook, registry, tracer, maintainer_obs)
-
-    @classmethod
-    def _recover(cls, directory, sync, segment_max_bytes, retain,
-                 sync_hook, obs, tracer,
-                 maintainer_obs) -> "PersistentMaintainer":
-        store = SnapshotStore(os.path.join(directory, SNAPSHOT_SUBDIR),
-                              retain=retain)
-        loaded = store.load_latest()
-        if loaded is None:
-            raise PersistError(
-                f"no valid snapshot under {directory!r}; nothing to "
-                "recover"
-            )
-        payload, header = loaded
-        if payload.get("kind") != cls._kind:
-            raise PersistError(
-                f"snapshot under {directory!r} holds a "
-                f"{payload.get('kind')!r} state, not a {cls._kind!r}"
-            )
-        db = restore_database(payload["database"])
-        maintainer = restore_maintainer(db, payload["maintainer"],
-                                        obs=maintainer_obs)
-        self = cls(maintainer, directory, sync=sync,
-                   segment_max_bytes=segment_max_bytes, retain=retain,
-                   sync_hook=sync_hook, obs=obs, tracer=tracer,
-                   _recovered=True)
-        self.recoveries += 1
-        self._replay_tail(from_lsn=header["wal_lsn"])
-        self._publish_metrics()
-        return self
-
-
-class PersistentManager(_PersistentBase):
-    """A :class:`SynopsisManager` with WAL + checkpoint durability.
-
-    Registrations are WAL-logged alongside update ops: a ``register``
-    with no explicit seed draws it from the manager's seed RNG, whose
-    state is part of every snapshot — so replaying the registration after
-    a crash derives the *same* per-query seed.
-    """
-
-    _kind = "manager"
-
-    def __init__(self, manager: SynopsisManager, directory: str,
-                 sync: str = "batch",
-                 segment_max_bytes: int = 4 * 1024 * 1024,
-                 retain: int = 2, sync_hook=None, obs=None, tracer=None,
-                 _recovered: bool = False):
-        self.manager = manager
-        self._init_storage(directory, sync, segment_max_bytes, retain,
-                           sync_hook, obs, tracer=tracer)
         if not _recovered:
             if self.snapshots.load_latest() is not None:
                 raise PersistError(
@@ -507,9 +196,6 @@ class PersistentManager(_PersistentBase):
         self._log(("apply", ops))
         return self.manager.apply_batch(ops)
 
-    def apply(self, ops: Iterable[UpdateOp]) -> ApplyResult:
-        return self.apply_batch(ops).to_apply_result()
-
     def insert(self, table_name: str, row: Sequence[object]) -> int:
         return self.apply_batch(
             (InsertOp(table_name, tuple(row)),)
@@ -542,56 +228,146 @@ class PersistentManager(_PersistentBase):
         return self.manager.db
 
     # ------------------------------------------------------------------
-    # snapshot + recovery
+    # WAL + snapshot plumbing
     # ------------------------------------------------------------------
-    def _capture(self) -> dict:
-        return {
+    def _log(self, entry: object) -> None:
+        if not self.tracer.enabled:
+            if self.obs.enabled:
+                with self.obs.timer(metric_names.PERSIST_WAL_APPEND_NS):
+                    self.wal.append(entry)
+            else:
+                self.wal.append(entry)
+            return
+        span = self.tracer.start("wal.append")
+        syncs0 = self.wal.syncs
+        bytes0 = self.wal.bytes_written
+        try:
+            if self.obs.enabled:
+                with self.obs.timer(metric_names.PERSIST_WAL_APPEND_NS):
+                    self.wal.append(entry)
+            else:
+                self.wal.append(entry)
+        finally:
+            span.annotate(fsyncs=self.wal.syncs - syncs0,
+                          bytes=self.wal.bytes_written - bytes0)
+            self.tracer.finish(span)
+
+    def checkpoint(self) -> str:
+        """Durably snapshot the full logical state; truncate covered WAL.
+
+        Returns the snapshot file path.  Ops applied before this call are
+        covered by the snapshot; the WAL restarts from a fresh segment.
+        """
+        lsn = self.wal.next_lsn
+        payload = {
+            "kind": STATE_KIND,
+            "wal_lsn": lsn,
             "database": capture_database(self.manager.db),
             "manager": capture_manager(self.manager),
         }
+        span = (self.tracer.start("snapshot.write")
+                if self.tracer.enabled else None)
+        try:
+            if self.obs.enabled:
+                with self.obs.timer(metric_names.PERSIST_SNAPSHOT_WRITE_NS):
+                    path = self.snapshots.write(payload, wal_lsn=lsn)
+            else:
+                path = self.snapshots.write(payload, wal_lsn=lsn)
+        finally:
+            if span is not None:
+                span.annotate(wal_lsn=lsn)
+                self.tracer.finish(span)
+        self.wal.rotate()
+        self.wal.truncate_through(lsn - 1)
+        self._publish_metrics()
+        return path
 
-    def _replay_entry(self, entry) -> None:
-        self.replayed_ops += replay_manager_entry(self.manager, entry)
+    def persist_metrics(self) -> dict:
+        """Plain-dict persistence counters (always available, obs or not)."""
+        return {
+            "wal_appends": self.wal.appends,
+            "wal_bytes": self.wal.bytes_written,
+            "wal_syncs": self.wal.syncs,
+            "wal_rotations": self.wal.rotations,
+            "snapshot_writes": self.snapshots.writes,
+            "snapshot_bytes": self.snapshots.bytes_written,
+            "recoveries": self.recoveries,
+            "replayed_ops": self.replayed_ops,
+            "replay_failures": self.replay_failures,
+        }
 
+    def _publish_metrics(self) -> None:
+        obs = self.obs
+        if not obs.enabled:
+            return
+        publish = [
+            (metric_names.PERSIST_WAL_APPENDS, self.wal.appends),
+            (metric_names.PERSIST_WAL_BYTES, self.wal.bytes_written),
+            (metric_names.PERSIST_WAL_SYNCS, self.wal.syncs),
+            (metric_names.PERSIST_WAL_ROTATIONS, self.wal.rotations),
+            (metric_names.PERSIST_SNAPSHOT_WRITES, self.snapshots.writes),
+            (metric_names.PERSIST_SNAPSHOT_BYTES,
+             self.snapshots.bytes_written),
+            (metric_names.PERSIST_RECOVERIES, self.recoveries),
+            (metric_names.PERSIST_RECOVERY_REPLAYED_OPS,
+             self.replayed_ops),
+        ]
+        for name, value in publish:
+            obs.counter(name).value = value
+
+    def close(self) -> None:
+        """Flush and close the log (state remains recoverable)."""
+        self.wal.close()
+
+    def abandon(self) -> None:
+        """Drop handles without syncing — crash simulation teardown."""
+        self.wal.abandon()
+
+    # ------------------------------------------------------------------
+    # recovery
+    # ------------------------------------------------------------------
     @classmethod
     def recover(cls, directory: str, sync: str = "batch",
                 segment_max_bytes: int = 4 * 1024 * 1024,
                 retain: int = 2, sync_hook=None, obs=None, tracer=None,
                 manager_obs=None) -> "PersistentManager":
         """Load snapshot, verify, replay the WAL tail, resume."""
-        registry = as_registry(obs)
-        if registry.enabled:
-            with registry.timer(metric_names.PERSIST_RECOVERY_NS):
-                return cls._recover(directory, sync, segment_max_bytes,
-                                    retain, sync_hook, registry, tracer,
-                                    manager_obs)
-        return cls._recover(directory, sync, segment_max_bytes, retain,
-                            sync_hook, registry, tracer, manager_obs)
-
-    @classmethod
-    def _recover(cls, directory, sync, segment_max_bytes, retain,
-                 sync_hook, obs, tracer, manager_obs) -> "PersistentManager":
-        store = SnapshotStore(os.path.join(directory, SNAPSHOT_SUBDIR),
-                              retain=retain)
-        loaded = store.load_latest()
-        if loaded is None:
-            raise PersistError(
-                f"no valid snapshot under {directory!r}; nothing to "
-                "recover"
-            )
-        payload, header = loaded
-        if payload.get("kind") != cls._kind:
-            raise PersistError(
-                f"snapshot under {directory!r} holds a "
-                f"{payload.get('kind')!r} state, not a {cls._kind!r}"
-            )
-        db = restore_database(payload["database"])
-        manager = restore_manager(db, payload["manager"], obs=manager_obs)
-        self = cls(manager, directory, sync=sync,
-                   segment_max_bytes=segment_max_bytes, retain=retain,
-                   sync_hook=sync_hook, obs=obs, tracer=tracer,
-                   _recovered=True)
-        self.recoveries += 1
-        self._replay_tail(from_lsn=header["wal_lsn"])
+        obs = as_registry(obs)
+        with (obs.timer(metric_names.PERSIST_RECOVERY_NS) if obs.enabled
+              else nullcontext()):
+            loaded = SnapshotStore(
+                os.path.join(directory, SNAPSHOT_SUBDIR), retain=retain,
+            ).load_latest()
+            if loaded is None:
+                raise PersistError(
+                    f"no valid snapshot under {directory!r}; nothing to "
+                    "recover"
+                )
+            payload, header = loaded
+            check_snapshot_format(payload, f"snapshot under {directory!r}")
+            db = restore_database(payload["database"])
+            manager = restore_manager(db, payload["manager"],
+                                      obs=manager_obs)
+            self = cls(manager, directory, sync=sync,
+                       segment_max_bytes=segment_max_bytes, retain=retain,
+                       sync_hook=sync_hook, obs=obs, tracer=tracer,
+                       _recovered=True)
+            self.recoveries += 1
+            self._replay_tail(from_lsn=header["wal_lsn"])
         self._publish_metrics()
         return self
+
+    def _replay_tail(self, from_lsn: int) -> None:
+        for _, entry in self.wal.replay(from_lsn=from_lsn):
+            try:
+                self.replayed_ops += replay_manager_entry(
+                    self.manager, entry)
+            except PersistError:
+                # a record this release cannot decode: stop, never
+                # continue from a partially restored state
+                raise
+            except ReproError:
+                # deterministic replay from the identical snapshot state:
+                # an entry that fails now also failed (without mutating
+                # state) in the original run — it was logged before apply
+                self.replay_failures += 1

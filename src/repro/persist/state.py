@@ -40,11 +40,13 @@ from repro.core.manager import SynopsisManager
 from repro.core.sjoin import EngineStats, SJoinEngine
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
-from repro.index.api import RETIRED_BACKENDS, retired_fallback
 from repro.obs.metrics import MetricsRegistry
 
-#: bumped whenever the logical state layout changes incompatibly
-STATE_VERSION = 1
+#: the one on-disk format this release reads and writes; bumped whenever
+#: the logical state layout changes incompatibly
+STATE_VERSION = 2
+#: the ``kind`` every snapshot payload carries
+STATE_KIND = "manager"
 
 
 # ----------------------------------------------------------------------
@@ -56,11 +58,9 @@ def spec_to_dict(spec: SynopsisSpec) -> dict:
 
 
 def spec_from_dict(state: dict) -> SynopsisSpec:
-    # ``.get``: states captured before the synopsis-family layer carry
-    # no weight column and decode onto the uniform family unchanged
     return SynopsisSpec(kind=state["kind"], size=state["size"],
                         rate=state["rate"],
-                        weight_column=state.get("weight_column"))
+                        weight_column=state["weight_column"])
 
 
 def schema_to_dict(schema: TableSchema) -> dict:
@@ -125,6 +125,27 @@ def _check_version(state: dict) -> None:
         )
 
 
+def check_snapshot_format(payload: dict, where: str,
+                          error=PersistError) -> None:
+    """The format gate of recovery and follower bootstrap: a snapshot
+    payload is read only when it is a version-:data:`STATE_VERSION`
+    ``"manager"`` state.  Anything else — a 2.x directory (version 1),
+    a single-maintainer snapshot — raises ``error`` naming what was
+    found and what is expected, before any of it is decoded.
+    """
+    database = payload.get("database")
+    version = database.get("version") if isinstance(database, dict) \
+        else None
+    kind = payload.get("kind")
+    if version != STATE_VERSION or kind != STATE_KIND:
+        raise error(
+            f"{where} holds a version {version!r} {kind!r} state; this "
+            f"release reads only version {STATE_VERSION} {STATE_KIND!r} "
+            "states (state written before 3.0 is not readable — "
+            "rebuild it from the source data)"
+        )
+
+
 # ----------------------------------------------------------------------
 # maintainer
 # ----------------------------------------------------------------------
@@ -174,16 +195,9 @@ def restore_maintainer(db: Database, state: dict,
     aggregate-index backend breaks ties between equal keys by insertion
     order, so the rebuilt indexes rank join results identically and the
     restored RNG state yields a bit-identical future sample stream.  The
-    engine is rebuilt on the backend pinned at capture time (snapshots
-    predating the pin restore onto ``"avl"``, the old implicit default;
-    snapshots pinning a since-retired backend restore onto the built-in
-    default — every backend ranks join results identically, so the
-    restored sample stream is unchanged).
+    engine is rebuilt on the backend pinned at capture time.
     """
     _check_version(state)
-    index_backend = state.get("index_backend", "avl")
-    if index_backend in RETIRED_BACKENDS:
-        index_backend = retired_fallback(index_backend)
     maintainer = JoinSynopsisMaintainer(
         db,
         state["sql"],
@@ -195,7 +209,7 @@ def restore_maintainer(db: Database, state: dict,
             obs=obs,
             name=state["name"],
             effective_spec=spec_from_dict(state["effective_spec"]),
-            index_backend=index_backend,
+            index_backend=state["index_backend"],
         ),
     )
     engine = maintainer.engine

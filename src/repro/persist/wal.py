@@ -1,7 +1,7 @@
 """Append-only write-ahead log of typed update ops.
 
 The log is the durability half of the write path: every batch handed to
-:meth:`PersistentMaintainer.apply` is framed, CRC-protected and (per the
+:meth:`PersistentManager.apply_batch` is framed, CRC-protected and (per the
 sync policy) fsynced *before* the in-memory engine sees it, so an
 acknowledged op can always be replayed after a crash.
 

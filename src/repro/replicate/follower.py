@@ -11,9 +11,8 @@
 2. **Tail** — poll the manifest; for every newly acked WAL record, read
    its bytes from the shipped segment, CRC-check the frame
    (:func:`repro.persist.wal.scan_frames`), and apply it through the
-   shared logical-replay decoders
-   (:func:`repro.persist.runtime.replay_maintainer_entry` /
-   :func:`~repro.persist.runtime.replay_manager_entry`).  A record
+   shared logical-replay decoder
+   (:func:`repro.persist.runtime.replay_manager_entry`).  A record
    beyond ``acked_lsn`` is never applied, even if its bytes are already
    visible — the manifest is the acknowledgement boundary.
 3. **Serve** — after each applied record, publish an immutable
@@ -49,19 +48,17 @@ from repro.obs.expo import render_exposition
 from repro.obs.metrics import as_registry
 from repro.obs.quality import QualityConfig, QualityMonitor
 from repro.obs.trace import as_tracer
-from repro.persist.runtime import (
-    replay_maintainer_entry,
-    replay_manager_entry,
-)
+from repro.core.manager import SynopsisManager
+from repro.persist.runtime import replay_manager_entry
 from repro.persist.snapshot import decode_snapshot_bytes
 from repro.persist.state import (
+    check_snapshot_format,
     restore_database,
-    restore_maintainer,
     restore_manager,
 )
 from repro.persist.wal import scan_frames
 from repro.replicate.transport import ReplicationTransport, as_transport
-from repro.service.runtime import ReadView, SynopsisService, build_view
+from repro.service.runtime import ReadView, build_view
 
 
 class FollowerService:
@@ -90,9 +87,11 @@ class FollowerService:
         the defaults) to probe the *replica's* restored engine for
         sample uniformity as records replay — the same monitor the
         leader runs, publishing the same ``quality.*`` gauges into this
-        follower's registry.  Supported for maintainer-mode replicas
-        (a manager-mode snapshot restores many engines; those replicas
-        skip probing).
+        follower's registry.  The replica probes when it holds exactly
+        one registered query (the unnamed-read rule of
+        :meth:`~repro.service.runtime.ReadView.sole_name`); with
+        several engines there is no single probe target and quality
+        monitoring stays leader-side.
     stall_after:
         Manifest staleness (seconds) beyond which the follower declares
         the replication feed stalled: one ``replicate.stall`` event on
@@ -126,8 +125,8 @@ class FollowerService:
         self._wm_appended: List[float] = []
         self.lag_samples = 0
         self.last_lag_ms: Optional[float] = None
-        self.target = None            # restored maintainer or manager
-        self._manager_mode = False
+        #: the restored manager (``None`` until the first bootstrap)
+        self.target: Optional[SynopsisManager] = None
         self._applied_lsn = 0
         self._bootstrap_snapshot: Optional[str] = None
         # per-segment tail cursor: name -> byte offset of the next frame
@@ -215,18 +214,11 @@ class FollowerService:
                 "validation; refusing to bootstrap from it"
             )
         payload, header = decoded
-        kind = payload.get("kind")
-        db = restore_database(payload["database"])
-        if kind == "maintainer":
-            self.target = restore_maintainer(db, payload["maintainer"])
-            self._manager_mode = False
-        elif kind == "manager":
-            self.target = restore_manager(db, payload["manager"])
-            self._manager_mode = True
-        else:
-            raise ReplicationError(
-                f"shipped snapshot holds unknown state kind {kind!r}"
-            )
+        check_snapshot_format(
+            payload, f"shipped snapshot {snapshot['name']}",
+            error=ReplicationError)
+        self.target = restore_manager(
+            restore_database(payload["database"]), payload["manager"])
         self._applied_lsn = int(header["wal_lsn"])
         self._bootstrap_snapshot = snapshot["name"]
         self._cursors.clear()
@@ -242,21 +234,21 @@ class FollowerService:
     def _attach_quality(self) -> None:
         """(Re)build the quality monitor over the restored engine.
 
-        Bootstrap replaces the restored target wholesale, so the
-        monitor must be rebuilt with it — its window restarts, which is
-        correct: the old rounds probed an engine that no longer exists.
+        Called whenever the set of restored engines changes — bootstrap
+        replaces the target wholesale, a replayed ``register`` /
+        ``unregister`` adds or drops one.  The monitor's window restarts
+        with it, which is correct: the old rounds probed an engine that
+        is no longer "the" engine.
         """
         if self._quality_config is None:
             return
-        engine = getattr(self.target, "engine", None)
-        if engine is None:
-            # manager-mode restore: many engines, no single probe
-            # target; quality monitoring stays leader-side
+        names = self.target.names()
+        if len(names) != 1:
             self.quality = None
             return
         self.quality = QualityMonitor(
-            engine, self._quality_config, obs=self.obs,
-            events=self.events)
+            self.target.maintainer(names[0]).engine,
+            self._quality_config, obs=self.obs, events=self.events)
 
     def _tail(self, manifest: dict) -> int:
         """Replay shipped records in [applied_lsn, acked_lsn)."""
@@ -338,12 +330,14 @@ class FollowerService:
         try:
             if self.obs.enabled:
                 with self.obs.timer(metric_names.REPLICATE_REPLAY_NS):
-                    ops = self._replay(entry)
+                    ops = replay_manager_entry(self.target, entry)
             else:
-                ops = self._replay(entry)
+                ops = replay_manager_entry(self.target, entry)
         finally:
             if span is not None:
                 self.tracer.finish(span)
+        if entry[0] != "apply":
+            self._attach_quality()     # the registration set changed
         self._applied_lsn += 1
         self.replayed_records += 1
         self.replayed_ops += ops
@@ -374,14 +368,8 @@ class FollowerService:
             self.obs.histogram(metric_names.REPLICATE_LAG_MS).labels(
                 role="follower").observe(lag_ms)
 
-    def _replay(self, entry) -> int:
-        if self._manager_mode:
-            return replay_manager_entry(self.target, entry)
-        return replay_maintainer_entry(self.target, entry)
-
     def _publish_view(self) -> None:
-        self._view = build_view(
-            self.target, self._manager_mode, epoch=self._applied_lsn)
+        self._view = build_view(self.target, epoch=self._applied_lsn)
 
     def _publish_gauges(self, manifest: dict) -> None:
         if not self.obs.enabled:
@@ -464,14 +452,16 @@ class FollowerService:
 
     def synopsis(self, name: Optional[str] = None,
                  limit: Optional[int] = None) -> List[Tuple[int, ...]]:
-        """The published synopsis — a snapshot, not a live engine read."""
-        return SynopsisService._view_synopsis(self.view(), name, limit)
+        """The published synopsis — a snapshot, not a live engine read
+        (``name=None``: the sole registered query)."""
+        return self.view().synopsis(name, limit)
 
     def total_results(self, name: Optional[str] = None) -> int:
-        return SynopsisService._view_total(self.view(), name)
+        view = self.view()
+        return view.total_results[view.resolve(name)]
 
     def names(self) -> List[str]:
-        """Registered query names in the published view (manager mode).
+        """Registered query names in the published view.
 
         Leader-side registrations replay onto the replica like any
         other WAL record, so this — and the AQP estimate path that a
@@ -479,14 +469,12 @@ class FollowerService:
         needs no extra coordination: a query registered on the leader
         becomes estimable here as soon as its record is applied.
         """
-        return sorted(
-            name for name in self.view().synopses if name is not None
-        )
+        return sorted(self.view().synopses)
 
     def synopsis_payload(self, name: Optional[str] = None,
                          limit: Optional[int] = None) -> dict:
         """The ``/synopsis`` reply, built from ONE captured view."""
-        return SynopsisService._view_payload(self.view(), name, limit)
+        return self.view().payload(name, limit)
 
     def stats(self):
         """The published view's typed stats snapshot."""
@@ -525,8 +513,7 @@ class FollowerService:
             "version": __version__,
         }
         if self.bootstrapped:
-            body["synopsis_family"] = (
-                SynopsisService._family_summary(self._view))
+            body["synopsis_family"] = self._view.family_summary()
         if self.quality is not None:
             body["quality"] = self.quality.status()
         return body
@@ -555,9 +542,7 @@ class FollowerService:
         merged: dict = {}
         view = self._view
         if view is not None:
-            stats_metrics = getattr(view.stats, "metrics", None)
-            if stats_metrics is not None:
-                merged.update(stats_metrics)
+            merged.update(view.metrics())
         if self.obs.enabled:
             merged.update(self.obs.snapshot())
         return merged
@@ -586,9 +571,6 @@ class FollowerService:
 
     def apply_batch(self, ops, *, wait: bool = True):
         raise self._read_only("apply_batch")
-
-    def submit(self, ops, wait: bool = True):
-        raise self._read_only("submit")
 
     def register(self, name, query, config=None):
         raise self._read_only("register")

@@ -2,8 +2,7 @@
 
 :class:`WalShipper` reads a leader's persistence directory (the
 ``<dir>/wal`` + ``<dir>/snapshots`` layout written by
-:class:`repro.persist.PersistentMaintainer` /
-:class:`~repro.persist.PersistentManager`) and publishes its contents
+:class:`repro.persist.PersistentManager`) and publishes its contents
 through a :class:`~repro.replicate.transport.ReplicationTransport`:
 
 1. the newest *fully validated* snapshot is shipped whole (atomically);

@@ -1,8 +1,8 @@
 """repro.service — the concurrent serving layer.
 
-Wraps any maintenance facade (:class:`~repro.core.JoinSynopsisMaintainer`,
-:class:`~repro.core.SynopsisManager`, or their :mod:`repro.persist`
-wrappers) behind a single-writer/multi-reader
+Wraps a :class:`~repro.core.SynopsisManager` (bare, or behind its
+:class:`~repro.persist.PersistentManager` wrapper) behind a
+single-writer/multi-reader
 :class:`~repro.service.runtime.SynopsisService`: writers enqueue into a
 bounded queue drained by one ingest thread in coalescing micro-batches,
 readers dereference immutable epoch-stamped snapshot views and never

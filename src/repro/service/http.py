@@ -13,8 +13,9 @@ method    path                        body / query parameters
 ========  ==========================  ==================================
 GET       ``/healthz``                —; liveness + epoch + queue depth
 GET       ``/metrics``                —; Prometheus/OpenMetrics text
-GET       ``/synopsis``               ``?name=<query>&limit=<n>``
-GET       ``/stats``                  ``?name=<query>``
+GET       ``/synopsis``               ``?name=<query>&limit=<n>``; no
+                                      name = the sole registered query
+GET       ``/stats``                  —; typed manager + per-query stats
 GET       ``/queries``                —; every registered AQP query
 GET       ``/queries/<name>/audit``   ``?limit=<n>``; accuracy audit
 GET       ``/events``                 ``?kind=<prefix>``; event log
@@ -262,8 +263,8 @@ class ServiceHTTPServer:
         self._httpd.daemon_threads = True
         self._httpd.service = service
         # one registry per server: the AQP routes (POST /query, ...)
-        # resolve the underlying manager lazily, so this works for
-        # leader services and follower replicas alike
+        # resolve the manager behind the service lazily, so this works
+        # for leader services and follower replicas alike
         self._httpd.aqp = QueryRegistry(service)
         self._thread: Optional[threading.Thread] = None
 

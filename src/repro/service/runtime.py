@@ -2,8 +2,9 @@
 
 The paper's setting (§2, Fig. 1) is a data warehouse that answers
 approximate queries *while* a high-rate update stream is applied.  The
-library facades are single-threaded; :class:`SynopsisService` makes one
-of them (maintainer, manager, or their persistent wrappers) servable:
+library facades are single-threaded; :class:`SynopsisService` makes a
+:class:`~repro.core.manager.SynopsisTarget` — a manager, or a manager
+behind its persistent wrapper — servable:
 
 * **Single-writer ingest loop** — writers enqueue
   :class:`~repro.core.stats_api.InsertOp`/``DeleteOp`` batches into a
@@ -49,11 +50,12 @@ from typing import (
     Tuple,
 )
 
+from repro.core.manager import SynopsisTarget
 from repro.core.stats_api import (
-    ApplyResult,
     BatchResult,
     DeleteOp,
     InsertOp,
+    ManagerStats,
     UpdateOp,
 )
 from repro.errors import (
@@ -156,43 +158,110 @@ class ServiceConfig:
 class ReadView:
     """One immutable, epoch-stamped snapshot served to readers.
 
-    ``synopses``/``total_results`` are keyed by registered query name —
-    a maintainer-backed service uses the single key ``None``.  ``stats``
-    is the target's typed snapshot
-    (:class:`~repro.core.stats_api.MaintainerStats` or ``ManagerStats``)
-    taken at the same point, so every field of a view is mutually
-    consistent: a view is built only *between* micro-batches.
+    ``synopses``/``total_results``/``families``/``sample_meta`` are keyed
+    by registered query name.  ``stats`` is the target's typed
+    :class:`~repro.core.stats_api.ManagerStats` taken at the same
+    point, so every field of a view is mutually consistent: a view is
+    built only *between* micro-batches.
     """
 
     epoch: int
-    synopses: Mapping[Optional[str], Tuple[Tuple[int, ...], ...]]
-    total_results: Mapping[Optional[str], int]
-    stats: object
+    synopses: Mapping[str, Tuple[Tuple[int, ...], ...]]
+    total_results: Mapping[str, int]
+    stats: ManagerStats
     published_ns: int
     #: synopsis family per query (``"uniform"``/``"weighted"``/
-    #: ``"subset"``); defaulted so pre-family view builders still work
-    families: Mapping[Optional[str], str] = dataclasses.field(
-        default_factory=dict)
+    #: ``"subset"``)
+    families: Mapping[str, str]
     #: per-sample read-only metadata mappings, aligned index-for-index
     #: with ``synopses`` (``weight``, and ``inclusion_probability`` on
     #: subset synopses); shared between consecutive views
-    sample_meta: Mapping[Optional[str], Tuple[Mapping, ...]] = (
-        dataclasses.field(default_factory=dict))
+    sample_meta: Mapping[str, Tuple[Mapping, ...]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "synopses", MappingProxyType(dict(self.synopses)))
-        object.__setattr__(
-            self, "total_results",
-            MappingProxyType(dict(self.total_results)))
-        object.__setattr__(
-            self, "families", MappingProxyType(dict(self.families)))
-        object.__setattr__(
-            self, "sample_meta",
-            MappingProxyType(dict(self.sample_meta)))
+        for field in ("synopses", "total_results", "families",
+                      "sample_meta"):
+            object.__setattr__(
+                self, field, MappingProxyType(dict(getattr(self, field))))
+
+    # ------------------------------------------------------------------
+    # name resolution: the one rule for unnamed reads
+    # ------------------------------------------------------------------
+    def sole_name(self) -> Optional[str]:
+        """The registered query's name when the view holds exactly
+        one, else ``None``: what "the" query means on a read."""
+        if len(self.synopses) == 1:
+            return next(iter(self.synopses))
+        return None
+
+    def resolve(self, name: Optional[str]) -> str:
+        """``name`` checked against the view; ``None`` resolves to the
+        sole registered query.  Anything else is a typed
+        :class:`~repro.errors.ServiceError` listing the known names."""
+        if name is None:
+            name = self.sole_name()
+        if name is None or name not in self.synopses:
+            asked = ("an unnamed read needs exactly one registered query"
+                     if name is None else f"no query {name!r}")
+            raise ServiceError(
+                f"{asked} in the published view (epoch {self.epoch}); "
+                f"known: {sorted(self.synopses)}"
+            )
+        return name
+
+    # ------------------------------------------------------------------
+    # reads (shared by the leader service and follower replicas)
+    # ------------------------------------------------------------------
+    def synopsis(self, name: Optional[str] = None,
+                 limit: Optional[int] = None) -> List[Tuple[int, ...]]:
+        if limit is not None and limit < 0:
+            raise InvalidArgumentError(
+                f"limit must be >= 0, got {limit}")
+        results = self.synopses[self.resolve(name)]
+        if limit is not None and len(results) > limit:
+            results = results[:limit]
+        return list(results)
+
+    def payload(self, name: Optional[str] = None,
+                limit: Optional[int] = None) -> dict:
+        """The full ``/synopsis`` reply: epoch, total, and sample all
+        from this one snapshot."""
+        name = self.resolve(name)
+        rows = self.synopsis(name, limit)
+        return {
+            "epoch": self.epoch,
+            "name": name,
+            "total_results": self.total_results[name],
+            "family": self.families[name],
+            # views share rows and metas with their successors: the
+            # reply gets its own mutable copies
+            "synopsis": [list(row) for row in rows],
+            "meta": [dict(m) for m in self.sample_meta[name][:len(rows)]],
+        }
+
+    def metrics(self) -> dict:
+        """The target's metrics captured with this view — what an
+        unnamed ``GET /metrics`` scrape means: the manager's registry
+        snapshot plus the sole query's engine counters and registry
+        (several queries: theirs stay under ``stats.queries``)."""
+        merged = dict(self.stats.metrics)
+        name = self.sole_name()
+        if name is not None:
+            merged.update(self.stats.queries[name].metrics)
+        return merged
+
+    def family_summary(self):
+        """One family string when every query agrees (the common case),
+        else the per-query mapping."""
+        distinct = set(self.families.values())
+        if not distinct:
+            return "uniform"
+        if len(distinct) == 1:
+            return distinct.pop()
+        return dict(self.families)
 
 
-def build_view(target, manager_mode: bool, epoch: int) -> ReadView:
+def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
     """Capture one :class:`ReadView` of ``target`` — the only view
     builder: the service's ingest thread and follower replicas both
     publish through it, so their views cannot drift.
@@ -206,17 +275,12 @@ def build_view(target, manager_mode: bool, epoch: int) -> ReadView:
     totals: dict = {}
     families: dict = {}
     sample_meta: dict = {}
-    for name in (target.names() if manager_mode else (None,)):
-        if manager_mode:
-            entries = target.synopsis_entries(name)
-            totals[name] = target.total_results(name)
-            families[name] = target.family_of(name)
-        else:
-            entries = target.synopsis_entries()
-            totals[name] = target.total_results()
-            families[name] = target.family
+    for name in target.names():
+        entries = target.synopsis_entries(name)
         synopses[name] = entries.rows
         sample_meta[name] = entries.metas
+        totals[name] = target.total_results(name)
+        families[name] = target.family_of(name)
     return ReadView(
         epoch=epoch,
         synopses=synopses,
@@ -248,43 +312,42 @@ class _Submission:
 
 
 class SynopsisService:
-    """Thread-safe serving facade over a maintainer or manager.
+    """Thread-safe serving facade over a manager.
 
     Usage::
 
-        from repro import MaintainerConfig, SynopsisService
+        from repro import SynopsisManager, SynopsisService
 
-        maintainer = JoinSynopsisMaintainer(db, sql, MaintainerConfig(...))
-        with SynopsisService(maintainer) as service:
+        manager = SynopsisManager(db)
+        manager.register("q1", sql, MaintainerConfig(...))
+        with SynopsisService(manager) as service:
             service.insert("r", (1, 10))        # enqueued + applied
-            service.synopsis()                  # lock-free snapshot read
+            service.synopsis("q1")              # lock-free snapshot read
             service.stats()                     # typed, epoch-consistent
 
-    The wrapped ``target`` may be a
-    :class:`~repro.core.maintainer.JoinSynopsisMaintainer`, a
-    :class:`~repro.core.manager.SynopsisManager`, or one of the
-    :mod:`repro.persist` wrappers; after construction *only the ingest
-    thread touches it* — callers must not mutate the target directly.
-    Manager-backed services address reads by registration name
-    (``service.synopsis("q1")``).
+    The wrapped ``target`` is a
+    :class:`~repro.core.manager.SynopsisTarget`: a
+    :class:`~repro.core.manager.SynopsisManager` or its
+    :class:`~repro.persist.PersistentManager` wrapper; after
+    construction *only the ingest thread touches it* — callers must not
+    mutate the target directly.  Writes address base tables, reads
+    address a registration name; a read without a name means the sole
+    registered query (:meth:`ReadView.resolve`).
     """
 
-    def __init__(self, target, config: Optional[ServiceConfig] = None):
+    def __init__(self, target: SynopsisTarget,
+                 config: Optional[ServiceConfig] = None):
         self.target = target
         self.config = config if config is not None else ServiceConfig()
         self.obs = as_registry(self.config.obs)
         self.tracer = as_tracer(self.config.tracer)
         self.events = as_event_log(self.config.events)
-        if self.events.enabled:
-            # fan the one log into the already-wired producers: the
-            # tracer's slow-op promotions and the target's quality flag
-            # transitions land next to audit and replication events
-            if self.tracer.enabled and not self.tracer.event_log.enabled:
-                self.tracer.event_log = self.events
-            monitor = self._quality_monitor()
-            if monitor is not None and not monitor.events.enabled:
-                monitor.events = self.events
-        self._manager_mode = hasattr(target, "register")
+        if (self.events.enabled and self.tracer.enabled
+                and not self.tracer.event_log.enabled):
+            # slow-op promotions land next to quality, audit and
+            # replication events in the one log
+            self.tracer.event_log = self.events
+        self._attach_events()
         self._started_monotonic = time.monotonic()
         # cached for healthz: only the ingest thread refreshes it (on
         # register), so readers see a plain attribute, never the target
@@ -304,7 +367,7 @@ class SynopsisService:
         self._applied_batches = 0
         self._ingest_errors = 0
         self._last_error: Optional[BaseException] = None
-        self._view = build_view(target, self._manager_mode, epoch=0)
+        self._view = build_view(target, epoch=0)
         # seed the serving gauges so /metrics covers them before the
         # first write publishes (scrapes can land on a fresh service)
         if self.obs.enabled:
@@ -346,16 +409,6 @@ class SynopsisService:
             raise submission.error
         return submission.result
 
-    def submit(self, ops: Iterable[UpdateOp],
-               wait: bool = True) -> Optional[ApplyResult]:
-        """Enqueue a batch of ops; legacy shape of :meth:`apply_batch`.
-
-        Same queueing/visibility contract, but the ``wait=True`` return
-        is the older :class:`~repro.core.stats_api.ApplyResult`.
-        """
-        result = self.apply_batch(ops, wait=wait)
-        return result.to_apply_result() if result is not None else None
-
     def insert(self, target_name: str, row: Sequence[object]) -> int:
         """Enqueue one insert; blocks until applied, returns the TID."""
         return self.apply_batch(
@@ -378,54 +431,40 @@ class SynopsisService:
         if checkpoint is None:
             raise ServiceError(
                 "target has no checkpoint(); wrap it in a "
-                "PersistentMaintainer/PersistentManager first"
+                "PersistentManager first"
             )
         return self._submit_control(checkpoint)
 
     def register(self, name: str, query, config=None):
-        """Register a query on a manager-backed service (serialized
-        through the ingest queue like any other state change)."""
-        if not self._manager_mode:
-            raise ServiceError(
-                "register() needs a manager-backed service"
-            )
-
+        """Register a query (serialized through the ingest queue like
+        any other state change)."""
         def control():
             maintainer = self.target.register(name, query, config)
             # runs on the ingest thread, which owns the target — safe
             # to re-derive the healthz backend summary here
             self._index_backend = self._detect_index_backend()
+            self._attach_events()
             return maintainer
 
         return self._submit_control(control)
 
-    def _detect_index_backend(self) -> Optional[str]:
-        """The active aggregate-index backend name, for ``/healthz``.
+    def _attach_events(self) -> None:
+        """Fan the service's event log into every registered query's
+        quality monitor (flag transitions) that has no log of its own."""
+        if not self.events.enabled:
+            return
+        for name in self.target.names():
+            monitor = self.target.maintainer(name).quality
+            if monitor is not None and not monitor.events.enabled:
+                monitor.events = self.events
 
-        Maintainer-backed services report their engine's backend;
-        manager-backed services report the backend shared by every
-        registered query, or ``None`` when queries disagree (or none
-        are registered yet).
-        """
-        target = self.target
-        inner = getattr(target, "maintainer", None)
-        if inner is not None and not callable(inner):
-            # PersistentMaintainer wraps the real maintainer
-            target = inner
-        backend = getattr(target, "index_backend", None)
-        if isinstance(backend, str):
-            return backend
-        names = getattr(target, "names", None)
-        maintainer_of = getattr(target, "maintainer", None)
-        if callable(names) and callable(maintainer_of):
-            backends = {
-                getattr(maintainer_of(name), "index_backend", None)
-                for name in names()
-            }
-            if len(backends) == 1:
-                only = next(iter(backends))
-                return only if isinstance(only, str) else None
-        return None
+    def _detect_index_backend(self) -> Optional[str]:
+        """The aggregate-index backend shared by every registered
+        query, for ``/healthz`` — ``None`` when queries disagree (or
+        none are registered yet)."""
+        backends = {self.target.maintainer(name).index_backend
+                    for name in self.target.names()}
+        return backends.pop() if len(backends) == 1 else None
 
     def _submit_control(self, fn: Callable[[], object]) -> object:
         submission = _Submission(None, fn, wait=True)
@@ -496,47 +535,18 @@ class SynopsisService:
                  limit: Optional[int] = None) -> List[Tuple[int, ...]]:
         """The published synopsis — a snapshot, not a live engine read.
 
-        ``name`` addresses a registered query on manager-backed
-        services; maintainer-backed services take no name.
+        ``name`` addresses a registered query; ``None`` means the sole
+        registered one (:meth:`ReadView.resolve`).
         """
         if self.obs.enabled:
             with self.obs.timer(metric_names.SERVICE_READ_NS):
-                return self._read_synopsis(name, limit)
-        return self._read_synopsis(name, limit)
-
-    def _read_synopsis(self, name, limit) -> List[Tuple[int, ...]]:
-        return self._view_synopsis(self._view, name, limit)
-
-    @staticmethod
-    def _view_synopsis(view: ReadView, name,
-                       limit) -> List[Tuple[int, ...]]:
-        if limit is not None and limit < 0:
-            raise InvalidArgumentError(
-                f"limit must be >= 0, got {limit}")
-        try:
-            results = view.synopses[name]
-        except KeyError:
-            known = sorted(k for k in view.synopses if k is not None)
-            raise ServiceError(
-                f"no query {name!r} in the published view "
-                f"(epoch {view.epoch}); known: {known}"
-            ) from None
-        if limit is not None and len(results) > limit:
-            results = results[:limit]
-        return list(results)
-
-    @staticmethod
-    def _view_total(view: ReadView, name) -> int:
-        try:
-            return view.total_results[name]
-        except KeyError:
-            raise ServiceError(
-                f"no query {name!r} in the published view"
-            ) from None
+                return self._view.synopsis(name, limit)
+        return self._view.synopsis(name, limit)
 
     def total_results(self, name: Optional[str] = None) -> int:
         """Exact J from the published view (epoch-consistent)."""
-        return self._view_total(self._view, name)
+        view = self._view
+        return view.total_results[view.resolve(name)]
 
     def synopsis_payload(self, name: Optional[str] = None,
                          limit: Optional[int] = None) -> dict:
@@ -546,22 +556,7 @@ class SynopsisService:
         reply can never mix epoch N's total with epoch N+1's rows even
         if the ingest thread publishes between field reads.
         """
-        return self._view_payload(self._view, name, limit)
-
-    @staticmethod
-    def _view_payload(view: ReadView, name, limit) -> dict:
-        rows = SynopsisService._view_synopsis(view, name, limit)
-        meta = view.sample_meta.get(name, ())[:len(rows)]
-        return {
-            "epoch": view.epoch,
-            "name": name,
-            "total_results": SynopsisService._view_total(view, name),
-            "family": view.families.get(name, "uniform"),
-            # views share rows and metas with their successors: the
-            # reply gets its own mutable copies
-            "synopsis": [list(row) for row in rows],
-            "meta": [dict(m) for m in meta],
-        }
+        return self._view.payload(name, limit)
 
     def stats(self):
         """The published view's typed stats snapshot."""
@@ -620,7 +615,7 @@ class SynopsisService:
             "version": __version__,
             "index_backend": self._index_backend,
             "staleness_seconds": staleness,
-            "synopsis_family": self._family_summary(view),
+            "synopsis_family": view.family_summary(),
         }
         quality = self._quality_monitor()
         if quality is not None:
@@ -634,31 +629,16 @@ class SynopsisService:
             body["last_error"] = repr(self._fatal_error)
         return body
 
-    @staticmethod
-    def _family_summary(view: ReadView):
-        """One family string when every query agrees (the common case),
-        else the per-query mapping."""
-        families = dict(view.families)
-        if not families:
-            return "uniform"
-        distinct = set(families.values())
-        if len(distinct) == 1:
-            return distinct.pop()
-        return {str(name): family for name, family in families.items()}
-
     def _quality_monitor(self):
-        """The target's quality monitor, if one is configured.
+        """The sole registered query's quality monitor, if it runs one.
 
-        Chases one level of persistent wrapping; manager-backed targets
-        report no single monitor (each registered query may own one —
-        read those through ``stats().queries``).
+        With several queries there is no single monitor to report (each
+        may own one — read those through ``stats().queries``).
         """
-        monitor = getattr(self.target, "quality", None)
-        if monitor is None:
-            inner = getattr(self.target, "maintainer", None)
-            if inner is not None and not callable(inner):
-                monitor = getattr(inner, "quality", None)
-        return monitor
+        name = self._view.sole_name()
+        if name is None:
+            return None
+        return self.target.maintainer(name).quality
 
     def service_metrics(self) -> dict:
         """Plain-dict serving counters (always available, obs or not)."""
@@ -673,18 +653,16 @@ class SynopsisService:
     def metrics_snapshot(self) -> dict:
         """Every instrument visible to this service, as one flat dict.
 
-        Merges the published view's ``stats.metrics`` (the target's
-        registry snapshot plus engine work counters, captured between
-        micro-batches) with the service's own registry snapshot; on name
-        collisions the service registry — which is live, not captured —
-        wins.  The result is what :meth:`exposition` renders.
+        Merges the published view's :meth:`ReadView.metrics` (the
+        target's registry snapshot plus engine work counters, captured
+        between micro-batches) with the service's own registry snapshot;
+        on name collisions the service registry — which is live, not
+        captured — wins.  The result is what :meth:`exposition` renders.
         """
         merged: dict = {}
         if self.events.enabled and self.obs.enabled:
             self.events.publish(self.obs)
-        stats_metrics = getattr(self._view.stats, "metrics", None)
-        if isinstance(stats_metrics, Mapping):
-            merged.update(stats_metrics)
+        merged.update(self._view.metrics())
         if self.obs.enabled:
             merged.update(self.obs.snapshot())
         return merged
@@ -769,7 +747,7 @@ class SynopsisService:
                 batch = [self._queue.popleft()]
                 if batch[0].fn is None:
                     # coalesce consecutive op submissions into one
-                    # apply() — deltas propagate and (for persistent
+                    # apply_batch() — deltas propagate and (for persistent
                     # targets) the WAL group-commits once per micro-batch
                     nops = batch[0].op_count
                     while (self._queue and self._queue[0].fn is None
@@ -788,7 +766,7 @@ class SynopsisService:
             try:
                 self._process(batch)
             except BaseException as exc:
-                # _process handles apply()/control errors itself; an
+                # _process handles apply/control errors itself; an
                 # escape means publishing the post-batch view failed
                 # (target left unreadable).  Dying silently would hang
                 # every wait=True submitter forever, so fail fast.
@@ -890,7 +868,7 @@ class SynopsisService:
 
     def _publish(self) -> None:
         self._epoch += 1
-        view = build_view(self.target, self._manager_mode, self._epoch)
+        view = build_view(self.target, self._epoch)
         # immutable view + single reference store: the degenerate
         # seqlock — readers can never observe a torn or stale-epoch mix
         self._view = view
@@ -900,7 +878,6 @@ class SynopsisService:
                 self._queued_ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mode = "manager" if self._manager_mode else "maintainer"
-        return (f"SynopsisService(mode={mode}, epoch={self.epoch}, "
-                f"queue_depth={self.queue_depth}, "
+        return (f"SynopsisService(queries={sorted(self._view.synopses)}, "
+                f"epoch={self.epoch}, queue_depth={self.queue_depth}, "
                 f"closed={self._closed})")

@@ -40,8 +40,23 @@ from repro import (
     JoinPredicate,
     JoinQuery,
     RangeTable,
+    SynopsisManager,
     TableSchema,
 )
+
+#: registration name :func:`single_query` uses unless told otherwise
+QUERY = "q"
+
+
+def single_query(db: Database, sql, config=None, name: str = QUERY):
+    """One maintained query as every layer above the engine spells it:
+    a manager with a single registration.  Returns ``(manager,
+    maintainer)`` — with an explicit ``config.seed`` the maintainer is
+    the engine a bare ``JoinSynopsisMaintainer(db, sql, config)`` would
+    be, RNG stream included.  Updates address base tables (which double
+    as aliases wherever a query names each table once)."""
+    manager = SynopsisManager(db)
+    return manager, manager.register(name, sql, config)
 
 
 def make_tables(db: Database, spec: List[Tuple[str, int]]) -> None:

@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -126,8 +126,8 @@ def test_persist_public_surface_is_stable():
     assert tuple(persist.__all__) == (
         "CrashPoint",
         "CrashPointInjector",
-        "PersistentMaintainer",
         "PersistentManager",
+        "STATE_VERSION",
         "SegmentInfo",
         "SnapshotInfo",
         "SnapshotStore",
@@ -136,7 +136,6 @@ def test_persist_public_surface_is_stable():
         "capture_maintainer",
         "capture_manager",
         "has_state",
-        "replay_maintainer_entry",
         "replay_manager_entry",
         "restore_database",
         "restore_maintainer",
@@ -145,6 +144,7 @@ def test_persist_public_surface_is_stable():
     for name in persist.__all__:
         obj = getattr(persist, name)
         assert obj.__doc__, f"repro.persist.{name} lacks a docstring"
+    assert persist.STATE_VERSION == 2
     # CrashPoint stands in for SIGKILL: production code catching the
     # library's error hierarchy must never swallow it
     from repro.errors import ReproError
@@ -249,25 +249,78 @@ def test_batch_first_surface_is_stable():
     from repro import BatchResult, OpOutcome  # noqa: F401 -- the contract
     from repro.core.maintainer import JoinSynopsisMaintainer
     from repro.core.manager import SynopsisManager
-    from repro.core.serialize import SerializedMaintainer, SerializedManager
-    from repro.persist import PersistentMaintainer, PersistentManager
+    from repro.core.serialize import SerializedManager
+    from repro.persist import PersistentManager
     from repro.service import SynopsisService
 
     for cls in (JoinSynopsisMaintainer, SynopsisManager,
-                SerializedMaintainer, SerializedManager,
-                PersistentMaintainer, PersistentManager, SynopsisService):
+                SerializedManager, PersistentManager, SynopsisService):
         assert hasattr(cls, "apply_batch"), cls
         params = list(inspect.signature(cls.apply_batch).parameters)
         assert params[1] == "ops", cls
-        # 2.0 removed the deprecated sequence shim everywhere
+        # 2.0 removed the deprecated sequence shim everywhere, 3.0 the
+        # ``apply`` wrapper and its ApplyResult shape
         assert not hasattr(cls, "insert_many"), cls
+        assert not hasattr(cls, "apply"), cls
+
+
+def test_removed_in_3_0_names_are_absent():
+    """3.0 collapsed the maintainer fork of every wrapper and dropped
+    what 2.0 marked "removed in the next release"; none of it may creep
+    back as an alias (CHANGELOG.md has the replacement table)."""
+    from repro import core, persist, replicate, service
+    from repro.core import stats_api
+    from repro.core.stats_api import (BatchResult, MaintainerStats,
+                                      ManagerStats)
+    from repro.persist import runtime as persist_runtime
+
+    for module, names in (
+        (repro, ("ApplyResult", "SerializedMaintainer",
+                 "PersistentMaintainer")),
+        (core, ("ApplyResult", "SerializedMaintainer")),
+        (stats_api, ("ApplyResult",)),
+        (persist, ("PersistentMaintainer", "replay_maintainer_entry")),
+        (persist_runtime, ("PersistentMaintainer", "_PersistentBase",
+                           "replay_maintainer_entry")),
+    ):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ()), name
+    assert not hasattr(BatchResult, "to_apply_result")
+    for stats_type in (MaintainerStats, ManagerStats):
+        assert "__getitem__" not in vars(stats_type), stats_type
+    for cls in (service.SynopsisService, replicate.FollowerService):
+        assert not hasattr(cls, "submit"), cls
+
+
+def test_one_declared_target_shape(tmp_path):
+    """``SynopsisTarget`` lists what wrappers rely on; the manager and
+    both of its wrappers satisfy it structurally (no base class)."""
+    from repro import (Database, SerializedManager, SynopsisManager,
+                       SynopsisTarget)
+    from repro.persist import PersistentManager
+
+    members = sorted(name for name in vars(SynopsisTarget)
+                     if not name.startswith("_"))
+    assert members == sorted([
+        "names", "maintainer", "register", "unregister", "apply_batch",
+        "synopsis_entries", "total_results", "family_of", "stats"])
+    assert list(SynopsisTarget.__annotations__) == ["db"]
+    manager = SynopsisManager(Database())
+    persistent = PersistentManager(
+        SynopsisManager(Database()), str(tmp_path))
+    for target in (manager, SerializedManager(manager), persistent):
+        assert SynopsisTarget not in type(target).__mro__
+        assert target.db is not None
+        for name in members:
+            assert callable(getattr(target, name)), (target, name)
+    persistent.close()
 
 
 def test_retired_backend_registry_contract():
     """The skiplist backend is retired: the registry must reject it with
-    an actionable message, but the module stays importable (see the
-    submodule import matrix above) and persisted states that pinned it
-    fall back to avl."""
+    an actionable message; the module stays importable (see the
+    submodule import matrix above)."""
     from repro.errors import IndexBackendError
     from repro.index.api import (available_backends, resolve_backend,
                                  retired_fallback)

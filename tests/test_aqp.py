@@ -363,14 +363,3 @@ class TestRegistryOnService:
             assert payload["value"] == 5
             assert payload["epoch"] == service.epoch
             assert registry.describe_all()[0]["name"] == "live"
-
-    def test_single_maintainer_service_is_rejected(self):
-        from repro import JoinSynopsisMaintainer
-
-        db = make_db()
-        m = JoinSynopsisMaintainer(db, SQL, MaintainerConfig(seed=1))
-        with SynopsisService(m) as service:
-            registry = QueryRegistry(service)
-            from repro.errors import ServiceError
-            with pytest.raises((ServiceError, SynopsisError)):
-                registry.get("q")

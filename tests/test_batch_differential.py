@@ -24,7 +24,7 @@ from repro.core.manager import SynopsisManager
 from repro.core.stats_api import BatchResult, DeleteOp, InsertOp
 from repro.core.synopsis import SynopsisSpec
 
-from conftest import make_tables
+from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -47,6 +47,14 @@ def make_maintainer(spec, engine, seed=11):
         make_db(), SQL,
         MaintainerConfig(spec=spec, engine=engine, seed=seed),
     )
+
+
+def make_stack(spec, engine, seed=11):
+    """The same query as the manager stack holds it: ``(manager,
+    maintainer)``, one registration."""
+    return single_query(
+        make_db(), SQL,
+        MaintainerConfig(spec=spec, engine=engine, seed=seed))
 
 
 def build_ops(seed, n, delete_prob):
@@ -122,17 +130,6 @@ def test_batch_tids_match_serial(engine):
     assert batched_tids == serial_tids
 
 
-def test_single_op_batches_equal_legacy_apply():
-    """apply() is a strict wrapper: same tids, same synopsis."""
-    ops = build_ops(5, 100, 0.2)
-    a = make_maintainer(SPECS["fixed"], "sjoin-opt")
-    b = make_maintainer(SPECS["fixed"], "sjoin-opt")
-    tids_a = list(a.apply(ops).tids)
-    tids_b = list(b.apply_batch(ops).tids)
-    assert tids_a == tids_b
-    assert state_of(a) == state_of(b)
-
-
 # ----------------------------------------------------------------------
 # manager level: fan-out batching (incl. duplicated aliases)
 # ----------------------------------------------------------------------
@@ -205,22 +202,22 @@ def test_manager_apply_batch_bit_identical(delete_prob, seed):
 def test_checkpoint_straddling_batches_recover_identically():
     """A WAL with whole-batch entries before AND after a checkpoint
     recovers to the same state as the uninterrupted run."""
-    from repro.persist.runtime import PersistentMaintainer
+    from repro.persist.runtime import PersistentManager
 
     ops = build_ops(13, 200, 0.3)
     pieces = chunk(ops, 16)
     directory = tempfile.mkdtemp(prefix="repro-batch-ckpt-")
     try:
-        pm = PersistentMaintainer(
-            make_maintainer(SPECS["fixed"], "sjoin-opt"), directory)
+        manager, maintainer = make_stack(SPECS["fixed"], "sjoin-opt")
+        pm = PersistentManager(manager, directory)
         for i, piece in enumerate(pieces):
             pm.apply_batch(piece)
             if i == len(pieces) // 2:
                 pm.checkpoint()  # WAL tail starts mid-stream
-        expected = state_of(pm.maintainer)
+        expected = state_of(maintainer)
         pm.abandon()  # crash simulation: no clean close
-        recovered = PersistentMaintainer.recover(directory)
-        assert state_of(recovered.maintainer) == expected
+        recovered = PersistentManager.recover(directory)
+        assert state_of(recovered.maintainer(QUERY)) == expected
         recovered.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)
@@ -294,8 +291,8 @@ def test_run_boundary_batches_via_service_match_serial():
         for op in batch:
             serial.apply_batch([op])
 
-    target = make_maintainer(SPECS["fixed"], "sjoin-opt")
-    service = SynopsisService(target, ServiceConfig())
+    manager, target = make_stack(SPECS["fixed"], "sjoin-opt")
+    service = SynopsisService(manager, ServiceConfig())
     try:
         service.apply_batch(seed_ops)
         for name, batch in sorted(batches.items()):
@@ -350,8 +347,8 @@ def test_all_delete_batch_drains_to_empty():
     for op in inserts + deletes:
         serial.apply_batch([op])
 
-    target = make_maintainer(SPECS["fixed"], "sjoin-opt")
-    service = SynopsisService(target, ServiceConfig())
+    manager, target = make_stack(SPECS["fixed"], "sjoin-opt")
+    service = SynopsisService(manager, ServiceConfig())
     try:
         service.apply_batch(inserts)
         assert service.total_results() == 1

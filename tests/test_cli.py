@@ -111,8 +111,10 @@ class TestServe:
             ["serve", "--scale", "tiny", "--synopsis", "fixed:20"])
         target, close = build_serve_target(args)
         try:
-            assert target.total_results() >= 0
-            assert target.stats().algorithm == "sjoin-opt"
+            # the workload's query, registered under its name
+            assert target.names() == ["QY"]
+            assert target.total_results("QY") >= 0
+            assert target.stats().queries["QY"].algorithm == "sjoin-opt"
         finally:
             close()
 
@@ -122,13 +124,14 @@ class TestServe:
             ["serve", "--scale", "tiny", "--synopsis", "fixed:20",
              "--dir", directory])
         target, close = build_serve_target(args)
-        total = target.total_results()
+        total = target.total_results("QY")
         target.checkpoint()
         close()
         # second build over the same dir must recover, not re-create
         target2, close2 = build_serve_target(args)
         try:
-            assert target2.total_results() == total
+            assert target2.recoveries == 1
+            assert target2.total_results("QY") == total
         finally:
             close2()
 
@@ -156,6 +159,31 @@ class TestServe:
             server.stop()
             service.close()
             close()
+
+
+class TestCheckpointRestore:
+    def test_round_trip_json(self, tmp_path, capsys):
+        """``repro checkpoint`` -> ``repro restore --json`` (the CI
+        recovery job's assertions, against the manager-backed CLI)."""
+        import json
+
+        directory = str(tmp_path / "ckpt")
+        assert main(["checkpoint", "--dir", directory, "--query", "QY",
+                     "--scale", "tiny", "--events", "300", "--seed", "3",
+                     "--index-backend", "fenwick"]) == 0
+        out = capsys.readouterr().out
+        assert "checkpointed QY/sjoin-opt" in out and "query QY" in out
+        assert main(["restore", "--dir", directory, "--json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["index_backend"] == "fenwick"
+        assert body["algorithm"] == "sjoin-opt"
+        assert body["persist"]["recoveries"] == 1
+        assert body["persist"]["replay_failures"] == 0
+        assert list(body["queries"]) == ["QY"]
+        assert body["total_results"] == \
+            body["queries"]["QY"]["total_results"] > 0
+        assert main(["restore", "--dir", directory]) == 0
+        assert "index backend      fenwick" in capsys.readouterr().out
 
 
 class TestObservabilityCli:

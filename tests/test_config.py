@@ -6,7 +6,6 @@ import warnings
 import pytest
 
 from repro import (
-    ApplyResult,
     Column,
     Database,
     ENGINES,
@@ -19,7 +18,7 @@ from repro import (
     SynopsisSpec,
     TableSchema,
 )
-from repro.persist import PersistentMaintainer, PersistentManager
+from repro.persist import PersistentManager
 
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
 
@@ -65,7 +64,7 @@ class TestConfigObject:
 
 
 class TestEntryPointsAcceptConfig:
-    """All four entry points take the one config object (acceptance)."""
+    """Every entry point takes the one config object (acceptance)."""
 
     def config(self):
         return MaintainerConfig(spec=SynopsisSpec.fixed_size(10), seed=5)
@@ -90,10 +89,15 @@ class TestEntryPointsAcceptConfig:
         assert w.total_results() == 1
 
     def test_persistent_maintainer(self, tmp_path):
-        pm = PersistentMaintainer.create(
-            make_db(), SQL, str(tmp_path / "state"), config=self.config())
-        feed(pm)
-        assert pm.total_results() == 4
+        """The maintainer a durable registration builds carries the
+        config it was registered with (the 2.x
+        ``PersistentMaintainer.create`` entry point, as 3.0 spells it)."""
+        pm = PersistentManager(
+            SynopsisManager(make_db()), str(tmp_path / "state"))
+        maintainer = pm.register("q", SQL, self.config())
+        assert maintainer.config.seed == 5
+        assert maintainer.requested_spec.size == 10
+        assert pm.maintainer("q") is maintainer
         pm.close()
 
     def test_persistent_manager(self, tmp_path):
@@ -150,32 +154,6 @@ class TestLegacyKwargShimRemoved:
             manager.register("q", SQL, spec=SynopsisSpec.fixed_size(5))
 
 
-class TestApplyResult:
-    def test_typed_result(self):
-        from repro.core.stats_api import DeleteOp, InsertOp
-
-        m = feed(JoinSynopsisMaintainer(
-            make_db(), SQL, MaintainerConfig(seed=5)))
-        result = m.apply([InsertOp("r", (9, 9)), DeleteOp("s", 0)])
-        assert isinstance(result, ApplyResult)
-        assert result.inserted == 1 and result.deleted == 1
-        assert result.rejected == 0
-        assert result.elapsed_ns > 0
-        assert result.tids[1] is None
-
-    def test_sequence_shim_deprecated(self):
-        from repro.core.stats_api import InsertOp
-
-        m = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(seed=5))
-        result = m.apply([InsertOp("r", (1, 1))])
-        with pytest.deprecated_call():
-            assert len(result) == 1
-        with pytest.deprecated_call():
-            assert result[0] == result.tids[0]
-        with pytest.deprecated_call():
-            assert list(result) == list(result.tids)
-
-
 class TestBatchResult:
     def test_apply_batch_returns_typed_batch_result(self):
         from repro.core.stats_api import BatchResult, DeleteOp, InsertOp
@@ -202,16 +180,7 @@ class TestBatchResult:
         assert [f.name for f in dataclasses.fields(BatchResult)] == \
             ["outcomes", "inserted", "deleted", "rejected", "elapsed_ns"]
 
-    def test_to_apply_result_bridges_legacy_shape(self):
-        from repro.core.stats_api import InsertOp
-
-        m = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(seed=5))
-        batch = m.apply_batch([InsertOp("r", (1, 1))])
-        legacy = batch.to_apply_result()
-        assert isinstance(legacy, ApplyResult)
-        assert legacy.tids == batch.tids
-        assert legacy.inserted == batch.inserted == 1
-
     def test_insert_many_shim_removed(self):
         m = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(seed=5))
         assert not hasattr(m, "insert_many")
+

@@ -28,11 +28,10 @@ from repro.errors import PersistError
 from repro.persist import (
     CrashPoint,
     CrashPointInjector,
-    PersistentMaintainer,
     PersistentManager,
 )
 
-from conftest import make_tables
+from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 N_OPS = 18
@@ -84,7 +83,7 @@ def twin_fingerprints(ops):
         make_db(), SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(6), seed=SEED))
     fps = [fingerprint(maintainer)]
     for op in ops:
-        maintainer.apply([op])
+        maintainer.apply_batch([op])
         fps.append(fingerprint(maintainer))
     return fps
 
@@ -92,13 +91,14 @@ def twin_fingerprints(ops):
 def run_workload(directory, hook, acked):
     """The crashed process: one op per synced WAL append, with an
     initial, a midway and a final checkpoint."""
-    maintainer = JoinSynopsisMaintainer(
-        make_db(), SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(6), seed=SEED))
-    pm = PersistentMaintainer(maintainer, directory, sync="always",
-                              sync_hook=hook)
+    manager, _ = single_query(
+        make_db(), SQL,
+        MaintainerConfig(spec=SynopsisSpec.fixed_size(6), seed=SEED))
+    pm = PersistentManager(manager, directory, sync="always",
+                           sync_hook=hook)
     ops = op_stream()
     for i, op in enumerate(ops):
-        pm.apply([op])
+        pm.apply_batch([op])
         acked.append(op)
         if i == len(ops) // 2:
             pm.checkpoint()
@@ -130,7 +130,7 @@ def test_crash_matrix_every_fsync_boundary(tmp_path, mode):
             pytest.fail(f"boundary {crash_at} never crashed "
                         f"({boundaries} counted)")
         try:
-            recovered = PersistentMaintainer.recover(directory)
+            recovered = PersistentManager.recover(directory)
         except PersistError:
             # only legitimate when the crash hit the *initial*
             # checkpoint: nothing was acknowledged yet
@@ -139,7 +139,7 @@ def test_crash_matrix_every_fsync_boundary(tmp_path, mode):
                 f"after {len(acked)} acknowledged ops"
             )
             continue
-        fp = fingerprint(recovered.maintainer)
+        fp = fingerprint(recovered.maintainer(QUERY))
         k = len(acked)
         candidates = [twins[k]]
         if k + 1 < len(twins):
@@ -160,20 +160,20 @@ def test_crashed_recovery_continues_bit_identically(tmp_path):
     acked = []
     with pytest.raises(CrashPoint):
         run_workload(str(tmp_path / "crash"), injector, acked)
-    recovered = PersistentMaintainer.recover(str(tmp_path / "crash"))
+    recovered = PersistentManager.recover(str(tmp_path / "crash"))
+    survivor = recovered.maintainer(QUERY)
     twin = JoinSynopsisMaintainer(
         make_db(), SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(6), seed=SEED))
-    k = recovered.maintainer.engine.stats.inserts + \
-        recovered.maintainer.engine.stats.deletes
-    twin.apply(ops[:k])
-    assert fingerprint(recovered.maintainer) == fingerprint(twin)
+    k = survivor.engine.stats.inserts + survivor.engine.stats.deletes
+    twin.apply_batch(ops[:k])
+    assert fingerprint(survivor) == fingerprint(twin)
     rng = random.Random(99)  # shared post-recovery insert stream
     for _ in range(30):
         alias = rng.choice(["r", "s", "t"])
         row = (rng.randrange(4), rng.randrange(4))
         recovered.insert(alias, row)
         twin.insert(alias, row)
-    assert fingerprint(recovered.maintainer) == fingerprint(twin)
+    assert fingerprint(survivor) == fingerprint(twin)
     recovered.close()
 
 

@@ -15,12 +15,12 @@ import urllib.request
 
 import pytest
 
-from repro import Database, JoinSynopsisMaintainer, MaintainerConfig
+from repro import Database, MaintainerConfig
 from repro.obs import MetricsRegistry, render_exposition
 from repro.obs import names as metric_names
 from repro.obs.expo import CONTENT_TYPE, sanitize_name
 
-from conftest import make_tables
+from conftest import make_tables, single_query
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "metrics.prom")
@@ -336,10 +336,10 @@ def service():
 
     db = Database()
     make_tables(db, [("r", 2), ("s", 2)])
-    maintainer = JoinSynopsisMaintainer(
+    manager, _ = single_query(
         db, "SELECT * FROM r, s WHERE r.c0 = s.c0",
         MaintainerConfig(seed=1, obs=MetricsRegistry()))
-    svc = SynopsisService(maintainer,
+    svc = SynopsisService(manager,
                           ServiceConfig(obs=MetricsRegistry()))
     yield svc
     svc.close()

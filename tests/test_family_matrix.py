@@ -24,7 +24,7 @@ from repro import (
     parse_query,
 )
 
-from conftest import make_tables
+from conftest import make_tables, single_query
 
 FAMILY = os.environ.get("REPRO_SYNOPSIS_FAMILY", "uniform")
 
@@ -158,8 +158,11 @@ class TestFamilyWorkload:
                 assert "inclusion_probability" not in meta
 
     def test_service_reports_family_end_to_end(self, spec):
-        _, maintainer = build(spec, seed=2)
-        with SynopsisService(maintainer) as service:
+        db = Database()
+        make_tables(db, [("r", 3), ("s", 2)])
+        manager, _ = single_query(
+            db, SQL, MaintainerConfig(spec=spec, seed=2))
+        with SynopsisService(manager) as service:
             for i in range(8):
                 service.insert("r", (i % 3, i, 1 + i % 4))
                 service.insert("s", (i % 3, i))

@@ -13,8 +13,8 @@ from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
 from repro.index.api import available_backends
 from repro.obs.metrics import MetricsRegistry
+from repro.core.manager import SynopsisManager
 from repro.persist import (
-    PersistentMaintainer,
     PersistentManager,
     SnapshotStore,
     WriteAheadLog,
@@ -23,7 +23,9 @@ from repro.persist import (
     restore_database,
     restore_maintainer,
 )
-from repro.persist.state import capture_manager, restore_manager
+from repro.persist.runtime import replay_manager_entry
+from repro.persist.state import (STATE_VERSION, capture_manager,
+                                 restore_manager)
 
 from conftest import make_tables
 
@@ -34,6 +36,14 @@ def make_db():
     db = Database()
     make_tables(db, [("r", 2), ("s", 2), ("t", 2)])
     return db
+
+
+def persistent_query(db, directory, config=None, **kwargs):
+    """One maintained query behind the durable stack: a manager with
+    the single registration ``"q"`` (tables double as their aliases)."""
+    pm = PersistentManager(SynopsisManager(db), directory, **kwargs)
+    pm.register("q", SQL, config)
+    return pm
 
 
 def drive(target, rng, n, domain=6):
@@ -254,36 +264,6 @@ class TestStateRoundTrip:
         assert restored.engine.raw_samples() == \
             maintainer.engine.raw_samples()
 
-    def test_legacy_snapshot_without_backend_restores_onto_avl(self):
-        db = make_db()
-        maintainer = JoinSynopsisMaintainer(
-            db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), engine="sjoin-opt", seed=7))
-        drive(maintainer, random.Random(1), 80)
-        state = capture_maintainer(maintainer)
-        del state["index_backend"]  # snapshots predating the pin
-        restored = restore_maintainer(
-            restore_database(capture_database(db)), state)
-        assert restored.index_backend == "avl"
-
-    def test_snapshot_pinning_retired_backend_restores_onto_avl(self):
-        """A snapshot recorded against the since-retired "skiplist"
-        backend restores onto the built-in default: every backend ranks
-        join results identically, so the sample stream is unchanged."""
-        db = make_db()
-        maintainer = JoinSynopsisMaintainer(
-            db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), engine="sjoin-opt", seed=7))
-        drive(maintainer, random.Random(1), 80)
-        state = capture_maintainer(maintainer)
-        state["index_backend"] = "skiplist"
-        restored = restore_maintainer(
-            restore_database(capture_database(db)), state)
-        assert restored.index_backend == "avl"
-        assert restored.synopsis() == maintainer.synopsis()
-        drive(maintainer, random.Random(2), 80)
-        drive(restored, random.Random(2), 80)
-        assert restored.engine.raw_samples() == \
-            maintainer.engine.raw_samples()
-
     def test_fk_combined_node_round_trip(self):
         db = Database()
         db.create_table(TableSchema(
@@ -346,8 +326,6 @@ class TestStateRoundTrip:
             restore_maintainer(db, state)
 
     def test_manager_round_trip_with_seed_rng(self):
-        from repro.core.manager import SynopsisManager
-
         db = make_db()
         manager = SynopsisManager(db, MaintainerConfig(seed=5))
         manager.register("q1", SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(8)))
@@ -373,42 +351,41 @@ class TestStateRoundTrip:
 # persistent wrappers (WAL + checkpoint + recover)
 # ----------------------------------------------------------------------
 class TestPersistentMaintainer:
+    """One maintained query through the durable stack (the class keeps
+    its pre-3.0 name; the unit under test is a ``PersistentManager``
+    holding a single registration)."""
+
     def test_recover_replays_wal_tail(self, tmp_path):
-        db = make_db()
-        maintainer = JoinSynopsisMaintainer(
-            db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), seed=1))
-        pm = PersistentMaintainer(maintainer, str(tmp_path))
+        pm = persistent_query(
+            make_db(), str(tmp_path),
+            MaintainerConfig(spec=SynopsisSpec.fixed_size(10), seed=1))
         rng = random.Random(2)
         drive(pm, rng, 80)
         pm.checkpoint()
         drive(pm, rng, 40)  # tail beyond the checkpoint, WAL only
-        expected = (pm.total_results(), pm.synopsis())
+        expected = (pm.total_results("q"), pm.synopsis("q"))
         pm.abandon()
-        recovered = PersistentMaintainer.recover(str(tmp_path))
+        recovered = PersistentManager.recover(str(tmp_path))
         assert recovered.replayed_ops == 40
-        assert recovered.total_results() == expected[0]
-        assert recovered.synopsis() == expected[1]
+        assert recovered.total_results("q") == expected[0]
+        assert recovered.synopsis("q") == expected[1]
 
     def test_fresh_wrapper_over_existing_state_is_rejected(self,
                                                            tmp_path):
-        db = make_db()
-        pm = PersistentMaintainer(
-            JoinSynopsisMaintainer(db, SQL, MaintainerConfig(seed=0)), str(tmp_path))
+        pm = persistent_query(make_db(), str(tmp_path),
+                              MaintainerConfig(seed=0))
         pm.close()
         with pytest.raises(PersistError, match="recover"):
-            PersistentMaintainer(
-                JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(seed=0)),
-                str(tmp_path))
+            PersistentManager(SynopsisManager(make_db()), str(tmp_path))
 
     def test_recover_empty_directory_raises(self, tmp_path):
         with pytest.raises(PersistError, match="no valid snapshot"):
-            PersistentMaintainer.recover(str(tmp_path))
+            PersistentManager.recover(str(tmp_path))
 
     def test_checkpoint_truncates_wal(self, tmp_path):
-        db = make_db()
-        pm = PersistentMaintainer(
-            JoinSynopsisMaintainer(db, SQL, MaintainerConfig(seed=1)), str(tmp_path),
-            segment_max_bytes=256)
+        pm = persistent_query(make_db(), str(tmp_path),
+                              MaintainerConfig(seed=1),
+                              segment_max_bytes=256)
         drive(pm, random.Random(3), 120)
         wal_dir = os.path.join(str(tmp_path), "wal")
         before = len(os.listdir(wal_dir))
@@ -416,26 +393,25 @@ class TestPersistentMaintainer:
         after = len(os.listdir(wal_dir))
         assert after < before
         pm.close()
-        recovered = PersistentMaintainer.recover(str(tmp_path))
+        recovered = PersistentManager.recover(str(tmp_path))
         assert recovered.replayed_ops == 0
 
     def test_obs_metrics_published(self, tmp_path):
         from repro.obs import names as metric_names
 
-        db = make_db()
         obs = MetricsRegistry()
-        pm = PersistentMaintainer(
-            JoinSynopsisMaintainer(db, SQL, MaintainerConfig(seed=1)), str(tmp_path),
-            obs=obs)
+        pm = persistent_query(make_db(), str(tmp_path),
+                              MaintainerConfig(seed=1), obs=obs)
         drive(pm, random.Random(4), 30)
         pm.checkpoint()
         pm.close()
         snapshot = obs.snapshot()
-        assert snapshot[metric_names.PERSIST_WAL_APPENDS]["value"] == 30
+        # 30 update records + the registration
+        assert snapshot[metric_names.PERSIST_WAL_APPENDS]["value"] == 31
         assert snapshot[metric_names.PERSIST_SNAPSHOT_WRITES]["value"] == 2
-        assert snapshot[metric_names.PERSIST_WAL_APPEND_NS]["count"] == 30
+        assert snapshot[metric_names.PERSIST_WAL_APPEND_NS]["count"] == 31
         obs2 = MetricsRegistry()
-        recovered = PersistentMaintainer.recover(str(tmp_path), obs=obs2)
+        recovered = PersistentManager.recover(str(tmp_path), obs=obs2)
         snap2 = obs2.snapshot()
         assert snap2[metric_names.PERSIST_RECOVERIES]["value"] == 1
         assert snap2[metric_names.PERSIST_RECOVERY_NS]["count"] == 1
@@ -445,8 +421,6 @@ class TestPersistentMaintainer:
 
 class TestPersistentManager:
     def test_register_and_updates_survive_recovery(self, tmp_path):
-        from repro.core.manager import SynopsisManager
-
         db = make_db()
         pm = PersistentManager(SynopsisManager(db, MaintainerConfig(seed=9)),
                                str(tmp_path))
@@ -472,8 +446,6 @@ class TestPersistentManager:
             assert recovered.total_results(name) == totals[name], name
 
     def test_unregister_is_replayed(self, tmp_path):
-        from repro.core.manager import SynopsisManager
-
         db = make_db()
         pm = PersistentManager(SynopsisManager(db, MaintainerConfig(seed=9)),
                                str(tmp_path))
@@ -487,8 +459,6 @@ class TestPersistentManager:
     def test_wal_register_pins_index_backend(self, tmp_path):
         """A registration replayed from the WAL (never checkpointed) must
         come back on the backend the operator chose."""
-        from repro.core.manager import SynopsisManager
-
         db = make_db()
         pm = PersistentManager(SynopsisManager(db, MaintainerConfig(seed=9)),
                                str(tmp_path))
@@ -506,10 +476,71 @@ class TestPersistentManager:
         assert recovered.synopsis("q1") == expected
 
     def test_sj_registration_rejected(self, tmp_path):
-        from repro.core.manager import SynopsisManager
-
         pm = PersistentManager(SynopsisManager(make_db(), MaintainerConfig(seed=0)),
                                str(tmp_path))
         with pytest.raises(PersistError, match="sj"):
             pm.register("q", SQL, MaintainerConfig(engine="sj"))
         pm.close()
+
+
+class TestFormatGate:
+    """One on-disk format: anything 3.0 did not write is refused with a
+    typed error naming the version, never half-decoded."""
+
+    def _state_dir(self, tmp_path):
+        pm = persistent_query(make_db(), str(tmp_path),
+                              MaintainerConfig(seed=1))
+        drive(pm, random.Random(5), 20)
+        pm.checkpoint()
+        pm.close()
+        return SnapshotStore(os.path.join(str(tmp_path), "snapshots"))
+
+    def _rewrite_newest(self, store, edit):
+        payload, header = store.load_latest()
+        edit(payload)
+        store.write(payload, wal_lsn=header["wal_lsn"])
+
+    def test_v1_snapshot_rejected(self, tmp_path):
+        store = self._state_dir(tmp_path)
+
+        def to_v1(payload):
+            payload["database"]["version"] = 1
+            payload["manager"]["version"] = 1
+        self._rewrite_newest(store, to_v1)
+        with pytest.raises(
+                PersistError,
+                match=f"version 1 .*only version {STATE_VERSION}"):
+            PersistentManager.recover(str(tmp_path))
+
+    def test_maintainer_kind_snapshot_rejected(self, tmp_path):
+        """What a 2.x ``PersistentMaintainer`` left behind."""
+        store = self._state_dir(tmp_path)
+
+        def to_maintainer_kind(payload):
+            payload["kind"] = "maintainer"
+            payload["database"]["version"] = 1
+            payload["maintainer"] = payload.pop(
+                "manager")["queries"][0]["maintainer"]
+        self._rewrite_newest(store, to_maintainer_kind)
+        with pytest.raises(PersistError,
+                           match="version 1 'maintainer' state"):
+            PersistentManager.recover(str(tmp_path))
+
+    @pytest.mark.parametrize("arity", [6, 8], ids=["pre-pin", "longer"])
+    def test_register_record_of_other_arity_rejected(self, arity):
+        entry = ("register", "q", SQL, None, "sjoin-opt", 3, "avl",
+                 "extra")[:arity]
+        manager = SynopsisManager(make_db())
+        with pytest.raises(PersistError, match="register WAL record"):
+            replay_manager_entry(manager, entry)
+        assert manager.names() == []
+
+    def test_undecodable_wal_record_stops_recovery(self, tmp_path):
+        """A foreign record in the tail is not counted as an ordinary
+        replay failure and skipped: recovery refuses the directory."""
+        pm = persistent_query(make_db(), str(tmp_path),
+                              MaintainerConfig(seed=1))
+        pm.wal.append(("register", "old", SQL, None, "sjoin-opt", 3))
+        pm.abandon()
+        with pytest.raises(PersistError, match="register WAL record"):
+            PersistentManager.recover(str(tmp_path))

@@ -22,7 +22,7 @@ from repro.obs.quality import chi_square_two_sample, ks_critical, \
     ks_statistic
 from repro.query.parser import parse_query
 
-from conftest import make_tables
+from conftest import make_tables, single_query
 
 SQL = "SELECT * FROM r, s WHERE r.c0 = s.c0"
 
@@ -234,9 +234,9 @@ def test_healthz_carries_quality_and_staleness():
     from repro.service import ServiceConfig, SynopsisService
 
     obs = MetricsRegistry()
-    maintainer = JoinSynopsisMaintainer(
+    manager, maintainer = single_query(
         make_db(), SQL, MaintainerConfig(seed=3, obs=obs, quality=True))
-    service = SynopsisService(maintainer, ServiceConfig(obs=obs))
+    service = SynopsisService(manager, ServiceConfig(obs=obs))
     try:
         service.insert("r", (1, 1))
         health = service.healthz()

@@ -14,12 +14,11 @@ import pytest
 
 from repro import Database
 from repro.core.config import MaintainerConfig
-from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.errors import FollowerReadOnlyError, ReplicationError
 from repro.obs import names as metric_names
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, format_label_key
-from repro.persist import PersistentMaintainer
+from repro.persist import PersistentManager
 from repro.replicate import (
     DirectoryTransport,
     FollowerService,
@@ -29,7 +28,7 @@ from repro.replicate import (
 from repro.replicate.shipper import WATERMARK_CAPACITY
 from repro.replicate.transport import MANIFEST_VERSION
 
-from conftest import make_tables
+from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -41,10 +40,12 @@ def make_db():
 
 
 def make_leader(directory, seed=7, segment_max_bytes=1024, **kw):
-    maintainer = JoinSynopsisMaintainer(
-        make_db(), SQL, MaintainerConfig(seed=seed))
-    return PersistentMaintainer(maintainer, str(directory),
-                                segment_max_bytes=segment_max_bytes, **kw)
+    """A durable leader maintaining the one query ``QUERY`` (registered
+    before the wrapper, so it is part of the initial snapshot and every
+    WAL record is an update)."""
+    manager, _ = single_query(make_db(), SQL, MaintainerConfig(seed=seed))
+    return PersistentManager(manager, str(directory),
+                             segment_max_bytes=segment_max_bytes, **kw)
 
 
 def drive(pm, rng, n, live=None, domain=6):
@@ -280,8 +281,8 @@ class TestFollowerService:
         assert f.bootstrapped
         assert f.applied_lsn == pm.wal.next_lsn
         assert f.epoch == f.applied_lsn
-        assert f.synopsis() == [tuple(r) for r in pm.synopsis()]
-        assert f.total_results() == pm.total_results()
+        assert f.synopsis() == [tuple(r) for r in pm.synopsis(QUERY)]
+        assert f.total_results() == pm.total_results(QUERY)
         pm.close()
 
     def test_catch_up_is_incremental_and_idempotent(self, tmp_path):
@@ -292,7 +293,7 @@ class TestFollowerService:
         shipper.ship_once()
         assert f.catch_up() == 7
         assert f.catch_up() == 0
-        assert f.synopsis() == [tuple(r) for r in pm.synopsis()]
+        assert f.synopsis() == [tuple(r) for r in pm.synopsis(QUERY)]
         pm.close()
 
     def test_writes_rejected_with_leader_url(self, tmp_path):
@@ -302,7 +303,6 @@ class TestFollowerService:
             lambda: f.insert("r", (1, 2)),
             lambda: f.delete("r", 0),
             lambda: f.apply_batch([]),
-            lambda: f.submit([]),
             lambda: f.register("q", SQL),
             lambda: f.checkpoint(),
         ):
@@ -378,10 +378,52 @@ class TestFollowerService:
         f = FollowerService(ship_dir)
         payload = f.synopsis_payload(limit=2)
         assert payload["epoch"] == f.applied_lsn
-        assert payload["total_results"] == pm.total_results()
+        assert payload["total_results"] == pm.total_results(QUERY)
         assert len(payload["synopsis"]) <= 2
         assert f.service_metrics()["applied_lsn"] == f.applied_lsn
         pm.close()
+
+    def test_unnamed_reads_follow_the_sole_query_rule(self, tmp_path):
+        from repro.errors import ServiceError
+
+        pm, _, shipper, ship_dir = ship_pair(tmp_path)
+        f = FollowerService(ship_dir, quality=True)
+        assert f.names() == [QUERY]
+        assert f.synopsis() == f.synopsis(QUERY)
+        assert f.synopsis_payload()["name"] == QUERY
+        assert f.quality is not None
+        # a second registration replays onto the replica: unnamed reads
+        # now need a name, and there is no single engine left to probe
+        pm.register("q2", "SELECT * FROM r, s WHERE r.c1 = s.c1")
+        shipper.ship_once()
+        assert f.catch_up() == 1
+        assert f.names() == [QUERY, "q2"]
+        for read in (f.synopsis, f.total_results, f.synopsis_payload):
+            with pytest.raises(ServiceError, match=r"known: \['q', 'q2'\]"):
+                read()
+        assert f.total_results("q2") == pm.total_results("q2")
+        assert f.quality is None and "quality" not in f.healthz()
+        pm.close()
+
+    def test_pre_3_0_snapshot_is_refused_with_the_version(self, tmp_path):
+        """A 2.x leader's shipped snapshot (version 1, or the
+        single-maintainer kind) must not half-bootstrap a replica."""
+        from repro.persist import SnapshotStore
+
+        pm = make_leader(tmp_path / "leader")
+        drive(pm, random.Random(16), 10)
+        pm.checkpoint()
+        pm.close()
+        store = SnapshotStore(str(tmp_path / "leader" / "snapshots"))
+        payload, header = store.load_latest()
+        payload["kind"] = "maintainer"
+        payload["database"]["version"] = 1
+        store.write(payload, wal_lsn=header["wal_lsn"])
+        WalShipper(str(tmp_path / "leader"),
+                   str(tmp_path / "ship")).ship_once()
+        with pytest.raises(ReplicationError,
+                           match="version 1 'maintainer' state"):
+            FollowerService(str(tmp_path / "ship"))
 
     def test_background_poll_loop(self, tmp_path):
         pm, live, shipper, ship_dir = ship_pair(tmp_path)
@@ -651,7 +693,7 @@ class TestReplicationCli:
             assert body["role"] == "follower"
             with urllib.request.urlopen(base + "/synopsis") as resp:
                 payload = json.loads(resp.read())
-            assert payload["total_results"] == pm.total_results()
+            assert payload["total_results"] == pm.total_results(QUERY)
             with urllib.request.urlopen(base + "/metrics") as resp:
                 assert b"repro_" in resp.read()
             # writes answer 403 and point at the leader

@@ -25,12 +25,11 @@ import pytest
 
 from repro import Database, SynopsisSpec
 from repro.core.config import MaintainerConfig
-from repro.core.maintainer import JoinSynopsisMaintainer
-from repro.persist import PersistentMaintainer
+from repro.persist import PersistentManager
 from repro.replicate import DirectoryTransport, FollowerService, WalShipper
 from repro.replicate.transport import MANIFEST_NAME
 
-from conftest import make_tables
+from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -38,21 +37,22 @@ SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 def make_leader(directory, seed=21, segment_max_bytes=512):
     db = Database()
     make_tables(db, [("r", 2), ("s", 2), ("t", 2)])
-    maintainer = JoinSynopsisMaintainer(
+    manager, _ = single_query(
         db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(32),
                                   seed=seed))
-    return PersistentMaintainer(maintainer, str(directory),
-                                segment_max_bytes=segment_max_bytes)
+    return PersistentManager(manager, str(directory),
+                             segment_max_bytes=segment_max_bytes)
 
 
 def fingerprint_of_leader(pm):
-    return (tuple(tuple(r) for r in pm.synopsis()), pm.total_results(),
-            pm.maintainer.engine.rng.getstate())
+    return (tuple(tuple(r) for r in pm.synopsis(QUERY)),
+            pm.total_results(QUERY),
+            pm.maintainer(QUERY).engine.rng.getstate())
 
 
 def fingerprint_of_follower(f):
     return (tuple(f.synopsis()), f.total_results(),
-            f.target.engine.rng.getstate())
+            f.target.maintainer(QUERY).engine.rng.getstate())
 
 
 def drive_recording(pm, rng, n, live, fingerprints):
@@ -87,11 +87,11 @@ class CrashingFollower(FollowerService):
             # survives here only so the test can inspect the wreck
             self.killed = True
 
-    def _replay(self, entry):
+    def _apply_record(self, payload, segment_name):
         if self.crash_after == 0:
             raise FollowerKilled()
         self.crash_after -= 1
-        return super()._replay(entry)
+        super()._apply_record(payload, segment_name)
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,10 @@ import random
 from repro import Database, SynopsisSpec
 from repro.core.config import MaintainerConfig
 from repro.core.manager import SynopsisManager
-from repro.persist import PersistentMaintainer, PersistentManager
+from repro.persist import PersistentManager
 from repro.replicate import FollowerService, WalShipper
 
-from conftest import make_tables
+from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -33,22 +33,20 @@ def make_db():
 
 
 def make_leader(directory, seed=7, segment_max_bytes=4096):
-    from repro.core.maintainer import JoinSynopsisMaintainer
-
-    maintainer = JoinSynopsisMaintainer(
+    manager, _ = single_query(
         make_db(), SQL,
         MaintainerConfig(spec=SynopsisSpec.fixed_size(64), seed=seed))
-    return PersistentMaintainer(maintainer, str(directory),
-                                segment_max_bytes=segment_max_bytes)
+    return PersistentManager(manager, str(directory),
+                             segment_max_bytes=segment_max_bytes)
 
 
 def leader_fingerprint(pm):
     """Everything that must be bit-identical on a follower at this LSN."""
     return {
         "lsn": pm.wal.next_lsn,
-        "synopsis": [tuple(r) for r in pm.synopsis()],
-        "total": pm.total_results(),
-        "rng": pm.maintainer.engine.rng.getstate(),
+        "synopsis": [tuple(r) for r in pm.synopsis(QUERY)],
+        "total": pm.total_results(QUERY),
+        "rng": pm.maintainer(QUERY).engine.rng.getstate(),
     }
 
 
@@ -57,7 +55,7 @@ def follower_fingerprint(f):
         "lsn": f.applied_lsn,
         "synopsis": f.synopsis(),
         "total": f.total_results(),
-        "rng": f.target.engine.rng.getstate(),
+        "rng": f.target.maintainer(QUERY).engine.rng.getstate(),
     }
 
 

@@ -1,5 +1,5 @@
 """Serialisation wrapper tests (§5.1 locking): multi-threaded updates and
-synopsis requests must leave the maintainer in a consistent state."""
+synopsis requests must leave the wrapped manager in a consistent state."""
 
 import inspect
 import random
@@ -11,9 +11,7 @@ from repro import (
     Column,
     Database,
     JoinExecutor,
-    JoinSynopsisMaintainer,
     MaintainerConfig,
-    SerializedMaintainer,
     SerializedManager,
     SynopsisManager,
     SynopsisSpec,
@@ -32,10 +30,17 @@ def make_db():
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
 
 
+def one_query(db, size, seed=0):
+    """A locked manager holding the single registration ``"rs"``."""
+    wrapped = SerializedManager(SynopsisManager(db))
+    wrapped.register("rs", SQL, MaintainerConfig(
+        spec=SynopsisSpec.fixed_size(size), seed=seed))
+    return wrapped
+
+
 def test_concurrent_inserts_and_reads():
     db = make_db()
-    wrapped = SerializedMaintainer(JoinSynopsisMaintainer(
-        db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(20), seed=0)))
+    wrapped = one_query(db, 20)
     errors = []
 
     def writer(worker):
@@ -55,9 +60,9 @@ def test_concurrent_inserts_and_reads():
     def reader():
         try:
             for _ in range(200):
-                samples = wrapped.synopsis()
+                samples = wrapped.synopsis("rs")
                 assert len(samples) <= 20
-                wrapped.total_results()
+                wrapped.total_results("rs")
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -72,9 +77,9 @@ def test_concurrent_inserts_and_reads():
     # final state must be exactly consistent with the surviving tuples
     query = parse_query(SQL, db)
     exact = set(JoinExecutor(db, query).results())
-    assert wrapped.total_results() == len(exact)
-    assert set(wrapped.synopsis()) <= exact
-    wrapped.maintainer.engine.graph.check_invariants()
+    assert wrapped.total_results("rs") == len(exact)
+    assert set(wrapped.synopsis("rs")) <= exact
+    wrapped.maintainer("rs").engine.graph.check_invariants()
 
 
 def test_concurrent_manager():
@@ -108,59 +113,45 @@ def test_concurrent_manager():
 
 def test_facades_cover_wrapped_public_surface():
     """Anti-drift regression: every public method added to the wrapped
-    classes must gain a locked passthrough on its facade.  ``apply``
-    and ``stats`` once drifted out of sync; this pins the full surface
-    so the next addition fails loudly here."""
+    class must gain a locked passthrough on its facade.  ``stats`` once
+    drifted out of sync; this pins the full surface so the next
+    addition fails loudly here."""
     def public_methods(cls):
         return {n for n, _ in inspect.getmembers(cls, inspect.isfunction)
                 if not n.startswith("_")}
 
-    # `maintainer` is deliberately unwrapped: it hands out the raw
-    # (unsynchronized) maintainer and only makes sense via the
-    # `.manager` escape hatch.
-    assert public_methods(JoinSynopsisMaintainer) <= \
-        public_methods(SerializedMaintainer)
-    assert public_methods(SynopsisManager) - {"maintainer"} <= \
+    assert public_methods(SynopsisManager) <= \
         public_methods(SerializedManager)
 
 
 def test_facade_apply_batch_stats_passthrough():
     """The passthroughs drift once cost us: exercise them against
-    the wrapped maintainer directly."""
+    the wrapped manager directly."""
     from repro.core.stats_api import DeleteOp, InsertOp
 
-    db = make_db()
-    wrapped = SerializedMaintainer(JoinSynopsisMaintainer(
-        db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(5), seed=0)))
-    tids = wrapped.apply_batch(
+    mgr = one_query(make_db(), 5, seed=1)
+    assert mgr.names() == ["rs"]
+    assert mgr.db is mgr.manager.db
+    tids = mgr.apply_batch(
         [InsertOp("r", (1, 10)), InsertOp("r", (2, 11))]).tids
     assert list(tids) == [0, 1]
-    results = wrapped.apply([InsertOp("s", (1, 20)),
-                             DeleteOp("r", tids[1])])
+    results = mgr.apply_batch([InsertOp("s", (1, 20)),
+                               DeleteOp("r", tids[1])])
     assert results.tids == (0, None)
-    stats = wrapped.stats()
-    assert stats == wrapped.maintainer.stats()
-    assert stats.metrics["inserts"] == 3
-    assert stats.metrics["deletes"] == 1
-
-    mgr = SerializedManager(
-        SynopsisManager(make_db(), MaintainerConfig(seed=1)))
-    mgr.register(
-        "rs", SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(5)))
-    assert mgr.names() == ["rs"]
-    mgr.apply_batch([InsertOp("r", (1, 10))])
-    mgr.apply([InsertOp("s", (1, 20))])
     assert mgr.total_results("rs") == 1
-    assert mgr.stats() == mgr.manager.stats()
+    assert mgr.family_of("rs") == "uniform"
+    stats = mgr.stats()
+    assert stats == mgr.manager.stats()
+    assert stats.queries["rs"].metrics["inserts"] == 3
+    assert stats.queries["rs"].metrics["deletes"] == 1
 
 
 def test_wrapper_passthrough():
-    db = make_db()
-    wrapped = SerializedMaintainer(JoinSynopsisMaintainer(
-        db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(5), seed=0)))
+    wrapped = one_query(make_db(), 5)
     wrapped.insert("r", (1, 10))
     wrapped.insert("s", (1, 20))
-    assert wrapped.total_results() == 1
-    assert wrapped.synopsis() == [(0, 0)]
-    (rows,) = wrapped.synopsis_rows()
+    assert wrapped.total_results("rs") == 1
+    assert wrapped.synopsis("rs") == [(0, 0)]
+    assert wrapped.synopsis_entries("rs").rows == ((0, 0),)
+    (rows,) = wrapped.maintainer("rs").synopsis_rows()
     assert rows == ((1, 10), (1, 20))

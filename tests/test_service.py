@@ -10,7 +10,12 @@ The two headline properties:
   multi-op batches must never observe a half-applied batch.
 
 The differential stress test also exports its read-latency percentiles
-to ``BENCH_service.json`` (override with ``$REPRO_BENCH_SERVICE_EXPORT``).
+— under the test's ``tmp_path`` unless ``$REPRO_BENCH_SERVICE_EXPORT``
+names a file (the CI ``service`` job does, and checks it).
+
+Every service here wraps a manager holding the single registration
+``"q"``; ``r``/``s`` are base tables and aliases at once, and unnamed
+reads resolve to the sole query.
 """
 
 import json
@@ -21,13 +26,12 @@ import time
 import pytest
 
 from repro import (
-    ApplyResult,
+    BatchResult,
     Column,
     Database,
     DeleteOp,
     InsertOp,
     InvalidArgumentError,
-    JoinSynopsisMaintainer,
     MaintainerConfig,
     MetricsRegistry,
     ReadView,
@@ -44,8 +48,8 @@ from repro.obs import names as metric_names
 
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
 
-EXPORT_PATH = os.environ.get("REPRO_BENCH_SERVICE_EXPORT",
-                             "BENCH_service.json")
+EXPORT_ENV = "REPRO_BENCH_SERVICE_EXPORT"
+Q = "q"
 
 
 def make_db():
@@ -55,10 +59,13 @@ def make_db():
     return db
 
 
-def make_maintainer(db=None, size=200, seed=42):
-    return JoinSynopsisMaintainer(
-        db if db is not None else make_db(), SQL,
+def make_target(db=None, size=200, seed=42):
+    """A manager with the one registration ``Q``."""
+    manager = SynopsisManager(db if db is not None else make_db())
+    manager.register(
+        Q, SQL,
         MaintainerConfig(spec=SynopsisSpec.fixed_size(size), seed=seed))
+    return manager
 
 
 class RecordingTarget:
@@ -86,8 +93,8 @@ class TestDifferential:
     READERS = 4
     OPS_PER_WRITER = 2500  # 4 x 2500 = 10k ops (the acceptance floor)
 
-    def test_concurrent_equals_serial_replay(self):
-        recording = RecordingTarget(make_maintainer())
+    def test_concurrent_equals_serial_replay(self, tmp_path):
+        recording = RecordingTarget(make_target())
         obs = MetricsRegistry()
         service = SynopsisService(
             recording, ServiceConfig(max_batch_ops=64, obs=obs))
@@ -111,8 +118,8 @@ class TestDifferential:
                         take = min(4, self.OPS_PER_WRITER - n)
                         ops = [InsertOp(alias, (key + j, idx)) for j in
                                range(take)]
-                        result = service.submit(ops)
-                        assert isinstance(result, ApplyResult)
+                        result = service.apply_batch(ops)
+                        assert isinstance(result, BatchResult)
                         my_tids.extend(
                             (alias, t) for t in result.tids
                             if t is not None and t >= 0)
@@ -160,23 +167,26 @@ class TestDifferential:
         assert applied >= self.WRITERS * self.OPS_PER_WRITER
         assert all(count > 0 for count in read_counts)
 
-        # serial replay of the recorded order on a fresh maintainer:
+        # serial replay of the recorded order on a fresh manager:
         # deterministic TIDs + seeded RNG => bit-identical synopsis
-        replayed = make_maintainer()
-        replayed.apply(recording.log)
-        assert replayed.total_results() == \
-            recording.inner.total_results()
-        assert replayed.synopsis() == recording.inner.synopsis()
-        assert replayed.engine.raw_samples() == \
-            recording.inner.engine.raw_samples()
+        replayed = make_target()
+        replayed.apply_batch(recording.log)
+        assert replayed.total_results(Q) == \
+            recording.inner.total_results(Q)
+        assert replayed.synopsis(Q) == recording.inner.synopsis(Q)
+        assert replayed.maintainer(Q).engine.raw_samples() == \
+            recording.inner.maintainer(Q).engine.raw_samples()
 
         # final view reflects every acknowledged op
         final = service.view()
-        assert final.synopses[None] == tuple(recording.inner.synopsis())
+        assert final.synopses[Q] == tuple(recording.inner.synopsis(Q))
 
-        self._export(obs, applied, sum(read_counts))
+        self._export(
+            os.environ.get(EXPORT_ENV)
+            or str(tmp_path / "BENCH_service.json"),
+            obs, applied, sum(read_counts))
 
-    def _export(self, obs, applied_ops, total_reads):
+    def _export(self, path, obs, applied_ops, total_reads):
         read_ns = obs.histogram(metric_names.SERVICE_READ_NS).snapshot()
         batch = obs.histogram(metric_names.SERVICE_BATCH_OPS).snapshot()
         payload = {
@@ -190,7 +200,7 @@ class TestDifferential:
             "ingest_batch_ops": {k: batch.get(k) for k in
                                  ("count", "mean", "p50", "p95", "p99")},
         }
-        with open(EXPORT_PATH, "w") as handle:
+        with open(path, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
 
 
@@ -201,7 +211,7 @@ class TestSnapshotIsolation:
         join count is exactly inserts/2.  A view built mid-batch would
         break both."""
         service = SynopsisService(
-            make_maintainer(size=50),
+            make_target(size=50),
             ServiceConfig(max_batch_ops=16))
         stop = threading.Event()
         failures = []
@@ -211,7 +221,7 @@ class TestSnapshotIsolation:
             try:
                 for n in range(PAIRS):
                     key = idx * PAIRS + n  # unique join key per pair
-                    service.submit([InsertOp("r", (key, idx)),
+                    service.apply_batch([InsertOp("r", (key, idx)),
                                     InsertOp("s", (key, idx))])
             except BaseException as exc:  # noqa: BLE001
                 failures.append(exc)
@@ -222,11 +232,11 @@ class TestSnapshotIsolation:
             try:
                 while not stop.is_set():
                     view = service.view()
-                    inserts = view.stats.metrics["inserts"]
+                    inserts = view.stats.queries[Q].metrics["inserts"]
                     assert inserts % 2 == 0, \
                         f"half-applied batch visible: {inserts} inserts"
-                    assert view.total_results[None] == inserts // 2
-                    assert len(view.synopses[None]) == \
+                    assert view.total_results[Q] == inserts // 2
+                    assert len(view.synopses[Q]) == \
                         min(inserts // 2, 50)
                     views_checked[0] += 1
             except BaseException as exc:  # noqa: BLE001
@@ -249,7 +259,7 @@ class TestSnapshotIsolation:
 
 
 class SlowTarget:
-    """Maintainer wrapper whose apply_batch() stalls — fills the queue."""
+    """Manager wrapper whose apply_batch() stalls — fills the queue."""
 
     def __init__(self, inner, delay=0.05):
         self.inner = inner
@@ -266,36 +276,36 @@ class SlowTarget:
 class TestBackpressure:
     def test_reject_policy_raises_when_full(self):
         service = SynopsisService(
-            SlowTarget(make_maintainer()),
+            SlowTarget(make_target()),
             ServiceConfig(max_queue_ops=4, max_batch_ops=1,
                           overflow_policy="reject"))
         try:
             with pytest.raises(ServiceOverloadedError):
                 for n in range(200):
-                    service.submit([InsertOp("r", (n, 0))], wait=False)
+                    service.apply_batch([InsertOp("r", (n, 0))], wait=False)
         finally:
             service.close()
 
     def test_block_policy_times_out(self):
         service = SynopsisService(
-            SlowTarget(make_maintainer(), delay=0.2),
+            SlowTarget(make_target(), delay=0.2),
             ServiceConfig(max_queue_ops=2, max_batch_ops=1,
                           overflow_policy="block", block_timeout=0.05))
         try:
             with pytest.raises(ServiceOverloadedError,
                                match="timed out"):
                 for n in range(50):
-                    service.submit([InsertOp("r", (n, 0))], wait=False)
+                    service.apply_batch([InsertOp("r", (n, 0))], wait=False)
         finally:
             service.close()
 
     def test_block_policy_eventually_admits(self):
         service = SynopsisService(
-            SlowTarget(make_maintainer(), delay=0.01),
+            SlowTarget(make_target(), delay=0.01),
             ServiceConfig(max_queue_ops=2, max_batch_ops=1,
                           overflow_policy="block"))
         for n in range(10):  # 5x the queue bound; every op must land
-            service.submit([InsertOp("r", (n, 0))], wait=False)
+            service.apply_batch([InsertOp("r", (n, 0))], wait=False)
         service.close()  # drains
         assert service.service_metrics()["applied_ops"] == 10
 
@@ -303,33 +313,33 @@ class TestBackpressure:
 class TestLifecycle:
     def test_close_drains_pending_writes(self):
         service = SynopsisService(
-            SlowTarget(make_maintainer(), delay=0.01),
+            SlowTarget(make_target(), delay=0.01),
             ServiceConfig(max_batch_ops=1))
         for n in range(20):
-            service.submit([InsertOp("r", (n, 0))], wait=False)
+            service.apply_batch([InsertOp("r", (n, 0))], wait=False)
         service.close(drain=True)
         assert service.service_metrics()["applied_ops"] == 20
         assert service.healthz()["status"] == "closed"
 
     def test_close_without_drain_discards(self):
         service = SynopsisService(
-            SlowTarget(make_maintainer(), delay=0.05),
+            SlowTarget(make_target(), delay=0.05),
             ServiceConfig(max_batch_ops=1))
         for n in range(20):
-            service.submit([InsertOp("r", (n, 0))], wait=False)
+            service.apply_batch([InsertOp("r", (n, 0))], wait=False)
         service.close(drain=False)
         assert service.service_metrics()["applied_ops"] < 20
 
     def test_writes_after_close_rejected(self):
-        service = SynopsisService(make_maintainer())
+        service = SynopsisService(make_target())
         service.close()
         with pytest.raises(ServiceClosedError):
             service.insert("r", (1, 1))
         with pytest.raises(ServiceClosedError):
-            service.submit([DeleteOp("r", 0)])
+            service.apply_batch([DeleteOp("r", 0)])
 
     def test_reads_survive_close(self):
-        service = SynopsisService(make_maintainer())
+        service = SynopsisService(make_target())
         service.insert("r", (1, 1))
         service.insert("s", (1, 2))
         service.close()
@@ -337,12 +347,12 @@ class TestLifecycle:
         assert service.synopsis() == [(0, 0)]
 
     def test_context_manager(self):
-        with SynopsisService(make_maintainer()) as service:
+        with SynopsisService(make_target()) as service:
             service.insert("r", (1, 1))
         assert service.closed
 
     def test_ingest_error_propagates_and_service_survives(self):
-        with SynopsisService(make_maintainer()) as service:
+        with SynopsisService(make_target()) as service:
             with pytest.raises(Exception):
                 service.delete("r", 12345)  # no such tuple
             assert service.insert("r", (1, 1)) == 0
@@ -371,21 +381,45 @@ class TestManagerMode:
             with pytest.raises(ServiceError, match="no query 'nope'"):
                 service.synopsis("nope")
 
-    def test_maintainer_service_rejects_register(self):
-        with SynopsisService(make_maintainer()) as service:
-            with pytest.raises(ServiceError):
-                service.register("q", SQL)
+    def test_unnamed_read_answers_the_sole_query(self):
+        with SynopsisService(make_target()) as service:
+            service.insert("r", (1, 1))
+            service.insert("s", (1, 2))
+            assert service.synopsis() == service.synopsis(Q) == [(0, 0)]
+            assert service.total_results() == 1
+            assert service.synopsis_payload()["name"] == Q
+            assert service.view().sole_name() == Q
+
+    def test_unnamed_read_with_two_queries_lists_both(self):
+        with SynopsisService(make_target()) as service:
+            service.register("q2", SQL)
+            for read in (service.synopsis, service.total_results,
+                         service.synopsis_payload):
+                with pytest.raises(ServiceError,
+                                   match=r"known: \['q', 'q2'\]"):
+                    read()
+            assert service.view().sole_name() is None
+            assert service.synopsis("q2") == []
+
+    def test_unnamed_read_with_no_query_is_typed_error(self):
+        with SynopsisService(SynopsisManager(make_db())) as service:
+            with pytest.raises(ServiceError, match=r"known: \[\]"):
+                service.synopsis()
+
+    def test_view_keys_are_registration_names(self):
+        with SynopsisService(make_target()) as service:
+            view = service.view()
+            for mapping in (view.synopses, view.total_results,
+                            view.families, view.sample_meta):
+                assert list(mapping) == [Q]
 
 
 class TestCheckpointWhileServing:
     def test_checkpoint_between_batches_and_recover(self, tmp_path):
-        from repro.persist import PersistentMaintainer
+        from repro.persist import PersistentManager
 
         directory = str(tmp_path / "state")
-        pm = PersistentMaintainer.create(
-            make_db(), SQL, directory,
-            config=MaintainerConfig(spec=SynopsisSpec.fixed_size(20),
-                                    seed=9))
+        pm = PersistentManager(make_target(size=20, seed=9), directory)
         with SynopsisService(pm) as service:
             stop = threading.Event()
             failures = []
@@ -393,7 +427,7 @@ class TestCheckpointWhileServing:
             def writer():
                 try:
                     for n in range(200):
-                        service.submit([InsertOp("r", (n % 20, n)),
+                        service.apply_batch([InsertOp("r", (n % 20, n)),
                                         InsertOp("s", (n % 20, n))])
                 except BaseException as exc:  # noqa: BLE001
                     failures.append(exc)
@@ -409,53 +443,48 @@ class TestCheckpointWhileServing:
             final_synopsis = service.synopsis()
         pm.close()
 
-        recovered = PersistentMaintainer.recover(directory)
+        recovered = PersistentManager.recover(directory)
         try:
-            assert recovered.total_results() == final_total
-            assert recovered.synopsis() == final_synopsis
+            assert recovered.total_results(Q) == final_total
+            assert recovered.synopsis(Q) == final_synopsis
         finally:
             recovered.close()
 
     def test_checkpoint_on_plain_maintainer_is_typed_error(self):
-        with SynopsisService(make_maintainer()) as service:
+        with SynopsisService(make_target()) as service:
             with pytest.raises(ServiceError, match="no checkpoint"):
                 service.checkpoint()
 
 
 class TestReadYourWrites:
     def test_ack_implies_visible(self):
-        with SynopsisService(make_maintainer()) as service:
+        with SynopsisService(make_target()) as service:
             for n in range(50):
-                service.submit([InsertOp("r", (n, 0)),
+                service.apply_batch([InsertOp("r", (n, 0)),
                                 InsertOp("s", (n, 0))])
                 # the covering view must already be published
                 assert service.total_results() == n + 1
 
     def test_empty_submit_is_noop(self):
-        with SynopsisService(make_maintainer()) as service:
-            result = service.submit([])
-            assert isinstance(result, ApplyResult)
+        with SynopsisService(make_target()) as service:
+            result = service.apply_batch([])
+            assert isinstance(result, BatchResult)
             assert result.tids == ()
-            assert service.submit([], wait=False) is None
+            assert service.apply_batch([], wait=False) is None
 
 
 class BrokenReadTarget:
-    """Maintainer wrapper whose reads fail on demand — the view builder
-    blows up after an otherwise-successful apply()."""
+    """Manager wrapper whose reads fail on demand — the view builder
+    blows up after an otherwise-successful apply_batch()."""
 
     def __init__(self, inner):
         self.inner = inner
         self.broken = False
 
-    def synopsis(self):
+    def synopsis_entries(self, name, limit=None):
         if self.broken:
             raise RuntimeError("target unreadable")
-        return self.inner.synopsis()
-
-    def synopsis_entries(self):
-        if self.broken:
-            raise RuntimeError("target unreadable")
-        return self.inner.synopsis_entries()
+        return self.inner.synopsis_entries(name, limit)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -476,11 +505,11 @@ class TestReviewRegressions:
             assert service.queue_depth == 0
             assert service.healthz()["epoch_lag_ops"] == 0
             # a batch as large as the bound must still be admitted
-            service.submit([InsertOp("r", (n, n)) for n in range(4)])
+            service.apply_batch([InsertOp("r", (n, n)) for n in range(4)])
             assert service.queue_depth == 0
 
     def test_negative_limit_is_typed_error(self):
-        with SynopsisService(make_maintainer()) as service:
+        with SynopsisService(make_target()) as service:
             service.insert("r", (1, 1))
             service.insert("s", (1, 2))
             with pytest.raises(InvalidArgumentError, match="limit"):
@@ -490,11 +519,11 @@ class TestReviewRegressions:
             assert service.synopsis(limit=0) == []
 
     def test_fatal_publish_error_fails_fast_not_silent(self):
-        target = BrokenReadTarget(make_maintainer())
+        target = BrokenReadTarget(make_target())
         service = SynopsisService(target)
         service.insert("r", (1, 1))
         target.broken = True
-        # apply() succeeds but the post-batch view build raises: the
+        # apply_batch() succeeds but the post-batch view build raises: the
         # submitter must get the error instead of hanging forever
         with pytest.raises(RuntimeError, match="unreadable"):
             service.insert("s", (1, 2))
@@ -509,15 +538,15 @@ class TestReviewRegressions:
 
     def test_close_drain_timeout_unblocks_queued_waiters(self):
         service = SynopsisService(
-            SlowTarget(make_maintainer(), delay=1.0),
+            SlowTarget(make_target(), delay=1.0),
             ServiceConfig(max_batch_ops=1, drain_timeout=0.05))
         # occupy the ingest thread with one slow batch
-        service.submit([InsertOp("r", (0, 0))], wait=False)
+        service.apply_batch([InsertOp("r", (0, 0))], wait=False)
         outcomes = []
 
         def waiter():
             try:
-                service.submit([InsertOp("r", (1, 0))])
+                service.apply_batch([InsertOp("r", (1, 0))])
                 outcomes.append("applied")
             except ServiceClosedError:
                 outcomes.append("failed")

@@ -11,9 +11,9 @@ from repro import (
     Column,
     Database,
     InsertOp,
-    JoinSynopsisMaintainer,
     MaintainerConfig,
     ServiceConfig,
+    SynopsisManager,
     SynopsisService,
     SynopsisSpec,
     TableSchema,
@@ -27,10 +27,11 @@ def make_service(**config):
     db = Database()
     db.create_table(TableSchema("r", [Column("a"), Column("x")]))
     db.create_table(TableSchema("s", [Column("a"), Column("y")]))
-    maintainer = JoinSynopsisMaintainer(
-        db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(50),
-                                  seed=7))
-    return SynopsisService(maintainer, ServiceConfig(**config))
+    manager = SynopsisManager(db)
+    manager.register(
+        "q", SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(50),
+                                   seed=7))
+    return SynopsisService(manager, ServiceConfig(**config))
 
 
 @pytest.fixture()
@@ -70,7 +71,7 @@ class TestEndpoints:
         assert body["version"] == repro.__version__
         assert body["uptime_seconds"] >= 0.0
         assert body["index_backend"] == \
-            service.target.engine.index_backend
+            service.target.maintainer("q").index_backend
         assert body["staleness_seconds"] >= 0.0
         local = LocalServiceClient(service).healthz()
         assert local["version"] == body["version"]
@@ -102,7 +103,8 @@ class TestEndpoints:
         post(base + "/insert", {"table": "r", "row": [1, 10]})
         status, body = get(base + "/stats")
         assert status == 200
-        assert body["stats"]["algorithm"] == "sjoin-opt"
+        assert body["stats"]["queries"]["q"]["algorithm"] == "sjoin-opt"
+        assert body["stats"]["total_results"] == 0
         assert body["service"]["applied_ops"] == 1
 
     def test_unknown_path_404(self, served):
@@ -144,7 +146,7 @@ class TestEndpoints:
         def writer():
             n = 0
             while not stop.is_set():
-                service.submit([InsertOp("r", (n % 25, n)),
+                service.apply_batch([InsertOp("r", (n % 25, n)),
                                 InsertOp("s", (n % 25, n))], wait=False)
                 n += 1
 
@@ -162,6 +164,31 @@ class TestEndpoints:
             stop.set()
             thread.join(timeout=60)
         assert not failures
+
+
+class TestUnnamedReads:
+    """One rule: no ``?name=`` means the sole registered query; with
+    several the reply is a typed 4xx listing them."""
+
+    def test_one_registration_answers_unnamed(self, served):
+        _, base = served
+        post(base + "/insert", {"table": "r", "row": [1, 10]})
+        post(base + "/insert", {"table": "s", "row": [1, 20]})
+        _, unnamed = get(base + "/synopsis")
+        _, named = get(base + "/synopsis?name=q")
+        assert unnamed == named
+        assert unnamed["name"] == "q" and unnamed["synopsis"] == [[0, 0]]
+
+    def test_two_registrations_need_a_name(self, served):
+        service, base = served
+        service.register("q2", SQL)
+        with pytest.raises(urllib.error.HTTPError) as err:
+            get(base + "/synopsis")
+        assert 400 <= err.value.code < 500
+        message = json.loads(err.value.read())["error"]
+        assert "'q'" in message and "'q2'" in message
+        status, body = get(base + "/synopsis?name=q2")
+        assert status == 200 and body["name"] == "q2"
 
 
 class TestLocalClientParity:

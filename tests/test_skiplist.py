@@ -7,9 +7,9 @@ file pins is the *contract* of retirement — not the dead module's
 internals:
 
 1. the registry rejects the name with an actionable migration message;
-2. persisted states that pinned ``skiplist`` keep decoding: they fall
-   back onto ``avl`` (the declared :func:`retired_fallback`) and replay
-   to a working maintainer;
+2. persisted states that name ``skiplist`` are refused the same way
+   (the only states that ever pinned it are format version 1, which
+   3.0 does not read);
 3. the module itself stays importable (the import matrix in
    ``test_api_surface.py`` covers that) so old pickles and downstream
    imports fail soft, not hard.
@@ -69,9 +69,11 @@ class TestRegistryRejection:
 
 
 class TestPersistedStateFallback:
-    """States captured when ``skiplist`` was live must restore onto avl."""
+    """Format version 2 never pinned ``skiplist``: a state naming it is
+    refused like any other use of the retired name (states written when
+    it was live are version 1 and fail the version gate first)."""
 
-    def test_captured_state_pinning_skiplist_restores_onto_avl(self):
+    def test_captured_state_pinning_skiplist_is_rejected(self):
         from repro.core.config import MaintainerConfig
         from repro.core.maintainer import JoinSynopsisMaintainer
         from repro.persist import capture_maintainer, restore_maintainer
@@ -82,21 +84,13 @@ class TestPersistedStateFallback:
         m = JoinSynopsisMaintainer(
             db, "SELECT * FROM r, s WHERE r.a = s.a",
             MaintainerConfig(spec=SynopsisSpec.fixed_size(4), seed=3))
-        m.insert("r", (1,))
-        m.insert("s", (1,))
         state = capture_maintainer(m)
-        # a state written before retirement: the engine pinned skiplist
         state["index_backend"] = "skiplist"
-        restored = restore_maintainer(db, state)
-        assert restored.engine.index_backend == "avl"
-        assert restored.synopsis() == m.synopsis()
-        assert restored.total_results() == m.total_results()
-        # and the restored maintainer keeps working on the fallback
-        restored.insert("r", (1,))
-        assert restored.total_results() == 2
+        with pytest.raises(IndexBackendError, match="retired"):
+            restore_maintainer(db, state)
 
     def test_unknown_backend_in_state_still_fails(self):
-        """Only *declared* retirements fall back; garbage stays loud."""
+        """Garbage backend names stay loud too."""
         from repro.core.config import MaintainerConfig
         from repro.core.maintainer import JoinSynopsisMaintainer
         from repro.persist import capture_maintainer, restore_maintainer

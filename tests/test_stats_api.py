@@ -58,12 +58,11 @@ class TestMaintainerStats:
         with pytest.raises(TypeError):
             stats.metrics["inserts"] = 0
 
-    def test_dict_shim_deprecated(self):
+    def test_dict_shim_removed(self):
         stats = loaded_maintainer().stats()
-        with pytest.deprecated_call():
-            assert stats["algorithm"] == "sjoin-opt"
-        with pytest.deprecated_call():
-            assert stats["inserts"] == 8
+        with pytest.raises(TypeError):
+            stats["algorithm"]
+        assert stats.metrics["inserts"] == 8
 
     def test_metrics_include_registry_snapshot_when_enabled(self):
         stats = loaded_maintainer(obs=MetricsRegistry()).stats()
@@ -82,11 +81,11 @@ class TestMaintainerStats:
 class TestMaintainerBatchUpdates:
     def test_apply_mixed_ops(self):
         maintainer = loaded_maintainer()
-        results = maintainer.apply([
+        results = maintainer.apply_batch([
             InsertOp("r", (9, 90)),
             DeleteOp("r", 0),
             InsertOp("s", (9, 900)),
-        ])
+        ]).tids
         assert results[1] is None
         assert results[0] >= 0 and results[2] >= 0
         assert maintainer.engine.stats.inserts == 10
@@ -107,7 +106,7 @@ class TestMaintainerBatchUpdates:
     def test_unknown_op_rejected_with_label(self):
         maintainer = loaded_maintainer(name="q1")
         with pytest.raises(SynopsisError, match="query 'q1'.*sjoin-opt"):
-            maintainer.apply(["not-an-op"])
+            maintainer.apply_batch(["not-an-op"])
 
     def test_op_rows_are_frozen_tuples(self):
         op = InsertOp("r", [1, 2])
@@ -132,8 +131,9 @@ class TestManagerStats:
             q.total_results for q in stats.queries.values())
         assert stats.synopsis_size == sum(
             q.synopsis_size for q in stats.queries.values())
-        with pytest.deprecated_call():
-            assert stats["q1"].algorithm == "sjoin-opt"
+        assert stats.queries["q1"].algorithm == "sjoin-opt"
+        with pytest.raises(TypeError):
+            stats["q1"]
 
     def test_manager_metrics_fanout_and_child_registries(self):
         manager = SynopsisManager(make_db(), MaintainerConfig(seed=1, obs=MetricsRegistry()))
@@ -156,10 +156,11 @@ class TestManagerStats:
                                      InsertOp("r", (2, 2))])
         assert batch.inserted == 2
         tids = batch.tids
-        results = manager.apply([DeleteOp("r", tids[0]),
-                                 InsertOp("s", (1, 5))])
+        results = manager.apply_batch([DeleteOp("r", tids[0]),
+                                       InsertOp("s", (1, 5))]).tids
         assert results[0] is None and results[1] >= 0
         assert not hasattr(manager, "insert_many")
+        assert not hasattr(manager, "apply")
 
 
 class TestManagerErrorReporting:

@@ -19,7 +19,7 @@ from repro.obs import NULL_TRACER, MetricsRegistry, NullTracer, Tracer, \
 from repro.obs import names as metric_names
 from repro.obs.trace import TraceEvent, TraceRing
 
-from conftest import make_tables
+from conftest import make_tables, single_query
 
 SQL = "SELECT * FROM r, s WHERE r.c0 = s.c0"
 
@@ -234,13 +234,13 @@ class TestEngineSpans:
 # ----------------------------------------------------------------------
 class TestPersistSpans:
     def test_wal_and_snapshot_spans(self, tmp_path):
-        from repro.persist import PersistentMaintainer
+        from repro.persist import PersistentManager
 
         tracer = Tracer(capacity=256)
-        maintainer = JoinSynopsisMaintainer(make_db(), SQL,
-                                            MaintainerConfig(seed=5))
-        pm = PersistentMaintainer(maintainer, str(tmp_path), sync="batch",
-                                  tracer=tracer)
+        manager, _ = single_query(make_db(), SQL,
+                                  MaintainerConfig(seed=5))
+        pm = PersistentManager(manager, str(tmp_path), sync="batch",
+                               tracer=tracer)
         pm.insert("r", (1, 1))
         pm.insert("s", (1, 2))
         pm.checkpoint()
@@ -257,16 +257,16 @@ class TestPersistSpans:
 
     def test_recovered_maintainer_keeps_tracing_persist_layer(
             self, tmp_path):
-        from repro.persist import PersistentMaintainer
+        from repro.persist import PersistentManager
 
-        maintainer = JoinSynopsisMaintainer(make_db(), SQL,
-                                            MaintainerConfig(seed=5))
-        pm = PersistentMaintainer(maintainer, str(tmp_path))
+        manager, _ = single_query(make_db(), SQL,
+                                  MaintainerConfig(seed=5))
+        pm = PersistentManager(manager, str(tmp_path))
         pm.insert("r", (1, 1))
         pm.close()
         tracer = Tracer(capacity=64)
-        recovered = PersistentMaintainer.recover(str(tmp_path),
-                                                 tracer=tracer)
+        recovered = PersistentManager.recover(str(tmp_path),
+                                              tracer=tracer)
         recovered.insert("s", (1, 2))
         recovered.close()
         assert any(e.kind == "wal.append" for e in tracer.events())
@@ -280,9 +280,9 @@ class TestServiceSpans:
         from repro.service import ServiceConfig, SynopsisService
 
         tracer = Tracer(capacity=64)
-        maintainer = JoinSynopsisMaintainer(make_db(), SQL,
-                                            MaintainerConfig(seed=7))
-        service = SynopsisService(maintainer,
+        manager, _ = single_query(make_db(), SQL,
+                                  MaintainerConfig(seed=7))
+        service = SynopsisService(manager,
                                   ServiceConfig(tracer=tracer))
         try:
             service.insert("r", (1, 1))

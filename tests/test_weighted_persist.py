@@ -2,8 +2,8 @@
 
 The ISSUE-8 acceptance bar: a weighted synopsis must survive both a
 snapshot round trip and a WAL-tail replay *bit-identically* — samples,
-spec (family + weight column), and the RNG stream — and legacy state
-dicts written before the family seam decode onto the uniform family.
+spec (family + weight column), and the RNG stream.  State dicts written
+before the family seam belong to format version 1 and are refused.
 """
 
 import pickle
@@ -13,8 +13,9 @@ import pytest
 
 from repro import Database, JoinSynopsisMaintainer, MaintainerConfig, \
     SynopsisSpec
+from repro.errors import PersistError
 from repro.persist import (
-    PersistentMaintainer,
+    PersistentManager,
     capture_database,
     capture_maintainer,
     restore_database,
@@ -22,7 +23,7 @@ from repro.persist import (
 )
 from repro.persist.state import spec_from_dict, spec_to_dict
 
-from conftest import make_tables
+from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s WHERE r.c0 = s.c0"
 
@@ -45,6 +46,14 @@ def build(spec, seed=7):
     maintainer = JoinSynopsisMaintainer(
         db, SQL, MaintainerConfig(spec=spec, seed=seed))
     return db, maintainer
+
+
+def build_durable(spec, seed, directory):
+    """The same query behind the durable stack; returns the wrapper and
+    the live maintainer it holds."""
+    manager, maintainer = single_query(
+        make_db(), SQL, MaintainerConfig(spec=spec, seed=seed))
+    return PersistentManager(manager, directory), maintainer
 
 
 def drive(target, rng, n, domain=4):
@@ -96,37 +105,34 @@ class TestSnapshotRoundTrip:
 class TestWalRecovery:
     @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_recover_replays_weighted_tail(self, tmp_path, spec):
-        _, maintainer = build(spec, seed=3)
-        pm = PersistentMaintainer(maintainer, str(tmp_path))
+        pm, maintainer = build_durable(spec, 3, str(tmp_path))
         rng = random.Random(4)
         drive(pm, rng, 100)
         pm.checkpoint()
         drive(pm, rng, 60)  # WAL-only tail beyond the checkpoint
         expected_samples = maintainer.engine.raw_samples()
         expected_rng = maintainer.engine.rng.getstate()
-        expected_total = pm.total_results()
+        expected_total = pm.total_results(QUERY)
         pm.abandon()
 
-        recovered = PersistentMaintainer.recover(str(tmp_path))
+        recovered = PersistentManager.recover(str(tmp_path))
+        engine = recovered.maintainer(QUERY).engine
         assert recovered.replayed_ops > 0
-        assert recovered.family == maintainer.family
-        assert recovered.maintainer.engine.spec.weight_column == "r.c2"
-        assert recovered.total_results() == expected_total
-        assert recovered.maintainer.engine.raw_samples() == \
-            expected_samples
-        assert recovered.maintainer.engine.rng.getstate() == \
-            expected_rng
+        assert recovered.family_of(QUERY) == maintainer.family
+        assert engine.spec.weight_column == "r.c2"
+        assert recovered.total_results(QUERY) == expected_total
+        assert engine.raw_samples() == expected_samples
+        assert engine.rng.getstate() == expected_rng
         recovered.close()
 
     def test_checkpoint_pins_weighted_spec(self, tmp_path):
-        _, maintainer = build(SPECS[0], seed=5)
-        pm = PersistentMaintainer(maintainer, str(tmp_path))
+        pm, _ = build_durable(SPECS[0], 5, str(tmp_path))
         drive(pm, random.Random(6), 80)
         pm.checkpoint()
         pm.close()
-        recovered = PersistentMaintainer.recover(str(tmp_path))
+        recovered = PersistentManager.recover(str(tmp_path))
         assert recovered.replayed_ops == 0
-        spec = recovered.maintainer.engine.spec
+        spec = recovered.maintainer(QUERY).engine.spec
         assert spec.kind == "weighted_fixed"
         assert spec.weight_column == "r.c2"
         recovered.close()
@@ -139,25 +145,13 @@ class TestLegacyStateDecoding:
             assert decoded.kind == spec.kind
             assert decoded.weight_column == spec.weight_column
 
-    def test_legacy_spec_dict_decodes_onto_uniform(self):
-        """Pre-family state has no ``weight_column`` key; it must load
-        as the plain uniform kind it always was."""
-        legacy = {"kind": "fixed", "size": 12, "rate": None}
-        decoded = spec_from_dict(legacy)
-        assert decoded.kind == "fixed"
-        assert decoded.weight_column is None
-
-    def test_legacy_maintainer_state_restores_onto_uniform(self):
+    def test_version_1_maintainer_state_rejected(self):
+        """Pre-family states are format version 1: refused by version,
+        before any of their (differently shaped) spec dicts is read."""
         db, maintainer = build(SynopsisSpec.fixed_size(10))
         drive(maintainer, random.Random(8), 60)
         state = capture_maintainer(maintainer)
-        # strip the family-era key, as states written before it lack it
-        for key in ("requested_spec", "effective_spec"):
-            state[key] = {k: v for k, v in state[key].items()
-                          if k != "weight_column"}
-        state = pickle.loads(pickle.dumps(state))
-        restored = restore_maintainer(
-            restore_database(capture_database(db)), state)
-        assert restored.family == "uniform"
-        assert restored.engine.spec.weight_column is None
-        assert restored.synopsis() == maintainer.synopsis()
+        state["version"] = 1
+        with pytest.raises(PersistError, match="version 1"):
+            restore_maintainer(
+                restore_database(capture_database(db)), state)
