@@ -99,7 +99,6 @@ from repro.aqp import (
 from repro.errors import (
     CatalogError,
     FollowerReadOnlyError,
-    IndexBackendError,
     IndexKeyError,
     IntegrityError,
     InvalidArgumentError,
@@ -145,7 +144,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # catalog
@@ -183,7 +182,7 @@ __all__ = [
     # errors
     "ReproError", "SchemaError", "CatalogError", "QueryError", "ParseError", "QueryParseError",
     "PlanError", "IntegrityError", "TupleNotFoundError", "SynopsisError",
-    "InvalidArgumentError", "IndexBackendError", "IndexKeyError",
+    "InvalidArgumentError", "IndexKeyError",
     "PersistError", "RecoveryError", "ReplicationError",
     "ServiceError", "ServiceOverloadedError", "ServiceClosedError",
     "FollowerReadOnlyError",

@@ -84,7 +84,6 @@ from repro.datagen.tpcds import TpcdsScale, setup_query
 from repro.datagen.workload import Insert, StreamPlayer, \
     interleave_deletions
 from repro.errors import ReproError
-from repro.index.api import available_backends
 from repro.obs.metrics import MetricsRegistry
 from repro.query.parser import parse_query
 
@@ -150,24 +149,19 @@ def parse_scale(text: str) -> TpcdsScale:
     return presets[text]()
 
 
-def build_engine(db, sql, algorithm, spec, seed, explain=False, obs=None,
-                 index_backend=None):
+def build_engine(db, sql, algorithm, spec, seed, explain=False, obs=None):
     """Construct the engine named by ``algorithm`` over ``db``/``sql``.
 
     ``obs`` is an optional :class:`~repro.obs.MetricsRegistry`; the engine
     records the :mod:`repro.obs.names` catalogue into it.
-    ``index_backend`` names a registered aggregate-index backend (None
-    resolves the process default).
     """
     query = parse_query(sql, db)
     if algorithm == "sj":
-        engine = SymmetricJoinEngine(db, query, spec, seed=seed, obs=obs,
-                                     index_backend=index_backend)
+        engine = SymmetricJoinEngine(db, query, spec, seed=seed, obs=obs)
     else:
         engine = SJoinEngine(db, query, spec,
                              fk_optimize=(algorithm == "sjoin-opt"),
-                             seed=seed, obs=obs,
-                             index_backend=index_backend)
+                             seed=seed, obs=obs)
     if explain and hasattr(engine, "plan"):
         from repro.query.explain import explain_plan
         print(explain_plan(engine.plan))
@@ -181,8 +175,7 @@ def run_tpcds(args, algorithm: Optional[str] = None, obs=None):
     setup = setup_query(args.query, parse_scale(args.scale), seed=args.seed)
     engine = build_engine(setup.db, setup.sql, algorithm,
                           parse_synopsis(args.synopsis), args.seed,
-                          explain=getattr(args, "explain", False), obs=obs,
-                          index_backend=args.index_backend)
+                          explain=getattr(args, "explain", False), obs=obs)
     StreamPlayer(engine).run(setup.preload)
     events = setup.stream
     if args.deletions:
@@ -203,8 +196,7 @@ def run_linear_road(args, algorithm: Optional[str] = None, obs=None):
     setup = setup_qb(args.d, config, seed=args.seed)
     engine = build_engine(setup.db, setup.sql, algorithm,
                           parse_synopsis(args.synopsis), args.seed,
-                          explain=getattr(args, "explain", False), obs=obs,
-                          index_backend=args.index_backend)
+                          explain=getattr(args, "explain", False), obs=obs)
     return run_stream(engine, setup.events,
                       workload=f"QB(d={args.d})/{algorithm}",
                       checkpoint_every=args.checkpoint,
@@ -301,9 +293,8 @@ def format_top(health: dict, stats: Optional[dict] = None) -> str:
         "repro top — status {status}  epoch {epoch}".format(
             status=health.get("status", "?"),
             epoch=health.get("epoch", "?")),
-        "  version {v}  backend {b}  uptime {u:.1f}s".format(
+        "  version {v}  uptime {u:.1f}s".format(
             v=health.get("version", "?"),
-            b=health.get("index_backend"),
             u=float(health.get("uptime_seconds", 0.0))),
         "  queue depth {q}  staleness {s:.3f}s".format(
             q=health.get("queue_depth", "?"),
@@ -532,8 +523,8 @@ def build_workload_manager(args, obs=None, tracer=None):
     manager = SynopsisManager(setup.db, MaintainerConfig(obs=obs))
     maintainer = manager.register(args.query, setup.sql, MaintainerConfig(
         spec=parse_synopsis(args.synopsis), engine=args.algorithm,
-        seed=args.seed, index_backend=args.index_backend,
-        obs=obs, tracer=tracer, quality=getattr(args, "quality", False),
+        seed=args.seed, obs=obs, tracer=tracer,
+        quality=getattr(args, "quality", False),
     ))
     table_of = {rt.alias: rt.table_name
                 for rt in maintainer.query.range_tables}
@@ -555,7 +546,6 @@ def _print_query_stats(stats) -> None:
     for name, query in stats.queries.items():
         print(f"  query {name}")
         print(f"    algorithm          {query.algorithm}")
-        print(f"    index backend      {query.index_backend}")
         print(f"    total results (J)  {query.total_results}")
         print(f"    synopsis size      {query.synopsis_size}")
 
@@ -595,13 +585,10 @@ def cmd_restore(args) -> None:
                 # one value when every recovered query agrees (a
                 # ``repro checkpoint`` dir holds exactly one), else null
                 "algorithm": _shared(q.algorithm for q in queries),
-                "index_backend": _shared(
-                    q.index_backend for q in queries),
                 "total_results": stats.total_results,
                 "synopsis_size": stats.synopsis_size,
                 "queries": {
                     name: {"algorithm": q.algorithm,
-                           "index_backend": q.index_backend,
                            "total_results": q.total_results,
                            "synopsis_size": q.synopsis_size}
                     for name, q in stats.queries.items()
@@ -775,10 +762,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "weighted:M[@a.w] | "
                             "weighted-replacement:M[@a.w] | "
                             "subset:P[@a.w]")
-        p.add_argument("--index-backend", default=None,
-                       choices=list(available_backends()),
-                       help="aggregate-index backend (default: "
-                            "$REPRO_INDEX_BACKEND or avl)")
         p.add_argument("--seed", type=int, default=0)
 
     def common(p):

@@ -1,7 +1,7 @@
 """The unified construction surface: :class:`MaintainerConfig`.
 
 Before this module every entry point grew its own drifting constructor
-signature — ``spec``/``seed``/``obs``/``index_backend`` threaded slightly
+signature — ``spec``/``seed``/``obs``/``engine`` threaded slightly
 differently through :class:`~repro.core.maintainer.JoinSynopsisMaintainer`,
 :class:`~repro.core.manager.SynopsisManager`,
 :class:`~repro.core.window.SlidingWindowMaintainer` and the
@@ -11,7 +11,7 @@ keyword-only value object accepted everywhere::
     from repro import JoinSynopsisMaintainer, MaintainerConfig, SynopsisSpec
 
     cfg = MaintainerConfig(spec=SynopsisSpec.fixed_size(500), seed=42,
-                           engine="sjoin-opt", index_backend="fenwick")
+                           engine="sjoin-opt")
     m = JoinSynopsisMaintainer(db, sql, cfg)
     manager.register("q1", sql, cfg)
 
@@ -55,10 +55,6 @@ class MaintainerConfig:
         Seed for reproducible sampling.
     obs:
         Optional :class:`~repro.obs.MetricsRegistry`.
-    index_backend:
-        Aggregate-index backend name
-        (:func:`repro.index.api.available_backends`); ``None`` resolves
-        the process default (``$REPRO_INDEX_BACKEND`` or ``"avl"``).
     use_statistics:
         Estimate residual-filter selectivity from column statistics
         (§5.1 over-allocation) instead of assuming 1.0.
@@ -83,7 +79,6 @@ class MaintainerConfig:
     engine: str = "sjoin-opt"
     seed: Optional[int] = None
     obs: Optional[object] = None
-    index_backend: Optional[str] = None
     use_statistics: bool = True
     name: Optional[str] = None
     effective_spec: Optional[SynopsisSpec] = None
@@ -94,7 +89,6 @@ class MaintainerConfig:
                  engine: str = "sjoin-opt",
                  seed: Optional[int] = None,
                  obs: Optional[object] = None,
-                 index_backend: Optional[str] = None,
                  use_statistics: bool = True,
                  name: Optional[str] = None,
                  effective_spec: Optional[SynopsisSpec] = None,
@@ -106,7 +100,6 @@ class MaintainerConfig:
         object.__setattr__(self, "engine", engine)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "index_backend", index_backend)
         object.__setattr__(self, "use_statistics", use_statistics)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "effective_spec", effective_spec)

@@ -45,7 +45,6 @@ from repro.core.stats_api import (
 from repro.core.symmetric_join import SymmetricJoinEngine
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
-from repro.index.api import resolve_backend
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.obs.quality import QualityConfig, QualityMonitor
@@ -67,10 +66,7 @@ class JoinSynopsisMaintainer:
         :class:`JoinQuery`.
     config:
         A :class:`~repro.core.config.MaintainerConfig` carrying the
-        synopsis spec, engine name, seed, observability registry and
-        index-backend choice.  The index backend is validated here, at
-        construction time — an unknown name raises
-        :class:`~repro.errors.IndexBackendError` before any engine work.
+        synopsis spec, engine name, seed and observability registry.
     """
 
     def __init__(
@@ -96,8 +92,6 @@ class JoinSynopsisMaintainer:
         self.requested_spec = spec
         self.algorithm = config.engine
         self.use_statistics = config.use_statistics
-        # fail fast on a bad backend name, before planning/engine setup
-        self.index_backend = resolve_backend(config.index_backend)
         # ``effective_spec`` pins the engine's (possibly over-allocated)
         # spec explicitly — repro.persist passes the captured one so a
         # restore never re-estimates filter selectivity from whatever data
@@ -111,14 +105,13 @@ class JoinSynopsisMaintainer:
         if self.algorithm == "sj":
             self.engine = SymmetricJoinEngine(
                 db, query, effective, rng=rng, obs=self.obs,
-                index_backend=self.index_backend, tracer=self.tracer,
+                tracer=self.tracer,
             )
         else:
             self.engine = SJoinEngine(
                 db, query, effective,
                 fk_optimize=(self.algorithm == "sjoin-opt"), rng=rng,
-                obs=self.obs, index_backend=self.index_backend,
-                tracer=self.tracer,
+                obs=self.obs, tracer=self.tracer,
             )
         # online sample-quality monitor (off unless configured):
         # config.quality is a QualityConfig, or True for the defaults
@@ -344,7 +337,6 @@ class JoinSynopsisMaintainer:
             total_results=self.total_results(),
             synopsis_size=len(self.synopsis_entries()),
             algorithm=self.algorithm,
-            index_backend=self.index_backend,
             metrics=metrics,
         )
 

@@ -42,7 +42,6 @@ from repro.core.stats_api import (
 )
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PlanError, ReproError, SynopsisError
-from repro.index.api import resolve_backend
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, as_registry
 from repro.query.parser import parse_query
@@ -171,16 +170,10 @@ class SynopsisManager:
         When observability is on, the maintainer gets a child registry so
         its engine metrics stay separate from other queries' (an explicit
         ``config.obs`` overrides the child registry).
-
-        ``config.index_backend`` selects the aggregate-index backend for
-        this query's engine (``None`` resolves the process default); an
-        unknown name raises :class:`~repro.errors.IndexBackendError`
-        here, before any maintainer construction.
         """
         config = coerce_config(config, owner="SynopsisManager.register")
         if name in self._registrations:
             raise SynopsisError(f"query {name!r} is already registered")
-        index_backend = resolve_backend(config.index_backend)
         seed = config.seed
         if seed is None:
             seed = self._seed_rng.randrange(2**31)
@@ -190,10 +183,8 @@ class SynopsisManager:
         algorithm = config.engine
         try:
             maintainer = JoinSynopsisMaintainer(
-                self.db, query, config.replace(
-                    seed=seed, obs=child_obs, name=name,
-                    index_backend=index_backend,
-                ),
+                self.db, query,
+                config.replace(seed=seed, obs=child_obs, name=name),
             )
         except ReproError as exc:
             raise SynopsisError(
@@ -235,7 +226,6 @@ class SynopsisManager:
                      engine: str = "sjoin-opt",
                      weight_column: Optional[str] = None,
                      seed: Optional[int] = None,
-                     index_backend: Optional[str] = None,
                      ) -> JoinSynopsisMaintainer:
         """Parse, plan and register ``sql`` in one step (the AQP path).
 
@@ -251,9 +241,7 @@ class SynopsisManager:
                           fk_optimize=(engine == "sjoin-opt"))
         spec = spec_for_plan(plan, size=size, weight_column=weight_column)
         return self.register(name, query, MaintainerConfig(
-            spec=spec, engine=engine, seed=seed,
-            index_backend=index_backend,
-        ))
+            spec=spec, engine=engine, seed=seed))
 
     def _register_restored(self, name: str,
                            maintainer: JoinSynopsisMaintainer) -> None:

@@ -82,7 +82,6 @@ class SJoinEngine:
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
                  batch_updates: bool = True,
-                 index_backend: Optional[str] = None,
                  obs=None, tracer=None):
         self.db = db
         self.query = query
@@ -98,10 +97,8 @@ class SJoinEngine:
             tuple_weight = self._resolve_tuple_weight(spec.weight_column)
         self.graph = WeightedJoinGraph(self.plan,
                                        batch_updates=batch_updates,
-                                       index_backend=index_backend,
                                        obs=self.obs,
                                        tuple_weight=tuple_weight)
-        self.index_backend = self.graph.index_backend
         self.synopsis = spec.build(self.rng, obs=self.obs)
         self._entries = EntryStore(
             self.plan, query,
@@ -514,14 +511,10 @@ class SJoinEngine:
         obs.gauge(metric_names.TOTAL_RESULTS).set(self.total_results())
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
             self.synopsis.valid_count)
-        obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(sum(
-            getattr(tree, "rotations", 0)
-            for tree in self.graph.trees.values()
-        ))
-        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(sum(
-            getattr(tree, "maintenance_ops", 0)
-            for tree in self.graph.trees.values()
-        ))
+        rotations = sum(tree.rotations
+                        for tree in self.graph.trees.values())
+        obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(rotations)
+        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(rotations)
         return obs.snapshot()
 
     # ------------------------------------------------------------------

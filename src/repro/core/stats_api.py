@@ -155,7 +155,6 @@ class MaintainerStats:
     total_results: int
     synopsis_size: int
     algorithm: str
-    index_backend: str = "avl"
     metrics: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):

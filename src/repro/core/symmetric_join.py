@@ -31,12 +31,8 @@ from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
 from repro.graph.join_graph import WeightedJoinGraph  # only for type refs
-from repro.index.api import (
-    AggregateIndex,
-    IndexRange,
-    make_index,
-    resolve_backend,
-)
+from repro.index.api import IndexRange
+from repro.index.avl import AggregateTree
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.obs.trace import as_tracer
@@ -81,7 +77,6 @@ class SymmetricJoinEngine:
     def __init__(self, db: Database, query: JoinQuery, spec: SynopsisSpec,
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
-                 index_backend: Optional[str] = None,
                  obs=None, tracer=None):
         self.db = db
         self.query = query
@@ -89,7 +84,6 @@ class SymmetricJoinEngine:
         self.rng = rng if rng is not None else random.Random(seed)
         self.obs = as_registry(obs)
         self.tracer = as_tracer(tracer)
-        self.index_backend = resolve_backend(index_backend)
         # SJ never collapses FK joins; its plan nodes are the range tables
         self.plan: JoinPlan = plan_query(query, db, fk_optimize=False)
         self.family = spec.family
@@ -119,7 +113,7 @@ class SymmetricJoinEngine:
         }
         # one plain tree index per directed edge, keyed by that side's
         # composite edge key; items are (tid, row) pairs
-        self._indexes: Dict[Tuple[int, int], AggregateIndex] = {}
+        self._indexes: Dict[Tuple[int, int], AggregateTree] = {}
         self._handles: Dict[Tuple[int, int], Dict[int, object]] = {}
         # registered tuples per node (the engine's own view of liveness,
         # independent of the shared heap tables)
@@ -127,8 +121,8 @@ class SymmetricJoinEngine:
             {} for _ in self.plan.nodes
         ]
         for (node_idx, nbr_idx) in self.plan.edge_index:
-            self._indexes[(node_idx, nbr_idx)] = make_index(
-                self.index_backend, 0, lambda item, slot: 0
+            self._indexes[(node_idx, nbr_idx)] = AggregateTree(
+                0, lambda item, slot: 0
             )
             self._handles[(node_idx, nbr_idx)] = {}
         self._edges = {
@@ -392,14 +386,9 @@ class SymmetricJoinEngine:
         obs.gauge(metric_names.TOTAL_RESULTS).set(self.total_results())
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
             self.synopsis.valid_count)
-        obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(sum(
-            getattr(tree, "rotations", 0)
-            for tree in self._indexes.values()
-        ))
-        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(sum(
-            getattr(tree, "maintenance_ops", 0)
-            for tree in self._indexes.values()
-        ))
+        rotations = sum(tree.rotations for tree in self._indexes.values())
+        obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(rotations)
+        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(rotations)
         return obs.snapshot()
 
     # ------------------------------------------------------------------

@@ -68,16 +68,9 @@ class InvalidArgumentError(ReproError, ValueError):
     """
 
 
-class IndexBackendError(ReproError, ValueError):
-    """An aggregate-index backend name is unknown or already registered.
-
-    Also a :class:`ValueError` for backwards compatibility with callers
-    that predate the backend registry.
-    """
-
-
 class IndexKeyError(ReproError, KeyError):
-    """An aggregate-index lookup or delete named a key/node not present.
+    """An aggregate-index operation was handed a node handle that is not
+    in the tree (already deleted).
 
     Also a :class:`KeyError` for backwards compatibility with callers
     that predate the unified hierarchy.

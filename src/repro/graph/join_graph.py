@@ -20,44 +20,24 @@ unlinked from every index.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-try:  # optional vectorised sweep; never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
-#: feature flag: set to a non-empty value other than "0" to route large
-#: difference-array sweeps through numpy (int64; guarded by a magnitude
-#: check, falling back to exact Python integers when weights are huge)
-NUMPY_FLAG_ENV_VAR = "REPRO_BATCH_NUMPY"
-
-#: difference-array sums below this fit comfortably in int64 flat arrays
-_INT64_SAFE = 2 ** 62
-
-
-def _numpy_active() -> bool:
-    if _np is None:
-        return False
-    return os.environ.get(NUMPY_FLAG_ENV_VAR, "0") not in ("", "0")
-
 from repro.errors import SynopsisError, TupleNotFoundError
 from repro.obs.metrics import as_registry
 from repro.query.intervals import Interval
 from repro.graph.vertex import Vertex
-from repro.index.api import (
-    AggregateIndex,
-    IndexRange,
-    make_index,
-    resolve_backend,
-)
+from repro.index.api import IndexRange
+from repro.index.avl import AggregateTree
 from repro.index.hash_index import HashIndex
 from repro.query.planner import IndexSpec, JoinPlan
 from repro.query.query_tree import TreeEdge
+
+
+#: difference-array sums below this fit comfortably in int64 flat arrays
+_INT64_SAFE = 2 ** 62
 
 
 @dataclass
@@ -97,21 +77,13 @@ class InsertOutcome:
 class WeightedJoinGraph:
     """The paper's weighted join graph over a :class:`JoinPlan`."""
 
-    def __init__(self, plan: JoinPlan, batch_updates: bool = True,
-                 index_backend: Optional[str] = None, obs=None,
+    def __init__(self, plan: JoinPlan, batch_updates: bool = True, obs=None,
                  tuple_weight: Optional[
                      Callable[[int, Sequence], int]] = None):
         """``batch_updates=False`` disables the merge/difference-array
         sweep in ``updateNeighbor`` (each source key then scans its own
         join range) — exposed for the ablation benchmark of the paper's
         batching claim; production use should keep the default.
-
-        ``index_backend`` names a registered aggregate-index backend
-        (:func:`repro.index.api.available_backends`; ``None`` resolves
-        the process default).  All backends satisfy the same
-        :class:`~repro.index.api.AggregateIndex` contract and are
-        cross-validated in the test suite; an unknown name raises
-        :class:`~repro.errors.IndexBackendError`.
 
         ``obs`` is an optional :class:`~repro.obs.MetricsRegistry`;
         when omitted the no-op registry is used.
@@ -132,11 +104,10 @@ class WeightedJoinGraph:
         self.hash_indexes: List[HashIndex] = [
             HashIndex() for _ in plan.nodes
         ]
-        self.index_backend = resolve_backend(index_backend)
-        self.trees: Dict[int, AggregateIndex] = {}
+        self.trees: Dict[int, AggregateTree] = {}
         for spec in plan.indexes:
-            self.trees[spec.index_id] = make_index(
-                self.index_backend, len(spec.slots), self._value_reader(spec)
+            self.trees[spec.index_id] = AggregateTree(
+                len(spec.slots), self._value_reader(spec)
             )
         # neighbours of each node: (neighbor idx, edge), deterministic order
         self._neighbors: List[List[Tuple[int, TreeEdge]]] = []
@@ -195,13 +166,13 @@ class WeightedJoinGraph:
     def neighbors(self, node_idx: int) -> List[Tuple[int, TreeEdge]]:
         return self._neighbors[node_idx]
 
-    def tree_for_edge(self, node_idx: int, nbr_idx: int) -> AggregateIndex:
+    def tree_for_edge(self, node_idx: int, nbr_idx: int) -> AggregateTree:
         """The AVL on ``node_idx`` whose key is its edge key toward
         ``nbr_idx`` (aggregating ``w_out[node -> nbr]``)."""
         spec = self.plan.edge_index[(node_idx, nbr_idx)]
         return self.trees[spec.index_id]
 
-    def designated_tree(self, node_idx: int) -> AggregateIndex:
+    def designated_tree(self, node_idx: int) -> AggregateTree:
         return self.trees[self.plan.designated_index[node_idx].index_id]
 
     def w_full_slot(self, node_idx: int) -> int:
@@ -602,7 +573,7 @@ class WeightedJoinGraph:
         return out
 
     @staticmethod
-    def _sweep_group(tree: AggregateIndex, prefix: tuple,
+    def _sweep_group(tree: AggregateTree, prefix: tuple,
                      intervals: List[Tuple[Interval, int]]
                      ) -> List[Tuple[Vertex, int]]:
         """Difference-array accumulation of interval deltas over the
@@ -621,23 +592,9 @@ class WeightedJoinGraph:
         values = [node.key[plen] for node in nodes]
         n = len(nodes)
         # every intermediate sum is bounded by the total delta magnitude,
-        # so this one check licenses the int64 flat-array paths; weights
+        # so this one check licenses the int64 flat array; weights
         # beyond it (huge join fan-outs) keep exact Python integers
         bound = sum(abs(delta) for _, delta in intervals)
-        if n >= 32 and bound < _INT64_SAFE and _numpy_active():
-            diff = _np.zeros(n + 1, dtype=_np.int64)
-            for interval, delta in intervals:
-                start = _lower_index(values, interval.lo, interval.lo_open)
-                stop = _upper_index(values, interval.hi, interval.hi_open)
-                if start < stop:
-                    diff[start] += delta
-                    diff[stop] -= delta
-            running_sums = _np.cumsum(diff[:-1])
-            return [
-                (node.item, int(running))
-                for node, running in zip(nodes, running_sums.tolist())
-                if running
-            ]
         if bound < _INT64_SAFE:
             diff = array("q", bytes(8 * (n + 1)))
         else:

@@ -1,56 +1,21 @@
-"""Index substrate: the aggregate-index layer and vertex hash indexes.
+"""Index substrate: the aggregate AVL tree and vertex hash indexes.
 
 The paper's weighted join graph is represented implicitly by one hash index
 per range table plus ``2n-2`` *aggregate order indexes* (§4.3) — ordered
 containers that additionally maintain aggregate sums of selected weights,
 enabling ``lower_bound``-by-prefix-sum and range-sum queries in logarithmic
-time.
-
-The aggregate-index contract and backend registry live in
-:mod:`repro.index.api`; importing this package registers the two
-built-in backends:
-
-* ``"avl"`` — :class:`repro.index.avl.AggregateTree`, the paper's
-  aggregate AVL tree (the default);
-* ``"fenwick"`` — :class:`repro.index.fenwick.FenwickArena`, a flat
-  struct-of-arrays arena with Fenwick prefix sums and amortised rebuilds.
-
-The former ``"skiplist"`` backend is retired from the registry
-(:data:`repro.index.api.RETIRED_BACKENDS`); the class itself remains
-importable as :class:`repro.index.skiplist.AggregateSkipList`.
+time.  There is one implementation, the paper's aggregate AVL tree
+(:class:`repro.index.avl.AggregateTree`); ``docs/architecture.md`` ("Why
+one index") records the measurements that retired the alternatives.
 """
 
-from repro.index.api import (
-    AggregateIndex,
-    AggregateIndexBase,
-    IndexRange,
-    NodeHandle,
-    available_backends,
-    default_backend,
-    make_index,
-    register_backend,
-    resolve_backend,
-)
+from repro.index.api import IndexRange
 from repro.index.avl import AggregateTree, TreeNode
-from repro.index.fenwick import FenwickArena, FenwickNode
 from repro.index.hash_index import HashIndex
-from repro.index.skiplist import AggregateSkipList, SkipNode
 
 __all__ = [
-    "AggregateIndex",
-    "AggregateIndexBase",
-    "AggregateSkipList",
     "AggregateTree",
-    "FenwickArena",
-    "FenwickNode",
     "HashIndex",
     "IndexRange",
-    "NodeHandle",
-    "SkipNode",
     "TreeNode",
-    "available_backends",
-    "default_backend",
-    "make_index",
-    "register_backend",
-    "resolve_backend",
 ]

@@ -1,76 +1,22 @@
-"""The aggregate-index layer: contract, shared machinery, and registry.
+"""Key ranges of the aggregate index.
 
 Every hot path of the reproduction — Algorithm 1 delta propagation,
-Algorithm 2 join-number ``select``, deletion re-draws — bottoms out in an
-*aggregate order index*: an ordered container of ``(key, tie) -> item``
-entries that additionally maintains, per *slot*, the sum of a per-item
-numeric value over any contiguous key range, supporting logarithmic
-weighted ``select`` (``lower_bound`` by prefix sum), ``range_sum`` and
-``prefix_sum``.  The paper uses AVL trees (§4.3) but only relies on the
-abstract interface ("the common tree indexes"); this module makes that
-contract formal so backends are swappable end to end:
-
-* :class:`AggregateIndex` — the structural protocol every backend
-  satisfies (``insert`` / ``delete`` / ``refresh`` / ``find`` /
-  ``select`` / ``range_sum`` / ``prefix_sum`` / ``total`` /
-  ``iter_nodes`` / ``check_invariants`` / ``state_dict``);
-* :class:`NodeHandle` — the common node-handle surface (``key``,
-  ``tie``, ``item``, ``sort_key``) callers may rely on;
-* :class:`AggregateIndexBase` — shared helpers (tie allocation, range
-  defaulting, ``iter_items``, ``state_dict``) hoisted out of the
-  backends;
-* the backend **registry** — :func:`register_backend`,
-  :func:`make_index`, :func:`available_backends`,
-  :func:`resolve_backend` — the single lookup point used by the join
-  graph, the engines, the facades, persistence and the CLI.
-
-Registered backends: ``"avl"`` (:class:`repro.index.avl.AggregateTree`)
-and ``"fenwick"`` (:class:`repro.index.fenwick.FenwickArena`).  Both are
-cross-validated by a differential property test: the same seed and op
-stream must yield identical synopses on every backend.  The former
-``"skiplist"`` backend is **retired** (see :data:`RETIRED_BACKENDS`):
-the module is still importable for direct use, but the registry rejects
-the name with a migration message, and persisted state recorded against
-it is decoded onto ``"avl"``.
-
-The process-wide default is ``"avl"``; the ``REPRO_INDEX_BACKEND``
-environment variable overrides it (the test suite matrixes itself over
-backends this way).  An unknown backend name raises
-:class:`~repro.errors.IndexBackendError` listing the registered choices.
+Algorithm 2 join-number ``select``, deletion re-draws — bottoms out in
+the paper's aggregate AVL tree (§4.3,
+:class:`repro.index.avl.AggregateTree`): an ordered container of
+``(key, tie) -> item`` entries that maintains, per *slot*, the sum of a
+per-item value over any contiguous key range.  This module holds the
+vocabulary its callers share with it: :class:`IndexRange`, a contiguous
+range of composite keys, and :data:`EVERYTHING`, the unbounded one.
 """
 
 from __future__ import annotations
 
-import os
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    Optional,
-    Tuple,
-)
+from typing import Optional
 
-try:  # Protocol: typing_extensions not required on >= 3.8
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
-
-from repro.errors import IndexBackendError, InvalidArgumentError
 from repro.query.intervals import Interval
 
-#: environment variable overriding the process-wide default backend
-BACKEND_ENV_VAR = "REPRO_INDEX_BACKEND"
 
-#: the built-in default when the environment does not say otherwise
-BUILTIN_DEFAULT_BACKEND = "avl"
-
-
-# ----------------------------------------------------------------------
-# key ranges
-# ----------------------------------------------------------------------
 class IndexRange:
     """A contiguous range of composite keys.
 
@@ -118,302 +64,11 @@ class IndexRange:
 EVERYTHING = IndexRange.everything()
 
 
-# ----------------------------------------------------------------------
-# node handles
-# ----------------------------------------------------------------------
-class NodeHandle:
-    """Common surface of a backend's node handle.
-
-    Callers treat handles as opaque except for ``key``, ``tie``, ``item``
-    and the derived total sort key; backends extend this with their
-    structural fields (child pointers, towers, caches).
-    """
-
-    __slots__ = ("key", "tie", "item")
-
-    def __init__(self, key: tuple, tie: int, item: object):
-        self.key = key
-        self.tie = tie
-        self.item = item
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.key, self.tie)
-
-
-# ----------------------------------------------------------------------
-# the protocol
-# ----------------------------------------------------------------------
-@runtime_checkable
-class AggregateIndex(Protocol):
-    """The contract every aggregate-index backend satisfies.
-
-    All orderings are by the total sort key ``(key, tie)``; ``tie``
-    defaults to a fresh monotonically increasing integer per index, so
-    two backends fed the same insertion stream rank equal keys
-    identically — the property the cross-backend differential tests and
-    bit-identical restores rely on.
-    """
-
-    #: registry name of the backend ("avl", "skiplist", "fenwick", ...)
-    backend_name: str
-    #: number of aggregated value slots
-    num_slots: int
-    #: backend-specific structural-work counter (rotations, re-links,
-    #: entries moved during rebuilds) read by the observability layer
-    maintenance_ops: int
-
-    def __len__(self) -> int: ...
-
-    def insert(self, key: tuple, item: object,
-               tie: Optional[int] = None) -> NodeHandle: ...
-
-    def delete(self, node: NodeHandle) -> None: ...
-
-    def refresh(self, node: NodeHandle) -> None: ...
-
-    def find(self, key: tuple) -> Optional[NodeHandle]: ...
-
-    def total(self, slot: int) -> int: ...
-
-    def range_sum(self, slot: int,
-                  rng: Optional[IndexRange] = None) -> int: ...
-
-    def select(self, slot: int, target: int,
-               rng: Optional[IndexRange] = None
-               ) -> Optional[Tuple[object, int]]: ...
-
-    def prefix_sum(self, slot: int, node: NodeHandle,
-                   inclusive: bool = True) -> int: ...
-
-    def update_many(self, nodes: "list[NodeHandle]") -> None: ...
-
-    def prefix_many(self, slot: int, nodes: "list[NodeHandle]",
-                    inclusive: bool = True) -> "list[int]": ...
-
-    def iter_nodes(self, rng: Optional[IndexRange] = None
-                   ) -> Iterator[NodeHandle]: ...
-
-    def iter_items(self, rng: Optional[IndexRange] = None
-                   ) -> Iterator[object]: ...
-
-    def check_invariants(self) -> None: ...
-
-    def state_dict(self) -> dict: ...
-
-
-# ----------------------------------------------------------------------
-# shared backend machinery
-# ----------------------------------------------------------------------
-class AggregateIndexBase:
-    """Shared helpers every concrete backend inherits.
-
-    Owns the pieces that were previously duplicated across backends:
-    slot-count validation, the ``value_of`` reader, live-entry count, tie
-    allocation, ``select``-target validation, range defaulting,
-    ``iter_items`` and the :meth:`state_dict` summary.
-    """
-
-    #: overridden by each concrete backend (the registry name)
-    backend_name = "abstract"
-
-    def __init__(self, num_slots: int,
-                 value_of: Callable[[object, int], int]):
-        if num_slots < 0:
-            raise InvalidArgumentError("num_slots must be >= 0")
-        self.num_slots = num_slots
-        self.value_of = value_of
-        self._size = 0
-        self._next_tie = 0
-        #: structural-work counter (see :class:`AggregateIndex`)
-        self.maintenance_ops = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _alloc_tie(self, tie: Optional[int]) -> int:
-        """Default ``tie`` to a fresh monotonically increasing integer."""
-        if tie is None:
-            tie = self._next_tie
-            self._next_tie += 1
-        return tie
-
-    @staticmethod
-    def _check_select_target(target: int) -> None:
-        if target < 0:
-            raise InvalidArgumentError("select target must be >= 0")
-
-    @staticmethod
-    def _range_or_everything(rng: Optional[IndexRange]) -> IndexRange:
-        return rng if rng is not None else EVERYTHING
-
-    def _read_values(self, item: object) -> list:
-        """The item's current slot values, in slot order."""
-        value_of = self.value_of
-        return [value_of(item, slot) for slot in range(self.num_slots)]
-
-    def iter_items(self, rng: Optional[IndexRange] = None
-                   ) -> Iterator[object]:
-        for node in self.iter_nodes(rng):
-            yield node.item
-
-    # -- bulk entry points (batch hot path) -----------------------------
-    def update_many(self, nodes) -> None:
-        """Re-read the slot values of several live nodes at once.
-
-        The generic fallback is a plain per-node :meth:`refresh` loop;
-        backends with contiguous storage (fenwick) override this to share
-        the position lookups across the whole group.  ``nodes`` may be in
-        any order and may contain duplicates — the last refresh wins,
-        which is a no-op distinction since refresh re-reads current item
-        state.
-        """
-        refresh = self.refresh
-        for node in nodes:
-            refresh(node)
-
-    def prefix_many(self, slot: int, nodes, inclusive: bool = True):
-        """Prefix sums for several nodes in one call (batch placement)."""
-        prefix_sum = self.prefix_sum
-        return [prefix_sum(slot, node, inclusive) for node in nodes]
-
-    def iter_nodes(self, rng: Optional[IndexRange] = None
-                   ) -> Iterator[NodeHandle]:  # pragma: no cover
-        raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        """Cheap logical summary: backend identity plus work counters.
-
-        The graph's persistence layer replays entries rather than
-        serialising index internals, so this is an *identity* record (the
-        snapshot pins it to restore onto the same backend), not a full
-        dump.
-        """
-        return {
-            "backend": self.backend_name,
-            "num_slots": self.num_slots,
-            "size": len(self),
-            "maintenance_ops": self.maintenance_ops,
-        }
-
-
-# ----------------------------------------------------------------------
-# the backend registry
-# ----------------------------------------------------------------------
-#: factory: (num_slots, value_of) -> AggregateIndex
-IndexFactory = Callable[[int, Callable[[object, int], int]],
-                        "AggregateIndex"]
-
-_BACKENDS: Dict[str, IndexFactory] = {}
-
-#: backends withdrawn from the registry.  The name maps to the reason
-#: shown in the rejection error; modules stay importable for direct use
-#: and persisted state recorded against a retired backend is decoded
-#: onto the fallback named in :func:`retired_fallback`.
-RETIRED_BACKENDS: Dict[str, str] = {
-    "skiplist": (
-        "retired in v1.1 — it trailed avl/fenwick by ~31% on the "
-        "index-backend ablation (BENCH_index_backend.json); use 'avl' "
-        "or 'fenwick' instead (snapshots/WAL recorded against skiplist "
-        "restore onto 'avl' automatically)"
-    ),
-}
-
-
-def retired_fallback(name: str) -> str:
-    """The backend persisted state recorded against ``name`` decodes to.
-
-    Only meaningful for names in :data:`RETIRED_BACKENDS`; everything
-    retired so far falls back to the built-in default.
-    """
-    return BUILTIN_DEFAULT_BACKEND
-
-
-def register_backend(name: str, factory: IndexFactory,
-                     replace: bool = False) -> None:
-    """Register ``factory`` under ``name``.
-
-    ``factory(num_slots, value_of)`` must return an object satisfying
-    :class:`AggregateIndex`.  Re-registering an existing name raises
-    unless ``replace=True`` (useful for tests injecting instrumented
-    backends).  Retired names cannot be re-registered.
-    """
-    if name in RETIRED_BACKENDS:
-        raise IndexBackendError(
-            f"index backend {name!r} is retired and cannot be "
-            f"re-registered: {RETIRED_BACKENDS[name]}"
-        )
-    if not replace and name in _BACKENDS:
-        raise IndexBackendError(
-            f"index backend {name!r} is already registered; pass "
-            "replace=True to override it"
-        )
-    _BACKENDS[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (test cleanup for injected ones)."""
-    if name not in _BACKENDS:
-        raise IndexBackendError(_unknown_message(name))
-    del _BACKENDS[name]
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The registered backend names, sorted — the ablation benchmark and
-    the differential tests iterate this instead of a hand-kept list."""
-    return tuple(sorted(_BACKENDS))
-
-
 def default_backend() -> str:
-    """The process-wide default: ``$REPRO_INDEX_BACKEND`` or ``"avl"``.
+    """Name of the one aggregate index, for run metadata.
 
-    An environment value naming an unregistered backend raises
-    :class:`~repro.errors.IndexBackendError` — a typo'd matrix job must
-    fail loudly, not silently fall back to the default.
+    Called by ``benchmarks/layers/run.py`` for the ``meta`` block of
+    its result files, which keeps the committed trajectory comparable;
+    nothing in ``src/`` selects an index by name.
     """
-    name = os.environ.get(BACKEND_ENV_VAR)
-    if name is None or name == "":
-        return BUILTIN_DEFAULT_BACKEND
-    if name in RETIRED_BACKENDS:
-        raise IndexBackendError(
-            f"{BACKEND_ENV_VAR}={name!r} names a retired index backend: "
-            f"{RETIRED_BACKENDS[name]}"
-        )
-    if name not in _BACKENDS:
-        raise IndexBackendError(
-            f"{BACKEND_ENV_VAR}={name!r} names an unknown index backend; "
-            f"registered backends: {', '.join(available_backends())}"
-        )
-    return name
-
-
-def resolve_backend(name: Optional[str]) -> str:
-    """Validate ``name`` against the registry; ``None`` means default.
-
-    This is the construction-time check the facades call *before* any
-    engine or graph work happens, so a bad backend name fails fast with
-    the full list of choices.  Retired backends are rejected with their
-    migration message rather than the generic unknown-name error.
-    """
-    if name is None:
-        return default_backend()
-    if name in RETIRED_BACKENDS:
-        raise IndexBackendError(
-            f"index backend {name!r} is retired: {RETIRED_BACKENDS[name]}"
-        )
-    if name not in _BACKENDS:
-        raise IndexBackendError(_unknown_message(name))
-    return name
-
-
-def make_index(backend: Optional[str], num_slots: int,
-               value_of: Callable[[object, int], int]) -> "AggregateIndex":
-    """Build an aggregate index on the named backend (None = default)."""
-    return _BACKENDS[resolve_backend(backend)](num_slots, value_of)
-
-
-def _unknown_message(name: object) -> str:
-    choices = ", ".join(available_backends()) or "<none registered>"
-    return (
-        f"unknown index backend {name!r}; registered backends: {choices}"
-    )
+    return "avl"

@@ -23,65 +23,83 @@ Supported queries (all logarithmic):
 Nodes carry parent pointers so that handle-based deletion and refresh need
 no search.  Deletion splices the successor *node* (not its contents) into
 the deleted node's position, so outstanding handles to other nodes stay
-valid — the Python analogue of the paper's embedded tree pointers.
-
-This is the ``"avl"`` backend of the :mod:`repro.index.api` registry; the
-index contract it implements lives there.
+valid — the Python analogue of the paper's embedded tree pointers.  A
+handle that has been deleted is *stale*: passing it back to
+:meth:`~AggregateTree.delete`, :meth:`~AggregateTree.refresh`,
+:meth:`~AggregateTree.update_many` or :meth:`~AggregateTree.prefix_sum`
+raises :class:`~repro.errors.IndexKeyError` and leaves the tree as it was.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro.index.api import (
-    EVERYTHING as _EVERYTHING,
-    AggregateIndexBase,
-    IndexRange,
-    NodeHandle,
-    register_backend,
-)
+from repro.errors import IndexKeyError, InvalidArgumentError
+from repro.index.api import EVERYTHING as _EVERYTHING, IndexRange
 
 __all__ = ["AggregateTree", "IndexRange", "TreeNode"]
 
 
-class TreeNode(NodeHandle):
-    """A node handle.  Treat as opaque outside this module and tests."""
+class TreeNode:
+    """A node handle.  Treat as opaque outside this module and tests,
+    except for ``key``, ``tie``, ``item`` and the derived ``sort_key``."""
 
-    __slots__ = ("left", "right", "parent", "height", "sums")
+    __slots__ = ("key", "tie", "item",
+                 "left", "right", "parent", "height", "sums")
 
     def __init__(self, key: tuple, tie: int, item: object, num_slots: int):
-        super().__init__(key, tie, item)
+        self.key = key
+        self.tie = tie
+        self.item = item
         self.left: Optional[TreeNode] = None
         self.right: Optional[TreeNode] = None
         self.parent: Optional[TreeNode] = None
         self.height = 1
         self.sums: List[int] = [0] * num_slots
 
+    @property
+    def sort_key(self) -> tuple:
+        return (self.key, self.tie)
 
-class AggregateTree(AggregateIndexBase):
-    """The aggregate AVL index.  See module docstring."""
 
-    backend_name = "avl"
+class AggregateTree:
+    """The aggregate AVL index.  See module docstring.
 
-    def __init__(self, num_slots, value_of):
-        super().__init__(num_slots, value_of)
+    All orderings are by the total sort key ``(key, tie)``; ``tie``
+    defaults to a fresh monotonically increasing integer per tree, so
+    replaying an insertion stream ranks equal keys identically — the
+    property bit-identical restores rely on.
+    """
+
+    def __init__(self, num_slots: int,
+                 value_of: Callable[[object, int], int]):
+        if num_slots < 0:
+            raise InvalidArgumentError("num_slots must be >= 0")
+        self.num_slots = num_slots
+        self.value_of = value_of
+        self._size = 0
+        self._next_tie = 0
+        #: rebalancing rotations performed over the tree's lifetime
+        self.rotations = 0
         self._root: Optional[TreeNode] = None
 
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self._size
+
     @property
     def root(self) -> Optional[TreeNode]:
         return self._root
 
-    @property
-    def rotations(self) -> int:
-        """Rebalancing rotations performed over the tree's lifetime.
-
-        Alias of the backend-generic ``maintenance_ops`` counter — for
-        the AVL, every unit of structural work is one rotation.
-        """
-        return self.maintenance_ops
+    @staticmethod
+    def _stale(node: TreeNode) -> IndexKeyError:
+        """The error for a handle that is not in the tree.  A deleted
+        node is detached — no parent, and not the root — which the
+        handle-taking methods test inline (refresh is the hot path)."""
+        return IndexKeyError(
+            f"stale handle: node {node.sort_key!r} is not in the tree")
 
     def total(self, slot: int) -> int:
         """Sum of ``slot`` values over all items."""
@@ -99,7 +117,9 @@ class AggregateTree(AggregateIndexBase):
         ``tie`` defaults to a fresh monotonically increasing integer; pass
         an explicit value only when the caller manages uniqueness itself.
         """
-        tie = self._alloc_tie(tie)
+        if tie is None:
+            tie = self._next_tie
+            self._next_tie += 1
         node = TreeNode(key, tie, item, self.num_slots)
         self._size += 1
         if self._root is None:
@@ -126,6 +146,8 @@ class AggregateTree(AggregateIndexBase):
 
     def delete(self, node: TreeNode) -> None:
         """Remove ``node`` (a handle previously returned by insert)."""
+        if node.parent is None and node is not self._root:
+            raise self._stale(node)
         self._size -= 1
         if node.left is not None and node.right is not None:
             # splice the in-order successor into node's position, keeping
@@ -155,6 +177,8 @@ class AggregateTree(AggregateIndexBase):
 
     def refresh(self, node: TreeNode) -> None:
         """Re-aggregate after ``node.item``'s slot values changed."""
+        if node.parent is None and node is not self._root:
+            raise self._stale(node)
         cur: Optional[TreeNode] = node
         while cur is not None:
             self._pull(cur)
@@ -163,7 +187,8 @@ class AggregateTree(AggregateIndexBase):
     def update_many(self, nodes) -> None:
         """Fused refresh: nearby nodes share most of their root paths, so
         collect every affected node once and re-aggregate children before
-        parents instead of walking each full path to the root."""
+        parents instead of walking each full path to the root.  ``nodes``
+        may be in any order and may contain duplicates."""
         nodes = list(nodes)
         if len(nodes) <= 1:
             for node in nodes:
@@ -171,6 +196,8 @@ class AggregateTree(AggregateIndexBase):
             return
         pending = {}  # id -> (depth-unknown) node, each pulled exactly once
         for node in nodes:
+            if node.parent is None and node is not self._root:
+                raise self._stale(node)
             cur = node
             while cur is not None and id(cur) not in pending:
                 pending[id(cur)] = cur
@@ -189,6 +216,11 @@ class AggregateTree(AggregateIndexBase):
         for node in sorted(pending.values(),
                            key=lambda n: depths[id(n)], reverse=True):
             self._pull(node)
+
+    def prefix_many(self, slot: int, nodes, inclusive: bool = True):
+        """Prefix sums for several nodes in one call (batch placement)."""
+        prefix_sum = self.prefix_sum
+        return [prefix_sum(slot, node, inclusive) for node in nodes]
 
     # ------------------------------------------------------------------
     # lookups
@@ -231,6 +263,11 @@ class AggregateTree(AggregateIndexBase):
                 if node.left is not None:
                     stack.append((node.left, False))
 
+    def iter_items(self, rng: Optional[IndexRange] = None
+                   ) -> Iterator[object]:
+        for node in self.iter_nodes(rng):
+            yield node.item
+
     # ------------------------------------------------------------------
     # aggregate queries
     # ------------------------------------------------------------------
@@ -266,7 +303,8 @@ class AggregateTree(AggregateIndexBase):
         ``target`` is not smaller than the range sum.  Items whose value is
         zero are never selected.
         """
-        self._check_select_target(target)
+        if target < 0:
+            raise InvalidArgumentError("select target must be >= 0")
         if rng is None:
             # unbounded select needs no range-side checks: a plain
             # weighted descent over the cached subtree sums
@@ -288,7 +326,6 @@ class AggregateTree(AggregateIndexBase):
                 consumed += value
                 node = node.right
             return None
-        rng = self._range_or_everything(rng)
         node = self._root
         lo_done = hi_done = False
         consumed = 0
@@ -323,6 +360,8 @@ class AggregateTree(AggregateIndexBase):
         With ``inclusive=False`` the node's own value is excluded.  This is
         the whole-index prefix used to place a vertex's join-number block.
         """
+        if node.parent is None and node is not self._root:
+            raise self._stale(node)
         total = 0
         if node.left is not None:
             total += node.left.sums[slot]
@@ -378,7 +417,7 @@ class AggregateTree(AggregateIndexBase):
         return self._height(node.left) - self._height(node.right)
 
     def _rotate_left(self, node: TreeNode) -> TreeNode:
-        self.maintenance_ops += 1
+        self.rotations += 1
         pivot = node.right
         assert pivot is not None
         self._replace_in_parent(node, pivot)
@@ -392,7 +431,7 @@ class AggregateTree(AggregateIndexBase):
         return pivot
 
     def _rotate_right(self, node: TreeNode) -> TreeNode:
-        self.maintenance_ops += 1
+        self.rotations += 1
         pivot = node.left
         assert pivot is not None
         self._replace_in_parent(node, pivot)
@@ -451,6 +490,3 @@ class AggregateTree(AggregateIndexBase):
             assert count == self._size, "size mismatch"
         else:
             assert self._size == 0
-
-
-register_backend("avl", AggregateTree)

@@ -29,8 +29,7 @@ GRAPH_VERTEX_CREATIONS = "graph.vertex_creations"
 GRAPH_VERTEX_REMOVALS = "graph.vertex_removals"
 GRAPH_WEIGHT_RECOMPUTES = "graph.weight_recomputes"
 GRAPH_AVL_ROTATIONS = "graph.avl_rotations"    # gauge, published on read
-# backend-generic structural work (rotations / tower re-links / entries
-# moved by arena rebuilds, per repro.index.api); gauge, published on read
+# the same AVL rotation count under the name the layer benchmark reads
 GRAPH_INDEX_MAINTENANCE_OPS = "graph.index_maintenance_ops"
 
 # -- synopsis maintenance (counters) ------------------------------------

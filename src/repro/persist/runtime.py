@@ -42,7 +42,6 @@ from repro.core.stats_api import (
     UpdateOp,
 )
 from repro.errors import PersistError, ReproError
-from repro.index.api import resolve_backend
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.obs.trace import as_tracer
@@ -63,8 +62,7 @@ WAL_SUBDIR = "wal"
 SNAPSHOT_SUBDIR = "snapshots"
 
 #: fields of a ``register`` WAL record, after the kind tag
-_REGISTER_FIELDS = ("name", "sql", "spec", "engine", "seed",
-                    "index_backend")
+_REGISTER_FIELDS = ("name", "sql", "spec", "engine", "seed")
 
 
 def has_state(directory: str) -> bool:
@@ -99,13 +97,11 @@ def replay_manager_entry(manager: SynopsisManager, entry) -> int:
                 f"expected {len(_REGISTER_FIELDS)} {_REGISTER_FIELDS}; "
                 "the log was not written by this release"
             )
-        _, name, sql, spec_state, algorithm, seed, index_backend = entry
+        _, name, sql, spec_state, algorithm, seed = entry
         spec = (spec_from_dict(spec_state)
                 if spec_state is not None else None)
         manager.register(name, sql, MaintainerConfig(
-            spec=spec, engine=algorithm, seed=seed,
-            index_backend=index_backend,
-        ))
+            spec=spec, engine=algorithm, seed=seed))
         return 1
     if kind == "unregister":
         manager.unregister(entry[1])
@@ -165,17 +161,11 @@ class PersistentManager:
                 "it on a plain SynopsisManager instead"
             )
         sql = query if isinstance(query, str) else str(query)
-        # resolve before logging so the WAL pins the concrete backend
-        # even when the caller relied on the process default
-        index_backend = resolve_backend(config.index_backend)
         spec = config.spec
         self._log(("register", name, sql,
                    spec_to_dict(spec) if spec is not None else None,
-                   config.engine, config.seed, index_backend))
-        return self.manager.register(
-            name, sql,
-            config.replace(index_backend=index_backend),
-        )
+                   config.engine, config.seed))
+        return self.manager.register(name, sql, config)
 
     def unregister(self, name: str) -> None:
         self._log(("unregister", name))

@@ -44,7 +44,7 @@ from repro.obs.metrics import MetricsRegistry
 
 #: the one on-disk format this release reads and writes; bumped whenever
 #: the logical state layout changes incompatibly
-STATE_VERSION = 2
+STATE_VERSION = 3
 #: the ``kind`` every snapshot payload carries
 STATE_KIND = "manager"
 
@@ -129,9 +129,10 @@ def check_snapshot_format(payload: dict, where: str,
                           error=PersistError) -> None:
     """The format gate of recovery and follower bootstrap: a snapshot
     payload is read only when it is a version-:data:`STATE_VERSION`
-    ``"manager"`` state.  Anything else — a 2.x directory (version 1),
-    a single-maintainer snapshot — raises ``error`` naming what was
-    found and what is expected, before any of it is decoded.
+    ``"manager"`` state.  Anything else — a 3.0 directory (version 2),
+    a 2.x one (version 1), a single-maintainer snapshot — raises
+    ``error`` naming what was found and what is expected, before any of
+    it is decoded.
     """
     database = payload.get("database")
     version = database.get("version") if isinstance(database, dict) \
@@ -141,8 +142,8 @@ def check_snapshot_format(payload: dict, where: str,
         raise error(
             f"{where} holds a version {version!r} {kind!r} state; this "
             f"release reads only version {STATE_VERSION} {STATE_KIND!r} "
-            "states (state written before 3.0 is not readable — "
-            "rebuild it from the source data)"
+            "states (state written by an earlier release is not "
+            "readable — rebuild it from the source data)"
         )
 
 
@@ -168,10 +169,6 @@ def capture_maintainer(maintainer: JoinSynopsisMaintainer) -> dict:
         "use_statistics": maintainer.use_statistics,
         "requested_spec": spec_to_dict(maintainer.requested_spec),
         "effective_spec": spec_to_dict(engine.spec),
-        # the backend is part of the effective configuration: replaying
-        # onto a different index implementation would still be logically
-        # correct, but this pins the operator's choice across recovery
-        "index_backend": engine.index_backend,
         "rng_state": engine.rng.getstate(),
         "graph": engine.graph.state_dict(),
         "synopsis": engine.synopsis.state_dict(),
@@ -191,11 +188,10 @@ def restore_maintainer(db: Database, state: dict,
     """Rebuild a maintainer over an already-restored database.
 
     The constructor builds an *empty* engine (no backfill); the graph is
-    then replayed vertex by vertex in original creation order — every
-    aggregate-index backend breaks ties between equal keys by insertion
-    order, so the rebuilt indexes rank join results identically and the
-    restored RNG state yields a bit-identical future sample stream.  The
-    engine is rebuilt on the backend pinned at capture time.
+    then replayed vertex by vertex in original creation order — the
+    aggregate trees break ties between equal keys by insertion order, so
+    the rebuilt indexes rank join results identically and the restored
+    RNG state yields a bit-identical future sample stream.
     """
     _check_version(state)
     maintainer = JoinSynopsisMaintainer(
@@ -209,7 +205,6 @@ def restore_maintainer(db: Database, state: dict,
             obs=obs,
             name=state["name"],
             effective_spec=spec_from_dict(state["effective_spec"]),
-            index_backend=state["index_backend"],
         ),
     )
     engine = maintainer.engine

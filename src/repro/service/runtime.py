@@ -349,9 +349,6 @@ class SynopsisService:
             self.tracer.event_log = self.events
         self._attach_events()
         self._started_monotonic = time.monotonic()
-        # cached for healthz: only the ingest thread refreshes it (on
-        # register), so readers see a plain attribute, never the target
-        self._index_backend = self._detect_index_backend()
         self._mutex = threading.Lock()
         self._not_empty = threading.Condition(self._mutex)
         self._not_full = threading.Condition(self._mutex)
@@ -440,9 +437,6 @@ class SynopsisService:
         any other state change)."""
         def control():
             maintainer = self.target.register(name, query, config)
-            # runs on the ingest thread, which owns the target — safe
-            # to re-derive the healthz backend summary here
-            self._index_backend = self._detect_index_backend()
             self._attach_events()
             return maintainer
 
@@ -457,14 +451,6 @@ class SynopsisService:
             monitor = self.target.maintainer(name).quality
             if monitor is not None and not monitor.events.enabled:
                 monitor.events = self.events
-
-    def _detect_index_backend(self) -> Optional[str]:
-        """The aggregate-index backend shared by every registered
-        query, for ``/healthz`` — ``None`` when queries disagree (or
-        none are registered yet)."""
-        backends = {self.target.maintainer(name).index_backend
-                    for name in self.target.names()}
-        return backends.pop() if len(backends) == 1 else None
 
     def _submit_control(self, fn: Callable[[], object]) -> object:
         submission = _Submission(None, fn, wait=True)
@@ -578,7 +564,7 @@ class SynopsisService:
 
     def healthz(self) -> dict:
         """Liveness summary: status, epoch, queue depth, error count,
-        uptime/version/backend identity, staleness, sample quality.
+        uptime/version, staleness, sample quality.
 
         ``status`` is ``"ok"``, ``"failed"`` (the ingest thread died on
         an unrecoverable error and writes are rejected), ``"draining"``
@@ -613,7 +599,6 @@ class SynopsisService:
             "ingest_errors": self._ingest_errors,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "version": __version__,
-            "index_backend": self._index_backend,
             "staleness_seconds": staleness,
             "synopsis_family": view.family_summary(),
         }

@@ -9,28 +9,10 @@ exact executor.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import List, Tuple
 
 import pytest
-
-from repro.index.api import BACKEND_ENV_VAR, default_backend
-
-
-def pytest_report_header(config):
-    """Announce which aggregate-index backend this run exercises.
-
-    CI sets ``REPRO_INDEX_BACKEND`` to matrix the whole tier-1 suite over
-    every registered backend; an unset variable means the built-in
-    default.  ``default_backend()`` also validates the value, so a typo'd
-    matrix entry fails the run immediately instead of silently testing
-    the default.
-    """
-    configured = os.environ.get(BACKEND_ENV_VAR)
-    backend = default_backend()
-    source = f"{BACKEND_ENV_VAR}={configured}" if configured else "default"
-    return f"repro index backend: {backend} ({source})"
 
 from repro import (
     BandPredicate,
@@ -57,6 +39,16 @@ def single_query(db: Database, sql, config=None, name: str = QUERY):
     as aliases wherever a query names each table once)."""
     manager = SynopsisManager(db)
     return manager, manager.register(name, sql, config)
+
+
+def as_written_by_3_0(payload: dict) -> None:
+    """Rewrite a fresh snapshot payload into what 3.0 wrote: format
+    version 2, every query's state naming its ``index_backend``."""
+    payload["database"]["version"] = 2
+    payload["manager"]["version"] = 2
+    for query in payload["manager"]["queries"]:
+        query["maintainer"]["version"] = 2
+        query["maintainer"]["index_backend"] = "avl"
 
 
 def make_tables(db: Database, spec: List[Tuple[str, int]]) -> None:

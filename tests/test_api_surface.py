@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -23,8 +23,7 @@ def test_version():
     "repro.core.static_sampler", "repro.core.window",
     "repro.core.manager", "repro.core.serialize",
     "repro.core.stats_api",
-    "repro.index.api", "repro.index.fenwick",
-    "repro.index.skiplist", "repro.query.explain",
+    "repro.index.api", "repro.index.avl", "repro.query.explain",
     "repro.bench.export",
     "repro.obs", "repro.obs.metrics", "repro.obs.names",
     "repro.obs.trace", "repro.obs.expo", "repro.obs.quality",
@@ -144,7 +143,7 @@ def test_persist_public_surface_is_stable():
     for name in persist.__all__:
         obj = getattr(persist, name)
         assert obj.__doc__, f"repro.persist.{name} lacks a docstring"
-    assert persist.STATE_VERSION == 2
+    assert persist.STATE_VERSION == 3
     # CrashPoint stands in for SIGKILL: production code catching the
     # library's error hierarchy must never swallow it
     from repro.errors import ReproError
@@ -154,13 +153,14 @@ def test_persist_public_surface_is_stable():
 
 def test_maintainer_config_fields_are_stable():
     """MaintainerConfig is THE construction contract of the redesigned
-    facade; adding a field is fine, renaming or dropping one is not."""
+    facade; adding a field is fine, renaming or dropping one is not
+    (4.0 dropped ``index_backend`` together with the backends)."""
     import dataclasses
 
     from repro import MaintainerConfig
 
     fields = [f.name for f in dataclasses.fields(MaintainerConfig)]
-    assert fields == ["spec", "engine", "seed", "obs", "index_backend",
+    assert fields == ["spec", "engine", "seed", "obs",
                       "use_statistics", "name", "effective_spec",
                       "tracer", "quality"]
     config = MaintainerConfig()
@@ -232,7 +232,6 @@ def test_every_public_exception_subclasses_repro_error():
         assert issubclass(cls, errors.ReproError), cls
     # dual-inheritance shims: pre-redesign except-clauses keep working
     assert issubclass(errors.InvalidArgumentError, ValueError)
-    assert issubclass(errors.IndexBackendError, ValueError)
     assert issubclass(errors.IndexKeyError, KeyError)
     # service errors share one intermediate base
     assert issubclass(errors.ServiceOverloadedError, errors.ServiceError)
@@ -317,18 +316,44 @@ def test_one_declared_target_shape(tmp_path):
     persistent.close()
 
 
-def test_retired_backend_registry_contract():
-    """The skiplist backend is retired: the registry must reject it with
-    an actionable message; the module stays importable (see the
-    submodule import matrix above)."""
-    from repro.errors import IndexBackendError
-    from repro.index.api import (available_backends, resolve_backend,
-                                 retired_fallback)
+def test_one_aggregate_index_no_selector():
+    """4.0 kept the paper's AVL tree as the only aggregate index: the
+    alternative backends, the registry that named them, the option that
+    selected one and both engine env flags are gone (CHANGELOG.md has
+    the table), and none of it may creep back."""
+    import inspect
 
-    assert available_backends() == ("avl", "fenwick")
-    with pytest.raises(IndexBackendError, match="retired"):
-        resolve_backend("skiplist")
-    assert retired_fallback("skiplist") == "avl"
+    from repro import MaintainerConfig, errors, index
+    from repro.core.stats_api import MaintainerStats
+    from repro.graph import join_graph
+    from repro.index import api
+
+    for module in ("repro.index.fenwick", "repro.index.skiplist"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    assert sorted(index.__all__) == ["AggregateTree", "HashIndex",
+                                     "IndexRange", "TreeNode"]
+    for module, names in (
+        (api, ("AggregateIndex", "AggregateIndexBase", "NodeHandle",
+               "register_backend", "unregister_backend", "make_index",
+               "resolve_backend", "available_backends",
+               "RETIRED_BACKENDS", "retired_fallback", "BACKEND_ENV_VAR",
+               "BUILTIN_DEFAULT_BACKEND")),
+        (index, ("AggregateIndex", "FenwickArena", "AggregateSkipList",
+                 "make_index", "available_backends")),
+        (join_graph, ("NUMPY_FLAG_ENV_VAR", "_numpy_active", "_np")),
+        (errors, ("IndexBackendError",)),
+        (repro, ("IndexBackendError",)),
+    ):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ()), name
+    # what the layer benchmark imports for its run metadata
+    assert inspect.signature(api.default_backend).parameters == {}
+    assert api.default_backend() == "avl"
+    with pytest.raises(TypeError):
+        MaintainerConfig(index_backend="avl")
+    assert "index_backend" not in MaintainerStats.__dataclass_fields__
 
 
 def test_legacy_construction_kwargs_removed():

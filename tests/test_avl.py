@@ -3,7 +3,8 @@
 The model is a plain Python list of (key, tie, value) kept sorted; every
 tree query (range_sum, select, prefix_sum, iteration) is cross-checked
 against brute force over the model after random interleavings of insert /
-delete / value-change operations.
+delete / value-change operations, the batch entry points (``update_many``,
+``prefix_many``) included.
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import IndexKeyError
 from repro.index.avl import AggregateTree, IndexRange
 from repro.query.intervals import Interval
 
@@ -129,13 +131,61 @@ class TestUnit:
         assert tree.total(0) == 7
         assert tree.total(1) == 100
 
+    def test_double_delete_raises(self):
+        tree = AggregateTree(1, value_of)
+        node = tree.insert((1,), Item([1]))
+        tree.insert((2,), Item([2]))
+        tree.delete(node)
+        with pytest.raises(KeyError):
+            tree.delete(node)
+        with pytest.raises(KeyError):
+            tree.refresh(node)
+
+    @pytest.mark.parametrize("victim", [0, 1, 2],
+                             ids=["leaf", "root", "other-leaf"])
+    def test_stale_handle_raises_and_leaves_tree_intact(self, victim):
+        """A deleted handle used to drop the whole tree on a second
+        ``delete`` (``root = None``, ``total() == 0``) and to be a silent
+        no-op on ``refresh``; every handle-taking method now refuses it."""
+        tree = AggregateTree(1, value_of)
+        nodes = [tree.insert((k,), Item([k])) for k in (1, 2, 3)]
+        stale = nodes.pop(victim)
+        tree.delete(stale)
+        live = nodes[0]
+        for misuse in (
+            lambda: tree.delete(stale),
+            lambda: tree.refresh(stale),
+            lambda: tree.update_many([stale]),
+            lambda: tree.update_many([live, stale, live]),
+            lambda: tree.prefix_sum(0, stale),
+            lambda: tree.prefix_many(0, [live, stale]),
+        ):
+            with pytest.raises(IndexKeyError, match="stale handle"):
+                misuse()
+            assert len(tree) == 2
+            assert tree.total(0) == sum(n.item.values[0] for n in nodes)
+            tree.check_invariants()
+
+    def test_deleted_only_node_is_stale_too(self):
+        tree = AggregateTree(1, value_of)
+        node = tree.insert((1,), Item([4]))
+        tree.delete(node)
+        with pytest.raises(IndexKeyError):
+            tree.delete(node)
+        assert len(tree) == 0 and tree.total(0) == 0
+        other = tree.insert((1,), Item([6]))
+        with pytest.raises(IndexKeyError):
+            tree.refresh(node)
+        assert tree.prefix_sum(0, other) == 6
+
 
 # ----------------------------------------------------------------------
 # model-based property tests
 # ----------------------------------------------------------------------
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "delete", "change"]),
+        st.sampled_from(["insert", "delete", "change",
+                         "update_many", "prefix_many"]),
         st.integers(min_value=0, max_value=15),   # key
         st.integers(min_value=0, max_value=9),    # value
     ),
@@ -163,11 +213,29 @@ def test_tree_matches_model(ops, rng_spec, target):
             key_idx = (key * 7 + value) % len(model)
             _, node, _ = model.pop(key_idx)
             tree.delete(node)
-        else:  # change value
+        elif op == "change":
             key_idx = (key * 5 + value) % len(model)
             _, node, item = model[key_idx]
             item.values[0] = value
             tree.refresh(node)
+        else:
+            # a group of entries (any order, duplicates allowed), the
+            # way the join graph hands over all vertices of one sweep
+            group = [model[(key * 3 + step * (value + 1)) % len(model)]
+                     for step in range(1 + key % 5)]
+            handles = [node for _, node, _ in group]
+            if op == "update_many":
+                for offset, (_, _, item) in enumerate(group):
+                    item.values[0] = (value + offset) % 10
+                tree.update_many(handles)
+            else:
+                for inclusive in (True, False):
+                    assert tree.prefix_many(0, handles, inclusive) == [
+                        sum(i.values[0] for k, n, i in model
+                            if (k, n.tie) < (gk, gn.tie)
+                            or (inclusive and n is gn))
+                        for gk, gn, _ in group
+                    ]
     tree.check_invariants()
     assert len(tree) == len(model)
     assert tree.total(0) == sum(i.values[0] for _, __, i in model)

@@ -169,13 +169,13 @@ class TestCheckpointRestore:
 
         directory = str(tmp_path / "ckpt")
         assert main(["checkpoint", "--dir", directory, "--query", "QY",
-                     "--scale", "tiny", "--events", "300", "--seed", "3",
-                     "--index-backend", "fenwick"]) == 0
+                     "--scale", "tiny", "--events", "300",
+                     "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "checkpointed QY/sjoin-opt" in out and "query QY" in out
         assert main(["restore", "--dir", directory, "--json"]) == 0
         body = json.loads(capsys.readouterr().out)
-        assert body["index_backend"] == "fenwick"
+        assert "index_backend" not in body
         assert body["algorithm"] == "sjoin-opt"
         assert body["persist"]["recoveries"] == 1
         assert body["persist"]["replay_failures"] == 0
@@ -183,7 +183,7 @@ class TestCheckpointRestore:
         assert body["total_results"] == \
             body["queries"]["QY"]["total_results"] > 0
         assert main(["restore", "--dir", directory]) == 0
-        assert "index backend      fenwick" in capsys.readouterr().out
+        assert "algorithm          sjoin-opt" in capsys.readouterr().out
 
 
 class TestObservabilityCli:

@@ -11,7 +11,6 @@ from repro import Column, Database, ForeignKey, TableSchema
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
-from repro.index.api import available_backends
 from repro.obs.metrics import MetricsRegistry
 from repro.core.manager import SynopsisManager
 from repro.persist import (
@@ -27,7 +26,7 @@ from repro.persist.runtime import replay_manager_entry
 from repro.persist.state import (STATE_VERSION, capture_manager,
                                  restore_manager)
 
-from conftest import make_tables
+from conftest import as_written_by_3_0, make_tables
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -241,29 +240,6 @@ class TestStateRoundTrip:
         assert restored.engine.rng.getstate() == \
             maintainer.engine.rng.getstate()
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_round_trip_preserves_index_backend(self, backend):
-        """Regression: capture used to drop the backend choice, so a
-        fenwick maintainer silently restored onto AVL."""
-        db = make_db()
-        maintainer = JoinSynopsisMaintainer(
-            db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), engine="sjoin-opt", seed=7, index_backend=backend))
-        drive(maintainer, random.Random(1), 150)
-        state = pickle.loads(pickle.dumps(capture_maintainer(maintainer)))
-        assert state["index_backend"] == backend
-        restored = restore_maintainer(
-            restore_database(capture_database(db)), state)
-        assert restored.index_backend == backend
-        assert restored.stats().index_backend == backend
-        for tree in restored.engine.graph.trees.values():
-            assert tree.backend_name == backend
-        assert restored.synopsis() == maintainer.synopsis()
-        # identical future stream on the restored backend
-        drive(maintainer, random.Random(2), 100)
-        drive(restored, random.Random(2), 100)
-        assert restored.engine.raw_samples() == \
-            maintainer.engine.raw_samples()
-
     def test_fk_combined_node_round_trip(self):
         db = Database()
         db.create_table(TableSchema(
@@ -456,25 +432,6 @@ class TestPersistentManager:
         recovered = PersistentManager.recover(str(tmp_path))
         assert recovered.names() == []
 
-    def test_wal_register_pins_index_backend(self, tmp_path):
-        """A registration replayed from the WAL (never checkpointed) must
-        come back on the backend the operator chose."""
-        db = make_db()
-        pm = PersistentManager(SynopsisManager(db, MaintainerConfig(seed=9)),
-                               str(tmp_path))
-        pm.register("q1", SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(8), index_backend="fenwick"))
-        rng = random.Random(10)
-        for _ in range(40):
-            pm.insert("r", (rng.randrange(5), rng.randrange(5)))
-            pm.insert("s", (rng.randrange(5), rng.randrange(5)))
-            pm.insert("t", (rng.randrange(5), rng.randrange(5)))
-        expected = pm.synopsis("q1")
-        pm.abandon()
-        recovered = PersistentManager.recover(str(tmp_path))
-        restored = recovered.manager.maintainer("q1")
-        assert restored.index_backend == "fenwick"
-        assert recovered.synopsis("q1") == expected
-
     def test_sj_registration_rejected(self, tmp_path):
         pm = PersistentManager(SynopsisManager(make_db(), MaintainerConfig(seed=0)),
                                str(tmp_path))
@@ -484,8 +441,8 @@ class TestPersistentManager:
 
 
 class TestFormatGate:
-    """One on-disk format: anything 3.0 did not write is refused with a
-    typed error naming the version, never half-decoded."""
+    """One on-disk format: anything this release did not write is
+    refused with a typed error naming the version, never half-decoded."""
 
     def _state_dir(self, tmp_path):
         pm = persistent_query(make_db(), str(tmp_path),
@@ -512,6 +469,14 @@ class TestFormatGate:
                 match=f"version 1 .*only version {STATE_VERSION}"):
             PersistentManager.recover(str(tmp_path))
 
+    def test_v2_snapshot_rejected(self, tmp_path):
+        store = self._state_dir(tmp_path)
+        self._rewrite_newest(store, as_written_by_3_0)
+        with pytest.raises(
+                PersistError,
+                match=f"version 2 .*only version {STATE_VERSION}"):
+            PersistentManager.recover(str(tmp_path))
+
     def test_maintainer_kind_snapshot_rejected(self, tmp_path):
         """What a 2.x ``PersistentMaintainer`` left behind."""
         store = self._state_dir(tmp_path)
@@ -526,7 +491,8 @@ class TestFormatGate:
                            match="version 1 'maintainer' state"):
             PersistentManager.recover(str(tmp_path))
 
-    @pytest.mark.parametrize("arity", [6, 8], ids=["pre-pin", "longer"])
+    @pytest.mark.parametrize("arity", [5, 7, 8],
+                             ids=["shorter", "3.0-backend-pin", "longer"])
     def test_register_record_of_other_arity_rejected(self, arity):
         entry = ("register", "q", SQL, None, "sjoin-opt", 3, "avl",
                  "extra")[:arity]
@@ -540,7 +506,7 @@ class TestFormatGate:
         replay failure and skipped: recovery refuses the directory."""
         pm = persistent_query(make_db(), str(tmp_path),
                               MaintainerConfig(seed=1))
-        pm.wal.append(("register", "old", SQL, None, "sjoin-opt", 3))
+        pm.wal.append(("register", "old", SQL, None, "sjoin-opt", 3, "avl"))
         pm.abandon()
         with pytest.raises(PersistError, match="register WAL record"):
             PersistentManager.recover(str(tmp_path))

@@ -254,7 +254,7 @@ def test_format_top_renders_quality_section():
 
     health = {
         "status": "ok", "epoch": 4, "version": "1.1.0",
-        "index_backend": "avl", "uptime_seconds": 12.5,
+        "uptime_seconds": 12.5,
         "queue_depth": 0, "staleness_seconds": 0.25,
         "quality": {"flagged": True, "chi_square": 99.5, "chi_dof": 30,
                     "ks_ratio": 1.4, "probe_rounds": 7,

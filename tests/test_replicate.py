@@ -28,7 +28,7 @@ from repro.replicate import (
 from repro.replicate.shipper import WATERMARK_CAPACITY
 from repro.replicate.transport import MANIFEST_VERSION
 
-from conftest import QUERY, make_tables, single_query
+from conftest import QUERY, as_written_by_3_0, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -423,6 +423,27 @@ class TestFollowerService:
                    str(tmp_path / "ship")).ship_once()
         with pytest.raises(ReplicationError,
                            match="version 1 'maintainer' state"):
+            FollowerService(str(tmp_path / "ship"))
+
+    def test_3_0_snapshot_is_refused_with_the_version(self, tmp_path):
+        """A 3.0 leader's shipped snapshot is another format: refused,
+        not bootstrapped."""
+        from repro.persist import STATE_VERSION, SnapshotStore
+
+        pm = make_leader(tmp_path / "leader")
+        drive(pm, random.Random(16), 10)
+        pm.checkpoint()
+        pm.close()
+        store = SnapshotStore(str(tmp_path / "leader" / "snapshots"))
+        payload, header = store.load_latest()
+        as_written_by_3_0(payload)
+        store.write(payload, wal_lsn=header["wal_lsn"])
+        WalShipper(str(tmp_path / "leader"),
+                   str(tmp_path / "ship")).ship_once()
+        with pytest.raises(
+                ReplicationError,
+                match=f"version 2 'manager' state.*only version "
+                      f"{STATE_VERSION}"):
             FollowerService(str(tmp_path / "ship"))
 
     def test_background_poll_loop(self, tmp_path):
