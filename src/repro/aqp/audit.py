@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
@@ -119,6 +119,25 @@ class AuditRecord:
                 f"estimate={self.estimate} covered={self.covered})")
 
 
+class Tally(NamedTuple):
+    """What a ring's scored records (those with a coverage verdict)
+    add up to."""
+
+    scored: int
+    covered: int
+    confidence: float       # sum of their nominal confidences
+
+    @property
+    def coverage(self) -> Optional[float]:
+        """Realized CI coverage, None when nothing was scored."""
+        return self.covered / self.scored if self.scored else None
+
+    @property
+    def nominal(self) -> Optional[float]:
+        """Mean nominal confidence, None when nothing was scored."""
+        return self.confidence / self.scored if self.scored else None
+
+
 class QueryAudit:
     """The bounded audit ring and coverage state of one query."""
 
@@ -133,39 +152,35 @@ class QueryAudit:
         self.flag_count = 0
 
     # -- scoring --------------------------------------------------------
-    def scored(self):
-        """Retained records that carry a coverage verdict."""
-        return [r for r in self.ring if r.covered is not None]
+    def tally(self) -> Tally:
+        """One pass over the ring: everything the flag, the gauges and
+        :meth:`status` derive from the retained scored records."""
+        scored = covered = 0
+        confidence = 0.0
+        for record in self.ring:
+            if record.covered is not None:
+                scored += 1
+                covered += record.covered
+                confidence += record.confidence
+        return Tally(scored, covered, confidence)
 
     def coverage(self) -> Optional[float]:
         """Realized CI coverage over the retained scored records."""
-        scored = self.scored()
-        if not scored:
-            return None
-        return sum(1 for r in scored if r.covered) / len(scored)
+        return self.tally().coverage
 
-    def nominal(self) -> Optional[float]:
-        """Mean nominal confidence of the retained scored records."""
-        scored = self.scored()
-        if not scored:
-            return None
-        return sum(r.confidence for r in scored) / len(scored)
-
-    def update_flag(self) -> bool:
+    def update_flag(self, tally: Tally) -> bool:
         """Re-evaluate the coverage drift flag; True on a transition
         from quiet to flagged."""
-        scored = self.scored()
-        if len(scored) < self.config.min_events:
+        if tally.scored < self.config.min_events:
             self.coverage_flagged = False
             return False
-        nominal = sum(r.confidence for r in scored) / len(scored)
-        realized = sum(1 for r in scored if r.covered) / len(scored)
+        nominal = tally.nominal
         # binomial-noise allowance: an honest estimator's realized
         # coverage is Binomial(n, nominal)/n, so demand a drift beyond
         # z_slack standard errors before raising the flag
         slack = self.config.z_slack * math.sqrt(
-            nominal * (1.0 - nominal) / len(scored))
-        flagged = realized < nominal - slack
+            nominal * (1.0 - nominal) / tally.scored)
+        flagged = tally.coverage < nominal - slack
         transition = flagged and not self.coverage_flagged
         if transition:
             self.flag_count += 1
@@ -174,14 +189,15 @@ class QueryAudit:
 
     def status(self) -> dict:
         """JSON-shaped summary for the audit endpoint and ``repro``."""
+        tally = self.tally()
         return {
             "name": self.name,
             "estimates": self.estimates,
             "eligible": self.eligible,
             "audited": self.audited,
             "retained": len(self.ring),
-            "coverage": self.coverage(),
-            "nominal_confidence": self.nominal(),
+            "coverage": tally.coverage,
+            "nominal_confidence": tally.nominal,
             "coverage_flagged": self.coverage_flagged,
             "flag_count": self.flag_count,
         }
@@ -244,18 +260,21 @@ class AccuracyAuditor:
             relative_error=relative_error, covered=covered,
         )
         audit.ring.append(record)
-        transition = audit.update_flag()
-        self._publish(name, audit, record)
+        # one pass of the ring per estimate, shared by the flag, the
+        # gauges and the drift event
+        tally = audit.tally()
+        transition = audit.update_flag(tally)
+        self._publish(name, audit, record, tally.coverage)
         if transition and self.events.enabled:
             self.events.emit(
                 "aqp.coverage_drift", query=name,
-                coverage=audit.coverage(), nominal=audit.nominal(),
-                scored=len(audit.scored()),
+                coverage=tally.coverage, nominal=tally.nominal,
+                scored=tally.scored,
             )
         return record
 
-    def _publish(self, name: str, audit: QueryAudit,
-                 record: AuditRecord) -> None:
+    def _publish(self, name: str, audit: QueryAudit, record: AuditRecord,
+                 coverage: Optional[float]) -> None:
         obs = self.obs
         if not obs.enabled:
             return
@@ -267,7 +286,6 @@ class AccuracyAuditor:
         if record.relative_error is not None:
             obs.gauge(metric_names.AQP_RELATIVE_ERROR).labels(
                 query=name).set(record.relative_error)
-        coverage = audit.coverage()
         if coverage is not None:
             obs.gauge(metric_names.AQP_COVERAGE).labels(
                 query=name).set(coverage)

@@ -198,7 +198,9 @@ class QueryRegistry:
     # the narrow read API registered queries answer from
     # ------------------------------------------------------------------
     def database(self):
-        """The target's :class:`~repro.catalog.Database` (row storage)."""
+        """The target's :class:`~repro.catalog.Database` — its schemas
+        are what requests are checked against; an estimate reads rows
+        from the snapshot, never from the tables."""
         return self._manager().db
 
     def fk_optimized(self, name: str) -> bool:
@@ -221,6 +223,7 @@ class QueryRegistry:
                 total=view.total_results[name],
                 results=view.synopses[name],
                 meta=view.sample_meta[name],
+                rows=view.sample_rows[name],
             )
         manager = self._manager()
         if name not in manager.names():
@@ -234,6 +237,7 @@ class QueryRegistry:
             total=manager.total_results(name),
             results=entries.rows,
             meta=entries.metas,
+            rows=entries.resolved,
         )
 
     # ------------------------------------------------------------------

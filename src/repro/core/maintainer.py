@@ -295,13 +295,7 @@ class JoinSynopsisMaintainer:
     def synopsis_rows(self, limit: Optional[int] = None
                       ) -> List[Tuple[tuple, ...]]:
         """Like :meth:`synopsis` but materialised as row payloads."""
-        out = []
-        for result in self.synopsis(limit):
-            rows = []
-            for rt, tid in zip(self.query.range_tables, result):
-                rows.append(self.db.table(rt.table_name).get(tid))
-            out.append(tuple(rows))
-        return out
+        return list(self.synopsis_entries(limit).resolved)
 
     def total_results(self) -> int:
         """Exact number of (tree-predicate) join results currently held."""

@@ -158,11 +158,11 @@ class ServiceConfig:
 class ReadView:
     """One immutable, epoch-stamped snapshot served to readers.
 
-    ``synopses``/``total_results``/``families``/``sample_meta`` are keyed
-    by registered query name.  ``stats`` is the target's typed
-    :class:`~repro.core.stats_api.ManagerStats` taken at the same
-    point, so every field of a view is mutually consistent: a view is
-    built only *between* micro-batches.
+    ``synopses``/``total_results``/``families``/``sample_meta``/
+    ``sample_rows`` are keyed by registered query name.  ``stats`` is
+    the target's typed :class:`~repro.core.stats_api.ManagerStats`
+    taken at the same point, so every field of a view is mutually
+    consistent: a view is built only *between* micro-batches.
     """
 
     epoch: int
@@ -177,10 +177,16 @@ class ReadView:
     #: with ``synopses`` (``weight``, and ``inclusion_probability`` on
     #: subset synopses); shared between consecutive views
     sample_meta: Mapping[str, Tuple[Mapping, ...]]
+    #: per sample, the heap row tuples its TIDs name, aligned with
+    #: ``synopses`` and shared between consecutive views like it: rows
+    #: are immutable and TIDs never reused, so these are references to
+    #: the tables' own tuples and stay valid after the rows are deleted.
+    #: What an estimate reads — a view answers without the database
+    sample_rows: Mapping[str, Tuple[Tuple[tuple, ...], ...]]
 
     def __post_init__(self):
         for field in ("synopses", "total_results", "families",
-                      "sample_meta"):
+                      "sample_meta", "sample_rows"):
             object.__setattr__(
                 self, field, MappingProxyType(dict(getattr(self, field))))
 
@@ -266,19 +272,22 @@ def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
     builder: the service's ingest thread and follower replicas both
     publish through it, so their views cannot drift.
 
-    The per-query row and meta tuples are the ones the engine's entry
-    store holds (:mod:`repro.core.entries`): building a view costs the
-    samples that changed since the previous one, and a query whose
-    synopsis did not change shares its tuples with the previous view.
+    The per-query row, meta and heap-row tuples are the ones the
+    engine's entry store holds (:mod:`repro.core.entries`): building a
+    view costs the samples that changed since the previous one, and a
+    query whose synopsis did not change shares its tuples with the
+    previous view.
     """
     synopses: dict = {}
     totals: dict = {}
     families: dict = {}
     sample_meta: dict = {}
+    sample_rows: dict = {}
     for name in target.names():
         entries = target.synopsis_entries(name)
         synopses[name] = entries.rows
         sample_meta[name] = entries.metas
+        sample_rows[name] = entries.resolved
         totals[name] = target.total_results(name)
         families[name] = target.family_of(name)
     return ReadView(
@@ -289,6 +298,7 @@ def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
         published_ns=time.perf_counter_ns(),
         families=families,
         sample_meta=sample_meta,
+        sample_rows=sample_rows,
     )
 
 

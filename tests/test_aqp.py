@@ -13,6 +13,7 @@ import pytest
 from repro import (
     Column,
     Database,
+    DataType,
     InsertOp,
     MaintainerConfig,
     QueryRegistry,
@@ -295,6 +296,116 @@ class TestRegistryOnManager:
         assert manager.maintainer("direct").requested_spec.size == 9
         with pytest.raises(QueryParseError):
             manager.register_sql("bad", "SELECT FROM nothing")
+
+
+# ---------------------------------------------------------------------------
+# request errors: typed, and the same on an empty and a full synopsis
+# ---------------------------------------------------------------------------
+TYPED_SQL = "SELECT * FROM t, u WHERE t.k = u.k"
+
+
+def typed_registry(rows):
+    """``t(k INT, name STR, qty INT NULL, ok BOOL, price FLOAT)``
+    joined with ``u(k)``; ``rows`` matching pairs, every third ``qty``
+    NULL."""
+    db = Database()
+    db.create_table(TableSchema("t", [
+        Column("k"), Column("name", DataType.STR),
+        Column("qty", nullable=True), Column("ok", DataType.BOOL),
+        Column("price", DataType.FLOAT)]))
+    db.create_table(TableSchema("u", [Column("k")]))
+    manager = SynopsisManager(db, MaintainerConfig(seed=4))
+    manager.register("q", TYPED_SQL, MaintainerConfig(
+        spec=SynopsisSpec.fixed_size(50)))
+    manager.apply_batch(
+        [InsertOp("t", (k, f"n{k}", None if k % 3 == 0 else k,
+                        k % 2 == 0, k / 2))
+         for k in range(rows)]
+        + [InsertOp("u", (k,)) for k in range(rows)])
+    return QueryRegistry(manager).get("q")
+
+
+@pytest.mark.parametrize("rows", [0, 12], ids=["empty", "full"])
+class TestRequestErrors:
+    @pytest.mark.parametrize("ref, value", [
+        ("t.qty", "ten"), ("t.k", "3"), ("t.k", None), ("t.k", True),
+        ("t.price", "cheap"), ("t.name", 7), ("t.ok", 1), ("t.k", [1]),
+    ])
+    @pytest.mark.parametrize("op", ["<=", "="])
+    def test_where_value_must_fit_the_column(self, rows, ref, value, op):
+        with pytest.raises(InvalidArgumentError) as err:
+            typed_registry(rows).estimate("count", where=[
+                {"column": ref, "op": op, "value": value}])
+        assert ref in str(err.value) and repr(value) in str(err.value)
+
+    @pytest.mark.parametrize("agg", ["sum", "avg"])
+    @pytest.mark.parametrize("ref", ["t.name", "t.ok"])
+    def test_sum_and_avg_need_a_numeric_column(self, rows, agg, ref):
+        with pytest.raises(InvalidArgumentError, match=ref):
+            typed_registry(rows).estimate(agg, column=ref)
+        with pytest.raises(InvalidArgumentError, match=ref):
+            typed_registry(rows).estimate(agg, column=ref,
+                                          group_by="t.k")
+
+    @pytest.mark.parametrize("confidence", ["high", "0.9", None, [0.9]])
+    def test_confidence_must_be_a_number(self, rows, confidence):
+        with pytest.raises(InvalidArgumentError, match="confidence"):
+            typed_registry(rows).estimate("count", confidence=confidence)
+
+    @pytest.mark.parametrize("where", [
+        7, "t.k <= 3", {"column": "t.k", "op": "<=", "value": 3}])
+    def test_where_must_be_a_list(self, rows, where):
+        with pytest.raises(InvalidArgumentError, match="where"):
+            typed_registry(rows).estimate("count", where=where)
+
+    @pytest.mark.parametrize("ref", [7, ["t.k"], "k"])
+    def test_column_references_must_be_alias_dot_attr(self, rows, ref):
+        q = typed_registry(rows)
+        with pytest.raises(InvalidArgumentError, match="alias.attr"):
+            q.estimate("count", group_by=ref)
+        with pytest.raises(InvalidArgumentError, match="alias.attr"):
+            q.estimate("count", where=[
+                {"column": ref, "op": "=", "value": 1}])
+
+    def test_well_typed_requests_answer(self, rows):
+        q = typed_registry(rows)
+        for where in ([{"column": "t.price", "op": "<", "value": 3}],
+                      [{"column": "t.k", "op": ">=", "value": 2.5}],
+                      [{"column": "t.name", "op": "=", "value": "n1"}],
+                      [{"column": "t.ok", "op": "!=", "value": False}],
+                      ()):
+            payload = q.estimate("count", where=where)
+            assert payload["sample_size"] == rows
+        assert q.estimate("sum", column="t.price")["value"] == \
+            sum(k / 2 for k in range(rows))
+        assert q.estimate("count", column="t.name")["column"] == "t.name"
+
+
+class TestNulls:
+    """NULLs follow SQL: a NULL satisfies no condition and is left out
+    of SUM/AVG (k = 0, 3, 6, 9 hold a NULL ``qty``)."""
+
+    def test_a_null_satisfies_no_condition(self):
+        q = typed_registry(12)
+        count = {op: q.estimate("count", where=[
+            {"column": "t.qty", "op": op, "value": 4}])["value"]
+            for op in ("<", "=", "!=", ">=")}
+        assert count == {"<": 2, "=": 1, "!=": 7, ">=": 6}
+
+    def test_nulls_are_left_out_of_sum_and_avg(self):
+        q = typed_registry(12)
+        kept = [k for k in range(12) if k % 3]
+        assert q.estimate("sum", column="t.qty")["value"] == sum(kept)
+        assert q.estimate("avg", column="t.qty")["value"] == \
+            pytest.approx(sum(kept) / len(kept))
+        groups = q.estimate("sum", column="t.qty", group_by="t.ok")
+        assert {g["key"]: g["value"] for g in groups["groups"]} == {
+            True: 2 + 4 + 8 + 10, False: 1 + 5 + 7 + 11}
+
+    def test_null_is_a_group_key_of_its_own(self):
+        payload = typed_registry(12).estimate("count", group_by="t.qty")
+        groups = {g["key"]: g["value"] for g in payload["groups"]}
+        assert groups[None] == 4 and len(groups) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,20 @@ class TestErrorMapping:
                          {"agg": "median"}))
         assert err.code == 400
 
+    def test_mistyped_request_is_400_naming_the_offence(self, leader):
+        db, pm, service, base, _ = leader
+        for body, named in (
+            ({"agg": "count", "where": [{"column": "fact.val", "op": "<=",
+                                         "value": "ten"}]},
+             "fact.val (int) with 'ten'"),
+            ({"agg": "count", "where": "fact.val <= 4"}, "where"),
+            ({"agg": "count", "confidence": "high"}, "high"),
+        ):
+            err, payload = http_error(
+                lambda: post(base + "/query/stars0/estimate", body))
+            assert err.code == 400
+            assert named in payload["error"]
+
 
 class TestCLI:
     def test_query_subcommand_round_trip(self, leader, capsys):

@@ -176,12 +176,25 @@ def reference(maintainer):
     cap = maintainer.requested_spec.size
     if cap is not None:
         rows, metas = rows[:cap], metas[:cap]
-    return tuple(rows), tuple(metas), maintainer.total_results()
+    tables = [maintainer.db.table(rt.table_name)
+              for rt in maintainer.query.range_tables]
+    heap_rows = tuple(
+        tuple(table.get(tid) for table, tid in zip(tables, row))
+        for row in rows)
+    return (tuple(rows), tuple(metas), heap_rows,
+            maintainer.total_results())
+
+
+def entries_of(manager):
+    entries = manager.synopsis_entries(NAME)
+    return (entries.rows, tuple(dict(meta) for meta in entries.metas),
+            entries.resolved, manager.total_results(NAME))
 
 
 def published(view):
     return (view.synopses[NAME],
             tuple(dict(meta) for meta in view.sample_meta[NAME]),
+            view.sample_rows[NAME],
             view.total_results[NAME])
 
 
@@ -189,7 +202,7 @@ def assert_view_is_from_scratch(view, manager):
     want = reference(manager.maintainer(NAME))
     assert published(view) == want
     assert view.stats.queries[NAME].synopsis_size == len(want[0])
-    assert view.stats.queries[NAME].total_results == want[2]
+    assert view.stats.queries[NAME].total_results == want[3]
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +288,7 @@ def test_a_restored_engine_starts_cold_and_still_matches():
     assert engine._entries._rows == []
     cold = restored.synopsis_entries(NAME)
     assert list(cold) == list(warm)
-    assert (cold.rows, tuple(dict(m) for m in cold.metas),
-            restored.total_results(NAME)) == \
-        reference(restored.maintainer(NAME))
+    assert entries_of(restored) == reference(restored.maintainer(NAME))
 
 
 @pytest.mark.parametrize("family", ["uniform", "weighted", "subset"])
@@ -299,7 +310,7 @@ def test_entry_store_stays_bounded_under_churn(family):
             entries = read.synopsis_entries(NAME)
             store = engine._entries
             assert len(store._rows) == len(store._metas) \
-                == len(engine.synopsis.slots())
+                == len(store._resolved) == len(engine.synopsis.slots())
             assert store._holes == store._rows.count(None)
             assert len(entries) == len(store._rows) - store._holes
             assert engine.synopsis.changed_positions() == set()
@@ -326,6 +337,8 @@ def test_an_unchanged_query_shares_its_tuples_with_the_previous_view():
         assert second.synopses["ab"] != first.synopses["ab"]
         assert second.synopses["fk"] is first.synopses["fk"]
         assert second.sample_meta["fk"] is first.sample_meta["fk"]
+        assert second.sample_rows["fk"] is first.sample_rows["fk"]
+        assert second.sample_rows["ab"] is not first.sample_rows["ab"]
         assert second.epoch == first.epoch + 1
 
 
@@ -376,6 +389,4 @@ def test_a_failed_expansion_fails_the_next_read_too(monkeypatch):
         with pytest.raises(RuntimeError, match="unreadable"):
             manager.synopsis_entries(NAME)
     monkeypatch.undo()
-    entries = manager.synopsis_entries(NAME)
-    assert (entries.rows, tuple(dict(m) for m in entries.metas),
-            manager.total_results(NAME)) == want
+    assert entries_of(manager) == want
