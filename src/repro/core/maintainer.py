@@ -182,9 +182,14 @@ class JoinSynopsisMaintainer:
         skip-sampling reads the coalesced delta views, and span/timer
         bookkeeping happens once per same-alias segment (the engine may
         reorder hash-only registrations across a run, never anything
-        that touches the graph or the RNG).  Runs break at every
-        deletion, so the sampled synopsis (and the RNG stream behind it)
-        stays bit-identical to serial per-op application.
+        that touches the graph or the RNG).  Consecutive deletes on
+        one alias are a run too: every entry is purged and re-drawn in
+        op order against the join graph rooted at the alias's node,
+        whose weight deltas reach the other tables once per direction
+        when the run ends.  Either way the sampled synopsis (and the
+        RNG stream behind it) is bit-identical to serial per-op
+        application, and a run that fails at some entry stops where
+        per-op application would.
 
         Returns a :class:`BatchResult` with one :class:`OpOutcome` per
         op in op order plus the aggregate counters.
@@ -225,13 +230,20 @@ class JoinSynopsisMaintainer:
                 )
                 i = j
             elif isinstance(op, DeleteOp):
+                target = op.target
+                j = i + 1
+                while j < n and isinstance(ops[j], DeleteOp) \
+                        and ops[j].target == target:
+                    j += 1
+                tids = [o.tid for o in ops[i:j]]
                 if obs_on:
-                    with obs.timer(metric_names.table_delete_ns(op.target)):
-                        engine.delete(op.target, op.tid)
+                    with obs.timer(metric_names.table_delete_ns(target)):
+                        engine.delete_batch(target, tids)
                 else:
-                    engine.delete(op.target, op.tid)
-                outcomes.append(OpOutcome("delete", op.target, op.tid))
-                i += 1
+                    engine.delete_batch(target, tids)
+                outcomes.extend(
+                    OpOutcome("delete", target, tid) for tid in tids)
+                i = j
             else:
                 raise SynopsisError(
                     f"{self._label()} cannot apply {op!r}: expected "

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (Dict, Iterable, List, Optional, Protocol, Sequence,
                     Tuple, Union)
 
@@ -283,9 +285,16 @@ class SynopsisManager:
         heap rows are appended first, then each registered query is
         notified once per run (batched when the query references the
         table under a single alias; per-row when duplicated aliases
-        require the serial notification interleaving).  Runs break at
-        every deletion and table change, so each maintained synopsis
-        stays bit-identical to serial per-op application.
+        require the serial notification interleaving).  Consecutive
+        deletes from the same base table are a run as well: every
+        registered query that references the table under one alias
+        keeps one engine delete run open over it (purge and re-draws per
+        row, weight deltas propagated once when the run ends), while
+        rows, registrations and the heap tombstone keep the serial
+        order.  Runs break at every table change and between inserts
+        and deletes; each maintained synopsis stays bit-identical to
+        serial per-op application, and a run that fails at some row
+        stops where per-op application would.
         """
         started = time.perf_counter_ns()
         ops = list(ops)
@@ -314,9 +323,22 @@ class SynopsisManager:
                 )
                 i = j
             elif isinstance(op, DeleteOp):
-                self._delete_one(op.target, op.tid)
-                outcomes.append(OpOutcome("delete", op.target, op.tid))
-                i += 1
+                table_name = op.target
+                j = i + 1
+                while j < n and isinstance(ops[j], DeleteOp) \
+                        and ops[j].target == table_name:
+                    j += 1
+                tids = [ops[k].tid for k in range(i, j)]
+                if obs.enabled:
+                    with obs.timer(
+                            metric_names.manager_delete_ns(table_name)):
+                        self._fan_out_delete_run(table_name, tids)
+                else:
+                    self._fan_out_delete_run(table_name, tids)
+                outcomes.extend(
+                    OpOutcome("delete", table_name, tid) for tid in tids
+                )
+                i = j
             else:
                 raise SynopsisError(
                     f"SynopsisManager cannot apply {op!r}: expected "
@@ -391,37 +413,58 @@ class SynopsisManager:
                 metric_names.manager_fanout(table_name)).inc(fanout)
         return tids
 
-    def _delete_one(self, table_name: str, tid: int) -> None:
-        obs = self.obs
-        if obs.enabled:
-            with obs.timer(metric_names.manager_delete_ns(table_name)):
-                self._fan_out_delete(table_name, tid)
-        else:
-            self._fan_out_delete(table_name, tid)
+    def _fan_out_delete_run(self, table_name: str,
+                            tids: List[int]) -> None:
+        """Unregister a run of base tuples everywhere, tombstoning each
+        heap row once every registration has let go of it.
 
-    def _fan_out_delete(self, table_name: str, tid: int) -> None:
+        The serial order is kept as it is — row by row, registration by
+        registration, heap last — so a dead TID, a TID named twice or an
+        engine's refusal (a still-referenced FK parent) stops the run
+        exactly where per-op application stops.  What makes it a run is
+        that a registration referencing the table under one alias keeps
+        one engine ``delete_run`` open across the rows; a query naming
+        the table under several aliases deletes on several plan nodes in
+        turn, which no single open run can cover, and is notified per
+        row.
+        """
         table = self.db.table(table_name)
-        row = table.get(tid)
-        fanout = 0
-        for registration in self._registrations.values():
-            for alias in registration.aliases_of.get(table_name, ()):
-                fanout += 1
-                try:
-                    registration.maintainer.engine.notify_delete(
-                        alias, tid, row
-                    )
-                except ReproError as exc:
-                    raise SynopsisError(
-                        f"registered query {registration.name!r} "
-                        f"(algorithm "
-                        f"{registration.maintainer.algorithm!r}) failed "
-                        f"on delete from {table_name!r} (alias "
-                        f"{alias!r}, tid {tid}): {exc}"
-                    ) from exc
-        if self.obs.enabled:
-            self.obs.counter(
-                metric_names.manager_fanout(table_name)).inc(fanout)
-        table.delete(tid)
+        applied = 0
+        with ExitStack() as runs:
+            notifiers = []
+            for registration in self._registrations.values():
+                aliases = registration.aliases_of.get(table_name, ())
+                engine = registration.maintainer.engine
+                if len(aliases) == 1:
+                    notifiers.append((registration, aliases[0],
+                                      runs.enter_context(engine.delete_run(
+                                          aliases[0], len(tids)))))
+                else:
+                    notifiers.extend(
+                        (registration, alias,
+                         partial(engine.notify_delete, alias))
+                        for alias in aliases)
+            try:
+                for tid in tids:
+                    row = table.get(tid)
+                    for registration, alias, notify in notifiers:
+                        try:
+                            notify(tid, row)
+                        except ReproError as exc:
+                            raise SynopsisError(
+                                f"registered query {registration.name!r} "
+                                f"(algorithm "
+                                f"{registration.maintainer.algorithm!r}) "
+                                f"failed on delete from {table_name!r} "
+                                f"(alias {alias!r}, tid {tid}): {exc}"
+                            ) from exc
+                    table.delete(tid)
+                    applied += 1
+            finally:
+                if self.obs.enabled:
+                    self.obs.counter(
+                        metric_names.manager_fanout(table_name)
+                    ).inc(applied * len(notifiers))
 
     # ------------------------------------------------------------------
     # reads

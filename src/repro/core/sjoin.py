@@ -24,16 +24,17 @@ through hash lookups at runtime (§6).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.fk_runtime import CombinedNodeRuntime
 from repro.core.synopsis import SubsetSynopsis, SynopsisSpec
 from repro.errors import IntegrityError, SynopsisError
-from repro.graph.join_graph import WeightedJoinGraph
+from repro.graph.join_graph import DeleteRun, WeightedJoinGraph
 from repro.graph.views import DeltaJoinView
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
@@ -56,6 +57,108 @@ class EngineStats:
     redraws: int = 0
     redraw_rejections: int = 0
     rebuilds: int = 0
+
+
+class _DeleteRun:
+    """An open run of deletions from one range table: what
+    :meth:`SJoinEngine.delete_run` returns (read its contract there).
+    A context manager handing out :meth:`unregister`; the phase sums
+    stay 0 while nobody listens (``engine._phase_clock is None``)."""
+
+    __slots__ = ("engine", "alias", "kind", "runtime", "graph_run",
+                 "clock", "span", "started", "graph_ns", "replenish_ns",
+                 "removed", "purged")
+
+    def __init__(self, engine: "SJoinEngine", alias: str, size: int):
+        route = engine.plan.routes[alias]
+        self.engine = engine
+        self.alias = alias
+        self.kind = route.kind
+        self.runtime = engine._combined.get(route.node_idx)
+        # a member route only writes its combined node's hash table
+        self.graph_run: Optional[DeleteRun] = (
+            None if route.kind == "member"
+            else engine.graph.delete_run(route.node_idx))
+        self.graph_ns = self.replenish_ns = self.removed = self.purged = 0
+        self.span = (
+            engine.tracer.start("delete", target=alias, batch=size)
+            if engine._trace_on else None)
+        self.clock = clock = engine._phase_clock
+        self.started = clock() if clock is not None else 0
+
+    def __enter__(self) -> Callable[[int, Sequence[object]], bool]:
+        return self.unregister
+
+    def unregister(self, tid: int, row: Sequence[object]) -> bool:
+        """One entry of the run, completely and in op order; False when
+        the row never passed the pre-filter (nothing to do)."""
+        engine = self.engine
+        row = tuple(row)
+        if not engine._passes_filters(self.alias, row):
+            return False
+        kind = self.kind
+        if kind == "direct":
+            self._node_delete(tid, row)
+        elif kind == "member":
+            self.runtime.unregister_member(self.alias, row)
+        elif self.runtime.has_combined(tid):  # anchor
+            self._node_delete(*self.runtime.disassemble(tid))
+        engine.stats.deletes += 1
+        return True
+
+    def _node_delete(self, tid: int, row: tuple) -> None:
+        """The tuple's own vertex, ``J``, the purge and — a family
+        strategy: each synopsis class knows how (and whether) to refill
+        itself — the re-draws, through the tree rooted at the run's
+        node."""
+        engine = self.engine
+        synopsis = engine.synopsis
+        run = self.graph_run
+        clock = self.clock
+        if clock is not None:
+            t0 = clock()
+        removed = run.delete(tid, row)
+        if clock is not None:
+            t1 = clock()
+            self.graph_ns += t1 - t0
+        engine.stats.removed_results_total += removed
+        self.removed += removed
+        if removed:
+            synopsis.decrease_total(removed)
+        purged = synopsis.purge_tuple(run.node_idx, tid)
+        if purged:
+            self.purged += purged
+            synopsis.replenish(engine, run.node_idx)
+            if clock is not None:
+                self.replenish_ns += clock() - t1
+
+    def __exit__(self, *exc_info) -> None:
+        """Flush the graph (also when an entry raised: the engine is
+        then where per-op application stops) and report once."""
+        engine = self.engine
+        clock = self.clock
+        run = self.graph_run
+        if run is not None:
+            if clock is not None:
+                t0 = clock()
+            run.flush()
+            if clock is not None:
+                self.graph_ns += clock() - t0
+        if engine._obs_on:
+            engine._t_delete.histogram.observe(clock() - self.started)
+            if run is not None:
+                engine._t_delete_graph.histogram.observe(self.graph_ns)
+            if self.purged:
+                engine._t_delete_replenish.histogram.observe(
+                    self.replenish_ns)
+        span = self.span
+        if span is not None:
+            if run is not None:
+                span.phase("graph_ns", self.graph_ns)
+            if self.purged:
+                span.phase("replenish_ns", self.replenish_ns)
+                span.annotate(removed_results=self.removed)
+            engine.tracer.finish(span)
 
 
 class SJoinEngine:
@@ -127,6 +230,10 @@ class SJoinEngine:
         # below cost one attribute check when tracing is off
         self._trace_on = self.tracer.enabled
         self._span = None
+        # a delete run sums its phases over its entries with one clock
+        # for spans and timers alike (None: nobody is listening)
+        self._phase_clock = (self.tracer.clock if self._trace_on else
+                             self.obs.clock if self._obs_on else None)
         self._t_insert = self.obs.timer(metric_names.INSERT_NS)
         self._t_insert_graph = self.obs.timer(metric_names.INSERT_GRAPH_NS)
         self._t_insert_sample = self.obs.timer(
@@ -365,50 +472,49 @@ class SJoinEngine:
 
     def delete(self, alias: str, tid: int) -> None:
         """Delete the tuple identified by ``tid`` from range table
-        ``alias``, updating graph and synopsis first (§5.3)."""
+        ``alias``, updating graph and synopsis first (§5.3).  A run of
+        one."""
+        self.delete_batch(alias, (tid,))
+
+    def delete_batch(self, alias: str, tids: Sequence[int]) -> None:
+        """Delete a run of tuples from one range table.
+
+        Bit-identical to calling :meth:`delete` per TID, failures
+        included (the run stops at the first TID that is not live, with
+        everything before it applied): see :meth:`delete_run`."""
         table = self.db.table(self.query.range_table(alias).table_name)
-        row = table.get(tid)
-        self._unregister_tuple(alias, tid, row)
-        table.delete(tid)
+        with self.delete_run(alias, len(tids)) as unregister:
+            for tid in tids:
+                unregister(tid, table.get(tid))
+                table.delete(tid)
 
     def notify_delete(self, alias: str, tid: int,
                       row: Sequence[object]) -> bool:
         """Unregister an externally-deleted tuple (the caller tombstones
         the heap row afterwards).  Returns False when the tuple had been
         rejected by a pre-filter and so was never registered."""
-        row = tuple(row)
-        if not self._passes_filters(alias, row):
-            return False
-        self._unregister_tuple(alias, tid, row)
-        return True
+        with self.delete_run(alias) as unregister:
+            return unregister(tid, row)
 
-    def _unregister_tuple(self, alias: str, tid: int, row: tuple) -> None:
-        if self._trace_on:
-            self._span = self.tracer.start("delete", target=alias)
-        try:
-            if self._obs_on:
-                with self._t_delete:
-                    self._route_delete(alias, tid, row)
-            else:
-                self._route_delete(alias, tid, row)
-        finally:
-            if self._span is not None:
-                self.tracer.finish(self._span)
-                self._span = None
-        self.stats.deletes += 1
+    def delete_run(self, alias: str, size: int = 1) -> _DeleteRun:
+        """Open a run of ``size`` consecutive deletions from range table
+        ``alias``: a context manager that hands out ``unregister(tid,
+        row) -> bool`` (False: the row never passed the pre-filter).
 
-    def _route_delete(self, alias: str, tid: int, row: tuple) -> None:
-        route = self.plan.routes[alias]
-        if route.kind == "direct":
-            self._node_delete(route.node_idx, tid, row)
-        elif route.kind == "member":
-            self._combined[route.node_idx].unregister_member(alias, row)
-        else:  # anchor
-            runtime = self._combined[route.node_idx]
-            if runtime.has_combined(tid):
-                combined_tid, combined_row = runtime.disassemble(tid)
-                self._node_delete(
-                    route.node_idx, combined_tid, combined_row)
+        Every entry is handled completely and in op order — the anchor
+        route's ``disassemble``, the tuple's own vertex, ``J``, the
+        purge, the re-draws — against the join graph *rooted at the
+        run's plan node*, which a :class:`~repro.graph.join_graph.
+        DeleteRun` keeps exact; what the run defers is the propagation
+        of the weight deltas to the other tables, done once per
+        direction when the ``with`` block ends (also when an entry
+        raised: the engine is then where per-op application stops).
+        Samples, ``J`` and the RNG stream do not depend on how a delete
+        stream is cut into runs.  One span and one observation per
+        timer per run; the graph/replenish phases are sums over its
+        entries.
+        """
+        return _DeleteRun(self, alias, size)
 
     # ------------------------------------------------------------------
     # reads
@@ -598,37 +704,6 @@ class SJoinEngine:
             if span is not None:
                 span.phase("sample_ns", self.tracer.clock() - t1)
                 span.annotate(new_results=new_total)
-
-    def _node_delete(self, node_idx: int, tid: int, row: tuple) -> None:
-        span = self._span
-        if span is not None:
-            t0 = self.tracer.clock()
-        if self._obs_on:
-            with self._t_delete_graph:
-                removed = self.graph.delete_tuple(node_idx, tid, row)
-        else:
-            removed = self.graph.delete_tuple(node_idx, tid, row)
-        if span is not None:
-            t1 = self.tracer.clock()
-            span.phase("graph_ns", t1 - t0)
-        self.stats.removed_results_total += removed
-        if removed:
-            self.synopsis.decrease_total(removed)
-        purged = self.synopsis.purge_tuple(node_idx, tid)
-        if purged:
-            if self._obs_on:
-                with self._t_delete_replenish:
-                    self._replenish()
-            else:
-                self._replenish()
-            if span is not None:
-                span.phase("replenish_ns", self.tracer.clock() - t1)
-                span.annotate(removed_results=removed)
-
-    def _replenish(self) -> None:
-        # deletion repair is a family strategy, not an engine dispatch:
-        # each synopsis class knows how (and whether) to refill itself
-        self.synopsis.replenish(self)
 
     def _resolve_tuple_weight(self, weight_column: Optional[str]):
         """Resolve a spec's ``"alias.attr"`` weight column to the

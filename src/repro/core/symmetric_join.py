@@ -23,8 +23,10 @@ separately).
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
@@ -286,34 +288,48 @@ class SymmetricJoinEngine:
                 span.annotate(new_results=len(delta))
 
     def delete(self, alias: str, tid: int) -> None:
+        self.delete_batch(alias, (tid,))
+
+    def delete_batch(self, alias: str, tids: Sequence[int]) -> None:
+        """Delete a run of tuples from one range table (see
+        SJoinEngine)."""
         table = self.db.table(self.query.range_table(alias).table_name)
-        row = table.get(tid)
-        self._unregister_tuple(alias, tid, row)
-        table.delete(tid)
+        with self.delete_run(alias, len(tids)) as unregister:
+            for tid in tids:
+                unregister(tid, table.get(tid))
+                table.delete(tid)
 
     def notify_delete(self, alias: str, tid: int,
                       row: Sequence[object]) -> bool:
         """Unregister an externally-deleted tuple (see SJoinEngine)."""
-        row = tuple(row)
-        if not self._passes_filters(alias, row):
-            return False
-        self._unregister_tuple(alias, tid, row)
-        return True
+        with self.delete_run(alias) as unregister:
+            return unregister(tid, row)
 
-    def _unregister_tuple(self, alias: str, tid: int, row: tuple) -> None:
+    @contextmanager
+    def delete_run(self, alias: str, size: int = 1
+                   ) -> Iterator[Callable[[int, Sequence[object]], bool]]:
+        """The run surface of :meth:`SJoinEngine.delete_run`.  SJ has no
+        graph whose propagation a run could defer — every entry must
+        enumerate its own delta join — so this is a loop under one
+        trace span and one ``engine.delete_ns`` observation."""
+        def unregister(tid: int, row: Sequence[object]) -> bool:
+            row = tuple(row)
+            if not self._passes_filters(alias, row):
+                return False
+            self._do_unregister(alias, tid, row)
+            self.stats.deletes += 1
+            return True
+
         if self._trace_on:
-            self._span = self.tracer.start("delete", target=alias)
+            self._span = self.tracer.start(
+                "delete", target=alias, batch=size)
         try:
-            if self._obs_on:
-                with self._t_delete:
-                    self._do_unregister(alias, tid, row)
-            else:
-                self._do_unregister(alias, tid, row)
+            with self._t_delete if self._obs_on else nullcontext():
+                yield unregister
         finally:
             if self._span is not None:
                 self.tracer.finish(self._span)
                 self._span = None
-        self.stats.deletes += 1
 
     def _do_unregister(self, alias: str, tid: int, row: tuple) -> None:
         obs_on = self._obs_on

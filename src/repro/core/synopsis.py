@@ -302,10 +302,15 @@ class SynopsisBase:
         raise NotImplementedError
 
     # -- deletion repair (engine-agnostic strategy hooks) ----------------
-    def replenish(self, engine) -> None:
+    def replenish(self, engine, root_idx: int) -> None:
         """Refill after deletion purges, drawing re-draws through the
-        engine's join graph/RNG (§5.3).  Default: nothing to do —
-        Bernoulli-style synopses are correct after the purge alone."""
+        engine's join graph/RNG (§5.3).  ``root_idx`` is the plan node
+        the deletion was on: everything read from the graph — ``J``,
+        each re-draw, a rebuild's full view — goes through the query
+        tree rooted there, the one root an open
+        :class:`~repro.graph.join_graph.DeleteRun` keeps exact.
+        Default: nothing to do — Bernoulli-style synopses are correct
+        after the purge alone."""
         return None
 
     def rebuild_from_results(self, view) -> "SynopsisBase":
@@ -505,7 +510,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
         self._changed = None
 
     # ------------------------------------------------------------------
-    def replenish(self, engine) -> None:
+    def replenish(self, engine, root_idx: int) -> None:
         """Refill to ``min(m, J)`` with uniform re-draws through the
         join-number bijection, or one full Algorithm-3 rebuild when
         rejection sampling would thrash (§5.3)."""
@@ -513,7 +518,7 @@ class FixedSizeWithoutReplacement(SynopsisBase):
         from repro.graph.views import FullJoinView
 
         graph = engine.graph
-        j = graph.total_results()
+        j = graph.total_results(root_idx)
         target = min(self.m, j)
         if self.valid_count >= target:
             return
@@ -522,15 +527,26 @@ class FixedSizeWithoutReplacement(SynopsisBase):
             # Algorithm-3 pass over the full view (expected <= 2m
             # accesses)
             self.reset_for_rebuild()
-            self.consume(FullJoinView(graph))
+            self.consume(FullJoinView(graph, root_idx))
             engine.stats.rebuilds += 1
             return
+        rejections = 0
         while self.valid_count < target:
             number = engine.rng.randrange(j)
-            result = map_join_number(graph, 0, number)
+            result = map_join_number(graph, root_idx, number)
             engine.stats.redraws += 1
             if not self.add_redrawn(result):
                 engine.stats.redraw_rejections += 1
+                rejections += 1
+                # On a weighted graph J counts units, and fewer than m
+                # distinct results may span more than 2m of them: once
+                # the held results cover the whole domain every draw is
+                # a duplicate and there is nothing left to wait for.
+                if (rejections % self.m == 0
+                        and graph.tuple_weight is not None
+                        and sum(map(engine.result_weight,
+                                    self._distinct)) >= j):
+                    return
 
     def rebuild_from_results(self, view) -> "SynopsisBase":
         self.reset_for_rebuild()
@@ -667,13 +683,13 @@ class FixedSizeWithReplacement(SynopsisBase):
         self._skips.reset_slot(slot, self.total_seen)
 
     # ------------------------------------------------------------------
-    def replenish(self, engine) -> None:
+    def replenish(self, engine, root_idx: int) -> None:
         """Refill purged slots with independent uniform re-draws (or
         re-arm them when the database holds no results, §5.3)."""
         from repro.graph.join_number import map_join_number
 
         graph = engine.graph
-        j = graph.total_results()
+        j = graph.total_results(root_idx)
         if j == 0:
             # nothing to re-draw: re-arm the emptied slots as fresh
             # size-1 reservoirs so they select the next arriving results
@@ -682,7 +698,7 @@ class FixedSizeWithReplacement(SynopsisBase):
             return
         for slot in self.empty_slots():
             number = engine.rng.randrange(j)
-            result = map_join_number(graph, 0, number)
+            result = map_join_number(graph, root_idx, number)
             engine.stats.redraws += 1
             self.replenish_slot(slot, result)
 

@@ -9,8 +9,9 @@ advancing the watermark expires everything older than ``window``
 automatically.
 
 This is a convenience layer, not a new algorithm: expiry is implemented
-as plain `delete` calls, so every §5.3 guarantee (purge, replenish,
-uniformity) applies to the live window's join results.
+as plain deletes — one batch of them per alias per watermark advance,
+which the engine takes as one delete run — so every §5.3 guarantee
+(purge, replenish, uniformity) applies to the live window's join results.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Deque, Dict, Optional, Sequence, Tuple, Union
 from repro.catalog.database import Database
 from repro.core.config import MaintainerConfig, coerce_config
 from repro.core.maintainer import JoinSynopsisMaintainer
+from repro.core.stats_api import DeleteOp
 from repro.errors import SynopsisError
 from repro.query.query import JoinQuery
 
@@ -99,10 +101,12 @@ class SlidingWindowMaintainer:
         horizon = watermark - self.window
         expired = 0
         for alias, fifo in self._pending.items():
+            ops = []
             while fifo and fifo[0][0] <= horizon:
-                _, tid = fifo.popleft()
-                self._inner.delete(alias, tid)
-                expired += 1
+                ops.append(DeleteOp(alias, fifo.popleft()[1]))
+            if ops:
+                self._inner.apply_batch(ops)
+                expired += len(ops)
         return expired
 
     # ------------------------------------------------------------------

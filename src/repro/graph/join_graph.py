@@ -14,8 +14,10 @@ giving the ``O(h(v) log N)`` bound of Theorem 4.5.
 
 Deletion reverses insertion, with two extra steps: the number of join
 results removed is read off ``w_full / |ids|`` in O(1) before the update,
-and a vertex whose ID list empties is propagated to weight zero and then
-unlinked from every index.
+and a vertex whose ID list empties is unlinked from every index and
+propagated to weight zero.  Deletions come in *runs* on one plan node
+(:class:`DeleteRun`): every entry updates its own vertex at once, the
+``w_out`` deltas leave the node once per direction when the run ends.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ class WeightedJoinGraph:
             self._link_vertex(vertex)
         else:
             self._refresh_vertex(vertex)
-        self._propagate_from(vertex, old_w_out)
+        self._propagate_run(node_idx, [(vertex, old_w_out)])
         if self.tuple_weight is None:
             per_tuple = vertex.per_tuple_weight
             view_start = self._block_end(vertex) - per_tuple
@@ -316,16 +318,9 @@ class WeightedJoinGraph:
                 )
                 self.stats.index_refreshes += len(refreshed)
         # phase 3: one propagation per direction with coalesced deltas
-        for nbr_idx, edge in neighbors:
-            updates: List[Tuple[tuple, int]] = []
-            for vertex in touched:
-                delta = vertex.w_out[nbr_idx] \
-                    - first_w_out[id(vertex)].get(nbr_idx, 0)
-                if delta:
-                    updates.append((self.edge_key_of(vertex, nbr_idx),
-                                    delta))
-            if updates:
-                self._update_direction(node_idx, nbr_idx, edge, updates)
+        self._propagate_run(
+            node_idx,
+            [(vertex, first_w_out[id(vertex)]) for vertex in touched])
         # phase 4: per-entry view placements from the final aggregates
         # (one bulk prefix query over the shared designated index)
         spec = self.plan.designated_index[node_idx]
@@ -362,34 +357,21 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     # deletion (reverse of Algorithm 1)
     # ------------------------------------------------------------------
+    def delete_run(self, node_idx: int) -> "DeleteRun":
+        """Open a run of consecutive deletions on plan node ``node_idx``
+        (see :class:`DeleteRun`); the caller must ``flush()`` it."""
+        return DeleteRun(self, node_idx)
+
     def delete_tuple(self, node_idx: int, tid: int,
                      row: Sequence[object]) -> int:
         """Unregister tuple ``(tid, row)``; returns the number of join
-        results that involved it (the amount ``J`` decreases by, §5.3)."""
-        node = self.plan.nodes[node_idx]
-        key = node.vertex_key_of(row)
-        vertex = self.hash_indexes[node_idx].get(key)
-        if vertex is None or tid not in vertex.ids:
-            raise TupleNotFoundError(
-                f"tuple {tid} of node {node.alias} is not in the join graph"
-            )
-        if self.tuple_weight is None:
-            removed = vertex.per_tuple_weight
-            vertex.ids.remove(tid)
-        else:
-            unit = vertex.unit_weight  # before removal mutates the vertex
-            removed = vertex.remove_weighted(tid) * unit
-        old_w_out = dict(vertex.w_out)
-        self._recompute_weights(vertex)
-        if vertex.ids:
-            self._refresh_vertex(vertex)
-            self._propagate_from(vertex, old_w_out)
-        else:
-            self._propagate_from(vertex, old_w_out)
-            self._unlink_vertex(vertex)
-            self.hash_indexes[node_idx].remove(key)
-            self.stats.vertex_removals += 1
-        return removed
+        results that involved it (the amount ``J`` decreases by, §5.3).
+        A run of one."""
+        run = self.delete_run(node_idx)
+        try:
+            return run.delete(tid, row)
+        finally:
+            run.flush()
 
     # ------------------------------------------------------------------
     # internals
@@ -450,34 +432,26 @@ class WeightedJoinGraph:
             tree = self.trees[spec.index_id]
             tree.delete(vertex.nodes.pop(spec.index_id))
 
-    def _refresh_vertex(self, vertex: Vertex,
-                        skip_nbr: Optional[int] = None) -> None:
-        """Re-aggregate the vertex's tree nodes after a weight change.
-
-        When the change came in from neighbour ``skip_nbr``, the index
-        toward that neighbour holds ``w_out[skip_nbr]``, which is unchanged
-        — unless it is also the designated index carrying ``w_full``.
-        """
+    def _refresh_vertex(self, vertex: Vertex) -> None:
+        """Re-aggregate the vertex's tree nodes after a weight change."""
         for spec in self.plan.node_indexes[vertex.node_idx]:
-            if (
-                skip_nbr is not None
-                and spec.neighbor_idx == skip_nbr
-                and len(spec.slots) == 1
-            ):
-                continue
             self.trees[spec.index_id].refresh(vertex.nodes[spec.index_id])
             self.stats.index_refreshes += 1
 
-    def _propagate_from(self, vertex: Vertex,
-                        old_w_out: Dict[int, int]) -> None:
-        """Push the vertex's ``w_out`` deltas outward along every edge."""
-        for nbr_idx, edge in self._neighbors[vertex.node_idx]:
-            delta = vertex.w_out[nbr_idx] - old_w_out.get(nbr_idx, 0)
-            if delta:
-                source_key = self.edge_key_of(vertex, nbr_idx)
-                self._update_direction(
-                    vertex.node_idx, nbr_idx, edge, [(source_key, delta)]
-                )
+    def _propagate_run(self, node_idx: int,
+                       touched: Sequence[Tuple[Vertex, Dict[int, int]]]
+                       ) -> None:
+        """Push the ``w_out`` deltas of ``(vertex, w_out before)`` pairs
+        of one node outward, one ``updateNeighbor`` per direction."""
+        for nbr_idx, edge in self._neighbors[node_idx]:
+            updates: List[Tuple[tuple, int]] = []
+            for vertex, old_w_out in touched:
+                delta = vertex.w_out[nbr_idx] - old_w_out.get(nbr_idx, 0)
+                if delta:
+                    updates.append((self.edge_key_of(vertex, nbr_idx),
+                                    delta))
+            if updates:
+                self._update_direction(node_idx, nbr_idx, edge, updates)
 
     def _update_direction(self, src_idx: int, dst_idx: int, edge: TreeEdge,
                           updates: List[Tuple[tuple, int]]) -> None:
@@ -689,6 +663,72 @@ class WeightedJoinGraph:
                         f"stale W_in[{nbr_idx}] at {vertex!r}: "
                         f"cached {vertex.W_in[nbr_idx]} != fresh {fresh}"
                     )
+
+
+class DeleteRun:
+    """A run of consecutive deletions on one plan node ``X`` (§5.3).
+
+    :meth:`delete` updates the tuple's own vertex at once and in op
+    order — ID list, ``w_full``/``w_out``, its tree nodes, unlinked when
+    it empties — and returns the number of join results removed;
+    :meth:`flush` then pushes each touched vertex's telescoped
+    ``final - first`` ``w_out`` delta outward, once per direction.
+
+    Between the two the graph is exact *as seen from* ``X``: a deletion
+    at ``X`` only changes weights that point away from ``X``
+    (``W_in[.][X]`` of its neighbours, then their ``w_out`` onward),
+    while ``total_results(X)`` and Algorithm 2 rooted at ``X`` read the
+    ``w_full`` of ``X``'s own vertices and, below them, only weights that
+    point toward ``X``.  So the §5.3 re-draws of every entry go through
+    the tree rooted at ``X`` and see exactly the live join; any other
+    root is stale until the flush.  The end state equals per-tuple
+    application: weights are exact integers and the deltas telescope.
+    """
+
+    __slots__ = ("graph", "node_idx", "_touched")
+
+    def __init__(self, graph: WeightedJoinGraph, node_idx: int):
+        self.graph = graph
+        self.node_idx = node_idx
+        # vertex -> its w_out when the run first touched it
+        self._touched: Dict[Vertex, Dict[int, int]] = {}
+
+    def delete(self, tid: int, row: Sequence[object]) -> int:
+        """Unregister tuple ``(tid, row)`` of the run's node; returns the
+        number of join results that involved it."""
+        graph = self.graph
+        node_idx = self.node_idx
+        node = graph.plan.nodes[node_idx]
+        key = node.vertex_key_of(row)
+        vertex = graph.hash_indexes[node_idx].get(key)
+        if vertex is None or tid not in vertex.ids:
+            raise TupleNotFoundError(
+                f"tuple {tid} of node {node.alias} is not in the join graph"
+            )
+        if vertex not in self._touched:
+            self._touched[vertex] = dict(vertex.w_out)
+        if graph.tuple_weight is None:
+            removed = vertex.per_tuple_weight
+            vertex.ids.remove(tid)
+        else:
+            unit = vertex.unit_weight  # before removal mutates the vertex
+            removed = vertex.remove_weighted(tid) * unit
+        graph._recompute_weights(vertex)
+        if vertex.ids:
+            graph._refresh_vertex(vertex)
+        else:
+            graph._unlink_vertex(vertex)
+            graph.hash_indexes[node_idx].remove(key)
+            graph.stats.vertex_removals += 1
+        return removed
+
+    def flush(self) -> None:
+        """Propagate the run's accumulated deltas; the graph is exact
+        from every root again afterwards."""
+        if self._touched:
+            touched = list(self._touched.items())
+            self._touched = {}
+            self.graph._propagate_run(self.node_idx, touched)
 
 
 def _lower_index(values: List[object], lo, lo_open: bool) -> int:

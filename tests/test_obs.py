@@ -11,7 +11,10 @@ from repro import MaintainerConfig
 from repro import (
     Column,
     Database,
+    DeleteOp,
+    InsertOp,
     JoinSynopsisMaintainer,
+    SynopsisManager,
     SynopsisSpec,
     TableSchema,
 )
@@ -335,3 +338,56 @@ class TestBehaviourNeutrality:
                     maintainer.total_results())
 
         assert run(None) == run(MetricsRegistry())
+
+
+class TestDeleteRunsAreObservedPerRun:
+    """Observability follows the delete run instead of forking it: the
+    same code runs, each timer hears once per run."""
+
+    def fill(self, target, n=12):
+        ops = [InsertOp(alias, (i % 3, i))
+               for i in range(n) for alias in ("r", "s")]
+        target.apply_batch(ops)
+
+    @pytest.mark.parametrize("engine", ["sjoin", "sjoin-opt"])
+    def test_engine_and_table_timers_hear_once_per_run(self, engine):
+        obs = MetricsRegistry()
+        maintainer = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(30), engine=engine, seed=4,
+            obs=obs))
+        self.fill(maintainer)
+        # two runs (5 on s, 3 on r) and a lone delete: three observations
+        maintainer.apply_batch(
+            [DeleteOp("s", tid) for tid in range(5)]
+            + [DeleteOp("r", tid) for tid in range(3)])
+        maintainer.delete("s", 7)
+        metrics = maintainer.stats().metrics
+        assert metrics["engine.delete_ns"]["count"] == 3
+        assert metrics["engine.delete.graph_ns"]["count"] == 3
+        # m > J: every delete purges, every run replenishes
+        assert metrics["engine.delete.replenish_ns"]["count"] == 3
+        assert metrics["engine.delete_ns"]["sum"] >= (
+            metrics["engine.delete.graph_ns"]["sum"]
+            + metrics["engine.delete.replenish_ns"]["sum"])
+        assert metrics["table.s.delete_ns"]["count"] == 2
+        assert metrics["table.r.delete_ns"]["count"] == 1
+        assert metrics["deletes"] == 9
+        assert metrics["synopsis.purges"]["value"] > 0
+
+    def test_manager_timer_per_run_and_fanout_per_notification(self):
+        manager = SynopsisManager(
+            make_db(), MaintainerConfig(seed=1, obs=MetricsRegistry()))
+        manager.register("q1", SQL)
+        manager.register("self", "SELECT * FROM r AS r1, r AS r2, s "
+                                 "WHERE r1.a = s.a AND r2.x = s.y")
+        self.fill(manager)
+        before = manager.stats().metrics["manager.r.fanout"]["value"]
+        manager.apply_batch([DeleteOp("r", tid) for tid in range(4)])
+        stats = manager.stats()
+        assert stats.metrics["manager.r.delete_ns"]["count"] == 1
+        # q1 hears each row once, the self-join under both its aliases
+        assert stats.metrics["manager.r.fanout"]["value"] - before == 4 * 3
+        assert stats.queries["q1"].metrics["engine.delete_ns"]["count"] == 1
+        # several aliases of one table: per row and per alias, as before
+        assert stats.queries["self"].metrics[
+            "engine.delete_ns"]["count"] == 4 * 2

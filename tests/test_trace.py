@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from repro import Database, JoinSynopsisMaintainer, MaintainerConfig, \
-    SynopsisSpec
+from repro import Database, DeleteOp, JoinSynopsisMaintainer, \
+    MaintainerConfig, SynopsisSpec
 from repro.errors import InvalidArgumentError
 from repro.obs import NULL_TRACER, MetricsRegistry, NullTracer, Tracer, \
     as_tracer
@@ -206,6 +206,23 @@ class TestEngineSpans:
             phase_keys |= set(event.phases)
         assert phase_keys <= {"graph_ns", "sample_ns", "enumerate_ns"}
         assert any(event.phases for event in inserts)
+
+    def test_one_delete_span_per_run_with_phase_sums(self, engine):
+        tracer = Tracer(capacity=4096)
+        maintainer = self.drive(tracer, engine, n=24)   # 6 lone deletes
+        lone = [e for e in tracer.events() if e.kind == "delete"]
+        assert [e.batch for e in lone] == [1] * 6
+        # one run of five on r, one of three on s: two more spans
+        maintainer.apply_batch(
+            [DeleteOp("r", tid) for tid in range(6, 11)]
+            + [DeleteOp("s", tid) for tid in range(3)])
+        runs = [e for e in tracer.events() if e.kind == "delete"][6:]
+        assert [(e.target, e.batch) for e in runs] == [("r", 5), ("s", 3)]
+        for event in runs:
+            # m = 10 > J's share per tuple: the run purged and re-drew
+            assert set(event.phases) == {"graph_ns", "replenish_ns"}
+            assert sum(event.phases.values()) <= event.duration_ns
+            assert event.extra["removed_results"] > 0
 
     def test_tracing_does_not_change_results(self, engine):
         traced = self.drive(Tracer(capacity=64), engine)

@@ -95,6 +95,25 @@ class TestWeightedFixedTargets:
         assert stat < chi_square_threshold(len(targets) - 1)
 
 
+    def test_redraw_stops_when_every_result_is_held(self):
+        """Two results, one spanning 20 units: J_w = 20 > 2m after the
+        light one is deleted, yet only one distinct result is left to
+        hold.  The rejection loop used to spin on it forever (found by
+        the delete-run churn in ``tests/test_delete_run.py``)."""
+        purged = 0
+        for seed in range(12):
+            engine = build_engine(SynopsisSpec.weighted_fixed_size(
+                4, weight_column="r.c2"), seed=seed)
+            engine.insert("s", (0, 0))
+            engine.insert("r", (0, 0, 1))
+            engine.insert("r", (0, 1, 20))
+            purged += (0, 0) in engine.raw_samples()
+            engine.delete("r", 0)
+            assert engine.total_results() == 20
+            assert set(engine.raw_samples()) == {(1, 0)}
+        assert purged       # some seed held the light result
+
+
 class TestWeightedReplacementTargets:
     @pytest.mark.parametrize("seed_base", [0, 10_000, 20_000])
     def test_iid_weight_proportional_after_deletions(self, seed_base):

@@ -122,3 +122,53 @@ class TestConsistency:
             for result in w.synopsis():
                 for alias, tid in zip(("a", "b"), result):
                     assert db.table(alias).is_live(tid)
+
+
+class TestExpiryIsOneRunPerAlias:
+    """§7.1's policy reaches the engine as delete runs: one batch of
+    deletes per alias per watermark advance, not one call per TID."""
+
+    def stream(self):
+        rng = random.Random(9)
+        return [(alias, (rng.randrange(12), ts))
+                for ts in range(10) for alias in "ab" for _ in range(5)]
+
+    def per_tid_reference(self, window):
+        """The same policy spelled one ``delete`` per expired TID on a
+        plain maintainer (what ``advance_to`` used to do)."""
+        _, twin = make_window(window)
+        plain = twin.maintainer
+        pending = {"a": [], "b": []}
+        watermark = None
+        for alias, row in self.stream():
+            pending[alias].append((row[1], plain.insert(alias, row)))
+            if watermark is None or row[1] > watermark:
+                watermark = row[1]
+                for name, fifo in pending.items():
+                    while fifo and fifo[0][0] <= watermark - window:
+                        plain.delete(name, fifo.pop(0)[1])
+        return plain
+
+    def test_same_synopsis_as_the_per_tid_loop_with_fewer_visits(self):
+        _, w = make_window(window=3)
+        calls = []
+        apply_batch = w.maintainer.apply_batch
+        w.maintainer.apply_batch = lambda ops: (
+            calls.append(list(ops)), apply_batch(ops))[1]
+        for alias, row in self.stream():
+            w.insert(alias, row)
+        reference = self.per_tid_reference(window=3)
+
+        assert w.synopsis() == reference.synopsis()
+        assert w.total_results() == reference.total_results()
+        assert w.maintainer.engine.rng.getstate() == \
+            reference.engine.rng.getstate()
+
+        expiries = [ops for ops in calls if len(ops) > 1]
+        assert expiries and all(
+            len({op.target for op in ops}) == 1 for ops in expiries)
+        assert sum(map(len, expiries)) == 5 * 2 * 7   # ts 0..6 expired
+        ours = w.maintainer.engine.graph.stats
+        theirs = reference.engine.graph.stats
+        assert ours.vertices_visited < theirs.vertices_visited
+        assert ours.vertex_removals == theirs.vertex_removals
