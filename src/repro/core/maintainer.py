@@ -177,12 +177,13 @@ class JoinSynopsisMaintainer:
         The one update path — :meth:`insert` and :meth:`delete` delegate
         here.  ``op.target`` is a range-table alias.  Consecutive
         inserts — whatever their target aliases — are handed to the
-        engine as one run: the graph propagates their weight deltas
-        once per (vertex, direction),
+        engine as one run: every entry's own bookkeeping (heap row,
+        member hash, anchor assembly) happens in op order, the graph
+        propagates the weight deltas once per (vertex, direction) for
+        each stretch of entries that lands on one plan node,
         skip-sampling reads the coalesced delta views, and span/timer
-        bookkeeping happens once per same-alias segment (the engine may
-        reorder hash-only registrations across a run, never anything
-        that touches the graph or the RNG).  Consecutive deletes on
+        bookkeeping happens once per stretch (hash-only registrations
+        never end one).  Consecutive deletes on
         one alias are a run too: every entry is purged and re-drawn in
         op order against the join graph rooted at the alias's node,
         whose weight deltas reach the other tables once per direction

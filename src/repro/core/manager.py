@@ -209,11 +209,13 @@ class SynopsisManager:
              for rt in maintainer.query.range_tables),
             key=lambda pair: backfill_rank(pair[1]),
         )
-        for table_name, alias in ordered_aliases:
-            table = self.db.table(table_name)
-            for tid, row in table.scan():
+        # one insert run: each alias's stored tuples reach the graph as
+        # a batch, not one propagation per tuple
+        with maintainer.engine.open_insert_run() as run:
+            for table_name, alias in ordered_aliases:
                 try:
-                    maintainer.engine.notify_insert(alias, tid, row)
+                    for tid, row in self.db.table(table_name).scan():
+                        run.notify(alias, tid, row)
                 except ReproError as exc:
                     raise SynopsisError(
                         f"registered query {name!r} (algorithm "
@@ -280,70 +282,51 @@ class SynopsisManager:
 
         The one update path — :meth:`insert` and :meth:`delete`
         delegate here.  ``op.target`` is a *base table* name (not a
-        range-table alias).  Consecutive inserts into
-        the same base table are stored and fanned out as one run: the
-        heap rows are appended first, then each registered query is
-        notified once per run (batched when the query references the
-        table under a single alias; per-row when duplicated aliases
-        require the serial notification interleaving).  Consecutive
-        deletes from the same base table are a run as well: every
-        registered query that references the table under one alias
-        keeps one engine delete run open over it (purge and re-draws per
-        row, weight deltas propagated once when the run ends), while
-        rows, registrations and the heap tombstone keep the serial
-        order.  Runs break at every table change and between inserts
-        and deletes; each maintained synopsis stays bit-identical to
-        serial per-op application, and a run that fails at some row
-        stops where per-op application would.
+        range-table alias).  Consecutive inserts — whatever their
+        tables — are one run: every registered query keeps one engine
+        insert run open over it (graph propagation once per stretch of
+        rows that lands on one of its plan nodes), while rows,
+        registrations and aliases keep the serial order — heap row
+        first, then every alias of every query that references the
+        table.  Consecutive deletes from the same base table are a run
+        as well: every registered query that references the table under
+        one alias keeps one engine delete run open over it (purge and
+        re-draws per row, weight deltas propagated once when the run
+        ends), with the heap tombstone last.  Runs break between
+        inserts and deletes, and delete runs at every table change;
+        each maintained synopsis stays bit-identical to serial per-op
+        application, and a run that fails at some op stops where per-op
+        application would — the error that comes out says how many ops
+        of the batch had been applied in full (``exc.ops_applied``).
         """
         started = time.perf_counter_ns()
         ops = list(ops)
         outcomes: List[OpOutcome] = []
-        obs = self.obs
         i, n = 0, len(ops)
-        while i < n:
-            op = ops[i]
-            if isinstance(op, InsertOp):
-                table_name = op.target
+        try:
+            while i < n:
+                op = ops[i]
                 j = i + 1
-                while j < n and isinstance(ops[j], InsertOp) \
-                        and ops[j].target == table_name:
-                    j += 1
-                rows = [ops[k].row for k in range(i, j)]
-                if obs.enabled:
-                    t0 = obs.clock()
-                    tids = self._fan_out_insert_run(table_name, rows)
-                    obs.histogram(
-                        metric_names.manager_insert_ns(table_name)
-                    ).observe(obs.clock() - t0)
+                if isinstance(op, InsertOp):
+                    while j < n and isinstance(ops[j], InsertOp):
+                        j += 1
+                    self._fan_out_insert_run(ops[i:j], outcomes)
+                elif isinstance(op, DeleteOp):
+                    table_name = op.target
+                    while j < n and isinstance(ops[j], DeleteOp) \
+                            and ops[j].target == table_name:
+                        j += 1
+                    self._fan_out_delete_run(
+                        table_name, [o.tid for o in ops[i:j]], outcomes)
                 else:
-                    tids = self._fan_out_insert_run(table_name, rows)
-                outcomes.extend(
-                    OpOutcome("insert", table_name, tid) for tid in tids
-                )
+                    raise SynopsisError(
+                        f"SynopsisManager cannot apply {op!r}: expected "
+                        "InsertOp or DeleteOp"
+                    )
                 i = j
-            elif isinstance(op, DeleteOp):
-                table_name = op.target
-                j = i + 1
-                while j < n and isinstance(ops[j], DeleteOp) \
-                        and ops[j].target == table_name:
-                    j += 1
-                tids = [ops[k].tid for k in range(i, j)]
-                if obs.enabled:
-                    with obs.timer(
-                            metric_names.manager_delete_ns(table_name)):
-                        self._fan_out_delete_run(table_name, tids)
-                else:
-                    self._fan_out_delete_run(table_name, tids)
-                outcomes.extend(
-                    OpOutcome("delete", table_name, tid) for tid in tids
-                )
-                i = j
-            else:
-                raise SynopsisError(
-                    f"SynopsisManager cannot apply {op!r}: expected "
-                    "InsertOp or DeleteOp"
-                )
+        except ReproError as exc:
+            exc.ops_applied = len(outcomes)
+            raise
         return BatchResult.from_outcomes(
             outcomes, elapsed_ns=time.perf_counter_ns() - started
         )
@@ -359,47 +342,50 @@ class SynopsisManager:
         """Delete a base tuple everywhere, then tombstone the heap row."""
         self.apply_batch((DeleteOp(table_name, tid),))
 
-    def _fan_out_insert_run(self, table_name: str,
-                            rows: List[tuple]) -> List[int]:
-        """Store a run of rows in the heap, then notify every affected
-        registration once.
+    def _fan_out_insert_run(self, ops: List[InsertOp],
+                            outcomes: List[OpOutcome]) -> None:
+        """Store a run of rows, whatever their tables, and notify every
+        affected registration; one outcome per row that went through.
 
-        Registrations are independent engines (own RNG, own graph), so
-        notifying them registration-by-registration instead of op-by-op
-        is exactly serializable; within one registration the serial
-        notification order is preserved — batched via
-        ``notify_inserts`` for single-alias references, per-row when the
-        query references the table under several aliases (serial order
-        interleaves the aliases per row).
+        The serial order is kept as it is — row by row: the heap insert,
+        then registration by registration and alias by alias — so a bad
+        row or an engine's refusal (an FK miss, a duplicate key) stops
+        the run exactly where per-op application stops: the heap holds
+        nothing past the failing row and no engine has seen anything
+        the others have not.  What makes it a run is that every
+        registration keeps one engine insert run open across the rows,
+        which defers its graph work while consecutive rows land on one
+        plan node and performs what is pending on the way out, error or
+        not.  A query naming a table under several aliases simply hears
+        each row once per alias.
         """
-        table = self.db.table(table_name)
-        tids = [table.insert(row) for row in rows]
-        entries = list(zip(tids, rows))
-        fanout = 0
-        for registration in self._registrations.values():
-            aliases = registration.aliases_of.get(table_name, ())
-            if not aliases:
-                continue
-            engine = registration.maintainer.engine
-            if len(aliases) == 1:
-                alias = aliases[0]
-                fanout += len(entries)
-                try:
-                    engine.notify_inserts(alias, entries)
-                except ReproError as exc:
-                    raise SynopsisError(
-                        f"registered query {registration.name!r} "
-                        f"(algorithm "
-                        f"{registration.maintainer.algorithm!r}) failed "
-                        f"on insert into {table_name!r} (alias "
-                        f"{alias!r}): {exc}"
-                    ) from exc
-            else:
-                for tid, row in entries:
-                    for alias in aliases:
-                        fanout += 1
+        obs = self.obs
+        first = len(outcomes)
+        t0 = obs.clock() if obs.enabled else 0
+        # base table -> (its heap, who hears about it)
+        targets: Dict[str, tuple] = {}
+        try:
+            with ExitStack() as stack:
+                runs = [
+                    (registration, stack.enter_context(
+                        registration.maintainer.engine.open_insert_run()))
+                    for registration in self._registrations.values()]
+                for op in ops:
+                    table_name = op.target
+                    target = targets.get(table_name)
+                    if target is None:
+                        target = targets[table_name] = (
+                            self.db.table(table_name),
+                            [(registration, alias, run.notify)
+                             for registration, run in runs
+                             for alias in registration.aliases_of.get(
+                                 table_name, ())])
+                    table, listeners = target
+                    row = op.row
+                    tid = table.insert(row)
+                    for registration, alias, notify in listeners:
                         try:
-                            engine.notify_insert(alias, tid, row)
+                            notify(alias, tid, row)
                         except ReproError as exc:
                             raise SynopsisError(
                                 f"registered query {registration.name!r} "
@@ -408,15 +394,30 @@ class SynopsisManager:
                                 f"failed on insert into {table_name!r} "
                                 f"(alias {alias!r}): {exc}"
                             ) from exc
-        if self.obs.enabled:
-            self.obs.counter(
-                metric_names.manager_fanout(table_name)).inc(fanout)
-        return tids
+                    outcomes.append(OpOutcome("insert", table_name, tid))
+        finally:
+            if obs.enabled and len(outcomes) > first:
+                # the run's wall time goes to each table it touched by
+                # its share of the rows; fan-out counts (row, alias)
+                elapsed = obs.clock() - t0
+                counts: Dict[str, int] = {}
+                for outcome in outcomes[first:]:
+                    counts[outcome.target] = \
+                        counts.get(outcome.target, 0) + 1
+                applied = len(outcomes) - first
+                for table_name, count in counts.items():
+                    obs.histogram(
+                        metric_names.manager_insert_ns(table_name)
+                    ).observe(elapsed * count // applied)
+                    obs.counter(
+                        metric_names.manager_fanout(table_name)
+                    ).inc(count * len(targets[table_name][1]))
 
-    def _fan_out_delete_run(self, table_name: str,
-                            tids: List[int]) -> None:
+    def _fan_out_delete_run(self, table_name: str, tids: List[int],
+                            outcomes: List[OpOutcome]) -> None:
         """Unregister a run of base tuples everywhere, tombstoning each
-        heap row once every registration has let go of it.
+        heap row once every registration has let go of it; one outcome
+        per row that went through.
 
         The serial order is kept as it is — row by row, registration by
         registration, heap last — so a dead TID, a TID named twice or an
@@ -428,9 +429,11 @@ class SynopsisManager:
         turn, which no single open run can cover, and is notified per
         row.
         """
+        obs = self.obs
         table = self.db.table(table_name)
-        applied = 0
-        with ExitStack() as runs:
+        first = len(outcomes)
+        with obs.timer(metric_names.manager_delete_ns(table_name)), \
+                ExitStack() as runs:
             notifiers = []
             for registration in self._registrations.values():
                 aliases = registration.aliases_of.get(table_name, ())
@@ -459,12 +462,12 @@ class SynopsisManager:
                                 f"(alias {alias!r}, tid {tid}): {exc}"
                             ) from exc
                     table.delete(tid)
-                    applied += 1
+                    outcomes.append(OpOutcome("delete", table_name, tid))
             finally:
-                if self.obs.enabled:
-                    self.obs.counter(
+                if obs.enabled:
+                    obs.counter(
                         metric_names.manager_fanout(table_name)
-                    ).inc(applied * len(notifiers))
+                    ).inc((len(outcomes) - first) * len(notifiers))
 
     # ------------------------------------------------------------------
     # reads

@@ -32,8 +32,9 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.fk_runtime import CombinedNodeRuntime
+from repro.core.insert_run import InsertRun
 from repro.core.synopsis import SubsetSynopsis, SynopsisSpec
-from repro.errors import IntegrityError, SynopsisError
+from repro.errors import SynopsisError
 from repro.graph.join_graph import DeleteRun, WeightedJoinGraph
 from repro.graph.views import DeltaJoinView
 from repro.obs import names as metric_names
@@ -161,6 +162,57 @@ class _DeleteRun:
             engine.tracer.finish(span)
 
 
+class _InsertRun(InsertRun):
+    """What :meth:`SJoinEngine.open_insert_run` returns (read its
+    contract there).  A segment is a stretch of entries whose graph work
+    lands on one plan node; ``pending`` holds that work — ``(tid, row)``
+    of the node, already assembled on an anchor route."""
+
+    __slots__ = ("node_idx", "pending", "_routes", "_combined", "_weigh")
+
+    def __init__(self, engine: "SJoinEngine"):
+        super().__init__(engine)
+        self.node_idx = -1
+        self.pending: List[Tuple[int, tuple]] = []
+        self._routes = engine.plan.routes
+        self._combined = engine._combined
+        graph = engine.graph
+        self._weigh = (None if graph.tuple_weight is None
+                       else graph.weight_of)
+
+    def _register(self, alias: str, tid: int, row: tuple) -> None:
+        route = self._routes[alias]
+        kind = route.kind
+        if kind == "member":
+            # hash-only: rides in whatever segment is open
+            if self.alias is None:
+                self._cut(alias)
+            self.size += 1
+            self._combined[route.node_idx].register_member(alias, tid, row)
+            return
+        if alias != self.alias:
+            self._cut(alias)
+            self.node_idx = route.node_idx
+        self.size += 1
+        if kind == "anchor":
+            assembled = self._combined[route.node_idx].assemble(tid, row)
+            if assembled is None:
+                return
+            tid, row = assembled
+        if self._weigh is not None:
+            self._weigh(route.node_idx, row)
+        self.pending.append((tid, row))
+
+    def _flush(self) -> None:
+        pending = self.pending
+        if pending:
+            self.pending = []
+            if len(pending) == 1:
+                self.engine._node_insert(self.node_idx, *pending[0])
+            else:
+                self.engine._node_insert_batch(self.node_idx, pending)
+
+
 class SJoinEngine:
     """Maintain one join synopsis for one pre-specified query.
 
@@ -212,7 +264,7 @@ class SJoinEngine:
         self._filters_by_alias = {
             alias: query.filters_on(alias) for alias in query.aliases
         }
-        filtered = frozenset(
+        filtered = self._filtered_aliases = frozenset(
             alias for alias, filters in self._filters_by_alias.items()
             if filters
         )
@@ -225,12 +277,12 @@ class SJoinEngine:
         # per-phase timers; _obs_on guards every timed block so the
         # disabled hot path costs one attribute check, not clock reads
         self._obs_on = self.obs.enabled
-        # tracing mirrors the obs guard: the per-op span lives in
-        # self._span while an operation is routed, so the phase hooks
-        # below cost one attribute check when tracing is off
+        # tracing mirrors the obs guard: an insert run keeps its open
+        # segment's span in self._span, so the phase hooks below cost
+        # one attribute check when tracing is off
         self._trace_on = self.tracer.enabled
         self._span = None
-        # a delete run sums its phases over its entries with one clock
+        # runs time their segments and sum their phases with one clock
         # for spans and timers alike (None: nobody is listening)
         self._phase_clock = (self.tracer.clock if self._trace_on else
                              self.obs.clock if self._obs_on else None)
@@ -250,225 +302,52 @@ class SJoinEngine:
         """Insert ``row`` into range table ``alias``; returns its TID.
 
         Returns -1 when the row was rejected by a single-table pre-filter
-        (it never enters the range table, §5.1).
+        (it never enters the range table, §5.1).  A run of one.
         """
-        row = tuple(row)
-        if not self._passes_filters(alias, row):
-            self.stats.filtered_inserts += 1
-            return -1
-        table = self.db.table(self.query.range_table(alias).table_name)
-        tid = table.insert(row)
-        self._register_tuple(alias, tid, row)
-        return tid
-
-    def insert_batch(self, alias: str,
-                     rows: Sequence[Sequence[object]]) -> List[int]:
-        """Insert a run of rows into one range table, batch-first.
-
-        Returns one TID per row (-1 for rows rejected by a pre-filter).
-        Bit-identical to calling :meth:`insert` per row — the heap
-        assigns the same TIDs, the graph registration is the exact
-        batched form of Algorithm 1, and the synopsis consumes the same
-        delta views in the same order — but the graph propagates weight
-        deltas once per (vertex, direction) for the whole run, and span/
-        timer bookkeeping happens once per batch instead of once per op.
-        """
-        table = self.db.table(self.query.range_table(alias).table_name)
-        tids: List[int] = []
-        entries: List[Tuple[int, tuple]] = []
-        for row in rows:
-            row = tuple(row)
-            if not self._passes_filters(alias, row):
-                self.stats.filtered_inserts += 1
-                tids.append(-1)
-                continue
-            tid = table.insert(row)
-            tids.append(tid)
-            entries.append((tid, row))
-        if entries:
-            self._register_batch(alias, entries)
-        return tids
+        with _InsertRun(self) as run:
+            return run.insert(alias, row)
 
     def insert_run(self, items: Sequence[Tuple[str, Sequence[object]]]
                    ) -> List[int]:
-        """Insert a run of ``(alias, row)`` pairs spanning range tables.
-
-        Bit-identical to per-op application: heap inserts happen in op
-        order (same TIDs) and every graph-touching registration — direct
-        and anchor routes, which consume the sampling RNG — keeps its
-        relative order, so the RNG stream is unchanged.  Member-route
-        registrations only write a combined node's hash table (no graph,
-        no RNG), so they are *hoisted* out of the way: they commute with
-        every op except an anchor insert of their own combined node
-        (assembly reads that hash table), and deferring them lets anchor
-        runs they would otherwise split stay contiguous.  A pending
-        member registration forces a run break — and is flushed — the
-        moment an anchor of its node arrives.
-        """
-        tables = {}
-        tids: List[int] = []
-        regs: List[Tuple[str, int, tuple]] = []
-        for alias, row in items:
-            row = tuple(row)
-            if not self._passes_filters(alias, row):
-                self.stats.filtered_inserts += 1
-                tids.append(-1)
-                continue
-            table = tables.get(alias)
-            if table is None:
-                table = tables[alias] = self.db.table(
-                    self.query.range_table(alias).table_name)
-            tid = table.insert(row)
-            tids.append(tid)
-            regs.append((alias, tid, row))
-
-        routes = self.plan.routes
-        member_buf: Dict[str, List[Tuple[int, tuple]]] = {}
-        member_node: Dict[str, int] = {}
-        cur_alias: Optional[str] = None
-        cur: List[Tuple[int, tuple]] = []
-        for alias, tid, row in regs:
-            route = routes[alias]
-            if route.kind == "member":
-                member_buf.setdefault(alias, []).append((tid, row))
-                member_node[alias] = route.node_idx
-                continue
-            if route.kind == "anchor":
-                pending = [a for a, entries in member_buf.items()
-                           if entries and member_node[a] == route.node_idx]
-                if pending:
-                    # members of this node precede the anchor: register
-                    # the pending run first (it predates them), then the
-                    # members, then start a fresh anchor run
-                    if cur:
-                        self._register_batch(cur_alias, cur)
-                        cur = []
-                    for a in pending:
-                        self._register_batch(a, member_buf.pop(a))
-            if alias != cur_alias and cur:
-                self._register_batch(cur_alias, cur)
-                cur = []
-            cur_alias = alias
-            cur.append((tid, row))
-        if cur:
-            self._register_batch(cur_alias, cur)
-        for alias, entries in member_buf.items():
-            if entries:
-                self._register_batch(alias, entries)
-        return tids
+        """Insert a run of ``(alias, row)`` pairs spanning range tables;
+        returns one TID per pair (-1 for rows a pre-filter rejected).
+        Bit-identical to per-op application, failures included: see
+        :meth:`open_insert_run`."""
+        with _InsertRun(self) as run:
+            insert = run.insert
+            return [insert(alias, row) for alias, row in items]
 
     def notify_insert(self, alias: str, tid: int,
                       row: Sequence[object]) -> bool:
         """Register an externally-stored tuple (multi-query sharing: the
         :class:`~repro.core.manager.SynopsisManager` owns the heap insert).
-        Returns False when a pre-filter rejected the row."""
-        row = tuple(row)
-        if not self._passes_filters(alias, row):
-            self.stats.filtered_inserts += 1
-            return False
-        self._register_tuple(alias, tid, row)
-        return True
+        Returns False when a pre-filter rejected the row.  A run of
+        one."""
+        with _InsertRun(self) as run:
+            return run.notify(alias, tid, row)
 
-    def notify_inserts(self, alias: str,
-                       entries: Sequence[Tuple[int, Sequence[object]]]
-                       ) -> List[bool]:
-        """Batch form of :meth:`notify_insert` for externally-stored
-        tuples; returns one accepted/rejected flag per entry."""
-        accepted: List[bool] = []
-        surviving: List[Tuple[int, tuple]] = []
-        for tid, row in entries:
-            row = tuple(row)
-            if not self._passes_filters(alias, row):
-                self.stats.filtered_inserts += 1
-                accepted.append(False)
-                continue
-            accepted.append(True)
-            surviving.append((tid, row))
-        if surviving:
-            self._register_batch(alias, surviving)
-        return accepted
+    def open_insert_run(self) -> "_InsertRun":
+        """Open a run of insertions spanning range tables: a context
+        manager whose ``insert(alias, row) -> tid`` stores and registers
+        a row and whose ``notify(alias, tid, row) -> bool`` registers an
+        externally stored one (see :mod:`repro.core.insert_run`).
 
-    def _register_tuple(self, alias: str, tid: int, row: tuple) -> None:
-        self.stats.inserts += 1
-        if self._trace_on:
-            self._span = self.tracer.start("insert", target=alias)
-        try:
-            if self._obs_on:
-                with self._t_insert:
-                    self._route_insert(alias, tid, row)
-            else:
-                self._route_insert(alias, tid, row)
-        finally:
-            if self._span is not None:
-                self.tracer.finish(self._span)
-                self._span = None
-
-    def _route_insert(self, alias: str, tid: int, row: tuple) -> None:
-        route = self.plan.routes[alias]
-        if route.kind == "direct":
-            self._node_insert(route.node_idx, tid, row)
-        elif route.kind == "member":
-            self._combined[route.node_idx].register_member(
-                alias, tid, row)
-        else:  # anchor
-            assembled = self._combined[route.node_idx].assemble(tid, row)
-            if assembled is not None:
-                combined_tid, combined_row = assembled
-                self._node_insert(
-                    route.node_idx, combined_tid, combined_row)
-
-    def _register_batch(self, alias: str,
-                        entries: List[Tuple[int, tuple]]) -> None:
-        """Register a filtered run of same-alias tuples under one span
-        and one timer observation per run.
-
-        Direct routes take the batched graph path.  Member routes only
-        touch the combined node's hash table (no graph work), so the run
-        is a plain loop.  Anchor routes assemble each tuple in order —
-        assembly reads member hashes and the combined heap, never the
-        graph — and the surviving combined tuples form a same-node run
-        that goes through the batched graph path, bit-identical to
-        interleaving each assembly with its own graph insert.
+        Every entry's own bookkeeping — pre-filter, heap insert, a
+        member route's hash write, an anchor route's ``assemble``, the
+        tuple-weight check — happens at once and in op order; the graph
+        insert and the sampling it feeds are deferred while consecutive
+        entries stay on one plan node, and then go through the batched
+        Algorithm 1 (one recompute per touched vertex, one propagation
+        per direction) with the delta views consumed in op order.
+        Member routes write a combined node's hash table only — no
+        graph, no RNG — so they never end such a stretch.  Samples,
+        ``J`` and the RNG stream do not depend on how an insert stream
+        is cut into runs, and a run that fails at some entry stops where
+        per-op application stops (the deferred work of the entries
+        before it is done on the way out).  One span and one
+        ``engine.insert_ns`` observation per stretch.
         """
-        if len(entries) == 1:
-            tid, row = entries[0]
-            self._register_tuple(alias, tid, row)
-            return
-        route = self.plan.routes[alias]
-        self.stats.inserts += len(entries)
-        if self._trace_on:
-            self._span = self.tracer.start(
-                "insert", target=alias, batch=len(entries))
-        try:
-            if self._obs_on:
-                with self._t_insert:
-                    self._route_insert_batch(route, alias, entries)
-            else:
-                self._route_insert_batch(route, alias, entries)
-        finally:
-            if self._span is not None:
-                self.tracer.finish(self._span)
-                self._span = None
-
-    def _route_insert_batch(self, route, alias: str,
-                            entries: List[Tuple[int, tuple]]) -> None:
-        if route.kind == "direct":
-            self._node_insert_batch(route.node_idx, entries)
-        elif route.kind == "member":
-            runtime = self._combined[route.node_idx]
-            for tid, row in entries:
-                runtime.register_member(alias, tid, row)
-        else:  # anchor
-            runtime = self._combined[route.node_idx]
-            assembled: List[Tuple[int, tuple]] = []
-            for tid, row in entries:
-                combined = runtime.assemble(tid, row)
-                if combined is not None:
-                    assembled.append(combined)
-            if len(assembled) == 1:
-                self._node_insert(route.node_idx, *assembled[0])
-            elif assembled:
-                self._node_insert_batch(route.node_idx, assembled)
+        return _InsertRun(self)
 
     def delete(self, alias: str, tid: int) -> None:
         """Delete the tuple identified by ``tid`` from range table

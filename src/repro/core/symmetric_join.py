@@ -30,9 +30,9 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
+from repro.core.insert_run import InsertRun
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
-from repro.graph.join_graph import WeightedJoinGraph  # only for type refs
 from repro.index.api import IndexRange
 from repro.index.avl import AggregateTree
 from repro.obs import names as metric_names
@@ -71,6 +71,19 @@ class SJStats:
     full_recomputes: int = 0
 
 
+class _InsertRun(InsertRun):
+    """What :meth:`SymmetricJoinEngine.open_insert_run` returns: a
+    segment is a maximal stretch of same-alias entries."""
+
+    __slots__ = ()
+
+    def _register(self, alias: str, tid: int, row: tuple) -> None:
+        if alias != self.alias:
+            self._cut(alias)
+        self.size += 1
+        self.engine._do_register(alias, tid, row)
+
+
 class SymmetricJoinEngine:
     """The baseline engine.  Public interface mirrors :class:`SJoinEngine`."""
 
@@ -101,6 +114,8 @@ class SymmetricJoinEngine:
         # per-op trace span, mirrored from SJoinEngine
         self._trace_on = self.tracer.enabled
         self._span = None
+        self._phase_clock = (self.tracer.clock if self._trace_on else
+                             self.obs.clock if self._obs_on else None)
         self._t_insert = self.obs.timer(metric_names.INSERT_NS)
         self._t_enumerate = self.obs.timer(
             metric_names.INSERT_ENUMERATE_NS)
@@ -113,6 +128,10 @@ class SymmetricJoinEngine:
         self._filters_by_alias = {
             alias: query.filters_on(alias) for alias in query.aliases
         }
+        self._filtered_aliases = frozenset(
+            alias for alias, filters in self._filters_by_alias.items()
+            if filters
+        )
         # one plain tree index per directed edge, keyed by that side's
         # composite edge key; items are (tid, row) pairs
         self._indexes: Dict[Tuple[int, int], AggregateTree] = {}
@@ -141,125 +160,31 @@ class SymmetricJoinEngine:
     # updates
     # ------------------------------------------------------------------
     def insert(self, alias: str, row: Sequence[object]) -> int:
-        row = tuple(row)
-        if not self._passes_filters(alias, row):
-            self.stats.filtered_inserts += 1
-            return -1
-        table = self.db.table(self.query.range_table(alias).table_name)
-        tid = table.insert(row)
-        self._register_tuple(alias, tid, row)
-        return tid
-
-    def insert_batch(self, alias: str,
-                     rows: Sequence[Sequence[object]]) -> List[int]:
-        """Insert a run of rows into one range table (see SJoinEngine).
-
-        SJ has no delta-coalescing to exploit — every insert must still
-        enumerate its own delta join — so the batch form registers the
-        tuples in order under a single per-batch trace span and timer
-        observation, which is where SJ's batching savings live.
-        """
-        table = self.db.table(self.query.range_table(alias).table_name)
-        tids: List[int] = []
-        entries: List[Tuple[int, tuple]] = []
-        for row in rows:
-            row = tuple(row)
-            if not self._passes_filters(alias, row):
-                self.stats.filtered_inserts += 1
-                tids.append(-1)
-                continue
-            tid = table.insert(row)
-            tids.append(tid)
-            entries.append((tid, row))
-        if entries:
-            self._register_batch(alias, entries)
-        return tids
+        with _InsertRun(self) as run:
+            return run.insert(alias, row)
 
     def insert_run(self, items: Sequence[Tuple[str, Sequence[object]]]
                    ) -> List[int]:
-        """Insert a run of ``(alias, row)`` pairs spanning range tables.
-
-        SJ registers every tuple against the join graph directly, so
-        unlike :meth:`SJoinEngine.insert_run` there is nothing safe to
-        reorder — the run simply splits into maximal same-alias
-        segments, each taken through :meth:`insert_batch`.
-        """
-        tids: List[int] = []
-        i, n = 0, len(items)
-        while i < n:
-            alias = items[i][0]
-            j = i + 1
-            while j < n and items[j][0] == alias:
-                j += 1
-            tids.extend(self.insert_batch(
-                alias, [row for _, row in items[i:j]]))
-            i = j
-        return tids
+        """Insert a run of ``(alias, row)`` pairs spanning range tables
+        (see SJoinEngine)."""
+        with _InsertRun(self) as run:
+            insert = run.insert
+            return [insert(alias, row) for alias, row in items]
 
     def notify_insert(self, alias: str, tid: int,
                       row: Sequence[object]) -> bool:
         """Register an externally-stored tuple (see SJoinEngine)."""
-        row = tuple(row)
-        if not self._passes_filters(alias, row):
-            self.stats.filtered_inserts += 1
-            return False
-        self._register_tuple(alias, tid, row)
-        return True
+        with _InsertRun(self) as run:
+            return run.notify(alias, tid, row)
 
-    def notify_inserts(self, alias: str,
-                       entries: Sequence[Tuple[int, Sequence[object]]]
-                       ) -> List[bool]:
-        """Batch form of :meth:`notify_insert` (see SJoinEngine)."""
-        accepted: List[bool] = []
-        surviving: List[Tuple[int, tuple]] = []
-        for tid, row in entries:
-            row = tuple(row)
-            if not self._passes_filters(alias, row):
-                self.stats.filtered_inserts += 1
-                accepted.append(False)
-                continue
-            accepted.append(True)
-            surviving.append((tid, row))
-        if surviving:
-            self._register_batch(alias, surviving)
-        return accepted
-
-    def _register_batch(self, alias: str,
-                        entries: List[Tuple[int, tuple]]) -> None:
-        if len(entries) == 1:
-            self._register_tuple(alias, entries[0][0], entries[0][1])
-            return
-        self.stats.inserts += len(entries)
-        if self._trace_on:
-            self._span = self.tracer.start(
-                "insert", target=alias, batch=len(entries))
-        try:
-            if self._obs_on:
-                with self._t_insert:
-                    for tid, row in entries:
-                        self._do_register(alias, tid, row)
-            else:
-                for tid, row in entries:
-                    self._do_register(alias, tid, row)
-        finally:
-            if self._span is not None:
-                self.tracer.finish(self._span)
-                self._span = None
-
-    def _register_tuple(self, alias: str, tid: int, row: tuple) -> None:
-        self.stats.inserts += 1
-        if self._trace_on:
-            self._span = self.tracer.start("insert", target=alias)
-        try:
-            if self._obs_on:
-                with self._t_insert:
-                    self._do_register(alias, tid, row)
-            else:
-                self._do_register(alias, tid, row)
-        finally:
-            if self._span is not None:
-                self.tracer.finish(self._span)
-                self._span = None
+    def open_insert_run(self) -> "_InsertRun":
+        """The run surface of :meth:`SJoinEngine.open_insert_run`.  SJ
+        has nothing to defer — every insert must enumerate its own delta
+        join — so the run registers each entry at once and only the
+        bookkeeping is per stretch: one trace span and one
+        ``engine.insert_ns`` observation per maximal same-alias
+        segment."""
+        return _InsertRun(self)
 
     def _do_register(self, alias: str, tid: int, row: tuple) -> None:
         obs_on = self._obs_on

@@ -7,7 +7,16 @@ still being able to distinguish the individual failure modes.
 
 
 class ReproError(Exception):
-    """Base class of all errors raised by this package."""
+    """Base class of all errors raised by this package.
+
+    ``ops_applied`` is set on an error that comes out of
+    ``SynopsisManager.apply_batch``: how many ops of the batch had been
+    applied in full before the one that failed (a failing batch stops
+    where per-op application stops).  WAL replay reads it to find the
+    logged record a failing op belonged to.  ``None`` anywhere else.
+    """
+
+    ops_applied = None
 
 
 class SchemaError(ReproError):

@@ -219,6 +219,9 @@ class WeightedJoinGraph:
         """
         node = self.plan.nodes[node_idx]
         key = node.vertex_key_of(row)
+        # a refused weight must leave no empty vertex behind
+        weight = (None if self.tuple_weight is None
+                  else self.weight_of(node_idx, row))
         vertex, created = self.hash_indexes[node_idx].get_or_create(
             key, lambda: Vertex(node_idx, key)
         )
@@ -228,10 +231,10 @@ class WeightedJoinGraph:
                 vertex.W_in[nbr_idx] = self._sum_joining_w_out(
                     vertex, node_idx, nbr_idx, edge
                 )
-        if self.tuple_weight is None:
+        if weight is None:
             vertex.ids.append(tid)
         else:
-            vertex.append_weighted(tid, self._weight_of(node_idx, row))
+            vertex.append_weighted(tid, weight)
         old_w_out = dict(vertex.w_out)
         self._recompute_weights(vertex)
         if created:
@@ -270,59 +273,14 @@ class WeightedJoinGraph:
           views select exactly the results the serial path would have.
 
         The caller must not interleave deletions or other-node
-        insertions into a batch; the engines flush runs at every alias
-        change and deletion for exactly this reason.
+        insertions into a batch; the engines cut their runs at every
+        change of plan node and at every deletion for exactly this
+        reason.  On a weighted graph a refused tuple weight refuses the
+        whole batch before anything changed.
         """
-        node = self.plan.nodes[node_idx]
-        hash_index = self.hash_indexes[node_idx]
-        neighbors = self._neighbors[node_idx]
-        # phase 1: append every tuple, recording first-touch state
-        touched: List[Vertex] = []           # first-touch order
-        first_w_out: Dict[int, Dict[int, int]] = {}
-        was_created: Dict[int, bool] = {}
-        placements: List[Tuple[Vertex, int]] = []  # (vertex, id_index)
-        for tid, row in entries:
-            key = node.vertex_key_of(row)
-            vertex, created = hash_index.get_or_create(
-                key, lambda: Vertex(node_idx, key)
-            )
-            if created:
-                self.stats.vertex_creations += 1
-                for nbr_idx, edge in neighbors:
-                    vertex.W_in[nbr_idx] = self._sum_joining_w_out(
-                        vertex, node_idx, nbr_idx, edge
-                    )
-            if id(vertex) not in first_w_out:
-                touched.append(vertex)
-                first_w_out[id(vertex)] = dict(vertex.w_out)
-                was_created[id(vertex)] = created
-            if self.tuple_weight is None:
-                vertex.ids.append(tid)
-            else:
-                vertex.append_weighted(tid, self._weight_of(node_idx, row))
-            placements.append((vertex, len(vertex.ids) - 1))
-        # phase 2: one recompute per touched vertex; new vertices link in
-        # creation order (tie allocation!), existing ones re-aggregate in
-        # one bulk update per index
-        refreshed: List[Vertex] = []
-        for vertex in touched:
-            self._recompute_weights(vertex)
-            if was_created[id(vertex)]:
-                self._link_vertex(vertex)
-            else:
-                refreshed.append(vertex)
-        if refreshed:
-            for spec in self.plan.node_indexes[node_idx]:
-                self.trees[spec.index_id].update_many(
-                    [vertex.nodes[spec.index_id] for vertex in refreshed]
-                )
-                self.stats.index_refreshes += len(refreshed)
-        # phase 3: one propagation per direction with coalesced deltas
-        self._propagate_run(
-            node_idx,
-            [(vertex, first_w_out[id(vertex)]) for vertex in touched])
-        # phase 4: per-entry view placements from the final aggregates
-        # (one bulk prefix query over the shared designated index)
+        touched, placements = self._insert_batch(node_idx, entries)
+        # per-entry view placements from the final aggregates (one bulk
+        # prefix query over the shared designated index)
         spec = self.plan.designated_index[node_idx]
         sums = self.trees[spec.index_id].prefix_many(
             spec.slot_of("w_full"),
@@ -353,6 +311,65 @@ class WeightedJoinGraph:
                 vertex, (cum[id_index] - before) * unit, view_start
             ))
         return outcomes
+
+    def _insert_batch(self, node_idx: int,
+                     entries: Sequence[Tuple[int, Sequence[object]]]
+                     ) -> Tuple[List[Vertex], List[Tuple[Vertex, int]]]:
+        """The graph half of :meth:`insert_tuples` — append, recompute,
+        propagate — without the view placements nobody reads on a
+        restore.  Returns the touched vertices in first-touch order and
+        each entry's ``(vertex, id_index)``."""
+        node = self.plan.nodes[node_idx]
+        hash_index = self.hash_indexes[node_idx]
+        neighbors = self._neighbors[node_idx]
+        weights = (None if self.tuple_weight is None else
+                   [self.weight_of(node_idx, row) for _, row in entries])
+        # phase 1: append every tuple, recording first-touch state
+        touched: List[Vertex] = []           # first-touch order
+        first_w_out: Dict[int, Dict[int, int]] = {}
+        was_created: Dict[int, bool] = {}
+        placements: List[Tuple[Vertex, int]] = []  # (vertex, id_index)
+        for position, (tid, row) in enumerate(entries):
+            key = node.vertex_key_of(row)
+            vertex, created = hash_index.get_or_create(
+                key, lambda: Vertex(node_idx, key)
+            )
+            if created:
+                self.stats.vertex_creations += 1
+                for nbr_idx, edge in neighbors:
+                    vertex.W_in[nbr_idx] = self._sum_joining_w_out(
+                        vertex, node_idx, nbr_idx, edge
+                    )
+            if id(vertex) not in first_w_out:
+                touched.append(vertex)
+                first_w_out[id(vertex)] = dict(vertex.w_out)
+                was_created[id(vertex)] = created
+            if weights is None:
+                vertex.ids.append(tid)
+            else:
+                vertex.append_weighted(tid, weights[position])
+            placements.append((vertex, len(vertex.ids) - 1))
+        # phase 2: one recompute per touched vertex; new vertices link in
+        # creation order (tie allocation!), existing ones re-aggregate in
+        # one bulk update per index
+        refreshed: List[Vertex] = []
+        for vertex in touched:
+            self._recompute_weights(vertex)
+            if was_created[id(vertex)]:
+                self._link_vertex(vertex)
+            else:
+                refreshed.append(vertex)
+        if refreshed:
+            for spec in self.plan.node_indexes[node_idx]:
+                self.trees[spec.index_id].update_many(
+                    [vertex.nodes[spec.index_id] for vertex in refreshed]
+                )
+                self.stats.index_refreshes += len(refreshed)
+        # phase 3: one propagation per direction with coalesced deltas
+        self._propagate_run(
+            node_idx,
+            [(vertex, first_w_out[id(vertex)]) for vertex in touched])
+        return touched, placements
 
     # ------------------------------------------------------------------
     # deletion (reverse of Algorithm 1)
@@ -385,8 +402,10 @@ class WeightedJoinGraph:
         tree = self.tree_for_edge(nbr_idx, node_idx)
         return tree.range_sum(self.w_out_slot(nbr_idx, node_idx), rng)
 
-    def _weight_of(self, node_idx: int, row: Sequence) -> int:
-        """Resolve and validate one tuple's sampling weight."""
+    def weight_of(self, node_idx: int, row: Sequence) -> int:
+        """Resolve and validate one tuple's sampling weight (weighted
+        graphs only): a :class:`SynopsisError` unless it is a positive
+        integer."""
         weight = self.tuple_weight(node_idx, row)
         if isinstance(weight, bool) or not isinstance(weight, int) \
                 or weight <= 0:
@@ -628,16 +647,24 @@ class WeightedJoinGraph:
 
         ``row_of(node_idx, tid)`` resolves a node tuple's row from the
         (already restored) heap storage.  The graph must be empty.
+
+        A restore is the static case: each plan node is loaded as one
+        batch — its vertices in creation order, their IDs in arrival
+        order — so every vertex is recomputed and linked once and each
+        direction hears once per node, with the same tie allocation and
+        the same exact weights per-tuple insertion arrives at.
         """
         if any(len(hi) for hi in self.hash_indexes):
             raise TupleNotFoundError(
                 "load_state requires an empty join graph"
             )
         for node_idx, vertices in enumerate(state["nodes"]):
+            self._insert_batch(node_idx, [
+                (tid, row_of(node_idx, tid))
+                for _, ids in vertices for tid in ids
+            ])
             hash_index = self.hash_indexes[node_idx]
             for key, ids in vertices:
-                for tid in ids:
-                    self.insert_tuple(node_idx, tid, row_of(node_idx, tid))
                 vertex = hash_index.get(tuple(key))
                 if vertex is None or vertex.ids != list(ids):
                     raise TupleNotFoundError(

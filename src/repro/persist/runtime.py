@@ -28,6 +28,7 @@ lost*, not exactly-once for unacknowledged calls.
 from __future__ import annotations
 
 import os
+import time
 from contextlib import nullcontext
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -63,6 +64,15 @@ SNAPSHOT_SUBDIR = "snapshots"
 
 #: fields of a ``register`` WAL record, after the kind tag
 _REGISTER_FIELDS = ("name", "sql", "spec", "engine", "seed")
+
+#: recovery merges consecutive ``apply`` records into one
+#: ``manager.apply_batch`` until the batch holds this many ops (records
+#: are never split: the record that reaches the mark closes the batch).
+#: A constant, not an option — the sweep that picked it is in
+#: ``benchmarks/baselines/INDEX.md`` (PR 20): a log of one-op records
+#: replays ~3x faster merged, and nothing is gained past a thousand ops
+#: while the merged op list grows with the mark.
+REPLAY_BATCH_OPS = 1024
 
 
 def has_state(directory: str) -> bool:
@@ -139,6 +149,10 @@ class PersistentManager:
         self.replayed_ops = 0
         self.replay_failures = 0
         self.recoveries = 0
+        # the recovery split: snapshot -> live manager, then the WAL tail
+        self.restore_seconds = 0.0
+        self.replay_seconds = 0.0
+        self.replay_batches = 0
         if not _recovered:
             if self.snapshots.load_latest() is not None:
                 raise PersistError(
@@ -284,6 +298,9 @@ class PersistentManager:
             "recoveries": self.recoveries,
             "replayed_ops": self.replayed_ops,
             "replay_failures": self.replay_failures,
+            "replay_batches": self.replay_batches,
+            "recovery_restore_s": self.restore_seconds,
+            "recovery_replay_s": self.replay_seconds,
         }
 
     def _publish_metrics(self) -> None:
@@ -325,6 +342,7 @@ class PersistentManager:
         obs = as_registry(obs)
         with (obs.timer(metric_names.PERSIST_RECOVERY_NS) if obs.enabled
               else nullcontext()):
+            started = time.perf_counter()
             loaded = SnapshotStore(
                 os.path.join(directory, SNAPSHOT_SUBDIR), retain=retain,
             ).load_latest()
@@ -343,12 +361,29 @@ class PersistentManager:
                        sync_hook=sync_hook, obs=obs, tracer=tracer,
                        _recovered=True)
             self.recoveries += 1
+            restored = time.perf_counter()
+            self.restore_seconds = restored - started
             self._replay_tail(from_lsn=header["wal_lsn"])
+            self.replay_seconds = time.perf_counter() - restored
         self._publish_metrics()
         return self
 
     def _replay_tail(self, from_lsn: int) -> None:
+        """Replay the log from ``from_lsn``: consecutive ``apply``
+        records merged into batches of :data:`REPLAY_BATCH_OPS` ops,
+        every other record on its own, in log order."""
+        records: List[list] = []    # op lists of consecutive applies
+        held = 0
         for _, entry in self.wal.replay(from_lsn=from_lsn):
+            if entry[0] == "apply":
+                records.append(entry[1])
+                held += len(entry[1])
+                if held >= REPLAY_BATCH_OPS:
+                    self._replay_applies(records)
+                    records, held = [], 0
+                continue
+            self._replay_applies(records)
+            records, held = [], 0
             try:
                 self.replayed_ops += replay_manager_entry(
                     self.manager, entry)
@@ -361,3 +396,33 @@ class PersistentManager:
                 # an entry that fails now also failed (without mutating
                 # state) in the original run — it was logged before apply
                 self.replay_failures += 1
+        self._replay_applies(records)
+
+    def _replay_applies(self, records: List[list]) -> None:
+        """Apply the op lists of consecutive ``apply`` records as one
+        batch — serial ≡ batched for every batch size is what makes the
+        merge exact — and account for them record by record.
+
+        A batch that fails stopped where per-op application stops, at
+        an op the same record failed on in the original run (it was
+        logged before it was applied): that record is the failure, what
+        it applied before the op stays applied, the rest of it is lost,
+        and the records after it are replayed as a batch of their own.
+        """
+        while records:
+            ops = [op for record in records for op in record]
+            self.replay_batches += 1
+            try:
+                self.manager.apply_batch(ops)
+            except ReproError as exc:
+                done = 0
+                for failed, record in enumerate(records):
+                    if done + len(record) > exc.ops_applied:
+                        break
+                    done += len(record)
+                self.replayed_ops += done
+                self.replay_failures += 1
+                records = records[failed + 1:]
+            else:
+                self.replayed_ops += len(ops)
+                return

@@ -188,10 +188,11 @@ def restore_maintainer(db: Database, state: dict,
     """Rebuild a maintainer over an already-restored database.
 
     The constructor builds an *empty* engine (no backfill); the graph is
-    then replayed vertex by vertex in original creation order — the
-    aggregate trees break ties between equal keys by insertion order, so
-    the rebuilt indexes rank join results identically and the restored
-    RNG state yields a bit-identical future sample stream.
+    then loaded one plan node at a time, each as a single batch of its
+    vertices in original creation order — the aggregate trees break ties
+    between equal keys by insertion order, so the rebuilt indexes rank
+    join results identically and the restored RNG state yields a
+    bit-identical future sample stream.
     """
     _check_version(state)
     maintainer = JoinSynopsisMaintainer(

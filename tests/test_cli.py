@@ -179,11 +179,19 @@ class TestCheckpointRestore:
         assert body["algorithm"] == "sjoin-opt"
         assert body["persist"]["recoveries"] == 1
         assert body["persist"]["replay_failures"] == 0
+        # restart is slow: is it the snapshot or the tail?
+        assert body["persist"]["recovery_restore_s"] > 0
+        assert body["persist"]["recovery_replay_s"] >= 0
+        assert body["persist"]["replay_batches"] == 0  # checkpointed last
         assert list(body["queries"]) == ["QY"]
         assert body["total_results"] == \
             body["queries"]["QY"]["total_results"] > 0
         assert main(["restore", "--dir", directory]) == 0
-        assert "algorithm          sjoin-opt" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "algorithm          sjoin-opt" in out
+        for key in ("recovery_restore_s", "recovery_replay_s",
+                    "replay_batches"):
+            assert f"  {key} " in out
 
 
 class TestObservabilityCli:

@@ -186,6 +186,43 @@ class TestWorkloadTools:
         assert rec.deleted == [0, 1]
         assert player.live_count("a") == 2
 
+    def test_player_hands_an_engine_the_oldest_as_one_delete_run(self):
+        """``DeleteOldest(n)`` is one ``delete_batch`` where the engine
+        has one, and the synopsis is that of n lone deletes."""
+        from repro import JoinSynopsisMaintainer, MaintainerConfig, \
+            SynopsisSpec
+
+        cfg = LinearRoadConfig.tiny()
+
+        def play(per_tid):
+            setup = setup_qb(30, cfg, seed=2)
+            engine = JoinSynopsisMaintainer(
+                setup.db, setup.sql, MaintainerConfig(
+                    spec=SynopsisSpec.fixed_size(10), engine="sjoin",
+                    seed=3)).engine
+            runs = []
+            if per_tid:
+                class PerTid:       # what a player sees without the method
+                    insert, delete = engine.insert, engine.delete
+                driven = PerTid()
+            else:
+                delete_batch = engine.delete_batch
+                engine.delete_batch = lambda alias, tids: (
+                    runs.append(len(tids)), delete_batch(alias, tids))
+                driven = engine
+            assert StreamPlayer(driven).run(setup.events) == \
+                count_operations(setup.events)
+            return engine, runs
+
+        batched, runs = play(per_tid=False)
+        serial, _ = play(per_tid=True)
+        assert runs and set(runs) == {cfg.cars_per_lane}
+        assert batched.raw_samples() == serial.raw_samples()
+        assert batched.total_results() == serial.total_results() > 0
+        assert batched.rng.getstate() == serial.rng.getstate()
+        assert batched.graph.stats.vertices_visited < \
+            serial.graph.stats.vertices_visited
+
     def test_player_skips_filtered_inserts(self):
         class Rejecting:
             def insert(self, alias, row):

@@ -171,6 +171,83 @@ class TestFanOut:
         manager.insert("fact", (0, 99))
         assert manager.total_results("fk") == exact + 1
 
+    @pytest.mark.parametrize("engine", ["sjoin-opt", "sjoin", "sj"])
+    def test_backfill_is_one_run_bit_identical_to_per_tuple(self, engine):
+        """``register`` hands each alias's stored tuples to the engine as
+        a run (members, then direct nodes, then anchors); the synopsis,
+        ``J`` and the RNG are those of one ``notify_insert`` per stored
+        tuple, the loop it replaces."""
+        from repro import ForeignKey, JoinSynopsisMaintainer
+
+        sql = ("SELECT * FROM fact, dim, other WHERE fact.f_dim = dim.d_id "
+               "AND |dim.band - other.band| <= 1 AND dim.band < 3")
+
+        def populated():
+            db = Database()
+            db.create_table(TableSchema(
+                "dim", [Column("d_id"), Column("band")],
+                primary_key=("d_id",)))
+            db.create_table(TableSchema(
+                "fact", [Column("f_dim"), Column("v")],
+                foreign_keys=(ForeignKey(("f_dim",), "dim", ("d_id",)),)))
+            db.create_table(TableSchema("other", [Column("band")]))
+            rng = random.Random(6)
+            for d in range(8):
+                db.insert("dim", (d, rng.randrange(4)))
+            for i in range(60):
+                db.insert("fact", (rng.randrange(8), i))
+            for _ in range(12):
+                db.insert("other", (rng.randrange(4),))
+            db.delete("fact", 3)
+            db.delete("other", 0)
+            return db
+
+        config = MaintainerConfig(spec=SynopsisSpec.fixed_size(7),
+                                  engine=engine, seed=5)
+        db = populated()
+        per_tuple = JoinSynopsisMaintainer(db, sql, config)
+        # member, direct, anchor under the FK collapse; FROM order without
+        order = (("dim", "other", "fact") if engine == "sjoin-opt"
+                 else ("fact", "dim", "other"))
+        for table in order:
+            for tid, row in db.table(table).scan():
+                per_tuple.engine.notify_insert(table, tid, row)
+        assert per_tuple.total_results() > 7 * 4
+        manager = SynopsisManager(populated(), MaintainerConfig(seed=0))
+        backfilled = manager.register("fk", sql, config)
+        assert backfilled.total_results() == per_tuple.total_results()
+        assert backfilled.engine.raw_samples() == \
+            per_tuple.engine.raw_samples()
+        assert backfilled.engine.rng.getstate() == \
+            per_tuple.engine.rng.getstate()
+        assert backfilled.engine.stats == per_tuple.engine.stats
+        if engine != "sj":
+            # fewer, larger graph batches: that is what the run is for
+            assert backfilled.engine.graph.stats.weight_recomputes * 3 < \
+                per_tuple.engine.graph.stats.weight_recomputes
+
+    def test_backfill_failure_names_query_alias_and_table(self):
+        from repro import ForeignKey
+
+        db = Database()
+        db.create_table(TableSchema(
+            "dim", [Column("d_id")], primary_key=("d_id",)))
+        db.create_table(TableSchema(
+            "fact", [Column("f_dim")],
+            foreign_keys=(ForeignKey(("f_dim",), "dim", ("d_id",)),)))
+        db.insert("dim", (1,))
+        db.insert("fact", (1,))
+        db.insert("fact", (2,))                     # no such parent
+        manager = SynopsisManager(db, MaintainerConfig(seed=0))
+        with pytest.raises(
+                SynopsisError,
+                match=r"registered query 'fk' \(algorithm 'sjoin-opt'\) "
+                      r"failed during backfill of alias 'fact' from table "
+                      r"'fact': foreign key"):
+            manager.register(
+                "fk", "SELECT * FROM fact, dim WHERE fact.f_dim = dim.d_id")
+        assert manager.names() == []
+
     def test_late_registration_sees_everything(self):
         db = make_db()
         manager = SynopsisManager(db, MaintainerConfig(seed=0))

@@ -391,3 +391,86 @@ class TestDeleteRunsAreObservedPerRun:
         # several aliases of one table: per row and per alias, as before
         assert stats.queries["self"].metrics[
             "engine.delete_ns"]["count"] == 4 * 2
+
+
+class TestInsertRunsAreObservedPerRun:
+    """Consecutive inserts are one run whatever their tables; the same
+    code runs with observability on or off, and the run's time goes to
+    the tables it touched by their share of the rows."""
+
+    def fk_manager(self, obs=None):
+        from repro import ForeignKey
+
+        db = Database()
+        db.create_table(TableSchema(
+            "dim", [Column("d_id"), Column("band")], primary_key=("d_id",)))
+        db.create_table(TableSchema(
+            "fact", [Column("f_dim"), Column("v")],
+            foreign_keys=(ForeignKey(("f_dim",), "dim", ("d_id",)),)))
+        db.create_table(TableSchema("other", [Column("band")]))
+        manager = SynopsisManager(db, MaintainerConfig(seed=1, obs=obs))
+        manager.register(
+            "fk", "SELECT * FROM fact, dim, other "
+                  "WHERE fact.f_dim = dim.d_id AND dim.band = other.band",
+            MaintainerConfig(spec=SynopsisSpec.fixed_size(20)))
+        manager.register(
+            "pairs", "SELECT * FROM other AS o1, other AS o2 "
+                     "WHERE o1.band = o2.band",
+            MaintainerConfig(spec=SynopsisSpec.fixed_size(20)))
+        return manager
+
+    #: 6 dims, 3 others, then facts with a new dim after every third
+    RUN = ([InsertOp("dim", (d, d % 2)) for d in range(6)]
+           + [InsertOp("other", (b % 2,)) for b in range(3)]
+           + [op for i in range(12) for op in
+              [InsertOp("fact", (i % 6, i))]
+              + ([InsertOp("dim", (6 + i, 0))] if i % 3 == 2 else [])])
+
+    def test_manager_time_by_row_share_and_fanout_per_row_and_alias(self):
+        clock = FakeClock()
+        obs = MetricsRegistry(clock=clock)
+        manager = self.fk_manager(obs)
+        # the run takes 2500 ticks: advance the clock at its last row
+        last_row = manager.db.table("fact").insert
+
+        def insert(row):
+            if row == (5, 11):
+                clock.now += 2500
+            return last_row(row)
+
+        manager.db.table("fact").insert = insert
+        manager.apply_batch(self.RUN)
+        metrics = manager.stats().metrics
+        rows = {"dim": 10, "other": 3, "fact": 12}
+        for table, count in rows.items():
+            hist = metrics[f"manager.{table}.insert_ns"]
+            assert hist["count"] == 1
+            assert hist["sum"] == 2500 * count // 25
+        # fk hears every row once; pairs hears ``other`` under two aliases
+        assert metrics["manager.dim.fanout"]["value"] == 10
+        assert metrics["manager.fact.fanout"]["value"] == 12
+        assert metrics["manager.other.fanout"]["value"] == 3 * 3
+
+    def test_members_never_cut_an_engine_segment(self):
+        manager = self.fk_manager(MetricsRegistry())
+        manager.apply_batch(self.RUN)
+        stats = manager.stats()
+        fk = stats.queries["fk"].metrics
+        # dims open a segment, ``other`` cuts it, the facts cut again and
+        # the four dims arriving among them ride along: three segments
+        assert fk["engine.insert_ns"]["count"] == 3
+        assert fk["engine.insert.graph_ns"]["count"] == 2
+        assert fk["inserts"] == 25
+        # o1, o2, o1, o2, ...: one table under two aliases cuts per row
+        assert stats.queries["pairs"].metrics[
+            "engine.insert_ns"]["count"] == 6
+
+    def test_obs_does_not_change_what_a_run_does(self):
+        plain, observed = self.fk_manager(), self.fk_manager(
+            MetricsRegistry())
+        for manager in (plain, observed):
+            manager.apply_batch(self.RUN)
+        for name in ("fk", "pairs"):
+            assert observed.synopsis(name) == plain.synopsis(name)
+            assert observed.maintainer(name).engine.rng.getstate() == \
+                plain.maintainer(name).engine.rng.getstate()

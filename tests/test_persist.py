@@ -345,6 +345,12 @@ class TestPersistentMaintainer:
         assert recovered.replayed_ops == 40
         assert recovered.total_results("q") == expected[0]
         assert recovered.synopsis("q") == expected[1]
+        # the recovery split: 40 one-op records went in as one batch
+        split = recovered.persist_metrics()
+        assert split["replay_batches"] == 1
+        assert split["recovery_restore_s"] > 0
+        assert split["recovery_replay_s"] > 0
+        assert pm.persist_metrics()["replay_batches"] == 0
 
     def test_fresh_wrapper_over_existing_state_is_rejected(self,
                                                            tmp_path):

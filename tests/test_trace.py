@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro import Database, DeleteOp, JoinSynopsisMaintainer, \
+from repro import Database, DeleteOp, InsertOp, JoinSynopsisMaintainer, \
     MaintainerConfig, SynopsisSpec
 from repro.errors import InvalidArgumentError
 from repro.obs import NULL_TRACER, MetricsRegistry, NullTracer, Tracer, \
@@ -223,6 +223,21 @@ class TestEngineSpans:
             assert set(event.phases) == {"graph_ns", "replenish_ns"}
             assert sum(event.phases.values()) <= event.duration_ns
             assert event.extra["removed_results"] > 0
+
+    def test_one_insert_span_per_segment_of_a_run(self, engine):
+        tracer = Tracer(capacity=4096)
+        maintainer = self.drive(tracer, engine, n=8)
+        seen = len(tracer.events())
+        # one run, cut where the alias changes: three spans
+        maintainer.apply_batch(
+            [InsertOp("r", (i % 4, 100 + i)) for i in range(5)]
+            + [InsertOp("s", (i % 4, 100 + i)) for i in range(3)]
+            + [InsertOp("r", (1, 200))])
+        spans = tracer.events()[seen:]
+        assert [(e.kind, e.target, e.batch) for e in spans] == [
+            ("insert", "r", 5), ("insert", "s", 3), ("insert", "r", 1)]
+        for event in spans:
+            assert sum(event.phases.values()) <= event.duration_ns
 
     def test_tracing_does_not_change_results(self, engine):
         traced = self.drive(Tracer(capacity=64), engine)
