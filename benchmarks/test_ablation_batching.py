@@ -1,7 +1,7 @@
-"""Ablations of the two batching layers.
+"""Micro-batch ablation (Fig. 11 ingest).
 
-**Micro-batch ablation (Fig. 11 ingest).**  The batch-first hot path
-coalesces a micro-batch's consecutive inserts into per-alias runs:
+The batch-first hot path coalesces a micro-batch's consecutive inserts
+into per-alias runs:
 weight deltas propagate once per (vertex, direction), hash-only member
 registrations are hoisted so anchor runs stay contiguous, and sampling
 consumes merged delta views.  This ablation replays the QY insert
@@ -11,44 +11,24 @@ batch size, and batch sizes >= 16 ingest at >= 2x the serial (batch=1)
 throughput.  The measured curve exports to ``BENCH_batching.json``
 (override with ``$REPRO_BENCH_BATCH_EXPORT``); CI's batching gate
 compares it against the committed baseline in ``benchmarks/baselines/``.
-
-**Algorithm-1 sweep ablation.**  The paper's Algorithm 1 batches
-per-direction weight deltas into ordered maps and applies them with a
-merge pass so each reachable vertex is updated once; without it,
-overlapping band-join ranges are rescanned per source key — O(d^2)
-instead of ~O(d) work per update on QB-style chains.  This ablation
-runs the same Linear Road workload with the sweep enabled and disabled
-and compares both throughput and vertices visited.
 """
 
 import json
 import os
 import time
 
-import pytest
-
 from conftest import (
     DEFAULT_SYNOPSIS,
     FIG_SCALE,
     as_benchmark_report,
-    effective_throughput,
     results,
 )
-from repro.bench.harness import run_stream
 from repro.bench.reporting import format_table
-from repro.core import SJoinEngine, SynopsisSpec
+from repro.core import SynopsisSpec
 from repro.core.config import MaintainerConfig
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.stats_api import InsertOp
-from repro.datagen.linear_road import LinearRoadConfig, setup_qb
 from repro.datagen.tpcds import setup_query
-from repro.query.parser import parse_query
-
-CONFIG = LinearRoadConfig(
-    lanes=3, cars_per_lane=60, ticks=10, road_length=1500, max_speed=40,
-)
-D = 200
-MODES = (("batched", True), ("unbatched", False))
 
 BATCH_SIZES = (1, 4, 16, 64, 256)
 #: paired measurement rounds: each round times *every* batch size, and
@@ -147,53 +127,5 @@ def test_micro_batch_report_and_export(benchmark, results):
                 f"serial; the batch-first path promises >= "
                 f"{BATCH_SPEEDUP_FLOOR}x from batch {BATCH_SPEEDUP_AT}"
             )
-
-    as_benchmark_report(benchmark, report)
-
-
-@pytest.mark.parametrize("mode,batch", MODES, ids=[m for m, _ in MODES])
-def test_ablation_batching_cell(benchmark, results, mode, batch):
-    def run_cell():
-        setup = setup_qb(D, CONFIG, seed=0)
-        query = parse_query(setup.sql, setup.db)
-        engine = SJoinEngine(setup.db, query, SynopsisSpec.fixed_size(200),
-                             seed=1, batch_updates=batch)
-        run = run_stream(engine, setup.events, workload=setup.name,
-                         checkpoint_every=500, time_budget=25.0)
-        return run, engine.graph.stats.vertices_visited
-
-    run, visited = benchmark.pedantic(run_cell, rounds=1, iterations=1)
-    benchmark.extra_info["vertices_visited"] = visited
-    results[mode] = (run, visited)
-
-
-def test_ablation_batching_report(benchmark, results):
-    def report():
-        batched_run, batched_visits = results["batched"]
-        plain_run, plain_visits = results["unbatched"]
-        print()
-        print(format_table(
-            ("mode", "ops/s", "progress", "vertex updates"),
-            [
-                ("batched", f"{effective_throughput(batched_run):.0f}",
-                 f"{100 * batched_run.progress:.0f}%",
-                 batched_visits),
-                ("unbatched", f"{effective_throughput(plain_run):.0f}",
-                 f"{100 * plain_run.progress:.0f}%",
-                 plain_visits),
-            ],
-            title="Ablation: Algorithm 1 delta batching (QB, d=200)",
-        ))
-        # both modes are exact — same selections, same vertex-update
-        # *counts* (each vertex coalesces to one update either way); the
-        # unbatched mode pays for redundant range scans, so it must be
-        # slower per completed operation
-        assert batched_visits <= plain_visits
-        per_op_batched = batched_run.elapsed / max(batched_run.operations, 1)
-        per_op_plain = plain_run.elapsed / max(plain_run.operations, 1)
-        assert per_op_plain > 1.15 * per_op_batched, (
-            f"batching should pay off: {per_op_plain:.6f}s vs "
-            f"{per_op_batched:.6f}s per op"
-        )
 
     as_benchmark_report(benchmark, report)

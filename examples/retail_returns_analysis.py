@@ -17,11 +17,12 @@ demotes it to a residual filter applied on top of the synopsis (§4.1,
 Run:  python examples/retail_returns_analysis.py
 """
 
+from bisect import bisect_left
+from statistics import quantiles
+
 from repro import (JoinExecutor, JoinSynopsisMaintainer,
                    MaintainerConfig, SynopsisSpec)
 from repro.analytics.estimators import estimate_count
-from repro.analytics.histogram import EquiDepthHistogram, \
-    histogram_deviation
 from repro.datagen.tpcds import TpcdsScale, setup_query
 from repro.datagen.workload import StreamPlayer
 
@@ -72,15 +73,19 @@ def main() -> None:
     exact_results = JoinExecutor(db, query).results()
     exact_days = [days_between(db, query, r) for r in exact_results]
     sample_days = [days_between(db, query, r) for r in synopsis]
-    hist = EquiDepthHistogram.from_sample(sample_days, buckets=6)
-    deviation = histogram_deviation(hist, exact_days)
+    buckets = 6
+    boundaries = quantiles(sample_days, n=buckets, method="inclusive")
     print("\nequi-depth histogram of days(catalog purchase - store sale)")
-    print(f"  boundaries from the synopsis: {hist.boundaries}")
-    counts = hist.bucket_counts(exact_days)
-    ideal = len(exact_days) / hist.buckets
+    print(f"  boundaries from the synopsis: {boundaries}")
+    # how evenly the synopsis' cut points split the *exact* join
+    counts = [0] * buckets
+    for days in exact_days:
+        counts[bisect_left(boundaries, days)] += 1
+    ideal = len(exact_days) / buckets
     for b, count in enumerate(counts):
         bar = "#" * int(40 * count / max(counts))
         print(f"  bucket {b}: {count:>6} (ideal {ideal:,.0f}) {bar}")
+    deviation = max(abs(c - ideal) for c in counts) / len(exact_days)
     print(f"  max deviation from equi-depth: {100 * deviation:.2f}% of N")
 
     # ---- aggregate estimation off the synopsis -----------------------

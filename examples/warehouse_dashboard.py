@@ -4,8 +4,8 @@ maintained simultaneously over one shared update stream.
 This is the paper's deployment setting (abstract / §1): the warehouse
 registers a join synopsis per monitored query; every base-table update is
 stored once and fans out to all affected synopses.  The dashboard refresh
-reads each synopsis in O(1) and runs group-by estimation on top —
-no join is ever computed.
+asks the served AQP path (``QueryRegistry`` → ``RegisteredQuery.estimate``)
+for grouped estimates over each synopsis — no join is ever computed.
 
 Run:  python examples/warehouse_dashboard.py
 """
@@ -17,11 +17,11 @@ from repro import (
     Database,
     ForeignKey,
     MaintainerConfig,
+    QueryRegistry,
     SynopsisManager,
     SynopsisSpec,
     TableSchema,
 )
-from repro.analytics.groupby import top_k_groups
 
 REGIONS = ["north", "south", "east", "west"]
 
@@ -89,35 +89,30 @@ def main() -> None:
             )
 
     # ---- dashboard refresh -------------------------------------------
+    registry = QueryRegistry(manager)
+
     print("=== sales by region (estimated from the synopsis) ===")
-    j = manager.total_results("sales_by_region")
-    synopsis = manager.synopsis("sales_by_region")
-    print(f"J = {j:,}, synopsis = {len(synopsis)} samples")
-
-    def region_of(result):
-        store_row = db.table("stores").get(result[1])
-        return REGIONS[store_row[1]]
-
-    def amount_of(result):
-        return db.table("sales").get(result[0])[2]
-
-    for group in top_k_groups(synopsis, j, region_of, k=4,
-                              value_of=amount_of):
-        lo, hi = group.count.interval()
-        print(f"  {group.key:<6} ~{group.count.value:8,.0f} sales "
+    by_region = registry.get("sales_by_region")
+    counts = by_region.estimate("count", group_by="stores.region_id")
+    revenue = by_region.estimate("sum", column="sales.amount",
+                                 group_by="stores.region_id")
+    print(f"J = {counts['total_results']:,}, "
+          f"synopsis = {counts['sample_size']} samples")
+    revenue_of = {g["key"]: g["value"] for g in revenue["groups"]}
+    # groups arrive heaviest first
+    for group in counts["groups"][:4]:
+        lo, hi = group["ci"]
+        print(f"  {REGIONS[group['key']]:<6} ~{group['value']:8,.0f} sales "
               f"(95% CI [{lo:,.0f}, {hi:,.0f}])  "
-              f"revenue ~{group.total.value:10,.0f}")
+              f"revenue ~{revenue_of[group['key']]:10,.0f}")
 
     print("\n=== items with shipments AND complaints ===")
-    j2 = manager.total_results("problem_items")
-    synopsis2 = manager.synopsis("problem_items")
-    print(f"J = {j2:,}, synopsis = {len(synopsis2)} samples")
-
-    def item_of(result):
-        return db.table("sales").get(result[0])[1]
-
-    for group in top_k_groups(synopsis2, j2, item_of, k=5):
-        print(f"  item {group.key:<3} ~{group.count.value:10,.0f} "
+    items = registry.get("problem_items").estimate(
+        "count", group_by="sales.item_id")
+    print(f"J = {items['total_results']:,}, "
+          f"synopsis = {items['sample_size']} samples")
+    for group in items["groups"][:5]:
+        print(f"  item {group['key']:<3} ~{group['value']:10,.0f} "
               f"linked (sale, shipment, complaint) events")
 
 

@@ -78,7 +78,6 @@ from repro.core import (
     SerializedManager,
     SJoinEngine,
     SlidingWindowMaintainer,
-    StaticJoinSampler,
     SubsetSynopsis,
     SymmetricJoinEngine,
     SynopsisManager,
@@ -89,7 +88,6 @@ from repro.core import (
     WeightedFixedSize,
     WeightedWithReplacement,
     family_of_kind,
-    register_synopsis_kind,
 )
 from repro.aqp import (
     AGGREGATES,
@@ -118,7 +116,7 @@ from repro.errors import (
     TupleNotFoundError,
 )
 from repro.obs import MetricsRegistry, NullRegistry
-from repro.sampling import WalkerAlias, WeightedReservoirSampler
+from repro.sampling import WalkerAlias
 from repro.query import (
     BandPredicate,
     ComparisonOp,
@@ -144,7 +142,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # catalog
@@ -157,10 +155,10 @@ __all__ = [
     "SynopsisSpec", "FixedSizeWithoutReplacement",
     "FixedSizeWithReplacement", "BernoulliSynopsis",
     "WeightedFixedSize", "WeightedWithReplacement", "SubsetSynopsis",
-    "SYNOPSIS_FAMILIES", "family_of_kind", "register_synopsis_kind",
+    "SYNOPSIS_FAMILIES", "family_of_kind",
     "SJoinEngine", "SymmetricJoinEngine", "JoinSynopsisMaintainer",
     "SynopsisManager", "SynopsisTarget", "SerializedManager",
-    "StaticJoinSampler", "SlidingWindowMaintainer",
+    "SlidingWindowMaintainer",
     # configuration
     "MaintainerConfig", "ENGINES",
     # stats / batch-update API ("UpdateOp", the Insert|Delete union alias,
@@ -176,7 +174,7 @@ __all__ = [
     "WalShipper", "FollowerService", "ReplicationTransport",
     "DirectoryTransport",
     # sampling primitives
-    "WalkerAlias", "WeightedReservoirSampler",
+    "WalkerAlias",
     # observability
     "MetricsRegistry", "NullRegistry",
     # errors

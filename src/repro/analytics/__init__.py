@@ -1,17 +1,12 @@
 """Synopsis consumers: the downstream tasks the paper motivates (§1-§3).
 
 A join synopsis is a uniform, independent sample of the join result, so it
-feeds any estimator that expects i.i.d. input: equi-depth histograms with
-the classic Chaudhuri-Motwani-Narasayya deviation guarantee, and unbiased
-aggregate estimation scaled by the exactly-known join cardinality ``J``
-(which the weighted join graph maintains for free).
+feeds any estimator that expects i.i.d. input: unbiased aggregate
+estimation scaled by the exactly-known join cardinality ``J`` (which the
+weighted join graph maintains for free).  GROUP BY is answered by the
+served path, :meth:`repro.aqp.RegisteredQuery.estimate` with ``group_by``.
 """
 
-from repro.analytics.histogram import (
-    EquiDepthHistogram,
-    histogram_deviation,
-    sample_size_for_histogram,
-)
 from repro.analytics.estimators import (
     Estimate,
     estimate_avg,
@@ -22,17 +17,8 @@ from repro.analytics.estimators import (
     ratio_estimate,
     zscore,
 )
-from repro.analytics.groupby import (
-    GroupEstimate,
-    estimate_groups,
-    estimate_quantile,
-    top_k_groups,
-)
 
 __all__ = [
-    "EquiDepthHistogram",
-    "histogram_deviation",
-    "sample_size_for_histogram",
     "Estimate",
     "estimate_count",
     "estimate_sum",
@@ -41,8 +27,4 @@ __all__ = [
     "horvitz_thompson",
     "ratio_estimate",
     "zscore",
-    "GroupEstimate",
-    "estimate_groups",
-    "top_k_groups",
-    "estimate_quantile",
 ]

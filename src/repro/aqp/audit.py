@@ -303,10 +303,5 @@ class AccuracyAuditor:
         body["records"] = [r.to_dict() for r in records]
         return body
 
-    def status_all(self) -> Dict[str, dict]:
-        """Per-query audit summaries (queries audited so far)."""
-        return {name: audit.status()
-                for name, audit in sorted(self._queries.items())}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AccuracyAuditor(queries={len(self._queries)})"

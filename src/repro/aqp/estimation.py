@@ -301,8 +301,7 @@ def estimate_from_snapshot(
         return payload
     # GROUP BY: one family-dispatched estimate per observed key, each
     # over the whole sample with that group's members switched on (for
-    # uniform synopses this reduces to the binomial per-group math of
-    # repro.analytics.estimate_groups)
+    # uniform synopses this reduces to binomial per-group math)
     keys = _column(rows, key_at[0], key_at[1])
     members: Dict[object, List[int]] = {}
     for position in compress(range(len(rows)), mask):

@@ -15,7 +15,6 @@ from repro.core.synopsis import (
     WeightedFixedSize,
     WeightedWithReplacement,
     family_of_kind,
-    register_synopsis_kind,
 )
 from repro.core.config import ENGINES, MaintainerConfig
 from repro.core.sjoin import SJoinEngine
@@ -32,7 +31,6 @@ from repro.core.symmetric_join import SymmetricJoinEngine
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.manager import SynopsisManager, SynopsisTarget
 from repro.core.serialize import SerializedManager
-from repro.core.static_sampler import StaticJoinSampler
 from repro.core.window import SlidingWindowMaintainer
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "SubsetSynopsis",
     "SYNOPSIS_FAMILIES",
     "family_of_kind",
-    "register_synopsis_kind",
     "ENGINES",
     "MaintainerConfig",
     "SJoinEngine",
@@ -61,6 +58,5 @@ __all__ = [
     "DeleteOp",
     "UpdateOp",
     "SerializedManager",
-    "StaticJoinSampler",
     "SlidingWindowMaintainer",
 ]

@@ -55,16 +55,17 @@ class MaintainerConfig:
         Seed for reproducible sampling.
     obs:
         Optional :class:`~repro.obs.MetricsRegistry`.
-    use_statistics:
-        Estimate residual-filter selectivity from column statistics
-        (§5.1 over-allocation) instead of assuming 1.0.
     name:
         Display name for error messages; a manager passes the
         registration name.
     effective_spec:
-        Pins the engine's (possibly over-allocated) spec explicitly —
-        :mod:`repro.persist` passes the captured one so a restore never
-        re-estimates filter selectivity from restore-time data.
+        Pins the engine's spec.  ``None`` (default) over-allocates a
+        fixed-size spec by ``1/f`` for residual filters (§5.1), ``f``
+        from each filter's ``selectivity_hint`` or else from column
+        statistics of the loaded data; ``effective_spec=spec`` asks for
+        no over-allocation.  :mod:`repro.persist` passes the captured
+        one so a restore never re-estimates from restore-time data, and
+        refuses it on ``register`` (the log does not carry it).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` capturing per-op
         trace events; ``None`` (default) means tracing off — the
@@ -79,7 +80,6 @@ class MaintainerConfig:
     engine: str = "sjoin-opt"
     seed: Optional[int] = None
     obs: Optional[object] = None
-    use_statistics: bool = True
     name: Optional[str] = None
     effective_spec: Optional[SynopsisSpec] = None
     tracer: Optional[object] = None
@@ -89,7 +89,6 @@ class MaintainerConfig:
                  engine: str = "sjoin-opt",
                  seed: Optional[int] = None,
                  obs: Optional[object] = None,
-                 use_statistics: bool = True,
                  name: Optional[str] = None,
                  effective_spec: Optional[SynopsisSpec] = None,
                  tracer: Optional[object] = None,
@@ -100,7 +99,6 @@ class MaintainerConfig:
         object.__setattr__(self, "engine", engine)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "use_statistics", use_statistics)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "effective_spec", effective_spec)
         object.__setattr__(self, "tracer", tracer)

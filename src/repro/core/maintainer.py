@@ -91,7 +91,6 @@ class JoinSynopsisMaintainer:
             spec = SynopsisSpec.fixed_size(1000)
         self.requested_spec = spec
         self.algorithm = config.engine
-        self.use_statistics = config.use_statistics
         # ``effective_spec`` pins the engine's (possibly over-allocated)
         # spec explicitly — repro.persist passes the captured one so a
         # restore never re-estimates filter selectivity from whatever data
@@ -128,9 +127,9 @@ class JoinSynopsisMaintainer:
         """Enlarge fixed-size synopses by 1/f for residual filters (§5.1).
 
         ``f`` is the product of the residual filters' selectivities — an
-        explicit ``selectivity_hint`` when given, otherwise (with
-        ``use_statistics``) an estimate from column statistics of any
-        already-loaded data, falling back to textbook constants.
+        explicit ``selectivity_hint`` when given, otherwise an estimate
+        from column statistics of any already-loaded data, falling back
+        to textbook constants.
         """
         tree = build_query_tree(query)
         residuals = list(tree.demoted) + list(query.multi_filters)
@@ -152,8 +151,6 @@ class JoinSynopsisMaintainer:
     def _residual_selectivity(self, mflt) -> float:
         if mflt.selectivity_hint != 1.0 or mflt.theta is None:
             return mflt.selectivity_hint
-        if not self.use_statistics:
-            return 1.0
         from repro.stats.column_stats import collect_stats
         from repro.stats.selectivity import estimate_theta_selectivity
 

@@ -236,7 +236,6 @@ class SJoinEngine:
                  fk_optimize: bool = False,
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
-                 batch_updates: bool = True,
                  obs=None, tracer=None):
         self.db = db
         self.query = query
@@ -250,9 +249,7 @@ class SJoinEngine:
         tuple_weight = None
         if self.family != "uniform":
             tuple_weight = self._resolve_tuple_weight(spec.weight_column)
-        self.graph = WeightedJoinGraph(self.plan,
-                                       batch_updates=batch_updates,
-                                       obs=self.obs,
+        self.graph = WeightedJoinGraph(self.plan, obs=self.obs,
                                        tuple_weight=tuple_weight)
         self.synopsis = spec.build(self.rng, obs=self.obs)
         self._entries = EntryStore(
@@ -498,7 +495,6 @@ class SJoinEngine:
             self.synopsis.valid_count)
         rotations = sum(tree.rotations
                         for tree in self.graph.trees.values())
-        obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(rotations)
         obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(rotations)
         return obs.snapshot()
 

@@ -328,7 +328,6 @@ class SymmetricJoinEngine:
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
             self.synopsis.valid_count)
         rotations = sum(tree.rotations for tree in self._indexes.values())
-        obs.gauge(metric_names.GRAPH_AVL_ROTATIONS).set(rotations)
         obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(rotations)
         return obs.snapshot()
 

@@ -28,9 +28,11 @@ Beyond the paper, the same machinery powers two further *families*
   ``1 - (1-p)^w``, exposed per sampled row as its inclusion
   probability.
 
-New kinds plug in through :func:`register_synopsis_kind` instead of a
-type switch; engines ask the synopsis to :meth:`~SynopsisBase.replenish`
-itself after deletions rather than dispatching on its concrete class.
+The set of kinds is closed — one table at the bottom of this module —
+because a kind's name is part of the durable format
+(:func:`repro.persist.state.spec_from_dict` reads it back); engines ask
+the synopsis to :meth:`~SynopsisBase.replenish` itself after deletions
+rather than dispatching on its concrete class.
 
 Samples are stored as plan-level TID tuples.  Every synopsis maintains a
 reverse index from ``(node, tid)`` to the samples containing that tuple so
@@ -44,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace as dc_replace
 from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SynopsisError
 from repro.obs.metrics import as_registry
@@ -54,38 +56,18 @@ from repro.sampling.with_replacement import MultiReservoirSkips
 
 PlanResult = Tuple[int, ...]
 
-#: kind name -> family name; populated by :func:`register_synopsis_kind`
-_KIND_FAMILIES: Dict[str, str] = {}
-#: kind name -> builder ``(spec, rng, obs) -> SynopsisBase``
-_KIND_BUILDERS: Dict[str, Callable] = {}
 
-
-def register_synopsis_kind(kind: str, family: str,
-                           builder: Callable) -> None:
-    """Register a synopsis ``kind`` under a ``family``.
-
-    ``builder(spec, rng, obs)`` constructs the synopsis.  Registration
-    replaces the former three-way type switch: a new family member is
-    one registered strategy class, and :meth:`SynopsisSpec.build`,
-    :attr:`SynopsisSpec.family` and the persistence layer all pick it
-    up from here.
-    """
-    if kind in _KIND_BUILDERS:
-        raise SynopsisError(f"synopsis kind {kind!r} already registered")
-    _KIND_FAMILIES[kind] = family
-    _KIND_BUILDERS[kind] = builder
-
-
-def family_of_kind(kind: str) -> str:
-    """The family a registered synopsis kind belongs to."""
+def _kind_row(kind: str) -> Tuple[str, type, str]:
     try:
-        return _KIND_FAMILIES[kind]
+        return _KINDS[kind]
     except KeyError:
         raise SynopsisError(f"unknown synopsis kind {kind!r}") from None
 
 
-#: read-only view of the registered kind -> family mapping
-SYNOPSIS_FAMILIES = MappingProxyType(_KIND_FAMILIES)
+def family_of_kind(kind: str) -> str:
+    """The family a synopsis kind belongs to."""
+    return _kind_row(kind)[0]
+
 
 #: kinds whose selection is driven by per-tuple weights (and therefore
 #: accept a ``weight_column``)
@@ -182,7 +164,7 @@ class SynopsisSpec:
 
     def __post_init__(self):
         if (self.weight_column is not None
-                and self.kind in _KIND_FAMILIES
+                and self.kind in _KINDS
                 and self.kind not in _WEIGHT_AWARE_KINDS):
             raise SynopsisError(
                 f"synopsis kind {self.kind!r} does not take a weight "
@@ -195,13 +177,8 @@ class SynopsisSpec:
         return dc_replace(self, size=size)
 
     def build(self, rng: random.Random, obs=None) -> "SynopsisBase":
-        try:
-            builder = _KIND_BUILDERS[self.kind]
-        except KeyError:
-            raise SynopsisError(
-                f"unknown synopsis kind {self.kind!r}"
-            ) from None
-        return builder(self, rng, obs)
+        _, synopsis_class, sized_by = _kind_row(self.kind)
+        return synopsis_class(getattr(self, sized_by), rng, obs=obs)
 
 
 class SynopsisBase:
@@ -895,30 +872,17 @@ class SubsetSynopsis(BernoulliSynopsis):
         self._distinct = set(self._samples)
 
 
-register_synopsis_kind(
-    "fixed", "uniform",
-    lambda spec, rng, obs: FixedSizeWithoutReplacement(
-        spec.size, rng, obs=obs),
-)
-register_synopsis_kind(
-    "fixed_replacement", "uniform",
-    lambda spec, rng, obs: FixedSizeWithReplacement(
-        spec.size, rng, obs=obs),
-)
-register_synopsis_kind(
-    "bernoulli", "uniform",
-    lambda spec, rng, obs: BernoulliSynopsis(spec.rate, rng, obs=obs),
-)
-register_synopsis_kind(
-    "weighted_fixed", "weighted",
-    lambda spec, rng, obs: WeightedFixedSize(spec.size, rng, obs=obs),
-)
-register_synopsis_kind(
-    "weighted_replacement", "weighted",
-    lambda spec, rng, obs: WeightedWithReplacement(
-        spec.size, rng, obs=obs),
-)
-register_synopsis_kind(
-    "subset", "subset",
-    lambda spec, rng, obs: SubsetSynopsis(spec.rate, rng, obs=obs),
-)
+#: every synopsis kind: name -> (family, class, the spec field its
+#: constructor is sized by)
+_KINDS: Dict[str, Tuple[str, type, str]] = {
+    "fixed": ("uniform", FixedSizeWithoutReplacement, "size"),
+    "fixed_replacement": ("uniform", FixedSizeWithReplacement, "size"),
+    "bernoulli": ("uniform", BernoulliSynopsis, "rate"),
+    "weighted_fixed": ("weighted", WeightedFixedSize, "size"),
+    "weighted_replacement": ("weighted", WeightedWithReplacement, "size"),
+    "subset": ("subset", SubsetSynopsis, "rate"),
+}
+
+#: read-only kind -> family mapping
+SYNOPSIS_FAMILIES = MappingProxyType(
+    {kind: row[0] for kind, row in _KINDS.items()})

@@ -79,15 +79,10 @@ class InsertOutcome:
 class WeightedJoinGraph:
     """The paper's weighted join graph over a :class:`JoinPlan`."""
 
-    def __init__(self, plan: JoinPlan, batch_updates: bool = True, obs=None,
+    def __init__(self, plan: JoinPlan, obs=None,
                  tuple_weight: Optional[
                      Callable[[int, Sequence], int]] = None):
-        """``batch_updates=False`` disables the merge/difference-array
-        sweep in ``updateNeighbor`` (each source key then scans its own
-        join range) — exposed for the ablation benchmark of the paper's
-        batching claim; production use should keep the default.
-
-        ``obs`` is an optional :class:`~repro.obs.MetricsRegistry`;
+        """``obs`` is an optional :class:`~repro.obs.MetricsRegistry`;
         when omitted the no-op registry is used.
 
         ``tuple_weight`` (optional) makes this a *weighted* graph: a
@@ -100,7 +95,6 @@ class WeightedJoinGraph:
         """
         self.plan = plan
         self.tuple_weight = tuple_weight
-        self.batch_updates = batch_updates
         self.stats = GraphStats()
         self.obs = as_registry(obs)
         self.hash_indexes: List[HashIndex] = [
@@ -535,19 +529,6 @@ class WeightedJoinGraph:
             coalesced[source_key] = coalesced.get(source_key, 0) + delta
         tree = self.tree_for_edge(dst_idx, src_idx)
         dst_alias = self.plan.nodes[dst_idx].alias
-        if edge.range_predicate is not None and not self.batch_updates:
-            out: List[Tuple[Vertex, int]] = []
-            per_vertex: Dict[int, Tuple[Vertex, int]] = {}
-            for source_key, delta in coalesced.items():
-                rng = self.join_range(edge, dst_idx, source_key)
-                for dst_vertex in tree.iter_items(rng):
-                    prev = per_vertex.get(id(dst_vertex))
-                    if prev is None:
-                        per_vertex[id(dst_vertex)] = (dst_vertex, delta)
-                    else:
-                        per_vertex[id(dst_vertex)] = (prev[0],
-                                                      prev[1] + delta)
-            return list(per_vertex.values())
         if edge.range_predicate is None:
             out: List[Tuple[Vertex, int]] = []
             for source_key, delta in coalesced.items():

@@ -104,37 +104,9 @@ def map_join_number(graph: WeightedJoinGraph, root_idx: int,
     return tuple(result)  # type: ignore[arg-type]
 
 
-def map_join_number_with_weight(
-        graph: WeightedJoinGraph, root_idx: int,
-        join_number: int) -> Tuple[Tuple[int, ...], int]:
-    """Like :func:`map_join_number`, additionally returning the result's
-    *multiplicity*: how many consecutive unit numbers map to it — the
-    product of its tuples' weights on a weighted graph, always 1 on a
-    uniform one."""
-    if join_number < 0:
-        raise JoinNumberError(f"join number {join_number} is negative")
-    plan = _descent_plan(graph, root_idx)
-    total = plan.tree.total(plan.slot)
-    if join_number >= total:
-        raise JoinNumberError(
-            f"join number {join_number} out of range [0, {total})"
-        )
-    selected = plan.tree.select(plan.slot, join_number)
-    if selected is None:
-        raise JoinNumberError("root selection failed despite valid number")
-    vertex, prefix = selected
-    result: List[Optional[int]] = [None] * plan.num_nodes
-    mult = _descend(plan, vertex, join_number - prefix, is_root=True,
-                    result=result)
-    return tuple(result), mult  # type: ignore[arg-type]
-
-
 def _descend(plan: _DescentPlan, vertex, remaining: int, is_root: bool,
-             result: List[Optional[int]]) -> int:
+             result: List[Optional[int]]) -> None:
     """Steps 2 and 3 of the partition at one vertex, then recurse.
-
-    Returns the multiplicity contribution of the visited subtree (the
-    product of the selected tuples' weights; 1 on uniform graphs).
 
     On a weighted graph the intra-vertex partition is *cumulative-weight
     descent*: tuple ``i`` owns the quotient range ``[cum[i-1], cum[i])``
@@ -170,7 +142,6 @@ def _descend(plan: _DescentPlan, vertex, remaining: int, is_root: bool,
         remaining -= before * unit
         tuple_w = cum[i] - before
 
-    mult = tuple_w
     for (child_idx, child_tree, child_slot, edge, child_alias,
          key_pos) in children:
         total_w = vertex.W_in[child_idx]
@@ -188,8 +159,8 @@ def _descend(plan: _DescentPlan, vertex, remaining: int, is_root: bool,
                 f"child selection failed at node {node_idx} -> {child_alias}"
             )
         child_vertex, child_prefix = selected
-        mult *= _descend(plan, child_vertex, child_number - child_prefix,
-                         is_root=False, result=result)
+        _descend(plan, child_vertex, child_number - child_prefix,
+                 is_root=False, result=result)
     # After the child digits are divided out the remainder indexes which
     # of the selected tuple's weight units was hit; any value >= tuple_w
     # (i.e. != 0 in the uniform case) means inconsistent weights.
@@ -198,4 +169,3 @@ def _descend(plan: _DescentPlan, vertex, remaining: int, is_root: bool,
             f"non-zero remainder {remaining} after partition at "
             f"node {node_idx}"
         )
-    return mult

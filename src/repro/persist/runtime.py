@@ -174,6 +174,16 @@ class PersistentManager:
                 "algorithm 'sj' does not support persistence; register "
                 "it on a plain SynopsisManager instead"
             )
+        if config.effective_spec is not None:
+            # everything else a config carries either is in the record
+            # or does not change the sample (obs, tracer, quality, name)
+            raise PersistError(
+                "PersistentManager.register refuses "
+                "MaintainerConfig(effective_spec=...): the register WAL "
+                f"record carries {_REGISTER_FIELDS} only, so recovery "
+                "and every follower would rebuild this query with a "
+                "different synopsis size; size it with spec="
+            )
         sql = query if isinstance(query, str) else str(query)
         spec = config.spec
         self._log(("register", name, sql,

@@ -166,7 +166,6 @@ def capture_maintainer(maintainer: JoinSynopsisMaintainer) -> dict:
         "sql": maintainer.sql,
         "name": maintainer.name,
         "algorithm": maintainer.algorithm,
-        "use_statistics": maintainer.use_statistics,
         "requested_spec": spec_to_dict(maintainer.requested_spec),
         "effective_spec": spec_to_dict(engine.spec),
         "rng_state": engine.rng.getstate(),
@@ -202,7 +201,6 @@ def restore_maintainer(db: Database, state: dict,
             spec=spec_from_dict(state["requested_spec"]),
             engine=state["algorithm"],
             seed=0,  # placeholder; the real RNG state is restored below
-            use_statistics=state["use_statistics"],
             obs=obs,
             name=state["name"],
             effective_spec=spec_from_dict(state["effective_spec"]),

@@ -87,12 +87,6 @@ class PlanNode:
                 return m
         raise PlanError(f"{alias} is not a member of node {self.alias}")
 
-    def member_position(self, alias: str) -> int:
-        for i, m in enumerate(self.members):
-            if m.alias == alias:
-                return i
-        raise PlanError(f"{alias} is not a member of node {self.alias}")
-
     def node_attr(self, member_alias: str, column: str) -> str:
         """Plan-node column name for an original ``member.column``."""
         if not self.is_combined:
@@ -103,12 +97,6 @@ class PlanNode:
         """Project a node row onto the node's join attributes."""
         schema = self.schema
         return tuple(row[schema.index_of(a)] for a in self.vertex_attrs)
-
-    def original_tids(self, tid: int, row: Sequence[object]) -> Tuple[int, ...]:
-        """Original-range-table TIDs of a node tuple, in member order."""
-        if not self.is_combined:
-            return (tid,)
-        return tuple(row[i] for i in range(len(self.members)))
 
 
 @dataclass

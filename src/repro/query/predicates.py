@@ -327,9 +327,10 @@ class MultiTableFilter:
 
     ``predicate`` receives the attribute values it declared in ``inputs``
     (``(alias, attr)`` pairs) in order.  ``selectivity_hint`` sizes the
-    over-allocation; when the filter wraps a theta predicate (``theta`` is
-    set, e.g. a demoted cycle edge) the maintainer can refine the hint
-    from column statistics instead (§5.1).
+    over-allocation; a filter that wraps a theta predicate (``theta`` is
+    set, e.g. a demoted cycle edge) and leaves the hint at 1.0 is sized
+    by the maintainer from column statistics of the loaded data instead
+    (§5.1) — pin ``MaintainerConfig(effective_spec=...)`` to bypass both.
     """
 
     inputs: Tuple[Tuple[str, str], ...]

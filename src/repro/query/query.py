@@ -104,11 +104,6 @@ class JoinQuery:
     def range_table(self, alias: str) -> RangeTable:
         return self.range_tables[self.index_of(alias)]
 
-    def predicates_between(self, a: str, b: str) -> List[ThetaPredicate]:
-        """All join predicates whose two sides are aliases ``a`` and ``b``."""
-        pair = {a, b}
-        return [p for p in self.join_predicates if set(p.sides()) == pair]
-
     def filters_on(self, alias: str) -> List[FilterPredicate]:
         return [f for f in self.filters if f.alias == alias]
 

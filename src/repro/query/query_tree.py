@@ -140,12 +140,6 @@ class QueryTree:
     def degree(self, alias: str) -> int:
         return len(self._adj[alias])
 
-    def edge_between(self, a: str, b: str) -> Optional[TreeEdge]:
-        for edge in self._adj.get(a, ()):
-            if edge.other(a) == b:
-                return edge
-        return None
-
     def join_attrs_of(self, alias: str) -> Tuple[str, ...]:
         """All attributes of ``alias`` used by any incident edge, dedup'd
         in first-use order.  These form the vertex key of the table."""

@@ -8,9 +8,11 @@ next selected one — with the right distribution for each synopsis type:
 * fixed-size w/ replacement: ``m`` independent size-1 reservoirs tracked by
   a min-heap over their next replacement positions (:mod:`with_replacement`);
 * Bernoulli: geometric skips drawn in O(1) expected time via a Walker alias
-  structure (:mod:`bernoulli`, :mod:`alias`);
-* weight-proportional: Efraimidis–Spirakis exponential jumps
-  (:mod:`weighted_reservoir`), the weighted analogue of a skip number.
+  structure (:mod:`bernoulli`, :mod:`alias`).
+
+The weight-proportional kinds add no sampler of their own: they draw the
+same Vitter skips over the weighted unit domain (see
+:mod:`repro.core.synopsis`).
 
 Shared state protocol: every sampler (and the alias structure) exposes
 ``state_dict() -> dict`` and ``load_state(state)`` returning/accepting a
@@ -22,7 +24,6 @@ from repro.sampling.alias import WalkerAlias
 from repro.sampling.reservoir import VitterSkipSampler, naive_reservoir_skip
 from repro.sampling.with_replacement import MultiReservoirSkips
 from repro.sampling.bernoulli import GeometricSkipSampler
-from repro.sampling.weighted_reservoir import WeightedReservoirSampler
 
 __all__ = [
     "WalkerAlias",
@@ -30,5 +31,4 @@ __all__ = [
     "naive_reservoir_skip",
     "MultiReservoirSkips",
     "GeometricSkipSampler",
-    "WeightedReservoirSampler",
 ]

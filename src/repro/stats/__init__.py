@@ -5,19 +5,15 @@ filters using "existing system statistics" to estimate the filter
 selectivity ``f``.  This subpackage provides those statistics: per-column
 equi-depth histograms and distinct-value sketches maintained from table
 samples, plus a selectivity estimator for the predicate forms the library
-supports (theta predicates between two columns, single-table comparisons).
+supports (theta predicates between two columns).
 """
 
 from repro.stats.column_stats import ColumnStats, TableStats, collect_stats
-from repro.stats.selectivity import (
-    estimate_filter_selectivity,
-    estimate_theta_selectivity,
-)
+from repro.stats.selectivity import estimate_theta_selectivity
 
 __all__ = [
     "ColumnStats",
     "TableStats",
     "collect_stats",
     "estimate_theta_selectivity",
-    "estimate_filter_selectivity",
 ]

@@ -2,7 +2,7 @@
 
 The classic optimizer-statistics toolkit, collected by (sampled) table
 scan: per column an equi-depth histogram over up to ``buckets`` quantile
-boundaries, min/max, null fraction, and an estimated number of distinct
+boundaries, min/max, null count, and an estimated number of distinct
 values.  These drive the selectivity estimates in
 :mod:`repro.stats.selectivity`, which in turn size the residual-filter
 over-allocation of §5.1.
@@ -32,12 +32,6 @@ class ColumnStats:
     boundaries: List[object] = field(default_factory=list)
     sample_size: int = 0
 
-    @property
-    def null_fraction(self) -> float:
-        if self.row_count == 0:
-            return 0.0
-        return self.null_count / self.row_count
-
     # ------------------------------------------------------------------
     def fraction_below(self, value: object, inclusive: bool) -> float:
         """Estimated fraction of non-null values ``< value`` (or ``<=``)."""
@@ -60,12 +54,6 @@ class ColumnStats:
             lo, inclusive=lo_open
         )
         return max(0.0, below_hi - below_lo)
-
-    def equality_selectivity(self) -> float:
-        """Estimated fraction matching an equality with a typical value."""
-        if self.distinct_estimate <= 0:
-            return 1.0
-        return 1.0 / self.distinct_estimate
 
 
 @dataclass

@@ -10,8 +10,7 @@ standard System-R playbook:
   surviving pairs, which is exactly that);
 * inequality between two columns: estimated by integrating one column's
   histogram against the other's (fraction of pairs with ``l op c*r + d``);
-* band: fraction of pairs within the band, via the same integration;
-* single-table comparisons: histogram fraction directly.
+* band: fraction of pairs within the band, via the same integration.
 
 Estimates are clamped to ``[floor, 1]`` so a mis-estimate can never
 produce an unbounded enlargement.
@@ -19,12 +18,8 @@ produce an unbounded enlargement.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.query.predicates import (
     BandPredicate,
-    ComparisonOp,
-    FilterPredicate,
     JoinPredicate,
     ThetaPredicate,
 )
@@ -32,23 +27,6 @@ from repro.stats.column_stats import ColumnStats
 
 #: never report selectivity below this (bounds the 1/f enlargement)
 SELECTIVITY_FLOOR = 0.01
-
-
-def estimate_filter_selectivity(flt: FilterPredicate,
-                                stats: ColumnStats) -> float:
-    """Fraction of rows passing a single-table comparison filter."""
-    op = flt.op
-    if op is ComparisonOp.EQ:
-        est = stats.equality_selectivity()
-    elif op is ComparisonOp.LT:
-        est = stats.fraction_below(flt.constant, inclusive=False)
-    elif op is ComparisonOp.LE:
-        est = stats.fraction_below(flt.constant, inclusive=True)
-    elif op is ComparisonOp.GT:
-        est = 1.0 - stats.fraction_below(flt.constant, inclusive=True)
-    else:  # GE
-        est = 1.0 - stats.fraction_below(flt.constant, inclusive=False)
-    return _clamp(est)
 
 
 def estimate_theta_selectivity(pred: ThetaPredicate,

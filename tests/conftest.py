@@ -124,6 +124,19 @@ def random_row(rng: random.Random, ncols: int, domain: int = 5) -> tuple:
     return tuple(rng.randrange(domain) for _ in range(ncols))
 
 
+def graph_state(graph):
+    """Every vertex's tuple ids and weights, keyed by (node, key)."""
+    state = {}
+    for node_idx, hash_index in enumerate(graph.hash_indexes):
+        for key, vertex in sorted(hash_index.items()):
+            state[(node_idx, key)] = (
+                tuple(vertex.ids), vertex.w_full,
+                tuple(sorted(vertex.w_out.items())),
+                tuple(sorted(vertex.W_in.items())),
+            )
+    return state
+
+
 def chi_square_uniform(counts: List[int]) -> float:
     """Chi-square statistic against the uniform distribution."""
     total = sum(counts)

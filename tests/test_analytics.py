@@ -1,65 +1,12 @@
-"""Analytics tests: histograms from synopses and aggregate estimators."""
+"""Analytics tests: aggregate estimators over a synopsis."""
 
 import random
-
-import pytest
 
 from repro.analytics.estimators import (
     estimate_avg,
     estimate_count,
     estimate_sum,
 )
-from repro.analytics.histogram import (
-    EquiDepthHistogram,
-    histogram_deviation,
-    sample_size_for_histogram,
-)
-
-
-class TestHistogram:
-    def test_bucket_boundaries_are_quantiles(self):
-        values = list(range(100))
-        hist = EquiDepthHistogram.from_sample(values, 4)
-        assert hist.boundaries == [24, 49, 74]
-
-    def test_bucket_of(self):
-        hist = EquiDepthHistogram([10, 20], buckets=3)
-        assert hist.bucket_of(5) == 0
-        assert hist.bucket_of(10) == 0   # boundary inclusive on the left
-        assert hist.bucket_of(15) == 1
-        assert hist.bucket_of(99) == 2
-
-    def test_bucket_counts(self):
-        hist = EquiDepthHistogram([10], buckets=2)
-        assert hist.bucket_counts([1, 5, 11, 12]) == [2, 2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EquiDepthHistogram.from_sample([], 3)
-        with pytest.raises(ValueError):
-            EquiDepthHistogram.from_sample([1], 0)
-
-    def test_deviation_zero_for_exact_sample(self):
-        population = list(range(1000))
-        hist = EquiDepthHistogram.from_sample(population, 4)
-        assert histogram_deviation(hist, population) < 0.01
-
-    def test_cmn_guarantee_holds_in_practice(self):
-        """A sample of size k*log(N)/f^2 gives deviation <= f/k whp —
-        check the realised deviation on a skewed population."""
-        rng = random.Random(7)
-        population = [int(rng.expovariate(0.01)) for _ in range(20000)]
-        k, f = 8, 0.5
-        size = sample_size_for_histogram(k, len(population), f)
-        sample = rng.sample(population, size)
-        hist = EquiDepthHistogram.from_sample(sample, k)
-        assert histogram_deviation(hist, population) <= f / k
-
-    def test_sample_size_formula(self):
-        assert sample_size_for_histogram(10, 1, 0.5) == 1
-        big = sample_size_for_histogram(10, 10**6, 0.1)
-        small = sample_size_for_histogram(10, 10**6, 0.5)
-        assert big > small
 
 
 class TestEstimators:

@@ -13,16 +13,15 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
 
 
 @pytest.mark.parametrize("module", [
     "repro.catalog", "repro.query", "repro.index", "repro.graph",
     "repro.sampling", "repro.core", "repro.datagen", "repro.bench",
     "repro.analytics", "repro.stats", "repro.cli",
-    "repro.core.static_sampler", "repro.core.window",
-    "repro.core.manager", "repro.core.serialize",
-    "repro.core.stats_api",
+    "repro.core.window", "repro.core.manager",
+    "repro.core.serialize", "repro.core.stats_api",
     "repro.index.api", "repro.index.avl", "repro.query.explain",
     "repro.bench.export",
     "repro.obs", "repro.obs.metrics", "repro.obs.names",
@@ -74,8 +73,7 @@ def test_metric_name_catalogue_is_stable():
         "engine.delete.replenish_ns",
         "graph.vertices_visited", "graph.index_refreshes",
         "graph.vertex_creations", "graph.vertex_removals",
-        "graph.weight_recomputes", "graph.avl_rotations",
-        "graph.index_maintenance_ops",
+        "graph.weight_recomputes", "graph.index_maintenance_ops",
         "synopsis.skips_drawn", "synopsis.accepts", "synopsis.replaces",
         "synopsis.purges", "synopsis.redraws",
         "synopsis.redraw_rejections", "synopsis.rebuilds",
@@ -154,15 +152,15 @@ def test_persist_public_surface_is_stable():
 def test_maintainer_config_fields_are_stable():
     """MaintainerConfig is THE construction contract of the redesigned
     facade; adding a field is fine, renaming or dropping one is not
-    (4.0 dropped ``index_backend`` together with the backends)."""
+    (4.0 dropped ``index_backend`` with the backends, 5.0
+    ``use_statistics``: ``effective_spec=spec`` means "do not estimate")."""
     import dataclasses
 
     from repro import MaintainerConfig
 
     fields = [f.name for f in dataclasses.fields(MaintainerConfig)]
-    assert fields == ["spec", "engine", "seed", "obs",
-                      "use_statistics", "name", "effective_spec",
-                      "tracer", "quality"]
+    assert fields == ["spec", "engine", "seed", "obs", "name",
+                      "effective_spec", "tracer", "quality"]
     config = MaintainerConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.engine = "sjoin"
@@ -354,6 +352,43 @@ def test_one_aggregate_index_no_selector():
     with pytest.raises(TypeError):
         MaintainerConfig(index_backend="avl")
     assert "index_backend" not in MaintainerStats.__dataclass_fields__
+
+
+def test_removed_in_5_0_names_are_absent():
+    """5.0 deleted what neither the stack nor a paper figure reaches
+    (CHANGELOG.md has the removed -> replacement table); no alias, shim
+    or module ``__getattr__`` may bring any of it back."""
+    import inspect
+
+    from repro import (MaintainerConfig, SJoinEngine, analytics, core,
+                       sampling, stats)
+    from repro.core import synopsis
+    from repro.graph import join_number
+    from repro.graph.join_graph import WeightedJoinGraph
+    from repro.obs import names
+
+    for module in ("repro.sampling.weighted_reservoir",
+                   "repro.core.static_sampler",
+                   "repro.analytics.groupby",
+                   "repro.analytics.histogram"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    removed = (
+        "WeightedReservoirSampler", "StaticJoinSampler",
+        "register_synopsis_kind", "EquiDepthHistogram",
+        "histogram_deviation", "sample_size_for_histogram",
+        "GroupEstimate", "estimate_groups", "top_k_groups",
+        "estimate_quantile", "estimate_filter_selectivity",
+        "map_join_number_with_weight", "GRAPH_AVL_ROTATIONS")
+    for module in (repro, core, synopsis, sampling, analytics, stats,
+                   join_number, names):
+        for name in removed:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ()), name
+    for cls in (SJoinEngine, WeightedJoinGraph):
+        assert "batch_updates" not in inspect.signature(cls).parameters
+    with pytest.raises(TypeError):
+        MaintainerConfig(use_statistics=False)
 
 
 def test_legacy_construction_kwargs_removed():

@@ -26,7 +26,6 @@ from repro.analytics import (
     Estimate,
     estimate_avg,
     estimate_count,
-    estimate_groups,
     estimate_sum,
     hansen_hurwitz,
     horvitz_thompson,
@@ -104,9 +103,6 @@ class TestDegenerateEstimators:
                            predicate=lambda s: s > 99)
         assert math.isnan(est.value)
         assert est.ci() is None
-
-    def test_groupby_empty_population(self):
-        assert estimate_groups([], 0, key_of=lambda s: s) == {}
 
     def test_hansen_hurwitz_degenerates(self):
         assert hansen_hurwitz([], [], 0, lambda s: 1.0) == \

@@ -50,7 +50,7 @@ class TestConfigObject:
         assert config.engine == "sjoin-opt"
         assert config.engine in ENGINES
         assert config.spec is None and config.seed is None
-        assert config.use_statistics is True
+        assert config.effective_spec is None
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SynopsisError, match="unknown engine"):

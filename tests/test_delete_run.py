@@ -52,11 +52,11 @@ from repro.query.planner import plan_query
 from conftest import (
     chi_square_threshold,
     chi_square_uniform,
+    graph_state,
     random_query,
     random_row,
 )
 from test_batch_differential import chunk, state_of
-from test_graph_batching import graph_state
 
 
 # ----------------------------------------------------------------------

@@ -250,7 +250,6 @@ def touch_catalogue(registry):
     histograms.add(metric_names.SERVICE_BATCH_OPS)
     histograms.add(metric_names.REPLICATE_LAG_MS)
     gauges = {
-        metric_names.GRAPH_AVL_ROTATIONS,
         metric_names.GRAPH_INDEX_MAINTENANCE_OPS,
         metric_names.SYNOPSIS_SIZE, metric_names.TOTAL_RESULTS,
         metric_names.TRACE_EVENTS, metric_names.TRACE_DROPPED,

@@ -36,6 +36,7 @@ from repro import (
 )
 from repro.persist import PersistentManager
 
+from conftest import graph_state
 from test_batch_differential import chunk, state_of
 from test_delete_run import (
     ENGINES,
@@ -48,7 +49,6 @@ from test_delete_run import (
     make_maintainer,
     warm_ops,
 )
-from test_graph_batching import graph_state
 
 
 def engine_state(maintainer):

@@ -12,6 +12,7 @@ from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.core.manager import SynopsisManager
 from repro.persist import (
     PersistentManager,
@@ -25,16 +26,36 @@ from repro.persist import (
 from repro.persist.runtime import replay_manager_entry
 from repro.persist.state import (STATE_VERSION, capture_manager,
                                  restore_manager)
+from repro.replicate import FollowerService, WalShipper
 
 from conftest import as_written_by_3_0, make_tables
+from test_batch_differential import state_of
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
+# the planner demotes ``t.c1 <= r.c1`` to a residual filter with no hint
+CYCLIC_SQL = ("SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c0 = t.c0 "
+              "AND t.c1 <= r.c1")
 
 
 def make_db():
     db = Database()
     make_tables(db, [("r", 2), ("s", 2), ("t", 2)])
     return db
+
+
+def loaded_db(rows=200):
+    db = make_db()
+    rng = random.Random(2)
+    for name in ("r", "s", "t"):
+        for _ in range(rows):
+            db.insert(name, (rng.randrange(10), rng.randrange(100)))
+    return db
+
+
+def sampled_state(manager, name="q"):
+    """Effective spec, then J, samples and RNG state of one query."""
+    maintainer = manager.maintainer(name)
+    return maintainer.engine.spec, state_of(maintainer)
 
 
 def persistent_query(db, directory, config=None, **kwargs):
@@ -438,6 +459,47 @@ class TestPersistentManager:
         recovered = PersistentManager.recover(str(tmp_path))
         assert recovered.names() == []
 
+    def test_effective_spec_registration_refused(self, tmp_path):
+        """``effective_spec`` changes the sample and is not among the
+        ``register`` record's fields: a durable registration carrying
+        it would recover — and replicate — at another size."""
+        pm = PersistentManager(SynopsisManager(make_db()), str(tmp_path))
+        logged = pm.wal.next_lsn
+        with pytest.raises(PersistError, match="effective_spec"):
+            pm.register("q", SQL, MaintainerConfig(
+                spec=SynopsisSpec.fixed_size(10), seed=3,
+                effective_spec=SynopsisSpec.fixed_size(40)))
+        assert pm.wal.next_lsn == logged
+        assert pm.names() == []
+        # fields that do not change the sample stay accepted
+        pm.register("q", SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(10), seed=3, name="shown",
+            obs=MetricsRegistry(), tracer=Tracer(), quality=True))
+        assert pm.wal.next_lsn == logged + 1
+        pm.close()
+
+    def test_estimated_size_survives_recovery_and_shipping(self, tmp_path):
+        """A cyclic query registered over already-loaded data is sized
+        from column statistics (§5.1); replaying the registration at its
+        log position re-estimates from the identical data, so recovery
+        and a follower land on the same over-allocated synopsis."""
+        leader_dir, ship_dir = str(tmp_path / "leader"), str(tmp_path / "ship")
+        pm = PersistentManager(SynopsisManager(loaded_db()), leader_dir)
+        pm.register("q", CYCLIC_SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(10), seed=3))
+        drive(pm, random.Random(4), 40, domain=10)
+        want = sampled_state(pm)
+        assert want[0].size > 10 and pm.synopsis("q")
+        WalShipper(leader_dir, ship_dir).ship_once()
+        follower = FollowerService(ship_dir)
+        follower.catch_up()
+        assert sampled_state(follower.target) == want
+        follower.stop()
+        pm.abandon()
+        recovered = PersistentManager.recover(leader_dir)
+        assert sampled_state(recovered) == want
+        recovered.close()
+
     def test_sj_registration_rejected(self, tmp_path):
         pm = PersistentManager(SynopsisManager(make_db(), MaintainerConfig(seed=0)),
                                str(tmp_path))
@@ -496,6 +558,27 @@ class TestFormatGate:
         with pytest.raises(PersistError,
                            match="version 1 'maintainer' state"):
             PersistentManager.recover(str(tmp_path))
+
+    def test_4_0_snapshot_restores_bit_identically(self, tmp_path):
+        """4.0 wrote a ``use_statistics`` flag into every query's state
+        (same format version); it was only ever read back beside the
+        pinned ``effective_spec``, so ignoring it changes nothing."""
+        pm = PersistentManager(SynopsisManager(loaded_db()), str(tmp_path))
+        pm.register("q", CYCLIC_SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(10), seed=3))
+        pm.checkpoint()
+        want = sampled_state(pm)
+        pm.close()
+
+        def as_written_by_4_0(payload):
+            for query in payload["manager"]["queries"]:
+                query["maintainer"]["use_statistics"] = True
+        self._rewrite_newest(
+            SnapshotStore(os.path.join(str(tmp_path), "snapshots")),
+            as_written_by_4_0)
+        recovered = PersistentManager.recover(str(tmp_path))
+        assert sampled_state(recovered) == want
+        recovered.close()
 
     @pytest.mark.parametrize("arity", [5, 7, 8],
                              ids=["shorter", "3.0-backend-pin", "longer"])

@@ -58,8 +58,8 @@ from repro.persist.wal import WriteAheadLog
 from repro.query.parser import parse_query
 from repro.replicate import FollowerService, WalShipper
 
+from conftest import graph_state
 from test_batch_differential import chunk, state_of
-from test_graph_batching import graph_state
 
 NAME = "q"
 M = 40

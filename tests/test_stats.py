@@ -16,11 +16,9 @@ from repro import (
     TableSchema,
     parse_query,
 )
-from repro.query.predicates import FilterPredicate
 from repro.stats.column_stats import ColumnStats, collect_stats
 from repro.stats.selectivity import (
     SELECTIVITY_FLOOR,
-    estimate_filter_selectivity,
     estimate_theta_selectivity,
 )
 
@@ -45,11 +43,10 @@ class TestCollectStats:
         assert col.null_count == 0
         assert 90 <= col.distinct_estimate <= 100
 
-    def test_null_fraction(self):
+    def test_null_count(self):
         table = table_with([1, None, 3, None])
         col = collect_stats(table).column("a")
         assert col.null_count == 2
-        assert col.null_fraction == 0.5
 
     def test_empty_table(self):
         table = table_with([])
@@ -85,27 +82,6 @@ class TestCollectStats:
         assert abs(frac - 0.5) < 0.12
         assert col.fraction_between(2000, 3000) == 0.0
         assert abs(col.fraction_between(None, None) - 1.0) < 1e-9
-
-
-class TestFilterSelectivity:
-    def make_stats(self):
-        return collect_stats(table_with(list(range(100)))).column("a")
-
-    @pytest.mark.parametrize("op,const,expect", [
-        (ComparisonOp.LT, 50, 0.5),
-        (ComparisonOp.LE, 50, 0.5),
-        (ComparisonOp.GT, 75, 0.25),
-        (ComparisonOp.GE, 25, 0.75),
-    ])
-    def test_range_filters(self, op, const, expect):
-        flt = FilterPredicate("t", "a", op, const)
-        est = estimate_filter_selectivity(flt, self.make_stats())
-        assert abs(est - expect) < 0.12
-
-    def test_equality_filter(self):
-        flt = FilterPredicate("t", "a", ComparisonOp.EQ, 5)
-        est = estimate_filter_selectivity(flt, self.make_stats())
-        assert SELECTIVITY_FLOOR <= est <= 0.05
 
 
 class TestThetaSelectivity:
@@ -164,15 +140,3 @@ class TestMaintainerIntegration:
             db, sql, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), seed=0))
         # f ~ 0.5 -> factor 2
         assert m.engine.spec.size in (20, 30)
-
-    def test_statistics_can_be_disabled(self):
-        db = Database()
-        for name in ("r", "s", "t"):
-            db.create_table(TableSchema(name, [Column("a"), Column("b")]))
-            for i in range(50):
-                db.insert(name, (i % 5, i))
-        sql = ("SELECT * FROM r, s, t WHERE r.a = s.a AND s.a = t.a "
-               "AND t.b <= r.b")
-        m = JoinSynopsisMaintainer(
-            db, sql, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), seed=0, use_statistics=False))
-        assert m.engine.spec.size == 10

@@ -54,7 +54,9 @@ def make_db():
 def run_once(seed):
     db = make_db()
     maintainer = JoinSynopsisMaintainer(
-        db, SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(6), engine="sjoin", seed=seed, use_statistics=False))
+        db, SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(6), engine="sjoin", seed=seed,
+            effective_spec=SynopsisSpec.fixed_size(6)))
     for alias, row in SCRIPT:
         maintainer.insert(alias, row)
     return db, maintainer
