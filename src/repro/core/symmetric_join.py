@@ -33,7 +33,6 @@ from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.insert_run import InsertRun
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
-from repro.index.api import IndexRange
 from repro.index.avl import AggregateTree
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
@@ -146,15 +145,17 @@ class SymmetricJoinEngine:
                 0, lambda item, slot: 0
             )
             self._handles[(node_idx, nbr_idx)] = {}
-        self._edges = {
-            key: spec_.edge for key, spec_ in self.plan.edge_index.items()
-        }
         self._key_attr_pos: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        # per directed edge (own, parent): the parent's edge key -> the
+        # range of own's index joining it, compiled once
+        self._range_of: Dict[Tuple[int, int], Callable] = {}
         for (node_idx, nbr_idx), spec_ in self.plan.edge_index.items():
             schema = self.plan.nodes[node_idx].schema
             self._key_attr_pos[(node_idx, nbr_idx)] = tuple(
                 schema.index_of(a) for a in spec_.key_attrs
             )
+            self._range_of[(node_idx, nbr_idx)] = spec_.edge.range_fn(
+                self.plan.nodes[node_idx].alias)
 
     # ------------------------------------------------------------------
     # updates
@@ -374,17 +375,14 @@ class SymmetricJoinEngine:
                 return
             alias = order[k]
             parent_alias = rooted.parent[alias]
-            edge = rooted.parent_edge[alias]
             own_idx = self.plan.node_idx(alias)
             parent_idx = self.plan.node_idx(parent_alias)
-            parent_schema = self.plan.nodes[parent_idx].schema
             parent_row = rows[parent_alias]
             parent_key = tuple(
-                parent_row[parent_schema.index_of(a)]
-                for a in edge.key_attrs_of(parent_alias)
+                parent_row[i]
+                for i in self._key_attr_pos[(parent_idx, own_idx)]
             )
-            comp = edge.key_range_for(alias, parent_key)
-            rng = IndexRange(comp.prefix, comp.last)
+            rng = self._range_of[(own_idx, parent_idx)](parent_key)
             tree = self._indexes[(own_idx, parent_idx)]
             for own_tid, own_row in tree.iter_items(rng):
                 self.stats.tuples_accessed += 1

@@ -29,13 +29,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SynopsisError, TupleNotFoundError
 from repro.obs.metrics import as_registry
-from repro.query.intervals import Interval
 from repro.graph.vertex import Vertex
 from repro.index.api import IndexRange
 from repro.index.avl import AggregateTree
 from repro.index.hash_index import HashIndex
 from repro.query.planner import IndexSpec, JoinPlan
-from repro.query.query_tree import TreeEdge
 
 
 #: difference-array sums below this fit comfortably in int64 flat arrays
@@ -76,6 +74,53 @@ class InsertOutcome:
     view_start: int
 
 
+class Direction:
+    """One directed tree edge ``src -> dst``, resolved once per graph:
+    what a weight delta leaving ``src`` toward ``dst`` (Algorithm 1), a
+    new ``src`` vertex summing its ``W_in[dst]``, or a descent stepping
+    from a ``src`` vertex into child ``dst`` (Algorithm 2) looks up.
+
+    ``tree`` is the AVL on ``dst`` keyed by its edge key toward ``src``
+    and ``slot`` the slot of ``w_out[dst -> src]`` in it; ``key_pos``
+    projects a ``src`` vertex key onto its edge key toward ``dst``;
+    ``range_of`` maps that edge key to the range of ``tree`` joining it
+    (:meth:`~repro.query.query_tree.TreeEdge.range_fn`); ``ranged``
+    tells a range edge from a pure-equality one.
+    """
+
+    __slots__ = ("dst", "tree", "slot", "key_pos", "range_of", "ranged")
+
+    def __init__(self, dst: int, tree: AggregateTree, slot: int,
+                 key_pos: Tuple[int, ...],
+                 range_of: Callable[[tuple], IndexRange], ranged: bool):
+        self.dst = dst
+        self.tree = tree
+        self.slot = slot
+        self.key_pos = key_pos
+        self.range_of = range_of
+        self.ranged = ranged
+
+    def source_key(self, vertex: Vertex) -> tuple:
+        """Project a ``src`` vertex key onto its edge key toward ``dst``."""
+        key = vertex.key
+        return tuple([key[i] for i in self.key_pos])
+
+
+class DescentPlan:
+    """The static skeleton of Algorithm 2 for one root: the root's
+    designated tree and ``w_full`` slot and, per plan node, the parent
+    index and the directions into its children."""
+
+    __slots__ = ("tree", "slot", "num_nodes", "nodes")
+
+    def __init__(self, tree: AggregateTree, slot: int,
+                 nodes: List[Tuple[Optional[int], Tuple[Direction, ...]]]):
+        self.tree = tree
+        self.slot = slot
+        self.num_nodes = len(nodes)
+        self.nodes = nodes
+
+
 class WeightedJoinGraph:
     """The paper's weighted join graph over a :class:`JoinPlan`."""
 
@@ -105,32 +150,36 @@ class WeightedJoinGraph:
             self.trees[spec.index_id] = AggregateTree(
                 len(spec.slots), self._value_reader(spec)
             )
-        # neighbours of each node: (neighbor idx, edge), deterministic order
-        self._neighbors: List[List[Tuple[int, TreeEdge]]] = []
-        for node in plan.nodes:
-            nbrs = [
-                (plan.node_idx(nbr_alias), edge)
-                for nbr_alias, edge in plan.tree.neighbors(node.alias)
-            ]
-            self._neighbors.append(nbrs)
-        # positions of each edge's key attrs within the node's vertex key
-        self._edge_key_pos: List[Dict[int, Tuple[int, ...]]] = []
-        for node in plan.nodes:
-            attr_pos = {attr: i for i, attr in enumerate(node.vertex_attrs)}
-            per_nbr: Dict[int, Tuple[int, ...]] = {}
-            for nbr_idx, edge in self._neighbors[node.idx]:
-                per_nbr[nbr_idx] = tuple(
-                    attr_pos[a] for a in edge.key_attrs_of(node.alias)
-                )
-            self._edge_key_pos.append(per_nbr)
+        # neighbours of each node: (neighbour idx, the compiled direction
+        # node -> neighbour), deterministic order
+        self._neighbors: List[List[Tuple[int, Direction]]] = []
         # index key positions (index key attrs within vertex key)
         self._index_key_pos: Dict[int, Tuple[int, ...]] = {}
         for node in plan.nodes:
             attr_pos = {attr: i for i, attr in enumerate(node.vertex_attrs)}
+            nbrs = []
+            for nbr_alias, edge in plan.tree.neighbors(node.alias):
+                nbr_idx = plan.node_idx(nbr_alias)
+                spec = plan.edge_index[(nbr_idx, node.idx)]
+                nbrs.append((nbr_idx, Direction(
+                    nbr_idx, self.trees[spec.index_id],
+                    spec.slot_of("w_out", node.idx),
+                    tuple(attr_pos[a] for a in edge.key_attrs_of(node.alias)),
+                    edge.range_fn(nbr_alias),
+                    edge.range_predicate is not None,
+                )))
+            self._neighbors.append(nbrs)
             for spec in plan.node_indexes[node.idx]:
                 self._index_key_pos[spec.index_id] = tuple(
                     attr_pos[a] for a in spec.key_attrs
                 )
+        # each node's designated tree, the slot of w_full in it, its id
+        self._designated: List[Tuple[AggregateTree, int, int]] = [
+            (self.trees[spec.index_id], spec.slot_of("w_full"),
+             spec.index_id)
+            for spec in plan.designated_index
+        ]
+        self._descents: Dict[int, DescentPlan] = {}
 
     # ------------------------------------------------------------------
     # weight slot plumbing
@@ -147,53 +196,47 @@ class WeightedJoinGraph:
 
         return value_of
 
-    def edge_key_of(self, vertex: Vertex, nbr_idx: int) -> tuple:
-        """Project a vertex key onto its edge key toward ``nbr_idx``."""
-        pos = self._edge_key_pos[vertex.node_idx][nbr_idx]
-        key = vertex.key
-        return tuple(key[i] for i in pos)
-
     def index_key_of(self, vertex: Vertex, spec: IndexSpec) -> tuple:
         """Project a vertex key onto one index's composite sort key."""
         pos = self._index_key_pos[spec.index_id]
         key = vertex.key
         return tuple(key[i] for i in pos)
 
-    def neighbors(self, node_idx: int) -> List[Tuple[int, TreeEdge]]:
+    def neighbors(self, node_idx: int) -> List[Tuple[int, Direction]]:
         return self._neighbors[node_idx]
 
-    def tree_for_edge(self, node_idx: int, nbr_idx: int) -> AggregateTree:
-        """The AVL on ``node_idx`` whose key is its edge key toward
-        ``nbr_idx`` (aggregating ``w_out[node -> nbr]``)."""
-        spec = self.plan.edge_index[(node_idx, nbr_idx)]
-        return self.trees[spec.index_id]
-
-    def designated_tree(self, node_idx: int) -> AggregateTree:
-        return self.trees[self.plan.designated_index[node_idx].index_id]
-
-    def w_full_slot(self, node_idx: int) -> int:
-        return self.plan.designated_index[node_idx].slot_of("w_full")
-
-    def w_out_slot(self, node_idx: int, nbr_idx: int) -> int:
-        return self.plan.edge_index[(node_idx, nbr_idx)].slot_of(
-            "w_out", nbr_idx
-        )
-
-    def join_range(self, edge: TreeEdge, target_idx: int,
-                   source_key: tuple) -> IndexRange:
-        """The key range on ``target_idx``'s edge index matching a source
-        edge key on the other side of ``edge``."""
-        target_alias = self.plan.nodes[target_idx].alias
-        comp = edge.key_range_for(target_alias, source_key)
-        return IndexRange(comp.prefix, comp.last)
+    def descent_plan(self, root_idx: int) -> DescentPlan:
+        """Algorithm 2's skeleton for the tree rooted at ``root_idx``
+        (built on first use; trees and directions are created once in
+        the constructor and never replaced, so the references stay
+        good)."""
+        descent = self._descents.get(root_idx)
+        if descent is None:
+            plan = self.plan
+            rooted = plan.rooted(root_idx)
+            nodes = []
+            for node in plan.nodes:
+                parent_alias = rooted.parent.get(node.alias)
+                children = [plan.node_idx(alias) for alias, _
+                            in rooted.children.get(node.alias, ())]
+                by_dst = dict(self._neighbors[node.idx])
+                nodes.append((
+                    None if parent_alias is None
+                    else plan.node_idx(parent_alias),
+                    tuple(by_dst[child] for child in children),
+                ))
+            tree, slot, _ = self._designated[root_idx]
+            descent = self._descents[root_idx] = DescentPlan(
+                tree, slot, nodes)
+        return descent
 
     # ------------------------------------------------------------------
     # aggregate state
     # ------------------------------------------------------------------
     def total_results(self, root_idx: int = 0) -> int:
         """``J``: the total number of join results in the database."""
-        tree = self.designated_tree(root_idx)
-        return tree.total(self.w_full_slot(root_idx))
+        tree, slot, _ = self._designated[root_idx]
+        return tree.total(slot)
 
     def vertex_of(self, node_idx: int, key: tuple) -> Optional[Vertex]:
         return self.hash_indexes[node_idx].get(key)
@@ -221,10 +264,9 @@ class WeightedJoinGraph:
         )
         if created:
             self.stats.vertex_creations += 1
-            for nbr_idx, edge in self._neighbors[node_idx]:
+            for nbr_idx, direction in self._neighbors[node_idx]:
                 vertex.W_in[nbr_idx] = self._sum_joining_w_out(
-                    vertex, node_idx, nbr_idx, edge
-                )
+                    vertex, direction)
         if weight is None:
             vertex.ids.append(tid)
         else:
@@ -275,10 +317,9 @@ class WeightedJoinGraph:
         touched, placements = self._insert_batch(node_idx, entries)
         # per-entry view placements from the final aggregates (one bulk
         # prefix query over the shared designated index)
-        spec = self.plan.designated_index[node_idx]
-        sums = self.trees[spec.index_id].prefix_many(
-            spec.slot_of("w_full"),
-            [vertex.nodes[spec.index_id] for vertex in touched],
+        tree, slot, index_id = self._designated[node_idx]
+        sums = tree.prefix_many(
+            slot, [vertex.nodes[index_id] for vertex in touched],
             inclusive=True,
         )
         block_end: Dict[int, int] = {
@@ -330,10 +371,9 @@ class WeightedJoinGraph:
             )
             if created:
                 self.stats.vertex_creations += 1
-                for nbr_idx, edge in neighbors:
+                for nbr_idx, direction in neighbors:
                     vertex.W_in[nbr_idx] = self._sum_joining_w_out(
-                        vertex, node_idx, nbr_idx, edge
-                    )
+                        vertex, direction)
             if id(vertex) not in first_w_out:
                 touched.append(vertex)
                 first_w_out[id(vertex)] = dict(vertex.w_out)
@@ -387,14 +427,12 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _sum_joining_w_out(self, vertex: Vertex, node_idx: int,
-                           nbr_idx: int, edge: TreeEdge) -> int:
+    @staticmethod
+    def _sum_joining_w_out(vertex: Vertex, direction: Direction) -> int:
         """Fresh ``W_in[nbr]``: sum of ``w_out[nbr -> node]`` over joining
         vertices in the neighbour table (computed once per new vertex)."""
-        source_key = self.edge_key_of(vertex, nbr_idx)
-        rng = self.join_range(edge, nbr_idx, source_key)
-        tree = self.tree_for_edge(nbr_idx, node_idx)
-        return tree.range_sum(self.w_out_slot(nbr_idx, node_idx), rng)
+        rng = direction.range_of(direction.source_key(vertex))
+        return direction.tree.range_sum(direction.slot, rng)
 
     def weight_of(self, node_idx: int, row: Sequence) -> int:
         """Resolve and validate one tuple's sampling weight (weighted
@@ -456,17 +494,16 @@ class WeightedJoinGraph:
                        ) -> None:
         """Push the ``w_out`` deltas of ``(vertex, w_out before)`` pairs
         of one node outward, one ``updateNeighbor`` per direction."""
-        for nbr_idx, edge in self._neighbors[node_idx]:
+        for nbr_idx, direction in self._neighbors[node_idx]:
             updates: List[Tuple[tuple, int]] = []
             for vertex, old_w_out in touched:
                 delta = vertex.w_out[nbr_idx] - old_w_out.get(nbr_idx, 0)
                 if delta:
-                    updates.append((self.edge_key_of(vertex, nbr_idx),
-                                    delta))
+                    updates.append((direction.source_key(vertex), delta))
             if updates:
-                self._update_direction(node_idx, nbr_idx, edge, updates)
+                self._update_direction(node_idx, direction, updates)
 
-    def _update_direction(self, src_idx: int, dst_idx: int, edge: TreeEdge,
+    def _update_direction(self, src_idx: int, direction: Direction,
                           updates: List[Tuple[tuple, int]]) -> None:
         """The paper's ``updateNeighbor``: apply batched ``(source edge key,
         delta)`` updates to all joining vertices of ``dst_idx``, then recurse
@@ -479,11 +516,12 @@ class WeightedJoinGraph:
         sort-merge process, keeping the work linear in the number of
         affected vertices rather than quadratic.
         """
-        affected = self._gather_deltas(src_idx, dst_idx, edge, updates)
+        affected = self._gather_deltas(direction, updates)
         if not affected:
             return
+        dst_idx = direction.dst
         onward: Dict[int, Dict[tuple, int]] = {}
-        onward_edges: Dict[int, TreeEdge] = {}
+        onward_directions: Dict[int, Direction] = {}
         visited: List[Vertex] = []
         for dst_vertex, delta_w in affected:
             if not delta_w:
@@ -493,15 +531,15 @@ class WeightedJoinGraph:
             old_w_out = dict(dst_vertex.w_out)
             self._recompute_weights(dst_vertex)
             visited.append(dst_vertex)
-            for nbr_idx, nbr_edge in self._neighbors[dst_idx]:
+            for nbr_idx, onward_direction in self._neighbors[dst_idx]:
                 if nbr_idx == src_idx:
                     continue
                 delta = dst_vertex.w_out[nbr_idx] - old_w_out.get(nbr_idx, 0)
                 if delta:
                     batch = onward.setdefault(nbr_idx, {})
-                    nbr_key = self.edge_key_of(dst_vertex, nbr_idx)
+                    nbr_key = onward_direction.source_key(dst_vertex)
                     batch[nbr_key] = batch.get(nbr_key, 0) + delta
-                    onward_edges[nbr_idx] = nbr_edge
+                    onward_directions[nbr_idx] = onward_direction
         # all visited vertices live on dst_idx, so their handles share
         # the node's indexes: one bulk update per index instead of one
         # refresh per (vertex, index).  The index toward src holds
@@ -517,30 +555,29 @@ class WeightedJoinGraph:
                 self.stats.index_refreshes += len(visited)
         for nbr_idx, batch in onward.items():
             self._update_direction(
-                dst_idx, nbr_idx, onward_edges[nbr_idx], list(batch.items())
+                dst_idx, onward_directions[nbr_idx], list(batch.items())
             )
 
-    def _gather_deltas(self, src_idx: int, dst_idx: int, edge: TreeEdge,
+    def _gather_deltas(self, direction: Direction,
                        updates: List[Tuple[tuple, int]]
                        ) -> List[Tuple[Vertex, int]]:
         """Accumulate the per-destination-vertex ``W_in`` delta."""
         coalesced: Dict[tuple, int] = {}
         for source_key, delta in updates:
             coalesced[source_key] = coalesced.get(source_key, 0) + delta
-        tree = self.tree_for_edge(dst_idx, src_idx)
-        dst_alias = self.plan.nodes[dst_idx].alias
-        if edge.range_predicate is None:
+        tree = direction.tree
+        range_of = direction.range_of
+        if not direction.ranged:
             out: List[Tuple[Vertex, int]] = []
             for source_key, delta in coalesced.items():
-                rng = self.join_range(edge, dst_idx, source_key)
-                for dst_vertex in tree.iter_items(rng):
+                for dst_vertex in tree.iter_items(range_of(source_key)):
                     out.append((dst_vertex, delta))
             return out
         # range edge: group by equality prefix, sweep each group once
-        groups: Dict[tuple, List[Tuple[Interval, int]]] = {}
+        groups: Dict[tuple, List[Tuple[IndexRange, int]]] = {}
         for source_key, delta in coalesced.items():
-            comp = edge.key_range_for(dst_alias, source_key)
-            groups.setdefault(comp.prefix, []).append((comp.last, delta))
+            rng = range_of(source_key)
+            groups.setdefault(rng.prefix, []).append((rng, delta))
         out = []
         for prefix, intervals in groups.items():
             out.extend(self._sweep_group(tree, prefix, intervals))
@@ -548,7 +585,7 @@ class WeightedJoinGraph:
 
     @staticmethod
     def _sweep_group(tree: AggregateTree, prefix: tuple,
-                     intervals: List[Tuple[Interval, int]]
+                     intervals: List[Tuple[IndexRange, int]]
                      ) -> List[Tuple[Vertex, int]]:
         """Difference-array accumulation of interval deltas over the
         destination vertices sharing one equality prefix."""
@@ -558,8 +595,7 @@ class WeightedJoinGraph:
             lo = min(iv.lo for iv, _ in intervals)
         if all(iv.hi is not None for iv, _ in intervals):
             hi = max(iv.hi for iv, _ in intervals)
-        union = IndexRange(prefix, Interval(lo, hi))
-        nodes = list(tree.iter_nodes(union))
+        nodes = list(tree.iter_nodes(IndexRange(prefix, lo, hi)))
         if not nodes:
             return []
         plen = len(prefix)
@@ -591,12 +627,8 @@ class WeightedJoinGraph:
         """Inclusive prefix sum of ``w_full`` up to the vertex in its
         node's designated index: the end (exclusive) of the vertex's
         join-number block for the rooted tree at its own node."""
-        spec = self.plan.designated_index[vertex.node_idx]
-        tree = self.trees[spec.index_id]
-        return tree.prefix_sum(
-            spec.slot_of("w_full"), vertex.nodes[spec.index_id],
-            inclusive=True,
-        )
+        tree, slot, index_id = self._designated[vertex.node_idx]
+        return tree.prefix_sum(slot, vertex.nodes[index_id], inclusive=True)
 
     # ------------------------------------------------------------------
     # persistence (repro.persist)
@@ -663,10 +695,8 @@ class WeightedJoinGraph:
             tree.check_invariants()
         for node_idx, hash_index in enumerate(self.hash_indexes):
             for vertex in hash_index.values():
-                for nbr_idx, edge in self._neighbors[node_idx]:
-                    fresh = self._sum_joining_w_out(
-                        vertex, node_idx, nbr_idx, edge
-                    )
+                for nbr_idx, direction in self._neighbors[node_idx]:
+                    fresh = self._sum_joining_w_out(vertex, direction)
                     assert vertex.W_in[nbr_idx] == fresh, (
                         f"stale W_in[{nbr_idx}] at {vertex!r}: "
                         f"cached {vertex.W_in[nbr_idx]} != fresh {fresh}"

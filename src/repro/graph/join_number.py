@@ -13,71 +13,25 @@ the weights in the join graph, following the rooted query tree ``G_Q(R_i)``:
 3. **inter-table partition** — the remainder is decomposed into one join
    number per child subtree using the cached total weights ``W_in``.
 
-The mapping costs ``O(n log N)`` aggregate-tree operations.  The static
-part of the descent — which tree and slot to select from at each step,
-each node's parent index, and each edge's key projection — depends only on
-the plan and the root, so it is resolved once per root into a *descent
-plan* cached on the graph (tree objects are created once in the graph's
-constructor and never replaced, which makes the cached references safe).
+The mapping costs ``O(n log N)``: per table, one walk summing what sorts
+below the joining range and one weighted descent.  The static part —
+which tree and slot to select from at each step, each node's parent index,
+and each edge's key projection and compiled range function — depends only
+on the plan and the root, so the graph resolves it once per root
+(:meth:`~repro.graph.join_graph.WeightedJoinGraph.descent_plan`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.graph.join_graph import WeightedJoinGraph
-from repro.index.api import IndexRange
+from repro.graph.join_graph import DescentPlan, WeightedJoinGraph
 
 
 class JoinNumberError(ReproError):
     """A join number was out of range or the graph state is inconsistent."""
-
-
-class _DescentPlan:
-    """The static skeleton of Algorithm 2 for one root: per node, the
-    parent index and, per child edge, the child's aggregate tree, weight
-    slot, predicate edge, target alias, and vertex-key → edge-key
-    projection positions."""
-
-    __slots__ = ("tree", "slot", "num_nodes", "nodes")
-
-    def __init__(self, graph: WeightedJoinGraph, root_idx: int):
-        plan = graph.plan
-        self.tree = graph.designated_tree(root_idx)
-        self.slot = graph.w_full_slot(root_idx)
-        self.num_nodes = plan.num_nodes
-        rooted = plan.rooted(root_idx)
-        self.nodes: List[Tuple[Optional[int], tuple]] = []
-        for node in plan.nodes:
-            parent_alias = rooted.parent.get(node.alias)
-            parent_idx = (None if parent_alias is None
-                          else plan.node_idx(parent_alias))
-            children = tuple(
-                (
-                    plan.node_idx(child_alias),
-                    graph.tree_for_edge(plan.node_idx(child_alias), node.idx),
-                    graph.w_out_slot(plan.node_idx(child_alias), node.idx),
-                    edge,
-                    child_alias,
-                    graph._edge_key_pos[node.idx][plan.node_idx(child_alias)],
-                )
-                for child_alias, edge in rooted.children.get(node.alias, ())
-            )
-            self.nodes.append((parent_idx, children))
-
-
-def _descent_plan(graph: WeightedJoinGraph, root_idx: int) -> _DescentPlan:
-    cache: Optional[Dict[int, _DescentPlan]] = getattr(
-        graph, "_descent_plans", None)
-    if cache is None:
-        cache = {}
-        graph._descent_plans = cache
-    plan = cache.get(root_idx)
-    if plan is None:
-        plan = cache[root_idx] = _DescentPlan(graph, root_idx)
-    return plan
 
 
 def map_join_number(graph: WeightedJoinGraph, root_idx: int,
@@ -89,7 +43,7 @@ def map_join_number(graph: WeightedJoinGraph, root_idx: int,
     """
     if join_number < 0:
         raise JoinNumberError(f"join number {join_number} is negative")
-    plan = _descent_plan(graph, root_idx)
+    plan = graph.descent_plan(root_idx)
     total = plan.tree.total(plan.slot)
     if join_number >= total:
         raise JoinNumberError(
@@ -104,7 +58,7 @@ def map_join_number(graph: WeightedJoinGraph, root_idx: int,
     return tuple(result)  # type: ignore[arg-type]
 
 
-def _descend(plan: _DescentPlan, vertex, remaining: int, is_root: bool,
+def _descend(plan: DescentPlan, vertex, remaining: int, is_root: bool,
              result: List[Optional[int]]) -> None:
     """Steps 2 and 3 of the partition at one vertex, then recurse.
 
@@ -142,21 +96,16 @@ def _descend(plan: _DescentPlan, vertex, remaining: int, is_root: bool,
         remaining -= before * unit
         tuple_w = cum[i] - before
 
-    for (child_idx, child_tree, child_slot, edge, child_alias,
-         key_pos) in children:
-        total_w = vertex.W_in[child_idx]
+    for child in children:
+        total_w = vertex.W_in[child.dst]
         child_number = remaining % total_w
         remaining //= total_w
-        key = vertex.key
-        comp = edge.key_range_for(
-            child_alias, tuple(key[i] for i in key_pos)
-        )
-        selected = child_tree.select(
-            child_slot, child_number, IndexRange(comp.prefix, comp.last)
-        )
+        selected = child.tree.select(
+            child.slot, child_number,
+            child.range_of(child.source_key(vertex)))
         if selected is None:
             raise JoinNumberError(
-                f"child selection failed at node {node_idx} -> {child_alias}"
+                f"child selection failed at node {node_idx} -> {child.dst}"
             )
         child_vertex, child_prefix = selected
         _descend(plan, child_vertex, child_number - child_prefix,

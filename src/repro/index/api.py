@@ -7,61 +7,59 @@ the paper's aggregate AVL tree (§4.3,
 ``(key, tie) -> item`` entries that maintains, per *slot*, the sum of a
 per-item value over any contiguous key range.  This module holds the
 vocabulary its callers share with it: :class:`IndexRange`, a contiguous
-range of composite keys, and :data:`EVERYTHING`, the unbounded one.
+range of composite keys — the one range type between a join predicate's
+constants and the tree (:meth:`repro.query.query_tree.TreeEdge.range_fn`
+compiles a ``source key -> IndexRange`` function per edge direction).
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-from repro.query.intervals import Interval
 
 
 class IndexRange:
     """A contiguous range of composite keys.
 
-    ``prefix`` pins the leading key components to exact values; ``last``
-    optionally constrains the next component to an :class:`Interval`.  Keys
-    longer than the constrained components are unconstrained beyond them,
-    which makes the range contiguous in lexicographic order.
+    ``prefix`` pins the leading key components to exact values; the next
+    component is optionally bounded below by ``lo`` and above by ``hi``
+    (``None``: unbounded on that side; ``lo_open`` / ``hi_open`` exclude
+    the bound itself).  Keys longer than the constrained components are
+    unconstrained beyond them, which makes the range contiguous in
+    lexicographic order.
+
+    The two ends are also kept as comparable key heads, which is what the
+    tree compares node keys against: a key sorts *below* the range when
+    ``key[:len(lo_key)] < lo_key`` (``<=`` when ``lo_open``) and *above*
+    it when ``key[:len(hi_key)] > hi_key`` (``>=`` when ``hi_open``).
     """
 
-    __slots__ = ("prefix", "last", "_plen")
+    __slots__ = ("prefix", "lo", "hi", "lo_open", "hi_open",
+                 "lo_key", "hi_key")
 
-    def __init__(self, prefix: tuple = (), last: Optional[Interval] = None):
-        self.prefix = tuple(prefix)
-        self.last = last
-        self._plen = len(self.prefix)
-
-    @staticmethod
-    def everything() -> "IndexRange":
-        return IndexRange((), None)
-
-    def side(self, key: tuple) -> int:
-        """-1 when ``key`` sorts entirely below the range, +1 above, 0 in."""
-        head = key[: self._plen]
-        if head < self.prefix:
-            return -1
-        if head > self.prefix:
-            return 1
-        if self.last is None:
-            return 0
-        value = key[self._plen]
-        lo, hi = self.last.lo, self.last.hi
-        if lo is not None and (value < lo or (self.last.lo_open and value == lo)):
-            return -1
-        if hi is not None and (value > hi or (self.last.hi_open and value == hi)):
-            return 1
-        return 0
+    def __init__(self, prefix: tuple = (), lo: object = None,
+                 hi: object = None, lo_open: bool = False,
+                 hi_open: bool = False):
+        prefix = tuple(prefix)
+        self.prefix = prefix
+        self.lo = lo
+        self.hi = hi
+        # an absent bound excludes nothing
+        self.lo_open = lo_open and lo is not None
+        self.hi_open = hi_open and hi is not None
+        self.lo_key = prefix if lo is None else prefix + (lo,)
+        self.hi_key = prefix if hi is None else prefix + (hi,)
 
     def contains(self, key: tuple) -> bool:
-        return self.side(key) == 0
+        lo_key, hi_key = self.lo_key, self.hi_key
+        head = key[:len(lo_key)]
+        if head < lo_key or (self.lo_open and head == lo_key):
+            return False
+        head = key[:len(hi_key)]
+        return head < hi_key or (head == hi_key and not self.hi_open)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"IndexRange(prefix={self.prefix!r}, last={self.last!r})"
-
-
-EVERYTHING = IndexRange.everything()
+        left = "(" if self.lo_open else "["
+        right = ")" if self.hi_open else "]"
+        return (f"IndexRange(prefix={self.prefix!r}, "
+                f"{left}{self.lo!r}, {self.hi!r}{right})")
 
 
 def default_backend() -> str:

@@ -4,12 +4,15 @@ An :class:`AggregateTree` is an AVL tree over ``(key, tie)`` pairs — ``key``
 is a composite attribute tuple (possibly shared by several items), ``tie`` a
 unique integer that makes the sort key total.  Each node additionally
 maintains, for each of a fixed number of *slots*, the sum of a per-item
-numeric value over its subtree.  Values are read through a ``value_of(item,
-slot)`` callback so the items themselves (join-graph vertices) own their
-weights; when an item's weight changes, calling :meth:`refresh`
-on its node handle re-aggregates the ``O(log n)`` path to the root.
+numeric value over its subtree.  The items themselves (join-graph vertices)
+own their weights: a node reads its item's slot values through the
+``value_of(item, slot)`` callback when it is inserted and whenever its
+handle is passed to :meth:`refresh` / :meth:`update_many` — which
+re-aggregate the ``O(log n)`` path to the root — and holds them in between,
+so no query, rotation or re-aggregation calls back into the items.
 
-Supported queries (all logarithmic):
+Supported queries (each one or two root-to-leaf walks, ``O(log n)`` key
+comparisons — the bound of the paper's index):
 
 * ``total(slot)`` — sum over the whole tree;
 * ``range_sum(slot, rng)`` — sum over a contiguous key range;
@@ -35,27 +38,32 @@ from __future__ import annotations
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import IndexKeyError, InvalidArgumentError
-from repro.index.api import EVERYTHING as _EVERYTHING, IndexRange
+from repro.index.api import IndexRange
 
 __all__ = ["AggregateTree", "IndexRange", "TreeNode"]
+
+_EVERYTHING = IndexRange()
 
 
 class TreeNode:
     """A node handle.  Treat as opaque outside this module and tests,
     except for ``key``, ``tie``, ``item`` and the derived ``sort_key``."""
 
-    __slots__ = ("key", "tie", "item",
+    __slots__ = ("key", "tie", "item", "values",
                  "left", "right", "parent", "height", "sums")
 
-    def __init__(self, key: tuple, tie: int, item: object, num_slots: int):
+    def __init__(self, key: tuple, tie: int, item: object,
+                 values: List[int]):
         self.key = key
         self.tie = tie
         self.item = item
+        #: the item's slot values as last read through ``value_of``
+        self.values = values
         self.left: Optional[TreeNode] = None
         self.right: Optional[TreeNode] = None
         self.parent: Optional[TreeNode] = None
         self.height = 1
-        self.sums: List[int] = [0] * num_slots
+        self.sums: List[int] = list(values)
 
     @property
     def sort_key(self) -> tuple:
@@ -120,10 +128,9 @@ class AggregateTree:
         if tie is None:
             tie = self._next_tie
             self._next_tie += 1
-        node = TreeNode(key, tie, item, self.num_slots)
+        node = TreeNode(key, tie, item, self._read(item))
         self._size += 1
         if self._root is None:
-            self._pull(node)
             self._root = node
             return node
         cur = self._root
@@ -140,7 +147,6 @@ class AggregateTree:
                     node.parent = cur
                     break
                 cur = cur.right
-        self._pull(node)
         self._rebalance_up(node.parent)
         return node
 
@@ -179,6 +185,7 @@ class AggregateTree:
         """Re-aggregate after ``node.item``'s slot values changed."""
         if node.parent is None and node is not self._root:
             raise self._stale(node)
+        node.values = self._read(node.item)
         cur: Optional[TreeNode] = node
         while cur is not None:
             self._pull(cur)
@@ -188,34 +195,40 @@ class AggregateTree:
         """Fused refresh: nearby nodes share most of their root paths, so
         collect every affected node once and re-aggregate children before
         parents instead of walking each full path to the root.  ``nodes``
-        may be in any order and may contain duplicates."""
+        may be in any order and may contain duplicates.  Every handle is
+        checked before any item is read: a stale one raises with the
+        tree, cached values included, exactly as it was."""
         nodes = list(nodes)
         if len(nodes) <= 1:
             for node in nodes:
                 self.refresh(node)
             return
-        pending = {}  # id -> (depth-unknown) node, each pulled exactly once
+        root = self._root
         for node in nodes:
-            if node.parent is None and node is not self._root:
+            if node.parent is None and node is not root:
                 raise self._stale(node)
+        read = self._read
+        pending = set()  # the handles and their ancestors
+        for node in nodes:
+            node.values = read(node.item)
             cur = node
-            while cur is not None and id(cur) not in pending:
-                pending[id(cur)] = cur
+            while cur is not None and cur not in pending:
+                pending.add(cur)
                 cur = cur.parent
-        depths: dict = {}  # memoised via the ancestor-closed pending set
-        for node in pending.values():
-            chain = []
-            cur = node
-            while cur is not None and id(cur) not in depths:
-                chain.append(cur)
-                cur = cur.parent
-            d = depths[id(cur)] if cur is not None else -1
-            while chain:
-                d += 1
-                depths[id(chain.pop())] = d
-        for node in sorted(pending.values(),
-                           key=lambda n: depths[id(n)], reverse=True):
-            self._pull(node)
+        # one walk down from the root through the pending nodes lists
+        # every parent before its children; pull in the reverse order
+        order = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if node.left in pending:
+                stack.append(node.left)
+            if node.right in pending:
+                stack.append(node.right)
+        pull = self._pull
+        for node in reversed(order):
+            pull(node)
 
     def prefix_many(self, slot: int, nodes, inclusive: bool = True):
         """Prefix sums for several nodes in one call (batch placement)."""
@@ -239,29 +252,34 @@ class AggregateTree:
 
     def iter_nodes(self, rng: Optional[IndexRange] = None
                    ) -> Iterator[TreeNode]:
-        """Yield nodes in key order, restricted to ``rng`` when given."""
-        rng = rng or _EVERYTHING
-        stack: List[Tuple[TreeNode, bool]] = []
-        if self._root is not None:
-            stack.append((self._root, False))
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                yield node
-                continue
-            side = rng.side(node.key)
-            if side < 0:
-                if node.right is not None:
-                    stack.append((node.right, False))
-            elif side > 0:
-                if node.left is not None:
-                    stack.append((node.left, False))
+        """Yield nodes in key order, restricted to ``rng`` when given:
+        one descent to the first node not below the range, then an
+        in-order walk that ends at the first node above it."""
+        if rng is None:
+            rng = _EVERYTHING
+        lo_key, lo_open = rng.lo_key, rng.lo_open
+        hi_key, hi_open = rng.hi_key, rng.hi_open
+        n = len(lo_key)
+        stack: List[TreeNode] = []
+        node = self._root
+        while node is not None:
+            head = node.key[:n]
+            if head < lo_key or (lo_open and head == lo_key):
+                node = node.right
             else:
-                if node.right is not None:
-                    stack.append((node.right, False))
-                stack.append((node, True))
-                if node.left is not None:
-                    stack.append((node.left, False))
+                stack.append(node)
+                node = node.left
+        n = len(hi_key)
+        while stack:
+            node = stack.pop()
+            head = node.key[:n]
+            if head > hi_key or (hi_open and head == hi_key):
+                return
+            yield node
+            node = node.right
+            while node is not None:
+                stack.append(node)
+                node = node.left
 
     def iter_items(self, rng: Optional[IndexRange] = None
                    ) -> Iterator[object]:
@@ -275,22 +293,29 @@ class AggregateTree:
         """Sum of ``slot`` values over items whose key lies in ``rng``."""
         if rng is None:
             return self.total(slot)
-        return self._range_sum(self._root, slot, rng, False, False)
+        total = (self._sum_before(slot, rng.hi_key, not rng.hi_open)
+                 - self._sum_before(slot, rng.lo_key, rng.lo_open))
+        # an empty interval (lo past hi) puts the upper cut first
+        return total if total > 0 else 0
 
-    def _range_sum(self, node: Optional[TreeNode], slot: int,
-                   rng: IndexRange, lo_done: bool, hi_done: bool) -> int:
-        if node is None:
-            return 0
-        if lo_done and hi_done:
-            return node.sums[slot]
-        side = rng.side(node.key)
-        if side < 0:
-            return self._range_sum(node.right, slot, rng, lo_done, hi_done)
-        if side > 0:
-            return self._range_sum(node.left, slot, rng, lo_done, hi_done)
-        left = self._range_sum(node.left, slot, rng, lo_done, True)
-        right = self._range_sum(node.right, slot, rng, True, hi_done)
-        return left + self.value_of(node.item, slot) + right
+    def _sum_before(self, slot: int, bound: tuple, inclusive: bool) -> int:
+        """Sum of ``slot`` values over the nodes whose key's leading
+        ``len(bound)`` components sort before ``bound`` (or equal it,
+        when ``inclusive``): one root-to-leaf walk."""
+        n = len(bound)
+        total = 0
+        node = self._root
+        while node is not None:
+            head = node.key[:n]
+            if head < bound or (inclusive and head == bound):
+                left = node.left
+                if left is not None:
+                    total += left.sums[slot]
+                total += node.values[slot]
+                node = node.right
+            else:
+                node = node.left
+        return total
 
     def select(self, slot: int, target: int,
                rng: Optional[IndexRange] = None
@@ -305,52 +330,33 @@ class AggregateTree:
         """
         if target < 0:
             raise InvalidArgumentError("select target must be >= 0")
-        if rng is None:
-            # unbounded select needs no range-side checks: a plain
-            # weighted descent over the cached subtree sums
-            node = self._root
-            consumed = 0
-            value_of = self.value_of
-            while node is not None:
-                left = node.left
-                left_sum = left.sums[slot] if left is not None else 0
-                if target < left_sum:
-                    node = left
-                    continue
-                target -= left_sum
-                consumed += left_sum
-                value = value_of(node.item, slot)
-                if target < value:
-                    return node.item, consumed
-                target -= value
-                consumed += value
-                node = node.right
-            return None
+        # a ranged select is the unbounded one shifted by what sorts
+        # below the range: the hit cannot lie below it (those items end
+        # at ``below <= target``), so it is in the range or past it
+        below = (0 if rng is None
+                 else self._sum_before(slot, rng.lo_key, rng.lo_open))
+        target += below
         node = self._root
-        lo_done = hi_done = False
         consumed = 0
         while node is not None:
-            side = rng.side(node.key)
-            if side < 0:
-                node = node.right
-                continue
-            if side > 0:
-                node = node.left
-                continue
-            left_sum = self._range_sum(node.left, slot, rng, lo_done, True)
+            left = node.left
+            left_sum = left.sums[slot] if left is not None else 0
             if target < left_sum:
-                node = node.left
-                hi_done = True
+                node = left
                 continue
             target -= left_sum
             consumed += left_sum
-            value = self.value_of(node.item, slot)
+            value = node.values[slot]
             if target < value:
-                return node.item, consumed
+                if rng is not None:
+                    hi_key = rng.hi_key
+                    head = node.key[:len(hi_key)]
+                    if head > hi_key or (rng.hi_open and head == hi_key):
+                        return None
+                return node.item, consumed - below
             target -= value
             consumed += value
             node = node.right
-            lo_done = True
         return None
 
     def prefix_sum(self, slot: int, node: TreeNode,
@@ -366,11 +372,11 @@ class AggregateTree:
         if node.left is not None:
             total += node.left.sums[slot]
         if inclusive:
-            total += self.value_of(node.item, slot)
+            total += node.values[slot]
         cur = node
         while cur.parent is not None:
             if cur is cur.parent.right:
-                total += self.value_of(cur.parent.item, slot)
+                total += cur.parent.values[slot]
                 if cur.parent.left is not None:
                     total += cur.parent.left.sums[slot]
             cur = cur.parent
@@ -379,20 +385,23 @@ class AggregateTree:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _read(self, item: object) -> List[int]:
+        """The item's current slot values, through the callback."""
+        value_of = self.value_of
+        return [value_of(item, slot) for slot in range(self.num_slots)]
+
     def _pull(self, node: TreeNode) -> None:
         left, right = node.left, node.right
         lh = left.height if left is not None else 0
         rh = right.height if right is not None else 0
         node.height = (lh if lh > rh else rh) + 1
-        value_of = self.value_of
-        item = node.item
-        for slot in range(self.num_slots):
-            total = value_of(item, slot)
+        sums = node.sums
+        for slot, total in enumerate(node.values):
             if left is not None:
                 total += left.sums[slot]
             if right is not None:
                 total += right.sums[slot]
-            node.sums[slot] = total
+            sums[slot] = total
 
     def _replace_in_parent(self, node: TreeNode,
                            replacement: Optional[TreeNode],
@@ -462,7 +471,8 @@ class AggregateTree:
     # test support
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify BST order, AVL balance, parent links and sums (tests)."""
+        """Verify BST order, AVL balance, parent links, and the cached
+        values and sums against ``value_of`` (tests)."""
 
         def walk(node: Optional[TreeNode]) -> Tuple[int, int, list]:
             if node is None:
@@ -477,10 +487,9 @@ class AggregateTree:
             if node.right is not None:
                 assert node.right.parent is node, "parent link broken (R)"
                 assert node.right.sort_key > node.sort_key, "order violated"
-            expect = [
-                ls[i] + rs[i] + self.value_of(node.item, i)
-                for i in range(self.num_slots)
-            ]
+            values = self._read(node.item)
+            assert node.values == values, "cached values stale"
+            expect = [l + r + v for l, r, v in zip(ls, rs, values)]
             assert node.sums == expect, "aggregate sums stale"
             return max(lh, rh) + 1, lc + rc + 1, expect
 

@@ -13,28 +13,20 @@ V = TypeVar("V")
 
 
 class HashIndex:
-    """A thin dict wrapper with find-or-create semantics and stats."""
+    """A thin dict wrapper with find-or-create semantics."""
 
     def __init__(self) -> None:
         self._map: Dict[tuple, object] = {}
-        self.lookups = 0
-        self.misses = 0
 
     def get(self, key: tuple) -> Optional[object]:
-        self.lookups += 1
-        value = self._map.get(key)
-        if value is None:
-            self.misses += 1
-        return value
+        return self._map.get(key)
 
     def get_or_create(self, key: tuple,
                       factory: Callable[[], V]) -> Tuple[V, bool]:
         """Return ``(value, created)`` for ``key``, creating if absent."""
-        self.lookups += 1
         value = self._map.get(key)
         if value is not None:
             return value, False
-        self.misses += 1
         value = factory()
         self._map[key] = value
         return value, True

@@ -10,10 +10,14 @@ attribute in terms of the other:
   ``lt`` one of ``<, <=``.
 
 Both expose the same interface: test a pair of values, and — crucially for
-the weighted join graph — map a value on one side to the :class:`Interval`
-of matching values on the other side.  Interval endpoints are computed with
-exact rational arithmetic (:class:`fractions.Fraction`) so integer attributes
-are never mis-classified by floating-point division.
+the weighted join graph — map a value on one side to the interval of
+matching values on the other side.  Per direction that map is linear in the
+value with constants taken from the predicate, so it is compiled once
+(:meth:`ThetaPredicate.bounds_for`) and the endpoints are computed in exact
+arithmetic — integers stay integers when the coefficient is ±1,
+:class:`fractions.Fraction` otherwise, never an ``int / int`` division — so
+integer attributes of any magnitude are never mis-classified by
+floating-point rounding.
 
 *Filter* predicates come in two flavours: single-table
 (:class:`FilterPredicate`, applied as a pre-filter before tuples enter the
@@ -27,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryError
 from repro.query.intervals import Interval
@@ -88,6 +92,51 @@ def _is_negative(value: object) -> bool:
         return False
 
 
+def _ratio(num: object, den: object) -> object:
+    """``num / den`` over exact numbers, exactly."""
+    return _simplify(Fraction(num) / den)
+
+
+#: ``source value -> (lo, hi)`` of the matching values on the other side
+Bounds = Callable[[object], Tuple[object, object]]
+
+
+def _linear_bounds(mul: Union[int, Fraction], lo_add: object,
+                   hi_add: object) -> Bounds:
+    """Compile ``value -> (mul * value + lo_add, mul * value + hi_add)``
+    (an add of ``None`` leaves that side unbounded) over exact constants.
+
+    Integer constants on an integer value are plain integer arithmetic;
+    a fractional constant or a float value (read through :func:`_exact`)
+    goes through :class:`Fraction`, collapsed back to an int when whole.
+    """
+    if lo_add is None:
+        def line(value):
+            return None, mul * value + hi_add
+    elif hi_add is None:
+        def line(value):
+            return mul * value + lo_add, None
+    else:
+        def line(value):
+            scaled = mul * value
+            return scaled + lo_add, scaled + hi_add
+
+    def exact(value):
+        lo, hi = line(_exact(value))
+        return _simplify(lo), _simplify(hi)
+
+    if not all(isinstance(c, int) for c in (mul, lo_add, hi_add)
+               if c is not None):
+        return exact
+
+    def bounds(value):
+        if isinstance(value, float):
+            return exact(value)
+        return line(value)
+
+    return bounds
+
+
 class ThetaPredicate:
     """Common interface of the two join-predicate forms.
 
@@ -104,13 +153,21 @@ class ThetaPredicate:
         """True when the pair of values satisfies the predicate."""
         raise NotImplementedError
 
+    def bounds_for(self, target_alias: str) -> Tuple[Bounds, bool, bool]:
+        """Compile the map from a value on the other side to the matching
+        values on ``target_alias``'s side: ``(bounds, lo_open, hi_open)``
+        with ``bounds(source_value) -> (lo, hi)``, ``None`` for an
+        unbounded side.  Which sides are bounded or open depends only on
+        the predicate and the direction, not on the value."""
+        raise NotImplementedError
+
     def interval_for_right(self, left_value: object) -> Interval:
         """Values of ``right.right_attr`` matching a given left value."""
-        raise NotImplementedError
+        return self.interval_for(self.right, left_value)
 
     def interval_for_left(self, right_value: object) -> Interval:
         """Values of ``left.left_attr`` matching a given right value."""
-        raise NotImplementedError
+        return self.interval_for(self.left, right_value)
 
     # convenience -------------------------------------------------------
     @property
@@ -136,11 +193,9 @@ class ThetaPredicate:
 
     def interval_for(self, target_alias: str, source_value: object) -> Interval:
         """Matching values on ``target_alias``'s side given the other side."""
-        if target_alias == self.right:
-            return self.interval_for_right(source_value)
-        if target_alias == self.left:
-            return self.interval_for_left(source_value)
-        raise QueryError(f"{target_alias} is not a side of {self}")
+        bounds, lo_open, hi_open = self.bounds_for(target_alias)
+        lo, hi = bounds(source_value)
+        return Interval(lo, hi, lo_open, hi_open)
 
     def matches_side(
         self, alias: str, value: object, other_value: object
@@ -192,21 +247,26 @@ class JoinPredicate(ThetaPredicate):
             return left_value == right_value
         return self.op.test(left_value, self.coeff * right_value + self.offset)
 
-    def interval_for_left(self, right_value: object) -> Interval:
+    def bounds_for(self, target_alias: str) -> Tuple[Bounds, bool, bool]:
+        self.other(target_alias)  # a QueryError unless it is a side
         if self.is_plain_equality:
-            return Interval.point(right_value)
-        bound = _simplify(self.coeff * _exact(right_value) + self.offset)
-        return _interval_from_op(self.op, bound)
-
-    def interval_for_right(self, left_value: object) -> Interval:
-        if self.is_plain_equality:
-            return Interval.point(left_value)
-        # left op coeff*right + offset  <=>  right op' (left - offset)/coeff
-        bound = _simplify((_exact(left_value) - self.offset) / self.coeff)
-        op = self.op.flipped()
-        if self.coeff < 0 and op is not ComparisonOp.EQ:
-            op = op.flipped()
-        return _interval_from_op(op, bound)
+            # no arithmetic: the values need not be numbers
+            return (lambda value: (value, value)), False, False
+        if target_alias == self.left:
+            mul, add, op = self.coeff, self.offset, self.op
+        else:
+            # l op coeff*r + offset  <=>  r op' (l - offset)/coeff
+            mul = _ratio(1, self.coeff)
+            add = _ratio(-self.offset, self.coeff)
+            op = self.op.flipped()
+            if self.coeff < 0:
+                op = op.flipped()
+        if op is ComparisonOp.EQ:
+            return _linear_bounds(mul, add, add), False, False
+        if op in (ComparisonOp.LT, ComparisonOp.LE):
+            return (_linear_bounds(mul, None, add),
+                    False, op is ComparisonOp.LT)
+        return _linear_bounds(mul, add, None), op is ComparisonOp.GT, False
 
     def __str__(self) -> str:
         rhs = f"{self.right}.{self.right_attr}"
@@ -218,18 +278,6 @@ class JoinPredicate(ThetaPredicate):
             sign = "+" if not _is_negative(self.offset) else "-"
             rhs = f"{rhs} {sign} {abs(self.offset)}"
         return f"{self.left}.{self.left_attr} {self.op.value} {rhs}"
-
-
-def _interval_from_op(op: ComparisonOp, bound: object) -> Interval:
-    if op is ComparisonOp.EQ:
-        return Interval.point(bound)
-    if op is ComparisonOp.LT:
-        return Interval.at_most(bound, strict=True)
-    if op is ComparisonOp.LE:
-        return Interval.at_most(bound)
-    if op is ComparisonOp.GT:
-        return Interval.at_least(bound, strict=True)
-    return Interval.at_least(bound)
 
 
 @dataclass(frozen=True)
@@ -269,25 +317,16 @@ class BandPredicate(ThetaPredicate):
             return diff <= self.width
         return diff < self.width
 
-    def interval_for_left(self, right_value: object) -> Interval:
-        center = self.coeff * _exact(right_value)
+    def bounds_for(self, target_alias: str) -> Tuple[Bounds, bool, bool]:
+        self.other(target_alias)  # a QueryError unless it is a side
+        if target_alias == self.left:
+            mul, half = self.coeff, self.width
+        else:
+            # |l - c r| lt w  <=>  l/c - w/|c| <= r <= l/c + w/|c|
+            mul = _ratio(1, self.coeff)
+            half = _ratio(self.width, abs(self.coeff))
         strict = not self.inclusive
-        return Interval(
-            _simplify(center - self.width),
-            _simplify(center + self.width),
-            strict,
-            strict,
-        )
-
-    def interval_for_right(self, left_value: object) -> Interval:
-        # |l - c r| lt w  <=>  (l-w)/c <= r <= (l+w)/c   (for c > 0)
-        left_value = _exact(left_value)
-        lo = (left_value - self.width) / self.coeff
-        hi = (left_value + self.width) / self.coeff
-        if self.coeff < 0:
-            lo, hi = hi, lo
-        strict = not self.inclusive
-        return Interval(_simplify(lo), _simplify(hi), strict, strict)
+        return _linear_bounds(mul, -half, half), strict, strict
 
     def __str__(self) -> str:
         rhs = f"{self.right}.{self.right_attr}"

@@ -17,10 +17,10 @@ predicates on an edge are demoted to multi-table filters as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError, QueryError
-from repro.query.intervals import Interval
+from repro.index.api import IndexRange
 from repro.query.predicates import (
     JoinPredicate,
     MultiTableFilter,
@@ -71,43 +71,27 @@ class TreeEdge:
                 return False
         return True
 
-    def key_range_for(self, target_alias: str,
-                      source_key: Sequence[object]) -> "CompositeRange":
-        """The composite-key range on ``target_alias``'s side matching
-        a composite key on the other side."""
-        prefix = []
-        for pred, value in zip(self.eq_predicates, source_key):
-            prefix.append(value)
+    def range_fn(self, target_alias: str) -> Callable[[tuple], IndexRange]:
+        """Compile the map from a composite key on the other side to the
+        range of ``target_alias``'s composite keys that join it: the
+        equality components pinned as the prefix, the range predicate's
+        bounds (constants resolved here, once) on the last component.
+        On a pure-equality edge the range is the single point ``key``."""
+        self.other(target_alias)  # a QueryError unless it is an endpoint
         if self.range_predicate is None:
-            return CompositeRange(tuple(prefix), None)
-        interval = self.range_predicate.interval_for(
-            target_alias, source_key[len(self.eq_predicates)]
-        )
-        return CompositeRange(tuple(prefix), interval)
+            return IndexRange
+        num_eq = len(self.eq_predicates)
+        bounds, lo_open, hi_open = self.range_predicate.bounds_for(
+            target_alias)
+
+        def range_of(source_key: tuple) -> IndexRange:
+            lo, hi = bounds(source_key[num_eq])
+            return IndexRange(source_key[:num_eq], lo, hi, lo_open, hi_open)
+
+        return range_of
 
     def __str__(self) -> str:
         return " AND ".join(str(p) for p in self.predicates)
-
-
-@dataclass(frozen=True)
-class CompositeRange:
-    """A contiguous range of composite keys: fixed prefix + last interval.
-
-    ``prefix`` pins the leading (equality) components; ``last`` constrains
-    the final component, or is None when the key has no range component
-    (pure-equality edge: the range is the single point ``prefix``).
-    """
-
-    prefix: Tuple[object, ...]
-    last: Optional[Interval]
-
-    def contains(self, key: Sequence[object]) -> bool:
-        k = len(self.prefix)
-        if tuple(key[:k]) != self.prefix:
-            return False
-        if self.last is None:
-            return True
-        return self.last.contains(key[k])
 
 
 @dataclass
@@ -181,7 +165,6 @@ class RootedTree:
         self.tree = tree
         self.root = root
         self.parent: Dict[str, Optional[str]] = {root: None}
-        self.parent_edge: Dict[str, Optional[TreeEdge]] = {root: None}
         self.children: Dict[str, List[Tuple[str, TreeEdge]]] = {}
         order = [root]
         stack = [root]
@@ -192,7 +175,6 @@ class RootedTree:
                 if nbr == self.parent[alias]:
                     continue
                 self.parent[nbr] = alias
-                self.parent_edge[nbr] = edge
                 kids.append((nbr, edge))
                 stack.append(nbr)
                 order.append(nbr)

@@ -5,6 +5,11 @@ tree query (range_sum, select, prefix_sum, iteration) is cross-checked
 against brute force over the model after random interleavings of insert /
 delete / value-change operations, the batch entry points (``update_many``,
 ``prefix_many``) included.
+
+Two more oracles guard the one-descent range operations: the recursive
+``select`` / ``_range_sum`` / ``iter_nodes`` they replaced, kept here as a
+reference and driven differentially, and a comparison-counting key type
+that pins the paper's ``O(log N)`` bound as a count no box can blur.
 """
 
 import random
@@ -119,7 +124,7 @@ class TestUnit:
         for a in range(3):
             for b in range(4):
                 tree.insert((a, b), Item([1]))
-        rng = IndexRange((1,), Interval(1, 2))
+        rng = IndexRange((1,), 1, 2)
         assert tree.range_sum(0, rng) == 2
         items = list(tree.iter_nodes(rng))
         assert [n.key for n in items] == [(1, 1), (1, 2)]
@@ -165,6 +170,25 @@ class TestUnit:
             assert len(tree) == 2
             assert tree.total(0) == sum(n.item.values[0] for n in nodes)
             tree.check_invariants()
+        # nodes hold their items' values: a refused batch must not have
+        # read any of them, or the tree would be half-updated — new
+        # values cached on ``live``, its ancestors' sums still old
+        before = tree.total(0)
+        for node in nodes:
+            node.item.values[0] += 10
+        stale.item.values[0] += 10
+        with pytest.raises(IndexKeyError, match="stale handle"):
+            tree.update_many([live, stale, live])
+        assert tree.total(0) == before
+        assert tree.select(0, before - 1)[0] is nodes[-1].item
+        for node in nodes:          # as the tree still sees them
+            node.item.values[0] -= 10
+        tree.check_invariants()
+        for node in nodes:
+            node.item.values[0] += 10
+        tree.update_many(nodes)
+        assert tree.total(0) == before + 20
+        tree.check_invariants()
 
     def test_deleted_only_node_is_stale_too(self):
         tree = AggregateTree(1, value_of)
@@ -242,7 +266,7 @@ def test_tree_matches_model(ops, rng_spec, target):
 
     lo, hi, lo_open, hi_open = rng_spec
     interval = Interval(lo, hi, lo_open, hi_open)
-    rng = IndexRange((), interval)
+    rng = IndexRange((), lo, hi, lo_open, hi_open)
     in_range = [
         (key, node.tie, item) for key, node, item in model
         if interval.contains(key)
@@ -293,7 +317,7 @@ def test_prefix_ranges_match_model(entries, prefix, lo, hi, lo_open,
         model.append(((p, v), node.tie, item))
     interval = Interval(lo if lo >= 0 else None, hi if hi >= 0 else None,
                         lo_open, hi_open)
-    rng = IndexRange((prefix,), interval)
+    rng = IndexRange((prefix,), interval.lo, interval.hi, lo_open, hi_open)
     in_range = sorted(
         (key, tie, item) for key, tie, item in model
         if key[0] == prefix and interval.contains(key[1])
@@ -332,3 +356,227 @@ def test_prefix_sum_matches_model(ops):
             if (k, n.tie) <= (key, node.tie)
         )
         assert tree.prefix_sum(0, node) == expected
+
+
+# ----------------------------------------------------------------------
+# differential: the recursive range operations these replaced
+# ----------------------------------------------------------------------
+def _ref_side(rng, key):
+    """-1 when ``key`` sorts entirely below the range, +1 above, 0 in."""
+    plen = len(rng.prefix)
+    head = key[:plen]
+    if head < rng.prefix:
+        return -1
+    if head > rng.prefix:
+        return 1
+    if rng.lo is None and rng.hi is None:
+        return 0
+    value = key[plen]
+    if rng.lo is not None and (
+            value < rng.lo or (rng.lo_open and value == rng.lo)):
+        return -1
+    if rng.hi is not None and (
+            value > rng.hi or (rng.hi_open and value == rng.hi)):
+        return 1
+    return 0
+
+
+def _ref_range_sum(tree, node, slot, rng, lo_done=False, hi_done=False):
+    if node is None:
+        return 0
+    if lo_done and hi_done:
+        return node.sums[slot]
+    side = _ref_side(rng, node.key)
+    if side < 0:
+        return _ref_range_sum(tree, node.right, slot, rng, lo_done, hi_done)
+    if side > 0:
+        return _ref_range_sum(tree, node.left, slot, rng, lo_done, hi_done)
+    left = _ref_range_sum(tree, node.left, slot, rng, lo_done, True)
+    right = _ref_range_sum(tree, node.right, slot, rng, True, hi_done)
+    return left + tree.value_of(node.item, slot) + right
+
+
+def _ref_select(tree, slot, target, rng):
+    """O(log^2 n): re-sums the in-range left subtree at every level."""
+    node = tree.root
+    lo_done = hi_done = False
+    consumed = 0
+    while node is not None:
+        side = _ref_side(rng, node.key)
+        if side < 0:
+            node = node.right
+            continue
+        if side > 0:
+            node = node.left
+            continue
+        left_sum = _ref_range_sum(tree, node.left, slot, rng, lo_done, True)
+        if target < left_sum:
+            node = node.left
+            hi_done = True
+            continue
+        target -= left_sum
+        consumed += left_sum
+        value = tree.value_of(node.item, slot)
+        if target < value:
+            return node.item, consumed
+        target -= value
+        consumed += value
+        node = node.right
+        lo_done = True
+    return None
+
+
+def _ref_iter_nodes(tree, rng):
+    stack = [(tree.root, False)] if tree.root is not None else []
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+            continue
+        side = _ref_side(rng, node.key)
+        if side < 0:
+            if node.right is not None:
+                stack.append((node.right, False))
+        elif side > 0:
+            if node.left is not None:
+                stack.append((node.left, False))
+        else:
+            if node.right is not None:
+                stack.append((node.right, False))
+            stack.append((node, True))
+            if node.left is not None:
+                stack.append((node.left, False))
+
+
+_component = st.integers(min_value=0, max_value=3)
+_bound = st.one_of(st.none(), st.integers(min_value=-1, max_value=4))
+
+differential_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "insert", "delete", "change",
+                         "update_many"]),
+        st.tuples(_component, _component, _component),          # key
+        # zero-valued items must stay unselectable: make them common
+        st.tuples(st.sampled_from([0, 0, 1, 2, 5]),
+                  st.sampled_from([0, 3, 7])),                  # values
+    ),
+    min_size=1, max_size=60,
+)
+
+# prefix lengths 0-2; open / closed / absent bounds; lo past hi included
+differential_ranges = st.lists(
+    st.tuples(st.lists(_component, max_size=2), _bound, _bound,
+              st.booleans(), st.booleans()),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(differential_ops, differential_ranges)
+def test_one_descent_range_ops_match_recursive_reference(ops, ranges):
+    tree = AggregateTree(2, value_of)
+    live = []  # (node, item)
+    for op, key, values in ops:
+        if op == "insert" or not live:
+            item = Item(values)
+            live.append((tree.insert(key, item), item))
+            continue
+        pick = (key[0] * 16 + key[1] * 4 + key[2]) % len(live)
+        if op == "delete":
+            node, _ = live.pop(pick)
+            tree.delete(node)
+        elif op == "change":
+            node, item = live[pick]
+            item.values[:] = values
+            tree.refresh(node)
+        else:
+            group = [live[(pick + step * (key[2] + 1)) % len(live)]
+                     for step in range(1 + key[1])]
+            for offset, (_, item) in enumerate(group):
+                item.values[:] = [(v + offset) % 6 for v in values]
+            tree.update_many([node for node, _ in group])
+    tree.check_invariants()
+    for prefix, lo, hi, lo_open, hi_open in ranges:
+        rng = IndexRange(tuple(prefix), lo, hi, lo_open, hi_open)
+        assert [n.tie for n in tree.iter_nodes(rng)] == \
+            [n.tie for n in _ref_iter_nodes(tree, rng)]
+        for slot in (0, 1):
+            total = _ref_range_sum(tree, tree.root, slot, rng)
+            assert tree.range_sum(slot, rng) == total
+            # every prefix boundary and the first target past the sum
+            for target in range(total + 2):
+                assert tree.select(slot, target, rng) == \
+                    _ref_select(tree, slot, target, rng)
+
+
+# ----------------------------------------------------------------------
+# the paper's bound as a count: O(log N) key comparisons per range op
+# ----------------------------------------------------------------------
+class Counted:
+    """A key component that counts every comparison made on it."""
+
+    __slots__ = ("v",)
+    comparisons = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def _counting(op):
+        def compare(self, other):
+            Counted.comparisons += 1
+            return op(self.v, other.v)
+        return compare
+
+    __eq__ = _counting(lambda a, b: a == b)
+    __ne__ = _counting(lambda a, b: a != b)
+    __lt__ = _counting(lambda a, b: a < b)
+    __le__ = _counting(lambda a, b: a <= b)
+    __gt__ = _counting(lambda a, b: a > b)
+    __ge__ = _counting(lambda a, b: a >= b)
+    del _counting
+
+
+def test_range_ops_cost_logarithmic_key_comparisons():
+    """Ranged ``select`` and ``range_sum`` are root-to-leaf walks: at most
+    ``c * height`` key comparisons per call for one fixed ``c``, and the
+    worst call grows by a constant per doubling of the tree.  (The
+    recursive ``select`` re-summed a subtree at every level — 137
+    comparisons at 2**8 entries, 367 at 2**14 — and fails both.)"""
+    # a visited node costs one tuple ``<`` (up to two ``==`` to find the
+    # differing component, then the ``<``) and at most one tuple ``==``;
+    # a call makes at most two walks, plus the selected item's own check
+    per_level, per_call = 10, 5
+    rnd = random.Random(22)
+    tree = AggregateTree(1, value_of)
+    worst = []  # (height, costliest single call) per size
+    for exponent in range(8, 15):
+        while len(tree) < 2 ** exponent:
+            tree.insert((Counted(rnd.randrange(4)),
+                         Counted(rnd.randrange(2 ** 20))),
+                        Item([rnd.randrange(5)]))
+        costliest = 0
+        for _ in range(300):
+            plen = rnd.randrange(2)
+            domain = 2 ** 20 if plen else 4
+            lo, hi = sorted(rnd.randrange(-1, domain + 1) for _ in range(2))
+            rng = IndexRange(
+                (Counted(rnd.randrange(4)),) if plen else (),
+                None if rnd.random() < 0.2 else Counted(lo),
+                None if rnd.random() < 0.2 else Counted(hi),
+                rnd.random() < 0.5, rnd.random() < 0.5)
+            Counted.comparisons = 0
+            total = tree.range_sum(0, rng)
+            costliest = max(costliest, Counted.comparisons)
+            if total:
+                Counted.comparisons = 0
+                assert tree.select(0, rnd.randrange(total), rng) is not None
+                costliest = max(costliest, Counted.comparisons)
+        worst.append((tree.root.height, costliest))
+    for height, costliest in worst:
+        assert costliest <= per_level * height + per_call, worst
+    # an AVL tree gains at most two levels per doubling
+    for (_, smaller), (_, larger) in zip(worst, worst[1:]):
+        assert larger - smaller <= 2 * per_level, worst

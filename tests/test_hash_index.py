@@ -28,15 +28,6 @@ def test_remove():
     assert len(idx) == 0
 
 
-def test_stats_counters():
-    idx = HashIndex()
-    idx.get((1,))
-    idx.get_or_create((1,), lambda: "v")
-    idx.get((1,))
-    assert idx.lookups == 3
-    assert idx.misses == 2
-
-
 def test_values_iteration():
     idx = HashIndex()
     idx.put((1,), "a")

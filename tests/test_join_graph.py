@@ -12,9 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Column, Database, JoinExecutor, TableSchema, parse_query
+from repro import (
+    BandPredicate,
+    Column,
+    ComparisonOp,
+    Database,
+    JoinExecutor,
+    JoinPredicate,
+    JoinQuery,
+    RangeTable,
+    TableSchema,
+    parse_query,
+)
 from repro.errors import TupleNotFoundError
 from repro.graph.join_graph import WeightedJoinGraph
+from repro.graph.join_number import map_join_number
 from repro.query.planner import plan_query
 
 from conftest import random_query, random_row
@@ -220,3 +232,88 @@ class TestInsertOutcome:
                 db, query, include_filters=False, include_residual=False
             ).delta_results(alias, tid)
             assert outcome.new_results == len(delta)
+
+
+def brute_force_w_in(plan, graph):
+    """``W_in[j]`` of every vertex against the predicate itself: the sum
+    of ``w_out[j -> i]`` over the neighbour's vertices whose edge key
+    ``matches`` — no interval arithmetic involved."""
+    def edge_key(node, vertex, edge):
+        values = dict(zip(node.vertex_attrs, vertex.key))
+        return tuple(values[a] for a in edge.key_attrs_of(node.alias))
+
+    for node in plan.nodes:
+        for vertex in graph.hash_indexes[node.idx].values():
+            for nbr_alias, edge in plan.tree.neighbors(node.alias):
+                nbr = plan.node(nbr_alias)
+                own_key = edge_key(node, vertex, edge)
+                expect = sum(
+                    other.w_out[node.idx]
+                    for other in graph.hash_indexes[nbr.idx].values()
+                    if edge.matches(node.alias, own_key,
+                                    edge_key(nbr, other, edge))
+                )
+                assert vertex.W_in[nbr.idx] == expect, (
+                    f"W_in[{nbr.idx}] mismatch at {vertex!r}")
+
+
+def _band(coeff, inclusive):
+    return BandPredicate("r", "a", "s", "a", width=2, coeff=coeff,
+                         inclusive=inclusive)
+
+
+def _theta(coeff, op):
+    return JoinPredicate("r", "a", op, "s", "a", coeff=coeff, offset=-1)
+
+
+class TestBigIntegerRangeKeys:
+    """Join keys past 2**53 (nanosecond timestamps are): the two
+    directions of a range edge must bucket them identically.  The bounds
+    used to be computed with ``int / int`` on one direction, a float, so
+    ``matches(v, v + 1)`` held while ``interval_for_right(v)`` excluded
+    ``v + 1`` — ``W_in`` went stale and Algorithm 2 drew from wrong
+    weights."""
+
+    @pytest.mark.parametrize("coeff", [1, -1, 2, 3])
+    @pytest.mark.parametrize("make", [
+        lambda c: _band(c, True), lambda c: _band(c, False),
+        lambda c: _theta(c, ComparisonOp.LT),
+        lambda c: _theta(c, ComparisonOp.GE),
+        lambda c: _theta(c, ComparisonOp.EQ),
+    ], ids=["band-closed", "band-open", "lt", "ge", "eq"])
+    def test_weights_and_bijection_match_brute_force(self, make, coeff):
+        rng = random.Random(60 + coeff)
+        db = simple_db()
+        query = JoinQuery(
+            [RangeTable(name, name) for name in "rst"],
+            [make(coeff),
+             JoinPredicate("s", "b", ComparisonOp.EQ, "t", "b")])
+        plan = plan_query(query, db)
+        graph = WeightedJoinGraph(plan)
+        base = 2 ** 60
+        live = []
+        for step in range(45):
+            s_a = base + rng.randrange(6)
+            alias, row = rng.choice([
+                # r.a within a few units of coeff * s.a: on, just
+                # inside and just outside every bound
+                ("r", (coeff * s_a + rng.randrange(-4, 5),)),
+                ("s", (s_a, rng.randrange(2))),
+                ("t", (rng.randrange(2),)),
+            ])
+            tid = db.insert(alias, row)
+            graph.insert_tuple(query.index_of(alias), tid, row)
+            live.append((alias, tid, row))
+            if step % 6 == 5:
+                alias, tid, row = live.pop(rng.randrange(len(live)))
+                graph.delete_tuple(query.index_of(alias), tid, row)
+                db.table(alias).delete(tid)
+        graph.check_invariants()
+        brute_force_weights(db, query, plan, graph)
+        brute_force_w_in(plan, graph)
+        exact = sorted(JoinExecutor(db, query).results())
+        assert exact, "the data must join"
+        assert graph.total_results() == len(exact)
+        for root in range(plan.num_nodes):
+            assert sorted(map_join_number(graph, root, number)
+                          for number in range(len(exact))) == exact

@@ -179,21 +179,26 @@ values = st.integers(min_value=-8, max_value=8)
 ops = st.sampled_from(list(ComparisonOp))
 coeffs = st.sampled_from([1, 2, 3, -1, -2])
 offsets = st.integers(min_value=-3, max_value=3)
+# the same neighbourhoods shifted past 2**53, where a float bound rounds
+magnitudes = st.sampled_from([0, 2 ** 60])
 
 
-@given(ops, coeffs, offsets, values, values)
-def test_join_predicate_interval_consistency(op, coeff, offset, l, r):
+@given(ops, coeffs, offsets, values, values, magnitudes)
+def test_join_predicate_interval_consistency(op, coeff, offset, l, r, far):
     p = JoinPredicate("r", "a", op, "s", "b", coeff=coeff, offset=offset)
+    l, r = l + coeff * far, r + far
     expected = p.matches(l, r)
     assert p.interval_for_right(l).contains(r) == expected
     assert p.interval_for_left(r).contains(l) == expected
 
 
 @given(coeffs, st.integers(min_value=0, max_value=4), st.booleans(),
-       values, values)
-def test_band_predicate_interval_consistency(coeff, width, inclusive, l, r):
+       values, values, magnitudes)
+def test_band_predicate_interval_consistency(coeff, width, inclusive, l, r,
+                                             far):
     p = BandPredicate("r", "a", "s", "b", width=width, coeff=coeff,
                       inclusive=inclusive)
+    l, r = l + coeff * far, r + far
     expected = p.matches(l, r)
     assert p.interval_for_right(l).contains(r) == expected
     assert p.interval_for_left(r).contains(l) == expected

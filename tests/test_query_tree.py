@@ -10,6 +10,7 @@ from repro import (
     JoinPredicate,
     JoinQuery,
     PlanError,
+    QueryError,
     RangeTable,
     TableSchema,
 )
@@ -82,21 +83,24 @@ class TestEdges:
         ])
         tree = build_query_tree(q)
         (edge,) = tree.edges
-        comp = edge.key_range_for("s", (7, 10))
-        assert comp.prefix == (7,)
-        assert comp.contains((7, 9))
-        assert comp.contains((7, 12))
-        assert not comp.contains((7, 13))
-        assert not comp.contains((8, 10))
+        rng = edge.range_fn("s")((7, 10))
+        assert rng.prefix == (7,)
+        assert (rng.lo, rng.hi) == (8, 12)
+        assert rng.contains((7, 9))
+        assert rng.contains((7, 12))
+        assert not rng.contains((7, 13))
+        assert not rng.contains((8, 10))
+        with pytest.raises(QueryError):
+            edge.range_fn("t")
 
     def test_pure_equality_range_is_point(self):
         q = JoinQuery(rts("r", "s"), [eq("r", "a", "s", "a")])
         tree = build_query_tree(q)
-        comp = tree.edges[0].key_range_for("s", (5,))
-        assert comp.prefix == (5,)
-        assert comp.last is None
-        assert comp.contains((5,))
-        assert not comp.contains((6,))
+        rng = tree.edges[0].range_fn("s")((5,))
+        assert rng.prefix == (5,)
+        assert rng.lo is None and rng.hi is None
+        assert rng.contains((5,))
+        assert not rng.contains((6,))
 
 
 class TestCycles:
