@@ -8,9 +8,11 @@ work counters came out non-zero and survive a JSON export round trip.
 The module also owns the observability overhead contract: a Fig-11-style
 batched insertion run (the batch-first hot path, ``OVERHEAD_BATCH``-op
 micro-batches) must stay within 5% of the uninstrumented baseline both
-with tracing *disabled* AND with tracing *enabled* — span and timer
-bookkeeping is per batch, not per op, which is what makes the enabled
-bound affordable.  Methodology: one untimed warmup cell absorbs the
+with a live registry (*obs-on*) AND with that registry's slow-op
+threshold armed on top (*obs-armed*: every stage additionally compared
+against a threshold it never reaches) — stages are reported per
+segment, not per op, which is what makes both bounds affordable.
+Methodology: one untimed warmup cell absorbs the
 fresh process's import/allocator warmup (which used to land entirely on
 whichever cell ran first and bias the ratios well below 1.0); the three
 cells are then *interleaved at micro-batch granularity* — one engine
@@ -21,9 +23,9 @@ three cells alike instead of on whichever cell happened to be running.
 ``OVERHEAD_ROUNDS`` such passes run independently (fresh engines each,
 cyclic GC off while timing); ratios are paired within a pass and the
 median pass is reported, with per-pass ratios riding along in the
-export for drift diagnostics.  The three throughputs (baseline /
-trace-disabled / trace-enabled) export to ``BENCH_obs_overhead.json``
-(override with ``$REPRO_BENCH_OBS_EXPORT``).
+export for drift diagnostics.  The three throughputs (no-obs / obs-on /
+obs-armed) export to ``BENCH_obs_overhead.json`` (override with
+``$REPRO_BENCH_OBS_EXPORT``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from conftest import FIG_SCALE, build_engine, run_workload
 from repro.bench.export import read_metrics_json, write_metrics_json
 from repro.datagen.tpcds import TpcdsScale, setup_query
 from repro.datagen.workload import StreamPlayer
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import EventLog
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry
 
@@ -49,8 +51,8 @@ OVERHEAD_EXPORT = os.environ.get("REPRO_BENCH_OBS_EXPORT",
 #: independent interleaved passes (fresh engines each) — ratios are
 #: paired within a pass, the median pass is reported
 OVERHEAD_ROUNDS = 5
-#: the tracing contract (docs/observability.md): ≤5% overhead, both with
-#: tracing disabled and — thanks to per-batch span bookkeeping — enabled
+#: the overhead contract (docs/observability.md): ≤5% over no-obs, with
+#: a live registry and with its slow-op threshold armed on top
 OVERHEAD_LIMIT = 1.05
 #: micro-batch size of the overhead cells (the batch-first hot path)
 OVERHEAD_BATCH = 64
@@ -109,12 +111,13 @@ def _overhead_cell(**kwargs):
 
 def _cell_kwargs(cell: str) -> dict:
     """Engine kwargs for one overhead cell (fresh instruments per call)."""
-    if cell == "baseline":
+    if cell == "no_obs":
         return {}
-    if cell == "disabled":
-        return {"tracer": NULL_TRACER, "obs": MetricsRegistry()}
-    return {"tracer": Tracer(capacity=4096, slow_op_threshold_ns=None),
-            "obs": MetricsRegistry()}
+    if cell == "obs_on":
+        return {"obs": MetricsRegistry()}
+    # armed, never reached: the cost of the comparison, not of logging
+    return {"obs": MetricsRegistry(events=EventLog(),
+                                   slow_op_threshold_ns=10 ** 12)}
 
 
 def _build_cell(cell: str):
@@ -171,12 +174,12 @@ def _interleaved_pass(order):
     return ops, elapsed
 
 
-def test_trace_overhead_guard_and_export():
-    order = ("baseline", "disabled", "enabled")
+def test_obs_overhead_guard_and_export():
+    order = ("no_obs", "obs_on", "obs_armed")
     # untimed warmup: a fresh process pays import, allocator, and
     # code-path warmup on its first cell; timing that cell used to
     # deflate whichever ratio it landed on (ratios of 0.86 were warmup
-    # artifacts, not tracing making the engine faster)
+    # artifacts, not observability making the engine faster)
     _overhead_cell()
     passes = []
     ops = 0
@@ -187,13 +190,11 @@ def test_trace_overhead_guard_and_export():
     # within a pass every cell saw the identical chunks, so elapsed
     # ratios are the overhead ratios; the median pass is the report
     # (the best pass understates overhead, the worst overstates it)
-    baseline = _median([ops / p["baseline"] for p in passes])
-    disabled = _median([ops / p["disabled"] for p in passes])
-    enabled = _median([ops / p["enabled"] for p in passes])
-    disabled_ratio = _median(
-        [p["disabled"] / p["baseline"] for p in passes])
-    enabled_ratio = _median(
-        [p["enabled"] / p["baseline"] for p in passes])
+    no_obs = _median([ops / p["no_obs"] for p in passes])
+    obs_on = _median([ops / p["obs_on"] for p in passes])
+    obs_armed = _median([ops / p["obs_armed"] for p in passes])
+    on_ratio = _median([p["obs_on"] / p["no_obs"] for p in passes])
+    armed_ratio = _median([p["obs_armed"] / p["no_obs"] for p in passes])
     report = {
         "workload": "QY",
         "operations": ops,
@@ -201,23 +202,23 @@ def test_trace_overhead_guard_and_export():
         "batch": OVERHEAD_BATCH,
         "aggregation":
             "median of chunk-interleaved paired passes, after warmup",
-        "round_disabled_ratios": [
-            p["disabled"] / p["baseline"] for p in passes],
-        "round_enabled_ratios": [
-            p["enabled"] / p["baseline"] for p in passes],
-        "baseline_ops_per_s": baseline,
-        "trace_disabled_ops_per_s": disabled,
-        "trace_enabled_ops_per_s": enabled,
-        "disabled_overhead_ratio": disabled_ratio,
-        "enabled_overhead_ratio": enabled_ratio,
+        "round_obs_on_ratios": [
+            p["obs_on"] / p["no_obs"] for p in passes],
+        "round_obs_armed_ratios": [
+            p["obs_armed"] / p["no_obs"] for p in passes],
+        "no_obs_ops_per_s": no_obs,
+        "obs_on_ops_per_s": obs_on,
+        "obs_armed_ops_per_s": obs_armed,
+        "obs_on_overhead_ratio": on_ratio,
+        "obs_armed_overhead_ratio": armed_ratio,
         "limit": OVERHEAD_LIMIT,
     }
     with open(OVERHEAD_EXPORT, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print("\nobs overhead: baseline %.0f  disabled %.0f (x%.3f)  "
-          "enabled %.0f (x%.3f)" %
-          (baseline, disabled, disabled_ratio, enabled, enabled_ratio))
-    assert disabled_ratio <= OVERHEAD_LIMIT, report
-    # per-batch span bookkeeping keeps even *enabled* tracing affordable
-    assert enabled_ratio <= OVERHEAD_LIMIT, report
+    print("\nobs overhead: no-obs %.0f  obs-on %.0f (x%.3f)  "
+          "obs-armed %.0f (x%.3f)" %
+          (no_obs, obs_on, on_ratio, obs_armed, armed_ratio))
+    assert on_ratio <= OVERHEAD_LIMIT, report
+    # one comparison per reported stage: arming the threshold is free
+    assert armed_ratio <= OVERHEAD_LIMIT, report

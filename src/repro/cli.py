@@ -42,11 +42,11 @@ health/quality view::
     python -m repro.cli metrics --query QY --scale tiny
     python -m repro.cli top --url http://127.0.0.1:8080 --interval 2
 
-``serve --trace`` turns on per-operation tracing (``--trace-capacity``
-ring slots, ``--slow-op-ms`` promotion threshold); ``--quality`` arms
-the online sample-quality monitor.  Recovered ``--dir`` targets trace
-only at the persistence layer: the engine inside the snapshot predates
-the flag, so its phase spans cannot be retrofitted.
+``serve --slow-op-ms N`` writes every stage that took N ms or longer
+(engine insert segment or delete run, WAL append, snapshot write, ingest
+batch, follower apply) to the event log as ``trace.slow_op``;
+``--quality`` arms the online sample-quality monitor.  Both work alike
+on a fresh target, a recovered ``--dir`` target and ``--follow``.
 
 ``ship`` publishes a leader's durable state directory through a
 replication transport (:mod:`repro.replicate`), and ``serve --follow``
@@ -508,23 +508,22 @@ def cmd_lag(args) -> None:
         print(format_lag(body))
 
 
-def build_workload_manager(args, obs=None, tracer=None):
+def build_workload_manager(args, obs=None):
     """A :class:`SynopsisManager` over the TPC-DS workload ``args``
     names, its query registered as ``args.query`` (``QX``/``QY``/``QZ``).
 
     Returns ``(manager, preload, stream)``; both event lists address
     *base tables*, the manager stack's convention — the generators emit
     range-table aliases, and every shipped workload maps the two one to
-    one.  ``obs``/``tracer`` are shared by the manager and the query's
-    engine so one registry/ring carries both.
+    one.  ``obs`` is shared by the manager and the query's engine so
+    one registry carries both.
     """
     setup = setup_query(args.query, parse_scale(args.scale),
                         seed=args.seed)
     manager = SynopsisManager(setup.db, MaintainerConfig(obs=obs))
     maintainer = manager.register(args.query, setup.sql, MaintainerConfig(
         spec=parse_synopsis(args.synopsis), engine=args.algorithm,
-        seed=args.seed, obs=obs, tracer=tracer,
-        quality=getattr(args, "quality", False),
+        seed=args.seed, obs=obs,
     ))
     table_of = {rt.alias: rt.table_name
                 for rt in maintainer.query.range_tables}
@@ -604,23 +603,19 @@ def cmd_restore(args) -> None:
         print(f"  {key:<18} {value}")
 
 
-def build_serve_tracer(args):
-    """A :class:`~repro.obs.Tracer` from ``serve``'s flags (or None).
+def build_serve_obs(args):
+    """The registry ``serve`` observes with, over the event log ``GET
+    /events`` serves (``obs.events``): ``--slow-op-ms``, converted to
+    nanoseconds, arms its slow-stage promotion into that log."""
+    from repro.obs import EventLog
 
-    ``--slow-op-ms`` converts to nanoseconds; tracing defaults off so a
-    plain ``serve`` keeps the :class:`~repro.obs.NullTracer` fast path.
-    """
-    if not getattr(args, "trace", False):
-        return None
-    from repro.obs import Tracer
-
-    slow_ms = getattr(args, "slow_op_ms", None)
-    threshold = None if slow_ms is None else int(slow_ms * 1e6)
-    return Tracer(capacity=getattr(args, "trace_capacity", 2048),
-                  slow_op_threshold_ns=threshold)
+    slow_ms = args.slow_op_ms
+    return MetricsRegistry(
+        events=EventLog(capacity=args.events_capacity),
+        slow_op_threshold_ns=None if slow_ms is None else int(slow_ms * 1e6))
 
 
-def build_serve_target(args, obs=None, tracer=None):
+def build_serve_target(args, obs=None):
     """Construct the maintenance target the ``serve`` command wraps.
 
     Returns ``(target, close)`` where ``close`` releases any durable
@@ -629,31 +624,41 @@ def build_serve_target(args, obs=None, tracer=None):
     ``--dir`` it sits behind a :class:`~repro.persist.PersistentManager`
     — recovered from the directory when it already holds state, freshly
     created (workload preload folded into the initial checkpoint)
-    otherwise.  ``obs`` and ``tracer`` are shared with the engine (and,
-    for durable targets, the persistence layer) so one registry/ring
-    carries engine and service telemetry together; a recovered target
-    only traces WAL and snapshot spans (and runs no quality monitor)
-    because the engine inside the snapshot was built before the flags
-    existed.  Exposed separately from :func:`cmd_serve` so tests can
-    drive the exact CLI construction path without binding a socket.
+    otherwise.  ``obs`` is shared with the engine (and, for durable
+    targets, the persistence layer) so one registry carries engine and
+    service telemetry together, on a recovered target as on a fresh one.
     """
     from repro.persist import PersistentManager
     from repro.persist.runtime import has_state
 
     if args.dir and has_state(args.dir):
         pm = PersistentManager.recover(
-            args.dir, sync=args.sync, obs=obs, tracer=tracer,
-            manager_obs=obs)
+            args.dir, sync=args.sync, obs=obs, manager_obs=obs)
         return pm, pm.close
-    manager, preload, _ = build_workload_manager(
-        args, obs=obs, tracer=tracer)
+    manager, preload, _ = build_workload_manager(args, obs=obs)
     if args.preload:
         StreamPlayer(manager).run(preload)
     if args.dir:
-        pm = PersistentManager(manager, args.dir, sync=args.sync,
-                               obs=obs, tracer=tracer)
+        pm = PersistentManager(manager, args.dir, sync=args.sync, obs=obs)
         return pm, pm.close
     return manager, lambda: None
+
+
+def build_serve_service(args):
+    """The :class:`~repro.service.SynopsisService` ``serve`` runs, with
+    the callable that releases its target: ``(service, close)``.
+    Exposed separately from :func:`cmd_serve` so tests can drive the
+    exact CLI construction path without binding a socket."""
+    from repro.service import ServiceConfig, SynopsisService
+
+    obs = build_serve_obs(args)
+    target, close_target = build_serve_target(args, obs=obs)
+    return SynopsisService(target, ServiceConfig(
+        max_queue_ops=args.max_queue_ops,
+        max_batch_ops=args.max_batch_ops,
+        overflow_policy=args.overflow_policy,
+        obs=obs, events=obs.events, quality=args.quality,
+    )), close_target
 
 
 def cmd_ship(args) -> None:
@@ -684,15 +689,13 @@ def cmd_ship(args) -> None:
 
 def cmd_serve_follower(args) -> None:
     """Serve a read-only follower replica over JSON/HTTP."""
-    from repro.obs import EventLog
     from repro.replicate import FollowerService
     from repro.service import ServiceHTTPServer
 
+    obs = build_serve_obs(args)
     follower = FollowerService(args.follow, leader_url=args.leader_url,
-                               obs=MetricsRegistry(),
-                               events=EventLog(
-                                   capacity=args.events_capacity),
-                               quality=getattr(args, "quality", False),
+                               obs=obs, events=obs.events,
+                               quality=args.quality,
                                stall_after=args.stall_after)
     follower.start(poll_interval=args.poll_interval)
     server = ServiceHTTPServer(follower, host=args.host, port=args.port)
@@ -712,25 +715,12 @@ def cmd_serve_follower(args) -> None:
 
 def cmd_serve(args) -> None:
     """Serve a synopsis over JSON/HTTP until interrupted."""
-    from repro.service import ServiceConfig, ServiceHTTPServer, \
-        SynopsisService
+    from repro.service import ServiceHTTPServer
 
     if args.follow:
         cmd_serve_follower(args)
         return
-    from repro.obs import EventLog
-
-    obs = MetricsRegistry()
-    tracer = build_serve_tracer(args)
-    target, close_target = build_serve_target(args, obs=obs, tracer=tracer)
-    service = SynopsisService(target, ServiceConfig(
-        max_queue_ops=args.max_queue_ops,
-        max_batch_ops=args.max_batch_ops,
-        overflow_policy=args.overflow_policy,
-        obs=obs,
-        tracer=tracer,
-        events=EventLog(capacity=args.events_capacity),
-    ))
+    service, close_target = build_serve_service(args)
     server = ServiceHTTPServer(service, host=args.host, port=args.port)
     host, port = server.address
     print(f"serving {args.query} on http://{host}:{port} "
@@ -865,13 +855,9 @@ def make_parser() -> argparse.ArgumentParser:
                        help="ingest micro-batch coalescing cap")
     serve.add_argument("--overflow-policy", default="block",
                        choices=["block", "reject"])
-    serve.add_argument("--trace", action="store_true",
-                       help="per-operation tracing into a bounded ring")
-    serve.add_argument("--trace-capacity", type=int, default=2048,
-                       help="trace ring slots (oldest events drop)")
     serve.add_argument("--slow-op-ms", type=float, default=None,
-                       help="promote ops at/above this duration to the "
-                            "structured slow-op log")
+                       help="write every stage that took this long or "
+                            "longer to the event log (trace.slow_op)")
     serve.add_argument("--quality", action="store_true",
                        help="arm the online sample-quality monitor "
                             "(quality.* metrics, /healthz section); "

@@ -54,7 +54,8 @@ class MaintainerConfig:
     seed:
         Seed for reproducible sampling.
     obs:
-        Optional :class:`~repro.obs.MetricsRegistry`.
+        Optional :class:`~repro.obs.MetricsRegistry`: the engine reports
+        every insert segment and delete run to it, once.
     name:
         Display name for error messages; a manager passes the
         registration name.
@@ -66,14 +67,6 @@ class MaintainerConfig:
         no over-allocation.  :mod:`repro.persist` passes the captured
         one so a restore never re-estimates from restore-time data, and
         refuses it on ``register`` (the log does not carry it).
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer` capturing per-op
-        trace events; ``None`` (default) means tracing off — the
-        engines then pay one attribute check per operation.
-    quality:
-        Enables the online sample-quality monitor: a
-        :class:`~repro.obs.quality.QualityConfig`, or ``True`` for the
-        default config.  ``None``/``False`` (default) disables it.
     """
 
     spec: Optional[SynopsisSpec] = None
@@ -82,17 +75,13 @@ class MaintainerConfig:
     obs: Optional[object] = None
     name: Optional[str] = None
     effective_spec: Optional[SynopsisSpec] = None
-    tracer: Optional[object] = None
-    quality: Optional[object] = None
 
     def __init__(self, *, spec: Optional[SynopsisSpec] = None,
                  engine: str = "sjoin-opt",
                  seed: Optional[int] = None,
                  obs: Optional[object] = None,
                  name: Optional[str] = None,
-                 effective_spec: Optional[SynopsisSpec] = None,
-                 tracer: Optional[object] = None,
-                 quality: Optional[object] = None):
+                 effective_spec: Optional[SynopsisSpec] = None):
         # hand-written so the fields are keyword-only on every supported
         # interpreter (dataclass kw_only= needs 3.10; we support 3.9)
         object.__setattr__(self, "spec", spec)
@@ -101,8 +90,6 @@ class MaintainerConfig:
         object.__setattr__(self, "obs", obs)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "effective_spec", effective_spec)
-        object.__setattr__(self, "tracer", tracer)
-        object.__setattr__(self, "quality", quality)
         if engine not in ENGINES:
             raise SynopsisError(
                 f"unknown engine {engine!r}; pick one of {ENGINES}"

@@ -13,8 +13,10 @@ it, also on the way out of an exception.  So a run that fails at entry
 entries one ``apply_batch`` at a time leaves them, and raises the same
 error.
 
-A run is cut into *segments*; each gets one ``insert`` span (``batch``
-= entries registered in it) and one ``engine.insert_ns`` observation.
+A run is cut into *segments*; each is one stage of the timing channel
+(:meth:`~repro.obs.metrics.MetricsRegistry.report`): one
+``engine.insert_ns`` observation with ``batch`` = entries registered in
+it, its phases summed in ``phases`` by whoever does the timed work.
 Which entries share a segment is the engine's business
 (:meth:`InsertRun._register`).
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.catalog.table import Table
+from repro.obs import names as metric_names
 
 
 class InsertRun:
@@ -33,14 +36,18 @@ class InsertRun:
     ``size`` *before* anything can refuse it) and perform whatever they
     deferred when a segment ends (:meth:`_flush`)."""
 
-    __slots__ = ("engine", "alias", "size", "started", "_tables",
-                 "_filtered")
+    __slots__ = ("engine", "alias", "size", "clock", "started", "phases",
+                 "_tables", "_filtered")
 
     def __init__(self, engine):
         self.engine = engine
         self.alias: Optional[str] = None    # the open segment's target
         self.size = 0
+        # None while nobody listens: no clock reads, no phases
+        self.clock = engine._phase_clock
         self.started = 0
+        # the open segment's phases, histogram name -> ns
+        self.phases: Optional[Dict[str, int]] = None
         self._tables: Dict[str, Table] = {}
         self._filtered = engine._filtered_aliases
 
@@ -90,12 +97,10 @@ class InsertRun:
         """End the open segment, if any, and open one on ``alias``."""
         if self.alias is not None:
             self._close()
-        engine = self.engine
         self.alias = alias
-        if engine._trace_on:
-            engine._span = engine.tracer.start("insert", target=alias)
-        clock = engine._phase_clock
+        clock = self.clock
         if clock is not None:
+            self.phases = {}
             self.started = clock()
 
     def _close(self) -> None:
@@ -105,15 +110,12 @@ class InsertRun:
         try:
             self._flush()
         finally:
+            clock = self.clock
+            if clock is not None:
+                engine.obs.report(
+                    metric_names.INSERT_NS, clock() - self.started,
+                    self.phases, target=self.alias, batch=self.size)
             self.alias = None
-            if engine._obs_on:
-                engine._t_insert.histogram.observe(
-                    engine._phase_clock() - self.started)
-            span = engine._span
-            if span is not None:
-                span.batch = self.size
-                engine.tracer.finish(span)
-                engine._span = None
             self.size = 0
 
     def __exit__(self, *exc_info) -> None:

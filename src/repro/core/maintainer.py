@@ -47,8 +47,6 @@ from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
-from repro.obs.quality import QualityConfig, QualityMonitor
-from repro.obs.trace import as_tracer
 from repro.query.parser import parse_query
 from repro.query.query import JoinQuery
 from repro.query.query_tree import build_query_tree
@@ -100,26 +98,14 @@ class JoinSynopsisMaintainer:
         else:
             effective = self._effective_spec(spec, query)
         rng = random.Random(config.seed)
-        self.tracer = as_tracer(config.tracer)
         if self.algorithm == "sj":
             self.engine = SymmetricJoinEngine(
-                db, query, effective, rng=rng, obs=self.obs,
-                tracer=self.tracer,
-            )
+                db, query, effective, rng=rng, obs=self.obs)
         else:
             self.engine = SJoinEngine(
                 db, query, effective,
                 fk_optimize=(self.algorithm == "sjoin-opt"), rng=rng,
-                obs=self.obs, tracer=self.tracer,
-            )
-        # online sample-quality monitor (off unless configured):
-        # config.quality is a QualityConfig, or True for the defaults
-        self.quality: Optional[QualityMonitor] = None
-        if config.quality:
-            qcfg = (config.quality
-                    if isinstance(config.quality, QualityConfig)
-                    else QualityConfig())
-            self.quality = QualityMonitor(self.engine, qcfg, obs=self.obs)
+                obs=self.obs)
 
     # ------------------------------------------------------------------
     def _effective_spec(self, spec: SynopsisSpec,
@@ -178,9 +164,9 @@ class JoinSynopsisMaintainer:
         member hash, anchor assembly) happens in op order, the graph
         propagates the weight deltas once per (vertex, direction) for
         each stretch of entries that lands on one plan node,
-        skip-sampling reads the coalesced delta views, and span/timer
-        bookkeeping happens once per stretch (hash-only registrations
-        never end one).  Consecutive deletes on
+        skip-sampling reads the coalesced delta views, and each stretch
+        is reported to the registry once (hash-only registrations never
+        end one).  Consecutive deletes on
         one alias are a run too: every entry is purged and re-drawn in
         op order against the join graph rooted at the alias's node,
         whose weight deltas reach the other tables once per direction
@@ -207,9 +193,9 @@ class JoinSynopsisMaintainer:
                     j += 1
                 run = ops[i:j]
                 items = [(o.target, o.row) for o in run]
+                t0 = obs.clock()
+                tids = engine.insert_run(items)
                 if obs_on:
-                    t0 = obs.clock()
-                    tids = engine.insert_run(items)
                     elapsed = obs.clock() - t0
                     # attribute the run's wall time to each table it
                     # touched, proportionally to its share of the ops
@@ -220,8 +206,6 @@ class JoinSynopsisMaintainer:
                         obs.histogram(
                             metric_names.table_insert_ns(target)
                         ).observe(elapsed * count // len(run))
-                else:
-                    tids = engine.insert_run(items)
                 outcomes.extend(
                     OpOutcome("insert", o.target, tid, rejected=(tid == -1))
                     for o, tid in zip(run, tids)
@@ -247,8 +231,6 @@ class JoinSynopsisMaintainer:
                     f"{self._label()} cannot apply {op!r}: expected "
                     "InsertOp or DeleteOp"
                 )
-        if self.quality is not None:
-            self.quality.note_ops(len(outcomes))
         return BatchResult.from_outcomes(
             outcomes, elapsed_ns=time.perf_counter_ns() - started
         )
@@ -323,16 +305,6 @@ class JoinSynopsisMaintainer:
             f.name: getattr(self.engine.stats, f.name)
             for f in dataclasses.fields(self.engine.stats)
         }
-        if self.obs.enabled:
-            if self.tracer.enabled:
-                self.obs.gauge(metric_names.TRACE_EVENTS).set(
-                    self.tracer.recorded)
-                self.obs.gauge(metric_names.TRACE_DROPPED).set(
-                    self.tracer.dropped)
-                self.obs.gauge(metric_names.TRACE_SLOW_OPS).set(
-                    self.tracer.slow_ops)
-            if self.quality is not None:
-                self.quality.publish(self.obs)
         # NOTE: ``metrics`` stays numeric (it feeds the Prometheus
         # exposition); the synopsis family is surfaced through
         # :attr:`family`, ``/healthz``, and the ``/synopsis`` payload.

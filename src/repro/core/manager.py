@@ -15,9 +15,11 @@ semantics while storing the row once.
 
 When constructed with an observability registry the manager records
 per-base-table fan-out counts and update latency into it, and gives each
-registered query a *child* registry (same clock) so the per-engine metric
-names of :mod:`repro.obs.names` never collide across queries; the child
-snapshots surface through :meth:`SynopsisManager.stats`.
+registered query a *child* registry (same clock, slow-op threshold and
+event log: :meth:`~repro.obs.metrics.MetricsRegistry.child`) so the
+per-engine metric names of :mod:`repro.obs.names` never collide across
+queries; the child snapshots surface through
+:meth:`SynopsisManager.stats`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.core.stats_api import (
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PlanError, ReproError, SynopsisError
 from repro.obs import names as metric_names
-from repro.obs.metrics import MetricsRegistry, as_registry
+from repro.obs.metrics import as_registry
 from repro.query.parser import parse_query
 from repro.query.planner import JoinPlan, plan_query
 from repro.query.query import JoinQuery
@@ -180,8 +182,8 @@ class SynopsisManager:
         if seed is None:
             seed = self._seed_rng.randrange(2**31)
         child_obs = config.obs
-        if child_obs is None and self.obs.enabled:
-            child_obs = MetricsRegistry(clock=self.obs.clock)
+        if child_obs is None:
+            child_obs = self.obs.child()
         algorithm = config.engine
         try:
             maintainer = JoinSynopsisMaintainer(

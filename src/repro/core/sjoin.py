@@ -39,7 +39,6 @@ from repro.graph.join_graph import DeleteRun, WeightedJoinGraph
 from repro.graph.views import DeltaJoinView
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
-from repro.obs.trace import as_tracer
 from repro.query.planner import JoinPlan, plan_query
 from repro.query.query import JoinQuery
 
@@ -66,14 +65,15 @@ class _DeleteRun:
     A context manager handing out :meth:`unregister`; the phase sums
     stay 0 while nobody listens (``engine._phase_clock is None``)."""
 
-    __slots__ = ("engine", "alias", "kind", "runtime", "graph_run",
-                 "clock", "span", "started", "graph_ns", "replenish_ns",
-                 "removed", "purged")
+    __slots__ = ("engine", "alias", "size", "kind", "runtime", "graph_run",
+                 "clock", "started", "graph_ns", "replenish_ns",
+                 "deletes", "removed", "purged")
 
     def __init__(self, engine: "SJoinEngine", alias: str, size: int):
         route = engine.plan.routes[alias]
         self.engine = engine
         self.alias = alias
+        self.size = size
         self.kind = route.kind
         self.runtime = engine._combined.get(route.node_idx)
         # a member route only writes its combined node's hash table
@@ -81,9 +81,7 @@ class _DeleteRun:
             None if route.kind == "member"
             else engine.graph.delete_run(route.node_idx))
         self.graph_ns = self.replenish_ns = self.removed = self.purged = 0
-        self.span = (
-            engine.tracer.start("delete", target=alias, batch=size)
-            if engine._trace_on else None)
+        self.deletes = engine.stats.deletes     # grows per entry done
         self.clock = clock = engine._phase_clock
         self.started = clock() if clock is not None else 0
 
@@ -135,8 +133,8 @@ class _DeleteRun:
 
     def __exit__(self, *exc_info) -> None:
         """Flush the graph (also when an entry raised: the engine is
-        then where per-op application stops) and report once."""
-        engine = self.engine
+        then where per-op application stops) and report the run once —
+        unless no entry passed the pre-filter: nothing was done."""
         clock = self.clock
         run = self.graph_run
         if run is not None:
@@ -145,21 +143,17 @@ class _DeleteRun:
             run.flush()
             if clock is not None:
                 self.graph_ns += clock() - t0
-        if engine._obs_on:
-            engine._t_delete.histogram.observe(clock() - self.started)
+        engine = self.engine
+        if clock is not None and engine.stats.deletes > self.deletes:
+            phases = {}
             if run is not None:
-                engine._t_delete_graph.histogram.observe(self.graph_ns)
+                phases[metric_names.DELETE_GRAPH_NS] = self.graph_ns
             if self.purged:
-                engine._t_delete_replenish.histogram.observe(
-                    self.replenish_ns)
-        span = self.span
-        if span is not None:
-            if run is not None:
-                span.phase("graph_ns", self.graph_ns)
-            if self.purged:
-                span.phase("replenish_ns", self.replenish_ns)
-                span.annotate(removed_results=self.removed)
-            engine.tracer.finish(span)
+                phases[metric_names.DELETE_REPLENISH_NS] = self.replenish_ns
+            engine.obs.report(
+                metric_names.DELETE_NS, clock() - self.started, phases,
+                target=self.alias, batch=self.size,
+                removed_results=self.removed)
 
 
 class _InsertRun(InsertRun):
@@ -204,13 +198,49 @@ class _InsertRun(InsertRun):
         self.pending.append((tid, row))
 
     def _flush(self) -> None:
+        """The segment's graph work as one (batched) Algorithm 1, then
+        Algorithm 3 over the delta views in op order."""
         pending = self.pending
-        if pending:
-            self.pending = []
-            if len(pending) == 1:
-                self.engine._node_insert(self.node_idx, *pending[0])
+        if not pending:
+            return
+        self.pending = []
+        engine = self.engine
+        graph = engine.graph
+        node_idx = self.node_idx
+        clock = self.clock
+        if clock is not None:
+            t0 = clock()
+        if len(pending) == 1:
+            outcomes = (graph.insert_tuple(node_idx, *pending[0]),)
+        else:
+            outcomes = graph.insert_tuples(node_idx, pending)
+        if clock is not None:
+            self.phases[metric_names.INSERT_GRAPH_NS] = clock() - t0
+        # Coalesce op-order-adjacent outcomes on the same vertex into one
+        # contiguous view: appends to one vertex occupy back-to-back
+        # join-number blocks, so consuming the merged view is the same
+        # position stream the per-op views would have produced.
+        views: List[Tuple[int, int]] = []  # (start, count)
+        new_total = 0
+        for outcome in outcomes:
+            count = outcome.new_results
+            if not count:
+                continue
+            new_total += count
+            start = outcome.view_start
+            if views and views[-1][0] + views[-1][1] == start:
+                views[-1] = (views[-1][0], views[-1][1] + count)
             else:
-                self.engine._node_insert_batch(self.node_idx, pending)
+                views.append((start, count))
+        engine.stats.new_results_total += new_total
+        if new_total:
+            consume = engine.synopsis.consume
+            if clock is not None:
+                t0 = clock()
+            for start, count in views:
+                consume(DeltaJoinView(graph, node_idx, start, count))
+            if clock is not None:
+                self.phases[metric_names.INSERT_SAMPLE_NS] = clock() - t0
 
 
 class SJoinEngine:
@@ -236,13 +266,12 @@ class SJoinEngine:
                  fk_optimize: bool = False,
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
-                 obs=None, tracer=None):
+                 obs=None):
         self.db = db
         self.query = query
         self.spec = spec
         self.rng = rng if rng is not None else random.Random(seed)
         self.obs = as_registry(obs)
-        self.tracer = as_tracer(tracer)
         self.plan: JoinPlan = plan_query(query, db, fk_optimize=fk_optimize)
         self.family = spec.family
         self.weight_column = spec.weight_column
@@ -271,26 +300,9 @@ class SJoinEngine:
                 self._combined[node.idx] = CombinedNodeRuntime(
                     node, db, filtered, obs=self.obs
                 )
-        # per-phase timers; _obs_on guards every timed block so the
-        # disabled hot path costs one attribute check, not clock reads
-        self._obs_on = self.obs.enabled
-        # tracing mirrors the obs guard: an insert run keeps its open
-        # segment's span in self._span, so the phase hooks below cost
-        # one attribute check when tracing is off
-        self._trace_on = self.tracer.enabled
-        self._span = None
-        # runs time their segments and sum their phases with one clock
-        # for spans and timers alike (None: nobody is listening)
-        self._phase_clock = (self.tracer.clock if self._trace_on else
-                             self.obs.clock if self._obs_on else None)
-        self._t_insert = self.obs.timer(metric_names.INSERT_NS)
-        self._t_insert_graph = self.obs.timer(metric_names.INSERT_GRAPH_NS)
-        self._t_insert_sample = self.obs.timer(
-            metric_names.INSERT_SAMPLE_NS)
-        self._t_delete = self.obs.timer(metric_names.DELETE_NS)
-        self._t_delete_graph = self.obs.timer(metric_names.DELETE_GRAPH_NS)
-        self._t_delete_replenish = self.obs.timer(
-            metric_names.DELETE_REPLENISH_NS)
+        # runs time their stages with the registry's clock and report
+        # each once (None: nobody is listening, no clock reads)
+        self._phase_clock = self.obs.clock if self.obs.enabled else None
 
     # ------------------------------------------------------------------
     # updates
@@ -341,8 +353,8 @@ class SJoinEngine:
         ``J`` and the RNG stream do not depend on how an insert stream
         is cut into runs, and a run that fails at some entry stops where
         per-op application stops (the deferred work of the entries
-        before it is done on the way out).  One span and one
-        ``engine.insert_ns`` observation per stretch.
+        before it is done on the way out).  One reported stage — one
+        ``engine.insert_ns`` observation — per stretch.
         """
         return _InsertRun(self)
 
@@ -386,9 +398,9 @@ class SJoinEngine:
         direction when the ``with`` block ends (also when an entry
         raised: the engine is then where per-op application stops).
         Samples, ``J`` and the RNG stream do not depend on how a delete
-        stream is cut into runs.  One span and one observation per
-        timer per run; the graph/replenish phases are sums over its
-        entries.
+        stream is cut into runs.  One reported stage per run (none when
+        no entry passed the pre-filter); the graph/replenish phases are
+        sums over its entries.
         """
         return _DeleteRun(self, alias, size)
 
@@ -511,74 +523,6 @@ class SJoinEngine:
             if not flt.matches(row[schema.index_of(flt.attr)]):
                 return False
         return True
-
-    def _node_insert(self, node_idx: int, tid: int, row: tuple) -> None:
-        span = self._span
-        if span is not None:
-            t0 = self.tracer.clock()
-        if self._obs_on:
-            with self._t_insert_graph:
-                outcome = self.graph.insert_tuple(node_idx, tid, row)
-        else:
-            outcome = self.graph.insert_tuple(node_idx, tid, row)
-        if span is not None:
-            t1 = self.tracer.clock()
-            span.phase("graph_ns", t1 - t0)
-        self.stats.new_results_total += outcome.new_results
-        if outcome.new_results:
-            view = DeltaJoinView.for_insert(self.graph, node_idx, outcome)
-            if self._obs_on:
-                with self._t_insert_sample:
-                    self.synopsis.consume(view)
-            else:
-                self.synopsis.consume(view)
-            if span is not None:
-                span.phase("sample_ns", self.tracer.clock() - t1)
-                span.annotate(new_results=outcome.new_results)
-
-    def _node_insert_batch(self, node_idx: int,
-                           entries: List[Tuple[int, tuple]]) -> None:
-        span = self._span
-        if span is not None:
-            t0 = self.tracer.clock()
-        if self._obs_on:
-            with self._t_insert_graph:
-                outcomes = self.graph.insert_tuples(node_idx, entries)
-        else:
-            outcomes = self.graph.insert_tuples(node_idx, entries)
-        if span is not None:
-            t1 = self.tracer.clock()
-            span.phase("graph_ns", t1 - t0)
-        # Coalesce op-order-adjacent outcomes on the same vertex into one
-        # contiguous view: appends to one vertex occupy back-to-back
-        # join-number blocks, so consuming the merged view is the same
-        # position stream the per-op views would have produced.
-        views: List[Tuple[int, int]] = []  # (start, count)
-        new_total = 0
-        for outcome in outcomes:
-            count = outcome.new_results
-            if not count:
-                continue
-            new_total += count
-            start = outcome.view_start
-            if views and views[-1][0] + views[-1][1] == start:
-                views[-1] = (views[-1][0], views[-1][1] + count)
-            else:
-                views.append((start, count))
-        self.stats.new_results_total += new_total
-        if new_total:
-            if self._obs_on:
-                with self._t_insert_sample:
-                    for start, count in views:
-                        self.synopsis.consume(DeltaJoinView(
-                            self.graph, node_idx, start, count))
-            else:
-                for start, count in views:
-                    self.synopsis.consume(DeltaJoinView(
-                        self.graph, node_idx, start, count))
-            if span is not None:
-                span.phase("sample_ns", self.tracer.clock() - t1)
-                span.annotate(new_results=new_total)
 
     def _resolve_tuple_weight(self, weight_column: Optional[str]):
         """Resolve a spec's ``"alias.attr"`` weight column to the

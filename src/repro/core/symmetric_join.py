@@ -23,7 +23,7 @@ separately).
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -36,7 +36,6 @@ from repro.errors import SynopsisError
 from repro.index.avl import AggregateTree
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
-from repro.obs.trace import as_tracer
 from repro.query.planner import JoinPlan, plan_query
 from repro.query.query import JoinQuery
 
@@ -70,9 +69,14 @@ class SJStats:
     full_recomputes: int = 0
 
 
+def _add(phases: Dict[str, int], name: str, elapsed: int) -> None:
+    phases[name] = phases.get(name, 0) + elapsed
+
+
 class _InsertRun(InsertRun):
     """What :meth:`SymmetricJoinEngine.open_insert_run` returns: a
-    segment is a maximal stretch of same-alias entries."""
+    segment is a maximal stretch of same-alias entries, each registered
+    at once; the segment's phases are sums over them."""
 
     __slots__ = ()
 
@@ -80,7 +84,22 @@ class _InsertRun(InsertRun):
         if alias != self.alias:
             self._cut(alias)
         self.size += 1
-        self.engine._do_register(alias, tid, row)
+        engine = self.engine
+        clock = self.clock
+        node_idx = engine.plan.routes[alias].node_idx
+        engine._index_tuple(node_idx, tid, row)
+        if clock is not None:
+            t0 = clock()
+        delta = list(engine._enumerate_from(node_idx, tid, row))
+        if clock is not None:
+            t1 = clock()
+            _add(self.phases, metric_names.INSERT_ENUMERATE_NS, t1 - t0)
+        engine.stats.new_results_total += len(delta)
+        if delta:
+            engine.synopsis.consume(ListView(delta))
+            if clock is not None:
+                _add(self.phases, metric_names.INSERT_SAMPLE_NS,
+                     clock() - t1)
 
 
 class SymmetricJoinEngine:
@@ -91,13 +110,12 @@ class SymmetricJoinEngine:
     def __init__(self, db: Database, query: JoinQuery, spec: SynopsisSpec,
                  seed: Optional[int] = None,
                  rng: Optional[random.Random] = None,
-                 obs=None, tracer=None):
+                 obs=None):
         self.db = db
         self.query = query
         self.spec = spec
         self.rng = rng if rng is not None else random.Random(seed)
         self.obs = as_registry(obs)
-        self.tracer = as_tracer(tracer)
         # SJ never collapses FK joins; its plan nodes are the range tables
         self.plan: JoinPlan = plan_query(query, db, fk_optimize=False)
         self.family = spec.family
@@ -109,21 +127,9 @@ class SymmetricJoinEngine:
         self.synopsis = spec.build(self.rng, obs=self.obs)
         self._entries = EntryStore(self.plan, query)
         self.stats = SJStats()
-        self._obs_on = self.obs.enabled
-        # per-op trace span, mirrored from SJoinEngine
-        self._trace_on = self.tracer.enabled
-        self._span = None
-        self._phase_clock = (self.tracer.clock if self._trace_on else
-                             self.obs.clock if self._obs_on else None)
-        self._t_insert = self.obs.timer(metric_names.INSERT_NS)
-        self._t_enumerate = self.obs.timer(
-            metric_names.INSERT_ENUMERATE_NS)
-        self._t_insert_sample = self.obs.timer(
-            metric_names.INSERT_SAMPLE_NS)
-        self._t_delete = self.obs.timer(metric_names.DELETE_NS)
-        self._t_delete_graph = self.obs.timer(metric_names.DELETE_GRAPH_NS)
-        self._t_delete_replenish = self.obs.timer(
-            metric_names.DELETE_REPLENISH_NS)
+        # stages are timed with the registry's clock (None: nobody is
+        # listening, no clock reads)
+        self._phase_clock = self.obs.clock if self.obs.enabled else None
         self._filters_by_alias = {
             alias: query.filters_on(alias) for alias in query.aliases
         }
@@ -182,36 +188,10 @@ class SymmetricJoinEngine:
         """The run surface of :meth:`SJoinEngine.open_insert_run`.  SJ
         has nothing to defer — every insert must enumerate its own delta
         join — so the run registers each entry at once and only the
-        bookkeeping is per stretch: one trace span and one
-        ``engine.insert_ns`` observation per maximal same-alias
-        segment."""
+        bookkeeping is per stretch: one reported stage (one
+        ``engine.insert_ns`` observation, the phases summed) per maximal
+        same-alias segment."""
         return _InsertRun(self)
-
-    def _do_register(self, alias: str, tid: int, row: tuple) -> None:
-        obs_on = self._obs_on
-        span = self._span
-        node_idx = self.plan.routes[alias].node_idx
-        self._index_tuple(node_idx, tid, row)
-        if span is not None:
-            t0 = self.tracer.clock()
-        if obs_on:
-            with self._t_enumerate:
-                delta = list(self._enumerate_from(node_idx, tid, row))
-        else:
-            delta = list(self._enumerate_from(node_idx, tid, row))
-        if span is not None:
-            t1 = self.tracer.clock()
-            span.phase("enumerate_ns", t1 - t0)
-        self.stats.new_results_total += len(delta)
-        if delta:
-            if obs_on:
-                with self._t_insert_sample:
-                    self.synopsis.consume(ListView(delta))
-            else:
-                self.synopsis.consume(ListView(delta))
-            if span is not None:
-                span.phase("sample_ns", self.tracer.clock() - t1)
-                span.annotate(new_results=len(delta))
 
     def delete(self, alias: str, tid: int) -> None:
         self.delete_batch(alias, (tid,))
@@ -236,58 +216,54 @@ class SymmetricJoinEngine:
                    ) -> Iterator[Callable[[int, Sequence[object]], bool]]:
         """The run surface of :meth:`SJoinEngine.delete_run`.  SJ has no
         graph whose propagation a run could defer — every entry must
-        enumerate its own delta join — so this is a loop under one
-        trace span and one ``engine.delete_ns`` observation."""
+        enumerate its own delta join — so this is a loop reported as one
+        stage: one ``engine.delete_ns`` observation, the phases summed
+        over the entries (nothing when no entry passed the pre-filter).
+        """
+        clock = self._phase_clock
+        stats = self.stats
+        phases: Dict[str, int] = {}
+        deletes, removed = stats.deletes, stats.removed_results_total
+
         def unregister(tid: int, row: Sequence[object]) -> bool:
             row = tuple(row)
             if not self._passes_filters(alias, row):
                 return False
-            self._do_unregister(alias, tid, row)
-            self.stats.deletes += 1
+            self._do_unregister(alias, tid, row, phases)
+            stats.deletes += 1
             return True
 
-        if self._trace_on:
-            self._span = self.tracer.start(
-                "delete", target=alias, batch=size)
+        started = clock() if clock is not None else 0
         try:
-            with self._t_delete if self._obs_on else nullcontext():
-                yield unregister
+            yield unregister
         finally:
-            if self._span is not None:
-                self.tracer.finish(self._span)
-                self._span = None
+            if clock is not None and stats.deletes > deletes:
+                self.obs.report(
+                    metric_names.DELETE_NS, clock() - started, phases,
+                    target=alias, batch=size,
+                    removed_results=stats.removed_results_total - removed)
 
-    def _do_unregister(self, alias: str, tid: int, row: tuple) -> None:
-        obs_on = self._obs_on
-        span = self._span
+    def _do_unregister(self, alias: str, tid: int, row: tuple,
+                       phases: Dict[str, int]) -> None:
+        clock = self._phase_clock
         node_idx = self.plan.routes[alias].node_idx
-        if span is not None:
-            t0 = self.tracer.clock()
+        if clock is not None:
+            t0 = clock()
         # SJ must enumerate the delta join just to know how much J shrank
-        if obs_on:
-            with self._t_delete_graph:
-                removed = sum(
-                    1 for _ in self._enumerate_from(node_idx, tid, row))
-        else:
-            removed = sum(
-                1 for _ in self._enumerate_from(node_idx, tid, row))
-        if span is not None:
-            t1 = self.tracer.clock()
-            span.phase("graph_ns", t1 - t0)
+        removed = sum(1 for _ in self._enumerate_from(node_idx, tid, row))
+        if clock is not None:
+            _add(phases, metric_names.DELETE_GRAPH_NS, clock() - t0)
         self.stats.removed_results_total += removed
         self._unindex_tuple(node_idx, tid)
         if removed:
             self.synopsis.decrease_total(removed)
         purged = self.synopsis.purge_tuple(node_idx, tid)
         if purged and self.synopsis.needs_replenish:
-            if obs_on:
-                with self._t_delete_replenish:
-                    self._rebuild_from_full_join()
-            else:
-                self._rebuild_from_full_join()
-            if span is not None:
-                span.phase("replenish_ns", self.tracer.clock() - t1)
-                span.annotate(removed_results=removed)
+            if clock is not None:
+                t0 = clock()
+            self._rebuild_from_full_join()
+            if clock is not None:
+                _add(phases, metric_names.DELETE_REPLENISH_NS, clock() - t0)
 
     # ------------------------------------------------------------------
     # reads (same surface as SJoinEngine)

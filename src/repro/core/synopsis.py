@@ -69,13 +69,6 @@ def family_of_kind(kind: str) -> str:
     return _kind_row(kind)[0]
 
 
-#: kinds whose selection is driven by per-tuple weights (and therefore
-#: accept a ``weight_column``)
-_WEIGHT_AWARE_KINDS = frozenset(
-    {"weighted_fixed", "weighted_replacement", "subset"}
-)
-
-
 @dataclass(frozen=True)
 class SynopsisSpec:
     """What kind of synopsis to maintain.
@@ -163,9 +156,9 @@ class SynopsisSpec:
         return cls("subset", rate=p, weight_column=weight_column)
 
     def __post_init__(self):
+        # only the uniform family's selection ignores per-tuple weights
         if (self.weight_column is not None
-                and self.kind in _KINDS
-                and self.kind not in _WEIGHT_AWARE_KINDS):
+                and SYNOPSIS_FAMILIES.get(self.kind) == "uniform"):
             raise SynopsisError(
                 f"synopsis kind {self.kind!r} does not take a weight "
                 "column"

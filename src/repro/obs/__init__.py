@@ -4,7 +4,10 @@ A zero-dependency metrics layer: a :class:`MetricsRegistry` of named
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments, a
 :class:`Timer` context manager with an injectable monotonic clock, and a
 shared no-op :data:`NULL_REGISTRY` so that observability-off costs one
-attribute check on the hot path.
+attribute check on the hot path.  The registry is the one timing
+channel: every stage of the stack is timed once and reported through
+:meth:`MetricsRegistry.report`, and a stage that reaches the registry's
+``slow_op_threshold_ns`` is written to its event log as well.
 
 Usage::
 
@@ -16,11 +19,8 @@ Usage::
     ...
     print(obs.snapshot()["engine.insert.graph_ns"]["p95"])
 
-Four sibling layers complete the picture:
+Three sibling layers complete the picture:
 
-* :mod:`repro.obs.trace` — per-operation structured trace events in a
-  bounded ring buffer, with slow-op promotion to a log sink
-  (:class:`Tracer` / shared no-op :data:`NULL_TRACER`);
 * :mod:`repro.obs.expo` — Prometheus/OpenMetrics text rendering of a
   registry snapshot (:func:`render_exposition`), what ``GET /metrics``
   and ``repro metrics`` serve;
@@ -29,8 +29,8 @@ Four sibling layers complete the picture:
   from the join-number bijection;
 * :mod:`repro.obs.events` — a structured JSON event log
   (:class:`EventLog` / shared no-op :data:`NULL_EVENTS`) that quality
-  flags, audit anomalies, replication stalls, and promoted slow ops
-  all feed; served by ``GET /events`` and ``repro events``.
+  flags, audit anomalies, replication stalls, and slow stages all
+  feed; served by ``GET /events`` and ``repro events``.
 
 Metric names are a stable contract; see :mod:`repro.obs.names` and
 ``docs/observability.md`` for the catalogue.
@@ -59,15 +59,6 @@ from repro.obs.metrics import (
     format_label_key,
 )
 from repro.obs.quality import QualityConfig, QualityMonitor
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    TraceEvent,
-    TraceRing,
-    TraceSpan,
-    Tracer,
-    as_tracer,
-)
 
 __all__ = [
     "Counter",
@@ -86,13 +77,6 @@ __all__ = [
     "NULL_EVENTS",
     "as_event_log",
     "names",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "TraceSpan",
-    "TraceEvent",
-    "TraceRing",
-    "as_tracer",
     "render_exposition",
     "EXPOSITION_CONTENT_TYPE",
     "QualityConfig",

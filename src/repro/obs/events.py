@@ -1,17 +1,18 @@
 """Structured JSON event log for notable (non-per-op) occurrences.
 
-Metrics aggregate and traces explain individual operations; the event
-log records the *rare, operator-relevant* moments in between: a quality
-monitor raising or clearing its bias flag, an AQP query whose realized
-CI coverage drifted below its nominal confidence, a replication stream
-stalling or re-bootstrapping, a trace span promoted as a slow op, an
-ingest loop dying.  Each :class:`Event` is a small JSON-shaped record
-(monotonic sequence number, wall-clock timestamp, dotted ``kind``,
-free-form ``fields``) kept in a bounded ring — same GIL-atomic
-copy-on-read design as :class:`~repro.obs.trace.TraceRing` — and
-mirrored as one JSON line through :mod:`logging` (logger
-``repro.events``) so existing log pipelines pick events up without any
-scrape integration.
+Metrics aggregate; the event log records the *rare, operator-relevant*
+moments: a quality monitor raising or clearing its bias flag, an AQP
+query whose realized CI coverage drifted below its nominal confidence,
+a replication stream stalling or re-bootstrapping, a stage that reached
+the registry's slow-op threshold (``trace.slow_op``, see
+:meth:`~repro.obs.metrics.MetricsRegistry.report`), an ingest loop
+dying.  Each :class:`Event` is a small JSON-shaped record (monotonic
+sequence number, wall-clock timestamp, dotted ``kind``, free-form
+``fields``) kept in a bounded ring — a preallocated slot list written
+by index store (atomic under the interpreter lock), no mutex on emit,
+copy-on-read snapshots — and mirrored as one JSON line through
+:mod:`logging` (logger ``repro.events``) so existing log pipelines pick
+events up without any scrape integration.
 
 Surfaces: ``GET /events`` on the HTTP front end, ``repro events`` on the
 CLI, and the ``events.emitted`` / ``events.dropped`` gauges published
@@ -31,7 +32,6 @@ from typing import Callable, List, Optional
 
 from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
-from repro.obs.metrics import as_registry
 
 _LOG = logging.getLogger("repro.events")
 
@@ -66,10 +66,10 @@ def _log_sink(event_dict: dict) -> None:
 class EventLog:
     """Bounded ring of the most recent :class:`Event` records.
 
-    Same concurrency design as the trace ring: a preallocated slot list
-    plus a monotonically increasing write cursor, so ``emit`` never
-    takes a lock and readers get copy-on-read snapshots.  Once full,
-    the oldest event is overwritten (counted in :attr:`dropped`).
+    A preallocated slot list plus a monotonically increasing write
+    cursor, so ``emit`` never takes a lock and readers get copy-on-read
+    snapshots.  Once full, the oldest event is overwritten (counted in
+    :attr:`dropped`).
 
     Parameters
     ----------
@@ -143,13 +143,12 @@ class EventLog:
             "dropped": self.dropped,
         }
 
-    def publish(self, obs=None) -> None:
-        """Set the ``events.*`` gauges on ``obs``."""
-        registry = as_registry(obs)
-        if not registry.enabled:
+    def publish(self, obs) -> None:
+        """Set the ``events.*`` gauges on registry ``obs``."""
+        if not obs.enabled:
             return
-        registry.gauge(metric_names.EVENTS_EMITTED).set(self.emitted)
-        registry.gauge(metric_names.EVENTS_DROPPED).set(self.dropped)
+        obs.gauge(metric_names.EVENTS_EMITTED).set(self.emitted)
+        obs.gauge(metric_names.EVENTS_DROPPED).set(self.dropped)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"EventLog(capacity={self.capacity}, "
@@ -177,7 +176,7 @@ class NullEventLog:
     def payload(self, kind: Optional[str] = None) -> dict:
         return {"events": [], "emitted": 0, "dropped": 0}
 
-    def publish(self, obs=None) -> None:
+    def publish(self, obs) -> None:
         return None
 
 

@@ -15,8 +15,7 @@ Instruments:
 * :class:`Histogram` — fixed log2-scale buckets over non-negative values
   with exact count/sum/min/max and bucket-resolution p50/p95/p99;
 * :class:`Timer` — context manager recording elapsed clock ticks into a
-  histogram; the clock is injectable so tests get deterministic timings,
-  and nested/re-entrant use is supported via a start stack.
+  histogram; the clock is injectable so tests get deterministic timings.
 
 Every instrument owned by a registry can fan out into **labeled
 children** (``registry.counter(name).labels(query="q1")``): a child is a
@@ -33,6 +32,14 @@ exactly as much as a disabled flat one: nothing.
 ``snapshot()`` on a registry returns plain dicts of ints/floats/strings —
 directly ``json.dumps``-able, which is what the CLI and the benchmark
 export rely on.
+
+The registry is also the one timing channel.  A *stage* — an engine
+insert segment or delete run, a WAL append, a snapshot write, an ingest
+batch, a ship round, a follower apply — reads :attr:`MetricsRegistry.clock`
+once, sums its phases once and calls :meth:`MetricsRegistry.report`
+once: durations go into the histograms of the catalogue, and a stage
+that reached ``slow_op_threshold_ns`` is additionally written as one
+``trace.slow_op`` event to the registry's :class:`~repro.obs.events.EventLog`.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.errors import ReproError
+from repro.errors import InvalidArgumentError, ReproError
+from repro.obs import names as metric_names
+from repro.obs.events import as_event_log
 
 
 class MetricError(ReproError):
@@ -270,31 +279,23 @@ class Histogram(_Labelable):
 
 
 class Timer:
-    """Context manager recording elapsed clock ticks into a histogram.
+    """Context manager recording elapsed clock ticks into a histogram
+    (``with registry.timer(name): ...``; one timer, one block)."""
 
-    Re-entrant: each ``__enter__`` pushes a start onto a stack, so one
-    timer object can be nested inside itself (recursive maintenance
-    paths) and each level records its own span.
-    """
-
-    __slots__ = ("_histogram", "_clock", "_starts")
+    __slots__ = ("_histogram", "_clock", "_start")
 
     def __init__(self, histogram: Histogram,
                  clock: Callable[[], int] = time.perf_counter_ns):
         self._histogram = histogram
         self._clock = clock
-        self._starts: List[int] = []
-
-    @property
-    def histogram(self) -> Histogram:
-        return self._histogram
+        self._start = 0
 
     def __enter__(self) -> "Timer":
-        self._starts.append(self._clock())
+        self._start = self._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self._histogram.observe(self._clock() - self._starts.pop())
+        self._histogram.observe(self._clock() - self._start)
         return False
 
 
@@ -308,6 +309,12 @@ class MetricsRegistry:
     under ``name{k="v",...}`` keys and are reached only through
     ``instrument.labels(...)``; the per-family child count is bounded by
     ``max_label_children`` (overflow collapses into one shared child).
+
+    ``events`` and ``slow_op_threshold_ns`` arm slow-stage promotion
+    (:meth:`report`): a reported stage whose duration reaches the
+    threshold — inclusive, so 0 promotes every stage; ``None`` (default)
+    promotes none — becomes one ``trace.slow_op`` event in ``events``
+    and one tick of the ``trace.slow_ops`` gauge.
     """
 
     enabled = True
@@ -316,11 +323,60 @@ class MetricsRegistry:
     DEFAULT_MAX_LABEL_CHILDREN = 64
 
     def __init__(self, clock: Callable[[], int] = time.perf_counter_ns,
-                 max_label_children: int = DEFAULT_MAX_LABEL_CHILDREN):
+                 max_label_children: int = DEFAULT_MAX_LABEL_CHILDREN,
+                 events=None, slow_op_threshold_ns: Optional[int] = None):
+        if slow_op_threshold_ns is not None and slow_op_threshold_ns < 0:
+            raise InvalidArgumentError(
+                "slow_op_threshold_ns must be >= 0 or None, got "
+                f"{slow_op_threshold_ns}")
         self.clock = clock
         self.max_label_children = max_label_children
+        self.events = as_event_log(events)
+        self.slow_op_threshold_ns = slow_op_threshold_ns
         self._instruments: Dict[str, object] = {}
         self._family_sizes: Dict[str, int] = {}
+        # who counts promotions: a child counts on its parent
+        self._root: "MetricsRegistry" = self
+
+    def child(self) -> "MetricsRegistry":
+        """A registry of its own instruments that times and promotes
+        like this one: same clock, threshold and event log, slow ops
+        counted here.  What a manager hands each registered query, so
+        per-engine names never collide across queries."""
+        child = MetricsRegistry(self.clock, self.max_label_children,
+                                self.events, self.slow_op_threshold_ns)
+        child._root = self._root
+        return child
+
+    # -- the timing channel ---------------------------------------------
+    def report(self, op: str, duration_ns: int,
+               phases: Optional[Mapping[str, int]] = None, *,
+               target: Optional[str] = None, batch: int = 1,
+               **notes) -> None:
+        """Report one finished stage, once.
+
+        ``duration_ns`` is observed into the histogram named ``op`` and
+        every item of ``phases`` into the histogram its key names.  A
+        stage whose own histogram times one of its phases (the ingest
+        batch: ``service.ingest_batch_ns`` ends before the publish)
+        lists ``op`` among the phases and is not observed twice.  A
+        duration that reaches :attr:`slow_op_threshold_ns` is promoted:
+        one ``trace.slow_op`` event with ``op``, ``target``, ``batch``,
+        ``duration_ns``, ``phases`` and the stage's ``notes``.
+        """
+        histogram = self.histogram
+        if phases:
+            for name, elapsed in phases.items():
+                histogram(name).observe(elapsed)
+        if not phases or op not in phases:
+            histogram(op).observe(duration_ns)
+        threshold = self.slow_op_threshold_ns
+        if threshold is not None and duration_ns >= threshold:
+            self._root.gauge(metric_names.TRACE_SLOW_OPS).inc()
+            self.events.emit(
+                "trace.slow_op", op=op, target=target, batch=batch,
+                duration_ns=duration_ns, phases=dict(phases or ()),
+                **notes)
 
     # -- get-or-create --------------------------------------------------
     def _get(self, name: str, cls):
@@ -468,6 +524,13 @@ class NullRegistry(MetricsRegistry):
 
     def __init__(self):
         super().__init__(clock=lambda: 0)
+
+    def child(self) -> "NullRegistry":
+        return self
+
+    def report(self, op: str, duration_ns: int, phases=None,
+               **fields) -> None:
+        pass
 
     def counter(self, name: str):
         return _NULL_INSTRUMENT

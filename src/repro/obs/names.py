@@ -62,10 +62,8 @@ PERSIST_RECOVERIES = "persist.recovery.count"
 PERSIST_RECOVERY_REPLAYED_OPS = "persist.recovery.replayed_ops"
 PERSIST_RECOVERY_NS = "persist.recovery_ns"          # histogram
 
-# -- tracing (repro.obs.trace; published on read) ------------------------
-TRACE_EVENTS = "trace.events"          # gauge, events recorded (lifetime)
-TRACE_DROPPED = "trace.dropped"        # gauge, ring-overwritten events
-TRACE_SLOW_OPS = "trace.slow_ops"      # gauge, events promoted to the sink
+# -- slow stages (MetricsRegistry.report) ---------------------------------
+TRACE_SLOW_OPS = "trace.slow_ops"      # gauge, stages promoted to the log
 
 # -- sample-quality monitor (repro.obs.quality; published on read) -------
 QUALITY_PROBE_ROUNDS = "quality.probe_rounds"    # gauge, rounds run
@@ -73,8 +71,8 @@ QUALITY_PROBES_DRAWN = "quality.probes_drawn"    # gauge, probes drawn
 QUALITY_CHI_SQUARE = "quality.chi_square"        # gauge, windowed sum
 QUALITY_KS_RATIO = "quality.ks_ratio"  # gauge, windowed D / critical D
 QUALITY_FLAGGED = "quality.flagged"    # gauge, 0/1 bias flag
-QUALITY_EPOCH_LAG = "quality.epoch_lag"          # gauge, ops behind view
-QUALITY_STALENESS_SECONDS = "quality.staleness_seconds"  # gauge
+# age of the published view (gauge, published on read)
+QUALITY_STALENESS_SECONDS = "quality.staleness_seconds"
 
 # -- AQP accuracy audit (repro.aqp.audit; children labeled {query=}) ----
 AQP_ESTIMATES = "aqp.estimates"            # counter, estimates answered
@@ -110,12 +108,13 @@ REPLICATE_LAG_MS = "replicate.lag_ms"                # histogram
 # -- concurrent serving layer (repro.service) ---------------------------
 SERVICE_QUEUE_DEPTH = "service.queue_depth"      # gauge, enqueued ops
 SERVICE_EPOCH = "service.epoch"                  # gauge, published epoch
-SERVICE_EPOCH_LAG = "service.epoch_lag"          # gauge, ops behind view
 SERVICE_OPS_APPLIED = "service.ops_applied"      # counter
 SERVICE_OPS_REJECTED = "service.ops_rejected"    # counter (backpressure)
 SERVICE_INGEST_ERRORS = "service.ingest_errors"  # counter
 SERVICE_BATCH_OPS = "service.batch_ops"          # histogram, ops/batch
-SERVICE_INGEST_BATCH_NS = "service.ingest_batch_ns"  # histogram
+# an ingest batch up to its publish, then the publish (histograms)
+SERVICE_INGEST_BATCH_NS = "service.ingest_batch_ns"
+SERVICE_PUBLISH_NS = "service.publish_ns"
 SERVICE_READ_NS = "service.read_ns"              # histogram, snapshot reads
 
 #: every flat metric name above, in catalogue order — the stable contract.
@@ -134,10 +133,9 @@ ALL_METRIC_NAMES = (
     PERSIST_SNAPSHOT_WRITES, PERSIST_SNAPSHOT_BYTES,
     PERSIST_SNAPSHOT_WRITE_NS,
     PERSIST_RECOVERIES, PERSIST_RECOVERY_REPLAYED_OPS, PERSIST_RECOVERY_NS,
-    TRACE_EVENTS, TRACE_DROPPED, TRACE_SLOW_OPS,
+    TRACE_SLOW_OPS,
     QUALITY_PROBE_ROUNDS, QUALITY_PROBES_DRAWN, QUALITY_CHI_SQUARE,
-    QUALITY_KS_RATIO, QUALITY_FLAGGED, QUALITY_EPOCH_LAG,
-    QUALITY_STALENESS_SECONDS,
+    QUALITY_KS_RATIO, QUALITY_FLAGGED, QUALITY_STALENESS_SECONDS,
     AQP_ESTIMATES, AQP_ESTIMATE_NS, AQP_AUDITED, AQP_RELATIVE_ERROR,
     AQP_COVERAGE, AQP_COVERAGE_FLAGGED,
     EVENTS_EMITTED, EVENTS_DROPPED,
@@ -147,9 +145,10 @@ ALL_METRIC_NAMES = (
     REPLICATE_REPLAYED_RECORDS, REPLICATE_REPLAYED_OPS,
     REPLICATE_REPLAY_NS, REPLICATE_APPLIED_LSN, REPLICATE_EPOCH_LAG,
     REPLICATE_STALENESS_SECONDS, REPLICATE_LAG_MS,
-    SERVICE_QUEUE_DEPTH, SERVICE_EPOCH, SERVICE_EPOCH_LAG,
+    SERVICE_QUEUE_DEPTH, SERVICE_EPOCH,
     SERVICE_OPS_APPLIED, SERVICE_OPS_REJECTED, SERVICE_INGEST_ERRORS,
-    SERVICE_BATCH_OPS, SERVICE_INGEST_BATCH_NS, SERVICE_READ_NS,
+    SERVICE_BATCH_OPS, SERVICE_INGEST_BATCH_NS, SERVICE_PUBLISH_NS,
+    SERVICE_READ_NS,
 )
 
 

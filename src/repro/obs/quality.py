@@ -41,8 +41,12 @@ counts and a weighted ECDF (with Kish's effective sample size sizing
 the KS critical value).  A mis-weighted stream — e.g. an engine that
 ignores tuple weights — shifts both statistics and flags.
 
-The monitor shares the maintainer's single-writer discipline: calls
-happen on the thread that applies updates, so no locking is needed.
+The monitor belongs to whoever serves the view —
+:class:`~repro.service.SynopsisService` on a leader,
+:class:`~repro.replicate.FollowerService` on a replica, both through
+:func:`monitor_for` — and shares the target's single-writer discipline:
+``note_ops`` is called per applied batch on the thread that applies
+updates, so probing needs no locking; readers take copies.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
+from repro.obs.events import as_event_log
 from repro.obs.metrics import as_registry
 
 
@@ -214,24 +219,20 @@ def _projection(result: Tuple[int, ...]) -> float:
 
 
 class QualityMonitor:
-    """Streaming uniformity + staleness monitor for one engine.
+    """Streaming uniformity monitor for one engine.
 
-    Wired by :class:`~repro.core.maintainer.JoinSynopsisMaintainer`
-    when ``MaintainerConfig(quality=...)`` is set:
-    :meth:`note_ops` after every applied batch drives the probe
-    schedule, :meth:`publish` surfaces the ``quality.*`` gauges, and
-    :meth:`status` feeds ``/healthz`` and ``repro top``.
+    Built by :func:`monitor_for` when ``ServiceConfig(quality=...)`` /
+    ``FollowerService(quality=...)`` is set: :meth:`note_ops` after
+    every applied batch drives the probe schedule, :meth:`publish`
+    surfaces the ``quality.*`` gauges, and :meth:`status` feeds
+    ``/healthz`` and ``repro top``; flag transitions go to ``events``.
     """
 
     def __init__(self, engine, config: Optional[QualityConfig] = None,
                  obs=None, events=None):
-        from repro.obs.events import as_event_log
-
         self.engine = engine
         self.config = config if config is not None else QualityConfig()
         self.obs = as_registry(obs)
-        # reassignable after construction: the serving layer attaches
-        # its own event log to an already-wired monitor
         self.events = as_event_log(events)
         self._rng = random.Random(self.config.seed)
         self._ops_since_check = 0
@@ -375,13 +376,15 @@ class QualityMonitor:
 
     # -- surfacing ------------------------------------------------------
     def windowed(self) -> dict:
-        """The windowed aggregates driving the flag."""
-        total_chi = sum(r[0] for r in self._rounds)
-        total_dof = sum(r[1] for r in self._rounds)
-        mean_ks = (sum(r[2] for r in self._rounds) / len(self._rounds)
-                   if self._rounds else 0.0)
+        """The windowed aggregates driving the flag (any thread: the
+        window is copied first)."""
+        rounds = tuple(self._rounds)
+        total_chi = sum(r[0] for r in rounds)
+        total_dof = sum(r[1] for r in rounds)
+        mean_ks = (sum(r[2] for r in rounds) / len(rounds)
+                   if rounds else 0.0)
         return {
-            "rounds": len(self._rounds),
+            "rounds": len(rounds),
             "chi_square": total_chi,
             "dof": total_dof,
             "ks_ratio": mean_ks,
@@ -422,3 +425,25 @@ class QualityMonitor:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"QualityMonitor(rounds={self.probe_rounds}, "
                 f"flagged={self.flagged})")
+
+
+def monitor_for(target, quality, obs=None,
+                events=None) -> Optional[QualityMonitor]:
+    """The monitor of whoever serves ``target``, or ``None``.
+
+    ``quality`` is a :class:`QualityConfig`, ``True`` for the defaults,
+    or falsy for no monitoring.  The probe target is the sole registered
+    query's engine (the unnamed-read rule of
+    :meth:`~repro.service.runtime.ReadView.sole_name`); with none or
+    several there is no single engine to probe.  Call it again whenever
+    the registration set changes: the window restarts, which is right —
+    the old rounds probed an engine that is no longer "the" engine.
+    """
+    if not quality:
+        return None
+    names = target.names()
+    if len(names) != 1:
+        return None
+    config = quality if isinstance(quality, QualityConfig) else None
+    return QualityMonitor(target.maintainer(names[0]).engine, config,
+                          obs=obs, events=events)

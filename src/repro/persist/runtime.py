@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import MaintainerConfig, coerce_config
@@ -45,7 +44,6 @@ from repro.core.stats_api import (
 from repro.errors import PersistError, ReproError
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
-from repro.obs.trace import as_tracer
 from repro.persist.snapshot import SnapshotStore
 from repro.persist.state import (
     STATE_KIND,
@@ -131,12 +129,11 @@ class PersistentManager:
     def __init__(self, manager: SynopsisManager, directory: str,
                  sync: str = "batch",
                  segment_max_bytes: int = 4 * 1024 * 1024,
-                 retain: int = 2, sync_hook=None, obs=None, tracer=None,
+                 retain: int = 2, sync_hook=None, obs=None,
                  _recovered: bool = False):
         self.manager = manager
         self.directory = directory
         self.obs = as_registry(obs)
-        self.tracer = as_tracer(tracer)
         self.wal = WriteAheadLog(
             os.path.join(directory, WAL_SUBDIR),
             segment_max_bytes=segment_max_bytes,
@@ -176,7 +173,7 @@ class PersistentManager:
             )
         if config.effective_spec is not None:
             # everything else a config carries either is in the record
-            # or does not change the sample (obs, tracer, quality, name)
+            # or does not change the sample (obs, name)
             raise PersistError(
                 "PersistentManager.register refuses "
                 "MaintainerConfig(effective_spec=...): the register WAL "
@@ -245,26 +242,16 @@ class PersistentManager:
     # WAL + snapshot plumbing
     # ------------------------------------------------------------------
     def _log(self, entry: object) -> None:
-        if not self.tracer.enabled:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.PERSIST_WAL_APPEND_NS):
-                    self.wal.append(entry)
-            else:
-                self.wal.append(entry)
-            return
-        span = self.tracer.start("wal.append")
-        syncs0 = self.wal.syncs
-        bytes0 = self.wal.bytes_written
+        """Append one record: a stage of the timing channel, carrying
+        the fsyncs and bytes it cost."""
+        obs, wal = self.obs, self.wal
+        started, syncs, written = obs.clock(), wal.syncs, wal.bytes_written
         try:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.PERSIST_WAL_APPEND_NS):
-                    self.wal.append(entry)
-            else:
-                self.wal.append(entry)
+            wal.append(entry)
         finally:
-            span.annotate(fsyncs=self.wal.syncs - syncs0,
-                          bytes=self.wal.bytes_written - bytes0)
-            self.tracer.finish(span)
+            obs.report(metric_names.PERSIST_WAL_APPEND_NS,
+                       obs.clock() - started, fsyncs=wal.syncs - syncs,
+                       bytes=wal.bytes_written - written)
 
     def checkpoint(self) -> str:
         """Durably snapshot the full logical state; truncate covered WAL.
@@ -279,18 +266,13 @@ class PersistentManager:
             "database": capture_database(self.manager.db),
             "manager": capture_manager(self.manager),
         }
-        span = (self.tracer.start("snapshot.write")
-                if self.tracer.enabled else None)
+        obs = self.obs
+        started = obs.clock()
         try:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.PERSIST_SNAPSHOT_WRITE_NS):
-                    path = self.snapshots.write(payload, wal_lsn=lsn)
-            else:
-                path = self.snapshots.write(payload, wal_lsn=lsn)
+            path = self.snapshots.write(payload, wal_lsn=lsn)
         finally:
-            if span is not None:
-                span.annotate(wal_lsn=lsn)
-                self.tracer.finish(span)
+            obs.report(metric_names.PERSIST_SNAPSHOT_WRITE_NS,
+                       obs.clock() - started, wal_lsn=lsn)
         self.wal.rotate()
         self.wal.truncate_through(lsn - 1)
         self._publish_metrics()
@@ -346,12 +328,11 @@ class PersistentManager:
     @classmethod
     def recover(cls, directory: str, sync: str = "batch",
                 segment_max_bytes: int = 4 * 1024 * 1024,
-                retain: int = 2, sync_hook=None, obs=None, tracer=None,
+                retain: int = 2, sync_hook=None, obs=None,
                 manager_obs=None) -> "PersistentManager":
         """Load snapshot, verify, replay the WAL tail, resume."""
         obs = as_registry(obs)
-        with (obs.timer(metric_names.PERSIST_RECOVERY_NS) if obs.enabled
-              else nullcontext()):
+        with obs.timer(metric_names.PERSIST_RECOVERY_NS):
             started = time.perf_counter()
             loaded = SnapshotStore(
                 os.path.join(directory, SNAPSHOT_SUBDIR), retain=retain,
@@ -368,8 +349,7 @@ class PersistentManager:
                                       obs=manager_obs)
             self = cls(manager, directory, sync=sync,
                        segment_max_bytes=segment_max_bytes, retain=retain,
-                       sync_hook=sync_hook, obs=obs, tracer=tracer,
-                       _recovered=True)
+                       sync_hook=sync_hook, obs=obs, _recovered=True)
             self.recoveries += 1
             restored = time.perf_counter()
             self.restore_seconds = restored - started

@@ -30,7 +30,6 @@ Capturing one raises :class:`~repro.errors.PersistError`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, DataType, ForeignKey, TableSchema
@@ -40,7 +39,6 @@ from repro.core.manager import SynopsisManager
 from repro.core.sjoin import EngineStats, SJoinEngine
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
-from repro.obs.metrics import MetricsRegistry
 
 #: the one on-disk format this release reads and writes; bumped whenever
 #: the logical state layout changes incompatibly
@@ -263,11 +261,9 @@ def restore_manager(db: Database, state: dict,
     manager = SynopsisManager(db, MaintainerConfig(obs=obs))
     manager._seed_rng.setstate(state["seed_rng_state"])
     for entry in state["queries"]:
-        child_obs: Optional[MetricsRegistry] = (
-            MetricsRegistry(clock=manager.obs.clock)
-            if manager.obs.enabled else None
-        )
+        # a child registry per query, as ``register`` hands out: a
+        # restored engine reports like a fresh one
         restored = restore_maintainer(db, entry["maintainer"],
-                                      obs=child_obs)
+                                      obs=manager.obs.child())
         manager._register_restored(entry["name"], restored)
     return manager

@@ -46,8 +46,7 @@ from repro.obs import names as metric_names
 from repro.obs.events import as_event_log
 from repro.obs.expo import render_exposition
 from repro.obs.metrics import as_registry
-from repro.obs.quality import QualityConfig, QualityMonitor
-from repro.obs.trace import as_tracer
+from repro.obs.quality import QualityMonitor, monitor_for
 from repro.core.manager import SynopsisManager
 from repro.persist.runtime import replay_manager_entry
 from repro.persist.snapshot import decode_snapshot_bytes
@@ -78,20 +77,18 @@ class FollowerService:
         Wall-clock callable compared against the manifest's
         ``shipped_at`` to compute ``staleness_seconds``; injectable for
         deterministic tests (pair it with the shipper's clock).
-    obs / tracer / events:
-        Optional metrics registry / tracer / structured event log
-        (``replicate.*`` catalogue; bootstrap, stall and resume
-        transitions are emitted as ``replicate.*`` events).
+    obs / events:
+        Optional metrics registry / structured event log
+        (``replicate.*`` catalogue; every replayed record is one
+        reported stage carrying its ``lsn``; bootstrap, stall and
+        resume transitions are emitted as ``replicate.*`` events).
     quality:
         A :class:`~repro.obs.quality.QualityConfig` (or ``True`` for
         the defaults) to probe the *replica's* restored engine for
         sample uniformity as records replay — the same monitor the
-        leader runs, publishing the same ``quality.*`` gauges into this
-        follower's registry.  The replica probes when it holds exactly
-        one registered query (the unnamed-read rule of
-        :meth:`~repro.service.runtime.ReadView.sole_name`); with
-        several engines there is no single probe target and quality
-        monitoring stays leader-side.
+        leader's service runs (:func:`~repro.obs.quality.monitor_for`),
+        publishing the same ``quality.*`` gauges into this follower's
+        registry.
     stall_after:
         Manifest staleness (seconds) beyond which the follower declares
         the replication feed stalled: one ``replicate.stall`` event on
@@ -104,18 +101,14 @@ class FollowerService:
     """
 
     def __init__(self, transport, leader_url: Optional[str] = None,
-                 clock=time.time, obs=None, tracer=None, events=None,
+                 clock=time.time, obs=None, events=None,
                  quality=None, stall_after: Optional[float] = None):
         self.transport: ReplicationTransport = as_transport(transport)
         self.leader_url = leader_url
         self.clock = clock
         self.obs = as_registry(obs)
-        self.tracer = as_tracer(tracer)
         self.events = as_event_log(events)
-        self._quality_config: Optional[QualityConfig] = (
-            quality if isinstance(quality, QualityConfig)
-            else (QualityConfig() if quality else None)
-        )
+        self._quality = quality
         self.quality: Optional[QualityMonitor] = None
         self.stall_after = stall_after
         self._stalled = False
@@ -232,23 +225,11 @@ class FollowerService:
         self._publish_view()
 
     def _attach_quality(self) -> None:
-        """(Re)build the quality monitor over the restored engine.
-
-        Called whenever the set of restored engines changes — bootstrap
-        replaces the target wholesale, a replayed ``register`` /
-        ``unregister`` adds or drops one.  The monitor's window restarts
-        with it, which is correct: the old rounds probed an engine that
-        is no longer "the" engine.
-        """
-        if self._quality_config is None:
-            return
-        names = self.target.names()
-        if len(names) != 1:
-            self.quality = None
-            return
-        self.quality = QualityMonitor(
-            self.target.maintainer(names[0]).engine,
-            self._quality_config, obs=self.obs, events=self.events)
+        """(Re)pick the quality monitor: bootstrap replaces the target
+        wholesale, a replayed ``register`` / ``unregister`` changes the
+        registration set."""
+        self.quality = monitor_for(self.target, self._quality,
+                                   obs=self.obs, events=self.events)
 
     def _tail(self, manifest: dict) -> int:
         """Replay shipped records in [applied_lsn, acked_lsn)."""
@@ -324,18 +305,13 @@ class FollowerService:
                 f"shipped WAL record {record_lsn} of "
                 f"{segment_name} failed to decode: {exc}"
             ) from exc
-        span = (self.tracer.start("replicate.apply",
-                                  lsn=record_lsn)
-                if self.tracer.enabled else None)
+        obs = self.obs
+        started = obs.clock()
         try:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.REPLICATE_REPLAY_NS):
-                    ops = replay_manager_entry(self.target, entry)
-            else:
-                ops = replay_manager_entry(self.target, entry)
+            ops = replay_manager_entry(self.target, entry)
         finally:
-            if span is not None:
-                self.tracer.finish(span)
+            obs.report(metric_names.REPLICATE_REPLAY_NS,
+                       obs.clock() - started, lsn=record_lsn)
         if entry[0] != "apply":
             self._attach_quality()     # the registration set changed
         self._applied_lsn += 1

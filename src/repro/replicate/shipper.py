@@ -44,7 +44,6 @@ from typing import Dict, List, Optional
 from repro.errors import ReplicationError
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
-from repro.obs.trace import as_tracer
 from repro.persist.snapshot import (
     SnapshotStore,
     decode_snapshot_bytes,
@@ -81,20 +80,19 @@ class WalShipper:
         Wall-clock callable stamped into the manifest as ``shipped_at``
         (follower staleness is measured against it); injectable for
         deterministic tests.
-    obs / tracer:
-        Optional metrics registry / tracer, same conventions as the
-        rest of the codebase.
+    obs:
+        Optional metrics registry (``replicate.ship*`` catalogue; a
+        ship round is one reported stage carrying ``acked_lsn``).
     """
 
     def __init__(self, source_dir: str, transport, clock=time.time,
-                 obs=None, tracer=None):
+                 obs=None):
         self.source_dir = source_dir
         self.wal_dir = os.path.join(source_dir, WAL_SUBDIR)
         self.snapshot_dir = os.path.join(source_dir, SNAPSHOT_SUBDIR)
         self.transport: ReplicationTransport = as_transport(transport)
         self.clock = clock
         self.obs = as_registry(obs)
-        self.tracer = as_tracer(tracer)
         # work counters (always available, obs or not)
         self.ships = 0
         self.segments_shipped = 0
@@ -129,19 +127,13 @@ class WalShipper:
         manifest (fresh ``shipped_at``, so followers' staleness bound
         keeps tracking shipper liveness, not just write traffic).
         """
-        span = (self.tracer.start("replicate.ship")
-                if self.tracer.enabled else None)
+        obs = self.obs
+        started = obs.clock()
         try:
-            if self.obs.enabled:
-                with self.obs.timer(metric_names.REPLICATE_SHIP_NS):
-                    manifest = self._ship_once()
-            else:
-                manifest = self._ship_once()
+            return self._ship_once()
         finally:
-            if span is not None:
-                span.annotate(acked_lsn=self._last_acked)
-                self.tracer.finish(span)
-        return manifest
+            obs.report(metric_names.REPLICATE_SHIP_NS,
+                       obs.clock() - started, acked_lsn=self._last_acked)
 
     def _ship_once(self) -> dict:
         self._round_mtime = None

@@ -69,7 +69,7 @@ from repro.obs import names as metric_names
 from repro.obs.events import as_event_log
 from repro.obs.expo import render_exposition
 from repro.obs.metrics import as_registry
-from repro.obs.trace import as_tracer
+from repro.obs.quality import monitor_for
 
 #: accepted :class:`ServiceConfig.overflow_policy` values
 OVERFLOW_POLICIES = ("block", "reject")
@@ -102,18 +102,22 @@ class ServiceConfig:
         thread to drain the queue before giving up.
     obs:
         Optional :class:`~repro.obs.MetricsRegistry` receiving the
-        ``service.*`` catalogue of :mod:`repro.obs.names`.
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; the ingest loop then
-        records one ``ingest.batch`` trace event per micro-batch (with
-        ``apply_ns``/``publish_ns`` phases).  Share the maintainer's
-        tracer to see engine and service events in one ring.
+        ``service.*`` catalogue of :mod:`repro.obs.names`; every
+        micro-batch is one reported stage (``service.ingest_batch_ns``
+        up to the publish, ``service.publish_ns`` for it).
     events:
-        Optional :class:`~repro.obs.EventLog`.  The service attaches it
-        to its tracer (slow-op promotions) and the target's quality
-        monitor (flag transitions), and the serving layer's AQP
-        registry inherits it for audit anomalies — one log, served by
-        ``GET /events`` and ``repro events``.
+        Optional :class:`~repro.obs.EventLog`, served by ``GET
+        /events`` and ``repro events``: the quality monitor's flag
+        transitions land here and the serving layer's AQP registry
+        inherits it for audit anomalies.  Build ``obs`` over the same
+        log (``MetricsRegistry(events=log, slow_op_threshold_ns=...)``)
+        to see slow stages in it too.
+    quality:
+        Enables the online sample-quality monitor over the sole
+        registered query's engine
+        (:func:`~repro.obs.quality.monitor_for`): a
+        :class:`~repro.obs.quality.QualityConfig`, or ``True`` for the
+        default config.  ``None``/``False`` (default) disables it.
     """
 
     max_queue_ops: int = 4096
@@ -122,8 +126,8 @@ class ServiceConfig:
     block_timeout: Optional[float] = None
     drain_timeout: float = 30.0
     obs: Optional[object] = None
-    tracer: Optional[object] = None
     events: Optional[object] = None
+    quality: Optional[object] = None
 
     def __init__(self, *, max_queue_ops: int = 4096,
                  max_batch_ops: int = 256,
@@ -131,8 +135,8 @@ class ServiceConfig:
                  block_timeout: Optional[float] = None,
                  drain_timeout: float = 30.0,
                  obs: Optional[object] = None,
-                 tracer: Optional[object] = None,
-                 events: Optional[object] = None):
+                 events: Optional[object] = None,
+                 quality: Optional[object] = None):
         # hand-written so the fields are keyword-only on every supported
         # interpreter (dataclass kw_only= needs 3.10; we support 3.9)
         if overflow_policy not in OVERFLOW_POLICIES:
@@ -150,8 +154,8 @@ class ServiceConfig:
         object.__setattr__(self, "block_timeout", block_timeout)
         object.__setattr__(self, "drain_timeout", drain_timeout)
         object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "tracer", tracer)
         object.__setattr__(self, "events", events)
+        object.__setattr__(self, "quality", quality)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,14 +354,10 @@ class SynopsisService:
         self.target = target
         self.config = config if config is not None else ServiceConfig()
         self.obs = as_registry(self.config.obs)
-        self.tracer = as_tracer(self.config.tracer)
         self.events = as_event_log(self.config.events)
-        if (self.events.enabled and self.tracer.enabled
-                and not self.tracer.event_log.enabled):
-            # slow-op promotions land next to quality, audit and
-            # replication events in the one log
-            self.tracer.event_log = self.events
-        self._attach_events()
+        #: the sample-quality monitor (``None``: off, or no sole query);
+        #: only the ingest thread advances it
+        self.quality = self._pick_quality()
         self._started_monotonic = time.monotonic()
         self._mutex = threading.Lock()
         self._not_empty = threading.Condition(self._mutex)
@@ -379,7 +379,6 @@ class SynopsisService:
         # first write publishes (scrapes can land on a fresh service)
         if self.obs.enabled:
             self.obs.gauge(metric_names.SERVICE_EPOCH).set(0)
-            self.obs.gauge(metric_names.SERVICE_EPOCH_LAG).set(0)
             self.obs.gauge(metric_names.SERVICE_QUEUE_DEPTH).set(0)
         self._thread = threading.Thread(
             target=self._ingest_loop, name="repro-service-ingest",
@@ -447,20 +446,14 @@ class SynopsisService:
         any other state change)."""
         def control():
             maintainer = self.target.register(name, query, config)
-            self._attach_events()
+            self.quality = self._pick_quality()   # the set changed
             return maintainer
 
         return self._submit_control(control)
 
-    def _attach_events(self) -> None:
-        """Fan the service's event log into every registered query's
-        quality monitor (flag transitions) that has no log of its own."""
-        if not self.events.enabled:
-            return
-        for name in self.target.names():
-            monitor = self.target.maintainer(name).quality
-            if monitor is not None and not monitor.events.enabled:
-                monitor.events = self.events
+    def _pick_quality(self):
+        return monitor_for(self.target, self.config.quality,
+                           obs=self.obs, events=self.events)
 
     def _submit_control(self, fn: Callable[[], object]) -> object:
         submission = _Submission(None, fn, wait=True)
@@ -581,10 +574,11 @@ class SynopsisService:
         (close() gave up waiting but the ingest thread is still
         applying), or ``"closed"``.  ``staleness_seconds`` is the age of
         the published view; together with ``epoch_lag_ops`` it is the
-        serving-side freshness signal.  When the target runs a
-        :class:`~repro.obs.quality.QualityMonitor`, its :meth:`status
-        <repro.obs.quality.QualityMonitor.status>` dict appears under
-        ``"quality"``.
+        serving-side freshness signal.  When the service runs a
+        :class:`~repro.obs.quality.QualityMonitor`
+        (``ServiceConfig(quality=...)``, one registered query), its
+        :meth:`status <repro.obs.quality.QualityMonitor.status>` dict
+        appears under ``"quality"``.
         """
         from repro import __version__  # deferred: repro imports service
 
@@ -597,8 +591,6 @@ class SynopsisService:
             status = "closed"
         else:
             status = "ok"
-        staleness = max(
-            0.0, (time.perf_counter_ns() - view.published_ns) / 1e9)
         body = {
             "status": status,
             "epoch": view.epoch,
@@ -609,31 +601,20 @@ class SynopsisService:
             "ingest_errors": self._ingest_errors,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
             "version": __version__,
-            "staleness_seconds": staleness,
+            "staleness_seconds": self._staleness(view),
             "synopsis_family": view.family_summary(),
         }
-        quality = self._quality_monitor()
+        quality = self.quality
         if quality is not None:
             body["quality"] = quality.status()
-        if self.obs.enabled:
-            self.obs.gauge(metric_names.QUALITY_EPOCH_LAG).set(
-                self._queued_ops)
-            self.obs.gauge(metric_names.QUALITY_STALENESS_SECONDS).set(
-                staleness)
         if self._failed:
             body["last_error"] = repr(self._fatal_error)
         return body
 
-    def _quality_monitor(self):
-        """The sole registered query's quality monitor, if it runs one.
-
-        With several queries there is no single monitor to report (each
-        may own one — read those through ``stats().queries``).
-        """
-        name = self._view.sole_name()
-        if name is None:
-            return None
-        return self.target.maintainer(name).quality
+    @staticmethod
+    def _staleness(view: ReadView) -> float:
+        """Age of ``view`` in seconds."""
+        return max(0.0, (time.perf_counter_ns() - view.published_ns) / 1e9)
 
     def service_metrics(self) -> dict:
         """Plain-dict serving counters (always available, obs or not)."""
@@ -652,14 +633,19 @@ class SynopsisService:
         target's registry snapshot plus engine work counters, captured
         between micro-batches) with the service's own registry snapshot;
         on name collisions the service registry — which is live, not
-        captured — wins.  The result is what :meth:`exposition` renders.
+        captured — wins.  The read-time gauges (view staleness, quality
+        monitor, event log) are set first, so a scrape is never stale
+        by construction.  The result is what :meth:`exposition` renders.
         """
-        merged: dict = {}
-        if self.events.enabled and self.obs.enabled:
-            self.events.publish(self.obs)
-        merged.update(self._view.metrics())
-        if self.obs.enabled:
-            merged.update(self.obs.snapshot())
+        view, obs = self._view, self.obs
+        merged = view.metrics()
+        if obs.enabled:
+            obs.gauge(metric_names.QUALITY_STALENESS_SECONDS).set(
+                self._staleness(view))
+            if self.quality is not None:
+                self.quality.publish(obs)
+            self.events.publish(obs)
+            merged.update(obs.snapshot())
         return merged
 
     def exposition(self) -> str:
@@ -751,8 +737,8 @@ class SynopsisService:
                         batch.append(self._queue.popleft())
                 # every submission was counted by _enqueue — control
                 # ones too (op_count 1), so they must be subtracted here
-                # or queue_depth/epoch_lag drift up until admission
-                # blocks on an empty queue
+                # or queue_depth drifts up until admission blocks on an
+                # empty queue
                 self._queued_ops -= sum(s.op_count for s in batch)
                 if self.obs.enabled:
                     self.obs.gauge(metric_names.SERVICE_QUEUE_DEPTH).set(
@@ -769,7 +755,8 @@ class SynopsisService:
                 return
 
     def _process(self, batch: List[_Submission]) -> None:
-        started = time.perf_counter_ns()
+        obs = self.obs
+        started = obs.clock()
         if batch[0].fn is not None:
             submission = batch[0]
             try:
@@ -783,11 +770,6 @@ class SynopsisService:
         all_ops: List[UpdateOp] = []
         for submission in batch:
             all_ops.extend(submission.ops)
-        trace_span = None
-        if self.tracer.enabled:
-            trace_span = self.tracer.start(
-                "ingest.batch", batch=len(all_ops))
-            t0 = self.tracer.clock()
         try:
             result = self.target.apply_batch(all_ops)
         except BaseException as exc:
@@ -800,34 +782,31 @@ class SynopsisService:
                 submission.error = exc
                 if submission.done is not None:
                     submission.done.set()
-            if trace_span is not None:
-                trace_span.annotate(failed=True)
-                self.tracer.finish(trace_span)
             return
-        elapsed = time.perf_counter_ns() - started
+        applied = obs.clock()
         self._applied_ops += len(all_ops)
         self._applied_batches += 1
-        if self.obs.enabled:
-            self.obs.counter(metric_names.SERVICE_OPS_APPLIED).inc(
+        if obs.enabled:
+            obs.counter(metric_names.SERVICE_OPS_APPLIED).inc(len(all_ops))
+            obs.histogram(metric_names.SERVICE_BATCH_OPS).observe(
                 len(all_ops))
-            self.obs.histogram(metric_names.SERVICE_BATCH_OPS).observe(
-                len(all_ops))
-            self.obs.histogram(
-                metric_names.SERVICE_INGEST_BATCH_NS).observe(elapsed)
         offset = 0
         for submission in batch:
             submission.result = result.slice(
                 offset, offset + len(submission.ops))
             offset += len(submission.ops)
-        if trace_span is not None:
-            t1 = self.tracer.clock()
-            trace_span.phase("apply_ns", t1 - t0)
         # publish before acknowledging: a writer that regains control is
         # guaranteed to find its own write in the current view
         self._publish()
-        if trace_span is not None:
-            trace_span.phase("publish_ns", self.tracer.clock() - t1)
-            self.tracer.finish(trace_span)
+        published = obs.clock()
+        if self.quality is not None:
+            self.quality.note_ops(len(all_ops))   # probes as they come due
+        # one stage, two phases: up to the publish, and the publish
+        obs.report(
+            metric_names.SERVICE_INGEST_BATCH_NS, obs.clock() - started,
+            {metric_names.SERVICE_INGEST_BATCH_NS: applied - started,
+             metric_names.SERVICE_PUBLISH_NS: published - applied},
+            batch=len(all_ops))
         for submission in batch:
             if submission.done is not None:
                 submission.done.set()
@@ -869,8 +848,6 @@ class SynopsisService:
         self._view = view
         if self.obs.enabled:
             self.obs.gauge(metric_names.SERVICE_EPOCH).set(view.epoch)
-            self.obs.gauge(metric_names.SERVICE_EPOCH_LAG).set(
-                self._queued_ops)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SynopsisService(queries={sorted(self._view.synopses)}, "

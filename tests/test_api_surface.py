@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -25,7 +25,7 @@ def test_version():
     "repro.index.api", "repro.index.avl", "repro.query.explain",
     "repro.bench.export",
     "repro.obs", "repro.obs.metrics", "repro.obs.names",
-    "repro.obs.trace", "repro.obs.expo", "repro.obs.quality",
+    "repro.obs.expo", "repro.obs.quality",
     "repro.obs.events",
     "repro.persist", "repro.persist.wal", "repro.persist.snapshot",
     "repro.persist.state", "repro.persist.runtime",
@@ -86,10 +86,10 @@ def test_metric_name_catalogue_is_stable():
         "persist.snapshot.write_ns",
         "persist.recovery.count", "persist.recovery.replayed_ops",
         "persist.recovery_ns",
-        "trace.events", "trace.dropped", "trace.slow_ops",
+        "trace.slow_ops",
         "quality.probe_rounds", "quality.probes_drawn",
         "quality.chi_square", "quality.ks_ratio", "quality.flagged",
-        "quality.epoch_lag", "quality.staleness_seconds",
+        "quality.staleness_seconds",
         "aqp.estimates", "aqp.estimate_ns", "aqp.audited",
         "aqp.relative_error", "aqp.coverage", "aqp.coverage_flagged",
         "events.emitted", "events.dropped",
@@ -101,12 +101,13 @@ def test_metric_name_catalogue_is_stable():
         "replicate.replay_ns", "replicate.applied_lsn",
         "replicate.epoch_lag", "replicate.staleness_seconds",
         "replicate.lag_ms",
-        "service.queue_depth", "service.epoch", "service.epoch_lag",
+        "service.queue_depth", "service.epoch",
         "service.ops_applied", "service.ops_rejected",
         "service.ingest_errors",
-        "service.batch_ops", "service.ingest_batch_ns", "service.read_ns",
+        "service.batch_ops", "service.ingest_batch_ns",
+        "service.publish_ns", "service.read_ns",
     )
-    assert len(set(names.ALL_METRIC_NAMES)) == len(names.ALL_METRIC_NAMES)
+    assert len(set(names.ALL_METRIC_NAMES)) == 75
     assert names.table_insert_ns("ss") == "table.ss.insert_ns"
     assert names.table_delete_ns("ss") == "table.ss.delete_ns"
     assert names.manager_fanout("store_sales") == \
@@ -153,14 +154,16 @@ def test_maintainer_config_fields_are_stable():
     """MaintainerConfig is THE construction contract of the redesigned
     facade; adding a field is fine, renaming or dropping one is not
     (4.0 dropped ``index_backend`` with the backends, 5.0
-    ``use_statistics``: ``effective_spec=spec`` means "do not estimate")."""
+    ``use_statistics``: ``effective_spec=spec`` means "do not estimate";
+    6.0 ``tracer`` with the tracer, and moved ``quality`` to
+    ``ServiceConfig``: whoever serves the view owns the monitor)."""
     import dataclasses
 
     from repro import MaintainerConfig
 
     fields = [f.name for f in dataclasses.fields(MaintainerConfig)]
     assert fields == ["spec", "engine", "seed", "obs", "name",
-                      "effective_spec", "tracer", "quality"]
+                      "effective_spec"]
     config = MaintainerConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.engine = "sjoin"
@@ -186,7 +189,7 @@ def test_service_public_surface_is_stable():
     fields = [f.name for f in dataclasses.fields(service.ServiceConfig)]
     assert fields == ["max_queue_ops", "max_batch_ops",
                       "overflow_policy", "block_timeout",
-                      "drain_timeout", "obs", "tracer", "events"]
+                      "drain_timeout", "obs", "events", "quality"]
 
 
 def test_replicate_public_surface_is_stable():
@@ -389,6 +392,35 @@ def test_removed_in_5_0_names_are_absent():
         assert "batch_updates" not in inspect.signature(cls).parameters
     with pytest.raises(TypeError):
         MaintainerConfig(use_statistics=False)
+
+
+def test_one_timing_channel_no_tracer():
+    """6.0 made the registry the one timing channel (CHANGELOG.md has
+    the removed -> replacement table): no tracer module, name or
+    parameter may come back beside it."""
+    import inspect
+
+    from repro import (MaintainerConfig, SJoinEngine, SymmetricJoinEngine,
+                       obs)
+    from repro.persist import PersistentManager
+    from repro.replicate import FollowerService, WalShipper
+    from repro.service import ServiceConfig
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.trace")
+    for name in ("Tracer", "TraceRing", "TraceSpan", "TraceEvent",
+                 "NullTracer", "NULL_TRACER", "as_tracer"):
+        assert not hasattr(obs, name) and name not in obs.__all__, name
+    for owner in (SJoinEngine, SymmetricJoinEngine, PersistentManager,
+                  PersistentManager.recover, WalShipper, FollowerService):
+        assert "tracer" not in inspect.signature(owner).parameters, owner
+    for refused in (lambda: MaintainerConfig(tracer=None),
+                    lambda: ServiceConfig(tracer=None),
+                    lambda: MaintainerConfig(quality=True)):
+        with pytest.raises(TypeError):
+            refused()
+    assert list(inspect.signature(obs.MetricsRegistry).parameters) == [
+        "clock", "max_label_children", "events", "slow_op_threshold_ns"]
 
 
 def test_legacy_construction_kwargs_removed():

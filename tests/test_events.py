@@ -2,8 +2,8 @@
 
 Ring mechanics (bounded overwrite, copy-on-read, prefix filtering), the
 JSON-line logging sink, gauge publication, the null-object contract,
-and the fan-in wiring: tracer slow-op promotion and quality-monitor
-flags land in one shared log.
+and the fan-in wiring: slow stages reported to a registry and
+quality-monitor flags land in one shared log.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.obs.events import (
     as_event_log,
 )
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import Tracer
 
 
 class FakeClock:
@@ -139,28 +138,24 @@ class TestNull:
 
 
 class TestFanIn:
-    def test_tracer_promotes_slow_ops_into_the_log(self):
+    def test_slow_stages_of_a_registry_and_its_children_share_the_log(self):
         log = quiet_log()
-        clock = {"now": 0}
-        tracer = Tracer(slow_op_threshold_ns=100,
-                        sink=lambda payload: None,
-                        clock=lambda: clock["now"], events=log)
-        span = tracer.start("insert", target="r", batch=4)
-        clock["now"] = 250
-        tracer.finish(span)
-        (event,) = log.events("trace.slow_op")
-        assert event.fields["target"] == "r"
-        assert event.fields["duration_ns"] == 250
-        assert event.fields["batch"] == 4
-
-    def test_tracer_event_log_is_reassignable(self):
-        tracer = Tracer(slow_op_threshold_ns=0,
-                        sink=lambda payload: None,
-                        clock=lambda: 0)
-        assert tracer.event_log is NULL_EVENTS
-        log = quiet_log()
-        tracer.event_log = log
-        tracer.finish(tracer.start("insert"))
-        assert [e.kind for e in log.events()] == ["trace.slow_op"]
-        # the ring-snapshot method is still a method, not the log
-        assert len(tracer.events()) == 1
+        obs = MetricsRegistry(clock=lambda: 7, events=log,
+                              slow_op_threshold_ns=100)
+        child = obs.child()
+        assert child.clock() == 7 and child.events is log
+        obs.report("engine.insert_ns", 250,
+                   {"engine.insert.graph_ns": 200}, target="r", batch=4)
+        obs.report("engine.insert_ns", 99, target="r")
+        child.report("engine.delete_ns", 100, target="s",
+                     removed_results=3)
+        first, second = log.events("trace.slow_op")
+        assert first.fields == {
+            "op": "engine.insert_ns", "target": "r", "batch": 4,
+            "duration_ns": 250,
+            "phases": {"engine.insert.graph_ns": 200}}
+        assert second.fields["removed_results"] == 3
+        # a stage lands in its own registry, promotions count on the root
+        assert "engine.delete_ns" in child and "engine.delete_ns" not in obs
+        assert metric_names.TRACE_SLOW_OPS not in child
+        assert obs.snapshot()[metric_names.TRACE_SLOW_OPS]["value"] == 2

@@ -243,36 +243,44 @@ class TestRenderer:
 # ----------------------------------------------------------------------
 # catalogue coverage: every instrument, exactly once
 # ----------------------------------------------------------------------
+#: the catalogue's gauges and its two histograms that are not ``_ns``
+#: latencies, as ``repro.obs.names`` documents them; every other name
+#: is a counter
+CATALOGUE_GAUGES = {
+    metric_names.GRAPH_INDEX_MAINTENANCE_OPS,
+    metric_names.SYNOPSIS_SIZE, metric_names.TOTAL_RESULTS,
+    metric_names.TRACE_SLOW_OPS,
+    metric_names.QUALITY_PROBE_ROUNDS,
+    metric_names.QUALITY_PROBES_DRAWN,
+    metric_names.QUALITY_CHI_SQUARE, metric_names.QUALITY_KS_RATIO,
+    metric_names.QUALITY_FLAGGED,
+    metric_names.QUALITY_STALENESS_SECONDS,
+    metric_names.AQP_RELATIVE_ERROR, metric_names.AQP_COVERAGE,
+    metric_names.AQP_COVERAGE_FLAGGED,
+    metric_names.EVENTS_EMITTED, metric_names.EVENTS_DROPPED,
+    metric_names.REPLICATE_ACKED_LSN,
+    metric_names.REPLICATE_APPLIED_LSN,
+    metric_names.REPLICATE_EPOCH_LAG,
+    metric_names.REPLICATE_STALENESS_SECONDS,
+    metric_names.SERVICE_QUEUE_DEPTH, metric_names.SERVICE_EPOCH,
+}
+CATALOGUE_HISTOGRAMS = {metric_names.SERVICE_BATCH_OPS,
+                        metric_names.REPLICATE_LAG_MS}
+
+
+def documented_type(name):
+    if name.endswith("_ns") or name in CATALOGUE_HISTOGRAMS:
+        return "histogram"
+    return "gauge" if name in CATALOGUE_GAUGES else "counter"
+
+
 def touch_catalogue(registry):
     """Exercise every name in the catalogue with its documented type."""
-    histograms = {name for name in metric_names.ALL_METRIC_NAMES
-                  if name.endswith("_ns")}
-    histograms.add(metric_names.SERVICE_BATCH_OPS)
-    histograms.add(metric_names.REPLICATE_LAG_MS)
-    gauges = {
-        metric_names.GRAPH_INDEX_MAINTENANCE_OPS,
-        metric_names.SYNOPSIS_SIZE, metric_names.TOTAL_RESULTS,
-        metric_names.TRACE_EVENTS, metric_names.TRACE_DROPPED,
-        metric_names.TRACE_SLOW_OPS,
-        metric_names.QUALITY_PROBE_ROUNDS,
-        metric_names.QUALITY_PROBES_DRAWN,
-        metric_names.QUALITY_CHI_SQUARE, metric_names.QUALITY_KS_RATIO,
-        metric_names.QUALITY_FLAGGED, metric_names.QUALITY_EPOCH_LAG,
-        metric_names.QUALITY_STALENESS_SECONDS,
-        metric_names.AQP_RELATIVE_ERROR, metric_names.AQP_COVERAGE,
-        metric_names.AQP_COVERAGE_FLAGGED,
-        metric_names.EVENTS_EMITTED, metric_names.EVENTS_DROPPED,
-        metric_names.REPLICATE_ACKED_LSN,
-        metric_names.REPLICATE_APPLIED_LSN,
-        metric_names.REPLICATE_EPOCH_LAG,
-        metric_names.REPLICATE_STALENESS_SECONDS,
-        metric_names.SERVICE_QUEUE_DEPTH, metric_names.SERVICE_EPOCH,
-        metric_names.SERVICE_EPOCH_LAG,
-    }
     for name in metric_names.ALL_METRIC_NAMES:
-        if name in histograms:
+        kind = documented_type(name)
+        if kind == "histogram":
             registry.histogram(name).observe(1)
-        elif name in gauges:
+        elif kind == "gauge":
             registry.gauge(name).set(1)
         else:
             registry.counter(name).inc()
@@ -289,6 +297,87 @@ def test_every_catalogue_name_renders_exactly_once():
     # "exactly once" is enforced structurally: parse_exposition raises
     # on a repeated HELP line, so set equality completes the check
     assert len(metric_names.ALL_METRIC_NAMES) == len(expected)
+
+
+def test_every_catalogue_name_has_an_emitter(tmp_path):
+    """The render test feeds a synthetic registry; this one proves each
+    name is *produced*: a small real stack, observability on everywhere,
+    and every catalogue name must show up in some snapshot with its
+    documented type.  A name nothing reaches gets deleted."""
+    import threading
+    import time
+
+    from repro import (DeleteOp, InsertOp, JoinSynopsisMaintainer,
+                       SynopsisManager, SynopsisSpec)
+    from repro.aqp import QueryRegistry
+    from repro.errors import ReproError, ServiceOverloadedError
+    from repro.obs import EventLog, QualityConfig
+    from repro.persist import PersistentManager
+    from repro.replicate import FollowerService, WalShipper
+    from repro.service import ServiceConfig, SynopsisService
+
+    sql = "SELECT * FROM r, s WHERE r.c0 = s.c0"
+    leader_dir, ship_dir = str(tmp_path / "leader"), str(tmp_path / "ship")
+    events = EventLog(sink=lambda payload: None)
+    obs = MetricsRegistry(events=events, slow_op_threshold_ns=0)
+    db = Database()
+    make_tables(db, [("r", 2), ("s", 2)])
+    pm = PersistentManager(
+        SynopsisManager(db, MaintainerConfig(seed=1, obs=obs)),
+        leader_dir, obs=obs)
+    pm.register("q", sql, MaintainerConfig(
+        spec=SynopsisSpec.fixed_size(8), seed=2))
+    shipper = WalShipper(leader_dir, ship_dir, obs=MetricsRegistry())
+    with SynopsisService(pm, ServiceConfig(
+            max_queue_ops=1, overflow_policy="reject", obs=obs,
+            events=events, quality=QualityConfig(
+                check_every=10, probes=8, min_results=1,
+                min_samples=1))) as service:
+        service.apply_batch([InsertOp(table, (i % 3, i))
+                             for i in range(20) for table in ("r", "s")])
+        shipper.ship_once()
+        follower = FollowerService(ship_dir, obs=MetricsRegistry())
+        service.apply_batch([DeleteOp("r", tid) for tid in range(12)])
+        with pytest.raises(ReproError):          # the refused batch
+            service.delete("r", 10 ** 6)
+        # the rejected submission: the ingest thread held inside a heap
+        # insert, one submission queued behind it, the queue is full
+        entered, release = threading.Event(), threading.Event()
+        heap_insert = db.table("s").insert
+
+        def gated(row):
+            if row == (9, 9):
+                entered.set()
+                release.wait(10)
+            return heap_insert(row)
+
+        db.table("s").insert = gated
+        service.apply_batch([InsertOp("s", (9, 9))], wait=False)
+        assert entered.wait(10)
+        service.apply_batch([InsertOp("s", (0, 100))], wait=False)
+        with pytest.raises(ServiceOverloadedError):
+            service.apply_batch([InsertOp("s", (0, 101))], wait=False)
+        release.set()
+        while service.queue_depth:               # drains behind it
+            time.sleep(0.001)
+        service.synopsis()
+        QueryRegistry(service).get("q").estimate("count")   # audited
+        service.checkpoint()
+        shipper.ship_once()
+        follower.catch_up()
+        snapshots = [service.metrics_snapshot(), shipper.obs.snapshot(),
+                     follower.metrics_snapshot()]
+    pm.close()
+    recovered = PersistentManager.recover(leader_dir, obs=MetricsRegistry())
+    recovered.stats()
+    recovered.close()
+    baseline = JoinSynopsisMaintainer(db, sql, MaintainerConfig(
+        engine="sj", obs=MetricsRegistry()))
+    baseline.insert("s", (1, 200))
+    snapshots += [recovered.obs.snapshot(), baseline.stats().metrics]
+    for name in metric_names.ALL_METRIC_NAMES:
+        types = {snap[name]["type"] for snap in snapshots if name in snap}
+        assert types == {documented_type(name)}, (name, types)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +456,12 @@ def test_local_client_metrics_parity(service):
 
     service.insert("r", (2, 1))
     client = LocalServiceClient(service)
-    assert client.metrics() == service.exposition()
+
+    def settled(text):      # the view's age is read at scrape time
+        return [line for line in text.splitlines()
+                if not line.startswith("repro_quality_staleness_seconds ")]
+
+    assert settled(client.metrics()) == settled(service.exposition())
     parse_exposition(client.metrics())
 
 

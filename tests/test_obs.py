@@ -1,6 +1,8 @@
-"""Observability layer: instruments, registry semantics, and the property
-that metrics collection never changes maintenance behaviour."""
+"""Observability layer: instruments, registry semantics, the one timing
+channel (every stage reported once, a slow one promoted to the event
+log), and the property that none of it changes maintenance behaviour."""
 
+import itertools
 import json
 
 import pytest
@@ -18,6 +20,8 @@ from repro import (
     SynopsisSpec,
     TableSchema,
 )
+from repro.errors import InvalidArgumentError
+from repro.obs.events import EventLog
 from repro.obs.metrics import (
     NULL_REGISTRY,
     NUM_BUCKETS,
@@ -41,6 +45,15 @@ class FakeClock:
 
     def __call__(self):
         return self.now
+
+
+def armed(threshold=0, **kwargs):
+    """A registry promoting into a quiet log: ``(obs, stages)`` where
+    ``stages()`` lists the promoted stages' fields, oldest first."""
+    log = EventLog(capacity=4096, sink=lambda payload: None)
+    obs = MetricsRegistry(events=log, slow_op_threshold_ns=threshold,
+                          **kwargs)
+    return obs, lambda: [e.fields for e in log.events("trace.slow_op")]
 
 
 class TestBucketing:
@@ -138,21 +151,6 @@ class TestTimer:
         with registry.timer("t"):
             clock.now += 42
         assert registry.histogram("t").sum == 42
-
-    def test_nested_reentrant_use(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock=clock)
-        timer = registry.timer("t")
-        with timer:
-            clock.now += 5
-            with timer:
-                clock.now += 3
-            clock.now += 2
-        hist = registry.histogram("t")
-        assert hist.count == 2
-        assert hist.min == 3   # inner span
-        assert hist.max == 10  # outer span includes the inner one
-        assert hist.sum == 13
 
     def test_observes_even_when_body_raises(self):
         clock = FakeClock()
@@ -292,12 +290,52 @@ class TestNullRegistry:
         counter.set(4)
         with registry.timer("t"):
             pass
+        registry.report("engine.insert_ns", 5, {"x_ns": 1}, batch=3)
         assert registry.snapshot() == {}
+        assert registry.child() is registry
 
     def test_as_registry_normalisation(self):
         assert as_registry(None) is NULL_REGISTRY
         real = MetricsRegistry()
         assert as_registry(real) is real
+
+
+class TestStageReports:
+    """``MetricsRegistry.report``: durations into the histograms, a slow
+    stage into the event log."""
+
+    def test_whole_and_phases_each_into_their_own_histogram(self):
+        obs = MetricsRegistry()
+        obs.report("engine.insert_ns", 50, {"engine.insert.graph_ns": 30,
+                                            "engine.insert.sample_ns": 5})
+        obs.report("engine.insert_ns", 7)
+        # a stage timed by one of its own phases is not observed twice
+        obs.report("service.ingest_batch_ns", 90,
+                   {"service.ingest_batch_ns": 60,
+                    "service.publish_ns": 25})
+        snap = obs.snapshot()
+        assert {name: (hist["count"], hist["sum"])
+                for name, hist in snap.items()} == {
+            "engine.insert_ns": (2, 57),
+            "engine.insert.graph_ns": (1, 30),
+            "engine.insert.sample_ns": (1, 5),
+            "service.ingest_batch_ns": (1, 60),
+            "service.publish_ns": (1, 25)}     # and no trace.slow_ops
+
+    @pytest.mark.parametrize("threshold, promoted", [
+        (None, []), (0, [0, 99, 100]), (100, [100]), (101, [])],
+        ids=["none-is-off", "zero-is-everything", "inclusive", "below"])
+    def test_slow_op_threshold(self, threshold, promoted):
+        obs, stages = armed(threshold)
+        for duration in (0, 99, 100):
+            obs.report("engine.delete_ns", duration, target="r")
+        assert [s["duration_ns"] for s in stages()] == promoted
+        assert obs.snapshot().get(
+            "trace.slow_ops", {"value": 0})["value"] == len(promoted)
+
+    def test_negative_threshold_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            MetricsRegistry(slow_op_threshold_ns=-1)
 
 
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
@@ -311,9 +349,11 @@ def make_db():
 
 
 class TestBehaviourNeutrality:
-    """Enabling metrics must never change what gets sampled."""
+    """Turning observability (and the slow-op threshold) on or off must
+    never change a sample, ``J`` or the RNG state."""
 
     @given(
+        engine=st.sampled_from(["sjoin-opt", "sjoin", "sj"]),
         ops=st.lists(
             st.tuples(st.sampled_from(["r", "s"]),
                       st.integers(0, 4), st.integers(0, 9)),
@@ -322,10 +362,13 @@ class TestBehaviourNeutrality:
         deletes=st.lists(st.integers(0, 10 ** 6), max_size=12),
     )
     @settings(max_examples=25, deadline=None)
-    def test_same_synopsis_with_and_without_metrics(self, ops, deletes):
+    def test_same_synopsis_with_and_without_metrics(self, engine, ops,
+                                                    deletes):
         def run(obs):
             maintainer = JoinSynopsisMaintainer(
-                make_db(), SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(8), seed=99, obs=obs))
+                make_db(), SQL, MaintainerConfig(
+                    spec=SynopsisSpec.fixed_size(8), engine=engine,
+                    seed=99, obs=obs))
             live = []
             for alias, a, v in ops:
                 live.append((alias, maintainer.insert(alias, (a, v))))
@@ -334,10 +377,10 @@ class TestBehaviourNeutrality:
                     break
                 alias, tid = live.pop(pick % len(live))
                 maintainer.delete(alias, tid)
-            return (sorted(maintainer.synopsis()),
-                    maintainer.total_results())
+            return (maintainer.synopsis(), maintainer.total_results(),
+                    maintainer.engine.rng.getstate())
 
-        assert run(None) == run(MetricsRegistry())
+        assert run(None) == run(MetricsRegistry()) == run(armed()[0])
 
 
 class TestDeleteRunsAreObservedPerRun:
@@ -349,7 +392,7 @@ class TestDeleteRunsAreObservedPerRun:
                for i in range(n) for alias in ("r", "s")]
         target.apply_batch(ops)
 
-    @pytest.mark.parametrize("engine", ["sjoin", "sjoin-opt"])
+    @pytest.mark.parametrize("engine", ["sjoin", "sjoin-opt", "sj"])
     def test_engine_and_table_timers_hear_once_per_run(self, engine):
         obs = MetricsRegistry()
         maintainer = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(
@@ -474,3 +517,120 @@ class TestInsertRunsAreObservedPerRun:
             assert observed.synopsis(name) == plain.synopsis(name)
             assert observed.maintainer(name).engine.rng.getstate() == \
                 plain.maintainer(name).engine.rng.getstate()
+
+
+@pytest.mark.parametrize("engine", ["sjoin-opt", "sjoin", "sj"])
+class TestEngineStages:
+    """Each insert segment and each delete run is one reported stage."""
+
+    def test_one_report_per_segment_and_per_run(self, engine):
+        obs, stages = armed()
+        maintainer = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(100), engine=engine, seed=3,
+            obs=obs))
+        for i in range(24):
+            maintainer.insert("r", (i % 4, i))
+            maintainer.insert("s", (i * 7 % 4, i))
+        seen = len(stages())
+        assert seen == 2 * 24                  # runs of one, each reported
+        # two delete runs, then one insert run cut where the alias changes
+        maintainer.apply_batch(
+            [DeleteOp("r", tid) for tid in range(5)]
+            + [DeleteOp("s", tid) for tid in range(3)]
+            + [InsertOp("r", (i % 4, 100 + i)) for i in range(5)]
+            + [InsertOp("s", (i % 4, 100 + i)) for i in range(3)]
+            + [InsertOp("r", (1, 200))])
+        new = stages()[seen:]
+        assert [(f["op"], f["target"], f["batch"]) for f in new] == [
+            ("engine.delete_ns", "r", 5), ("engine.delete_ns", "s", 3),
+            ("engine.insert_ns", "r", 5), ("engine.insert_ns", "s", 3),
+            ("engine.insert_ns", "r", 1)]
+        for fields in new:
+            assert sum(fields["phases"].values()) <= fields["duration_ns"]
+        for fields in new[:2]:
+            # m = 100 of J = 144: the run purged and re-drew
+            assert set(fields["phases"]) == {"engine.delete.graph_ns",
+                                             "engine.delete.replenish_ns"}
+            assert fields["removed_results"] > 0
+        # the phase histograms heard once per stage too — SJ's as well
+        metrics = maintainer.stats().metrics
+        first = ("engine.insert.enumerate_ns" if engine == "sj"
+                 else "engine.insert.graph_ns")
+        assert metrics[first]["count"] == 2 * 24 + 3
+        assert metrics["engine.delete.graph_ns"]["count"] == 2
+
+    def test_a_run_no_entry_of_which_passed_the_filter_is_silent(
+            self, engine):
+        """The heap holds a row the engine's pre-filter refused; deleting
+        it opens a delete run that does nothing — and reports nothing
+        (the parent observed an empty ``engine.delete_ns``)."""
+        manager = SynopsisManager(
+            make_db(), MaintainerConfig(seed=1, obs=MetricsRegistry()))
+        manager.register("q", SQL + " AND r.x > 5",
+                         MaintainerConfig(engine=engine))
+        refused = manager.insert("r", (1, 0))
+        kept = manager.insert("r", (1, 9))
+        manager.delete("r", refused)
+        assert "engine.delete_ns" not in manager.stats().queries["q"].metrics
+        manager.delete("r", kept)
+        assert manager.stats().queries["q"].metrics[
+            "engine.delete_ns"]["count"] == 1
+
+
+class TestStackStages:
+    """Above the engine: WAL append, snapshot write, ingest batch — and a
+    recovered manager's engines, which report like fresh ones."""
+
+    def test_wal_snapshot_and_a_recovered_engine_report(self, tmp_path):
+        from repro.persist import PersistentManager
+
+        obs, stages = armed()
+        pm = PersistentManager(
+            SynopsisManager(make_db(), MaintainerConfig(obs=obs)),
+            str(tmp_path), obs=obs)
+        pm.register("q", SQL, MaintainerConfig(seed=5))
+        pm.insert("r", (1, 1))
+        pm.checkpoint()
+        pm.insert("r", (1, 2))
+        pm.close()
+        appends = [f for f in stages()
+                   if f["op"] == "persist.wal.append_ns"]
+        assert len(appends) == 3       # the register, the two inserts
+        for fields in appends:
+            assert fields["bytes"] > 0 and fields["fsyncs"] >= 0
+        assert [f["wal_lsn"] for f in stages()
+                if f["op"] == "persist.snapshot.write_ns"] == [0, 2]
+        # the recovered query's engine sits on a child of ``obs`` again
+        obs, stages = armed()
+        recovered = PersistentManager.recover(
+            str(tmp_path), obs=obs, manager_obs=obs)
+        replayed = len(stages())
+        recovered.insert("s", (1, 3))
+        recovered.close()
+        assert [f["op"] for f in stages()[replayed:]] == [
+            "persist.wal.append_ns", "engine.insert_ns"]
+        assert recovered.stats().queries["q"].metrics[
+            "engine.insert_ns"]["count"] == 2   # the replayed op, the new
+
+    def test_ingest_batch_is_timed_on_the_registry_clock(self):
+        """Only the service reads this registry's clock: started 0,
+        applied 10, published 20, reported at 30."""
+        from repro.service import ServiceConfig, SynopsisService
+
+        obs, stages = armed(clock=itertools.count(0, 10).__next__)
+        manager = SynopsisManager(make_db())
+        manager.register("q", SQL)
+        with SynopsisService(manager, ServiceConfig(obs=obs)) as service:
+            service.apply_batch([InsertOp("r", (1, 1)),
+                                 InsertOp("s", (1, 2))])
+            service.insert("r", (1, 3))
+        assert [(f["op"], f["batch"], f["duration_ns"]) for f in stages()] \
+            == [("service.ingest_batch_ns", 2, 30),
+                ("service.ingest_batch_ns", 1, 30)]
+        assert stages()[0]["phases"] == {"service.ingest_batch_ns": 10,
+                                         "service.publish_ns": 10}
+        snap = obs.snapshot()
+        assert snap["service.ingest_batch_ns"]["sum"] == 20
+        assert snap["service.publish_ns"]["sum"] == 20
+        assert snap["service.publish_ns"]["count"] == 2
+

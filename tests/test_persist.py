@@ -12,7 +12,6 @@ from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.core.manager import SynopsisManager
 from repro.persist import (
     PersistentManager,
@@ -474,7 +473,7 @@ class TestPersistentManager:
         # fields that do not change the sample stay accepted
         pm.register("q", SQL, MaintainerConfig(
             spec=SynopsisSpec.fixed_size(10), seed=3, name="shown",
-            obs=MetricsRegistry(), tracer=Tracer(), quality=True))
+            obs=MetricsRegistry()))
         assert pm.wal.next_lsn == logged + 1
         pm.close()
 

@@ -2,10 +2,12 @@
 
 The decisive pair of tests: honest engines (all three synopsis types)
 must stay quiet over many probe rounds, while an engine driven by an
-artificially biased RNG — ``random()`` returning ``u³``, which
+artificially biased RNG — ``random()`` returning ``u⁵``, which
 collapses the Vitter skip counter and over-accepts recently-inserted
-results — must be flagged.  Statistics units (KS, chi-square) are
-tested against hand-checkable inputs first so a regression localises.
+results — must be flagged, also *through the stack*: whoever serves the
+view owns the monitor, so a service over a bare or a persistent manager
+probes per applied batch.  Statistics units (KS, chi-square) are tested
+against hand-checkable inputs first so a regression localises.
 """
 
 import random
@@ -14,13 +16,11 @@ import pytest
 
 from repro import Database, JoinSynopsisMaintainer, MaintainerConfig, \
     SynopsisSpec
-from repro.core import SJoinEngine
 from repro.errors import InvalidArgumentError
 from repro.obs import MetricsRegistry, QualityConfig, QualityMonitor
 from repro.obs import names as metric_names
 from repro.obs.quality import chi_square_two_sample, ks_critical, \
     ks_statistic
-from repro.query.parser import parse_query
 
 from conftest import make_tables, single_query
 
@@ -46,11 +46,13 @@ class BiasedRandom(random.Random):
         return super().random() ** 5
 
 
-def drive(target, n, rng_seed=13, domain=8):
+def drive(target, n, rng_seed=13, domain=8, monitor=None):
     rng = random.Random(rng_seed)
     for i in range(n):
         target.insert("r", (rng.randrange(domain), i))
         target.insert("s", (rng.randrange(domain), i))
+        if monitor is not None:
+            monitor.note_ops(2)
 
 
 # ----------------------------------------------------------------------
@@ -140,35 +142,65 @@ class TestMonitorMechanics:
         monitor.note_ops(250)     # 2 rounds due (check_every=100)
         assert monitor.probe_rounds + monitor.skipped_rounds == 2
 
-    def test_maintainer_wiring_runs_rounds_and_publishes(self):
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["bare", "persistent"])
+    def test_service_wiring_runs_rounds_and_publishes(self, durable,
+                                                      tmp_path):
+        """The monitor runs through the stack: ``manager.apply_batch``
+        opens the engines' runs itself, so only the ingest loop can
+        count the ops (at the parent ``probe_rounds`` stayed 0)."""
+        from repro.persist import PersistentManager
+        from repro.service import ServiceConfig, SynopsisService
+
         obs = MetricsRegistry()
-        maintainer = JoinSynopsisMaintainer(
-            make_db(), SQL, MaintainerConfig(
-                spec=SynopsisSpec.fixed_size(40), seed=1, obs=obs,
-                quality=self.config()))
-        assert maintainer.quality is not None
-        drive(maintainer, 300)
-        assert maintainer.quality.probe_rounds > 0
-        metrics = maintainer.stats().metrics
-        assert metrics[metric_names.QUALITY_PROBE_ROUNDS]["value"] == \
-            maintainer.quality.probe_rounds
-        assert metrics[metric_names.QUALITY_FLAGGED]["value"] == 0
+        target, _ = single_query(make_db(), SQL, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(40), seed=1))
+        if durable:
+            target = PersistentManager(target, str(tmp_path))
+        with SynopsisService(target, ServiceConfig(
+                obs=obs, quality=self.config())) as service:
+            drive(service, 300)
+            health = service.healthz()["quality"]
+            assert health["probe_rounds"] >= 600 // 100 - 1
+            assert health == service.quality.status()
+            # the scrape itself sets the gauges, the view's age too
+            assert metric_names.QUALITY_STALENESS_SECONDS not in obs
+            snapshot = service.metrics_snapshot()
+        assert snapshot[metric_names.QUALITY_PROBE_ROUNDS]["value"] == \
+            health["probe_rounds"]
+        assert snapshot[metric_names.QUALITY_FLAGGED]["value"] == 0
+        assert snapshot[metric_names.QUALITY_STALENESS_SECONDS][
+            "value"] >= 0.0
 
     def test_quality_true_uses_default_config(self):
-        maintainer = JoinSynopsisMaintainer(
-            make_db(), SQL, MaintainerConfig(seed=1, quality=True))
-        assert maintainer.quality is not None
-        assert maintainer.quality.config.check_every == 2048
+        from repro.service import ServiceConfig, SynopsisService
 
-    def test_status_shape(self):
-        maintainer = JoinSynopsisMaintainer(
-            make_db(), SQL, MaintainerConfig(seed=1, quality=True))
-        status = maintainer.quality.status()
-        assert set(status) == {
-            "flagged", "flag_count", "probe_rounds", "probes_drawn",
-            "skipped_rounds", "chi_square", "chi_dof", "ks_ratio",
-            "window_rounds",
-        }
+        manager, _ = single_query(make_db(), SQL, MaintainerConfig(seed=1))
+        with SynopsisService(
+                manager, ServiceConfig(quality=True)) as service:
+            assert service.quality.config.check_every == 2048
+            assert set(service.healthz()["quality"]) == {
+                "flagged", "flag_count", "probe_rounds", "probes_drawn",
+                "skipped_rounds", "chi_square", "chi_dof", "ks_ratio",
+                "window_rounds"}
+        with SynopsisService(manager) as service:
+            assert service.quality is None
+            assert "quality" not in service.healthz()
+
+    def test_monitor_follows_the_sole_registered_query(self):
+        """One owner, one rule: the sole query's engine, re-picked when
+        the registration set changes (none or several: no monitor)."""
+        from repro import SynopsisManager
+        from repro.service import ServiceConfig, SynopsisService
+
+        manager = SynopsisManager(make_db(), MaintainerConfig(seed=1))
+        with SynopsisService(
+                manager, ServiceConfig(quality=True)) as service:
+            assert service.quality is None
+            first = service.register("q1", SQL)
+            assert service.quality.engine is first.engine
+            service.register("q2", SQL)
+            assert service.quality is None
 
 
 # ----------------------------------------------------------------------
@@ -186,43 +218,10 @@ MONITOR_CONFIG = dict(check_every=100, probes=256, window=6,
 ], ids=["fixed", "replacement", "bernoulli"])
 def test_honest_engine_not_flagged(spec):
     maintainer = JoinSynopsisMaintainer(
-        make_db(), SQL, MaintainerConfig(
-            spec=spec, seed=2,
-            quality=QualityConfig(**MONITOR_CONFIG)))
-    drive(maintainer, 800)
-    monitor = maintainer.quality
-    assert monitor.probe_rounds >= 5
-    assert not monitor.flagged, monitor.status()
-
-
-def test_biased_sampler_is_flagged():
-    db = make_db()
-    query = parse_query(SQL, db)
-    engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(200),
-                         rng=BiasedRandom(2))
-    monitor = QualityMonitor(engine, QualityConfig(**MONITOR_CONFIG))
-    rng = random.Random(13)
-    for i in range(800):
-        engine.insert("r", (rng.randrange(8), i))
-        engine.insert("s", (rng.randrange(8), i))
-        monitor.note_ops(2)
-    assert monitor.probe_rounds >= 5
-    assert monitor.flagged, monitor.status()
-
-
-def test_honest_engine_same_drive_not_flagged():
-    """The exact drive of the biased test, honest RNG: must stay quiet
-    (guards against the biased test passing for the wrong reason)."""
-    db = make_db()
-    query = parse_query(SQL, db)
-    engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(200),
-                         rng=random.Random(2))
-    monitor = QualityMonitor(engine, QualityConfig(**MONITOR_CONFIG))
-    rng = random.Random(13)
-    for i in range(800):
-        engine.insert("r", (rng.randrange(8), i))
-        engine.insert("s", (rng.randrange(8), i))
-        monitor.note_ops(2)
+        make_db(), SQL, MaintainerConfig(spec=spec, seed=2))
+    monitor = QualityMonitor(maintainer.engine,
+                             QualityConfig(**MONITOR_CONFIG))
+    drive(maintainer, 800, monitor=monitor)
     assert monitor.probe_rounds >= 5
     assert not monitor.flagged, monitor.status()
 
@@ -230,23 +229,33 @@ def test_honest_engine_same_drive_not_flagged():
 # ----------------------------------------------------------------------
 # service surfacing
 # ----------------------------------------------------------------------
-def test_healthz_carries_quality_and_staleness():
+@pytest.mark.parametrize("rng_class, flagged", [
+    (BiasedRandom, True), (random.Random, False)], ids=["biased", "honest"])
+def test_service_flags_a_biased_sampler_and_only_that(
+        rng_class, flagged, monkeypatch):
+    """The decisive pair, through the stack: manager + service, the
+    same drive, the engine's RNG the only difference (the honest run
+    guards against the biased one being flagged for the wrong reason).
+    The ingest loop's monitor decides; the event log hears once."""
+    from repro.obs import EventLog
     from repro.service import ServiceConfig, SynopsisService
 
-    obs = MetricsRegistry()
-    manager, maintainer = single_query(
-        make_db(), SQL, MaintainerConfig(seed=3, obs=obs, quality=True))
-    service = SynopsisService(manager, ServiceConfig(obs=obs))
-    try:
-        service.insert("r", (1, 1))
-        health = service.healthz()
-        assert health["staleness_seconds"] >= 0.0
-        assert health["quality"] == maintainer.quality.status()
-        snapshot = obs.snapshot()
-        assert metric_names.QUALITY_STALENESS_SECONDS in snapshot
-        assert metric_names.QUALITY_EPOCH_LAG in snapshot
-    finally:
-        service.close()
+    with monkeypatch.context() as patch:
+        patch.setattr(random, "Random", rng_class)
+        manager, maintainer = single_query(
+            make_db(), SQL, MaintainerConfig(
+                spec=SynopsisSpec.fixed_size(200), seed=2))
+    assert type(maintainer.engine.rng) is rng_class
+    events = EventLog(sink=lambda payload: None)
+    with SynopsisService(manager, ServiceConfig(
+            events=events,
+            quality=QualityConfig(**MONITOR_CONFIG))) as service:
+        drive(service, 800)
+        health = service.healthz()["quality"]
+    assert health["probe_rounds"] >= 5
+    assert health["flagged"] is flagged, health
+    assert [e.kind for e in events.events("quality")] == \
+        ["quality.flag"] * flagged
 
 
 def test_format_top_renders_quality_section():

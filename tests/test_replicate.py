@@ -659,6 +659,28 @@ class TestLagTracing:
         assert metric_names.QUALITY_PROBE_ROUNDS in obs.snapshot()
         pm.close()
 
+    def test_every_replayed_record_is_a_stage_carrying_its_lsn(
+            self, tmp_path):
+        """Threshold 0: one ``trace.slow_op`` per replayed record (5.0's
+        ``tracer=`` died with a ``TypeError`` on the first), each with
+        its ``lsn``; a ship round carries what it acked."""
+        events = EventLog(sink=lambda payload: None)
+        obs = MetricsRegistry(events=events, slow_op_threshold_ns=0)
+        pm, _, _, ship_dir = ship_pair(tmp_path)
+        f = FollowerService(ship_dir, obs=obs)
+        replayed, first = f.replayed_records, f.applied_lsn
+        drive(pm, random.Random(3), 5)
+        acked = WalShipper(str(tmp_path / "leader"), ship_dir,
+                           obs=obs.child()).ship_once()["acked_lsn"]
+        assert f.catch_up() == 5
+        stages = [e.fields for e in events.events("trace.slow_op")]
+        assert [s["lsn"] for s in stages
+                if s["op"] == "replicate.replay_ns"][replayed:] == \
+            list(range(first, first + 5))
+        assert [s["acked_lsn"] for s in stages
+                if s["op"] == "replicate.ship_ns"] == [acked]
+        pm.close()
+
 
 # ----------------------------------------------------------------------
 # CLI wiring

@@ -12,12 +12,12 @@ import urllib.request
 
 import pytest
 
-from repro.cli import (build_serve_target, build_workload_manager,
+from repro.cli import (build_serve_service, build_workload_manager,
                        make_parser)
 from repro.core.stats_api import InsertOp
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import QualityConfig
 from repro.replicate import FollowerService, WalShipper
-from repro.service import ServiceConfig, ServiceHTTPServer, SynopsisService
+from repro.service import ServiceHTTPServer
 
 
 def serve_args(*extra):
@@ -42,20 +42,21 @@ def post(url, payload):
 class Served:
     """The CLI's serve wiring, minus ``serve_forever``."""
 
-    def __init__(self, args, obs=None):
-        self.target, self._close = build_serve_target(args, obs=obs)
-        self.service = SynopsisService(self.target,
-                                       ServiceConfig(obs=obs))
+    def __init__(self, args):
+        self.service, self._close = build_serve_service(args)
+        self.target = self.service.target
         self.server = ServiceHTTPServer(self.service, port=0).start()
         host, port = self.server.address
         self.base = f"http://{host}:{port}"
 
-    def feed(self, count=300):
-        """Stream the head of the workload through the front door, so
+    def feed(self, start=0, stop=300, batch=300):
+        """Stream a stretch of the workload through the front door, so
         the join is non-empty (the tiny preload alone joins nothing)."""
         _, _, stream = build_workload_manager(serve_args())
-        self.service.apply_batch(
-            [InsertOp(event.alias, event.row) for event in stream[:count]])
+        ops = [InsertOp(event.alias, event.row)
+               for event in stream[start:stop]]
+        for i in range(0, len(ops), batch):
+            self.service.apply_batch(ops[i:i + batch])
 
     def stop(self):
         self.server.stop()
@@ -129,21 +130,38 @@ class TestCliServerAnswersAqp:
             served.stop()
 
 
-class TestQualityOnDurableCliTarget:
-    def test_leader_healthz_and_follower_probe(self, tmp_path):
-        state = str(tmp_path / "state")
-        obs = MetricsRegistry()
-        served = Served(serve_args("--dir", state, "--quality"), obs=obs)
+class TestObservedDurableCliTarget:
+    """``--quality`` and ``--slow-op-ms`` on ``serve --dir``: the
+    service owns the monitor and the registry the threshold, so a
+    target recovered after a restart is observed like a fresh one (at
+    the parent it probed nothing and reported no engine stage)."""
+
+    def serve(self, state, start, stop):
+        args = serve_args("--dir", state, "--quality", "--slow-op-ms", "0")
+        # the flag means QualityConfig(); 170 tiny ops need a denser one
+        args.quality = QualityConfig(check_every=20, probes=16,
+                                     min_results=1, min_samples=1)
+        served = Served(args)
         try:
-            health = get(served.base + "/healthz")
-            assert health["quality"]["flagged"] is False
-            assert "probe_rounds" in health["quality"]
-            WalShipper(state, str(tmp_path / "ship")).ship_once()
+            served.feed(start, stop, batch=10)
+            quality = get(served.base + "/healthz")["quality"]
+            assert quality["flagged"] is False
+            assert quality["probe_rounds"] >= (stop - start) // 20 - 1
+            slow = get(served.base + "/events?kind=trace.slow_op")["events"]
+            assert {"engine.insert_ns", "persist.wal.append_ns",
+                    "service.ingest_batch_ns"} <= {
+                        event["fields"]["op"] for event in slow}
+            return served.target.recoveries
         finally:
             served.stop()
+
+    def test_fresh_then_recovered_then_follower(self, tmp_path):
+        state = str(tmp_path / "state")
+        assert self.serve(state, 0, 100) == 0
+        assert self.serve(state, 100, 170) == 1    # same dir: recovered
+        WalShipper(state, str(tmp_path / "ship")).ship_once()
         follower = FollowerService(str(tmp_path / "ship"), quality=True)
         assert follower.quality is not None
         assert follower.healthz()["quality"]["flagged"] is False
         # the unnamed-read rule holds on the replica too
         assert follower.synopsis_payload()["name"] == "QY"
-
