@@ -40,16 +40,54 @@ from repro.aqp.audit import AccuracyAuditor, AuditConfig
 from repro.aqp.estimation import Snapshot, estimate_from_snapshot
 from repro.core.config import MaintainerConfig
 from repro.core.manager import SynopsisTarget, spec_for_plan
-from repro.errors import ServiceError, SynopsisError
+from repro.errors import InvalidArgumentError, ServiceError, SynopsisError
 from repro.query.explain import explain_plan
 from repro.query.parser import parse_query
 from repro.query.planner import plan_query
 from repro.query.query import JoinQuery
 
+#: the largest synopsis a registration may ask for: a sample is
+#: bounded by design, and on a durable target the size is logged and
+#: replayed, so a typo or a hostile value would outlive the process
+MAX_SYNOPSIS_SIZE = 10_000_000
+
 #: synopsis families whose snapshot ``total`` is the exact join
 #: cardinality J (the Algorithm-2 root weight); the weighted family's
 #: total is the weighted-unit total W, which is not a COUNT truth.
 _EXACT_COUNT_FAMILIES = ("uniform", "subset")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_registration(sql, name, size, engine, weight_column, seed) -> None:
+    """Refuse an out-of-contract ``register`` argument, naming it.
+
+    The one check HTTP, :class:`~repro.service.LocalServiceClient` and
+    ``repro query register`` share.  It runs before anything is parsed,
+    provisioned or logged: a durable target writes the registration to
+    its WAL first, so whatever got past here would be replayed on every
+    recovery and shipped to every follower.
+    """
+    for field, value, ok, rule in (
+        ("sql", sql, isinstance(sql, str), "a string"),
+        ("name", name,
+         name is None or (isinstance(name, str) and name != ""
+                          and "/" not in name),
+         "a non-empty string without '/' (or omitted)"),
+        ("size", size, _is_int(size) and 1 <= size <= MAX_SYNOPSIS_SIZE,
+         f"an integer in [1, {MAX_SYNOPSIS_SIZE}]"),
+        ("engine", engine, isinstance(engine, str), "a string"),
+        ("weight_column", weight_column,
+         weight_column is None or isinstance(weight_column, str),
+         "a string like alias.attr (or omitted)"),
+        ("seed", seed, seed is None or _is_int(seed),
+         "an integer (or omitted)"),
+    ):
+        if not ok:
+            raise InvalidArgumentError(
+                f"register: {field} must be {rule}, got {value!r}")
 
 
 class RegisteredQuery:
@@ -250,12 +288,19 @@ class QueryRegistry:
                  seed: Optional[int] = None) -> RegisteredQuery:
         """Parse ``sql``, plan it, provision a synopsis, return a handle.
 
-        Raises :class:`~repro.errors.QueryParseError` (with position
-        info) on bad SQL, :class:`~repro.errors.PlanError` when no
-        valid plan exists, :class:`~repro.errors.SynopsisError` on a
-        duplicate name or bad spec, and
+        Raises :class:`~repro.errors.InvalidArgumentError` naming the
+        field when an argument is of the wrong type or out of range
+        (``name`` a non-empty string without ``/``, ``size`` an integer
+        in ``[1, MAX_SYNOPSIS_SIZE]``, ``seed`` an integer; a ``bool``
+        is not an integer; nothing is coerced) — before the target, and
+        so a durable target's log, sees the registration;
+        :class:`~repro.errors.QueryParseError` (with position info) on
+        bad SQL, :class:`~repro.errors.PlanError` when no valid plan
+        exists, :class:`~repro.errors.SynopsisError` on a duplicate
+        name or bad spec, and
         :class:`~repro.errors.FollowerReadOnlyError` on a replica.
         """
+        _check_registration(sql, name, size, engine, weight_column, seed)
         db = self.database()
         query = parse_query(sql, db)
         plan = plan_query(query, db,
