@@ -126,14 +126,13 @@ class TableSchema:
                     raise SchemaError(
                         f"foreign key column {col} not in table {self.name}"
                     )
-        # per-column exact-type fast path for validate_row; values of any
-        # other type (None, numeric widening, bool-vs-int) take the full
-        # per-column checks
+        # exact-type fast path for validate_row; a row with a value of
+        # any other type (None, numeric widening, bool-vs-int) or of the
+        # wrong arity takes the per-column checks
         fast_types = {DataType.INT: int, DataType.FLOAT: float,
                       DataType.STR: str, DataType.BOOL: bool}
-        object.__setattr__(self, "_fast_checks", tuple(
-            (col, fast_types[col.dtype]) for col in self.columns
-        ))
+        self._exact_types = tuple(
+            fast_types[col.dtype] for col in self.columns)
 
     @property
     def column_names(self) -> Tuple[str, ...]:
@@ -154,12 +153,14 @@ class TableSchema:
 
     def validate_row(self, row: Sequence[object]) -> None:
         """Raise :class:`SchemaError` when ``row`` does not fit this schema."""
-        checks = self._fast_checks
-        if len(row) != len(checks):
+        exact = self._exact_types
+        if tuple(map(type, row)) == exact:
+            return
+        if len(row) != len(exact):
             raise SchemaError(
                 f"row arity {len(row)} != {len(self.columns)} for {self.name}"
             )
-        for (col, fast_type), value in zip(checks, row):
+        for col, fast_type, value in zip(self.columns, exact, row):
             if type(value) is fast_type:
                 continue
             if value is None and not col.nullable:

@@ -10,7 +10,9 @@ integrity accounting so that deleting a still-referenced PK tuple raises
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
 from repro.errors import IntegrityError, InvalidArgumentError
@@ -24,7 +26,8 @@ class MemberHash:
         self.member = member
         self.filtered = filtered  # silent-miss allowed when pre-filtered
         self._rows: Dict[tuple, Tuple[int, tuple]] = {}
-        self._refcount: Dict[tuple, int] = {}
+        # live combined tuples holding each key; no entry at zero
+        self._refcount: Dict[tuple, int] = defaultdict(int)
 
     def register(self, key: tuple, tid: int, row: tuple) -> None:
         if key in self._rows:
@@ -62,12 +65,12 @@ class MemberHash:
             tuple(key): (int(tid), tuple(row))
             for key, tid, row in state["rows"]
         }
-        self._refcount = {
+        self._refcount = defaultdict(int, {
             tuple(key): int(count) for key, count in state["refcounts"]
-        }
+        })
 
     def add_reference(self, key: tuple) -> None:
-        self._refcount[key] = self._refcount.get(key, 0) + 1
+        self._refcount[key] += 1
 
     def drop_reference(self, key: tuple) -> None:
         count = self._refcount.get(key, 0)
@@ -82,15 +85,30 @@ class MemberHash:
         return len(self._rows)
 
 
+def _projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Compile ``row -> tuple(row[i] for i in positions)`` for tuple
+    rows (a one-column key is the one-element slice, itself a tuple)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
 class CombinedNodeRuntime:
-    """Assembly and bookkeeping for one combined plan node."""
+    """Assembly and bookkeeping for one combined plan node.
+
+    A combined row is the members' TIDs followed by their base rows, in
+    member order (anchor first, every parent before its children).  What
+    that takes per member is compiled once into ``_chain``: the member's
+    slot, its parent's slot, the projection of the parent's base row —
+    and of the combined row — onto the FK columns, and the member's
+    hash table.
+    """
 
     def __init__(self, node: PlanNode, db: Database,
                  filtered_aliases: frozenset, obs=None):
         if not node.is_combined:
             raise InvalidArgumentError("runtime only applies to combined nodes")
         self.node = node
-        self.db = db
         # plain-int work counters, published to the registry at snapshot
         # time only (keeps the assembly hot path free when metrics are off)
         self.assembles = 0
@@ -98,42 +116,30 @@ class CombinedNodeRuntime:
         self.lookups = 0
         self.member_registrations = 0
         self.hashes: Dict[str, MemberHash] = {}
-        for member in node.members[1:]:
-            self.hashes[member.alias] = MemberHash(
-                member, member.alias in filtered_aliases
-            )
-        # FK column positions within the parent member's base schema
-        self._fk_positions: Dict[str, Tuple[int, ...]] = {}
-        self._pk_positions: Dict[str, Tuple[int, ...]] = {}
-        for member in node.members[1:]:
-            parent_schema = self._member_schema(member.parent_alias)
-            self._fk_positions[member.alias] = tuple(
-                parent_schema.index_of(col) for col in member.fk_columns
-            )
-            own_schema = db.table(member.base_table).schema
-            self._pk_positions[member.alias] = tuple(
-                own_schema.index_of(col) for col in member.pk_columns
-            )
+        self._pk_of: Dict[str, Callable[[tuple], tuple]] = {}
         self._anchor_to_combined: Dict[int, int] = {}
-        # flat-chain fast path: when every member's FK columns live on the
-        # anchor row itself (no member-to-member chains), assembly can
-        # resolve all lookups straight off the anchor row
-        anchor_alias = node.members[0].alias
-        self._flat_chain = all(
-            member.parent_alias == anchor_alias
-            for member in node.members[1:]
-        )
-        self._flat_members: Tuple[
-            Tuple[str, Tuple[int, ...], MemberHash], ...
-        ] = tuple(
-            (member.alias, self._fk_positions[member.alias],
-             self.hashes[member.alias])
-            for member in node.members[1:]
-        )
-
-    def _member_schema(self, alias: str):
-        member = self.node.member(alias)
-        return self.db.table(member.base_table).schema
+        members = node.members
+        schemas = [db.table(m.base_table).schema for m in members]
+        slot_of = {m.alias: slot for slot, m in enumerate(members)}
+        # where each member's base row starts inside the combined row
+        offsets = [len(members)]
+        for schema in schemas[:-1]:
+            offsets.append(offsets[-1] + len(schema.columns))
+        chain = []
+        for slot, member in enumerate(members[1:], 1):
+            alias = member.alias
+            member_hash = self.hashes[alias] = MemberHash(
+                member, alias in filtered_aliases)
+            self._pk_of[alias] = _projection(
+                [schemas[slot].index_of(col) for col in member.pk_columns])
+            parent = slot_of[member.parent_alias]
+            fk_pos = [schemas[parent].index_of(col)
+                      for col in member.fk_columns]
+            chain.append((
+                slot, parent, _projection(fk_pos),
+                _projection([offsets[parent] + i for i in fk_pos]),
+                member_hash))
+        self._chain = tuple(chain)
 
     # ------------------------------------------------------------------
     # persistence (repro.persist)
@@ -170,15 +176,12 @@ class CombinedNodeRuntime:
     # ------------------------------------------------------------------
     # PK-side member updates
     # ------------------------------------------------------------------
-    def member_key(self, alias: str, row: Sequence[object]) -> tuple:
-        return tuple(row[i] for i in self._pk_positions[alias])
-
     def register_member(self, alias: str, tid: int, row: tuple) -> None:
         self.member_registrations += 1
-        self.hashes[alias].register(self.member_key(alias, row), tid, row)
+        self.hashes[alias].register(self._pk_of[alias](row), tid, row)
 
-    def unregister_member(self, alias: str, row: Sequence[object]) -> None:
-        self.hashes[alias].unregister(self.member_key(alias, row))
+    def unregister_member(self, alias: str, row: tuple) -> None:
+        self.hashes[alias].unregister(self._pk_of[alias](row))
 
     # ------------------------------------------------------------------
     # anchor-side updates
@@ -190,82 +193,38 @@ class CombinedNodeRuntime:
         Returns ``(combined_tid, combined_row)`` — or None when a looked-up
         member was filtered out by its pre-filter (a silent drop: the tuple
         can never contribute join results).  Raises IntegrityError when a
-        lookup misses with no filter to explain it.
+        lookup misses with no filter to explain it.  Nothing has changed
+        when either happens.
         """
-        if self._flat_chain:
-            return self._assemble_flat(anchor_tid, anchor_row)
-        resolved: Dict[str, Tuple[int, tuple]] = {
-            self.node.members[0].alias: (anchor_tid, anchor_row)
-        }
-        keys: List[Tuple[MemberHash, tuple]] = []
-        for member in self.node.members[1:]:
-            alias = member.alias
-            parent_row = resolved[member.parent_alias][1]
-            key = tuple(
-                parent_row[i] for i in self._fk_positions[alias]
-            )
-            self.lookups += 1
-            member_hash = self.hashes[alias]
-            hit = member_hash.lookup(key)
-            if hit is None:
+        chain = self._chain
+        size = len(chain) + 1
+        tids = [anchor_tid] * size
+        rows = [anchor_row] * size
+        keys: List[Optional[tuple]] = [None] * size
+        for slot, parent, fk_of, _, member_hash in chain:
+            key = keys[slot] = fk_of(rows[parent])
+            try:
+                tids[slot], rows[slot] = member_hash._rows[key]
+            except KeyError:
+                self.lookups += slot    # this miss after slot - 1 hits
                 if member_hash.filtered:
                     self.assembly_drops += 1
                     return None
+                member = member_hash.member
                 raise IntegrityError(
                     f"foreign key {key!r} of {member.parent_alias} has no "
-                    f"match in {alias}"
-                )
-            resolved[alias] = hit
-            keys.append((member_hash, key))
+                    f"match in {member.alias}"
+                ) from None
+        self.lookups += size - 1
         self.assembles += 1
-        combined_row = self._combined_row(resolved)
+        combined_row = tuple(tids)
+        for row in rows:
+            combined_row += row
         combined_tid = self.node.table.insert(combined_row)
         self._anchor_to_combined[anchor_tid] = combined_tid
-        for member_hash, key in keys:
-            member_hash.add_reference(key)
+        for slot, _, _, _, member_hash in chain:
+            member_hash._refcount[keys[slot]] += 1
         return combined_tid, combined_row
-
-    def _assemble_flat(self, anchor_tid: int, anchor_row: tuple
-                       ) -> Optional[Tuple[int, tuple]]:
-        """:meth:`assemble` for flat member chains: every FK is projected
-        from the anchor row, so no intermediate resolution map is needed."""
-        tids = [anchor_tid]
-        payload = list(anchor_row)
-        keys: List[Tuple[MemberHash, tuple]] = []
-        lookups = 0
-        for alias, fk_pos, member_hash in self._flat_members:
-            key = tuple(anchor_row[i] for i in fk_pos)
-            lookups += 1
-            hit = member_hash.lookup(key)
-            if hit is None:
-                self.lookups += lookups
-                if member_hash.filtered:
-                    self.assembly_drops += 1
-                    return None
-                raise IntegrityError(
-                    f"foreign key {key!r} of "
-                    f"{self.node.members[0].alias} has no match in {alias}"
-                )
-            tids.append(hit[0])
-            payload.extend(hit[1])
-            keys.append((member_hash, key))
-        self.lookups += lookups
-        self.assembles += 1
-        combined_row = tuple(tids) + tuple(payload)
-        combined_tid = self.node.table.insert(combined_row)
-        self._anchor_to_combined[anchor_tid] = combined_tid
-        for member_hash, key in keys:
-            member_hash.add_reference(key)
-        return combined_tid, combined_row
-
-    def _combined_row(self, resolved: Dict[str, Tuple[int, tuple]]) -> tuple:
-        tids: List[int] = []
-        payload: List[object] = []
-        for member in self.node.members:
-            tid, row = resolved[member.alias]
-            tids.append(tid)
-            payload.extend(row)
-        return tuple(tids) + tuple(payload)
 
     def has_combined(self, anchor_tid: int) -> bool:
         """False when the anchor tuple was dropped at assembly time
@@ -285,24 +244,8 @@ class CombinedNodeRuntime:
                 f"anchor tuple {anchor_tid} has no combined counterpart"
             )
         combined_row = self.node.table.get(combined_tid)
-        # release references: member rows are embedded in the combined row
-        for member in self.node.members[1:]:
-            parent = self.node.member(member.parent_alias)
-            parent_row = self._member_row(combined_row, parent.alias)
-            key = tuple(
-                parent_row[i] for i in self._fk_positions[member.alias]
-            )
-            self.hashes[member.alias].drop_reference(key)
+        # member rows are embedded in the combined row
+        for _, _, _, fk_of_combined, member_hash in self._chain:
+            member_hash.drop_reference(fk_of_combined(combined_row))
         self.node.table.delete(combined_tid)
         return combined_tid, combined_row
-
-    def _member_row(self, combined_row: Sequence[object],
-                    alias: str) -> tuple:
-        offset = len(self.node.members)
-        for member in self.node.members:
-            schema = self.db.table(member.base_table).schema
-            width = len(schema.columns)
-            if member.alias == alias:
-                return tuple(combined_row[offset:offset + width])
-            offset += width
-        raise IntegrityError(f"{alias} is not a member")

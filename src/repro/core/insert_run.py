@@ -4,9 +4,10 @@ fan-out and backfill, and — as runs of one — ``engine.insert`` /
 ``engine.notify_insert``).
 
 The contract is failure parity with per-op application.  Everything
-about an entry that can refuse it — the pre-filter, the heap insert, a
-member hash's duplicate key, an anchor's FK lookup, a tuple weight —
-happens when the entry is handed over, in op order; what an engine
+about an entry that can refuse it — an unknown alias, the schema check,
+the pre-filter, the heap insert, a member hash's duplicate key, an
+anchor's FK lookup, a tuple weight — happens when the entry is handed
+over, in that order and in op order; what an engine
 defers is work that cannot fail, and leaving the ``with`` block performs
 it, also on the way out of an exception.  So a run that fails at entry
 ``k`` leaves heap, engine state, synopsis and RNG where applying its
@@ -23,10 +24,36 @@ Which entries share a segment is the engine's business
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
-from repro.catalog.table import Table
+from repro.errors import QueryError
 from repro.obs import names as metric_names
+
+
+class RouteTable(dict):
+    """Everything an entry needs that depends only on the plan, resolved
+    once per engine: ``alias -> (heap table, route kind, node idx,
+    combined runtime, passes, weigh)`` — ``runtime`` the alias's
+    :class:`~repro.core.fk_runtime.CombinedNodeRuntime` if any,
+    ``passes`` its compiled pre-filter (None when nothing can reject a
+    row), ``weigh`` the graph's tuple-weight check if any.  The one
+    place an unknown alias becomes a typed error, before anything is
+    stored."""
+
+    __slots__ = ()
+
+    def __init__(self, engine, runtimes: Mapping[int, object],
+                 weigh: Optional[Callable]):
+        query, db = engine.query, engine.db
+        super().__init__(
+            (alias, (db.table(query.range_table(alias).table_name),
+                     route.kind, route.node_idx,
+                     runtimes.get(route.node_idx),
+                     route.passes if route.prefilter else None, weigh))
+            for alias, route in engine.plan.routes.items())
+
+    def __missing__(self, alias: str):
+        raise QueryError(f"unknown alias {alias}")
 
 
 class InsertRun:
@@ -37,7 +64,7 @@ class InsertRun:
     deferred when a segment ends (:meth:`_flush`)."""
 
     __slots__ = ("engine", "alias", "size", "clock", "started", "phases",
-                 "_tables", "_filtered")
+                 "_routes")
 
     def __init__(self, engine):
         self.engine = engine
@@ -48,8 +75,7 @@ class InsertRun:
         self.started = 0
         # the open segment's phases, histogram name -> ns
         self.phases: Optional[Dict[str, int]] = None
-        self._tables: Dict[str, Table] = {}
-        self._filtered = engine._filtered_aliases
+        self._routes: RouteTable = engine._routes
 
     def __enter__(self) -> "InsertRun":
         return self
@@ -59,15 +85,16 @@ class InsertRun:
         returns its TID, -1 when a pre-filter rejected the row (it never
         enters the range table, §5.1)."""
         row = tuple(row)
-        if alias in self._filtered and self._rejects(alias, row):
-            return -1
-        table = self._tables.get(alias)
-        if table is None:
-            engine = self.engine
-            table = self._tables[alias] = engine.db.table(
-                engine.query.range_table(alias).table_name)
+        record = self._routes[alias]
+        table, passes = record[0], record[4]
+        if passes is not None:
+            # a hostile row must meet the schema before a filter reads it
+            table.schema.validate_row(row)
+            if not passes(row):
+                self.engine.stats.filtered_inserts += 1
+                return -1
         tid = table.insert(row)
-        self._register(alias, tid, row)
+        self._register(record, alias, tid, row)
         return tid
 
     def notify(self, alias: str, tid: int, row: Sequence[object]) -> bool:
@@ -75,19 +102,17 @@ class InsertRun:
         :class:`~repro.core.manager.SynopsisManager` owns the heap);
         False when a pre-filter rejected the row."""
         row = tuple(row)
-        if alias in self._filtered and self._rejects(alias, row):
+        record = self._routes[alias]
+        passes = record[4]
+        if passes is not None and not passes(row):
+            self.engine.stats.filtered_inserts += 1
             return False
-        self._register(alias, tid, row)
+        self._register(record, alias, tid, row)
         return True
 
-    def _rejects(self, alias: str, row: tuple) -> bool:
-        engine = self.engine
-        if engine._passes_filters(alias, row):
-            return False
-        engine.stats.filtered_inserts += 1
-        return True
-
-    def _register(self, alias: str, tid: int, row: tuple) -> None:
+    def _register(self, record: tuple, alias: str, tid: int,
+                  row: tuple) -> None:
+        """Place one entry; ``record`` is its :class:`RouteTable` row."""
         raise NotImplementedError
 
     def _flush(self) -> None:

@@ -164,7 +164,7 @@ class JoinSynopsisMaintainer:
         member hash, anchor assembly) happens in op order, the graph
         propagates the weight deltas once per (vertex, direction) for
         each stretch of entries that lands on one plan node,
-        skip-sampling reads the coalesced delta views, and each stretch
+        skip-sampling reads one delta view per stretch, and each stretch
         is reported to the registry once (hash-only registrations never
         end one).  Consecutive deletes on
         one alias are a run too: every entry is purged and re-drawn in
@@ -181,6 +181,7 @@ class JoinSynopsisMaintainer:
         started = time.perf_counter_ns()
         ops = list(ops)
         outcomes: List[OpOutcome] = []
+        rejected = deleted = 0
         obs = self.obs
         obs_on = obs.enabled
         engine = self.engine
@@ -206,10 +207,10 @@ class JoinSynopsisMaintainer:
                         obs.histogram(
                             metric_names.table_insert_ns(target)
                         ).observe(elapsed * count // len(run))
-                outcomes.extend(
-                    OpOutcome("insert", o.target, tid, rejected=(tid == -1))
-                    for o, tid in zip(run, tids)
-                )
+                rejected += tids.count(-1)
+                outcomes.extend([
+                    OpOutcome("insert", o.target, tid, tid == -1)
+                    for o, tid in zip(run, tids)])
                 i = j
             elif isinstance(op, DeleteOp):
                 target = op.target
@@ -223,17 +224,18 @@ class JoinSynopsisMaintainer:
                         engine.delete_batch(target, tids)
                 else:
                     engine.delete_batch(target, tids)
+                deleted += len(tids)
                 outcomes.extend(
-                    OpOutcome("delete", target, tid) for tid in tids)
+                    [OpOutcome("delete", target, tid) for tid in tids])
                 i = j
             else:
                 raise SynopsisError(
                     f"{self._label()} cannot apply {op!r}: expected "
                     "InsertOp or DeleteOp"
                 )
-        return BatchResult.from_outcomes(
-            outcomes, elapsed_ns=time.perf_counter_ns() - started
-        )
+        return BatchResult(
+            outcomes, len(ops) - deleted - rejected, deleted, rejected,
+            time.perf_counter_ns() - started)
 
     def insert(self, alias: str, row: Sequence[object]) -> int:
         """Insert a row into range table ``alias``; returns its TID

@@ -32,7 +32,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.fk_runtime import CombinedNodeRuntime
-from repro.core.insert_run import InsertRun
+from repro.core.insert_run import InsertRun, RouteTable
 from repro.core.synopsis import SubsetSynopsis, SynopsisSpec
 from repro.errors import SynopsisError
 from repro.graph.join_graph import DeleteRun, WeightedJoinGraph
@@ -65,21 +65,22 @@ class _DeleteRun:
     A context manager handing out :meth:`unregister`; the phase sums
     stay 0 while nobody listens (``engine._phase_clock is None``)."""
 
-    __slots__ = ("engine", "alias", "size", "kind", "runtime", "graph_run",
-                 "clock", "started", "graph_ns", "replenish_ns",
+    __slots__ = ("engine", "alias", "size", "kind", "runtime", "passes",
+                 "graph_run", "clock", "started", "graph_ns", "replenish_ns",
                  "deletes", "removed", "purged")
 
     def __init__(self, engine: "SJoinEngine", alias: str, size: int):
-        route = engine.plan.routes[alias]
+        _, kind, node_idx, runtime, passes, _ = engine._routes[alias]
         self.engine = engine
         self.alias = alias
         self.size = size
-        self.kind = route.kind
-        self.runtime = engine._combined.get(route.node_idx)
+        self.kind = kind
+        self.runtime = runtime
+        self.passes = passes
         # a member route only writes its combined node's hash table
         self.graph_run: Optional[DeleteRun] = (
-            None if route.kind == "member"
-            else engine.graph.delete_run(route.node_idx))
+            None if kind == "member"
+            else engine.graph.delete_run(node_idx))
         self.graph_ns = self.replenish_ns = self.removed = self.purged = 0
         self.deletes = engine.stats.deletes     # grows per entry done
         self.clock = clock = engine._phase_clock
@@ -93,7 +94,7 @@ class _DeleteRun:
         the row never passed the pre-filter (nothing to do)."""
         engine = self.engine
         row = tuple(row)
-        if not engine._passes_filters(self.alias, row):
+        if self.passes is not None and not self.passes(row):
             return False
         kind = self.kind
         if kind == "direct":
@@ -159,47 +160,43 @@ class _DeleteRun:
 class _InsertRun(InsertRun):
     """What :meth:`SJoinEngine.open_insert_run` returns (read its
     contract there).  A segment is a stretch of entries whose graph work
-    lands on one plan node; ``pending`` holds that work — ``(tid, row)``
-    of the node, already assembled on an anchor route."""
+    lands on one plan node; ``pending`` holds that work — ``(tid, row,
+    weight)`` of the node, already assembled on an anchor route, the
+    weight validated (None on a uniform graph)."""
 
-    __slots__ = ("node_idx", "pending", "_routes", "_combined", "_weigh")
+    __slots__ = ("node_idx", "pending")
 
     def __init__(self, engine: "SJoinEngine"):
         super().__init__(engine)
         self.node_idx = -1
-        self.pending: List[Tuple[int, tuple]] = []
-        self._routes = engine.plan.routes
-        self._combined = engine._combined
-        graph = engine.graph
-        self._weigh = (None if graph.tuple_weight is None
-                       else graph.weight_of)
+        self.pending: List[Tuple[int, tuple, Optional[int]]] = []
 
-    def _register(self, alias: str, tid: int, row: tuple) -> None:
-        route = self._routes[alias]
-        kind = route.kind
+    def _register(self, record: tuple, alias: str, tid: int,
+                  row: tuple) -> None:
+        _, kind, node_idx, runtime, _, weigh = record
         if kind == "member":
             # hash-only: rides in whatever segment is open
             if self.alias is None:
                 self._cut(alias)
             self.size += 1
-            self._combined[route.node_idx].register_member(alias, tid, row)
+            runtime.register_member(alias, tid, row)
             return
         if alias != self.alias:
             self._cut(alias)
-            self.node_idx = route.node_idx
+            self.node_idx = node_idx
         self.size += 1
         if kind == "anchor":
-            assembled = self._combined[route.node_idx].assemble(tid, row)
+            assembled = runtime.assemble(tid, row)
             if assembled is None:
                 return
             tid, row = assembled
-        if self._weigh is not None:
-            self._weigh(route.node_idx, row)
-        self.pending.append((tid, row))
+        self.pending.append(
+            (tid, row, None if weigh is None else weigh(node_idx, row)))
 
     def _flush(self) -> None:
         """The segment's graph work as one (batched) Algorithm 1, then
-        Algorithm 3 over the delta views in op order."""
+        Algorithm 3 over the segment's delta view: the entries' blocks
+        concatenated in op order, consumed once."""
         pending = self.pending
         if not pending:
             return
@@ -211,34 +208,18 @@ class _InsertRun(InsertRun):
         if clock is not None:
             t0 = clock()
         if len(pending) == 1:
-            outcomes = (graph.insert_tuple(node_idx, *pending[0]),)
+            blocks = (graph.insert_tuple(node_idx, *pending[0]),)
         else:
-            outcomes = graph.insert_tuples(node_idx, pending)
+            blocks = graph.insert_tuples(node_idx, pending)
         if clock is not None:
             self.phases[metric_names.INSERT_GRAPH_NS] = clock() - t0
-        # Coalesce op-order-adjacent outcomes on the same vertex into one
-        # contiguous view: appends to one vertex occupy back-to-back
-        # join-number blocks, so consuming the merged view is the same
-        # position stream the per-op views would have produced.
-        views: List[Tuple[int, int]] = []  # (start, count)
-        new_total = 0
-        for outcome in outcomes:
-            count = outcome.new_results
-            if not count:
-                continue
-            new_total += count
-            start = outcome.view_start
-            if views and views[-1][0] + views[-1][1] == start:
-                views[-1] = (views[-1][0], views[-1][1] + count)
-            else:
-                views.append((start, count))
-        engine.stats.new_results_total += new_total
+        view = DeltaJoinView(graph, node_idx, blocks)
+        new_total = view.length()
         if new_total:
-            consume = engine.synopsis.consume
+            engine.stats.new_results_total += new_total
             if clock is not None:
                 t0 = clock()
-            for start, count in views:
-                consume(DeltaJoinView(graph, node_idx, start, count))
+            engine.synopsis.consume(view)
             if clock is not None:
                 self.phases[metric_names.INSERT_SAMPLE_NS] = clock() - t0
 
@@ -287,19 +268,18 @@ class SJoinEngine:
         self.stats = EngineStats()
         if fk_optimize:
             self.name = "sjoin-opt"
-        self._filters_by_alias = {
-            alias: query.filters_on(alias) for alias in query.aliases
-        }
-        filtered = self._filtered_aliases = frozenset(
-            alias for alias, filters in self._filters_by_alias.items()
-            if filters
-        )
+        filtered = frozenset(
+            alias for alias, route in self.plan.routes.items()
+            if route.prefilter)
         self._combined: Dict[int, CombinedNodeRuntime] = {}
         for node in self.plan.nodes:
             if node.is_combined:
                 self._combined[node.idx] = CombinedNodeRuntime(
                     node, db, filtered, obs=self.obs
                 )
+        self._routes = RouteTable(
+            self, self._combined,
+            None if tuple_weight is None else self.graph.weight_of)
         # runs time their stages with the registry's clock and report
         # each once (None: nobody is listening, no clock reads)
         self._phase_clock = self.obs.clock if self.obs.enabled else None
@@ -370,7 +350,7 @@ class SJoinEngine:
         Bit-identical to calling :meth:`delete` per TID, failures
         included (the run stops at the first TID that is not live, with
         everything before it applied): see :meth:`delete_run`."""
-        table = self.db.table(self.query.range_table(alias).table_name)
+        table = self._routes[alias][0]
         with self.delete_run(alias, len(tids)) as unregister:
             for tid in tids:
                 unregister(tid, table.get(tid))
@@ -513,17 +493,6 @@ class SJoinEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _passes_filters(self, alias: str, row: tuple) -> bool:
-        filters = self._filters_by_alias.get(alias)
-        if not filters:
-            return True
-        schema = self.db.table(self.query.range_table(alias).table_name
-                               ).schema
-        for flt in filters:
-            if not flt.matches(row[schema.index_of(flt.attr)]):
-                return False
-        return True
-
     def _resolve_tuple_weight(self, weight_column: Optional[str]):
         """Resolve a spec's ``"alias.attr"`` weight column to the
         ``(node_idx, row) -> int`` callable the join graph consumes.

@@ -30,7 +30,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
-from repro.core.insert_run import InsertRun
+from repro.core.insert_run import InsertRun, RouteTable
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
 from repro.index.avl import AggregateTree
@@ -80,13 +80,14 @@ class _InsertRun(InsertRun):
 
     __slots__ = ()
 
-    def _register(self, alias: str, tid: int, row: tuple) -> None:
+    def _register(self, record: tuple, alias: str, tid: int,
+                  row: tuple) -> None:
         if alias != self.alias:
             self._cut(alias)
         self.size += 1
         engine = self.engine
         clock = self.clock
-        node_idx = engine.plan.routes[alias].node_idx
+        node_idx = record[2]
         engine._index_tuple(node_idx, tid, row)
         if clock is not None:
             t0 = clock()
@@ -130,13 +131,7 @@ class SymmetricJoinEngine:
         # stages are timed with the registry's clock (None: nobody is
         # listening, no clock reads)
         self._phase_clock = self.obs.clock if self.obs.enabled else None
-        self._filters_by_alias = {
-            alias: query.filters_on(alias) for alias in query.aliases
-        }
-        self._filtered_aliases = frozenset(
-            alias for alias, filters in self._filters_by_alias.items()
-            if filters
-        )
+        self._routes = RouteTable(self, {}, None)
         # one plain tree index per directed edge, keyed by that side's
         # composite edge key; items are (tid, row) pairs
         self._indexes: Dict[Tuple[int, int], AggregateTree] = {}
@@ -199,7 +194,7 @@ class SymmetricJoinEngine:
     def delete_batch(self, alias: str, tids: Sequence[int]) -> None:
         """Delete a run of tuples from one range table (see
         SJoinEngine)."""
-        table = self.db.table(self.query.range_table(alias).table_name)
+        table = self._routes[alias][0]
         with self.delete_run(alias, len(tids)) as unregister:
             for tid in tids:
                 unregister(tid, table.get(tid))
@@ -225,9 +220,11 @@ class SymmetricJoinEngine:
         phases: Dict[str, int] = {}
         deletes, removed = stats.deletes, stats.removed_results_total
 
+        passes = self._routes[alias][4]
+
         def unregister(tid: int, row: Sequence[object]) -> bool:
             row = tuple(row)
-            if not self._passes_filters(alias, row):
+            if passes is not None and not passes(row):
                 return False
             self._do_unregister(alias, tid, row, phases)
             stats.deletes += 1
@@ -246,7 +243,7 @@ class SymmetricJoinEngine:
     def _do_unregister(self, alias: str, tid: int, row: tuple,
                        phases: Dict[str, int]) -> None:
         clock = self._phase_clock
-        node_idx = self.plan.routes[alias].node_idx
+        node_idx = self._routes[alias][2]
         if clock is not None:
             t0 = clock()
         # SJ must enumerate the delta join just to know how much J shrank
@@ -387,15 +384,3 @@ class SymmetricJoinEngine:
         results = self._enumerate_all()
         self.synopsis = self.synopsis.rebuild_from_results(
             ListView(results))
-
-    # ------------------------------------------------------------------
-    def _passes_filters(self, alias: str, row: tuple) -> bool:
-        filters = self._filters_by_alias.get(alias)
-        if not filters:
-            return True
-        schema = self.db.table(self.query.range_table(alias).table_name
-                               ).schema
-        for flt in filters:
-            if not flt.matches(row[schema.index_of(flt.attr)]):
-                return False
-        return True

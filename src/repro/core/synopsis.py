@@ -589,10 +589,12 @@ class FixedSizeWithReplacement(SynopsisBase):
         length = view.length()
         while pos < length:
             skip = self._skips.skip_from(self.total_seen)
-            self.skips_drawn += 1
             if pos + skip >= length:
                 self.total_seen += length - pos
                 return selected
+            # counted where it lands, so the count does not depend on
+            # how the result stream is cut into views
+            self.skips_drawn += 1
             pos += skip
             self.total_seen += skip
             result = tuple(view.get(pos))

@@ -59,19 +59,15 @@ class GraphStats:
         self.weight_recomputes = 0
 
 
-@dataclass
-class InsertOutcome:
-    """What an insertion did: the vertex and its delta-view placement.
+#: an insertion's delta-view placement ``(view_start, new_results)``:
+#: the tuple is part of ``new_results`` join results, whose join numbers
+#: form the contiguous subdomain ``[view_start, view_start + new_results)``
+#: with respect to the rooted tree at the inserted node (§4.5)
+Placement = Tuple[int, int]
 
-    ``new_results`` is the number of join results the inserted tuple is part
-    of; the join numbers of those results form the contiguous subdomain
-    ``[view_start, view_start + new_results)`` with respect to the rooted
-    tree at the inserted node (§4.5).
-    """
-
-    vertex: Vertex
-    new_results: int
-    view_start: int
+#: one tuple of a batch: ``(tid, row, weight)`` — the weight already
+#: validated (:meth:`WeightedJoinGraph.weight_of`), None on a uniform graph
+Entry = Tuple[int, Sequence[object], Optional[int]]
 
 
 class Direction:
@@ -247,26 +243,23 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     # insertion (Algorithm 1)
     # ------------------------------------------------------------------
-    def insert_tuple(self, node_idx: int, tid: int,
-                     row: Sequence[object]) -> InsertOutcome:
+    def insert_tuple(self, node_idx: int, tid: int, row: Sequence[object],
+                     weight: Optional[int] = None) -> Placement:
         """Register tuple ``(tid, row)`` of plan node ``node_idx``.
 
         Returns the placement of the non-materialised delta view over the
-        new join results (§4.5).
+        new join results (§4.5).  ``weight`` is the tuple's validated
+        weight when the caller already holds it (weighted graphs).
         """
-        node = self.plan.nodes[node_idx]
-        key = node.vertex_key_of(row)
+        key = self.plan.nodes[node_idx].vertex_key_of(row)
         # a refused weight must leave no empty vertex behind
-        weight = (None if self.tuple_weight is None
-                  else self.weight_of(node_idx, row))
-        vertex, created = self.hash_indexes[node_idx].get_or_create(
-            key, lambda: Vertex(node_idx, key)
-        )
+        if weight is None and self.tuple_weight is not None:
+            weight = self.weight_of(node_idx, row)
+        vertices = self.hash_indexes[node_idx]
+        vertex = vertices.get(key)
+        created = vertex is None
         if created:
-            self.stats.vertex_creations += 1
-            for nbr_idx, direction in self._neighbors[node_idx]:
-                vertex.W_in[nbr_idx] = self._sum_joining_w_out(
-                    vertex, direction)
+            vertex = vertices[key] = self._new_vertex(node_idx, key)
         if weight is None:
             vertex.ids.append(tid)
         else:
@@ -278,17 +271,12 @@ class WeightedJoinGraph:
         else:
             self._refresh_vertex(vertex)
         self._propagate_run(node_idx, [(vertex, old_w_out)])
-        if self.tuple_weight is None:
-            per_tuple = vertex.per_tuple_weight
-            view_start = self._block_end(vertex) - per_tuple
-            return InsertOutcome(vertex, per_tuple, view_start)
-        new_units = vertex.weights[-1] * vertex.unit_weight
-        view_start = self._block_end(vertex) - new_units
-        return InsertOutcome(vertex, new_units, view_start)
+        new = (vertex.per_tuple_weight if weight is None
+               else weight * vertex.unit_weight)
+        return self._block_end(vertex) - new, new
 
-    def insert_tuples(self, node_idx: int,
-                      entries: Sequence[Tuple[int, Sequence[object]]]
-                      ) -> List[InsertOutcome]:
+    def insert_tuples(self, node_idx: int, entries: Sequence[Entry]
+                      ) -> List[Placement]:
         """Register a batch of tuples of one plan node in arrival order.
 
         Bit-identical to calling :meth:`insert_tuple` per entry, but the
@@ -311,10 +299,9 @@ class WeightedJoinGraph:
         The caller must not interleave deletions or other-node
         insertions into a batch; the engines cut their runs at every
         change of plan node and at every deletion for exactly this
-        reason.  On a weighted graph a refused tuple weight refuses the
-        whole batch before anything changed.
+        reason.
         """
-        touched, placements = self._insert_batch(node_idx, entries)
+        touched, placed = self._insert_batch(node_idx, entries)
         # per-entry view placements from the final aggregates (one bulk
         # prefix query over the shared designated index)
         tree, slot, index_id = self._designated[node_idx]
@@ -325,75 +312,65 @@ class WeightedJoinGraph:
         block_end: Dict[int, int] = {
             id(vertex): end for vertex, end in zip(touched, sums)
         }
-        outcomes: List[InsertOutcome] = []
+        placements: List[Placement] = []
         if self.tuple_weight is None:
-            for vertex, id_index in placements:
-                per_tuple = vertex.per_tuple_weight
-                view_start = block_end[id(vertex)] \
-                    - (len(vertex.ids) - id_index) * per_tuple
-                outcomes.append(InsertOutcome(vertex, per_tuple,
-                                              view_start))
-            return outcomes
-        for vertex, id_index in placements:
+            for vertex, id_index in placed:
+                ids = len(vertex.ids)
+                per_tuple = vertex.w_full // ids
+                placements.append((
+                    block_end[id(vertex)] - (ids - id_index) * per_tuple,
+                    per_tuple))
+            return placements
+        for vertex, id_index in placed:
             # Weighted placement: the entry's sub-block spans its weight
             # times the (batch-final, invariant) per-unit weight, and its
             # start precedes all trailing entries' units.
             unit = vertex.unit_weight
             cum = vertex.cum
             before = cum[id_index - 1] if id_index else 0
-            view_start = block_end[id(vertex)] - (cum[-1] - before) * unit
-            outcomes.append(InsertOutcome(
-                vertex, (cum[id_index] - before) * unit, view_start
-            ))
-        return outcomes
+            placements.append((
+                block_end[id(vertex)] - (cum[-1] - before) * unit,
+                (cum[id_index] - before) * unit))
+        return placements
 
-    def _insert_batch(self, node_idx: int,
-                     entries: Sequence[Tuple[int, Sequence[object]]]
-                     ) -> Tuple[List[Vertex], List[Tuple[Vertex, int]]]:
+    def _insert_batch(self, node_idx: int, entries: Sequence[Entry]
+                      ) -> Tuple[List[Vertex], List[Tuple[Vertex, int]]]:
         """The graph half of :meth:`insert_tuples` — append, recompute,
         propagate — without the view placements nobody reads on a
         restore.  Returns the touched vertices in first-touch order and
         each entry's ``(vertex, id_index)``."""
-        node = self.plan.nodes[node_idx]
-        hash_index = self.hash_indexes[node_idx]
-        neighbors = self._neighbors[node_idx]
-        weights = (None if self.tuple_weight is None else
-                   [self.weight_of(node_idx, row) for _, row in entries])
+        key_pos = self.plan.nodes[node_idx].vertex_pos
+        vertices = self.hash_indexes[node_idx]
         # phase 1: append every tuple, recording first-touch state
         touched: List[Vertex] = []           # first-touch order
         first_w_out: Dict[int, Dict[int, int]] = {}
-        was_created: Dict[int, bool] = {}
-        placements: List[Tuple[Vertex, int]] = []  # (vertex, id_index)
-        for position, (tid, row) in enumerate(entries):
-            key = node.vertex_key_of(row)
-            vertex, created = hash_index.get_or_create(
-                key, lambda: Vertex(node_idx, key)
-            )
-            if created:
-                self.stats.vertex_creations += 1
-                for nbr_idx, direction in neighbors:
-                    vertex.W_in[nbr_idx] = self._sum_joining_w_out(
-                        vertex, direction)
+        created: List[Vertex] = []
+        placed: List[Tuple[Vertex, int]] = []  # (vertex, id_index)
+        for tid, row, weight in entries:
+            key = tuple([row[i] for i in key_pos])
+            vertex = vertices.get(key)
+            if vertex is None:
+                vertex = vertices[key] = self._new_vertex(node_idx, key)
+                created.append(vertex)
             if id(vertex) not in first_w_out:
                 touched.append(vertex)
                 first_w_out[id(vertex)] = dict(vertex.w_out)
-                was_created[id(vertex)] = created
-            if weights is None:
-                vertex.ids.append(tid)
+            ids = vertex.ids
+            placed.append((vertex, len(ids)))
+            if weight is None:
+                ids.append(tid)
             else:
-                vertex.append_weighted(tid, weights[position])
-            placements.append((vertex, len(vertex.ids) - 1))
+                vertex.append_weighted(tid, weight)
         # phase 2: one recompute per touched vertex; new vertices link in
         # creation order (tie allocation!), existing ones re-aggregate in
         # one bulk update per index
-        refreshed: List[Vertex] = []
         for vertex in touched:
             self._recompute_weights(vertex)
-            if was_created[id(vertex)]:
-                self._link_vertex(vertex)
-            else:
-                refreshed.append(vertex)
-        if refreshed:
+        for vertex in created:
+            self._link_vertex(vertex)
+        if len(created) < len(touched):
+            fresh = set(map(id, created))
+            refreshed = [v for v in touched if id(v) not in fresh]
             for spec in self.plan.node_indexes[node_idx]:
                 self.trees[spec.index_id].update_many(
                     [vertex.nodes[spec.index_id] for vertex in refreshed]
@@ -403,7 +380,17 @@ class WeightedJoinGraph:
         self._propagate_run(
             node_idx,
             [(vertex, first_w_out[id(vertex)]) for vertex in touched])
-        return touched, placements
+        return touched, placed
+
+    def _new_vertex(self, node_idx: int, key: tuple) -> Vertex:
+        """A vertex for a key seen for the first time, its ``W_in``
+        summed from the neighbour tables."""
+        self.stats.vertex_creations += 1
+        vertex = Vertex(node_idx, key)
+        for nbr_idx, direction in self._neighbors[node_idx]:
+            vertex.W_in[nbr_idx] = self._sum_joining_w_out(
+                vertex, direction)
+        return vertex
 
     # ------------------------------------------------------------------
     # deletion (reverse of Algorithm 1)
@@ -671,11 +658,15 @@ class WeightedJoinGraph:
             raise TupleNotFoundError(
                 "load_state requires an empty join graph"
             )
+        weighted = self.tuple_weight is not None
         for node_idx, vertices in enumerate(state["nodes"]):
-            self._insert_batch(node_idx, [
-                (tid, row_of(node_idx, tid))
-                for _, ids in vertices for tid in ids
-            ])
+            entries = []
+            for _, ids in vertices:
+                for tid in ids:
+                    row = row_of(node_idx, tid)
+                    entries.append((tid, row, self.weight_of(node_idx, row)
+                                    if weighted else None))
+            self._insert_batch(node_idx, entries)
             hash_index = self.hash_indexes[node_idx]
             for key, ids in vertices:
                 vertex = hash_index.get(tuple(key))

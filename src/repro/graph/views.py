@@ -5,20 +5,23 @@ Both views expose the paper's iterator interface — ``length()`` and
 materialising any join result: ``get`` invokes the join-number mapping
 (Algorithm 2) on demand.
 
-* :class:`DeltaJoinView` — the new join results of a freshly inserted
-  tuple.  Upon inserting ``t_i`` into node ``R_i``, those results occupy
-  the contiguous join-number block ``[U - w', U)`` with respect to
-  ``G_Q(R_i)``, where ``U`` is the inclusive ``w_full`` prefix sum up to
-  ``t_i``'s vertex and ``w'`` the vertex's per-tuple weight.
+* :class:`DeltaJoinView` — the new join results of freshly inserted
+  tuples of one node.  Upon inserting ``t_i`` into node ``R_i``, its
+  results occupy the contiguous join-number block ``[U - w', U)`` with
+  respect to ``G_Q(R_i)``, where ``U`` is the inclusive ``w_full`` prefix
+  sum up to ``t_i``'s vertex and ``w'`` the vertex's per-tuple weight;
+  the view is the blocks of a run of such insertions, concatenated in op
+  order.
 * :class:`FullJoinView` — all ``J`` current join results, used to re-draw
   or rebuild a fixed-size synopsis after deletions.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from bisect import bisect_right
+from typing import Iterable, Iterator, List, Tuple
 
-from repro.graph.join_graph import InsertOutcome, WeightedJoinGraph
+from repro.graph.join_graph import WeightedJoinGraph
 from repro.graph.join_number import map_join_number
 
 PlanResult = Tuple[int, ...]
@@ -54,12 +57,34 @@ class JoinResultView:
 
 
 class DeltaJoinView(JoinResultView):
-    """View over the new join results of one insertion (§4.5)."""
+    """View over the new join results of a run of insertions into one
+    node (§4.5): their ``(view_start, new_results)`` blocks — what
+    :meth:`WeightedJoinGraph.insert_tuples` returns — concatenated in op
+    order.  Positions are global across the blocks, so a skip number
+    crosses a block border as integer arithmetic and Algorithm 3 sees
+    the same position stream as over one view per block."""
 
-    @classmethod
-    def for_insert(cls, graph: WeightedJoinGraph, node_idx: int,
-                   outcome: InsertOutcome) -> "DeltaJoinView":
-        return cls(graph, node_idx, outcome.view_start, outcome.new_results)
+    def __init__(self, graph: WeightedJoinGraph, root_idx: int,
+                 blocks: Iterable[Tuple[int, int]]):
+        # per non-empty block: where it ends in the view, and its first
+        # join number minus where it starts in the view
+        ends: List[int] = []
+        shifts: List[int] = []
+        total = 0
+        for start, count in blocks:
+            if count:
+                shifts.append(start - total)
+                total += count
+                ends.append(total)
+        self._ends, self._shifts = ends, shifts
+        super().__init__(graph, root_idx, 0, total)
+
+    def get(self, index: int) -> PlanResult:
+        if not 0 <= index < self._count:
+            raise IndexError(f"view index {index} out of [0, {self._count})")
+        return map_join_number(
+            self._graph, self._root_idx,
+            self._shifts[bisect_right(self._ends, index)] + index)
 
 
 class FullJoinView(JoinResultView):

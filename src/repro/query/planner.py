@@ -24,7 +24,7 @@ plus the ``n`` full weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, TableSchema
@@ -32,7 +32,6 @@ from repro.catalog.table import Table
 from repro.errors import PlanError
 from repro.query.predicates import (
     BandPredicate,
-    FilterPredicate,
     JoinPredicate,
     MultiTableFilter,
     ThetaPredicate,
@@ -75,7 +74,9 @@ class PlanNode:
     table: Table
     members: Tuple[CollapsedMember, ...]
     vertex_attrs: Tuple[str, ...] = ()
-    filters: Tuple[FilterPredicate, ...] = ()
+    #: positions of ``vertex_attrs`` within a node row, resolved once
+    #: (``plan_query`` sets both)
+    vertex_pos: Tuple[int, ...] = ()
 
     @property
     def is_combined(self) -> bool:
@@ -95,8 +96,7 @@ class PlanNode:
 
     def vertex_key_of(self, row: Sequence[object]) -> tuple:
         """Project a node row onto the node's join attributes."""
-        schema = self.schema
-        return tuple(row[schema.index_of(a)] for a in self.vertex_attrs)
+        return tuple([row[i] for i in self.vertex_pos])
 
 
 @dataclass
@@ -129,11 +129,24 @@ class Route:
     ``kind``: ``direct`` (the alias is a standalone plan node), ``anchor``
     (the alias triggers combined-tuple emission for a combined node) or
     ``member`` (a PK-side member: updates only touch the FK hash table).
+
+    ``prefilter`` is the alias's pre-filter (§5.1) compiled to ``(base-row
+    position, test)`` pairs: its single-table filters plus SQL's NULL
+    rule — a NULL satisfies no predicate, so a row with a NULL in a
+    nullable join column (FK columns included) can never join and is
+    kept out like any filtered row.  Empty when nothing can reject.
     """
 
     alias: str
     node_idx: int
     kind: str
+    prefilter: Tuple[Tuple[int, Callable[[object], bool]], ...] = ()
+
+    def passes(self, row: Sequence[object]) -> bool:
+        for pos, test in self.prefilter:
+            if not test(row[pos]):
+                return False
+        return True
 
 
 class JoinPlan:
@@ -291,6 +304,8 @@ def plan_query(query: JoinQuery, db: Database,
         raise PlanError("plan tree disconnected after FK collapse")
     for node in nodes:
         node.vertex_attrs = plan_tree.join_attrs_of(node.alias)
+        node.vertex_pos = tuple(
+            node.schema.index_of(a) for a in node.vertex_attrs)
     return JoinPlan(
         query, db, nodes, plan_tree, list(tree.demoted), routes,
         fk_optimized=fk_optimize,
@@ -411,12 +426,32 @@ def _matching_fk(fk_schema: TableSchema, fk_cols, pk_cols, pk_table: str):
     return None
 
 
+def _is_not_null(value: object) -> bool:
+    return value is not None
+
+
+def _prefilter(query: JoinQuery, schema: TableSchema, alias: str):
+    """Compile ``alias``'s pre-filter (see :class:`Route`)."""
+    joined = {pred.attr_of(alias) for pred in query.join_predicates
+              if alias in pred.sides()}
+    return tuple(
+        [(schema.index_of(flt.attr), flt.matches)
+         for flt in query.filters_on(alias)]
+        + [(pos, _is_not_null) for pos, col in enumerate(schema.columns)
+           if col.nullable and col.name in joined])
+
+
 def _build_nodes(query: JoinQuery, db: Database,
                  groups: List[List[CollapsedMember]]):
     """Materialise plan nodes (and combined heap tables) for each group."""
     nodes: List[PlanNode] = []
     alias_to_node: Dict[str, PlanNode] = {}
     routes: Dict[str, Route] = {}
+
+    def route(member: CollapsedMember, idx: int, kind: str) -> None:
+        routes[member.alias] = Route(
+            member.alias, idx, kind, _prefilter(
+                query, db.table(member.base_table).schema, member.alias))
     for idx, group in enumerate(groups):
         ordered = _order_members(group)
         if len(ordered) == 1:
@@ -428,9 +463,8 @@ def _build_nodes(query: JoinQuery, db: Database,
                 schema=base.schema,
                 table=base,
                 members=(member,),
-                filters=tuple(query.filters_on(member.alias)),
             )
-            routes[member.alias] = Route(member.alias, idx, "direct")
+            route(member, idx, "direct")
         else:
             node_alias = "__".join(m.alias for m in ordered)
             columns = [
@@ -452,8 +486,7 @@ def _build_nodes(query: JoinQuery, db: Database,
                 members=tuple(ordered),
             )
             for pos, m in enumerate(ordered):
-                kind = "anchor" if pos == 0 else "member"
-                routes[m.alias] = Route(m.alias, idx, kind)
+                route(m, idx, "anchor" if pos == 0 else "member")
         nodes.append(node)
         for m in ordered:
             alias_to_node[m.alias] = node

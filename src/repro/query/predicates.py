@@ -200,7 +200,10 @@ class ThetaPredicate:
     def matches_side(
         self, alias: str, value: object, other_value: object
     ) -> bool:
-        """Test with ``value`` on ``alias``'s side."""
+        """Test with ``value`` on ``alias``'s side; a NULL on either side
+        satisfies nothing (SQL)."""
+        if value is None or other_value is None:
+            return False
         if alias == self.left:
             return self.matches(value, other_value)
         return self.matches(other_value, value)
@@ -350,7 +353,8 @@ class FilterPredicate:
     constant: object
 
     def matches(self, value: object) -> bool:
-        return self.op.test(value, self.constant)
+        """A NULL satisfies no predicate (SQL)."""
+        return value is not None and self.op.test(value, self.constant)
 
     def __str__(self) -> str:
         return f"{self.alias}.{self.attr} {self.op.value} {self.constant!r}"
@@ -383,7 +387,8 @@ class MultiTableFilter:
         return tuple(alias for alias, _ in self.inputs)
 
     def matches(self, values: Sequence[object]) -> bool:
-        return bool(self.predicate(*values))
+        """A NULL among the inputs satisfies nothing (SQL)."""
+        return None not in values and bool(self.predicate(*values))
 
     @staticmethod
     def from_theta(pred: ThetaPredicate, selectivity_hint: float = 1.0

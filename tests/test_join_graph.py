@@ -61,8 +61,8 @@ class TestBasics:
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
         tid = db.insert("r", (1,))
-        outcome = graph.insert_tuple(0, tid, (1,))
-        assert outcome.new_results == 0
+        _, new_results = graph.insert_tuple(0, tid, (1,))
+        assert new_results == 0
         assert graph.total_results() == 0
 
     def test_full_match_counts(self):
@@ -72,8 +72,8 @@ class TestBasics:
         )
         graph.insert_tuple(0, db.insert("r", (1,)), (1,))
         graph.insert_tuple(2, db.insert("t", (9,)), (9,))
-        outcome = graph.insert_tuple(1, db.insert("s", (1, 9)), (1, 9))
-        assert outcome.new_results == 1
+        _, new_results = graph.insert_tuple(1, db.insert("s", (1, 9)), (1, 9))
+        assert new_results == 1
         assert graph.total_results() == 1
 
     def test_duplicate_join_keys_share_vertex(self):
@@ -114,11 +114,10 @@ class TestBasics:
         graph.insert_tuple(1, db.insert("s", (1, 9)), (1, 9))
         graph.insert_tuple(2, db.insert("t", (9,)), (9,))
         graph.insert_tuple(0, db.insert("r", (1,)), (1,))
-        outcome = graph.insert_tuple(0, db.insert("r", (1,)), (1,))
+        placement = graph.insert_tuple(0, db.insert("r", (1,)), (1,))
         # two r tuples share the vertex; the new tuple's block is the
-        # last per-tuple chunk
-        assert outcome.new_results == 1
-        assert outcome.view_start == 1
+        # last per-tuple chunk: (view_start, new_results)
+        assert placement == (1, 1)
 
 
 def brute_force_weights(db, query, plan, graph):
@@ -227,11 +226,12 @@ class TestInsertOutcome:
             alias = rng.choice(list(query.aliases))
             row = random_row(rng, len(tables[alias].schema.columns), 4)
             tid = tables[alias].insert(row)
-            outcome = graph.insert_tuple(query.index_of(alias), tid, row)
+            _, new_results = graph.insert_tuple(
+                query.index_of(alias), tid, row)
             delta = JoinExecutor(
                 db, query, include_filters=False, include_residual=False
             ).delta_results(alias, tid)
-            assert outcome.new_results == len(delta)
+            assert new_results == len(delta)
 
 
 def brute_force_w_in(plan, graph):

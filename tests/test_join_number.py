@@ -99,8 +99,8 @@ class TestViews:
             node_idx = query.index_of(alias)
             row = random_row(rng, len(tables[alias].schema.columns), 3)
             tid = tables[alias].insert(row)
-            outcome = graph.insert_tuple(node_idx, tid, row)
-            view = DeltaJoinView.for_insert(graph, node_idx, outcome)
+            placement = graph.insert_tuple(node_idx, tid, row)
+            view = DeltaJoinView(graph, node_idx, [placement])
             got = sorted(view)
             expect = sorted(JoinExecutor(
                 db, query, include_filters=False, include_residual=False
