@@ -142,7 +142,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "6.2.0"
+__version__ = "6.3.0"
 
 __all__ = [
     # catalog

@@ -39,7 +39,6 @@ from repro.core.stats_api import (
     DeleteOp,
     InsertOp,
     MaintainerStats,
-    OpOutcome,
     UpdateOp,
 )
 from repro.core.symmetric_join import SymmetricJoinEngine
@@ -175,13 +174,13 @@ class JoinSynopsisMaintainer:
         application, and a run that fails at some entry stops where
         per-op application would.
 
-        Returns a :class:`BatchResult` with one :class:`OpOutcome` per
-        op in op order plus the aggregate counters.
+        Returns a :class:`BatchResult` over ``ops`` (a list is kept as
+        handed over, not copied) and one TID per op, in op order.
         """
         started = time.perf_counter_ns()
-        ops = list(ops)
-        outcomes: List[OpOutcome] = []
-        rejected = deleted = 0
+        if not isinstance(ops, list):
+            ops = list(ops)
+        tids: List[Optional[int]] = []
         obs = self.obs
         obs_on = obs.enabled
         engine = self.engine
@@ -195,7 +194,7 @@ class JoinSynopsisMaintainer:
                 run = ops[i:j]
                 items = [(o.target, o.row) for o in run]
                 t0 = obs.clock()
-                tids = engine.insert_run(items)
+                tids.extend(engine.insert_run(items))
                 if obs_on:
                     elapsed = obs.clock() - t0
                     # attribute the run's wall time to each table it
@@ -207,10 +206,6 @@ class JoinSynopsisMaintainer:
                         obs.histogram(
                             metric_names.table_insert_ns(target)
                         ).observe(elapsed * count // len(run))
-                rejected += tids.count(-1)
-                outcomes.extend([
-                    OpOutcome("insert", o.target, tid, tid == -1)
-                    for o, tid in zip(run, tids)])
                 i = j
             elif isinstance(op, DeleteOp):
                 target = op.target
@@ -218,31 +213,25 @@ class JoinSynopsisMaintainer:
                 while j < n and isinstance(ops[j], DeleteOp) \
                         and ops[j].target == target:
                     j += 1
-                tids = [o.tid for o in ops[i:j]]
+                doomed = [o.tid for o in ops[i:j]]
                 if obs_on:
                     with obs.timer(metric_names.table_delete_ns(target)):
-                        engine.delete_batch(target, tids)
+                        engine.delete_batch(target, doomed)
                 else:
-                    engine.delete_batch(target, tids)
-                deleted += len(tids)
-                outcomes.extend(
-                    [OpOutcome("delete", target, tid) for tid in tids])
+                    engine.delete_batch(target, doomed)
+                tids.extend([None] * len(doomed))
                 i = j
             else:
                 raise SynopsisError(
                     f"{self._label()} cannot apply {op!r}: expected "
                     "InsertOp or DeleteOp"
                 )
-        return BatchResult(
-            outcomes, len(ops) - deleted - rejected, deleted, rejected,
-            time.perf_counter_ns() - started)
+        return BatchResult(ops, tids, time.perf_counter_ns() - started)
 
     def insert(self, alias: str, row: Sequence[object]) -> int:
         """Insert a row into range table ``alias``; returns its TID
         (-1 when rejected by a pre-filter)."""
-        return self.apply_batch(
-            (InsertOp(alias, tuple(row)),)
-        ).outcomes[0].tid
+        return self.apply_batch([InsertOp(alias, tuple(row))]).tids[0]
 
     def delete(self, alias: str, tid: int) -> None:
         """Delete the tuple ``tid`` from range table ``alias``."""

@@ -41,7 +41,6 @@ from repro.core.stats_api import (
     DeleteOp,
     InsertOp,
     ManagerStats,
-    OpOutcome,
     UpdateOp,
 )
 from repro.core.synopsis import SynopsisSpec
@@ -302,8 +301,10 @@ class SynopsisManager:
         of the batch had been applied in full (``exc.ops_applied``).
         """
         started = time.perf_counter_ns()
-        ops = list(ops)
-        outcomes: List[OpOutcome] = []
+        if not isinstance(ops, list):
+            ops = list(ops)
+        # one TID per op applied in full, in op order (None: a delete)
+        tids: List[Optional[int]] = []
         i, n = 0, len(ops)
         try:
             while i < n:
@@ -312,14 +313,14 @@ class SynopsisManager:
                 if isinstance(op, InsertOp):
                     while j < n and isinstance(ops[j], InsertOp):
                         j += 1
-                    self._fan_out_insert_run(ops[i:j], outcomes)
+                    self._fan_out_insert_run(ops[i:j], tids)
                 elif isinstance(op, DeleteOp):
                     table_name = op.target
                     while j < n and isinstance(ops[j], DeleteOp) \
                             and ops[j].target == table_name:
                         j += 1
                     self._fan_out_delete_run(
-                        table_name, [o.tid for o in ops[i:j]], outcomes)
+                        table_name, [o.tid for o in ops[i:j]], tids)
                 else:
                     raise SynopsisError(
                         f"SynopsisManager cannot apply {op!r}: expected "
@@ -327,27 +328,25 @@ class SynopsisManager:
                     )
                 i = j
         except ReproError as exc:
-            exc.ops_applied = len(outcomes)
+            exc.ops_applied = len(tids)
             raise
-        return BatchResult.from_outcomes(
-            outcomes, elapsed_ns=time.perf_counter_ns() - started
-        )
+        return BatchResult(ops, tids, time.perf_counter_ns() - started)
 
     def insert(self, table_name: str, row: Sequence[object]) -> int:
         """Insert ``row`` into the base table and notify every registered
         query referencing it.  Returns the TID."""
         return self.apply_batch(
-            (InsertOp(table_name, tuple(row)),)
-        ).outcomes[0].tid
+            [InsertOp(table_name, tuple(row))]).tids[0]
 
     def delete(self, table_name: str, tid: int) -> None:
         """Delete a base tuple everywhere, then tombstone the heap row."""
         self.apply_batch((DeleteOp(table_name, tid),))
 
     def _fan_out_insert_run(self, ops: List[InsertOp],
-                            outcomes: List[OpOutcome]) -> None:
+                            tids: List[Optional[int]]) -> None:
         """Store a run of rows, whatever their tables, and notify every
-        affected registration; one outcome per row that went through.
+        affected registration; one TID appended per row that went
+        through.
 
         The serial order is kept as it is — row by row: the heap insert,
         then registration by registration and alias by alias — so a bad
@@ -362,7 +361,7 @@ class SynopsisManager:
         each row once per alias.
         """
         obs = self.obs
-        first = len(outcomes)
+        first = len(tids)
         t0 = obs.clock() if obs.enabled else 0
         # base table -> (its heap, who hears about it)
         targets: Dict[str, tuple] = {}
@@ -396,17 +395,16 @@ class SynopsisManager:
                                 f"failed on insert into {table_name!r} "
                                 f"(alias {alias!r}): {exc}"
                             ) from exc
-                    outcomes.append(OpOutcome("insert", table_name, tid))
+                    tids.append(tid)
         finally:
-            if obs.enabled and len(outcomes) > first:
+            applied = len(tids) - first
+            if obs.enabled and applied:
                 # the run's wall time goes to each table it touched by
                 # its share of the rows; fan-out counts (row, alias)
                 elapsed = obs.clock() - t0
                 counts: Dict[str, int] = {}
-                for outcome in outcomes[first:]:
-                    counts[outcome.target] = \
-                        counts.get(outcome.target, 0) + 1
-                applied = len(outcomes) - first
+                for op in ops[:applied]:
+                    counts[op.target] = counts.get(op.target, 0) + 1
                 for table_name, count in counts.items():
                     obs.histogram(
                         metric_names.manager_insert_ns(table_name)
@@ -415,11 +413,11 @@ class SynopsisManager:
                         metric_names.manager_fanout(table_name)
                     ).inc(count * len(targets[table_name][1]))
 
-    def _fan_out_delete_run(self, table_name: str, tids: List[int],
-                            outcomes: List[OpOutcome]) -> None:
+    def _fan_out_delete_run(self, table_name: str, doomed: List[int],
+                            tids: List[Optional[int]]) -> None:
         """Unregister a run of base tuples everywhere, tombstoning each
-        heap row once every registration has let go of it; one outcome
-        per row that went through.
+        heap row once every registration has let go of it; one ``None``
+        appended to ``tids`` per row that went through.
 
         The serial order is kept as it is — row by row, registration by
         registration, heap last — so a dead TID, a TID named twice or an
@@ -433,7 +431,7 @@ class SynopsisManager:
         """
         obs = self.obs
         table = self.db.table(table_name)
-        first = len(outcomes)
+        first = len(tids)
         with obs.timer(metric_names.manager_delete_ns(table_name)), \
                 ExitStack() as runs:
             notifiers = []
@@ -443,14 +441,14 @@ class SynopsisManager:
                 if len(aliases) == 1:
                     notifiers.append((registration, aliases[0],
                                       runs.enter_context(engine.delete_run(
-                                          aliases[0], len(tids)))))
+                                          aliases[0], len(doomed)))))
                 else:
                     notifiers.extend(
                         (registration, alias,
                          partial(engine.notify_delete, alias))
                         for alias in aliases)
             try:
-                for tid in tids:
+                for tid in doomed:
                     row = table.get(tid)
                     for registration, alias, notify in notifiers:
                         try:
@@ -464,12 +462,12 @@ class SynopsisManager:
                                 f"(alias {alias!r}, tid {tid}): {exc}"
                             ) from exc
                     table.delete(tid)
-                    outcomes.append(OpOutcome("delete", table_name, tid))
+                    tids.append(None)
             finally:
                 if obs.enabled:
                     obs.counter(
                         metric_names.manager_fanout(table_name)
-                    ).inc((len(outcomes) - first) * len(notifiers))
+                    ).inc((len(tids) - first) * len(notifiers))
 
     # ------------------------------------------------------------------
     # reads

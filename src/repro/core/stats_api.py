@@ -22,15 +22,16 @@ Both stats types are read through their typed attributes (and the
 :class:`InsertOp` / :class:`DeleteOp` are the operations accepted by the
 one update entry point ``apply_batch(ops)``; ``target`` is a range-table
 alias at the maintainer level and a base-table name at the manager
-level and above.  ``apply_batch`` returns a :class:`BatchResult`
-carrying one :class:`OpOutcome` per op plus the aggregate counters.
+level and above.  ``apply_batch`` returns a :class:`BatchResult`:
+per-op TIDs and the aggregate counters held as columns, one
+:class:`OpOutcome` per op for the caller that asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -72,73 +73,76 @@ class OpOutcome:
     ``kind`` is ``"insert"`` or ``"delete"``; ``target`` echoes the op's
     alias/base-table name.  For inserts ``tid`` is the assigned tuple ID
     (``-1`` with ``rejected=True`` when a pre-filter dropped the row);
-    for deletes ``tid`` is the deleted tuple's ID.  ``new_results`` is
-    the number of join results the op added (inserts) or removed
-    (deletes) where the applying layer tracks it, else 0.
+    for deletes ``tid`` is the deleted tuple's ID.
     """
 
     kind: str
     target: str
     tid: Optional[int]
     rejected: bool = False
-    new_results: int = 0
 
 
-@dataclass(frozen=True)
 class BatchResult:
     """Typed result of the batch-first ``apply_batch(ops)`` entry point.
 
-    ``outcomes`` has one :class:`OpOutcome` per op, in op order;
-    ``inserted``/``deleted``/``rejected`` are the aggregate counters and
-    ``elapsed_ns`` the wall-clock time inside the facade.  ``tids``
-    derives the per-op TID tuple: the TID for inserts (``-1`` when a
-    pre-filter rejected the row), ``None`` for deletes.
+    The result is held as columns — the ops that were applied (the list
+    the caller handed over when it was a list, never a copy of it) and
+    one TID per op — so producing it costs nothing per op.  ``tids``
+    (the per-op TID tuple: the TID for inserts, ``-1`` when a pre-filter
+    rejected the row, ``None`` for deletes), the counters
+    ``inserted``/``deleted``/``rejected``, ``elapsed_ns`` (wall-clock
+    time inside the facade) and :meth:`slice` answer from the columns;
+    ``outcomes`` builds one :class:`OpOutcome` per op, in op order, on
+    its first read and keeps the tuple.
+
+    The op list is read, never written; a caller that edits its list
+    after the call and then reads ``outcomes`` for the first time reads
+    the edited ops.
     """
 
-    outcomes: Tuple[OpOutcome, ...]
-    inserted: int
-    deleted: int
-    rejected: int
-    elapsed_ns: int
+    __slots__ = ("_ops", "_tids", "_outcomes", "inserted", "deleted",
+                 "rejected", "elapsed_ns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-
-    @classmethod
-    def from_outcomes(cls, outcomes: Iterable[OpOutcome],
-                      elapsed_ns: int = 0) -> "BatchResult":
-        """Build a result from per-op outcomes, deriving the counters."""
-        outcomes = tuple(outcomes)
-        inserted = sum(
-            1 for o in outcomes if o.kind == "insert" and not o.rejected
-        )
-        deleted = sum(1 for o in outcomes if o.kind == "delete")
-        return cls(
-            outcomes=outcomes,
-            inserted=inserted,
-            deleted=deleted,
-            rejected=len(outcomes) - inserted - deleted,
-            elapsed_ns=elapsed_ns,
-        )
+    def __init__(self, ops: Sequence[UpdateOp],
+                 tids: Sequence[Optional[int]], elapsed_ns: int = 0):
+        self._ops = ops
+        self._tids = tids
+        self._outcomes: Optional[Tuple[OpOutcome, ...]] = None
+        self.deleted = deleted = tids.count(None)
+        self.rejected = rejected = tids.count(-1)
+        self.inserted = len(tids) - deleted - rejected
+        self.elapsed_ns = elapsed_ns
 
     @property
     def tids(self) -> Tuple[Optional[int], ...]:
         """Per-op TIDs: ``None`` for deletes, ``-1`` for rejected
         inserts."""
-        return tuple(
-            None if o.kind == "delete" else (-1 if o.rejected else o.tid)
-            for o in self.outcomes
-        )
+        return tuple(self._tids)
+
+    @property
+    def outcomes(self) -> Tuple[OpOutcome, ...]:
+        """One :class:`OpOutcome` per op, in op order (built once)."""
+        outcomes = self._outcomes
+        if outcomes is None:
+            outcomes = self._outcomes = tuple([
+                OpOutcome("delete", op.target, op.tid) if tid is None
+                else OpOutcome("insert", op.target, tid, tid == -1)
+                for op, tid in zip(self._ops, self._tids)])
+        return outcomes
 
     def slice(self, start: int, stop: int,
               elapsed_ns: Optional[int] = None) -> "BatchResult":
         """A sub-batch result over ops ``[start, stop)`` (service
         coalescing splits one applied batch back into per-submission
         results)."""
-        return BatchResult.from_outcomes(
-            self.outcomes[start:stop],
-            elapsed_ns=self.elapsed_ns if elapsed_ns is None else elapsed_ns,
-        )
+        return BatchResult(
+            self._ops[start:stop], self._tids[start:stop],
+            self.elapsed_ns if elapsed_ns is None else elapsed_ns)
+
+    def __repr__(self) -> str:
+        return (f"BatchResult(ops={len(self._tids)}, "
+                f"inserted={self.inserted}, deleted={self.deleted}, "
+                f"rejected={self.rejected}, elapsed_ns={self.elapsed_ns})")
 
 
 @dataclass(frozen=True)

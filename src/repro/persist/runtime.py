@@ -203,14 +203,14 @@ class PersistentManager:
     # ------------------------------------------------------------------
     def apply_batch(self, ops: Iterable[UpdateOp]) -> BatchResult:
         """Log the whole micro-batch as one WAL entry, then apply it."""
-        ops = list(ops)
+        if not isinstance(ops, list):
+            ops = list(ops)
         self._log(("apply", ops))
         return self.manager.apply_batch(ops)
 
     def insert(self, table_name: str, row: Sequence[object]) -> int:
         return self.apply_batch(
-            (InsertOp(table_name, tuple(row)),)
-        ).outcomes[0].tid
+            [InsertOp(table_name, tuple(row))]).tids[0]
 
     def delete(self, table_name: str, tid: int) -> None:
         self.apply_batch((DeleteOp(table_name, tid),))

@@ -405,7 +405,7 @@ class SynopsisService:
         """
         ops = list(ops)
         if not ops:
-            return BatchResult.from_outcomes(()) if wait else None
+            return BatchResult(ops, []) if wait else None
         submission = _Submission(ops, None, wait)
         self._enqueue(submission)
         if not wait:
@@ -418,8 +418,7 @@ class SynopsisService:
     def insert(self, target_name: str, row: Sequence[object]) -> int:
         """Enqueue one insert; blocks until applied, returns the TID."""
         return self.apply_batch(
-            [InsertOp(target_name, tuple(row))]
-        ).outcomes[0].tid
+            [InsertOp(target_name, tuple(row))]).tids[0]
 
     def delete(self, target_name: str, tid: int) -> None:
         """Enqueue one delete; blocks until applied."""
@@ -792,9 +791,10 @@ class SynopsisService:
                 len(all_ops))
         offset = 0
         for submission in batch:
-            submission.result = result.slice(
-                offset, offset + len(submission.ops))
-            offset += len(submission.ops)
+            stop = offset + len(submission.ops)
+            if submission.done is not None:   # someone waits to read it
+                submission.result = result.slice(offset, stop)
+            offset = stop
         # publish before acknowledging: a writer that regains control is
         # guaranteed to find its own write in the current view
         self._publish()

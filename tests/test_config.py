@@ -173,12 +173,30 @@ class TestBatchResult:
         assert result.tids == (insert.tid, None)
 
     def test_outcome_and_result_fields_are_stable(self):
-        from repro.core.stats_api import BatchResult, OpOutcome
+        """What a caller reads off a result, by name -- not how the
+        result stores it (columns since 6.3, outcomes built on read)."""
+        from repro.core.stats_api import DeleteOp, InsertOp, OpOutcome
 
-        assert [f.name for f in dataclasses.fields(OpOutcome)] == \
-            ["kind", "target", "tid", "rejected", "new_results"]
-        assert [f.name for f in dataclasses.fields(BatchResult)] == \
-            ["outcomes", "inserted", "deleted", "rejected", "elapsed_ns"]
+        m = feed(JoinSynopsisMaintainer(
+            make_db(), SQL, MaintainerConfig(seed=5)))
+        ops = [InsertOp("r", (9, 9)), DeleteOp("s", 0), InsertOp("s", (9, 1))]
+        result = m.apply_batch(ops)
+        first, second, third = result.tids
+        assert second is None and first >= 0 and third >= 0
+        assert result.outcomes == (
+            OpOutcome(kind="insert", target="r", tid=first, rejected=False),
+            OpOutcome(kind="delete", target="s", tid=0, rejected=False),
+            OpOutcome(kind="insert", target="s", tid=third, rejected=False),
+        )
+        assert (result.inserted, result.deleted, result.rejected) == (2, 1, 0)
+        assert isinstance(result.elapsed_ns, int)
+        tail = result.slice(1, 3)
+        assert tail.outcomes == result.outcomes[1:3]
+        assert tail.tids == (None, third)
+        assert (tail.inserted, tail.deleted, tail.rejected) == (1, 1, 0)
+        assert tail.elapsed_ns == result.elapsed_ns
+        assert result.slice(0, 1, elapsed_ns=7).elapsed_ns == 7
+        assert not hasattr(result.outcomes[0], "new_results")
 
     def test_insert_many_shim_removed(self):
         m = JoinSynopsisMaintainer(make_db(), SQL, MaintainerConfig(seed=5))
