@@ -75,7 +75,6 @@ from repro.core import (
     MaintainerStats,
     ManagerStats,
     OpOutcome,
-    SerializedManager,
     SJoinEngine,
     SlidingWindowMaintainer,
     SubsetSynopsis,
@@ -142,7 +141,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "6.3.0"
+__version__ = "7.0.0"
 
 __all__ = [
     # catalog
@@ -157,8 +156,7 @@ __all__ = [
     "WeightedFixedSize", "WeightedWithReplacement", "SubsetSynopsis",
     "SYNOPSIS_FAMILIES", "family_of_kind",
     "SJoinEngine", "SymmetricJoinEngine", "JoinSynopsisMaintainer",
-    "SynopsisManager", "SynopsisTarget", "SerializedManager",
-    "SlidingWindowMaintainer",
+    "SynopsisManager", "SynopsisTarget", "SlidingWindowMaintainer",
     # configuration
     "MaintainerConfig", "ENGINES",
     # stats / batch-update API ("UpdateOp", the Insert|Delete union alias,

@@ -3,10 +3,10 @@
 :class:`QueryRegistry` wraps a
 :class:`~repro.core.manager.SynopsisTarget` — a
 :class:`~repro.core.manager.SynopsisManager`, bare or behind its
-serialized/persistent wrapper — or a
-:class:`~repro.service.runtime.SynopsisService` /
-:class:`~repro.replicate.follower.FollowerService` holding one, and
-turns it into an approximate-query-processing endpoint:
+persistent wrapper — or a serving role holding one (the leader's
+:class:`~repro.service.runtime.SynopsisService` or a follower replica,
+both a :class:`~repro.service.runtime.ReadHalf`), and turns it into an
+approximate-query-processing endpoint:
 
     registry = QueryRegistry(service)
     q = registry.register(
@@ -185,7 +185,7 @@ class QueryRegistry:
     """Register SQL queries on a target and answer them.
 
     ``target`` is a :class:`~repro.core.manager.SynopsisTarget` (the
-    manager itself, or its serialized/persistent wrapper), or a
+    manager itself, or its persistent wrapper), or a
     :class:`~repro.service.runtime.SynopsisService` /
     follower replica serving one (read-only there: ``register`` raises
     :class:`~repro.errors.FollowerReadOnlyError`, pointing at the
@@ -201,14 +201,13 @@ class QueryRegistry:
 
     def __init__(self, target, obs=None, events=None,
                  audit: Optional[AuditConfig] = None):
-        # deferred: repro.service imports repro.aqp for its HTTP routes
-        from repro.replicate.follower import FollowerService
-        from repro.service.runtime import SynopsisService
+        # deferred: repro.service imports repro.aqp for its client
+        from repro.service.runtime import ReadHalf
 
         self._target = target
         #: a service or follower answers reads from its published
         #: ReadView and holds the manager one hop away, as ``.target``
-        self._served = isinstance(target, (SynopsisService, FollowerService))
+        self._served = isinstance(target, ReadHalf)
         self._queries: Dict[str, RegisteredQuery] = {}
         self._lock = threading.Lock()
         self._auto = 0

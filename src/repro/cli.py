@@ -73,7 +73,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.bench.harness import run_stream
 from repro.bench.reporting import format_series, format_table
@@ -203,6 +203,13 @@ def run_linear_road(args, algorithm: Optional[str] = None, obs=None):
                       time_budget=args.budget)
 
 
+def _run_workload(args, algorithm: Optional[str] = None, obs=None):
+    """:func:`run_tpcds` or :func:`run_linear_road`, as
+    ``--workload`` picks."""
+    run = run_tpcds if args.workload == "tpcds" else run_linear_road
+    return run(args, algorithm, obs)
+
+
 def print_run(run) -> None:
     """Print a run's throughput series and one-line summary."""
     print(format_series(
@@ -218,10 +225,7 @@ def cmd_compare(args) -> None:
     """Run all three algorithms on one workload; print the ratio table."""
     rows = []
     for algorithm in ("sjoin-opt", "sjoin", "sj"):
-        if args.workload == "tpcds":
-            run = run_tpcds(args, algorithm)
-        else:
-            run = run_linear_road(args, algorithm)
+        run = _run_workload(args, algorithm)
         tput = run.operations / max(run.elapsed, 1e-9)
         rows.append((algorithm, f"{tput:.1f}",
                      f"{100 * run.progress:.1f}%",
@@ -248,11 +252,7 @@ def format_metrics(metrics: dict) -> str:
 
 def cmd_stats(args) -> None:
     """Run one workload with observability on; dump the metrics snapshot."""
-    obs = MetricsRegistry()
-    if args.workload == "tpcds":
-        run = run_tpcds(args, obs=obs)
-    else:
-        run = run_linear_road(args, obs=obs)
+    run = _run_workload(args, obs=MetricsRegistry())
     if args.json:
         print(json.dumps(
             {
@@ -275,11 +275,7 @@ def cmd_metrics(args) -> None:
     """Run one workload with metrics on; print the text exposition."""
     from repro.obs.expo import render_exposition
 
-    obs = MetricsRegistry()
-    if args.workload == "tpcds":
-        run = run_tpcds(args, obs=obs)
-    else:
-        run = run_linear_road(args, obs=obs)
+    run = _run_workload(args, obs=MetricsRegistry())
     print(render_exposition(run.metrics), end="")
 
 
@@ -298,7 +294,8 @@ def format_top(health: dict, stats: Optional[dict] = None) -> str:
             u=float(health.get("uptime_seconds", 0.0))),
         "  queue depth {q}  staleness {s:.3f}s".format(
             q=health.get("queue_depth", "?"),
-            s=float(health.get("staleness_seconds", 0.0))),
+            # null on a follower that has no manifest yet
+            s=float(health.get("staleness_seconds") or 0.0)),
     ]
     quality = health.get("quality")
     if quality:
@@ -327,37 +324,12 @@ def format_top(health: dict, stats: Optional[dict] = None) -> str:
     return "\n".join(lines)
 
 
-def cmd_top(args) -> None:
-    """Poll a running ``serve`` endpoint; print live health frames."""
-    import time
-    import urllib.error
-    import urllib.request
-
-    def fetch(path):
-        try:
-            with urllib.request.urlopen(base + path, timeout=5) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            # a degraded service answers /healthz with 503 + a JSON body;
-            # top should keep rendering it, not die
-            return json.loads(exc.read())
-
-    base = args.url.rstrip("/")
-    iteration = 0
-    while args.iterations is None or iteration < args.iterations:
-        if iteration:
-            time.sleep(args.interval)
-        print(format_top(fetch("/healthz"), fetch("/stats")))
-        iteration += 1
-
-
-def _query_http(url: str, path: str, body: Optional[dict] = None) -> dict:
-    """One JSON round trip against a ``repro serve`` endpoint.
-
-    AQP error replies (400 parse/plan failures, 403 follower redirects,
-    404 unknown queries) carry JSON bodies; surface them as the command
-    output with a nonzero exit instead of a traceback.
-    """
+def _http_json(url: str, path: str, body: Optional[dict] = None,
+               timeout: float = 30.0) -> Tuple[int, dict]:
+    """One JSON round trip against a ``repro serve`` endpoint: ``(status,
+    reply)``.  The front door answers every request — errors included —
+    with a JSON body, so a 4xx/5xx comes back like a 200 and the caller
+    decides whether it exits or renders."""
     import urllib.error
     import urllib.request
 
@@ -367,12 +339,37 @@ def _query_http(url: str, path: str, body: Optional[dict] = None) -> dict:
         data = json.dumps(body).encode("utf-8")
         request.add_header("Content-Type", "application/json")
     try:
-        with urllib.request.urlopen(request, data, timeout=30) as resp:
-            return json.loads(resp.read())
+        with urllib.request.urlopen(request, data, timeout=timeout) as resp:
+            return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        payload = json.loads(exc.read())
-        payload["http_status"] = exc.code
-        raise SystemExit(json.dumps(payload, indent=2, sort_keys=True))
+        return exc.code, json.loads(exc.read())
+
+
+def _print_reply(status: int, reply: dict) -> None:
+    """Print a reply as JSON (stable key order) for scripting; an error
+    reply (400 parse/plan failures, 403 follower redirects, 404 unknown
+    queries, ...) is the output of a nonzero exit, with its
+    ``http_status``, instead of a traceback."""
+    if status >= 400:
+        raise SystemExit(json.dumps({**reply, "http_status": status},
+                                    indent=2, sort_keys=True))
+    print(json.dumps(reply, indent=2, sort_keys=True))
+
+
+def cmd_top(args) -> None:
+    """Poll a running ``serve`` endpoint; print live health frames (a
+    degraded service answers ``/healthz`` with 503 and a body that is
+    rendered like any other)."""
+    import time
+
+    iteration = 0
+    while args.iterations is None or iteration < args.iterations:
+        if iteration:
+            time.sleep(args.interval)
+        _, health = _http_json(args.url, "/healthz", timeout=5)
+        _, stats = _http_json(args.url, "/stats", timeout=5)
+        print(format_top(health, stats))
+        iteration += 1
 
 
 def cmd_query(args) -> None:
@@ -382,9 +379,11 @@ def cmd_query(args) -> None:
     ``/query/<name>/estimate``, ``list`` GETs ``/queries``, ``audit``
     GETs ``/queries/<name>/audit`` (the per-query accuracy audit:
     realized CI coverage vs nominal, recent records).  Replies are
-    printed as JSON (stable key order) for scripting.
+    printed by :func:`_print_reply`.
     """
+    body = None
     if args.action == "register":
+        path = "/query"
         body = {"sql": args.sql, "size": args.size, "engine": args.engine}
         if args.name is not None:
             body["name"] = args.name
@@ -392,13 +391,12 @@ def cmd_query(args) -> None:
             body["weight_column"] = args.weight_column
         if args.seed is not None:
             body["seed"] = args.seed
-        reply = _query_http(args.url, "/query", body)
     elif args.action == "audit":
         path = f"/queries/{args.name}/audit"
         if args.limit is not None:
             path += f"?limit={args.limit}"
-        reply = _query_http(args.url, path)
     elif args.action == "estimate":
+        path = f"/query/{args.name}/estimate"
         body = {"agg": args.agg, "confidence": args.confidence}
         if args.column is not None:
             body["column"] = args.column
@@ -406,11 +404,9 @@ def cmd_query(args) -> None:
             body["group_by"] = args.group_by
         if args.where is not None:
             body["where"] = json.loads(args.where)
-        reply = _query_http(
-            args.url, f"/query/{args.name}/estimate", body)
     else:  # list
-        reply = _query_http(args.url, "/queries")
-    print(json.dumps(reply, indent=2, sort_keys=True))
+        path = "/queries"
+    _print_reply(*_http_json(args.url, path, body))
 
 
 def cmd_events(args) -> None:
@@ -420,8 +416,7 @@ def cmd_events(args) -> None:
     path = "/events"
     if args.kind is not None:
         path += "?kind=" + quote(args.kind)
-    reply = _query_http(args.url, path)
-    print(json.dumps(reply, indent=2, sort_keys=True))
+    _print_reply(*_http_json(args.url, path))
 
 
 def format_lag(body: dict) -> str:
@@ -467,14 +462,12 @@ def format_lag(body: dict) -> str:
 def cmd_lag(args) -> None:
     """``repro lag``: correlated replication-lag summary.
 
-    ``--url`` asks a running follower's ``/healthz`` (tolerating the
-    503 a bootstrapping replica answers); ``--ship`` reads the shipped
-    manifest directly and summarises its publish watermarks — no
-    follower required.
+    ``--url`` asks a running follower's ``/healthz`` (rendering the
+    503 a bootstrapping replica answers like any other reply);
+    ``--ship`` reads the shipped manifest directly and summarises its
+    publish watermarks — no follower required.
     """
     import time
-    import urllib.error
-    import urllib.request
 
     if args.ship is not None:
         from repro.replicate.transport import as_transport
@@ -493,46 +486,98 @@ def cmd_lag(args) -> None:
             "watermarks": manifest.get("watermarks", []),
         }
     else:
-        try:
-            with urllib.request.urlopen(
-                    args.url.rstrip("/") + "/healthz",
-                    timeout=5) as resp:
-                body = json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            # a bootstrapping follower answers 503 with the same body;
-            # the lag view should render it, not die
-            body = json.loads(exc.read())
+        _, body = _http_json(args.url, "/healthz", timeout=5)
     if args.json:
         print(json.dumps(body, indent=2, sort_keys=True))
     else:
         print(format_lag(body))
 
 
-def build_workload_manager(args, obs=None):
-    """A :class:`SynopsisManager` over the TPC-DS workload ``args``
-    names, its query registered as ``args.query`` (``QX``/``QY``/``QZ``).
+def build_stack(args):
+    """The one place the CLI assembles the stack ``args`` describes, for
+    ``serve``, ``serve --follow``, ``checkpoint`` and ``restore``;
+    returns ``(top, stream, close)``.
 
-    Returns ``(manager, preload, stream)``; both event lists address
-    *base tables*, the manager stack's convention — the generators emit
-    range-table aliases, and every shipped workload maps the two one to
-    one.  ``obs`` is shared by the manager and the query's engine so
-    one registry carries both.
+    ``top`` is the outermost layer built: for ``serve`` the
+    :class:`~repro.service.SynopsisService` over the target — or, with
+    ``--follow``, a :class:`~repro.replicate.FollowerService` whose poll
+    loop is not started yet — and for ``checkpoint`` / ``restore`` the
+    :class:`~repro.persist.PersistentManager`.  The target is a
+    :class:`SynopsisManager` with the workload's query registered as
+    ``args.query`` (``QX``/``QY``/``QZ``), preloaded unless
+    ``--no-preload``; with ``--dir`` it sits behind a
+    ``PersistentManager`` — recovered for ``restore`` and for ``serve``
+    over a directory that holds state, created otherwise (the preload
+    folded into its first checkpoint, so only the stream goes through
+    the WAL).  ``stream`` is the rest of the workload, addressed by
+    *base table* — the manager stack's convention; the generators emit
+    range-table aliases and every shipped workload maps the two one to
+    one — and is empty for a recovered target.  ``close`` releases
+    everything built.
+
+    ``serve`` observes through one registry over the event log ``GET
+    /events`` serves (``--slow-op-ms``, in nanoseconds, arms its
+    slow-stage promotion), shared by engine, persistence and service so
+    a recovered target reports like a fresh one.  Tests drive this
+    exact construction without binding a socket.
     """
-    setup = setup_query(args.query, parse_scale(args.scale),
-                        seed=args.seed)
-    manager = SynopsisManager(setup.db, MaintainerConfig(obs=obs))
-    maintainer = manager.register(args.query, setup.sql, MaintainerConfig(
-        spec=parse_synopsis(args.synopsis), engine=args.algorithm,
-        seed=args.seed, obs=obs,
+    from repro.obs import EventLog
+    from repro.persist import PersistentManager
+    from repro.persist.runtime import has_state
+    from repro.replicate import FollowerService
+    from repro.service import ServiceConfig, SynopsisService
+
+    serving = args.command == "serve"
+    obs = None
+    if serving:
+        slow_ms = args.slow_op_ms
+        obs = MetricsRegistry(
+            events=EventLog(capacity=args.events_capacity),
+            slow_op_threshold_ns=(None if slow_ms is None
+                                  else int(slow_ms * 1e6)))
+        if args.follow:
+            follower = FollowerService(
+                args.follow, leader_url=args.leader_url, obs=obs,
+                events=obs.events, quality=args.quality,
+                stall_after=args.stall_after)
+            return follower, [], follower.stop
+    stream = []
+    if args.command == "restore" or (
+            serving and args.dir and has_state(args.dir)):
+        target = PersistentManager.recover(
+            args.dir, sync=args.sync, obs=obs, manager_obs=obs)
+    else:
+        setup = setup_query(args.query, parse_scale(args.scale),
+                            seed=args.seed)
+        target = SynopsisManager(setup.db, MaintainerConfig(obs=obs))
+        query = target.register(args.query, setup.sql, MaintainerConfig(
+            spec=parse_synopsis(args.synopsis), engine=args.algorithm,
+            seed=args.seed, obs=obs,
+        )).query
+        table_of = {rt.alias: rt.table_name for rt in query.range_tables}
+        preload, stream = [
+            [dataclasses.replace(e, alias=table_of[e.alias]) for e in events]
+            for events in (setup.preload, setup.stream)]
+        if getattr(args, "preload", True):
+            StreamPlayer(target).run(preload)
+        if args.dir:
+            target = PersistentManager(target, args.dir, sync=args.sync,
+                                       obs=obs)
+    close = target.close if args.dir else (lambda: None)
+    if not serving:
+        return target, stream, close
+    service = SynopsisService(target, ServiceConfig(
+        max_queue_ops=args.max_queue_ops,
+        max_batch_ops=args.max_batch_ops,
+        overflow_policy=args.overflow_policy,
+        obs=obs, events=obs.events, quality=args.quality,
     ))
-    table_of = {rt.alias: rt.table_name
-                for rt in maintainer.query.range_tables}
 
-    def by_table(events):
-        return [dataclasses.replace(e, alias=table_of[e.alias])
-                for e in events]
+    def close_all() -> None:
+        service.close()
+        close()
 
-    return manager, by_table(setup.preload), by_table(setup.stream)
+    return service, stream, close_all
 
 
 def _shared(values):
@@ -551,18 +596,12 @@ def _print_query_stats(stats) -> None:
 
 def cmd_checkpoint(args) -> None:
     """Run a TPC-DS workload under WAL durability; leave a state dir."""
-    from repro.persist import PersistentManager
-
-    manager, preload, events = build_workload_manager(args)
-    # the preload is base state, folded into the initial checkpoint the
-    # wrapper writes; only the stream proper goes through the WAL
-    StreamPlayer(manager).run(preload)
-    pm = PersistentManager(manager, args.dir, sync=args.sync)
+    pm, events, close = build_stack(args)
     if args.events is not None:
         events = events[:args.events]
     StreamPlayer(pm).run(events)
     path = pm.checkpoint()
-    pm.close()
+    close()
     print(f"checkpointed {args.query}/{args.algorithm} -> {path}")
     print(f"  events applied     {len(events)}")
     _print_query_stats(pm.stats())
@@ -572,11 +611,9 @@ def cmd_checkpoint(args) -> None:
 
 def cmd_restore(args) -> None:
     """Recover a ``checkpoint`` state dir; print the verified stats."""
-    from repro.persist import PersistentManager
-
-    pm = PersistentManager.recover(args.dir, sync=args.sync)
+    pm, _, close = build_stack(args)
     stats = pm.stats()
-    pm.close()
+    close()
     if args.json:
         queries = stats.queries.values()
         print(json.dumps(
@@ -601,64 +638,6 @@ def cmd_restore(args) -> None:
     _print_query_stats(stats)
     for key, value in sorted(pm.persist_metrics().items()):
         print(f"  {key:<18} {value}")
-
-
-def build_serve_obs(args):
-    """The registry ``serve`` observes with, over the event log ``GET
-    /events`` serves (``obs.events``): ``--slow-op-ms``, converted to
-    nanoseconds, arms its slow-stage promotion into that log."""
-    from repro.obs import EventLog
-
-    slow_ms = args.slow_op_ms
-    return MetricsRegistry(
-        events=EventLog(capacity=args.events_capacity),
-        slow_op_threshold_ns=None if slow_ms is None else int(slow_ms * 1e6))
-
-
-def build_serve_target(args, obs=None):
-    """Construct the maintenance target the ``serve`` command wraps.
-
-    Returns ``(target, close)`` where ``close`` releases any durable
-    resources.  The target is a manager with the workload's query
-    registered under its name (:func:`build_workload_manager`); with
-    ``--dir`` it sits behind a :class:`~repro.persist.PersistentManager`
-    — recovered from the directory when it already holds state, freshly
-    created (workload preload folded into the initial checkpoint)
-    otherwise.  ``obs`` is shared with the engine (and, for durable
-    targets, the persistence layer) so one registry carries engine and
-    service telemetry together, on a recovered target as on a fresh one.
-    """
-    from repro.persist import PersistentManager
-    from repro.persist.runtime import has_state
-
-    if args.dir and has_state(args.dir):
-        pm = PersistentManager.recover(
-            args.dir, sync=args.sync, obs=obs, manager_obs=obs)
-        return pm, pm.close
-    manager, preload, _ = build_workload_manager(args, obs=obs)
-    if args.preload:
-        StreamPlayer(manager).run(preload)
-    if args.dir:
-        pm = PersistentManager(manager, args.dir, sync=args.sync, obs=obs)
-        return pm, pm.close
-    return manager, lambda: None
-
-
-def build_serve_service(args):
-    """The :class:`~repro.service.SynopsisService` ``serve`` runs, with
-    the callable that releases its target: ``(service, close)``.
-    Exposed separately from :func:`cmd_serve` so tests can drive the
-    exact CLI construction path without binding a socket."""
-    from repro.service import ServiceConfig, SynopsisService
-
-    obs = build_serve_obs(args)
-    target, close_target = build_serve_target(args, obs=obs)
-    return SynopsisService(target, ServiceConfig(
-        max_queue_ops=args.max_queue_ops,
-        max_batch_ops=args.max_batch_ops,
-        overflow_policy=args.overflow_policy,
-        obs=obs, events=obs.events, quality=args.quality,
-    )), close_target
 
 
 def cmd_ship(args) -> None:
@@ -687,53 +666,32 @@ def cmd_ship(args) -> None:
         pass
 
 
-def cmd_serve_follower(args) -> None:
-    """Serve a read-only follower replica over JSON/HTTP."""
-    from repro.replicate import FollowerService
-    from repro.service import ServiceHTTPServer
-
-    obs = build_serve_obs(args)
-    follower = FollowerService(args.follow, leader_url=args.leader_url,
-                               obs=obs, events=obs.events,
-                               quality=args.quality,
-                               stall_after=args.stall_after)
-    follower.start(poll_interval=args.poll_interval)
-    server = ServiceHTTPServer(follower, host=args.host, port=args.port)
-    host, port = server.address
-    print(f"serving follower on http://{host}:{port} "
-          f"(read-only; tailing {args.follow}; writes -> 403"
-          + (f" redirecting to {args.leader_url}" if args.leader_url
-             else "") + ")")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        follower.stop()
-
-
 def cmd_serve(args) -> None:
-    """Serve a synopsis over JSON/HTTP until interrupted."""
+    """Serve a synopsis — or, with ``--follow``, a read-only replica of
+    one — over JSON/HTTP until interrupted."""
     from repro.service import ServiceHTTPServer
 
+    top, _, close = build_stack(args)
     if args.follow:
-        cmd_serve_follower(args)
-        return
-    service, close_target = build_serve_service(args)
-    server = ServiceHTTPServer(service, host=args.host, port=args.port)
+        top.start(poll_interval=args.poll_interval)
+    server = ServiceHTTPServer(top, host=args.host, port=args.port)
     host, port = server.address
-    print(f"serving {args.query} on http://{host}:{port} "
-          f"(GET /healthz /metrics /synopsis /stats /queries; "
-          f"POST /insert /delete /query/{args.query}/estimate)")
+    if args.follow:
+        print(f"serving follower on http://{host}:{port} "
+              f"(read-only; tailing {args.follow}; writes -> 403"
+              + (f" redirecting to {args.leader_url}" if args.leader_url
+                 else "") + ")")
+    else:
+        print(f"serving {args.query} on http://{host}:{port} "
+              f"(GET /healthz /metrics /synopsis /stats /queries; "
+              f"POST /insert /delete /query/{args.query}/estimate)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
-        service.close()
-        close_target()
+        close()
 
 
 def make_parser() -> argparse.ArgumentParser:

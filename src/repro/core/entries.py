@@ -18,8 +18,8 @@ the positions the synopsis reports as written, so it never holds more
 than one entry per slot.  It is derived state: nothing of it is
 snapshotted, and a restored synopsis reports every position as changed.
 A read may therefore write the store: like the engine that owns it, it
-is single-threaded (the service's ingest thread, or the lock of
-:class:`~repro.core.serialize.SerializedManager`).
+is single-threaded (behind a :class:`~repro.service.SynopsisService`,
+the ingest thread is the only one that touches the target).
 """
 
 from __future__ import annotations

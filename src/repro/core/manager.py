@@ -99,12 +99,14 @@ class SynopsisTarget(Protocol):
     """What every layer above the engine relies on from the unit it
     wraps — a declaration only, nothing inherits from it.
 
-    :class:`SynopsisManager` satisfies it, and so do the wrappers that
-    stack on one (:class:`~repro.core.serialize.SerializedManager`,
-    :class:`~repro.persist.PersistentManager`), so persistence, the
-    service, replication and AQP all hold "a ``SynopsisTarget``" and
-    never ask which.  A single maintained query is a target with one
-    registration; updates are addressed by base-table name.
+    :class:`SynopsisManager` satisfies it, and so does the wrapper that
+    stacks on one (:class:`~repro.persist.PersistentManager`), so
+    persistence, the service, replication and AQP all hold "a
+    ``SynopsisTarget``" and never ask which.  It is single-threaded;
+    :class:`~repro.service.SynopsisService` is what serialises
+    concurrent writers and readers (§5.1).  A single maintained query
+    is a target with one registration; updates are addressed by
+    base-table name.
     """
 
     db: Database

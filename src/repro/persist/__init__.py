@@ -15,8 +15,9 @@ Public surface:
 * :class:`SegmentInfo` / :class:`SnapshotInfo` — metadata views of the
   on-disk artifacts, the hooks :mod:`repro.replicate` ships through.
 * :func:`has_state` — the recover-or-create discriminator.
-* :func:`replay_manager_entry` — the single logical-replay decoder
-  shared by crash recovery and follower replicas.
+* :func:`replay_manager_entry` — the single interpreter of a logged
+  entry, behind the replay routine crash recovery and follower replicas
+  share (:func:`repro.persist.runtime.replay_entries`).
 """
 
 from repro.persist.crashpoints import CrashPoint, CrashPointInjector

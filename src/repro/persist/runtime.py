@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import MaintainerConfig, coerce_config
 from repro.core.maintainer import JoinSynopsisMaintainer
@@ -86,12 +86,13 @@ def has_state(directory: str) -> bool:
 def replay_manager_entry(manager: SynopsisManager, entry) -> int:
     """Apply one WAL entry; returns the op count it carried.
 
-    The single decoder of the log format, shared by crash recovery
-    (:meth:`PersistentManager.recover`) and the replication follower's
-    logical replay — both must interpret a shipped record byte-for-byte
-    identically or replicas diverge.  A record this release did not
-    write (unknown kind, a ``register`` of another arity) is a
-    :class:`~repro.errors.PersistError`, never a partial decode.
+    The single interpreter of the log format, which
+    :func:`replay_entries` — crash recovery and the replication
+    follower alike — hands every record that is not an ``apply``: both
+    must interpret a record identically or replicas diverge.  A record
+    this release did not write (unknown kind, a ``register`` of another
+    arity) is a :class:`~repro.errors.PersistError`, never a partial
+    decode.
     """
     kind = entry[0]
     if kind == "apply":
@@ -115,6 +116,71 @@ def replay_manager_entry(manager: SynopsisManager, entry) -> int:
         manager.unregister(entry[1])
         return 1
     raise PersistError(f"unknown WAL entry kind {kind!r}")
+
+
+def replay_entries(manager: SynopsisManager,
+                   entries: Iterable) -> Tuple[int, int, int]:
+    """Apply logged entries in log order to land where the leader did;
+    returns ``(ops, failures, batches)``.
+
+    The one replay routine: crash recovery runs it over the WAL tail, a
+    follower over each shipped record.  Consecutive ``apply`` records
+    are merged into one ``manager.apply_batch`` until it holds
+    :data:`REPLAY_BATCH_OPS` ops — serial ≡ batched for every batch size
+    is what makes the merge exact.  Every record was logged before it
+    was applied, so a record that fails here failed on the leader too,
+    at the same op, from the same state: what it applied before that op
+    stays applied, it counts as one failure and for no ``ops``, and the
+    records after it carry on.  A record this release cannot read
+    (:func:`replay_manager_entry`) raises its
+    :class:`~repro.errors.PersistError`; nothing continues from a
+    partially restored state.  ``batches`` counts the merged
+    ``apply_batch`` calls.
+    """
+    ops = failures = batches = 0
+    held: List[list] = []     # op lists of consecutive apply records
+    held_ops = 0
+
+    def apply_held() -> None:
+        nonlocal ops, failures, batches, held, held_ops
+        records, held, held_ops = held, [], 0
+        while records:
+            merged = [op for record in records for op in record]
+            batches += 1
+            try:
+                manager.apply_batch(merged)
+            except ReproError as exc:
+                # the batch stopped at an op the same record failed on
+                # in the original run; the records behind it are a
+                # batch of their own
+                done = 0
+                for failed, record in enumerate(records):
+                    if done + len(record) > exc.ops_applied:
+                        break
+                    done += len(record)
+                ops += done
+                failures += 1
+                records = records[failed + 1:]
+            else:
+                ops += len(merged)
+                return
+
+    for entry in entries:
+        if entry[0] == "apply":
+            held.append(entry[1])
+            held_ops += len(entry[1])
+            if held_ops >= REPLAY_BATCH_OPS:
+                apply_held()
+            continue
+        apply_held()
+        try:
+            ops += replay_manager_entry(manager, entry)
+        except PersistError:
+            raise
+        except ReproError:
+            failures += 1
+    apply_held()
+    return ops, failures, batches
 
 
 class PersistentManager:
@@ -353,66 +419,10 @@ class PersistentManager:
             self.recoveries += 1
             restored = time.perf_counter()
             self.restore_seconds = restored - started
-            self._replay_tail(from_lsn=header["wal_lsn"])
+            (self.replayed_ops, self.replay_failures,
+             self.replay_batches) = replay_entries(
+                manager, (entry for _, entry in
+                          self.wal.replay(from_lsn=header["wal_lsn"])))
             self.replay_seconds = time.perf_counter() - restored
         self._publish_metrics()
         return self
-
-    def _replay_tail(self, from_lsn: int) -> None:
-        """Replay the log from ``from_lsn``: consecutive ``apply``
-        records merged into batches of :data:`REPLAY_BATCH_OPS` ops,
-        every other record on its own, in log order."""
-        records: List[list] = []    # op lists of consecutive applies
-        held = 0
-        for _, entry in self.wal.replay(from_lsn=from_lsn):
-            if entry[0] == "apply":
-                records.append(entry[1])
-                held += len(entry[1])
-                if held >= REPLAY_BATCH_OPS:
-                    self._replay_applies(records)
-                    records, held = [], 0
-                continue
-            self._replay_applies(records)
-            records, held = [], 0
-            try:
-                self.replayed_ops += replay_manager_entry(
-                    self.manager, entry)
-            except PersistError:
-                # a record this release cannot decode: stop, never
-                # continue from a partially restored state
-                raise
-            except ReproError:
-                # deterministic replay from the identical snapshot state:
-                # an entry that fails now also failed (without mutating
-                # state) in the original run — it was logged before apply
-                self.replay_failures += 1
-        self._replay_applies(records)
-
-    def _replay_applies(self, records: List[list]) -> None:
-        """Apply the op lists of consecutive ``apply`` records as one
-        batch — serial ≡ batched for every batch size is what makes the
-        merge exact — and account for them record by record.
-
-        A batch that fails stopped where per-op application stops, at
-        an op the same record failed on in the original run (it was
-        logged before it was applied): that record is the failure, what
-        it applied before the op stays applied, the rest of it is lost,
-        and the records after it are replayed as a batch of their own.
-        """
-        while records:
-            ops = [op for record in records for op in record]
-            self.replay_batches += 1
-            try:
-                self.manager.apply_batch(ops)
-            except ReproError as exc:
-                done = 0
-                for failed, record in enumerate(records):
-                    if done + len(record) > exc.ops_applied:
-                        break
-                    done += len(record)
-                self.replayed_ops += done
-                self.replay_failures += 1
-                records = records[failed + 1:]
-            else:
-                self.replayed_ops += len(ops)
-                return

@@ -89,6 +89,16 @@ def scan_frames(data: bytes, base: int = 0) -> Tuple[List[bytes], int]:
     return payloads, valid
 
 
+def decode_record(payload: bytes, where: str, error=PersistError) -> object:
+    """The entry one CRC-valid record payload holds — the only place the
+    log's bytes are decoded, for recovery and followers alike.  Bytes
+    that do not decode raise ``error`` naming ``where``."""
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise error(f"{where} failed to decode: {exc}") from exc
+
+
 def _scan_segment(path: str) -> Tuple[List[bytes], int]:
     """Read every complete record of a segment (see :func:`scan_frames`)."""
     with open(path, "rb") as fh:
@@ -314,15 +324,9 @@ class WriteAheadLog:
             payloads, _ = _scan_segment(path)
             for i, payload in enumerate(payloads):
                 lsn = start + i
-                if lsn < from_lsn:
-                    continue
-                try:
-                    yield lsn, pickle.loads(payload)
-                except Exception as exc:
-                    raise PersistError(
-                        f"WAL record {lsn} of {path} failed to decode: "
-                        f"{exc}"
-                    ) from exc
+                if lsn >= from_lsn:
+                    yield lsn, decode_record(
+                        payload, f"WAL record {lsn} of {path}")
 
     def close(self) -> None:
         if self._fh is not None:

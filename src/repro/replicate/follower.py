@@ -10,16 +10,20 @@
    recovery uses.
 2. **Tail** — poll the manifest; for every newly acked WAL record, read
    its bytes from the shipped segment, CRC-check the frame
-   (:func:`repro.persist.wal.scan_frames`), and apply it through the
-   shared logical-replay decoder
-   (:func:`repro.persist.runtime.replay_manager_entry`).  A record
+   (:func:`repro.persist.wal.scan_frames`), decode it
+   (:func:`repro.persist.wal.decode_record`) and apply it through
+   recovery's own replay routine
+   (:func:`repro.persist.runtime.replay_entries`) — so a record that
+   failed on the leader fails here at the same op, keeps the prefix it
+   applied, counts as a failure and is never applied again.  A record
    beyond ``acked_lsn`` is never applied, even if its bytes are already
    visible — the manifest is the acknowledgement boundary.
 3. **Serve** — after each applied record, publish an immutable
    :class:`~repro.service.runtime.ReadView` whose epoch *is* the
    follower's ``applied_lsn``, so any leader state at WAL position L and
    any follower view with ``epoch == L`` are directly comparable (and,
-   by the determinism of logical replay, bit-identical).
+   by the determinism of logical replay, bit-identical).  The reads are
+   the leader's own (:class:`~repro.service.runtime.ReadHalf`).
 
 Because replay is deterministic from the snapshot, the follower keeps
 **no durable state of its own**: a crashed follower restarts by
@@ -35,32 +39,26 @@ Writes are structurally rejected: every mutating entry point raises
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import FollowerReadOnlyError, ReplicationError
 from repro.obs import names as metric_names
-from repro.obs.events import as_event_log
-from repro.obs.expo import render_exposition
-from repro.obs.metrics import as_registry
-from repro.obs.quality import QualityMonitor, monitor_for
-from repro.core.manager import SynopsisManager
-from repro.persist.runtime import replay_manager_entry
+from repro.persist.runtime import replay_entries
 from repro.persist.snapshot import decode_snapshot_bytes
 from repro.persist.state import (
     check_snapshot_format,
     restore_database,
     restore_manager,
 )
-from repro.persist.wal import scan_frames
+from repro.persist.wal import decode_record, scan_frames
 from repro.replicate.transport import ReplicationTransport, as_transport
-from repro.service.runtime import ReadView, build_view
+from repro.service.runtime import ReadHalf, ReadView
 
 
-class FollowerService:
+class FollowerService(ReadHalf):
     """A read-only replica tailing a shipped WAL.
 
     Parameters
@@ -103,13 +101,10 @@ class FollowerService:
     def __init__(self, transport, leader_url: Optional[str] = None,
                  clock=time.time, obs=None, events=None,
                  quality=None, stall_after: Optional[float] = None):
+        super().__init__(obs, events, quality)
         self.transport: ReplicationTransport = as_transport(transport)
         self.leader_url = leader_url
         self.clock = clock
-        self.obs = as_registry(obs)
-        self.events = as_event_log(events)
-        self._quality = quality
-        self.quality: Optional[QualityMonitor] = None
         self.stall_after = stall_after
         self._stalled = False
         self.stalls = 0
@@ -119,20 +114,19 @@ class FollowerService:
         self.lag_samples = 0
         self.last_lag_ms: Optional[float] = None
         #: the restored manager (``None`` until the first bootstrap)
-        self.target: Optional[SynopsisManager] = None
+        self.target = None
         self._applied_lsn = 0
         self._bootstrap_snapshot: Optional[str] = None
         # per-segment tail cursor: name -> byte offset of the next frame
         self._cursors: Dict[str, int] = {}
         self._manifest: Optional[dict] = None
-        self._started_monotonic = time.monotonic()
-        self._epoch = 0
         # work counters (always available, obs or not)
         self.polls = 0
         self.replayed_records = 0
         self.replayed_ops = 0
+        #: records that failed on the leader and, replayed, here too
+        self.replay_failures = 0
         self.bootstraps = 0
-        self._view: Optional[ReadView] = None
         self._lock = threading.Lock()      # serializes catch_up callers
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -148,10 +142,18 @@ class FollowerService:
         (re-)bootstrap if needed, tail the shipped segments up to
         ``acked_lsn``, publish a view per applied record.  Safe to call
         from tests for deterministic stepping, or from the background
-        poll thread.
+        poll thread.  A round that raises leaves its error in
+        ``/healthz`` (``status: "failed"``, ``last_error``) until a
+        later round completes.
         """
         with self._lock:
-            return self._catch_up_locked()
+            try:
+                applied = self._catch_up_locked()
+            except Exception as exc:
+                self._failure = exc
+                raise
+            self._failure = None
+            return applied
 
     def _catch_up_locked(self) -> int:
         self.polls += 1
@@ -216,20 +218,13 @@ class FollowerService:
         self._bootstrap_snapshot = snapshot["name"]
         self._cursors.clear()
         self.bootstraps += 1
-        self._attach_quality()
+        self._pick_quality()
         if self.events.enabled:
             self.events.emit(
                 "replicate.bootstrap", snapshot=snapshot["name"],
                 wal_lsn=self._applied_lsn, bootstraps=self.bootstraps,
             )
-        self._publish_view()
-
-    def _attach_quality(self) -> None:
-        """(Re)pick the quality monitor: bootstrap replaces the target
-        wholesale, a replayed ``register`` / ``unregister`` changes the
-        registration set."""
-        self.quality = monitor_for(self.target, self._quality,
-                                   obs=self.obs, events=self.events)
+        self._publish_view(self._applied_lsn)
 
     def _tail(self, manifest: dict) -> int:
         """Replay shipped records in [applied_lsn, acked_lsn)."""
@@ -297,30 +292,32 @@ class FollowerService:
         return sum(len(p) + 8 for p in payloads[:skip])
 
     def _apply_record(self, payload: bytes, segment_name: str) -> None:
+        """Replay one record as recovery would; a record this replica
+        cannot decode or apply is a :class:`ReplicationError` and
+        leaves ``applied_lsn`` where it was."""
         record_lsn = self._applied_lsn
-        try:
-            entry = pickle.loads(payload)
-        except Exception as exc:
-            raise ReplicationError(
-                f"shipped WAL record {record_lsn} of "
-                f"{segment_name} failed to decode: {exc}"
-            ) from exc
+        where = f"shipped WAL record {record_lsn} of {segment_name}"
+        entry = decode_record(payload, where, error=ReplicationError)
         obs = self.obs
         started = obs.clock()
         try:
-            ops = replay_manager_entry(self.target, entry)
+            ops, failures, _ = replay_entries(self.target, (entry,))
+        except Exception as exc:
+            raise ReplicationError(
+                f"{where} cannot be replayed: {exc!r}") from exc
         finally:
             obs.report(metric_names.REPLICATE_REPLAY_NS,
                        obs.clock() - started, lsn=record_lsn)
         if entry[0] != "apply":
-            self._attach_quality()     # the registration set changed
+            self._pick_quality()     # the registration set changed
         self._applied_lsn += 1
         self.replayed_records += 1
         self.replayed_ops += ops
+        self.replay_failures += failures
         self._observe_lag(record_lsn)
         if self.quality is not None:
             self.quality.note_ops(ops)
-        self._publish_view()
+        self._publish_view(self._applied_lsn)
 
     def _observe_lag(self, record_lsn: int) -> None:
         """True per-record replication lag via manifest watermarks.
@@ -344,9 +341,6 @@ class FollowerService:
             self.obs.histogram(metric_names.REPLICATE_LAG_MS).labels(
                 role="follower").observe(lag_ms)
 
-    def _publish_view(self) -> None:
-        self._view = build_view(self.target, epoch=self._applied_lsn)
-
     def _publish_gauges(self, manifest: dict) -> None:
         if not self.obs.enabled:
             return
@@ -363,10 +357,7 @@ class FollowerService:
             max(0, manifest["acked_lsn"] - self._applied_lsn))
         obs.gauge(metric_names.REPLICATE_STALENESS_SECONDS).set(
             self._staleness(manifest))
-        if self.quality is not None:
-            self.quality.publish(obs)
-        if self.events.enabled:
-            self.events.publish(obs)
+        self._publish_read_gauges()
 
     def _check_stall(self, manifest: dict) -> None:
         """Stall transitions against the ``stall_after`` staleness bound."""
@@ -396,7 +387,7 @@ class FollowerService:
         return max(0.0, float(self.clock()) - manifest["shipped_at"])
 
     # ------------------------------------------------------------------
-    # reads (the SynopsisService read surface, served from the view)
+    # the replica's own read fields (the rest is ReadHalf)
     # ------------------------------------------------------------------
     def view(self) -> ReadView:
         """The latest published :class:`ReadView` (one reference load)."""
@@ -412,11 +403,6 @@ class FollowerService:
         return self._view is not None
 
     @property
-    def epoch(self) -> int:
-        """Epoch of the published view — the follower's applied LSN."""
-        return self.view().epoch
-
-    @property
     def applied_lsn(self) -> int:
         return self._applied_lsn
 
@@ -426,57 +412,23 @@ class FollowerService:
         manifest = self._manifest
         return manifest["acked_lsn"] if manifest else 0
 
-    def synopsis(self, name: Optional[str] = None,
-                 limit: Optional[int] = None) -> List[Tuple[int, ...]]:
-        """The published synopsis — a snapshot, not a live engine read
-        (``name=None``: the sole registered query)."""
-        return self.view().synopsis(name, limit)
-
-    def total_results(self, name: Optional[str] = None) -> int:
-        view = self.view()
-        return view.total_results[view.resolve(name)]
-
-    def names(self) -> List[str]:
-        """Registered query names in the published view.
-
-        Leader-side registrations replay onto the replica like any
-        other WAL record, so this — and the AQP estimate path that a
-        :class:`~repro.aqp.QueryRegistry` serves over this follower —
-        needs no extra coordination: a query registered on the leader
-        becomes estimable here as soon as its record is applied.
-        """
-        return sorted(self.view().synopses)
-
-    def synopsis_payload(self, name: Optional[str] = None,
-                         limit: Optional[int] = None) -> dict:
-        """The ``/synopsis`` reply, built from ONE captured view."""
-        return self.view().payload(name, limit)
-
-    def stats(self):
-        """The published view's typed stats snapshot."""
-        return self.view().stats
-
-    def healthz(self) -> dict:
-        """Follower liveness: role, LSN positions, lag, staleness.
-
-        ``status`` is ``"bootstrapping"`` until the first shipped
-        snapshot restores, then ``"ok"``.  ``staleness_seconds`` is the
-        age of the newest manifest (shipper liveness + write traffic);
-        ``epoch_lag`` counts acked-but-unapplied WAL records.
-        """
-        from repro import __version__  # deferred: repro imports service
-
+    def _health(self, view: Optional[ReadView]) -> dict:
+        """Role, LSN positions, lag, staleness.  ``status`` is
+        ``"bootstrapping"`` until the first shipped snapshot restores,
+        then ``"ok"`` (``"failed"`` while the last round raised).
+        ``staleness_seconds`` is the age of the newest manifest (shipper
+        liveness + write traffic); ``epoch_lag`` counts
+        acked-but-unapplied WAL records."""
         manifest = self._manifest
-        acked = manifest["acked_lsn"] if manifest else 0
-        body = {
-            "status": "ok" if self.bootstrapped else "bootstrapping",
+        lag = max(0, self.acked_lsn - self._applied_lsn)
+        return {
+            "status": "ok" if view is not None else "bootstrapping",
             "role": "follower",
             "leader_url": self.leader_url,
-            "epoch": self._applied_lsn if self.bootstrapped else 0,
             "applied_lsn": self._applied_lsn,
-            "acked_lsn": acked,
-            "epoch_lag": max(0, acked - self._applied_lsn),
-            "epoch_lag_ops": max(0, acked - self._applied_lsn),
+            "acked_lsn": self.acked_lsn,
+            "epoch_lag": lag,
+            "epoch_lag_ops": lag,
             "staleness_seconds": self._staleness(manifest),
             "ship_seq": manifest["ship_seq"] if manifest else 0,
             "snapshot": self._bootstrap_snapshot,
@@ -485,14 +437,7 @@ class FollowerService:
             "lag_samples": self.lag_samples,
             "stalled": self._stalled,
             "stalls": self.stalls,
-            "uptime_seconds": time.monotonic() - self._started_monotonic,
-            "version": __version__,
         }
-        if self.bootstrapped:
-            body["synopsis_family"] = self._view.family_summary()
-        if self.quality is not None:
-            body["quality"] = self.quality.status()
-        return body
 
     def service_metrics(self) -> dict:
         """Plain-dict follower counters (always available, obs or not)."""
@@ -503,29 +448,12 @@ class FollowerService:
             "polls": self.polls,
             "replayed_records": self.replayed_records,
             "replayed_ops": self.replayed_ops,
+            "replay_failures": self.replay_failures,
             "bootstraps": self.bootstraps,
             "lag_samples": self.lag_samples,
             "last_lag_ms": self.last_lag_ms,
             "stalls": self.stalls,
         }
-
-    def events_payload(self, kind: Optional[str] = None) -> dict:
-        """The ``GET /events`` body from this follower's event log."""
-        return self.events.payload(kind)
-
-    def metrics_snapshot(self) -> dict:
-        """The view's target metrics merged with the follower registry."""
-        merged: dict = {}
-        view = self._view
-        if view is not None:
-            merged.update(view.metrics())
-        if self.obs.enabled:
-            merged.update(self.obs.snapshot())
-        return merged
-
-    def exposition(self) -> str:
-        """The ``GET /metrics`` payload (Prometheus text format)."""
-        return render_exposition(self.metrics_snapshot())
 
     # ------------------------------------------------------------------
     # writes: structurally rejected
@@ -574,9 +502,10 @@ class FollowerService:
         while not self._stop.wait(poll_interval):
             try:
                 self.catch_up()
-            except ReplicationError:
-                # transient (manifest racing a shipper round); the next
-                # poll re-reads everything from scratch
+            except Exception:
+                # catch_up left the error in /healthz; a transient one
+                # (a manifest racing a shipper round) clears on the next
+                # poll, which re-reads everything from scratch
                 continue
 
     def stop(self) -> None:
@@ -593,13 +522,6 @@ class FollowerService:
 
     @property
     def closed(self) -> bool:
-        return False
-
-    def __enter__(self) -> "FollowerService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,24 +1,45 @@
-"""In-process client speaking the same payloads as the HTTP endpoints.
+"""In-process client: the one table of reply payloads.
 
-:class:`LocalServiceClient` wraps a :class:`~repro.service.SynopsisService`
-and returns byte-for-byte the JSON-shaped dicts that the HTTP front end
-in :mod:`repro.service.http` would serve — so application code (and the
-test suite) can swap between in-process and networked deployments
-without changing the handling of responses.  Backpressure and closure
-surface as the same typed exceptions
+:class:`LocalServiceClient` wraps a serving role — a
+:class:`~repro.service.SynopsisService` or a follower replica — and
+builds every ``200`` body the HTTP front end serves:
+:class:`~repro.service.http.ServiceHTTPServer`'s routes call these
+methods and add only the transport around them.  Application code (and
+the test suite) can therefore swap between in-process and networked
+deployments without changing the handling of responses.  Backpressure
+and closure surface as the typed exceptions
 (:class:`~repro.errors.ServiceOverloadedError`,
-:class:`~repro.errors.ServiceClosedError`) instead of 503s, and the
-AQP routes' 400s surface as :class:`~repro.errors.QueryParseError` /
+:class:`~repro.errors.ServiceClosedError`) behind the 503s, and the
+AQP routes' 400s as :class:`~repro.errors.QueryParseError` /
 :class:`~repro.errors.PlanError`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import dataclasses
+from typing import Mapping, Optional, Sequence
 
 from repro.aqp import QueryRegistry
-from repro.service.http import _stats_payload
-from repro.service.runtime import SynopsisService
+from repro.service.runtime import ReadHalf
+
+
+def _stats_payload(stats: object) -> object:
+    """A typed stats snapshot as JSON-serializable plain data.
+
+    Hand-rolled instead of :func:`dataclasses.asdict` because the typed
+    snapshots expose their mappings as ``MappingProxyType`` (immutable),
+    which ``asdict``'s deepcopy refuses to pickle.
+    """
+    if dataclasses.is_dataclass(stats) and not isinstance(stats, type):
+        return {
+            f.name: _stats_payload(getattr(stats, f.name))
+            for f in dataclasses.fields(stats)
+        }
+    if isinstance(stats, Mapping):
+        return {str(k): _stats_payload(v) for k, v in stats.items()}
+    if isinstance(stats, (list, tuple)):
+        return [_stats_payload(v) for v in stats]
+    return stats
 
 
 class LocalServiceClient:
@@ -26,9 +47,11 @@ class LocalServiceClient:
     `/delete` `/query` `/queries` `/queries/<name>/audit` `/events`
     surface, in process."""
 
-    def __init__(self, service: SynopsisService):
+    def __init__(self, service: ReadHalf):
         self.service = service
-        self._aqp = QueryRegistry(service)
+        #: the registry the AQP methods answer through (its audit is
+        #: what :meth:`audit` reports)
+        self.registry = QueryRegistry(service)
 
     # reads ------------------------------------------------------------
     def healthz(self) -> dict:
@@ -52,11 +75,11 @@ class LocalServiceClient:
 
     def queries(self) -> dict:
         """The ``GET /queries`` body: every registered AQP query."""
-        return {"queries": self._aqp.describe_all()}
+        return {"queries": self.registry.describe_all()}
 
     def audit(self, name: str, limit: Optional[int] = None) -> dict:
         """The ``GET /queries/<name>/audit`` body: accuracy audit."""
-        return self._aqp.audit.payload(name, limit)
+        return self.registry.audit.payload(name, limit)
 
     def events(self, kind: Optional[str] = None) -> dict:
         """The ``GET /events`` body: the structured event log."""
@@ -68,7 +91,7 @@ class LocalServiceClient:
                  group_by: Optional[str] = None,
                  confidence: float = 0.95) -> dict:
         """The ``POST /query/<name>/estimate`` body."""
-        return self._aqp.get(name).estimate(
+        return self.registry.get(name).estimate(
             agg, column=column, where=where, group_by=group_by,
             confidence=confidence,
         )
@@ -88,7 +111,7 @@ class LocalServiceClient:
                        weight_column: Optional[str] = None,
                        seed: Optional[int] = None) -> dict:
         """The ``POST /query`` body: register ``sql`` for AQP."""
-        registered = self._aqp.register(
+        registered = self.registry.register(
             sql, name, size=size, engine=engine,
             weight_column=weight_column, seed=seed,
         )

@@ -1,10 +1,15 @@
-"""JSON-over-HTTP front end for :class:`~repro.service.SynopsisService`.
+"""JSON-over-HTTP front end for :class:`~repro.service.SynopsisService`
+and follower replicas.
 
 Stdlib only: a :class:`http.server.ThreadingHTTPServer` whose handler
 threads are *readers* of the service (snapshot views, never blocking
 ingest) and whose write endpoints enqueue through the same bounded queue
 as in-process writers — so HTTP clients get the same backpressure,
-read-your-writes, and snapshot-isolation guarantees.
+read-your-writes, and snapshot-isolation guarantees.  This module is
+the transport only — reading the body, strict JSON field types, the one
+error map; every ``200`` body is built by
+:class:`~repro.service.client.LocalServiceClient`, the in-process
+client, so the two cannot drift.
 
 Endpoints (all JSON):
 
@@ -55,7 +60,6 @@ shape, ``{"error": ...}``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import traceback
@@ -63,7 +67,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.aqp import QueryRegistry
 from repro.errors import (
     FollowerReadOnlyError,
     InvalidArgumentError,
@@ -75,26 +78,8 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.obs.expo import CONTENT_TYPE as _EXPO_CONTENT_TYPE
-from repro.service.runtime import SynopsisService
-
-
-def _stats_payload(stats: object) -> object:
-    """A typed stats snapshot as JSON-serializable plain data.
-
-    Hand-rolled instead of :func:`dataclasses.asdict` because the typed
-    snapshots expose their mappings as ``MappingProxyType`` (immutable),
-    which ``asdict``'s deepcopy refuses to pickle.
-    """
-    if dataclasses.is_dataclass(stats) and not isinstance(stats, type):
-        return {
-            f.name: _stats_payload(getattr(stats, f.name))
-            for f in dataclasses.fields(stats)
-        }
-    if isinstance(stats, Mapping):
-        return {str(k): _stats_payload(v) for k, v in stats.items()}
-    if isinstance(stats, (list, tuple)):
-        return [_stats_payload(v) for v in stats]
-    return stats
+from repro.service.client import LocalServiceClient
+from repro.service.runtime import ReadHalf
 
 
 #: the largest request body the front door reads; a larger declared
@@ -133,6 +118,16 @@ def _field(payload: dict, key: str, kind: type):
     return value
 
 
+def _options(payload: dict, keys: Tuple[str, ...]) -> dict:
+    """The optional fields the body carries; an absent one keeps the
+    client method's default."""
+    return {key: payload[key] for key in keys if key in payload}
+
+
+_REGISTER_OPTIONS = ("size", "engine", "weight_column", "seed")
+_ESTIMATE_OPTIONS = ("agg", "column", "where", "group_by", "confidence")
+
+
 def _param(params: dict, key: str) -> Optional[str]:
     return params.get(key, [None])[0]
 
@@ -163,7 +158,7 @@ def _encode(payload: object) -> bytes:
 
 
 class _ServiceHTTPHandler(BaseHTTPRequestHandler):
-    """One request per call; the service reference lives on the server.
+    """One request per call; the payload client lives on the server.
 
     Every request goes through one funnel, :meth:`_handle`: read the
     declared body, run the route, map whatever it raised, write one
@@ -290,79 +285,55 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
     # routes: (path, query parameters, body) -> reply
     # ------------------------------------------------------------------
     def _route_get(self, path: str, params: dict, body: bytes) -> _Reply:
-        service: SynopsisService = self.server.service
-        registry: QueryRegistry = self.server.aqp
+        client: LocalServiceClient = self.server.client
         if path == "/healthz":
-            health = service.healthz()
+            health = client.healthz()
             return _Reply(200 if health["status"] == "ok" else 503, health)
         if path == "/metrics":
-            return _Reply(200, service.exposition().encode("utf-8"),
+            return _Reply(200, client.metrics().encode("utf-8"),
                           {"Content-Type": _EXPO_CONTENT_TYPE})
         if path == "/synopsis":
-            # one captured view builds the whole reply, so epoch,
-            # total, and sample can never straddle a publication
-            return _Reply(200, service.synopsis_payload(
+            return _Reply(200, client.synopsis(
                 _param(params, "name"), _limit(params)))
         if path == "/stats":
-            view = service.view()
-            return _Reply(200, {
-                "epoch": view.epoch,
-                "stats": _stats_payload(view.stats),
-                "service": service.service_metrics(),
-            })
+            return _Reply(200, client.stats())
         if path == "/queries":
-            return _Reply(200, {"queries": registry.describe_all()})
+            return _Reply(200, client.queries())
         parts = path.strip("/").split("/")
         if len(parts) == 3 and parts[0] == "queries" and parts[2] == "audit":
-            if parts[1] not in registry:
+            if parts[1] not in client.registry:
                 return _no_such_query(parts[1])
-            return _Reply(
-                200, registry.audit.payload(parts[1], _limit(params)))
+            return _Reply(200, client.audit(parts[1], _limit(params)))
         if path == "/events":
-            return _Reply(
-                200, service.events_payload(_param(params, "kind")))
+            return _Reply(200, client.events(_param(params, "kind")))
         return _Reply(404, {"error": f"no such path {path}"})
 
     def _route_post(self, path: str, params: dict, body: bytes) -> _Reply:
-        service: SynopsisService = self.server.service
-        registry: QueryRegistry = self.server.aqp
+        client: LocalServiceClient = self.server.client
         if not body:
             raise ValueError("missing request body")
         payload = json.loads(body)
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         if path == "/insert":
-            table = _field(payload, "table", str)
-            tid = service.insert(table, [
-                tuple(v) if isinstance(v, list) else v
-                for v in _field(payload, "row", list)
-            ])
-            return _Reply(200, {"tid": tid, "epoch": service.epoch})
+            return _Reply(200, client.insert(
+                _field(payload, "table", str),
+                [tuple(v) if isinstance(v, list) else v
+                 for v in _field(payload, "row", list)]))
         if path == "/delete":
-            service.delete(_field(payload, "table", str),
-                           _field(payload, "tid", int))
-            return _Reply(200, {"ok": True, "epoch": service.epoch})
+            return _Reply(200, client.delete(_field(payload, "table", str),
+                                             _field(payload, "tid", int)))
         if path == "/query":
             # the registry checks every field before anything is logged
-            return _Reply(200, registry.register(
-                _field(payload, "sql", str),
-                payload.get("name"),
-                size=payload.get("size", 1000),
-                engine=payload.get("engine", "sjoin-opt"),
-                weight_column=payload.get("weight_column"),
-                seed=payload.get("seed"),
-            ).describe())
+            return _Reply(200, client.register_query(
+                _field(payload, "sql", str), payload.get("name"),
+                **_options(payload, _REGISTER_OPTIONS)))
         parts = path.strip("/").split("/")
         if len(parts) == 3 and parts[0] == "query" and parts[2] == "estimate":
-            if parts[1] not in registry:
+            if parts[1] not in client.registry:
                 return _no_such_query(parts[1])
-            return _Reply(200, registry.get(parts[1]).estimate(
-                payload.get("agg", "count"),
-                column=payload.get("column"),
-                where=payload.get("where"),
-                group_by=payload.get("group_by"),
-                confidence=payload.get("confidence", 0.95),
-            ))
+            return _Reply(200, client.estimate(
+                parts[1], **_options(payload, _ESTIMATE_OPTIONS)))
         return _Reply(404, {"error": f"no such path {path}"})
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -378,17 +349,16 @@ class ServiceHTTPServer:
     shuts the listener down without closing the service.
     """
 
-    def __init__(self, service: SynopsisService,
+    def __init__(self, service: ReadHalf,
                  host: str = "127.0.0.1", port: int = 8080):
         self.service = service
         self._httpd = ThreadingHTTPServer(
             (host, port), _ServiceHTTPHandler)
         self._httpd.daemon_threads = True
-        self._httpd.service = service
-        # one registry per server: the AQP routes (POST /query, ...)
-        # resolve the manager behind the service lazily, so this works
+        # one client per server builds every 200 body; its registry
+        # resolves the manager behind the service lazily, so this works
         # for leader services and follower replicas alike
-        self._httpd.aqp = QueryRegistry(service)
+        self._httpd.client = LocalServiceClient(service)
         self._thread: Optional[threading.Thread] = None
 
     @property

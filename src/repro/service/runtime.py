@@ -306,6 +306,165 @@ def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
     )
 
 
+def view_age(view: ReadView) -> float:
+    """Seconds since ``view`` was published."""
+    return max(0.0, (time.perf_counter_ns() - view.published_ns) / 1e9)
+
+
+class ReadHalf:
+    """The read half both serving roles share — the leader's
+    :class:`SynopsisService` and the replica's
+    :class:`~repro.replicate.FollowerService` — over the latest
+    published :class:`ReadView`: the snapshot reads, the ``/events`` and
+    ``/metrics`` payloads, the ``healthz`` fields the roles have in
+    common, and the sample-quality monitor.  Not exported: a served
+    target is one of the two roles, and this class is how
+    :class:`~repro.aqp.QueryRegistry` tells one from a bare manager.
+
+    A role sets ``target`` (the manager it publishes views of; ``None``
+    until a follower bootstraps), publishes through :meth:`_publish_view`,
+    records what stopped it in ``_failure`` (``/healthz`` then reports
+    ``status: "failed"`` with ``last_error``), and returns its
+    ``status`` and its own ``healthz`` fields from ``_health(view)``.
+    """
+
+    target: Optional[SynopsisTarget]
+
+    def __init__(self, obs=None, events=None, quality=None):
+        self.obs = as_registry(obs)
+        self.events = as_event_log(events)
+        self._quality_config = quality
+        #: the sample-quality monitor (``None``: off, or no sole query)
+        self.quality = None
+        self._view: Optional[ReadView] = None
+        self._failure: Optional[BaseException] = None
+        self._started_monotonic = time.monotonic()
+
+    def _pick_quality(self) -> None:
+        """(Re)pick the monitor: the target or its registration set
+        changed (:func:`~repro.obs.quality.monitor_for`)."""
+        self.quality = monitor_for(self.target, self._quality_config,
+                                   obs=self.obs, events=self.events)
+
+    def _publish_view(self, epoch: int) -> None:
+        # immutable view + single reference store: the degenerate
+        # seqlock — readers can never observe a torn or stale-epoch mix
+        self._view = build_view(self.target, epoch)
+
+    # ------------------------------------------------------------------
+    # reads (any thread; never touch the target, never block ingest)
+    # ------------------------------------------------------------------
+    def view(self) -> ReadView:
+        """The latest published :class:`ReadView` (one reference load)."""
+        return self._view
+
+    def names(self) -> List[str]:
+        """Registered query names in the published view."""
+        return sorted(self.view().synopses)
+
+    def synopsis(self, name: Optional[str] = None,
+                 limit: Optional[int] = None) -> List[Tuple[int, ...]]:
+        """The published synopsis — a snapshot, not a live engine read.
+
+        ``name`` addresses a registered query; ``None`` means the sole
+        registered one (:meth:`ReadView.resolve`).
+        """
+        if self.obs.enabled:
+            with self.obs.timer(metric_names.SERVICE_READ_NS):
+                return self.view().synopsis(name, limit)
+        return self.view().synopsis(name, limit)
+
+    def total_results(self, name: Optional[str] = None) -> int:
+        """Exact J from the published view (epoch-consistent)."""
+        view = self.view()
+        return view.total_results[view.resolve(name)]
+
+    def synopsis_payload(self, name: Optional[str] = None,
+                         limit: Optional[int] = None) -> dict:
+        """The full ``/synopsis`` reply, built from ONE captured view.
+
+        Epoch, total, and sample all come from the same snapshot, so the
+        reply can never mix epoch N's total with epoch N+1's rows even
+        if a publication lands between field reads.
+        """
+        return self.view().payload(name, limit)
+
+    def stats(self):
+        """The published view's typed stats snapshot."""
+        return self.view().stats
+
+    @property
+    def epoch(self) -> int:
+        """Epoch of the latest published view."""
+        return self.view().epoch
+
+    def healthz(self) -> dict:
+        """Liveness summary: the role's own fields (``_health``), then
+        epoch, uptime, version, synopsis family, the quality
+        monitor's :meth:`status <repro.obs.quality.QualityMonitor.status>`
+        under ``"quality"`` when one runs, and — when something stopped
+        the role — ``status: "failed"`` with ``last_error``."""
+        from repro import __version__  # deferred: repro imports service
+
+        view = self._view
+        body = self._health(view)
+        body["epoch"] = view.epoch if view is not None else 0
+        body["uptime_seconds"] = time.monotonic() - self._started_monotonic
+        body["version"] = __version__
+        if view is not None:
+            body["synopsis_family"] = view.family_summary()
+        if self.quality is not None:
+            body["quality"] = self.quality.status()
+        if self._failure is not None:
+            body["status"] = "failed"
+            body["last_error"] = repr(self._failure)
+        return body
+
+    def metrics_snapshot(self) -> dict:
+        """Every instrument visible to this role, as one flat dict.
+
+        Merges the published view's :meth:`ReadView.metrics` (the
+        target's registry snapshot plus engine work counters, captured
+        at publication) with the role's own registry snapshot; on name
+        collisions the role's registry — which is live, not captured —
+        wins.  The read-time gauges (view age, quality monitor, event
+        log) are set first, so a scrape is never stale by construction.
+        The result is what :meth:`exposition` renders.
+        """
+        view = self._view
+        merged = view.metrics() if view is not None else {}
+        if self.obs.enabled:
+            self._publish_read_gauges()
+            merged.update(self.obs.snapshot())
+        return merged
+
+    def _publish_read_gauges(self) -> None:
+        """View age, quality monitor, event log: gauges set on read."""
+        obs, view = self.obs, self._view
+        if view is not None:
+            obs.gauge(metric_names.QUALITY_STALENESS_SECONDS).set(
+                view_age(view))
+        if self.quality is not None:
+            self.quality.publish(obs)
+        self.events.publish(obs)
+
+    def exposition(self) -> str:
+        """The ``GET /metrics`` payload: Prometheus text format 0.0.4
+        over :meth:`metrics_snapshot` (see :mod:`repro.obs.expo`)."""
+        return render_exposition(self.metrics_snapshot())
+
+    def events_payload(self, kind: Optional[str] = None) -> dict:
+        """The ``GET /events`` body from this role's event log."""
+        return self.events.payload(kind)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+
 class _Submission:
     """One enqueued unit: an op batch, or a control callable."""
 
@@ -325,7 +484,7 @@ class _Submission:
         return len(self.ops) if self.ops is not None else 1
 
 
-class SynopsisService:
+class SynopsisService(ReadHalf):
     """Thread-safe serving facade over a manager.
 
     Usage::
@@ -353,12 +512,10 @@ class SynopsisService:
                  config: Optional[ServiceConfig] = None):
         self.target = target
         self.config = config if config is not None else ServiceConfig()
-        self.obs = as_registry(self.config.obs)
-        self.events = as_event_log(self.config.events)
-        #: the sample-quality monitor (``None``: off, or no sole query);
-        #: only the ingest thread advances it
-        self.quality = self._pick_quality()
-        self._started_monotonic = time.monotonic()
+        super().__init__(self.config.obs, self.config.events,
+                         self.config.quality)
+        # only the ingest thread advances the quality monitor
+        self._pick_quality()
         self._mutex = threading.Lock()
         self._not_empty = threading.Condition(self._mutex)
         self._not_full = threading.Condition(self._mutex)
@@ -366,15 +523,11 @@ class SynopsisService:
         self._queued_ops = 0
         self._closing = False
         self._closed = False
-        self._failed = False
-        self._fatal_error: Optional[BaseException] = None
-        self._drain_timed_out = False
         self._epoch = 0
         self._applied_ops = 0
         self._applied_batches = 0
         self._ingest_errors = 0
-        self._last_error: Optional[BaseException] = None
-        self._view = build_view(target, epoch=0)
+        self._publish_view(0)
         # seed the serving gauges so /metrics covers them before the
         # first write publishes (scrapes can land on a fresh service)
         if self.obs.enabled:
@@ -445,14 +598,10 @@ class SynopsisService:
         any other state change)."""
         def control():
             maintainer = self.target.register(name, query, config)
-            self.quality = self._pick_quality()   # the set changed
+            self._pick_quality()   # the registration set changed
             return maintainer
 
         return self._submit_control(control)
-
-    def _pick_quality(self):
-        return monitor_for(self.target, self.config.quality,
-                           obs=self.obs, events=self.events)
 
     def _submit_control(self, fn: Callable[[], object]) -> object:
         submission = _Submission(None, fn, wait=True)
@@ -500,10 +649,10 @@ class SynopsisService:
 
     def _raise_if_unwritable(self) -> None:
         """Holding the mutex: reject writes to a closed/failed service."""
-        if self._failed:
+        if self._failure is not None:
             raise ServiceError(
                 "ingest loop died on an unrecoverable error: "
-                f"{self._fatal_error!r}"
+                f"{self._failure!r}"
             )
         if self._closing:
             raise ServiceClosedError("service is closed")
@@ -513,48 +662,8 @@ class SynopsisService:
             self.obs.counter(metric_names.SERVICE_OPS_REJECTED).inc(nops)
 
     # ------------------------------------------------------------------
-    # reads (any thread; never touch the target, never block ingest)
+    # the leader's own read fields (the rest is ReadHalf)
     # ------------------------------------------------------------------
-    def view(self) -> ReadView:
-        """The latest published :class:`ReadView` (one reference load)."""
-        return self._view
-
-    def synopsis(self, name: Optional[str] = None,
-                 limit: Optional[int] = None) -> List[Tuple[int, ...]]:
-        """The published synopsis — a snapshot, not a live engine read.
-
-        ``name`` addresses a registered query; ``None`` means the sole
-        registered one (:meth:`ReadView.resolve`).
-        """
-        if self.obs.enabled:
-            with self.obs.timer(metric_names.SERVICE_READ_NS):
-                return self._view.synopsis(name, limit)
-        return self._view.synopsis(name, limit)
-
-    def total_results(self, name: Optional[str] = None) -> int:
-        """Exact J from the published view (epoch-consistent)."""
-        view = self._view
-        return view.total_results[view.resolve(name)]
-
-    def synopsis_payload(self, name: Optional[str] = None,
-                         limit: Optional[int] = None) -> dict:
-        """The full ``/synopsis`` reply, built from ONE captured view.
-
-        Epoch, total, and sample all come from the same snapshot, so the
-        reply can never mix epoch N's total with epoch N+1's rows even
-        if the ingest thread publishes between field reads.
-        """
-        return self._view.payload(name, limit)
-
-    def stats(self):
-        """The published view's typed stats snapshot."""
-        return self._view.stats
-
-    @property
-    def epoch(self) -> int:
-        """Epoch of the latest published view."""
-        return self._view.epoch
-
     @property
     def queue_depth(self) -> int:
         """Enqueued-but-unapplied ops (the backpressure measure)."""
@@ -564,56 +673,22 @@ class SynopsisService:
     def closed(self) -> bool:
         return self._closed
 
-    def healthz(self) -> dict:
-        """Liveness summary: status, epoch, queue depth, error count,
-        uptime/version, staleness, sample quality.
-
-        ``status`` is ``"ok"``, ``"failed"`` (the ingest thread died on
-        an unrecoverable error and writes are rejected), ``"draining"``
-        (close() gave up waiting but the ingest thread is still
-        applying), or ``"closed"``.  ``staleness_seconds`` is the age of
-        the published view; together with ``epoch_lag_ops`` it is the
-        serving-side freshness signal.  When the service runs a
-        :class:`~repro.obs.quality.QualityMonitor`
-        (``ServiceConfig(quality=...)``, one registered query), its
-        :meth:`status <repro.obs.quality.QualityMonitor.status>` dict
-        appears under ``"quality"``.
-        """
-        from repro import __version__  # deferred: repro imports service
-
-        view = self._view
-        if self._failed:
-            status = "failed"
-        elif self._closing and self._thread.is_alive():
-            status = "draining"
-        elif self._closing:
-            status = "closed"
-        else:
+    def _health(self, view: ReadView) -> dict:
+        """``status`` is ``"ok"``, ``"failed"`` (the ingest thread died
+        on an unrecoverable error and writes are rejected),
+        ``"draining"`` (close() gave up waiting but the ingest thread is
+        still applying), or ``"closed"``.  ``staleness_seconds`` is the
+        age of the published view; together with ``epoch_lag_ops`` it
+        is the serving-side freshness signal."""
+        if not self._closing:
             status = "ok"
-        body = {
-            "status": status,
-            "epoch": view.epoch,
-            "epoch_lag_ops": self._queued_ops,
-            "queue_depth": self._queued_ops,
-            "applied_ops": self._applied_ops,
-            "applied_batches": self._applied_batches,
-            "ingest_errors": self._ingest_errors,
-            "uptime_seconds": time.monotonic() - self._started_monotonic,
-            "version": __version__,
-            "staleness_seconds": self._staleness(view),
-            "synopsis_family": view.family_summary(),
-        }
-        quality = self.quality
-        if quality is not None:
-            body["quality"] = quality.status()
-        if self._failed:
-            body["last_error"] = repr(self._fatal_error)
-        return body
-
-    @staticmethod
-    def _staleness(view: ReadView) -> float:
-        """Age of ``view`` in seconds."""
-        return max(0.0, (time.perf_counter_ns() - view.published_ns) / 1e9)
+        elif self._thread.is_alive():
+            status = "draining"
+        else:
+            status = "closed"
+        return {**self.service_metrics(), "status": status,
+                "epoch_lag_ops": self._queued_ops,
+                "staleness_seconds": view_age(view)}
 
     def service_metrics(self) -> dict:
         """Plain-dict serving counters (always available, obs or not)."""
@@ -624,37 +699,6 @@ class SynopsisService:
             "applied_batches": self._applied_batches,
             "ingest_errors": self._ingest_errors,
         }
-
-    def metrics_snapshot(self) -> dict:
-        """Every instrument visible to this service, as one flat dict.
-
-        Merges the published view's :meth:`ReadView.metrics` (the
-        target's registry snapshot plus engine work counters, captured
-        between micro-batches) with the service's own registry snapshot;
-        on name collisions the service registry — which is live, not
-        captured — wins.  The read-time gauges (view staleness, quality
-        monitor, event log) are set first, so a scrape is never stale
-        by construction.  The result is what :meth:`exposition` renders.
-        """
-        view, obs = self._view, self.obs
-        merged = view.metrics()
-        if obs.enabled:
-            obs.gauge(metric_names.QUALITY_STALENESS_SECONDS).set(
-                self._staleness(view))
-            if self.quality is not None:
-                self.quality.publish(obs)
-            self.events.publish(obs)
-            merged.update(obs.snapshot())
-        return merged
-
-    def exposition(self) -> str:
-        """The ``GET /metrics`` payload: Prometheus text format 0.0.4
-        over :meth:`metrics_snapshot` (see :mod:`repro.obs.expo`)."""
-        return render_exposition(self.metrics_snapshot())
-
-    def events_payload(self, kind: Optional[str] = None) -> dict:
-        """The ``GET /events`` body from this service's event log."""
-        return self.events.payload(kind)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -690,7 +734,6 @@ class SynopsisService:
             # degraded state through healthz() instead of lying that
             # the service closed cleanly.
             with self._mutex:
-                self._drain_timed_out = True
                 self._fail_queued_locked(ServiceClosedError(
                     "drain timed out before this batch was applied"
                 ))
@@ -705,13 +748,6 @@ class SynopsisService:
             if submission.done is not None:
                 submission.done.set()
         self._queued_ops = 0
-
-    def __enter__(self) -> "SynopsisService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     # ------------------------------------------------------------------
     # the single-writer ingest loop (the only toucher of self.target)
@@ -762,7 +798,7 @@ class SynopsisService:
                 submission.result = submission.fn()
             except BaseException as exc:  # control errors go to caller
                 submission.error = exc
-                self._record_failure(exc)
+                self._record_failure()
             self._publish()
             submission.done.set()
             return
@@ -775,7 +811,7 @@ class SynopsisService:
             # the batch may have partially applied before raising; the
             # per-submission contract is "no acknowledged op is lost",
             # so every waiter in the coalesced batch sees the failure
-            self._record_failure(exc)
+            self._record_failure()
             self._publish()
             for submission in batch:
                 submission.error = exc
@@ -819,35 +855,30 @@ class SynopsisService:
         flips to ``"failed"`` and every subsequent or queued write sees
         a :class:`~repro.errors.ServiceError` naming the cause.
         """
-        self._record_failure(exc)
+        self._record_failure()
         for submission in batch:
             if submission.error is None:
                 submission.error = exc
             if submission.done is not None:
                 submission.done.set()
         with self._mutex:
-            self._failed = True
-            self._fatal_error = exc
+            self._failure = exc
             self._fail_queued_locked(ServiceError(
                 f"ingest loop died before this batch was applied: {exc!r}"
             ))
             self._not_full.notify_all()
             self._not_empty.notify_all()
 
-    def _record_failure(self, exc: BaseException) -> None:
+    def _record_failure(self) -> None:
         self._ingest_errors += 1
-        self._last_error = exc
         if self.obs.enabled:
             self.obs.counter(metric_names.SERVICE_INGEST_ERRORS).inc()
 
     def _publish(self) -> None:
         self._epoch += 1
-        view = build_view(self.target, self._epoch)
-        # immutable view + single reference store: the degenerate
-        # seqlock — readers can never observe a torn or stale-epoch mix
-        self._view = view
+        self._publish_view(self._epoch)
         if self.obs.enabled:
-            self.obs.gauge(metric_names.SERVICE_EPOCH).set(view.epoch)
+            self.obs.gauge(metric_names.SERVICE_EPOCH).set(self._epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"SynopsisService(queries={sorted(self._view.synopses)}, "

@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "6.3.0"
+    assert repro.__version__ == "7.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -21,7 +21,7 @@ def test_version():
     "repro.sampling", "repro.core", "repro.datagen", "repro.bench",
     "repro.analytics", "repro.stats", "repro.cli",
     "repro.core.window", "repro.core.manager",
-    "repro.core.serialize", "repro.core.stats_api",
+    "repro.core.stats_api",
     "repro.index.api", "repro.index.avl", "repro.query.explain",
     "repro.bench.export",
     "repro.obs", "repro.obs.metrics", "repro.obs.names",
@@ -249,12 +249,11 @@ def test_batch_first_surface_is_stable():
     from repro import BatchResult, OpOutcome  # noqa: F401 -- the contract
     from repro.core.maintainer import JoinSynopsisMaintainer
     from repro.core.manager import SynopsisManager
-    from repro.core.serialize import SerializedManager
     from repro.persist import PersistentManager
     from repro.service import SynopsisService
 
     for cls in (JoinSynopsisMaintainer, SynopsisManager,
-                SerializedManager, PersistentManager, SynopsisService):
+                PersistentManager, SynopsisService):
         assert hasattr(cls, "apply_batch"), cls
         params = list(inspect.signature(cls.apply_batch).parameters)
         assert params[1] == "ops", cls
@@ -293,11 +292,40 @@ def test_removed_in_3_0_names_are_absent():
         assert not hasattr(cls, "submit"), cls
 
 
+def test_removed_in_7_0_names_are_absent():
+    """7.0 made the service's single-writer queue the one §5.1
+    serialisation, gave both serving roles one read half and the CLI one
+    builder (CHANGELOG.md has the removed -> replacement table); none of
+    it may come back beside what replaced it."""
+    from repro import cli, core
+    from repro.replicate import FollowerService
+    from repro.service import http
+    from repro.service.runtime import ReadHalf
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.serialize")
+    for module, names in (
+        (repro, ("SerializedManager",)),
+        (core, ("SerializedManager",)),
+        (cli, ("build_workload_manager", "build_serve_obs",
+               "build_serve_target", "build_serve_service",
+               "cmd_serve_follower", "_query_http")),
+        (http, ("_stats_payload", "QueryRegistry")),
+    ):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ()), name
+    # the replica's reads are the leader's, not a mirror of them
+    for name in ("synopsis", "total_results", "synopsis_payload", "stats",
+                 "events_payload", "metrics_snapshot", "exposition"):
+        assert name not in vars(FollowerService), name
+        assert getattr(FollowerService, name) is getattr(ReadHalf, name)
+
+
 def test_one_declared_target_shape(tmp_path):
     """``SynopsisTarget`` lists what wrappers rely on; the manager and
-    both of its wrappers satisfy it structurally (no base class)."""
-    from repro import (Database, SerializedManager, SynopsisManager,
-                       SynopsisTarget)
+    its persistent wrapper satisfy it structurally (no base class)."""
+    from repro import Database, SynopsisManager, SynopsisTarget
     from repro.persist import PersistentManager
 
     members = sorted(name for name in vars(SynopsisTarget)
@@ -309,7 +337,7 @@ def test_one_declared_target_shape(tmp_path):
     manager = SynopsisManager(Database())
     persistent = PersistentManager(
         SynopsisManager(Database()), str(tmp_path))
-    for target in (manager, SerializedManager(manager), persistent):
+    for target in (manager, persistent):
         assert SynopsisTarget not in type(target).__mro__
         assert target.db is not None
         for name in members:

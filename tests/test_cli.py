@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cli import (build_serve_target, main, make_parser,
-                       parse_scale, parse_synopsis)
+from repro.cli import (build_stack, main, make_parser, parse_scale,
+                       parse_synopsis)
 from repro.errors import ReproError
 
 
@@ -109,12 +109,16 @@ class TestServe:
     def test_build_serve_target_fresh(self):
         args = make_parser().parse_args(
             ["serve", "--scale", "tiny", "--synopsis", "fixed:20"])
-        target, close = build_serve_target(args)
+        service, stream, close = build_stack(args)
         try:
+            target = service.target
             # the workload's query, registered under its name
             assert target.names() == ["QY"]
             assert target.total_results("QY") >= 0
             assert target.stats().queries["QY"].algorithm == "sjoin-opt"
+            # the rest of the workload, addressed by base table
+            assert stream and {e.alias for e in stream} <= set(
+                target.db.table_names())
         finally:
             close()
 
@@ -123,15 +127,16 @@ class TestServe:
         args = make_parser().parse_args(
             ["serve", "--scale", "tiny", "--synopsis", "fixed:20",
              "--dir", directory])
-        target, close = build_serve_target(args)
-        total = target.total_results("QY")
-        target.checkpoint()
+        service, _, close = build_stack(args)
+        total = service.total_results("QY")
+        service.checkpoint()
         close()
         # second build over the same dir must recover, not re-create
-        target2, close2 = build_serve_target(args)
+        service2, stream, close2 = build_stack(args)
         try:
-            assert target2.recoveries == 1
-            assert target2.total_results("QY") == total
+            assert service2.target.recoveries == 1
+            assert service2.total_results("QY") == total
+            assert stream == []
         finally:
             close2()
 
@@ -140,14 +145,12 @@ class TestServe:
         import json as jsonlib
         import urllib.request
 
-        from repro.service import (ServiceConfig, ServiceHTTPServer,
-                                   SynopsisService)
+        from repro.service import ServiceHTTPServer
 
         args = make_parser().parse_args(
             ["serve", "--scale", "tiny", "--synopsis", "fixed:20",
              "--port", "0"])
-        target, close = build_serve_target(args)
-        service = SynopsisService(target, ServiceConfig())
+        service, _, close = build_stack(args)
         server = ServiceHTTPServer(service, host=args.host,
                                    port=args.port).start()
         try:
@@ -157,7 +160,6 @@ class TestServe:
                 assert jsonlib.loads(resp.read())["status"] == "ok"
         finally:
             server.stop()
-            service.close()
             close()
 
 
@@ -264,3 +266,30 @@ class TestObservabilityCli:
     def test_cmd_lag_ship_empty_dir_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="nothing shipped"):
             main(["lag", "--ship", str(tmp_path / "empty")])
+
+    def test_error_replies_render_or_exit_per_command(self, tmp_path,
+                                                      capsys):
+        """One HTTP helper, two policies: ``top`` and ``lag`` render a
+        4xx/5xx body (a bootstrapping replica answers ``/healthz`` 503
+        and ``/stats`` 409), ``query`` and ``events`` exit nonzero with
+        the body and its ``http_status``."""
+        import json
+
+        from repro.replicate import FollowerService
+        from repro.service import ServiceHTTPServer
+
+        replica = FollowerService(str(tmp_path / "nothing-shipped"))
+        with ServiceHTTPServer(replica, port=0) as server:
+            host, port = server.address
+            base = f"http://{host}:{port}"
+            assert main(["lag", "--url", base]) == 0
+            assert "role follower  status bootstrapping" in \
+                capsys.readouterr().out
+            assert main(["top", "--url", base, "--iterations", "1"]) == 0
+            assert "status bootstrapping" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exited:
+                main(["query", "audit", "ghost", "--url", base])
+            body = json.loads(str(exited.value))
+            assert body["http_status"] == 404 and "ghost" in body["error"]
+            assert main(["events", "--url", base]) == 0
+            assert json.loads(capsys.readouterr().out)["events"] == []

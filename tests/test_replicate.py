@@ -464,6 +464,82 @@ class TestFollowerService:
         assert f.applied_lsn == pm.wal.next_lsn
         pm.close()
 
+    @pytest.mark.parametrize("record", ["unknown kind", "undecodable"])
+    def test_a_record_the_replica_cannot_replay_fails_healthz_not_the_pump(
+            self, tmp_path, monkeypatch, record):
+        """A CRC-valid record the follower cannot decode or apply is a
+        typed ``ReplicationError`` (an unknown kind reaches it as
+        ``PersistError``); the poll thread keeps polling, ``/healthz``
+        says ``failed`` with ``last_error``, ``applied_lsn`` stays put,
+        and a leader checkpoint past the record brings the replica back
+        through a fresh bootstrap."""
+        import time
+        import urllib.error
+        import urllib.request
+
+        from repro.errors import PersistError
+        from repro.persist import wal as wal_module
+        from repro.service import ServiceHTTPServer
+
+        pm, live, shipper, ship_dir = ship_pair(tmp_path)
+        f = FollowerService(ship_dir)
+        stuck_at = f.applied_lsn
+        if record == "unknown kind":
+            pm.wal.append(("mystery", 1))
+        else:
+            with monkeypatch.context() as patch:
+                patch.setattr(wal_module.pickle, "dumps",
+                              lambda *args, **kw: b"not a pickle")
+                pm.wal.append(("apply", []))
+        shipper.ship_once()
+        with pytest.raises(ReplicationError) as refused:
+            f.catch_up()
+        if record == "unknown kind":
+            assert isinstance(refused.value.__cause__, PersistError)
+            assert "unknown WAL entry kind" in str(refused.value)
+        else:
+            assert "failed to decode" in str(refused.value)
+
+        def health(base):
+            try:
+                with urllib.request.urlopen(base + "/healthz") as resp:
+                    return resp.status, json.loads(resp.read())
+            except urllib.error.HTTPError as err:
+                return err.code, json.loads(err.read())
+
+        def until(predicate):
+            deadline = time.monotonic() + 10
+            while not predicate() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return predicate()
+
+        f.start(poll_interval=0.01)
+        try:
+            with ServiceHTTPServer(f, port=0) as server:
+                host, port = server.address
+                base = f"http://{host}:{port}"
+                polls = f.polls
+                assert until(lambda: f.polls > polls + 3)
+                status, body = health(base)
+                assert status == 503
+                assert body["status"] == "failed"
+                assert "ReplicationError" in body["last_error"]
+                assert body["applied_lsn"] == stuck_at
+                assert f._thread.is_alive()
+                # the leader checkpoints past the record: the next
+                # round re-bootstraps and the failure clears
+                pm.checkpoint()
+                drive(pm, random.Random(17), 5, live)
+                shipper.ship_once()
+                assert until(lambda: f.healthz()["status"] == "ok")
+                status, body = health(base)
+                assert status == 200 and "last_error" not in body
+                assert body["applied_lsn"] == pm.wal.next_lsn
+                assert f.bootstraps == 2
+        finally:
+            f.stop()
+            pm.close()
+
     def test_torn_advertised_bytes_raise(self, tmp_path):
         """Corruption *inside* the advertised range is loud, not silent."""
         pm, _, _, ship_dir = ship_pair(tmp_path)

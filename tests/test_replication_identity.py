@@ -9,19 +9,24 @@ position) the two sides must agree exactly.
 
 The suite drives >= 10_000 operations through a persistent leader,
 ships continuously, and checks identity at every matched epoch; plus a
-staleness-bound property under paused shipping (injectable clocks) and
-a multi-follower fan-out test.
+staleness-bound property under paused shipping (injectable clocks), a
+multi-follower fan-out test, and a stream holding records the leader
+logged and then refused — which a follower replays as refused, exactly
+as recovery does.
 """
 
 import random
 
-from repro import Database, SynopsisSpec
+import pytest
+
+from repro import Database, DeleteOp, InsertOp, SynopsisSpec
 from repro.core.config import MaintainerConfig
 from repro.core.manager import SynopsisManager
+from repro.errors import SynopsisError, TupleNotFoundError
 from repro.persist import PersistentManager
 from repro.replicate import FollowerService, WalShipper
 
-from conftest import QUERY, make_tables, single_query
+from conftest import QUERY, graph_state, make_tables, single_query
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -57,6 +62,26 @@ def follower_fingerprint(f):
         "total": f.total_results(),
         "rng": f.target.maintainer(QUERY).engine.rng.getstate(),
     }
+
+
+def refuse(pm):
+    """Log two records the leader then refuses: a batch whose middle op
+    deletes a TID that never existed (its first insert stays applied,
+    its last never runs) and a ``register`` of a name already taken."""
+    with pytest.raises(TupleNotFoundError) as refused:
+        pm.apply_batch([InsertOp("r", (1, 1)), DeleteOp("s", 10 ** 6),
+                        InsertOp("s", (1, 1))])
+    assert refused.value.ops_applied == 1
+    with pytest.raises(SynopsisError, match="already registered"):
+        pm.register(QUERY, SQL)
+
+
+def identity(manager):
+    """What leader, follower and recovery must agree on bit for bit."""
+    engine = manager.maintainer(QUERY).engine
+    return ([tuple(r) for r in manager.synopsis(QUERY)],
+            manager.total_results(QUERY), engine.rng.getstate(),
+            graph_state(engine.graph))
 
 
 def drive(pm, rng, n, live, domain=8):
@@ -163,6 +188,42 @@ def test_multi_follower_fan_out_converges(tmp_path):
     payloads = [f.synopsis_payload() for f in followers]
     assert all(p == payloads[0] for p in payloads)
     pm.close()
+
+
+@pytest.mark.parametrize("join", ["bootstrap", "tail"])
+def test_records_the_leader_refused_replay_as_refused(tmp_path, join):
+    """A record that failed on the leader keeps the prefix it applied,
+    counts as a failure and is never applied twice — whether a fresh
+    follower bootstraps past it or a running one tails through it."""
+    pm = make_leader(tmp_path / "leader")
+    shipper = WalShipper(str(tmp_path / "leader"), str(tmp_path / "ship"))
+    rng = random.Random(29)
+    live = {"r": [], "s": [], "t": []}
+    drive(pm, rng, 200, live)
+    shipper.ship_once()
+    running = FollowerService(str(tmp_path / "ship")) \
+        if join == "tail" else None
+    refuse(pm)
+    drive(pm, rng, 200, live)
+    shipper.ship_once()
+    follower = running or FollowerService(str(tmp_path / "ship"))
+    follower.catch_up()
+    want = identity(pm)
+    assert follower.applied_lsn == pm.wal.next_lsn
+    assert identity(follower.target) == want
+    assert follower.replay_failures == 2
+    # nothing is applied twice
+    replayed = follower.replayed_ops
+    assert follower.catch_up() == 0
+    assert follower.replayed_ops == replayed
+    assert identity(follower.target) == want
+    pm.close()
+    recovered = PersistentManager.recover(str(tmp_path / "leader"))
+    try:
+        assert recovered.replay_failures == 2
+        assert identity(recovered) == want
+    finally:
+        recovered.close()
 
 
 def test_manager_state_replicates(tmp_path):

@@ -1,7 +1,7 @@
 """The shipped CLI server answers the AQP routes.
 
-``repro serve`` builds its target through ``build_serve_target``: a
-manager with the workload's query registered under its name, so ``POST
+``repro serve`` builds its stack through ``build_stack``: a manager
+with the workload's query registered under its name, so ``POST
 /query/QY/estimate`` works on the server the CLI starts, writes address
 base tables, and ``GET /synopsis`` without a name means the sole query.
 """
@@ -12,8 +12,7 @@ import urllib.request
 
 import pytest
 
-from repro.cli import (build_serve_service, build_workload_manager,
-                       make_parser)
+from repro.cli import build_stack, make_parser
 from repro.core.stats_api import InsertOp
 from repro.obs import QualityConfig
 from repro.replicate import FollowerService, WalShipper
@@ -24,6 +23,14 @@ def serve_args(*extra):
     return make_parser().parse_args(
         ["serve", "--query", "QY", "--scale", "tiny",
          "--synopsis", "fixed:50", "--port", "0", *extra])
+
+
+def workload_stream():
+    """The stream the CLI builds for the workload, base-table addressed
+    (the stack built to get it is closed again)."""
+    _, stream, close = build_stack(serve_args())
+    close()
+    return stream
 
 
 def get(url):
@@ -43,7 +50,7 @@ class Served:
     """The CLI's serve wiring, minus ``serve_forever``."""
 
     def __init__(self, args):
-        self.service, self._close = build_serve_service(args)
+        self.service, _, self._close = build_stack(args)
         self.target = self.service.target
         self.server = ServiceHTTPServer(self.service, port=0).start()
         host, port = self.server.address
@@ -52,15 +59,13 @@ class Served:
     def feed(self, start=0, stop=300, batch=300):
         """Stream a stretch of the workload through the front door, so
         the join is non-empty (the tiny preload alone joins nothing)."""
-        _, _, stream = build_workload_manager(serve_args())
         ops = [InsertOp(event.alias, event.row)
-               for event in stream[start:stop]]
+               for event in workload_stream()[start:stop]]
         for i in range(0, len(ops), batch):
             self.service.apply_batch(ops[i:i + batch])
 
     def stop(self):
         self.server.stop()
-        self.service.close()
         self._close()
 
 
@@ -113,8 +118,7 @@ class TestCliServerAnswersAqp:
             assert unnamed["name"] == "QY"
             assert unnamed == get(served.base + "/synopsis?name=QY")
             # the workload's own stream, as the CLI addresses it
-            _, _, stream = build_workload_manager(serve_args())
-            event = stream[0]
+            event = workload_stream()[0]
             assert event.alias in served.target.db.table_names()
             status, body = post(
                 served.base + "/insert",

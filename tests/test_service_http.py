@@ -23,7 +23,7 @@ from repro.service import LocalServiceClient, ServiceHTTPServer
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
 
 
-def make_service(**config):
+def make_manager():
     db = Database()
     db.create_table(TableSchema("r", [Column("a"), Column("x")]))
     db.create_table(TableSchema("s", [Column("a"), Column("y")]))
@@ -31,7 +31,11 @@ def make_service(**config):
     manager.register(
         "q", SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(50),
                                    seed=7))
-    return SynopsisService(manager, ServiceConfig(**config))
+    return manager
+
+
+def make_service(**config):
+    return SynopsisService(make_manager(), ServiceConfig(**config))
 
 
 @pytest.fixture()
@@ -219,6 +223,114 @@ class TestLocalClientParity:
             [InsertOp("r", (k, 0)) for k in range(8)])
         assert list(result.tids) == list(range(8))
         assert service.service_metrics()["applied_batches"] == 1
+
+
+#: readings of the wall clock: two calls cannot agree on them
+VOLATILE = frozenset({"uptime_seconds", "staleness_seconds", "at",
+                      "latency_ns"})
+
+
+def steady(body):
+    """``body`` without the wall-clock readings, at any depth."""
+    if isinstance(body, dict):
+        return {key: steady(value) for key, value in body.items()
+                if key not in VOLATILE}
+    if isinstance(body, list):
+        return [steady(value) for value in body]
+    return body
+
+
+def get_body(url):
+    """Status and body of a GET; ``/metrics`` text minus its one
+    wall-clock gauge (the view's age), every other route as JSON."""
+    try:
+        with urllib.request.urlopen(url, timeout=10) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.error.HTTPError as err:
+        status, raw = err.code, err.read()
+    if "/metrics" in url:
+        return status, [line for line in raw.decode().splitlines()
+                        if "staleness_seconds" not in line]
+    return status, steady(json.loads(raw))
+
+
+#: every GET route, and the client method that builds its body
+GET_ROUTES = {
+    "/healthz": lambda client: client.healthz(),
+    "/stats": lambda client: client.stats(),
+    "/synopsis?limit=5": lambda client: client.synopsis(limit=5),
+    "/queries": lambda client: client.queries(),
+    "/queries/q/audit": lambda client: client.audit("q"),
+    "/events": lambda client: client.events(),
+    "/metrics": lambda client: client.metrics(),
+}
+
+
+@pytest.fixture(scope="module")
+def both_roles(tmp_path_factory):
+    """A durable leader and a follower of it, each with observability on
+    and behind its own server, each with a client of its own beside the
+    server's; the same three estimates went through both, so the two
+    audits have something to agree on."""
+    from repro.obs import EventLog, MetricsRegistry
+    from repro.persist import PersistentManager
+    from repro.replicate import FollowerService, WalShipper
+
+    base = tmp_path_factory.mktemp("parity")
+    pm = PersistentManager(make_manager(), str(base / "leader"))
+    log = EventLog()
+    leader = SynopsisService(pm, ServiceConfig(
+        obs=MetricsRegistry(events=log), events=log))
+    leader.apply_batch([InsertOp(table, (i % 4, i))
+                        for i in range(60) for table in ("r", "s")])
+    WalShipper(str(base / "leader"), str(base / "ship")).ship_once()
+    log = EventLog()
+    follower = FollowerService(str(base / "ship"),
+                               obs=MetricsRegistry(events=log), events=log)
+    roles = {}
+    for role, served in (("leader", leader), ("follower", follower)):
+        server = ServiceHTTPServer(served, port=0).start()
+        host, port = server.address
+        url = f"http://{host}:{port}"
+        client = LocalServiceClient(served)
+        for body in ({"agg": "count"}, {"agg": "sum", "column": "r.x"},
+                     {"agg": "count", "where": [
+                         {"column": "r.a", "op": "<=", "value": 1}]}):
+            _, http_answer = post(url + "/query/q/estimate", body)
+            assert steady(http_answer) == steady(
+                client.estimate("q", **body))
+        roles[role] = served, server, url, client
+    yield roles
+    for served, server, _, _ in roles.values():
+        server.stop()
+        served.close()
+    pm.close()
+
+
+class TestEveryRouteIsTheClientBody:
+    """``http.py`` is the transport only: every GET body is what
+    :class:`LocalServiceClient` builds over the same view, on a leader
+    and on a follower."""
+
+    @pytest.mark.parametrize("role", ["leader", "follower"])
+    @pytest.mark.parametrize("path", sorted(GET_ROUTES))
+    def test_get_route_equals_the_local_client(self, both_roles, role,
+                                               path):
+        served, _, url, client = both_roles[role]
+        epoch = served.epoch
+        status, http_body = get_body(url + path)
+        assert status == 200, http_body
+        local = GET_ROUTES[path](client)
+        if path == "/metrics":
+            local = [line for line in local.splitlines()
+                     if "staleness_seconds" not in line]
+            assert any(line.startswith("repro_") for line in local)
+        else:
+            local = steady(local)
+        assert http_body == local
+        assert served.epoch == epoch      # the same view, both reads
+        if path == "/queries/q/audit":
+            assert local["estimates"] == 3 and len(local["records"]) == 3
 
 
 class TestReviewRegressions:
