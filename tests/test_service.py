@@ -186,56 +186,6 @@ class TestDifferential:
             or str(tmp_path / "BENCH_service.json"),
             obs, applied, sum(read_counts))
 
-    def test_writers_and_readers_match_the_executor(self):
-        """§5.1 asks for updates and synopsis requests to be fully
-        serialised; the single-writer queue is that serialisation (there
-        is no locked manager beside it).  Three writers inserting and
-        deleting their own rows while two readers poll: the final J is
-        the brute-force join size and every sample is a join result."""
-        import random
-
-        from repro import JoinExecutor, parse_query
-
-        db = make_db()
-        service = SynopsisService(make_target(db, size=20, seed=1))
-        failures = []
-
-        def writer(seed):
-            rng = random.Random(seed)
-            try:
-                mine = []
-                for i in range(150):
-                    table = "r" if rng.random() < 0.5 else "s"
-                    mine.append((table, service.insert(
-                        table, (rng.randrange(5), i))))
-                    if rng.random() < 0.2:
-                        service.delete(*mine.pop(rng.randrange(len(mine))))
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                failures.append(exc)
-
-        def reader():
-            try:
-                for _ in range(300):
-                    assert len(service.synopsis()) <= 20
-                    assert service.total_results() >= 0
-            except BaseException as exc:  # noqa: BLE001
-                failures.append(exc)
-
-        threads = [threading.Thread(target=writer, args=(seed,))
-                   for seed in range(3)]
-        threads += [threading.Thread(target=reader) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads)
-        service.close()
-        assert not failures, failures[:3]
-        exact = set(JoinExecutor(db, parse_query(SQL, db)).results())
-        assert service.total_results() == len(exact)
-        assert set(service.synopsis()) <= exact
-        service.target.maintainer(Q).engine.graph.check_invariants()
-
     def _export(self, path, obs, applied_ops, total_reads):
         read_ns = obs.histogram(metric_names.SERVICE_READ_NS).snapshot()
         batch = obs.histogram(metric_names.SERVICE_BATCH_OPS).snapshot()
