@@ -21,11 +21,9 @@ from typing import Dict, List, Optional
 import pytest
 
 from repro.bench.harness import BenchRun, run_stream
-from repro.core import SJoinEngine, SymmetricJoinEngine, SynopsisSpec
-from repro.core.synopsis import SynopsisSpec as _Spec
+from repro.core import JoinSynopsisMaintainer, MaintainerConfig, SynopsisSpec
 from repro.datagen.tpcds import QuerySetup, TpcdsScale, setup_query
 from repro.datagen.workload import StreamPlayer
-from repro.query.parser import parse_query
 
 #: wall-clock budget per engine run (the paper's 6-hour cap, scaled)
 TIME_BUDGET = 20.0
@@ -41,31 +39,28 @@ FIG_SCALE = TpcdsScale(
 )
 
 
-def build_engine(setup: QuerySetup, algorithm: str,
-                 spec: Optional[_Spec] = None, seed: int = 17,
-                 **kwargs):
-    """An engine of the given algorithm over a setup's database."""
-    query = parse_query(setup.sql, setup.db)
-    spec = spec or SynopsisSpec.fixed_size(DEFAULT_SYNOPSIS)
-    if algorithm == "sj":
-        return SymmetricJoinEngine(setup.db, query, spec, seed=seed)
-    return SJoinEngine(
-        setup.db, query, spec, fk_optimize=(algorithm == "sjoin-opt"),
-        seed=seed, **kwargs,
-    )
+def build_maintainer(setup: QuerySetup, algorithm: str,
+                     spec: Optional[SynopsisSpec] = None, seed: int = 17,
+                     obs=None) -> JoinSynopsisMaintainer:
+    """A maintainer of the given algorithm over a setup's database."""
+    return JoinSynopsisMaintainer(setup.db, setup.sql, MaintainerConfig(
+        spec=spec or SynopsisSpec.fixed_size(DEFAULT_SYNOPSIS),
+        engine=algorithm, seed=seed, obs=obs))
 
 
 def run_workload(setup: QuerySetup, algorithm: str,
-                 spec: Optional[_Spec] = None,
+                 spec: Optional[SynopsisSpec] = None,
                  events=None,
                  time_budget: float = TIME_BUDGET,
                  checkpoint_every: int = 1000,
-                 seed: int = 17, **kwargs) -> BenchRun:
-    """Preload, then stream, one engine run with throughput checkpoints."""
-    engine = build_engine(setup, algorithm, spec, seed=seed, **kwargs)
-    StreamPlayer(engine).run(setup.preload)
+                 seed: int = 17, obs=None) -> BenchRun:
+    """Preload, then stream, one maintainer run with throughput
+    checkpoints."""
+    maintainer = build_maintainer(setup, algorithm, spec, seed=seed,
+                                  obs=obs)
+    StreamPlayer(maintainer).run(setup.preload)
     run = run_stream(
-        engine,
+        maintainer,
         setup.stream if events is None else events,
         workload=setup.name,
         checkpoint_every=checkpoint_every,

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import (
     as_benchmark_report,
-    build_engine,
+    build_maintainer,
     effective_throughput,
     results,
 )
@@ -22,7 +22,6 @@ from repro.bench.harness import run_stream
 from repro.bench.reporting import format_table
 from repro.core import SynopsisSpec
 from repro.datagen.linear_road import LinearRoadConfig, setup_qb
-from repro.datagen.workload import StreamPlayer
 
 CONFIG = LinearRoadConfig(
     lanes=3, cars_per_lane=70, ticks=12, road_length=2400, max_speed=40,
@@ -40,8 +39,9 @@ def test_fig14_cell(benchmark, results, algo, d):
         setup = setup_qb(d, CONFIG, seed=0)
         # keep m << J even at the smallest band width, as in the paper
         # (otherwise every deletion falls into the m >= J/2 rebuild path)
-        engine = build_engine(setup, algo, spec=SynopsisSpec.fixed_size(100))
-        return run_stream(engine, setup.events, workload=setup.name,
+        maintainer = build_maintainer(setup, algo,
+                                      spec=SynopsisSpec.fixed_size(100))
+        return run_stream(maintainer, setup.events, workload=setup.name,
                           checkpoint_every=500, time_budget=BUDGET)
 
     run = benchmark.pedantic(run_cell, rounds=1, iterations=1)

@@ -35,7 +35,7 @@ import json
 import os
 import time
 
-from conftest import FIG_SCALE, build_engine, run_workload
+from conftest import FIG_SCALE, build_maintainer, run_workload
 
 from repro.bench.export import read_metrics_json, write_metrics_json
 from repro.datagen.tpcds import TpcdsScale, setup_query
@@ -90,43 +90,48 @@ def test_disabled_metrics_export_empty():
     assert run.metrics == {}
 
 
-def _overhead_cell(**kwargs):
+def _insert_run(engine, items):
+    """``(alias, row)`` pairs as one insert run on the bare engine."""
+    with engine.open_insert_run() as run:
+        insert = run.insert
+        return [insert(alias, row) for alias, row in items]
+
+
+def _overhead_cell(obs=None):
     """Throughput of one Fig-11-style batched ingest.
 
     Preloads QY, then streams its insert stream through the engine's
     batch-first path in ``OVERHEAD_BATCH``-op micro-batches — the shape
     the serving layer produces when it coalesces queued submissions.
     """
-    setup = setup_query("QY", FIG_SCALE, seed=3)
-    engine = build_engine(setup, "sjoin-opt", seed=17, **kwargs)
-    StreamPlayer(engine).run(setup.preload)
-    items = [(event.alias, event.row) for event in setup.stream]
+    engine, items = _build_cell(obs)
     operations = len(items)
     started = time.perf_counter()
     for i in range(0, len(items), OVERHEAD_BATCH):
-        engine.insert_run(items[i:i + OVERHEAD_BATCH])
+        _insert_run(engine, items[i:i + OVERHEAD_BATCH])
     elapsed = time.perf_counter() - started
     return operations / elapsed, operations
 
 
-def _cell_kwargs(cell: str) -> dict:
-    """Engine kwargs for one overhead cell (fresh instruments per call)."""
+def _cell_obs(cell: str):
+    """The registry of one overhead cell (fresh instruments per call)."""
     if cell == "no_obs":
-        return {}
+        return None
     if cell == "obs_on":
-        return {"obs": MetricsRegistry()}
+        return MetricsRegistry()
     # armed, never reached: the cost of the comparison, not of logging
-    return {"obs": MetricsRegistry(events=EventLog(),
-                                   slow_op_threshold_ns=10 ** 12)}
+    return MetricsRegistry(events=EventLog(), slow_op_threshold_ns=10 ** 12)
 
 
-def _build_cell(cell: str):
-    """One preloaded engine plus its insert stream for cell ``cell``."""
+def _build_cell(obs):
+    """One preloaded engine plus its insert stream, observed by ``obs``:
+    the preload goes through a maintainer, the timed stream straight
+    into its engine."""
     setup = setup_query("QY", FIG_SCALE, seed=3)
-    engine = build_engine(setup, "sjoin-opt", seed=17,
-                          **_cell_kwargs(cell))
-    StreamPlayer(engine).run(setup.preload)
-    return engine, [(event.alias, event.row) for event in setup.stream]
+    maintainer = build_maintainer(setup, "sjoin-opt", seed=17, obs=obs)
+    StreamPlayer(maintainer).run(setup.preload)
+    return maintainer.engine, [(event.alias, event.row)
+                               for event in setup.stream]
 
 
 def _median(values):
@@ -143,7 +148,7 @@ def _interleaved_pass(order):
     Returns ``(ops, elapsed)`` with per-cell elapsed seconds for the
     identical stream.
     """
-    cells = {cell: _build_cell(cell) for cell in order}
+    cells = {cell: _build_cell(_cell_obs(cell)) for cell in order}
     streams = {len(items) for _, items in cells.values()}
     # identical stream in every cell: ratios compare pure overhead
     assert len(streams) == 1
@@ -167,7 +172,7 @@ def _interleaved_pass(order):
             for cell in rotation:
                 engine = cells[cell][0]
                 started = time.perf_counter()
-                engine.insert_run(chunk)
+                _insert_run(engine, chunk)
                 elapsed[cell] += time.perf_counter() - started
     finally:
         gc.enable()

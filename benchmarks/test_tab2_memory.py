@@ -10,7 +10,7 @@ vertex consolidation) is what the table claims.
 
 import pytest
 
-from conftest import build_engine, as_benchmark_report, results
+from conftest import as_benchmark_report, build_maintainer, results
 from repro.bench.memory import engine_memory_bytes
 from repro.bench.reporting import format_table, human_bytes
 from repro.datagen.linear_road import LinearRoadConfig, setup_qb
@@ -40,13 +40,13 @@ ROWS = (
 def run_row(row: str, algo: str) -> int:
     if row.startswith("QB"):
         setup = setup_qb(300, QB_CONFIG, seed=0)
-        engine = build_engine(setup, algo)
-        StreamPlayer(engine).run(setup.events)
-        return engine_memory_bytes(engine)
+        maintainer = build_maintainer(setup, algo)
+        StreamPlayer(maintainer).run(setup.events)
+        return engine_memory_bytes(maintainer.engine)
     name = row[:2]
     setup = setup_query(name, SCALE, seed=0)
-    engine = build_engine(setup, algo)
-    player = StreamPlayer(engine)
+    maintainer = build_maintainer(setup, algo)
+    player = StreamPlayer(maintainer)
     player.run(setup.preload)
     if "deletion" in row:
         inserts = [e for e in setup.stream if isinstance(e, Insert)]
@@ -56,10 +56,10 @@ def run_row(row: str, algo: str) -> int:
         )
         # cap SJ's deletion pain for the memory measurement
         from repro.bench.harness import run_stream
-        run_stream(engine, events, time_budget=20.0)
+        run_stream(maintainer, events, time_budget=20.0)
     else:
         player.run(setup.stream)
-    return engine_memory_bytes(engine)
+    return engine_memory_bytes(maintainer.engine)
 
 
 @pytest.mark.parametrize("row", ROWS)

@@ -1,4 +1,4 @@
-"""Drive an engine through an update stream and record throughput.
+"""Drive a maintainer through an update stream and record throughput.
 
 The unit of measurement is one insert or delete *operation* (the paper's
 "insertions or deletions performed per second").  ``run_stream`` plays the
@@ -73,22 +73,21 @@ class BenchRun:
 
 
 def run_stream(
-    engine,
+    maintainer,
     events: Sequence[UpdateEvent],
     workload: str = "",
     checkpoint_every: int = 1000,
     synopsis_every: Optional[int] = None,
     time_budget: Optional[float] = None,
 ) -> BenchRun:
-    """Play ``events`` against ``engine`` and measure throughput.
-
-    ``engine`` is anything with ``insert``/``delete`` (both engines and the
-    maintainer facade qualify); when it also has ``total_results`` /
-    ``synopsis_results``, checkpoints record synopsis statistics.
-    """
-    player = StreamPlayer(engine)
+    """Play ``events`` through ``maintainer.apply_batch`` (a
+    :class:`~repro.core.maintainer.JoinSynopsisMaintainer`) and measure
+    throughput; checkpoints record ``J`` and the engine's sample count,
+    and the run ends with the engine's metrics snapshot."""
+    player = StreamPlayer(maintainer)
+    engine = maintainer.engine
     run = BenchRun(
-        engine=getattr(engine, "name", type(engine).__name__),
+        engine=maintainer.algorithm,
         workload=workload,
         planned_operations=count_operations(events),
     )
@@ -102,8 +101,7 @@ def run_stream(
         window_ops += done
         if next_synopsis is not None and run.operations >= next_synopsis:
             next_synopsis += synopsis_every
-            if hasattr(engine, "synopsis_results"):
-                engine.synopsis_results()
+            maintainer.synopsis()
         if window_ops >= checkpoint_every:
             now = time.perf_counter()
             span = max(now - window_started, 1e-9)
@@ -112,14 +110,8 @@ def run_stream(
                 progress=run.operations / max(run.planned_operations, 1),
                 instant_throughput=window_ops / span,
                 elapsed=now - started,
-                total_results=(
-                    engine.total_results()
-                    if hasattr(engine, "total_results") else None
-                ),
-                synopsis_size=(
-                    len(engine.raw_samples())
-                    if hasattr(engine, "raw_samples") else None
-                ),
+                total_results=maintainer.total_results(),
+                synopsis_size=len(engine.raw_samples()),
             ))
             window_started = now
             window_ops = 0
@@ -127,6 +119,5 @@ def run_stream(
                 run.aborted = True
                 break
     run.elapsed = time.perf_counter() - started
-    if hasattr(engine, "metrics_snapshot"):
-        run.metrics = engine.metrics_snapshot()
+    run.metrics = engine.metrics_snapshot()
     return run

@@ -77,7 +77,7 @@ from typing import Optional, Tuple
 
 from repro.bench.harness import run_stream
 from repro.bench.reporting import format_series, format_table
-from repro.core import (MaintainerConfig, SJoinEngine, SymmetricJoinEngine,
+from repro.core import (JoinSynopsisMaintainer, MaintainerConfig,
                         SynopsisManager, SynopsisSpec)
 from repro.datagen.linear_road import LinearRoadConfig, setup_qb
 from repro.datagen.tpcds import TpcdsScale, setup_query
@@ -85,7 +85,6 @@ from repro.datagen.workload import Insert, StreamPlayer, \
     interleave_deletions
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.query.parser import parse_query
 
 
 def parse_synopsis(text: str) -> SynopsisSpec:
@@ -149,34 +148,27 @@ def parse_scale(text: str) -> TpcdsScale:
     return presets[text]()
 
 
-def build_engine(db, sql, algorithm, spec, seed, explain=False, obs=None):
-    """Construct the engine named by ``algorithm`` over ``db``/``sql``.
-
-    ``obs`` is an optional :class:`~repro.obs.MetricsRegistry`; the engine
-    records the :mod:`repro.obs.names` catalogue into it.
-    """
-    query = parse_query(sql, db)
-    if algorithm == "sj":
-        engine = SymmetricJoinEngine(db, query, spec, seed=seed, obs=obs)
-    else:
-        engine = SJoinEngine(db, query, spec,
-                             fk_optimize=(algorithm == "sjoin-opt"),
-                             seed=seed, obs=obs)
-    if explain and hasattr(engine, "plan"):
+def _play(args, setup, preload, events, algorithm, obs):
+    """One maintainer over ``setup`` (its plan printed first under
+    ``--explain``), ``preload`` applied untimed, ``events`` through
+    :func:`run_stream`; returns the BenchRun."""
+    maintainer = JoinSynopsisMaintainer(setup.db, setup.sql, MaintainerConfig(
+        spec=parse_synopsis(args.synopsis), engine=algorithm,
+        seed=args.seed, obs=obs))
+    if args.explain:
         from repro.query.explain import explain_plan
-        print(explain_plan(engine.plan))
+        print(explain_plan(maintainer.engine.plan))
         print()
-    return engine
+    StreamPlayer(maintainer).run(preload)
+    return run_stream(maintainer, events,
+                      workload=f"{setup.name}/{algorithm}",
+                      checkpoint_every=args.checkpoint,
+                      time_budget=args.budget)
 
 
 def run_tpcds(args, algorithm: Optional[str] = None, obs=None):
     """Run one TPC-DS-like workload (QX/QY/QZ) and return the BenchRun."""
-    algorithm = algorithm or args.algorithm
     setup = setup_query(args.query, parse_scale(args.scale), seed=args.seed)
-    engine = build_engine(setup.db, setup.sql, algorithm,
-                          parse_synopsis(args.synopsis), args.seed,
-                          explain=getattr(args, "explain", False), obs=obs)
-    StreamPlayer(engine).run(setup.preload)
     events = setup.stream
     if args.deletions:
         inserts = [e for e in events if isinstance(e, Insert)]
@@ -184,23 +176,16 @@ def run_tpcds(args, algorithm: Optional[str] = None, obs=None):
             inserts, delete_every={"ss": 300, "c2": 50},
             delete_count={"ss": 60, "c2": 10},
         )
-    return run_stream(engine, events, workload=f"{args.query}/{algorithm}",
-                      checkpoint_every=args.checkpoint,
-                      time_budget=args.budget)
+    return _play(args, setup, setup.preload, events,
+                 algorithm or args.algorithm, obs)
 
 
 def run_linear_road(args, algorithm: Optional[str] = None, obs=None):
     """Run the QB band-join workload and return the BenchRun."""
-    algorithm = algorithm or args.algorithm
     config = LinearRoadConfig(cars_per_lane=args.cars, ticks=args.ticks)
     setup = setup_qb(args.d, config, seed=args.seed)
-    engine = build_engine(setup.db, setup.sql, algorithm,
-                          parse_synopsis(args.synopsis), args.seed,
-                          explain=getattr(args, "explain", False), obs=obs)
-    return run_stream(engine, setup.events,
-                      workload=f"QB(d={args.d})/{algorithm}",
-                      checkpoint_every=args.checkpoint,
-                      time_budget=args.budget)
+    return _play(args, setup, [], setup.events,
+                 algorithm or args.algorithm, obs)
 
 
 def _run_workload(args, algorithm: Optional[str] = None, obs=None):

@@ -1,7 +1,6 @@
-"""An open run of insertions: the engine surface every caller that
-holds many tuples feeds (``maintainer.apply_batch``, the manager's
-fan-out and backfill, and — as runs of one — ``engine.insert`` /
-``engine.notify_insert``).
+"""An open run of insertions: an engine's one way in for inserts
+(``maintainer.apply_batch``, the manager's fan-out and backfill; a lone
+insert is a run of one).
 
 The contract is failure parity with per-op application.  Everything
 about an entry that can refuse it — an unknown alias, the schema check,

@@ -192,9 +192,10 @@ class JoinSynopsisMaintainer:
                 while j < n and isinstance(ops[j], InsertOp):
                     j += 1
                 run = ops[i:j]
-                items = [(o.target, o.row) for o in run]
                 t0 = obs.clock()
-                tids.extend(engine.insert_run(items))
+                with engine.open_insert_run() as engine_run:
+                    insert = engine_run.insert
+                    tids.extend([insert(o.target, o.row) for o in run])
                 if obs_on:
                     elapsed = obs.clock() - t0
                     # attribute the run's wall time to each table it
@@ -213,13 +214,12 @@ class JoinSynopsisMaintainer:
                 while j < n and isinstance(ops[j], DeleteOp) \
                         and ops[j].target == target:
                     j += 1
-                doomed = [o.tid for o in ops[i:j]]
                 if obs_on:
                     with obs.timer(metric_names.table_delete_ns(target)):
-                        engine.delete_batch(target, doomed)
+                        self._delete_run(target, ops[i:j])
                 else:
-                    engine.delete_batch(target, doomed)
-                tids.extend([None] * len(doomed))
+                    self._delete_run(target, ops[i:j])
+                tids.extend([None] * (j - i))
                 i = j
             else:
                 raise SynopsisError(
@@ -227,6 +227,17 @@ class JoinSynopsisMaintainer:
                     "InsertOp or DeleteOp"
                 )
         return BatchResult(ops, tids, time.perf_counter_ns() - started)
+
+    def _delete_run(self, alias: str, ops: List[DeleteOp]) -> None:
+        """One engine delete run over a same-alias stretch: each row is
+        read, unregistered, then tombstoned in the heap, in op order."""
+        engine = self.engine
+        table = engine._routes[alias][0]    # the typed unknown-alias error
+        with engine.delete_run(alias, len(ops)) as unregister:
+            for op in ops:
+                tid = op.tid
+                unregister(tid, table.get(tid))
+                table.delete(tid)
 
     def insert(self, alias: str, row: Sequence[object]) -> int:
         """Insert a row into range table ``alias``; returns its TID

@@ -28,7 +28,6 @@ import random
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
 from typing import (Dict, Iterable, List, Optional, Protocol, Sequence,
                     Tuple, Union)
 
@@ -201,9 +200,6 @@ class SynopsisManager:
         # anchor tuple references them, so aliases are backfilled in
         # dependency order: members, then direct nodes, then anchors.
         def backfill_rank(alias: str) -> int:
-            route = getattr(maintainer.engine, "plan", None)
-            if route is None:
-                return 1
             kind = maintainer.engine.plan.routes[alias].kind
             return {"member": 0, "direct": 1, "anchor": 2}[kind]
 
@@ -428,14 +424,16 @@ class SynopsisManager:
         that a registration referencing the table under one alias keeps
         one engine ``delete_run`` open across the rows; a query naming
         the table under several aliases deletes on several plan nodes in
-        turn, which no single open run can cover, and is notified per
-        row.
+        turn, which no single open run can cover, and opens a run of one
+        per row and alias.
         """
         obs = self.obs
         table = self.db.table(table_name)
         first = len(tids)
         with obs.timer(metric_names.manager_delete_ns(table_name)), \
                 ExitStack() as runs:
+            # (registration, alias, the open run's unregister, or None:
+            # a run of one per row)
             notifiers = []
             for registration in self._registrations.values():
                 aliases = registration.aliases_of.get(table_name, ())
@@ -445,16 +443,19 @@ class SynopsisManager:
                                       runs.enter_context(engine.delete_run(
                                           aliases[0], len(doomed)))))
                 else:
-                    notifiers.extend(
-                        (registration, alias,
-                         partial(engine.notify_delete, alias))
-                        for alias in aliases)
+                    notifiers.extend((registration, alias, None)
+                                     for alias in aliases)
             try:
                 for tid in doomed:
                     row = table.get(tid)
-                    for registration, alias, notify in notifiers:
+                    for registration, alias, unregister in notifiers:
                         try:
-                            notify(tid, row)
+                            if unregister is not None:
+                                unregister(tid, row)
+                            else:
+                                with registration.maintainer.engine \
+                                        .delete_run(alias) as one:
+                                    one(tid, row)
                         except ReproError as exc:
                             raise SynopsisError(
                                 f"registered query {registration.name!r} "

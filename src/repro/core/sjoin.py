@@ -285,36 +285,8 @@ class SJoinEngine:
         self._phase_clock = self.obs.clock if self.obs.enabled else None
 
     # ------------------------------------------------------------------
-    # updates
+    # updates: the paper's two operations, each performed as a run
     # ------------------------------------------------------------------
-    def insert(self, alias: str, row: Sequence[object]) -> int:
-        """Insert ``row`` into range table ``alias``; returns its TID.
-
-        Returns -1 when the row was rejected by a single-table pre-filter
-        (it never enters the range table, §5.1).  A run of one.
-        """
-        with _InsertRun(self) as run:
-            return run.insert(alias, row)
-
-    def insert_run(self, items: Sequence[Tuple[str, Sequence[object]]]
-                   ) -> List[int]:
-        """Insert a run of ``(alias, row)`` pairs spanning range tables;
-        returns one TID per pair (-1 for rows a pre-filter rejected).
-        Bit-identical to per-op application, failures included: see
-        :meth:`open_insert_run`."""
-        with _InsertRun(self) as run:
-            insert = run.insert
-            return [insert(alias, row) for alias, row in items]
-
-    def notify_insert(self, alias: str, tid: int,
-                      row: Sequence[object]) -> bool:
-        """Register an externally-stored tuple (multi-query sharing: the
-        :class:`~repro.core.manager.SynopsisManager` owns the heap insert).
-        Returns False when a pre-filter rejected the row.  A run of
-        one."""
-        with _InsertRun(self) as run:
-            return run.notify(alias, tid, row)
-
     def open_insert_run(self) -> "_InsertRun":
         """Open a run of insertions spanning range tables: a context
         manager whose ``insert(alias, row) -> tid`` stores and registers
@@ -338,36 +310,12 @@ class SJoinEngine:
         """
         return _InsertRun(self)
 
-    def delete(self, alias: str, tid: int) -> None:
-        """Delete the tuple identified by ``tid`` from range table
-        ``alias``, updating graph and synopsis first (§5.3).  A run of
-        one."""
-        self.delete_batch(alias, (tid,))
-
-    def delete_batch(self, alias: str, tids: Sequence[int]) -> None:
-        """Delete a run of tuples from one range table.
-
-        Bit-identical to calling :meth:`delete` per TID, failures
-        included (the run stops at the first TID that is not live, with
-        everything before it applied): see :meth:`delete_run`."""
-        table = self._routes[alias][0]
-        with self.delete_run(alias, len(tids)) as unregister:
-            for tid in tids:
-                unregister(tid, table.get(tid))
-                table.delete(tid)
-
-    def notify_delete(self, alias: str, tid: int,
-                      row: Sequence[object]) -> bool:
-        """Unregister an externally-deleted tuple (the caller tombstones
-        the heap row afterwards).  Returns False when the tuple had been
-        rejected by a pre-filter and so was never registered."""
-        with self.delete_run(alias) as unregister:
-            return unregister(tid, row)
-
     def delete_run(self, alias: str, size: int = 1) -> _DeleteRun:
         """Open a run of ``size`` consecutive deletions from range table
         ``alias``: a context manager that hands out ``unregister(tid,
         row) -> bool`` (False: the row never passed the pre-filter).
+        The caller owns the heap: it reads the row before and tombstones
+        it after each ``unregister``.
 
         Every entry is handled completely and in op order — the anchor
         route's ``disassemble``, the tuple's own vertex, ``J``, the

@@ -159,26 +159,8 @@ class SymmetricJoinEngine:
                 self.plan.nodes[node_idx].alias)
 
     # ------------------------------------------------------------------
-    # updates
+    # updates: the same two run surfaces as SJoinEngine
     # ------------------------------------------------------------------
-    def insert(self, alias: str, row: Sequence[object]) -> int:
-        with _InsertRun(self) as run:
-            return run.insert(alias, row)
-
-    def insert_run(self, items: Sequence[Tuple[str, Sequence[object]]]
-                   ) -> List[int]:
-        """Insert a run of ``(alias, row)`` pairs spanning range tables
-        (see SJoinEngine)."""
-        with _InsertRun(self) as run:
-            insert = run.insert
-            return [insert(alias, row) for alias, row in items]
-
-    def notify_insert(self, alias: str, tid: int,
-                      row: Sequence[object]) -> bool:
-        """Register an externally-stored tuple (see SJoinEngine)."""
-        with _InsertRun(self) as run:
-            return run.notify(alias, tid, row)
-
     def open_insert_run(self) -> "_InsertRun":
         """The run surface of :meth:`SJoinEngine.open_insert_run`.  SJ
         has nothing to defer — every insert must enumerate its own delta
@@ -187,24 +169,6 @@ class SymmetricJoinEngine:
         ``engine.insert_ns`` observation, the phases summed) per maximal
         same-alias segment."""
         return _InsertRun(self)
-
-    def delete(self, alias: str, tid: int) -> None:
-        self.delete_batch(alias, (tid,))
-
-    def delete_batch(self, alias: str, tids: Sequence[int]) -> None:
-        """Delete a run of tuples from one range table (see
-        SJoinEngine)."""
-        table = self._routes[alias][0]
-        with self.delete_run(alias, len(tids)) as unregister:
-            for tid in tids:
-                unregister(tid, table.get(tid))
-                table.delete(tid)
-
-    def notify_delete(self, alias: str, tid: int,
-                      row: Sequence[object]) -> bool:
-        """Unregister an externally-deleted tuple (see SJoinEngine)."""
-        with self.delete_run(alias) as unregister:
-            return unregister(tid, row)
 
     @contextmanager
     def delete_run(self, alias: str, size: int = 1

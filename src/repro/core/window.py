@@ -75,16 +75,17 @@ class SlidingWindowMaintainer:
     # ------------------------------------------------------------------
     def insert(self, alias: str, row: Sequence[object]) -> int:
         """Insert a row; its timestamp advances the watermark and expires
-        every tuple that fell out of the window."""
-        tid = self._inner.insert(alias, row)
+        every tuple that fell out of the window.  An out-of-order
+        timestamp is refused before anything is stored."""
         if alias not in self._ts_position:
-            return tid
+            return self._inner.insert(alias, row)
         ts = row[self._ts_position[alias]]
         last = self._last_ts.get(alias)
         if last is not None and ts < last:
             raise SynopsisError(
                 f"out-of-order timestamp on {alias}: {ts} after {last}"
             )
+        tid = self._inner.insert(alias, row)
         self._last_ts[alias] = ts
         if tid >= 0:
             self._pending[alias].append((ts, tid))

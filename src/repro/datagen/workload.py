@@ -7,10 +7,10 @@ Benchmarks and integration tests express workloads as flat event lists:
   an alias (the paper's deletion policy in §7.3 and the Linear Road
   sliding window).
 
-:class:`StreamPlayer` executes a stream against any engine exposing the
-``insert(alias, row) -> tid`` / ``delete(alias, tid)`` interface (and
-``delete_batch(alias, tids)`` where there is one), keeping the per-alias
-FIFO needed to resolve ``DeleteOldest``.
+:class:`StreamPlayer` executes a stream through a target's
+``apply_batch`` — a :class:`~repro.core.maintainer.JoinSynopsisMaintainer`
+(events name aliases) or a manager stack (events name base tables) —
+keeping the per-alias FIFO needed to resolve ``DeleteOldest``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Union
+
+from repro.core.stats_api import DeleteOp, InsertOp
 
 
 @dataclass(frozen=True)
@@ -47,33 +49,32 @@ def count_operations(events: Iterable[UpdateEvent]) -> int:
 
 
 class StreamPlayer:
-    """Drive an engine through a stream of update events."""
+    """Drive a target through a stream of update events: an
+    :class:`Insert` is a batch of one, a :class:`DeleteOldest` one batch
+    of deletes (one delete run per table, §5.3)."""
 
-    def __init__(self, engine):
-        self.engine = engine
+    def __init__(self, target):
+        self.target = target
         self._fifo: Dict[str, Deque[int]] = {}
         self.operations = 0
 
     def apply(self, event: UpdateEvent) -> int:
         """Apply one event; returns the number of operations performed."""
+        alias = event.alias
         if isinstance(event, Insert):
-            tid = self.engine.insert(event.alias, event.row)
+            tid = self.target.apply_batch(
+                [InsertOp(alias, event.row)]).tids[0]
             if tid >= 0:
-                self._fifo.setdefault(event.alias, deque()).append(tid)
+                self._fifo.setdefault(alias, deque()).append(tid)
             self.operations += 1
             return 1
-        fifo = self._fifo.get(event.alias) or ()
-        tids = [fifo.popleft() for _ in range(min(event.count, len(fifo)))]
-        # an engine takes the oldest ``count`` as one delete run (§5.3);
-        # anything else driven here is told one TID at a time
-        delete_batch = getattr(self.engine, "delete_batch", None)
-        if delete_batch is not None and tids:
-            delete_batch(event.alias, tids)
-        else:
-            for tid in tids:
-                self.engine.delete(event.alias, tid)
-        self.operations += len(tids)
-        return len(tids)
+        fifo = self._fifo.get(alias) or ()
+        doomed = [DeleteOp(alias, fifo.popleft())
+                  for _ in range(min(event.count, len(fifo)))]
+        if doomed:
+            self.target.apply_batch(doomed)
+        self.operations += len(doomed)
+        return len(doomed)
 
     def run(self, events: Iterable[UpdateEvent]) -> int:
         total = 0

@@ -41,6 +41,22 @@ def single_query(db: Database, sql, config=None, name: str = QUERY):
     return manager, manager.register(name, sql, config)
 
 
+def engine_insert(engine, alias: str, row) -> int:
+    """One row into a bare engine: an insert run of one; the TID, -1
+    when a pre-filter rejected the row."""
+    with engine.open_insert_run() as run:
+        return run.insert(alias, row)
+
+
+def engine_delete(engine, alias: str, tid: int) -> None:
+    """One stored tuple out of a bare engine: a delete run of one, the
+    heap tombstone after the unregister."""
+    with engine.delete_run(alias) as unregister:
+        table = engine._routes[alias][0]
+        unregister(tid, table.get(tid))
+        table.delete(tid)
+
+
 def as_written_by_3_0(payload: dict) -> None:
     """Rewrite a fresh snapshot payload into what 3.0 wrote: format
     version 2, every query's state naming its ``index_backend``."""

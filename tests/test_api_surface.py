@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "7.0.0"
+    assert repro.__version__ == "8.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -320,6 +320,23 @@ def test_removed_in_7_0_names_are_absent():
                  "events_payload", "metrics_snapshot", "exposition"):
         assert name not in vars(FollowerService), name
         assert getattr(FollowerService, name) is getattr(ReadHalf, name)
+
+
+def test_one_way_into_an_engine():
+    """8.0: an engine's update surface is its two run surfaces — an
+    insert run and a delete run — and the CLI builds maintainers, not
+    engines (CHANGELOG.md has the removed -> replacement table)."""
+    from repro import cli
+    from repro.core.sjoin import SJoinEngine
+    from repro.core.symmetric_join import SymmetricJoinEngine
+
+    for cls in (SJoinEngine, SymmetricJoinEngine):
+        for name in ("insert", "insert_run", "notify_insert",
+                     "delete", "delete_batch", "notify_delete"):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+        assert callable(cls.open_insert_run), cls
+        assert callable(cls.delete_run), cls
+    assert not hasattr(cli, "build_engine")
 
 
 def test_one_declared_target_shape(tmp_path):

@@ -3,11 +3,10 @@
 from repro import (
     Column,
     Database,
-    SJoinEngine,
-    SymmetricJoinEngine,
+    JoinSynopsisMaintainer,
+    MaintainerConfig,
     SynopsisSpec,
     TableSchema,
-    parse_query,
 )
 from repro.bench.harness import run_stream
 from repro.bench.memory import deep_size_bytes, engine_memory_bytes
@@ -21,12 +20,13 @@ from repro.bench.reporting import (
 from repro.datagen.workload import DeleteOldest, Insert
 
 
-def tiny_engine(cls=SJoinEngine, **kwargs):
+def tiny_maintainer(engine="sjoin"):
     db = Database()
     db.create_table(TableSchema("r", [Column("a"), Column("b")]))
     db.create_table(TableSchema("s", [Column("a"), Column("b")]))
-    query = parse_query("SELECT * FROM r, s WHERE r.a = s.a", db)
-    return cls(db, query, SynopsisSpec.fixed_size(5), seed=0, **kwargs)
+    return JoinSynopsisMaintainer(
+        db, "SELECT * FROM r, s WHERE r.a = s.a", MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(5), engine=engine, seed=0))
 
 
 def tiny_events(n=60):
@@ -41,8 +41,8 @@ def tiny_events(n=60):
 
 class TestRunStream:
     def test_run_completes_and_checkpoints(self):
-        engine = tiny_engine()
-        run = run_stream(engine, tiny_events(), workload="tiny",
+        maintainer = tiny_maintainer()
+        run = run_stream(maintainer, tiny_events(), workload="tiny",
                          checkpoint_every=20)
         assert not run.aborted
         assert run.operations == run.planned_operations
@@ -54,21 +54,21 @@ class TestRunStream:
         assert 0 < first.progress <= 1
 
     def test_time_budget_aborts(self):
-        engine = tiny_engine()
-        run = run_stream(engine, tiny_events(500), workload="tiny",
+        maintainer = tiny_maintainer()
+        run = run_stream(maintainer, tiny_events(500), workload="tiny",
                          checkpoint_every=10, time_budget=0.0)
         assert run.aborted
         assert run.operations < run.planned_operations
 
     def test_synopsis_requests_simulated(self):
-        engine = tiny_engine()
-        run = run_stream(engine, tiny_events(), checkpoint_every=50,
+        maintainer = tiny_maintainer()
+        run = run_stream(maintainer, tiny_events(), checkpoint_every=50,
                          synopsis_every=25)
         assert run.operations > 0
 
     def test_summary_readable(self):
-        engine = tiny_engine()
-        run = run_stream(engine, tiny_events(), workload="tiny")
+        maintainer = tiny_maintainer()
+        run = run_stream(maintainer, tiny_events(), workload="tiny")
         line = run.summary()
         assert "tiny" in line and "ops" in line
 
@@ -88,18 +88,18 @@ class TestMemory:
         assert deep_size_bytes(v) > 0
 
     def test_engine_memory_grows_with_data(self):
-        engine = tiny_engine()
-        empty = engine_memory_bytes(engine)
+        maintainer = tiny_maintainer()
+        empty = engine_memory_bytes(maintainer.engine)
         for i in range(200):
-            engine.insert("r", (i % 10, i))
-            engine.insert("s", (i % 10, i))
-        assert engine_memory_bytes(engine) > empty
+            maintainer.insert("r", (i % 10, i))
+            maintainer.insert("s", (i % 10, i))
+        assert engine_memory_bytes(maintainer.engine) > empty
 
     def test_sj_memory_measured_too(self):
-        engine = tiny_engine(cls=SymmetricJoinEngine)
+        maintainer = tiny_maintainer(engine="sj")
         for i in range(50):
-            engine.insert("r", (i % 5, i))
-        assert engine_memory_bytes(engine) > 0
+            maintainer.insert("r", (i % 5, i))
+        assert engine_memory_bytes(maintainer.engine) > 0
 
 
 class TestReporting:
@@ -125,8 +125,8 @@ class TestReporting:
         assert human_bytes(3 * 1024**3) == "3.0 GB"
 
     def test_throughput_series_extraction(self):
-        engine = tiny_engine()
-        run = run_stream(engine, tiny_events(), checkpoint_every=20)
+        maintainer = tiny_maintainer()
+        run = run_stream(maintainer, tiny_events(), checkpoint_every=20)
         series = throughput_series(run)
         assert len(series["progress"]) == len(series["throughput"])
         assert series["progress"] == sorted(series["progress"])

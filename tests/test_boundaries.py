@@ -8,13 +8,15 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.harness import BenchRun, run_stream
 from repro.sampling.reservoir import VitterSkipSampler
 
-from conftest import chi_square_threshold
+from conftest import (
+    chi_square_threshold, engine_delete, engine_insert)
 
 
 class TestVitterThreshold:
@@ -58,11 +60,11 @@ class TestVitterThreshold:
 class TestHarnessEdges:
     def test_empty_stream(self):
         class Dummy:
-            def insert(self, alias, row):
-                return 0
+            algorithm = "dummy"
+            engine = SimpleNamespace(metrics_snapshot=dict)
 
-            def delete(self, alias, tid):
-                pass
+            def apply_batch(self, ops):  # pragma: no cover
+                raise AssertionError("nothing to apply")
 
         run = run_stream(Dummy(), [], workload="empty")
         assert run.operations == 0
@@ -89,12 +91,12 @@ class TestRebuildBoundary:
         engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(4), seed=0)
         # J = 8 results, m = 4: exactly the m >= J/2 regime (2m >= J)
         for i in range(8):
-            engine.insert("r", (i, i))
-            engine.insert("s", (i, i))
+            engine_insert(engine, "r", (i, i))
+            engine_insert(engine, "s", (i, i))
         assert engine.total_results() == 8
         before = engine.stats.rebuilds
         victim = engine.raw_samples()[0]
-        engine.delete("r", victim[0])
+        engine_delete(engine, "r", victim[0])
         assert engine.stats.rebuilds == before + 1
         assert engine.stats.redraws == 0
         assert len(engine.raw_samples()) == 4
@@ -110,11 +112,11 @@ class TestRebuildBoundary:
         engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(3), seed=0)
         # J = 40 >> 2m = 6: rejection re-draws, no rebuild
         for i in range(40):
-            engine.insert("r", (i, i))
-            engine.insert("s", (i, i))
+            engine_insert(engine, "r", (i, i))
+            engine_insert(engine, "s", (i, i))
         victim = engine.raw_samples()[0]
         before_rebuilds = engine.stats.rebuilds
-        engine.delete("r", victim[0])
+        engine_delete(engine, "r", victim[0])
         assert engine.stats.rebuilds == before_rebuilds
         assert engine.stats.redraws >= 1
         assert len(engine.raw_samples()) == 3

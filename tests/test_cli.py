@@ -99,6 +99,51 @@ class TestEndToEnd:
         assert metrics["synopsis.total_results"]["value"] > 0
 
 
+TINY_QY = ["--query", "QY", "--scale", "tiny", "--synopsis", "fixed:20",
+           "--checkpoint", "100"]
+
+
+@pytest.mark.parametrize("algorithm", ["sjoin-opt", "sjoin", "sj"])
+class TestEngineCommandsOnEveryAlgorithm:
+    """``tpcds`` / ``stats`` / ``metrics`` drive one maintainer; every
+    algorithm answers with the same output shape."""
+
+    def test_stats_json_keys_and_insert_phase(self, algorithm, capsys):
+        import json
+
+        assert main(["stats", *TINY_QY, "--algorithm", algorithm,
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"engine", "workload", "operations",
+                                "elapsed_sec", "aborted", "metrics"}
+        assert payload["engine"] == algorithm
+        assert payload["workload"] == f"QY/{algorithm}"
+        # SJ enumerates its delta join where SJoin propagates weights
+        phase = ("engine.insert.enumerate_ns" if algorithm == "sj"
+                 else "engine.insert.graph_ns")
+        assert payload["metrics"][phase]["count"] > 0
+
+    def test_metrics_exposition(self, algorithm, capsys):
+        assert main(["metrics", *TINY_QY, "--algorithm", algorithm]) == 0
+        assert "# TYPE repro_engine_insert_ns histogram" in \
+            capsys.readouterr().out
+
+    def test_tpcds_explain_prints_the_plan(self, algorithm, capsys):
+        assert main(["tpcds", *TINY_QY, "--algorithm", algorithm,
+                     "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("plan for: SELECT")
+        assert "plan nodes" in out and f"QY/{algorithm}" in out
+
+
+def test_compare_prints_one_row_per_algorithm(capsys):
+    assert main(["compare", *TINY_QY]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split("|")[0].strip() for row in rows] == \
+        ["sjoin-opt", "sjoin", "sj"]
+    assert all(row.rstrip().endswith("done") for row in rows)
+
+
 class TestServe:
     def test_parser_defaults(self):
         args = make_parser().parse_args(["serve"])

@@ -15,6 +15,8 @@ from repro import (
     parse_query,
 )
 
+from conftest import engine_insert
+
 
 def duplicate_heavy_db():
     """Few distinct join values, many tuples per value: the many-to-many
@@ -40,8 +42,8 @@ def test_sjoin_visits_far_fewer_vertices_than_sj_touches_tuples():
     rows = [(rng.randrange(2), rng.randrange(2)) for _ in range(120)]
     for alias in ("r", "s", "t"):
         for row in rows:
-            sjoin.insert(alias, row)
-            sj.insert(alias, row)
+            engine_insert(sjoin, alias, row)
+            engine_insert(sj, alias, row)
     assert sjoin.total_results() == sj.total_results() > 10_000
     vertices = sjoin.graph.stats.vertices_visited
     tuples = sj.stats.tuples_accessed
@@ -60,7 +62,7 @@ def test_sjoin_vertex_work_scales_with_distinct_values_not_tuples():
         rows = [(rng.randrange(3), rng.randrange(3)) for _ in range(30)]
         for alias in ("r", "s", "t"):
             for row in rows * copies:
-                engine.insert(alias, row)
+                engine_insert(engine, alias, row)
         inserts = engine.stats.inserts
         return engine.graph.stats.vertices_visited / inserts
 
@@ -82,9 +84,9 @@ def test_sj_tuple_work_scales_with_join_fanout():
         engine = SymmetricJoinEngine(db, q, SynopsisSpec.fixed_size(5),
                                      seed=0)
         for i in range(n):
-            engine.insert("s", (1,))
+            engine_insert(engine, "s", (1,))
         before = engine.stats.tuples_accessed
-        engine.insert("r", (1,))
+        engine_insert(engine, "r", (1,))
         return engine.stats.tuples_accessed - before
 
     assert run(40) == 40

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.stats_api import BatchResult, DeleteOp, InsertOp
 from repro.datagen.linear_road import (
     LinearRoadConfig,
     LinearRoadGenerator,
@@ -126,11 +127,16 @@ class TestLinearRoad:
             def __init__(self, db):
                 self.db = db
 
-            def insert(self, alias, row):
-                return self.db.insert(f"lane{alias[-1]}", row)
-
-            def delete(self, alias, tid):
-                self.db.delete(f"lane{alias[-1]}", tid)
+            def apply_batch(self, ops):
+                tids = []
+                for op in ops:
+                    table = f"lane{op.target[-1]}"
+                    if isinstance(op, InsertOp):
+                        tids.append(self.db.insert(table, op.row))
+                    else:
+                        self.db.delete(table, op.tid)
+                        tids.append(None)
+                return BatchResult(ops, tids)
 
         engine = CountingEngine(setup.db)
         StreamPlayer(engine).run(setup.events)
@@ -168,68 +174,79 @@ class TestWorkloadTools:
     def test_player_fifo_semantics(self):
         class Recorder:
             def __init__(self):
-                self.deleted = []
+                self.batches = []
                 self.next = 0
 
-            def insert(self, alias, row):
-                tid = self.next
-                self.next += 1
-                return tid
-
-            def delete(self, alias, tid):
-                self.deleted.append(tid)
+            def apply_batch(self, ops):
+                self.batches.append(ops)
+                tids = []
+                for op in ops:
+                    if isinstance(op, InsertOp):
+                        tids.append(self.next)
+                        self.next += 1
+                    else:
+                        tids.append(None)
+                return BatchResult(ops, tids)
 
         rec = Recorder()
         player = StreamPlayer(rec)
         player.run([Insert("a", (i,)) for i in range(4)])
         player.apply(DeleteOldest("a", 2))
-        assert rec.deleted == [0, 1]
+        assert rec.batches[-1] == [DeleteOp("a", 0), DeleteOp("a", 1)]
+        assert [len(b) for b in rec.batches] == [1, 1, 1, 1, 2]
         assert player.live_count("a") == 2
 
     def test_player_hands_an_engine_the_oldest_as_one_delete_run(self):
-        """``DeleteOldest(n)`` is one ``delete_batch`` where the engine
-        has one, and the synopsis is that of n lone deletes."""
+        """``DeleteOldest(n)`` is one batch of n deletes — one engine
+        delete run, one ``engine.delete_ns`` observation — and the
+        synopsis, ``J`` and RNG are those of n lone deletes, on every
+        engine."""
         from repro import JoinSynopsisMaintainer, MaintainerConfig, \
-            SynopsisSpec
+            MetricsRegistry, SynopsisSpec
 
         cfg = LinearRoadConfig.tiny()
 
-        def play(per_tid):
+        def play(algorithm, per_op):
             setup = setup_qb(30, cfg, seed=2)
-            engine = JoinSynopsisMaintainer(
+            maintainer = JoinSynopsisMaintainer(
                 setup.db, setup.sql, MaintainerConfig(
-                    spec=SynopsisSpec.fixed_size(10), engine="sjoin",
-                    seed=3)).engine
-            runs = []
-            if per_tid:
-                class PerTid:       # what a player sees without the method
-                    insert, delete = engine.insert, engine.delete
-                driven = PerTid()
-            else:
-                delete_batch = engine.delete_batch
-                engine.delete_batch = lambda alias, tids: (
-                    runs.append(len(tids)), delete_batch(alias, tids))
-                driven = engine
-            assert StreamPlayer(driven).run(setup.events) == \
+                    spec=SynopsisSpec.fixed_size(10), engine=algorithm,
+                    seed=3, obs=MetricsRegistry()))
+            target = maintainer
+            if per_op:
+                class PerOp:        # one apply_batch per op
+                    def apply_batch(self, ops):
+                        for op in ops:
+                            result = maintainer.apply_batch([op])
+                        return result
+                target = PerOp()
+            assert StreamPlayer(target).run(setup.events) == \
                 count_operations(setup.events)
-            return engine, runs
+            runs = maintainer.engine.metrics_snapshot()[
+                "engine.delete_ns"]["count"]
+            return maintainer.engine, runs
 
-        batched, runs = play(per_tid=False)
-        serial, _ = play(per_tid=True)
-        assert runs and set(runs) == {cfg.cars_per_lane}
-        assert batched.raw_samples() == serial.raw_samples()
-        assert batched.total_results() == serial.total_results() > 0
-        assert batched.rng.getstate() == serial.rng.getstate()
-        assert batched.graph.stats.vertices_visited < \
-            serial.graph.stats.vertices_visited
+        events = setup_qb(30, cfg, seed=2).events
+        deletes = [e for e in events if isinstance(e, DeleteOldest)]
+        deleted = count_operations(deletes)
+        for algorithm in ("sjoin-opt", "sjoin", "sj"):
+            batched, runs = play(algorithm, per_op=False)
+            assert runs == len(deletes)
+            serial, serial_runs = play(algorithm, per_op=True)
+            assert serial_runs == deleted > len(deletes)
+            assert batched.raw_samples() == serial.raw_samples()
+            assert batched.total_results() == serial.total_results() > 0
+            assert batched.rng.getstate() == serial.rng.getstate()
+            if algorithm != "sj":
+                assert batched.graph.stats.vertices_visited < \
+                    serial.graph.stats.vertices_visited
 
     def test_player_skips_filtered_inserts(self):
         class Rejecting:
-            def insert(self, alias, row):
-                return -1
-
-            def delete(self, alias, tid):  # pragma: no cover
-                raise AssertionError("nothing to delete")
+            def apply_batch(self, ops):
+                if not all(isinstance(op, InsertOp) for op in ops):
+                    raise AssertionError("nothing to delete")
+                return BatchResult(ops, [-1] * len(ops))
 
         player = StreamPlayer(Rejecting())
         player.apply(Insert("a", (1,)))

@@ -19,6 +19,8 @@ from repro import (
     parse_query,
 )
 
+from conftest import engine_delete, engine_insert
+
 
 class TestSingleTableQuery:
     """n = 1: the synopsis degenerates to plain reservoir sampling over
@@ -85,13 +87,14 @@ class TestFullyCollapsedQuery:
         engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(4),
                              fk_optimize=True, seed=0)
         for d in range(3):
-            engine.insert("dim", (d, d * 10))
-        fact_tids = [engine.insert("fact", (i % 3, i)) for i in range(12)]
+            engine_insert(engine, "dim", (d, d * 10))
+        fact_tids = [engine_insert(engine, "fact", (i % 3, i))
+                     for i in range(12)]
         assert engine.total_results() == 12
         exact = set(JoinExecutor(db, query).results())
         assert set(engine.synopsis_results()) <= exact
         for tid in fact_tids[:10]:
-            engine.delete("fact", tid)
+            engine_delete(engine, "fact", tid)
         assert engine.total_results() == 2
         assert len(engine.synopsis_results()) == 2
 

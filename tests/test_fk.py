@@ -17,6 +17,8 @@ from repro import (
     parse_query,
 )
 
+from conftest import engine_delete, engine_insert
+
 
 def fk_db():
     db = Database()
@@ -45,7 +47,7 @@ class TestRuntime:
     def test_dim_insert_triggers_nothing(self):
         db = fk_db()
         engine = opt_engine(db)
-        engine.insert("dim", (1, 7))
+        engine_insert(engine, "dim", (1, 7))
         assert engine.total_results() == 0
         # combined node's heap is still empty
         combined = engine.plan.node("fact__dim")
@@ -54,9 +56,9 @@ class TestRuntime:
     def test_fact_insert_combines(self):
         db = fk_db()
         engine = opt_engine(db)
-        engine.insert("dim", (1, 7))
-        engine.insert("other", (7, 0))
-        engine.insert("fact", (1, 42))
+        engine_insert(engine, "dim", (1, 7))
+        engine_insert(engine, "other", (7, 0))
+        engine_insert(engine, "fact", (1, 42))
         assert engine.total_results() == 1
         combined = engine.plan.node("fact__dim")
         assert len(combined.table) == 1
@@ -67,40 +69,40 @@ class TestRuntime:
         db = fk_db()
         engine = opt_engine(db)
         with pytest.raises(IntegrityError):
-            engine.insert("fact", (999, 1))
+            engine_insert(engine, "fact", (999, 1))
 
     def test_duplicate_pk_raises(self):
         db = fk_db()
         engine = opt_engine(db)
-        engine.insert("dim", (1, 7))
+        engine_insert(engine, "dim", (1, 7))
         with pytest.raises(IntegrityError):
-            engine.insert("dim", (1, 8))
+            engine_insert(engine, "dim", (1, 8))
 
     def test_delete_referenced_pk_raises(self):
         db = fk_db()
         engine = opt_engine(db)
-        dim_tid = engine.insert("dim", (1, 7))
-        engine.insert("fact", (1, 42))
+        dim_tid = engine_insert(engine, "dim", (1, 7))
+        engine_insert(engine, "fact", (1, 42))
         with pytest.raises(IntegrityError):
-            engine.delete("dim", dim_tid)
+            engine_delete(engine, "dim", dim_tid)
 
     def test_delete_pk_after_facts_gone_ok(self):
         db = fk_db()
         engine = opt_engine(db)
-        dim_tid = engine.insert("dim", (1, 7))
-        fact_tid = engine.insert("fact", (1, 42))
-        engine.delete("fact", fact_tid)
-        engine.delete("dim", dim_tid)  # no error
+        dim_tid = engine_insert(engine, "dim", (1, 7))
+        fact_tid = engine_insert(engine, "fact", (1, 42))
+        engine_delete(engine, "fact", fact_tid)
+        engine_delete(engine, "dim", dim_tid)  # no error
         assert engine.total_results() == 0
 
     def test_fact_delete_removes_results(self):
         db = fk_db()
         engine = opt_engine(db)
-        engine.insert("dim", (1, 7))
-        engine.insert("other", (7, 0))
-        fact_tid = engine.insert("fact", (1, 42))
+        engine_insert(engine, "dim", (1, 7))
+        engine_insert(engine, "other", (7, 0))
+        fact_tid = engine_insert(engine, "fact", (1, 42))
         assert engine.total_results() == 1
-        engine.delete("fact", fact_tid)
+        engine_delete(engine, "fact", fact_tid)
         assert engine.total_results() == 0
 
     def test_filtered_member_drops_silently(self):
@@ -109,19 +111,19 @@ class TestRuntime:
         db = fk_db()
         sql = (FK_SQL + " AND dim.band < 5")
         engine = opt_engine(db, sql)
-        engine.insert("dim", (1, 7))   # filtered out (band >= 5)
-        engine.insert("dim", (2, 3))   # kept
-        engine.insert("other", (3, 0))
-        assert engine.insert("fact", (1, 0)) >= 0  # silently dropped
-        engine.insert("fact", (2, 0))
+        engine_insert(engine, "dim", (1, 7))   # filtered out (band >= 5)
+        engine_insert(engine, "dim", (2, 3))   # kept
+        engine_insert(engine, "other", (3, 0))
+        assert engine_insert(engine, "fact", (1, 0)) >= 0  # silently dropped
+        engine_insert(engine, "fact", (2, 0))
         assert engine.total_results() == 1
 
     def test_results_expand_to_original_tids(self):
         db = fk_db()
         engine = opt_engine(db)
-        engine.insert("dim", (1, 7))
-        engine.insert("other", (7, 5))
-        engine.insert("fact", (1, 42))
+        engine_insert(engine, "dim", (1, 7))
+        engine_insert(engine, "other", (7, 5))
+        engine_insert(engine, "fact", (1, 42))
         (result,) = engine.synopsis_results()
         # original order: fact, dim, other
         assert result == (0, 0, 0)
@@ -149,20 +151,21 @@ class TestEquivalence:
         for i in range(10):
             row = (i, rng.randrange(4))
             for e in engines.values():
-                e.insert("dim", row)
+                engine_insert(e, "dim", row)
             dim_ids.append(i)
         for step in range(120):
             if rng.random() < 0.25 and fact_tids:
                 tid = fact_tids.pop(rng.randrange(len(fact_tids)))
                 for e in engines.values():
-                    e.delete("fact", tid)
+                    engine_delete(e, "fact", tid)
             elif rng.random() < 0.5:
                 row = (rng.randrange(4), step)
                 for e in engines.values():
-                    e.insert("other", row)
+                    engine_insert(e, "other", row)
             else:
                 row = (rng.choice(dim_ids), step)
-                tids = [e.insert("fact", row) for e in engines.values()]
+                tids = [engine_insert(e, "fact", row)
+                        for e in engines.values()]
                 assert tids[0] == tids[1]
                 fact_tids.append(tids[0])
         assert engines["plain"].total_results() == \
@@ -193,10 +196,10 @@ class TestEquivalence:
         engine = opt_engine(db, sql)
         assert sorted(n.alias for n in engine.plan.nodes) == \
             ["fact__mid__dim", "other"]
-        engine.insert("dim", (5, 100))
-        engine.insert("mid", (3, 5))
-        engine.insert("other", (100, 0))
-        engine.insert("fact", (3, 1))
+        engine_insert(engine, "dim", (5, 100))
+        engine_insert(engine, "mid", (3, 5))
+        engine_insert(engine, "other", (100, 0))
+        engine_insert(engine, "fact", (3, 1))
         assert engine.total_results() == 1
         (result,) = engine.synopsis_results()
         assert result == (0, 0, 0, 0)

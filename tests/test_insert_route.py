@@ -82,12 +82,21 @@ def test_an_unknown_alias_is_a_query_error_on_every_entry_point(engine):
     maintainer = filtered_maintainer(engine)
     engine_ = maintainer.engine
     before = state_of(maintainer)
-    for call in (lambda: engine_.insert("zzz", (1, 2)),
-                 lambda: engine_.notify_insert("zzz", 0, (1, 2)),  # KeyError
-                 lambda: engine_.delete("zzz", 0),
-                 lambda: engine_.notify_delete("zzz", 0, (1, 2)),
-                 lambda: engine_.insert_run([("r", (1, 4)),
-                                             ("zzz", (1, 2))])):
+
+    def notify():       # a KeyError once
+        with engine_.open_insert_run() as run:
+            run.notify("zzz", 0, (1, 2))
+
+    def unregister():
+        with engine_.delete_run("zzz") as unregister_:
+            unregister_(0, (1, 2))
+
+    for call in (lambda: maintainer.insert("zzz", (1, 2)),
+                 notify,
+                 lambda: maintainer.delete("zzz", 0),
+                 unregister,
+                 lambda: maintainer.apply_batch([InsertOp("r", (1, 4)),
+                                                 InsertOp("zzz", (1, 2))])):
         with pytest.raises(QueryError, match="unknown alias zzz"):
             call()
     # the run stopped where per-op stops: ("r", (1, 4)) is in

@@ -175,8 +175,8 @@ class TestFanOut:
     def test_backfill_is_one_run_bit_identical_to_per_tuple(self, engine):
         """``register`` hands each alias's stored tuples to the engine as
         a run (members, then direct nodes, then anchors); the synopsis,
-        ``J`` and the RNG are those of one ``notify_insert`` per stored
-        tuple, the loop it replaces."""
+        ``J`` and the RNG are those of one run of one ``notify`` per
+        stored tuple, the loop it replaces."""
         from repro import ForeignKey, JoinSynopsisMaintainer
 
         sql = ("SELECT * FROM fact, dim, other WHERE fact.f_dim = dim.d_id "
@@ -211,7 +211,8 @@ class TestFanOut:
                  else ("fact", "dim", "other"))
         for table in order:
             for tid, row in db.table(table).scan():
-                per_tuple.engine.notify_insert(table, tid, row)
+                with per_tuple.engine.open_insert_run() as run:
+                    run.notify(table, tid, row)
         assert per_tuple.total_results() > 7 * 4
         manager = SynopsisManager(populated(), MaintainerConfig(seed=0))
         backfilled = manager.register("fk", sql, config)

@@ -271,8 +271,9 @@ class TestStateRoundTrip:
             db.table("dim").insert((k, k))
         maintainer = JoinSynopsisMaintainer(
             db, "SELECT * FROM fact, dim WHERE fact.k = dim.k", MaintainerConfig(spec=SynopsisSpec.fixed_size(8), engine="sjoin-opt", seed=3))
-        for tid, row in db.table("dim").scan():
-            maintainer.engine.notify_insert("dim", tid, row)
+        with maintainer.engine.open_insert_run() as run:
+            for tid, row in db.table("dim").scan():
+                run.notify("dim", tid, row)
         rng = random.Random(4)
         fact_tids = []
         for _ in range(80):

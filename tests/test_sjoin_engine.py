@@ -16,7 +16,8 @@ from repro import (
     parse_query,
 )
 
-from conftest import make_tables, random_query, random_row
+from conftest import (
+    engine_delete, engine_insert, make_tables, random_query, random_row)
 
 
 def two_table_engine(spec=None, seed=0):
@@ -36,47 +37,47 @@ class TestInsertDelete:
             "SELECT * FROM r, s WHERE r.c0 = s.c0 AND r.c1 < 5", db
         )
         engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(8), seed=0)
-        assert engine.insert("r", (1, 10)) == -1
-        assert engine.insert("r", (1, 3)) == 0
+        assert engine_insert(engine, "r", (1, 10)) == -1
+        assert engine_insert(engine, "r", (1, 3)) == 0
         assert engine.stats.filtered_inserts == 1
         assert len(db.table("r")) == 1  # pre-filter kept the row out
 
     def test_j_tracks_exact(self):
         db, engine = two_table_engine()
-        engine.insert("r", (1, 0))
-        engine.insert("s", (1, 0))
-        engine.insert("s", (1, 1))
+        engine_insert(engine, "r", (1, 0))
+        engine_insert(engine, "s", (1, 0))
+        engine_insert(engine, "s", (1, 1))
         assert engine.total_results() == 2
-        engine.delete("s", 1)
+        engine_delete(engine, "s", 1)
         assert engine.total_results() == 1
-        engine.delete("r", 0)
+        engine_delete(engine, "r", 0)
         assert engine.total_results() == 0
 
     def test_synopsis_always_full_when_possible(self):
         db, engine = two_table_engine(SynopsisSpec.fixed_size(4))
         for i in range(6):
-            engine.insert("r", (1, i))
+            engine_insert(engine, "r", (1, i))
         for i in range(6):
-            engine.insert("s", (1, i))
+            engine_insert(engine, "s", (1, i))
         assert len(engine.raw_samples()) == 4
         # delete tuples until fewer than m results remain
         for tid in range(5):
-            engine.delete("r", tid)
+            engine_delete(engine, "r", tid)
         assert engine.total_results() == 6
         assert len(engine.raw_samples()) == 4
-        engine.delete("r", 5)
+        engine_delete(engine, "r", 5)
         assert engine.total_results() == 0
         assert len(engine.raw_samples()) == 0
 
     def test_replenish_after_purge(self):
         db, engine = two_table_engine(SynopsisSpec.fixed_size(3))
         for i in range(10):
-            engine.insert("r", (i, 0))
-            engine.insert("s", (i, 0))
+            engine_insert(engine, "r", (i, 0))
+            engine_insert(engine, "s", (i, 0))
         # every (i,i) pair is one result; delete a sampled tuple
         sample = engine.raw_samples()[0]
         r_tid = sample[0]
-        engine.delete("r", r_tid)
+        engine_delete(engine, "r", r_tid)
         assert engine.total_results() == 9
         assert len(engine.raw_samples()) == 3
         assert all(s[0] != r_tid for s in engine.raw_samples())
@@ -89,10 +90,10 @@ class TestInsertDelete:
             if rng.random() < 0.35 and any(live.values()):
                 alias = rng.choice([a for a in live if live[a]])
                 tid = live[alias].pop(rng.randrange(len(live[alias])))
-                engine.delete(alias, tid)
+                engine_delete(engine, alias, tid)
             else:
                 alias = rng.choice(["r", "s"])
-                tid = engine.insert(alias, random_row(rng, 2, 4))
+                tid = engine_insert(engine, alias, random_row(rng, 2, 4))
                 live[alias].append(tid)
             exact = set(JoinExecutor(db, engine.query).results())
             assert set(engine.raw_samples()) <= exact
@@ -114,10 +115,10 @@ class TestSynopsisTypes:
             if rng.random() < 0.3 and any(live.values()):
                 alias = rng.choice([a for a in live if live[a]])
                 tid = live[alias].pop(rng.randrange(len(live[alias])))
-                engine.delete(alias, tid)
+                engine_delete(engine, alias, tid)
             else:
                 alias = rng.choice(["r", "s"])
-                tid = engine.insert(alias, random_row(rng, 2, 4))
+                tid = engine_insert(engine, alias, random_row(rng, 2, 4))
                 live[alias].append(tid)
         exact = set(JoinExecutor(db, engine.query).results())
         assert set(engine.raw_samples()) <= exact
@@ -126,10 +127,10 @@ class TestSynopsisTypes:
     def test_with_replacement_keeps_m_slots(self):
         db, engine = two_table_engine(SynopsisSpec.with_replacement(5))
         for i in range(8):
-            engine.insert("r", (i % 3, i))
-            engine.insert("s", (i % 3, i))
+            engine_insert(engine, "r", (i % 3, i))
+            engine_insert(engine, "s", (i % 3, i))
         assert len(engine.raw_samples()) == 5
-        engine.delete("r", 0)
+        engine_delete(engine, "r", 0)
         if engine.total_results() > 0:
             assert len(engine.raw_samples()) == 5
 
@@ -148,14 +149,14 @@ class TestPropertyRandomQueries:
             if rng.random() < 0.3 and any(live.values()):
                 alias = rng.choice([a for a in live if live[a]])
                 tid = live[alias].pop(rng.randrange(len(live[alias])))
-                engine.delete(alias, tid)
+                engine_delete(engine, alias, tid)
             else:
                 alias = rng.choice(list(query.aliases))
                 ncols = len(
                     db.table(query.range_table(alias).table_name)
                     .schema.columns
                 )
-                tid = engine.insert(alias, random_row(rng, ncols, 4))
+                tid = engine_insert(engine, alias, random_row(rng, ncols, 4))
                 live[alias].append(tid)
         exact = set(JoinExecutor(db, query, include_filters=False,
                                  include_residual=False).results())
@@ -168,9 +169,9 @@ class TestPropertyRandomQueries:
 class TestStats:
     def test_counters_advance(self):
         db, engine = two_table_engine()
-        engine.insert("r", (1, 1))
-        engine.insert("s", (1, 2))
-        engine.delete("s", 0)
+        engine_insert(engine, "r", (1, 1))
+        engine_insert(engine, "s", (1, 2))
+        engine_delete(engine, "s", 0)
         stats = engine.stats
         assert stats.inserts == 2
         assert stats.deletes == 1

@@ -39,6 +39,8 @@ from repro.persist import (
     restore_maintainer,
 )
 
+from conftest import engine_delete, engine_insert
+
 VALUES = st.integers(min_value=0, max_value=4)
 
 
@@ -96,7 +98,7 @@ class EquiJoinMachine(_EngineMachine):
     @rule(a=VALUES, b=VALUES, side=st.booleans())
     def insert(self, a, b, side):
         alias = "r" if side else "s"
-        tid = self.engine.insert(alias, (a, b))
+        tid = engine_insert(self.engine, alias, (a, b))
         self.live[alias].append(tid)
 
     @precondition(lambda self: any(self.live.values()))
@@ -106,7 +108,7 @@ class EquiJoinMachine(_EngineMachine):
         alias = candidates[pick % len(candidates)]
         tids = self.live[alias]
         tid = tids.pop(pick % len(tids))
-        self.engine.delete(alias, tid)
+        engine_delete(self.engine, alias, tid)
 
 
 class BandJoinMachine(_EngineMachine):
@@ -124,7 +126,7 @@ class BandJoinMachine(_EngineMachine):
           which=st.integers(min_value=0, max_value=2))
     def insert(self, p, which):
         alias = "xyz"[which]
-        tid = self.engine.insert(alias, (p,))
+        tid = engine_insert(self.engine, alias, (p,))
         self.live[alias].append(tid)
 
     @precondition(lambda self: any(self.live.values()))
@@ -134,7 +136,7 @@ class BandJoinMachine(_EngineMachine):
         alias = candidates[pick % len(candidates)]
         tids = self.live[alias]
         tid = tids.pop(pick % len(tids))
-        self.engine.delete(alias, tid)
+        engine_delete(self.engine, alias, tid)
 
 
 class FkMachine(_EngineMachine):
@@ -157,7 +159,7 @@ class FkMachine(_EngineMachine):
 
     @rule(band=VALUES)
     def insert_dim(self, band):
-        self.engine.insert("dim", (self.next_dim, band))
+        engine_insert(self.engine, "dim", (self.next_dim, band))
         self.live["dim"].append(self.next_dim)
         self.next_dim += 1
 
@@ -165,12 +167,12 @@ class FkMachine(_EngineMachine):
     @rule(v=VALUES, pick=st.integers(min_value=0, max_value=10**6))
     def insert_fact(self, v, pick):
         dim_id = self.live["dim"][pick % len(self.live["dim"])]
-        tid = self.engine.insert("fact", (dim_id, v))
+        tid = engine_insert(self.engine, "fact", (dim_id, v))
         self.live["fact"].append(tid)
 
     @rule(band=VALUES)
     def insert_other(self, band):
-        tid = self.engine.insert("other", (band,))
+        tid = engine_insert(self.engine, "other", (band,))
         self.live["other"].append(tid)
 
     @precondition(lambda self: self.live.get("fact"))
@@ -178,14 +180,14 @@ class FkMachine(_EngineMachine):
     def delete_fact(self, pick):
         tids = self.live["fact"]
         tid = tids.pop(pick % len(tids))
-        self.engine.delete("fact", tid)
+        engine_delete(self.engine, "fact", tid)
 
     @precondition(lambda self: self.live.get("other"))
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def delete_other(self, pick):
         tids = self.live["other"]
         tid = tids.pop(pick % len(tids))
-        self.engine.delete("other", tid)
+        engine_delete(self.engine, "other", tid)
 
 
 class PersistRoundTripMachine(RuleBasedStateMachine):

@@ -177,8 +177,9 @@ class TestManagerErrorReporting:
         manager.register("q1", SQL)
         tid = manager.insert("r", (1, 1))
         # delete the tuple behind the manager's back so the engine's
-        # notify_delete fails during fan-out
-        manager.maintainer("q1").engine.notify_delete("r", tid, (1, 1))
+        # delete run fails during fan-out
+        with manager.maintainer("q1").engine.delete_run("r") as unregister:
+            unregister(tid, (1, 1))
         with pytest.raises(
             SynopsisError,
             match="query 'q1'.*algorithm 'sjoin-opt'.*alias 'r'",

@@ -12,7 +12,8 @@ from repro import (
 )
 from repro.catalog.database import Database
 
-from conftest import make_tables, random_query, random_row
+from conftest import (
+    engine_delete, engine_insert, make_tables, random_query, random_row)
 
 
 def two_table_engine(spec=None, seed=0):
@@ -28,8 +29,8 @@ class TestCorrectness:
     def test_j_matches_exact(self):
         db, engine = two_table_engine()
         for i in range(5):
-            engine.insert("r", (i % 2, i))
-            engine.insert("s", (i % 2, i))
+            engine_insert(engine, "r", (i % 2, i))
+            engine_insert(engine, "s", (i % 2, i))
         exact = JoinExecutor(db, engine.query).count()
         assert engine.total_results() == exact
 
@@ -41,10 +42,10 @@ class TestCorrectness:
             if rng.random() < 0.3 and any(live.values()):
                 alias = rng.choice([a for a in live if live[a]])
                 tid = live[alias].pop(rng.randrange(len(live[alias])))
-                engine.delete(alias, tid)
+                engine_delete(engine, alias, tid)
             else:
                 alias = rng.choice(["r", "s"])
-                tid = engine.insert(alias, random_row(rng, 2, 4))
+                tid = engine_insert(engine, alias, random_row(rng, 2, 4))
                 live[alias].append(tid)
         exact = set(JoinExecutor(db, engine.query).results())
         assert engine.total_results() == len(exact)
@@ -59,7 +60,7 @@ class TestCorrectness:
             alias = rng.choice(list(query.aliases))
             ncols = len(db.table(query.range_table(alias).table_name)
                         .schema.columns)
-            engine.insert(alias, random_row(rng, ncols, 4))
+            engine_insert(engine, alias, random_row(rng, ncols, 4))
         exact = set(JoinExecutor(db, query, include_filters=False,
                                  include_residual=False).results())
         assert engine.total_results() == len(exact)
@@ -68,10 +69,10 @@ class TestCorrectness:
     def test_bernoulli_no_rebuild_on_delete(self):
         db, engine = two_table_engine(SynopsisSpec.bernoulli(0.5))
         for i in range(10):
-            engine.insert("r", (1, i))
-        engine.insert("s", (1, 0))
+            engine_insert(engine, "r", (1, i))
+        engine_insert(engine, "s", (1, 0))
         before = engine.stats.full_recomputes
-        engine.delete("r", 0)
+        engine_delete(engine, "r", 0)
         assert engine.stats.full_recomputes == before
 
     def test_pre_filters_respected(self):
@@ -82,7 +83,7 @@ class TestCorrectness:
         )
         engine = SymmetricJoinEngine(db, query, SynopsisSpec.fixed_size(5),
                                      seed=0)
-        assert engine.insert("r", (1, 9)) == -1
+        assert engine_insert(engine, "r", (1, 9)) == -1
         assert engine.stats.filtered_inserts == 1
 
 
@@ -92,20 +93,20 @@ class TestCharacteristicCosts:
         avoids (§4.4)."""
         db, engine = two_table_engine()
         for i in range(20):
-            engine.insert("s", (1, i))
+            engine_insert(engine, "s", (1, i))
         before = engine.stats.tuples_accessed
-        engine.insert("r", (1, 0))  # joins all 20 s-tuples
+        engine_insert(engine, "r", (1, 0))  # joins all 20 s-tuples
         assert engine.stats.tuples_accessed - before == 20
 
     def test_fixed_size_delete_triggers_full_recompute(self):
         db, engine = two_table_engine(SynopsisSpec.fixed_size(2))
         for i in range(6):
-            engine.insert("r", (1, i))
-        engine.insert("s", (1, 0))
+            engine_insert(engine, "r", (1, i))
+        engine_insert(engine, "s", (1, 0))
         assert engine.stats.full_recomputes == 0
         # delete a sampled tuple -> purge -> rebuild
         sample = engine.raw_samples()[0]
-        engine.delete("r", sample[0])
+        engine_delete(engine, "r", sample[0])
         assert engine.stats.full_recomputes == 1
         exact = set(JoinExecutor(db, engine.query).results())
         assert set(engine.raw_samples()) <= exact
@@ -114,10 +115,10 @@ class TestCharacteristicCosts:
     def test_delete_unsampled_tuple_no_rebuild(self):
         db, engine = two_table_engine(SynopsisSpec.fixed_size(1))
         for i in range(6):
-            engine.insert("r", (1, i))
-        engine.insert("s", (1, 0))
+            engine_insert(engine, "r", (1, i))
+        engine_insert(engine, "s", (1, 0))
         sampled_r = engine.raw_samples()[0][0]
         victim = next(t for t in range(6) if t != sampled_r)
-        engine.delete("r", victim)
+        engine_delete(engine, "r", victim)
         assert engine.stats.full_recomputes == 0
         assert engine.total_results() == 5

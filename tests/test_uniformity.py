@@ -21,7 +21,9 @@ from repro import (
 )
 from repro.catalog.database import Database
 
-from conftest import chi_square_threshold, chi_square_uniform, make_tables
+from conftest import (
+    chi_square_threshold, chi_square_uniform, engine_delete, engine_insert,
+    make_tables)
 
 
 def build_workload(rng):
@@ -67,9 +69,9 @@ def run_engine(engine_cls, spec, seed, script, fk=False):
         engine = SymmetricJoinEngine(db, query, spec, seed=seed)
     for op, alias, payload in script:
         if op == "insert":
-            engine.insert(alias, payload)
+            engine_insert(engine, alias, payload)
         else:
-            engine.delete(alias, payload)
+            engine_delete(engine, alias, payload)
     return db, engine
 
 
@@ -162,8 +164,8 @@ class TestDeltaViewUniformity:
         engine = SJoinEngine(db, query, SynopsisSpec.fixed_size(1), seed=0)
         rng = random.Random(8)
         for i in range(12):
-            engine.insert("r", (rng.randrange(3), i))
-            engine.insert("s", (rng.randrange(3), i))
+            engine_insert(engine, "r", (rng.randrange(3), i))
+            engine_insert(engine, "s", (rng.randrange(3), i))
         j = engine.total_results()
         exact = sorted(JoinExecutor(db, query).results())
         assert j == len(exact)

@@ -22,7 +22,8 @@ from repro import (
     parse_query,
 )
 
-from conftest import chi_square_threshold, chi_square_uniform
+from conftest import (
+    chi_square_threshold, chi_square_uniform, engine_delete, engine_insert)
 
 SQL = ("SELECT * FROM fact, dim, other "
        "WHERE fact.f_dim = dim.d_id AND dim.band = other.band")
@@ -74,9 +75,9 @@ def run_once(seed, spec):
     engine = SJoinEngine(db, query, spec, fk_optimize=True, seed=seed)
     for op, alias, payload in SCRIPT:
         if op == "insert":
-            engine.insert(alias, payload)
+            engine_insert(engine, alias, payload)
         else:
-            engine.delete(alias, payload)
+            engine_delete(engine, alias, payload)
     return db, engine
 
 

@@ -30,7 +30,8 @@ from repro.catalog.database import Database
 from repro.query.predicates import MultiTableFilter
 from repro.query.query import JoinQuery
 
-from conftest import chi_square_threshold, make_tables
+from conftest import (
+    chi_square_threshold, engine_delete, engine_insert, make_tables)
 
 SQL = "SELECT * FROM r, s WHERE r.c0 = s.c0"
 
@@ -40,7 +41,7 @@ R_ROWS = [(0, 0, 1), (0, 1, 3), (1, 2, 2), (1, 3, 1), (2, 4, 4),
 S_ROWS = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4)]
 
 
-def build_engine(spec, seed):
+def make_engine(spec, seed):
     db = Database()
     make_tables(db, [("r", 3), ("s", 2)])
     query = parse_query(SQL, db)
@@ -49,9 +50,9 @@ def build_engine(spec, seed):
 
 def load_rows(engine):
     for row in R_ROWS:
-        engine.insert("r", row)
+        engine_insert(engine, "r", row)
     for row in S_ROWS:
-        engine.insert("s", row)
+        engine_insert(engine, "s", row)
 
 
 def exact_weights(engine):
@@ -76,7 +77,7 @@ class TestWeightedFixedTargets:
         counts = Counter()
         targets = None
         for i in range(runs):
-            engine = build_engine(
+            engine = make_engine(
                 SynopsisSpec.weighted_fixed_size(
                     m, weight_column="r.c2"),
                 seed_base + i,
@@ -102,13 +103,13 @@ class TestWeightedFixedTargets:
         the delete-run churn in ``tests/test_delete_run.py``)."""
         purged = 0
         for seed in range(12):
-            engine = build_engine(SynopsisSpec.weighted_fixed_size(
+            engine = make_engine(SynopsisSpec.weighted_fixed_size(
                 4, weight_column="r.c2"), seed=seed)
-            engine.insert("s", (0, 0))
-            engine.insert("r", (0, 0, 1))
-            engine.insert("r", (0, 1, 20))
+            engine_insert(engine, "s", (0, 0))
+            engine_insert(engine, "r", (0, 0, 1))
+            engine_insert(engine, "r", (0, 1, 20))
             purged += (0, 0) in engine.raw_samples()
-            engine.delete("r", 0)
+            engine_delete(engine, "r", 0)
             assert engine.total_results() == 20
             assert set(engine.raw_samples()) == {(1, 0)}
         assert purged       # some seed held the light result
@@ -124,15 +125,15 @@ class TestWeightedReplacementTargets:
         counts = Counter()
         targets = None
         for i in range(runs):
-            engine = build_engine(
+            engine = make_engine(
                 SynopsisSpec.weighted_with_replacement(
                     m, weight_column="r.c2"),
                 seed_base + i,
             )
             load_rows(engine)
-            engine.delete("r", 4)   # drop the weight-4 hot tuple ...
-            engine.delete("s", 0)
-            engine.insert("r", (2, 6, 2))  # ... and add a fresh one
+            engine_delete(engine, "r", 4)   # drop the weight-4 hot tuple ...
+            engine_delete(engine, "s", 0)
+            engine_insert(engine, "r", (2, 6, 2))  # ... and add a fresh one
             if targets is None:
                 targets = exact_weights(engine)
             counts.update(engine.raw_samples())
@@ -151,7 +152,7 @@ class TestSubsetTargets:
         counts = Counter()
         targets = None
         for i in range(runs):
-            engine = build_engine(
+            engine = make_engine(
                 SynopsisSpec.subset(p, weight_column="r.c2"),
                 seed_base + i,
             )
@@ -169,17 +170,17 @@ class TestSubsetTargets:
         assert stat < chi_square_threshold(len(targets))
 
     def test_no_duplicate_members(self):
-        engine = build_engine(
+        engine = make_engine(
             SynopsisSpec.subset(0.9, weight_column="r.c2"), seed=1)
         load_rows(engine)
         samples = engine.raw_samples()
         assert len(samples) == len(set(samples))
 
     def test_purge_only_deletion(self):
-        engine = build_engine(
+        engine = make_engine(
             SynopsisSpec.subset(0.9, weight_column="r.c2"), seed=3)
         load_rows(engine)
-        engine.delete("r", 1)
+        engine_delete(engine, "r", 1)
         live = set(exact_weights(engine))
         assert set(engine.raw_samples()) <= live
 
@@ -203,10 +204,17 @@ def drive(engine, batch_size):
             else (rng.randrange(3), i)
         script.append((alias, row))
     for start in range(0, len(script), batch_size):
-        engine.insert_run(script[start:start + batch_size])
-    engine.delete("r", 0)
-    engine.delete("s", 1)
-    engine.insert_run([("r", (0, 99, 1)), ("s", (0, 99))])
+        insert_run(engine, script[start:start + batch_size])
+    engine_delete(engine, "r", 0)
+    engine_delete(engine, "s", 1)
+    insert_run(engine, [("r", (0, 99, 1)), ("s", (0, 99))])
+
+
+def insert_run(engine, items):
+    """``(alias, row)`` pairs as one engine insert run."""
+    with engine.open_insert_run() as run:
+        for alias, row in items:
+            run.insert(alias, row)
 
 
 class TestWeightOneIdentity:
@@ -219,8 +227,8 @@ class TestWeightOneIdentity:
         """No weight column: every tuple weighs 1, and the weighted
         engine must replay the uniform engine's entire trajectory —
         samples, totals, and the future RNG stream."""
-        weighted = build_engine(weighted_spec, seed=7)
-        uniform = build_engine(uniform_spec, seed=7)
+        weighted = make_engine(weighted_spec, seed=7)
+        uniform = make_engine(uniform_spec, seed=7)
         drive(weighted, batch_size)
         drive(uniform, batch_size)
         assert weighted.raw_samples() == uniform.raw_samples()
@@ -233,8 +241,8 @@ class TestWeightOneIdentity:
         """An explicit weight column whose values are all 1 must be
         indistinguishable from no weight column at all."""
         spec = SynopsisSpec.weighted_fixed_size(5, weight_column="r.c2")
-        weighted = build_engine(spec, seed=7)
-        uniform = build_engine(SynopsisSpec.fixed_size(5), seed=7)
+        weighted = make_engine(spec, seed=7)
+        uniform = make_engine(SynopsisSpec.fixed_size(5), seed=7)
         drive(weighted, batch_size)  # every r.c2 in the script is 1
         drive(uniform, batch_size)
         assert weighted.raw_samples() == uniform.raw_samples()
@@ -243,7 +251,7 @@ class TestWeightOneIdentity:
 
 class TestEngineMetadata:
     def test_entries_carry_exact_weights(self):
-        engine = build_engine(
+        engine = make_engine(
             SynopsisSpec.weighted_fixed_size(6, weight_column="r.c2"),
             seed=2)
         load_rows(engine)
@@ -261,7 +269,7 @@ class TestEngineMetadata:
 
     def test_subset_entries_carry_inclusion_probability(self):
         p = 0.25
-        engine = build_engine(
+        engine = make_engine(
             SynopsisSpec.subset(p, weight_column="r.c2"), seed=2)
         load_rows(engine)
         entries = engine.synopsis_entries()
@@ -272,11 +280,11 @@ class TestEngineMetadata:
                 pytest.approx(1.0 - (1.0 - p) ** w)
 
     def test_family_attribute(self):
-        assert build_engine(
+        assert make_engine(
             SynopsisSpec.fixed_size(3), 0).family == "uniform"
-        assert build_engine(
+        assert make_engine(
             SynopsisSpec.weighted_fixed_size(3), 0).family == "weighted"
-        assert build_engine(
+        assert make_engine(
             SynopsisSpec.subset(0.5), 0).family == "subset"
 
 
@@ -303,18 +311,18 @@ class TestSpecValidation:
 
     def test_unknown_weight_alias_rejected_at_engine(self):
         with pytest.raises(SynopsisError):
-            build_engine(
+            make_engine(
                 SynopsisSpec.weighted_fixed_size(5, weight_column="z.c0"),
                 seed=0)
 
     def test_nonpositive_weight_value_rejected(self):
-        engine = build_engine(
+        engine = make_engine(
             SynopsisSpec.weighted_fixed_size(5, weight_column="r.c2"),
             seed=0)
         with pytest.raises(SynopsisError):
-            engine.insert("r", (0, 0, 0))
+            engine_insert(engine, "r", (0, 0, 0))
         with pytest.raises(SynopsisError):
-            engine.insert("r", (0, 0, -2))
+            engine_insert(engine, "r", (0, 0, -2))
 
     def test_sj_baseline_rejects_non_uniform(self):
         db = Database()

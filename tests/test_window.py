@@ -77,6 +77,22 @@ class TestExpiry:
         with pytest.raises(SynopsisError):
             w.insert("a", (2, 9))
 
+    def test_out_of_order_row_is_refused_before_it_is_stored(self):
+        """A refused row must leave no trace: stored, it would never
+        enter the expiry FIFO and would join rows far outside the window
+        for good."""
+        db, w = make_window(window=10)
+        w.insert("b", (1, 100))
+        w.insert("a", (1, 100))
+        with pytest.raises(SynopsisError):
+            w.insert("a", (1, 95))
+        assert len(db.table("a")) == w.live_count("a") == 1
+        assert w.total_results() == 1
+        w.insert("b", (1, 2000))    # expires everything at ts 100
+        assert w.total_results() == 0
+        assert w.synopsis() == []
+        assert len(db.table("a")) == w.live_count("a") == 0
+
     def test_dimension_tables_never_expire(self):
         db = Database()
         db.create_table(TableSchema("dim", [Column("k")]))
