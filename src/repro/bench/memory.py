@@ -51,9 +51,10 @@ def engine_memory_bytes(engine) -> int:
     """Deep size of an engine's tables + indexes + synopsis state.
 
     Works for both :class:`SJoinEngine` (graph, hash indexes, aggregate
-    trees, combined-node runtimes) and :class:`SymmetricJoinEngine`
-    (ordinary indexes); the shared base-table storage is included for both,
-    as in Table 2 ("the total space of the range tables and the indexes").
+    trees, combined-node runtimes — a combined node has no heap of its
+    own) and :class:`SymmetricJoinEngine` (ordinary indexes); the shared
+    base-table storage is included for both, as in Table 2 ("the total
+    space of the range tables and the indexes").
     """
     roots = [engine.synopsis]
     db = getattr(engine, "db", None)
@@ -70,8 +71,4 @@ def engine_memory_bytes(engine) -> int:
     if indexes is not None:  # SJ
         roots.append(indexes)
         roots.append(engine._handles)
-    plan = getattr(engine, "plan", None)
-    if plan is not None:
-        # combined plan nodes own their heap tables
-        roots.extend(node.table for node in plan.nodes if node.is_combined)
     return deep_size_bytes(*roots)

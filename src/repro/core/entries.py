@@ -1,9 +1,9 @@
 """What readers see of a synopsis, kept per sample instead of re-derived.
 
 A plan-level sample becomes a reader-visible *entry* by expansion to
-original-range-table TIDs (§6 combined nodes embed their members'
-TIDs), the residual multi-table filters of §5.1, its sampling metadata
-(weight, subset inclusion probability) and the heap rows its TIDs name.
+original-range-table TIDs and the heap rows they name (each plan node's
+heap read once, §6 members by hash lookup), the residual multi-table
+filters of §5.1 and its sampling metadata (weight, inclusion probability).
 TIDs are never reused and heap rows never change, so an entry is a pure
 function of its sample: :class:`EntryStore` computes it once, when the
 sample enters the synopsis, and forgets it when the sample leaves.  A
@@ -71,17 +71,23 @@ class SynopsisEntries(SequenceABC):
 class EntryStore:
     """One engine's entries, aligned with its synopsis's slots.
 
+    ``runtimes`` are the engine's combined-node runtimes by node idx;
     ``meta_of(plan_result)`` supplies a non-uniform family's read-only
     metadata mapping; without it every entry carries :data:`UNIT_META`.
     """
 
-    def __init__(self, plan, query,
+    def __init__(self, plan, query, runtimes: Optional[Mapping] = None,
                  meta_of: Optional[Callable[[PlanResult], Mapping]] = None):
         self._plan = plan
-        self._residuals = tuple(plan.demoted) + tuple(query.multi_filters)
+        self._runtimes = runtimes
+        schema = [plan.db.table(rt.table_name).schema
+                  for rt in query.range_tables]
+        # each residual filter with its inputs' (range table, column)
+        self._residuals = tuple((mflt, tuple(
+            (query.index_of(a), schema[query.index_of(a)].index_of(attr))
+            for a, attr in mflt.inputs))
+            for mflt in tuple(plan.demoted) + tuple(query.multi_filters))
         self._meta_of = meta_of
-        self._tables = tuple(plan.db.table(rt.table_name)
-                             for rt in query.range_tables)
         # per slot: the expanded row, its meta and its heap rows, or
         # None for an empty slot and for a sample a residual filter
         # rejects
@@ -131,14 +137,11 @@ class EntryStore:
     def _entry(self, plan_result: Optional[PlanResult]):
         if plan_result is None:
             return None, None, None
-        plan = self._plan
-        row = plan.expand_result(plan_result)
-        for mflt in self._residuals:
-            values = [plan.original_value(row, alias, attr)
-                      for alias, attr in mflt.inputs]
-            if not mflt.matches(values):
+        row, heap_rows = self._plan.resolve_result(plan_result, self._runtimes)
+        for mflt, inputs in self._residuals:
+            if not mflt.matches([heap_rows[table][column]
+                                 for table, column in inputs]):
                 return None, None, None
         meta = (UNIT_META if self._meta_of is None
                 else self._meta_of(plan_result))
-        return row, meta, tuple(
-            [table.peek(tid) for table, tid in zip(self._tables, row)])
+        return row, meta, heap_rows

@@ -3,9 +3,9 @@
 The planner collapses FK equi-join edges into combined plan nodes (see
 :mod:`repro.query.planner`); this module provides the runtime side: one
 hash table per PK-side member mapping its key to the stored tuple, the
-assembly of combined tuples when an anchor tuple arrives, and referential-
-integrity accounting so that deleting a still-referenced PK tuple raises
-:class:`IntegrityError` instead of silently corrupting the graph.
+assembly (and rebuilding) of combined tuples from anchor tuples, and
+referential-integrity accounting so that deleting a still-referenced PK
+tuple raises :class:`IntegrityError` instead of corrupting the graph.
 """
 
 from __future__ import annotations
@@ -96,19 +96,20 @@ def _projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
 class CombinedNodeRuntime:
     """Assembly and bookkeeping for one combined plan node.
 
-    A combined row is the members' TIDs followed by their base rows, in
-    member order (anchor first, every parent before its children).  What
-    that takes per member is compiled once into ``_chain``: the member's
-    slot, its parent's slot, the projection of the parent's base row —
-    and of the combined row — onto the FK columns, and the member's
-    hash table.
+    A combined tuple is its anchor: it has the anchor's TID, and its row
+    (the members' TIDs, then their base rows, in member order) is stored
+    nowhere — ``_chain`` finds each member from its parent's row: per
+    member its range-table position, its parent's, the parent row's FK
+    projection, its hash table.  An anchor references its members exactly
+    while the join graph holds its tuple; nothing is kept per anchor.
     """
 
     def __init__(self, node: PlanNode, db: Database,
-                 filtered_aliases: frozenset, obs=None):
+                 filtered_aliases: frozenset,
+                 weigh: Optional[Callable[[int, tuple], int]] = None):
         if not node.is_combined:
-            raise InvalidArgumentError("runtime only applies to combined nodes")
-        self.node = node
+            raise InvalidArgumentError(
+                "runtime only applies to combined nodes")
         # plain-int work counters, published to the registry at snapshot
         # time only (keeps the assembly hot path free when metrics are off)
         self.assembles = 0
@@ -117,38 +118,33 @@ class CombinedNodeRuntime:
         self.member_registrations = 0
         self.hashes: Dict[str, MemberHash] = {}
         self._pk_of: Dict[str, Callable[[tuple], tuple]] = {}
-        self._anchor_to_combined: Dict[int, int] = {}
+        # the graph's tuple-weight check, run before any reference is taken
+        self._node_idx = node.idx
+        self._weigh = weigh
         members = node.members
-        schemas = [db.table(m.base_table).schema for m in members]
-        slot_of = {m.alias: slot for slot, m in enumerate(members)}
-        # where each member's base row starts inside the combined row
-        offsets = [len(members)]
-        for schema in schemas[:-1]:
-            offsets.append(offsets[-1] + len(schema.columns))
+        schema_of = {m.alias: db.table(m.base_table).schema for m in members}
+        pos_of = {m.alias: m.orig_index for m in members}
         chain = []
-        for slot, member in enumerate(members[1:], 1):
-            alias = member.alias
+        for member in members[1:]:
+            alias, parent = member.alias, member.parent_alias
             member_hash = self.hashes[alias] = MemberHash(
                 member, alias in filtered_aliases)
             self._pk_of[alias] = _projection(
-                [schemas[slot].index_of(col) for col in member.pk_columns])
-            parent = slot_of[member.parent_alias]
-            fk_pos = [schemas[parent].index_of(col)
-                      for col in member.fk_columns]
-            chain.append((
-                slot, parent, _projection(fk_pos),
-                _projection([offsets[parent] + i for i in fk_pos]),
-                member_hash))
+                [schema_of[alias].index_of(col) for col in member.pk_columns])
+            chain.append((member.orig_index, pos_of[parent], _projection(
+                [schema_of[parent].index_of(col)
+                 for col in member.fk_columns]), member_hash))
         self._chain = tuple(chain)
+        # lists by range-table position; a row picks members in order
+        self._width = max(pos_of.values()) + 1
+        self._layout = itemgetter(*[m.orig_index for m in members])
 
     # ------------------------------------------------------------------
     # persistence (repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Combined-node state that cannot be rebuilt from the base heaps:
-        the combined heap itself (its TIDs were assigned in anchor-arrival
-        order), the anchor→combined mapping, the member hash tables with
-        their reference counts, and the work counters."""
+        """What the base heaps cannot rebuild: the member hash tables with
+        their reference counts, and the counters."""
         return {
             "assembles": self.assembles,
             "assembly_drops": self.assembly_drops,
@@ -156,18 +152,11 @@ class CombinedNodeRuntime:
             "member_registrations": self.member_registrations,
             "hashes": {alias: h.state_dict()
                        for alias, h in self.hashes.items()},
-            "anchor_to_combined": list(self._anchor_to_combined.items()),
-            "table": self.node.table.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
         for alias, member_state in state["hashes"].items():
             self.hashes[alias].load_state(member_state)
-        self._anchor_to_combined = {
-            int(anchor): int(combined)
-            for anchor, combined in state["anchor_to_combined"]
-        }
-        self.node.table.load_state(state["table"])
         self.assembles = int(state["assembles"])
         self.assembly_drops = int(state["assembly_drops"])
         self.lookups = int(state["lookups"])
@@ -187,26 +176,23 @@ class CombinedNodeRuntime:
     # anchor-side updates
     # ------------------------------------------------------------------
     def assemble(self, anchor_tid: int, anchor_row: tuple
-                 ) -> Optional[Tuple[int, tuple]]:
-        """Widen an anchor tuple into a combined tuple.
-
-        Returns ``(combined_tid, combined_row)`` — or None when a looked-up
-        member was filtered out by its pre-filter (a silent drop: the tuple
-        can never contribute join results).  Raises IntegrityError when a
-        lookup misses with no filter to explain it.  Nothing has changed
-        when either happens.
-        """
-        chain = self._chain
-        size = len(chain) + 1
-        tids = [anchor_tid] * size
-        rows = [anchor_row] * size
-        keys: List[Optional[tuple]] = [None] * size
-        for slot, parent, fk_of, _, member_hash in chain:
-            key = keys[slot] = fk_of(rows[parent])
+                 ) -> Optional[Tuple[int, tuple, Optional[int]]]:
+        """Widen an anchor tuple into its join-graph entry ``(anchor_tid,
+        combined_row, weight)`` (weight None when unweighted), referencing
+        its members — or None when a pre-filtered member is missing (a
+        silent drop: it can never join).  Raises IntegrityError for an
+        unexplained miss and the graph's error for a bad weight, neither
+        taking a reference."""
+        chain, width = self._chain, self._width
+        tids, rows = [anchor_tid] * width, [anchor_row] * width
+        keys: List[Optional[tuple]] = [None] * width
+        for pos, parent, fk_of, member_hash in chain:
+            key = fk_of(rows[parent])
             try:
-                tids[slot], rows[slot] = member_hash._rows[key]
+                tids[pos], rows[pos] = member_hash._rows[key]
             except KeyError:
-                self.lookups += slot    # this miss after slot - 1 hits
+                # this miss after the hits
+                self.lookups += width - keys.count(None) + 1
                 if member_hash.filtered:
                     self.assembly_drops += 1
                     return None
@@ -215,37 +201,55 @@ class CombinedNodeRuntime:
                     f"foreign key {key!r} of {member.parent_alias} has no "
                     f"match in {member.alias}"
                 ) from None
-        self.lookups += size - 1
+            keys[pos] = key
+        self.lookups += len(chain)
         self.assembles += 1
-        combined_row = tuple(tids)
-        for row in rows:
-            combined_row += row
-        combined_tid = self.node.table.insert(combined_row)
-        self._anchor_to_combined[anchor_tid] = combined_tid
-        for slot, _, _, _, member_hash in chain:
-            member_hash._refcount[keys[slot]] += 1
-        return combined_tid, combined_row
+        layout = self._layout
+        row = sum(layout(rows), layout(tids))
+        weight = None if self._weigh is None \
+            else self._weigh(self._node_idx, row)
+        for pos, _, _, member_hash in chain:
+            member_hash._refcount[keys[pos]] += 1
+        return anchor_tid, row, weight
 
-    def has_combined(self, anchor_tid: int) -> bool:
-        """False when the anchor tuple was dropped at assembly time
-        (a pre-filtered member lookup missed)."""
-        return anchor_tid in self._anchor_to_combined
+    def expand_into(self, tids: List[int], rows: List[tuple]) -> None:
+        """Set an anchor's members beside it: ``tids`` / ``rows`` are
+        indexed by range-table position and hold the anchor at its own;
+        the members come from the hashes (no heap is read)."""
+        for pos, parent, fk_of, member_hash in self._chain:
+            key = fk_of(rows[parent])
+            try:
+                tids[pos], rows[pos] = member_hash._rows[key]
+            except KeyError:
+                raise IntegrityError(f"no live {member_hash.member.alias} "
+                                     f"tuple with key {key!r}") from None
 
-    def disassemble(self, anchor_tid: int) -> Tuple[int, tuple]:
-        """Reverse :meth:`assemble` for a deleted anchor tuple.
+    def row_of(self, anchor_tid: int, anchor_row: tuple) -> tuple:
+        """:meth:`assemble`'s combined row for an assembled anchor."""
+        width = self._width
+        tids, rows = [anchor_tid] * width, [anchor_row] * width
+        self.expand_into(tids, rows)
+        layout = self._layout
+        return sum(layout(rows), layout(tids))
 
-        Returns the ``(combined_tid, combined_row)`` that must be removed
-        from the join graph; the combined heap row is tombstoned here and
-        member reference counts are released.
-        """
-        combined_tid = self._anchor_to_combined.pop(anchor_tid, None)
-        if combined_tid is None:
-            raise IntegrityError(
-                f"anchor tuple {anchor_tid} has no combined counterpart"
-            )
-        combined_row = self.node.table.get(combined_tid)
-        # member rows are embedded in the combined row
-        for _, _, _, fk_of_combined, member_hash in self._chain:
-            member_hash.drop_reference(fk_of_combined(combined_row))
-        self.node.table.delete(combined_tid)
-        return combined_tid, combined_row
+    def disassemble(self, anchor_tid: int, anchor_row: tuple,
+                    held: Callable[[int, tuple], bool]) -> Optional[tuple]:
+        """Reverse :meth:`assemble` for a deleted anchor: release the
+        member references and return the combined row to remove from the
+        graph — or None, releasing nothing, when ``held(anchor_tid,
+        row)`` (the graph's membership test) fails or a member is
+        missing: the anchor was never assembled (a miss, a refused
+        weight, another query's refusal), member since arrived or not."""
+        width = self._width
+        tids, rows = [anchor_tid] * width, [anchor_row] * width
+        try:
+            self.expand_into(tids, rows)
+        except IntegrityError:
+            return None
+        layout = self._layout
+        row = sum(layout(rows), layout(tids))
+        if not held(anchor_tid, row):
+            return None
+        for _, parent, fk_of, member_hash in self._chain:
+            member_hash.drop_reference(fk_of(rows[parent]))
+        return row

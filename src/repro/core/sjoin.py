@@ -101,8 +101,10 @@ class _DeleteRun:
             self._node_delete(tid, row)
         elif kind == "member":
             self.runtime.unregister_member(self.alias, row)
-        elif self.runtime.has_combined(tid):  # anchor
-            self._node_delete(*self.runtime.disassemble(tid))
+        else:  # anchor: None when assembly built it no graph tuple
+            combined = self.runtime.disassemble(tid, row, self.graph_run.holds)
+            if combined is not None:
+                self._node_delete(tid, combined)
         engine.stats.deletes += 1
         return True
 
@@ -186,10 +188,10 @@ class _InsertRun(InsertRun):
             self.node_idx = node_idx
         self.size += 1
         if kind == "anchor":
-            assembled = runtime.assemble(tid, row)
-            if assembled is None:
-                return
-            tid, row = assembled
+            entry = runtime.assemble(tid, row)
+            if entry is not None:
+                self.pending.append(entry)
+            return
         self.pending.append(
             (tid, row, None if weigh is None else weigh(node_idx, row)))
 
@@ -261,25 +263,21 @@ class SJoinEngine:
             tuple_weight = self._resolve_tuple_weight(spec.weight_column)
         self.graph = WeightedJoinGraph(self.plan, obs=self.obs,
                                        tuple_weight=tuple_weight)
+        weigh = None if tuple_weight is None else self.graph.weight_of
         self.synopsis = spec.build(self.rng, obs=self.obs)
-        self._entries = EntryStore(
-            self.plan, query,
-            meta_of=None if tuple_weight is None else self._result_meta)
         self.stats = EngineStats()
         if fk_optimize:
             self.name = "sjoin-opt"
         filtered = frozenset(
             alias for alias, route in self.plan.routes.items()
             if route.prefilter)
-        self._combined: Dict[int, CombinedNodeRuntime] = {}
-        for node in self.plan.nodes:
-            if node.is_combined:
-                self._combined[node.idx] = CombinedNodeRuntime(
-                    node, db, filtered, obs=self.obs
-                )
-        self._routes = RouteTable(
-            self, self._combined,
-            None if tuple_weight is None else self.graph.weight_of)
+        self._combined: Dict[int, CombinedNodeRuntime] = {
+            node.idx: CombinedNodeRuntime(node, db, filtered, weigh)
+            for node in self.plan.nodes if node.is_combined}
+        self._entries = EntryStore(
+            self.plan, query, self._combined,
+            meta_of=None if tuple_weight is None else self._result_meta)
+        self._routes = RouteTable(self, self._combined, weigh)
         # runs time their stages with the registry's clock and report
         # each once (None: nobody is listening, no clock reads)
         self._phase_clock = self.obs.clock if self.obs.enabled else None
@@ -362,9 +360,15 @@ class SJoinEngine:
             return 1
         weight = 1
         for node_idx, tid in enumerate(plan_result):
-            row = self.plan.nodes[node_idx].table.get(tid)
-            weight *= tuple_weight(node_idx, row)
+            weight *= tuple_weight(node_idx, self.row_of(node_idx, tid))
         return weight
+
+    def row_of(self, node_idx: int, tid: int) -> tuple:
+        """The row of live tuple ``tid`` of plan node ``node_idx`` — a
+        combined node's rebuilt from its anchor's."""
+        row = self.plan.nodes[node_idx].table.get(tid)
+        runtime = self._combined.get(node_idx)
+        return row if runtime is None else runtime.row_of(tid, row)
 
     def inclusion_probability(
             self, plan_result: PlanResult) -> Optional[float]:

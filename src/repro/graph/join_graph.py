@@ -722,6 +722,13 @@ class DeleteRun:
         # vertex -> its w_out when the run first touched it
         self._touched: Dict[Vertex, Dict[int, int]] = {}
 
+    def holds(self, tid: int, row: Sequence[object]) -> bool:
+        """Whether the run's node has tuple ``(tid, row)`` registered."""
+        graph, node_idx = self.graph, self.node_idx
+        vertex = graph.hash_indexes[node_idx].get(
+            graph.plan.nodes[node_idx].vertex_key_of(row))
+        return vertex is not None and tid in vertex.ids
+
     def delete(self, tid: int, row: Sequence[object]) -> int:
         """Unregister tuple ``(tid, row)`` of the run's node; returns the
         number of join results that involved it."""

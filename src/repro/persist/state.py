@@ -41,8 +41,8 @@ from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
 
 #: the one on-disk format this release reads and writes; bumped whenever
-#: the logical state layout changes incompatibly
-STATE_VERSION = 3
+#: the logical state layout changes incompatibly (4: no combined heap)
+STATE_VERSION = 4
 #: the ``kind`` every snapshot payload carries
 STATE_KIND = "manager"
 
@@ -127,8 +127,8 @@ def check_snapshot_format(payload: dict, where: str,
                           error=PersistError) -> None:
     """The format gate of recovery and follower bootstrap: a snapshot
     payload is read only when it is a version-:data:`STATE_VERSION`
-    ``"manager"`` state.  Anything else — a 3.0 directory (version 2),
-    a 2.x one (version 1), a single-maintainer snapshot — raises
+    ``"manager"`` state.  Anything else — a 4.0–8.x directory (version
+    3), 3.0 (2), 2.x (1), a single-maintainer snapshot — raises
     ``error`` naming what was found and what is expected, before any of
     it is decoded.
     """
@@ -205,14 +205,10 @@ def restore_maintainer(db: Database, state: dict,
         ),
     )
     engine = maintainer.engine
-    # combined heaps first: the graph replay reads rows through them
+    # member hashes first: the graph replay rebuilds rows through them
     for idx, runtime_state in state["combined"]:
         engine._combined[idx].load_state(runtime_state)
-
-    def row_of(node_idx: int, tid: int) -> tuple:
-        return engine.plan.nodes[node_idx].table.get(tid)
-
-    engine.graph.load_state(state["graph"], row_of)
+    engine.graph.load_state(state["graph"], engine.row_of)
     engine.synopsis.load_state(state["synopsis"])
     engine.stats = EngineStats(**state["engine_stats"])
     engine.rng.setstate(state["rng_state"])

@@ -24,7 +24,7 @@ plus the ``n`` full weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, TableSchema
@@ -66,7 +66,11 @@ class CollapsedMember:
 
 @dataclass
 class PlanNode:
-    """A final range table of the reduced (post-collapse) query tree."""
+    """A final range table of the reduced (post-collapse) query tree.
+
+    ``table`` is the heap whose TIDs name the node's tuples — a combined
+    node's is its anchor's; its rows exist only as the engine's
+    :class:`~repro.core.fk_runtime.CombinedNodeRuntime` rebuilds them."""
 
     idx: int
     alias: str
@@ -176,7 +180,9 @@ class JoinPlan:
         self.designated_index: List[IndexSpec] = []
         self.edge_index: Dict[Tuple[int, int], IndexSpec] = {}
         self._layout_indexes()
-        self._expansion = self._build_expansion()
+        # per node: its (anchor) member's range-table position, combined?
+        self._expansion = tuple((node.members[0].orig_index,
+                                 node.is_combined) for node in nodes)
 
     # ------------------------------------------------------------------
     @property
@@ -242,34 +248,29 @@ class JoinPlan:
                     self.edge_index[(node.idx, spec.neighbor_idx)] = spec
 
     # ------------------------------------------------------------------
-    def _build_expansion(self):
-        """Precompute how plan-level results expand to original TID tuples."""
-        slots = [None] * self.query.num_tables
-        for node in self.nodes:
-            for pos, member in enumerate(node.members):
-                slots[member.orig_index] = (node.idx, pos, node.is_combined)
-        if any(slot is None for slot in slots):
-            raise PlanError("expansion mapping incomplete")
-        return slots
-
-    def expand_result(self, plan_result: Sequence[int]) -> Tuple[int, ...]:
-        """Map a plan-level result (node TIDs) to original-table TIDs."""
-        out = []
-        for node_idx, pos, combined in self._expansion:
-            tid = plan_result[node_idx]
+    def resolve_result(self, plan_result: Sequence[int],
+                       runtimes: Optional[Mapping] = None
+                       ) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
+        """Map a plan-level result (node TIDs) to original-table TIDs and
+        the heap rows they name, in range-table order, reading each node's
+        heap once.  A combined node's members come from the hashes of its
+        engine's :class:`~repro.core.fk_runtime.CombinedNodeRuntime`:
+        ``runtimes`` maps its idx to it (needed on combined plans)."""
+        size = self.query.num_tables
+        tids: List[int] = [0] * size
+        rows: List[tuple] = [()] * size
+        for node, tid, (pos, combined) in zip(self.nodes, plan_result,
+                                              self._expansion):
+            tids[pos] = tid
+            rows[pos] = node.table.peek(tid)
             if combined:
-                row = self.nodes[node_idx].table.get(tid)
-                out.append(row[pos])
-            else:
-                out.append(tid)
-        return tuple(out)
+                runtimes[node.idx].expand_into(tids, rows)
+        return tuple(tids), tuple(rows)
 
-    def original_value(self, orig_result: Sequence[int], alias: str,
-                       attr: str) -> object:
-        """Read ``alias.attr`` from an expanded (original) join result."""
-        idx = self.query.index_of(alias)
-        table = self.db.table(self.query.range_tables[idx].table_name)
-        return table.get(orig_result[idx])[table.schema.index_of(attr)]
+    def expand_result(self, plan_result: Sequence[int],
+                      runtimes: Optional[Mapping] = None) -> Tuple[int, ...]:
+        """Map a plan-level result (node TIDs) to original-table TIDs."""
+        return self.resolve_result(plan_result, runtimes)[0]
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +444,7 @@ def _prefilter(query: JoinQuery, schema: TableSchema, alias: str):
 
 def _build_nodes(query: JoinQuery, db: Database,
                  groups: List[List[CollapsedMember]]):
-    """Materialise plan nodes (and combined heap tables) for each group."""
+    """Materialise plan nodes (and combined schemas) for each group."""
     nodes: List[PlanNode] = []
     alias_to_node: Dict[str, PlanNode] = {}
     routes: Dict[str, Route] = {}
@@ -454,39 +455,26 @@ def _build_nodes(query: JoinQuery, db: Database,
                 query, db.table(member.base_table).schema, member.alias))
     for idx, group in enumerate(groups):
         ordered = _order_members(group)
+        # a node's tuples are its first member's: a combined tuple is
+        # its anchor
+        table = db.table(ordered[0].base_table)
         if len(ordered) == 1:
-            member = ordered[0]
-            base = db.table(member.base_table)
-            node = PlanNode(
-                idx=idx,
-                alias=member.alias,
-                schema=base.schema,
-                table=base,
-                members=(member,),
-            )
-            route(member, idx, "direct")
+            alias, schema = ordered[0].alias, table.schema
+            route(ordered[0], idx, "direct")
         else:
-            node_alias = "__".join(m.alias for m in ordered)
+            alias = "__".join(m.alias for m in ordered)
             columns = [
                 Column(f"__tid_{m.alias}", nullable=False) for m in ordered
             ]
             for m in ordered:
-                schema = db.table(m.base_table).schema
-                for col in schema.columns:
-                    columns.append(
-                        Column(f"{m.alias}__{col.name}", col.dtype,
-                               col.nullable)
-                    )
-            schema = TableSchema(node_alias, columns)
-            node = PlanNode(
-                idx=idx,
-                alias=node_alias,
-                schema=schema,
-                table=Table(schema, validate=False),
-                members=tuple(ordered),
-            )
+                columns.extend(
+                    Column(f"{m.alias}__{col.name}", col.dtype, col.nullable)
+                    for col in db.table(m.base_table).schema.columns)
+            schema = TableSchema(alias, columns)
             for pos, m in enumerate(ordered):
                 route(m, idx, "anchor" if pos == 0 else "member")
+        node = PlanNode(idx=idx, alias=alias, schema=schema, table=table,
+                        members=tuple(ordered))
         nodes.append(node)
         for m in ordered:
             alias_to_node[m.alias] = node

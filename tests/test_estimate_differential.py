@@ -12,12 +12,15 @@ their order, sample size, epoch — on the leader, on a follower tailing
 its WAL, on a bare manager, and across checkpoint + recover.
 
 The second half counts ``Table.peek`` calls: that an estimate makes
-none, and a publish makes one per range table per *changed* entry, is
-the mechanism, stated as a count that repeats exactly.
+none, and a publish reads each range table's heap at most once per
+*changed* sample — once per plan node, a combined node's members coming
+from its FK hash lookups — is the mechanism, stated as a count that
+repeats exactly.
 """
 
 import math
 import operator
+from collections import Counter
 
 import pytest
 
@@ -335,21 +338,33 @@ def test_a_stale_view_answers_the_same_after_its_rows_are_deleted(workload):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def peeks(monkeypatch):
-    """Counts ``Table.peek`` calls: ``peeks()`` reads and resets."""
-    calls = [0]
+    """Counts ``Table.peek`` calls per table: ``peeks()`` reads and
+    resets (an empty ``Counter``: none)."""
+    calls = Counter()
     peek = Table.peek
 
     def counting(self, tid):
-        calls[0] += 1
+        calls[self.schema.name] += 1
         return peek(self, tid)
 
     monkeypatch.setattr(Table, "peek", counting)
 
     def read_and_reset():
-        count, calls[0] = calls[0], 0
+        count = Counter(calls)
+        calls.clear()
         return count
 
     return read_and_reset
+
+
+def one_read_per_node(engine, samples):
+    """``samples`` resolutions: each reads every plan node's heap once —
+    a combined node's anchor heap, its members coming from the FK hash
+    lookups — so at most once per range table."""
+    reads = Counter()
+    for node in engine.plan.nodes:
+        reads[node.table.schema.name] += samples
+    return +reads
 
 
 def estimate_all(registered, workload):
@@ -372,34 +387,37 @@ def test_peek_is_called_once_per_changed_entry_and_never_by_an_estimate(
         peeks, workload, family):
     manager = build_manager(workload, "sjoin-opt", family)
     engine = manager.maintainer(NAME).engine
-    arity = len(engine.query.range_tables)
     registered = QueryRegistry(manager).get(NAME)
     estimate_all(registered, workload)
     peeks()
     moved = 0
     for batch in stream(workload, seed=13, batches=40):
         manager.apply_batch(batch)
-        assert peeks() == 0         # maintenance never resolves rows
+        assert not peeks()          # maintenance never resolves rows
         changed = engine.synopsis.changed_positions()
         if changed is None:         # a rebuild: every position
             changed = range(len(engine.synopsis.slots()))
         changed = set(changed)
         before = list(engine._entries._resolved)
-        # the first read after the batch resolves the entries the
-        # synopsis reports changed (those a residual filter lets
-        # through), each once per range table ...
+        # the first read after the batch resolves the samples the
+        # synopsis reports changed, each reading every range table's
+        # heap at most once (a combined node's members: none) ...
         estimate_all(registered, workload)
         slots = engine.synopsis.slots()
+        resolved = sum(pos < len(slots) and slots[pos] is not None
+                       for pos in changed)
+        assert peeks() == one_read_per_node(engine, resolved)
+        # ... and those a residual filter lets through are the entries
         entries = sum(pos < len(slots)
                       and engine._entries._rows[pos] is not None
                       for pos in changed)
-        assert peeks() == entries * arity
         assert written_since(engine._entries, before) == entries
+        assert entries <= resolved
         moved += bool(entries)
         # ... and K more estimates on the now static epoch resolve none
         for _ in range(3):
             estimate_all(registered, workload)
-        assert peeks() == 0
+        assert not peeks()
     assert moved >= 10
 
 
@@ -407,7 +425,6 @@ def test_a_publish_pays_per_changed_entry_and_served_estimates_nothing(
         peeks):
     manager = build_manager(FkWorkload, "sjoin-opt", "uniform")
     engine = manager.maintainer(NAME).engine
-    arity = len(engine.query.range_tables)
     with SynopsisService(manager) as service:
         registered = QueryRegistry(service).get(NAME)
         peeks()
@@ -415,14 +432,15 @@ def test_a_publish_pays_per_changed_entry_and_served_estimates_nothing(
         for batch in stream(FkWorkload, seed=13, batches=40):
             before = list(engine._entries._resolved)
             # rows are resolved by the publish, on the ingest thread
-            # (idle again once the batch is acknowledged)
+            # (idle again once the batch is acknowledged); no residual
+            # filter here, so every resolved sample is an entry
             service.apply_batch(batch)
             entries = written_since(engine._entries, before)
-            assert peeks() == entries * arity
+            assert peeks() == one_read_per_node(engine, entries)
             published += entries
             for _ in range(3):
                 estimate_all(registered, FkWorkload)
-            assert peeks() == 0
+            assert not peeks()
         assert published >= 10
 
 
@@ -435,13 +453,14 @@ def test_a_cold_restored_engine_resolves_each_entry_once(peeks):
         restore_database(capture_database(manager.db)),
         capture_manager(manager))
     engine = restored.maintainer(NAME).engine
-    arity = len(engine.query.range_tables)
     peeks()
     registered = QueryRegistry(restored).get(NAME)
     estimate_all(registered, BandWorkload)
     # nothing of the resolved rows is in the snapshot: the first read
-    # resolves every entry, once
-    assert peeks() == len(engine.synopsis_entries()) * arity > 0
+    # resolves every sample, once
+    samples = len(engine.raw_samples())
+    assert samples >= len(engine.synopsis_entries()) > 0
+    assert peeks() == one_read_per_node(engine, samples)
     assert restored.synopsis_entries(NAME).resolved == warm.resolved
     estimate_all(registered, BandWorkload)
-    assert peeks() == 0
+    assert not peeks()

@@ -12,6 +12,7 @@ from repro import (
     IntegrityError,
     JoinExecutor,
     SJoinEngine,
+    SynopsisError,
     SynopsisSpec,
     TableSchema,
     parse_query,
@@ -49,27 +50,72 @@ class TestRuntime:
         engine = opt_engine(db)
         engine_insert(engine, "dim", (1, 7))
         assert engine.total_results() == 0
-        # combined node's heap is still empty
-        combined = engine.plan.node("fact__dim")
-        assert len(combined.table) == 0
+        # a member lands in its hash only: no combined tuple, no graph
+        assert engine.graph.state_dict()["nodes"][
+            engine.plan.node_idx("fact__dim")] == []
+        (runtime,) = engine._combined.values()
+        assert len(runtime.hashes["dim"]) == 1
 
     def test_fact_insert_combines(self):
         db = fk_db()
         engine = opt_engine(db)
         engine_insert(engine, "dim", (1, 7))
         engine_insert(engine, "other", (7, 0))
-        engine_insert(engine, "fact", (1, 42))
+        fact_tid = engine_insert(engine, "fact", (1, 42))
         assert engine.total_results() == 1
+        # a combined tuple is its anchor: the fact TID names it, and its
+        # row is rebuilt from the fact row
         combined = engine.plan.node("fact__dim")
-        assert len(combined.table) == 1
-        row = combined.table.get(0)
+        assert combined.table is db.table("fact")
+        row = engine.row_of(combined.idx, fact_tid)
         assert row[:2] == (0, 0)  # original tids of fact and dim
+        assert engine.raw_samples() == [(fact_tid, 0)]
+        assert engine.plan.expand_result(
+            (fact_tid, 0), engine._combined) == (0, 0, 0)
 
     def test_missing_pk_raises(self):
         db = fk_db()
         engine = opt_engine(db)
         with pytest.raises(IntegrityError):
             engine_insert(engine, "fact", (999, 1))
+
+    def test_refused_fact_deletes_cleanly_after_its_dim_arrives(self):
+        """The refused row stays in the heap; once its dim exists its
+        combined row would rebuild, but it is in no graph and holds no
+        reference, so its delete touches neither."""
+        db = fk_db()
+        engine = opt_engine(db)
+        with pytest.raises(IntegrityError):
+            engine_insert(engine, "fact", (1, 42))
+        (refused,) = db.table("fact").live_tids()
+        dim_tid = engine_insert(engine, "dim", (1, 7))
+        engine_insert(engine, "other", (7, 0))
+        engine_delete(engine, "fact", refused)
+        engine_delete(engine, "dim", dim_tid)     # never referenced
+        assert engine.total_results() == 0
+
+    def test_a_fact_refused_for_its_weight_references_nothing(self):
+        """Assembly finds the dim, then the tuple weight refuses the row:
+        the row stays in the heap, in no graph and holding no reference,
+        so its delete leaves the reference of an accepted fact alone."""
+        db = fk_db()
+        engine = opt_engine(db, spec=SynopsisSpec.weighted_fixed_size(
+            5, "fact.val"))
+        dim_tid = engine_insert(engine, "dim", (1, 7))
+        engine_insert(engine, "other", (7, 0))
+        with pytest.raises(SynopsisError, match="positive integers"):
+            engine_insert(engine, "fact", (1, 0))
+        (refused,) = db.table("fact").live_tids()
+        accepted = engine_insert(engine, "fact", (1, 3))
+        assert engine.total_results() == 3
+        engine_delete(engine, "fact", refused)
+        assert engine.total_results() == 3
+        with pytest.raises(IntegrityError):     # still held by `accepted`
+            engine_delete(engine, "dim", dim_tid)
+        engine_delete(engine, "fact", accepted)
+        engine_delete(engine, "dim", dim_tid)
+        assert engine.total_results() == 0
+        engine.graph.check_invariants()
 
     def test_duplicate_pk_raises(self):
         db = fk_db()

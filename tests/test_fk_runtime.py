@@ -7,6 +7,7 @@ from repro import (
     Database,
     ForeignKey,
     IntegrityError,
+    SynopsisError,
     TableSchema,
     parse_query,
 )
@@ -82,14 +83,24 @@ def build_runtime():
     return db, CombinedNodeRuntime(node, db, frozenset())
 
 
+def held(tid, row):
+    """The graph's membership test, for an anchor that was assembled."""
+    return True
+
+
+def not_held(tid, row):
+    return False
+
+
 class TestCombinedNodeRuntime:
     def test_assemble_layout(self):
         db, runtime = build_runtime()
         runtime.register_member("dim", 0, (7, 99))
-        tid, row = runtime.assemble(3, (7, 42))
+        tid, row, weight = runtime.assemble(3, (7, 42))
         # leading original tids, then fact columns, then dim columns
-        assert row == (3, 0, 7, 42, 7, 99)
-        assert runtime.has_combined(3)
+        assert (tid, row, weight) == (3, (3, 0, 7, 42, 7, 99), None)
+        # nothing stored: the row is rebuilt from the anchor's
+        assert runtime.row_of(3, (7, 42)) == row
 
     def test_assemble_missing_raises(self):
         db, runtime = build_runtime()
@@ -99,16 +110,53 @@ class TestCombinedNodeRuntime:
     def test_disassemble_releases_references(self):
         db, runtime = build_runtime()
         runtime.register_member("dim", 0, (7, 99))
-        runtime.assemble(3, (7, 42))
-        combined_tid, row = runtime.disassemble(3)
-        assert row[0] == 3
-        assert not runtime.has_combined(3)
+        _, row, _ = runtime.assemble(3, (7, 42))
+        assert runtime.disassemble(3, (7, 42), held) == row
         runtime.unregister_member("dim", (7, 99))  # now allowed
 
     def test_disassemble_unknown_raises(self):
+        """An anchor the graph does not hold was never assembled: it is
+        released from nothing, whether its member is missing or has
+        arrived — also when another anchor holds that member."""
+        db, runtime = build_runtime()
+        assert runtime.disassemble(123, (12, 1), held) is None
+        runtime.register_member("dim", 0, (12, 5))
+        assert runtime.disassemble(123, (12, 1), not_held) is None
+        runtime.assemble(4, (12, 2))
+        assert runtime.disassemble(123, (12, 1), not_held) is None
+        with pytest.raises(IntegrityError):     # 4 still holds the dim
+            runtime.unregister_member("dim", (12, 5))
+        assert runtime.disassemble(4, (12, 2), held) is not None
+        with pytest.raises(IntegrityError, match="underflow"):
+            runtime.disassemble(4, (12, 2), held)   # released twice
+
+    def test_disassemble_forgets_a_refused_anchor(self):
+        """An anchor whose insert was refused stays in the heap; when it
+        is deleted after its member arrived, it is in no graph and holds
+        no reference."""
         db, runtime = build_runtime()
         with pytest.raises(IntegrityError):
-            runtime.disassemble(123)
+            runtime.assemble(4, (12, 1))
+        runtime.register_member("dim", 0, (12, 5))
+        assert runtime.disassemble(4, (12, 1), not_held) is None
+        runtime.unregister_member("dim", (12, 5))
+
+    def test_a_refused_weight_takes_no_reference(self):
+        db, runtime = build_runtime()
+
+        def weigh(node_idx, row):
+            if row[-3] <= 0:    # fact.val
+                raise SynopsisError("bad weight")
+            return row[-3]
+
+        runtime._weigh = weigh
+        runtime.register_member("dim", 0, (7, 99))
+        with pytest.raises(SynopsisError):
+            runtime.assemble(3, (7, 0))
+        runtime.unregister_member("dim", (7, 99))
+        runtime.register_member("dim", 1, (7, 99))
+        assert runtime.assemble(4, (7, 2)) == (4, (4, 1, 7, 2, 7, 99), 2)
+        assert runtime.assembles == 2
 
     def test_rejects_non_combined_node(self):
         db = Database()
@@ -154,15 +202,16 @@ class TestChainShapes:
         runtime = depth3()
         runtime.register_member("leaf", 4, (30, 9))
         runtime.register_member("mid", 2, (20, 30))
-        tid, row = runtime.assemble(7, (1, 20))
+        tid, row, _ = runtime.assemble(7, (1, 20))
         # tids of fact, mid, leaf; then the three base rows
-        assert row == (7, 2, 4, 1, 20, 20, 30, 30, 9)
+        assert (tid, row) == (7, (7, 2, 4, 1, 20, 20, 30, 30, 9))
+        assert runtime.row_of(7, (1, 20)) == row
         assert (runtime.lookups, runtime.assembles) == (2, 1)
         with pytest.raises(IntegrityError):     # both parents are held
             runtime.unregister_member("leaf", (30, 9))
         with pytest.raises(IntegrityError):
             runtime.unregister_member("mid", (20, 30))
-        assert runtime.disassemble(7) == (tid, row)
+        assert runtime.disassemble(7, (1, 20), held) == row
         runtime.unregister_member("mid", (20, 30))
         runtime.unregister_member("leaf", (30, 9))
 
@@ -176,10 +225,11 @@ class TestChainShapes:
         with pytest.raises(IntegrityError, match="no match in mid"):
             runtime.assemble(1, (1, 99))                # a miss at once
         assert runtime.lookups == 3
-        # neither left a combined row, a mapping or a reference behind
+        # neither left a reference behind, nor anything per anchor
         after = runtime.state_dict()
-        for key in ("hashes", "anchor_to_combined", "table"):
-            assert after[key] == before[key]
+        assert after["hashes"] == before["hashes"]
+        assert set(after) == {"assembles", "assembly_drops", "lookups",
+                              "member_registrations", "hashes"}
         runtime.unregister_member("mid", (20, 31))
 
     def test_two_members_under_one_parent(self):
@@ -198,10 +248,11 @@ class TestChainShapes:
             "fact__da__db")
         runtime.register_member("da", 0, (1, 5))
         runtime.register_member("db", 0, (2, 6))
-        tid, row = runtime.assemble(3, (1, 2))
-        assert row == (3, 0, 0, 1, 2, 1, 5, 2, 6)
+        tid, row, _ = runtime.assemble(3, (1, 2))
+        assert (tid, row) == (3, (3, 0, 0, 1, 2, 1, 5, 2, 6))
+        assert runtime.row_of(3, (1, 2)) == row
         assert runtime.lookups == 2
-        assert runtime.disassemble(3) == (tid, row)
+        assert runtime.disassemble(3, (1, 2), held) == row
         runtime.unregister_member("da", (1, 5))
         runtime.unregister_member("db", (2, 6))
 
@@ -216,9 +267,10 @@ class TestChainShapes:
         ], "SELECT * FROM fact, dim, other WHERE fact.f1 = dim.k1 "
            "AND fact.f2 = dim.k2 AND dim.band = other.band", "fact__dim")
         runtime.register_member("dim", 0, (1, 9, 2))
-        tid, row = runtime.assemble(5, (2, 7, 1))
-        assert row == (5, 0, 2, 7, 1, 1, 9, 2)
+        tid, row, _ = runtime.assemble(5, (2, 7, 1))
+        assert (tid, row) == (5, (5, 0, 2, 7, 1, 1, 9, 2))
+        assert runtime.row_of(5, (2, 7, 1)) == row
         with pytest.raises(IntegrityError):
             runtime.assemble(6, (1, 7, 2))      # the columns swapped
-        assert runtime.disassemble(5) == (tid, row)
+        assert runtime.disassemble(5, (2, 7, 1), held) == row
         runtime.unregister_member("dim", (1, 9, 2))

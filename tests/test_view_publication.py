@@ -155,13 +155,22 @@ def build_manager(workload, engine, family, seed=5):
 def reference(maintainer):
     engine = maintainer.engine
     plan = engine.plan
-    residuals = list(plan.demoted) + list(engine.query.multi_filters)
+    query = engine.query
+    residuals = list(plan.demoted) + list(query.multi_filters)
     subset = maintainer.family == "subset"
+    # SJoin-opt's combined-node runtimes (SJ plans have none)
+    runtimes = getattr(engine, "_combined", None)
+
+    def value(row, alias, attr):
+        table = maintainer.db.table(query.range_table(alias).table_name)
+        return table.get(row[query.index_of(alias)])[
+            table.schema.index_of(attr)]
+
     rows, metas = [], []
     for plan_result in engine.raw_samples():
-        row = plan.expand_result(plan_result)
+        row = plan.expand_result(plan_result, runtimes)
         if not all(
-                mflt.matches([plan.original_value(row, alias, attr)
+                mflt.matches([value(row, alias, attr)
                               for alias, attr in mflt.inputs])
                 for mflt in residuals):
             continue
@@ -380,11 +389,11 @@ def test_a_failed_expansion_fails_the_next_read_too(monkeypatch):
     want = reference(maintainer)
     plan = maintainer.engine.plan
 
-    def unreadable(plan_result):
+    def unreadable(plan_result, runtimes):
         raise RuntimeError("heap unreadable")
 
     # the first read after the batches still has changes to expand
-    monkeypatch.setattr(plan, "expand_result", unreadable)
+    monkeypatch.setattr(plan, "resolve_result", unreadable)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="unreadable"):
             manager.synopsis_entries(NAME)
