@@ -233,13 +233,15 @@ class CombinedNodeRuntime:
         return sum(layout(rows), layout(tids))
 
     def disassemble(self, anchor_tid: int, anchor_row: tuple,
-                    held: Callable[[int, tuple], bool]) -> Optional[tuple]:
-        """Reverse :meth:`assemble` for a deleted anchor: release the
-        member references and return the combined row to remove from the
-        graph — or None, releasing nothing, when ``held(anchor_tid,
-        row)`` (the graph's membership test) fails or a member is
-        missing: the anchor was never assembled (a miss, a refused
-        weight, another query's refusal), member since arrived or not."""
+                    delete: Callable[[int, tuple], Optional[int]]
+                    ) -> Optional[int]:
+        """Reverse :meth:`assemble` for a deleted anchor: hand the combined
+        row to ``delete`` (the graph's) and, when it reports the tuple
+        removed, release the member references and return its report.
+        None, releasing nothing, when ``delete`` returns None (the graph
+        does not hold the tuple) or a member is missing: the anchor was
+        never assembled (a miss, a refused weight, another query's
+        refusal), member since arrived or not."""
         width = self._width
         tids, rows = [anchor_tid] * width, [anchor_row] * width
         try:
@@ -247,9 +249,8 @@ class CombinedNodeRuntime:
         except IntegrityError:
             return None
         layout = self._layout
-        row = sum(layout(rows), layout(tids))
-        if not held(anchor_tid, row):
-            return None
-        for _, parent, fk_of, member_hash in self._chain:
-            member_hash.drop_reference(fk_of(rows[parent]))
-        return row
+        removed = delete(anchor_tid, sum(layout(rows), layout(tids)))
+        if removed is not None:
+            for _, parent, fk_of, member_hash in self._chain:
+                member_hash.drop_reference(fk_of(rows[parent]))
+        return removed

@@ -97,32 +97,41 @@ class _DeleteRun:
         if self.passes is not None and not self.passes(row):
             return False
         kind = self.kind
-        if kind == "direct":
-            self._node_delete(tid, row)
-        elif kind == "member":
+        if kind == "member":
             self.runtime.unregister_member(self.alias, row)
-        else:  # anchor: None when assembly built it no graph tuple
-            combined = self.runtime.disassemble(tid, row, self.graph_run.holds)
-            if combined is not None:
-                self._node_delete(tid, combined)
+        elif kind == "direct":
+            removed = self._graph_delete(tid, row)
+            if removed is None:
+                raise self.graph_run.missing(tid)
+            self._resample(tid, removed)
+        else:  # anchor: None when the graph holds no tuple of it
+            removed = self.runtime.disassemble(tid, row, self._graph_delete)
+            if removed is not None:
+                self._resample(tid, removed)
         engine.stats.deletes += 1
         return True
 
-    def _node_delete(self, tid: int, row: tuple) -> None:
-        """The tuple's own vertex, ``J``, the purge and — a family
-        strategy: each synopsis class knows how (and whether) to refill
-        itself — the re-draws, through the tree rooted at the run's
-        node."""
+    def _graph_delete(self, tid: int, row: tuple) -> Optional[int]:
+        """The tuple's own vertex: the join results it took with it, None
+        when the graph does not hold it."""
+        clock = self.clock
+        if clock is None:
+            return self.graph_run.delete(tid, row)
+        t0 = clock()
+        removed = self.graph_run.delete(tid, row)
+        self.graph_ns += clock() - t0
+        return removed
+
+    def _resample(self, tid: int, removed: int) -> None:
+        """``J``, the purge and — a family strategy: each synopsis class
+        knows how (and whether) to refill itself — the re-draws, through
+        the tree rooted at the run's node."""
         engine = self.engine
         synopsis = engine.synopsis
         run = self.graph_run
         clock = self.clock
         if clock is not None:
-            t0 = clock()
-        removed = run.delete(tid, row)
-        if clock is not None:
             t1 = clock()
-            self.graph_ns += t1 - t0
         engine.stats.removed_results_total += removed
         self.removed += removed
         if removed:
@@ -209,10 +218,7 @@ class _InsertRun(InsertRun):
         clock = self.clock
         if clock is not None:
             t0 = clock()
-        if len(pending) == 1:
-            blocks = (graph.insert_tuple(node_idx, *pending[0]),)
-        else:
-            blocks = graph.insert_tuples(node_idx, pending)
+        blocks = graph.insert_tuples(node_idx, pending)
         if clock is not None:
             self.phases[metric_names.INSERT_GRAPH_NS] = clock() - t0
         view = DeltaJoinView(graph, node_idx, blocks)

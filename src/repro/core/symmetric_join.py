@@ -143,7 +143,7 @@ class SymmetricJoinEngine:
         ]
         for (node_idx, nbr_idx) in self.plan.edge_index:
             self._indexes[(node_idx, nbr_idx)] = AggregateTree(
-                0, lambda item, slot: 0
+                0, lambda item: []
             )
             self._handles[(node_idx, nbr_idx)] = {}
         self._key_attr_pos: Dict[Tuple[int, int], Tuple[int, ...]] = {}

@@ -10,7 +10,10 @@ Weight maintenance follows Algorithm 1: when a tuple's vertex weights
 change, the per-edge deltas are batched into ordered ``key -> delta-weight``
 maps and pushed outward along the query tree; each reachable vertex is
 touched exactly once per update (deltas accumulate before being applied),
-giving the ``O(h(v) log N)`` bound of Theorem 4.5.
+giving the ``O(h(v) log N)`` bound of Theorem 4.5.  A visit's work is
+compiled up front: Equation (1) once per plan node by its degree, one slot
+reader per index, and per directed edge the indexes and onward directions
+a delta arriving over it touches.
 
 Deletion reverses insertion, with two extra steps: the number of join
 results removed is read off ``w_full / |ids|`` in O(1) before the update,
@@ -25,7 +28,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import SynopsisError, TupleNotFoundError
 from repro.obs.metrics import as_registry
@@ -50,14 +54,6 @@ class GraphStats:
     vertex_removals: int = 0
     weight_recomputes: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters (used between benchmark phases)."""
-        self.vertices_visited = 0
-        self.index_refreshes = 0
-        self.vertex_creations = 0
-        self.vertex_removals = 0
-        self.weight_recomputes = 0
-
 
 #: an insertion's delta-view placement ``(view_start, new_results)``:
 #: the tuple is part of ``new_results`` join results, whose join numbers
@@ -81,10 +77,15 @@ class Direction:
     projects a ``src`` vertex key onto its edge key toward ``dst``;
     ``range_of`` maps that edge key to the range of ``tree`` joining it
     (:meth:`~repro.query.query_tree.TreeEdge.range_fn`); ``ranged``
-    tells a range edge from a pure-equality one.
+    tells a range edge from a pure-equality one.  For a delta arriving
+    over the edge, ``onward`` lists the directions out of ``dst`` other
+    than back to ``src``, and ``refresh`` the ``(position, tree)`` of
+    each index of ``dst`` it changes — all but the one toward ``src``
+    unless that one also carries ``w_full``.
     """
 
-    __slots__ = ("dst", "tree", "slot", "key_pos", "range_of", "ranged")
+    __slots__ = ("dst", "tree", "slot", "key_pos", "range_of", "ranged",
+                 "onward", "refresh")
 
     def __init__(self, dst: int, tree: AggregateTree, slot: int,
                  key_pos: Tuple[int, ...],
@@ -95,6 +96,8 @@ class Direction:
         self.key_pos = key_pos
         self.range_of = range_of
         self.ranged = ranged
+        self.onward: Tuple[Direction, ...] = ()
+        self.refresh: Tuple[Tuple[int, AggregateTree], ...] = ()
 
     def source_key(self, vertex: Vertex) -> tuple:
         """Project a ``src`` vertex key onto its edge key toward ``dst``."""
@@ -115,6 +118,19 @@ class DescentPlan:
         self.slot = slot
         self.num_nodes = len(nodes)
         self.nodes = nodes
+
+
+def _slot_reader(spec: IndexSpec) -> Callable[[Vertex], List[int]]:
+    """One index's slot values of a vertex, compiled from the planner's
+    three layouts: ``w_out`` toward the index's neighbour, that followed
+    by ``w_full`` (a designated index), or ``w_full`` alone (a
+    single-table query)."""
+    if spec.slots == (("w_full", -1),):
+        return lambda vertex: [vertex.w_full]
+    (_, nbr), *designated = spec.slots
+    if designated:
+        return lambda vertex: [vertex.w_out[nbr], vertex.w_full]
+    return lambda vertex: [vertex.w_out[nbr]]
 
 
 class WeightedJoinGraph:
@@ -141,16 +157,17 @@ class WeightedJoinGraph:
         self.hash_indexes: List[HashIndex] = [
             HashIndex() for _ in plan.nodes
         ]
-        self.trees: Dict[int, AggregateTree] = {}
-        for spec in plan.indexes:
-            self.trees[spec.index_id] = AggregateTree(
-                len(spec.slots), self._value_reader(spec)
-            )
+        self.trees: Dict[int, AggregateTree] = {
+            spec.index_id: AggregateTree(len(spec.slots), _slot_reader(spec))
+            for spec in plan.indexes}
+        self._num_nodes = len(plan.nodes)
         # neighbours of each node: (neighbour idx, the compiled direction
         # node -> neighbour), deterministic order
         self._neighbors: List[List[Tuple[int, Direction]]] = []
-        # index key positions (index key attrs within vertex key)
-        self._index_key_pos: Dict[int, Tuple[int, ...]] = {}
+        # per node, its indexes in plan order (a vertex's ``nodes``):
+        # the tree and the index key's positions within the vertex key
+        self._indexes: List[Tuple[Tuple[AggregateTree, Tuple[int, ...]],
+                                  ...]] = []
         for node in plan.nodes:
             attr_pos = {attr: i for i, attr in enumerate(node.vertex_attrs)}
             nbrs = []
@@ -165,38 +182,27 @@ class WeightedJoinGraph:
                     edge.range_predicate is not None,
                 )))
             self._neighbors.append(nbrs)
-            for spec in plan.node_indexes[node.idx]:
-                self._index_key_pos[spec.index_id] = tuple(
-                    attr_pos[a] for a in spec.key_attrs
-                )
-        # each node's designated tree, the slot of w_full in it, its id
-        self._designated: List[Tuple[AggregateTree, int, int]] = [
-            (self.trees[spec.index_id], spec.slot_of("w_full"),
-             spec.index_id)
+            self._indexes.append(tuple(
+                (self.trees[spec.index_id],
+                 tuple(attr_pos[a] for a in spec.key_attrs))
+                for spec in plan.node_indexes[node.idx]))
+        for src_idx, nbrs in enumerate(self._neighbors):
+            for dst_idx, direction in nbrs:
+                direction.onward = tuple(
+                    onward for nbr_idx, onward in self._neighbors[dst_idx]
+                    if nbr_idx != src_idx)
+                direction.refresh = tuple(
+                    (pos, self.trees[spec.index_id]) for pos, spec
+                    in enumerate(plan.node_indexes[dst_idx])
+                    if spec.neighbor_idx != src_idx or len(spec.slots) > 1)
+        self._recompute = [self._compile_recompute(node.idx)
+                           for node in plan.nodes]
+        # each node's designated tree (``vertex.nodes[0]``), w_full's slot
+        self._designated: List[Tuple[AggregateTree, int]] = [
+            (self.trees[spec.index_id], spec.slot_of("w_full"))
             for spec in plan.designated_index
         ]
         self._descents: Dict[int, DescentPlan] = {}
-
-    # ------------------------------------------------------------------
-    # weight slot plumbing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _value_reader(spec: IndexSpec):
-        slots = spec.slots
-
-        def value_of(vertex: Vertex, slot: int) -> int:
-            kind, nbr = slots[slot]
-            if kind == "w_out":
-                return vertex.w_out[nbr]
-            return vertex.w_full
-
-        return value_of
-
-    def index_key_of(self, vertex: Vertex, spec: IndexSpec) -> tuple:
-        """Project a vertex key onto one index's composite sort key."""
-        pos = self._index_key_pos[spec.index_id]
-        key = vertex.key
-        return tuple(key[i] for i in pos)
 
     def neighbors(self, node_idx: int) -> List[Tuple[int, Direction]]:
         return self._neighbors[node_idx]
@@ -221,7 +227,7 @@ class WeightedJoinGraph:
                     else plan.node_idx(parent_alias),
                     tuple(by_dst[child] for child in children),
                 ))
-            tree, slot, _ = self._designated[root_idx]
+            tree, slot = self._designated[root_idx]
             descent = self._descents[root_idx] = DescentPlan(
                 tree, slot, nodes)
         return descent
@@ -231,7 +237,7 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     def total_results(self, root_idx: int = 0) -> int:
         """``J``: the total number of join results in the database."""
-        tree, slot, _ = self._designated[root_idx]
+        tree, slot = self._designated[root_idx]
         return tree.total(slot)
 
     def vertex_of(self, node_idx: int, key: tuple) -> Optional[Vertex]:
@@ -245,41 +251,18 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     def insert_tuple(self, node_idx: int, tid: int, row: Sequence[object],
                      weight: Optional[int] = None) -> Placement:
-        """Register tuple ``(tid, row)`` of plan node ``node_idx``.
-
-        Returns the placement of the non-materialised delta view over the
-        new join results (§4.5).  ``weight`` is the tuple's validated
-        weight when the caller already holds it (weighted graphs).
-        """
-        key = self.plan.nodes[node_idx].vertex_key_of(row)
-        # a refused weight must leave no empty vertex behind
+        """Register tuple ``(tid, row)`` of plan node ``node_idx``: a batch
+        of one (:meth:`insert_tuples`), its weight resolved first on a
+        weighted graph unless the caller already holds it."""
         if weight is None and self.tuple_weight is not None:
             weight = self.weight_of(node_idx, row)
-        vertices = self.hash_indexes[node_idx]
-        vertex = vertices.get(key)
-        created = vertex is None
-        if created:
-            vertex = vertices[key] = self._new_vertex(node_idx, key)
-        if weight is None:
-            vertex.ids.append(tid)
-        else:
-            vertex.append_weighted(tid, weight)
-        old_w_out = dict(vertex.w_out)
-        self._recompute_weights(vertex)
-        if created:
-            self._link_vertex(vertex)
-        else:
-            self._refresh_vertex(vertex)
-        self._propagate_run(node_idx, [(vertex, old_w_out)])
-        new = (vertex.per_tuple_weight if weight is None
-               else weight * vertex.unit_weight)
-        return self._block_end(vertex) - new, new
+        return self.insert_tuples(node_idx, [(tid, row, weight)])[0]
 
     def insert_tuples(self, node_idx: int, entries: Sequence[Entry]
                       ) -> List[Placement]:
         """Register a batch of tuples of one plan node in arrival order.
 
-        Bit-identical to calling :meth:`insert_tuple` per entry, but the
+        Bit-identical to registering the entries one batch each, but the
         expensive work is amortised over the batch:
 
         * each touched vertex is recomputed and re-aggregated **once**
@@ -302,23 +285,20 @@ class WeightedJoinGraph:
         reason.
         """
         touched, placed = self._insert_batch(node_idx, entries)
-        # per-entry view placements from the final aggregates (one bulk
-        # prefix query over the shared designated index)
-        tree, slot, index_id = self._designated[node_idx]
-        sums = tree.prefix_many(
-            slot, [vertex.nodes[index_id] for vertex in touched],
-            inclusive=True,
-        )
-        block_end: Dict[int, int] = {
-            id(vertex): end for vertex, end in zip(touched, sums)
-        }
+        # per-entry view placements from the final aggregates: where each
+        # touched vertex's block ends in the designated index
+        tree, slot = self._designated[node_idx]
+        prefix_sum = tree.prefix_sum
+        block_end: Dict[Vertex, int] = {}
+        for vertex in touched:
+            block_end[vertex] = prefix_sum(slot, vertex.nodes[0], True)
         placements: List[Placement] = []
         if self.tuple_weight is None:
             for vertex, id_index in placed:
                 ids = len(vertex.ids)
                 per_tuple = vertex.w_full // ids
                 placements.append((
-                    block_end[id(vertex)] - (ids - id_index) * per_tuple,
+                    block_end[vertex] - (ids - id_index) * per_tuple,
                     per_tuple))
             return placements
         for vertex, id_index in placed:
@@ -329,21 +309,22 @@ class WeightedJoinGraph:
             cum = vertex.cum
             before = cum[id_index - 1] if id_index else 0
             placements.append((
-                block_end[id(vertex)] - (cum[-1] - before) * unit,
+                block_end[vertex] - (cum[-1] - before) * unit,
                 (cum[id_index] - before) * unit))
         return placements
 
     def _insert_batch(self, node_idx: int, entries: Sequence[Entry]
-                      ) -> Tuple[List[Vertex], List[Tuple[Vertex, int]]]:
+                      ) -> Tuple[Dict[Vertex, List[int]],
+                                 List[Tuple[Vertex, int]]]:
         """The graph half of :meth:`insert_tuples` — append, recompute,
         propagate — without the view placements nobody reads on a
-        restore.  Returns the touched vertices in first-touch order and
-        each entry's ``(vertex, id_index)``."""
+        restore.  Returns the touched vertices in first-touch order, each
+        mapped to its ``w_out`` before the batch, and each entry's
+        ``(vertex, id_index)``."""
         key_pos = self.plan.nodes[node_idx].vertex_pos
         vertices = self.hash_indexes[node_idx]
         # phase 1: append every tuple, recording first-touch state
-        touched: List[Vertex] = []           # first-touch order
-        first_w_out: Dict[int, Dict[int, int]] = {}
+        touched: Dict[Vertex, List[int]] = {}   # first-touch order
         created: List[Vertex] = []
         placed: List[Tuple[Vertex, int]] = []  # (vertex, id_index)
         for tid, row, weight in entries:
@@ -352,9 +333,8 @@ class WeightedJoinGraph:
             if vertex is None:
                 vertex = vertices[key] = self._new_vertex(node_idx, key)
                 created.append(vertex)
-            if id(vertex) not in first_w_out:
-                touched.append(vertex)
-                first_w_out[id(vertex)] = dict(vertex.w_out)
+            if vertex not in touched:
+                touched[vertex] = vertex.w_out[:]
             ids = vertex.ids
             placed.append((vertex, len(ids)))
             if weight is None:
@@ -364,32 +344,34 @@ class WeightedJoinGraph:
         # phase 2: one recompute per touched vertex; new vertices link in
         # creation order (tie allocation!), existing ones re-aggregate in
         # one bulk update per index
+        recompute = self._recompute[node_idx]
         for vertex in touched:
-            self._recompute_weights(vertex)
+            recompute(vertex)
+        self.stats.weight_recomputes += len(touched)
         for vertex in created:
             self._link_vertex(vertex)
-        if len(created) < len(touched):
-            fresh = set(map(id, created))
-            refreshed = [v for v in touched if id(v) not in fresh]
-            for spec in self.plan.node_indexes[node_idx]:
-                self.trees[spec.index_id].update_many(
-                    [vertex.nodes[spec.index_id] for vertex in refreshed]
-                )
-                self.stats.index_refreshes += len(refreshed)
+        if len(touched) == 1 and not created:   # the per-op path
+            (vertex,) = touched
+            self._refresh_vertex(vertex)
+        elif len(created) < len(touched):
+            fresh = set(created)
+            refreshed = [v for v in touched if v not in fresh]
+            indexes = self._indexes[node_idx]
+            for pos, (tree, _) in enumerate(indexes):
+                tree.update_many([vertex.nodes[pos] for vertex in refreshed])
+            self.stats.index_refreshes += len(refreshed) * len(indexes)
         # phase 3: one propagation per direction with coalesced deltas
-        self._propagate_run(
-            node_idx,
-            [(vertex, first_w_out[id(vertex)]) for vertex in touched])
+        self._propagate_run(node_idx, touched.items())
         return touched, placed
 
     def _new_vertex(self, node_idx: int, key: tuple) -> Vertex:
         """A vertex for a key seen for the first time, its ``W_in``
         summed from the neighbour tables."""
         self.stats.vertex_creations += 1
-        vertex = Vertex(node_idx, key)
+        vertex = Vertex(node_idx, key, self._num_nodes)
+        W_in = vertex.W_in
         for nbr_idx, direction in self._neighbors[node_idx]:
-            vertex.W_in[nbr_idx] = self._sum_joining_w_out(
-                vertex, direction)
+            W_in[nbr_idx] = self._sum_joining_w_out(vertex, direction)
         return vertex
 
     # ------------------------------------------------------------------
@@ -407,9 +389,12 @@ class WeightedJoinGraph:
         A run of one."""
         run = self.delete_run(node_idx)
         try:
-            return run.delete(tid, row)
+            removed = run.delete(tid, row)
         finally:
             run.flush()
+        if removed is None:
+            raise run.missing(tid)
+        return removed
 
     # ------------------------------------------------------------------
     # internals
@@ -435,56 +420,73 @@ class WeightedJoinGraph:
             )
         return weight
 
-    def _recompute_weights(self, vertex: Vertex) -> None:
-        """Equation (1): weights are products of the cached ``W_in``
-        (with tuple count generalised to total tuple weight on a
-        weighted graph)."""
-        self.stats.weight_recomputes += 1
-        if self.tuple_weight is None:
-            count = len(vertex.ids)
+    def _compile_recompute(self, node_idx: int
+                           ) -> Callable[[Vertex], None]:
+        """Equation (1) for one plan node's vertices, resolved by degree:
+        ``w_out[j]`` is the tuple count (total tuple weight if weighted)
+        times every ``W_in`` but ``j``'s, ``w_full`` the count times all.
+        Leaf, degree 2, else prefix/suffix products; ``w_out`` in place."""
+        uniform = self.tuple_weight is None
+        nbrs = tuple(nbr_idx for nbr_idx, _ in self._neighbors[node_idx])
+        if len(nbrs) == 1:
+            (a,) = nbrs
+
+            def recompute(vertex: Vertex) -> None:
+                count = len(vertex.ids) if uniform else vertex.multiplicity
+                vertex.w_out[a] = count
+                vertex.w_full = count * vertex.W_in[a]
+        elif len(nbrs) == 2:
+            a, b = nbrs
+
+            def recompute(vertex: Vertex) -> None:
+                count = len(vertex.ids) if uniform else vertex.multiplicity
+                W_in, w_out = vertex.W_in, vertex.w_out
+                w_out[a] = count * W_in[b]
+                w_out[b] = toward_b = count * W_in[a]
+                vertex.w_full = toward_b * W_in[b]
         else:
-            count = vertex.multiplicity
-        nbrs = self._neighbors[vertex.node_idx]
-        if not nbrs:
-            vertex.w_full = count
-            return
-        product = count
-        for nbr_idx, _ in nbrs:
-            product *= vertex.W_in[nbr_idx]
-        vertex.w_full = product
-        for nbr_idx, _ in nbrs:
-            partial = count
-            for other_idx, _ in nbrs:
-                if other_idx != nbr_idx:
-                    partial *= vertex.W_in[other_idx]
-            vertex.w_out[nbr_idx] = partial
+            backward = nbrs[::-1]
+
+            def recompute(vertex: Vertex) -> None:
+                count = len(vertex.ids) if uniform else vertex.multiplicity
+                W_in, w_out = vertex.W_in, vertex.w_out
+                for nbr_idx in nbrs:
+                    w_out[nbr_idx] = count
+                    count *= W_in[nbr_idx]
+                vertex.w_full = count
+                suffix = 1
+                for nbr_idx in backward:
+                    w_out[nbr_idx] *= suffix
+                    suffix *= W_in[nbr_idx]
+        return recompute
 
     def _link_vertex(self, vertex: Vertex) -> None:
-        for spec in self.plan.node_indexes[vertex.node_idx]:
-            tree = self.trees[spec.index_id]
-            node = tree.insert(self.index_key_of(vertex, spec), vertex)
-            vertex.nodes[spec.index_id] = node
+        key = vertex.key
+        vertex.nodes = [tree.insert(tuple([key[i] for i in key_pos]), vertex)
+                        for tree, key_pos in self._indexes[vertex.node_idx]]
 
     def _unlink_vertex(self, vertex: Vertex) -> None:
-        for spec in self.plan.node_indexes[vertex.node_idx]:
-            tree = self.trees[spec.index_id]
-            tree.delete(vertex.nodes.pop(spec.index_id))
+        for (tree, _), handle in zip(self._indexes[vertex.node_idx],
+                                     vertex.nodes):
+            tree.delete(handle)
+        vertex.nodes = []
 
     def _refresh_vertex(self, vertex: Vertex) -> None:
         """Re-aggregate the vertex's tree nodes after a weight change."""
-        for spec in self.plan.node_indexes[vertex.node_idx]:
-            self.trees[spec.index_id].refresh(vertex.nodes[spec.index_id])
-            self.stats.index_refreshes += 1
+        for (tree, _), handle in zip(self._indexes[vertex.node_idx],
+                                     vertex.nodes):
+            tree.refresh(handle)
+        self.stats.index_refreshes += len(vertex.nodes)
 
     def _propagate_run(self, node_idx: int,
-                       touched: Sequence[Tuple[Vertex, Dict[int, int]]]
+                       touched: Iterable[Tuple[Vertex, List[int]]]
                        ) -> None:
         """Push the ``w_out`` deltas of ``(vertex, w_out before)`` pairs
         of one node outward, one ``updateNeighbor`` per direction."""
         for nbr_idx, direction in self._neighbors[node_idx]:
             updates: List[Tuple[tuple, int]] = []
             for vertex, old_w_out in touched:
-                delta = vertex.w_out[nbr_idx] - old_w_out.get(nbr_idx, 0)
+                delta = vertex.w_out[nbr_idx] - old_w_out[nbr_idx]
                 if delta:
                     updates.append((direction.source_key(vertex), delta))
             if updates:
@@ -507,43 +509,38 @@ class WeightedJoinGraph:
         if not affected:
             return
         dst_idx = direction.dst
-        onward: Dict[int, Dict[tuple, int]] = {}
-        onward_directions: Dict[int, Direction] = {}
+        recompute = self._recompute[dst_idx]
+        onward = direction.onward
+        batches: List[Dict[tuple, int]] = [{} for _ in onward]
         visited: List[Vertex] = []
         for dst_vertex, delta_w in affected:
             if not delta_w:
                 continue
-            self.stats.vertices_visited += 1
             dst_vertex.W_in[src_idx] += delta_w
-            old_w_out = dict(dst_vertex.w_out)
-            self._recompute_weights(dst_vertex)
+            w_out = dst_vertex.w_out
+            old_w_out = w_out[:]
+            recompute(dst_vertex)
             visited.append(dst_vertex)
-            for nbr_idx, onward_direction in self._neighbors[dst_idx]:
-                if nbr_idx == src_idx:
-                    continue
-                delta = dst_vertex.w_out[nbr_idx] - old_w_out.get(nbr_idx, 0)
+            for onward_direction, batch in zip(onward, batches):
+                nbr_idx = onward_direction.dst
+                delta = w_out[nbr_idx] - old_w_out[nbr_idx]
                 if delta:
-                    batch = onward.setdefault(nbr_idx, {})
                     nbr_key = onward_direction.source_key(dst_vertex)
                     batch[nbr_key] = batch.get(nbr_key, 0) + delta
-                    onward_directions[nbr_idx] = onward_direction
         # all visited vertices live on dst_idx, so their handles share
-        # the node's indexes: one bulk update per index instead of one
-        # refresh per (vertex, index).  The index toward src holds
-        # w_out[src], which this update leaves unchanged — unless it is
-        # also the designated index carrying w_full.
+        # the node's indexes: one bulk update per index the delta changes
+        # instead of one refresh per (vertex, index)
         if visited:
-            for spec in self.plan.node_indexes[dst_idx]:
-                if spec.neighbor_idx == src_idx and len(spec.slots) == 1:
-                    continue
-                self.trees[spec.index_id].update_many(
-                    [vertex.nodes[spec.index_id] for vertex in visited]
-                )
-                self.stats.index_refreshes += len(visited)
-        for nbr_idx, batch in onward.items():
-            self._update_direction(
-                dst_idx, onward_directions[nbr_idx], list(batch.items())
-            )
+            stats = self.stats
+            stats.vertices_visited += len(visited)
+            stats.weight_recomputes += len(visited)
+            for pos, tree in direction.refresh:
+                tree.update_many([vertex.nodes[pos] for vertex in visited])
+            stats.index_refreshes += len(visited) * len(direction.refresh)
+        for onward_direction, batch in zip(onward, batches):
+            if batch:
+                self._update_direction(
+                    dst_idx, onward_direction, list(batch.items()))
 
     def _gather_deltas(self, direction: Direction,
                        updates: List[Tuple[tuple, int]]
@@ -609,13 +606,6 @@ class WeightedJoinGraph:
             if running:
                 out.append((node.item, running))
         return out
-
-    def _block_end(self, vertex: Vertex) -> int:
-        """Inclusive prefix sum of ``w_full`` up to the vertex in its
-        node's designated index: the end (exclusive) of the vertex's
-        join-number block for the rooted tree at its own node."""
-        tree, slot, index_id = self._designated[vertex.node_idx]
-        return tree.prefix_sum(slot, vertex.nodes[index_id], inclusive=True)
 
     # ------------------------------------------------------------------
     # persistence (repro.persist)
@@ -720,41 +710,46 @@ class DeleteRun:
         self.graph = graph
         self.node_idx = node_idx
         # vertex -> its w_out when the run first touched it
-        self._touched: Dict[Vertex, Dict[int, int]] = {}
+        self._touched: Dict[Vertex, List[int]] = {}
 
-    def holds(self, tid: int, row: Sequence[object]) -> bool:
-        """Whether the run's node has tuple ``(tid, row)`` registered."""
-        graph, node_idx = self.graph, self.node_idx
-        vertex = graph.hash_indexes[node_idx].get(
-            graph.plan.nodes[node_idx].vertex_key_of(row))
-        return vertex is not None and tid in vertex.ids
+    def missing(self, tid: int) -> TupleNotFoundError:
+        """The error for a tuple the run's node does not hold."""
+        return TupleNotFoundError(
+            f"tuple {tid} of node {self.graph.plan.nodes[self.node_idx].alias}"
+            " is not in the join graph")
 
-    def delete(self, tid: int, row: Sequence[object]) -> int:
+    def delete(self, tid: int, row: Sequence[object]) -> Optional[int]:
         """Unregister tuple ``(tid, row)`` of the run's node; returns the
-        number of join results that involved it."""
+        number of join results that involved it — or None, changing
+        nothing, when the node does not hold the tuple (one vertex lookup
+        and one scan of its IDs answer both)."""
         graph = self.graph
         node_idx = self.node_idx
-        node = graph.plan.nodes[node_idx]
-        key = node.vertex_key_of(row)
-        vertex = graph.hash_indexes[node_idx].get(key)
-        if vertex is None or tid not in vertex.ids:
-            raise TupleNotFoundError(
-                f"tuple {tid} of node {node.alias} is not in the join graph"
-            )
+        key = tuple([row[i] for i in graph.plan.nodes[node_idx].vertex_pos])
+        vertices = graph.hash_indexes[node_idx]
+        vertex = vertices.get(key)
+        if vertex is None:
+            return None
+        ids = vertex.ids
+        try:
+            i = ids.index(tid)
+        except ValueError:
+            return None
         if vertex not in self._touched:
-            self._touched[vertex] = dict(vertex.w_out)
-        if graph.tuple_weight is None:
-            removed = vertex.per_tuple_weight
-            vertex.ids.remove(tid)
+            self._touched[vertex] = vertex.w_out[:]
+        if vertex.cum is None:
+            removed = vertex.w_full // len(ids)
+            del ids[i]
         else:
             unit = vertex.unit_weight  # before removal mutates the vertex
-            removed = vertex.remove_weighted(tid) * unit
-        graph._recompute_weights(vertex)
-        if vertex.ids:
+            removed = vertex.remove_weighted(i) * unit
+        graph._recompute[node_idx](vertex)
+        graph.stats.weight_recomputes += 1
+        if ids:
             graph._refresh_vertex(vertex)
         else:
             graph._unlink_vertex(vertex)
-            graph.hash_indexes[node_idx].remove(key)
+            vertices.remove(key)
             graph.stats.vertex_removals += 1
         return removed
 

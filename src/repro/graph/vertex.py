@@ -15,7 +15,15 @@ onto the node's join attributes (§4.2).  It owns:
 * ``W_in[j]`` — the cached total ``sum of w_out[j -> i]`` over joining
   vertices in neighbour ``j`` (the paper's ``W_j(v_i)``);
 * ``nodes`` — handles of this vertex's tree nodes, one per index of its
-  table, so weight changes re-aggregate without searching (§4.3).
+  plan node in the plan's order (``nodes[0]`` is in the designated index),
+  so weight changes re-aggregate without searching (§4.3).
+
+``w_out`` and ``W_in`` are positional: lists with one slot per plan node,
+indexed by the neighbour's plan-node index and zero at every node that is
+not a neighbour.  A visit of Algorithm 1 snapshots ``w_out`` as a list
+copy and reads old and new weights by index; the graph compiles the
+Equation (1) step that rewrites them once per plan node
+(:meth:`~repro.graph.join_graph.WeightedJoinGraph._compile_recompute`).
 
 For a *weighted* graph (tuple weights from a weighted synopsis family)
 each tuple additionally carries a positive integer weight: ``weights``
@@ -27,7 +35,7 @@ stay ``None`` on uniform graphs, keeping that hot path unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class Vertex:
@@ -38,27 +46,16 @@ class Vertex:
         "weights", "cum",
     )
 
-    def __init__(self, node_idx: int, key: tuple):
+    def __init__(self, node_idx: int, key: tuple, num_nodes: int):
         self.node_idx = node_idx
         self.key = key
         self.ids: List[int] = []
-        self.w_out: Dict[int, int] = {}
+        self.w_out: List[int] = [0] * num_nodes
         self.w_full: int = 0
-        self.W_in: Dict[int, int] = {}
-        self.nodes: Dict[int, object] = {}
+        self.W_in: List[int] = [0] * num_nodes
+        self.nodes: List[object] = []
         self.weights: Optional[List[int]] = None
         self.cum: Optional[List[int]] = None
-
-    @property
-    def per_tuple_weight(self) -> int:
-        """``w_full / |ids|``: join results per individual tuple (exact).
-
-        Only meaningful on uniform graphs; weighted paths use
-        :attr:`unit_weight` and per-tuple ``weights`` instead.
-        """
-        if not self.ids:
-            return 0
-        return self.w_full // len(self.ids)
 
     @property
     def multiplicity(self) -> int:
@@ -69,8 +66,8 @@ class Vertex:
 
     @property
     def unit_weight(self) -> int:
-        """``w_full`` per unit of tuple weight (== ``per_tuple_weight``
-        on a uniform graph)."""
+        """``w_full`` per unit of tuple weight (``w_full / |ids|``, the
+        join results per tuple, on a uniform graph)."""
         mult = self.multiplicity
         if not mult:
             return 0
@@ -85,9 +82,9 @@ class Vertex:
         self.weights.append(weight)
         self.cum.append((self.cum[-1] if self.cum else 0) + weight)
 
-    def remove_weighted(self, tid: int) -> int:
-        """Remove ``tid`` and its weight; return the removed weight."""
-        i = self.ids.index(tid)
+    def remove_weighted(self, i: int) -> int:
+        """Remove the tuple at position ``i`` of ``ids`` and its weight;
+        return the removed weight."""
         del self.ids[i]
         weight = self.weights.pop(i)
         # Rebuild the prefix-sum suffix from the removal point.

@@ -5,11 +5,14 @@ is a composite attribute tuple (possibly shared by several items), ``tie`` a
 unique integer that makes the sort key total.  Each node additionally
 maintains, for each of a fixed number of *slots*, the sum of a per-item
 numeric value over its subtree.  The items themselves (join-graph vertices)
-own their weights: a node reads its item's slot values through the
-``value_of(item, slot)`` callback when it is inserted and whenever its
-handle is passed to :meth:`refresh` / :meth:`update_many` — which
-re-aggregate the ``O(log n)`` path to the root — and holds them in between,
-so no query, rotation or re-aggregation calls back into the items.
+own their weights: a node reads all of its item's slot values in one call
+of the tree's ``read(item) -> list`` reader — compiled once per index by
+its owner; the join graph reads a vertex's ``w_out`` toward the index's
+neighbour and, in the designated index, its ``w_full`` — when it is
+inserted and whenever its handle is passed to :meth:`refresh` /
+:meth:`update_many`, which re-aggregate the ``O(log n)`` path to the root.
+The node holds those values in between, so no query, rotation or
+re-aggregation calls back into the items.
 
 Supported queries (each one or two root-to-leaf walks, ``O(log n)`` key
 comparisons — the bound of the paper's index):
@@ -57,7 +60,7 @@ class TreeNode:
         self.key = key
         self.tie = tie
         self.item = item
-        #: the item's slot values as last read through ``value_of``
+        #: the item's slot values as last read through the tree's reader
         self.values = values
         self.left: Optional[TreeNode] = None
         self.right: Optional[TreeNode] = None
@@ -79,12 +82,12 @@ class AggregateTree:
     property bit-identical restores rely on.
     """
 
-    def __init__(self, num_slots: int,
-                 value_of: Callable[[object, int], int]):
+    def __init__(self, num_slots: int, read: Callable[[object], List[int]]):
         if num_slots < 0:
             raise InvalidArgumentError("num_slots must be >= 0")
         self.num_slots = num_slots
-        self.value_of = value_of
+        #: an item's ``num_slots`` values as a fresh list
+        self.read = read
         self._size = 0
         self._next_tie = 0
         #: rebalancing rotations performed over the tree's lifetime
@@ -128,7 +131,7 @@ class AggregateTree:
         if tie is None:
             tie = self._next_tie
             self._next_tie += 1
-        node = TreeNode(key, tie, item, self._read(item))
+        node = TreeNode(key, tie, item, self.read(item))
         self._size += 1
         if self._root is None:
             self._root = node
@@ -185,7 +188,7 @@ class AggregateTree:
         """Re-aggregate after ``node.item``'s slot values changed."""
         if node.parent is None and node is not self._root:
             raise self._stale(node)
-        node.values = self._read(node.item)
+        node.values = self.read(node.item)
         cur: Optional[TreeNode] = node
         while cur is not None:
             self._pull(cur)
@@ -207,7 +210,7 @@ class AggregateTree:
         for node in nodes:
             if node.parent is None and node is not root:
                 raise self._stale(node)
-        read = self._read
+        read = self.read
         pending = set()  # the handles and their ancestors
         for node in nodes:
             node.values = read(node.item)
@@ -229,11 +232,6 @@ class AggregateTree:
         pull = self._pull
         for node in reversed(order):
             pull(node)
-
-    def prefix_many(self, slot: int, nodes, inclusive: bool = True):
-        """Prefix sums for several nodes in one call (batch placement)."""
-        prefix_sum = self.prefix_sum
-        return [prefix_sum(slot, node, inclusive) for node in nodes]
 
     # ------------------------------------------------------------------
     # lookups
@@ -385,11 +383,6 @@ class AggregateTree:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _read(self, item: object) -> List[int]:
-        """The item's current slot values, through the callback."""
-        value_of = self.value_of
-        return [value_of(item, slot) for slot in range(self.num_slots)]
-
     def _pull(self, node: TreeNode) -> None:
         left, right = node.left, node.right
         lh = left.height if left is not None else 0
@@ -472,7 +465,7 @@ class AggregateTree:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Verify BST order, AVL balance, parent links, and the cached
-        values and sums against ``value_of`` (tests)."""
+        values and sums against the reader (tests)."""
 
         def walk(node: Optional[TreeNode]) -> Tuple[int, int, list]:
             if node is None:
@@ -487,7 +480,7 @@ class AggregateTree:
             if node.right is not None:
                 assert node.right.parent is node, "parent link broken (R)"
                 assert node.right.sort_key > node.sort_key, "order violated"
-            values = self._read(node.item)
+            values = self.read(node.item)
             assert node.values == values, "cached values stale"
             expect = [l + r + v for l, r, v in zip(ls, rs, values)]
             assert node.sums == expect, "aggregate sums stale"

@@ -141,14 +141,16 @@ def random_row(rng: random.Random, ncols: int, domain: int = 5) -> tuple:
 
 
 def graph_state(graph):
-    """Every vertex's tuple ids and weights, keyed by (node, key)."""
+    """Every vertex's tuple ids and weights, keyed by (node, key); the
+    positional ``w_out`` / ``W_in`` read at the node's neighbours."""
     state = {}
     for node_idx, hash_index in enumerate(graph.hash_indexes):
+        nbrs = sorted(nbr_idx for nbr_idx, _ in graph.neighbors(node_idx))
         for key, vertex in sorted(hash_index.items()):
             state[(node_idx, key)] = (
                 tuple(vertex.ids), vertex.w_full,
-                tuple(sorted(vertex.w_out.items())),
-                tuple(sorted(vertex.W_in.items())),
+                tuple((nbr, vertex.w_out[nbr]) for nbr in nbrs),
+                tuple((nbr, vertex.W_in[nbr]) for nbr in nbrs),
             )
     return state
 

@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "9.0.0"
+    assert repro.__version__ == "10.0.0"
 
 
 @pytest.mark.parametrize("module", [

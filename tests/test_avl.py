@@ -3,8 +3,8 @@
 The model is a plain Python list of (key, tie, value) kept sorted; every
 tree query (range_sum, select, prefix_sum, iteration) is cross-checked
 against brute force over the model after random interleavings of insert /
-delete / value-change operations, the batch entry points (``update_many``,
-``prefix_many``) included.
+delete / value-change operations, the batch entry point ``update_many``
+and prefix sums over a group of handles included.
 
 Two more oracles guard the one-descent range operations: the recursive
 ``select`` / ``_range_sum`` / ``iter_nodes`` they replaced, kept here as a
@@ -30,41 +30,41 @@ class Item:
         self.values = list(values)
 
 
-def value_of(item, slot):
-    return item.values[slot]
+def read(item):
+    return list(item.values)
 
 
 class TestUnit:
     def test_empty(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         assert len(tree) == 0
         assert tree.total(0) == 0
         assert tree.select(0, 0) is None
         assert list(tree.iter_items()) == []
 
     def test_insert_and_total(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         for v in (3, 1, 4):
             tree.insert((v,), Item([v]))
         assert tree.total(0) == 8
         assert [i.values[0] for i in tree.iter_items()] == [1, 3, 4]
 
     def test_duplicate_keys_ordered_by_tie(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         a = tree.insert((5,), Item([1]))
         b = tree.insert((5,), Item([2]))
         assert a.tie < b.tie
         assert tree.total(0) == 3
 
     def test_find(self):
-        tree = AggregateTree(0, value_of)
+        tree = AggregateTree(0, lambda item: [])
         tree.insert((2,), "two")
         tree.insert((7,), "seven")
         assert tree.find((7,)).item == "seven"
         assert tree.find((3,)) is None
 
     def test_refresh_propagates(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         item = Item([5])
         node = tree.insert((1,), item)
         tree.insert((2,), Item([10]))
@@ -74,7 +74,7 @@ class TestUnit:
         tree.check_invariants()
 
     def test_delete_by_handle(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         nodes = [tree.insert((v,), Item([v])) for v in range(10)]
         tree.delete(nodes[5])
         assert tree.total(0) == 45 - 5
@@ -82,7 +82,7 @@ class TestUnit:
         tree.check_invariants()
 
     def test_handles_survive_other_deletions(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         nodes = [tree.insert((v,), Item([v])) for v in range(30)]
         rng = random.Random(5)
         order = list(range(30))
@@ -96,7 +96,7 @@ class TestUnit:
         assert len(tree) == 0
 
     def test_select_skips_zero_weight(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         tree.insert((1,), Item([0]))
         tree.insert((2,), Item([4]))
         tree.insert((3,), Item([0]))
@@ -105,13 +105,13 @@ class TestUnit:
         assert tree.select(0, 4) is None
 
     def test_select_target_bounds(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         tree.insert((1,), Item([3]))
         with pytest.raises(ValueError):
             tree.select(0, -1)
 
     def test_prefix_sum(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         nodes = [tree.insert((v,), Item([v + 1])) for v in range(20)]
         for k, node in enumerate(nodes):
             expect = sum(v + 1 for v in range(k + 1))
@@ -120,7 +120,7 @@ class TestUnit:
                 expect - (k + 1)
 
     def test_range_queries_with_prefix(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         for a in range(3):
             for b in range(4):
                 tree.insert((a, b), Item([1]))
@@ -130,14 +130,14 @@ class TestUnit:
         assert [n.key for n in items] == [(1, 1), (1, 2)]
 
     def test_multi_slot(self):
-        tree = AggregateTree(2, value_of)
+        tree = AggregateTree(2, read)
         tree.insert((1,), Item([2, 30]))
         tree.insert((2,), Item([5, 70]))
         assert tree.total(0) == 7
         assert tree.total(1) == 100
 
     def test_double_delete_raises(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         node = tree.insert((1,), Item([1]))
         tree.insert((2,), Item([2]))
         tree.delete(node)
@@ -152,7 +152,7 @@ class TestUnit:
         """A deleted handle used to drop the whole tree on a second
         ``delete`` (``root = None``, ``total() == 0``) and to be a silent
         no-op on ``refresh``; every handle-taking method now refuses it."""
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         nodes = [tree.insert((k,), Item([k])) for k in (1, 2, 3)]
         stale = nodes.pop(victim)
         tree.delete(stale)
@@ -163,7 +163,6 @@ class TestUnit:
             lambda: tree.update_many([stale]),
             lambda: tree.update_many([live, stale, live]),
             lambda: tree.prefix_sum(0, stale),
-            lambda: tree.prefix_many(0, [live, stale]),
         ):
             with pytest.raises(IndexKeyError, match="stale handle"):
                 misuse()
@@ -191,7 +190,7 @@ class TestUnit:
         tree.check_invariants()
 
     def test_deleted_only_node_is_stale_too(self):
-        tree = AggregateTree(1, value_of)
+        tree = AggregateTree(1, read)
         node = tree.insert((1,), Item([4]))
         tree.delete(node)
         with pytest.raises(IndexKeyError):
@@ -209,7 +208,7 @@ class TestUnit:
 ops_strategy = st.lists(
     st.tuples(
         st.sampled_from(["insert", "delete", "change",
-                         "update_many", "prefix_many"]),
+                         "update_many", "prefix_sums"]),
         st.integers(min_value=0, max_value=15),   # key
         st.integers(min_value=0, max_value=9),    # value
     ),
@@ -226,7 +225,7 @@ range_strategy = st.tuples(
 @settings(max_examples=120, deadline=None)
 @given(ops_strategy, range_strategy, st.integers(0, 200))
 def test_tree_matches_model(ops, rng_spec, target):
-    tree = AggregateTree(1, value_of)
+    tree = AggregateTree(1, read)
     model = []  # list of (key, node, item), insertion order
     for op, key, value in ops:
         if op == "insert" or not model:
@@ -254,7 +253,8 @@ def test_tree_matches_model(ops, rng_spec, target):
                 tree.update_many(handles)
             else:
                 for inclusive in (True, False):
-                    assert tree.prefix_many(0, handles, inclusive) == [
+                    assert [tree.prefix_sum(0, handle, inclusive)
+                            for handle in handles] == [
                         sum(i.values[0] for k, n, i in model
                             if (k, n.tie) < (gk, gn.tie)
                             or (inclusive and n is gn))
@@ -309,7 +309,7 @@ def test_prefix_ranges_match_model(entries, prefix, lo, hi, lo_open,
                                    hi_open, target):
     """Composite keys (p, v): range queries pin the prefix and constrain
     the last component — the shape every join-graph edge query uses."""
-    tree = AggregateTree(1, value_of)
+    tree = AggregateTree(1, read)
     model = []
     for p, v, value in entries:
         item = Item([value])
@@ -339,7 +339,7 @@ def test_prefix_ranges_match_model(entries, prefix, lo, hi, lo_open,
 @settings(max_examples=60, deadline=None)
 @given(ops_strategy)
 def test_prefix_sum_matches_model(ops):
-    tree = AggregateTree(1, value_of)
+    tree = AggregateTree(1, read)
     model = []
     for op, key, value in ops:
         if op == "delete" and model:
@@ -393,7 +393,7 @@ def _ref_range_sum(tree, node, slot, rng, lo_done=False, hi_done=False):
         return _ref_range_sum(tree, node.left, slot, rng, lo_done, hi_done)
     left = _ref_range_sum(tree, node.left, slot, rng, lo_done, True)
     right = _ref_range_sum(tree, node.right, slot, rng, True, hi_done)
-    return left + tree.value_of(node.item, slot) + right
+    return left + tree.read(node.item)[slot] + right
 
 
 def _ref_select(tree, slot, target, rng):
@@ -416,7 +416,7 @@ def _ref_select(tree, slot, target, rng):
             continue
         target -= left_sum
         consumed += left_sum
-        value = tree.value_of(node.item, slot)
+        value = tree.read(node.item)[slot]
         if target < value:
             return node.item, consumed
         target -= value
@@ -474,7 +474,7 @@ differential_ranges = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(differential_ops, differential_ranges)
 def test_one_descent_range_ops_match_recursive_reference(ops, ranges):
-    tree = AggregateTree(2, value_of)
+    tree = AggregateTree(2, read)
     live = []  # (node, item)
     for op, key, values in ops:
         if op == "insert" or not live:
@@ -550,7 +550,7 @@ def test_range_ops_cost_logarithmic_key_comparisons():
     # a call makes at most two walks, plus the selected item's own check
     per_level, per_call = 10, 5
     rnd = random.Random(22)
-    tree = AggregateTree(1, value_of)
+    tree = AggregateTree(1, read)
     worst = []  # (height, costliest single call) per size
     for exponent in range(8, 15):
         while len(tree) < 2 ** exponent:

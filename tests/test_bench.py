@@ -83,7 +83,7 @@ class TestMemory:
 
     def test_deep_size_handles_slots(self):
         from repro.graph.vertex import Vertex
-        v = Vertex(0, (1, 2))
+        v = Vertex(0, (1, 2), 2)
         v.ids.extend(range(10))
         assert deep_size_bytes(v) > 0
 

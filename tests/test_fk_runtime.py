@@ -84,12 +84,14 @@ def build_runtime():
 
 
 def held(tid, row):
-    """The graph's membership test, for an anchor that was assembled."""
-    return True
+    """The graph's delete, for an anchor that was assembled: it reports
+    the tuple removed (here: its row, so the test can compare it)."""
+    return row
 
 
 def not_held(tid, row):
-    return False
+    """The graph's delete for a tuple it does not hold."""
+    return None
 
 
 class TestCombinedNodeRuntime:
