@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.catalog.database import Database
 from repro.errors import IntegrityError, InvalidArgumentError
-from repro.query.planner import CollapsedMember, PlanNode
+from repro.query.planner import CollapsedMember, PlanNode, key_projection
 
 
 class MemberHash:
@@ -85,14 +85,6 @@ class MemberHash:
         return len(self._rows)
 
 
-def _projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Compile ``row -> tuple(row[i] for i in positions)`` for tuple
-    rows (a one-column key is the one-element slice, itself a tuple)."""
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions)
-
-
 class CombinedNodeRuntime:
     """Assembly and bookkeeping for one combined plan node.
 
@@ -100,8 +92,12 @@ class CombinedNodeRuntime:
     (the members' TIDs, then their base rows, in member order) is stored
     nowhere — ``_chain`` finds each member from its parent's row: per
     member its range-table position, its parent's, the parent row's FK
-    projection, its hash table.  An anchor references its members exactly
-    while the join graph holds its tuple; nothing is kept per anchor.
+    projection, its hash table.  The join graph reads only the tuple's
+    vertex key, which ``_key_of`` picks straight out of the member rows
+    (each vertex attribute's member position and column, compiled once),
+    so the combined row is built only where it is read: a tuple weight,
+    :meth:`row_of`.  An anchor references its members exactly while the
+    join graph holds its tuple; nothing is kept per anchor.
     """
 
     def __init__(self, node: PlanNode, db: Database,
@@ -129,15 +125,26 @@ class CombinedNodeRuntime:
             alias, parent = member.alias, member.parent_alias
             member_hash = self.hashes[alias] = MemberHash(
                 member, alias in filtered_aliases)
-            self._pk_of[alias] = _projection(
+            self._pk_of[alias] = key_projection(
                 [schema_of[alias].index_of(col) for col in member.pk_columns])
-            chain.append((member.orig_index, pos_of[parent], _projection(
+            chain.append((member.orig_index, pos_of[parent], key_projection(
                 [schema_of[parent].index_of(col)
                  for col in member.fk_columns]), member_hash))
         self._chain = tuple(chain)
         # lists by range-table position; a row picks members in order
         self._width = max(pos_of.values()) + 1
         self._layout = itemgetter(*[m.orig_index for m in members])
+        # each vertex attribute's (range-table position, base column)
+        where = {node.node_attr(m.alias, column): (m.orig_index, col)
+                 for m in members
+                 for col, column in enumerate(schema_of[m.alias].column_names)}
+        key_at = tuple(where[attr] for attr in node.vertex_attrs)
+        if len(key_at) == 1:
+            ((pos, col),) = key_at
+            self._key_of = lambda rows: (rows[pos][col],)
+        else:
+            self._key_of = lambda rows: tuple(
+                [rows[pos][col] for pos, col in key_at])
 
     # ------------------------------------------------------------------
     # persistence (repro.persist)
@@ -178,7 +185,7 @@ class CombinedNodeRuntime:
     def assemble(self, anchor_tid: int, anchor_row: tuple
                  ) -> Optional[Tuple[int, tuple, Optional[int]]]:
         """Widen an anchor tuple into its join-graph entry ``(anchor_tid,
-        combined_row, weight)`` (weight None when unweighted), referencing
+        vertex_key, weight)`` (weight None when unweighted), referencing
         its members — or None when a pre-filtered member is missing (a
         silent drop: it can never join).  Raises IntegrityError for an
         unexplained miss and the graph's error for a bad weight, neither
@@ -204,13 +211,15 @@ class CombinedNodeRuntime:
             keys[pos] = key
         self.lookups += len(chain)
         self.assembles += 1
-        layout = self._layout
-        row = sum(layout(rows), layout(tids))
-        weight = None if self._weigh is None \
-            else self._weigh(self._node_idx, row)
+        weigh = self._weigh
+        if weigh is None:
+            weight = None
+        else:
+            layout = self._layout
+            weight = weigh(self._node_idx, sum(layout(rows), layout(tids)))
         for pos, _, _, member_hash in chain:
             member_hash._refcount[keys[pos]] += 1
-        return anchor_tid, row, weight
+        return anchor_tid, self._key_of(rows), weight
 
     def expand_into(self, tids: List[int], rows: List[tuple]) -> None:
         """Set an anchor's members beside it: ``tids`` / ``rows`` are
@@ -225,31 +234,38 @@ class CombinedNodeRuntime:
                                      f"tuple with key {key!r}") from None
 
     def row_of(self, anchor_tid: int, anchor_row: tuple) -> tuple:
-        """:meth:`assemble`'s combined row for an assembled anchor."""
+        """The combined row of an assembled anchor: the members' TIDs,
+        then their base rows, in member order."""
         width = self._width
         tids, rows = [anchor_tid] * width, [anchor_row] * width
         self.expand_into(tids, rows)
         layout = self._layout
         return sum(layout(rows), layout(tids))
 
+    def key_of(self, anchor_tid: int, anchor_row: tuple) -> tuple:
+        """:meth:`assemble`'s vertex key for an assembled anchor."""
+        width = self._width
+        rows = [anchor_row] * width
+        self.expand_into([anchor_tid] * width, rows)
+        return self._key_of(rows)
+
     def disassemble(self, anchor_tid: int, anchor_row: tuple,
                     delete: Callable[[int, tuple], Optional[int]]
                     ) -> Optional[int]:
-        """Reverse :meth:`assemble` for a deleted anchor: hand the combined
-        row to ``delete`` (the graph's) and, when it reports the tuple
+        """Reverse :meth:`assemble` for a deleted anchor: hand its vertex
+        key to ``delete`` (the graph's) and, when it reports the tuple
         removed, release the member references and return its report.
         None, releasing nothing, when ``delete`` returns None (the graph
         does not hold the tuple) or a member is missing: the anchor was
         never assembled (a miss, a refused weight, another query's
         refusal), member since arrived or not."""
         width = self._width
-        tids, rows = [anchor_tid] * width, [anchor_row] * width
+        rows = [anchor_row] * width
         try:
-            self.expand_into(tids, rows)
+            self.expand_into([anchor_tid] * width, rows)
         except IntegrityError:
             return None
-        layout = self._layout
-        removed = delete(anchor_tid, sum(layout(rows), layout(tids)))
+        removed = delete(anchor_tid, self._key_of(rows))
         if removed is not None:
             for _, parent, fk_of, member_hash in self._chain:
                 member_hash.drop_reference(fk_of(rows[parent]))

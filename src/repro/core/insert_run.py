@@ -32,24 +32,26 @@ from repro.obs import names as metric_names
 class RouteTable(dict):
     """Everything an entry needs that depends only on the plan, resolved
     once per engine: ``alias -> (heap table, route kind, node idx,
-    combined runtime, passes, weigh)`` — ``runtime`` the alias's
+    combined runtime, passes, weigh, key_of)`` — ``runtime`` the alias's
     :class:`~repro.core.fk_runtime.CombinedNodeRuntime` if any,
     ``passes`` its compiled pre-filter (None when nothing can reject a
-    row), ``weigh`` the graph's tuple-weight check if any.  The one
-    place an unknown alias becomes a typed error, before anything is
-    stored."""
+    row), ``weigh`` the graph's tuple-weight check if any, ``key_of``
+    its plan node's compiled row -> vertex key projection (what a direct
+    route hands the join graph).  The one place an unknown alias becomes
+    a typed error, before anything is stored."""
 
     __slots__ = ()
 
     def __init__(self, engine, runtimes: Mapping[int, object],
                  weigh: Optional[Callable]):
-        query, db = engine.query, engine.db
+        query, db, plan = engine.query, engine.db, engine.plan
         super().__init__(
             (alias, (db.table(query.range_table(alias).table_name),
                      route.kind, route.node_idx,
                      runtimes.get(route.node_idx),
-                     route.passes if route.prefilter else None, weigh))
-            for alias, route in engine.plan.routes.items())
+                     route.passes if route.prefilter else None, weigh,
+                     plan.nodes[route.node_idx].vertex_key_of))
+            for alias, route in plan.routes.items())
 
     def __missing__(self, alias: str):
         raise QueryError(f"unknown alias {alias}")

@@ -66,17 +66,18 @@ class _DeleteRun:
     stay 0 while nobody listens (``engine._phase_clock is None``)."""
 
     __slots__ = ("engine", "alias", "size", "kind", "runtime", "passes",
-                 "graph_run", "clock", "started", "graph_ns", "replenish_ns",
-                 "deletes", "removed", "purged")
+                 "key_of", "graph_run", "clock", "started", "graph_ns",
+                 "replenish_ns", "deletes", "removed", "purged")
 
     def __init__(self, engine: "SJoinEngine", alias: str, size: int):
-        _, kind, node_idx, runtime, passes, _ = engine._routes[alias]
+        _, kind, node_idx, runtime, passes, _, key_of = engine._routes[alias]
         self.engine = engine
         self.alias = alias
         self.size = size
         self.kind = kind
         self.runtime = runtime
         self.passes = passes
+        self.key_of = key_of
         # a member route only writes its combined node's hash table
         self.graph_run: Optional[DeleteRun] = (
             None if kind == "member"
@@ -100,7 +101,7 @@ class _DeleteRun:
         if kind == "member":
             self.runtime.unregister_member(self.alias, row)
         elif kind == "direct":
-            removed = self._graph_delete(tid, row)
+            removed = self._graph_delete(tid, self.key_of(row))
             if removed is None:
                 raise self.graph_run.missing(tid)
             self._resample(tid, removed)
@@ -111,14 +112,14 @@ class _DeleteRun:
         engine.stats.deletes += 1
         return True
 
-    def _graph_delete(self, tid: int, row: tuple) -> Optional[int]:
+    def _graph_delete(self, tid: int, key: tuple) -> Optional[int]:
         """The tuple's own vertex: the join results it took with it, None
         when the graph does not hold it."""
         clock = self.clock
         if clock is None:
-            return self.graph_run.delete(tid, row)
+            return self.graph_run.delete(tid, key)
         t0 = clock()
-        removed = self.graph_run.delete(tid, row)
+        removed = self.graph_run.delete(tid, key)
         self.graph_ns += clock() - t0
         return removed
 
@@ -171,9 +172,9 @@ class _DeleteRun:
 class _InsertRun(InsertRun):
     """What :meth:`SJoinEngine.open_insert_run` returns (read its
     contract there).  A segment is a stretch of entries whose graph work
-    lands on one plan node; ``pending`` holds that work — ``(tid, row,
-    weight)`` of the node, already assembled on an anchor route, the
-    weight validated (None on a uniform graph)."""
+    lands on one plan node; ``pending`` holds that work — ``(tid,
+    vertex key, weight)`` of the node, already assembled on an anchor
+    route, the weight validated (None on a uniform graph)."""
 
     __slots__ = ("node_idx", "pending")
 
@@ -184,7 +185,7 @@ class _InsertRun(InsertRun):
 
     def _register(self, record: tuple, alias: str, tid: int,
                   row: tuple) -> None:
-        _, kind, node_idx, runtime, _, weigh = record
+        _, kind, node_idx, runtime, _, weigh, key_of = record
         if kind == "member":
             # hash-only: rides in whatever segment is open
             if self.alias is None:
@@ -201,8 +202,8 @@ class _InsertRun(InsertRun):
             if entry is not None:
                 self.pending.append(entry)
             return
-        self.pending.append(
-            (tid, row, None if weigh is None else weigh(node_idx, row)))
+        self.pending.append((tid, key_of(row),
+                             None if weigh is None else weigh(node_idx, row)))
 
     def _flush(self) -> None:
         """The segment's graph work as one (batched) Algorithm 1, then
@@ -375,6 +376,16 @@ class SJoinEngine:
         row = self.plan.nodes[node_idx].table.get(tid)
         runtime = self._combined.get(node_idx)
         return row if runtime is None else runtime.row_of(tid, row)
+
+    def key_of(self, node_idx: int, tid: int) -> tuple:
+        """The vertex key of live tuple ``tid`` of plan node
+        ``node_idx`` — a combined node's read off its anchor's members,
+        no combined row built."""
+        node = self.plan.nodes[node_idx]
+        row = node.table.get(tid)
+        runtime = self._combined.get(node_idx)
+        return node.vertex_key_of(row) if runtime is None \
+            else runtime.key_of(tid, row)
 
     def inclusion_probability(
             self, plan_result: PlanResult) -> Optional[float]:

@@ -6,6 +6,10 @@ per directed tree edge keyed by the edge's composite sort key and
 aggregating the ``w_out`` weight toward that neighbour (the first index of
 each node additionally aggregates ``w_full``).
 
+The graph takes vertex keys, not rows: an entry is ``(tid, key,
+weight)``, the key the tuple's projection onto its node's join attributes
+(the engine projects it, or picks it out of a combined tuple's members).
+
 Weight maintenance follows Algorithm 1: when a tuple's vertex weights
 change, the per-edge deltas are batched into ordered ``key -> delta-weight``
 maps and pushed outward along the query tree; each reachable vertex is
@@ -13,7 +17,10 @@ touched exactly once per update (deltas accumulate before being applied),
 giving the ``O(h(v) log N)`` bound of Theorem 4.5.  A visit's work is
 compiled up front: Equation (1) once per plan node by its degree, one slot
 reader per index, and per directed edge the indexes and onward directions
-a delta arriving over it touches.
+a delta arriving over it touches.  An equality edge whose key is its
+destination's whole vertex key joins at most one vertex per source key —
+the one the destination's hash index holds under it — so such a *hash
+step* looks the vertex up instead of walking the tree's range.
 
 Deletion reverses insertion, with two extra steps: the number of join
 results removed is read off ``w_full / |ids|`` in O(1) before the update,
@@ -61,9 +68,10 @@ class GraphStats:
 #: with respect to the rooted tree at the inserted node (§4.5)
 Placement = Tuple[int, int]
 
-#: one tuple of a batch: ``(tid, row, weight)`` — the weight already
+#: one tuple of a batch: ``(tid, vertex key, weight)`` — the key the
+#: tuple's projection onto its node's join attributes, the weight already
 #: validated (:meth:`WeightedJoinGraph.weight_of`), None on a uniform graph
-Entry = Tuple[int, Sequence[object], Optional[int]]
+Entry = Tuple[int, tuple, Optional[int]]
 
 
 class Direction:
@@ -77,25 +85,34 @@ class Direction:
     projects a ``src`` vertex key onto its edge key toward ``dst``;
     ``range_of`` maps that edge key to the range of ``tree`` joining it
     (:meth:`~repro.query.query_tree.TreeEdge.range_fn`); ``ranged``
-    tells a range edge from a pure-equality one.  For a delta arriving
-    over the edge, ``onward`` lists the directions out of ``dst`` other
-    than back to ``src``, and ``refresh`` the ``(position, tree)`` of
-    each index of ``dst`` it changes — all but the one toward ``src``
-    unless that one also carries ``w_full``.
+    tells a range edge from a pure-equality one.  ``vertex_of`` is the
+    hash step: set (to ``dst``'s hash index lookup) when the edge is
+    pure equality and its key on ``dst`` is exactly ``dst``'s vertex
+    key, so an edge key joins the one vertex the hash holds under it or
+    none — the tree's range would hold that vertex alone
+    (:meth:`WeightedJoinGraph.check_invariants` asserts it); None
+    otherwise.  For a delta arriving over the edge, ``onward`` lists the
+    directions out of ``dst`` other than back to ``src``, and
+    ``refresh`` the ``(position, tree)`` of each index of ``dst`` it
+    changes — all but the one toward ``src`` unless that one also
+    carries ``w_full``.
     """
 
-    __slots__ = ("dst", "tree", "slot", "key_pos", "range_of", "ranged",
-                 "onward", "refresh")
+    __slots__ = ("src", "dst", "tree", "slot", "key_pos", "range_of",
+                 "ranged", "vertex_of", "onward", "refresh")
 
-    def __init__(self, dst: int, tree: AggregateTree, slot: int,
+    def __init__(self, src: int, dst: int, tree: AggregateTree, slot: int,
                  key_pos: Tuple[int, ...],
-                 range_of: Callable[[tuple], IndexRange], ranged: bool):
+                 range_of: Callable[[tuple], IndexRange], ranged: bool,
+                 vertex_of: Optional[Callable[[tuple], Optional[Vertex]]]):
+        self.src = src
         self.dst = dst
         self.tree = tree
         self.slot = slot
         self.key_pos = key_pos
         self.range_of = range_of
         self.ranged = ranged
+        self.vertex_of = vertex_of
         self.onward: Tuple[Direction, ...] = ()
         self.refresh: Tuple[Tuple[int, AggregateTree], ...] = ()
 
@@ -172,14 +189,17 @@ class WeightedJoinGraph:
             attr_pos = {attr: i for i, attr in enumerate(node.vertex_attrs)}
             nbrs = []
             for nbr_alias, edge in plan.tree.neighbors(node.alias):
-                nbr_idx = plan.node_idx(nbr_alias)
-                spec = plan.edge_index[(nbr_idx, node.idx)]
-                nbrs.append((nbr_idx, Direction(
-                    nbr_idx, self.trees[spec.index_id],
+                nbr = plan.node(nbr_alias)
+                spec = plan.edge_index[(nbr.idx, node.idx)]
+                ranged = edge.range_predicate is not None
+                hash_step = (not ranged and edge.key_attrs_of(nbr_alias)
+                             == nbr.vertex_attrs)
+                nbrs.append((nbr.idx, Direction(
+                    node.idx, nbr.idx, self.trees[spec.index_id],
                     spec.slot_of("w_out", node.idx),
                     tuple(attr_pos[a] for a in edge.key_attrs_of(node.alias)),
-                    edge.range_fn(nbr_alias),
-                    edge.range_predicate is not None,
+                    edge.range_fn(nbr_alias), ranged,
+                    self.hash_indexes[nbr.idx].get if hash_step else None,
                 )))
             self._neighbors.append(nbrs)
             self._indexes.append(tuple(
@@ -251,16 +271,21 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     def insert_tuple(self, node_idx: int, tid: int, row: Sequence[object],
                      weight: Optional[int] = None) -> Placement:
-        """Register tuple ``(tid, row)`` of plan node ``node_idx``: a batch
-        of one (:meth:`insert_tuples`), its weight resolved first on a
-        weighted graph unless the caller already holds it."""
+        """Register tuple ``(tid, row)`` of plan node ``node_idx``: its
+        row projected onto the vertex key, then a batch of one
+        (:meth:`insert_tuples`), its weight resolved first on a weighted
+        graph unless the caller already holds it.  A convenience for
+        probes and tests; the engines hand :meth:`insert_tuples` keys."""
+        row = tuple(row)
         if weight is None and self.tuple_weight is not None:
             weight = self.weight_of(node_idx, row)
-        return self.insert_tuples(node_idx, [(tid, row, weight)])[0]
+        key = self.plan.nodes[node_idx].vertex_key_of(row)
+        return self.insert_tuples(node_idx, [(tid, key, weight)])[0]
 
     def insert_tuples(self, node_idx: int, entries: Sequence[Entry]
                       ) -> List[Placement]:
-        """Register a batch of tuples of one plan node in arrival order.
+        """Register a batch of tuples of one plan node in arrival order,
+        each an :data:`Entry` ``(tid, vertex key, weight)``.
 
         Bit-identical to registering the entries one batch each, but the
         expensive work is amortised over the batch:
@@ -321,14 +346,12 @@ class WeightedJoinGraph:
         restore.  Returns the touched vertices in first-touch order, each
         mapped to its ``w_out`` before the batch, and each entry's
         ``(vertex, id_index)``."""
-        key_pos = self.plan.nodes[node_idx].vertex_pos
         vertices = self.hash_indexes[node_idx]
         # phase 1: append every tuple, recording first-touch state
         touched: Dict[Vertex, List[int]] = {}   # first-touch order
         created: List[Vertex] = []
         placed: List[Tuple[Vertex, int]] = []  # (vertex, id_index)
-        for tid, row, weight in entries:
-            key = tuple([row[i] for i in key_pos])
+        for tid, key, weight in entries:
             vertex = vertices.get(key)
             if vertex is None:
                 vertex = vertices[key] = self._new_vertex(node_idx, key)
@@ -386,10 +409,12 @@ class WeightedJoinGraph:
                      row: Sequence[object]) -> int:
         """Unregister tuple ``(tid, row)``; returns the number of join
         results that involved it (the amount ``J`` decreases by, §5.3).
-        A run of one."""
+        A run of one, the row projected onto its vertex key — a
+        convenience for probes and tests, like :meth:`insert_tuple`."""
         run = self.delete_run(node_idx)
         try:
-            removed = run.delete(tid, row)
+            removed = run.delete(
+                tid, self.plan.nodes[node_idx].vertex_key_of(tuple(row)))
         finally:
             run.flush()
         if removed is None:
@@ -403,6 +428,10 @@ class WeightedJoinGraph:
     def _sum_joining_w_out(vertex: Vertex, direction: Direction) -> int:
         """Fresh ``W_in[nbr]``: sum of ``w_out[nbr -> node]`` over joining
         vertices in the neighbour table (computed once per new vertex)."""
+        vertex_of = direction.vertex_of
+        if vertex_of is not None:
+            joining = vertex_of(direction.source_key(vertex))
+            return 0 if joining is None else joining.w_out[direction.src]
         rng = direction.range_of(direction.source_key(vertex))
         return direction.tree.range_sum(direction.slot, rng)
 
@@ -549,6 +578,14 @@ class WeightedJoinGraph:
         coalesced: Dict[tuple, int] = {}
         for source_key, delta in updates:
             coalesced[source_key] = coalesced.get(source_key, 0) + delta
+        vertex_of = direction.vertex_of
+        if vertex_of is not None:      # the hash step: one vertex or none
+            out: List[Tuple[Vertex, int]] = []
+            for source_key, delta in coalesced.items():
+                dst_vertex = vertex_of(source_key)
+                if dst_vertex is not None:
+                    out.append((dst_vertex, delta))
+            return out
         tree = direction.tree
         range_of = direction.range_of
         if not direction.ranged:
@@ -632,11 +669,14 @@ class WeightedJoinGraph:
         }
 
     def load_state(self, state: dict,
+                   key_of: Callable[[int, int], tuple],
                    row_of: Callable[[int, int], tuple]) -> None:
         """Rebuild the graph from a captured :meth:`state_dict`.
 
-        ``row_of(node_idx, tid)`` resolves a node tuple's row from the
-        (already restored) heap storage.  The graph must be empty.
+        ``key_of(node_idx, tid)`` rebuilds a node tuple's vertex key from
+        the (already restored) heap storage; ``row_of(node_idx, tid)``
+        its row, read only on a weighted graph, for its tuple weight.
+        The graph must be empty.
 
         A restore is the static case: each plan node is loaded as one
         batch — its vertices in creation order, their IDs in arrival
@@ -650,12 +690,11 @@ class WeightedJoinGraph:
             )
         weighted = self.tuple_weight is not None
         for node_idx, vertices in enumerate(state["nodes"]):
-            entries = []
-            for _, ids in vertices:
-                for tid in ids:
-                    row = row_of(node_idx, tid)
-                    entries.append((tid, row, self.weight_of(node_idx, row)
-                                    if weighted else None))
+            entries = [
+                (tid, key_of(node_idx, tid),
+                 self.weight_of(node_idx, row_of(node_idx, tid))
+                 if weighted else None)
+                for _, ids in vertices for tid in ids]
             self._insert_batch(node_idx, entries)
             hash_index = self.hash_indexes[node_idx]
             for key, ids in vertices:
@@ -671,12 +710,23 @@ class WeightedJoinGraph:
     # verification helper (tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify tree invariants and cached ``W_in`` against the indexes."""
+        """Verify tree invariants, the hash step's licence — on every
+        hash-step direction the tree range of each source key holds at
+        most the one vertex the hash returns — and cached ``W_in``
+        against the indexes."""
         for tree in self.trees.values():
             tree.check_invariants()
         for node_idx, hash_index in enumerate(self.hash_indexes):
             for vertex in hash_index.values():
                 for nbr_idx, direction in self._neighbors[node_idx]:
+                    if direction.vertex_of is not None:
+                        source_key = direction.source_key(vertex)
+                        hit = direction.vertex_of(source_key)
+                        in_range = list(direction.tree.iter_items(
+                            direction.range_of(source_key)))
+                        assert in_range == ([] if hit is None else [hit]), (
+                            f"hash step {node_idx} -> {nbr_idx} at "
+                            f"{vertex!r}: hash {hit!r}, tree {in_range!r}")
                     fresh = self._sum_joining_w_out(vertex, direction)
                     assert vertex.W_in[nbr_idx] == fresh, (
                         f"stale W_in[{nbr_idx}] at {vertex!r}: "
@@ -718,14 +768,13 @@ class DeleteRun:
             f"tuple {tid} of node {self.graph.plan.nodes[self.node_idx].alias}"
             " is not in the join graph")
 
-    def delete(self, tid: int, row: Sequence[object]) -> Optional[int]:
-        """Unregister tuple ``(tid, row)`` of the run's node; returns the
-        number of join results that involved it — or None, changing
-        nothing, when the node does not hold the tuple (one vertex lookup
-        and one scan of its IDs answer both)."""
+    def delete(self, tid: int, key: tuple) -> Optional[int]:
+        """Unregister tuple ``tid`` of the run's node, whose vertex key is
+        ``key``; returns the number of join results that involved it — or
+        None, changing nothing, when the node does not hold the tuple
+        (one vertex lookup and one scan of its IDs answer both)."""
         graph = self.graph
         node_idx = self.node_idx
-        key = tuple([row[i] for i in graph.plan.nodes[node_idx].vertex_pos])
         vertices = graph.hash_indexes[node_idx]
         vertex = vertices.get(key)
         if vertex is None:

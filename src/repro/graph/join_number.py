@@ -14,7 +14,9 @@ the weights in the join graph, following the rooted query tree ``G_Q(R_i)``:
    number per child subtree using the cached total weights ``W_in``.
 
 The mapping costs ``O(n log N)``: per table, one walk summing what sorts
-below the joining range and one weighted descent.  The static part —
+below the joining range and one weighted descent — or, on a hash step (an
+equality edge whose key is the child's whole vertex key), one hash lookup
+of the only joining vertex, its subdomain starting at 0.  The static part —
 which tree and slot to select from at each step, each node's parent index,
 and each edge's key projection and compiled range function — depends only
 on the plan and the root, so the graph resolves it once per root
@@ -100,14 +102,18 @@ def _descend(plan: DescentPlan, vertex, remaining: int, is_root: bool,
         total_w = vertex.W_in[child.dst]
         child_number = remaining % total_w
         remaining //= total_w
-        selected = child.tree.select(
-            child.slot, child_number,
-            child.range_of(child.source_key(vertex)))
-        if selected is None:
+        vertex_of = child.vertex_of
+        if vertex_of is not None:   # the hash step: the one joining vertex
+            child_vertex = vertex_of(child.source_key(vertex))
+            child_prefix = 0
+        else:
+            child_vertex, child_prefix = child.tree.select(
+                child.slot, child_number,
+                child.range_of(child.source_key(vertex))) or (None, 0)
+        if child_vertex is None:
             raise JoinNumberError(
                 f"child selection failed at node {node_idx} -> {child.dst}"
             )
-        child_vertex, child_prefix = selected
         _descend(plan, child_vertex, child_number - child_prefix,
                  is_root=False, result=result)
     # After the child digits are divided out the remainder indexes which

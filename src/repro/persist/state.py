@@ -205,10 +205,10 @@ def restore_maintainer(db: Database, state: dict,
         ),
     )
     engine = maintainer.engine
-    # member hashes first: the graph replay rebuilds rows through them
+    # member hashes first: the graph replay rebuilds keys through them
     for idx, runtime_state in state["combined"]:
         engine._combined[idx].load_state(runtime_state)
-    engine.graph.load_state(state["graph"], engine.row_of)
+    engine.graph.load_state(state["graph"], engine.key_of, engine.row_of)
     engine.synopsis.load_state(state["synopsis"])
     engine.stats = EngineStats(**state["engine_stats"])
     engine.rng.setstate(state["rng_state"])

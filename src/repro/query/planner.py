@@ -24,10 +24,11 @@ plus the ``n`` full weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
-from repro.catalog.schema import Column, TableSchema
+from repro.catalog.schema import Column, DataType, TableSchema
 from repro.catalog.table import Table
 from repro.errors import PlanError
 from repro.query.predicates import (
@@ -43,6 +44,16 @@ from repro.query.query_tree import (
     TreeEdge,
     build_query_tree,
 )
+
+
+def key_projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Compile ``row -> tuple(row[i] for i in positions)`` for tuple
+    rows (a one-column key is the one-element slice, itself a tuple)."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 @dataclass
@@ -79,8 +90,12 @@ class PlanNode:
     members: Tuple[CollapsedMember, ...]
     vertex_attrs: Tuple[str, ...] = ()
     #: positions of ``vertex_attrs`` within a node row, resolved once
-    #: (``plan_query`` sets both)
+    #: (``plan_query`` sets all three)
     vertex_pos: Tuple[int, ...] = ()
+    #: project a node row (a tuple) onto the node's join attributes: the
+    #: vertex key, compiled once from ``vertex_pos``
+    vertex_key_of: Callable[[tuple], tuple] = field(
+        default=key_projection(()), repr=False, compare=False)
 
     @property
     def is_combined(self) -> bool:
@@ -97,10 +112,6 @@ class PlanNode:
         if not self.is_combined:
             return column
         return f"{member_alias}__{column}"
-
-    def vertex_key_of(self, row: Sequence[object]) -> tuple:
-        """Project a node row onto the node's join attributes."""
-        return tuple([row[i] for i in self.vertex_pos])
 
 
 @dataclass
@@ -138,7 +149,10 @@ class Route:
     position, test)`` pairs: its single-table filters plus SQL's NULL
     rule — a NULL satisfies no predicate, so a row with a NULL in a
     nullable join column (FK columns included) can never join and is
-    kept out like any filtered row.  Empty when nothing can reject.
+    kept out like any filtered row.  A NaN in a FLOAT join column is
+    kept out the same way: it equals nothing, itself included, and it
+    would break the order of the aggregate index and the hash lookup
+    of the join graph.  Empty when nothing can reject.
     """
 
     alias: str
@@ -307,6 +321,7 @@ def plan_query(query: JoinQuery, db: Database,
         node.vertex_attrs = plan_tree.join_attrs_of(node.alias)
         node.vertex_pos = tuple(
             node.schema.index_of(a) for a in node.vertex_attrs)
+        node.vertex_key_of = key_projection(node.vertex_pos)
     return JoinPlan(
         query, db, nodes, plan_tree, list(tree.demoted), routes,
         fk_optimized=fk_optimize,
@@ -431,6 +446,11 @@ def _is_not_null(value: object) -> bool:
     return value is not None
 
 
+def _is_not_null_or_nan(value: object) -> bool:
+    # NaN is the one FLOAT value unequal to itself
+    return value is not None and value == value
+
+
 def _prefilter(query: JoinQuery, schema: TableSchema, alias: str):
     """Compile ``alias``'s pre-filter (see :class:`Route`)."""
     joined = {pred.attr_of(alias) for pred in query.join_predicates
@@ -438,8 +458,11 @@ def _prefilter(query: JoinQuery, schema: TableSchema, alias: str):
     return tuple(
         [(schema.index_of(flt.attr), flt.matches)
          for flt in query.filters_on(alias)]
-        + [(pos, _is_not_null) for pos, col in enumerate(schema.columns)
-           if col.nullable and col.name in joined])
+        + [(pos, _is_not_null_or_nan if col.dtype is DataType.FLOAT
+            else _is_not_null)
+           for pos, col in enumerate(schema.columns)
+           if col.name in joined
+           and (col.nullable or col.dtype is DataType.FLOAT)])
 
 
 def _build_nodes(query: JoinQuery, db: Database,

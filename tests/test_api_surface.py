@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "10.0.0"
+    assert repro.__version__ == "11.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -539,3 +539,41 @@ def test_aqp_surface_is_stable():
     # local client parity with the HTTP routes
     for method in ("register_query", "estimate", "queries"):
         assert callable(getattr(LocalServiceClient, method)), method
+
+
+def test_the_join_graph_takes_vertex_keys():
+    """11.0: the graph takes vertex keys, not rows — an entry is
+    ``(tid, key, weight)``, a delete names its tuple's key, a restore
+    rebuilds keys — and an equality edge into a one-key node carries
+    the hash step (CHANGELOG.md has the removed -> replacement table)."""
+    import inspect
+
+    from repro.core.fk_runtime import CombinedNodeRuntime
+    from repro.core.sjoin import SJoinEngine
+    from repro.graph.join_graph import (DeleteRun, Direction,
+                                        WeightedJoinGraph)
+    from repro.query.planner import PlanNode
+
+    def params(function):
+        return list(inspect.signature(function).parameters)
+
+    assert params(DeleteRun.delete) == ["self", "tid", "key"]
+    assert params(WeightedJoinGraph.insert_tuples) == [
+        "self", "node_idx", "entries"]
+    assert params(WeightedJoinGraph.load_state) == [
+        "self", "state", "key_of", "row_of"]
+    assert params(CombinedNodeRuntime.assemble) == [
+        "self", "anchor_tid", "anchor_row"]
+    assert params(CombinedNodeRuntime.key_of) == [
+        "self", "anchor_tid", "anchor_row"]
+    assert params(CombinedNodeRuntime.disassemble) == [
+        "self", "anchor_tid", "anchor_row", "delete"]
+    assert params(SJoinEngine.key_of) == ["self", "node_idx", "tid"]
+    # the row-taking helpers stay for probes and tests
+    assert params(WeightedJoinGraph.insert_tuple) == [
+        "self", "node_idx", "tid", "row", "weight"]
+    assert params(WeightedJoinGraph.delete_tuple) == [
+        "self", "node_idx", "tid", "row"]
+    # a plan node's projection is compiled, not a method
+    assert "vertex_key_of" in PlanNode.__dataclass_fields__
+    assert {"src", "vertex_of"} <= set(Direction.__slots__)

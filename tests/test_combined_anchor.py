@@ -261,13 +261,15 @@ def test_a_combined_tuple_is_its_anchor(stream):
         maintainer = pm.maintainer(NAME)
         engine = maintainer.engine
         runtime = runtime_of(maintainer)
-        built = {}
+        node = engine.plan.node("fact__dim")
+        built = {}      # anchor tid -> (vertex key, combined row)
         assemble = runtime.assemble
 
         def recording(anchor_tid, anchor_row):
             assembled = assemble(anchor_tid, anchor_row)
             if assembled is not None:
-                built[anchor_tid] = assembled[1]
+                built[anchor_tid] = (assembled[1], runtime.row_of(
+                    anchor_tid, anchor_row))
             return assembled
 
         runtime.assemble = recording
@@ -280,7 +282,6 @@ def test_a_combined_tuple_is_its_anchor(stream):
         for op in ops[cut:]:
             pm.apply_batch([op])
 
-        node = engine.plan.node("fact__dim")
         fact = pm.db.table("fact")
         assembled = {tid for tid, key in facts.items() if key is not None}
         # plan-level TIDs of the combined node are the anchors' TIDs
@@ -293,10 +294,13 @@ def test_a_combined_tuple_is_its_anchor(stream):
         # a dim is held once per assembled fact on it, by nothing else
         assert references(maintainer) == dict(collections.Counter(
             (key,) for key in facts.values() if key is not None))
-        # a rebuilt row is the row assembly built
+        # the graph got the vertex key of the row a rebuild gives
         for tid in assembled:
-            assert runtime.row_of(tid, fact.get(tid)) == built[tid]
-            assert engine.row_of(node.idx, tid) == built[tid]
+            key, row = built[tid]
+            assert key == node.vertex_key_of(row)
+            assert runtime.row_of(tid, fact.get(tid)) == row
+            assert engine.row_of(node.idx, tid) == row
+            assert engine.key_of(node.idx, tid) == key
         want = identity(maintainer)
 
         shipper.ship_once()

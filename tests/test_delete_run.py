@@ -88,14 +88,16 @@ def mapped(graph, root_idx):
 
 
 class Twin:
-    """One database, two graphs fed the same inserts: ``graph`` deletes
-    in runs, ``serial`` per tuple — the reference the flush must meet."""
+    """One database, two graphs fed the same inserts: ``graph`` takes
+    vertex keys the way the engines hand them over and deletes in runs,
+    ``serial`` takes rows and deletes per tuple — the reference the
+    flush must meet."""
 
     def __init__(self, seed, num_tables, tuple_weight=None):
         rng = random.Random(seed)
         self.db, self.query = random_query(rng, num_tables)
         self.tuple_weight = tuple_weight
-        plan = plan_query(self.query, self.db)
+        self.plan = plan = plan_query(self.query, self.db)
         self.graph = WeightedJoinGraph(plan, tuple_weight=tuple_weight)
         self.serial = WeightedJoinGraph(plan, tuple_weight=tuple_weight)
         self.tables = [
@@ -103,9 +105,15 @@ class Twin:
             for alias in self.query.aliases]
         self.live = [[] for _ in self.tables]
 
+    def key_of(self, node_idx, row):
+        return self.plan.nodes[node_idx].vertex_key_of(row)
+
     def insert(self, node_idx, row):
         tid = self.tables[node_idx].insert(row)
-        self.graph.insert_tuple(node_idx, tid, row)
+        weight = None if self.tuple_weight is None \
+            else self.graph.weight_of(node_idx, row)
+        self.graph.insert_tuples(
+            node_idx, [(tid, self.key_of(node_idx, row), weight)])
         self.serial.insert_tuple(node_idx, tid, row)
         self.live[node_idx].append(tid)
 
@@ -122,7 +130,7 @@ class Twin:
         run = self.graph.delete_run(node_idx)
         for tid in tids:
             row = table.get(tid)
-            removed = run.delete(tid, row)
+            removed = run.delete(tid, self.key_of(node_idx, row))
             assert removed == self.serial.delete_tuple(node_idx, tid, row)
             table.delete(tid)
             self.live[node_idx].remove(tid)
@@ -193,7 +201,7 @@ def test_only_the_runs_root_is_exact_before_the_flush():
         graph.insert_tuple(1, db.insert("s", (1,)), (1,))
     visited = graph.stats.vertices_visited
     run = graph.delete_run(1)
-    assert run.delete(0, (1,)) == 2
+    assert run.delete(0, (1,)) == 2         # s's vertex key is its row
     assert graph.total_results(1) == 2      # exact: 2 r-tuples x 1 s-tuple
     assert graph.total_results(0) == 4      # stale: r has not heard yet
     assert graph.stats.vertices_visited == visited

@@ -80,47 +80,58 @@ def build_runtime():
         "WHERE fact.f_dim = dim.d_id AND dim.band = other.band", db)
     plan = plan_query(query, db, fk_optimize=True)
     node = plan.node("fact__dim")
-    return db, CombinedNodeRuntime(node, db, frozenset())
+    return node, CombinedNodeRuntime(node, db, frozenset())
 
 
-def held(tid, row):
+def held(tid, key):
     """The graph's delete, for an anchor that was assembled: it reports
-    the tuple removed (here: its row, so the test can compare it)."""
-    return row
+    the tuple removed (here: its vertex key, so the test can compare
+    it)."""
+    return key
 
 
-def not_held(tid, row):
+def not_held(tid, key):
     """The graph's delete for a tuple it does not hold."""
     return None
 
 
+def check_entry(node, runtime, anchor_tid, anchor_row, row):
+    """Assemble an anchor: its entry is ``(anchor_tid, vertex key,
+    None)``, the key the plan's projection of the combined row, which
+    is ``row`` and rebuilt from the anchor's (nothing is stored)."""
+    tid, key, weight = runtime.assemble(anchor_tid, anchor_row)
+    assert runtime.row_of(anchor_tid, anchor_row) == row
+    assert (tid, key, weight) == (anchor_tid, node.vertex_key_of(row), None)
+    assert runtime.key_of(anchor_tid, anchor_row) == key
+    return key
+
+
 class TestCombinedNodeRuntime:
     def test_assemble_layout(self):
-        db, runtime = build_runtime()
+        node, runtime = build_runtime()
         runtime.register_member("dim", 0, (7, 99))
-        tid, row, weight = runtime.assemble(3, (7, 42))
-        # leading original tids, then fact columns, then dim columns
-        assert (tid, row, weight) == (3, (3, 0, 7, 42, 7, 99), None)
-        # nothing stored: the row is rebuilt from the anchor's
-        assert runtime.row_of(3, (7, 42)) == row
+        # leading original tids, then fact columns, then dim columns;
+        # the graph reads dim.band
+        key = check_entry(node, runtime, 3, (7, 42), (3, 0, 7, 42, 7, 99))
+        assert key == (99,)
 
     def test_assemble_missing_raises(self):
-        db, runtime = build_runtime()
+        node, runtime = build_runtime()
         with pytest.raises(IntegrityError):
             runtime.assemble(0, (12, 1))
 
     def test_disassemble_releases_references(self):
-        db, runtime = build_runtime()
+        node, runtime = build_runtime()
         runtime.register_member("dim", 0, (7, 99))
-        _, row, _ = runtime.assemble(3, (7, 42))
-        assert runtime.disassemble(3, (7, 42), held) == row
+        _, key, _ = runtime.assemble(3, (7, 42))
+        assert runtime.disassemble(3, (7, 42), held) == key == (99,)
         runtime.unregister_member("dim", (7, 99))  # now allowed
 
     def test_disassemble_unknown_raises(self):
         """An anchor the graph does not hold was never assembled: it is
         released from nothing, whether its member is missing or has
         arrived — also when another anchor holds that member."""
-        db, runtime = build_runtime()
+        node, runtime = build_runtime()
         assert runtime.disassemble(123, (12, 1), held) is None
         runtime.register_member("dim", 0, (12, 5))
         assert runtime.disassemble(123, (12, 1), not_held) is None
@@ -136,7 +147,7 @@ class TestCombinedNodeRuntime:
         """An anchor whose insert was refused stays in the heap; when it
         is deleted after its member arrived, it is in no graph and holds
         no reference."""
-        db, runtime = build_runtime()
+        node, runtime = build_runtime()
         with pytest.raises(IntegrityError):
             runtime.assemble(4, (12, 1))
         runtime.register_member("dim", 0, (12, 5))
@@ -144,9 +155,11 @@ class TestCombinedNodeRuntime:
         runtime.unregister_member("dim", (12, 5))
 
     def test_a_refused_weight_takes_no_reference(self):
-        db, runtime = build_runtime()
+        node, runtime = build_runtime()
+        weighed = []
 
         def weigh(node_idx, row):
+            weighed.append(row)     # a weight reads the combined row
             if row[-3] <= 0:    # fact.val
                 raise SynopsisError("bad weight")
             return row[-3]
@@ -157,8 +170,14 @@ class TestCombinedNodeRuntime:
             runtime.assemble(3, (7, 0))
         runtime.unregister_member("dim", (7, 99))
         runtime.register_member("dim", 1, (7, 99))
-        assert runtime.assemble(4, (7, 2)) == (4, (4, 1, 7, 2, 7, 99), 2)
+        assert runtime.assemble(4, (7, 2)) == (4, (99,), 2)
+        assert weighed == [(3, 0, 7, 0, 7, 99), (4, 1, 7, 2, 7, 99)]
+        assert runtime.row_of(4, (7, 2)) == weighed[-1]
         assert runtime.assembles == 2
+        with pytest.raises(IntegrityError):     # 4 holds the dim
+            runtime.unregister_member("dim", (7, 99))
+        assert runtime.disassemble(4, (7, 2), held) == (99,)
+        runtime.unregister_member("dim", (7, 99))
 
     def test_rejects_non_combined_node(self):
         db = Database()
@@ -178,7 +197,8 @@ def chain_runtime(tables, sql, node, filtered=frozenset()):
     for schema in tables:
         db.create_table(schema)
     plan = plan_query(parse_query(sql, db), db, fk_optimize=True)
-    return CombinedNodeRuntime(plan.node(node), db, frozenset(filtered))
+    node = plan.node(node)
+    return node, CombinedNodeRuntime(node, db, frozenset(filtered))
 
 
 def depth3(filtered=frozenset()):
@@ -201,24 +221,25 @@ def depth3(filtered=frozenset()):
 
 class TestChainShapes:
     def test_depth_three_chain(self):
-        runtime = depth3()
+        node, runtime = depth3()
         runtime.register_member("leaf", 4, (30, 9))
         runtime.register_member("mid", 2, (20, 30))
-        tid, row, _ = runtime.assemble(7, (1, 20))
-        # tids of fact, mid, leaf; then the three base rows
-        assert (tid, row) == (7, (7, 2, 4, 1, 20, 20, 30, 30, 9))
-        assert runtime.row_of(7, (1, 20)) == row
+        # tids of fact, mid, leaf; then the three base rows; the graph
+        # reads leaf.band, two hops from the anchor
+        key = check_entry(node, runtime, 7, (1, 20),
+                          (7, 2, 4, 1, 20, 20, 30, 30, 9))
+        assert key == (9,)
         assert (runtime.lookups, runtime.assembles) == (2, 1)
         with pytest.raises(IntegrityError):     # both parents are held
             runtime.unregister_member("leaf", (30, 9))
         with pytest.raises(IntegrityError):
             runtime.unregister_member("mid", (20, 30))
-        assert runtime.disassemble(7, (1, 20), held) == row
+        assert runtime.disassemble(7, (1, 20), held) == key
         runtime.unregister_member("mid", (20, 30))
         runtime.unregister_member("leaf", (30, 9))
 
     def test_a_miss_after_k_hits_counts_k_plus_one_lookups(self):
-        runtime = depth3(filtered={"leaf"})
+        _, runtime = depth3(filtered={"leaf"})
         runtime.register_member("mid", 0, (20, 31))     # its leaf filtered
         before = runtime.state_dict()
         assert runtime.assemble(0, (1, 20)) is None     # hit, then a drop
@@ -235,7 +256,7 @@ class TestChainShapes:
         runtime.unregister_member("mid", (20, 31))
 
     def test_two_members_under_one_parent(self):
-        runtime = chain_runtime([
+        node, runtime = chain_runtime([
             TableSchema("da", [Column("a_id"), Column("band")],
                         primary_key=("a_id",)),
             TableSchema("db", [Column("b_id"), Column("x")],
@@ -250,16 +271,16 @@ class TestChainShapes:
             "fact__da__db")
         runtime.register_member("da", 0, (1, 5))
         runtime.register_member("db", 0, (2, 6))
-        tid, row, _ = runtime.assemble(3, (1, 2))
-        assert (tid, row) == (3, (3, 0, 0, 1, 2, 1, 5, 2, 6))
-        assert runtime.row_of(3, (1, 2)) == row
+        key = check_entry(node, runtime, 3, (1, 2),
+                          (3, 0, 0, 1, 2, 1, 5, 2, 6))
+        assert key == (5,)      # da.band
         assert runtime.lookups == 2
-        assert runtime.disassemble(3, (1, 2), held) == row
+        assert runtime.disassemble(3, (1, 2), held) == key
         runtime.unregister_member("da", (1, 5))
         runtime.unregister_member("db", (2, 6))
 
     def test_composite_foreign_key(self):
-        runtime = chain_runtime([
+        node, runtime = chain_runtime([
             TableSchema("dim", [Column("k1"), Column("band"), Column("k2")],
                         primary_key=("k1", "k2")),
             TableSchema("fact", [Column("f2"), Column("val"), Column("f1")],
@@ -269,10 +290,32 @@ class TestChainShapes:
         ], "SELECT * FROM fact, dim, other WHERE fact.f1 = dim.k1 "
            "AND fact.f2 = dim.k2 AND dim.band = other.band", "fact__dim")
         runtime.register_member("dim", 0, (1, 9, 2))
-        tid, row, _ = runtime.assemble(5, (2, 7, 1))
-        assert (tid, row) == (5, (5, 0, 2, 7, 1, 1, 9, 2))
-        assert runtime.row_of(5, (2, 7, 1)) == row
+        key = check_entry(node, runtime, 5, (2, 7, 1),
+                          (5, 0, 2, 7, 1, 1, 9, 2))
+        assert key == (9,)      # dim.band
         with pytest.raises(IntegrityError):
             runtime.assemble(6, (1, 7, 2))      # the columns swapped
-        assert runtime.disassemble(5, (2, 7, 1), held) == row
+        assert runtime.disassemble(5, (2, 7, 1), held) == key
         runtime.unregister_member("dim", (1, 9, 2))
+
+    def test_vertex_key_across_anchor_and_member(self):
+        """A two-attribute vertex key, one attribute from the anchor and
+        one from its member, in the node's vertex-attribute order."""
+        node, runtime = chain_runtime([
+            TableSchema("dim", [Column("d_id"), Column("band")],
+                        primary_key=("d_id",)),
+            TableSchema("fact", [Column("f_dim"), Column("val")],
+                        foreign_keys=(ForeignKey(("f_dim",), "dim",
+                                                 ("d_id",)),)),
+            TableSchema("other", [Column("band")]),
+            TableSchema("more", [Column("val")]),
+        ], "SELECT * FROM fact, dim, other, more WHERE fact.f_dim = dim.d_id "
+           "AND dim.band = other.band AND fact.val = more.val",
+            "fact__dim")
+        assert set(node.vertex_attrs) == {"dim__band", "fact__val"}
+        runtime.register_member("dim", 0, (7, 99))
+        key = check_entry(node, runtime, 3, (7, 42), (3, 0, 7, 42, 7, 99))
+        assert key == ((99, 42) if node.vertex_attrs[0] == "dim__band"
+                       else (42, 99))
+        assert runtime.disassemble(3, (7, 42), held) == key
+        runtime.unregister_member("dim", (7, 99))

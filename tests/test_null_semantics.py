@@ -1,4 +1,4 @@
-"""SQL's NULL rule: a NULL never satisfies a predicate.
+"""SQL's NULL rule: a NULL never satisfies a predicate — nor a NaN.
 
 A schema-valid NULL in a filter or join column used to reach a
 comparison (``None <= 10``, ``None < 3`` inside the AVL, a range bound)
@@ -6,7 +6,9 @@ comparison (``None <= 10``, ``None < 3`` inside the AVL, a range bound)
 ``TypeError``, a heap row no engine held, and a durable directory no
 later start could recover.  Now such a row is stored, rejected by the
 engine like any pre-filtered row, and never joined — by the engines and
-by the oracle alike.
+by the oracle alike.  A NaN in a FLOAT join column follows the same
+rule: it equals nothing, itself included, and used to break the
+aggregate tree's order silently.
 """
 
 import os
@@ -31,6 +33,7 @@ from repro import (
     TableSchema,
     parse_query,
 )
+from repro.catalog.schema import DataType
 from repro.persist import STATE_VERSION, PersistentManager, SnapshotStore
 from repro.query.executor import JoinExecutor
 from repro.query.planner import plan_query
@@ -239,3 +242,101 @@ def test_rows_with_nulls_agree_with_the_oracle(seed, data):
         manager.apply_batch([DeleteOp(op.target, tid)
                              for op, tid in zip(ops, tids)])
         assert maintainer.total_results() == 0
+
+
+# ----------------------------------------------------------------------
+# NaN: the one FLOAT value unequal to itself joins nothing, like NULL
+# ----------------------------------------------------------------------
+NAN = float("nan")
+
+
+def float_db():
+    db = Database()
+    db.create_table(TableSchema("r", [Column("a", DataType.FLOAT),
+                                      Column("x")]))
+    db.create_table(TableSchema("s", [Column("a", DataType.FLOAT),
+                                      Column("y")]))
+    return db
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("sql", [
+    "SELECT * FROM r, s WHERE r.a = s.a",           # the hash step
+    "SELECT * FROM r, s WHERE |r.a - s.a| <= 1",    # a band edge
+    "SELECT * FROM r, s WHERE r.a = s.a AND r.x = s.y",
+])
+def test_a_nan_is_stored_and_never_joined(engine, sql):
+    """At 10.0 ``r.a = s.a`` over {nan, 1.0, 0.5} on both sides reported
+    J = 5 against the true 2 and sampled ``(nan, 0.5)`` pairs: a NaN
+    broke the aggregate tree's order.  Now it is pre-filtered."""
+    db = float_db()
+    manager = SynopsisManager(db)
+    maintainer = manager.register("q", sql, config(engine))
+    ops = [InsertOp(alias, (value, 0)) for value in (NAN, 1.0, 0.5)
+           for alias in ("r", "s")]
+    assert manager.apply_batch(ops).tids == (0, 0, 1, 1, 2, 2)
+    assert maintainer.engine.stats.filtered_inserts == 2
+    exact = sorted(JoinExecutor(db, maintainer.query).results())
+    assert maintainer.total_results() == len(exact) > 0
+    assert sorted(maintainer.synopsis()) == exact
+    if engine != "sj":
+        maintainer.engine.graph.check_invariants()
+    # deleting every row, the NaN ones included, empties the join
+    manager.apply_batch([DeleteOp(alias, tid) for tid in range(3)
+                         for alias in ("r", "s")])
+    assert maintainer.total_results() == 0
+
+
+def float_fk_db():
+    db = Database()
+    db.create_table(TableSchema(
+        "dim", [Column("d_id", DataType.FLOAT), Column("band")],
+        primary_key=("d_id",)))
+    db.create_table(TableSchema(
+        "fact", [Column("f_dim", DataType.FLOAT), Column("val")],
+        foreign_keys=(ForeignKey(("f_dim",), "dim", ("d_id",)),)))
+    db.create_table(TableSchema("other", [Column("band")]))
+    return db
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_nan_fk_or_pk_is_a_silent_non_join(engine):
+    """A NaN FK on an anchor and a NaN PK on a member: neither raises
+    an IntegrityError, neither joins, both delete cleanly."""
+    db = float_fk_db()
+    manager = SynopsisManager(db)
+    maintainer = manager.register("q", FK_SQL, config(engine))
+    ops = [InsertOp("other", (1,)), InsertOp("dim", (7.0, 1)),
+           InsertOp("dim", (NAN, 1)),       # a member the rule drops
+           InsertOp("fact", (7.0, 1)),
+           InsertOp("fact", (NAN, 2)),      # NaN FK on the anchor
+           InsertOp("fact", (7.0, 3))]
+    assert manager.apply_batch(ops).tids == (0, 0, 1, 0, 1, 2)
+    assert maintainer.engine.stats.filtered_inserts == 2
+    exact = sorted(JoinExecutor(db, maintainer.query).results())
+    assert maintainer.total_results() == len(exact) == 2
+    assert sorted(maintainer.synopsis()) == exact
+    manager.apply_batch([DeleteOp("fact", 1), DeleteOp("dim", 1),
+                         DeleteOp("fact", 0), DeleteOp("fact", 2)])
+    assert maintainer.total_results() == 0
+
+
+def test_only_float_join_columns_compile_a_nan_check():
+    """INT join columns (every paper workload) and FLOAT columns no
+    predicate joins on compile nothing new."""
+    db = Database()
+    db.create_table(TableSchema("r", [Column("a", DataType.FLOAT),
+                                      Column("k"),
+                                      Column("f", DataType.FLOAT)]))
+    db.create_table(TableSchema("s", [Column("a", DataType.FLOAT),
+                                      Column("k")]))
+    plan = plan_query(parse_query(
+        "SELECT * FROM r, s WHERE r.a = s.a AND r.k = s.k", db), db)
+    assert [pos for pos, _ in plan.routes["r"].prefilter] == [0]
+    assert [pos for pos, _ in plan.routes["s"].prefilter] == [0]
+    test = plan.routes["r"].prefilter[0][1]
+    assert [test(v) for v in (NAN, None, 0.5, 1, float("inf"))] == [
+        False, False, True, True, True]
+    plan = plan_query(parse_query(
+        "SELECT * FROM r, s WHERE r.k = s.k", db), db)
+    assert all(route.prefilter == () for route in plan.routes.values())

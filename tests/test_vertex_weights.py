@@ -125,23 +125,27 @@ def test_compiled_weights_match_loop_form_equation_1(
         if weighted else None)
     rng = random.Random(stream_seed)
     width = [len(node.schema.columns) for node in plan.nodes]
+
+    def key_of(node_idx, row):
+        return plan.nodes[node_idx].vertex_key_of(row)
     live = [[] for _ in plan.nodes]
     next_tid = 0
     for step in range(40):
         node_idx = rng.randrange(len(plan.nodes))
         roll = rng.random()
         if roll < 0.55 or not live[node_idx]:
-            entries = []
-            for _ in range(rng.choice((1, 1, 2, 4))):
-                row = random_row(rng, width[node_idx], 4)
-                weight = graph.weight_of(node_idx, row) if weighted else None
-                entries.append((next_tid, row, weight))
+            rows = [random_row(rng, width[node_idx], 4)
+                    for _ in range(rng.choice((1, 1, 2, 4)))]
+            if len(rows) == 1:      # the row-taking helper
+                graph.insert_tuple(node_idx, next_tid, rows[0])
+            else:
+                graph.insert_tuples(node_idx, [
+                    (next_tid + i, key_of(node_idx, row),
+                     graph.weight_of(node_idx, row) if weighted else None)
+                    for i, row in enumerate(rows)])
+            for row in rows:
                 live[node_idx].append((next_tid, row))
                 next_tid += 1
-            if len(entries) == 1:
-                graph.insert_tuple(node_idx, *entries[0])
-            else:
-                graph.insert_tuples(node_idx, entries)
         elif roll < 0.8:
             tid, row = live[node_idx].pop(rng.randrange(len(live[node_idx])))
             graph.delete_tuple(node_idx, tid, row)
@@ -150,10 +154,10 @@ def test_compiled_weights_match_loop_form_equation_1(
             for _ in range(min(len(live[node_idx]), rng.randrange(1, 4))):
                 tid, row = live[node_idx].pop(
                     rng.randrange(len(live[node_idx])))
-                assert run.delete(tid, row) is not None
+                assert run.delete(tid, key_of(node_idx, row)) is not None
             # a tuple the node does not hold: reported, nothing changed
-            assert run.delete(next_tid, random_row(rng, width[node_idx],
-                                                   4)) is None
+            assert run.delete(next_tid, key_of(node_idx, random_row(
+                rng, width[node_idx], 4))) is None
             run.flush()
         if step % 10 == 9:
             assert_weights_exact(graph)
