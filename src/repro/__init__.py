@@ -141,7 +141,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     # catalog

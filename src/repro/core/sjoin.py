@@ -413,10 +413,10 @@ class SJoinEngine:
         """Registry snapshot with read-time instruments published first.
 
         Work counters kept as plain ints on the hot paths (graph stats,
-        synopsis accept/skip counts, FK assembly counts, AVL rotations)
-        are copied into the registry here, so the maintenance loops pay
-        nothing for them when observability is off.  Returns ``{}`` when
-        observability is disabled (the default).
+        synopsis accept/skip counts, FK assembly counts, index block
+        splits and merges) are copied into the registry here, so the
+        maintenance loops pay nothing for them when observability is off.
+        Returns ``{}`` when observability is disabled (the default).
         """
         obs = self.obs
         if not obs.enabled:
@@ -454,9 +454,9 @@ class SJoinEngine:
         obs.gauge(metric_names.TOTAL_RESULTS).set(self.total_results())
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
             self.synopsis.valid_count)
-        rotations = sum(tree.rotations
-                        for tree in self.graph.trees.values())
-        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(rotations)
+        restructures = sum(tree.restructures
+                           for tree in self.graph.trees.values())
+        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(restructures)
         return obs.snapshot()
 
     # ------------------------------------------------------------------

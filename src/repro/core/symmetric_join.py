@@ -33,7 +33,7 @@ from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.insert_run import InsertRun, RouteTable
 from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
-from repro.index.avl import AggregateTree
+from repro.index.aggregate import AggregateTree
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.query.planner import JoinPlan, plan_query
@@ -265,8 +265,9 @@ class SymmetricJoinEngine:
         obs.gauge(metric_names.TOTAL_RESULTS).set(self.total_results())
         obs.gauge(metric_names.SYNOPSIS_SIZE).set(
             self.synopsis.valid_count)
-        rotations = sum(tree.rotations for tree in self._indexes.values())
-        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(rotations)
+        restructures = sum(
+            tree.restructures for tree in self._indexes.values())
+        obs.gauge(metric_names.GRAPH_INDEX_MAINTENANCE_OPS).set(restructures)
         return obs.snapshot()
 
     # ------------------------------------------------------------------

@@ -189,7 +189,7 @@ class SynopsisBase:
         self.total_seen = 0  # J: join results currently represented
         self.results_accessed = 0  # work counter (view.get calls)
         self.obs = as_registry(obs)
-        # plain-int work counters (like AggregateTree.rotations): free on
+        # plain-int work counters (like AggregateTree.restructures): free on
         # the hot path, published to the registry only at snapshot time
         self.skips_drawn = 0
         self.accepts = 0

@@ -4,7 +4,7 @@ This subpackage implements the paper's central index: vertices are distinct
 projections of tuples onto their table's join attributes, each carrying the
 ``d+1`` unique subjoin weights (directed ``w_out`` per incident tree edge
 plus ``w_full``) and cached neighbour weight sums ``W_in``.  The graph is
-represented implicitly by per-table hash indexes and aggregate AVL trees.
+represented implicitly by per-table hash indexes and aggregate order indexes.
 
 Modules
 -------

@@ -1,7 +1,7 @@
 """The weighted join graph: construction and maintenance (Algorithm 1).
 
 The graph is kept implicitly (§4.3): one :class:`HashIndex` per plan node
-mapping vertex keys to :class:`Vertex` objects, and one aggregate AVL tree
+mapping vertex keys to :class:`Vertex` objects, and one aggregate order index
 per directed tree edge keyed by the edge's composite sort key and
 aggregating the ``w_out`` weight toward that neighbour (the first index of
 each node additionally aggregates ``w_full``).
@@ -42,7 +42,7 @@ from repro.errors import SynopsisError, TupleNotFoundError
 from repro.obs.metrics import as_registry
 from repro.graph.vertex import Vertex
 from repro.index.api import IndexRange
-from repro.index.avl import AggregateTree
+from repro.index.aggregate import AggregateTree
 from repro.index.hash_index import HashIndex
 from repro.query.planner import IndexSpec, JoinPlan
 
@@ -80,7 +80,7 @@ class Direction:
     new ``src`` vertex summing its ``W_in[dst]``, or a descent stepping
     from a ``src`` vertex into child ``dst`` (Algorithm 2) looks up.
 
-    ``tree`` is the AVL on ``dst`` keyed by its edge key toward ``src``
+    ``tree`` is the index on ``dst`` keyed by its edge key toward ``src``
     and ``slot`` the slot of ``w_out[dst -> src]`` in it; ``key_pos``
     projects a ``src`` vertex key onto its edge key toward ``dst``;
     ``range_of`` maps that edge key to the range of ``tree`` joining it

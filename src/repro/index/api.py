@@ -2,8 +2,8 @@
 
 Every hot path of the reproduction — Algorithm 1 delta propagation,
 Algorithm 2 join-number ``select``, deletion re-draws — bottoms out in
-the paper's aggregate AVL tree (§4.3,
-:class:`repro.index.avl.AggregateTree`): an ordered container of
+the paper's aggregate order index (§4.3,
+:class:`repro.index.aggregate.AggregateTree`): an ordered container of
 ``(key, tie) -> item`` entries that maintains, per *slot*, the sum of a
 per-item value over any contiguous key range.  This module holds the
 vocabulary its callers share with it: :class:`IndexRange`, a contiguous
@@ -69,4 +69,4 @@ def default_backend() -> str:
     its result files, which keeps the committed trajectory comparable;
     nothing in ``src/`` selects an index by name.
     """
-    return "avl"
+    return "blocked"

@@ -28,8 +28,8 @@ GRAPH_INDEX_REFRESHES = "graph.index_refreshes"
 GRAPH_VERTEX_CREATIONS = "graph.vertex_creations"
 GRAPH_VERTEX_REMOVALS = "graph.vertex_removals"
 GRAPH_WEIGHT_RECOMPUTES = "graph.weight_recomputes"
-# AVL rotations summed over all trees (gauge, published on read), under
-# the name the layer benchmark reads
+# aggregate-index block splits and merges summed over all trees (gauge,
+# published on read), under the name the layer benchmark reads
 GRAPH_INDEX_MAINTENANCE_OPS = "graph.index_maintenance_ops"
 
 # -- synopsis maintenance (counters) ------------------------------------

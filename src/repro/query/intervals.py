@@ -4,7 +4,7 @@ Join predicates of the paper's two forms (§2) can always be rewritten as
 "the other side's attribute lies in this interval", which is what lets the
 weighted join graph use ordered tree indexes for both lookups and aggregate
 range queries.  :class:`Interval` is the common currency between predicates
-(:mod:`repro.query.predicates`) and indexes (:mod:`repro.index.avl`).
+(:mod:`repro.query.predicates`) and indexes (:mod:`repro.index.aggregate`).
 
 Bounds may be ``None`` meaning unbounded on that side.  Bound values may be
 ints, floats or :class:`fractions.Fraction` (predicates use exact rational

@@ -8,9 +8,10 @@ The planner performs, at "database creation" time (paper §5.1):
    collapsed — the two range tables are replaced by a combined range table
    whose rows are the (FK ⋈ PK) pairs, applied iteratively to fixpoint;
 3. the index and weight layout of the weighted join graph: per plan node,
-   one AVL index per incident tree edge (keyed by that edge's composite sort
-   key) carrying the subtree aggregates of the ``w_out`` weight toward that
-   neighbour, with the node's first index additionally carrying ``w_full``.
+   one aggregate index per incident tree edge (keyed by that edge's
+   composite sort key) carrying the range aggregates of the ``w_out``
+   weight toward that neighbour, with the node's first index additionally
+   carrying ``w_full``.
 
 On the weight representation: the paper stores up to ``d+1`` unique weights
 per vertex (Corollary 4.3).  We realise exactly those weights in directed
@@ -36,6 +37,7 @@ from repro.query.predicates import (
     JoinPredicate,
     MultiTableFilter,
     ThetaPredicate,
+    rangeable,
 )
 from repro.query.query import JoinQuery, RangeTable
 from repro.query.query_tree import (
@@ -152,7 +154,11 @@ class Route:
     kept out like any filtered row.  A NaN in a FLOAT join column is
     kept out the same way: it equals nothing, itself included, and it
     would break the order of the aggregate index and the hash lookup
-    of the join graph.  Empty when nothing can reject.
+    of the join graph.  So is a float infinity in a FLOAT column that a
+    predicate other than plain equality reads (a band or inequality):
+    it has no exact rational, so no range bound exists for it.  A
+    plain-equality column keeps its infinities (``inf = inf``).  Empty
+    when nothing can reject.
     """
 
     alias: str
@@ -453,15 +459,24 @@ def _is_not_null_or_nan(value: object) -> bool:
 
 def _prefilter(query: JoinQuery, schema: TableSchema, alias: str):
     """Compile ``alias``'s pre-filter (see :class:`Route`)."""
-    joined = {pred.attr_of(alias) for pred in query.join_predicates
-              if alias in pred.sides()}
+    # join column -> whether a predicate other than plain equality reads it
+    ranged: Dict[str, bool] = {}
+    for pred in query.join_predicates:
+        if alias in pred.sides():
+            attr = pred.attr_of(alias)
+            ranged[attr] = ranged.get(attr, False) \
+                or not pred.is_plain_equality
+
+    def test(col: Column) -> Callable[[object], bool]:
+        if col.dtype is not DataType.FLOAT:
+            return _is_not_null
+        return rangeable if ranged[col.name] else _is_not_null_or_nan
+
     return tuple(
         [(schema.index_of(flt.attr), flt.matches)
          for flt in query.filters_on(alias)]
-        + [(pos, _is_not_null_or_nan if col.dtype is DataType.FLOAT
-            else _is_not_null)
-           for pos, col in enumerate(schema.columns)
-           if col.name in joined
+        + [(pos, test(col)) for pos, col in enumerate(schema.columns)
+           if col.name in ranged
            and (col.nullable or col.dtype is DataType.FLOAT)])
 
 

@@ -29,6 +29,7 @@ join predicates are demoted, and from user-defined predicates).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -76,6 +77,14 @@ def _exact(value: object) -> object:
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
     return value
+
+
+def rangeable(value: object) -> bool:
+    """Whether ``value`` can take part in a predicate other than plain
+    equality: not NULL, and not a float NaN or infinity — neither is an
+    exact rational, so no range bound can be computed from it."""
+    return value is not None and (
+        not isinstance(value, float) or math.isfinite(value))
 
 
 def _simplify(value: object) -> object:
@@ -174,6 +183,11 @@ class ThetaPredicate:
     def is_equality(self) -> bool:
         return False
 
+    @property
+    def is_plain_equality(self) -> bool:
+        """Equality with no arithmetic (usable on non-numeric columns)."""
+        return False
+
     def sides(self) -> Tuple[str, str]:
         return (self.left, self.right)
 
@@ -201,8 +215,12 @@ class ThetaPredicate:
         self, alias: str, value: object, other_value: object
     ) -> bool:
         """Test with ``value`` on ``alias``'s side; a NULL on either side
-        satisfies nothing (SQL)."""
+        satisfies nothing (SQL), and neither does a float NaN or infinity
+        unless the predicate is plain equality (:func:`rangeable`)."""
         if value is None or other_value is None:
+            return False
+        if not self.is_plain_equality and not (
+                rangeable(value) and rangeable(other_value)):
             return False
         if alias == self.left:
             return self.matches(value, other_value)

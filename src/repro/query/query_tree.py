@@ -36,7 +36,7 @@ class TreeEdge:
     ``eq_predicates`` are plain equalities; ``range_predicate`` is the
     optional single range-form predicate.  ``key_attrs_of(alias)`` gives the
     composite sort key attributes on that side (equality attrs first, range
-    attr last), which is the key of the corresponding AVL index.
+    attr last), which is the key of the corresponding aggregate index.
     """
 
     a: str

@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "11.0.0"
+    assert repro.__version__ == "12.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -22,7 +22,7 @@ def test_version():
     "repro.analytics", "repro.stats", "repro.cli",
     "repro.core.window", "repro.core.manager",
     "repro.core.stats_api",
-    "repro.index.api", "repro.index.avl", "repro.query.explain",
+    "repro.index.api", "repro.index.aggregate", "repro.query.explain",
     "repro.bench.export",
     "repro.obs", "repro.obs.metrics", "repro.obs.names",
     "repro.obs.expo", "repro.obs.quality",
@@ -366,7 +366,8 @@ def test_one_aggregate_index_no_selector():
     """4.0 kept the paper's AVL tree as the only aggregate index: the
     alternative backends, the registry that named them, the option that
     selected one and both engine env flags are gone (CHANGELOG.md has
-    the table), and none of it may creep back."""
+    the table), and none of it may creep back.  12.0 replaced the AVL
+    by the blocked tree in place: no second index beside it."""
     import inspect
 
     from repro import MaintainerConfig, errors, index
@@ -374,7 +375,8 @@ def test_one_aggregate_index_no_selector():
     from repro.graph import join_graph
     from repro.index import api
 
-    for module in ("repro.index.fenwick", "repro.index.skiplist"):
+    for module in ("repro.index.fenwick", "repro.index.skiplist",
+                   "repro.index.avl"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert sorted(index.__all__) == ["AggregateTree", "HashIndex",
@@ -389,6 +391,9 @@ def test_one_aggregate_index_no_selector():
                  "make_index", "available_backends")),
         (join_graph, ("NUMPY_FLAG_ENV_VAR", "_numpy_active", "_np")),
         (errors, ("IndexBackendError",)),
+        (index.AggregateTree, ("root", "rotations", "_rebalance_up",
+                               "_rotate_left", "_rotate_right", "_pull")),
+        (index.TreeNode, ("left", "right", "parent", "height", "sums")),
         (repro, ("IndexBackendError",)),
     ):
         for name in names:
@@ -396,7 +401,7 @@ def test_one_aggregate_index_no_selector():
             assert name not in getattr(module, "__all__", ()), name
     # what the layer benchmark imports for its run metadata
     assert inspect.signature(api.default_backend).parameters == {}
-    assert api.default_backend() == "avl"
+    assert api.default_backend() == "blocked"
     with pytest.raises(TypeError):
         MaintainerConfig(index_backend="avl")
     assert "index_backend" not in MaintainerStats.__dataclass_fields__

@@ -8,7 +8,9 @@ later start could recover.  Now such a row is stored, rejected by the
 engine like any pre-filtered row, and never joined — by the engines and
 by the oracle alike.  A NaN in a FLOAT join column follows the same
 rule: it equals nothing, itself included, and used to break the
-aggregate tree's order silently.
+aggregate tree's order silently.  So does a float infinity in a column a
+band or inequality predicate reads: no range bound exists for it, and
+computing one raised an untyped ``OverflowError`` after the WAL record.
 """
 
 import os
@@ -45,6 +47,8 @@ from test_batch_differential import state_of
 ENGINES = ("sjoin-opt", "sjoin", "sj")
 PARENT_DIR = os.path.join(os.path.dirname(__file__), "golden",
                           "null_wal_parent")
+INF_PARENT_DIR = os.path.join(os.path.dirname(__file__), "golden",
+                              "inf_wal_parent")
 
 
 def nullable_db():
@@ -335,8 +339,97 @@ def test_only_float_join_columns_compile_a_nan_check():
     assert [pos for pos, _ in plan.routes["r"].prefilter] == [0]
     assert [pos for pos, _ in plan.routes["s"].prefilter] == [0]
     test = plan.routes["r"].prefilter[0][1]
-    assert [test(v) for v in (NAN, None, 0.5, 1, float("inf"))] == [
-        False, False, True, True, True]
+    assert [test(v) for v in (NAN, None, 0.5, 1, INF, -INF)] == [
+        False, False, True, True, True, True]
     plan = plan_query(parse_query(
         "SELECT * FROM r, s WHERE r.k = s.k", db), db)
     assert all(route.prefilter == () for route in plan.routes.values())
+    # a band edge: its FLOAT column refuses infinities too
+    plan = plan_query(parse_query(
+        "SELECT * FROM r, s WHERE |r.a - s.a| <= 1 AND r.k = s.k", db), db)
+    assert [pos for pos, _ in plan.routes["r"].prefilter] == [0]
+    test = plan.routes["r"].prefilter[0][1]
+    assert [test(v) for v in (NAN, None, 0.5, 1, INF, -INF)] == [
+        False, False, True, True, False, False]
+
+
+# ----------------------------------------------------------------------
+# infinity: no range bound exists for it, so a range column refuses it
+# ----------------------------------------------------------------------
+INF = float("inf")
+RANGE_SQL = [
+    "SELECT * FROM r, s WHERE |r.a - s.a| <= 1",    # a band edge
+    "SELECT * FROM r, s WHERE r.a <= s.a + 1",      # an offset bound
+    "SELECT * FROM r, s WHERE r.a < s.a",           # an open bound
+]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("sql", RANGE_SQL)
+def test_an_infinity_in_a_range_column_is_stored_and_never_joined(engine,
+                                                                   sql):
+    """At 11.0 ``r.a = inf`` raised ``OverflowError: cannot convert
+    Infinity to integer ratio`` from the range bound on every engine."""
+    db = float_db()
+    manager = SynopsisManager(db)
+    maintainer = manager.register("q", sql, config(engine))
+    ops = [InsertOp(alias, (value, 0)) for value in (INF, 1.0, -INF, 0.5)
+           for alias in ("r", "s")]
+    assert manager.apply_batch(ops).tids == (0, 0, 1, 1, 2, 2, 3, 3)
+    assert maintainer.engine.stats.filtered_inserts == 4
+    exact = sorted(JoinExecutor(db, maintainer.query).results())
+    assert maintainer.total_results() == len(exact) > 0
+    assert all(tid in (1, 3) for result in exact for tid in result)
+    assert sorted(maintainer.synopsis()) == exact
+    if engine != "sj":
+        maintainer.engine.graph.check_invariants()
+    manager.apply_batch([DeleteOp(alias, tid) for tid in range(4)
+                         for alias in ("r", "s")])
+    assert maintainer.total_results() == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_infinity_on_a_plain_equality_column_still_joins(engine):
+    """``inf = inf`` is true: the hash step, the tree and the oracle
+    agree, so an equality-only column keeps its infinities."""
+    db = float_db()
+    manager = SynopsisManager(db)
+    maintainer = manager.register(
+        "q", "SELECT * FROM r, s WHERE r.a = s.a", config(engine))
+    manager.apply_batch([InsertOp(alias, (value, 0))
+                         for value in (INF, INF, 1.0, -INF)
+                         for alias in ("r", "s")])
+    assert maintainer.engine.stats.filtered_inserts == 0
+    exact = sorted(JoinExecutor(db, maintainer.query).results())
+    assert maintainer.total_results() == len(exact) == 6
+    assert sorted(maintainer.synopsis()) == exact
+
+
+def test_an_infinity_behind_a_wal_recovers(tmp_path):
+    """At 11.0 the row reached the heap and the WAL, then the range
+    bound raised; every later ``recover`` raised the same error."""
+    pm = PersistentManager(SynopsisManager(float_db()), str(tmp_path),
+                           sync="batch")
+    pm.register("q", RANGE_SQL[0], config())
+    pm.apply_batch([InsertOp("s", (1.0, 0))])
+    assert pm.apply_batch([InsertOp("r", (INF, 0)),
+                           InsertOp("r", (1.5, 1))]).tids == (0, 1)
+    assert pm.total_results("q") == 1
+    live = state_of(pm.maintainer("q"))
+    pm.abandon()
+    recovered = PersistentManager.recover(str(tmp_path))
+    assert state_of(recovered.maintainer("q")) == live
+    recovered.close()
+
+
+def test_a_wal_written_by_the_parent_with_an_infinity_recovers(tmp_path):
+    """``golden/inf_wal_parent`` is the directory the script above left
+    behind at 11.0 (the apply record of ``r(inf, 0)``, ``r(1.5, 1)``
+    logged, then the ``OverflowError``): every later start raised."""
+    directory = str(tmp_path / "state")
+    shutil.copytree(INF_PARENT_DIR, directory)
+    recovered = PersistentManager.recover(directory)
+    assert recovered.total_results("q") == 1
+    assert sorted(recovered.synopsis("q")) == [(1, 0)]
+    assert [tid for tid, _ in recovered.db.table("r").scan()] == [0, 1]
+    recovered.close()

@@ -559,6 +559,35 @@ class TestEngineStages:
         assert metrics[first]["count"] == 2 * 24 + 3
         assert metrics["engine.delete.graph_ns"]["count"] == 2
 
+    def test_the_maintenance_gauge_counts_block_splits_and_merges(
+            self, engine):
+        """``graph.index_maintenance_ops`` sums the aggregate trees'
+        block splits and merges: nothing while every tree is one block,
+        then a split per overflow and a merge per underfull block (small
+        blocks here, so a dozen rows force both)."""
+        from unittest import mock
+
+        from repro.index import aggregate
+
+        def gauge():
+            return maintainer.stats().metrics[
+                "graph.index_maintenance_ops"]["value"]
+
+        with mock.patch.object(aggregate, "LOAD", 2):
+            maintainer = JoinSynopsisMaintainer(
+                make_db(), SQL, MaintainerConfig(
+                    spec=SynopsisSpec.fixed_size(10), engine=engine,
+                    seed=3, obs=MetricsRegistry()))
+            maintainer.insert("r", (0, 0))
+            assert gauge() == 0
+            for i in range(1, 12):          # a vertex / an entry each
+                maintainer.insert("r", (i, i))
+            split = gauge()
+            assert split > 0
+            maintainer.apply_batch([DeleteOp("r", tid)
+                                    for tid in range(10)])
+            assert gauge() > split
+
     def test_a_run_no_entry_of_which_passed_the_filter_is_silent(
             self, engine):
         """The heap holds a row the engine's pre-filter refused; deleting
