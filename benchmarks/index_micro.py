@@ -7,7 +7,12 @@ at a given size, for the three access patterns the engine makes.
 * ``alternation`` — change one entry's value and ``refresh`` it, then a
   ``range_sum`` and a ranged ``select`` over a random key range (one
   triple per operation): a lazily aggregated index pays its rebuild
-  here, in the query after every update.
+  here, in the query after every update;
+* ``ranged_select`` — change one entry's value and ``refresh`` it, then
+  one ``select`` over the range a band edge joins to a random source
+  key, built the way Algorithm 2's child step builds it (one pair per
+  operation): the edge's compiled cut (``TreeEdge.cut_fn``), or on a
+  checkout from before the cut an ``IndexRange`` from ``range_fn``.
 
 Keys are ``(prefix, value)`` pairs with four prefixes, the shape of a
 join-graph edge index, and every range pins the prefix.  Run it from the
@@ -26,6 +31,8 @@ import statistics
 import time
 
 from repro.index import AggregateTree, IndexRange
+from repro.query.predicates import BandPredicate, ComparisonOp, JoinPredicate
+from repro.query.query_tree import TreeEdge
 
 SIZES = (200, 2_000, 20_000, 100_000)
 OPS = 2_000
@@ -92,8 +99,38 @@ def _alternation(tree, handles, rnd):
     return time.perf_counter() - start
 
 
+def _band_range_of(n: int):
+    """``source key -> range`` of a band edge ``s.e = t.e AND |s.a -
+    t.a| <= w`` toward ``t``, as the engine compiles it; ``w`` spans
+    about 32 entries of an ``n``-entry tree."""
+    edge = TreeEdge("s", "t", (
+        JoinPredicate("s", "e", ComparisonOp.EQ, "t", "e"),),
+        BandPredicate("s", "a", "t", "a", width=(1 << 30) * 64 // n))
+    if hasattr(edge, "cut_fn"):
+        return edge.cut_fn("t", (0, 1))
+    return edge.range_fn("t")
+
+
+def _ranged_select(tree, handles, rnd):
+    range_of = _band_range_of(len(handles))
+    plan = []
+    for _ in range(OPS):
+        key = _key(rnd)
+        # a target inside the range's total before the loop's updates,
+        # as Algorithm 2 draws one inside the child's W_in
+        total = tree.range_sum(0, range_of(key))
+        plan.append((handles[rnd.randrange(len(handles))],
+                     rnd.randrange(1, 9), key, int(total * rnd.random())))
+    start = time.perf_counter()
+    for handle, value, key, target in plan:
+        handle.item.value = value
+        tree.refresh(handle)
+        tree.select(0, target, range_of(key))
+    return time.perf_counter() - start
+
+
 PATTERNS = (("insert", _insert), ("churn", _churn),
-            ("alternation", _alternation))
+            ("alternation", _alternation), ("ranged_select", _ranged_select))
 
 
 def main() -> None:

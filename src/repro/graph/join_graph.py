@@ -17,7 +17,8 @@ touched exactly once per update (deltas accumulate before being applied),
 giving the ``O(h(v) log N)`` bound of Theorem 4.5.  A visit's work is
 compiled up front: Equation (1) once per plan node by its degree, one slot
 reader per index, and per directed edge the indexes and onward directions
-a delta arriving over it touches.  An equality edge whose key is its
+a delta arriving over it touches, the range predicate's bounds and the
+cut a source vertex key joins.  An equality edge whose key is its
 destination's whole vertex key joins at most one vertex per source key —
 the one the destination's hash index holds under it — so such a *hash
 step* looks the vertex up instead of walking the tree's range.
@@ -35,16 +36,20 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.errors import SynopsisError, TupleNotFoundError
 from repro.obs.metrics import as_registry
 from repro.graph.vertex import Vertex
-from repro.index.api import IndexRange
+from repro.index.api import Cut, cut_points
 from repro.index.aggregate import AggregateTree
 from repro.index.hash_index import HashIndex
 from repro.query.planner import IndexSpec, JoinPlan
+from repro.query.predicates import Bounds
+from repro.query.query_tree import key_projection
 
 
 #: difference-array sums below this fit comfortably in int64 flat arrays
@@ -81,11 +86,16 @@ class Direction:
     from a ``src`` vertex into child ``dst`` (Algorithm 2) looks up.
 
     ``tree`` is the index on ``dst`` keyed by its edge key toward ``src``
-    and ``slot`` the slot of ``w_out[dst -> src]`` in it; ``key_pos``
-    projects a ``src`` vertex key onto its edge key toward ``dst``;
-    ``range_of`` maps that edge key to the range of ``tree`` joining it
-    (:meth:`~repro.query.query_tree.TreeEdge.range_fn`); ``ranged``
-    tells a range edge from a pure-equality one.  ``vertex_of`` is the
+    and ``slot`` the slot of ``w_out[dst -> src]`` in it;
+    ``source_key(vertex)`` projects a ``src`` vertex onto its edge key
+    toward ``dst`` (the vertex key itself when the projection is the
+    identity); ``cut`` maps a ``src`` *vertex* key straight to the cut
+    of ``tree`` joining it
+    (:meth:`~repro.query.query_tree.TreeEdge.cut_fn`).  ``bounds`` is
+    the range predicate's ``(bounds, lo_open, hi_open)`` toward ``dst``
+    (None on a pure-equality edge) and ``num_eq`` the number of
+    equality components ahead of the range one in an edge key: what an
+    Algorithm-1 sweep reads per source edge key.  ``vertex_of`` is the
     hash step: set (to ``dst``'s hash index lookup) when the edge is
     pure equality and its key on ``dst`` is exactly ``dst``'s vertex
     key, so an edge key joins the one vertex the hash holds under it or
@@ -98,28 +108,38 @@ class Direction:
     carries ``w_full``.
     """
 
-    __slots__ = ("src", "dst", "tree", "slot", "key_pos", "range_of",
-                 "ranged", "vertex_of", "onward", "refresh")
+    __slots__ = ("src", "dst", "tree", "slot", "source_key", "cut",
+                 "bounds", "num_eq", "vertex_of", "onward", "refresh")
 
     def __init__(self, src: int, dst: int, tree: AggregateTree, slot: int,
-                 key_pos: Tuple[int, ...],
-                 range_of: Callable[[tuple], IndexRange], ranged: bool,
+                 source_key: Callable[[Vertex], tuple],
+                 cut: Callable[[tuple], Cut],
+                 bounds: Optional[Tuple[Bounds, bool, bool]], num_eq: int,
                  vertex_of: Optional[Callable[[tuple], Optional[Vertex]]]):
         self.src = src
         self.dst = dst
         self.tree = tree
         self.slot = slot
-        self.key_pos = key_pos
-        self.range_of = range_of
-        self.ranged = ranged
+        self.source_key = source_key
+        self.cut = cut
+        self.bounds = bounds
+        self.num_eq = num_eq
         self.vertex_of = vertex_of
         self.onward: Tuple[Direction, ...] = ()
         self.refresh: Tuple[Tuple[int, AggregateTree], ...] = ()
 
-    def source_key(self, vertex: Vertex) -> tuple:
-        """Project a ``src`` vertex key onto its edge key toward ``dst``."""
-        key = vertex.key
-        return tuple([key[i] for i in self.key_pos])
+
+_KEY = attrgetter("key")
+
+
+def _source_key(key_pos: Tuple[int, ...], width: int
+                ) -> Callable[[Vertex], tuple]:
+    """``vertex -> its key projected onto key_pos``: the key itself when
+    the projection is the identity, else one compiled projection."""
+    if key_pos == tuple(range(width)):
+        return _KEY
+    project = key_projection(key_pos)
+    return lambda vertex: project(vertex.key)
 
 
 class DescentPlan:
@@ -194,11 +214,15 @@ class WeightedJoinGraph:
                 ranged = edge.range_predicate is not None
                 hash_step = (not ranged and edge.key_attrs_of(nbr_alias)
                              == nbr.vertex_attrs)
+                key_pos = tuple(attr_pos[a]
+                                for a in edge.key_attrs_of(node.alias))
                 nbrs.append((nbr.idx, Direction(
                     node.idx, nbr.idx, self.trees[spec.index_id],
                     spec.slot_of("w_out", node.idx),
-                    tuple(attr_pos[a] for a in edge.key_attrs_of(node.alias)),
-                    edge.range_fn(nbr_alias), ranged,
+                    _source_key(key_pos, len(attr_pos)),
+                    edge.cut_fn(nbr_alias, key_pos),
+                    edge.range_predicate.bounds_for(nbr_alias)
+                    if ranged else None, len(edge.eq_predicates),
                     self.hash_indexes[nbr.idx].get if hash_step else None,
                 )))
             self._neighbors.append(nbrs)
@@ -432,8 +456,8 @@ class WeightedJoinGraph:
         if vertex_of is not None:
             joining = vertex_of(direction.source_key(vertex))
             return 0 if joining is None else joining.w_out[direction.src]
-        rng = direction.range_of(direction.source_key(vertex))
-        return direction.tree.range_sum(direction.slot, rng)
+        return direction.tree.range_sum(direction.slot,
+                                        direction.cut(vertex.key))
 
     def weight_of(self, node_idx: int, row: Sequence) -> int:
         """Resolve and validate one tuple's sampling weight (weighted
@@ -587,36 +611,42 @@ class WeightedJoinGraph:
                     out.append((dst_vertex, delta))
             return out
         tree = direction.tree
-        range_of = direction.range_of
-        if not direction.ranged:
+        if direction.bounds is None:
             out: List[Tuple[Vertex, int]] = []
             for source_key, delta in coalesced.items():
-                for dst_vertex in tree.iter_items(range_of(source_key)):
+                for dst_vertex in tree.iter_items(cut_points(source_key)):
                     out.append((dst_vertex, delta))
             return out
-        # range edge: group by equality prefix, sweep each group once
-        groups: Dict[tuple, List[Tuple[IndexRange, int]]] = {}
-        for source_key, delta in coalesced.items():
-            rng = range_of(source_key)
-            groups.setdefault(rng.prefix, []).append((rng, delta))
+        # range edge: each key's bounds, grouped by equality prefix (one
+        # group when the edge has none), each group swept once
+        bounds, lo_open, hi_open = direction.bounds
+        num_eq = direction.num_eq
+        if num_eq:
+            groups: Dict[tuple, List[Tuple[tuple, int]]] = {}
+            for source_key, delta in coalesced.items():
+                groups.setdefault(source_key[:num_eq], []).append(
+                    (bounds(source_key[num_eq]), delta))
+        else:
+            groups = {(): [(bounds(value), delta)
+                           for (value,), delta in coalesced.items()]}
         out = []
-        for prefix, intervals in groups.items():
-            out.extend(self._sweep_group(tree, prefix, intervals))
+        for prefix, pairs in groups.items():
+            out.extend(self._sweep(tree, prefix, pairs, lo_open, hi_open))
         return out
 
     @staticmethod
-    def _sweep_group(tree: AggregateTree, prefix: tuple,
-                     intervals: List[Tuple[IndexRange, int]]
-                     ) -> List[Tuple[Vertex, int]]:
-        """Difference-array accumulation of interval deltas over the
-        destination vertices sharing one equality prefix."""
-        lo = None
-        hi = None
-        if all(iv.lo is not None for iv, _ in intervals):
-            lo = min(iv.lo for iv, _ in intervals)
-        if all(iv.hi is not None for iv, _ in intervals):
-            hi = max(iv.hi for iv, _ in intervals)
-        nodes = list(tree.iter_nodes(IndexRange(prefix, lo, hi)))
+    def _sweep(tree: AggregateTree, prefix: tuple,
+               pairs: List[Tuple[tuple, int]], lo_open: bool, hi_open: bool
+               ) -> List[Tuple[Vertex, int]]:
+        """Difference-array accumulation of ``((lo, hi), delta)`` pairs
+        over the destination vertices sharing one equality prefix: one
+        walk over the union of the pairs' ranges (which sides are bounded
+        depends on the predicate alone, so the first pair tells)."""
+        (lo, hi), _ = pairs[0]
+        los, his = zip(*[bound_pair for bound_pair, _ in pairs])
+        nodes = list(tree.iter_nodes(cut_points(
+            prefix, None if lo is None else min(los),
+            None if hi is None else max(his))))
         if not nodes:
             return []
         plen = len(prefix)
@@ -625,24 +655,21 @@ class WeightedJoinGraph:
         # every intermediate sum is bounded by the total delta magnitude,
         # so this one check licenses the int64 flat array; weights
         # beyond it (huge join fan-outs) keep exact Python integers
-        bound = sum(abs(delta) for _, delta in intervals)
+        bound = sum([abs(delta) for _, delta in pairs])
         if bound < _INT64_SAFE:
             diff = array("q", bytes(8 * (n + 1)))
         else:
             diff = [0] * (n + 1)
-        for interval, delta in intervals:
-            start = _lower_index(values, interval.lo, interval.lo_open)
-            stop = _upper_index(values, interval.hi, interval.hi_open)
+        lower = bisect_right if lo_open else bisect_left
+        upper = bisect_left if hi_open else bisect_right
+        for (lo, hi), delta in pairs:
+            start = 0 if lo is None else lower(values, lo)
+            stop = n if hi is None else upper(values, hi)
             if start < stop:
                 diff[start] += delta
                 diff[stop] -= delta
-        out: List[Tuple[Vertex, int]] = []
-        running = 0
-        for i, node in enumerate(nodes):
-            running += diff[i]
-            if running:
-                out.append((node.item, running))
-        return out
+        return [(node.item, running)
+                for node, running in zip(nodes, accumulate(diff)) if running]
 
     # ------------------------------------------------------------------
     # persistence (repro.persist)
@@ -720,10 +747,9 @@ class WeightedJoinGraph:
             for vertex in hash_index.values():
                 for nbr_idx, direction in self._neighbors[node_idx]:
                     if direction.vertex_of is not None:
-                        source_key = direction.source_key(vertex)
-                        hit = direction.vertex_of(source_key)
+                        hit = direction.vertex_of(direction.source_key(vertex))
                         in_range = list(direction.tree.iter_items(
-                            direction.range_of(source_key)))
+                            direction.cut(vertex.key)))
                         assert in_range == ([] if hit is None else [hit]), (
                             f"hash step {node_idx} -> {nbr_idx} at "
                             f"{vertex!r}: hash {hit!r}, tree {in_range!r}")
@@ -809,21 +835,3 @@ class DeleteRun:
             touched = list(self._touched.items())
             self._touched = {}
             self.graph._propagate_run(self.node_idx, touched)
-
-
-def _lower_index(values: List[object], lo, lo_open: bool) -> int:
-    """First index of ``values`` (sorted) inside a lower interval bound."""
-    if lo is None:
-        return 0
-    if lo_open:
-        return bisect_right(values, lo)
-    return bisect_left(values, lo)
-
-
-def _upper_index(values: List[object], hi, hi_open: bool) -> int:
-    """One past the last index of ``values`` inside an upper bound."""
-    if hi is None:
-        return len(values)
-    if hi_open:
-        return bisect_left(values, hi)
-    return bisect_right(values, hi)

@@ -18,9 +18,12 @@ below the joining range and one weighted descent — or, on a hash step (an
 equality edge whose key is the child's whole vertex key), one hash lookup
 of the only joining vertex, its subdomain starting at 0.  The static part —
 which tree and slot to select from at each step, each node's parent index,
-and each edge's key projection and compiled range function — depends only
-on the plan and the root, so the graph resolves it once per root
-(:meth:`~repro.graph.join_graph.WeightedJoinGraph.descent_plan`).
+and each edge's compiled cut, which turns the parent vertex's key
+straight into the two cut points of the child's joining range
+(:meth:`~repro.query.query_tree.TreeEdge.cut_fn`) — depends only on the
+plan and the root, so the graph resolves it once per root
+(:meth:`~repro.graph.join_graph.WeightedJoinGraph.descent_plan`) and a
+ranged child step is one ``select`` over that cut.
 """
 
 from __future__ import annotations
@@ -108,8 +111,7 @@ def _descend(plan: DescentPlan, vertex, remaining: int, is_root: bool,
             child_prefix = 0
         else:
             child_vertex, child_prefix = child.tree.select(
-                child.slot, child_number,
-                child.range_of(child.source_key(vertex))) or (None, 0)
+                child.slot, child_number, child.cut(vertex.key)) or (None, 0)
         if child_vertex is None:
             raise JoinNumberError(
                 f"child selection failed at node {node_idx} -> {child.dst}"

@@ -12,11 +12,14 @@ and holds them in between, so no query calls back into the items.
 The entries live in sorted *blocks*, each two parallel lists (sort keys,
 handles) plus one running-sum array per slot; one *directory* level
 holds each block's largest sort key and, per slot, the running sum of
-block totals.  A query is a bisect over the directory and one over a
-block: ``range_sum`` subtracts two such prefix sums, and ``select`` —
-the first in-range item whose running sum exceeds a target, which drives
-Algorithm 2 — bisects the directory's running sums, then the block's
-(the cumulative-weight walk of Weighted Random Sampling over Joins).
+block totals.  A ranged query takes the range as its two cut points in
+the sort order (:data:`~repro.index.api.Cut`; an :class:`IndexRange`
+is turned into its cut on entry), and finding a cut is a bisect over
+the directory and one over a block: ``range_sum`` subtracts the prefix
+sums at the two cuts, and ``select`` — the first in-range item whose
+running sum exceeds a target, which drives Algorithm 2 — bisects the
+directory's running sums, then the block's (the cumulative-weight walk
+of Weighted Random Sampling over Joins).
 Updates are lazy: they mark a block stale, and the first query after
 them rebuilds the stale blocks and the directory with
 ``itertools.accumulate``; a lone ``refresh`` of a large block in a
@@ -36,12 +39,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, itemgetter
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import IndexKeyError, InvalidArgumentError
-from repro.index.api import IndexRange
+from repro.index.api import Cut, IndexRange
 
 __all__ = ["AggregateTree", "IndexRange", "TreeNode"]
+
+#: what a ranged query takes: a :data:`~repro.index.api.Cut`, or an
+#: :class:`IndexRange`, turned into its cut on entry
+Range = Union[Cut, IndexRange]
 
 #: the smallest split threshold is ``2 * LOAD`` entries per block
 LOAD = 32
@@ -65,19 +72,6 @@ _NODES = attrgetter("nodes")
 _SUMS = attrgetter("sums")
 _VALUES = attrgetter("values")
 _LAST = itemgetter(-1)
-
-
-class _Top:
-    """Sorts above every key component: ``bound + (_TOP,)`` sorts after
-    every sort key whose leading components are ``bound``."""
-
-    __slots__ = ()
-
-    def __gt__(self, other: object) -> bool:   # reflected ``other < TOP``
-        return True
-
-
-_TOP = _Top()
 
 
 class TreeNode:
@@ -274,14 +268,15 @@ class AggregateTree:
         node = block.nodes[bisect_left(block.sorts, key)]
         return node if node.key == key else None
 
-    def iter_nodes(self, rng: Optional[IndexRange] = None
+    def iter_nodes(self, rng: Optional[Range] = None
                    ) -> Iterator[TreeNode]:
         """Nodes in key order, restricted to ``rng`` when given."""
         blocks = self._blocks
         if rng is None:
             return chain.from_iterable(map(_NODES, blocks))
-        b, i = self._locate(rng.lo_key, rng.lo_open)
-        e, j = self._locate(rng.hi_key, not rng.hi_open)
+        lo, hi = rng.cut if isinstance(rng, IndexRange) else rng
+        b, i = self._locate(lo)
+        e, j = self._locate(hi)
         if (e, j) <= (b, i):
             return iter(())
         if b == e:
@@ -292,7 +287,7 @@ class AggregateTree:
             parts.append(blocks[e].nodes[:j])
         return chain.from_iterable(parts)
 
-    def iter_items(self, rng: Optional[IndexRange] = None
+    def iter_items(self, rng: Optional[Range] = None
                    ) -> Iterator[object]:
         """The items of :meth:`iter_nodes`."""
         return map(_ITEM, self.iter_nodes(rng))
@@ -300,19 +295,18 @@ class AggregateTree:
     # ------------------------------------------------------------------
     # aggregate queries
     # ------------------------------------------------------------------
-    def range_sum(self, slot: int, rng: Optional[IndexRange] = None) -> int:
+    def range_sum(self, slot: int, rng: Optional[Range] = None) -> int:
         """Sum of ``slot`` values over items whose key lies in ``rng``."""
         if rng is None:
             return self.total(slot)
         if self._cum is None:
             self._settle()
-        total = (self._sum_before(slot, rng.hi_key, not rng.hi_open)
-                 - self._sum_before(slot, rng.lo_key, rng.lo_open))
+        lo, hi = rng.cut if isinstance(rng, IndexRange) else rng
+        total = self._sum_before(slot, hi) - self._sum_before(slot, lo)
         # an empty interval (lo past hi) puts the upper cut first
         return total if total > 0 else 0
 
-    def select(self, slot: int, target: int,
-               rng: Optional[IndexRange] = None
+    def select(self, slot: int, target: int, rng: Optional[Range] = None
                ) -> Optional[Tuple[object, int]]:
         """First in-range item whose running prefix sum exceeds ``target``.
 
@@ -330,9 +324,12 @@ class AggregateTree:
         # a ranged select is the unbounded one shifted by what sorts
         # below the range: the hit cannot lie below it (those items end
         # at ``below <= target``), so it is in the range or past it
-        below = (0 if rng is None
-                 else self._sum_before(slot, rng.lo_key, rng.lo_open))
-        target += below
+        if rng is None:
+            below, hi = 0, None
+        else:
+            lo, hi = rng.cut if isinstance(rng, IndexRange) else rng
+            below = self._sum_before(slot, lo)
+            target += below
         totals = cum[slot]
         b = bisect_right(totals, target)
         if b == len(totals):
@@ -341,15 +338,11 @@ class AggregateTree:
         block = self._blocks[b]
         sums = block.sums[slot]
         i = bisect_right(sums, target - base)
-        node = block.nodes[i]
-        if rng is not None:
-            hi_key = rng.hi_key
-            head = node.key[:len(hi_key)]
-            if head > hi_key or (rng.hi_open and head == hi_key):
-                return None
+        if hi is not None and not block.sorts[i] < hi:
+            return None
         if i:
             base += sums[i - 1]
-        return node.item, base - below
+        return block.nodes[i].item, base - below
 
     def prefix_sum(self, slot: int, node: TreeNode,
                    inclusive: bool = True) -> int:
@@ -373,30 +366,27 @@ class AggregateTree:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _locate(self, bound: tuple, inclusive: bool) -> Tuple[int, int]:
-        """``(block, offset)`` of the first entry whose key's leading
-        ``len(bound)`` components sort after ``bound`` (not before it,
-        unless ``inclusive``), ``(len(blocks), 0)`` past the end.  No
-        bound is longer than the keys, so comparing sort keys with it
-        compares their heads."""
-        probe = bound + (_TOP,) if inclusive else bound
-        b = bisect_left(self._maxes, probe)
+    def _locate(self, point: tuple) -> Tuple[int, int]:
+        """``(block, offset)`` of the first entry whose sort key is not
+        below the cut point ``point``, ``(len(blocks), 0)`` past the end.
+        No point is longer than the sort keys, so comparing sort keys
+        with it compares their heads."""
+        b = bisect_left(self._maxes, point)
         if b == len(self._maxes):
             return b, 0
-        return b, bisect_left(self._blocks[b].sorts, probe)
+        return b, bisect_left(self._blocks[b].sorts, point)
 
-    def _sum_before(self, slot: int, bound: tuple, inclusive: bool) -> int:
-        """Sum of ``slot`` values over the entries before the cut
+    def _sum_before(self, slot: int, point: tuple) -> int:
+        """Sum of ``slot`` values over the entries before the cut point
         :meth:`_locate` finds (inlined: this is the ranged select's
         first step); the tree must be current."""
-        probe = bound + (_TOP,) if inclusive else bound
         maxes = self._maxes
-        b = bisect_left(maxes, probe)
+        b = bisect_left(maxes, point)
         total = self._cum[slot][b - 1] if b else 0
         if b == len(maxes):
             return total
         block = self._blocks[b]
-        i = bisect_left(block.sorts, probe)
+        i = bisect_left(block.sorts, point)
         return total + block.sums[slot][i - 1] if i else total
 
     def _settle(self) -> List[List[int]]:

@@ -6,13 +6,47 @@ the paper's aggregate order index (§4.3,
 :class:`repro.index.aggregate.AggregateTree`): an ordered container of
 ``(key, tie) -> item`` entries that maintains, per *slot*, the sum of a
 per-item value over any contiguous key range.  This module holds the
-vocabulary its callers share with it: :class:`IndexRange`, a contiguous
-range of composite keys — the one range type between a join predicate's
-constants and the tree (:meth:`repro.query.query_tree.TreeEdge.range_fn`
-compiles a ``source key -> IndexRange`` function per edge direction).
+vocabulary its callers share with it.  A range reaches the tree as a
+:data:`Cut`, its two cut points in the tree's sort order — the join
+graph compiles a ``vertex key -> Cut`` function per edge direction
+(:meth:`repro.query.query_tree.TreeEdge.cut_fn`) — or as the one range
+type, :class:`IndexRange` (the SJ baseline and the tests), which the
+tree turns into its cut on entry.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
+
+
+class _Top:
+    """Sorts above every key component: ``bound + (_TOP,)`` sorts after
+    every key whose leading components are ``bound``."""
+
+    __slots__ = ()
+
+    def __gt__(self, other: object) -> bool:   # reflected ``other < _TOP``
+        return True
+
+
+_TOP = _Top()
+
+#: ``(lo, hi)``: a range as its two cut points in a tree's sort order —
+#: an entry lies in the range exactly when ``lo <= sort_key < hi``
+#: (``sort_key = key + (tie,)``); a cut just past a bound (an open lower
+#: end, a closed upper one) is the bound followed by a sentinel that sorts
+#: above every value
+Cut = Tuple[tuple, tuple]
+
+
+def cut_points(prefix: tuple, lo: object = None, hi: object = None,
+               lo_open: bool = False, hi_open: bool = False) -> Cut:
+    """The :data:`Cut` of ``IndexRange(prefix, lo, hi, lo_open, hi_open)``
+    (an absent bound excludes nothing)."""
+    return (prefix if lo is None
+            else prefix + ((lo, _TOP) if lo_open else (lo,)),
+            prefix + (_TOP,) if hi is None
+            else prefix + ((hi,) if hi_open else (hi, _TOP)))
 
 
 class IndexRange:
@@ -23,16 +57,11 @@ class IndexRange:
     (``None``: unbounded on that side; ``lo_open`` / ``hi_open`` exclude
     the bound itself).  Keys longer than the constrained components are
     unconstrained beyond them, which makes the range contiguous in
-    lexicographic order.
-
-    The two ends are also kept as comparable key heads, which is what the
-    tree compares node keys against: a key sorts *below* the range when
-    ``key[:len(lo_key)] < lo_key`` (``<=`` when ``lo_open``) and *above*
-    it when ``key[:len(hi_key)] > hi_key`` (``>=`` when ``hi_open``).
+    lexicographic order; ``cut`` is that range as the tree reads it
+    (:func:`cut_points`).
     """
 
-    __slots__ = ("prefix", "lo", "hi", "lo_open", "hi_open",
-                 "lo_key", "hi_key")
+    __slots__ = ("prefix", "lo", "hi", "lo_open", "hi_open", "cut")
 
     def __init__(self, prefix: tuple = (), lo: object = None,
                  hi: object = None, lo_open: bool = False,
@@ -44,16 +73,11 @@ class IndexRange:
         # an absent bound excludes nothing
         self.lo_open = lo_open and lo is not None
         self.hi_open = hi_open and hi is not None
-        self.lo_key = prefix if lo is None else prefix + (lo,)
-        self.hi_key = prefix if hi is None else prefix + (hi,)
+        self.cut = cut_points(prefix, lo, hi, lo_open, hi_open)
 
     def contains(self, key: tuple) -> bool:
-        lo_key, hi_key = self.lo_key, self.hi_key
-        head = key[:len(lo_key)]
-        if head < lo_key or (self.lo_open and head == lo_key):
-            return False
-        head = key[:len(hi_key)]
-        return head < hi_key or (head == hi_key and not self.hi_open)
+        lo, hi = self.cut
+        return not key < lo and key < hi
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         left = "(" if self.lo_open else "["

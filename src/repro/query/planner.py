@@ -25,7 +25,6 @@ plus the ``n`` full weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
@@ -45,17 +44,8 @@ from repro.query.query_tree import (
     RootedTree,
     TreeEdge,
     build_query_tree,
+    key_projection,
 )
-
-
-def key_projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Compile ``row -> tuple(row[i] for i in positions)`` for tuple
-    rows (a one-column key is the one-element slice, itself a tuple)."""
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions)
 
 
 @dataclass

@@ -17,16 +17,27 @@ predicates on an edge are demoted to multi-table filters as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError, QueryError
-from repro.index.api import IndexRange
+from repro.index.api import Cut, IndexRange, cut_points
 from repro.query.predicates import (
     JoinPredicate,
     MultiTableFilter,
     ThetaPredicate,
 )
 from repro.query.query import JoinQuery
+
+
+def key_projection(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Compile ``row -> tuple(row[i] for i in positions)`` for tuple
+    rows (a one-column key is the one-element slice, itself a tuple)."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 @dataclass
@@ -89,6 +100,30 @@ class TreeEdge:
             return IndexRange(source_key[:num_eq], lo, hi, lo_open, hi_open)
 
         return range_of
+
+    def cut_fn(self, target_alias: str, key_pos: Sequence[int]
+               ) -> Callable[[tuple], Cut]:
+        """Compile the map from a *vertex* key on the other side (its
+        edge key at ``key_pos``) to the cut of :meth:`range_fn`'s range,
+        built without the edge key or an :class:`IndexRange`.  One path
+        for every range edge: the bounds on the last edge component, the
+        equality components pinned as the prefix (none to slice out when
+        the edge has no equality)."""
+        self.other(target_alias)  # a QueryError unless it is an endpoint
+        if self.range_predicate is None:
+            point = key_projection(key_pos)
+            return lambda key: cut_points(point(key))
+        *prefix_pos, pos = key_pos
+        prefix_of = key_projection(prefix_pos)
+        bounds, lo_open, hi_open = self.range_predicate.bounds_for(
+            target_alias)
+
+        def cut(key: tuple) -> Cut:
+            lo, hi = bounds(key[pos])
+            return cut_points(prefix_of(key) if prefix_pos else (), lo, hi,
+                              lo_open, hi_open)
+
+        return cut
 
     def __str__(self) -> str:
         return " AND ".join(str(p) for p in self.predicates)

@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "12.0.0"
+    assert repro.__version__ == "13.0.0"
 
 
 @pytest.mark.parametrize("module", [
