@@ -141,7 +141,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     # catalog

@@ -41,7 +41,7 @@ from repro.core.stats_api import (
     ManagerStats,
     UpdateOp,
 )
-from repro.errors import PersistError, ReproError
+from repro.errors import InvalidArgumentError, PersistError, ReproError
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.persist.snapshot import SnapshotStore
@@ -83,6 +83,42 @@ def has_state(directory: str) -> bool:
     return SnapshotStore(snapshot_dir).newest() is not None
 
 
+def encode_ops(ops: List[UpdateOp]) -> list:
+    """An ``apply`` record's op list: ``("insert", table, row)`` /
+    ``("delete", table, tid)`` per op; anything else is refused."""
+    return [("insert", op.target, op.row) if isinstance(op, InsertOp)
+            else ("delete", op.target, op.tid) if isinstance(op, DeleteOp)
+            else _refuse_op(op) for op in ops]
+
+
+def _refuse_op(op) -> None:
+    raise InvalidArgumentError(
+        f"cannot log {op!r}: expected InsertOp or DeleteOp")
+
+
+def decode_ops(plain, _new=object.__new__) -> List[UpdateOp]:
+    """The ops of an :func:`encode_ops` list, fields set as unpickling
+    sets them (a logged row is already a tuple); malformed: PersistError."""
+    ops = []
+    try:
+        for kind, target, value in plain:
+            if kind == "insert":
+                op = _new(InsertOp)
+                fields = op.__dict__
+                fields["row"] = value
+            elif kind == "delete":
+                op = _new(DeleteOp)
+                fields = op.__dict__
+                fields["tid"] = value
+            else:
+                raise PersistError(f"unknown op kind {kind!r}")
+            fields["target"] = target
+            ops.append(op)
+    except (TypeError, ValueError) as exc:
+        raise PersistError(f"malformed apply record: {exc}") from exc
+    return ops
+
+
 def replay_manager_entry(manager: SynopsisManager, entry) -> int:
     """Apply one WAL entry; returns the op count it carried.
 
@@ -96,7 +132,7 @@ def replay_manager_entry(manager: SynopsisManager, entry) -> int:
     """
     kind = entry[0]
     if kind == "apply":
-        ops = entry[1]
+        ops = decode_ops(entry[1])
         manager.apply_batch(ops)
         return len(ops)
     if kind == "register":
@@ -167,8 +203,9 @@ def replay_entries(manager: SynopsisManager,
 
     for entry in entries:
         if entry[0] == "apply":
-            held.append(entry[1])
-            held_ops += len(entry[1])
+            record = decode_ops(entry[1])
+            held.append(record)
+            held_ops += len(record)
             if held_ops >= REPLAY_BATCH_OPS:
                 apply_held()
             continue
@@ -271,7 +308,7 @@ class PersistentManager:
         """Log the whole micro-batch as one WAL entry, then apply it."""
         if not isinstance(ops, list):
             ops = list(ops)
-        self._log(("apply", ops))
+        self._log(("apply", encode_ops(ops)))
         return self.manager.apply_batch(ops)
 
     def insert(self, table_name: str, row: Sequence[object]) -> int:

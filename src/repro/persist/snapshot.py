@@ -3,7 +3,7 @@
 A snapshot file is::
 
     <header JSON>\\n
-    <payload: pickle bytes>
+    <payload: plain bytes, the WAL's codec (repro.persist.wal.dump_plain)>
 
 where the header records the format magic/version, the WAL LSN the
 snapshot covers (every record with a smaller LSN is folded in), and the
@@ -22,12 +22,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import pickle
 import zlib
 from typing import List, Optional, Tuple
 
 from repro.errors import PersistError
-from repro.persist.wal import SyncHook
+from repro.persist.wal import SyncHook, dump_plain, load_plain
 
 SNAPSHOT_MAGIC = "repro-snapshot"
 FORMAT_VERSION = 1
@@ -67,7 +66,7 @@ def decode_snapshot_bytes(data: bytes) -> Optional[Tuple[object, dict]]:
     """Fully validate and decode one snapshot file's raw bytes.
 
     Returns ``(payload_obj, header)``, or None when the header, length,
-    CRC, or pickle fails — the same skip-don't-trust contract as
+    CRC, or decode fails — the same skip-don't-trust contract as
     :meth:`SnapshotStore.load_latest`, shared with the replication
     follower (which receives snapshot bytes through a transport rather
     than from a local store).
@@ -84,7 +83,7 @@ def decode_snapshot_bytes(data: bytes) -> Optional[Tuple[object, dict]]:
     if zlib.crc32(payload) & 0xFFFFFFFF != header.get("payload_crc"):
         return None
     try:
-        return pickle.loads(payload), header
+        return load_plain(payload), header
     except Exception:
         return None
 
@@ -158,8 +157,7 @@ class SnapshotStore:
         Returns the final path.  The write is atomic: tmp file → fsync →
         rename → directory fsync.
         """
-        payload = pickle.dumps(payload_obj,
-                               protocol=pickle.HIGHEST_PROTOCOL)
+        payload = dump_plain(payload_obj)
         header = {
             "magic": SNAPSHOT_MAGIC,
             "version": FORMAT_VERSION,
@@ -179,7 +177,6 @@ class SnapshotStore:
             fh.write(payload)
             if hook is not None:
                 hook("before", tmp_path, fh, 0)
-            fh.flush()
             os.fsync(fh.fileno())
             if hook is not None:
                 hook("after", tmp_path, fh, fh.tell())

@@ -1,6 +1,6 @@
 """Logical snapshot capture and restore for maintainers and managers.
 
-A snapshot is a plain-Python (picklable) description of everything a
+A snapshot is a plain-value description of everything a
 restarted process needs to continue *exactly* where the crashed one
 stopped:
 
@@ -41,8 +41,8 @@ from repro.core.synopsis import SynopsisSpec
 from repro.errors import PersistError, RecoveryError
 
 #: the one on-disk format this release reads and writes; bumped whenever
-#: the logical state layout changes incompatibly (4: no combined heap)
-STATE_VERSION = 4
+#: the state or WAL layout changes incompatibly (5: plain-value records)
+STATE_VERSION = 5
 #: the ``kind`` every snapshot payload carries
 STATE_KIND = "manager"
 
@@ -127,8 +127,9 @@ def check_snapshot_format(payload: dict, where: str,
                           error=PersistError) -> None:
     """The format gate of recovery and follower bootstrap: a snapshot
     payload is read only when it is a version-:data:`STATE_VERSION`
-    ``"manager"`` state.  Anything else — a 4.0–8.x directory (version
-    3), 3.0 (2), 2.x (1), a single-maintainer snapshot — raises
+    ``"manager"`` state.  Anything else — a 9.0–13.x directory (version
+    4), 4.0–8.x (3), 3.0 (2), 2.x (1), a single-maintainer snapshot —
+    raises
     ``error`` naming what was found and what is expected, before any of
     it is decoded.
     """

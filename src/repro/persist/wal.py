@@ -10,7 +10,12 @@ Layout
 A log directory holds segment files named ``wal-<start_lsn:016x>.seg``.
 A segment is a concatenation of records::
 
-    <payload_len: u32 LE> <payload_crc32: u32 LE> <payload: pickle bytes>
+    <payload_len: u32 LE> <payload_crc32: u32 LE> <payload: plain bytes>
+
+A payload is plain values (None, bool, int, float, str, bytes and
+containers of them) in pickle's opcodes, through :func:`dump_plain` /
+:func:`load_plain`, the one codec pair snapshots and followers share:
+both refuse whatever names a class, so CRC-valid bytes never run code.
 
 Record LSNs are implicit: the segment's start LSN (from its file name)
 plus the record's position.  LSNs are assigned monotonically and never
@@ -28,13 +33,14 @@ sealed by rotation and are trusted as written (CRC still guards replay).
 from __future__ import annotations
 
 import dataclasses
+import io
 import os
 import pickle
 import struct
 import zlib
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro.errors import PersistError
+from repro.errors import InvalidArgumentError, PersistError
 
 _FRAME = struct.Struct("<II")  # payload length, payload crc32
 
@@ -89,12 +95,36 @@ def scan_frames(data: bytes, base: int = 0) -> Tuple[List[bytes], int]:
     return payloads, valid
 
 
+class _PlainPickler(pickle.Pickler):
+    def reducer_override(self, obj):  # reached only by what needs a class
+        raise InvalidArgumentError(
+            f"a {type(obj).__name__} value cannot be made durable: only "
+            "None, bool, int, float, str, bytes and containers of them")
+
+
+class _PlainUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"refusing class {module}.{name}")
+
+
+def dump_plain(obj: object) -> bytes:
+    """Encode plain values; a class raises InvalidArgumentError."""
+    buf = io.BytesIO()
+    _PlainPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buf.getvalue()
+
+
+def load_plain(data: bytes) -> object:
+    """Decode :func:`dump_plain` bytes; a class reference raises."""
+    return _PlainUnpickler(io.BytesIO(data)).load()
+
+
 def decode_record(payload: bytes, where: str, error=PersistError) -> object:
     """The entry one CRC-valid record payload holds — the only place the
     log's bytes are decoded, for recovery and followers alike.  Bytes
     that do not decode raise ``error`` naming ``where``."""
     try:
-        return pickle.loads(payload)
+        return load_plain(payload)
     except Exception as exc:
         raise error(f"{where} failed to decode: {exc}") from exc
 
@@ -147,7 +177,7 @@ class SegmentInfo:
 
 
 class WriteAheadLog:
-    """An append-only, CRC-framed, segmented log of pickled entries.
+    """An append-only, CRC-framed, segmented log of plain-value entries.
 
     Parameters
     ----------
@@ -194,12 +224,10 @@ class WriteAheadLog:
     def segments(self) -> List["SegmentInfo"]:
         """Scan every segment into :class:`SegmentInfo` (shipping hook).
 
-        The open tail is flushed first so the returned ``valid_size``
-        covers everything appended so far; whether those bytes are
-        *durable* on the leader still follows the sync policy.
+        The log writes unbuffered, so ``valid_size`` covers everything
+        appended so far; whether those bytes are *durable* on the leader
+        still follows the sync policy.
         """
-        if self._fh is not None:
-            self._fh.flush()
         out = []
         for start, path in self._segments():
             payloads, valid = _scan_segment(path)
@@ -219,7 +247,7 @@ class WriteAheadLog:
             # unbuffered: an injected crash must not leave bytes in a
             # Python-level buffer that a later GC close would still write
             self._fh = open(self._tail_path, "ab", buffering=0)
-            self._synced_size = 0
+            self._size = self._synced_size = 0
             return
         start, path = segments[-1]
         payloads, valid = _scan_segment(path)
@@ -230,7 +258,7 @@ class WriteAheadLog:
         self._tail_count = len(payloads)
         self._tail_path = path
         self._fh = open(path, "ab", buffering=0)
-        self._synced_size = valid
+        self._size = self._synced_size = valid
 
     # ------------------------------------------------------------------
     @property
@@ -243,36 +271,37 @@ class WriteAheadLog:
         return self.append_many([entry])[0]
 
     def append_many(self, entries) -> List[int]:
-        """Group commit: write all entries, then one fsync (``batch``)."""
+        """Group commit: encode all (a refused value writes nothing), then
+        one ``write`` + fsync per call (``batch``) or record (``always``)."""
         if self._fh is None:
             raise PersistError("write-ahead log is closed")
-        lsns: List[int] = []
+        frames = []
         for entry in entries:
-            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-            frame = _FRAME.pack(len(payload),
-                                zlib.crc32(payload) & 0xFFFFFFFF)
-            self._fh.write(frame)
-            self._fh.write(payload)
-            lsns.append(self._start_lsn + self._tail_count)
-            self._tail_count += 1
-            self.appends += 1
-            self.bytes_written += len(frame) + len(payload)
-            if self.sync == "always":
+            payload = dump_plain(entry)
+            frames.append(_FRAME.pack(len(payload), zlib.crc32(payload))
+                          + payload)
+        first = self.next_lsn
+        groups = [[f] for f in frames] if self.sync == "always" else [frames]
+        for group in filter(None, groups):
+            data = b"".join(group)
+            self._fh.write(data)
+            self._size += len(data)
+            self._tail_count += len(group)
+            self.appends += len(group)
+            self.bytes_written += len(data)
+            if self.sync != "never":
                 self._fsync()
-        if lsns and self.sync == "batch":
-            self._fsync()
-        if self._fh.tell() >= self.segment_max_bytes:
+        if self._size >= self.segment_max_bytes:
             self.rotate()
-        return lsns
+        return list(range(first, first + len(frames)))
 
     def _fsync(self) -> None:
         hook = self.sync_hook
         if hook is not None:
             hook("before", self._tail_path, self._fh, self._synced_size)
-        self._fh.flush()
         os.fsync(self._fh.fileno())
         self.syncs += 1
-        self._synced_size = self._fh.tell()
+        self._synced_size = self._size
         if hook is not None:
             hook("after", self._tail_path, self._fh, self._synced_size)
 
@@ -282,7 +311,6 @@ class WriteAheadLog:
             raise PersistError("write-ahead log is closed")
         if self._tail_count == 0:
             return  # still empty: nothing to seal
-        self._fh.flush()
         os.fsync(self._fh.fileno())
         self._fh.close()
         self._start_lsn = self.next_lsn
@@ -290,7 +318,7 @@ class WriteAheadLog:
         self._tail_path = os.path.join(
             self.directory, _segment_name(self._start_lsn))
         self._fh = open(self._tail_path, "ab", buffering=0)
-        self._synced_size = 0
+        self._size = self._synced_size = 0
         self.rotations += 1
 
     def truncate_through(self, lsn: int) -> int:
@@ -318,8 +346,6 @@ class WriteAheadLog:
         Safe on a live log (reads the files, not the write handle); used
         by recovery after the snapshot restore.
         """
-        if self._fh is not None:
-            self._fh.flush()
         for start, path in self._segments():
             payloads, _ = _scan_segment(path)
             for i, payload in enumerate(payloads):
@@ -330,7 +356,6 @@ class WriteAheadLog:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None

@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "13.0.0"
+    assert repro.__version__ == "14.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -142,7 +142,7 @@ def test_persist_public_surface_is_stable():
     for name in persist.__all__:
         obj = getattr(persist, name)
         assert obj.__doc__, f"repro.persist.{name} lacks a docstring"
-    assert persist.STATE_VERSION == 4
+    assert persist.STATE_VERSION == 5
     # CrashPoint stands in for SIGKILL: production code catching the
     # library's error hierarchy must never swallow it
     from repro.errors import ReproError

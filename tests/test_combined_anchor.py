@@ -337,14 +337,14 @@ def test_a_version_3_directory_is_refused_typed(tmp_path):
     pm.close()
     store = SnapshotStore(str(tmp_path / "leader" / "snapshots"))
     payload, header = store.load_latest()
-    assert payload["database"]["version"] == STATE_VERSION == 4
+    assert payload["database"]["version"] == STATE_VERSION == 5
     as_written_by_8_0(payload)
     store.write(payload, wal_lsn=header["wal_lsn"])
     with pytest.raises(PersistError,
-                       match="version 3 'manager' state.*only version 4"):
+                       match="version 3 'manager' state.*only version 5"):
         PersistentManager.recover(str(tmp_path / "leader"))
     WalShipper(str(tmp_path / "leader"),
                str(tmp_path / "ship")).ship_once()
     with pytest.raises(ReplicationError,
-                       match="version 3 'manager' state.*only version 4"):
+                       match="version 3 'manager' state.*only version 5"):
         FollowerService(str(tmp_path / "ship"))

@@ -14,6 +14,7 @@ computing one raised an untyped ``OverflowError`` after the WAL record.
 """
 
 import os
+import pickle
 import random
 import shutil
 
@@ -36,7 +37,15 @@ from repro import (
     parse_query,
 )
 from repro.catalog.schema import DataType
-from repro.persist import STATE_VERSION, PersistentManager, SnapshotStore
+from repro.errors import PersistError
+from repro.persist import (
+    STATE_VERSION,
+    PersistentManager,
+    SnapshotStore,
+    WriteAheadLog,
+)
+from repro.persist.runtime import encode_ops
+from repro.persist.wal import list_segments, scan_frames
 from repro.query.executor import JoinExecutor
 from repro.query.planner import plan_query
 from repro.query.predicates import MultiTableFilter
@@ -91,22 +100,54 @@ def test_the_reproduction_a_null_in_a_filter_column_behind_a_wal(tmp_path):
     recovered.close()
 
 
+def as_this_release(fixture, directory):
+    """Copy a state directory an earlier release wrote and bring it to
+    this release's format without changing what it holds: its snapshot
+    is an empty manager state (versions 3 and 4 differ only in what a
+    combined node keeps), relabelled; its WAL records, the point here,
+    keep their content, re-encoded as plain values — read with
+    ``pickle.loads`` because the fixture is trusted, then written
+    through the log's own codec."""
+    shutil.copytree(fixture, directory)
+    store = SnapshotStore(os.path.join(directory, "snapshots"))
+    payload, header = store.load_latest()
+    assert payload["manager"]["queries"] == [] and header["wal_lsn"] == 0
+    payload["database"]["version"] = STATE_VERSION
+    payload["manager"]["version"] = STATE_VERSION
+    store.write(payload, wal_lsn=header["wal_lsn"])
+    wal_dir = os.path.join(directory, "wal")
+    [(start, path)] = list_segments(wal_dir)
+    assert start == 0
+    with open(path, "rb") as fh:
+        records = [pickle.loads(payload)
+                   for payload in scan_frames(fh.read())[0]]
+    os.remove(path)
+    wal = WriteAheadLog(wal_dir)
+    for entry in records:
+        wal.append(("apply", encode_ops(entry[1]))
+                   if entry[0] == "apply" else entry)
+    wal.close()
+
+
+@pytest.mark.parametrize("fixture, version",
+                         [(PARENT_DIR, 3), (INF_PARENT_DIR, 4)])
+def test_a_directory_an_earlier_release_wrote_is_refused_typed(
+        tmp_path, fixture, version):
+    directory = str(tmp_path / "state")
+    shutil.copytree(fixture, directory)
+    with pytest.raises(PersistError,
+                       match=f"version {version} 'manager' state.*only "
+                             f"version {STATE_VERSION}"):
+        PersistentManager.recover(directory)
+
+
 def test_a_wal_written_by_the_parent_with_such_a_record_recovers(tmp_path):
     """``golden/null_wal_parent`` is the directory the script above left
     behind at the parent commit (the apply record of ``r(1, NULL)``,
     ``r(1, 7)`` logged, then the ``TypeError``): every later start
     raised again."""
     directory = str(tmp_path / "state")
-    shutil.copytree(PARENT_DIR, directory)
-    # its snapshot is an empty version-3 manager state; version 4 only
-    # changed what a combined node keeps, so relabelled it is the same
-    # state (the WAL, the point here, is left as written)
-    store = SnapshotStore(os.path.join(directory, "snapshots"))
-    payload, header = store.load_latest()
-    assert payload["manager"]["queries"] == []
-    payload["database"]["version"] = STATE_VERSION
-    payload["manager"]["version"] = STATE_VERSION
-    store.write(payload, wal_lsn=header["wal_lsn"])
+    as_this_release(PARENT_DIR, directory)
     recovered = PersistentManager.recover(directory)
     assert recovered.total_results("q") == 2
     assert sorted(recovered.synopsis("q")) == [(1, 0), (1, 1)]
@@ -427,7 +468,7 @@ def test_a_wal_written_by_the_parent_with_an_infinity_recovers(tmp_path):
     behind at 11.0 (the apply record of ``r(inf, 0)``, ``r(1.5, 1)``
     logged, then the ``OverflowError``): every later start raised."""
     directory = str(tmp_path / "state")
-    shutil.copytree(INF_PARENT_DIR, directory)
+    as_this_release(INF_PARENT_DIR, directory)
     recovered = PersistentManager.recover(directory)
     assert recovered.total_results("q") == 1
     assert sorted(recovered.synopsis("q")) == [(1, 0)]

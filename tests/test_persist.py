@@ -1,7 +1,6 @@
 """repro.persist units: WAL framing, snapshot store, state round trips."""
 
 import os
-import pickle
 import random
 
 import pytest
@@ -25,6 +24,7 @@ from repro.persist import (
 from repro.persist.runtime import replay_manager_entry
 from repro.persist.state import (STATE_VERSION, capture_manager,
                                  restore_manager)
+from repro.persist.wal import dump_plain, load_plain
 from repro.replicate import FollowerService, WalShipper
 
 from conftest import as_written_by_3_0, make_tables
@@ -243,7 +243,7 @@ class TestStateRoundTrip:
         rng = random.Random(1)
         drive(maintainer, rng, 150)
         state = capture_maintainer(maintainer)
-        state = pickle.loads(pickle.dumps(state))  # as snapshots do
+        state = load_plain(dump_plain(state))  # as snapshots do
         restored = restore_maintainer(
             restore_database(capture_database(db)), state)
         assert restored.total_results() == maintainer.total_results()

@@ -488,8 +488,8 @@ class TestFollowerService:
             pm.wal.append(("mystery", 1))
         else:
             with monkeypatch.context() as patch:
-                patch.setattr(wal_module.pickle, "dumps",
-                              lambda *args, **kw: b"not a pickle")
+                patch.setattr(wal_module, "dump_plain",
+                              lambda entry: b"not a pickle")
                 pm.wal.append(("apply", []))
         shipper.ship_once()
         with pytest.raises(ReplicationError) as refused:

@@ -7,7 +7,6 @@ persistence machine interleaving checkpoint/restore cycles with updates
 while a never-restarted twin receives the identical op stream.
 """
 
-import pickle
 import random
 
 from hypothesis import settings
@@ -38,6 +37,7 @@ from repro.persist import (
     restore_database,
     restore_maintainer,
 )
+from repro.persist.wal import dump_plain, load_plain
 
 from conftest import engine_delete, engine_insert
 
@@ -195,7 +195,7 @@ class PersistRoundTripMachine(RuleBasedStateMachine):
     checkpoint/restore cycles.
 
     Two maintainers receive the identical update stream; one of them is
-    additionally torn down and rebuilt from a pickled snapshot at
+    additionally torn down and rebuilt from a plain-value snapshot at
     adversarially chosen points.  After every step the restored subject
     must match the never-restarted twin *exactly* — synopsis contents,
     ``total_results()``, stats, and the RNG state that decides all
@@ -239,11 +239,11 @@ class PersistRoundTripMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint_restore(self):
-        blob = pickle.dumps({
+        blob = dump_plain({
             "database": capture_database(self.subject.db),
             "maintainer": capture_maintainer(self.subject),
         })
-        state = pickle.loads(blob)
+        state = load_plain(blob)
         db = restore_database(state["database"])
         self.subject = restore_maintainer(db, state["maintainer"])
         self.restores += 1

@@ -9,7 +9,6 @@ uniformity argument rests on: the restored maintainer draws the exact
 same future sample stream as a never-restarted twin.
 """
 
-import pickle
 import random
 from collections import Counter
 
@@ -25,6 +24,7 @@ from repro.persist import (
     restore_database,
     restore_maintainer,
 )
+from repro.persist.wal import dump_plain, load_plain
 
 from conftest import chi_square_threshold, chi_square_uniform, make_tables
 from test_uniformity import build_workload
@@ -48,12 +48,12 @@ def apply_script(maintainer, script):
 
 
 def round_trip(maintainer):
-    """Capture, pickle, restore: the crash-recovery path in miniature."""
-    blob = pickle.dumps({
+    """Capture, encode, restore: the crash-recovery path in miniature."""
+    blob = dump_plain({
         "database": capture_database(maintainer.db),
         "maintainer": capture_maintainer(maintainer),
     })
-    state = pickle.loads(blob)
+    state = load_plain(blob)
     db = restore_database(state["database"])
     return restore_maintainer(db, state["maintainer"])
 

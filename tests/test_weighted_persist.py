@@ -6,7 +6,6 @@ spec (family + weight column), and the RNG stream.  State dicts written
 before the family seam belong to format version 1 and are refused.
 """
 
-import pickle
 import random
 
 import pytest
@@ -22,6 +21,7 @@ from repro.persist import (
     restore_maintainer,
 )
 from repro.persist.state import spec_from_dict, spec_to_dict
+from repro.persist.wal import dump_plain, load_plain
 
 from conftest import QUERY, make_tables, single_query
 
@@ -80,8 +80,7 @@ class TestSnapshotRoundTrip:
     def test_round_trip_is_bit_identical(self, spec):
         db, maintainer = build(spec)
         drive(maintainer, random.Random(1), 150)
-        state = pickle.loads(
-            pickle.dumps(capture_maintainer(maintainer)))
+        state = load_plain(dump_plain(capture_maintainer(maintainer)))
         restored = restore_maintainer(
             restore_database(capture_database(db)), state)
         assert restored.family == maintainer.family
