@@ -11,8 +11,8 @@ at a given size, for the three access patterns the engine makes.
 * ``ranged_select`` — change one entry's value and ``refresh`` it, then
   one ``select`` over the range a band edge joins to a random source
   key, built the way Algorithm 2's child step builds it (one pair per
-  operation): the edge's compiled cut (``TreeEdge.cut_fn``), or on a
-  checkout from before the cut an ``IndexRange`` from ``range_fn``.
+  operation): the edge's compiled cut (``TreeEdge.cut_fn``).  The
+  script needs a checkout that has ``cut_fn`` and ``cut_points``.
 
 Keys are ``(prefix, value)`` pairs with four prefixes, the shape of a
 join-graph edge index, and every range pins the prefix.  Run it from the
@@ -30,7 +30,8 @@ import random
 import statistics
 import time
 
-from repro.index import AggregateTree, IndexRange
+from repro.index import AggregateTree
+from repro.index.api import cut_points
 from repro.query.predicates import BandPredicate, ComparisonOp, JoinPredicate
 from repro.query.query_tree import TreeEdge
 
@@ -87,7 +88,7 @@ def _alternation(tree, handles, rnd):
         lo, hi = sorted(rnd.randrange(1 << 30) for _ in range(2))
         plan.append((handles[rnd.randrange(len(handles))],
                      rnd.randrange(1, 9),
-                     IndexRange((rnd.randrange(4),), lo, hi),
+                     cut_points((rnd.randrange(4),), lo, hi),
                      rnd.random()))
     start = time.perf_counter()
     for handle, value, rng, share in plan:
@@ -100,15 +101,13 @@ def _alternation(tree, handles, rnd):
 
 
 def _band_range_of(n: int):
-    """``source key -> range`` of a band edge ``s.e = t.e AND |s.a -
+    """``source key -> cut`` of a band edge ``s.e = t.e AND |s.a -
     t.a| <= w`` toward ``t``, as the engine compiles it; ``w`` spans
     about 32 entries of an ``n``-entry tree."""
     edge = TreeEdge("s", "t", (
         JoinPredicate("s", "e", ComparisonOp.EQ, "t", "e"),),
         BandPredicate("s", "a", "t", "a", width=(1 << 30) * 64 // n))
-    if hasattr(edge, "cut_fn"):
-        return edge.cut_fn("t", (0, 1))
-    return edge.range_fn("t")
+    return edge.cut_fn("t", (0, 1))
 
 
 def _ranged_select(tree, handles, rnd):

@@ -3,10 +3,11 @@ highway lanes with a band join over streaming sensor reports.
 
 Reports arrive every tick and expire after a sliding window — a workload
 where the join result churns constantly and recomputing it per tick is
-hopeless.  The :class:`SlidingWindowMaintainer` handles the expiry
-automatically (every report carries a timestamp; advancing the watermark
-deletes what fell out of the window), and SJoin keeps a uniform sample
-alive through the churn.  We poll it each tick to estimate the platoon
+hopeless.  A :class:`StreamPlayer` drives the maintainer: once the
+window is full, each tick first expires the previous window's oldest
+tick with one ``DeleteOldest`` event per lane (the player keeps each
+lane's arrival order), and SJoin keeps a uniform sample alive through
+the churn.  We poll it each tick to estimate the platoon
 density (exact join cardinality J) and the average spread of co-located
 triples.
 
@@ -15,10 +16,11 @@ Run:  python examples/road_sensor_monitoring.py
 
 import random
 
-from repro import (Database, MaintainerConfig, SlidingWindowMaintainer,
+from repro import (Database, JoinSynopsisMaintainer, MaintainerConfig,
                    SynopsisSpec)
 from repro.analytics.estimators import estimate_avg
 from repro.datagen.linear_road import lane_schema, qb_sql
+from repro.datagen.workload import DeleteOldest, Insert, StreamPlayer
 
 BAND = 60       # metres: how close cars must be to count as a platoon
 WINDOW = 2      # ticks a report stays live (the paper's 60 s window)
@@ -43,13 +45,12 @@ def main() -> None:
     for lane in range(LANES):
         db.create_table(lane_schema(f"lane{lane + 1}"))
 
-    monitor = SlidingWindowMaintainer(
+    monitor = JoinSynopsisMaintainer(
         db, qb_sql(BAND, LANES),
-        window=WINDOW,
-        ts_columns={f"lane{i + 1}": "ts" for i in range(LANES)},
-        config=MaintainerConfig(spec=SynopsisSpec.fixed_size(200),
-                                engine="sjoin", seed=11),
+        MaintainerConfig(spec=SynopsisSpec.fixed_size(200),
+                         engine="sjoin", seed=11),
     )
+    player = StreamPlayer(monitor)
 
     positions = [
         [rng.randrange(ROAD) for _ in range(CARS)] for _ in range(LANES)
@@ -60,11 +61,14 @@ def main() -> None:
           f"{'avg spread (est)':>17} | {'synopsis':>8}")
 
     for tick in range(TICKS):
+        if tick >= WINDOW:
+            # the reports of tick - WINDOW fall out of the window
+            for lane in range(LANES):
+                player.apply(DeleteOldest(f"lane{lane + 1}", CARS))
         for lane in range(LANES):
             for car, pos in enumerate(positions[lane]):
-                monitor.insert(
-                    f"lane{lane + 1}", (lane * CARS + car, pos, tick)
-                )
+                player.apply(Insert(
+                    f"lane{lane + 1}", (lane * CARS + car, pos, tick)))
             positions[lane] = [
                 (pos + 1 + rng.randrange(35)) % ROAD
                 for pos in positions[lane]

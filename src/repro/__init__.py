@@ -76,7 +76,6 @@ from repro.core import (
     ManagerStats,
     OpOutcome,
     SJoinEngine,
-    SlidingWindowMaintainer,
     SubsetSynopsis,
     SymmetricJoinEngine,
     SynopsisManager,
@@ -141,7 +140,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     # catalog
@@ -156,7 +155,7 @@ __all__ = [
     "WeightedFixedSize", "WeightedWithReplacement", "SubsetSynopsis",
     "SYNOPSIS_FAMILIES", "family_of_kind",
     "SJoinEngine", "SymmetricJoinEngine", "JoinSynopsisMaintainer",
-    "SynopsisManager", "SynopsisTarget", "SlidingWindowMaintainer",
+    "SynopsisManager", "SynopsisTarget",
     # configuration
     "MaintainerConfig", "ENGINES",
     # stats / batch-update API ("UpdateOp", the Insert|Delete union alias,

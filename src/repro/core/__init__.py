@@ -30,7 +30,6 @@ from repro.core.stats_api import (
 from repro.core.symmetric_join import SymmetricJoinEngine
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.manager import SynopsisManager, SynopsisTarget
-from repro.core.window import SlidingWindowMaintainer
 
 __all__ = [
     "SynopsisSpec",
@@ -56,5 +55,4 @@ __all__ = [
     "InsertOp",
     "DeleteOp",
     "UpdateOp",
-    "SlidingWindowMaintainer",
 ]

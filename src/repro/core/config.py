@@ -3,8 +3,7 @@
 Before this module every entry point grew its own drifting constructor
 signature — ``spec``/``seed``/``obs``/``engine`` threaded slightly
 differently through :class:`~repro.core.maintainer.JoinSynopsisMaintainer`,
-:class:`~repro.core.manager.SynopsisManager`,
-:class:`~repro.core.window.SlidingWindowMaintainer` and the
+:class:`~repro.core.manager.SynopsisManager` and the
 :mod:`repro.persist` wrappers.  The redesigned surface is one frozen,
 keyword-only value object accepted everywhere::
 

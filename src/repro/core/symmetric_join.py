@@ -146,17 +146,18 @@ class SymmetricJoinEngine:
                 0, lambda item: []
             )
             self._handles[(node_idx, nbr_idx)] = {}
-        self._key_attr_pos: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        # per directed edge (own, parent): the parent's edge key -> the
-        # range of own's index joining it, compiled once
-        self._range_of: Dict[Tuple[int, int], Callable] = {}
-        for (node_idx, nbr_idx), spec_ in self.plan.edge_index.items():
-            schema = self.plan.nodes[node_idx].schema
-            self._key_attr_pos[(node_idx, nbr_idx)] = tuple(
-                schema.index_of(a) for a in spec_.key_attrs
-            )
-            self._range_of[(node_idx, nbr_idx)] = spec_.edge.range_fn(
-                self.plan.nodes[node_idx].alias)
+        self._key_attr_pos: Dict[Tuple[int, int], Tuple[int, ...]] = {
+            (node_idx, nbr_idx): tuple(
+                self.plan.nodes[node_idx].schema.index_of(a)
+                for a in spec_.key_attrs)
+            for (node_idx, nbr_idx), spec_ in self.plan.edge_index.items()}
+        # per directed edge (own, parent): the parent's row -> the cut of
+        # own's index joining it, compiled once
+        self._cut_of: Dict[Tuple[int, int], Callable] = {
+            (node_idx, nbr_idx): spec_.edge.cut_fn(
+                self.plan.nodes[node_idx].alias,
+                self._key_attr_pos[(nbr_idx, node_idx)])
+            for (node_idx, nbr_idx), spec_ in self.plan.edge_index.items()}
 
     # ------------------------------------------------------------------
     # updates: the same two run surfaces as SJoinEngine
@@ -315,14 +316,9 @@ class SymmetricJoinEngine:
             parent_alias = rooted.parent[alias]
             own_idx = self.plan.node_idx(alias)
             parent_idx = self.plan.node_idx(parent_alias)
-            parent_row = rows[parent_alias]
-            parent_key = tuple(
-                parent_row[i]
-                for i in self._key_attr_pos[(parent_idx, own_idx)]
-            )
-            rng = self._range_of[(own_idx, parent_idx)](parent_key)
+            cut = self._cut_of[(own_idx, parent_idx)](rows[parent_alias])
             tree = self._indexes[(own_idx, parent_idx)]
-            for own_tid, own_row in tree.iter_items(rng):
+            for own_tid, own_row in tree.iter_items(cut):
                 self.stats.tuples_accessed += 1
                 result[own_idx] = own_tid
                 rows[alias] = own_row

@@ -293,19 +293,6 @@ class WeightedJoinGraph:
     # ------------------------------------------------------------------
     # insertion (Algorithm 1)
     # ------------------------------------------------------------------
-    def insert_tuple(self, node_idx: int, tid: int, row: Sequence[object],
-                     weight: Optional[int] = None) -> Placement:
-        """Register tuple ``(tid, row)`` of plan node ``node_idx``: its
-        row projected onto the vertex key, then a batch of one
-        (:meth:`insert_tuples`), its weight resolved first on a weighted
-        graph unless the caller already holds it.  A convenience for
-        probes and tests; the engines hand :meth:`insert_tuples` keys."""
-        row = tuple(row)
-        if weight is None and self.tuple_weight is not None:
-            weight = self.weight_of(node_idx, row)
-        key = self.plan.nodes[node_idx].vertex_key_of(row)
-        return self.insert_tuples(node_idx, [(tid, key, weight)])[0]
-
     def insert_tuples(self, node_idx: int, entries: Sequence[Entry]
                       ) -> List[Placement]:
         """Register a batch of tuples of one plan node in arrival order,
@@ -428,22 +415,6 @@ class WeightedJoinGraph:
         """Open a run of consecutive deletions on plan node ``node_idx``
         (see :class:`DeleteRun`); the caller must ``flush()`` it."""
         return DeleteRun(self, node_idx)
-
-    def delete_tuple(self, node_idx: int, tid: int,
-                     row: Sequence[object]) -> int:
-        """Unregister tuple ``(tid, row)``; returns the number of join
-        results that involved it (the amount ``J`` decreases by, §5.3).
-        A run of one, the row projected onto its vertex key — a
-        convenience for probes and tests, like :meth:`insert_tuple`."""
-        run = self.delete_run(node_idx)
-        try:
-            removed = run.delete(
-                tid, self.plan.nodes[node_idx].vertex_key_of(tuple(row)))
-        finally:
-            run.flush()
-        if removed is None:
-            raise run.missing(tid)
-        return removed
 
     # ------------------------------------------------------------------
     # internals

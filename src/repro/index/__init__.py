@@ -11,13 +11,11 @@ pointer AVL tree in 12.0; ``docs/architecture.md`` ("Why one index")
 records the measurements behind it and the alternatives it retired.
 """
 
-from repro.index.api import IndexRange
 from repro.index.aggregate import AggregateTree, TreeNode
 from repro.index.hash_index import HashIndex
 
 __all__ = [
     "AggregateTree",
     "HashIndex",
-    "IndexRange",
     "TreeNode",
 ]

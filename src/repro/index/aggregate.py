@@ -13,13 +13,13 @@ The entries live in sorted *blocks*, each two parallel lists (sort keys,
 handles) plus one running-sum array per slot; one *directory* level
 holds each block's largest sort key and, per slot, the running sum of
 block totals.  A ranged query takes the range as its two cut points in
-the sort order (:data:`~repro.index.api.Cut`; an :class:`IndexRange`
-is turned into its cut on entry), and finding a cut is a bisect over
-the directory and one over a block: ``range_sum`` subtracts the prefix
-sums at the two cuts, and ``select`` — the first in-range item whose
-running sum exceeds a target, which drives Algorithm 2 — bisects the
-directory's running sums, then the block's (the cumulative-weight walk
-of Weighted Random Sampling over Joins).
+the sort order (:data:`~repro.index.api.Cut`, the only range type), and
+finding a cut is a bisect over the directory and one over a block:
+``range_sum`` subtracts the prefix sums at the two cuts, and ``select``
+— the first in-range item whose running sum exceeds a target, which
+drives Algorithm 2 — bisects the directory's running sums, then the
+block's (the cumulative-weight walk of Weighted Random Sampling over
+Joins).
 Updates are lazy: they mark a block stale, and the first query after
 them rebuilds the stale blocks and the directory with
 ``itertools.accumulate``; a lone ``refresh`` of a large block in a
@@ -39,16 +39,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, itemgetter
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import IndexKeyError, InvalidArgumentError
-from repro.index.api import Cut, IndexRange
+from repro.index.api import Cut
 
-__all__ = ["AggregateTree", "IndexRange", "TreeNode"]
-
-#: what a ranged query takes: a :data:`~repro.index.api.Cut`, or an
-#: :class:`IndexRange`, turned into its cut on entry
-Range = Union[Cut, IndexRange]
+__all__ = ["AggregateTree", "TreeNode"]
 
 #: the smallest split threshold is ``2 * LOAD`` entries per block
 LOAD = 32
@@ -268,13 +264,13 @@ class AggregateTree:
         node = block.nodes[bisect_left(block.sorts, key)]
         return node if node.key == key else None
 
-    def iter_nodes(self, rng: Optional[Range] = None
+    def iter_nodes(self, rng: Optional[Cut] = None
                    ) -> Iterator[TreeNode]:
         """Nodes in key order, restricted to ``rng`` when given."""
         blocks = self._blocks
         if rng is None:
             return chain.from_iterable(map(_NODES, blocks))
-        lo, hi = rng.cut if isinstance(rng, IndexRange) else rng
+        lo, hi = rng
         b, i = self._locate(lo)
         e, j = self._locate(hi)
         if (e, j) <= (b, i):
@@ -287,7 +283,7 @@ class AggregateTree:
             parts.append(blocks[e].nodes[:j])
         return chain.from_iterable(parts)
 
-    def iter_items(self, rng: Optional[Range] = None
+    def iter_items(self, rng: Optional[Cut] = None
                    ) -> Iterator[object]:
         """The items of :meth:`iter_nodes`."""
         return map(_ITEM, self.iter_nodes(rng))
@@ -295,18 +291,18 @@ class AggregateTree:
     # ------------------------------------------------------------------
     # aggregate queries
     # ------------------------------------------------------------------
-    def range_sum(self, slot: int, rng: Optional[Range] = None) -> int:
+    def range_sum(self, slot: int, rng: Optional[Cut] = None) -> int:
         """Sum of ``slot`` values over items whose key lies in ``rng``."""
         if rng is None:
             return self.total(slot)
         if self._cum is None:
             self._settle()
-        lo, hi = rng.cut if isinstance(rng, IndexRange) else rng
+        lo, hi = rng
         total = self._sum_before(slot, hi) - self._sum_before(slot, lo)
         # an empty interval (lo past hi) puts the upper cut first
         return total if total > 0 else 0
 
-    def select(self, slot: int, target: int, rng: Optional[Range] = None
+    def select(self, slot: int, target: int, rng: Optional[Cut] = None
                ) -> Optional[Tuple[object, int]]:
         """First in-range item whose running prefix sum exceeds ``target``.
 
@@ -327,7 +323,7 @@ class AggregateTree:
         if rng is None:
             below, hi = 0, None
         else:
-            lo, hi = rng.cut if isinstance(rng, IndexRange) else rng
+            lo, hi = rng
             below = self._sum_before(slot, lo)
             target += below
         totals = cum[slot]

@@ -8,10 +8,9 @@ the paper's aggregate order index (§4.3,
 per-item value over any contiguous key range.  This module holds the
 vocabulary its callers share with it.  A range reaches the tree as a
 :data:`Cut`, its two cut points in the tree's sort order — the join
-graph compiles a ``vertex key -> Cut`` function per edge direction
-(:meth:`repro.query.query_tree.TreeEdge.cut_fn`) — or as the one range
-type, :class:`IndexRange` (the SJ baseline and the tests), which the
-tree turns into its cut on entry.
+graph and the SJ baseline compile one ``key -> Cut`` function per edge
+direction (:meth:`repro.query.query_tree.TreeEdge.cut_fn`), and a
+ranged tree call takes a cut or None, nothing else.
 """
 
 from __future__ import annotations
@@ -41,49 +40,15 @@ Cut = Tuple[tuple, tuple]
 
 def cut_points(prefix: tuple, lo: object = None, hi: object = None,
                lo_open: bool = False, hi_open: bool = False) -> Cut:
-    """The :data:`Cut` of ``IndexRange(prefix, lo, hi, lo_open, hi_open)``
-    (an absent bound excludes nothing)."""
+    """The :data:`Cut` of the keys that start with ``prefix`` and whose
+    next component lies between ``lo`` and ``hi`` (``lo_open`` /
+    ``hi_open`` exclude the bound itself; an absent bound, None,
+    excludes nothing).  Components past that one are unconstrained, so
+    the range is contiguous in lexicographic order."""
     return (prefix if lo is None
             else prefix + ((lo, _TOP) if lo_open else (lo,)),
             prefix + (_TOP,) if hi is None
             else prefix + ((hi,) if hi_open else (hi, _TOP)))
-
-
-class IndexRange:
-    """A contiguous range of composite keys.
-
-    ``prefix`` pins the leading key components to exact values; the next
-    component is optionally bounded below by ``lo`` and above by ``hi``
-    (``None``: unbounded on that side; ``lo_open`` / ``hi_open`` exclude
-    the bound itself).  Keys longer than the constrained components are
-    unconstrained beyond them, which makes the range contiguous in
-    lexicographic order; ``cut`` is that range as the tree reads it
-    (:func:`cut_points`).
-    """
-
-    __slots__ = ("prefix", "lo", "hi", "lo_open", "hi_open", "cut")
-
-    def __init__(self, prefix: tuple = (), lo: object = None,
-                 hi: object = None, lo_open: bool = False,
-                 hi_open: bool = False):
-        prefix = tuple(prefix)
-        self.prefix = prefix
-        self.lo = lo
-        self.hi = hi
-        # an absent bound excludes nothing
-        self.lo_open = lo_open and lo is not None
-        self.hi_open = hi_open and hi is not None
-        self.cut = cut_points(prefix, lo, hi, lo_open, hi_open)
-
-    def contains(self, key: tuple) -> bool:
-        lo, hi = self.cut
-        return not key < lo and key < hi
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        return (f"IndexRange(prefix={self.prefix!r}, "
-                f"{left}{self.lo!r}, {self.hi!r}{right})")
 
 
 def default_backend() -> str:

@@ -73,9 +73,20 @@ _FLIP = {
 
 
 def _exact(value: object) -> object:
-    """Return ``value`` as an exact rational when it is an int/Fraction."""
+    """A SQL constant as an exact rational: a float read as the decimal
+    it was written as (``0.1`` is 1/10); an int or Fraction as it is."""
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
+    return value
+
+
+def _rational(value: object) -> object:
+    """A row value as an exact rational: a finite float as its exact
+    binary value, ``Fraction(value)``, so that range bounds computed from
+    it and the keys stored beside it compare alike; anything else —
+    NaN and ±inf included — as it is."""
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
     return value
 
 
@@ -116,8 +127,9 @@ def _linear_bounds(mul: Union[int, Fraction], lo_add: object,
     (an add of ``None`` leaves that side unbounded) over exact constants.
 
     Integer constants on an integer value are plain integer arithmetic;
-    a fractional constant or a float value (read through :func:`_exact`)
-    goes through :class:`Fraction`, collapsed back to an int when whole.
+    a fractional constant or a float value (read through
+    :func:`_rational`) goes through :class:`Fraction`, collapsed back to
+    an int when whole.
     """
     if lo_add is None:
         def line(value):
@@ -131,7 +143,7 @@ def _linear_bounds(mul: Union[int, Fraction], lo_add: object,
             return scaled + lo_add, scaled + hi_add
 
     def exact(value):
-        lo, hi = line(_exact(value))
+        lo, hi = line(_rational(value))
         return _simplify(lo), _simplify(hi)
 
     if not all(isinstance(c, int) for c in (mul, lo_add, hi_add)
@@ -266,7 +278,8 @@ class JoinPredicate(ThetaPredicate):
     def matches(self, left_value: object, right_value: object) -> bool:
         if self.is_plain_equality:
             return left_value == right_value
-        return self.op.test(left_value, self.coeff * right_value + self.offset)
+        return self.op.test(_rational(left_value),
+                            self.coeff * _rational(right_value) + self.offset)
 
     def bounds_for(self, target_alias: str) -> Tuple[Bounds, bool, bool]:
         self.other(target_alias)  # a QueryError unless it is a side
@@ -331,7 +344,7 @@ class BandPredicate(ThetaPredicate):
         object.__setattr__(self, "width", width)
 
     def matches(self, left_value: object, right_value: object) -> bool:
-        diff = left_value - self.coeff * right_value
+        diff = _rational(left_value) - self.coeff * _rational(right_value)
         if diff < 0:
             diff = -diff
         if self.inclusive:

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError, QueryError
-from repro.index.api import Cut, IndexRange, cut_points
+from repro.index.api import Cut, cut_points
 from repro.query.predicates import (
     JoinPredicate,
     MultiTableFilter,
@@ -82,33 +82,15 @@ class TreeEdge:
                 return False
         return True
 
-    def range_fn(self, target_alias: str) -> Callable[[tuple], IndexRange]:
-        """Compile the map from a composite key on the other side to the
-        range of ``target_alias``'s composite keys that join it: the
-        equality components pinned as the prefix, the range predicate's
-        bounds (constants resolved here, once) on the last component.
-        On a pure-equality edge the range is the single point ``key``."""
-        self.other(target_alias)  # a QueryError unless it is an endpoint
-        if self.range_predicate is None:
-            return IndexRange
-        num_eq = len(self.eq_predicates)
-        bounds, lo_open, hi_open = self.range_predicate.bounds_for(
-            target_alias)
-
-        def range_of(source_key: tuple) -> IndexRange:
-            lo, hi = bounds(source_key[num_eq])
-            return IndexRange(source_key[:num_eq], lo, hi, lo_open, hi_open)
-
-        return range_of
-
     def cut_fn(self, target_alias: str, key_pos: Sequence[int]
                ) -> Callable[[tuple], Cut]:
-        """Compile the map from a *vertex* key on the other side (its
-        edge key at ``key_pos``) to the cut of :meth:`range_fn`'s range,
-        built without the edge key or an :class:`IndexRange`.  One path
-        for every range edge: the bounds on the last edge component, the
-        equality components pinned as the prefix (none to slice out when
-        the edge has no equality)."""
+        """Compile the map from a key on the other side — a vertex key,
+        or the SJ baseline's row, holding the edge key at ``key_pos`` —
+        to the :data:`~repro.index.api.Cut` of ``target_alias``'s
+        composite keys that join it: the equality components pinned as
+        the prefix, the range predicate's bounds (constants resolved
+        here, once) on the last component.  On a pure-equality edge the
+        cut is the single point of the edge key."""
         self.other(target_alias)  # a QueryError unless it is an endpoint
         if self.range_predicate is None:
             point = key_projection(key_pos)

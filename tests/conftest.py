@@ -57,6 +57,17 @@ def engine_delete(engine, alias: str, tid: int) -> None:
         table.delete(tid)
 
 
+def delete_one(graph, node_idx: int, tid: int, key: tuple):
+    """One tuple out of a bare join graph, the way the engines take it
+    out: a delete run of one on its vertex key, flushed.  The number of
+    join results removed; None, with nothing changed, when the node does
+    not hold the tuple."""
+    run = graph.delete_run(node_idx)
+    removed = run.delete(tid, key)
+    run.flush()
+    return removed
+
+
 def as_written_by_3_0(payload: dict) -> None:
     """Rewrite a fresh snapshot payload into what 3.0 wrote: format
     version 2, every query's state naming its ``index_backend``."""

@@ -1,5 +1,9 @@
 """Aggregate index tests: unit behaviour + model-based property tests.
 
+Ranges reach the tree as cuts, built here with
+:func:`repro.index.api.cut_points`; the models keep their own bound
+fields and decide membership from those.
+
 The model is a brute-force sorted list of ``(key, tie, item)``; every
 tree query (range_sum, select, prefix_sum, iteration) is cross-checked
 against it after random interleavings of insert / delete / value-change
@@ -23,7 +27,8 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexKeyError
 from repro.index import aggregate
-from repro.index.aggregate import AggregateTree, IndexRange
+from repro.index.aggregate import AggregateTree
+from repro.index.api import cut_points
 from repro.query.intervals import Interval
 
 
@@ -51,8 +56,8 @@ class TestUnit:
         assert tree.total(0) == 0
         assert tree.select(0, 0) is None
         assert list(tree.iter_items()) == []
-        assert tree.range_sum(0, IndexRange((), 1, 2)) == 0
-        assert list(tree.iter_nodes(IndexRange((), 1, 2))) == []
+        assert tree.range_sum(0, cut_points((), 1, 2)) == 0
+        assert list(tree.iter_nodes(cut_points((), 1, 2))) == []
 
     def test_insert_and_total(self):
         tree = AggregateTree(1, read)
@@ -175,14 +180,14 @@ class TestUnit:
         for a in range(3):
             for b in range(4):
                 tree.insert((a, b), Item([1]))
-        rng = IndexRange((1,), 1, 2)
+        rng = cut_points((1,), 1, 2)
         assert tree.range_sum(0, rng) == 2
         items = list(tree.iter_nodes(rng))
         assert [n.key for n in items] == [(1, 1), (1, 2)]
         # a bound shorter than the keys: every key under the prefix
-        assert [n.key for n in tree.iter_nodes(IndexRange((1,)))] == \
+        assert [n.key for n in tree.iter_nodes(cut_points((1,)))] == \
             [(1, b) for b in range(4)]
-        assert tree.range_sum(0, IndexRange((2,), None, None)) == 4
+        assert tree.range_sum(0, cut_points((2,), None, None)) == 4
 
     def test_multi_slot(self):
         tree = AggregateTree(2, read)
@@ -373,7 +378,7 @@ def _tree_matches_model(ops, rng_spec, target):
 
     lo, hi, lo_open, hi_open = rng_spec
     interval = Interval(lo, hi, lo_open, hi_open)
-    rng = IndexRange((), lo, hi, lo_open, hi_open)
+    rng = cut_points((), lo, hi, lo_open, hi_open)
     in_range = [
         (key, node.tie, item) for key, node, item in model
         if interval.contains(key)
@@ -416,7 +421,7 @@ def test_prefix_ranges_match_model(entries, prefix, lo, hi, lo_open,
             model.append(((p, v), node.tie, item))
         interval = Interval(lo if lo >= 0 else None,
                             hi if hi >= 0 else None, lo_open, hi_open)
-        rng = IndexRange((prefix,), interval.lo, interval.hi,
+        rng = cut_points((prefix,), interval.lo, interval.hi,
                          lo_open, hi_open)
         in_range = sorted(
             (key, tie, item) for key, tie, item in model
@@ -456,22 +461,23 @@ def test_prefix_sum_matches_model(ops):
 # ----------------------------------------------------------------------
 # differential: composite keys, two slots, every select target
 # ----------------------------------------------------------------------
-def _model_side(rng, key):
-    """-1 when ``key`` sorts entirely below the range, +1 above, 0 in."""
-    plen = len(rng.prefix)
+def _model_side(spec, key):
+    """-1 when ``key`` sorts entirely below the range ``spec`` — the
+    ``(prefix, lo, hi, lo_open, hi_open)`` arguments of its
+    :func:`cut_points` — +1 above, 0 in."""
+    prefix, lo, hi, lo_open, hi_open = spec
+    plen = len(prefix)
     head = key[:plen]
-    if head < rng.prefix:
+    if head < prefix:
         return -1
-    if head > rng.prefix:
+    if head > prefix:
         return 1
-    if rng.lo is None and rng.hi is None:
+    if lo is None and hi is None:
         return 0
     value = key[plen]
-    if rng.lo is not None and (
-            value < rng.lo or (rng.lo_open and value == rng.lo)):
+    if lo is not None and (value < lo or (lo_open and value == lo)):
         return -1
-    if rng.hi is not None and (
-            value > rng.hi or (rng.hi_open and value == rng.hi)):
+    if hi is not None and (value > hi or (hi_open and value == hi)):
         return 1
     return 0
 
@@ -531,9 +537,10 @@ def test_range_ops_match_sorted_list_model(ops, ranges):
         ordered = sorted((node for node, _ in live),
                          key=lambda node: node.sort_key)
         for prefix, lo, hi, lo_open, hi_open in ranges:
-            rng = IndexRange(tuple(prefix), lo, hi, lo_open, hi_open)
+            spec = (tuple(prefix), lo, hi, lo_open, hi_open)
+            rng = cut_points(*spec)
             in_range = [node for node in ordered
-                        if _model_side(rng, node.key) == 0]
+                        if _model_side(spec, node.key) == 0]
             assert list(tree.iter_nodes(rng)) == in_range
             for slot in (0, 1):
                 total = sum(node.values[slot] for node in in_range)
@@ -602,7 +609,7 @@ def test_range_ops_cost_logarithmic_key_comparisons():
             plen = rnd.randrange(2)
             domain = 2 ** 20 if plen else 4
             lo, hi = sorted(rnd.randrange(-1, domain + 1) for _ in range(2))
-            rng = IndexRange(
+            rng = cut_points(
                 (Counted(rnd.randrange(4)),) if plen else (),
                 None if rnd.random() < 0.2 else Counted(lo),
                 None if rnd.random() < 0.2 else Counted(hi),

@@ -13,14 +13,14 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "14.0.0"
+    assert repro.__version__ == "15.0.0"
 
 
 @pytest.mark.parametrize("module", [
     "repro.catalog", "repro.query", "repro.index", "repro.graph",
     "repro.sampling", "repro.core", "repro.datagen", "repro.bench",
     "repro.analytics", "repro.stats", "repro.cli",
-    "repro.core.window", "repro.core.manager",
+    "repro.core.manager",
     "repro.core.stats_api",
     "repro.index.api", "repro.index.aggregate", "repro.query.explain",
     "repro.bench.export",
@@ -380,7 +380,7 @@ def test_one_aggregate_index_no_selector():
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert sorted(index.__all__) == ["AggregateTree", "HashIndex",
-                                     "IndexRange", "TreeNode"]
+                                     "TreeNode"]
     for module, names in (
         (api, ("AggregateIndex", "AggregateIndexBase", "NodeHandle",
                "register_backend", "unregister_backend", "make_index",
@@ -574,11 +574,31 @@ def test_the_join_graph_takes_vertex_keys():
     assert params(CombinedNodeRuntime.disassemble) == [
         "self", "anchor_tid", "anchor_row", "delete"]
     assert params(SJoinEngine.key_of) == ["self", "node_idx", "tid"]
-    # the row-taking helpers stay for probes and tests
-    assert params(WeightedJoinGraph.insert_tuple) == [
-        "self", "node_idx", "tid", "row", "weight"]
-    assert params(WeightedJoinGraph.delete_tuple) == [
-        "self", "node_idx", "tid", "row"]
     # a plan node's projection is compiled, not a method
     assert "vertex_key_of" in PlanNode.__dataclass_fields__
     assert {"src", "vertex_of"} <= set(Direction.__slots__)
+
+
+def test_removed_in_15_0_names_are_absent():
+    """15.0 deleted what no caller reached: the second range type, the
+    row-taking graph doors and the second expiry path (CHANGELOG.md has
+    the removed -> replacement table)."""
+    from repro import core, index
+    from repro.graph.join_graph import WeightedJoinGraph
+    from repro.index import aggregate, api
+    from repro.query.query_tree import TreeEdge
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.window")
+    for module, names in (
+        (repro, ("SlidingWindowMaintainer", "IndexRange")),
+        (core, ("SlidingWindowMaintainer",)),
+        (index, ("IndexRange",)),
+        (api, ("IndexRange",)),
+        (aggregate, ("IndexRange", "Range")),
+        (WeightedJoinGraph, ("insert_tuple", "delete_tuple")),
+        (TreeEdge, ("range_fn",)),
+    ):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ()), name

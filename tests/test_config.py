@@ -12,7 +12,6 @@ from repro import (
     InvalidArgumentError,
     JoinSynopsisMaintainer,
     MaintainerConfig,
-    SlidingWindowMaintainer,
     SynopsisError,
     SynopsisManager,
     SynopsisSpec,
@@ -79,14 +78,6 @@ class TestEntryPointsAcceptConfig:
         manager.register("q", SQL, self.config())
         feed(manager)
         assert manager.total_results("q") == 4
-
-    def test_window(self):
-        w = SlidingWindowMaintainer(
-            make_db(), SQL, window=10.0, ts_columns={"r": "x"},
-            config=self.config())
-        w.insert("r", (1, 1))
-        w.insert("s", (1, 100))
-        assert w.total_results() == 1
 
     def test_persistent_maintainer(self, tmp_path):
         """The maintainer a durable registration builds carries the

@@ -9,8 +9,8 @@ delete at X goes through the query tree rooted at X.  Checked here:
 * inside a run, after every entry, Algorithm 2 rooted at X enumerates
   exactly the brute-force join (``JoinExecutor``) over random 2-4 table
   equi/band/inequality queries, uniform and weighted graphs; after the
-  flush the graph equals per-tuple ``delete_tuple`` and every root is
-  exact again;
+  flush the graph equals per-tuple deletion (a run of one each) and
+  every root is exact again;
 * serial == batched for every engine and synopsis kind — samples,
   ``J`` **and** RNG state for batch sizes 1, 7, 64 and the whole
   stream — on streams biased toward long runs, shrink-to-empty then
@@ -52,6 +52,7 @@ from repro.query.planner import plan_query
 from conftest import (
     chi_square_threshold,
     chi_square_uniform,
+    delete_one,
     graph_state,
     random_query,
     random_row,
@@ -112,9 +113,9 @@ class Twin:
         tid = self.tables[node_idx].insert(row)
         weight = None if self.tuple_weight is None \
             else self.graph.weight_of(node_idx, row)
-        self.graph.insert_tuples(
-            node_idx, [(tid, self.key_of(node_idx, row), weight)])
-        self.serial.insert_tuple(node_idx, tid, row)
+        for graph in (self.graph, self.serial):
+            graph.insert_tuples(
+                node_idx, [(tid, self.key_of(node_idx, row), weight)])
         self.live[node_idx].append(tid)
 
     def fill(self, rng, per_table, domain=3):
@@ -129,9 +130,9 @@ class Twin:
         table = self.tables[node_idx]
         run = self.graph.delete_run(node_idx)
         for tid in tids:
-            row = table.get(tid)
-            removed = run.delete(tid, self.key_of(node_idx, row))
-            assert removed == self.serial.delete_tuple(node_idx, tid, row)
+            key = self.key_of(node_idx, table.get(tid))
+            removed = run.delete(tid, key)
+            assert removed == delete_one(self.serial, node_idx, tid, key)
             table.delete(tid)
             self.live[node_idx].remove(tid)
             assert mapped(self.graph, node_idx) == brute_force(
@@ -197,8 +198,8 @@ def test_only_the_runs_root_is_exact_before_the_flush():
     query = parse_query("SELECT * FROM r, s WHERE r.a = s.a", db)
     graph = WeightedJoinGraph(plan_query(query, db))
     for _ in range(2):
-        graph.insert_tuple(0, db.insert("r", (1,)), (1,))
-        graph.insert_tuple(1, db.insert("s", (1,)), (1,))
+        graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
+        graph.insert_tuples(1, [(db.insert("s", (1,)), (1,), None)])
     visited = graph.stats.vertices_visited
     run = graph.delete_run(1)
     assert run.delete(0, (1,)) == 2         # s's vertex key is its row

@@ -110,5 +110,6 @@ class TestViewErrors:
 
     def test_graph_delete_unregistered(self):
         db, m = make_maintainer()
-        with pytest.raises(TupleNotFoundError):
-            m.engine.graph.delete_tuple(0, 5, (1, 2))
+        with m.engine.delete_run("r") as unregister:
+            with pytest.raises(TupleNotFoundError, match="tuple 5"):
+                unregister(5, (1, 2))

@@ -9,9 +9,11 @@ After batched inserts, and again after a delete run and its flush
 (which sweeps the deltas back out), the join-number mapping from every
 root must be a bijection onto the exact executor's results.
 
-Values sit on a grid of quarters: there float arithmetic is exact, so
-the executor's ``matches`` and the index's exact rational bounds agree
-on every boundary, and ties with the bounds are common.
+Values sit on a grid of quarters and tenths.  Quarters are exact in
+binary, so ties with the bounds are common; a tenth is not, and a
+float row value is read as its exact binary rational by both the
+executor's ``matches`` and the index's bounds, so the two agree on it
+too (before 15.0 the bounds read ``1.1`` as 11/10 and dropped results).
 """
 
 import random
@@ -111,7 +113,8 @@ def test_float_ranges_map_every_result_once(seed, num_tables):
     for node_idx in runs:
         entries = []
         for _ in range(rnd.randint(1, 6)):
-            row = tuple(rnd.randrange(-6, 7) / 4
+            row = tuple(rnd.randrange(-6, 7) / 4 if rnd.random() < 0.5
+                        else rnd.randrange(-15, 16) / 10
                         for _ in tables[node_idx].schema.columns)
             tid = tables[node_idx].insert(row)
             live[node_idx].append((tid, row))

@@ -30,7 +30,7 @@ from repro.graph.join_graph import WeightedJoinGraph
 from repro.graph.join_number import map_join_number
 from repro.query.planner import plan_query
 
-from conftest import random_query
+from conftest import delete_one, random_query
 
 BIG = 2 ** 53
 #: equality-only columns: equal across types, and unequal neighbours of
@@ -118,7 +118,7 @@ def test_the_hash_step_is_licensed_and_exact(plan_seed, num_tables,
             run.flush()
         else:
             tid, row = live[node_idx].pop(rng.randrange(len(live[node_idx])))
-            graph.delete_tuple(node_idx, tid, row)
+            assert delete_one(graph, node_idx, tid, key_of(row)) is not None
         if step % 10 == 9:
             graph.check_invariants()
     graph.check_invariants()

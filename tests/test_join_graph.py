@@ -29,7 +29,7 @@ from repro.graph.join_graph import WeightedJoinGraph
 from repro.graph.join_number import map_join_number
 from repro.query.planner import plan_query
 
-from conftest import random_query, random_row
+from conftest import delete_one, random_query, random_row
 
 
 def build_graph(db, sql):
@@ -61,7 +61,7 @@ class TestBasics:
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
         tid = db.insert("r", (1,))
-        _, new_results = graph.insert_tuple(0, tid, (1,))
+        [(_, new_results)] = graph.insert_tuples(0, [(tid, (1,), None)])
         assert new_results == 0
         assert graph.total_results() == 0
 
@@ -70,9 +70,10 @@ class TestBasics:
         graph, *_ = build_graph(
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
-        graph.insert_tuple(0, db.insert("r", (1,)), (1,))
-        graph.insert_tuple(2, db.insert("t", (9,)), (9,))
-        _, new_results = graph.insert_tuple(1, db.insert("s", (1, 9)), (1, 9))
+        graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
+        graph.insert_tuples(2, [(db.insert("t", (9,)), (9,), None)])
+        [(_, new_results)] = graph.insert_tuples(
+            1, [(db.insert("s", (1, 9)), (1, 9), None)])
         assert new_results == 1
         assert graph.total_results() == 1
 
@@ -81,19 +82,28 @@ class TestBasics:
         graph, *_ = build_graph(
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
-        graph.insert_tuple(0, db.insert("r", (1,)), (1,))
-        graph.insert_tuple(0, db.insert("r", (1,)), (1,))
+        graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
+        graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
         assert graph.vertex_count(0) == 1
         vertex = graph.vertex_of(0, (1,))
         assert vertex.ids == [0, 1]
 
     def test_delete_unknown_tuple_raises(self):
+        """The graph reports a tuple it does not hold as None, changing
+        nothing; the run names the typed error an engine raises."""
         db = simple_db()
         graph, *_ = build_graph(
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
-        with pytest.raises(TupleNotFoundError):
-            graph.delete_tuple(0, 0, (1,))
+        graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
+        run = graph.delete_run(0)
+        assert run.delete(5, (1,)) is None
+        assert run.delete(0, (2,)) is None
+        run.flush()
+        assert graph.vertex_of(0, (1,)).ids == [0]
+        graph.check_invariants()
+        with pytest.raises(TupleNotFoundError, match="tuple 5 of node r"):
+            raise run.missing(5)
 
     def test_vertex_removed_when_ids_empty(self):
         db = simple_db()
@@ -101,8 +111,8 @@ class TestBasics:
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
         tid = db.insert("r", (1,))
-        graph.insert_tuple(0, tid, (1,))
-        graph.delete_tuple(0, tid, (1,))
+        graph.insert_tuples(0, [(tid, (1,), None)])
+        assert delete_one(graph, 0, tid, (1,)) == 0
         assert graph.vertex_count(0) == 0
         graph.check_invariants()
 
@@ -111,10 +121,11 @@ class TestBasics:
         graph, *_ = build_graph(
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
-        graph.insert_tuple(1, db.insert("s", (1, 9)), (1, 9))
-        graph.insert_tuple(2, db.insert("t", (9,)), (9,))
-        graph.insert_tuple(0, db.insert("r", (1,)), (1,))
-        placement = graph.insert_tuple(0, db.insert("r", (1,)), (1,))
+        graph.insert_tuples(1, [(db.insert("s", (1, 9)), (1, 9), None)])
+        graph.insert_tuples(2, [(db.insert("t", (9,)), (9,), None)])
+        graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
+        [placement] = graph.insert_tuples(
+            0, [(db.insert("r", (1,)), (1,), None)])
         # two r tuples share the vertex; the new tuple's block is the
         # last per-tuple chunk: (view_start, new_results)
         assert placement == (1, 1)
@@ -197,14 +208,18 @@ class TestWeightsAgainstBruteForce:
             if rng.random() < 0.3 and any(live.values()):
                 alias = rng.choice([a for a in live if live[a]])
                 tid = live[alias].pop(rng.randrange(len(live[alias])))
-                row = tables[alias].get(tid)
-                graph.delete_tuple(query.index_of(alias), tid, row)
+                node_idx = query.index_of(alias)
+                key = plan.nodes[node_idx].vertex_key_of(
+                    tables[alias].get(tid))
+                assert delete_one(graph, node_idx, tid, key) is not None
                 tables[alias].delete(tid)
             else:
                 alias = rng.choice(list(live))
+                node_idx = query.index_of(alias)
                 row = random_row(rng, len(tables[alias].schema.columns), 4)
                 tid = tables[alias].insert(row)
-                graph.insert_tuple(query.index_of(alias), tid, row)
+                graph.insert_tuples(node_idx, [
+                    (tid, plan.nodes[node_idx].vertex_key_of(row), None)])
                 live[alias].append(tid)
         graph.check_invariants()
         brute_force_weights(db, query, plan, graph)
@@ -226,8 +241,9 @@ class TestInsertOutcome:
             alias = rng.choice(list(query.aliases))
             row = random_row(rng, len(tables[alias].schema.columns), 4)
             tid = tables[alias].insert(row)
-            _, new_results = graph.insert_tuple(
-                query.index_of(alias), tid, row)
+            node_idx = query.index_of(alias)
+            [(_, new_results)] = graph.insert_tuples(node_idx, [
+                (tid, plan.nodes[node_idx].vertex_key_of(row), None)])
             delta = JoinExecutor(
                 db, query, include_filters=False, include_residual=False
             ).delta_results(alias, tid)
@@ -302,11 +318,15 @@ class TestBigIntegerRangeKeys:
                 ("t", (rng.randrange(2),)),
             ])
             tid = db.insert(alias, row)
-            graph.insert_tuple(query.index_of(alias), tid, row)
+            node = plan.nodes[query.index_of(alias)]
+            graph.insert_tuples(node.idx, [
+                (tid, node.vertex_key_of(row), None)])
             live.append((alias, tid, row))
             if step % 6 == 5:
                 alias, tid, row = live.pop(rng.randrange(len(live)))
-                graph.delete_tuple(query.index_of(alias), tid, row)
+                node = plan.nodes[query.index_of(alias)]
+                assert delete_one(graph, node.idx, tid,
+                                  node.vertex_key_of(row)) is not None
                 db.table(alias).delete(tid)
         graph.check_invariants()
         brute_force_weights(db, query, plan, graph)

@@ -33,7 +33,8 @@ def populated_graph(seed, num_tables=3, inserts=30, domain=4):
         alias = rng.choice(list(query.aliases))
         row = random_row(rng, len(tables[alias].schema.columns), domain)
         tid = tables[alias].insert(row)
-        graph.insert_tuple(query.index_of(alias), tid, row)
+        node = plan.nodes[query.index_of(alias)]
+        graph.insert_tuples(node.idx, [(tid, node.vertex_key_of(row), None)])
     return db, query, plan, graph
 
 
@@ -99,8 +100,9 @@ class TestViews:
             node_idx = query.index_of(alias)
             row = random_row(rng, len(tables[alias].schema.columns), 3)
             tid = tables[alias].insert(row)
-            placement = graph.insert_tuple(node_idx, tid, row)
-            view = DeltaJoinView(graph, node_idx, [placement])
+            placements = graph.insert_tuples(node_idx, [
+                (tid, plan.nodes[node_idx].vertex_key_of(row), None)])
+            view = DeltaJoinView(graph, node_idx, placements)
             got = sorted(view)
             expect = sorted(JoinExecutor(
                 db, query, include_filters=False, include_residual=False

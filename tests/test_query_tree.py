@@ -14,6 +14,7 @@ from repro import (
     RangeTable,
     TableSchema,
 )
+from repro.index.api import cut_points
 from repro.query.query_tree import build_query_tree
 
 
@@ -23,6 +24,12 @@ def rts(*names):
 
 def eq(a, aa, b, ba):
     return JoinPredicate(a, aa, ComparisonOp.EQ, b, ba)
+
+
+def in_cut(cut, key):
+    """Whether the tree puts an entry with composite ``key`` in ``cut``."""
+    lo, hi = cut
+    return not key < lo and key < hi
 
 
 class TestEdges:
@@ -83,24 +90,23 @@ class TestEdges:
         ])
         tree = build_query_tree(q)
         (edge,) = tree.edges
-        rng = edge.range_fn("s")((7, 10))
-        assert rng.prefix == (7,)
-        assert (rng.lo, rng.hi) == (8, 12)
-        assert rng.contains((7, 9))
-        assert rng.contains((7, 12))
-        assert not rng.contains((7, 13))
-        assert not rng.contains((8, 10))
+        cut = edge.cut_fn("s", (0, 1))((7, 10))
+        assert cut == cut_points((7,), 8, 12)
+        assert in_cut(cut, (7, 9))
+        assert in_cut(cut, (7, 12))
+        assert not in_cut(cut, (7, 13))
+        assert not in_cut(cut, (8, 10))
         with pytest.raises(QueryError):
-            edge.range_fn("t")
+            edge.cut_fn("t", (0, 1))
 
     def test_pure_equality_range_is_point(self):
         q = JoinQuery(rts("r", "s"), [eq("r", "a", "s", "a")])
         tree = build_query_tree(q)
-        rng = tree.edges[0].range_fn("s")((5,))
-        assert rng.prefix == (5,)
-        assert rng.lo is None and rng.hi is None
-        assert rng.contains((5,))
-        assert not rng.contains((6,))
+        cut = tree.edges[0].cut_fn("s", (0,))((5,))
+        assert cut == cut_points((5,))
+        assert in_cut(cut, (5,))
+        assert not in_cut(cut, (6,))
+        assert not in_cut(cut, (4,))
 
 
 class TestCycles:

@@ -1,16 +1,19 @@
-"""The compiled cut ≡ the ``IndexRange`` path.
+"""The compiled cut ≡ the predicate's bounds ≡ the predicate.
 
-The join graph hands the aggregate tree a range as its two cut points,
-compiled once per edge direction from a *vertex* key
-(:meth:`TreeEdge.cut_fn`); the SJ baseline, the invariant checks and
-the tests hand it an :class:`IndexRange` built from the *edge* key
-(:meth:`TreeEdge.range_fn`).  Over every range-predicate shape — bands
-inclusive and strict, ``<``, ``<=``, ``>``, ``>=`` and an arithmetic
-``=``, integral and fractional coefficients, offsets and widths, with
-and without an equality component — and over int, float and past-2⁵³
-source values, ``select``, ``range_sum`` and ``iter_nodes`` must answer
-alike on both, and alike with a brute-force model of the reference
-range, on trees whose blocks hold two entries (``LOAD`` patched to 2).
+The join graph and the SJ baseline hand the aggregate tree a range as
+its two cut points, compiled once per edge direction from a key holding
+the edge key (:meth:`TreeEdge.cut_fn`).  The reference here is built
+from the *edge* key in the test: the equality components as the prefix,
+the range predicate's :meth:`~ThetaPredicate.bounds_for` on the last
+one.  Over every range-predicate shape — bands inclusive and strict,
+``<``, ``<=``, ``>``, ``>=`` and an arithmetic ``=``, integral and
+fractional coefficients, offsets and widths, with and without an
+equality component — and over int, float and past-2⁵³ source values,
+``select``, ``range_sum`` and ``iter_nodes`` must answer alike on the
+compiled cut and on the reference's :func:`cut_points`, alike with a
+brute-force model of the reference's fields, and that model must hold
+exactly the keys :meth:`TreeEdge.matches` joins with the edge key — on
+trees whose blocks hold two entries (``LOAD`` patched to 2).
 
 The last test seeds the two mistakes such a compile invites — a cut
 that drops ``lo_open``, and one that slices the equality prefix one
@@ -26,13 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.aggregate import AggregateTree
+from repro.index.api import cut_points
 from repro.query import query_tree
 from repro.query.intervals import Interval
 from repro.query.predicates import (BandPredicate, ComparisonOp,
                                     JoinPredicate)
 from repro.query.query_tree import TreeEdge
 
-from test_avl import Item, read, small_blocks
+from test_aggregate_index import Item, read, small_blocks
 
 COEFFS = (1, 2, -1, Fraction(1, 2), 0.5, -1.5)
 CONSTANTS = (0, 1, 3, -2, Fraction(5, 2), 0.25, 1.5)
@@ -78,10 +82,24 @@ def near(bound):
     return keys
 
 
-def build_tree(edge_key, rng, num_eq, rnd):
-    """A tree of target edge keys around ``rng``'s bounds, every
-    equality value in {0, 1, 2}, weights 0–3, in random order."""
-    values = near(rng.lo) + near(rng.hi) + [edge_key[-1]]
+def reference(edge, target, edge_key):
+    """The range of ``target``'s edge keys that join ``edge_key``, as the
+    arguments of :func:`cut_points`: the equality components pinned as
+    the prefix, the range predicate's bounds on the last component; on a
+    pure-equality edge the single point ``edge_key``."""
+    if edge.range_predicate is None:
+        return edge_key, None, None, False, False
+    bounds, lo_open, hi_open = edge.range_predicate.bounds_for(target)
+    lo, hi = bounds(edge_key[-1])
+    return edge_key[:-1], lo, hi, lo_open, hi_open
+
+
+def build_tree(edge_key, ref, num_eq, rnd):
+    """A tree of target edge keys around the bounds of ``ref`` (see
+    :func:`reference`), every equality value in {0, 1, 2}, weights 0–3,
+    in random order."""
+    _, lo, hi, _, _ = ref
+    values = near(lo) + near(hi) + [edge_key[-1]]
     values += [rnd.randint(-60, 60) for _ in range(4)]
     keys = [((p, v) if num_eq else (v,)) for v in values
             for p in (range(3) if num_eq else (None,))]
@@ -92,28 +110,33 @@ def build_tree(edge_key, rng, num_eq, rnd):
     return tree
 
 
-def model(tree, rng):
-    """The nodes of ``rng`` by brute force over the reference range's
-    own fields (not through any cut)."""
-    interval = Interval(rng.lo, rng.hi, rng.lo_open, rng.hi_open)
-    plen = len(rng.prefix)
+def model(tree, ref):
+    """The nodes of the range ``ref`` by brute force over its own fields
+    (not through any cut)."""
+    prefix, lo, hi, lo_open, hi_open = ref
+    interval = Interval(lo, hi, lo_open, hi_open)
+    plen = len(prefix)
     return [node for node in tree.iter_nodes()
-            if node.key[:plen] == rng.prefix
+            if node.key[:plen] == prefix
             and (plen == len(node.key)
                  or interval.contains(node.key[plen]))]
 
 
 def mismatches(edge, target, key_pos, vkey, tree, cut):
-    """Where ``cut`` (compiled for ``vkey``) and the ``IndexRange`` of
-    ``range_fn`` (for its edge key) disagree, or either disagrees with
-    the model; empty when all three answer alike."""
+    """Where ``cut`` (compiled for ``vkey``) and the reference's cut
+    (for its edge key) disagree, either disagrees with the model, or
+    the model with :meth:`TreeEdge.matches`; empty when all answer
+    alike."""
     edge_key = tuple(vkey[i] for i in key_pos)
-    rng = edge.range_fn(target)(edge_key)
-    compiled = cut(vkey)
-    nodes = model(tree, rng)
+    ref = reference(edge, target, edge_key)
+    nodes = model(tree, ref)
     expected_nodes = [node.sort_key for node in nodes]
     found = []
-    for name, arg in (("IndexRange", rng), ("cut", compiled)):
+    joining = [node.sort_key for node in tree.iter_nodes()
+               if edge.matches(target, node.key, edge_key)]
+    if joining != expected_nodes:
+        found.append(("matches", joining, expected_nodes))
+    for name, arg in (("cut_points", cut_points(*ref)), ("cut", cut(vkey))):
         got = [node.sort_key for node in tree.iter_nodes(arg)]
         if got != expected_nodes:
             found.append((name, "iter_nodes", got, expected_nodes))
@@ -155,14 +178,16 @@ source_values = st.one_of(
 def test_compiled_cut_matches_index_range(shape, coeff, constant, num_eq,
                                           padded, towards_t, eq_value,
                                           value, seed):
+    """The compiled cut selects the index range the predicate's bounds
+    describe, and exactly the keys the predicate joins."""
     edge = make_edge(shape, coeff, constant, num_eq)
     target = "t" if towards_t else "s"
     key_pos = vertex_layout(num_eq, padded)
     vkey = vertex_key(padded, num_eq, eq_value, value)
     edge_key = tuple(vkey[i] for i in key_pos)
     with small_blocks():
-        tree = build_tree(edge_key, edge.range_fn(target)(edge_key), num_eq,
-                          random.Random(seed))
+        tree = build_tree(edge_key, reference(edge, target, edge_key),
+                          num_eq, random.Random(seed))
         assert mismatches(edge, target, key_pos, vkey, tree,
                           edge.cut_fn(target, key_pos)) == []
         tree.check_invariants()
@@ -207,8 +232,8 @@ def _caught(compile_cut):
         vkey = vertex_key(True, 1, eq_value, value)
         edge_key = tuple(vkey[i] for i in key_pos)
         with small_blocks():
-            tree = build_tree(edge_key, edge.range_fn(target)(edge_key), 1,
-                              random.Random(seed))
+            tree = build_tree(edge_key, reference(edge, target, edge_key),
+                              1, random.Random(seed))
             if mismatches(edge, target, key_pos, vkey, tree,
                           compile_cut(edge, target, key_pos)):
                 return True

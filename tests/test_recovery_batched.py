@@ -11,7 +11,8 @@ the WAL tail into batches of ``REPLAY_BATCH_OPS`` ops.  Checked here:
   FK-collapsed QY and on a band join, and the restored manager keeps
   drawing the same stream; a follower bootstrapped from the same
   snapshot agrees with the leader;
-* ``load_state`` never calls ``insert_tuple``, and recovery makes at
+* ``load_state`` never calls ``insert_tuples`` (it loads each node
+  through ``_insert_batch``, with no view placements), and recovery makes at
   most ``ceil(ops / cap)`` + one per other record + one per failing
   record ``apply_batch`` calls;
 * tails that are longer than the cap, made of one-op records, that
@@ -192,7 +193,7 @@ def test_load_state_never_inserts_tuple_by_tuple(monkeypatch):
     def refuse(*args):
         raise AssertionError("a restore must not insert tuple by tuple")
 
-    monkeypatch.setattr(WeightedJoinGraph, "insert_tuple", refuse)
+    monkeypatch.setattr(WeightedJoinGraph, "insert_tuples", refuse)
     restored = restore_manager(restore_database(database), state)
     assert fingerprint(restored) == fingerprint(live)
 

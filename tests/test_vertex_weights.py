@@ -23,7 +23,7 @@ from repro import (BandPredicate, ComparisonOp, Database, JoinPredicate,
 from repro.graph.join_graph import WeightedJoinGraph
 from repro.query.planner import plan_query
 
-from conftest import make_tables, random_query, random_row
+from conftest import delete_one, make_tables, random_query, random_row
 
 #: tuple weights of a weighted graph: products overflow int64 at once
 WEIGHTS = (1, 3, 2 ** 63 + 5, 2 ** 64 - 1)
@@ -136,19 +136,17 @@ def test_compiled_weights_match_loop_form_equation_1(
         if roll < 0.55 or not live[node_idx]:
             rows = [random_row(rng, width[node_idx], 4)
                     for _ in range(rng.choice((1, 1, 2, 4)))]
-            if len(rows) == 1:      # the row-taking helper
-                graph.insert_tuple(node_idx, next_tid, rows[0])
-            else:
-                graph.insert_tuples(node_idx, [
-                    (next_tid + i, key_of(node_idx, row),
-                     graph.weight_of(node_idx, row) if weighted else None)
-                    for i, row in enumerate(rows)])
+            graph.insert_tuples(node_idx, [
+                (next_tid + i, key_of(node_idx, row),
+                 graph.weight_of(node_idx, row) if weighted else None)
+                for i, row in enumerate(rows)])
             for row in rows:
                 live[node_idx].append((next_tid, row))
                 next_tid += 1
         elif roll < 0.8:
             tid, row = live[node_idx].pop(rng.randrange(len(live[node_idx])))
-            graph.delete_tuple(node_idx, tid, row)
+            assert delete_one(graph, node_idx, tid,
+                              key_of(node_idx, row)) is not None
         else:
             run = graph.delete_run(node_idx)
             for _ in range(min(len(live[node_idx]), rng.randrange(1, 4))):
