@@ -140,7 +140,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "15.0.0"
+__version__ = "15.1.0"
 
 __all__ = [
     # catalog

@@ -72,18 +72,21 @@ class Estimate:
 
 
 def estimate_count(samples: Sequence[object], total: int,
-                   predicate: Callable[[object], bool]) -> Estimate:
+                   predicate: Optional[Callable[[object], bool]] = None
+                   ) -> Estimate:
     """Estimate ``COUNT(*) WHERE predicate`` over ``total`` join results.
 
-    ``total == 0`` (an exactly-empty join) returns ``Estimate(0, 0)``;
-    an empty sample of a non-empty join returns ``Estimate(0, inf)``.
+    Without a ``predicate`` a sample counts when it is truthy (a
+    precomputed hit mask).  ``total == 0`` (an exactly-empty join)
+    returns ``Estimate(0, 0)``; an empty sample of a non-empty join
+    returns ``Estimate(0, inf)``.
     """
     if total == 0:
         return Estimate(0.0, 0.0)
     n = len(samples)
     if n == 0:
         return Estimate(0.0, float("inf"))
-    hits = sum(1 for s in samples if predicate(s))
+    hits = len(list(filter(predicate, samples)))
     p = hits / n
     stderr = total * math.sqrt(max(p * (1 - p), 0.0) / n)
     return Estimate(total * p, stderr)

@@ -150,8 +150,26 @@ class QueryAudit:
         self.audited = 0            # estimates actually scored
         self.coverage_flagged = False
         self.flag_count = 0
+        #: :meth:`tally` as of the last :meth:`append`
+        self.last_tally = Tally(0, 0, 0.0)
 
     # -- scoring --------------------------------------------------------
+    def append(self, record: AuditRecord) -> Tally:
+        """Put ``record`` in the ring and return the ring's tally.
+
+        The tally changes only when a scored record enters the ring or
+        is evicted from it; only then is the ring walked again (the
+        same walk as :meth:`tally`, so the sums are bit-identical), and
+        an unscored estimate costs O(1) here.
+        """
+        ring = self.ring
+        evicted = ring[0] if len(ring) == ring.maxlen else None
+        ring.append(record)
+        if record.covered is not None or (
+                evicted is not None and evicted.covered is not None):
+            self.last_tally = self.tally()
+        return self.last_tally
+
     def tally(self) -> Tally:
         """One pass over the ring: everything the flag, the gauges and
         :meth:`status` derive from the retained scored records."""
@@ -259,10 +277,10 @@ class AccuracyAuditor:
             latency_ns=latency_ns, truth=truth,
             relative_error=relative_error, covered=covered,
         )
-        audit.ring.append(record)
-        # one pass of the ring per estimate, shared by the flag, the
-        # gauges and the drift event
-        tally = audit.tally()
+        # the flag, the gauges and the drift event share one tally,
+        # which walks the ring only when a scored record enters or
+        # leaves it
+        tally = audit.append(record)
         transition = audit.update_flag(tally)
         self._publish(name, audit, record, tally.coverage)
         if transition and self.events.enabled:

@@ -19,10 +19,14 @@ entered the synopsis (:mod:`repro.core.entries`; TIDs are never reused
 and row payloads are immutable, so a possibly-stale view still answers
 from the rows it was published with, even if they were deleted since).
 The request is checked against the schemas and compiled once into
-``(table index, column index, comparison, value)`` terms, then
-evaluated a column at a time: one mask, one value column and one key
-column per request.  :mod:`repro.analytics.estimators` does the
-arithmetic, fed those precomputed lists.
+``(evaluate, table index, column index, value)`` terms, then evaluated
+a column at a time: one mask, one value column and one key column per
+request.  Each term is one list comprehension that indexes a sample's
+row and compares it in the same pass, picked by comparison from a
+fixed table (a NULL-able column adds the SQL ``is not None`` test), and
+a hit count is one builtin — no Python call runs per sample.
+:mod:`repro.analytics.estimators` does the arithmetic, fed those
+precomputed lists.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analytics import (
@@ -60,9 +64,21 @@ _OPS: Dict[str, Callable[[object, object], bool]] = {
     ">=": operator.ge,
 }
 
-#: a compiled ``where`` condition: table index, column index,
-#: comparison, literal, and whether the column may hold NULLs
-Term = Tuple[int, int, Callable[[object, object], bool], object, bool]
+#: one pass per comparison over a NOT NULL column: index each sample's
+#: row and compare it in one comprehension, with no call per sample
+_FUSED: Dict[Callable[[object, object], bool], Callable] = {
+    operator.eq: lambda rows, t, c, v: [s[t][c] == v for s in rows],
+    operator.ne: lambda rows, t, c, v: [s[t][c] != v for s in rows],
+    operator.lt: lambda rows, t, c, v: [s[t][c] < v for s in rows],
+    operator.le: lambda rows, t, c, v: [s[t][c] <= v for s in rows],
+    operator.gt: lambda rows, t, c, v: [s[t][c] > v for s in rows],
+    operator.ge: lambda rows, t, c, v: [s[t][c] >= v for s in rows],
+}
+
+#: a compiled ``where`` condition: its evaluator (rows, table index,
+#: column index, literal -> one bool per sample), then those three
+Term = Tuple[Callable[[Sequence[HeapRows], int, int, object], List[bool]],
+             int, int, object]
 
 
 @dataclass(frozen=True)
@@ -140,7 +156,15 @@ def compile_where(query: JoinQuery, db, where) -> List[Term]:
             raise InvalidArgumentError(
                 f"cannot compare {ref} ({column.dtype.value}) with "
                 f"{value!r}")
-        terms.append((t_idx, c_idx, _OPS[op], value, column.nullable))
+        if isinstance(value, float) and math.isnan(value):
+            # every comparison with NaN is False (!= is True): the
+            # answer would be 0 or J with a zero-width interval
+            raise InvalidArgumentError(
+                f"cannot compare {ref} with NaN")
+        compare = _OPS[op]
+        evaluate = (_nullable(compare) if column.nullable
+                    else _FUSED[compare])
+        terms.append((evaluate, t_idx, c_idx, value))
     return terms
 
 
@@ -151,18 +175,24 @@ def _column(rows: Sequence[HeapRows], t_idx: int, c_idx: int) -> list:
     return [sample[t_idx][c_idx] for sample in rows]
 
 
+def _nullable(compare: Callable[[object, object], bool]) -> Callable:
+    """The evaluator of ``compare`` over a NULL-able column (SQL: a NULL
+    satisfies no condition)."""
+    def evaluate(rows, t_idx, c_idx, value):
+        return [held is not None and compare(held, value)
+                for held in _column(rows, t_idx, c_idx)]
+    return evaluate
+
+
 def _mask(rows: Sequence[HeapRows], terms: Sequence[Term]) -> List[bool]:
-    """Per sample, whether it satisfies every term (SQL: a NULL
-    satisfies none)."""
-    mask = [True] * len(rows)
-    for number, (t_idx, c_idx, compare, value, nullable) in enumerate(terms):
-        column = _column(rows, t_idx, c_idx)
-        if nullable:
-            hits = [held is not None and compare(held, value)
-                    for held in column]
-        else:
-            hits = list(map(compare, column, repeat(value)))
-        mask = hits if number == 0 else list(map(operator.and_, mask, hits))
+    """Per sample, whether it satisfies every term."""
+    if not terms:
+        return [True] * len(rows)
+    (evaluate, t_idx, c_idx, value), *rest = terms
+    mask = evaluate(rows, t_idx, c_idx, value)
+    for evaluate, t_idx, c_idx, value in rest:
+        mask = list(map(operator.and_, mask,
+                        evaluate(rows, t_idx, c_idx, value)))
     return mask
 
 
@@ -192,7 +222,7 @@ def _aggregate(family: str, total: int, agg: str, hits: List[bool],
     aggregated column where it does and 0.0 elsewhere."""
     if agg == "count":
         if family == "uniform":
-            return estimate_count(hits, total, operator.truth)
+            return estimate_count(hits, total)
         return _family_sum(family, total, hits, scale)
     if agg == "avg" and family == "uniform":
         return estimate_avg(list(compress(values, hits)), _as_is)

@@ -7,6 +7,7 @@ estimator semantics pinned by docs/sql.md.
 """
 
 import math
+import operator
 
 import pytest
 
@@ -363,6 +364,26 @@ class TestRequestErrors:
             q.estimate("count", where=[
                 {"column": ref, "op": "=", "value": 1}])
 
+    @pytest.mark.parametrize("ref", ["t.qty", "t.k", "t.price"])
+    @pytest.mark.parametrize("op", ["<=", "!=", "="])
+    def test_nan_literal_is_refused(self, rows, ref, op):
+        # every comparison with NaN is False (!= is True): answering
+        # would claim 0 or J exactly, with a zero-width interval
+        with pytest.raises(InvalidArgumentError, match="NaN") as err:
+            typed_registry(rows).estimate("count", where=[
+                {"column": ref, "op": op, "value": float("nan")}])
+        assert ref in str(err.value)
+
+    def test_infinite_literals_answer(self, rows):
+        q = typed_registry(rows)
+        inf = float("inf")
+        for ref, op, value in (("t.price", "<=", inf), ("t.k", ">", -inf),
+                               ("t.k", "<", -inf)):
+            payload = q.estimate("count", where=[
+                {"column": ref, "op": op, "value": value}])
+            assert payload["sample_size"] == rows
+            assert payload["value"] == (0 if op == "<" else rows)
+
     def test_well_typed_requests_answer(self, rows):
         q = typed_registry(rows)
         for where in ([{"column": "t.price", "op": "<", "value": 3}],
@@ -387,6 +408,18 @@ class TestNulls:
             {"column": "t.qty", "op": op, "value": 4}])["value"]
             for op in ("<", "=", "!=", ">=")}
         assert count == {"<": 2, "=": 1, "!=": 7, ">=": 6}
+
+    @pytest.mark.parametrize("op", ["=", "==", "!=", "<>", "<", "<=",
+                                    ">", ">="])
+    def test_every_operator_over_a_nullable_column(self, op):
+        compare = {"=": operator.eq, "==": operator.eq, "!=": operator.ne,
+                   "<>": operator.ne, "<": operator.lt, "<=": operator.le,
+                   ">": operator.gt, ">=": operator.ge}[op]
+        # the synopsis holds all 12 results, so COUNT is exact
+        payload = typed_registry(12).estimate("count", where=[
+            {"column": "t.qty", "op": op, "value": 5}])
+        assert payload["value"] == sum(
+            compare(k, 5) for k in range(12) if k % 3)
 
     def test_nulls_are_left_out_of_sum_and_avg(self):
         q = typed_registry(12)

@@ -9,6 +9,7 @@ payload, the coverage gauge, the event log, and ``GET
 """
 
 import json
+import random
 import urllib.request
 
 import pytest
@@ -24,6 +25,7 @@ from repro import (
     TableSchema,
 )
 from repro.aqp import AccuracyAuditor, AuditConfig
+from repro.aqp.audit import Tally
 from repro.aqp.registry import RegisteredQuery
 from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
@@ -158,6 +160,41 @@ class TestAuditorMechanics:
         assert len(drift) == 1  # rising edge only, not every estimate
         assert drift[0].fields["query"] == "q"
         assert auditor.query_audit("q").flag_count == 1
+
+    def test_unscored_estimates_evicting_misses_drop_the_flag(self):
+        auditor = AccuracyAuditor(
+            config=AuditConfig(capacity=5, min_events=1))
+        audit = auditor.query_audit("q")
+        for _ in range(5):
+            auditor.observe("q", payload_for(10.0, covered=False),
+                            latency_ns=1, truth=10.0)
+        assert audit.coverage_flagged is True
+        # unscored estimates (filtered, say) push the misses out one by
+        # one; the flag must follow the ring, not the last scored call
+        for left in (4, 3, 2, 1):
+            auditor.observe("q", payload_for(10.0, covered=True),
+                            latency_ns=1)
+            assert audit.last_tally.scored == left
+            assert audit.coverage_flagged is True
+        auditor.observe("q", payload_for(10.0, covered=True),
+                        latency_ns=1)
+        assert audit.last_tally == Tally(0, 0, 0.0) == audit.tally()
+        assert audit.coverage_flagged is False
+        assert auditor.payload("q")["coverage_flagged"] is False
+
+    def test_kept_tally_equals_a_walk_of_the_ring(self):
+        rng = random.Random(38)
+        auditor = AccuracyAuditor(config=AuditConfig(capacity=7))
+        audit = auditor.query_audit("q")
+        for _ in range(400):
+            payload = payload_for(
+                10.0, covered=rng.random() < 0.8,
+                confidence=rng.choice((0.8, 0.9, 0.95, 0.99)))
+            if rng.random() < 0.1:
+                payload["ci"] = None        # truth, but no verdict
+            auditor.observe("q", payload, latency_ns=1,
+                            truth=10.0 if rng.random() < 0.4 else None)
+            assert audit.last_tally == audit.tally()
 
     def test_labeled_metric_children_per_query(self):
         obs = MetricsRegistry()

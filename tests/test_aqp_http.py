@@ -307,6 +307,21 @@ class TestErrorMapping:
             assert err.code == 400
             assert named in payload["error"]
 
+    @pytest.mark.parametrize("op", ["<=", "!="])
+    def test_nan_literal_is_400(self, leader, op):
+        """``json.loads`` takes a bare ``NaN`` token; the estimate must
+        refuse it, not answer 0 or J with a zero-width interval."""
+        db, pm, service, base, _ = leader
+        body = ('{"agg": "count", "where": [{"column": "fact.val", '
+                f'"op": "{op}", "value": NaN}}]}}').encode("utf-8")
+        req = urllib.request.Request(
+            base + "/query/stars0/estimate", data=body,
+            headers={"Content-Type": "application/json"})
+        err, payload = http_error(
+            lambda: urllib.request.urlopen(req, timeout=30))
+        assert err.code == 400
+        assert "NaN" in payload["error"]
+
 
 class TestCLI:
     def test_query_subcommand_round_trip(self, leader, capsys):

@@ -55,8 +55,17 @@ from test_view_publication import (
     stream,
 )
 
+def every_spelling(column):
+    """A filtered COUNT per spelling of a comparison, over a column of a
+    three-value domain (1..3), so every compiled evaluator meets the
+    reference's own ``operator`` closure."""
+    return [dict(agg="count", where=[
+        {"column": column, "op": op, "value": 2}])
+        for op in ("=", "==", "!=", "<>", "<", "<=", ">", ">=")]
+
+
 #: {COUNT, filtered COUNT, SUM, AVG, filtered GROUP BY SUM, GROUP BY
-#: COUNT} per workload
+#: COUNT} per workload, then a filtered COUNT per comparison spelling
 REQUESTS = {
     FkWorkload: [
         dict(agg="count"),
@@ -69,6 +78,7 @@ REQUESTS = {
         dict(agg="sum", column="fact.val", group_by="dim.band", where=[
             {"column": "other.z", "op": ">=", "value": 20}]),
         dict(agg="count", group_by="fact.f_dim", confidence=0.8),
+        *every_spelling("fact.w"),
     ],
     BandWorkload: [
         dict(agg="count"),
@@ -80,6 +90,7 @@ REQUESTS = {
         dict(agg="sum", column="lane3.pos", group_by="lane1.ts", where=[
             {"column": "lane2.pos", "op": ">", "value": 5}]),
         dict(agg="count", group_by="lane2.w", confidence=0.8),
+        *every_spelling("lane1.w"),
     ],
 }
 
@@ -87,8 +98,9 @@ REQUESTS = {
 # ----------------------------------------------------------------------
 # the reference: re-resolve every TID, one closure call per sample
 # ----------------------------------------------------------------------
-_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
-        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_OPS = {"=": operator.eq, "==": operator.eq, "!=": operator.ne,
+        "<>": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
 
 
 def _accessor(query, db, ref):
