@@ -1,9 +1,9 @@
 """Smoke: a tiny instrumented run exports non-zero metrics end to end.
 
-Not a figure reproduction — a wiring check that rides the benchmark
-harness: build an engine with a live :class:`~repro.obs.MetricsRegistry`,
-stream a tiny TPC-DS-like workload, and assert the phase histograms and
-work counters came out non-zero and survive a JSON export round trip.
+Not a figure reproduction — a wiring check: build an engine with a live
+:class:`~repro.obs.MetricsRegistry`, stream a tiny TPC-DS-like workload
+through it, and assert the phase histograms and work counters came out
+non-zero.
 
 The module also owns the observability overhead contract: a Fig-11-style
 batched insertion run (the batch-first hot path, ``OVERHEAD_BATCH``-op
@@ -35,9 +35,8 @@ import json
 import os
 import time
 
-from conftest import FIG_SCALE, build_maintainer, run_workload
-
-from repro.bench.export import read_metrics_json, write_metrics_json
+from paper import FIG_SCALE
+from repro.core import JoinSynopsisMaintainer, MaintainerConfig, SynopsisSpec
 from repro.datagen.tpcds import TpcdsScale, setup_query
 from repro.datagen.workload import StreamPlayer
 from repro.obs import EventLog
@@ -58,13 +57,26 @@ OVERHEAD_LIMIT = 1.05
 OVERHEAD_BATCH = 64
 
 
-def test_metrics_smoke_export(tmp_path):
+def build_maintainer(setup, obs=None) -> JoinSynopsisMaintainer:
+    """A SJoin-opt maintainer over a setup's database (the paper's
+    default synopsis: fixed size 500)."""
+    return JoinSynopsisMaintainer(setup.db, setup.sql, MaintainerConfig(
+        spec=SynopsisSpec.fixed_size(500), engine="sjoin-opt", seed=17,
+        obs=obs))
+
+
+def played(obs=None) -> JoinSynopsisMaintainer:
+    """The tiny QY workload, preload and stream, through a maintainer."""
     setup = setup_query("QY", SMOKE_SCALE, seed=3)
-    obs = MetricsRegistry()
-    run = run_workload(setup, "sjoin-opt", time_budget=30.0,
-                       checkpoint_every=50, obs=obs)
-    assert run.operations > 0
-    metrics = run.metrics
+    maintainer = build_maintainer(setup, obs)
+    player = StreamPlayer(maintainer)
+    player.run(setup.preload)
+    assert player.run(setup.stream) > 0
+    return maintainer
+
+
+def test_metrics_smoke_export():
+    metrics = played(MetricsRegistry()).engine.metrics_snapshot()
     assert metrics, "instrumented run exported no metrics"
     # per-phase insert latency: delta propagation vs sampling
     assert metrics[metric_names.INSERT_GRAPH_NS]["count"] > 0
@@ -74,20 +86,9 @@ def test_metrics_smoke_export(tmp_path):
     assert metrics[metric_names.SYNOPSIS_ACCEPTS]["value"] > 0
     assert metrics[metric_names.TOTAL_RESULTS]["value"] > 0
 
-    path = tmp_path / "metrics.json"
-    assert write_metrics_json(str(path), [run]) == 1
-    (loaded,) = read_metrics_json(str(path))
-    assert loaded["engine"] == "sjoin-opt"
-    assert loaded["metrics"][metric_names.INSERT_GRAPH_NS]["count"] == \
-        metrics[metric_names.INSERT_GRAPH_NS]["count"]
-
 
 def test_disabled_metrics_export_empty():
-    setup = setup_query("QY", SMOKE_SCALE, seed=3)
-    run = run_workload(setup, "sjoin-opt", time_budget=30.0,
-                       checkpoint_every=50)
-    assert run.operations > 0
-    assert run.metrics == {}
+    assert played().engine.metrics_snapshot() == {}
 
 
 def _insert_run(engine, items):
@@ -128,7 +129,7 @@ def _build_cell(obs):
     the preload goes through a maintainer, the timed stream straight
     into its engine."""
     setup = setup_query("QY", FIG_SCALE, seed=3)
-    maintainer = build_maintainer(setup, "sjoin-opt", seed=17, obs=obs)
+    maintainer = build_maintainer(setup, obs)
     StreamPlayer(maintainer).run(setup.preload)
     return maintainer.engine, [(event.alias, event.row)
                                for event in setup.stream]

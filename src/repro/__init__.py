@@ -4,8 +4,8 @@ A faithful, pure-Python reproduction of Zhao, Li & Liu, SIGMOD 2020: an
 in-memory engine that maintains a random sample (*join synopsis*) of a
 pre-specified general θ-join under continuous insertions and deletions,
 via the weighted join graph index, plus the SJ baseline, data
-generators, durability (:mod:`repro.persist`), a concurrent serving
-layer (:mod:`repro.service`), and a benchmark harness reproducing the
+generators, durability (:mod:`repro.persist`) and a concurrent serving
+layer (:mod:`repro.service`); ``benchmarks/paper.py`` re-measures the
 paper's evaluation.  Three synopsis *families* share the seam: the
 paper's uniform kinds, weight-proportional kinds driven by a per-tuple
 weight column, and a Poisson/subset kind with exact per-result
@@ -140,7 +140,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "15.1.0"
+__version__ = "16.0.0"
 
 __all__ = [
     # catalog

@@ -1,34 +1,14 @@
-"""Benchmark harness: throughput measurement, memory accounting, reports.
+"""Structure-memory accounting for Table 2.
 
-Reproduces the measurement protocol of §7.1: *instant* throughput sampled
-at checkpoints along the update stream (the paper averages over a 5-second
-window around each checkpoint; we average over the events between
-checkpoints, which is the same estimator at our scale), synopsis requests
-simulated at fixed intervals, a wall-clock budget standing in for the
-paper's 6-hour cap, and peak structure-memory accounting for Table 2.
+The paper's §7 figures are re-measured by ``benchmarks/paper.py``, which
+writes one seeded record; this package keeps what that record reads
+from the library: the deep size of an engine's structures, the
+stand-in for the paper's peak RSS (see :mod:`repro.bench.memory`).
 """
 
-from repro.bench.export import (
-    read_metrics_json,
-    write_metrics_json,
-    write_series_csv,
-    write_summary_csv,
-)
-from repro.bench.harness import BenchRun, Checkpoint, run_stream
 from repro.bench.memory import deep_size_bytes, engine_memory_bytes
-from repro.bench.reporting import format_ratio, format_series, format_table
 
 __all__ = [
-    "BenchRun",
-    "Checkpoint",
-    "run_stream",
-    "write_series_csv",
-    "write_summary_csv",
-    "write_metrics_json",
-    "read_metrics_json",
     "deep_size_bytes",
     "engine_memory_bytes",
-    "format_table",
-    "format_series",
-    "format_ratio",
 ]

@@ -2,17 +2,15 @@
 
 Usage::
 
-    python -m repro.cli tpcds --query QY --algorithm sjoin-opt \
-        --synopsis fixed:500 --scale small
-    python -m repro.cli linear-road --d 100 --algorithm sj --budget 30
-    python -m repro.cli compare --query QY --budget 20
     python -m repro.cli stats --query QY --scale tiny --json
+    python -m repro.cli stats --workload linear-road --d 100 --explain
 
-``tpcds`` / ``linear-road`` run one engine over one workload and print
-the throughput series; ``compare`` runs all three algorithms on the same
-workload and prints the paper-style ratio table; ``stats`` runs one
-workload with observability enabled and dumps the metrics snapshot
-(pretty-printed, or JSON with ``--json``).
+``stats`` runs one workload — a TPC-DS-like query (``--deletions``
+weaves in the §7.3 pattern) or the QB band join — through one engine
+with observability enabled and dumps the metrics snapshot
+(pretty-printed, or JSON with ``--json``); ``--budget`` caps the
+stream's wall-clock time.  The paper's figures are re-measured by
+``benchmarks/paper.py``, not here.
 
 ``checkpoint`` runs a TPC-DS workload under WAL durability and leaves a
 recoverable state directory behind; ``restore`` recovers such a
@@ -34,7 +32,7 @@ the same synopsis::
     python -m repro.cli serve --query QY --scale tiny --port 8080
     python -m repro.cli serve --dir /tmp/qy --port 8080   # durable
 
-``metrics`` runs one workload with observability enabled and prints the
+``metrics`` runs one workload like ``stats`` and prints the
 Prometheus/OpenMetrics text exposition (the same body ``GET /metrics``
 serves); ``top`` polls a running ``serve`` endpoint and renders a live
 health/quality view::
@@ -75,14 +73,12 @@ import json
 import sys
 from typing import Optional, Tuple
 
-from repro.bench.harness import run_stream
-from repro.bench.reporting import format_series, format_table
 from repro.core import (JoinSynopsisMaintainer, MaintainerConfig,
                         SynopsisManager, SynopsisSpec)
 from repro.datagen.linear_road import LinearRoadConfig, setup_qb
 from repro.datagen.tpcds import TpcdsScale, setup_query
-from repro.datagen.workload import Insert, StreamPlayer, \
-    interleave_deletions
+from repro.datagen.workload import (Insert, StreamPlayer, count_operations,
+                                    interleave_deletions)
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 
@@ -148,75 +144,66 @@ def parse_scale(text: str) -> TpcdsScale:
     return presets[text]()
 
 
-def _play(args, setup, preload, events, algorithm, obs):
-    """One maintainer over ``setup`` (its plan printed first under
-    ``--explain``), ``preload`` applied untimed, ``events`` through
-    :func:`run_stream`; returns the BenchRun."""
+def run_workload(args) -> Tuple[dict, int]:
+    """Run the workload ``args`` describe through one maintainer with a
+    metrics registry attached (its plan printed first under
+    ``--explain``): the preload untimed, then the stream through
+    :class:`StreamPlayer` until it ends or ``--budget`` seconds pass.
+    Returns the ``stats --json`` record and the stream's op count."""
+    import time
+
+    if args.workload == "tpcds":
+        setup = setup_query(args.query, parse_scale(args.scale),
+                            seed=args.seed)
+        preload, events = setup.preload, setup.stream
+        if args.deletions:
+            events = interleave_deletions(
+                [e for e in events if isinstance(e, Insert)],
+                delete_every={"ss": 300, "c2": 50},
+                delete_count={"ss": 60, "c2": 10},
+            )
+    else:
+        setup = setup_qb(args.d, LinearRoadConfig(
+            cars_per_lane=args.cars, ticks=args.ticks), seed=args.seed)
+        preload, events = [], setup.events
     maintainer = JoinSynopsisMaintainer(setup.db, setup.sql, MaintainerConfig(
-        spec=parse_synopsis(args.synopsis), engine=algorithm,
-        seed=args.seed, obs=obs))
+        spec=parse_synopsis(args.synopsis), engine=args.algorithm,
+        seed=args.seed, obs=MetricsRegistry()))
     if args.explain:
         from repro.query.explain import explain_plan
         print(explain_plan(maintainer.engine.plan))
         print()
-    StreamPlayer(maintainer).run(preload)
-    return run_stream(maintainer, events,
-                      workload=f"{setup.name}/{algorithm}",
-                      checkpoint_every=args.checkpoint,
-                      time_budget=args.budget)
+    player = StreamPlayer(maintainer)
+    player.run(preload)
+    operations, aborted = 0, False
+    started = time.perf_counter()
+    for event in events:
+        if (args.budget is not None
+                and time.perf_counter() - started > args.budget):
+            aborted = True
+            break
+        operations += player.apply(event)
+    return {
+        "engine": args.algorithm,
+        "workload": f"{setup.name}/{args.algorithm}",
+        "operations": operations,
+        "elapsed_sec": time.perf_counter() - started,
+        "aborted": aborted,
+        "metrics": maintainer.engine.metrics_snapshot(),
+    }, count_operations(events)
 
 
-def run_tpcds(args, algorithm: Optional[str] = None, obs=None):
-    """Run one TPC-DS-like workload (QX/QY/QZ) and return the BenchRun."""
-    setup = setup_query(args.query, parse_scale(args.scale), seed=args.seed)
-    events = setup.stream
-    if args.deletions:
-        inserts = [e for e in events if isinstance(e, Insert)]
-        events = interleave_deletions(
-            inserts, delete_every={"ss": 300, "c2": 50},
-            delete_count={"ss": 60, "c2": 10},
-        )
-    return _play(args, setup, setup.preload, events,
-                 algorithm or args.algorithm, obs)
-
-
-def run_linear_road(args, algorithm: Optional[str] = None, obs=None):
-    """Run the QB band-join workload and return the BenchRun."""
-    config = LinearRoadConfig(cars_per_lane=args.cars, ticks=args.ticks)
-    setup = setup_qb(args.d, config, seed=args.seed)
-    return _play(args, setup, [], setup.events,
-                 algorithm or args.algorithm, obs)
-
-
-def _run_workload(args, algorithm: Optional[str] = None, obs=None):
-    """:func:`run_tpcds` or :func:`run_linear_road`, as
-    ``--workload`` picks."""
-    run = run_tpcds if args.workload == "tpcds" else run_linear_road
-    return run(args, algorithm, obs)
-
-
-def print_run(run) -> None:
-    """Print a run's throughput series and one-line summary."""
-    print(format_series(
-        run.workload + (" (aborted at budget)" if run.aborted else ""),
-        [100 * cp.progress for cp in run.checkpoints],
-        [cp.instant_throughput for cp in run.checkpoints],
-    ))
-    print()
-    print(run.summary())
-
-
-def cmd_compare(args) -> None:
-    """Run all three algorithms on one workload; print the ratio table."""
-    rows = []
-    for algorithm in ("sjoin-opt", "sjoin", "sj"):
-        run = _run_workload(args, algorithm)
-        tput = run.operations / max(run.elapsed, 1e-9)
-        rows.append((algorithm, f"{tput:.1f}",
-                     f"{100 * run.progress:.1f}%",
-                     "aborted" if run.aborted else "done"))
-    print(format_table(("algorithm", "ops/s", "progress", "status"), rows,
-                       title="algorithm comparison"))
+def summary(run: dict, planned: int) -> str:
+    """One line: engine, workload, ops, seconds, ops/s, progress."""
+    elapsed = run["elapsed_sec"]
+    rate = run["operations"] / elapsed if elapsed > 0 else float("inf")
+    progress = run["operations"] / planned if planned else 1.0
+    return (
+        f"{run['engine']:>10} | {run['workload']:<14} | "
+        f"{run['operations']:>8} ops in {elapsed:7.2f}s | "
+        f"{rate:>9.1f} ops/s | {100 * progress:5.1f}% | "
+        + ("ABORTED" if run["aborted"] else "done")
+    )
 
 
 def format_metrics(metrics: dict) -> str:
@@ -237,31 +224,20 @@ def format_metrics(metrics: dict) -> str:
 
 def cmd_stats(args) -> None:
     """Run one workload with observability on; dump the metrics snapshot."""
-    run = _run_workload(args, obs=MetricsRegistry())
+    run, planned = run_workload(args)
     if args.json:
-        print(json.dumps(
-            {
-                "engine": run.engine,
-                "workload": run.workload,
-                "operations": run.operations,
-                "elapsed_sec": run.elapsed,
-                "aborted": run.aborted,
-                "metrics": run.metrics,
-            },
-            indent=2, sort_keys=True,
-        ))
+        print(json.dumps(run, indent=2, sort_keys=True))
     else:
-        print(run.summary())
+        print(summary(run, planned))
         print()
-        print(format_metrics(run.metrics))
+        print(format_metrics(run["metrics"]))
 
 
 def cmd_metrics(args) -> None:
     """Run one workload with metrics on; print the text exposition."""
     from repro.obs.expo import render_exposition
 
-    run = _run_workload(args, obs=MetricsRegistry())
-    print(render_exposition(run.metrics), end="")
+    print(render_exposition(run_workload(args)[0]["metrics"]), end="")
 
 
 def format_top(health: dict, stats: Optional[dict] = None) -> str:
@@ -697,14 +673,6 @@ def make_parser() -> argparse.ArgumentParser:
                             "subset:P[@a.w]")
         p.add_argument("--seed", type=int, default=0)
 
-    def common(p):
-        engine_options(p)
-        p.add_argument("--budget", type=float, default=None,
-                       help="wall-clock cap in seconds")
-        p.add_argument("--checkpoint", type=int, default=1000)
-        p.add_argument("--explain", action="store_true",
-                       help="print the query plan before running")
-
     def tpcds_options(p, scale):
         p.add_argument("--query", default="QY",
                        choices=["QX", "QY", "QZ"])
@@ -712,30 +680,20 @@ def make_parser() -> argparse.ArgumentParser:
                        choices=["tiny", "small", "bench"])
 
     def either_workload(p, scale):
-        common(p)
+        engine_options(p)
+        p.add_argument("--budget", type=float, default=None,
+                       help="wall-clock cap in seconds")
+        p.add_argument("--explain", action="store_true",
+                       help="print the query plan before running")
         p.add_argument("--workload", default="tpcds",
                        choices=["tpcds", "linear-road"])
         tpcds_options(p, scale)
-        p.add_argument("--deletions", action="store_true")
-        p.add_argument("--d", type=int, default=100)
+        p.add_argument("--deletions", action="store_true",
+                       help="interleave the §7.3 deletion pattern")
+        p.add_argument("--d", type=int, default=100,
+                       help="QB band width")
         p.add_argument("--cars", type=int, default=60)
         p.add_argument("--ticks", type=int, default=10)
-
-    tpcds = sub.add_parser("tpcds", help="run QX/QY/QZ")
-    common(tpcds)
-    tpcds_options(tpcds, "small")
-    tpcds.add_argument("--deletions", action="store_true",
-                       help="interleave the §7.3 deletion pattern")
-
-    road = sub.add_parser("linear-road", help="run the QB band join")
-    common(road)
-    road.add_argument("--d", type=int, default=100, help="band width")
-    road.add_argument("--cars", type=int, default=60)
-    road.add_argument("--ticks", type=int, default=10)
-
-    compare = sub.add_parser("compare",
-                             help="run all algorithms on one workload")
-    either_workload(compare, "small")
 
     stats = sub.add_parser(
         "stats", help="run one workload with metrics on; dump the snapshot")
@@ -910,11 +868,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = make_parser().parse_args(argv)
-    if args.command == "tpcds":
-        print_run(run_tpcds(args))
-    elif args.command == "linear-road":
-        print_run(run_linear_road(args))
-    elif args.command == "stats":
+    if args.command == "stats":
         cmd_stats(args)
     elif args.command == "metrics":
         cmd_metrics(args)
@@ -932,10 +886,8 @@ def main(argv=None) -> int:
         cmd_events(args)
     elif args.command == "lag":
         cmd_lag(args)
-    elif args.command == "ship":
-        cmd_ship(args)
     else:
-        cmd_compare(args)
+        cmd_ship(args)
     return 0
 
 

@@ -28,6 +28,7 @@ lost*, not exactly-once for unacknowledged calls.
 from __future__ import annotations
 
 import os
+import reprlib
 import time
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -60,8 +61,12 @@ from repro.persist.wal import WriteAheadLog
 WAL_SUBDIR = "wal"
 SNAPSHOT_SUBDIR = "snapshots"
 
-#: fields of a ``register`` WAL record, after the kind tag
-_REGISTER_FIELDS = ("name", "sql", "spec", "engine", "seed")
+#: fields of each WAL record kind, after the kind tag
+_RECORD_FIELDS = {
+    "apply": ("ops",),
+    "register": ("name", "sql", "spec", "engine", "seed"),
+    "unregister": ("name",),
+}
 
 #: recovery merges consecutive ``apply`` records into one
 #: ``manager.apply_batch`` until the batch holds this many ops (records
@@ -126,32 +131,49 @@ def replay_manager_entry(manager: SynopsisManager, entry) -> int:
     :func:`replay_entries` — crash recovery and the replication
     follower alike — hands every record that is not an ``apply``: both
     must interpret a record identically or replicas diverge.  A record
-    this release did not write (unknown kind, a ``register`` of another
-    arity) is a :class:`~repro.errors.PersistError`, never a partial
-    decode.
+    this release did not write (not a tuple, unknown kind, a kind of
+    another arity, a ``register`` spec that is not a spec dict) is a
+    :class:`~repro.errors.PersistError`, never a partial decode.
     """
-    kind = entry[0]
+    kind = _record_kind(entry)
     if kind == "apply":
         ops = decode_ops(entry[1])
         manager.apply_batch(ops)
         return len(ops)
     if kind == "register":
-        if len(entry) != 1 + len(_REGISTER_FIELDS):
-            raise PersistError(
-                f"register WAL record has {len(entry) - 1} fields, "
-                f"expected {len(_REGISTER_FIELDS)} {_REGISTER_FIELDS}; "
-                "the log was not written by this release"
-            )
         _, name, sql, spec_state, algorithm, seed = entry
-        spec = (spec_from_dict(spec_state)
-                if spec_state is not None else None)
+        try:
+            spec = (spec_from_dict(spec_state)
+                    if spec_state is not None else None)
+        except (KeyError, TypeError) as exc:
+            raise PersistError(
+                f"register WAL record {reprlib.repr(entry)} has an "
+                f"unreadable spec: {exc!r}") from exc
         manager.register(name, sql, MaintainerConfig(
             spec=spec, engine=algorithm, seed=seed))
         return 1
-    if kind == "unregister":
-        manager.unregister(entry[1])
-        return 1
-    raise PersistError(f"unknown WAL entry kind {kind!r}")
+    manager.unregister(entry[1])
+    return 1
+
+
+def _record_kind(entry) -> str:
+    """The kind of a WAL record of a shape this release writes: a tuple
+    of a known kind tag and that kind's field count.  Anything else is a
+    :class:`~repro.errors.PersistError` naming the record."""
+    if not isinstance(entry, tuple) or not entry:
+        raise PersistError(f"malformed WAL record {reprlib.repr(entry)}: "
+                           "expected a non-empty tuple")
+    kind = entry[0]
+    if not isinstance(kind, str) or kind not in _RECORD_FIELDS:
+        raise PersistError(f"unknown WAL entry kind {kind!r} in "
+                           f"{reprlib.repr(entry)}")
+    fields = _RECORD_FIELDS[kind]
+    if len(entry) != 1 + len(fields):
+        raise PersistError(
+            f"{kind} WAL record has {len(entry) - 1} fields, expected "
+            f"{len(fields)} {fields}; the log was not written by this "
+            "release")
+    return kind
 
 
 def replay_entries(manager: SynopsisManager,
@@ -202,7 +224,7 @@ def replay_entries(manager: SynopsisManager,
                 return
 
     for entry in entries:
-        if entry[0] == "apply":
+        if _record_kind(entry) == "apply":
             record = decode_ops(entry[1])
             held.append(record)
             held_ops += len(record)
@@ -280,8 +302,8 @@ class PersistentManager:
             raise PersistError(
                 "PersistentManager.register refuses "
                 "MaintainerConfig(effective_spec=...): the register WAL "
-                f"record carries {_REGISTER_FIELDS} only, so recovery "
-                "and every follower would rebuild this query with a "
+                f"record carries {_RECORD_FIELDS['register']} only, so "
+                "recovery and every follower would rebuild this query with a "
                 "different synopsis size; size it with spec="
             )
         sql = query if isinstance(query, str) else str(query)

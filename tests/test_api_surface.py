@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "15.1.0"
+    assert repro.__version__ == "16.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -23,7 +23,7 @@ def test_version():
     "repro.core.manager",
     "repro.core.stats_api",
     "repro.index.api", "repro.index.aggregate", "repro.query.explain",
-    "repro.bench.export",
+    "repro.bench.memory",
     "repro.obs", "repro.obs.metrics", "repro.obs.names",
     "repro.obs.expo", "repro.obs.quality",
     "repro.obs.events",

@@ -1,4 +1,4 @@
-"""Benchmark-harness tests: throughput runs, memory accounting, reports."""
+"""Structure-memory accounting (Table 2's deep size)."""
 
 from repro import (
     Column,
@@ -8,16 +8,7 @@ from repro import (
     SynopsisSpec,
     TableSchema,
 )
-from repro.bench.harness import run_stream
 from repro.bench.memory import deep_size_bytes, engine_memory_bytes
-from repro.bench.reporting import (
-    format_ratio,
-    format_series,
-    format_table,
-    human_bytes,
-    throughput_series,
-)
-from repro.datagen.workload import DeleteOldest, Insert
 
 
 def tiny_maintainer(engine="sjoin"):
@@ -27,50 +18,6 @@ def tiny_maintainer(engine="sjoin"):
     return JoinSynopsisMaintainer(
         db, "SELECT * FROM r, s WHERE r.a = s.a", MaintainerConfig(
             spec=SynopsisSpec.fixed_size(5), engine=engine, seed=0))
-
-
-def tiny_events(n=60):
-    events = []
-    for i in range(n):
-        events.append(Insert("r", (i % 4, i)))
-        events.append(Insert("s", (i % 4, i)))
-        if i % 10 == 9:
-            events.append(DeleteOldest("r", 2))
-    return events
-
-
-class TestRunStream:
-    def test_run_completes_and_checkpoints(self):
-        maintainer = tiny_maintainer()
-        run = run_stream(maintainer, tiny_events(), workload="tiny",
-                         checkpoint_every=20)
-        assert not run.aborted
-        assert run.operations == run.planned_operations
-        assert run.checkpoints
-        assert run.average_throughput > 0
-        first = run.checkpoints[0]
-        assert first.instant_throughput > 0
-        assert first.total_results is not None
-        assert 0 < first.progress <= 1
-
-    def test_time_budget_aborts(self):
-        maintainer = tiny_maintainer()
-        run = run_stream(maintainer, tiny_events(500), workload="tiny",
-                         checkpoint_every=10, time_budget=0.0)
-        assert run.aborted
-        assert run.operations < run.planned_operations
-
-    def test_synopsis_requests_simulated(self):
-        maintainer = tiny_maintainer()
-        run = run_stream(maintainer, tiny_events(), checkpoint_every=50,
-                         synopsis_every=25)
-        assert run.operations > 0
-
-    def test_summary_readable(self):
-        maintainer = tiny_maintainer()
-        run = run_stream(maintainer, tiny_events(), workload="tiny")
-        line = run.summary()
-        assert "tiny" in line and "ops" in line
 
 
 class TestMemory:
@@ -100,33 +47,3 @@ class TestMemory:
         for i in range(50):
             maintainer.insert("r", (i % 5, i))
         assert engine_memory_bytes(maintainer.engine) > 0
-
-
-class TestReporting:
-    def test_format_table_alignment(self):
-        text = format_table(
-            ("name", "value"), [("a", 1), ("longer", 22)], title="T"
-        )
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert len({len(line) for line in lines[1:]}) == 1
-
-    def test_format_series(self):
-        text = format_series("fig", [0.0, 50.0], [100.0, 90.0])
-        assert "fig" in text and "50.0" in text
-
-    def test_format_ratio(self):
-        assert format_ratio("x", 10, 2) == "x: 5.0x"
-        assert "inf" in format_ratio("x", 10, 0)
-
-    def test_human_bytes(self):
-        assert human_bytes(512) == "512.0 B"
-        assert human_bytes(2048) == "2.0 KB"
-        assert human_bytes(3 * 1024**3) == "3.0 GB"
-
-    def test_throughput_series_extraction(self):
-        maintainer = tiny_maintainer()
-        run = run_stream(maintainer, tiny_events(), checkpoint_every=20)
-        series = throughput_series(run)
-        assert len(series["progress"]) == len(series["throughput"])
-        assert series["progress"] == sorted(series["progress"])

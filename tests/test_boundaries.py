@@ -2,17 +2,14 @@
 
 * Vitter skips at the Algorithm X / Algorithm Z threshold (t = 22m):
   the drawn distribution must be the same on both sides of the switch.
-* Benchmark harness edge cases (zero planned operations, empty streams).
 * Reservoir rebuild exactly at the m >= J/2 boundary (§5.3).
 """
 
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.harness import BenchRun, run_stream
 from repro.sampling.reservoir import VitterSkipSampler
 
 from conftest import (
@@ -55,26 +52,6 @@ class TestVitterThreshold:
             stat += (tail_obs - tail_exp) ** 2 / tail_exp
             buckets += 1
         assert stat < chi_square_threshold(max(buckets - 1, 1)), t
-
-
-class TestHarnessEdges:
-    def test_empty_stream(self):
-        class Dummy:
-            algorithm = "dummy"
-            engine = SimpleNamespace(metrics_snapshot=dict)
-
-            def apply_batch(self, ops):  # pragma: no cover
-                raise AssertionError("nothing to apply")
-
-        run = run_stream(Dummy(), [], workload="empty")
-        assert run.operations == 0
-        assert not run.aborted
-        assert run.progress == 1.0  # nothing planned, nothing pending
-
-    def test_progress_with_zero_planned(self):
-        run = BenchRun(engine="x", workload="w")
-        assert run.progress == 1.0
-        assert run.average_throughput == float("inf")
 
 
 class TestRebuildBoundary:

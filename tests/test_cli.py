@@ -26,7 +26,7 @@ class TestParsing:
             parse_scale("huge")
 
     def test_parser_defaults(self):
-        args = make_parser().parse_args(["tpcds"])
+        args = make_parser().parse_args(["stats"])
         assert args.query == "QY"
         assert args.algorithm == "sjoin-opt"
 
@@ -34,48 +34,21 @@ class TestParsing:
         with pytest.raises(SystemExit):
             make_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["tpcds", "linear-road", "compare"])
+    def test_figure_commands_are_gone(self, command, capsys):
+        """16.0: the paper's figures are benchmarks/paper.py's record;
+        ``stats`` runs one workload."""
+        with pytest.raises(SystemExit) as exit_:
+            make_parser().parse_args([command])
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestEndToEnd:
-    def test_tpcds_run(self, capsys):
-        code = main([
-            "tpcds", "--query", "QX", "--scale", "tiny",
-            "--synopsis", "fixed:20", "--checkpoint", "100",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "QX/sjoin-opt" in out
-        assert "ops" in out
-
-    def test_tpcds_with_deletions(self, capsys):
-        code = main([
-            "tpcds", "--query", "QY", "--scale", "tiny", "--deletions",
-            "--synopsis", "fixed:10", "--checkpoint", "100",
-        ])
-        assert code == 0
-        assert "QY/sjoin-opt" in capsys.readouterr().out
-
-    def test_linear_road_run(self, capsys):
-        code = main([
-            "linear-road", "--d", "10", "--cars", "10", "--ticks", "4",
-            "--algorithm", "sj", "--checkpoint", "50",
-        ])
-        assert code == 0
-        assert "QB(d=10)/sj" in capsys.readouterr().out
-
-    def test_compare(self, capsys):
-        code = main([
-            "compare", "--workload", "linear-road", "--d", "10",
-            "--cars", "8", "--ticks", "4", "--checkpoint", "50",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        for algo in ("sjoin-opt", "sjoin", "sj"):
-            assert algo in out
-
     def test_stats_pretty(self, capsys):
         code = main([
             "stats", "--query", "QY", "--scale", "tiny",
-            "--synopsis", "fixed:20", "--checkpoint", "100",
+            "--synopsis", "fixed:20",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -87,7 +60,7 @@ class TestEndToEnd:
 
         code = main([
             "stats", "--query", "QY", "--scale", "tiny",
-            "--synopsis", "fixed:20", "--checkpoint", "100", "--json",
+            "--synopsis", "fixed:20", "--json",
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -98,15 +71,37 @@ class TestEndToEnd:
         assert metrics["engine.insert.sample_ns"]["count"] > 0
         assert metrics["synopsis.total_results"]["value"] > 0
 
+    @pytest.mark.parametrize("workload", [
+        ["--query", "QY", "--scale", "small", "--deletions"],
+        ["--workload", "linear-road", "--d", "10", "--cars", "10",
+         "--ticks", "4", "--algorithm", "sj"],
+    ], ids=["tpcds-deletions", "linear-road"])
+    def test_stats_plays_every_workload(self, workload, capsys):
+        import json
 
-TINY_QY = ["--query", "QY", "--scale", "tiny", "--synopsis", "fixed:20",
-           "--checkpoint", "100"]
+        assert main(["stats", *workload, "--synopsis", "fixed:10",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["operations"] > 0 and not payload["aborted"]
+        if "--deletions" in workload:
+            assert payload["metrics"]["engine.delete_ns"]["count"] > 0
+
+    def test_stats_budget_stops_the_stream(self, capsys):
+        import json
+
+        assert main(["stats", "--query", "QY", "--scale", "tiny",
+                     "--budget", "0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["aborted"] and payload["operations"] == 0
+
+
+TINY_QY = ["--query", "QY", "--scale", "tiny", "--synopsis", "fixed:20"]
 
 
 @pytest.mark.parametrize("algorithm", ["sjoin-opt", "sjoin", "sj"])
 class TestEngineCommandsOnEveryAlgorithm:
-    """``tpcds`` / ``stats`` / ``metrics`` drive one maintainer; every
-    algorithm answers with the same output shape."""
+    """``stats`` / ``metrics`` drive one maintainer; every algorithm
+    answers with the same output shape."""
 
     def test_stats_json_keys_and_insert_phase(self, algorithm, capsys):
         import json
@@ -128,20 +123,12 @@ class TestEngineCommandsOnEveryAlgorithm:
         assert "# TYPE repro_engine_insert_ns histogram" in \
             capsys.readouterr().out
 
-    def test_tpcds_explain_prints_the_plan(self, algorithm, capsys):
-        assert main(["tpcds", *TINY_QY, "--algorithm", algorithm,
+    def test_stats_explain_prints_the_plan(self, algorithm, capsys):
+        assert main(["stats", *TINY_QY, "--algorithm", algorithm,
                      "--explain"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("plan for: SELECT")
         assert "plan nodes" in out and f"QY/{algorithm}" in out
-
-
-def test_compare_prints_one_row_per_algorithm(capsys):
-    assert main(["compare", *TINY_QY]) == 0
-    rows = capsys.readouterr().out.splitlines()[3:]
-    assert [row.split("|")[0].strip() for row in rows] == \
-        ["sjoin-opt", "sjoin", "sj"]
-    assert all(row.rstrip().endswith("done") for row in rows)
 
 
 class TestServe:

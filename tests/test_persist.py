@@ -599,3 +599,21 @@ class TestFormatGate:
         pm.abandon()
         with pytest.raises(PersistError, match="register WAL record"):
             PersistentManager.recover(str(tmp_path))
+
+    @pytest.mark.parametrize("record", [
+        5,
+        ("register", "q2", SQL, 7, "sjoin", 1),
+        (),
+        ("unregister",),
+    ], ids=["int", "register-spec-int", "empty", "unregister-no-name"])
+    def test_wrong_shaped_wal_record_is_a_persist_error(self, tmp_path,
+                                                        record):
+        """A decoded record of a shape this release never writes stops
+        recovery typed, before anything indexes into it."""
+        pm = persistent_query(make_db(), str(tmp_path),
+                              MaintainerConfig(seed=1))
+        pm.insert("r", (1, 2))
+        pm.wal.append(record)
+        pm.abandon()
+        with pytest.raises(PersistError):
+            PersistentManager.recover(str(tmp_path))
