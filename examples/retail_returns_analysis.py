@@ -11,8 +11,9 @@ demotes it to a residual filter applied on top of the synopsis (§4.1,
 * build an equi-depth histogram of "days between sale and catalog
   purchase" — the paper's first motivating analysis — and measure its
   deviation against the exact join;
-* estimate the number of quick re-purchases, checked against the exact
-  count and its confidence interval.
+* estimate, through the registered query's ``estimate``, the average
+  quantity of the catalog purchase that follows a return, checked
+  against the exact join and its confidence interval.
 
 Run:  python examples/retail_returns_analysis.py
 """
@@ -20,11 +21,8 @@ Run:  python examples/retail_returns_analysis.py
 from bisect import bisect_left
 from statistics import quantiles
 
-from repro import (JoinExecutor, JoinSynopsisMaintainer,
-                   MaintainerConfig, SynopsisSpec)
-from repro.analytics.estimators import estimate_count
+from repro import InsertOp, JoinExecutor, QueryRegistry, SynopsisManager
 from repro.datagen.tpcds import TpcdsScale, setup_query
-from repro.datagen.workload import StreamPlayer
 
 # Figure 1 of the paper, over the generator's tables.  The date
 # inequality closes a cycle (ss-sr, sr-cs, ss-cs) and is automatically
@@ -37,6 +35,9 @@ WHERE ss.ss_item_sk = sr.sr_item_sk
   AND ss.ss_sold_date_sk <= cs.cs_sold_date_sk
 """
 
+#: the generator's events name aliases; a manager takes base tables
+TABLES = {"ss": "store_sales", "sr": "store_returns", "cs": "catalog_sales"}
+
 
 def days_between(db, query, result):
     """cs.sold_date_sk - ss.sold_date_sk for one join result."""
@@ -48,25 +49,24 @@ def days_between(db, query, result):
 def main() -> None:
     # reuse the QX generator setup: same three streamed fact tables
     setup = setup_query("QX", TpcdsScale.small(), seed=1)
-    maintainer = JoinSynopsisMaintainer(
-        setup.db, Q1_SQL,
-        MaintainerConfig(spec=SynopsisSpec.fixed_size(400),
-                         engine="sjoin-opt", seed=3),
-    )
+    manager = SynopsisManager(setup.db)
+    q1 = QueryRegistry(manager).register(
+        Q1_SQL, "Q1", size=400, engine="sjoin-opt", seed=3)
+    maintainer = manager.maintainer("Q1")
     demoted = maintainer.engine.plan.demoted
     print("residual predicates (demoted cycle edges):",
           [str(d) for d in demoted])
 
-    player = StreamPlayer(maintainer)
-    player.run([e for e in setup.preload if e.alias in ("ss", "sr", "cs")])
-    player.run([e for e in setup.stream if e.alias in ("ss", "sr", "cs")])
+    manager.apply_batch([InsertOp(TABLES[e.alias], e.row)
+                         for e in setup.preload + setup.stream
+                         if e.alias in TABLES])
 
     query = maintainer.query
     db = setup.db
     print(f"J (tree-predicate links, exact) = "
           f"{maintainer.total_results():,}")
 
-    synopsis = maintainer.synopsis()
+    synopsis = manager.synopsis("Q1")
     print(f"synopsis size after residual filtering = {len(synopsis)}")
 
     # ---- equi-depth histogram of the days-between metric -------------
@@ -89,21 +89,18 @@ def main() -> None:
     print(f"  max deviation from equi-depth: {100 * deviation:.2f}% of N")
 
     # ---- aggregate estimation off the synopsis -----------------------
-    # the synopsis is uniform over the *filtered* result set, whose size
-    # we estimate from the filter's acceptance rate on the raw synopsis
-    raw = maintainer.engine.synopsis_results()
-    accept = len(raw) / max(len(maintainer.engine.raw_samples()), 1)
-    filtered_total = round(maintainer.total_results() * accept)
-    quick = estimate_count(
-        synopsis, filtered_total,
-        lambda r: days_between(db, query, r) <= 14,
-    )
-    truth = sum(1 for d in exact_days if d <= 14)
-    lo, hi = quick.interval()
-    print(f"\ncatalog purchases within two weeks of the store sale:")
-    print(f"  estimate: {quick.value:,.0f}  "
-          f"(95% CI [{lo:,.0f}, {hi:,.0f}])")
-    print(f"  exact:    {truth:,}")
+    # the synopsis is uniform over the *filtered* result set, so a mean
+    # over it needs no population size: AVG holds as is
+    answer = q1.estimate("avg", column="cs.cs_quantity")
+    cs_idx = query.index_of("cs")
+    quantity = db.table("catalog_sales").schema.index_of("cs_quantity")
+    truth = sum(db.table("catalog_sales").get(r[cs_idx])[quantity]
+                for r in exact_results) / len(exact_results)
+    lo, hi = answer["ci"]
+    print("\naverage quantity of the catalog purchase after a return:")
+    print(f"  estimate: {answer['value']:.2f}  "
+          f"(95% CI [{lo:.2f}, {hi:.2f}])")
+    print(f"  exact:    {truth:.2f}")
 
 
 if __name__ == "__main__":

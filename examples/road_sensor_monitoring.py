@@ -3,22 +3,20 @@ highway lanes with a band join over streaming sensor reports.
 
 Reports arrive every tick and expire after a sliding window — a workload
 where the join result churns constantly and recomputing it per tick is
-hopeless.  A :class:`StreamPlayer` drives the maintainer: once the
+hopeless.  A :class:`StreamPlayer` drives the manager: once the
 window is full, each tick first expires the previous window's oldest
 tick with one ``DeleteOldest`` event per lane (the player keeps each
 lane's arrival order), and SJoin keeps a uniform sample alive through
-the churn.  We poll it each tick to estimate the platoon
-density (exact join cardinality J) and the average spread of co-located
-triples.
+the churn.  We poll it each tick through the registered query's
+``estimate``: the platoon density (exact join cardinality J) and how
+many platoon triples sit in the western half of the road.
 
 Run:  python examples/road_sensor_monitoring.py
 """
 
 import random
 
-from repro import (Database, JoinSynopsisMaintainer, MaintainerConfig,
-                   SynopsisSpec)
-from repro.analytics.estimators import estimate_avg
+from repro import Database, QueryRegistry, SynopsisManager
 from repro.datagen.linear_road import lane_schema, qb_sql
 from repro.datagen.workload import DeleteOldest, Insert, StreamPlayer
 
@@ -30,27 +28,18 @@ TICKS = 12
 ROAD = 1800
 
 
-def spread(db, result):
-    """Position spread of one (lane1, lane2, lane3) sample."""
-    positions = [
-        db.table(f"lane{i + 1}").get(tid)[1]
-        for i, tid in enumerate(result)
-    ]
-    return max(positions) - min(positions)
-
-
 def main() -> None:
     rng = random.Random(4)
     db = Database()
     for lane in range(LANES):
         db.create_table(lane_schema(f"lane{lane + 1}"))
 
-    monitor = JoinSynopsisMaintainer(
-        db, qb_sql(BAND, LANES),
-        MaintainerConfig(spec=SynopsisSpec.fixed_size(200),
-                         engine="sjoin", seed=11),
-    )
-    player = StreamPlayer(monitor)
+    manager = SynopsisManager(db)
+    platoons = QueryRegistry(manager).register(
+        qb_sql(BAND, LANES), "platoons", size=200, engine="sjoin", seed=11)
+    # the lane tables are their own aliases: events name base tables
+    player = StreamPlayer(manager)
+    west = [{"column": "lane1.pos", "op": "<", "value": ROAD // 2}]
 
     positions = [
         [rng.randrange(ROAD) for _ in range(CARS)] for _ in range(LANES)
@@ -58,7 +47,7 @@ def main() -> None:
     print(f"monitoring |pos_i - pos_j| <= {BAND} over {LANES} lanes, "
           f"window = {WINDOW} ticks\n")
     print(f"{'tick':>4} | {'platoon triples (J)':>20} | "
-          f"{'avg spread (est)':>17} | {'synopsis':>8}")
+          f"{'west half (est)':>17} | {'synopsis':>8}")
 
     for tick in range(TICKS):
         if tick >= WINDOW:
@@ -75,17 +64,17 @@ def main() -> None:
             ]
         if tick == 0:
             continue
-        synopsis = monitor.synopsis()
-        if synopsis:
-            avg = estimate_avg(synopsis, lambda r: spread(db, r))
-            est = f"{avg.value:7.1f} ± {1.96 * avg.stderr:5.1f}"
+        answer = platoons.estimate("count", where=west)
+        if answer["ci"] is not None:
+            lo, hi = answer["ci"]
+            est = f"{answer['value']:7.0f} ± {(hi - lo) / 2:5.0f}"
         else:
             est = "      (no data)"
-        print(f"{tick:>4} | {monitor.total_results():>20,} | "
-              f"{est:>17} | {len(synopsis):>8}")
+        print(f"{tick:>4} | {answer['total_results']:>20,} | "
+              f"{est:>17} | {answer['sample_size']:>8}")
 
     print("\nfinal synopsis sample (first 5):")
-    for result in monitor.synopsis()[:5]:
+    for result in manager.synopsis("platoons")[:5]:
         rows = [db.table(f"lane{i+1}").get(tid)
                 for i, tid in enumerate(result)]
         cars = ", ".join(f"car{r[0]}@{r[1]}" for r in rows)

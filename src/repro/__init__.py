@@ -129,7 +129,6 @@ from repro.query import (
 from repro.replicate import (
     DirectoryTransport,
     FollowerService,
-    ReplicationTransport,
     WalShipper,
 )
 from repro.service import (
@@ -140,7 +139,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"
 
 __all__ = [
     # catalog
@@ -168,8 +167,7 @@ __all__ = [
     "SynopsisService", "ServiceConfig", "ReadView", "ServiceHTTPServer",
     "LocalServiceClient",
     # read scale-out replication
-    "WalShipper", "FollowerService", "ReplicationTransport",
-    "DirectoryTransport",
+    "WalShipper", "FollowerService", "DirectoryTransport",
     # sampling primitives
     "WalkerAlias",
     # observability

@@ -25,8 +25,14 @@ request.  Each term is one list comprehension that indexes a sample's
 row and compares it in the same pass, picked by comparison from a
 fixed table (a NULL-able column adds the SQL ``is not None`` test), and
 a hit count is one builtin — no Python call runs per sample.
-:mod:`repro.analytics.estimators` does the arithmetic, fed those
-precomputed lists.
+
+The survey estimators at the bottom of the module take those
+precomputed lists.  Each returns an :class:`Estimate` with a
+normal-approximation standard error, and degenerate inputs are defined
+rather than exceptional: an exactly-empty population (``total == 0``)
+is ``Estimate(0.0, 0.0)``, an empty sample of a non-empty one has an
+infinite standard error, and :meth:`Estimate.ci` is ``None`` whenever
+no finite interval exists.
 """
 
 from __future__ import annotations
@@ -35,17 +41,9 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
+from statistics import NormalDist
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analytics import (
-    Estimate,
-    estimate_avg,
-    estimate_count,
-    estimate_sum,
-    hansen_hurwitz,
-    horvitz_thompson,
-    ratio_estimate,
-)
 from repro.catalog.schema import Column, DataType
 from repro.core.entries import HeapRows
 from repro.errors import InvalidArgumentError
@@ -79,6 +77,37 @@ _FUSED: Dict[Callable[[object, object], bool], Callable] = {
 #: column index, literal -> one bool per sample), then those three
 Term = Tuple[Callable[[Sequence[HeapRows], int, int, object], List[bool]],
              int, int, object]
+
+
+def _zscore(confidence: float) -> float:
+    """The two-sided normal critical value for ``confidence`` in (0,1)."""
+    if not 0.0 < confidence < 1.0:
+        raise InvalidArgumentError(
+            f"confidence must be in (0, 1), got {confidence}")
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A point estimate with its standard error."""
+
+    value: float
+    stderr: float
+
+    def ci(self, confidence: float = 0.95
+           ) -> Optional[Tuple[float, float]]:
+        """The two-sided normal CI, or ``None`` when undefined.
+
+        ``None`` means the estimate carries no finite interval: the
+        sample was empty over a non-empty population (infinite standard
+        error) or the point estimate itself is undefined (NaN, e.g. the
+        average of an empty group).
+        """
+        if math.isnan(self.value) or not math.isfinite(self.stderr):
+            return None
+        z = _zscore(confidence)
+        return (self.value - z * self.stderr,
+                self.value + z * self.stderr)
 
 
 @dataclass(frozen=True)
@@ -196,23 +225,19 @@ def _mask(rows: Sequence[HeapRows], terms: Sequence[Term]) -> List[bool]:
     return mask
 
 
-def _as_is(value):
-    return value
-
-
 def _family_sum(family: str, total: int, values: list,
                 scale: Optional[List[float]]) -> Estimate:
     """Family-dispatched estimator of the join-wide SUM of per-sample
     ``values`` (``scale``: the weights / inclusion probabilities)."""
     if family == "weighted":
-        return hansen_hurwitz(values, scale, total, float)
+        return _hansen_hurwitz(values, scale, total)
     if family == "subset":
         if total == 0:
             # the graph maintains the exact total: an empty join is an
             # exact zero, not an uninformative empty Poisson sample
             return Estimate(0.0, 0.0)
-        return horvitz_thompson(values, scale, float)
-    return estimate_sum(values, total, float)
+        return _horvitz_thompson(values, scale)
+    return _sum(values, total)
 
 
 def _aggregate(family: str, total: int, agg: str, hits: List[bool],
@@ -222,15 +247,14 @@ def _aggregate(family: str, total: int, agg: str, hits: List[bool],
     aggregated column where it does and 0.0 elsewhere."""
     if agg == "count":
         if family == "uniform":
-            return estimate_count(hits, total)
+            return _count(hits, total)
         return _family_sum(family, total, hits, scale)
     if agg == "avg" and family == "uniform":
-        return estimate_avg(list(compress(values, hits)), _as_is)
+        return _mean(list(compress(values, hits)))
     total_est = _family_sum(family, total, values, scale)
     if agg == "sum":
         return total_est
-    return ratio_estimate(total_est,
-                          _family_sum(family, total, hits, scale))
+    return _ratio(total_est, _family_sum(family, total, hits, scale))
 
 
 def _scatter(blank: list, positions: Sequence[int], source: list) -> list:
@@ -351,3 +375,109 @@ def estimate_from_snapshot(
     payload["group_by"] = group_by
     payload["groups"] = groups
     return payload
+
+
+# ----------------------------------------------------------------------
+# the survey estimators, over per-sample value lists.  Uniform: COUNT ~
+# J * (hit fraction), SUM ~ J * mean, AVG ~ mean.  Weighted: each draw
+# picked result i with probability w_i / W, so Hansen-Hurwitz averages
+# W * v_i / w_i.  Subset: each result is in independently with a known
+# probability pi_i = 1 - (1-p)^w, so Horvitz-Thompson sums v_i / pi_i.
+# ----------------------------------------------------------------------
+def _count(hits: Sequence[bool], total: int) -> Estimate:
+    """``COUNT`` over ``total`` join results from a per-sample hit
+    mask."""
+    if total == 0:
+        return Estimate(0.0, 0.0)
+    n = len(hits)
+    if n == 0:
+        return Estimate(0.0, float("inf"))
+    p = len(list(filter(None, hits))) / n
+    stderr = total * math.sqrt(max(p * (1 - p), 0.0) / n)
+    return Estimate(total * p, stderr)
+
+
+def _mean(values: Sequence[float]) -> Estimate:
+    """The sample mean (``AVG``; ``Estimate(nan, inf)`` over nothing,
+    which :meth:`Estimate.ci` maps to ``None``)."""
+    n = len(values)
+    if n == 0:
+        return Estimate(float("nan"), float("inf"))
+    mean = sum(values) / n
+    if n > 1:
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    else:
+        var = 0.0
+    return Estimate(mean, math.sqrt(var / n))
+
+
+def _sum(values: Sequence[float], total: int) -> Estimate:
+    """``SUM`` over ``total`` join results: ``total`` times the mean."""
+    if total == 0:
+        return Estimate(0.0, 0.0)
+    if not values:
+        return Estimate(0.0, float("inf"))
+    mean = _mean([float(v) for v in values])
+    return Estimate(total * mean.value, total * mean.stderr)
+
+
+def _hansen_hurwitz(values: Sequence[float], weights: Sequence[float],
+                    total_weight: float) -> Estimate:
+    """Hansen-Hurwitz ``SUM`` for the weighted family; ``total_weight``
+    is the exact weighted-unit total ``W`` the graph reports, and
+    summing hits (``1.0`` each) estimates the result count."""
+    if len(values) != len(weights):
+        raise InvalidArgumentError(
+            f"{len(values)} samples but {len(weights)} weights")
+    if total_weight == 0:
+        return Estimate(0.0, 0.0)
+    if not values:
+        return Estimate(0.0, float("inf"))
+    contributions = []
+    for value, weight in zip(values, weights):
+        if weight <= 0:
+            raise InvalidArgumentError(
+                f"sample weight must be positive, got {weight!r}")
+        contributions.append(total_weight * float(value) / weight)
+    return _mean(contributions)
+
+
+def _horvitz_thompson(values: Sequence[float],
+                      inclusion_probs: Sequence[float]) -> Estimate:
+    """Horvitz-Thompson ``SUM`` for the subset family, with the
+    Poisson-sampling variance ``sum(v_i^2 (1-pi_i)/pi_i^2)``.  An empty
+    sample is ``Estimate(0, inf)``: callers that know ``J == 0``
+    short-circuit."""
+    if len(values) != len(inclusion_probs):
+        raise InvalidArgumentError(
+            f"{len(values)} samples but {len(inclusion_probs)} "
+            "inclusion probabilities")
+    if not values:
+        return Estimate(0.0, float("inf"))
+    estimate = 0.0
+    variance = 0.0
+    for value, pi in zip(values, inclusion_probs):
+        if not 0.0 < pi <= 1.0:
+            raise InvalidArgumentError(
+                f"inclusion probability must be in (0, 1], got {pi!r}")
+        v = float(value)
+        estimate += v / pi
+        variance += v * v * (1.0 - pi) / (pi * pi)
+    return Estimate(estimate, math.sqrt(max(variance, 0.0)))
+
+
+def _ratio(numerator: Estimate, denominator: Estimate) -> Estimate:
+    """``numerator / denominator`` (AVG = SUM / COUNT on the weighted
+    and subset families) with a delta-method standard error that
+    ignores their covariance; a zero or undefined denominator is
+    ``Estimate(nan, inf)``."""
+    if (denominator.value == 0 or math.isnan(denominator.value)
+            or math.isnan(numerator.value)):
+        return Estimate(float("nan"), float("inf"))
+    r = numerator.value / denominator.value
+    if not (math.isfinite(numerator.stderr)
+            and math.isfinite(denominator.stderr)):
+        return Estimate(r, float("inf"))
+    variance = ((numerator.stderr / denominator.value) ** 2
+                + (r * denominator.stderr / denominator.value) ** 2)
+    return Estimate(r, math.sqrt(variance))

@@ -39,11 +39,13 @@ from typing import Dict, List, Optional
 from repro.aqp.audit import AccuracyAuditor, AuditConfig
 from repro.aqp.estimation import Snapshot, estimate_from_snapshot
 from repro.core.config import MaintainerConfig
-from repro.core.manager import SynopsisTarget, spec_for_plan
-from repro.errors import InvalidArgumentError, ServiceError, SynopsisError
+from repro.core.manager import SynopsisTarget
+from repro.core.synopsis import SynopsisSpec
+from repro.errors import (InvalidArgumentError, PlanError, ServiceError,
+                          SynopsisError)
 from repro.query.explain import explain_plan
 from repro.query.parser import parse_query
-from repro.query.planner import plan_query
+from repro.query.planner import JoinPlan, plan_query
 from repro.query.query import JoinQuery
 
 #: the largest synopsis a registration may ask for: a sample is
@@ -55,6 +57,37 @@ MAX_SYNOPSIS_SIZE = 10_000_000
 #: cardinality J (the Algorithm-2 root weight); the weighted family's
 #: total is the weighted-unit total W, which is not a COUNT truth.
 _EXACT_COUNT_FAMILIES = ("uniform", "subset")
+
+
+def spec_for_plan(plan: JoinPlan, *, size: int = 1000,
+                  weight_column: Optional[str] = None) -> SynopsisSpec:
+    """Derive the synopsis spec an AQP registration should provision.
+
+    A plain query gets a fixed-size uniform synopsis; naming a
+    ``weight_column`` (``alias.attr`` of the planned query, e.g. a SUM
+    column whose heavy rows should dominate the sample) switches to the
+    weighted family so draws land proportionally to that column.  The
+    column is validated against the plan's original range tables —
+    a bad reference is a :class:`~repro.errors.PlanError`, caught at
+    registration time instead of on the first update.
+    """
+    if weight_column is None:
+        return SynopsisSpec.fixed_size(size)
+    alias, sep, attr = weight_column.partition(".")
+    if not sep or not alias or not attr:
+        raise PlanError(
+            f"weight column {weight_column!r} must look like alias.attr")
+    query = plan.query
+    if alias not in query.aliases:
+        raise PlanError(
+            f"weight column {weight_column!r} references unknown alias "
+            f"{alias!r}; query aliases: {sorted(query.aliases)}")
+    schema = plan.db.table(query.range_table(alias).table_name).schema
+    if attr not in {col.name for col in schema.columns}:
+        raise PlanError(
+            f"weight column {weight_column!r}: table "
+            f"{schema.name!r} has no column {attr!r}")
+    return SynopsisSpec.weighted_fixed_size(size, weight_column)
 
 
 def _is_int(value: object) -> bool:

@@ -27,11 +27,6 @@ class Database:
         self._tables[schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise CatalogError(f"no table named {name}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name]

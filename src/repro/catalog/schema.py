@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import SchemaError
 
@@ -172,23 +172,3 @@ class TableSchema:
                     f"value {value!r} is not a {col.dtype.value} "
                     f"for {self.name}.{col.name}"
                 )
-
-    def is_unique_key(self, columns: Sequence[str]) -> bool:
-        """Return True when ``columns`` is a superset of the primary key.
-
-        A superset of a unique key is itself unique, which is the property the
-        FK-collapse rewrite relies on.
-        """
-        if not self.primary_key:
-            return False
-        return set(self.primary_key).issubset(set(columns))
-
-    def find_foreign_key(
-        self, columns: Sequence[str], ref_table: str
-    ) -> Optional[ForeignKey]:
-        """Return the declared FK from ``columns`` to ``ref_table``, if any."""
-        want = tuple(columns)
-        for fk in self.foreign_keys:
-            if fk.ref_table == ref_table and tuple(fk.columns) == want:
-                return fk
-        return None

@@ -27,7 +27,7 @@ import dataclasses
 import math
 import random
 import time
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+from typing import (Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.catalog.database import Database
@@ -281,10 +281,6 @@ class JoinSynopsisMaintainer:
         if cap is not None and len(entries) > cap:
             entries = entries[:cap]
         return entries
-
-    def synopsis_meta(self, limit: Optional[int] = None) -> List[Mapping]:
-        """Per-row sampling metadata aligned with :meth:`synopsis`."""
-        return list(self.synopsis_entries(limit).metas)
 
     def synopsis_rows(self, limit: Optional[int] = None
                       ) -> List[Tuple[tuple, ...]]:

@@ -42,44 +42,10 @@ from repro.core.stats_api import (
     ManagerStats,
     UpdateOp,
 )
-from repro.core.synopsis import SynopsisSpec
-from repro.errors import PlanError, ReproError, SynopsisError
+from repro.errors import ReproError, SynopsisError
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
-from repro.query.parser import parse_query
-from repro.query.planner import JoinPlan, plan_query
 from repro.query.query import JoinQuery
-
-
-def spec_for_plan(plan: JoinPlan, *, size: int = 1000,
-                  weight_column: Optional[str] = None) -> SynopsisSpec:
-    """Derive the synopsis spec an AQP registration should provision.
-
-    A plain query gets a fixed-size uniform synopsis; naming a
-    ``weight_column`` (``alias.attr`` of the planned query, e.g. a SUM
-    column whose heavy rows should dominate the sample) switches to the
-    weighted family so draws land proportionally to that column.  The
-    column is validated against the plan's original range tables —
-    a bad reference is a :class:`~repro.errors.PlanError`, caught at
-    registration time instead of on the first update.
-    """
-    if weight_column is None:
-        return SynopsisSpec.fixed_size(size)
-    alias, sep, attr = weight_column.partition(".")
-    if not sep or not alias or not attr:
-        raise PlanError(
-            f"weight column {weight_column!r} must look like alias.attr")
-    query = plan.query
-    if alias not in query.aliases:
-        raise PlanError(
-            f"weight column {weight_column!r} references unknown alias "
-            f"{alias!r}; query aliases: {sorted(query.aliases)}")
-    schema = plan.db.table(query.range_table(alias).table_name).schema
-    if attr not in {col.name for col in schema.columns}:
-        raise PlanError(
-            f"weight column {weight_column!r}: table "
-            f"{schema.name!r} has no column {attr!r}")
-    return SynopsisSpec.weighted_fixed_size(size, weight_column)
 
 
 @dataclass
@@ -223,28 +189,6 @@ class SynopsisManager:
                     ) from exc
         self._registrations[name] = _Registration(name, maintainer)
         return maintainer
-
-    def register_sql(self, name: str, sql: str, *,
-                     size: int = 1000,
-                     engine: str = "sjoin-opt",
-                     weight_column: Optional[str] = None,
-                     seed: Optional[int] = None,
-                     ) -> JoinSynopsisMaintainer:
-        """Parse, plan and register ``sql`` in one step (the AQP path).
-
-        The spec is derived from the plan by :func:`spec_for_plan`
-        (uniform fixed-size, or the weighted family when a
-        ``weight_column`` is named).  Parse failures raise
-        :class:`~repro.errors.QueryParseError` with position info and
-        planning failures :class:`~repro.errors.PlanError`, both before
-        any registration state is touched.
-        """
-        query = parse_query(sql, self.db)
-        plan = plan_query(query, self.db,
-                          fk_optimize=(engine == "sjoin-opt"))
-        spec = spec_for_plan(plan, size=size, weight_column=weight_column)
-        return self.register(name, query, MaintainerConfig(
-            spec=spec, engine=engine, seed=seed))
 
     def _register_restored(self, name: str,
                            maintainer: JoinSynopsisMaintainer) -> None:

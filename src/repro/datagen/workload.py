@@ -82,10 +82,6 @@ class StreamPlayer:
             total += self.apply(event)
         return total
 
-    def live_count(self, alias: str) -> int:
-        fifo = self._fifo.get(alias)
-        return len(fifo) if fifo else 0
-
 
 def interleave_deletions(inserts: List[Insert], delete_every: Dict[str, int],
                          delete_count: Dict[str, int]) -> List[UpdateEvent]:

@@ -1,10 +1,10 @@
 """The weighted join graph: construction and maintenance (Algorithm 1).
 
-The graph is kept implicitly (§4.3): one :class:`HashIndex` per plan node
-mapping vertex keys to :class:`Vertex` objects, and one aggregate order index
-per directed tree edge keyed by the edge's composite sort key and
-aggregating the ``w_out`` weight toward that neighbour (the first index of
-each node additionally aggregates ``w_full``).
+The graph is kept implicitly (§4.3): one hash index (a ``dict``) per plan
+node mapping vertex keys to :class:`Vertex` objects, and one aggregate
+order index per directed tree edge keyed by the edge's composite sort key
+and aggregating the ``w_out`` weight toward that neighbour (the first
+index of each node additionally aggregates ``w_full``).
 
 The graph takes vertex keys, not rows: an entry is ``(tid, key,
 weight)``, the key the tuple's projection onto its node's join attributes
@@ -46,7 +46,6 @@ from repro.obs.metrics import as_registry
 from repro.graph.vertex import Vertex
 from repro.index.api import Cut, cut_points
 from repro.index.aggregate import AggregateTree
-from repro.index.hash_index import HashIndex
 from repro.query.planner import IndexSpec, JoinPlan
 from repro.query.predicates import Bounds
 from repro.query.query_tree import key_projection
@@ -191,8 +190,8 @@ class WeightedJoinGraph:
         self.tuple_weight = tuple_weight
         self.stats = GraphStats()
         self.obs = as_registry(obs)
-        self.hash_indexes: List[HashIndex] = [
-            HashIndex() for _ in plan.nodes
+        self.hash_indexes: List[Dict[tuple, Vertex]] = [
+            {} for _ in plan.nodes
         ]
         self.trees: Dict[int, AggregateTree] = {
             spec.index_id: AggregateTree(len(spec.slots), _slot_reader(spec))
@@ -795,7 +794,7 @@ class DeleteRun:
             graph._refresh_vertex(vertex)
         else:
             graph._unlink_vertex(vertex)
-            vertices.remove(key)
+            del vertices[key]
             graph.stats.vertex_removals += 1
         return removed
 

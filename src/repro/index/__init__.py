@@ -1,4 +1,4 @@
-"""Index substrate: the aggregate order index and vertex hash indexes.
+"""Index substrate: the aggregate order index.
 
 The paper's weighted join graph is represented implicitly by one hash index
 per range table plus ``2n-2`` *aggregate order indexes* (§4.3) — ordered
@@ -12,10 +12,8 @@ records the measurements behind it and the alternatives it retired.
 """
 
 from repro.index.aggregate import AggregateTree, TreeNode
-from repro.index.hash_index import HashIndex
 
 __all__ = [
     "AggregateTree",
-    "HashIndex",
     "TreeNode",
 ]

@@ -12,7 +12,6 @@ tree with cycle breaking (§4.1), and plans the weighted-join-graph layout
 including the foreign-key collapse rewrite used by SJoin-opt (§6).
 """
 
-from repro.query.intervals import Interval
 from repro.query.predicates import (
     BandPredicate,
     ComparisonOp,
@@ -27,7 +26,6 @@ from repro.query.query_tree import QueryTree, build_query_tree
 from repro.query.executor import JoinExecutor
 
 __all__ = [
-    "Interval",
     "ComparisonOp",
     "ThetaPredicate",
     "JoinPredicate",

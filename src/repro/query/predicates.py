@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from repro.errors import QueryError
-from repro.query.intervals import Interval
 
 
 class ComparisonOp(enum.Enum):
@@ -182,14 +181,6 @@ class ThetaPredicate:
         the predicate and the direction, not on the value."""
         raise NotImplementedError
 
-    def interval_for_right(self, left_value: object) -> Interval:
-        """Values of ``right.right_attr`` matching a given left value."""
-        return self.interval_for(self.right, left_value)
-
-    def interval_for_left(self, right_value: object) -> Interval:
-        """Values of ``left.left_attr`` matching a given right value."""
-        return self.interval_for(self.left, right_value)
-
     # convenience -------------------------------------------------------
     @property
     def is_equality(self) -> bool:
@@ -216,12 +207,6 @@ class ThetaPredicate:
         if alias == self.right:
             return self.left
         raise QueryError(f"{alias} is not a side of {self}")
-
-    def interval_for(self, target_alias: str, source_value: object) -> Interval:
-        """Matching values on ``target_alias``'s side given the other side."""
-        bounds, lo_open, hi_open = self.bounds_for(target_alias)
-        lo, hi = bounds(source_value)
-        return Interval(lo, hi, lo_open, hi_open)
 
     def matches_side(
         self, alias: str, value: object, other_value: object

@@ -8,8 +8,8 @@ sample RNG stream.  This package turns that property into read
 scale-out:
 
 * :class:`WalShipper` (leader side) publishes the newest snapshot and
-  every WAL segment's CRC-valid bytes through a pluggable
-  :class:`ReplicationTransport`, finishing each round by atomically
+  every WAL segment's CRC-valid bytes through a
+  :class:`DirectoryTransport`, finishing each round by atomically
   publishing a manifest that *acknowledges* exactly what shipped;
 * :class:`FollowerService` (replica side) bootstraps from the shipped
   snapshot, tails the shipped segments up to the acked LSN, replays
@@ -18,9 +18,8 @@ scale-out:
   LSN, so leader and follower states at equal positions are
   bit-identical, synopsis and RNG stream alike.
 
-The built-in :class:`DirectoryTransport` ships through a shared
-filesystem directory; other transports implement the same small
-interface.  See ``docs/persistence.md`` (Replication) and
+:class:`DirectoryTransport` ships through a shared filesystem
+directory.  See ``docs/persistence.md`` (Replication) and
 ``docs/service.md`` (follower mode) for topology and semantics.
 """
 
@@ -30,7 +29,6 @@ from repro.replicate.transport import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
     DirectoryTransport,
-    ReplicationTransport,
     as_transport,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "FollowerService",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
-    "ReplicationTransport",
     "WalShipper",
     "as_transport",
 ]

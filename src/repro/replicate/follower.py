@@ -54,7 +54,7 @@ from repro.persist.state import (
     restore_manager,
 )
 from repro.persist.wal import decode_record, scan_frames
-from repro.replicate.transport import ReplicationTransport, as_transport
+from repro.replicate.transport import DirectoryTransport, as_transport
 from repro.service.runtime import ReadHalf, ReadView
 
 
@@ -64,9 +64,8 @@ class FollowerService(ReadHalf):
     Parameters
     ----------
     transport:
-        The :class:`~repro.replicate.transport.ReplicationTransport` the
-        leader ships through, or a directory path (coerced into a
-        :class:`~repro.replicate.transport.DirectoryTransport`).
+        The :class:`~repro.replicate.transport.DirectoryTransport` the
+        leader ships through, or a directory path coerced into one.
     leader_url:
         Where writes should go instead; carried on every
         :class:`~repro.errors.FollowerReadOnlyError` and surfaced as the
@@ -102,7 +101,7 @@ class FollowerService(ReadHalf):
                  clock=time.time, obs=None, events=None,
                  quality=None, stall_after: Optional[float] = None):
         super().__init__(obs, events, quality)
-        self.transport: ReplicationTransport = as_transport(transport)
+        self.transport: DirectoryTransport = as_transport(transport)
         self.leader_url = leader_url
         self.clock = clock
         self.stall_after = stall_after
@@ -116,6 +115,8 @@ class FollowerService(ReadHalf):
         #: the restored manager (``None`` until the first bootstrap)
         self.target = None
         self._applied_lsn = 0
+        #: ``applied_lsn`` when the last failed round raised
+        self._failed_at = 0
         self._bootstrap_snapshot: Optional[str] = None
         # per-segment tail cursor: name -> byte offset of the next frame
         self._cursors: Dict[str, int] = {}
@@ -144,15 +145,21 @@ class FollowerService(ReadHalf):
         from tests for deterministic stepping, or from the background
         poll thread.  A round that raises leaves its error in
         ``/healthz`` (``status: "failed"``, ``last_error``) until a
-        later round completes.
+        later round applies past the LSN it failed at (or re-bootstraps
+        past it), or completes with nothing left to apply.
         """
         with self._lock:
             try:
                 applied = self._catch_up_locked()
             except Exception as exc:
-                self._failure = exc
+                self._failure, self._failed_at = exc, self._applied_lsn
                 raise
-            self._failure = None
+            # a round that completes still applied nothing when it read a
+            # pruned segment as "not visible yet": stay failed while the
+            # replica is behind, at the LSN it failed at
+            if (self._applied_lsn > self._failed_at
+                    or self._applied_lsn >= self.acked_lsn):
+                self._failure = None
             return applied
 
     def _catch_up_locked(self) -> int:

@@ -3,7 +3,7 @@
 :class:`WalShipper` reads a leader's persistence directory (the
 ``<dir>/wal`` + ``<dir>/snapshots`` layout written by
 :class:`repro.persist.PersistentManager`) and publishes its contents
-through a :class:`~repro.replicate.transport.ReplicationTransport`:
+through a :class:`~repro.replicate.transport.DirectoryTransport`:
 
 1. the newest *fully validated* snapshot is shipped whole (atomically);
 2. every WAL segment's new CRC-valid bytes are appended to its shipped
@@ -51,7 +51,7 @@ from repro.persist.snapshot import (
 from repro.persist.wal import scan_frames, list_segments
 from repro.replicate.transport import (
     MANIFEST_VERSION,
-    ReplicationTransport,
+    DirectoryTransport,
     as_transport,
 )
 
@@ -74,8 +74,8 @@ class WalShipper:
         ``snapshots/``), i.e. the ``directory`` a persistent wrapper
         was built over.
     transport:
-        A :class:`ReplicationTransport`, or a path coerced into a
-        :class:`~repro.replicate.transport.DirectoryTransport`.
+        A :class:`~repro.replicate.transport.DirectoryTransport`, or
+        a path coerced into one.
     clock:
         Wall-clock callable stamped into the manifest as ``shipped_at``
         (follower staleness is measured against it); injectable for
@@ -90,7 +90,7 @@ class WalShipper:
         self.source_dir = source_dir
         self.wal_dir = os.path.join(source_dir, WAL_SUBDIR)
         self.snapshot_dir = os.path.join(source_dir, SNAPSHOT_SUBDIR)
-        self.transport: ReplicationTransport = as_transport(transport)
+        self.transport: DirectoryTransport = as_transport(transport)
         self.clock = clock
         self.obs = as_registry(obs)
         # work counters (always available, obs or not)

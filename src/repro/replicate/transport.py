@@ -1,4 +1,4 @@
-"""Pluggable transports carrying shipped replication artifacts.
+"""The transport carrying shipped replication artifacts.
 
 A transport moves three kinds of artifact from a leader to its
 followers:
@@ -17,9 +17,9 @@ half-written, a manifest that never flipped) can never make a follower
 apply an unacked record.  Publication ordering is therefore fixed:
 artifact bytes first, manifest last.
 
-:class:`DirectoryTransport` is the built-in implementation over a
-shared/filesystem directory (NFS mount, bind-mounted volume, plain
-local directory in tests)::
+:class:`DirectoryTransport` ships them through a shared/filesystem
+directory (NFS mount, bind-mounted volume, plain local directory in
+tests)::
 
     <root>/wal/<segment files>       grow-only shipped copies
     <root>/snapshots/<snap files>    atomic whole-file copies
@@ -41,75 +41,19 @@ WAL_SUBDIR = "wal"
 SNAPSHOT_SUBDIR = "snapshots"
 
 
-class ReplicationTransport:
-    """Abstract transport: the methods a shipper and a tailer need.
-
-    Writers (the leader-side shipper) call the ``put_*``/``remove_*``
-    methods and finish every round with :meth:`publish_manifest`;
-    readers (followers) call ``read_*``/``fetch_*``.  Implementations
-    must make :meth:`publish_manifest` atomic — a reader sees either
-    the previous manifest or the new one, never a torn mix — and must
-    make artifact bytes visible no later than the manifest advertising
-    them.
-    """
-
-    # -- leader side ---------------------------------------------------
-    def put_segment_bytes(self, name: str, offset: int,
-                          data: bytes) -> None:
-        """Append ``data`` to segment ``name`` at byte ``offset``.
-
-        ``offset`` is always the size this transport last acknowledged
-        for ``name``; an implementation finding a longer file (a crashed
-        earlier copy) truncates back to ``offset`` first.
-        """
-        raise NotImplementedError
-
-    def put_snapshot(self, name: str, data: bytes) -> None:
-        """Ship one whole snapshot file atomically."""
-        raise NotImplementedError
-
-    def remove_segment(self, name: str) -> None:
-        """Drop a shipped segment (after the shipped snapshot covers it)."""
-        raise NotImplementedError
-
-    def remove_snapshot(self, name: str) -> None:
-        """Drop a superseded shipped snapshot."""
-        raise NotImplementedError
-
-    def publish_manifest(self, manifest: dict) -> None:
-        """Atomically replace the published manifest."""
-        raise NotImplementedError
-
-    # -- follower side -------------------------------------------------
-    def read_manifest(self) -> Optional[dict]:
-        """The currently published manifest, or None before first ship."""
-        raise NotImplementedError
-
-    def read_segment_bytes(self, name: str, offset: int,
-                           length: int) -> bytes:
-        """Up to ``length`` bytes of segment ``name`` from ``offset``.
-
-        May return fewer bytes than asked for when the artifact is still
-        propagating; the tailer treats a short read as retry-later.
-        """
-        raise NotImplementedError
-
-    def fetch_snapshot(self, name: str) -> bytes:
-        """The full bytes of shipped snapshot ``name``."""
-        raise NotImplementedError
-
-    def segment_names(self) -> List[str]:
-        """Names of every shipped segment (manifest-listed or leftover)."""
-        raise NotImplementedError
-
-
-class DirectoryTransport(ReplicationTransport):
+class DirectoryTransport:
     """Replication over a shared directory (the filesystem transport).
 
     Both ends open the same ``root``: the shipper typically mounts it
-    read-write, followers read-only.  All visibility guarantees reduce
-    to POSIX rename atomicity for the manifest and ordinary append
-    ordering for segments.
+    read-write, followers read-only.  The shipper calls the
+    ``put_*``/``remove_*`` methods and finishes every round with
+    :meth:`publish_manifest`; followers call ``read_*``/``fetch_*``.
+    Two conditions carry the protocol: :meth:`publish_manifest` is
+    atomic — a reader sees the previous manifest or the new one, never
+    a torn mix — and artifact bytes are visible no later than the
+    manifest advertising them.  Here both reduce to POSIX rename
+    atomicity for the manifest and ordinary append ordering for
+    segments.
     """
 
     def __init__(self, root: str, create: bool = True):
@@ -124,6 +68,8 @@ class DirectoryTransport(ReplicationTransport):
     # -- leader side ---------------------------------------------------
     def put_segment_bytes(self, name: str, offset: int,
                           data: bytes) -> None:
+        """Append ``data`` to segment ``name`` at byte ``offset``, the
+        size last acknowledged for it."""
         path = os.path.join(self.wal_dir, name)
         with open(path, "ab") as fh:
             if fh.tell() > offset:
@@ -206,6 +152,9 @@ class DirectoryTransport(ReplicationTransport):
 
     def read_segment_bytes(self, name: str, offset: int,
                            length: int) -> bytes:
+        """Up to ``length`` bytes of segment ``name`` from ``offset``;
+        short (``b""`` when the file is gone) while the artifact is
+        still propagating or was pruned since the manifest was read."""
         path = os.path.join(self.wal_dir, name)
         try:
             with open(path, "rb") as fh:
@@ -235,13 +184,13 @@ class DirectoryTransport(ReplicationTransport):
         return f"DirectoryTransport(root={self.root!r})"
 
 
-def as_transport(source) -> ReplicationTransport:
-    """Coerce a path or transport into a :class:`ReplicationTransport`."""
-    if isinstance(source, ReplicationTransport):
+def as_transport(source) -> DirectoryTransport:
+    """Coerce a path or transport into a :class:`DirectoryTransport`."""
+    if isinstance(source, DirectoryTransport):
         return source
     if isinstance(source, (str, os.PathLike)):
         return DirectoryTransport(os.fspath(source))
     raise ReplicationError(
         f"cannot build a replication transport from {source!r}; pass a "
-        "directory path or a ReplicationTransport"
+        "directory path or a DirectoryTransport"
     )

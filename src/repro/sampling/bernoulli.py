@@ -64,11 +64,3 @@ class GeometricSkipSampler:
                 "geometric skip state was captured for p=%r, not p=%r"
                 % (p, self.p)
             )
-
-    def skip_by_inversion(self) -> int:
-        """Reference draw via logarithm inversion (used by tests and the
-        skip-sampling ablation benchmark)."""
-        if self.p >= 1.0:
-            return 0
-        u = 1.0 - self._rng.random()  # (0, 1]
-        return int(math.log(u) / math.log(1.0 - self.p))

@@ -48,12 +48,11 @@ def estimate_theta_selectivity(pred: ThetaPredicate,
     points = _quantile_points(right_stats, samples)
     if not points or not left_stats.boundaries:
         return _fallback(pred)
+    bounds, lo_open, hi_open = pred.bounds_for(pred.left)
     total = 0.0
     for value in points:
-        interval = pred.interval_for_left(value)
-        total += left_stats.fraction_between(
-            interval.lo, interval.hi, interval.lo_open, interval.hi_open
-        )
+        lo, hi = bounds(value)
+        total += left_stats.fraction_between(lo, hi, lo_open, hi_open)
     return _clamp(total / len(points))
 
 

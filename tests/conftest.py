@@ -166,6 +166,17 @@ def graph_state(graph):
     return state
 
 
+def contains(lo, hi, lo_open: bool, hi_open: bool, value) -> bool:
+    """Brute-force range membership: ``value`` lies between ``lo`` and
+    ``hi`` (``None``: unbounded on that side), an open end excluding its
+    bound — the oracle the compiled cuts are checked against."""
+    if lo is not None and (value < lo or (lo_open and value == lo)):
+        return False
+    if hi is not None and (value > hi or (hi_open and value == hi)):
+        return False
+    return True
+
+
 def chi_square_uniform(counts: List[int]) -> float:
     """Chi-square statistic against the uniform distribution."""
     total = sum(counts)

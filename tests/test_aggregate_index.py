@@ -29,7 +29,8 @@ from repro.errors import IndexKeyError
 from repro.index import aggregate
 from repro.index.aggregate import AggregateTree
 from repro.index.api import cut_points
-from repro.query.intervals import Interval
+
+from conftest import contains
 
 
 class Item:
@@ -377,11 +378,10 @@ def _tree_matches_model(ops, rng_spec, target):
         node for _, node, __ in sorted(model, key=lambda m: m[1].sort_key)]
 
     lo, hi, lo_open, hi_open = rng_spec
-    interval = Interval(lo, hi, lo_open, hi_open)
     rng = cut_points((), lo, hi, lo_open, hi_open)
     in_range = [
         (key, node.tie, item) for key, node, item in model
-        if interval.contains(key)
+        if contains(lo, hi, lo_open, hi_open, key)
     ]
     in_range.sort(key=lambda x: (x[0], x[1]))
     assert tree.range_sum(0, rng) == sum(i.values[0] for *_, i in in_range)
@@ -419,13 +419,13 @@ def test_prefix_ranges_match_model(entries, prefix, lo, hi, lo_open,
             item = Item([value])
             node = tree.insert((p, v), item)
             model.append(((p, v), node.tie, item))
-        interval = Interval(lo if lo >= 0 else None,
-                            hi if hi >= 0 else None, lo_open, hi_open)
-        rng = cut_points((prefix,), interval.lo, interval.hi,
-                         lo_open, hi_open)
+        lo = lo if lo >= 0 else None
+        hi = hi if hi >= 0 else None
+        rng = cut_points((prefix,), lo, hi, lo_open, hi_open)
         in_range = sorted(
             (key, tie, item) for key, tie, item in model
-            if key[0] == prefix and interval.contains(key[1])
+            if key[0] == prefix and contains(lo, hi, lo_open, hi_open,
+                                              key[1])
         )
         assert tree.range_sum(0, rng) == \
             sum(item.values[0] for *_, item in in_range)

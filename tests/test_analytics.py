@@ -1,22 +1,19 @@
-"""Analytics tests: aggregate estimators over a synopsis."""
+"""The survey estimators of :mod:`repro.aqp.estimation` over plain
+value lists: exactness, coverage and unbiasedness."""
 
 import random
 
-from repro.analytics.estimators import (
-    estimate_avg,
-    estimate_count,
-    estimate_sum,
-)
+from repro.aqp.estimation import _count, _mean, _sum
 
 
 class TestEstimators:
     def test_count_exact_on_full_sample(self):
         samples = list(range(100))
-        est = estimate_count(samples, 100, lambda x: x < 25)
+        est = _count([x < 25 for x in samples], 100)
         assert est.value == 25
 
     def test_count_empty_sample(self):
-        est = estimate_count([], 100, lambda x: True)
+        est = _count([], 100)
         assert est.stderr == float("inf")
 
     def test_count_confidence_interval_covers(self):
@@ -28,8 +25,8 @@ class TestEstimators:
         for t in range(trials):
             rng2 = random.Random(t)
             sample = rng2.sample(population, 400)
-            est = estimate_count(sample, len(population), lambda x: x < 3)
-            lo, hi = est.interval()
+            est = _count([x < 3 for x in sample], len(population))
+            lo, hi = est.ci(0.95)
             if lo <= truth <= hi:
                 covered += 1
         assert covered / trials > 0.9
@@ -41,23 +38,20 @@ class TestEstimators:
         estimates = []
         for t in range(100):
             sample = random.Random(t).sample(population, 200)
-            estimates.append(
-                estimate_sum(sample, len(population), lambda x: x).value
-            )
+            estimates.append(_sum(sample, len(population)).value)
         mean = sum(estimates) / len(estimates)
         assert abs(mean - truth) / truth < 0.02
 
     def test_avg(self):
-        est = estimate_avg([1, 2, 3, 4], lambda x: x)
+        est = _mean([1, 2, 3, 4])
         assert est.value == 2.5
-        filtered = estimate_avg([1, 2, 3, 4], lambda x: x,
-                                predicate=lambda x: x > 2)
+        filtered = _mean([x for x in [1, 2, 3, 4] if x > 2])
         assert filtered.value == 3.5
 
     def test_avg_empty(self):
-        est = estimate_avg([], lambda x: x)
+        est = _mean([])
         assert est.stderr == float("inf")
 
     def test_single_sample_zero_variance(self):
-        est = estimate_sum([5], 10, lambda x: x)
+        est = _sum([5], 10)
         assert est.value == 50 and est.stderr == 0

@@ -13,13 +13,13 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "16.0.0"
+    assert repro.__version__ == "17.0.0"
 
 
 @pytest.mark.parametrize("module", [
     "repro.catalog", "repro.query", "repro.index", "repro.graph",
     "repro.sampling", "repro.core", "repro.datagen", "repro.bench",
-    "repro.analytics", "repro.stats", "repro.cli",
+    "repro.stats", "repro.cli",
     "repro.core.manager",
     "repro.core.stats_api",
     "repro.index.api", "repro.index.aggregate", "repro.query.explain",
@@ -44,7 +44,7 @@ def test_submodules_import(module):
 def test_subpackage_all_exports_resolve():
     for module_name in ("repro.catalog", "repro.query", "repro.core",
                         "repro.sampling", "repro.datagen", "repro.bench",
-                        "repro.analytics", "repro.stats", "repro.index",
+                        "repro.stats", "repro.index",
                         "repro.graph", "repro.obs", "repro.persist",
                         "repro.service", "repro.replicate", "repro.aqp"):
         module = importlib.import_module(module_name)
@@ -202,7 +202,6 @@ def test_replicate_public_surface_is_stable():
         "FollowerService",
         "MANIFEST_NAME",
         "MANIFEST_VERSION",
-        "ReplicationTransport",
         "WalShipper",
         "as_transport",
     )
@@ -379,8 +378,7 @@ def test_one_aggregate_index_no_selector():
                    "repro.index.avl"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
-    assert sorted(index.__all__) == ["AggregateTree", "HashIndex",
-                                     "TreeNode"]
+    assert sorted(index.__all__) == ["AggregateTree", "TreeNode"]
     for module, names in (
         (api, ("AggregateIndex", "AggregateIndexBase", "NodeHandle",
                "register_backend", "unregister_backend", "make_index",
@@ -413,8 +411,7 @@ def test_removed_in_5_0_names_are_absent():
     or module ``__getattr__`` may bring any of it back."""
     import inspect
 
-    from repro import (MaintainerConfig, SJoinEngine, analytics, core,
-                       sampling, stats)
+    from repro import MaintainerConfig, SJoinEngine, core, sampling, stats
     from repro.core import synopsis
     from repro.graph import join_number
     from repro.graph.join_graph import WeightedJoinGraph
@@ -433,8 +430,8 @@ def test_removed_in_5_0_names_are_absent():
         "GroupEstimate", "estimate_groups", "top_k_groups",
         "estimate_quantile", "estimate_filter_selectivity",
         "map_join_number_with_weight", "GRAPH_AVL_ROTATIONS")
-    for module in (repro, core, synopsis, sampling, analytics, stats,
-                   join_number, names):
+    for module in (repro, core, synopsis, sampling, stats, join_number,
+                   names):
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ()), name
@@ -602,3 +599,61 @@ def test_removed_in_15_0_names_are_absent():
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ()), name
+
+
+#: 17.0 deleted each second path beside the one the stack uses
+#: (CHANGELOG.md has the removed -> replacement table): (owner, name),
+#: name None for a deleted module
+REMOVED_IN_17_0 = [
+    ("repro.query.intervals", None),
+    ("repro.query", "Interval"),
+    ("repro.query.predicates.ThetaPredicate", "interval_for"),
+    ("repro.query.predicates.ThetaPredicate", "interval_for_right"),
+    ("repro.query.predicates.ThetaPredicate", "interval_for_left"),
+    ("repro.analytics", None),
+    ("repro.analytics.estimators", None),
+    ("repro.aqp.estimation.Estimate", "interval"),
+    ("repro", "ReplicationTransport"),
+    ("repro.replicate", "ReplicationTransport"),
+    ("repro.replicate.transport", "ReplicationTransport"),
+    ("repro.core.manager.SynopsisManager", "register_sql"),
+    ("repro.core.manager", "spec_for_plan"),
+    ("repro.index.hash_index", None),
+    ("repro.index", "HashIndex"),
+    ("repro.catalog.schema.TableSchema", "is_unique_key"),
+    ("repro.catalog.schema.TableSchema", "find_foreign_key"),
+    ("repro.catalog.database.Database", "drop_table"),
+    ("repro.sampling.bernoulli.GeometricSkipSampler", "skip_by_inversion"),
+    ("repro.core.maintainer.JoinSynopsisMaintainer", "synopsis_meta"),
+    ("repro.datagen.workload.StreamPlayer", "live_count"),
+]
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``, then walk the
+    rest as attributes (a class inside the module)."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            owner = getattr(owner, attr)
+        return owner
+    raise ModuleNotFoundError(dotted)
+
+
+@pytest.mark.parametrize(
+    "owner, name", REMOVED_IN_17_0,
+    ids=[f"{owner}.{name}" if name else owner
+         for owner, name in REMOVED_IN_17_0])
+def test_removed_names_are_gone(owner, name):
+    """No alias, shim or re-export brings a 17.0 deletion back."""
+    if name is None:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(owner)
+        return
+    module_or_class = _resolve(owner)
+    assert not hasattr(module_or_class, name), f"{owner}.{name}"
+    assert name not in getattr(module_or_class, "__all__", ()), name

@@ -23,17 +23,17 @@ from repro import (
     SynopsisSpec,
     TableSchema,
 )
-from repro.analytics import (
+from repro.aqp.estimation import (
     Estimate,
-    estimate_avg,
-    estimate_count,
-    estimate_sum,
-    hansen_hurwitz,
-    horvitz_thompson,
-    ratio_estimate,
-    zscore,
+    _count,
+    _hansen_hurwitz,
+    _horvitz_thompson,
+    _mean,
+    _ratio,
+    _sum,
+    _zscore,
 )
-from repro.core.manager import spec_for_plan
+from repro.aqp.registry import spec_for_plan
 from repro.errors import (
     InvalidArgumentError,
     PlanError,
@@ -72,84 +72,81 @@ def loaded_manager(spec=None, n=6):
 # ---------------------------------------------------------------------------
 class TestDegenerateEstimators:
     def test_count_empty_population_is_exact_zero(self):
-        est = estimate_count([], 0, lambda s: True)
+        est = _count([], 0)
         assert est == Estimate(0.0, 0.0)
         assert est.ci() == (0.0, 0.0)
 
     def test_count_empty_sample_nonempty_population(self):
-        est = estimate_count([], 100, lambda s: True)
+        est = _count([], 100)
         assert est.value == 0.0
         assert math.isinf(est.stderr)
         assert est.ci() is None
 
     def test_sum_degenerates_like_count(self):
-        assert estimate_sum([], 0, lambda s: s) == Estimate(0.0, 0.0)
-        est = estimate_sum([], 9, lambda s: s)
+        assert _sum([], 0) == Estimate(0.0, 0.0)
+        est = _sum([], 9)
         assert est.ci() is None
 
     def test_single_sample_zero_variance(self):
-        est = estimate_sum([4], 10, lambda s: s)
+        est = _sum([4], 10)
         assert est.value == 40.0
         assert est.stderr == 0.0
         lo, hi = est.ci(0.99)
         assert lo == hi == 40.0
 
     def test_avg_of_nothing_is_undefined(self):
-        est = estimate_avg([], lambda s: s)
+        est = _mean([])
         assert math.isnan(est.value)
         assert est.ci() is None
 
     def test_avg_fully_filtered_out(self):
-        est = estimate_avg([1, 2, 3], lambda s: s,
-                           predicate=lambda s: s > 99)
+        est = _mean([s for s in [1, 2, 3] if s > 99])
         assert math.isnan(est.value)
         assert est.ci() is None
 
     def test_hansen_hurwitz_degenerates(self):
-        assert hansen_hurwitz([], [], 0, lambda s: 1.0) == \
-            Estimate(0.0, 0.0)
-        est = hansen_hurwitz([], [], 25, lambda s: 1.0)
+        assert _hansen_hurwitz([], [], 0) == Estimate(0.0, 0.0)
+        est = _hansen_hurwitz([], [], 25)
         assert est.value == 0.0 and est.ci() is None
         with pytest.raises(InvalidArgumentError):
-            hansen_hurwitz([1], [], 25, lambda s: 1.0)
+            _hansen_hurwitz([1.0], [], 25)
         with pytest.raises(InvalidArgumentError):
-            hansen_hurwitz([1], [0.0], 25, lambda s: 1.0)
+            _hansen_hurwitz([1.0], [0.0], 25)
 
     def test_hansen_hurwitz_exact_on_weight_itself(self):
         # each draw contributes W * w_i / w_i == W: zero variance
-        est = hansen_hurwitz([2, 5], [2.0, 5.0], 7.0, lambda s: s)
+        est = _hansen_hurwitz([2, 5], [2.0, 5.0], 7.0)
         assert est == Estimate(7.0, 0.0)
 
     def test_horvitz_thompson_degenerates(self):
-        est = horvitz_thompson([], [], lambda s: 1.0)
+        est = _horvitz_thompson([], [])
         assert est.value == 0.0 and est.ci() is None
         with pytest.raises(InvalidArgumentError):
-            horvitz_thompson([1], [0.0], lambda s: 1.0)
+            _horvitz_thompson([1.0], [0.0])
         with pytest.raises(InvalidArgumentError):
-            horvitz_thompson([1], [1.5], lambda s: 1.0)
+            _horvitz_thompson([1.0], [1.5])
         with pytest.raises(InvalidArgumentError):
-            horvitz_thompson([1, 2], [0.5], lambda s: 1.0)
+            _horvitz_thompson([1.0, 2.0], [0.5])
 
     def test_horvitz_thompson_certain_inclusion_is_exact(self):
-        est = horvitz_thompson([3, 4], [1.0, 1.0], lambda s: s)
+        est = _horvitz_thompson([3, 4], [1.0, 1.0])
         assert est == Estimate(7.0, 0.0)
 
     def test_ratio_estimate_zero_denominator(self):
-        est = ratio_estimate(Estimate(5.0, 1.0), Estimate(0.0, 0.0))
+        est = _ratio(Estimate(5.0, 1.0), Estimate(0.0, 0.0))
         assert math.isnan(est.value)
         assert est.ci() is None
 
     def test_ratio_estimate_infinite_inputs_keep_point(self):
-        est = ratio_estimate(Estimate(6.0, float("inf")),
-                             Estimate(2.0, 0.0))
+        est = _ratio(Estimate(6.0, float("inf")), Estimate(2.0, 0.0))
         assert est.value == 3.0
         assert est.ci() is None
 
     def test_zscore_validation(self):
-        assert abs(zscore(0.95) - 1.96) < 0.005
+        assert abs(_zscore(0.95) - 1.96) < 0.005
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidArgumentError):
-                zscore(bad)
+                _zscore(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +282,6 @@ class TestRegistryOnManager:
         assert desc["total_results"] == 6
         assert q.explain() == q.explain()  # deterministic
         assert registry.describe_all() == [desc]
-
-    def test_manager_register_sql_shortcut(self):
-        db = make_db()
-        manager = SynopsisManager(db, MaintainerConfig(seed=3))
-        manager.register_sql("direct", SQL, size=9)
-        assert manager.maintainer("direct").requested_spec.size == 9
-        with pytest.raises(QueryParseError):
-            manager.register_sql("bad", "SELECT FROM nothing")
 
 
 # ---------------------------------------------------------------------------

@@ -97,22 +97,6 @@ class TestSchema:
         schema = TableSchema("t", [Column("a", nullable=True)])
         schema.validate_row((None,))
 
-    def test_is_unique_key_superset_of_pk(self):
-        schema = TableSchema(
-            "t", [Column("a"), Column("b")], primary_key=("a",)
-        )
-        assert schema.is_unique_key(("a",))
-        assert schema.is_unique_key(("a", "b"))
-        assert not schema.is_unique_key(("b",))
-
-    def test_no_pk_means_nothing_unique(self):
-        assert not simple_schema().is_unique_key(("a",))
-
-    def test_find_foreign_key(self):
-        fk = ForeignKey(("a",), "other", ("x",))
-        schema = TableSchema("t", [Column("a")], foreign_keys=(fk,))
-        assert schema.find_foreign_key(("a",), "other") == fk
-        assert schema.find_foreign_key(("a",), "elsewhere") is None
 
 
 class TestTable:
@@ -201,14 +185,6 @@ class TestDatabase:
     def test_missing_table_raises(self):
         with pytest.raises(CatalogError):
             Database().table("nope")
-
-    def test_drop_table(self):
-        db = Database()
-        db.create_table(simple_schema("x"))
-        db.drop_table("x")
-        assert not db.has_table("x")
-        with pytest.raises(CatalogError):
-            db.drop_table("x")
 
     def test_bulk_load(self):
         db = Database()

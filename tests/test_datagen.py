@@ -194,7 +194,8 @@ class TestWorkloadTools:
         player.apply(DeleteOldest("a", 2))
         assert rec.batches[-1] == [DeleteOp("a", 0), DeleteOp("a", 1)]
         assert [len(b) for b in rec.batches] == [1, 1, 1, 1, 2]
-        assert player.live_count("a") == 2
+        # two of the four are left: a larger DeleteOldest takes those
+        assert player.apply(DeleteOldest("a", 5)) == 2
 
     def test_player_hands_an_engine_the_oldest_as_one_delete_run(self):
         """``DeleteOldest(n)`` is one batch of n deletes — one engine

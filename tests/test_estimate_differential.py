@@ -4,12 +4,13 @@ An estimate is answered from the heap rows a view carries — resolved
 once per entry by the engine's entry store — with the request compiled
 into column terms and evaluated a column at a time.  The reference here
 is the estimator that used to run: resolve every sampled TID through
-``Table.peek`` on every call, then drive the ``repro.analytics``
-estimators with one closure predicate per sample (and one full pass per
-group).  After every batch of a seeded insert/delete stream the shipped
-payload must equal it with ``==`` — value, stderr, CI, the groups and
-their order, sample size, epoch — on the leader, on a follower tailing
-its WAL, on a bare manager, and across checkpoint + recover.
+``Table.peek`` on every call, then evaluate one closure predicate per
+sample (and one full pass per group) into the value lists the survey
+estimators take.  After every batch of a seeded insert/delete stream
+the shipped payload must equal it with ``==`` — value, stderr, CI, the
+groups and their order, sample size, epoch — on the leader, on a
+follower tailing its WAL, on a bare manager, and across checkpoint +
+recover.
 
 The second half counts ``Table.peek`` calls: that an estimate makes
 none, and a publish reads each range table's heap at most once per
@@ -25,16 +26,16 @@ from collections import Counter
 import pytest
 
 from repro import DeleteOp, QueryRegistry, SynopsisService
-from repro.analytics import (
-    Estimate,
-    estimate_avg,
-    estimate_count,
-    estimate_sum,
-    hansen_hurwitz,
-    horvitz_thompson,
-    ratio_estimate,
-)
 from repro.aqp import Snapshot, estimate_from_snapshot
+from repro.aqp.estimation import (
+    Estimate,
+    _count,
+    _hansen_hurwitz,
+    _horvitz_thompson,
+    _mean,
+    _ratio,
+    _sum,
+)
 from repro.catalog.table import Table
 from repro.persist import PersistentManager
 from repro.persist.state import (
@@ -111,36 +112,34 @@ def _accessor(query, db, ref):
     return lambda rows: rows[t_idx][c_idx]
 
 
-def _family_sum(family, samples, metas, total, value_of):
+def _family_sum(family, values, metas, total):
     if family == "weighted":
         weights = [float(m.get("weight", 1)) for m in metas]
-        return hansen_hurwitz(samples, weights, total, value_of)
+        return _hansen_hurwitz(values, weights, total)
     if family == "subset":
         if total == 0:
             return Estimate(0.0, 0.0)
         pis = [float(m.get("inclusion_probability", 1.0)) for m in metas]
-        return horvitz_thompson(samples, pis, value_of)
-    return estimate_sum(samples, total, value_of)
+        return _horvitz_thompson(values, pis)
+    return _sum(values, total)
 
 
 def _aggregate(family, samples, metas, total, agg, value_of, predicate):
-    def indicator(rows):
-        return 1.0 if predicate(rows) else 0.0
-
-    def masked(rows):
-        return float(value_of(rows)) if predicate(rows) else 0.0
-
+    hits = [predicate(rows) for rows in samples]
+    indicator = [1.0 if hit else 0.0 for hit in hits]
     if agg == "count":
         if family == "uniform":
-            return estimate_count(samples, total, predicate)
-        return _family_sum(family, samples, metas, total, indicator)
+            return _count(hits, total)
+        return _family_sum(family, indicator, metas, total)
+    masked = [float(value_of(rows)) if hit else 0.0
+              for rows, hit in zip(samples, hits)]
     if agg == "sum":
-        return _family_sum(family, samples, metas, total, masked)
+        return _family_sum(family, masked, metas, total)
     if family == "uniform":
-        return estimate_avg(samples, value_of, predicate)
-    return ratio_estimate(
-        _family_sum(family, samples, metas, total, masked),
-        _family_sum(family, samples, metas, total, indicator))
+        return _mean([value_of(rows)
+                      for rows, hit in zip(samples, hits) if hit])
+    return _ratio(_family_sum(family, masked, metas, total),
+                  _family_sum(family, indicator, metas, total))
 
 
 def _fields(est, confidence):

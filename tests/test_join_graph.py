@@ -286,8 +286,8 @@ class TestBigIntegerRangeKeys:
     """Join keys past 2**53 (nanosecond timestamps are): the two
     directions of a range edge must bucket them identically.  The bounds
     used to be computed with ``int / int`` on one direction, a float, so
-    ``matches(v, v + 1)`` held while ``interval_for_right(v)`` excluded
-    ``v + 1`` — ``W_in`` went stale and Algorithm 2 drew from wrong
+    ``matches(v, v + 1)`` held while the range bounded for ``v``
+    excluded ``v + 1`` — ``W_in`` went stale and Algorithm 2 drew from wrong
     weights."""
 
     @pytest.mark.parametrize("coeff", [1, -1, 2, 3])

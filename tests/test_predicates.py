@@ -1,8 +1,9 @@
 """Predicate model tests.
 
 The central property (which the whole weighted join graph relies on):
-``matches(l, r)`` holds iff ``r`` is in ``interval_for_right(l)`` iff
-``l`` is in ``interval_for_left(r)`` — verified exhaustively for random
+``matches(l, r)`` holds iff ``r`` lies in the range
+``bounds_for(right)`` maps ``l`` to, iff ``l`` lies in the range
+``bounds_for(left)`` maps ``r`` to — verified exhaustively for random
 predicate parameterisations via hypothesis.
 """
 
@@ -12,6 +13,16 @@ from hypothesis import strategies as st
 
 from repro import BandPredicate, ComparisonOp, JoinPredicate, QueryError
 from repro.query.predicates import FilterPredicate, MultiTableFilter
+
+from conftest import contains
+
+
+def within(pred, target, source_value, value):
+    """``value`` on ``target``'s side lies in the range that
+    ``pred.bounds_for(target)`` maps the other side's value to."""
+    bounds, lo_open, hi_open = pred.bounds_for(target)
+    lo, hi = bounds(source_value)
+    return contains(lo, hi, lo_open, hi_open, value)
 
 
 class TestComparisonOp:
@@ -40,13 +51,14 @@ class TestJoinPredicate:
         assert p.is_plain_equality
         assert p.matches(3, 3)
         assert not p.matches(3, 4)
-        assert p.interval_for_right(3).is_point
-        assert p.interval_for_left(4).contains(4)
+        assert p.bounds_for("s")[0](3) == (3, 3)
+        assert p.bounds_for("s")[1:] == (False, False)
+        assert within(p, "r", 4, 4)
 
     def test_plain_equality_works_on_strings(self):
         p = JoinPredicate("r", "a", ComparisonOp.EQ, "s", "b")
         assert p.matches("x", "x")
-        assert p.interval_for_right("x").contains("x")
+        assert within(p, "s", "x", "x")
 
     def test_arithmetic_equality(self):
         # r.a = 2*s.b + 1
@@ -54,26 +66,26 @@ class TestJoinPredicate:
                           coeff=2, offset=1)
         assert p.matches(7, 3)
         assert not p.matches(7, 4)
-        assert p.interval_for_left(3).contains(7)
+        assert within(p, "r", 3, 7)
         # inverse: s.b = (r.a - 1)/2, fractional bounds stay exact
-        iv = p.interval_for_right(8)
-        assert not iv.contains(3)
-        assert not iv.contains(4)  # (8-1)/2 = 3.5: no integer matches
+        assert not within(p, "s", 8, 3)
+        # (8-1)/2 = 3.5: no integer matches
+        assert not within(p, "s", 8, 4)
 
     def test_inequality_direction(self):
         # r.a < s.b
         p = JoinPredicate("r", "a", ComparisonOp.LT, "s", "b")
-        assert p.interval_for_right(5).contains(6)
-        assert not p.interval_for_right(5).contains(5)
-        assert p.interval_for_left(5).contains(4)
-        assert not p.interval_for_left(5).contains(5)
+        assert within(p, "s", 5, 6)
+        assert not within(p, "s", 5, 5)
+        assert within(p, "r", 5, 4)
+        assert not within(p, "r", 5, 5)
 
     def test_negative_coefficient_flips_direction(self):
         # r.a <= -1*s.b  <=>  s.b <= -r.a
         p = JoinPredicate("r", "a", ComparisonOp.LE, "s", "b", coeff=-1)
         assert p.matches(-5, 5)
-        assert p.interval_for_right(-5).contains(5)
-        assert not p.interval_for_right(-5).contains(6)
+        assert within(p, "s", -5, 5)
+        assert not within(p, "s", -5, 6)
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(QueryError):
@@ -110,14 +122,14 @@ class TestBandPredicate:
         assert p.matches(5, 3)
         assert p.matches(5, 7)
         assert not p.matches(5, 8)
-        iv = p.interval_for_right(5)
-        assert iv.contains(3) and iv.contains(7) and not iv.contains(8)
+        assert within(p, "s", 5, 3) and within(p, "s", 5, 7)
+        assert not within(p, "s", 5, 8)
 
     def test_strict_band(self):
         p = BandPredicate("r", "a", "s", "b", width=2, inclusive=False)
         assert not p.matches(5, 3)
         assert p.matches(5, 4)
-        assert not p.interval_for_left(3).contains(5)
+        assert not within(p, "r", 3, 5)
 
     def test_band_with_coefficient(self):
         # |r.a - 2*s.b| <= 1
@@ -125,8 +137,8 @@ class TestBandPredicate:
         assert p.matches(7, 3)
         assert p.matches(7, 4)
         assert not p.matches(7, 5)
-        iv = p.interval_for_right(7)
-        assert iv.contains(3) and iv.contains(4) and not iv.contains(5)
+        assert within(p, "s", 7, 3) and within(p, "s", 7, 4)
+        assert not within(p, "s", 7, 5)
 
     def test_negative_width_rejected(self):
         with pytest.raises(QueryError):
@@ -173,7 +185,7 @@ class TestMultiTableFilter:
 
 
 # ----------------------------------------------------------------------
-# the load-bearing property: predicate <-> interval consistency
+# the load-bearing property: predicate <-> range consistency
 # ----------------------------------------------------------------------
 values = st.integers(min_value=-8, max_value=8)
 ops = st.sampled_from(list(ComparisonOp))
@@ -188,8 +200,8 @@ def test_join_predicate_interval_consistency(op, coeff, offset, l, r, far):
     p = JoinPredicate("r", "a", op, "s", "b", coeff=coeff, offset=offset)
     l, r = l + coeff * far, r + far
     expected = p.matches(l, r)
-    assert p.interval_for_right(l).contains(r) == expected
-    assert p.interval_for_left(r).contains(l) == expected
+    assert within(p, "s", l, r) == expected
+    assert within(p, "r", r, l) == expected
 
 
 @given(coeffs, st.integers(min_value=0, max_value=4), st.booleans(),
@@ -200,5 +212,5 @@ def test_band_predicate_interval_consistency(coeff, width, inclusive, l, r,
                       inclusive=inclusive)
     l, r = l + coeff * far, r + far
     expected = p.matches(l, r)
-    assert p.interval_for_right(l).contains(r) == expected
-    assert p.interval_for_left(r).contains(l) == expected
+    assert within(p, "s", l, r) == expected
+    assert within(p, "r", r, l) == expected

@@ -31,11 +31,11 @@ from hypothesis import strategies as st
 from repro.index.aggregate import AggregateTree
 from repro.index.api import cut_points
 from repro.query import query_tree
-from repro.query.intervals import Interval
 from repro.query.predicates import (BandPredicate, ComparisonOp,
                                     JoinPredicate)
 from repro.query.query_tree import TreeEdge
 
+from conftest import contains
 from test_aggregate_index import Item, read, small_blocks
 
 COEFFS = (1, 2, -1, Fraction(1, 2), 0.5, -1.5)
@@ -114,12 +114,11 @@ def model(tree, ref):
     """The nodes of the range ``ref`` by brute force over its own fields
     (not through any cut)."""
     prefix, lo, hi, lo_open, hi_open = ref
-    interval = Interval(lo, hi, lo_open, hi_open)
     plen = len(prefix)
     return [node for node in tree.iter_nodes()
             if node.key[:plen] == prefix
             and (plen == len(node.key)
-                 or interval.contains(node.key[plen]))]
+                 or contains(lo, hi, lo_open, hi_open, node.key[plen]))]
 
 
 def mismatches(edge, target, key_pos, vkey, tree, cut):

@@ -540,6 +540,36 @@ class TestFollowerService:
             f.stop()
             pm.close()
 
+    def test_healthz_stays_failed_while_a_pruned_segment_reads_empty(
+            self, tmp_path, monkeypatch):
+        """A round after a failed one that reads the segment as ``b""``
+        (pruned between the manifest read and the tail) applies nothing
+        and completes; ``/healthz`` stays ``failed`` until the replica
+        moves past the record that failed."""
+        pm, live, shipper, ship_dir = ship_pair(tmp_path)
+        f = FollowerService(ship_dir)
+        stuck_at = f.applied_lsn
+        pm.wal.append(("mystery", 1))
+        shipper.ship_once()
+        with pytest.raises(ReplicationError):
+            f.catch_up()
+        with monkeypatch.context() as patch:
+            patch.setattr(f.transport, "read_segment_bytes",
+                          lambda name, offset, length: b"")
+            assert f.catch_up() == 0
+        body = f.healthz()
+        assert body["status"] == "failed"
+        assert "ReplicationError" in body["last_error"]
+        assert body["applied_lsn"] == stuck_at < body["acked_lsn"]
+        pm.checkpoint()
+        drive(pm, random.Random(17), 5, live)
+        shipper.ship_once()
+        f.catch_up()
+        body = f.healthz()
+        assert body["status"] == "ok" and "last_error" not in body
+        assert body["applied_lsn"] == pm.wal.next_lsn
+        pm.close()
+
     def test_torn_advertised_bytes_raise(self, tmp_path):
         """Corruption *inside* the advertised range is loud, not silent."""
         pm, _, _, ship_dir = ship_pair(tmp_path)

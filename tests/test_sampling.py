@@ -5,7 +5,6 @@ Skip generators are validated two ways: (1) expectations / support checks,
 against a naive per-record reference implementation.
 """
 
-import math
 import random
 from collections import Counter
 
@@ -214,10 +213,3 @@ class TestGeometricSkips:
             stat += ((n - covered_obs) - tail_exp) ** 2 / tail_exp
             buckets += 1
         assert stat < chi_square_threshold(max(buckets - 1, 1))
-
-    def test_inversion_reference_mean(self):
-        p = 0.05
-        sampler = GeometricSkipSampler(p, random.Random(3))
-        n = 20000
-        mean = sum(sampler.skip_by_inversion() for _ in range(n)) / n
-        assert abs(mean - (1 - p) / p) / ((1 - p) / p) < 0.05

@@ -89,7 +89,8 @@ class TestSnapshotRoundTrip:
         assert restored.engine.raw_samples() == \
             maintainer.engine.raw_samples()
         assert restored.synopsis() == maintainer.synopsis()
-        assert restored.synopsis_meta() == maintainer.synopsis_meta()
+        assert restored.synopsis_entries().metas == \
+            maintainer.synopsis_entries().metas
         assert restored.engine.rng.getstate() == \
             maintainer.engine.rng.getstate()
         # the worlds stay merged: identical future update stream
