@@ -47,6 +47,7 @@ from repro.query.explain import explain_plan
 from repro.query.parser import parse_query
 from repro.query.planner import JoinPlan, plan_query
 from repro.query.query import JoinQuery
+from repro.query.query_tree import build_query_tree
 
 #: the largest synopsis a registration may ask for: a sample is
 #: bounded by design, and on a durable target the size is logged and
@@ -56,6 +57,8 @@ MAX_SYNOPSIS_SIZE = 10_000_000
 #: synopsis families whose snapshot ``total`` is the exact join
 #: cardinality J (the Algorithm-2 root weight); the weighted family's
 #: total is the weighted-unit total W, which is not a COUNT truth.
+#: J is the tree join's size, so it is a truth only for a registration
+#: without residual filters (:func:`_has_residuals`).
 _EXACT_COUNT_FAMILIES = ("uniform", "subset")
 
 
@@ -88,6 +91,14 @@ def spec_for_plan(plan: JoinPlan, *, size: int = 1000,
             f"weight column {weight_column!r}: table "
             f"{schema.name!r} has no column {attr!r}")
     return SynopsisSpec.weighted_fixed_size(size, weight_column)
+
+
+def _has_residuals(query: JoinQuery) -> bool:
+    """Whether ``query`` filters after Algorithm 2 (§5.1): an edge its
+    plan demotes (``plan.demoted``, a cycle-closing or second range
+    predicate) or a user multi-table filter.  Such a query's results are
+    a subset of the tree join's, so J overstates its COUNT."""
+    return bool(query.multi_filters or build_query_tree(query).demoted)
 
 
 def _is_int(value: object) -> bool:
@@ -137,6 +148,9 @@ class RegisteredQuery:
         self.name = name
         self.sql = sql
         self.query = query
+        #: decided once, at registration: a residual query's COUNT has
+        #: no free truth in the tree join's J
+        self.has_residuals = _has_residuals(query)
 
     def estimate(self, agg: str = "count", *,
                  column: Optional[str] = None,
@@ -151,7 +165,8 @@ class RegisteredQuery:
         (:class:`~repro.aqp.audit.AccuracyAuditor`): latency always,
         plus a CI-coverage verdict against the exact Algorithm-2 join
         count whenever the answer is an unfiltered, ungrouped ``COUNT``
-        on a family whose snapshot total is that count.
+        on a family whose snapshot total is that count, of a query with
+        no residual filter (whose J is not its COUNT).
         """
         registry = self._registry
         start_ns = time.perf_counter_ns()
@@ -161,7 +176,8 @@ class RegisteredQuery:
         payload["name"] = self.name
         truth = None
         if (str(agg).lower() == "count" and not where and group_by is None
-                and snapshot.family in _EXACT_COUNT_FAMILIES):
+                and snapshot.family in _EXACT_COUNT_FAMILIES
+                and not self.has_residuals):
             truth = float(snapshot.total)
         registry.audit.observe(
             self.name, payload,

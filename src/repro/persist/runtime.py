@@ -30,7 +30,8 @@ from __future__ import annotations
 import os
 import reprlib
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.config import MaintainerConfig, coerce_config
 from repro.core.maintainer import JoinSynopsisMaintainer
@@ -42,15 +43,18 @@ from repro.core.stats_api import (
     ManagerStats,
     UpdateOp,
 )
-from repro.errors import InvalidArgumentError, PersistError, ReproError
+from repro.errors import (InvalidArgumentError, PersistError, RecoveryError,
+                          ReproError)
 from repro.obs import names as metric_names
 from repro.obs.metrics import as_registry
 from repro.persist.snapshot import SnapshotStore
 from repro.persist.state import (
     STATE_KIND,
+    bulk_load,
     capture_database,
     capture_manager,
     check_snapshot_format,
+    covered_lsn,
     restore_database,
     restore_manager,
     spec_from_dict,
@@ -455,33 +459,62 @@ class PersistentManager:
                 segment_max_bytes: int = 4 * 1024 * 1024,
                 retain: int = 2, sync_hook=None, obs=None,
                 manager_obs=None) -> "PersistentManager":
-        """Load snapshot, verify, replay the WAL tail, resume."""
+        """Load snapshot, verify, replay the WAL tail, resume.
+
+        The whole call runs as one :func:`~repro.persist.state.bulk_load`
+        (no collector sweeps), and the decoded snapshot is dropped once
+        the manager is rebuilt from it, so the replay does not run
+        beside it.
+        """
         obs = as_registry(obs)
-        with obs.timer(metric_names.PERSIST_RECOVERY_NS):
-            started = time.perf_counter()
-            loaded = SnapshotStore(
-                os.path.join(directory, SNAPSHOT_SUBDIR), retain=retain,
-            ).load_latest()
-            if loaded is None:
-                raise PersistError(
-                    f"no valid snapshot under {directory!r}; nothing to "
-                    "recover"
-                )
-            payload, header = loaded
-            check_snapshot_format(payload, f"snapshot under {directory!r}")
-            db = restore_database(payload["database"])
-            manager = restore_manager(db, payload["manager"],
-                                      obs=manager_obs)
-            self = cls(manager, directory, sync=sync,
-                       segment_max_bytes=segment_max_bytes, retain=retain,
-                       sync_hook=sync_hook, obs=obs, _recovered=True)
-            self.recoveries += 1
-            restored = time.perf_counter()
-            self.restore_seconds = restored - started
-            (self.replayed_ops, self.replay_failures,
-             self.replay_batches) = replay_entries(
-                manager, (entry for _, entry in
-                          self.wal.replay(from_lsn=header["wal_lsn"])))
-            self.replay_seconds = time.perf_counter() - restored
-        self._publish_metrics()
+        with bulk_load():
+            with obs.timer(metric_names.PERSIST_RECOVERY_NS):
+                started = time.perf_counter()
+                loaded = SnapshotStore(
+                    os.path.join(directory, SNAPSHOT_SUBDIR), retain=retain,
+                ).load_latest()
+                if loaded is None:
+                    raise PersistError(
+                        f"no valid snapshot under {directory!r}; nothing "
+                        "to recover"
+                    )
+                payload, header = loaded
+                where = f"snapshot under {directory!r}"
+                check_snapshot_format(payload, where)
+                wal_lsn = covered_lsn(payload, header, where)
+                db = restore_database(payload["database"])
+                manager = restore_manager(db, payload["manager"],
+                                          obs=manager_obs)
+                del loaded, payload, header
+                self = cls(manager, directory, sync=sync,
+                           segment_max_bytes=segment_max_bytes,
+                           retain=retain, sync_hook=sync_hook, obs=obs,
+                           _recovered=True)
+                self.recoveries += 1
+                restored = time.perf_counter()
+                self.restore_seconds = restored - started
+                (self.replayed_ops, self.replay_failures,
+                 self.replay_batches) = replay_entries(
+                    manager, _log_from(self.wal, wal_lsn))
+                self.replay_seconds = time.perf_counter() - restored
+            self._publish_metrics()
         return self
+
+
+def _log_from(wal: WriteAheadLog, lsn: int) -> Iterator:
+    """The logged entries from ``lsn`` on, which must follow each other
+    without a gap: a log that no longer holds a record the snapshot does
+    not cover (an older snapshot's records were truncated by a newer
+    checkpoint, or a sealed segment lost a record) would replay a state
+    no process was ever in, so it is a :class:`~repro.errors.RecoveryError`."""
+    expected = lsn
+    for got, entry in wal.replay(from_lsn=lsn):
+        if got != expected:
+            break
+        expected += 1
+        yield entry
+    if wal.next_lsn > expected:
+        raise RecoveryError(
+            f"the WAL under {wal.directory!r} does not hold record "
+            f"{expected} of the {wal.next_lsn - lsn} after the snapshot "
+            f"(LSN {lsn}); refusing to replay past the gap")

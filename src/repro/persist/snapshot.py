@@ -34,6 +34,11 @@ FORMAT_VERSION = 1
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".snap"
 
+#: header fields that must be JSON integers for the header to parse: a
+#: flipped byte outside the payload's CRC must not reach a reader as a
+#: missing key or a wrong type
+_HEADER_INTS = ("wal_lsn", "payload_len", "payload_crc")
+
 
 def _snapshot_name(seq: int) -> str:
     return f"{SNAPSHOT_PREFIX}{seq:08x}{SNAPSHOT_SUFFIX}"
@@ -57,7 +62,9 @@ def _parse_header(header_line: bytes) -> Optional[dict]:
         return None
     if (not isinstance(header, dict)
             or header.get("magic") != SNAPSHOT_MAGIC
-            or header.get("version") != FORMAT_VERSION):
+            or header.get("version") != FORMAT_VERSION
+            or not all(type(header.get(field)) is int
+                       for field in _HEADER_INTS)):
         return None
     return header
 

@@ -25,11 +25,17 @@ The SJ baseline engine is *not* persistable: its plain per-table indexes
 enumerate duplicate join keys in an order a rebuild cannot reproduce, so
 a restored SJ engine would silently draw a different sample stream.
 Capturing one raises :class:`~repro.errors.PersistError`.
+
+A recovery or a follower bootstrap decodes and rebuilds the whole state
+in one go; :func:`bulk_load` keeps the cyclic collector out of that
+phase, and this module is the one place that switches it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import threading
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, DataType, ForeignKey, TableSchema
@@ -45,6 +51,56 @@ from repro.errors import PersistError, RecoveryError
 STATE_VERSION = 5
 #: the ``kind`` every snapshot payload carries
 STATE_KIND = "manager"
+
+
+class _BulkLoad:
+    """The process's one collector switch; :func:`bulk_load` hands it out."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> "_BulkLoad":
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        # allocates no tracked object once the collector is back on: the
+        # collection the load owes runs at the caller's next allocation
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                if self._was_enabled:
+                    gc.enable()
+                else:
+                    gc.disable()
+        return False
+
+
+_BULK_LOAD = _BulkLoad()
+
+
+def bulk_load() -> _BulkLoad:
+    """A context manager that runs a one-shot bulk load with the cyclic
+    collector paused.
+
+    A snapshot decode, its restore and a WAL replay allocate a
+    container per row, vertex, entry and sample, and all of them stay
+    reachable, so every collection the allocation count triggers walks
+    them and frees nothing.  The first entrant records
+    :func:`gc.isenabled` and disables the collector; the last one out,
+    on any thread and however it leaves, restores exactly what the first
+    one found.  Nothing is collected, frozen or re-tuned: reference
+    counting still frees what the load drops, and the first collection
+    after the load walks what it allocated once, as its youngest
+    generation.
+    """
+    return _BULK_LOAD
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +200,23 @@ def check_snapshot_format(payload: dict, where: str,
             "states (state written by an earlier release is not "
             "readable — rebuild it from the source data)"
         )
+
+
+def covered_lsn(payload: dict, header: dict, where: str,
+                error=RecoveryError) -> int:
+    """The first WAL LSN a format-checked snapshot does not cover.
+
+    The header's ``wal_lsn`` is outside the payload's CRC and the
+    payload's copy is inside it: a header that disagrees with its
+    payload would start the replay at the wrong record, so it raises
+    ``error`` naming ``where``.
+    """
+    lsn = header["wal_lsn"]
+    if payload.get("wal_lsn") != lsn:
+        raise error(
+            f"{where} header says it covers the log up to LSN {lsn!r} "
+            f"and its CRC-checked payload says {payload.get('wal_lsn')!r}")
+    return lsn
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,9 @@ from repro.obs import names as metric_names
 from repro.persist.runtime import replay_entries
 from repro.persist.snapshot import decode_snapshot_bytes
 from repro.persist.state import (
+    bulk_load,
     check_snapshot_format,
+    covered_lsn,
     restore_database,
     restore_manager,
 )
@@ -209,19 +211,21 @@ class FollowerService(ReadHalf):
                 "follower from a WAL tail alone"
             )
         data = self.transport.fetch_snapshot(snapshot["name"])
-        decoded = decode_snapshot_bytes(data)
-        if decoded is None:
-            raise ReplicationError(
-                f"shipped snapshot {snapshot['name']} fails CRC/format "
-                "validation; refusing to bootstrap from it"
-            )
-        payload, header = decoded
-        check_snapshot_format(
-            payload, f"shipped snapshot {snapshot['name']}",
-            error=ReplicationError)
-        self.target = restore_manager(
-            restore_database(payload["database"]), payload["manager"])
-        self._applied_lsn = int(header["wal_lsn"])
+        with bulk_load():
+            decoded = decode_snapshot_bytes(data)
+            if decoded is None:
+                raise ReplicationError(
+                    f"shipped snapshot {snapshot['name']} fails CRC/format "
+                    "validation; refusing to bootstrap from it"
+                )
+            payload, header = decoded
+            where = f"shipped snapshot {snapshot['name']}"
+            check_snapshot_format(payload, where, error=ReplicationError)
+            wal_lsn = covered_lsn(payload, header, where,
+                                  error=ReplicationError)
+            self.target = restore_manager(
+                restore_database(payload["database"]), payload["manager"])
+        self._applied_lsn = wal_lsn
         self._bootstrap_snapshot = snapshot["name"]
         self._cursors.clear()
         self.bootstraps += 1

@@ -281,6 +281,42 @@ class TestEndToEnd:
         audit = registry.audit.query_audit("qw")
         assert audit.estimates == 1 and audit.audited == 0
 
+    @pytest.mark.parametrize("family", ["uniform", "subset"])
+    def test_residual_query_count_takes_no_free_truth(self, family):
+        # the band triangle's cycle-closing edge is a residual filter:
+        # J counts the tree join (a superset), so it is no COUNT truth
+        # and a wrong answer would otherwise score "covered"
+        from test_view_publication import BandWorkload, stream
+
+        manager = SynopsisManager(BandWorkload.make_db(),
+                                  MaintainerConfig(seed=3))
+        registry = QueryRegistry(manager)
+        if family == "uniform":
+            query = registry.register(BandWorkload.sql, "band", size=64)
+        else:
+            # reached through adoption, as a replayed registration is
+            manager.register("band", BandWorkload.sql, MaintainerConfig(
+                spec=SynopsisSpec.subset(0.2, BandWorkload.weight_column)))
+            query = registry.get("band")
+        for batch in stream(BandWorkload, 5, 30):
+            manager.apply_batch(batch)
+        assert query.has_residuals
+        assert manager.total_results("band") > 0
+        for _ in range(3):
+            query.estimate("count")
+        body = query.audit()
+        assert [r["truth"] for r in body["records"]] == [None] * 3
+        assert body["eligible"] == body["audited"] == 0
+        assert body["coverage"] is None
+
+    def test_tree_query_count_keeps_its_free_truth(self):
+        _, manager = make_manager()
+        query = QueryRegistry(manager).get("q")
+        assert not query.has_residuals
+        query.estimate("count")
+        record = query.audit()["records"][-1]
+        assert record["truth"] == manager.total_results("q")
+
 
 class TestHTTPEndpoint:
     def test_audit_endpoint_and_404(self):
