@@ -9,7 +9,7 @@ tuples over the lifetime of the table.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import TableSchema
 from repro.errors import TupleNotFoundError
@@ -71,6 +71,13 @@ class Table:
         if 0 <= tid < len(self._rows):
             return self._rows[tid]
         return None
+
+    def live_rows(self, tids: Sequence[int]) -> List[Optional[Row]]:
+        """The live tuple at each TID of ``tids``, in order; None for an
+        out-of-range or deleted TID."""
+        rows, live, end = self._rows, self._live, len(self._rows)
+        return [rows[tid] if 0 <= tid < end and live[tid] else None
+                for tid in tids]
 
     def is_live(self, tid: int) -> bool:
         return 0 <= tid < len(self._rows) and self._live[tid]

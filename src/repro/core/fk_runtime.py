@@ -15,7 +15,8 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.catalog.database import Database
-from repro.errors import IntegrityError, InvalidArgumentError
+from repro.catalog.table import Table
+from repro.errors import IntegrityError, InvalidArgumentError, RecoveryError
 from repro.query.planner import CollapsedMember, PlanNode, key_projection
 
 
@@ -60,10 +61,27 @@ class MemberHash:
                           for key, count in self._refcount.items()],
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, heap: Table) -> None:
+        """Restore from :meth:`state_dict` over the member's restored
+        ``heap``: each entry holds the heap's own row at its TID, so a
+        restored process keeps a member row once, as a live one does.  An
+        entry that is not the live heap row at its TID is a
+        :class:`~repro.errors.RecoveryError`."""
+        entries = state["rows"]
+        tids = [int(tid) for _, tid, _ in entries]
+        heap_rows = heap.live_rows(tids)
+        if heap_rows != [row for _, _, row in entries]:
+            (key, tid, row), heap_row = next(
+                (entry, heap_row)
+                for entry, heap_row in zip(entries, heap_rows)
+                if heap_row != entry[2])
+            raise RecoveryError(
+                f"{self.member.alias} hash entry {key!r} holds {row!r} at "
+                f"tid {tid}, and the restored {heap.schema.name} heap "
+                f"holds {heap_row!r} there")
         self._rows = {
-            tuple(key): (int(tid), tuple(row))
-            for key, tid, row in state["rows"]
+            tuple(key): (tid, heap_row)
+            for (key, _, _), tid, heap_row in zip(entries, tids, heap_rows)
         }
         self._refcount = defaultdict(int, {
             tuple(key): int(count) for key, count in state["refcounts"]
@@ -161,9 +179,11 @@ class CombinedNodeRuntime:
                        for alias, h in self.hashes.items()},
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, db: Database) -> None:
         for alias, member_state in state["hashes"].items():
-            self.hashes[alias].load_state(member_state)
+            member_hash = self.hashes[alias]
+            member_hash.load_state(
+                member_state, db.table(member_hash.member.base_table))
         self.assembles = int(state["assembles"])
         self.assembly_drops = int(state["assembly_drops"])
         self.lookups = int(state["lookups"])

@@ -34,6 +34,29 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 
+def slotted_record(cls):
+    """Give a frozen, slotted dataclass the pickle state of a dict-backed
+    one: ``__getstate__`` returns the field dict, ``__setstate__`` writes
+    it through the slot descriptors (a frozen class refuses
+    ``setattr``).  Pickle at every protocol and ``copy.deepcopy`` behave
+    as they did before the record had slots, and a pickle written by
+    either kind of class loads in the other."""
+    names = cls.__slots__
+    setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in names}
+
+    def __setstate__(self, state):
+        for name, set_field in zip(names, setters):
+            set_field(self, state[name])
+
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    return cls
+
+
+@slotted_record
 @dataclass(frozen=True)
 class InsertOp:
     """Batch operation: insert ``row`` into ``target``.
@@ -42,25 +65,44 @@ class InsertOp:
     :class:`~repro.core.maintainer.JoinSynopsisMaintainer` and a base
     table when applied through a
     :class:`~repro.core.manager.SynopsisManager`.
+
+    A slotted record (48 bytes, no ``__dict__``): ``__init__`` writes the
+    fields through their slot descriptors, as fast as a frozen record
+    can be built.
     """
 
+    __slots__ = ("target", "row")
     target: str
     row: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "row", tuple(self.row))
+    def __init__(self, target: str, row) -> None:
+        _insert_target(self, target)
+        _insert_row(self, tuple(row))
 
 
+@slotted_record
 @dataclass(frozen=True)
 class DeleteOp:
     """Batch operation: delete tuple ``tid`` from ``target``.
 
     ``target`` follows the same alias/base-table convention as
-    :class:`InsertOp`.
+    :class:`InsertOp`; slotted like it.
     """
 
+    __slots__ = ("target", "tid")
     target: str
     tid: int
+
+    def __init__(self, target: str, tid: int) -> None:
+        _delete_target(self, target)
+        _delete_tid(self, tid)
+
+
+#: the slot setters (``__init__`` and the WAL decoder write through them)
+_insert_target = InsertOp.target.__set__
+_insert_row = InsertOp.row.__set__
+_delete_target = DeleteOp.target.__set__
+_delete_tid = DeleteOp.tid.__set__
 
 
 UpdateOp = Union[InsertOp, DeleteOp]

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, TableSchema
+from repro.datagen.draw import randbelow
 from repro.datagen.workload import DeleteOldest, Insert, UpdateEvent
 
 
@@ -54,31 +55,31 @@ class LinearRoadGenerator:
         """The full stream: per tick, every car reports; reports that fall
         out of the window are deleted before the next tick's reports."""
         cfg = self.config
-        rng = self.rng
+        draw = self.rng.getrandbits
+        cars = cfg.cars_per_lane
+        road_length = cfg.road_length
+        max_speed = cfg.max_speed
+        names = [f"lane{lane + 1}" for lane in range(cfg.lanes)]
         positions = [
-            [rng.randrange(cfg.road_length) for _ in range(cfg.cars_per_lane)]
-            for _ in range(cfg.lanes)
+            [randbelow(draw, road_length) for _ in range(cars)]
+            for _ in names
         ]
         out: List[UpdateEvent] = []
         for tick in range(cfg.ticks):
             if tick >= cfg.window:
                 # expire the reports of tick - window (one per car per lane)
-                for lane in range(cfg.lanes):
-                    out.append(
-                        DeleteOldest(f"lane{lane + 1}", cfg.cars_per_lane)
-                    )
-            for lane in range(cfg.lanes):
-                for car, pos in enumerate(positions[lane]):
-                    out.append(
-                        Insert(f"lane{lane + 1}",
-                               (lane * cfg.cars_per_lane + car, pos, tick))
-                    )
-            for lane in range(cfg.lanes):
-                positions[lane] = [
-                    (pos + 1 + rng.randrange(cfg.max_speed))
-                    % cfg.road_length
-                    for pos in positions[lane]
-                ]
+                out.extend(DeleteOldest(name, cars) for name in names)
+            for lane, name in enumerate(names):
+                first = lane * cars
+                out.extend(
+                    Insert(name, (first + car, pos, tick))
+                    for car, pos in enumerate(positions[lane])
+                )
+            positions = [
+                [(pos + 1 + randbelow(draw, max_speed)) % road_length
+                 for pos in lane_positions]
+                for lane_positions in positions
+            ]
         return out
 
 

@@ -31,12 +31,15 @@ paper's QX, QY and QZ in one call.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Column, ForeignKey, TableSchema
+from repro.datagen.draw import randbelow
 from repro.datagen.workload import Insert, UpdateEvent
 from repro.errors import ReproError
 
@@ -103,74 +106,75 @@ class TpcdsGenerator:
     def generate(self) -> TpcdsData:
         scale = self.scale
         rng = self.rng
+        draw = rng.getrandbits
+        uniform = rng.random
+        dates = scale.dates
+        items = scale.items
+        returns_fraction = scale.returns_fraction
+        last_date = dates - 1
         data = TpcdsData()
-        for sk in range(scale.dates):
-            data.date_dim.append(
-                (sk, 2000 + sk // 365, (sk // 30) % 12 + 1, sk % 30 + 1)
-            )
-        for sk in range(scale.demographics):
-            band = rng.randrange(scale.income_bands)
-            data.household_demographics.append((sk, band, rng.randrange(7)))
-        for sk in range(scale.items):
-            data.item.append(
-                (sk, rng.randrange(scale.categories), rng.randrange(50))
-            )
-        for sk in range(scale.customers):
-            data.customer.append(
-                (sk, rng.randrange(scale.demographics),
-                 1940 + rng.randrange(70))
-            )
-        weights = self._zipf_weights(scale.customers, scale.customer_skew)
-        ticket = 0
-        for _ in range(scale.store_sales):
-            customer = self._weighted_index(weights)
+        data.date_dim = [
+            (sk, 2000 + sk // 365, (sk // 30) % 12 + 1, sk % 30 + 1)
+            for sk in range(dates)
+        ]
+        data.household_demographics = [
+            (sk, randbelow(draw, scale.income_bands), randbelow(draw, 7))
+            for sk in range(scale.demographics)
+        ]
+        data.item = [
+            (sk, randbelow(draw, scale.categories), randbelow(draw, 50))
+            for sk in range(items)
+        ]
+        data.customer = [
+            (sk, randbelow(draw, scale.demographics),
+             1940 + randbelow(draw, 70))
+            for sk in range(scale.customers)
+        ]
+        weights = _zipf_cumulative(scale.customers, scale.customer_skew)
+        store_sales = data.store_sales
+        store_returns = data.store_returns
+        for ticket in range(scale.store_sales):
+            customer = bisect_left(weights, uniform())
             sale = (
-                rng.randrange(scale.items),   # ss_item_sk
-                ticket,                       # ss_ticket_number
-                customer,                     # ss_customer_sk
-                rng.randrange(scale.dates),   # ss_sold_date_sk
-                1 + rng.randrange(20),        # ss_quantity
+                randbelow(draw, items),   # ss_item_sk
+                ticket,                   # ss_ticket_number
+                customer,                 # ss_customer_sk
+                randbelow(draw, dates),   # ss_sold_date_sk
+                1 + randbelow(draw, 20),  # ss_quantity
             )
-            ticket += 1
-            data.store_sales.append(sale)
-            if rng.random() < scale.returns_fraction:
-                item_sk, ticket_no, cust, sold, qty = sale
-                returned = min(sold + 1 + rng.randrange(14),
-                               scale.dates - 1)
-                data.store_returns.append(
-                    (item_sk, ticket_no, cust, returned,
-                     1 + rng.randrange(qty))
+            store_sales.append(sale)
+            if uniform() < returns_fraction:
+                item_sk, _, cust, sold, qty = sale
+                store_returns.append(
+                    (item_sk, ticket, cust,
+                     min(sold + 1 + randbelow(draw, 14), last_date),
+                     1 + randbelow(draw, qty))
                 )
-        for _ in range(scale.catalog_sales):
-            data.catalog_sales.append(
-                (self._weighted_index(weights),   # cs_bill_customer_sk
-                 rng.randrange(scale.dates),      # cs_sold_date_sk
-                 rng.randrange(scale.items),      # cs_item_sk
-                 1 + rng.randrange(10))
-            )
+        data.catalog_sales = [
+            (bisect_left(weights, uniform()),     # cs_bill_customer_sk
+             randbelow(draw, dates),              # cs_sold_date_sk
+             randbelow(draw, items),              # cs_item_sk
+             1 + randbelow(draw, 10))
+            for _ in range(scale.catalog_sales)
+        ]
         return data
 
-    # ------------------------------------------------------------------
-    def _zipf_weights(self, n: int, exponent: float) -> List[float]:
-        raw = [1.0 / (i + 1) ** exponent for i in range(n)]
-        total = sum(raw)
-        cumulative = []
-        acc = 0.0
-        for w in raw:
-            acc += w / total
-            cumulative.append(acc)
-        return cumulative
 
-    def _weighted_index(self, cumulative: List[float]) -> int:
-        u = self.rng.random()
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+def _zipf_cumulative(n: int, exponent: float) -> List[float]:
+    """Cumulative Zipf(``exponent``) weights over ``n`` ranks, the last
+    one infinite: ``bisect_left`` of a ``random()`` draw is the rank it
+    falls in, and a draw past the rounded total clamps to the last
+    rank (an empty list gives rank 0)."""
+    raw = [1.0 / (i + 1) ** exponent for i in range(n)]
+    total = sum(raw)
+    cumulative = []
+    acc = 0.0
+    for w in raw:
+        acc += w / total
+        cumulative.append(acc)
+    if cumulative:
+        cumulative[-1] = math.inf
+    return cumulative
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,26 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Union
 
-from repro.core.stats_api import DeleteOp, InsertOp
+from repro.core.stats_api import DeleteOp, InsertOp, slotted_record
 
 
+@slotted_record
 @dataclass(frozen=True)
 class Insert:
+    """Insert ``row`` into the range table ``alias``: a slotted record
+    like :class:`~repro.core.stats_api.InsertOp`."""
+
+    __slots__ = ("alias", "row")
     alias: str
     row: tuple
+
+    def __init__(self, alias: str, row: tuple) -> None:
+        _set_alias(self, alias)
+        _set_row(self, row)
+
+
+_set_alias = Insert.alias.__set__
+_set_row = Insert.row.__set__
 
 
 @dataclass(frozen=True)

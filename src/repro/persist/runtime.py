@@ -105,23 +105,27 @@ def _refuse_op(op) -> None:
         f"cannot log {op!r}: expected InsertOp or DeleteOp")
 
 
-def decode_ops(plain, _new=object.__new__) -> List[UpdateOp]:
-    """The ops of an :func:`encode_ops` list, fields set as unpickling
-    sets them (a logged row is already a tuple); malformed: PersistError."""
+def decode_ops(plain, _new=object.__new__,
+               _insert_target=InsertOp.target.__set__,
+               _insert_row=InsertOp.row.__set__,
+               _delete_target=DeleteOp.target.__set__,
+               _delete_tid=DeleteOp.tid.__set__) -> List[UpdateOp]:
+    """The ops of an :func:`encode_ops` list, fields written through the
+    records' slot descriptors as unpickling writes them (a logged row is
+    already a tuple); malformed: PersistError."""
     ops = []
     try:
         for kind, target, value in plain:
             if kind == "insert":
                 op = _new(InsertOp)
-                fields = op.__dict__
-                fields["row"] = value
+                _insert_target(op, target)
+                _insert_row(op, value)
             elif kind == "delete":
                 op = _new(DeleteOp)
-                fields = op.__dict__
-                fields["tid"] = value
+                _delete_target(op, target)
+                _delete_tid(op, value)
             else:
                 raise PersistError(f"unknown op kind {kind!r}")
-            fields["target"] = target
             ops.append(op)
     except (TypeError, ValueError) as exc:
         raise PersistError(f"malformed apply record: {exc}") from exc

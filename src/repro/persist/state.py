@@ -281,7 +281,7 @@ def restore_maintainer(db: Database, state: dict,
     engine = maintainer.engine
     # member hashes first: the graph replay rebuilds keys through them
     for idx, runtime_state in state["combined"]:
-        engine._combined[idx].load_state(runtime_state)
+        engine._combined[idx].load_state(runtime_state, db)
     engine.graph.load_state(state["graph"], engine.key_of, engine.row_of)
     engine.synopsis.load_state(state["synopsis"])
     engine.stats = EngineStats(**state["engine_stats"])

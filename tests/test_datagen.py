@@ -1,10 +1,15 @@
-"""Data generator tests: structural invariants the workloads rely on."""
+"""Data generator tests: structural invariants the workloads rely on,
+and the generated bytes pinned."""
 
+import dataclasses
+import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from repro.core.stats_api import BatchResult, DeleteOp, InsertOp
+from repro.datagen.draw import randbelow
 from repro.datagen.linear_road import (
     LinearRoadConfig,
     LinearRoadGenerator,
@@ -252,3 +257,127 @@ class TestWorkloadTools:
         player = StreamPlayer(Rejecting())
         player.apply(Insert("a", (1,)))
         assert player.apply(DeleteOldest("a", 1)) == 0
+
+
+
+def digest(*streams):
+    """SHA-256 over event streams: per event its kind, alias, and row or
+    delete count."""
+    plain = [[(type(e).__name__, e.alias,
+               e.row if isinstance(e, Insert) else e.count)
+              for e in events] for events in streams]
+    return hashlib.sha256(repr(plain).encode()).hexdigest()
+
+
+#: ``setup_query(name, TpcdsScale.small(), seed)``: preload, then stream
+QUERY_DIGESTS = {
+    ("QX", 0): "bb859ae0d9171c339cf75f7a578640e5"
+               "dda5d3b730ab62efa12cf84757063139",
+    ("QX", 7): "3ef7e220cbc382dbb5ecac09d8a1f62f"
+               "4f148905101f4e2ab9a7eb6be0d2e523",
+    ("QY", 0): "c302bfcf4ca6ac133253a0f54e8d6686"
+               "3bd3c539491f8b7532de5aafbf0ebd6a",
+    ("QY", 7): "a0b7b321266daf448947bd0860957300"
+               "6fe431c8d272b38779dcc9d524c75b44",
+    ("QZ", 0): "0814435e3fed7f96d9de698fb4b7efcb"
+               "5d6c12a63dbcb76f52f080b2a75361d1",
+    ("QZ", 7): "6b2a9598308e89ed386028b5e2893c79"
+               "c847d310fadcee6d3d4b66f721317dcd",
+}
+#: the QY stream of the same setups through ``interleave_deletions``
+DELETION_DIGESTS = {
+    0: "d579d3ede4e735848f7370449b14abd0"
+       "e1885565e820be9eeba2df4f704d9177",
+    7: "a053807a6ec07ca2ced99050dd7d197a"
+       "5c46996865422212968c2b6e22447827",
+}
+#: ``setup_qb(50, LinearRoadConfig(), seed).events``
+QB_DIGESTS = {
+    0: "4efbe3bb0390c654ac7d4175210a0060"
+       "387ba8a63b6aeab1469ebd877286abf6",
+    7: "53d45ed9f077e2630f5eb5159e2ae84a"
+       "7f138121b72d36095fa9f6359dd61aa3",
+}
+#: both generators' RNG states after a full run (small scale / default
+#: Linear Road config)
+RNG_DIGESTS = {
+    0: "e1cfd4286dc31f5a6e27796b34767755"
+       "db521234f0b4d3e44cde036f9b6cb955",
+    7: "3186cb31a0641c1a17010a23128b7141"
+       "aed40bcece7570915d774b367e8d863c",
+}
+
+
+class TestPinnedOutput:
+    """Every seed yields these rows, in this order, from this RNG state
+    (the digests were taken when the generators drew through
+    ``random.Random.randrange``; see ``repro.datagen.draw``)."""
+
+    @pytest.mark.parametrize("name, seed", sorted(QUERY_DIGESTS))
+    def test_query_setup(self, name, seed):
+        setup = setup_query(name, TpcdsScale.small(), seed)
+        assert digest(setup.preload, setup.stream) == \
+            QUERY_DIGESTS[name, seed]
+
+    @pytest.mark.parametrize("seed", sorted(DELETION_DIGESTS))
+    def test_interleaved_deletions(self, seed):
+        stream = setup_query("QY", TpcdsScale.small(), seed).stream
+        events = interleave_deletions(
+            stream, delete_every={"ss": 100, "c2": 20},
+            delete_count={"ss": 80, "c2": 16})
+        assert any(isinstance(e, DeleteOldest) for e in events)
+        assert digest(events) == DELETION_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(QB_DIGESTS))
+    def test_linear_road(self, seed):
+        assert digest(setup_qb(50, LinearRoadConfig(), seed).events) == \
+            QB_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(RNG_DIGESTS))
+    def test_generator_end_states(self, seed):
+        tpcds = TpcdsGenerator(TpcdsScale.small(), seed)
+        tpcds.generate()
+        road = LinearRoadGenerator(LinearRoadConfig(), seed)
+        road.events()
+        states = (tpcds.rng.getstate(), road.rng.getstate())
+        assert hashlib.sha256(repr(states).encode()).hexdigest() == \
+            RNG_DIGESTS[seed]
+
+
+class TestDrawPrimitive:
+    def test_randbelow_draws_what_randrange_draws(self):
+        domains = list(range(1, 300)) + [2 ** k + d for k in range(9, 40)
+                                         for d in (-1, 0, 1)]
+        for seed in range(4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            draw = ours.getrandbits
+            for n in domains:
+                assert randbelow(draw, n) == theirs.randrange(n)
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -7])
+    def test_an_empty_domain_raises(self, n):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0).getrandbits, n)
+
+    @pytest.mark.parametrize("field", [
+        "income_bands", "categories", "demographics", "items", "dates"])
+    def test_a_zero_sized_tpcds_domain_raises(self, field):
+        scale = dataclasses.replace(TpcdsScale.tiny(), **{field: 0})
+        with pytest.raises(ValueError):
+            TpcdsGenerator(scale, seed=1).generate()
+
+    @pytest.mark.parametrize("field", ["road_length", "max_speed"])
+    def test_a_zero_sized_linear_road_domain_raises(self, field):
+        config = dataclasses.replace(LinearRoadConfig.tiny(), **{field: 0})
+        with pytest.raises(ValueError):
+            LinearRoadGenerator(config, seed=1).events()
+
+    def test_no_customers_is_customer_zero(self):
+        """An empty Zipf domain draws no customer index: every sale
+        names customer 0, as the bisection always did."""
+        scale = dataclasses.replace(TpcdsScale.tiny(), customers=0)
+        data = TpcdsGenerator(scale, seed=1).generate()
+        assert data.customer == []
+        assert {row[2] for row in data.store_sales} == {0}
+        assert {row[0] for row in data.catalog_sales} == {0}

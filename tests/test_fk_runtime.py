@@ -1,17 +1,28 @@
 """Unit tests for the FK runtime pieces (MemberHash, CombinedNodeRuntime)."""
 
+import os
+
 import pytest
 
 from repro import (
     Column,
     Database,
     ForeignKey,
+    InsertOp,
     IntegrityError,
+    MaintainerConfig,
+    RecoveryError,
     SynopsisError,
+    SynopsisManager,
+    SynopsisSpec,
     TableSchema,
     parse_query,
 )
+from repro.catalog.table import Table
 from repro.core.fk_runtime import CombinedNodeRuntime, MemberHash
+from repro.datagen.tpcds import TpcdsScale, setup_query
+from repro.persist import PersistentManager
+from repro.persist.snapshot import SnapshotStore
 from repro.query.planner import CollapsedMember, plan_query
 
 
@@ -319,3 +330,68 @@ class TestChainShapes:
                        else (42, 99))
         assert runtime.disassemble(3, (7, 42), held) == key
         runtime.unregister_member("dim", (7, 99))
+
+
+class TestRestore:
+    """A restored member hash holds the restored heap's own rows."""
+
+    QY_TABLES = {"d1": "hd_d1", "d2": "hd_d2", "c1": "customer_c1",
+                 "c2": "customer_c2", "ss": "store_sales"}
+
+    def durable_qy(self, directory):
+        setup = setup_query("QY", TpcdsScale.tiny(), seed=1)
+        ops = [InsertOp(self.QY_TABLES[e.alias], e.row)
+               for e in setup.preload + setup.stream]
+        pm = PersistentManager(SynopsisManager(setup.db), directory)
+        pm.register("QY", setup.sql, MaintainerConfig(
+            spec=SynopsisSpec.fixed_size(20), seed=3))
+        half = len(ops) // 2
+        pm.apply_batch(ops[:half])
+        pm.checkpoint()
+        pm.apply_batch(ops[half:])     # replayed from the log
+        return pm
+
+    def test_hash_row_is_table_row_after_recovery(self, tmp_path):
+        directory = str(tmp_path / "state")
+        pm = self.durable_qy(directory)
+        pm.checkpoint()
+        pm.close()
+        recovered = PersistentManager.recover(directory)
+        engine = recovered.maintainer("QY").engine
+        entries = [(recovered.manager.db.table(h.member.base_table), tid,
+                    row)
+                   for runtime in engine._combined.values()
+                   for h in runtime.hashes.values()
+                   for tid, row in h._rows.values()]
+        assert entries
+        for table, tid, row in entries:
+            assert row is table.get(tid)
+        recovered.close()
+
+    def test_a_snapshot_whose_hash_row_is_not_its_heap_row_is_refused(
+            self, tmp_path):
+        directory = str(tmp_path / "state")
+        self.durable_qy(directory).close()
+        store = SnapshotStore(os.path.join(directory, "snapshots"))
+        payload, header = store.load_latest()
+        [query] = payload["manager"]["queries"]
+        [(_, runtime)] = query["maintainer"]["combined"][:1]
+        rows = next(iter(runtime["hashes"].values()))["rows"]
+        key, tid, row = rows[0]
+        rows[0] = (key, tid, row[:-1] + (row[-1] + 1,))
+        store.write(payload, wal_lsn=header["wal_lsn"])
+        with pytest.raises(RecoveryError, match=f"at tid {tid}"):
+            PersistentManager.recover(directory)
+
+    def test_an_entry_at_a_dead_tid_is_refused(self):
+        heap = Table(TableSchema("dim", [Column("d_id"), Column("band")]))
+        heap.insert((5, 1))
+        heap.insert((6, 1))
+        heap.delete(1)
+        h = MemberHash(member(), filtered=False)
+        h.load_state({"rows": [((5,), 0, (5, 1))], "refcounts": []}, heap)
+        assert h.lookup((5,))[1] is heap.get(0)
+        for tid in (1, 2):
+            with pytest.raises(RecoveryError):
+                h.load_state({"rows": [((6,), tid, (6, 1))],
+                              "refcounts": []}, heap)

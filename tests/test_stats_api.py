@@ -18,6 +18,7 @@ from repro import (
     SynopsisSpec,
     TableSchema,
 )
+from repro.datagen.workload import Insert
 from repro.obs.metrics import MetricsRegistry
 
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
@@ -113,6 +114,83 @@ class TestMaintainerBatchUpdates:
         assert op.row == (1, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             op.target = "s"
+
+
+
+#: one record of each kind, and the bytes ``pickle.dumps`` wrote for it
+#: (protocols 0 and 5) while the records were dict-backed dataclasses
+PARENT_PICKLES = [
+    (InsertOp("store_sales", (1, None, 2.5, "x")), {
+        0: b"ccopy_reg\n_reconstructor\np0\n(crepro.core.stats_api\n"
+           b"InsertOp\np1\nc__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\n"
+           b"Vtarget\np6\nVstore_sales\np7\nsVrow\np8\n(I1\nNF2.5\nVx\n"
+           b"p9\ntp10\nsb.",
+        5: b"\x80\x05\x95]\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.core."
+           b"stats_api\x94\x8c\x08InsertOp\x94\x93\x94)\x81\x94}\x94(\x8c"
+           b"\x06target\x94\x8c\x0bstore_sales\x94\x8c\x03row\x94(K\x01NG"
+           b"@\x04\x00\x00\x00\x00\x00\x00\x8c\x01x\x94t\x94ub."}),
+    (DeleteOp("customer_c2", 7), {
+        0: b"ccopy_reg\n_reconstructor\np0\n(crepro.core.stats_api\n"
+           b"DeleteOp\np1\nc__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\n"
+           b"Vtarget\np6\nVcustomer_c2\np7\nsVtid\np8\nI7\nsb.",
+        5: b"\x80\x05\x95L\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.core."
+           b"stats_api\x94\x8c\x08DeleteOp\x94\x93\x94)\x81\x94}\x94(\x8c"
+           b"\x06target\x94\x8c\x0bcustomer_c2\x94\x8c\x03tid\x94K\x07ub."}),
+    (Insert("ss", (3, 4)), {
+        0: b"ccopy_reg\n_reconstructor\np0\n(crepro.datagen.workload\n"
+           b"Insert\np1\nc__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\n"
+           b"Valias\np6\nVss\np7\nsVrow\np8\n(I3\nI4\ntp9\nsb.",
+        5: b"\x80\x05\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro."
+           b"datagen.workload\x94\x8c\x06Insert\x94\x93\x94)\x81\x94}\x94("
+           b"\x8c\x05alias\x94\x8c\x02ss\x94\x8c\x03row\x94K\x03K\x04\x86"
+           b"\x94ub."}),
+]
+RECORDS = [record for record, _ in PARENT_PICKLES]
+
+
+class TestSlottedRecords:
+    """``InsertOp``, ``DeleteOp`` and ``Insert`` are slotted, and behave
+    as the dict-backed dataclasses they replaced."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_slotted_equal_hashable_frozen(self, record):
+        assert not hasattr(record, "__dict__")
+        twin = type(record)(*dataclasses.astuple(record))
+        assert twin == record and hash(twin) == hash(record)
+        assert twin is not record
+        names = [field.name for field in dataclasses.fields(record)]
+        other = dataclasses.replace(record, **{names[0]: "other"})
+        assert other != record and getattr(other, names[0]) == "other"
+        for name in names + ["x"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+            if name != "x":
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_copies_and_pickles_at_every_protocol(self, record):
+        import copy
+        import pickle
+
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     *[pickle.loads(pickle.dumps(record, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]):
+            assert type(twin) is type(record) and twin == record
+            assert dataclasses.astuple(twin) == dataclasses.astuple(record)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(twin, dataclasses.fields(twin)[0].name, "y")
+
+    @pytest.mark.parametrize("record, written", PARENT_PICKLES, ids=repr)
+    def test_a_pickle_written_by_the_dict_backed_record_loads(
+            self, record, written):
+        """Both ways: the old bytes load, and the same record pickles to
+        the same bytes, so a reader with the old class loads the new."""
+        import pickle
+
+        for protocol, data in written.items():
+            assert pickle.loads(data) == record
+            assert pickle.dumps(record, protocol) == data
 
 
 class TestManagerStats:
