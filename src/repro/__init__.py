@@ -139,7 +139,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "17.2.0"
+__version__ = "17.3.0"
 
 __all__ = [
     # catalog

@@ -383,7 +383,7 @@ def _setup_qy(data: TpcdsData, rng: random.Random) -> QuerySetup:
         customer_stream.append(Insert("c2", row))
     sales_stream = _sales_after_customers(data, rng)
     stream = _fk_safe_merge(rng, customer_stream, sales_stream,
-                            key_of=lambda e: e.row[2],
+                            key_col=2,
                             ready_after={row[0]: 2 * (i + 1)
                                          for i, row in
                                          enumerate(data.customer)})
@@ -415,7 +415,7 @@ def _setup_qz(data: TpcdsData, rng: random.Random) -> QuerySetup:
         customer_stream.append(Insert("c2", row))
     sales_stream = _sales_after_customers(data, rng)
     stream = _fk_safe_merge(rng, customer_stream, sales_stream,
-                            key_of=lambda e: e.row[2],
+                            key_col=2,
                             ready_after={row[0]: 2 * (i + 1)
                                          for i, row in
                                          enumerate(data.customer)})
@@ -429,10 +429,11 @@ def _sales_after_customers(data: TpcdsData,
 
 
 def _fk_safe_merge(rng: random.Random, parents: List[Insert],
-                   children: List[Insert], key_of, ready_after: Dict
+                   children: List[Insert], key_col: int, ready_after: Dict
                    ) -> List[UpdateEvent]:
     """Merge parent and child streams so every child event lands after the
-    parent-stream position that makes its FK target live."""
+    parent-stream position that makes its FK target live; a child's FK
+    value is ``child.row[key_col]``."""
     out: List[Insert] = []
     child_pos = 0
     for i, parent in enumerate(parents):
@@ -440,7 +441,7 @@ def _fk_safe_merge(rng: random.Random, parents: List[Insert],
         # release children whose parent is now present, with jitter
         while child_pos < len(children):
             child = children[child_pos]
-            needed = ready_after.get(key_of(child), 0)
+            needed = ready_after.get(child.row[key_col], 0)
             if needed <= i + 1 and rng.random() < 0.6:
                 out.append(child)
                 child_pos += 1

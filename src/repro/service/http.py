@@ -33,9 +33,19 @@ POST      ``/query/<name>/estimate``  ``{"agg"?, "column"?, "where"?,
                                       "group_by"?, "confidence"?}``
 ========  ==========================  ==================================
 
-Every reply leaves as one undelayed send (buffered ``wfile`` +
-``TCP_NODELAY``, see :class:`_ServiceHTTPHandler`), and every request —
-whatever it holds — gets exactly one reply.
+The stdlib's server keeps the socket loop (keep-alive, the 414 for a
+request line over 64 KiB, ``do_<METHOD>`` dispatch and the 501); the
+request head and the reply head are this module's own.
+:meth:`_ServiceHTTPHandler.parse_request` reads the request line and
+the RFC 7230 field lines into a plain dict keyed by lower-cased name,
+with the stdlib's limits and answers (64 KiB a line and 100 lines, then
+431; HTTP/0.9 gets a bare body; HTTP/2+ is refused 505) — the stdlib's
+parser builds an ``email`` message per request, which cost more server
+CPU than the estimate it fronts.  :meth:`_ServiceHTTPHandler._send`
+formats the status line and the fields as one string (the ``Date``
+value at most once a second).  Every reply leaves as one undelayed send
+(buffered ``wfile`` + ``TCP_NODELAY``), and every request — whatever it
+holds — gets exactly one reply.
 
 Error mapping, in one place (:meth:`_ServiceHTTPHandler._error_reply`):
 malformed requests → 400 (undecodable or non-object bodies, a missing
@@ -51,21 +61,27 @@ declared body above :data:`MAX_BODY_BYTES` → 413 without reading it,
 other :class:`~repro.errors.ReproError` → 409 with the message, and an
 exception of any other type → 500 ``{"error": ...}`` (traceback on
 stderr).  A reply sent without having consumed exactly the declared
-body (``Content-Length`` missing, malformed, or over the limit), a 500,
-and the replies the stdlib generates itself (bad request line,
-unsupported method → 501, oversized header) carry ``Connection:
-close`` and end the connection; all of them have the same JSON body
-shape, ``{"error": ...}``.
+body (``Content-Length`` missing, malformed, repeated, beside a
+``Transfer-Encoding``, or over the limit), a 500, and the refusals of
+the request head (a bad request line or field line → 400, unsupported
+method → 501, oversized line or too many fields → 431) carry
+``Connection: close`` and end the connection, so no byte behind them is
+read as a request; all of them have the same JSON body shape,
+``{"error": ...}``.
 """
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import json
+import re
 import threading
+import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping, NamedTuple, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro.errors import (
     FollowerReadOnlyError,
@@ -92,6 +108,21 @@ MAX_BODY_BYTES = 1 << 20
 _MALFORMED = (ValueError, OverflowError, RecursionError)
 
 _JSON_KINDS = {str: "string", int: "integer", list: "array"}
+
+#: the longest request or field line, and the most lines a request head
+#: may take (the blank line that ends it counts) — the stdlib's limits
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+#: an RFC 7230 field name (``token``)
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+#: an HTTP version; RFC 2145: major and minor compare as numbers
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value, formatted once per second."""
+    return email.utils.formatdate(second, usegmt=True)
 
 
 class _Refused(Exception):
@@ -184,14 +215,104 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
         self._handle(self._route_post, needs_body=True)
 
     # ------------------------------------------------------------------
+    # the request head
+    # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Read the request line (``self.raw_requestline``) and the
+        field lines behind it into ``self.headers``, a plain dict keyed
+        by lower-cased field name; a repeated field's values are joined
+        with ``", "`` (RFC 7230 §3.2.2).  False when the request was
+        answered here (400, 431, 505) or the line was blank; the reply
+        then ends the connection.
+
+        The stdlib's rules, kept: a request line of two words is
+        HTTP/0.9 (``GET`` only, the reply a bare body), a version from
+        2.0 on is refused, a leading ``//`` collapses to ``/``,
+        ``Connection`` and ``Expect: 100-continue`` are honoured.  A
+        field line outside RFC 7230's grammar — whitespace before the
+        colon, an obs-fold continuation, no colon — is a 400: the
+        stdlib took it, and a line one side reads and the other drops
+        is how two parsers come to frame a request differently."""
+        self.command = None
+        self.request_version = "HTTP/0.9"
+        self.close_connection = True
+        self.headers = {}
+        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = line
+        words = line.split()
+        if not words:
+            return False
+        number = (0, 9)
+        if len(words) >= 3:
+            version = _VERSION.fullmatch(words[-1])
+            if version is None:
+                self.send_error(400, f"Bad request version ({words[-1]!r})")
+                return False
+            number = int(version[1]), int(version[2])
+            if number >= (2, 0):
+                self.send_error(
+                    505, f"Invalid HTTP version ({words[-1][5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = words[-1]
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({line!r})")
+            return False
+        self.command, self.path = words[0], words[1]
+        if len(words) == 2 and self.command != "GET":
+            self.send_error(
+                400, f"Bad HTTP/0.9 request type ({self.command!r})")
+            return False
+        if self.path.startswith("//"):
+            # an open-redirect guard: clients read //x as a host
+            self.path = "/" + self.path.lstrip("/")
+        fields = self._read_fields()
+        if fields is None:
+            return False
+        self.headers = fields
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive" and number >= (1, 0):
+            self.close_connection = False
+        if (number >= (1, 1)
+                and fields.get("expect", "").lower() == "100-continue"):
+            self.wfile.write(b"%s 100 Continue\r\n\r\n"
+                             % self.protocol_version.encode("latin-1"))
+            self.wfile.flush()      # the client waits for it
+        return True
+
+    def _read_fields(self) -> Optional[Dict[str, str]]:
+        """The field lines up to the blank one, or None once refused."""
+        fields: Dict[str, str] = {}
+        for _ in range(_MAX_HEAD_LINES):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                self.send_error(431, "Line too long")
+                return None
+            if raw in (b"\r\n", b"\n", b""):
+                return fields
+            name, colon, value = str(raw, "iso-8859-1").partition(":")
+            if not colon or _FIELD_NAME.fullmatch(name) is None:
+                self.send_error(
+                    400, f"bad request: malformed field line ({name[:64]!r})")
+                return None
+            key = name.lower()
+            value = value.strip(" \t\r\n")
+            fields[key] = (fields[key] + ", " + value if key in fields
+                           else value)
+        self.send_error(431, "Too many headers")
+        return None
+
+    # ------------------------------------------------------------------
     # the funnel
     # ------------------------------------------------------------------
     def _handle(self, route: Callable[[str, dict, bytes], _Reply],
                 needs_body: bool) -> None:
         try:
             body = self._read_body(needs_body)
-            parsed = urlparse(self.path)
-            reply = route(parsed.path, parse_qs(parsed.query), body)
+            path, _, query = self.path.partition("?")
+            reply = route(path, parse_qs(query) if query else {}, body)
             data = _encode(reply.payload)
         except Exception as exc:  # the boundary: always answer
             reply = self._error_reply(exc)
@@ -201,10 +322,16 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
     def _read_body(self, needs_body: bool) -> bytes:
         """The declared body, consumed exactly — or a refusal that
         closes the connection, because what is left on the socket can
-        no longer be told from the next request."""
-        declared = self.headers.get("Content-Length")
-        if (declared is None and not needs_body
-                and "Transfer-Encoding" not in self.headers):
+        no longer be told from the next request.  A repeated
+        ``Content-Length`` arrives joined (``"29, 2"``) and is no byte
+        count; ``Transfer-Encoding`` is refused whatever stands beside
+        it, since a peer that honours it frames the body otherwise."""
+        if "transfer-encoding" in self.headers:
+            raise _Refused(
+                400, "bad request: Transfer-Encoding is not supported; "
+                "send the body with one Content-Length")
+        declared = self.headers.get("content-length")
+        if declared is None and not needs_body:
             return b""
         if declared is None or not (declared.isascii()
                                     and declared.isdigit()):
@@ -260,22 +387,31 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
                       {"Connection": "close"})
 
     def _send(self, status: int, data: bytes, headers: Mapping) -> None:
-        """The one place a reply is written: headers and body into the
-        write buffer, then one flush."""
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(data)))
-        for key, value in {"Content-Type": "application/json",
-                           **headers}.items():
-            # ``Connection: close`` also sets ``close_connection``
-            self.send_header(key, value)
-        self.end_headers()
+        """The one place a reply is written: the status line and the
+        fields as one string, then the body, into the write buffer, then
+        one flush.  An HTTP/0.9 reply is the bare body."""
+        if self.request_version != "HTTP/0.9":
+            head = "%s %d %s\r\nServer: %s\r\nDate: %s\r\n" \
+                "Content-Length: %d\r\n" % (
+                    self.protocol_version, status,
+                    self.responses.get(status, ("",))[0],
+                    self.version_string(), _http_date(int(time.time())),
+                    len(data))
+            for key, value in {"Content-Type": "application/json",
+                               **headers}.items():
+                head += f"{key}: {value}\r\n"
+            self.wfile.write((head + "\r\n").encode("latin-1"))
+        if headers.get("Connection") == "close":
+            self.close_connection = True
         self.wfile.write(data)
         self.wfile.flush()
 
     def send_error(self, code, message=None, explain=None):
-        """Replies the stdlib generates itself (unparseable request
-        line, unsupported method, oversized header) in the shape of
-        every other reply; like the stdlib's, they end the connection."""
+        """Refusals of the request head — this module's own (bad
+        request line or field line, oversized field, too many fields,
+        HTTP/2+) and the stdlib loop's (request line over 64 KiB → 414,
+        unsupported method → 501) — in the shape of every other reply;
+        they end the connection."""
         if message is None:
             message = self.responses.get(code, ("???",))[0]
         self._send(code, _encode({"error": message}),

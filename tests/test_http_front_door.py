@@ -20,6 +20,7 @@ import http.client
 import json
 import os
 import random
+import re
 import socket
 import statistics
 import sys
@@ -323,6 +324,8 @@ class TestEveryRequestIsAnswered:
         (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
          431),
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X-Many: a\r\n" * 101 + b"\r\n",
+         431),
     ])
     def test_stdlib_generated_replies_are_json_too(
             self, leader, request_bytes, status):
@@ -358,6 +361,13 @@ class TestUnreadBodyClosesTheConnection:
         (b"", 400),                                   # none declared
         (b"Transfer-Encoding: chunked\r\n", 400),
         (b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1), 413),
+        # framing two parsers could read differently (request desync)
+        (b"Content-Length: 29\r\nContent-Length: 2\r\n", 400),
+        (b"Content-Length: 2\r\nContent-Length: 29\r\n", 400),
+        (b"Content-Length: 29\r\nTransfer-Encoding: chunked\r\n", 400),
+        (b"Content-Length : 29\r\n", 400),        # space before the colon
+        (b"Content-Length: 29\r\nX-Fold: a\r\n b\r\n", 400),  # obs-fold
+        (b"Content-Length: 29\r\nNo-Colon\r\n", 400),
     ])
     def test_one_reply_then_close_never_a_misparse(
             self, leader, length, status):
@@ -400,12 +410,28 @@ class TestUnreadBodyClosesTheConnection:
         finally:
             fresh.close()
 
-    def test_a_declared_body_on_a_get_is_consumed(self, leader):
+    @pytest.mark.parametrize("fields, statuses", [
+        (b"Content-Length: %d\r\n", [200, 200]),
+        # a field name matches in any case
+        (b"content-length: %d\r\n", [200, 200]),
+        # the client's close: its reply, and nothing behind it
+        (b"Connection: close\r\nContent-Length: %d\r\n", [200]),
+        # the interim reply, then the reply
+        (b"Expect: 100-continue\r\nContent-Length: %d\r\n",
+         [100, 200, 200]),
+    ])
+    @pytest.mark.parametrize("method", [b"GET /healthz", b"POST /insert"])
+    def test_a_declared_body_on_a_get_is_consumed(self, leader, fields,
+                                                  statuses, method):
+        """The declared body is read, and the request pipelined behind
+        it is answered on the same connection unless the client asked
+        to close it."""
         raw = exchange(
             leader.address,
-            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
-            % len(self.BODY) + self.BODY + self.NEXT)
-        assert raw.count(b"HTTP/1.1 200") == 2
+            method + b" HTTP/1.1\r\nHost: x\r\n" + fields % len(self.BODY)
+            + b"\r\n" + self.BODY + self.NEXT)
+        assert [int(status) for status in re.findall(
+            rb"HTTP/1\.1 (\d{3}) ", raw)] == statuses
 
     def test_an_empty_declared_body_keeps_the_connection(self, leader):
         conn = connect(leader.address)
