@@ -1,9 +1,10 @@
 """Turning a synopsis snapshot into an error-bounded answer.
 
-The registry hands this module one :class:`Snapshot` — the sampled
-result tuples, the heap rows they name, their per-row sampling metadata,
-the synopsis family and the exact population total, all read from one
-epoch-consistent view — plus the parsed
+The registry hands this module one
+:class:`~repro.core.entries.Snapshot` — the sampled result tuples, the
+heap rows they name, their per-row sampling metadata, the synopsis
+family and the exact population total, the record a published view
+holds for the query — plus the parsed
 :class:`~repro.query.query.JoinQuery` and the database (for its
 schemas).  From those it answers ``COUNT``/``SUM``/``AVG`` (optionally
 grouped and filtered) with the matching survey estimator:
@@ -42,10 +43,10 @@ import operator
 from dataclasses import dataclass
 from itertools import compress
 from statistics import NormalDist
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, DataType
-from repro.core.entries import HeapRows
+from repro.core.entries import HeapRows, Snapshot
 from repro.errors import InvalidArgumentError
 from repro.query.query import JoinQuery
 
@@ -108,28 +109,6 @@ class Estimate:
         z = _zscore(confidence)
         return (self.value - z * self.stderr,
                 self.value + z * self.stderr)
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One epoch-consistent read of a registered query's synopsis.
-
-    ``total`` is what the weighted join graph reports for the family:
-    the exact join cardinality ``J`` for uniform/subset synopses and
-    the exact weighted-unit total ``W`` for weighted ones.  ``results``
-    are original-range-table TID tuples; ``meta`` (``weight``, plus
-    ``inclusion_probability`` on the subset family) and ``rows`` (the
-    heap row tuples those TIDs name) are aligned with it index for
-    index.  ``epoch`` is None when reading a bare manager (no view
-    machinery in between).
-    """
-
-    family: str
-    total: int
-    results: Tuple[Tuple[int, ...], ...]
-    meta: Tuple[Mapping, ...]
-    rows: Tuple[HeapRows, ...]
-    epoch: Optional[int] = None
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,13 @@ provisions it on the target.  ``estimate`` answers from the target's
 current epoch-consistent read state, so it works identically on the
 leader and on follower replicas; registered queries that arrived via
 replication (registered on the leader, replayed on the follower) are
-adopted on first use from the replica's own restored state.
+adopted on first use from the SQL their record carries.
 
-The target is resolved lazily on every call: a follower's restored
-manager is replaced wholesale on (re-)bootstrap, so nothing from it
-may be cached across calls.
+On a serving role every read — names, membership, adoption, the
+engine, the schemas, the snapshot — comes from the latest published
+:class:`~repro.service.runtime.ReadView`, read anew on every call and
+never from the manager behind it: a registration the role has applied
+but not yet published does not exist for the registry.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ import time
 from typing import Dict, List, Optional
 
 from repro.aqp.audit import AccuracyAuditor, AuditConfig
-from repro.aqp.estimation import Snapshot, estimate_from_snapshot
+from repro.aqp.estimation import estimate_from_snapshot
 from repro.core.config import MaintainerConfig
-from repro.core.manager import SynopsisTarget
+from repro.core.entries import Snapshot, read_query
 from repro.core.synopsis import SynopsisSpec
-from repro.errors import (InvalidArgumentError, PlanError, ServiceError,
-                          SynopsisError)
+from repro.errors import (InvalidArgumentError, PlanError,
+                          ReplicationError, ServiceError, SynopsisError)
 from repro.query.explain import explain_plan
 from repro.query.parser import parse_query
 from repro.query.planner import JoinPlan, plan_query
@@ -254,8 +256,8 @@ class QueryRegistry:
         from repro.service.runtime import ReadHalf
 
         self._target = target
-        #: a service or follower answers reads from its published
-        #: ReadView and holds the manager one hop away, as ``.target``
+        #: a service or follower answers every read from its published
+        #: ReadView and never from the manager it holds
         self._served = isinstance(target, ReadHalf)
         self._queries: Dict[str, RegisteredQuery] = {}
         self._lock = threading.Lock()
@@ -267,64 +269,49 @@ class QueryRegistry:
         self.audit = AccuracyAuditor(obs=obs, events=events, config=audit)
 
     # ------------------------------------------------------------------
-    # target resolution (lazy: never cache across calls)
+    # the narrow read API registered queries answer from: a served
+    # target's published view, or a bare manager read in place
     # ------------------------------------------------------------------
-    def _manager(self) -> SynopsisTarget:
-        """The manager behind the target, in at most one hop."""
-        if not self._served:
-            return self._target
-        manager = self._target.target
-        if manager is None:
+    def _view(self):
+        """The served role's latest published view, read anew on every
+        call: a follower's state is replaced wholesale on
+        (re-)bootstrap, so nothing of it may be cached."""
+        try:
+            return self._target.view()
+        except ReplicationError:
             raise ServiceError(
                 "the follower has not bootstrapped yet (nothing "
-                "shipped); AQP answers once its first snapshot restores")
-        return manager
+                "shipped); AQP answers once its first snapshot "
+                "restores") from None
 
-    # ------------------------------------------------------------------
-    # the narrow read API registered queries answer from
-    # ------------------------------------------------------------------
     def database(self):
         """The target's :class:`~repro.catalog.Database` — its schemas
         are what requests are checked against; an estimate reads rows
         from the snapshot, never from the tables."""
-        return self._manager().db
+        return self._view().db if self._served else self._target.db
 
     def fk_optimized(self, name: str) -> bool:
         """Whether ``name`` runs the FK-collapsing sjoin-opt engine."""
-        maintainer = self._manager().maintainer(name)
-        return maintainer.algorithm == "sjoin-opt"
+        return self.snapshot_of(name).engine == "sjoin-opt"
 
     def snapshot_of(self, name: str) -> Snapshot:
-        """One epoch-consistent read of ``name``'s synopsis state."""
+        """One epoch-consistent read of ``name``: the record a served
+        target's published view holds, or a bare manager's read
+        through :func:`~repro.core.entries.read_query`."""
         if self._served:
-            view = self._target.view()
-            if name not in view.synopses:
+            view = self._view()
+            record = view.queries.get(name)
+            if record is None:
                 raise SynopsisError(
                     f"no registered query {name!r} in the current "
                     f"view (epoch {view.epoch}); known: "
-                    f"{sorted(view.synopses)}")
-            return Snapshot(
-                epoch=view.epoch,
-                family=view.families[name],
-                total=view.total_results[name],
-                results=view.synopses[name],
-                meta=view.sample_meta[name],
-                rows=view.sample_rows[name],
-            )
-        manager = self._manager()
-        if name not in manager.names():
+                    f"{sorted(view.queries)}")
+            return record
+        if name not in self._target.names():
             raise SynopsisError(
                 f"no registered query {name!r}; known: "
-                f"{sorted(manager.names())}")
-        entries = manager.synopsis_entries(name)
-        return Snapshot(
-            epoch=None,
-            family=manager.family_of(name),
-            total=manager.total_results(name),
-            results=entries.rows,
-            meta=entries.metas,
-            rows=entries.resolved,
-        )
+                f"{self.names()}")
+        return read_query(self._target, name)
 
     # ------------------------------------------------------------------
     # registration
@@ -375,20 +362,18 @@ class QueryRegistry:
             known = self._queries.get(name)
             if known is not None:
                 return known
-        manager = self._manager()
-        if name not in manager.names():
-            raise SynopsisError(
-                f"no registered query {name!r}; known: "
-                f"{sorted(manager.names())}")
-        sql = manager.maintainer(name).sql
-        query = parse_query(sql, manager.db)
-        adopted = RegisteredQuery(self, name, sql, query)
+        sql = self.snapshot_of(name).sql
+        adopted = RegisteredQuery(self, name, sql,
+                                  parse_query(sql, self.database()))
         with self._lock:
             return self._queries.setdefault(name, adopted)
 
     def names(self) -> List[str]:
-        """Registered query names, from the target (the authority)."""
-        return sorted(self._manager().names())
+        """Registered query names: a served target's published view's,
+        or a bare manager's."""
+        if self._served:
+            return sorted(self._view().queries)
+        return sorted(self._target.names())
 
     def describe_all(self) -> List[dict]:
         """JSON-able summaries of every registered query."""
@@ -396,7 +381,7 @@ class QueryRegistry:
 
     def __contains__(self, name: str) -> bool:
         try:
-            return name in self._manager().names()
+            return name in self.names()
         except ServiceError:
             return False
 

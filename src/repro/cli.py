@@ -408,7 +408,10 @@ def format_lag(body: dict) -> str:
             "  feed {state}  (stall transitions: {n})".format(
                 state="STALLED" if body["stalled"] else "flowing",
                 n=body.get("stalls", 0)))
-    watermarks = body.get("watermarks")
+    # the --ship summary carries the manifest's watermarks; a /healthz
+    # body has none
+    shipped = body.get("status") == "shipped"
+    watermarks = body["watermarks"] if shipped else ()
     if watermarks:
         newest = watermarks[-1]
         lines.append(
@@ -444,7 +447,7 @@ def cmd_lag(args) -> None:
             "shipped_at": manifest["shipped_at"],
             "staleness_seconds": max(
                 0.0, time.time() - manifest["shipped_at"]),
-            "watermarks": manifest.get("watermarks", []),
+            "watermarks": manifest["watermarks"],
         }
     else:
         _, body = _http_json(args.url, "/healthz", timeout=5)

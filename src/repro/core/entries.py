@@ -68,6 +68,44 @@ class SynopsisEntries(SequenceABC):
         return self.rows[index], self.metas[index]
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """One registered query's read record, taken at one point.
+
+    ``total`` is what the weighted join graph reports for the family:
+    the exact join cardinality ``J`` for uniform/subset synopses and
+    the exact weighted-unit total ``W`` for weighted ones.  ``results``
+    are original-range-table TID tuples; ``meta`` (``weight``, plus
+    ``inclusion_probability`` on the subset family) and ``rows`` (the
+    heap row tuples those TIDs name) are aligned with it index for
+    index — the three columns of the engine's
+    :class:`SynopsisEntries`, shared, not copied.  ``sql`` and
+    ``engine`` are the registration's.  ``epoch`` is the published
+    view's, or None when read off a bare manager.
+    """
+
+    family: str
+    total: int
+    results: Tuple[Row, ...]
+    meta: Tuple[Mapping[str, object], ...]
+    rows: Tuple[HeapRows, ...]
+    sql: str
+    engine: str
+    epoch: Optional[int] = None
+
+
+def read_query(target, name: str, epoch: Optional[int] = None) -> Snapshot:
+    """The one per-query reader: ``name``'s :class:`Snapshot` off
+    ``target`` (a :class:`~repro.core.manager.SynopsisTarget`), for a
+    published view and for a bare manager's AQP registry alike; costs
+    the samples that changed since the previous read."""
+    maintainer = target.maintainer(name)
+    entries = maintainer.synopsis_entries()
+    return Snapshot(maintainer.family, maintainer.total_results(),
+                    entries.rows, entries.metas, entries.resolved,
+                    maintainer.sql, maintainer.algorithm, epoch)
+
+
 class EntryStore:
     """One engine's entries, aligned with its synopsis's slots.
 

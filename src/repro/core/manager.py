@@ -33,7 +33,6 @@ from typing import (Dict, Iterable, List, Optional, Protocol, Sequence,
 
 from repro.catalog.database import Database
 from repro.core.config import MaintainerConfig, coerce_config
-from repro.core.entries import SynopsisEntries
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.stats_api import (
     BatchResult,
@@ -87,13 +86,6 @@ class SynopsisTarget(Protocol):
     def unregister(self, name: str) -> None: ...
 
     def apply_batch(self, ops: Iterable[UpdateOp]) -> BatchResult: ...
-
-    def synopsis_entries(self, name: str, limit: Optional[int] = None
-                         ) -> SynopsisEntries: ...
-
-    def total_results(self, name: str) -> int: ...
-
-    def family_of(self, name: str) -> str: ...
 
     def stats(self) -> ManagerStats: ...
 
@@ -422,15 +414,6 @@ class SynopsisManager:
     def synopsis(self, name: str, limit: Optional[int] = None
                  ) -> List[Tuple[int, ...]]:
         return self.maintainer(name).synopsis(limit)
-
-    def synopsis_entries(self, name: str, limit: Optional[int] = None
-                         ) -> SynopsisEntries:
-        """One query's synopsis rows paired with sampling metadata."""
-        return self.maintainer(name).synopsis_entries(limit)
-
-    def family_of(self, name: str) -> str:
-        """The synopsis family of one registered query."""
-        return self.maintainer(name).family
 
     def total_results(self, name: str) -> int:
         return self.maintainer(name).total_results()

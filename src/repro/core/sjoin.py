@@ -268,10 +268,9 @@ class SJoinEngine:
         tuple_weight = None
         if self.family != "uniform":
             tuple_weight = self._resolve_tuple_weight(spec.weight_column)
-        self.graph = WeightedJoinGraph(self.plan, obs=self.obs,
-                                       tuple_weight=tuple_weight)
+        self.graph = WeightedJoinGraph(self.plan, tuple_weight=tuple_weight)
         weigh = None if tuple_weight is None else self.graph.weight_of
-        self.synopsis = spec.build(self.rng, obs=self.obs)
+        self.synopsis = spec.build(self.rng)
         self.stats = EngineStats()
         if fk_optimize:
             self.name = "sjoin-opt"

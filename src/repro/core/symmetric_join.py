@@ -125,7 +125,7 @@ class SymmetricJoinEngine:
                 "the SJ baseline supports only the uniform synopsis "
                 f"family, not {self.family!r} (use the sjoin engine)"
             )
-        self.synopsis = spec.build(self.rng, obs=self.obs)
+        self.synopsis = spec.build(self.rng)
         self._entries = EntryStore(self.plan, query)
         self.stats = SJStats()
         # stages are timed with the registry's clock (None: nobody is

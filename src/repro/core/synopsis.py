@@ -49,7 +49,6 @@ from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SynopsisError
-from repro.obs.metrics import as_registry
 from repro.sampling.bernoulli import GeometricSkipSampler
 from repro.sampling.reservoir import VitterSkipSampler
 from repro.sampling.with_replacement import MultiReservoirSkips
@@ -169,9 +168,9 @@ class SynopsisSpec:
         used by the §5.1 residual-filter over-allocation."""
         return dc_replace(self, size=size)
 
-    def build(self, rng: random.Random, obs=None) -> "SynopsisBase":
+    def build(self, rng: random.Random) -> "SynopsisBase":
         _, synopsis_class, sized_by = _kind_row(self.kind)
-        return synopsis_class(getattr(self, sized_by), rng, obs=obs)
+        return synopsis_class(getattr(self, sized_by), rng)
 
 
 class SynopsisBase:
@@ -184,11 +183,10 @@ class SynopsisBase:
     #: Bernoulli-style ones only need the purge itself (§5.3)
     needs_replenish = True
 
-    def __init__(self, rng: random.Random, obs=None):
+    def __init__(self, rng: random.Random):
         self._rng = rng
         self.total_seen = 0  # J: join results currently represented
         self.results_accessed = 0  # work counter (view.get calls)
-        self.obs = as_registry(obs)
         # plain-int work counters (like AggregateTree.restructures): free on
         # the hot path, published to the registry only at snapshot time
         self.skips_drawn = 0
@@ -312,8 +310,8 @@ class FixedSizeWithoutReplacement(SynopsisBase):
 
     KIND = "fixed"
 
-    def __init__(self, m: int, rng: random.Random, obs=None):
-        super().__init__(rng, obs=obs)
+    def __init__(self, m: int, rng: random.Random):
+        super().__init__(rng)
         self.m = m
         self._samples: List[PlanResult] = []
         self._distinct: Set[PlanResult] = set()
@@ -529,8 +527,8 @@ class FixedSizeWithReplacement(SynopsisBase):
 
     KIND = "fixed_replacement"
 
-    def __init__(self, m: int, rng: random.Random, obs=None):
-        super().__init__(rng, obs=obs)
+    def __init__(self, m: int, rng: random.Random):
+        super().__init__(rng)
         self.m = m
         self._slots: List[Optional[PlanResult]] = [None] * m
         self._index: Dict[Tuple[int, int], Set[int]] = {}
@@ -675,7 +673,7 @@ class FixedSizeWithReplacement(SynopsisBase):
             self.replenish_slot(slot, result)
 
     def rebuild_from_results(self, view) -> "SynopsisBase":
-        fresh = type(self)(self.m, self._rng, obs=self.obs)
+        fresh = type(self)(self.m, self._rng)
         fresh.consume(view)
         return fresh
 
@@ -686,8 +684,8 @@ class BernoulliSynopsis(SynopsisBase):
     KIND = "bernoulli"
     needs_replenish = False
 
-    def __init__(self, p: float, rng: random.Random, obs=None):
-        super().__init__(rng, obs=obs)
+    def __init__(self, p: float, rng: random.Random):
+        super().__init__(rng)
         self.p = p
         self._samples: List[PlanResult] = []
         self._index: Dict[Tuple[int, int], Set[int]] = {}
@@ -841,8 +839,8 @@ class SubsetSynopsis(BernoulliSynopsis):
 
     KIND = "subset"
 
-    def __init__(self, p: float, rng: random.Random, obs=None):
-        super().__init__(p, rng, obs=obs)
+    def __init__(self, p: float, rng: random.Random):
+        super().__init__(p, rng)
         self._distinct: Set[PlanResult] = set()
 
     def inclusion_probability(self, weight: int) -> float:

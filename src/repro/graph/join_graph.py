@@ -42,7 +42,6 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.errors import SynopsisError, TupleNotFoundError
-from repro.obs.metrics import as_registry
 from repro.graph.vertex import Vertex
 from repro.index.api import Cut, cut_points
 from repro.index.aggregate import AggregateTree
@@ -172,13 +171,10 @@ def _slot_reader(spec: IndexSpec) -> Callable[[Vertex], List[int]]:
 class WeightedJoinGraph:
     """The paper's weighted join graph over a :class:`JoinPlan`."""
 
-    def __init__(self, plan: JoinPlan, obs=None,
+    def __init__(self, plan: JoinPlan,
                  tuple_weight: Optional[
                      Callable[[int, Sequence], int]] = None):
-        """``obs`` is an optional :class:`~repro.obs.MetricsRegistry`;
-        when omitted the no-op registry is used.
-
-        ``tuple_weight`` (optional) makes this a *weighted* graph: a
+        """``tuple_weight`` (optional) makes this a *weighted* graph: a
         callable ``(node_idx, row) -> positive int`` giving each tuple's
         sampling weight.  The join-number domain then counts weighted
         *units* — a result ``r`` spans ``prod(weight of its tuples)``
@@ -189,7 +185,6 @@ class WeightedJoinGraph:
         self.plan = plan
         self.tuple_weight = tuple_weight
         self.stats = GraphStats()
-        self.obs = as_registry(obs)
         self.hash_indexes: List[Dict[tuple, Vertex]] = [
             {} for _ in plan.nodes
         ]

@@ -242,8 +242,6 @@ class QualityMonitor:
         self.skipped_rounds = 0
         self.flagged = False
         self.flag_count = 0
-        self.last_chi_square = 0.0
-        self.last_ks_ratio = 0.0
 
     # -- probe schedule -------------------------------------------------
     def note_ops(self, n: int) -> None:
@@ -342,8 +340,6 @@ class QualityMonitor:
         critical = ks_critical(len(probes), members_eff, cfg.alpha)
         ks_ratio = d / critical if critical > 0 else 0.0
 
-        self.last_chi_square = chi
-        self.last_ks_ratio = ks_ratio
         self._rounds.append((chi, dof, ks_ratio))
         self._update_flag()
         return {"chi_square": chi, "dof": dof, "ks_ratio": ks_ratio}

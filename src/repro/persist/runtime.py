@@ -354,12 +354,6 @@ class PersistentManager:
     def synopsis(self, name: str, limit: Optional[int] = None):
         return self.manager.synopsis(name, limit)
 
-    def synopsis_entries(self, name: str, limit: Optional[int] = None):
-        return self.manager.synopsis_entries(name, limit)
-
-    def family_of(self, name: str) -> str:
-        return self.manager.family_of(name)
-
     def total_results(self, name: str) -> int:
         return self.manager.total_results(name)
 

@@ -173,9 +173,7 @@ class FollowerService(ReadHalf):
         if manifest is None:
             return 0
         self._manifest = manifest
-        # older manifests (pre-watermark shippers) simply yield no lag
-        # samples; everything else about them still replicates
-        marks = manifest.get("watermarks") or ()
+        marks = manifest["watermarks"]
         self._wm_lsns = [int(mark["lsn"]) for mark in marks]
         self._wm_appended = [float(mark["appended_at"]) for mark in marks]
         if self._needs_bootstrap(manifest):
@@ -200,11 +198,11 @@ class FollowerService(ReadHalf):
         segments = manifest["segments"]
         if segments:
             return min(seg["start_lsn"] for seg in segments)
-        snapshot = manifest.get("snapshot")
+        snapshot = manifest["snapshot"]
         return snapshot["wal_lsn"] if snapshot else 0
 
     def _bootstrap(self, manifest: dict) -> None:
-        snapshot = manifest.get("snapshot")
+        snapshot = manifest["snapshot"]
         if snapshot is None:
             raise ReplicationError(
                 "manifest advertises no snapshot; cannot bootstrap a "
@@ -343,7 +341,7 @@ class FollowerService(ReadHalf):
         """
         i = bisect_right(self._wm_lsns, record_lsn)
         if i >= len(self._wm_lsns):
-            return  # pre-watermark manifest, or history aged out
+            return  # no watermark covers it yet, or history aged out
         lag_ms = max(
             0.0, (float(self.clock()) - self._wm_appended[i]) * 1000.0)
         self.lag_samples += 1

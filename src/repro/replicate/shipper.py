@@ -112,9 +112,9 @@ class WalShipper:
             for seg in manifest["segments"]:
                 self._shipped_sizes[seg["name"]] = seg["size"]
                 self._shipped_records[seg["name"]] = seg["records"]
-            if manifest.get("snapshot"):
+            if manifest["snapshot"]:
                 self._shipped_snapshot = manifest["snapshot"]["name"]
-            for mark in manifest.get("watermarks", ()):
+            for mark in manifest["watermarks"]:
                 self._watermarks.append(dict(mark))
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()

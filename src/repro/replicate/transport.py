@@ -40,6 +40,41 @@ MANIFEST_VERSION = 1
 WAL_SUBDIR = "wal"
 SNAPSHOT_SUBDIR = "snapshots"
 
+_NUMBER = (int, float)
+#: what a shipper publishes beside ``version``: a field's shape is its
+#: JSON type(s), a ``{field: shape}`` object or ``[shape]``, a list of
+#: such entries; the snapshot entry alone may be null
+_MANIFEST = {
+    "ship_seq": int, "shipped_at": _NUMBER, "acked_lsn": int,
+    "snapshot": {"name": str, "wal_lsn": int},
+    "segments": [{"name": str, "start_lsn": int, "records": int,
+                  "size": int}],
+    "watermarks": [{"lsn": int, "shipped_at": _NUMBER,
+                    "appended_at": _NUMBER}],
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """``value`` has ``shape`` (a boolean is not a number), or a
+    :class:`~repro.errors.ReplicationError` names what is wrong."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ReplicationError(f"{where} is not a JSON object: "
+                                   f"{value!r}")
+        for field, inner in shape.items():
+            if field not in value:
+                raise ReplicationError(f"{where} has no {field!r} field")
+            if field != "snapshot" or value[field] is not None:
+                _check_shape(value[field], inner,
+                             f"{where} field {field!r}")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ReplicationError(f"{where} is not a list: {value!r}")
+        for entry in value:
+            _check_shape(entry, shape[0], f"{where} entry")
+    elif isinstance(value, bool) or not isinstance(value, shape):
+        raise ReplicationError(f"{where} is {value!r}, of the wrong type")
+
 
 class DirectoryTransport:
     """Replication over a shared directory (the filesystem transport).
@@ -143,11 +178,16 @@ class DirectoryTransport:
                 f"shipped manifest {self.manifest_path} does not parse: "
                 f"{exc}"
             ) from exc
+        # every field and type, once: the follower, the shipper and
+        # ``repro lag`` index the manifest freely
+        where = f"shipped manifest {self.manifest_path}"
+        _check_shape(manifest, {}, where)
         if manifest.get("version") != MANIFEST_VERSION:
             raise ReplicationError(
                 f"shipped manifest version {manifest.get('version')!r} "
                 f"is not supported (expected {MANIFEST_VERSION})"
             )
+        _check_shape(manifest, _MANIFEST, where)
         return manifest
 
     def read_segment_bytes(self, name: str, offset: int,

@@ -50,6 +50,8 @@ from typing import (
     Tuple,
 )
 
+from repro.catalog.database import Database
+from repro.core.entries import Snapshot, read_query
 from repro.core.manager import SynopsisTarget
 from repro.core.stats_api import (
     BatchResult,
@@ -162,37 +164,32 @@ class ServiceConfig:
 class ReadView:
     """One immutable, epoch-stamped snapshot served to readers.
 
-    ``synopses``/``total_results``/``families``/``sample_meta``/
-    ``sample_rows`` are keyed by registered query name.  ``stats`` is
+    ``queries`` holds one :class:`~repro.core.entries.Snapshot` per
+    registered query name — its rows, metadata, heap rows, family,
+    total, SQL and engine, all stamped with this epoch.  ``stats`` is
     the target's typed :class:`~repro.core.stats_api.ManagerStats`
-    taken at the same point, so every field of a view is mutually
+    taken at the same point and ``db`` the database whose schemas
+    requests are checked against, so every field of a view is mutually
     consistent: a view is built only *between* micro-batches.
     """
 
     epoch: int
-    synopses: Mapping[str, Tuple[Tuple[int, ...], ...]]
-    total_results: Mapping[str, int]
+    queries: Mapping[str, Snapshot]
     stats: ManagerStats
+    db: Database
     published_ns: int
-    #: synopsis family per query (``"uniform"``/``"weighted"``/
-    #: ``"subset"``)
-    families: Mapping[str, str]
-    #: per-sample read-only metadata mappings, aligned index-for-index
-    #: with ``synopses`` (``weight``, and ``inclusion_probability`` on
-    #: subset synopses); shared between consecutive views
-    sample_meta: Mapping[str, Tuple[Mapping, ...]]
-    #: per sample, the heap row tuples its TIDs name, aligned with
-    #: ``synopses`` and shared between consecutive views like it: rows
-    #: are immutable and TIDs never reused, so these are references to
-    #: the tables' own tuples and stay valid after the rows are deleted.
-    #: What an estimate reads — a view answers without the database
-    sample_rows: Mapping[str, Tuple[Tuple[tuple, ...], ...]]
 
-    def __post_init__(self):
-        for field in ("synopses", "total_results", "families",
-                      "sample_meta", "sample_rows"):
-            object.__setattr__(
-                self, field, MappingProxyType(dict(getattr(self, field))))
+    @property
+    def synopses(self) -> Mapping[str, Tuple[Tuple[int, ...], ...]]:
+        """Per query name, its sample rows (read-only, from ``queries``)."""
+        return MappingProxyType(
+            {name: record.results for name, record in self.queries.items()})
+
+    @property
+    def total_results(self) -> Mapping[str, int]:
+        """Per query name, its exact total (read-only, from ``queries``)."""
+        return MappingProxyType(
+            {name: record.total for name, record in self.queries.items()})
 
     # ------------------------------------------------------------------
     # name resolution: the one rule for unnamed reads
@@ -200,8 +197,8 @@ class ReadView:
     def sole_name(self) -> Optional[str]:
         """The registered query's name when the view holds exactly
         one, else ``None``: what "the" query means on a read."""
-        if len(self.synopses) == 1:
-            return next(iter(self.synopses))
+        if len(self.queries) == 1:
+            return next(iter(self.queries))
         return None
 
     def resolve(self, name: Optional[str]) -> str:
@@ -210,12 +207,12 @@ class ReadView:
         :class:`~repro.errors.ServiceError` listing the known names."""
         if name is None:
             name = self.sole_name()
-        if name is None or name not in self.synopses:
+        if name is None or name not in self.queries:
             asked = ("an unnamed read needs exactly one registered query"
                      if name is None else f"no query {name!r}")
             raise ServiceError(
                 f"{asked} in the published view (epoch {self.epoch}); "
-                f"known: {sorted(self.synopses)}"
+                f"known: {sorted(self.queries)}"
             )
         return name
 
@@ -227,7 +224,7 @@ class ReadView:
         if limit is not None and limit < 0:
             raise InvalidArgumentError(
                 f"limit must be >= 0, got {limit}")
-        results = self.synopses[self.resolve(name)]
+        results = self.queries[self.resolve(name)].results
         if limit is not None and len(results) > limit:
             results = results[:limit]
         return list(results)
@@ -237,16 +234,17 @@ class ReadView:
         """The full ``/synopsis`` reply: epoch, total, and sample all
         from this one snapshot."""
         name = self.resolve(name)
+        record = self.queries[name]
         rows = self.synopsis(name, limit)
         return {
             "epoch": self.epoch,
             "name": name,
-            "total_results": self.total_results[name],
-            "family": self.families[name],
+            "total_results": record.total,
+            "family": record.family,
             # views share rows and metas with their successors: the
             # reply gets its own mutable copies
             "synopsis": [list(row) for row in rows],
-            "meta": [dict(m) for m in self.sample_meta[name][:len(rows)]],
+            "meta": [dict(m) for m in record.meta[:len(rows)]],
         }
 
     def metrics(self) -> dict:
@@ -263,12 +261,14 @@ class ReadView:
     def family_summary(self):
         """One family string when every query agrees (the common case),
         else the per-query mapping."""
-        distinct = set(self.families.values())
+        families = {name: record.family
+                    for name, record in self.queries.items()}
+        distinct = set(families.values())
         if not distinct:
             return "uniform"
         if len(distinct) == 1:
             return distinct.pop()
-        return dict(self.families)
+        return families
 
 
 def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
@@ -276,33 +276,20 @@ def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
     builder: the service's ingest thread and follower replicas both
     publish through it, so their views cannot drift.
 
-    The per-query row, meta and heap-row tuples are the ones the
-    engine's entry store holds (:mod:`repro.core.entries`): building a
-    view costs the samples that changed since the previous one, and a
-    query whose synopsis did not change shares its tuples with the
-    previous view.
+    Each query's record comes from the one per-query reader,
+    :func:`~repro.core.entries.read_query`, whose row, meta and
+    heap-row tuples are the ones the engine's entry store holds
+    (:mod:`repro.core.entries`): building a view costs the samples that
+    changed since the previous one, and a query whose synopsis did not
+    change shares its tuples with the previous view.
     """
-    synopses: dict = {}
-    totals: dict = {}
-    families: dict = {}
-    sample_meta: dict = {}
-    sample_rows: dict = {}
-    for name in target.names():
-        entries = target.synopsis_entries(name)
-        synopses[name] = entries.rows
-        sample_meta[name] = entries.metas
-        sample_rows[name] = entries.resolved
-        totals[name] = target.total_results(name)
-        families[name] = target.family_of(name)
     return ReadView(
         epoch=epoch,
-        synopses=synopses,
-        total_results=totals,
+        queries=MappingProxyType({name: read_query(target, name, epoch)
+                                  for name in target.names()}),
         stats=target.stats(),
+        db=target.db,
         published_ns=time.perf_counter_ns(),
-        families=families,
-        sample_meta=sample_meta,
-        sample_rows=sample_rows,
     )
 
 
@@ -360,7 +347,7 @@ class ReadHalf:
 
     def names(self) -> List[str]:
         """Registered query names in the published view."""
-        return sorted(self.view().synopses)
+        return sorted(self.view().queries)
 
     def synopsis(self, name: Optional[str] = None,
                  limit: Optional[int] = None) -> List[Tuple[int, ...]]:
@@ -377,7 +364,7 @@ class ReadHalf:
     def total_results(self, name: Optional[str] = None) -> int:
         """Exact J from the published view (epoch-consistent)."""
         view = self.view()
-        return view.total_results[view.resolve(name)]
+        return view.queries[view.resolve(name)].total
 
     def synopsis_payload(self, name: Optional[str] = None,
                          limit: Optional[int] = None) -> dict:
@@ -881,6 +868,6 @@ class SynopsisService(ReadHalf):
             self.obs.gauge(metric_names.SERVICE_EPOCH).set(self._epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"SynopsisService(queries={sorted(self._view.synopses)}, "
+        return (f"SynopsisService(queries={sorted(self._view.queries)}, "
                 f"epoch={self.epoch}, queue_depth={self.queue_depth}, "
                 f"closed={self._closed})")

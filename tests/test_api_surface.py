@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "17.3.0"
+    assert repro.__version__ == "18.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -348,7 +348,7 @@ def test_one_declared_target_shape(tmp_path):
                      if not name.startswith("_"))
     assert members == sorted([
         "names", "maintainer", "register", "unregister", "apply_batch",
-        "synopsis_entries", "total_results", "family_of", "stats"])
+        "stats"])
     assert list(SynopsisTarget.__annotations__) == ["db"]
     manager = SynopsisManager(Database())
     persistent = PersistentManager(
@@ -657,3 +657,37 @@ def test_removed_names_are_gone(owner, name):
     module_or_class = _resolve(owner)
     assert not hasattr(module_or_class, name), f"{owner}.{name}"
     assert name not in getattr(module_or_class, "__all__", ()), name
+
+
+def test_a_view_holds_one_read_record_per_query():
+    """18.0: ``ReadView`` holds one ``Snapshot`` per query (defined in
+    ``repro.core.entries``, still exported by ``repro.aqp``) beside the
+    epoch, stats and database; the parallel per-field maps and the
+    stored-but-unread knobs are gone."""
+    import dataclasses
+    import inspect
+
+    from repro.aqp import Snapshot
+    from repro.core import entries
+    from repro.core.manager import SynopsisManager, SynopsisTarget
+    from repro.core.synopsis import (BernoulliSynopsis,
+                                     FixedSizeWithoutReplacement,
+                                     FixedSizeWithReplacement,
+                                     SubsetSynopsis, SynopsisSpec)
+    from repro.graph.join_graph import WeightedJoinGraph
+    from repro.persist import PersistentManager
+    from repro.service.runtime import ReadView
+
+    assert Snapshot is entries.Snapshot
+    assert list(inspect.signature(Snapshot).parameters) == [
+        "family", "total", "results", "meta", "rows", "sql", "engine",
+        "epoch"]
+    assert [f.name for f in dataclasses.fields(ReadView)] == [
+        "epoch", "queries", "stats", "db", "published_ns"]
+    for owner in (SynopsisManager, PersistentManager, SynopsisTarget):
+        for name in ("synopsis_entries", "family_of"):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    for owner in (WeightedJoinGraph, SynopsisSpec.build, BernoulliSynopsis,
+                  FixedSizeWithoutReplacement, FixedSizeWithReplacement,
+                  SubsetSynopsis):
+        assert "obs" not in inspect.signature(owner).parameters, owner

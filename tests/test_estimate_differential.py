@@ -26,7 +26,7 @@ from collections import Counter
 import pytest
 
 from repro import DeleteOp, QueryRegistry, SynopsisService
-from repro.aqp import Snapshot, estimate_from_snapshot
+from repro.aqp import estimate_from_snapshot
 from repro.aqp.estimation import (
     Estimate,
     _count,
@@ -205,16 +205,16 @@ def assert_estimates_match(target, manager, workload):
     Returns the shipped payloads."""
     registered = QueryRegistry(target).get(NAME)
     if target is manager:
-        entries = manager.synopsis_entries(NAME)
-        state = dict(family=manager.family_of(NAME),
-                     total=manager.total_results(NAME),
+        maintainer = manager.maintainer(NAME)
+        entries = maintainer.synopsis_entries()
+        state = dict(family=maintainer.family,
+                     total=maintainer.total_results(),
                      results=entries.rows, metas=entries.metas, epoch=None)
     else:
-        view = target.view()
-        state = dict(family=view.families[NAME],
-                     total=view.total_results[NAME],
-                     results=view.synopses[NAME],
-                     metas=view.sample_meta[NAME], epoch=view.epoch)
+        record = target.view().queries[NAME]
+        state = dict(family=record.family, total=record.total,
+                     results=record.results, metas=record.meta,
+                     epoch=record.epoch)
     shipped = []
     for request in REQUESTS[workload]:
         want = reference_estimate(
@@ -296,14 +296,6 @@ def test_every_estimate_equals_the_per_call_resolution(
         recovered.close()
 
 
-def view_snapshot(view):
-    return Snapshot(epoch=view.epoch, family=view.families[NAME],
-                    total=view.total_results[NAME],
-                    results=view.synopses[NAME],
-                    meta=view.sample_meta[NAME],
-                    rows=view.sample_rows[NAME])
-
-
 @pytest.mark.parametrize("workload", [FkWorkload, BandWorkload])
 def test_a_stale_view_answers_the_same_after_its_rows_are_deleted(workload):
     manager = build_manager(workload, "sjoin-opt", "weighted")
@@ -316,7 +308,7 @@ def test_a_stale_view_answers_the_same_after_its_rows_are_deleted(workload):
 
         def answers():
             return [estimate_from_snapshot(query, manager.db,
-                                           view_snapshot(stale), **request)
+                                           stale.queries[NAME], **request)
                     for request in REQUESTS[workload]]
 
         before = answers()
@@ -335,13 +327,12 @@ def test_a_stale_view_answers_the_same_after_its_rows_are_deleted(workload):
         assert answers() == before
         # and it is still what per-call resolution reads off the
         # tombstoned heap
+        record = stale.queries[NAME]
         for got, request in zip(before, REQUESTS[workload]):
             assert got == reference_estimate(
-                query, manager.db, family=stale.families[NAME],
-                total=stale.total_results[NAME],
-                results=stale.synopses[NAME],
-                metas=stale.sample_meta[NAME], epoch=stale.epoch,
-                **request)
+                query, manager.db, family=record.family,
+                total=record.total, results=record.results,
+                metas=record.meta, epoch=record.epoch, **request)
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +450,7 @@ def test_a_cold_restored_engine_resolves_each_entry_once(peeks):
     manager = build_manager(BandWorkload, "sjoin", "weighted")
     for batch in stream(BandWorkload, seed=3, batches=30):
         manager.apply_batch(batch)
-    warm = manager.synopsis_entries(NAME)
+    warm = manager.maintainer(NAME).synopsis_entries()
     restored = restore_manager(
         restore_database(capture_database(manager.db)),
         capture_manager(manager))
@@ -472,6 +463,7 @@ def test_a_cold_restored_engine_resolves_each_entry_once(peeks):
     samples = len(engine.raw_samples())
     assert samples >= len(engine.synopsis_entries()) > 0
     assert peeks() == one_read_per_node(engine, samples)
-    assert restored.synopsis_entries(NAME).resolved == warm.resolved
+    assert restored.maintainer(NAME).synopsis_entries().resolved == \
+        warm.resolved
     estimate_all(registered, BandWorkload)
     assert not peeks()

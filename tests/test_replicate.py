@@ -66,6 +66,60 @@ def drive(pm, rng, n, live=None, domain=6):
 # ----------------------------------------------------------------------
 # DirectoryTransport
 # ----------------------------------------------------------------------
+#: a manifest of the shape a shipper publishes
+WELL_FORMED = {
+    "version": MANIFEST_VERSION, "ship_seq": 2, "shipped_at": 1.5,
+    "acked_lsn": 3, "snapshot": {"name": "snap-1.snap", "wal_lsn": 1},
+    "segments": [{"name": "wal-0.seg", "start_lsn": 0, "records": 3,
+                  "size": 90}],
+    "watermarks": [{"lsn": 3, "shipped_at": 1.5, "appended_at": 1.0}],
+}
+
+
+def _drop(*path):
+    def malform(manifest):
+        *parents, field = path
+        for key in parents:
+            manifest = manifest[key]
+        del manifest[field]
+    return malform
+
+
+def _set(value, *path):
+    def malform(manifest):
+        *parents, field = path
+        for key in parents:
+            manifest = manifest[key]
+        manifest[field] = value
+    return malform
+
+
+#: one malformation per field and per type: each returns the body to
+#: publish, or None to publish the edited manifest
+MALFORMED = {
+    "not-an-object": lambda manifest: [manifest],
+    **{f"no-{field}": _drop(field)
+       for field in ("ship_seq", "shipped_at", "acked_lsn", "snapshot",
+                     "segments", "watermarks")},
+    **{f"no-segment-{field}": _drop("segments", 0, field)
+       for field in ("name", "start_lsn", "records", "size")},
+    "no-watermark-lsn": _drop("watermarks", 0, "lsn"),
+    "no-snapshot-wal_lsn": _drop("snapshot", "wal_lsn"),
+    "ship_seq-str": _set("2", "ship_seq"),
+    "shipped_at-null": _set(None, "shipped_at"),
+    "acked_lsn-float": _set(3.0, "acked_lsn"),
+    "acked_lsn-bool": _set(True, "acked_lsn"),
+    "snapshot-str": _set("snap-1.snap", "snapshot"),
+    "segments-object": _set({}, "segments"),
+    "watermarks-null": _set(None, "watermarks"),
+    "segment-not-an-object": _set("wal-0.seg", "segments", 0),
+    "segment-name-int": _set(0, "segments", 0, "name"),
+    "segment-size-str": _set("90", "segments", 0, "size"),
+    "watermark-appended_at-str": _set("1.0", "watermarks", 0,
+                                      "appended_at"),
+}
+
+
 class TestDirectoryTransport:
     def test_layout_and_round_trip(self, tmp_path):
         t = DirectoryTransport(str(tmp_path / "ship"))
@@ -89,11 +143,35 @@ class TestDirectoryTransport:
         assert t.read_manifest() is None
         manifest = {"version": MANIFEST_VERSION, "ship_seq": 1,
                     "shipped_at": 1.5, "acked_lsn": 0,
-                    "snapshot": None, "segments": []}
+                    "snapshot": None, "segments": [], "watermarks": []}
         t.publish_manifest(manifest)
         assert t.read_manifest() == manifest
         # no leftover tmp file from the atomic rename
         assert not os.path.exists(t.manifest_path + ".tmp")
+        t.publish_manifest(WELL_FORMED)
+        assert t.read_manifest() == WELL_FORMED
+
+    @pytest.mark.parametrize("malform", MALFORMED.values(),
+                             ids=list(MALFORMED))
+    def test_a_manifest_of_the_wrong_shape_is_a_replication_error(
+            self, tmp_path, malform):
+        """Every field and type is checked once, where the manifest is
+        read: the follower, the shipper and ``repro lag`` all refuse a
+        malformed one with the same typed error, never a KeyError or
+        AttributeError from deep inside."""
+        from repro.cli import main
+
+        ship_dir = str(tmp_path / "ship")
+        manifest = json.loads(json.dumps(WELL_FORMED))
+        DirectoryTransport(ship_dir).publish_manifest(
+            malform(manifest) or manifest)
+        for read in (lambda: DirectoryTransport(ship_dir).read_manifest(),
+                     lambda: FollowerService(ship_dir),
+                     lambda: WalShipper(str(tmp_path / "leader"),
+                                        ship_dir),
+                     lambda: main(["lag", "--ship", ship_dir])):
+            with pytest.raises(ReplicationError, match="shipped manifest"):
+                read()
 
     def test_unsupported_manifest_version_raises(self, tmp_path):
         t = DirectoryTransport(str(tmp_path))
@@ -699,12 +777,13 @@ class TestLagTracing:
         assert metrics["stalls"] == 0
         pm.close()
 
-    def test_pre_watermark_manifest_yields_no_samples(self, tmp_path):
-        """Manifests from older shippers still replicate — just lagless."""
+    def test_a_manifest_without_watermarks_yields_no_samples(
+            self, tmp_path):
+        """An empty watermark list still replicates — just lagless."""
         pm, _, _, ship_dir = ship_pair(tmp_path)
         transport = DirectoryTransport(ship_dir)
         manifest = transport.read_manifest()
-        del manifest["watermarks"]
+        manifest["watermarks"] = []
         transport.publish_manifest(manifest)
         f = FollowerService(ship_dir)
         assert f.replayed_records > 0

@@ -409,8 +409,8 @@ class TestManagerMode:
     def test_view_keys_are_registration_names(self):
         with SynopsisService(make_target()) as service:
             view = service.view()
-            for mapping in (view.synopses, view.total_results,
-                            view.families, view.sample_meta):
+            for mapping in (view.queries, view.synopses,
+                            view.total_results):
                 assert list(mapping) == [Q]
 
 
@@ -481,10 +481,10 @@ class BrokenReadTarget:
         self.inner = inner
         self.broken = False
 
-    def synopsis_entries(self, name, limit=None):
+    def maintainer(self, name):
         if self.broken:
             raise RuntimeError("target unreadable")
-        return self.inner.synopsis_entries(name, limit)
+        return self.inner.maintainer(name)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

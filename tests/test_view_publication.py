@@ -195,16 +195,15 @@ def reference(maintainer):
 
 
 def entries_of(manager):
-    entries = manager.synopsis_entries(NAME)
+    entries = manager.maintainer(NAME).synopsis_entries()
     return (entries.rows, tuple(dict(meta) for meta in entries.metas),
             entries.resolved, manager.total_results(NAME))
 
 
 def published(view):
-    return (view.synopses[NAME],
-            tuple(dict(meta) for meta in view.sample_meta[NAME]),
-            view.sample_rows[NAME],
-            view.total_results[NAME])
+    record = view.queries[NAME]
+    return (record.results, tuple(dict(meta) for meta in record.meta),
+            record.rows, record.total)
 
 
 def assert_view_is_from_scratch(view, manager):
@@ -286,7 +285,7 @@ def test_a_restored_engine_starts_cold_and_still_matches():
     manager = build_manager(BandWorkload, "sjoin", "weighted")
     for batch in stream(BandWorkload, seed=3, batches=30):
         manager.apply_batch(batch)
-    warm = manager.synopsis_entries(NAME)
+    warm = manager.maintainer(NAME).synopsis_entries()
     restored = restore_manager(
         restore_database(capture_database(manager.db)),
         capture_manager(manager))
@@ -295,7 +294,7 @@ def test_a_restored_engine_starts_cold_and_still_matches():
     # reports every position as changed and the store holds nothing
     assert engine.synopsis.changed_positions() is None
     assert engine._entries._rows == []
-    cold = restored.synopsis_entries(NAME)
+    cold = restored.maintainer(NAME).synopsis_entries()
     assert list(cold) == list(warm)
     assert entries_of(restored) == reference(restored.maintainer(NAME))
 
@@ -316,15 +315,15 @@ def test_entry_store_stays_bounded_under_churn(family):
         peak_slots = max(peak_slots, len(idle.slots()))
         assert len(idle.changed_positions() or ()) <= peak_slots
         if number % 50 == 0:
-            entries = read.synopsis_entries(NAME)
+            entries = read.maintainer(NAME).synopsis_entries()
             store = engine._entries
             assert len(store._rows) == len(store._metas) \
                 == len(store._resolved) == len(engine.synopsis.slots())
             assert store._holes == store._rows.count(None)
             assert len(entries) == len(store._rows) - store._holes
             assert engine.synopsis.changed_positions() == set()
-    assert list(read.synopsis_entries(NAME)) == \
-        list(unread.synopsis_entries(NAME))
+    assert list(read.maintainer(NAME).synopsis_entries()) == \
+        list(unread.maintainer(NAME).synopsis_entries())
 
 
 def test_an_unchanged_query_shares_its_tuples_with_the_previous_view():
@@ -343,11 +342,12 @@ def test_an_unchanged_query_shares_its_tuples_with_the_previous_view():
         first = service.view()
         service.apply_batch([InsertOp("a", (1,))])
         second = service.view()
-        assert second.synopses["ab"] != first.synopses["ab"]
-        assert second.synopses["fk"] is first.synopses["fk"]
-        assert second.sample_meta["fk"] is first.sample_meta["fk"]
-        assert second.sample_rows["fk"] is first.sample_rows["fk"]
-        assert second.sample_rows["ab"] is not first.sample_rows["ab"]
+        fk, ab = first.queries["fk"], first.queries["ab"]
+        assert second.queries["ab"].results != ab.results
+        assert second.queries["fk"].results is fk.results
+        assert second.queries["fk"].meta is fk.meta
+        assert second.queries["fk"].rows is fk.rows
+        assert second.queries["ab"].rows is not ab.rows
         assert second.epoch == first.epoch + 1
 
 
@@ -372,9 +372,11 @@ def test_reader_mutation_cannot_leak_into_a_later_view():
         manager_rows.clear()
         # ... and what views share is read-only
         with pytest.raises(TypeError):
-            view.sample_meta[NAME][0]["weight"] = -1
+            view.queries[NAME].meta[0]["weight"] = -1
         with pytest.raises(TypeError):
-            view.synopses[NAME][0][0] = -1
+            view.queries[NAME].results[0][0] = -1
+        with pytest.raises(TypeError):
+            view.queries[NAME] = view.queries[NAME]
         assert published(service.view()) == want
         for batch in batches[10:]:
             service.apply_batch(batch)
@@ -396,6 +398,6 @@ def test_a_failed_expansion_fails_the_next_read_too(monkeypatch):
     monkeypatch.setattr(plan, "resolve_result", unreadable)
     for _ in range(2):
         with pytest.raises(RuntimeError, match="unreadable"):
-            manager.synopsis_entries(NAME)
+            manager.maintainer(NAME).synopsis_entries()
     monkeypatch.undo()
     assert entries_of(manager) == want

@@ -118,7 +118,7 @@ class TestWalRecovery:
         recovered = PersistentManager.recover(str(tmp_path))
         engine = recovered.maintainer(QUERY).engine
         assert recovered.replayed_ops > 0
-        assert recovered.family_of(QUERY) == maintainer.family
+        assert recovered.maintainer(QUERY).family == maintainer.family
         assert engine.spec.weight_column == "r.c2"
         assert recovered.total_results(QUERY) == expected_total
         assert engine.raw_samples() == expected_samples
