@@ -139,7 +139,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "18.0.0"
+__version__ = "19.0.0"
 
 __all__ = [
     # catalog

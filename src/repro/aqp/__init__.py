@@ -15,7 +15,7 @@ See ``docs/sql.md`` for the grammar, registration lifecycle and CI
 semantics.
 """
 
-from repro.aqp.audit import AccuracyAuditor, AuditConfig, AuditRecord
+from repro.aqp.audit import AccuracyAuditor, AuditRecord
 from repro.aqp.estimation import (
     AGGREGATES,
     Snapshot,
@@ -26,7 +26,6 @@ from repro.aqp.registry import QueryRegistry, RegisteredQuery
 __all__ = [
     "AGGREGATES",
     "AccuracyAuditor",
-    "AuditConfig",
     "AuditRecord",
     "QueryRegistry",
     "RegisteredQuery",

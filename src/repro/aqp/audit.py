@@ -15,8 +15,8 @@ Aggregating those checks per query yields the **realized CI coverage**,
 which an honest estimator keeps near the nominal confidence of its
 answers.  :class:`QueryAudit.coverage_flagged` trips when realized
 coverage drifts below nominal by more than a binomial-noise allowance
-(``z_slack`` standard errors) over at least ``min_events`` scored
-events — a mis-calibrated estimator (understated variance, wrong
+(:data:`Z_SLACK` standard errors) over at least :data:`MIN_EVENTS`
+scored events — a mis-calibrated estimator (understated variance, wrong
 scale-up, broken metadata) flags within a handful of estimates, while
 honest ones stay quiet.
 
@@ -28,60 +28,21 @@ CLI, and ``aqp.coverage_drift`` events in the structured event log.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import deque
 from typing import Callable, Dict, NamedTuple, Optional
 
-from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
-from repro.obs.events import as_event_log
 from repro.obs.metrics import as_registry
 
 
-class AuditConfig:
-    """Tuning knobs for :class:`AccuracyAuditor` (frozen, kw-only).
-
-    ``capacity``
-        Per-query audit ring size.
-    ``truth_every``
-        Ground truth is attached to every N-th *eligible* estimate
-        (default 1: the exact join count is maintained incrementally,
-        so scoring is free — the knob exists for deployments that want
-        sparser audit series).
-    ``min_events``
-        Scored events required before the coverage flag may trip.
-    ``z_slack``
-        Allowance below nominal coverage, in binomial standard errors.
-    """
-
-    __slots__ = ("capacity", "truth_every", "min_events", "z_slack")
-
-    def __init__(self, *, capacity: int = 256, truth_every: int = 1,
-                 min_events: int = 20, z_slack: float = 3.0):
-        if capacity < 1:
-            raise InvalidArgumentError(
-                f"audit capacity must be >= 1, got {capacity}")
-        if truth_every < 1:
-            raise InvalidArgumentError(
-                f"truth_every must be >= 1, got {truth_every}")
-        if min_events < 1:
-            raise InvalidArgumentError(
-                f"min_events must be >= 1, got {min_events}")
-        if z_slack < 0:
-            raise InvalidArgumentError(
-                f"z_slack must be >= 0, got {z_slack}")
-        object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "truth_every", truth_every)
-        object.__setattr__(self, "min_events", min_events)
-        object.__setattr__(self, "z_slack", z_slack)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AuditConfig is immutable ({name!r})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        fields = ", ".join(
-            f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
-        return f"AuditConfig({fields})"
+#: per-query audit ring size
+CAPACITY = 256
+#: scored events required before the coverage flag may trip
+MIN_EVENTS = 20
+#: allowance below nominal coverage, in binomial standard errors
+Z_SLACK = 3.0
 
 
 class AuditRecord:
@@ -141,10 +102,9 @@ class Tally(NamedTuple):
 class QueryAudit:
     """The bounded audit ring and coverage state of one query."""
 
-    def __init__(self, name: str, config: AuditConfig):
+    def __init__(self, name: str):
         self.name = name
-        self.config = config
-        self.ring: deque = deque(maxlen=config.capacity)
+        self.ring: deque = deque(maxlen=CAPACITY)
         self.estimates = 0          # every estimate() answered
         self.eligible = 0           # estimates with truth available
         self.audited = 0            # estimates actually scored
@@ -189,14 +149,14 @@ class QueryAudit:
     def update_flag(self, tally: Tally) -> bool:
         """Re-evaluate the coverage drift flag; True on a transition
         from quiet to flagged."""
-        if tally.scored < self.config.min_events:
+        if tally.scored < MIN_EVENTS:
             self.coverage_flagged = False
             return False
         nominal = tally.nominal
         # binomial-noise allowance: an honest estimator's realized
         # coverage is Binomial(n, nominal)/n, so demand a drift beyond
-        # z_slack standard errors before raising the flag
-        slack = self.config.z_slack * math.sqrt(
+        # Z_SLACK standard errors before raising the flag
+        slack = Z_SLACK * math.sqrt(
             nominal * (1.0 - nominal) / tally.scored)
         flagged = tally.coverage < nominal - slack
         transition = flagged and not self.coverage_flagged
@@ -226,30 +186,38 @@ class AccuracyAuditor:
 
     Owned by :class:`~repro.aqp.registry.QueryRegistry`; one
     :class:`QueryAudit` ring per query name, ``aqp.*`` labeled metric
-    children on the shared registry, and ``aqp.coverage_drift`` events
-    on flag transitions.
+    children on ``obs``, and ``aqp.coverage_drift`` events in its event
+    log on flag transitions.
+
+    Estimates arrive on every thread the front door serves, so
+    :meth:`observe` and :meth:`payload` hold one lock: a ring is never
+    walked while another thread appends to it, and no count is lost.
     """
 
-    def __init__(self, obs=None, events=None,
-                 config: Optional[AuditConfig] = None,
-                 clock: Callable[[], float] = time.time):
+    def __init__(self, obs=None, clock: Callable[[], float] = time.time):
         self.obs = as_registry(obs)
-        self.events = as_event_log(events)
-        self.config = config if config is not None else AuditConfig()
         self.clock = clock
         self._queries: Dict[str, QueryAudit] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def query_audit(self, name: str) -> QueryAudit:
+        """The ring of ``name``, created on first use (unlocked: the
+        auditor's own callers hold its lock)."""
         audit = self._queries.get(name)
         if audit is None:
-            audit = QueryAudit(name, self.config)
+            audit = QueryAudit(name)
             self._queries[name] = audit
         return audit
 
     def observe(self, name: str, payload: dict, latency_ns: int,
                 truth: Optional[float] = None) -> AuditRecord:
         """Record one answered estimate; score it when truth is given."""
+        with self._lock:
+            return self._observe(name, payload, latency_ns, truth)
+
+    def _observe(self, name: str, payload: dict, latency_ns: int,
+                 truth: Optional[float]) -> AuditRecord:
         audit = self.query_audit(name)
         audit.estimates += 1
         ci = payload.get("ci")
@@ -258,9 +226,6 @@ class AccuracyAuditor:
         relative_error = None
         if truth is not None:
             audit.eligible += 1
-            if (audit.eligible - 1) % self.config.truth_every:
-                truth = None  # off-schedule: record unscored
-        if truth is not None:
             audit.audited += 1
             if ci is not None:
                 covered = ci[0] <= truth <= ci[1]
@@ -283,8 +248,8 @@ class AccuracyAuditor:
         tally = audit.append(record)
         transition = audit.update_flag(tally)
         self._publish(name, audit, record, tally.coverage)
-        if transition and self.events.enabled:
-            self.events.emit(
+        if transition and self.obs.events.enabled:
+            self.obs.events.emit(
                 "aqp.coverage_drift", query=name,
                 coverage=tally.coverage, nominal=tally.nominal,
                 scored=tally.scored,
@@ -313,11 +278,12 @@ class AccuracyAuditor:
     # ------------------------------------------------------------------
     def payload(self, name: str, limit: Optional[int] = None) -> dict:
         """The ``GET /queries/<name>/audit`` JSON body."""
-        audit = self.query_audit(name)
-        records = list(audit.ring)
+        with self._lock:
+            audit = self.query_audit(name)
+            records = list(audit.ring)
+            body = audit.status()
         if limit is not None and limit >= 0:
             records = records[-limit:]
-        body = audit.status()
         body["records"] = [r.to_dict() for r in records]
         return body
 

@@ -38,7 +38,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.aqp.audit import AccuracyAuditor, AuditConfig
+from repro.aqp.audit import AccuracyAuditor
 from repro.aqp.estimation import estimate_from_snapshot
 from repro.core.config import MaintainerConfig
 from repro.core.entries import Snapshot, read_query
@@ -243,15 +243,14 @@ class QueryRegistry:
     leader).
 
     The registry owns an :class:`~repro.aqp.audit.AccuracyAuditor`
-    recording every estimate; its ``aqp.*`` labeled metrics land on
-    ``obs`` and its anomaly events on ``events`` — both default to the
-    target's own registry/log when it has one, so the HTTP layer's
+    recording every estimate over the target's own ``obs``: its
+    ``aqp.*`` labeled metrics land in that registry and its anomaly
+    events in that registry's event log, so the HTTP layer's
     ``QueryRegistry(service)`` wires the audit into the same ``GET
-    /metrics`` scrape automatically.
+    /metrics`` scrape and ``GET /events`` log automatically.
     """
 
-    def __init__(self, target, obs=None, events=None,
-                 audit: Optional[AuditConfig] = None):
+    def __init__(self, target):
         # deferred: repro.service imports repro.aqp for its client
         from repro.service.runtime import ReadHalf
 
@@ -262,11 +261,7 @@ class QueryRegistry:
         self._queries: Dict[str, RegisteredQuery] = {}
         self._lock = threading.Lock()
         self._auto = 0
-        if obs is None:
-            obs = getattr(target, "obs", None)
-        if events is None:
-            events = getattr(target, "events", None)
-        self.audit = AccuracyAuditor(obs=obs, events=events, config=audit)
+        self.audit = AccuracyAuditor(obs=target.obs)
 
     # ------------------------------------------------------------------
     # the narrow read API registered queries answer from: a served

@@ -502,14 +502,12 @@ def build_stack(args):
         if args.follow:
             follower = FollowerService(
                 args.follow, leader_url=args.leader_url, obs=obs,
-                events=obs.events, quality=args.quality,
-                stall_after=args.stall_after)
+                quality=args.quality, stall_after=args.stall_after)
             return follower, [], follower.stop
     stream = []
     if args.command == "restore" or (
             serving and args.dir and has_state(args.dir)):
-        target = PersistentManager.recover(
-            args.dir, sync=args.sync, obs=obs, manager_obs=obs)
+        target = PersistentManager.recover(args.dir, sync=args.sync, obs=obs)
     else:
         setup = setup_query(args.query, parse_scale(args.scale),
                             seed=args.seed)
@@ -534,7 +532,7 @@ def build_stack(args):
         max_queue_ops=args.max_queue_ops,
         max_batch_ops=args.max_batch_ops,
         overflow_policy=args.overflow_policy,
-        obs=obs, events=obs.events, quality=args.quality,
+        obs=obs, quality=args.quality,
     ))
 
     def close_all() -> None:
@@ -728,13 +726,13 @@ def make_parser() -> argparse.ArgumentParser:
     checkpoint.add_argument("--events", type=int, default=None,
                             help="cap the stream length")
     checkpoint.add_argument("--sync", default="batch",
-                            choices=["always", "batch", "never"])
+                            choices=["batch", "never"])
 
     restore = sub.add_parser(
         "restore", help="recover a checkpoint state dir; print stats")
     restore.add_argument("--dir", required=True)
     restore.add_argument("--sync", default="batch",
-                         choices=["always", "batch", "never"])
+                         choices=["batch", "never"])
     restore.add_argument("--json", action="store_true")
 
     serve = sub.add_parser(
@@ -749,7 +747,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="durable state directory: recovered if it "
                             "holds state, created otherwise")
     serve.add_argument("--sync", default="batch",
-                       choices=["always", "batch", "never"])
+                       choices=["batch", "never"])
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="0 binds an ephemeral port")

@@ -87,9 +87,6 @@ class MemberHash:
             tuple(key): int(count) for key, count in state["refcounts"]
         })
 
-    def add_reference(self, key: tuple) -> None:
-        self._refcount[key] += 1
-
     def drop_reference(self, key: tuple) -> None:
         count = self._refcount.get(key, 0)
         if count <= 0:

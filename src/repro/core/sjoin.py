@@ -350,10 +350,6 @@ class SJoinEngine:
         same object."""
         return self._entries.entries(self.synopsis)
 
-    def synopsis_results(self) -> List[Tuple[int, ...]]:
-        """The rows of :meth:`synopsis_entries`, as a fresh list."""
-        return list(self.synopsis_entries().rows)
-
     def raw_samples(self) -> List[PlanResult]:
         """Plan-level samples, before residual filtering/expansion."""
         return self.synopsis.samples()

@@ -235,9 +235,6 @@ class SymmetricJoinEngine:
         so every row weighs 1."""
         return self._entries.entries(self.synopsis)
 
-    def synopsis_results(self) -> List[Tuple[int, ...]]:
-        return list(self.synopsis_entries().rows)
-
     def raw_samples(self) -> List[PlanResult]:
         return self.synopsis.samples()
 

@@ -329,9 +329,6 @@ class FixedSizeWithoutReplacement(SynopsisBase):
     def slots(self) -> Sequence[Optional[PlanResult]]:
         return self._samples
 
-    def contains(self, result: PlanResult) -> bool:
-        return result in self._distinct
-
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         state = self._base_state()
@@ -543,9 +540,6 @@ class FixedSizeWithReplacement(SynopsisBase):
 
     def slots(self) -> Sequence[Optional[PlanResult]]:
         return self._slots
-
-    def slot_values(self) -> List[Optional[PlanResult]]:
-        return list(self._slots)
 
     def empty_slots(self) -> List[int]:
         return [i for i, slot in enumerate(self._slots) if slot is None]
@@ -846,9 +840,6 @@ class SubsetSynopsis(BernoulliSynopsis):
     def inclusion_probability(self, weight: int) -> float:
         """``pi(w)``: probability a result of weight ``w`` is included."""
         return 1.0 - (1.0 - self.p) ** weight
-
-    def contains(self, result: PlanResult) -> bool:
-        return result in self._distinct
 
     def _append(self, result: PlanResult) -> None:
         if result in self._distinct:

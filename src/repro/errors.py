@@ -101,9 +101,8 @@ class ServiceError(ReproError):
 class ServiceOverloadedError(ServiceError):
     """The service's bounded ingest queue is full (backpressure).
 
-    Raised by ``overflow_policy="reject"`` immediately, and by
-    ``overflow_policy="block"`` when the configured block timeout
-    elapses before queue space frees up.
+    Raised by ``overflow_policy="reject"``; under ``"block"`` a writer
+    waits for queue space instead.
     """
 
 

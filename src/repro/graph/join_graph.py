@@ -281,9 +281,6 @@ class WeightedJoinGraph:
     def vertex_of(self, node_idx: int, key: tuple) -> Optional[Vertex]:
         return self.hash_indexes[node_idx].get(key)
 
-    def vertex_count(self, node_idx: int) -> int:
-        return len(self.hash_indexes[node_idx])
-
     # ------------------------------------------------------------------
     # insertion (Algorithm 1)
     # ------------------------------------------------------------------

@@ -58,7 +58,7 @@ from repro.obs.metrics import (
     as_registry,
     format_label_key,
 )
-from repro.obs.quality import QualityConfig, QualityMonitor
+from repro.obs.quality import QualityMonitor
 
 __all__ = [
     "Counter",
@@ -79,6 +79,5 @@ __all__ = [
     "names",
     "render_exposition",
     "EXPOSITION_CONTENT_TYPE",
-    "QualityConfig",
     "QualityMonitor",
 ]

@@ -48,7 +48,7 @@ class Event:
         self.fields = fields
 
     def to_dict(self) -> dict:
-        """Plain JSON-serialisable form (the log-sink payload)."""
+        """Plain JSON-serialisable form (the logged payload)."""
         out = {"seq": self.seq, "at": self.at, "kind": self.kind}
         if self.fields:
             out["fields"] = dict(self.fields)
@@ -56,11 +56,6 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Event(#{self.seq} {self.kind} at={self.at})"
-
-
-def _log_sink(event_dict: dict) -> None:
-    """Default sink: one structured JSON line via logging."""
-    _LOG.info("%s", json.dumps(event_dict, sort_keys=True))
 
 
 class EventLog:
@@ -78,33 +73,30 @@ class EventLog:
     clock:
         Wall-clock (``time.time``-like); injectable for deterministic
         tests.
-    sink:
-        Callable receiving every emitted event as a plain dict;
-        default logs one JSON line on the ``repro.events`` logger at
-        INFO (silence it with ``sink=lambda payload: None``).
+
+    Every emitted event is also logged as one JSON line on the
+    ``repro.events`` logger at INFO.
     """
 
     enabled = True
 
     def __init__(self, capacity: int = 512,
-                 clock: Callable[[], float] = time.time,
-                 sink: Optional[Callable[[dict], None]] = None):
+                 clock: Callable[[], float] = time.time):
         if capacity < 1:
             raise InvalidArgumentError(
                 f"event log capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.clock = clock
-        self.sink = sink if sink is not None else _log_sink
         self._slots: List[Optional[Event]] = [None] * capacity
         self._count = 0
 
     # -- recording ------------------------------------------------------
     def emit(self, kind: str, **fields) -> Event:
-        """Record one event and mirror it to the sink."""
+        """Record one event and mirror it to the log."""
         event = Event(self._count, self.clock(), kind, fields)
         self._slots[self._count % self.capacity] = event
         self._count += 1
-        self.sink(event.to_dict())
+        _LOG.info("%s", json.dumps(event.to_dict(), sort_keys=True))
         return event
 
     # -- introspection --------------------------------------------------

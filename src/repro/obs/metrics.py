@@ -23,11 +23,12 @@ full instrument of the same type, registered in the same flat namespace
 under the canonical key ``name{k="v",...}``, so ``snapshot()`` stays a
 plain JSON-able dict and the exposition layer can render proper
 Prometheus label sets.  Cardinality is bounded per family
-(``max_label_children``); once the bound is hit, new label sets collapse
-into one shared overflow child (label values ``__other__``) instead of
-growing the registry without limit.  On the null registry, ``labels()``
-returns the shared no-op instrument — a disabled labeled child costs
-exactly as much as a disabled flat one: nothing.
+(:attr:`MetricsRegistry.DEFAULT_MAX_LABEL_CHILDREN`); once the bound is
+hit, new label sets collapse into one shared overflow child (label
+values ``__other__``) instead of growing the registry without limit.
+On the null registry, ``labels()`` returns the shared no-op instrument —
+a disabled labeled child costs exactly as much as a disabled flat one:
+nothing.
 
 ``snapshot()`` on a registry returns plain dicts of ints/floats/strings —
 directly ``json.dumps``-able, which is what the CLI and the benchmark
@@ -308,29 +309,31 @@ class MetricsRegistry:
     :mod:`repro.obs.names`).  Labeled children live in the same namespace
     under ``name{k="v",...}`` keys and are reached only through
     ``instrument.labels(...)``; the per-family child count is bounded by
-    ``max_label_children`` (overflow collapses into one shared child).
+    :attr:`DEFAULT_MAX_LABEL_CHILDREN` (overflow collapses into one
+    shared child).
 
-    ``events`` and ``slow_op_threshold_ns`` arm slow-stage promotion
-    (:meth:`report`): a reported stage whose duration reaches the
-    threshold — inclusive, so 0 promotes every stage; ``None`` (default)
-    promotes none — becomes one ``trace.slow_op`` event in ``events``
-    and one tick of the ``trace.slow_ops`` gauge.
+    ``events`` is the event log of everything observed through this
+    registry: the quality monitor, the AQP audit and a follower emit
+    their events to it.  With ``slow_op_threshold_ns`` it also arms
+    slow-stage promotion (:meth:`report`): a reported stage whose
+    duration reaches the threshold — inclusive, so 0 promotes every
+    stage; ``None`` (default) promotes none — becomes one
+    ``trace.slow_op`` event in ``events`` and one tick of the
+    ``trace.slow_ops`` gauge.
     """
 
     enabled = True
 
-    #: default per-family bound on distinct labeled children.
+    #: per-family bound on distinct labeled children.
     DEFAULT_MAX_LABEL_CHILDREN = 64
 
     def __init__(self, clock: Callable[[], int] = time.perf_counter_ns,
-                 max_label_children: int = DEFAULT_MAX_LABEL_CHILDREN,
                  events=None, slow_op_threshold_ns: Optional[int] = None):
         if slow_op_threshold_ns is not None and slow_op_threshold_ns < 0:
             raise InvalidArgumentError(
                 "slow_op_threshold_ns must be >= 0 or None, got "
                 f"{slow_op_threshold_ns}")
         self.clock = clock
-        self.max_label_children = max_label_children
         self.events = as_event_log(events)
         self.slow_op_threshold_ns = slow_op_threshold_ns
         self._instruments: Dict[str, object] = {}
@@ -343,8 +346,8 @@ class MetricsRegistry:
         like this one: same clock, threshold and event log, slow ops
         counted here.  What a manager hands each registered query, so
         per-engine names never collide across queries."""
-        child = MetricsRegistry(self.clock, self.max_label_children,
-                                self.events, self.slow_op_threshold_ns)
+        child = MetricsRegistry(self.clock, self.events,
+                                self.slow_op_threshold_ns)
         child._root = self._root
         return child
 
@@ -419,7 +422,7 @@ class MetricsRegistry:
         key = format_label_key(base, labels)
         if key not in self._instruments:
             size = self._family_sizes.get(base, 0)
-            if size >= self.max_label_children:
+            if size >= self.DEFAULT_MAX_LABEL_CHILDREN:
                 # cardinality bound: collapse into the per-family
                 # overflow child instead of growing without limit
                 labels = {k: OVERFLOW_LABEL_VALUE for k in labels}

@@ -6,7 +6,7 @@ check that catches a sampler gone wrong (a biased RNG, a broken skip
 counter, a stale replenish path) while it is happening, instead of in a
 post-hoc offline analysis.
 
-Every ``check_every`` applied ops the :class:`QualityMonitor` draws a
+Every :data:`CHECK_EVERY` applied ops the :class:`QualityMonitor` draws a
 small *probe* sample of join results uniformly at random through the
 join-number bijection (Algorithm 2 — random access to the current join
 result set in ``O(n log N)`` per probe) and compares it against the
@@ -18,7 +18,7 @@ synopsis membership with two complementary two-sample statistics:
   of the result's TIDs) — sensitive to rank bias, e.g. a sampler that
   systematically over-accepts recently-inserted results.
 
-Per-round statistics are aggregated over a sliding ``window`` of
+Per-round statistics are aggregated over a sliding :data:`WINDOW` of
 rounds (chi-square values are additive across independent rounds, so
 the windowed sum is compared against the windowed degrees of freedom;
 KS ratios are averaged), which keeps single-round noise from flagging
@@ -58,75 +58,31 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
-from repro.obs.events import as_event_log
 from repro.obs.metrics import as_registry
 
 
-class QualityConfig:
-    """Tuning knobs for :class:`QualityMonitor` (frozen, kw-only).
-
-    ``check_every``
-        Applied ops between probe rounds.
-    ``probes``
-        Probe sample size per round.
-    ``buckets``
-        Hash buckets for the chi-square statistic.
-    ``window``
-        Rounds aggregated into the flagging decision.
-    ``sigma``
-        Chi-square flag threshold in standard deviations above the
-        windowed degrees of freedom (chi-square mean = dof, variance =
-        2·dof under the null).
-    ``alpha``
-        Two-sided significance level for the KS critical value.
-    ``min_results`` / ``min_samples``
-        Rounds are skipped (not failed) while the result set or
-        synopsis is smaller than these floors — tiny populations make
-        both statistics meaningless.
-    ``seed``
-        Seed for the monitor's private probe RNG (independent of the
-        engine's sampling RNG, so probing never perturbs the synopsis).
-    """
-
-    __slots__ = ("check_every", "probes", "buckets", "window", "sigma",
-                 "alpha", "min_results", "min_samples", "seed")
-
-    def __init__(self, *, check_every: int = 2048, probes: int = 128,
-                 buckets: int = 16, window: int = 8, sigma: float = 5.0,
-                 alpha: float = 1e-4, min_results: int = 256,
-                 min_samples: int = 32, seed: int = 0):
-        if check_every < 1:
-            raise InvalidArgumentError(
-                f"check_every must be >= 1, got {check_every}")
-        if probes < 2:
-            raise InvalidArgumentError(f"probes must be >= 2, got {probes}")
-        if buckets < 2:
-            raise InvalidArgumentError(
-                f"buckets must be >= 2, got {buckets}")
-        if window < 1:
-            raise InvalidArgumentError(f"window must be >= 1, got {window}")
-        if not 0.0 < alpha < 1.0:
-            raise InvalidArgumentError(
-                f"alpha must be in (0, 1), got {alpha}")
-        if sigma <= 0:
-            raise InvalidArgumentError(f"sigma must be > 0, got {sigma}")
-        object.__setattr__(self, "check_every", check_every)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "buckets", buckets)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "min_results", min_results)
-        object.__setattr__(self, "min_samples", min_samples)
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QualityConfig is immutable ({name!r})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        fields = ", ".join(
-            f"{slot}={getattr(self, slot)!r}" for slot in self.__slots__)
-        return f"QualityConfig({fields})"
+#: applied ops between probe rounds
+CHECK_EVERY = 2048
+#: probe sample size per round
+PROBES = 128
+#: hash buckets for the chi-square statistic
+BUCKETS = 16
+#: rounds aggregated into the flagging decision
+WINDOW = 8
+#: chi-square flag threshold in standard deviations above the windowed
+#: degrees of freedom (chi-square mean = dof, variance = 2·dof under
+#: the null)
+SIGMA = 5.0
+#: two-sided significance level for the KS critical value
+ALPHA = 1e-4
+#: rounds are skipped (not failed) while the result set or synopsis is
+#: smaller than these floors — tiny populations make both statistics
+#: meaningless
+MIN_RESULTS = 256
+MIN_SAMPLES = 32
+#: seed of the monitor's private probe RNG (independent of the engine's
+#: sampling RNG, so probing never perturbs the synopsis)
+SEED = 0
 
 
 def ks_statistic(xs: Sequence[float], ys: Sequence[float],
@@ -221,22 +177,21 @@ def _projection(result: Tuple[int, ...]) -> float:
 class QualityMonitor:
     """Streaming uniformity monitor for one engine.
 
-    Built by :func:`monitor_for` when ``ServiceConfig(quality=...)`` /
-    ``FollowerService(quality=...)`` is set: :meth:`note_ops` after
+    Built by :func:`monitor_for` when ``ServiceConfig(quality=True)`` /
+    ``FollowerService(quality=True)`` is set: :meth:`note_ops` after
     every applied batch drives the probe schedule, :meth:`publish`
     surfaces the ``quality.*`` gauges, and :meth:`status` feeds
-    ``/healthz`` and ``repro top``; flag transitions go to ``events``.
+    ``/healthz`` and ``repro top``; flag transitions go to the event
+    log of ``obs``.  The schedule, the statistics and the flag are the
+    module constants above.
     """
 
-    def __init__(self, engine, config: Optional[QualityConfig] = None,
-                 obs=None, events=None):
+    def __init__(self, engine, obs=None):
         self.engine = engine
-        self.config = config if config is not None else QualityConfig()
         self.obs = as_registry(obs)
-        self.events = as_event_log(events)
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(SEED)
         self._ops_since_check = 0
-        self._rounds: deque = deque(maxlen=self.config.window)
+        self._rounds: deque = deque(maxlen=WINDOW)
         self.probe_rounds = 0
         self.probes_drawn = 0
         self.skipped_rounds = 0
@@ -247,8 +202,8 @@ class QualityMonitor:
     def note_ops(self, n: int) -> None:
         """Advance the op counter; runs probe rounds as they come due."""
         self._ops_since_check += n
-        while self._ops_since_check >= self.config.check_every:
-            self._ops_since_check -= self.config.check_every
+        while self._ops_since_check >= CHECK_EVERY:
+            self._ops_since_check -= CHECK_EVERY
             self.check_now()
 
     # -- probing --------------------------------------------------------
@@ -299,13 +254,12 @@ class QualityMonitor:
         Returns the round's ``{"chi_square", "dof", "ks_ratio"}`` or
         ``None`` when the round was skipped below the size floors.
         """
-        cfg = self.config
         total = self.engine.total_results()
         members = [tuple(s) for s in self.engine.raw_samples()]
-        if total < cfg.min_results or len(members) < cfg.min_samples:
+        if total < MIN_RESULTS or len(members) < MIN_SAMPLES:
             self.skipped_rounds += 1
             return None
-        probes = self._draw_probes(total, cfg.probes)
+        probes = self._draw_probes(total, PROBES)
         if not probes:  # pragma: no cover - guarded by min_results
             self.skipped_rounds += 1
             return None
@@ -316,17 +270,17 @@ class QualityMonitor:
 
         # chi-square over hash buckets of the full result tuple
         # (hash of an int tuple is deterministic across processes)
-        a = [0.0] * cfg.buckets
-        b = [0.0] * cfg.buckets
+        a = [0.0] * BUCKETS
+        b = [0.0] * BUCKETS
         for result in probes:
-            a[hash(result) % cfg.buckets] += 1.0
+            a[hash(result) % BUCKETS] += 1.0
         if member_weights is None:
             for result in members:
-                b[hash(result) % cfg.buckets] += 1.0
+                b[hash(result) % BUCKETS] += 1.0
             members_eff: float = float(len(members))
         else:
             for result, weight in zip(members, member_weights):
-                b[hash(result) % cfg.buckets] += weight
+                b[hash(result) % BUCKETS] += weight
             members_eff = effective_sample_size(member_weights)
             if members_eff <= 0:  # pragma: no cover - all-zero weights
                 self.skipped_rounds += 1
@@ -337,7 +291,7 @@ class QualityMonitor:
         d = ks_statistic([_projection(r) for r in probes],
                          [_projection(r) for r in members],
                          y_weights=member_weights)
-        critical = ks_critical(len(probes), members_eff, cfg.alpha)
+        critical = ks_critical(len(probes), members_eff, ALPHA)
         ks_ratio = d / critical if critical > 0 else 0.0
 
         self._rounds.append((chi, dof, ks_ratio))
@@ -353,18 +307,18 @@ class QualityMonitor:
         total_chi = sum(r[0] for r in self._rounds)
         total_dof = sum(r[1] for r in self._rounds)
         mean_ks = sum(r[2] for r in self._rounds) / len(self._rounds)
-        chi_limit = total_dof + self.config.sigma * math.sqrt(
-            2.0 * max(1, total_dof))
+        chi_limit = total_dof + SIGMA * math.sqrt(2.0 * max(1, total_dof))
         flagged = total_chi > chi_limit or mean_ks > 1.0
+        events = self.obs.events
         if flagged and not self.flagged:
             self.flag_count += 1
-            if self.events.enabled:
-                self.events.emit(
+            if events.enabled:
+                events.emit(
                     "quality.flag", chi_square=total_chi, dof=total_dof,
                     ks_ratio=mean_ks, window_rounds=len(self._rounds),
                 )
-        elif self.flagged and not flagged and self.events.enabled:
-            self.events.emit(
+        elif self.flagged and not flagged and events.enabled:
+            events.emit(
                 "quality.clear", chi_square=total_chi, dof=total_dof,
                 ks_ratio=mean_ks, window_rounds=len(self._rounds),
             )
@@ -423,13 +377,12 @@ class QualityMonitor:
                 f"flagged={self.flagged})")
 
 
-def monitor_for(target, quality, obs=None,
-                events=None) -> Optional[QualityMonitor]:
+def monitor_for(target, quality: bool,
+                obs=None) -> Optional[QualityMonitor]:
     """The monitor of whoever serves ``target``, or ``None``.
 
-    ``quality`` is a :class:`QualityConfig`, ``True`` for the defaults,
-    or falsy for no monitoring.  The probe target is the sole registered
-    query's engine (the unnamed-read rule of
+    ``quality`` arms it; falsy means no monitoring.  The probe target is
+    the sole registered query's engine (the unnamed-read rule of
     :meth:`~repro.service.runtime.ReadView.sole_name`); with none or
     several there is no single engine to probe.  Call it again whenever
     the registration set changes: the window restarts, which is right —
@@ -440,6 +393,4 @@ def monitor_for(target, quality, obs=None,
     names = target.names()
     if len(names) != 1:
         return None
-    config = quality if isinstance(quality, QualityConfig) else None
-    return QualityMonitor(target.maintainer(names[0]).engine, config,
-                          obs=obs, events=events)
+    return QualityMonitor(target.maintainer(names[0]).engine, obs=obs)

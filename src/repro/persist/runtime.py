@@ -455,9 +455,12 @@ class PersistentManager:
     @classmethod
     def recover(cls, directory: str, sync: str = "batch",
                 segment_max_bytes: int = 4 * 1024 * 1024,
-                retain: int = 2, sync_hook=None, obs=None,
-                manager_obs=None) -> "PersistentManager":
+                retain: int = 2, sync_hook=None,
+                obs=None) -> "PersistentManager":
         """Load snapshot, verify, replay the WAL tail, resume.
+
+        ``obs`` observes the recovered manager and its persistence
+        alike, as one registry over a fresh stack does.
 
         The whole call runs as one :func:`~repro.persist.state.bulk_load`
         (no collector sweeps), and the decoded snapshot is dropped once
@@ -481,8 +484,7 @@ class PersistentManager:
                 check_snapshot_format(payload, where)
                 wal_lsn = covered_lsn(payload, header, where)
                 db = restore_database(payload["database"])
-                manager = restore_manager(db, payload["manager"],
-                                          obs=manager_obs)
+                manager = restore_manager(db, payload["manager"], obs=obs)
                 del loaded, payload, header
                 self = cls(manager, directory, sync=sync,
                            segment_max_bytes=segment_max_bytes,

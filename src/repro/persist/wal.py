@@ -47,7 +47,7 @@ _FRAME = struct.Struct("<II")  # payload length, payload crc32
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
 
-SYNC_POLICIES = ("always", "batch", "never")
+SYNC_POLICIES = ("batch", "never")
 
 #: hook(phase, path, fileobj, synced_size) — called around every fsync;
 #: the crash-point injector plugs in here (see repro.persist.crashpoints).
@@ -187,8 +187,8 @@ class WriteAheadLog:
         Rotation threshold — a new segment starts once the current one
         exceeds this size.
     sync:
-        ``"always"`` (fsync per record), ``"batch"`` (one fsync per
-        append/append_many call, the default) or ``"never"``.
+        ``"batch"`` (one fsync per appended record, the default) or
+        ``"never"``.
     sync_hook:
         Optional callable invoked around every fsync (crash injection).
     """
@@ -267,33 +267,23 @@ class WriteAheadLog:
         return self._start_lsn + self._tail_count
 
     def append(self, entry: object) -> int:
-        """Frame, write and (per policy) fsync one entry; returns its LSN."""
-        return self.append_many([entry])[0]
-
-    def append_many(self, entries) -> List[int]:
-        """Group commit: encode all (a refused value writes nothing), then
-        one ``write`` + fsync per call (``batch``) or record (``always``)."""
+        """Frame, write and (per policy) fsync one entry; returns its
+        LSN.  A value the codec refuses writes nothing."""
         if self._fh is None:
             raise PersistError("write-ahead log is closed")
-        frames = []
-        for entry in entries:
-            payload = dump_plain(entry)
-            frames.append(_FRAME.pack(len(payload), zlib.crc32(payload))
-                          + payload)
-        first = self.next_lsn
-        groups = [[f] for f in frames] if self.sync == "always" else [frames]
-        for group in filter(None, groups):
-            data = b"".join(group)
-            self._fh.write(data)
-            self._size += len(data)
-            self._tail_count += len(group)
-            self.appends += len(group)
-            self.bytes_written += len(data)
-            if self.sync != "never":
-                self._fsync()
+        payload = dump_plain(entry)
+        data = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        lsn = self.next_lsn
+        self._fh.write(data)
+        self._size += len(data)
+        self._tail_count += 1
+        self.appends += 1
+        self.bytes_written += len(data)
+        if self.sync != "never":
+            self._fsync()
         if self._size >= self.segment_max_bytes:
             self.rotate()
-        return list(range(first, first + len(frames)))
+        return lsn
 
     def _fsync(self) -> None:
         hook = self.sync_hook

@@ -76,16 +76,15 @@ class FollowerService(ReadHalf):
         Wall-clock callable compared against the manifest's
         ``shipped_at`` to compute ``staleness_seconds``; injectable for
         deterministic tests (pair it with the shipper's clock).
-    obs / events:
-        Optional metrics registry / structured event log
-        (``replicate.*`` catalogue; every replayed record is one
-        reported stage carrying its ``lsn``; bootstrap, stall and
-        resume transitions are emitted as ``replicate.*`` events).
+    obs:
+        Optional metrics registry (``replicate.*`` catalogue; every
+        replayed record is one reported stage carrying its ``lsn``;
+        bootstrap, stall and resume transitions are emitted as
+        ``replicate.*`` events to its event log).
     quality:
-        A :class:`~repro.obs.quality.QualityConfig` (or ``True`` for
-        the defaults) to probe the *replica's* restored engine for
-        sample uniformity as records replay — the same monitor the
-        leader's service runs (:func:`~repro.obs.quality.monitor_for`),
+        ``True`` probes the *replica's* restored engine for sample
+        uniformity as records replay — the same monitor the leader's
+        service runs (:func:`~repro.obs.quality.monitor_for`),
         publishing the same ``quality.*`` gauges into this follower's
         registry.
     stall_after:
@@ -100,9 +99,9 @@ class FollowerService(ReadHalf):
     """
 
     def __init__(self, transport, leader_url: Optional[str] = None,
-                 clock=time.time, obs=None, events=None,
-                 quality=None, stall_after: Optional[float] = None):
-        super().__init__(obs, events, quality)
+                 clock=time.time, obs=None, quality: bool = False,
+                 stall_after: Optional[float] = None):
+        super().__init__(obs, quality)
         self.transport: DirectoryTransport = as_transport(transport)
         self.leader_url = leader_url
         self.clock = clock
@@ -228,8 +227,8 @@ class FollowerService(ReadHalf):
         self._cursors.clear()
         self.bootstraps += 1
         self._pick_quality()
-        if self.events.enabled:
-            self.events.emit(
+        if self.obs.events.enabled:
+            self.obs.events.emit(
                 "replicate.bootstrap", snapshot=snapshot["name"],
                 wal_lsn=self._applied_lsn, bootstraps=self.bootstraps,
             )
@@ -374,16 +373,17 @@ class FollowerService(ReadHalf):
             return
         staleness = self._staleness(manifest)
         stalled = staleness is not None and staleness > self.stall_after
+        events = self.obs.events
         if stalled and not self._stalled:
             self.stalls += 1
-            if self.events.enabled:
-                self.events.emit(
+            if events.enabled:
+                events.emit(
                     "replicate.stall", staleness_seconds=staleness,
                     applied_lsn=self._applied_lsn,
                     acked_lsn=manifest["acked_lsn"],
                 )
-        elif self._stalled and not stalled and self.events.enabled:
-            self.events.emit(
+        elif self._stalled and not stalled and events.enabled:
+            events.emit(
                 "replicate.resumed", staleness_seconds=staleness,
                 applied_lsn=self._applied_lsn,
                 acked_lsn=manifest["acked_lsn"],

@@ -14,14 +14,20 @@ through a :class:`~repro.replicate.transport.DirectoryTransport`:
    follower is allowed to replay — and a bounded list of
    ``watermarks`` correlating acked LSNs to leader append/publish
    wall-clock, from which followers derive per-record replication lag
-   (``replicate.lag_ms``).
+   (``replicate.lag_ms``);
+4. what that manifest no longer names is pruned: the segments its
+   snapshot covers and every snapshot but its own, so the shipped
+   directory holds one snapshot however many checkpoints the leader
+   took.
 
 Because the manifest only ever advertises bytes that were CRC-validated
 *before* shipping and fully copied *before* publication, a follower that
 trusts the manifest replays an acked prefix of the leader's log by
 construction: a shipper crash between any two steps leaves either the
 old manifest (followers ignore the partial new bytes) or the new one
-(all advertised bytes are in place).
+(all advertised bytes are in place).  A follower still holding an older
+manifest finds its snapshot or segments pruned and re-bootstraps from
+the newer one.
 
 The shipper itself is stateless across restarts — it reseeds its
 "already shipped" bookkeeping from the published manifest, truncating
@@ -282,13 +288,19 @@ class WalShipper:
             at = max(at, seg["start_lsn"] + seg["records"])
 
     def _prune(self, manifest: dict) -> None:
-        """Drop shipped artifacts the just-published manifest dropped."""
+        """Drop shipped artifacts the just-published manifest dropped:
+        the segments it no longer names, and every snapshot but the one
+        it names."""
         keep_segments = {seg["name"] for seg in manifest["segments"]}
         for name in self.transport.segment_names():
             if name not in keep_segments:
                 self.transport.remove_segment(name)
                 self._shipped_sizes.pop(name, None)
                 self._shipped_records.pop(name, None)
+        snapshot = manifest["snapshot"]
+        for name in self.transport.snapshot_names():
+            if snapshot is None or name != snapshot["name"]:
+                self.transport.remove_snapshot(name)
 
     def _publish_metrics(self, acked: int) -> None:
         obs = self.obs

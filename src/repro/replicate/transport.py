@@ -220,6 +220,12 @@ class DirectoryTransport:
         except FileNotFoundError:
             return []
 
+    def snapshot_names(self) -> List[str]:
+        try:
+            return sorted(os.listdir(self.snapshot_dir))
+        except FileNotFoundError:
+            return []
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DirectoryTransport(root={self.root!r})"
 

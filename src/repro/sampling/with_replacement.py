@@ -54,10 +54,6 @@ class MultiReservoirSkips:
         skip = int(j / u) - j
         return j + skip  # 0-based index of the next selected record
 
-    def next_selection(self) -> int:
-        """0-based global index of the next record selected by any slot."""
-        return self._heap[0][0]
-
     def skip_from(self, j: int) -> int:
         """Records to skip when ``j`` records have been seen so far."""
         return self._heap[0][0] - j

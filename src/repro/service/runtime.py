@@ -68,13 +68,16 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.obs import names as metric_names
-from repro.obs.events import as_event_log
 from repro.obs.expo import render_exposition
 from repro.obs.metrics import as_registry
 from repro.obs.quality import monitor_for
 
 #: accepted :class:`ServiceConfig.overflow_policy` values
 OVERFLOW_POLICIES = ("block", "reject")
+
+#: seconds :meth:`SynopsisService.close` waits for the ingest thread to
+#: drain the queue before failing what is still queued
+DRAIN_TIMEOUT = 30.0
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -92,53 +95,35 @@ class ServiceConfig:
         Coalescing cap: the ingest loop drains whole submissions until
         the micro-batch reaches this many ops.
     overflow_policy:
-        ``"block"`` (wait for queue space, up to ``block_timeout``) or
-        ``"reject"`` (raise
+        ``"block"`` (wait for queue space) or ``"reject"`` (raise
         :class:`~repro.errors.ServiceOverloadedError` immediately).
-    block_timeout:
-        Seconds a blocked writer waits before
-        :class:`~repro.errors.ServiceOverloadedError`; ``None`` waits
-        forever.
-    drain_timeout:
-        Seconds :meth:`SynopsisService.close` waits for the ingest
-        thread to drain the queue before giving up.
     obs:
         Optional :class:`~repro.obs.MetricsRegistry` receiving the
         ``service.*`` catalogue of :mod:`repro.obs.names`; every
         micro-batch is one reported stage (``service.ingest_batch_ns``
-        up to the publish, ``service.publish_ns`` for it).
-    events:
-        Optional :class:`~repro.obs.EventLog`, served by ``GET
-        /events`` and ``repro events``: the quality monitor's flag
-        transitions land here and the serving layer's AQP registry
-        inherits it for audit anomalies.  Build ``obs`` over the same
-        log (``MetricsRegistry(events=log, slow_op_threshold_ns=...)``)
-        to see slow stages in it too.
+        up to the publish, ``service.publish_ns`` for it).  Its event
+        log (``MetricsRegistry(events=...)``) is the one ``GET /events``
+        and ``repro events`` serve: the quality monitor's flag
+        transitions, the AQP registry's audit anomalies and, with a
+        ``slow_op_threshold_ns``, slow stages land there.
     quality:
-        Enables the online sample-quality monitor over the sole
-        registered query's engine
-        (:func:`~repro.obs.quality.monitor_for`): a
-        :class:`~repro.obs.quality.QualityConfig`, or ``True`` for the
-        default config.  ``None``/``False`` (default) disables it.
+        ``True`` enables the online sample-quality monitor over the
+        sole registered query's engine
+        (:func:`~repro.obs.quality.monitor_for`); ``False`` (default)
+        disables it.
     """
 
     max_queue_ops: int = 4096
     max_batch_ops: int = 256
     overflow_policy: str = "block"
-    block_timeout: Optional[float] = None
-    drain_timeout: float = 30.0
     obs: Optional[object] = None
-    events: Optional[object] = None
-    quality: Optional[object] = None
+    quality: bool = False
 
     def __init__(self, *, max_queue_ops: int = 4096,
                  max_batch_ops: int = 256,
                  overflow_policy: str = "block",
-                 block_timeout: Optional[float] = None,
-                 drain_timeout: float = 30.0,
                  obs: Optional[object] = None,
-                 events: Optional[object] = None,
-                 quality: Optional[object] = None):
+                 quality: bool = False):
         # hand-written so the fields are keyword-only on every supported
         # interpreter (dataclass kw_only= needs 3.10; we support 3.9)
         if overflow_policy not in OVERFLOW_POLICIES:
@@ -153,10 +138,7 @@ class ServiceConfig:
         object.__setattr__(self, "max_queue_ops", max_queue_ops)
         object.__setattr__(self, "max_batch_ops", max_batch_ops)
         object.__setattr__(self, "overflow_policy", overflow_policy)
-        object.__setattr__(self, "block_timeout", block_timeout)
-        object.__setattr__(self, "drain_timeout", drain_timeout)
         object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "events", events)
         object.__setattr__(self, "quality", quality)
 
 
@@ -317,10 +299,9 @@ class ReadHalf:
 
     target: Optional[SynopsisTarget]
 
-    def __init__(self, obs=None, events=None, quality=None):
+    def __init__(self, obs=None, quality: bool = False):
         self.obs = as_registry(obs)
-        self.events = as_event_log(events)
-        self._quality_config = quality
+        self._quality_on = quality
         #: the sample-quality monitor (``None``: off, or no sole query)
         self.quality = None
         self._view: Optional[ReadView] = None
@@ -330,8 +311,8 @@ class ReadHalf:
     def _pick_quality(self) -> None:
         """(Re)pick the monitor: the target or its registration set
         changed (:func:`~repro.obs.quality.monitor_for`)."""
-        self.quality = monitor_for(self.target, self._quality_config,
-                                   obs=self.obs, events=self.events)
+        self.quality = monitor_for(self.target, self._quality_on,
+                                   obs=self.obs)
 
     def _publish_view(self, epoch: int) -> None:
         # immutable view + single reference store: the degenerate
@@ -433,7 +414,7 @@ class ReadHalf:
                 view_age(view))
         if self.quality is not None:
             self.quality.publish(obs)
-        self.events.publish(obs)
+        obs.events.publish(obs)
 
     def exposition(self) -> str:
         """The ``GET /metrics`` payload: Prometheus text format 0.0.4
@@ -442,7 +423,7 @@ class ReadHalf:
 
     def events_payload(self, kind: Optional[str] = None) -> dict:
         """The ``GET /events`` body from this role's event log."""
-        return self.events.payload(kind)
+        return self.obs.events.payload(kind)
 
     def __enter__(self):
         return self
@@ -499,8 +480,7 @@ class SynopsisService(ReadHalf):
                  config: Optional[ServiceConfig] = None):
         self.target = target
         self.config = config if config is not None else ServiceConfig()
-        super().__init__(self.config.obs, self.config.events,
-                         self.config.quality)
+        super().__init__(self.config.obs, self.config.quality)
         # only the ingest thread advances the quality monitor
         self._pick_quality()
         self._mutex = threading.Lock()
@@ -600,10 +580,6 @@ class SynopsisService(ReadHalf):
 
     def _enqueue(self, submission: _Submission) -> None:
         config = self.config
-        deadline = (
-            time.monotonic() + config.block_timeout
-            if config.block_timeout is not None else None
-        )
         with self._mutex:
             self._raise_if_unwritable()
             while (self._queued_ops > 0 and
@@ -616,16 +592,7 @@ class SynopsisService(ReadHalf):
                         f"({self._queued_ops} ops >= "
                         f"{config.max_queue_ops}); retry later"
                     )
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._count_rejected(submission.op_count)
-                        raise ServiceOverloadedError(
-                            f"timed out after {config.block_timeout}s "
-                            "waiting for ingest queue space"
-                        )
-                self._not_full.wait(timeout=remaining)
+                self._not_full.wait()
                 self._raise_if_unwritable()
             self._queue.append(submission)
             self._queued_ops += submission.op_count
@@ -697,7 +664,7 @@ class SynopsisService(ReadHalf):
         :class:`~repro.errors.ServiceClosedError`; reads keep serving
         the final published view.
 
-        If the ingest thread is still applying when ``drain_timeout``
+        If the ingest thread is still applying when :data:`DRAIN_TIMEOUT`
         elapses, the remaining queued submissions are failed (so no
         ``wait=True`` writer hangs), :meth:`healthz` reports
         ``"draining"`` until the thread actually exits, and the call
@@ -714,7 +681,7 @@ class SynopsisService(ReadHalf):
                 ))
             self._not_empty.notify_all()
             self._not_full.notify_all()
-        self._thread.join(timeout=self.config.drain_timeout)
+        self._thread.join(timeout=DRAIN_TIMEOUT)
         if self._thread.is_alive():
             # Drain timed out: the ingest thread is stuck applying a
             # batch.  Unblock every queued waiter and surface the

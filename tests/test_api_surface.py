@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "18.0.0"
+    assert repro.__version__ == "19.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -188,8 +188,7 @@ def test_service_public_surface_is_stable():
 
     fields = [f.name for f in dataclasses.fields(service.ServiceConfig)]
     assert fields == ["max_queue_ops", "max_batch_ops",
-                      "overflow_policy", "block_timeout",
-                      "drain_timeout", "obs", "events", "quality"]
+                      "overflow_policy", "obs", "quality"]
 
 
 def test_replicate_public_surface_is_stable():
@@ -467,7 +466,7 @@ def test_one_timing_channel_no_tracer():
         with pytest.raises(TypeError):
             refused()
     assert list(inspect.signature(obs.MetricsRegistry).parameters) == [
-        "clock", "max_label_children", "events", "slow_op_threshold_ns"]
+        "clock", "events", "slow_op_threshold_ns"]
 
 
 def test_legacy_construction_kwargs_removed():
@@ -507,7 +506,6 @@ def test_aqp_surface_is_stable():
     assert tuple(aqp.__all__) == (
         "AGGREGATES",
         "AccuracyAuditor",
-        "AuditConfig",
         "AuditRecord",
         "QueryRegistry",
         "RegisteredQuery",
@@ -628,6 +626,26 @@ REMOVED_IN_17_0 = [
     ("repro.datagen.workload.StreamPlayer", "live_count"),
 ]
 
+#: 19.0 turned every knob with one value in use into a constant and
+#: deleted the public methods nothing in src/, benchmarks/ or examples/
+#: calls (CHANGELOG.md has the removed -> replacement table)
+REMOVED_IN_19_0 = [
+    ("repro.obs", "QualityConfig"),
+    ("repro.obs.quality", "QualityConfig"),
+    ("repro.aqp", "AuditConfig"),
+    ("repro.aqp.audit", "AuditConfig"),
+    ("repro.persist.wal.WriteAheadLog", "append_many"),
+    ("repro.core.sjoin.SJoinEngine", "synopsis_results"),
+    ("repro.core.symmetric_join.SymmetricJoinEngine", "synopsis_results"),
+    ("repro.core.synopsis.FixedSizeWithoutReplacement", "contains"),
+    ("repro.core.synopsis.SubsetSynopsis", "contains"),
+    ("repro.core.synopsis.FixedSizeWithReplacement", "slot_values"),
+    ("repro.graph.join_graph.WeightedJoinGraph", "vertex_count"),
+    ("repro.sampling.with_replacement.MultiReservoirSkips",
+     "next_selection"),
+    ("repro.core.fk_runtime.MemberHash", "add_reference"),
+]
+
 
 def _resolve(dotted):
     """Import the longest module prefix of ``dotted``, then walk the
@@ -645,11 +663,11 @@ def _resolve(dotted):
 
 
 @pytest.mark.parametrize(
-    "owner, name", REMOVED_IN_17_0,
+    "owner, name", REMOVED_IN_17_0 + REMOVED_IN_19_0,
     ids=[f"{owner}.{name}" if name else owner
-         for owner, name in REMOVED_IN_17_0])
+         for owner, name in REMOVED_IN_17_0 + REMOVED_IN_19_0])
 def test_removed_names_are_gone(owner, name):
-    """No alias, shim or re-export brings a 17.0 deletion back."""
+    """No alias, shim or re-export brings a 17.0 or 19.0 deletion back."""
     if name is None:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(owner)
@@ -691,3 +709,46 @@ def test_a_view_holds_one_read_record_per_query():
                   FixedSizeWithoutReplacement, FixedSizeWithReplacement,
                   SubsetSynopsis):
         assert "obs" not in inspect.signature(owner).parameters, owner
+
+
+def test_observability_comes_from_the_one_registry():
+    """19.0: a component's event log, clock and slow-op threshold come
+    from the ``obs`` it takes; every knob with one value in use is a
+    module constant, and the sync policy that equals ``"batch"`` for a
+    one-record append is gone."""
+    import dataclasses
+    import inspect
+
+    from repro.aqp import AccuracyAuditor, QueryRegistry, audit
+    from repro.obs import EventLog, MetricsRegistry, QualityMonitor, quality
+    from repro.obs.quality import monitor_for
+    from repro.persist import PersistentManager
+    from repro.persist.wal import SYNC_POLICIES
+    from repro.replicate import FollowerService
+    from repro.service import ServiceConfig, runtime
+
+    def params(function):
+        return list(inspect.signature(function).parameters)
+
+    assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+        "max_queue_ops", "max_batch_ops", "overflow_policy", "obs",
+        "quality"]
+    assert params(QueryRegistry) == ["target"]
+    assert params(AccuracyAuditor) == ["obs", "clock"]
+    assert params(QualityMonitor) == ["engine", "obs"]
+    assert params(monitor_for) == ["target", "quality", "obs"]
+    assert params(FollowerService) == [
+        "transport", "leader_url", "clock", "obs", "quality",
+        "stall_after"]
+    assert params(PersistentManager.recover) == [
+        "directory", "sync", "segment_max_bytes", "retain", "sync_hook",
+        "obs"]
+    assert params(MetricsRegistry) == [
+        "clock", "events", "slow_op_threshold_ns"]
+    assert params(EventLog) == ["capacity", "clock"]
+    assert MetricsRegistry.DEFAULT_MAX_LABEL_CHILDREN == 64
+    assert runtime.DRAIN_TIMEOUT == 30.0
+    assert (audit.CAPACITY, audit.MIN_EVENTS, audit.Z_SLACK) == (
+        256, 20, 3.0)
+    assert quality.CHECK_EVERY == 2048
+    assert SYNC_POLICIES == ("batch", "never")

@@ -8,8 +8,11 @@ payload, the coverage gauge, the event log, and ``GET
 /queries/<name>/audit``.
 """
 
+import http.client
 import json
 import random
+import sys
+import threading
 import urllib.request
 
 import pytest
@@ -24,10 +27,10 @@ from repro import (
     SynopsisSpec,
     TableSchema,
 )
-from repro.aqp import AccuracyAuditor, AuditConfig
+from repro.aqp import AccuracyAuditor
+from repro.aqp import audit as audit_module
 from repro.aqp.audit import Tally
 from repro.aqp.registry import RegisteredQuery
-from repro.errors import InvalidArgumentError
 from repro.obs import names as metric_names
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, format_label_key
@@ -35,11 +38,11 @@ from repro.obs.metrics import MetricsRegistry, format_label_key
 SQL = "SELECT * FROM r, s WHERE r.a = s.a"
 
 
-def make_manager(n=6, seed=7, names=("q",)):
+def make_manager(n=6, seed=7, names=("q",), obs=None):
     db = Database()
     db.create_table(TableSchema("r", [Column("a"), Column("x")]))
     db.create_table(TableSchema("s", [Column("a"), Column("y")]))
-    manager = SynopsisManager(db, MaintainerConfig(seed=seed))
+    manager = SynopsisManager(db, MaintainerConfig(seed=seed, obs=obs))
     for name in names:
         manager.register(name, SQL, MaintainerConfig(
             spec=SynopsisSpec.fixed_size(50)))
@@ -59,19 +62,6 @@ def payload_for(truth, *, covered, confidence=0.95, estimate=None):
         ci = [value + 2.0, value + 3.0]
     return {"agg": "count", "sample_size": 10, "confidence": confidence,
             "value": value, "ci": ci, "epoch": 4}
-
-
-class TestConfig:
-    def test_validation(self):
-        for bad in (dict(capacity=0), dict(truth_every=0),
-                    dict(min_events=0), dict(z_slack=-1.0)):
-            with pytest.raises(InvalidArgumentError):
-                AuditConfig(**bad)
-
-    def test_immutable(self):
-        config = AuditConfig()
-        with pytest.raises(AttributeError):
-            config.capacity = 9
 
 
 class TestAuditorMechanics:
@@ -99,17 +89,9 @@ class TestAuditorMechanics:
         assert audit.estimates == 1 and audit.audited == 0
         assert audit.coverage() is None
 
-    def test_truth_every_sparsifies_scoring(self):
-        auditor = AccuracyAuditor(config=AuditConfig(truth_every=3))
-        for _ in range(6):
-            auditor.observe("q", payload_for(10.0, covered=True),
-                            latency_ns=1, truth=10.0)
-        audit = auditor.query_audit("q")
-        assert audit.eligible == 6
-        assert audit.audited == 2  # every 3rd eligible estimate
-
-    def test_ring_is_bounded_per_query(self):
-        auditor = AccuracyAuditor(config=AuditConfig(capacity=4))
+    def test_ring_is_bounded_per_query(self, monkeypatch):
+        monkeypatch.setattr(audit_module, "CAPACITY", 4)
+        auditor = AccuracyAuditor()
         for _ in range(9):
             auditor.observe("q", payload_for(10.0, covered=True),
                             latency_ns=1)
@@ -127,9 +109,9 @@ class TestAuditorMechanics:
         assert [r["estimate"] for r in body["records"]] == [3.0, 4.0]
         json.dumps(body)
 
-    def test_flag_trips_only_past_binomial_slack(self):
-        config = AuditConfig(min_events=10, z_slack=3.0)
-        auditor = AccuracyAuditor(config=config)
+    def test_flag_trips_only_past_binomial_slack(self, monkeypatch):
+        monkeypatch.setattr(audit_module, "MIN_EVENTS", 10)
+        auditor = AccuracyAuditor()
         # 9 scored misses: below min_events, must stay quiet
         for _ in range(9):
             auditor.observe("q", payload_for(10.0, covered=False),
@@ -140,8 +122,9 @@ class TestAuditorMechanics:
                         latency_ns=1, truth=10.0)
         assert auditor.query_audit("q").coverage_flagged is True
 
-    def test_honest_coverage_keeps_flag_quiet(self):
-        auditor = AccuracyAuditor(config=AuditConfig(min_events=10))
+    def test_honest_coverage_keeps_flag_quiet(self, monkeypatch):
+        monkeypatch.setattr(audit_module, "MIN_EVENTS", 10)
+        auditor = AccuracyAuditor()
         for _ in range(50):
             auditor.observe("q", payload_for(10.0, covered=True),
                             latency_ns=1, truth=10.0)
@@ -149,10 +132,10 @@ class TestAuditorMechanics:
         assert audit.coverage() == 1.0
         assert audit.coverage_flagged is False
 
-    def test_flag_transition_emits_event_once(self):
-        events = EventLog(sink=lambda p: None)
-        auditor = AccuracyAuditor(
-            events=events, config=AuditConfig(min_events=3))
+    def test_flag_transition_emits_event_once(self, monkeypatch):
+        monkeypatch.setattr(audit_module, "MIN_EVENTS", 3)
+        events = EventLog()
+        auditor = AccuracyAuditor(obs=MetricsRegistry(events=events))
         for _ in range(6):
             auditor.observe("q", payload_for(10.0, covered=False),
                             latency_ns=1, truth=10.0)
@@ -161,9 +144,11 @@ class TestAuditorMechanics:
         assert drift[0].fields["query"] == "q"
         assert auditor.query_audit("q").flag_count == 1
 
-    def test_unscored_estimates_evicting_misses_drop_the_flag(self):
-        auditor = AccuracyAuditor(
-            config=AuditConfig(capacity=5, min_events=1))
+    def test_unscored_estimates_evicting_misses_drop_the_flag(
+            self, monkeypatch):
+        monkeypatch.setattr(audit_module, "CAPACITY", 5)
+        monkeypatch.setattr(audit_module, "MIN_EVENTS", 1)
+        auditor = AccuracyAuditor()
         audit = auditor.query_audit("q")
         for _ in range(5):
             auditor.observe("q", payload_for(10.0, covered=False),
@@ -182,9 +167,10 @@ class TestAuditorMechanics:
         assert audit.coverage_flagged is False
         assert auditor.payload("q")["coverage_flagged"] is False
 
-    def test_kept_tally_equals_a_walk_of_the_ring(self):
+    def test_kept_tally_equals_a_walk_of_the_ring(self, monkeypatch):
+        monkeypatch.setattr(audit_module, "CAPACITY", 7)
         rng = random.Random(38)
-        auditor = AccuracyAuditor(config=AuditConfig(capacity=7))
+        auditor = AccuracyAuditor()
         audit = auditor.query_audit("q")
         for _ in range(400):
             payload = payload_for(
@@ -228,12 +214,13 @@ class Overconfident(RegisteredQuery):
 
 
 class TestEndToEnd:
-    def test_honest_query_quiet_miscalibrated_query_flagged(self):
-        _, manager = make_manager(names=("q", "q_bad"))
-        obs = MetricsRegistry()
-        events = EventLog(sink=lambda p: None)
-        registry = QueryRegistry(manager, obs=obs, events=events,
-                                 audit=AuditConfig(min_events=5))
+    def test_honest_query_quiet_miscalibrated_query_flagged(
+            self, monkeypatch):
+        monkeypatch.setattr(audit_module, "MIN_EVENTS", 5)
+        events = EventLog()
+        obs = MetricsRegistry(events=events)
+        _, manager = make_manager(names=("q", "q_bad"), obs=obs)
+        registry = QueryRegistry(manager)
         honest = registry.get("q")
         bad = Overconfident(registry, "q_bad", honest.sql, honest.query)
         for _ in range(8):
@@ -360,3 +347,92 @@ class TestHTTPEndpoint:
                 assert exc.value.code == 404
         finally:
             service.close()
+
+
+class TestConcurrentEstimates:
+    """The front door answers estimates on one thread per connection,
+    so one query's audit ring takes appends from several threads at
+    once while the audit endpoint walks it: every estimate must be
+    counted and scored, and no walk may meet a ring mid-append."""
+
+    THREADS = 4
+    CALLS = 1500
+
+    @staticmethod
+    def hammered(work, threads):
+        """Run ``work(i)`` on threads ``i = 0 .. threads - 1`` under a
+        shortened switch interval; returns what they raised."""
+        errors = []
+
+        def run(i):
+            try:
+                work(i)
+            except Exception as exc:  # collected, asserted empty
+                errors.append(exc)
+
+        workers = [threading.Thread(target=run, args=(i,))
+                   for i in range(threads)]
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(before)
+        assert not any(worker.is_alive() for worker in workers)
+        return errors
+
+    def test_threads_lose_no_estimate(self):
+        from repro import SynopsisService
+
+        _, manager = make_manager()
+        with SynopsisService(manager) as service:
+            query = QueryRegistry(service).get("q")
+
+            def work(i):
+                for _ in range(self.CALLS):
+                    query.estimate("count")
+                    if i == 0:
+                        query.audit(limit=1)
+
+            assert self.hammered(work, self.THREADS) == []
+            body = query.audit()
+        total = self.THREADS * self.CALLS
+        assert body["estimates"] == total
+        assert body["eligible"] == body["audited"] == total
+
+    def test_concurrent_http_estimates_get_no_500(self):
+        from repro import SynopsisService
+        from repro.service import ServiceHTTPServer
+
+        _, manager = make_manager()
+        statuses = []
+        with SynopsisService(manager) as service, \
+                ServiceHTTPServer(service, port=0) as server:
+            host, port = server.address
+            body = json.dumps({"agg": "count"}).encode()
+
+            def work(i):
+                conn = http.client.HTTPConnection(host, port, timeout=60)
+                try:
+                    for i in range(self.CALLS // 5):
+                        if i % 10 == 9:
+                            conn.request("GET", "/queries/q/audit?limit=1")
+                        else:
+                            conn.request(
+                                "POST", "/query/q/estimate", body,
+                                {"Content-Type": "application/json"})
+                        response = conn.getresponse()
+                        response.read()
+                        statuses.append(response.status)
+                finally:
+                    conn.close()
+
+            assert self.hammered(work, 3) == []
+            audit = json.loads(urllib.request.urlopen(
+                f"http://{host}:{port}/queries/q/audit?limit=0").read())
+        assert set(statuses) == {200}
+        estimates = statuses.count(200) - 3 * (self.CALLS // 50)
+        assert audit["estimates"] == audit["audited"] == estimates

@@ -94,7 +94,7 @@ def run_workload(directory, hook, acked):
     manager, _ = single_query(
         make_db(), SQL,
         MaintainerConfig(spec=SynopsisSpec.fixed_size(6), seed=SEED))
-    pm = PersistentManager(manager, directory, sync="always",
+    pm = PersistentManager(manager, directory, sync="batch",
                            sync_hook=hook)
     ops = op_stream()
     for i, op in enumerate(ops):
@@ -117,7 +117,9 @@ def test_crash_matrix_every_fsync_boundary(tmp_path, mode):
     ops = op_stream()
     twins = twin_fingerprints(ops)
     boundaries = count_boundaries(tmp_path)
-    assert boundaries > N_OPS  # every op sync plus the snapshot syncs
+    # one sync per op plus the snapshot syncs: a single-record append
+    # syncs once whatever the policy
+    assert boundaries == 24 > N_OPS
     for crash_at in range(boundaries):
         directory = str(tmp_path / f"{mode}-{crash_at}")
         injector = CrashPointInjector(crash_at=crash_at, mode=mode)
@@ -181,7 +183,7 @@ def test_manager_crash_matrix_torn(tmp_path):
     """A compact manager matrix: registrations + updates, torn mode."""
     def manager_workload(directory, hook, acked):
         pm = PersistentManager(SynopsisManager(make_db(), MaintainerConfig(seed=5)),
-                               directory, sync="always", sync_hook=hook)
+                               directory, sync="batch", sync_hook=hook)
         pm.register("q1", SQL, MaintainerConfig(spec=SynopsisSpec.fixed_size(6)))
         acked.append("register")
         rng = random.Random(21)
@@ -195,7 +197,7 @@ def test_manager_crash_matrix_torn(tmp_path):
     probe = CrashPointInjector()
     manager_workload(str(tmp_path / "probe"), probe, [])
     total = probe.boundaries
-    assert total > 8
+    assert total == 13
     for crash_at in range(total):
         directory = str(tmp_path / f"run-{crash_at}")
         injector = CrashPointInjector(crash_at=crash_at, mode="torn")

@@ -92,11 +92,11 @@ class TestFullyCollapsedQuery:
                      for i in range(12)]
         assert engine.total_results() == 12
         exact = set(JoinExecutor(db, query).results())
-        assert set(engine.synopsis_results()) <= exact
+        assert set(engine.synopsis_entries().rows) <= exact
         for tid in fact_tids[:10]:
             engine_delete(engine, "fact", tid)
         assert engine.total_results() == 2
-        assert len(engine.synopsis_results()) == 2
+        assert len(engine.synopsis_entries().rows) == 2
 
 
 class TestValueDomains:

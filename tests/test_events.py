@@ -30,15 +30,10 @@ class FakeClock:
         return self.now
 
 
-def quiet_log(**kwargs):
-    kwargs.setdefault("sink", lambda payload: None)
-    return EventLog(**kwargs)
-
-
 class TestRing:
     def test_emit_records_seq_clock_kind_fields(self):
         clock = FakeClock(42.5)
-        log = quiet_log(clock=clock)
+        log = EventLog(clock=clock)
         event = log.emit("replicate.stall", staleness=7.0)
         assert (event.seq, event.at, event.kind) == \
             (0, 42.5, "replicate.stall")
@@ -49,7 +44,7 @@ class TestRing:
         }
 
     def test_bounded_ring_overwrites_oldest(self):
-        log = quiet_log(capacity=3)
+        log = EventLog(capacity=3)
         for i in range(5):
             log.emit("k", i=i)
         assert log.emitted == 5
@@ -61,7 +56,7 @@ class TestRing:
             EventLog(capacity=0)
 
     def test_kind_filter_matches_dotted_prefix(self):
-        log = quiet_log()
+        log = EventLog()
         log.emit("quality.flag")
         log.emit("quality.clear")
         log.emit("qualityx.other")
@@ -73,7 +68,7 @@ class TestRing:
             ["quality.flag"]
 
     def test_payload_shape(self):
-        log = quiet_log(capacity=2, clock=FakeClock(1.0))
+        log = EventLog(capacity=2, clock=FakeClock(1.0))
         log.emit("a.one")
         log.emit("a.two")
         log.emit("b.three")
@@ -89,7 +84,7 @@ class TestRing:
         json.dumps(payload)  # JSON-shaped end to end
 
     def test_publish_sets_gauges(self):
-        log = quiet_log(capacity=1)
+        log = EventLog(capacity=1)
         log.emit("a")
         log.emit("b")
         obs = MetricsRegistry()
@@ -112,18 +107,11 @@ class TestSink:
             "fields": {"chi_square": 12.0},
         }
 
-    def test_custom_sink_sees_every_event(self):
-        seen = []
-        log = EventLog(sink=seen.append)
-        log.emit("a", x=1)
-        log.emit("b")
-        assert [p["kind"] for p in seen] == ["a", "b"]
-
 
 class TestNull:
     def test_null_contract(self):
         assert NULL_EVENTS.enabled is False
-        assert EventLog(sink=lambda p: None).enabled is True
+        assert EventLog().enabled is True
         assert NULL_EVENTS.emit("k", x=1) is None
         assert NULL_EVENTS.events() == []
         assert NULL_EVENTS.payload() == \
@@ -133,13 +121,13 @@ class TestNull:
 
     def test_as_event_log_normalisation(self):
         assert as_event_log(None) is NULL_EVENTS
-        real = quiet_log()
+        real = EventLog()
         assert as_event_log(real) is real
 
 
 class TestFanIn:
     def test_slow_stages_of_a_registry_and_its_children_share_the_log(self):
-        log = quiet_log()
+        log = EventLog()
         obs = MetricsRegistry(clock=lambda: 7, events=log,
                               slow_op_threshold_ns=100)
         child = obs.child()

@@ -299,7 +299,7 @@ def test_every_catalogue_name_renders_exactly_once():
     assert len(metric_names.ALL_METRIC_NAMES) == len(expected)
 
 
-def test_every_catalogue_name_has_an_emitter(tmp_path):
+def test_every_catalogue_name_has_an_emitter(tmp_path, monkeypatch):
     """The render test feeds a synthetic registry; this one proves each
     name is *produced*: a small real stack, observability on everywhere,
     and every catalogue name must show up in some snapshot with its
@@ -311,14 +311,17 @@ def test_every_catalogue_name_has_an_emitter(tmp_path):
                        SynopsisManager, SynopsisSpec)
     from repro.aqp import QueryRegistry
     from repro.errors import ReproError, ServiceOverloadedError
-    from repro.obs import EventLog, QualityConfig
+    from repro.obs import EventLog, quality
     from repro.persist import PersistentManager
     from repro.replicate import FollowerService, WalShipper
     from repro.service import ServiceConfig, SynopsisService
 
     sql = "SELECT * FROM r, s WHERE r.c0 = s.c0"
     leader_dir, ship_dir = str(tmp_path / "leader"), str(tmp_path / "ship")
-    events = EventLog(sink=lambda payload: None)
+    for name, value in (("CHECK_EVERY", 10), ("PROBES", 8),
+                        ("MIN_RESULTS", 1), ("MIN_SAMPLES", 1)):
+        monkeypatch.setattr(quality, name, value)
+    events = EventLog()
     obs = MetricsRegistry(events=events, slow_op_threshold_ns=0)
     db = Database()
     make_tables(db, [("r", 2), ("s", 2)])
@@ -330,9 +333,7 @@ def test_every_catalogue_name_has_an_emitter(tmp_path):
     shipper = WalShipper(leader_dir, ship_dir, obs=MetricsRegistry())
     with SynopsisService(pm, ServiceConfig(
             max_queue_ops=1, overflow_policy="reject", obs=obs,
-            events=events, quality=QualityConfig(
-                check_every=10, probes=8, min_results=1,
-                min_samples=1))) as service:
+            quality=True)) as service:
         service.apply_batch([InsertOp(table, (i % 3, i))
                              for i in range(20) for table in ("r", "s")])
         shipper.ship_once()

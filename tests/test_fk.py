@@ -170,7 +170,7 @@ class TestRuntime:
         engine_insert(engine, "dim", (1, 7))
         engine_insert(engine, "other", (7, 5))
         engine_insert(engine, "fact", (1, 42))
-        (result,) = engine.synopsis_results()
+        (result,) = engine.synopsis_entries().rows
         # original order: fact, dim, other
         assert result == (0, 0, 0)
         exact = JoinExecutor(db, engine.query).results()
@@ -219,8 +219,8 @@ class TestEquivalence:
         exact = set(JoinExecutor(dbs["opt"], engines["opt"].query)
                     .results())
         for e in engines.values():
-            assert set(e.synopsis_results()) <= exact
-            assert len(e.synopsis_results()) == min(6, len(exact))
+            assert set(e.synopsis_entries().rows) <= exact
+            assert len(e.synopsis_entries().rows) == min(6, len(exact))
 
     def test_chain_collapse_runtime(self):
         """Two-level FK chain (fact -> mid -> dim) assembles through both
@@ -247,5 +247,5 @@ class TestEquivalence:
         engine_insert(engine, "other", (100, 0))
         engine_insert(engine, "fact", (3, 1))
         assert engine.total_results() == 1
-        (result,) = engine.synopsis_results()
+        (result,) = engine.synopsis_entries().rows
         assert result == (0, 0, 0, 0)

@@ -55,7 +55,7 @@ class TestMemberHash:
     def test_refcount_blocks_unregister(self):
         h = MemberHash(member(), filtered=False)
         h.register((5,), 0, (5, "x"))
-        h.add_reference((5,))
+        h._refcount[(5,)] += 1
         with pytest.raises(IntegrityError):
             h.unregister((5,))
         h.drop_reference((5,))
@@ -69,8 +69,8 @@ class TestMemberHash:
     def test_refcount_nesting(self):
         h = MemberHash(member(), filtered=False)
         h.register((5,), 0, (5, "x"))
-        h.add_reference((5,))
-        h.add_reference((5,))
+        h._refcount[(5,)] += 1
+        h._refcount[(5,)] += 1
         h.drop_reference((5,))
         with pytest.raises(IntegrityError):
             h.unregister((5,))

@@ -94,4 +94,4 @@ def test_synopsis_types_on_qy():
         p.run(setup.preload)
         p.run(setup.stream)
         exact = set(JoinExecutor(setup.db, m.query).results())
-        assert set(m.engine.synopsis_results()) <= exact
+        assert set(m.engine.synopsis_entries().rows) <= exact

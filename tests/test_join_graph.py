@@ -53,7 +53,7 @@ class TestBasics:
             db, "SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b"
         )
         assert graph.total_results() == 0
-        assert graph.vertex_count(0) == 0
+        assert len(graph.hash_indexes[0]) == 0
 
     def test_single_insert_no_results(self):
         db = simple_db()
@@ -84,7 +84,7 @@ class TestBasics:
         )
         graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
         graph.insert_tuples(0, [(db.insert("r", (1,)), (1,), None)])
-        assert graph.vertex_count(0) == 1
+        assert len(graph.hash_indexes[0]) == 1
         vertex = graph.vertex_of(0, (1,))
         assert vertex.ids == [0, 1]
 
@@ -113,7 +113,7 @@ class TestBasics:
         tid = db.insert("r", (1,))
         graph.insert_tuples(0, [(tid, (1,), None)])
         assert delete_one(graph, 0, tid, (1,)) == 0
-        assert graph.vertex_count(0) == 0
+        assert len(graph.hash_indexes[0]) == 0
         graph.check_invariants()
 
     def test_delta_view_block_is_suffix_of_vertex_block(self):

@@ -48,9 +48,9 @@ class FakeClock:
 
 
 def armed(threshold=0, **kwargs):
-    """A registry promoting into a quiet log: ``(obs, stages)`` where
+    """A registry promoting into a log: ``(obs, stages)`` where
     ``stages()`` lists the promoted stages' fields, oldest first."""
-    log = EventLog(capacity=4096, sink=lambda payload: None)
+    log = EventLog(capacity=4096)
     obs = MetricsRegistry(events=log, slow_op_threshold_ns=threshold,
                           **kwargs)
     return obs, lambda: [e.fields for e in log.events("trace.slow_op")]
@@ -231,8 +231,10 @@ class TestLabels:
         with pytest.raises(MetricError):
             registry.counter('c{query="q1"}')
 
-    def test_cardinality_bound_collapses_into_overflow_child(self):
-        registry = MetricsRegistry(max_label_children=2)
+    def test_cardinality_bound_collapses_into_overflow_child(
+            self, monkeypatch):
+        monkeypatch.setattr(MetricsRegistry, "DEFAULT_MAX_LABEL_CHILDREN", 2)
+        registry = MetricsRegistry()
         counter = registry.counter("c")
         counter.labels(q="a").inc()
         counter.labels(q="b").inc()
@@ -249,8 +251,9 @@ class TestLabels:
         assert registry.snapshot()[format_label_key(
             "c", {"q": "a"})]["value"] == 2
 
-    def test_cardinality_bound_is_per_family(self):
-        registry = MetricsRegistry(max_label_children=1)
+    def test_cardinality_bound_is_per_family(self, monkeypatch):
+        monkeypatch.setattr(MetricsRegistry, "DEFAULT_MAX_LABEL_CHILDREN", 1)
+        registry = MetricsRegistry()
         registry.counter("c1").labels(q="a").inc()
         # a different family gets its own budget
         child = registry.counter("c2").labels(q="z")
@@ -631,8 +634,7 @@ class TestStackStages:
                 if f["op"] == "persist.snapshot.write_ns"] == [0, 2]
         # the recovered query's engine sits on a child of ``obs`` again
         obs, stages = armed()
-        recovered = PersistentManager.recover(
-            str(tmp_path), obs=obs, manager_obs=obs)
+        recovered = PersistentManager.recover(str(tmp_path), obs=obs)
         replayed = len(stages())
         recovered.insert("s", (1, 3))
         recovered.close()

@@ -88,7 +88,7 @@ class TestWriteAheadLog:
     def test_append_replay_round_trip(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         entries = [("apply", [i]) for i in range(20)]
-        lsns = wal.append_many(entries)
+        lsns = [wal.append(entry) for entry in entries]
         assert lsns == list(range(20))
         assert wal.next_lsn == 20
         wal.close()
@@ -100,7 +100,8 @@ class TestWriteAheadLog:
 
     def test_replay_from_lsn(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append_many(list(range(10)))
+        for i in range(10):
+            wal.append(i)
         assert [e for _, e in wal.replay(from_lsn=7)] == [7, 8, 9]
         wal.close()
 
@@ -131,7 +132,8 @@ class TestWriteAheadLog:
 
     def test_torn_tail_is_truncated_on_open(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append_many(["a", "b", "c"])
+        for entry in ("a", "b", "c"):
+            wal.append(entry)
         wal.close()
         seg = os.path.join(str(tmp_path), os.listdir(tmp_path)[0])
         size = os.path.getsize(seg)
@@ -147,7 +149,8 @@ class TestWriteAheadLog:
 
     def test_corrupted_crc_cuts_replay_at_last_valid_record(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        wal.append_many(["a", "b", "c"])
+        for entry in ("a", "b", "c"):
+            wal.append(entry)
         wal.close()
         seg = os.path.join(str(tmp_path), os.listdir(tmp_path)[0])
         data = open(seg, "rb").read()

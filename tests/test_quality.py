@@ -16,8 +16,7 @@ import pytest
 
 from repro import Database, JoinSynopsisMaintainer, MaintainerConfig, \
     SynopsisSpec
-from repro.errors import InvalidArgumentError
-from repro.obs import MetricsRegistry, QualityConfig, QualityMonitor
+from repro.obs import MetricsRegistry, QualityMonitor, quality
 from repro.obs import names as metric_names
 from repro.obs.quality import chi_square_two_sample, ks_critical, \
     ks_statistic
@@ -92,73 +91,68 @@ class TestStatistics:
 
 
 # ----------------------------------------------------------------------
-# config validation
+# the monitor's settings: module constants
 # ----------------------------------------------------------------------
+def tune(monkeypatch, **values):
+    """Patch the monitor's module constants (``check_every=100`` sets
+    ``CHECK_EVERY``) for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(quality, name.upper(), value)
+
+
 class TestQualityConfig:
     def test_defaults(self):
-        config = QualityConfig()
-        assert config.check_every == 2048
-        assert config.window == 8
-
-    def test_immutable(self):
-        config = QualityConfig()
-        with pytest.raises(AttributeError):
-            config.probes = 1
-
-    @pytest.mark.parametrize("kwargs", [
-        {"check_every": 0}, {"probes": 1}, {"buckets": 1},
-        {"window": 0}, {"alpha": 0.0}, {"alpha": 1.0}, {"sigma": 0.0},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidArgumentError):
-            QualityConfig(**kwargs)
+        assert (quality.CHECK_EVERY, quality.PROBES, quality.BUCKETS,
+                quality.WINDOW, quality.SIGMA, quality.ALPHA,
+                quality.MIN_RESULTS, quality.MIN_SAMPLES,
+                quality.SEED) == (2048, 128, 16, 8, 5.0, 1e-4, 256, 32, 0)
 
 
 # ----------------------------------------------------------------------
 # monitor mechanics
 # ----------------------------------------------------------------------
 class TestMonitorMechanics:
-    def config(self, **overrides):
-        base = dict(check_every=100, probes=64, min_results=50,
-                    min_samples=10, seed=1)
-        base.update(overrides)
-        return QualityConfig(**base)
+    SMALL = dict(check_every=100, probes=64, min_results=50,
+                 min_samples=10, seed=1)
 
-    def test_rounds_skip_below_size_floors(self):
+    def test_rounds_skip_below_size_floors(self, monkeypatch):
+        tune(monkeypatch, **dict(self.SMALL, min_results=10 ** 9))
         maintainer = JoinSynopsisMaintainer(
             make_db(), SQL, MaintainerConfig(seed=1))
-        monitor = QualityMonitor(maintainer.engine,
-                                 self.config(min_results=10 ** 9))
+        monitor = QualityMonitor(maintainer.engine)
         drive(maintainer, 100)
         assert monitor.check_now() is None
         assert monitor.skipped_rounds == 1
         assert monitor.probe_rounds == 0
 
-    def test_note_ops_schedules_rounds(self):
+    def test_note_ops_schedules_rounds(self, monkeypatch):
+        tune(monkeypatch, **self.SMALL)
         maintainer = JoinSynopsisMaintainer(
             make_db(), SQL, MaintainerConfig(seed=1))
         drive(maintainer, 300)
-        monitor = QualityMonitor(maintainer.engine, self.config())
+        monitor = QualityMonitor(maintainer.engine)
         monitor.note_ops(250)     # 2 rounds due (check_every=100)
         assert monitor.probe_rounds + monitor.skipped_rounds == 2
 
     @pytest.mark.parametrize("durable", [False, True],
                              ids=["bare", "persistent"])
     def test_service_wiring_runs_rounds_and_publishes(self, durable,
-                                                      tmp_path):
+                                                      tmp_path,
+                                                      monkeypatch):
         """The monitor runs through the stack: ``manager.apply_batch``
         opens the engines' runs itself, so only the ingest loop can
         count the ops (at the parent ``probe_rounds`` stayed 0)."""
         from repro.persist import PersistentManager
         from repro.service import ServiceConfig, SynopsisService
 
+        tune(monkeypatch, **self.SMALL)
         obs = MetricsRegistry()
         target, _ = single_query(make_db(), SQL, MaintainerConfig(
             spec=SynopsisSpec.fixed_size(40), seed=1))
         if durable:
             target = PersistentManager(target, str(tmp_path))
         with SynopsisService(target, ServiceConfig(
-                obs=obs, quality=self.config())) as service:
+                obs=obs, quality=True)) as service:
             drive(service, 300)
             health = service.healthz()["quality"]
             assert health["probe_rounds"] >= 600 // 100 - 1
@@ -178,7 +172,11 @@ class TestMonitorMechanics:
         manager, _ = single_query(make_db(), SQL, MaintainerConfig(seed=1))
         with SynopsisService(
                 manager, ServiceConfig(quality=True)) as service:
-            assert service.quality.config.check_every == 2048
+            monitor = service.quality
+            monitor.note_ops(2047)
+            assert monitor.probe_rounds + monitor.skipped_rounds == 0
+            monitor.note_ops(1)      # CHECK_EVERY = 2048 ops: one round
+            assert monitor.probe_rounds + monitor.skipped_rounds == 1
             assert set(service.healthz()["quality"]) == {
                 "flagged", "flag_count", "probe_rounds", "probes_drawn",
                 "skipped_rounds", "chi_square", "chi_dof", "ks_ratio",
@@ -216,11 +214,11 @@ MONITOR_CONFIG = dict(check_every=100, probes=256, window=6,
     SynopsisSpec.with_replacement(200),
     SynopsisSpec.bernoulli(0.05),
 ], ids=["fixed", "replacement", "bernoulli"])
-def test_honest_engine_not_flagged(spec):
+def test_honest_engine_not_flagged(spec, monkeypatch):
+    tune(monkeypatch, **MONITOR_CONFIG)
     maintainer = JoinSynopsisMaintainer(
         make_db(), SQL, MaintainerConfig(spec=spec, seed=2))
-    monitor = QualityMonitor(maintainer.engine,
-                             QualityConfig(**MONITOR_CONFIG))
+    monitor = QualityMonitor(maintainer.engine)
     drive(maintainer, 800, monitor=monitor)
     assert monitor.probe_rounds >= 5
     assert not monitor.flagged, monitor.status()
@@ -246,10 +244,11 @@ def test_service_flags_a_biased_sampler_and_only_that(
             make_db(), SQL, MaintainerConfig(
                 spec=SynopsisSpec.fixed_size(200), seed=2))
     assert type(maintainer.engine.rng) is rng_class
-    events = EventLog(sink=lambda payload: None)
+    tune(monkeypatch, **MONITOR_CONFIG)
+    events = EventLog()
     with SynopsisService(manager, ServiceConfig(
-            events=events,
-            quality=QualityConfig(**MONITOR_CONFIG))) as service:
+            obs=MetricsRegistry(events=events),
+            quality=True)) as service:
         drive(service, 800)
         health = service.healthz()["quality"]
     assert health["probe_rounds"] >= 5

@@ -28,7 +28,8 @@ from repro.replicate import (
 from repro.replicate.shipper import WATERMARK_CAPACITY
 from repro.replicate.transport import MANIFEST_VERSION
 
-from conftest import QUERY, as_written_by_3_0, make_tables, single_query
+from conftest import (QUERY, as_written_by_3_0, graph_state, make_tables,
+                      single_query)
 
 SQL = "SELECT * FROM r, s, t WHERE r.c0 = s.c0 AND s.c1 = t.c0"
 
@@ -286,6 +287,43 @@ class TestWalShipper:
                    for seg in manifest["segments"])
         pm.close()
 
+    def test_checkpoints_leave_one_shipped_snapshot(self, tmp_path):
+        """Each checkpoint ships a new snapshot; once the manifest names
+        it, the superseded ones go as covered segments do, across a
+        shipper restart too (which reseeds from the manifest), and a
+        follower bootstrapped from what is left equals the leader."""
+        pm = make_leader(tmp_path / "leader")
+        transport = DirectoryTransport(str(tmp_path / "ship"))
+        rng = random.Random(10)
+        live = drive(pm, rng, 10)
+        for round_ in range(5):
+            if round_ in (0, 3):        # a (re)started shipper
+                shipper = WalShipper(str(tmp_path / "leader"), transport)
+            pm.checkpoint()
+            drive(pm, rng, 5, live)
+            manifest = shipper.ship_once()
+            assert os.listdir(transport.snapshot_dir) == [
+                manifest["snapshot"]["name"]]
+        f = FollowerService(transport)
+        assert same_state(f, pm)
+        pm.close()
+
+    def test_a_follower_left_behind_rebootstraps_from_the_kept_snapshot(
+            self, tmp_path):
+        pm, live, shipper, ship_dir = ship_pair(tmp_path)
+        f = FollowerService(ship_dir)
+        first = f._bootstrap_snapshot
+        rng = random.Random(11)
+        for _ in range(2):
+            drive(pm, rng, 40, live)
+            pm.checkpoint()
+            shipper.ship_once()
+        assert first not in os.listdir(shipper.transport.snapshot_dir)
+        f.catch_up()
+        assert f.bootstraps == 2
+        assert same_state(f, pm)
+        pm.close()
+
     def test_shipped_at_uses_injected_clock(self, tmp_path):
         pm = make_leader(tmp_path / "leader")
         drive(pm, random.Random(7), 5)
@@ -336,6 +374,18 @@ class TestWalShipper:
 # ----------------------------------------------------------------------
 # FollowerService mechanics
 # ----------------------------------------------------------------------
+def same_state(follower, pm) -> bool:
+    """The replica holds the leader's state: position, sample, J, RNG
+    and join graph."""
+    mine = follower.target.maintainer(QUERY).engine
+    theirs = pm.maintainer(QUERY).engine
+    return (follower.applied_lsn == pm.wal.next_lsn
+            and follower.synopsis() == [tuple(r) for r in pm.synopsis(QUERY)]
+            and follower.total_results() == pm.total_results(QUERY)
+            and mine.rng.getstate() == theirs.rng.getstate()
+            and graph_state(mine.graph) == graph_state(theirs.graph))
+
+
 def ship_pair(tmp_path, nops=30, seed=0, **leader_kw):
     pm = make_leader(tmp_path / "leader", **leader_kw)
     live = drive(pm, random.Random(seed), nops)
@@ -794,8 +844,9 @@ class TestLagTracing:
 
     def test_stall_and_resume_transitions(self, tmp_path):
         pm, shipper, ship_dir, now, clock = lag_pair(tmp_path)
-        events = EventLog(sink=lambda payload: None)
-        f = FollowerService(ship_dir, clock=clock, events=events,
+        events = EventLog()
+        f = FollowerService(ship_dir, clock=clock,
+                            obs=MetricsRegistry(events=events),
                             stall_after=5.0)
         assert f.healthz()["stalled"] is False
         now[0] = 1010.0  # manifest is now 10 s old: past the bound
@@ -818,9 +869,9 @@ class TestLagTracing:
 
     def test_bootstrap_event_and_payload(self, tmp_path):
         pm, _, _, ship_dir = ship_pair(tmp_path)
-        events = EventLog(sink=lambda payload: None)
-        obs = MetricsRegistry()
-        f = FollowerService(ship_dir, events=events, obs=obs)
+        events = EventLog()
+        obs = MetricsRegistry(events=events)
+        f = FollowerService(ship_dir, obs=obs)
         (boot,) = events.events("replicate.bootstrap")
         # the event stamps the restored snapshot's LSN; tailing then
         # advances applied_lsn past it
@@ -849,7 +900,7 @@ class TestLagTracing:
         """Threshold 0: one ``trace.slow_op`` per replayed record (5.0's
         ``tracer=`` died with a ``TypeError`` on the first), each with
         its ``lsn``; a ship round carries what it acked."""
-        events = EventLog(sink=lambda payload: None)
+        events = EventLog()
         obs = MetricsRegistry(events=events, slow_op_threshold_ns=0)
         pm, _, _, ship_dir = ship_pair(tmp_path)
         f = FollowerService(ship_dir, obs=obs)

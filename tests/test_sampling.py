@@ -129,7 +129,7 @@ class TestMultiReservoirSkips:
         rng = random.Random(1)
         skips = MultiReservoirSkips(3, rng)
         skips.pop_slots_at(0)
-        assert skips.next_selection() >= 1
+        assert skips.skip_from(0) >= 1
 
     def test_rearm_all_redraws_at_new_total(self):
         """After a deletion shrinks J, every pending position must be a
@@ -140,7 +140,7 @@ class TestMultiReservoirSkips:
             skips = MultiReservoirSkips(1, random.Random(trial))
             skips.pop_slots_at(0)  # position now drawn for large-ish J
             skips.rearm_all(5)
-            if skips.next_selection() == 5:
+            if skips.skip_from(0) == 5:
                 hits += 1
         # P(select the very next record) = 1/6; 3-sigma ≈ 0.0144
         assert abs(hits / trials - 1 / 6) < 0.016
@@ -149,7 +149,7 @@ class TestMultiReservoirSkips:
         skips = MultiReservoirSkips(3, random.Random(4))
         skips.pop_slots_at(0)
         skips.rearm_all(0)
-        assert skips.next_selection() == 0
+        assert skips.skip_from(0) == 0
         assert sorted(skips.pop_slots_at(0)) == [0, 1, 2]
 
     def test_single_slot_selection_distribution(self):
@@ -164,7 +164,7 @@ class TestMultiReservoirSkips:
             kept = None
             j = 0
             for record in range(n_records):
-                if skips.next_selection() == j:
+                if skips.skip_from(0) == j:
                     kept = record
                     skips.pop_slots_at(j)
                 j += 1

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import build_stack, make_parser
 from repro.core.stats_api import InsertOp
-from repro.obs import QualityConfig
+from repro.obs import quality
 from repro.replicate import FollowerService, WalShipper
 from repro.service import ServiceHTTPServer
 
@@ -142,9 +142,6 @@ class TestObservedDurableCliTarget:
 
     def serve(self, state, start, stop):
         args = serve_args("--dir", state, "--quality", "--slow-op-ms", "0")
-        # the flag means QualityConfig(); 170 tiny ops need a denser one
-        args.quality = QualityConfig(check_every=20, probes=16,
-                                     min_results=1, min_samples=1)
         served = Served(args)
         try:
             served.feed(start, stop, batch=10)
@@ -159,7 +156,12 @@ class TestObservedDurableCliTarget:
         finally:
             served.stop()
 
-    def test_fresh_then_recovered_then_follower(self, tmp_path):
+    def test_fresh_then_recovered_then_follower(self, tmp_path,
+                                                monkeypatch):
+        # 170 tiny ops need a denser schedule than the module's own
+        for name, value in (("CHECK_EVERY", 20), ("PROBES", 16),
+                            ("MIN_RESULTS", 1), ("MIN_SAMPLES", 1)):
+            monkeypatch.setattr(quality, name, value)
         state = str(tmp_path / "state")
         assert self.serve(state, 0, 100) == 0
         assert self.serve(state, 100, 170) == 1    # same dir: recovered

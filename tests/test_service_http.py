@@ -280,13 +280,13 @@ def both_roles(tmp_path_factory):
     pm = PersistentManager(make_manager(), str(base / "leader"))
     log = EventLog()
     leader = SynopsisService(pm, ServiceConfig(
-        obs=MetricsRegistry(events=log), events=log))
+        obs=MetricsRegistry(events=log)))
     leader.apply_batch([InsertOp(table, (i % 4, i))
                         for i in range(60) for table in ("r", "s")])
     WalShipper(str(base / "leader"), str(base / "ship")).ship_once()
     log = EventLog()
     follower = FollowerService(str(base / "ship"),
-                               obs=MetricsRegistry(events=log), events=log)
+                               obs=MetricsRegistry(events=log))
     roles = {}
     for role, served in (("leader", leader), ("follower", follower)):
         server = ServiceHTTPServer(served, port=0).start()

@@ -40,10 +40,10 @@ def test_qy_matrix(algo, kind, spec):
     query = parse_query(setup.sql, setup.db)
     exact = set(JoinExecutor(setup.db, query).results())
     assert maintainer.total_results() == len(exact)
-    results = set(maintainer.engine.synopsis_results())
+    results = set(maintainer.engine.synopsis_entries().rows)
     assert results <= exact
     if kind == "fixed":
-        assert len(maintainer.engine.synopsis_results()) == \
+        assert len(maintainer.engine.synopsis_entries().rows) == \
             min(15, len(exact))
     elif kind == "fixed_wr" and exact:
         assert len(maintainer.engine.raw_samples()) == 15

@@ -98,7 +98,7 @@ def test_fixed_size_uniform_through_fk_collapse(exact_results):
     counts = Counter()
     for t in range(trials):
         _, engine = run_once(t, SynopsisSpec.fixed_size(m))
-        results = engine.synopsis_results()
+        results = engine.synopsis_entries().rows
         assert len(results) == min(m, len(exact_results))
         assert set(results) <= set(exact_results)
         for r in results:
@@ -112,7 +112,7 @@ def test_with_replacement_uniform_through_fk_collapse(exact_results):
     counts = Counter()
     for t in range(trials):
         _, engine = run_once(t, SynopsisSpec.with_replacement(3))
-        for r in engine.synopsis_results():
+        for r in engine.synopsis_entries().rows:
             counts[r] += 1
     stat = chi_square_uniform([counts[r] for r in exact_results])
     assert stat < chi_square_threshold(len(exact_results) - 1)

@@ -232,7 +232,8 @@ class TestWeightOneIdentity:
         drive(weighted, batch_size)
         drive(uniform, batch_size)
         assert weighted.raw_samples() == uniform.raw_samples()
-        assert weighted.synopsis_results() == uniform.synopsis_results()
+        assert (weighted.synopsis_entries().rows
+                == uniform.synopsis_entries().rows)
         assert weighted.total_results() == uniform.total_results()
         assert weighted.rng.getstate() == uniform.rng.getstate()
 
