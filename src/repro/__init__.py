@@ -83,7 +83,6 @@ from repro.core import (
     SynopsisTarget,
     SYNOPSIS_FAMILIES,
     UpdateOp,
-    WeightedFixedSize,
     WeightedWithReplacement,
     family_of_kind,
 )
@@ -139,7 +138,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "19.0.0"
+__version__ = "20.0.0"
 
 __all__ = [
     # catalog
@@ -151,7 +150,7 @@ __all__ = [
     # core
     "SynopsisSpec", "FixedSizeWithoutReplacement",
     "FixedSizeWithReplacement", "BernoulliSynopsis",
-    "WeightedFixedSize", "WeightedWithReplacement", "SubsetSynopsis",
+    "WeightedWithReplacement", "SubsetSynopsis",
     "SYNOPSIS_FAMILIES", "family_of_kind",
     "SJoinEngine", "SymmetricJoinEngine", "JoinSynopsisMaintainer",
     "SynopsisManager", "SynopsisTarget",

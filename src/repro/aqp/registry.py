@@ -71,7 +71,9 @@ def spec_for_plan(plan: JoinPlan, *, size: int = 1000,
     A plain query gets a fixed-size uniform synopsis; naming a
     ``weight_column`` (``alias.attr`` of the planned query, e.g. a SUM
     column whose heavy rows should dominate the sample) switches to the
-    weighted family so draws land proportionally to that column.  The
+    weighted family's with-replacement synopsis: each of its ``size``
+    slots is an independent draw proportional to that column, after
+    deletions too.  The
     column is validated against the plan's original range tables —
     a bad reference is a :class:`~repro.errors.PlanError`, caught at
     registration time instead of on the first update.
@@ -92,7 +94,7 @@ def spec_for_plan(plan: JoinPlan, *, size: int = 1000,
         raise PlanError(
             f"weight column {weight_column!r}: table "
             f"{schema.name!r} has no column {attr!r}")
-    return SynopsisSpec.weighted_fixed_size(size, weight_column)
+    return SynopsisSpec.weighted_with_replacement(size, weight_column)
 
 
 def _has_residuals(query: JoinQuery) -> bool:

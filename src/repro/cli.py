@@ -85,7 +85,7 @@ from repro.obs.metrics import MetricsRegistry
 
 def parse_synopsis(text: str) -> SynopsisSpec:
     """``fixed:1000`` | ``replacement:1000`` | ``bernoulli:0.001`` |
-    ``weighted:1000@alias.attr`` | ``weighted-replacement:1000@a.w`` |
+    ``weighted-replacement:1000[@alias.attr]`` |
     ``subset:0.001[@alias.attr]``.
 
     The ``@alias.attr`` suffix names the integer weight column; weight-
@@ -111,8 +111,8 @@ def _dispatch_synopsis(text: str, kind: str, param: str,
         if weight_column is not None:
             raise ReproError(
                 f"synopsis kind {kind!r} is uniform and takes no "
-                f"@weight-column (got {text!r}); use weighted:M, "
-                "weighted-replacement:M, or subset:P"
+                f"@weight-column (got {text!r}); use "
+                "weighted-replacement:M or subset:P"
             )
         if kind == "fixed":
             return SynopsisSpec.fixed_size(int(param))
@@ -120,8 +120,10 @@ def _dispatch_synopsis(text: str, kind: str, param: str,
             return SynopsisSpec.with_replacement(int(param))
         return SynopsisSpec.bernoulli(float(param))
     if kind == "weighted":
-        return SynopsisSpec.weighted_fixed_size(
-            int(param), weight_column=weight_column)
+        raise ReproError(
+            f"synopsis kind 'weighted' is gone since 20.0 (got {text!r}): "
+            "a weighted synopsis samples with replacement, spelled "
+            "weighted-replacement:M[@alias.attr]")
     if kind in ("weighted-replacement", "weighted_replacement"):
         return SynopsisSpec.weighted_with_replacement(
             int(param), weight_column=weight_column)
@@ -511,7 +513,8 @@ def build_stack(args):
     else:
         setup = setup_query(args.query, parse_scale(args.scale),
                             seed=args.seed)
-        target = SynopsisManager(setup.db, MaintainerConfig(obs=obs))
+        target = SynopsisManager(setup.db,
+                                 MaintainerConfig(seed=args.seed, obs=obs))
         query = target.register(args.query, setup.sql, MaintainerConfig(
             spec=parse_synopsis(args.synopsis), engine=args.algorithm,
             seed=args.seed, obs=obs,
@@ -669,7 +672,6 @@ def make_parser() -> argparse.ArgumentParser:
                        choices=list(algorithms))
         p.add_argument("--synopsis", default="fixed:500",
                        help="fixed:M | replacement:M | bernoulli:P | "
-                            "weighted:M[@a.w] | "
                             "weighted-replacement:M[@a.w] | "
                             "subset:P[@a.w]")
         p.add_argument("--seed", type=int, default=0)

@@ -12,7 +12,6 @@ from repro.core.synopsis import (
     FixedSizeWithoutReplacement,
     SubsetSynopsis,
     SynopsisSpec,
-    WeightedFixedSize,
     WeightedWithReplacement,
     family_of_kind,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "FixedSizeWithoutReplacement",
     "FixedSizeWithReplacement",
     "BernoulliSynopsis",
-    "WeightedFixedSize",
     "WeightedWithReplacement",
     "SubsetSynopsis",
     "SYNOPSIS_FAMILIES",

@@ -17,12 +17,13 @@ Beyond the paper, the same machinery powers two further *families*
 (each synopsis ``kind`` belongs to a family, see
 :data:`SYNOPSIS_FAMILIES`):
 
-* **weighted** — :class:`WeightedFixedSize` /
-  :class:`WeightedWithReplacement`: per-tuple weights make the join
-  graph count weighted *units* (a result of weight ``w`` spans ``w``
-  consecutive join numbers), so the unchanged uniform skip machinery
-  samples results proportionally to their weight.  With all weights 1
-  these are bit-identical to the uniform classes, RNG stream included;
+* **weighted** — :class:`WeightedWithReplacement`: per-tuple weights
+  make the join graph count weighted *units* (a result of weight ``w``
+  spans ``w`` consecutive join numbers), so the unchanged
+  with-replacement skip machinery draws every slot proportionally to
+  result weight, after deletions too.  With all weights 1 it is
+  bit-identical to :class:`FixedSizeWithReplacement`, RNG stream
+  included;
 * **subset** — :class:`SubsetSynopsis`: Poisson/subset sampling where
   a result of weight ``w`` is included independently with probability
   ``1 - (1-p)^w``, exposed per sampled row as its inclusion
@@ -74,8 +75,7 @@ class SynopsisSpec:
 
     Use the factory classmethods: ``fixed_size(m)``,
     ``with_replacement(m)``, ``bernoulli(p)`` for the paper's uniform
-    family, and ``weighted_fixed_size(m, weight_column)``,
-    ``weighted_with_replacement(m, weight_column)``,
+    family, and ``weighted_with_replacement(m, weight_column)``,
     ``subset(p, weight_column)`` for the weighted/subset families.
 
     ``weight_column`` names the integer column supplying per-tuple
@@ -122,16 +122,6 @@ class SynopsisSpec:
         if not 0.0 < p <= 1.0:
             raise SynopsisError("sampling rate must be in (0, 1]")
         return cls("bernoulli", rate=p)
-
-    @classmethod
-    def weighted_fixed_size(
-            cls, m: int,
-            weight_column: Optional[str] = None) -> "SynopsisSpec":
-        """Weight-proportional fixed-size synopsis without replacement."""
-        if m <= 0:
-            raise SynopsisError("synopsis size must be positive")
-        cls._check_weight_column(weight_column)
-        return cls("weighted_fixed", size=m, weight_column=weight_column)
 
     @classmethod
     def weighted_with_replacement(
@@ -495,23 +485,12 @@ class FixedSizeWithoutReplacement(SynopsisBase):
             self.consume(FullJoinView(graph, root_idx))
             engine.stats.rebuilds += 1
             return
-        rejections = 0
         while self.valid_count < target:
             number = engine.rng.randrange(j)
             result = map_join_number(graph, root_idx, number)
             engine.stats.redraws += 1
             if not self.add_redrawn(result):
                 engine.stats.redraw_rejections += 1
-                rejections += 1
-                # On a weighted graph J counts units, and fewer than m
-                # distinct results may span more than 2m of them: once
-                # the held results cover the whole domain every draw is
-                # a duplicate and there is nothing left to wait for.
-                if (rejections % self.m == 0
-                        and graph.tuple_weight is not None
-                        and sum(map(engine.result_weight,
-                                    self._distinct)) >= j):
-                    return
 
     def rebuild_from_results(self, view) -> "SynopsisBase":
         self.reset_for_rebuild()
@@ -783,25 +762,6 @@ class BernoulliSynopsis(SynopsisBase):
         self._touch(pos)
 
 
-class WeightedFixedSize(FixedSizeWithoutReplacement):
-    """Weight-proportional reservoir of ``m`` results without
-    replacement.
-
-    Runs the unchanged Vitter machinery over the weighted *unit* domain
-    maintained by a weighted join graph: a result of weight ``w`` spans
-    ``w`` consecutive join numbers, so each unit — and hence, in
-    expectation, each result proportionally to its weight — is held
-    with probability ``m / J_w`` (``J_w`` the total result weight).
-    With all weights 1 the unit domain *is* the result domain and this
-    class is bit-identical to :class:`FixedSizeWithoutReplacement`,
-    RNG stream included.  Replenish re-draws stay result-level
-    without-replacement (duplicate results are rejected, as in the
-    uniform class).
-    """
-
-    KIND = "weighted_fixed"
-
-
 class WeightedWithReplacement(FixedSizeWithReplacement):
     """Weight-proportional i.i.d. synopsis of ``m`` results with
     replacement.
@@ -862,7 +822,6 @@ _KINDS: Dict[str, Tuple[str, type, str]] = {
     "fixed": ("uniform", FixedSizeWithoutReplacement, "size"),
     "fixed_replacement": ("uniform", FixedSizeWithReplacement, "size"),
     "bernoulli": ("uniform", BernoulliSynopsis, "rate"),
-    "weighted_fixed": ("weighted", WeightedFixedSize, "size"),
     "weighted_replacement": ("weighted", WeightedWithReplacement, "size"),
     "subset": ("subset", SubsetSynopsis, "rate"),
 }

@@ -43,7 +43,7 @@ from repro.core.config import MaintainerConfig
 from repro.core.maintainer import JoinSynopsisMaintainer
 from repro.core.manager import SynopsisManager
 from repro.core.sjoin import EngineStats, SJoinEngine
-from repro.core.synopsis import SynopsisSpec
+from repro.core.synopsis import SYNOPSIS_FAMILIES, SynopsisSpec
 from repro.errors import PersistError, RecoveryError
 
 #: the one on-disk format this release reads and writes; bumped whenever
@@ -111,7 +111,23 @@ def spec_to_dict(spec: SynopsisSpec) -> dict:
             "weight_column": spec.weight_column}
 
 
+def _check_spec_kind(state: dict, error=PersistError,
+                     where: str = "a durable spec") -> None:
+    """Refuse a spec whose kind is not in the closed
+    :data:`~repro.core.synopsis.SYNOPSIS_FAMILIES` table (such as the
+    weighted without-replacement kind 19.x maintained) with ``error``,
+    listing the kinds this release reads."""
+    kind = state["kind"]
+    if not isinstance(kind, str) or kind not in SYNOPSIS_FAMILIES:
+        raise error(
+            f"{where} names synopsis kind {kind!r}; this release "
+            f"maintains only {', '.join(SYNOPSIS_FAMILIES)} (state "
+            "naming another kind is not readable — rebuild it from the "
+            "source data)")
+
+
 def spec_from_dict(state: dict) -> SynopsisSpec:
+    _check_spec_kind(state)
     return SynopsisSpec(kind=state["kind"], size=state["size"],
                         rate=state["rate"],
                         weight_column=state["weight_column"])
@@ -183,11 +199,12 @@ def check_snapshot_format(payload: dict, where: str,
                           error=PersistError) -> None:
     """The format gate of recovery and follower bootstrap: a snapshot
     payload is read only when it is a version-:data:`STATE_VERSION`
-    ``"manager"`` state.  Anything else — a 9.0–13.x directory (version
-    4), 4.0–8.x (3), 3.0 (2), 2.x (1), a single-maintainer snapshot —
-    raises
-    ``error`` naming what was found and what is expected, before any of
-    it is decoded.
+    ``"manager"`` state whose registrations' requested and effective
+    specs all name a kind this release maintains.  Anything else — a
+    9.0–13.x directory (version 4), 4.0–8.x (3), 3.0 (2), 2.x (1), a
+    single-maintainer snapshot, a 19.x directory holding a weighted
+    without-replacement registration — raises ``error`` naming what was
+    found and what is expected, before any of it is decoded.
     """
     database = payload.get("database")
     version = database.get("version") if isinstance(database, dict) \
@@ -200,6 +217,10 @@ def check_snapshot_format(payload: dict, where: str,
             "states (state written by an earlier release is not "
             "readable — rebuild it from the source data)"
         )
+    for entry in payload["manager"]["queries"]:
+        for field in ("requested_spec", "effective_spec"):
+            _check_spec_kind(entry["maintainer"][field], error,
+                             f"{where} (query {entry['name']!r}, {field})")
 
 
 def covered_lsn(payload: dict, header: dict, where: str,

@@ -164,7 +164,7 @@ class TestSpecForPlan:
 
     def test_weight_column_switches_family(self):
         spec = spec_for_plan(self.plan(), size=10, weight_column="r.x")
-        assert spec == SynopsisSpec.weighted_fixed_size(10, "r.x")
+        assert spec == SynopsisSpec.weighted_with_replacement(10, "r.x")
 
     def test_bad_weight_column_shapes(self):
         plan = self.plan()
@@ -464,7 +464,7 @@ class TestFamilies:
 
     def test_empty_join_is_exact_zero_for_every_family(self):
         for spec in (SynopsisSpec.fixed_size(5),
-                     SynopsisSpec.weighted_fixed_size(5, "r.x"),
+                     SynopsisSpec.weighted_with_replacement(5, "r.x"),
                      SynopsisSpec.subset(0.5, weight_column="r.x")):
             db = make_db()
             manager = SynopsisManager(db, MaintainerConfig(seed=2))

@@ -259,7 +259,7 @@ class TestEndToEnd:
         db.create_table(TableSchema("s", [Column("a"), Column("y")]))
         manager = SynopsisManager(db, MaintainerConfig(seed=7))
         manager.register("qw", SQL, MaintainerConfig(
-            spec=SynopsisSpec.weighted_fixed_size(50, "r.x")))
+            spec=SynopsisSpec.weighted_with_replacement(50, "r.x")))
         manager.apply_batch(
             [InsertOp("r", (a, a + 1)) for a in range(4)]
             + [InsertOp("s", (a, a)) for a in range(4)])

@@ -19,6 +19,20 @@ class TestParsing:
         with pytest.raises(ReproError):
             parse_synopsis("magic:3")
 
+    def test_weighted_synopsis_samples_with_replacement(self):
+        spec = parse_synopsis("weighted-replacement:4@r.c2")
+        assert (spec.kind, spec.size, spec.weight_column) == \
+            ("weighted_replacement", 4, "r.c2")
+
+    @pytest.mark.parametrize("text", ["weighted:4@r.c2", "weighted:4",
+                                      "WEIGHTED:4@r.c2"])
+    def test_the_without_replacement_spelling_is_refused(self, text):
+        """20.0: ``weighted:M`` named the weighted kind without
+        replacement; an old script fails loudly and names the kind to
+        use instead of silently getting another one."""
+        with pytest.raises(ReproError, match="weighted-replacement:M"):
+            parse_synopsis(text)
+
     def test_scales(self):
         assert parse_scale("tiny").store_sales < \
             parse_scale("bench").store_sales
@@ -226,6 +240,24 @@ class TestCheckpointRestore:
         for key in ("recovery_restore_s", "recovery_replay_s",
                     "replay_batches"):
             assert f"  {key} " in out
+
+
+    def test_a_seeded_checkpoint_is_reproducible(self, tmp_path, capsys):
+        """``--seed`` seeds the whole stack ``build_stack`` builds, the
+        manager's per-query seed RNG included (its state is part of
+        every snapshot): two runs write the same snapshot bytes."""
+        snapshots = []
+        for run in ("a", "b"):
+            directory = tmp_path / run
+            assert main(["checkpoint", "--dir", str(directory),
+                         "--query", "QY", "--scale", "tiny",
+                         "--seed", "5"]) == 0
+            snapshots.append([
+                (path.name, path.read_bytes())
+                for path in sorted((directory / "snapshots").iterdir())])
+        capsys.readouterr()
+        assert snapshots[0]
+        assert snapshots[0] == snapshots[1]
 
 
 class TestObservabilityCli:

@@ -228,7 +228,7 @@ SPECS = {
     "fixed": SynopsisSpec.fixed_size(M),
     "with-replacement": SynopsisSpec.with_replacement(M),
     "bernoulli": SynopsisSpec.bernoulli(0.3),
-    "weighted": SynopsisSpec.weighted_fixed_size(M, "other.w"),
+    "weighted": SynopsisSpec.weighted_with_replacement(M, "other.w"),
     "weighted-with-replacement":
         SynopsisSpec.weighted_with_replacement(M, "fact.w"),
     "subset": SynopsisSpec.subset(0.3, "fact.w"),

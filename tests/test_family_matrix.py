@@ -39,9 +39,6 @@ SPECS_BY_FAMILY = {
         ("bernoulli", SynopsisSpec.bernoulli(0.25)),
     ],
     "weighted": [
-        ("weighted_fixed",
-         SynopsisSpec.weighted_fixed_size(
-             12, weight_column=WEIGHT_COLUMN)),
         ("weighted_replacement",
          SynopsisSpec.weighted_with_replacement(
              12, weight_column=WEIGHT_COLUMN)),
@@ -134,10 +131,7 @@ class TestFamilyWorkload:
                 assert tuple(result) in expected
             if spec.size is not None:
                 assert len(samples) <= spec.size
-            if spec.kind in ("fixed", "weighted_fixed"):
-                # w/o replacement the reservoir runs over the unit
-                # domain, so it fills to min(m, J_w) — the weighted
-                # kind may legitimately hold one result per unit
+            if spec.kind == "fixed":
                 assert len(samples) == \
                     min(spec.size, sum(expected.values()))
             assert maintainer.family == family_of_kind(spec.kind)

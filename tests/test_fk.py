@@ -99,7 +99,7 @@ class TestRuntime:
         the row stays in the heap, in no graph and holding no reference,
         so its delete leaves the reference of an accepted fact alone."""
         db = fk_db()
-        engine = opt_engine(db, spec=SynopsisSpec.weighted_fixed_size(
+        engine = opt_engine(db, spec=SynopsisSpec.weighted_with_replacement(
             5, "fact.val"))
         dim_tid = engine_insert(engine, "dim", (1, 7))
         engine_insert(engine, "other", (7, 0))

@@ -9,7 +9,7 @@ leans on.
 * the *concatenation law*: Algorithm 3 over the blocks of a run of
   insertions does not depend on how the blocks are cut into views — one
   view per block, adjacent blocks coalesced, any grouping, or the one
-  concatenated view a segment now hands over — for all six synopsis
+  concatenated view a segment now hands over — for all five synopsis
   kinds, and a view whose ``get`` is off by one block is caught;
 * the per-row path stays short: Python calls per op of one engine pass
   over a fixed QY stream, a number no box speed moves.
@@ -110,7 +110,7 @@ def test_an_unknown_alias_is_a_query_error_on_every_entry_point(engine):
 @pytest.mark.parametrize("batch", [1, 7])
 def test_k_inserts_make_k_tuple_weight_calls(engine, batch):
     maintainer = filtered_maintainer(
-        engine, SynopsisSpec.weighted_fixed_size(20, "r.x"))
+        engine, SynopsisSpec.weighted_with_replacement(20, "r.x"))
     graph = maintainer.engine.graph
     weigh, calls = graph.tuple_weight, []
 
@@ -134,7 +134,6 @@ SPECS = {
     "fixed": SynopsisSpec.fixed_size(4),
     "fixed_replacement": SynopsisSpec.with_replacement(4),
     "bernoulli": SynopsisSpec.bernoulli(0.3),
-    "weighted_fixed": SynopsisSpec.weighted_fixed_size(4),
     "weighted_replacement": SynopsisSpec.weighted_with_replacement(4),
     "subset": SynopsisSpec.subset(0.3),
 }

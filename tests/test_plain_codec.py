@@ -43,12 +43,11 @@ from repro.service import SynopsisService
 
 NAME = "q"
 SQL = "SELECT * FROM fact, dim WHERE fact.f_dim = dim.d_id"
-#: the six kinds, weighted ones on the fact's weight column
+#: the five kinds, weighted ones on the fact's weight column
 SPECS = [
     SynopsisSpec.fixed_size(6),
     SynopsisSpec.with_replacement(6),
     SynopsisSpec.bernoulli(0.5),
-    SynopsisSpec.weighted_fixed_size(6, weight_column="fact.w"),
     SynopsisSpec.weighted_with_replacement(6, weight_column="fact.w"),
     SynopsisSpec.subset(0.5, weight_column="fact.w"),
 ]

@@ -115,7 +115,8 @@ def by_table(sql, db, events):
 
 def spec_of(family, weight_column):
     return {"uniform": SynopsisSpec.fixed_size(M),
-            "weighted": SynopsisSpec.weighted_fixed_size(M, weight_column),
+            "weighted": SynopsisSpec.weighted_with_replacement(
+                M, weight_column),
             "subset": SynopsisSpec.subset(0.01, weight_column)}[family]
 
 

@@ -2,31 +2,40 @@
 exact weight-proportional targets, and the weight≡1 differential
 identity with the uniform family.
 
-The weighted families run the uniform skip machinery over the weighted
-*unit* domain, so with every tuple weighing 1 their whole trajectory —
-samples AND the RNG stream — must be bit-identical to the corresponding
-uniform kind.  With real weights, membership must track the exact
-targets: ``m * w_r / J_w`` per sampled unit for the weighted kinds, and
-``1 - (1-p) ** w_r`` inclusion for the subset family.
+The weighted and subset kinds run the uniform skip machinery over the
+weighted *unit* domain, so with every tuple weighing 1 their whole
+trajectory — samples AND the RNG stream — must be bit-identical to the
+corresponding uniform kind.  With real weights, membership must track
+the exact targets: ``m * w_r / J_w`` expected slots per result for the
+weighted kind, and ``1 - (1-p) ** w_r`` inclusion for the subset
+family.
 """
 
 import random
+import statistics
 from collections import Counter
 
 import pytest
 
 from repro import (
+    DeleteOp,
+    InsertOp,
     JoinSynopsisMaintainer,
     MaintainerConfig,
+    QueryRegistry,
     SJoinEngine,
     SymmetricJoinEngine,
     SynopsisError,
+    SynopsisManager,
     SynopsisSpec,
     SYNOPSIS_FAMILIES,
     family_of_kind,
     parse_query,
 )
 from repro.catalog.database import Database
+from repro.cli import parse_synopsis
+from repro.query.executor import JoinExecutor
+from repro.service import LocalServiceClient, SynopsisService
 from repro.query.predicates import MultiTableFilter
 from repro.query.query import JoinQuery
 
@@ -70,51 +79,6 @@ def exact_weights(engine):
     return out
 
 
-class TestWeightedFixedTargets:
-    @pytest.mark.parametrize("seed_base", [0, 10_000, 20_000])
-    def test_unit_counts_proportional_to_weight(self, seed_base):
-        m, runs = 4, 500
-        counts = Counter()
-        targets = None
-        for i in range(runs):
-            engine = make_engine(
-                SynopsisSpec.weighted_fixed_size(
-                    m, weight_column="r.c2"),
-                seed_base + i,
-            )
-            load_rows(engine)
-            if targets is None:
-                targets = exact_weights(engine)
-            counts.update(engine.raw_samples())
-        total_units = sum(targets.values())
-        stat = 0.0
-        for result, weight in targets.items():
-            expected = runs * m * weight / total_units
-            stat += (counts[result] - expected) ** 2 / expected
-        # without-replacement unit sampling is *less* variable than the
-        # multinomial this threshold assumes, so the bound is safe
-        assert stat < chi_square_threshold(len(targets) - 1)
-
-
-    def test_redraw_stops_when_every_result_is_held(self):
-        """Two results, one spanning 20 units: J_w = 20 > 2m after the
-        light one is deleted, yet only one distinct result is left to
-        hold.  The rejection loop used to spin on it forever (found by
-        the delete-run churn in ``tests/test_delete_run.py``)."""
-        purged = 0
-        for seed in range(12):
-            engine = make_engine(SynopsisSpec.weighted_fixed_size(
-                4, weight_column="r.c2"), seed=seed)
-            engine_insert(engine, "s", (0, 0))
-            engine_insert(engine, "r", (0, 0, 1))
-            engine_insert(engine, "r", (0, 1, 20))
-            purged += (0, 0) in engine.raw_samples()
-            engine_delete(engine, "r", 0)
-            assert engine.total_results() == 20
-            assert set(engine.raw_samples()) == {(1, 0)}
-        assert purged       # some seed held the light result
-
-
 class TestWeightedReplacementTargets:
     @pytest.mark.parametrize("seed_base", [0, 10_000, 20_000])
     def test_iid_weight_proportional_after_deletions(self, seed_base):
@@ -143,6 +107,76 @@ class TestWeightedReplacementTargets:
             expected = runs * m * weight / total_units
             stat += (counts[result] - expected) ** 2 / expected
         assert stat < chi_square_threshold(len(targets) - 1)
+
+
+def register_with_registry(manager, name, seed):
+    registry = QueryRegistry(manager)
+    registry.register(SQL, name, size=4, weight_column="r.c2", seed=seed)
+    return manager, registry
+
+
+def register_over_http(manager, name, seed):
+    service = SynopsisService(manager)
+    client = LocalServiceClient(service)
+    client.register_query(SQL, name, size=4, weight_column="r.c2",
+                          seed=seed)
+    return service, client.registry
+
+
+def register_from_cli_spelling(manager, name, seed):
+    manager.register(name, SQL, MaintainerConfig(
+        spec=parse_synopsis("weighted-replacement:4@r.c2"), seed=seed))
+    return manager, QueryRegistry(manager)
+
+
+class TestWeightedRegistrationLaw:
+    """Every way a weight column reaches a registration — the SQL
+    registry, ``POST /query``, the CLI's synopsis spelling — maintains
+    ``m`` i.i.d. weight-proportional draws, and they stay so after the
+    deletes refill purged slots: each result is held ``m * w / J_w``
+    times per run, and the Hansen–Hurwitz COUNT is unbiased."""
+
+    RUNS = 500
+
+    @pytest.mark.parametrize("register", [
+        register_with_registry, register_over_http,
+        register_from_cli_spelling,
+    ], ids=["registry", "http", "cli"])
+    def test_weight_proportional_after_deletes(self, register):
+        counts = Counter()
+        estimates = []
+        for seed in range(self.RUNS):
+            db = Database()
+            make_tables(db, [("r", 3), ("s", 2)])
+            target, registry = register(SynopsisManager(db), "q", seed)
+            try:
+                target.apply_batch(
+                    [InsertOp("r", row) for row in R_ROWS]
+                    + [InsertOp("s", row) for row in S_ROWS])
+                target.apply_batch(
+                    [DeleteOp("r", tid) for tid in (0, 2, 5)])
+                snapshot = registry.snapshot_of("q")
+                assert snapshot.family == "weighted"
+                assert len(snapshot.results) == 4
+                counts.update(snapshot.results)
+                estimates.append(
+                    registry.get("q").estimate("count")["value"])
+            finally:
+                if isinstance(target, SynopsisService):
+                    target.close()
+        truth = {tuple(result): db.table("r").peek(result[0])[2]
+                 for result in JoinExecutor(
+                     db, parse_query(SQL, db)).results()}
+        total_weight = sum(truth.values())
+        stat = 0.0
+        for result, weight in truth.items():
+            expected = self.RUNS * 4 * weight / total_weight
+            stat += (counts[result] - expected) ** 2 / expected
+        assert set(counts) <= set(truth)
+        assert stat < chi_square_threshold(len(truth) - 1)
+        mean = statistics.fmean(estimates)
+        stderr = statistics.stdev(estimates) / self.RUNS ** 0.5
+        assert abs(mean - len(truth)) < 3 * stderr
 
 
 class TestSubsetTargets:
@@ -186,7 +220,6 @@ class TestSubsetTargets:
 
 
 WEIGHT1_PAIRS = [
-    (SynopsisSpec.weighted_fixed_size(5), SynopsisSpec.fixed_size(5)),
     (SynopsisSpec.weighted_with_replacement(5),
      SynopsisSpec.with_replacement(5)),
     (SynopsisSpec.subset(0.3), SynopsisSpec.bernoulli(0.3)),
@@ -221,7 +254,7 @@ class TestWeightOneIdentity:
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 7, 40])
     @pytest.mark.parametrize(
         "weighted_spec,uniform_spec", WEIGHT1_PAIRS,
-        ids=["fixed", "replacement", "subset"])
+        ids=["replacement", "subset"])
     def test_bit_identical_to_uniform(self, weighted_spec, uniform_spec,
                                       batch_size):
         """No weight column: every tuple weighs 1, and the weighted
@@ -241,9 +274,10 @@ class TestWeightOneIdentity:
     def test_all_ones_weight_column_identical(self, batch_size):
         """An explicit weight column whose values are all 1 must be
         indistinguishable from no weight column at all."""
-        spec = SynopsisSpec.weighted_fixed_size(5, weight_column="r.c2")
+        spec = SynopsisSpec.weighted_with_replacement(
+            5, weight_column="r.c2")
         weighted = make_engine(spec, seed=7)
-        uniform = make_engine(SynopsisSpec.fixed_size(5), seed=7)
+        uniform = make_engine(SynopsisSpec.with_replacement(5), seed=7)
         drive(weighted, batch_size)  # every r.c2 in the script is 1
         drive(uniform, batch_size)
         assert weighted.raw_samples() == uniform.raw_samples()
@@ -253,7 +287,8 @@ class TestWeightOneIdentity:
 class TestEngineMetadata:
     def test_entries_carry_exact_weights(self):
         engine = make_engine(
-            SynopsisSpec.weighted_fixed_size(6, weight_column="r.c2"),
+            SynopsisSpec.weighted_with_replacement(
+                6, weight_column="r.c2"),
             seed=2)
         load_rows(engine)
         entries = engine.synopsis_entries()
@@ -284,19 +319,21 @@ class TestEngineMetadata:
         assert make_engine(
             SynopsisSpec.fixed_size(3), 0).family == "uniform"
         assert make_engine(
-            SynopsisSpec.weighted_fixed_size(3), 0).family == "weighted"
+            SynopsisSpec.weighted_with_replacement(3), 0).family \
+            == "weighted"
         assert make_engine(
             SynopsisSpec.subset(0.5), 0).family == "subset"
 
 
 class TestSpecValidation:
     def test_registry_contents(self):
-        assert SYNOPSIS_FAMILIES["fixed"] == "uniform"
-        assert SYNOPSIS_FAMILIES["fixed_replacement"] == "uniform"
-        assert SYNOPSIS_FAMILIES["bernoulli"] == "uniform"
-        assert SYNOPSIS_FAMILIES["weighted_fixed"] == "weighted"
-        assert SYNOPSIS_FAMILIES["weighted_replacement"] == "weighted"
-        assert SYNOPSIS_FAMILIES["subset"] == "subset"
+        assert dict(SYNOPSIS_FAMILIES) == {
+            "fixed": "uniform",
+            "fixed_replacement": "uniform",
+            "bernoulli": "uniform",
+            "weighted_replacement": "weighted",
+            "subset": "subset",
+        }
 
     def test_unknown_kind_has_no_family(self):
         with pytest.raises(SynopsisError):
@@ -308,17 +345,20 @@ class TestSpecValidation:
 
     def test_malformed_weight_column_rejected(self):
         with pytest.raises(SynopsisError):
-            SynopsisSpec.weighted_fixed_size(5, weight_column="noalias")
+            SynopsisSpec.weighted_with_replacement(
+                5, weight_column="noalias")
 
     def test_unknown_weight_alias_rejected_at_engine(self):
         with pytest.raises(SynopsisError):
             make_engine(
-                SynopsisSpec.weighted_fixed_size(5, weight_column="z.c0"),
+                SynopsisSpec.weighted_with_replacement(
+                    5, weight_column="z.c0"),
                 seed=0)
 
     def test_nonpositive_weight_value_rejected(self):
         engine = make_engine(
-            SynopsisSpec.weighted_fixed_size(5, weight_column="r.c2"),
+            SynopsisSpec.weighted_with_replacement(
+                5, weight_column="r.c2"),
             seed=0)
         with pytest.raises(SynopsisError):
             engine_insert(engine, "r", (0, 0, 0))
@@ -329,7 +369,7 @@ class TestSpecValidation:
         db = Database()
         make_tables(db, [("r", 3), ("s", 2)])
         query = parse_query(SQL, db)
-        for spec in (SynopsisSpec.weighted_fixed_size(5),
+        for spec in (SynopsisSpec.weighted_with_replacement(5),
                      SynopsisSpec.subset(0.5)):
             with pytest.raises(SynopsisError):
                 SymmetricJoinEngine(db, query, spec, seed=0)
@@ -351,13 +391,13 @@ class TestEffectiveSpec:
         m = JoinSynopsisMaintainer(
             db, query,
             MaintainerConfig(
-                spec=SynopsisSpec.weighted_fixed_size(
+                spec=SynopsisSpec.weighted_with_replacement(
                     10, weight_column="r.c2"),
                 seed=0,
             ),
         )
         assert m.engine.spec.size == 40
-        assert m.engine.spec.kind == "weighted_fixed"
+        assert m.engine.spec.kind == "weighted_replacement"
         assert m.engine.spec.weight_column == "r.c2"
         assert m.family == "weighted"
 

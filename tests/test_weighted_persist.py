@@ -7,32 +7,39 @@ before the family seam belong to format version 1 and are refused.
 """
 
 import random
+import re
 
 import pytest
 
 from repro import Database, JoinSynopsisMaintainer, MaintainerConfig, \
     SynopsisSpec
-from repro.errors import PersistError
+from repro.errors import PersistError, ReplicationError
 from repro.persist import (
     PersistentManager,
+    SnapshotStore,
     capture_database,
     capture_maintainer,
     restore_database,
     restore_maintainer,
 )
+from repro.persist import runtime as persist_runtime
 from repro.persist.state import spec_from_dict, spec_to_dict
 from repro.persist.wal import dump_plain, load_plain
+from repro.replicate import FollowerService, WalShipper
+from repro.replicate import follower as replicate_follower
 
 from conftest import QUERY, make_tables, single_query
 
 SQL = "SELECT * FROM r, s WHERE r.c0 = s.c0"
 
 SPECS = [
-    SynopsisSpec.weighted_fixed_size(8, weight_column="r.c2"),
     SynopsisSpec.weighted_with_replacement(8, weight_column="r.c2"),
     SynopsisSpec.subset(0.3, weight_column="r.c2"),
 ]
-IDS = ["weighted_fixed", "weighted_replacement", "subset"]
+IDS = ["weighted_replacement", "subset"]
+#: kinds no durable state of this release may name: the weighted
+#: without-replacement kind 19.x maintained, and one no release had
+UNKNOWN_KINDS = ["weighted_fixed", "reservoir_v9"]
 
 
 def make_db():
@@ -133,7 +140,7 @@ class TestWalRecovery:
         recovered = PersistentManager.recover(str(tmp_path))
         assert recovered.replayed_ops == 0
         spec = recovered.maintainer(QUERY).engine.spec
-        assert spec.kind == "weighted_fixed"
+        assert spec.kind == "weighted_replacement"
         assert spec.weight_column == "r.c2"
         recovered.close()
 
@@ -155,3 +162,68 @@ class TestLegacyStateDecoding:
         with pytest.raises(PersistError, match="version 1"):
             restore_maintainer(
                 restore_database(capture_database(db)), state)
+
+
+def refusal(kind, where=""):
+    """The format gate's message for a spec naming ``kind``."""
+    return (re.escape(where) + r".*names synopsis kind "
+            + re.escape(repr(kind)) + r"; this release maintains only "
+            r"fixed, fixed_replacement, bernoulli, weighted_replacement, "
+            r"subset")
+
+
+def checkpointed_with_kind(directory, kind):
+    """A state directory whose snapshot registers ``q`` with ``kind``,
+    as a release that maintained it would have written it."""
+    pm, _ = build_durable(SPECS[0], 5, str(directory))
+    drive(pm, random.Random(6), 40)
+    pm.checkpoint()
+    pm.close()
+    store = SnapshotStore(str(directory / "snapshots"))
+    payload, header = store.load_latest()
+    maintainer = payload["manager"]["queries"][0]["maintainer"]
+    for field in ("requested_spec", "effective_spec", "synopsis"):
+        maintainer[field]["kind"] = kind
+    store.write(payload, wal_lsn=header["wal_lsn"])
+
+
+def nothing_is_decoded(*args, **kwargs):
+    raise AssertionError("the state was decoded past the format gate")
+
+
+class TestUnknownKindIsRefused:
+    """Durable state naming a kind this release does not maintain fails
+    typed at the format gate — ``PersistError`` on recovery,
+    ``ReplicationError`` on a follower — never as a ``SynopsisError``
+    from deep inside a restore or as a silently skipped registration."""
+
+    @pytest.mark.parametrize("kind", UNKNOWN_KINDS)
+    def test_in_a_snapshot(self, tmp_path, monkeypatch, kind):
+        checkpointed_with_kind(tmp_path, kind)
+        monkeypatch.setattr(persist_runtime, "restore_database",
+                            nothing_is_decoded)
+        with pytest.raises(PersistError, match=refusal(
+                kind, "(query 'q', requested_spec)")):
+            PersistentManager.recover(str(tmp_path))
+
+    @pytest.mark.parametrize("kind", UNKNOWN_KINDS)
+    def test_in_a_wal_register_record(self, tmp_path, kind):
+        pm, _ = build_durable(SPECS[0], 5, str(tmp_path))
+        drive(pm, random.Random(6), 20)
+        pm.wal.append(("register", "old", SQL, {
+            "kind": kind, "size": 8, "rate": None,
+            "weight_column": "r.c2"}, "sjoin-opt", 3))
+        pm.abandon()
+        with pytest.raises(PersistError, match=refusal(kind)):
+            PersistentManager.recover(str(tmp_path))
+
+    @pytest.mark.parametrize("kind", UNKNOWN_KINDS)
+    def test_in_a_shipped_snapshot(self, tmp_path, monkeypatch, kind):
+        checkpointed_with_kind(tmp_path / "leader", kind)
+        WalShipper(str(tmp_path / "leader"),
+                   str(tmp_path / "ship")).ship_once()
+        monkeypatch.setattr(replicate_follower, "restore_database",
+                            nothing_is_decoded)
+        with pytest.raises(ReplicationError, match=refusal(
+                kind, "(query 'q', requested_spec)")):
+            FollowerService(str(tmp_path / "ship"))
