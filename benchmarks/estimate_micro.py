@@ -5,8 +5,9 @@
 Four stages of ``RegisteredQuery.estimate("count", where=...)``, each
 the median of ``--calls`` timed calls after ``--warmup`` untimed ones:
 
-* ``mask`` — ``_mask(rows, terms)``, the per-sample hit list;
-* ``count`` — the COUNT branch of ``_aggregate`` over that mask;
+* ``select`` — the ``where`` terms run over the sample, each keeping
+  the samples that satisfy it (the selection);
+* ``count`` — the COUNT branch of ``_aggregate`` over that selection;
 * ``audit`` — ``AccuracyAuditor.observe`` of the unscored answer, its
   ring already full (the steady state of a filtered-estimate loop);
 * ``rest`` — the whole call less those three: the view fetch, the
@@ -38,8 +39,8 @@ from repro import (  # noqa: E402
     SynopsisService,
     SynopsisSpec,
 )
-from repro.aqp import AccuracyAuditor  # noqa: E402
-from repro.aqp.estimation import _aggregate, _mask, compile_where  # noqa: E402
+from repro.aqp.audit import CAPACITY, AccuracyAuditor  # noqa: E402
+from repro.aqp.estimation import _aggregate, compile_where  # noqa: E402
 
 SIZES = (200, 500, 2000)
 
@@ -56,6 +57,14 @@ def median_us(fn, calls: int, warmup: int) -> float:
     return statistics.median(samples) / 1e3
 
 
+def select(rows, terms) -> list:
+    """The samples of ``rows`` that every term keeps (a uniform
+    synopsis: a kept sample is its heap rows)."""
+    for keep, t_idx, c_idx, value in terms:
+        rows = keep[False](rows, t_idx, c_idx, value)
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=101)
@@ -64,7 +73,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stream = materialise(BY_NAME["qy_churn"], args.seed)
     name, where = stream.spec.query, list(stream.spec.where)
-    print(f"{'m':>5} {'J':>8} {'hits':>5} {'mask':>7} {'count':>7} "
+    print(f"{'m':>5} {'J':>8} {'hits':>5} {'select':>7} {'count':>7} "
           f"{'audit':>7} {'rest':>7} {'total':>7}")
     for size in SIZES:
         manager = SynopsisManager(stream.fresh_db(), MaintainerConfig())
@@ -78,25 +87,25 @@ def main(argv=None) -> int:
             snapshot = registry.snapshot_of(name)
             rows, total = snapshot.rows, snapshot.total
             terms = compile_where(query.query, manager.db, where)
-            mask = _mask(rows, terms)
+            kept = select(rows, terms)
             payload = query.estimate("count", where=where)
             auditor = AccuracyAuditor()
-            for _ in range(auditor.config.capacity):
+            for _ in range(CAPACITY):
                 auditor.observe(name, payload, latency_ns=0)
             gc.collect()
             stages = {
-                "mask": lambda: _mask(rows, terms),
+                "select": lambda: select(rows, terms),
                 "count": lambda: _aggregate(
-                    snapshot.family, total, "count", mask, None, None),
+                    snapshot.family, total, len(rows), "count", kept),
                 "audit": lambda: auditor.observe(name, payload,
                                                  latency_ns=0),
                 "total": lambda: query.estimate("count", where=where),
             }
             us = {stage: median_us(fn, args.calls, args.warmup)
                   for stage, fn in stages.items()}
-        rest = us["total"] - us["mask"] - us["count"] - us["audit"]
-        print(f"{len(rows):>5} {total:>8} {sum(mask) / len(rows):>5.2f} "
-              f"{us['mask']:>7.1f} {us['count']:>7.1f} {us['audit']:>7.1f} "
+        rest = us["total"] - us["select"] - us["count"] - us["audit"]
+        print(f"{len(rows):>5} {total:>8} {len(kept) / len(rows):>5.2f} "
+              f"{us['select']:>7.1f} {us['count']:>7.1f} {us['audit']:>7.1f} "
               f"{rest:>7.1f} {us['total']:>7.1f}")
     return 0
 

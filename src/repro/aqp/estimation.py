@@ -20,15 +20,25 @@ entered the synopsis (:mod:`repro.core.entries`; TIDs are never reused
 and row payloads are immutable, so a possibly-stale view still answers
 from the rows it was published with, even if they were deleted since).
 The request is checked against the schemas and compiled once into
-``(evaluate, table index, column index, value)`` terms, then evaluated
-a column at a time: one mask, one value column and one key column per
-request.  Each term is one list comprehension that indexes a sample's
-row and compares it in the same pass, picked by comparison from a
-fixed table (a NULL-able column adds the SQL ``is not None`` test), and
-a hit count is one builtin — no Python call runs per sample.
+``(select, table index, column index, value)`` terms.  The terms then
+*select* samples: each is one list comprehension over what the terms
+before it kept, indexing a sample's row, comparing it and keeping the
+sample in the same pass.  A kept sample is its heap rows on a uniform
+synopsis and ``(heap rows, scale)`` on the others, the scale being its
+weight or inclusion probability.  The comprehensions are generated from
+one template over comparison × NULL-able column (which adds the SQL
+``is not None`` test) × that shape, so no Python call runs per sample.
 
-The survey estimators at the bottom of the module take those
-precomputed lists.  Each returns an :class:`Estimate` with a
+Every aggregate reads that one selection of ``k`` out of the ``n``
+samples: a uniform ``COUNT`` is ``k / n``; ``SUM`` and ``AVG`` read
+their column off the kept samples only, dropping NULLs in the same
+comprehension.  ``GROUP BY`` buckets the selection once and answers
+each group from its own members; the samples outside a group enter its
+variance in closed form (as the ``n - k`` zeros of a padded mean), so
+a grouped answer costs O(n + groups), not a pass per group.
+
+The survey estimators at the bottom of the module take the kept values
+and ``n``.  Each returns an :class:`Estimate` with a
 normal-approximation standard error, and degenerate inputs are defined
 rather than exceptional: an exactly-empty population (``total == 0``)
 is ``Estimate(0.0, 0.0)``, an empty sample of a non-empty one has an
@@ -39,45 +49,71 @@ no finite interval exists.
 from __future__ import annotations
 
 import math
-import operator
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
 from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.schema import Column, DataType
-from repro.core.entries import HeapRows, Snapshot
+from repro.core.entries import Snapshot
 from repro.errors import InvalidArgumentError
 from repro.query.query import JoinQuery
 
 AGGREGATES = ("count", "sum", "avg")
 
-_OPS: Dict[str, Callable[[object, object], bool]] = {
-    "=": operator.eq,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
+#: each SQL spelling of a comparison, as the Python operator it runs
+_OPS: Dict[str, str] = {
+    "=": "==",
+    "==": "==",
+    "!=": "!=",
+    "<>": "!=",
+    "<": "<",
+    "<=": "<=",
+    ">": ">",
+    ">=": ">=",
 }
 
-#: one pass per comparison over a NOT NULL column: index each sample's
-#: row and compare it in one comprehension, with no call per sample
-_FUSED: Dict[Callable[[object, object], bool], Callable] = {
-    operator.eq: lambda rows, t, c, v: [s[t][c] == v for s in rows],
-    operator.ne: lambda rows, t, c, v: [s[t][c] != v for s in rows],
-    operator.lt: lambda rows, t, c, v: [s[t][c] < v for s in rows],
-    operator.le: lambda rows, t, c, v: [s[t][c] <= v for s in rows],
-    operator.gt: lambda rows, t, c, v: [s[t][c] > v for s in rows],
-    operator.ge: lambda rows, t, c, v: [s[t][c] >= v for s in rows],
+
+def _template(keep: str, test: Optional[str],
+              paired_keep: Optional[str] = None) -> Tuple[Callable, Callable]:
+    """The one template, ``[keep for x in selection if test]`` as a
+    function of ``(selection, t, c, v)``, for both shapes of a kept
+    sample ``x``, indexed by whether it is paired with a scale
+    (``paired_keep``: what a paired sample keeps, when not ``keep``).
+    ``held`` stands for ``x``'s value at (table ``t``, column ``c``):
+    ``x[t][c]``, or ``x[0][t][c]`` in a ``(heap rows, scale)`` pair."""
+    condition = f" if {test}" if test else ""
+    shapes = []
+    for kept, held in ((keep, "x[t][c]"), (paired_keep or keep,
+                                            "x[0][t][c]")):
+        source = f"[{kept} for x in selection{condition}]"
+        shapes.append(eval("lambda selection, t, c, v: "
+                           + source.replace("held", held)))
+    return shapes[0], shapes[1]
+
+
+#: (Python operator, NULL-able) -> the term that keeps the samples
+#: satisfying ``held <op> v``; a NULL satisfies no comparison
+_SELECT: Dict[Tuple[str, bool], Tuple[Callable, Callable]] = {
+    (op, nullable): _template("x", (f"(h := held) is not None and h {op} v"
+                                    if nullable else f"held {op} v"))
+    for op in set(_OPS.values()) for nullable in (False, True)
 }
 
-#: a compiled ``where`` condition: its evaluator (rows, table index,
-#: column index, literal -> one bool per sample), then those three
-Term = Tuple[Callable[[Sequence[HeapRows], int, int, object], List[bool]],
-             int, int, object]
+#: the column at (t, c) of each kept sample, NULLs included (group keys)
+_COLUMN = _template("held", None)
+
+#: NULL-able -> the aggregated column off the kept samples, NULLs
+#: dropped in the same pass; a paired sample gives ``(value, scale)``
+_VALUES: Dict[bool, Tuple[Callable, Callable]] = {
+    False: _template("held", None, "(held, x[1])"),
+    True: _template("h", "(h := held) is not None", "(h, x[1])"),
+}
+
+#: a compiled ``where`` condition: its selecting comprehension for each
+#: shape (selection, table index, column index, literal -> the kept
+#: samples), then those three
+Term = Tuple[Tuple[Callable, Callable], int, int, object]
 
 
 def _zscore(confidence: float) -> float:
@@ -129,7 +165,7 @@ def locate_column(query: JoinQuery, db, ref) -> Tuple[int, int, Column]:
 
 
 def compile_where(query: JoinQuery, db, where) -> List[Term]:
-    """Compile a conjunctive ``where`` list into comparison terms.
+    """Compile a conjunctive ``where`` list into selecting terms.
 
     ``where`` is a JSON-shaped list of ``{"column": "alias.attr",
     "op": "<=", "value": 42}`` conditions; ``None``/empty accepts
@@ -169,79 +205,47 @@ def compile_where(query: JoinQuery, db, where) -> List[Term]:
             # answer would be 0 or J with a zero-width interval
             raise InvalidArgumentError(
                 f"cannot compare {ref} with NaN")
-        compare = _OPS[op]
-        evaluate = (_nullable(compare) if column.nullable
-                    else _FUSED[compare])
-        terms.append((evaluate, t_idx, c_idx, value))
+        terms.append((_SELECT[_OPS[op], column.nullable], t_idx, c_idx,
+                      value))
     return terms
 
 
 # ----------------------------------------------------------------------
-# evaluating it, a column at a time
+# answering it from one selection
 # ----------------------------------------------------------------------
-def _column(rows: Sequence[HeapRows], t_idx: int, c_idx: int) -> list:
-    return [sample[t_idx][c_idx] for sample in rows]
-
-
-def _nullable(compare: Callable[[object, object], bool]) -> Callable:
-    """The evaluator of ``compare`` over a NULL-able column (SQL: a NULL
-    satisfies no condition)."""
-    def evaluate(rows, t_idx, c_idx, value):
-        return [held is not None and compare(held, value)
-                for held in _column(rows, t_idx, c_idx)]
-    return evaluate
-
-
-def _mask(rows: Sequence[HeapRows], terms: Sequence[Term]) -> List[bool]:
-    """Per sample, whether it satisfies every term."""
-    if not terms:
-        return [True] * len(rows)
-    (evaluate, t_idx, c_idx, value), *rest = terms
-    mask = evaluate(rows, t_idx, c_idx, value)
-    for evaluate, t_idx, c_idx, value in rest:
-        mask = list(map(operator.and_, mask,
-                        evaluate(rows, t_idx, c_idx, value)))
-    return mask
-
-
-def _family_sum(family: str, total: int, values: list,
-                scale: Optional[List[float]]) -> Estimate:
-    """Family-dispatched estimator of the join-wide SUM of per-sample
-    ``values`` (``scale``: the weights / inclusion probabilities)."""
+def _family_sum(family: str, total: int, draws: list, n: int) -> Estimate:
+    """Hansen-Hurwitz (weighted) or Horvitz-Thompson (subset) ``SUM``
+    over the kept ``(value, scale)`` draws of ``n``."""
     if family == "weighted":
-        return _hansen_hurwitz(values, scale, total)
-    if family == "subset":
-        if total == 0:
-            # the graph maintains the exact total: an empty join is an
-            # exact zero, not an uninformative empty Poisson sample
-            return Estimate(0.0, 0.0)
-        return _horvitz_thompson(values, scale)
-    return _sum(values, total)
+        return _hansen_hurwitz(draws, total, n)
+    if total == 0:
+        # the graph maintains the exact total: an empty join is an
+        # exact zero, not an uninformative empty Poisson sample
+        return Estimate(0.0, 0.0)
+    return _horvitz_thompson(draws, n)
 
 
-def _aggregate(family: str, total: int, agg: str, hits: List[bool],
-               values: Optional[list],
-               scale: Optional[List[float]]) -> Estimate:
-    """``agg`` over the samples ``hits`` selects; ``values`` holds the
-    aggregated column where it does and 0.0 elsewhere."""
+def _aggregate(family: str, total: int, n: int, agg: str,
+               kept: list) -> Estimate:
+    """``agg`` over ``kept`` out of ``n`` samples: for ``COUNT`` the
+    selected samples, for ``SUM``/``AVG`` the values read off them
+    (``(value, scale)`` pairs outside the uniform family)."""
+    if family == "uniform":
+        if agg == "count":
+            return _count(len(kept), n, total)
+        if agg == "avg":
+            return _mean(kept)
+        return _sum(kept, total, n)
     if agg == "count":
-        if family == "uniform":
-            return _count(hits, total)
-        return _family_sum(family, total, hits, scale)
-    if agg == "avg" and family == "uniform":
-        return _mean(list(compress(values, hits)))
-    total_est = _family_sum(family, total, values, scale)
+        return _family_sum(family, total, [(1.0, x[1]) for x in kept], n)
+    total_est = _family_sum(family, total, kept, n)
     if agg == "sum":
         return total_est
-    return _ratio(total_est, _family_sum(family, total, hits, scale))
-
-
-def _scatter(blank: list, positions: Sequence[int], source: list) -> list:
-    """``blank`` with ``source``'s entries copied in at ``positions``."""
-    out = blank.copy()
-    for position in positions:
-        out[position] = source[position]
-    return out
+    return _ratio(
+        total_est,
+        _family_sum(family, total, [(1.0, scale) for _, scale in kept], n),
+        lambda r: _family_sum(family, total,
+                              [(v - r, scale) for v, scale in kept], n))
 
 
 def _estimate_fields(est: Estimate, confidence: float) -> dict:
@@ -278,6 +282,7 @@ def estimate_from_snapshot(
     column, a ``where`` value of the wrong type for its column, a
     ``confidence`` that is not a number in (0, 1).  NULLs follow SQL: a
     NULL satisfies no condition and is left out of ``SUM``/``AVG``.
+    Under ``group_by`` NULL is one group, and so is NaN.
     """
     agg = str(agg).lower()
     if agg not in AGGREGATES:
@@ -301,19 +306,24 @@ def estimate_from_snapshot(
         key_at = locate_column(query, db, group_by)
 
     family, total, rows = snapshot.family, snapshot.total, snapshot.rows
-    mask = _mask(rows, terms)
-    values = None
-    if agg != "count":
-        values = _column(rows, value_at[0], value_at[1])
-        if value_at[2].nullable:
-            mask = [hit and value is not None
-                    for hit, value in zip(mask, values)]
-    scale = None
-    if family == "weighted":
-        scale = [float(m.get("weight", 1)) for m in snapshot.meta]
-    elif family == "subset":
-        scale = [float(m.get("inclusion_probability", 1.0))
-                 for m in snapshot.meta]
+    paired = family != "uniform"
+    selection = rows
+    if paired:
+        # each sample carries its scale: weight or inclusion probability
+        field, default = (("weight", 1) if family == "weighted"
+                          else ("inclusion_probability", 1.0))
+        selection = list(zip(rows, [float(m.get(field, default))
+                                    for m in snapshot.meta]))
+    for select, t_idx, c_idx, value in terms:
+        selection = select[paired](selection, t_idx, c_idx, value)
+
+    def read(kept: list) -> list:
+        """What ``agg`` reads off ``kept``: the samples, or the values."""
+        if agg == "count":
+            return kept
+        return _VALUES[value_at[2].nullable][paired](
+            kept, value_at[0], value_at[1], None)
+
     payload: dict = {
         "agg": agg,
         "family": family,
@@ -326,28 +336,28 @@ def estimate_from_snapshot(
     if column is not None:
         payload["column"] = column
     if key_at is None:
-        if values is not None:
-            values = [value if hit else 0.0
-                      for value, hit in zip(values, mask)]
-        est = _aggregate(family, total, agg, mask, values, scale)
+        est = _aggregate(family, total, len(rows), agg, read(selection))
         payload.update(_estimate_fields(est, confidence))
         return payload
-    # GROUP BY: one family-dispatched estimate per observed key, each
-    # over the whole sample with that group's members switched on (for
-    # uniform synopses this reduces to binomial per-group math)
-    keys = _column(rows, key_at[0], key_at[1])
-    members: Dict[object, List[int]] = {}
-    for position in compress(range(len(rows)), mask):
-        members.setdefault(keys[position], []).append(position)
-    nobody, zeros = [False] * len(rows), [0.0] * len(rows)
+    # GROUP BY: the selection bucketed once, in first-seen order; each
+    # group's estimate reads its own members (for uniform synopses this
+    # is binomial per-group math)
+    keys = _COLUMN[paired](selection, key_at[0], key_at[1], None)
+    if key_at[2].dtype is DataType.FLOAT:
+        # NaN != NaN: without this each NaN object would be a group
+        keys = [math.nan if key != key else key for key in keys]
+    members: Dict[object, list] = defaultdict(list)
+    for key, sample in zip(keys, selection):
+        members[key].append(sample)
     groups = []
-    for key, positions in members.items():
-        est = _aggregate(
-            family, total, agg, _scatter(nobody, positions, mask),
-            None if values is None
-            else _scatter(zeros, positions, values), scale)
+    for key, in_group in members.items():
+        kept = read(in_group)
+        if not kept:
+            # every member's value is NULL: the group is filtered out
+            continue
         entry = {"key": key}
-        entry.update(_estimate_fields(est, confidence))
+        entry.update(_estimate_fields(
+            _aggregate(family, total, len(rows), agg, kept), confidence))
         groups.append(entry)
     groups.sort(key=lambda g: (-(g["value"] if g["value"] is not None
                                  else float("-inf")), repr(g["key"])))
@@ -357,85 +367,103 @@ def estimate_from_snapshot(
 
 
 # ----------------------------------------------------------------------
-# the survey estimators, over per-sample value lists.  Uniform: COUNT ~
-# J * (hit fraction), SUM ~ J * mean, AVG ~ mean.  Weighted: each draw
-# picked result i with probability w_i / W, so Hansen-Hurwitz averages
-# W * v_i / w_i.  Subset: each result is in independently with a known
-# probability pi_i = 1 - (1-p)^w, so Horvitz-Thompson sums v_i / pi_i.
+# the survey estimators, over the kept values of n samples (the other
+# n - k count as zeros).  Uniform: COUNT ~ J * k / n, SUM ~ J * mean,
+# AVG ~ mean.  Weighted: each draw picked result i with probability
+# w_i / W, so Hansen-Hurwitz averages W * v_i / w_i.  Subset: each
+# result is in independently with a known probability
+# pi_i = 1 - (1-p)^w, so Horvitz-Thompson sums v_i / pi_i.
 # ----------------------------------------------------------------------
-def _count(hits: Sequence[bool], total: int) -> Estimate:
-    """``COUNT`` over ``total`` join results from a per-sample hit
-    mask."""
+def _count(kept: int, n: int, total: int) -> Estimate:
+    """``COUNT`` over ``total`` join results when ``kept`` of ``n``
+    samples satisfy the request."""
     if total == 0:
         return Estimate(0.0, 0.0)
-    n = len(hits)
     if n == 0:
         return Estimate(0.0, float("inf"))
-    p = len(list(filter(None, hits))) / n
+    p = kept / n
     stderr = total * math.sqrt(max(p * (1 - p), 0.0) / n)
     return Estimate(total * p, stderr)
 
 
-def _mean(values: Sequence[float]) -> Estimate:
-    """The sample mean (``AVG``; ``Estimate(nan, inf)`` over nothing,
-    which :meth:`Estimate.ci` maps to ``None``)."""
-    n = len(values)
+def _mean(values: Sequence[float], n: Optional[int] = None) -> Estimate:
+    """The mean of ``values`` padded with zeros to ``n`` (default: no
+    padding), with the sample variance ``(Σ (v - mean)² + (n - k) ·
+    mean²) / (n - 1)``; ``Estimate(nan, inf)`` over nothing, which
+    :meth:`Estimate.ci` maps to ``None``."""
+    k = len(values)
+    if n is None:
+        n = k
     if n == 0:
         return Estimate(float("nan"), float("inf"))
     mean = sum(values) / n
     if n > 1:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        var = sum((v - mean) ** 2 for v in values)
+        if n > k:
+            var += (n - k) * mean * mean
+        var /= n - 1
     else:
         var = 0.0
     return Estimate(mean, math.sqrt(var / n))
 
 
-def _sum(values: Sequence[float], total: int) -> Estimate:
-    """``SUM`` over ``total`` join results: ``total`` times the mean."""
+def _sum(values: Sequence[float], total: int,
+         n: Optional[int] = None) -> Estimate:
+    """``SUM`` over ``total`` join results: ``total`` times the mean of
+    ``values`` padded with zeros to ``n`` samples."""
     if total == 0:
         return Estimate(0.0, 0.0)
-    if not values:
+    if n is None:
+        n = len(values)
+    if n == 0:
         return Estimate(0.0, float("inf"))
-    mean = _mean([float(v) for v in values])
+    mean = _mean([float(v) for v in values], n)
     return Estimate(total * mean.value, total * mean.stderr)
 
 
-def _hansen_hurwitz(values: Sequence[float], weights: Sequence[float],
-                    total_weight: float) -> Estimate:
-    """Hansen-Hurwitz ``SUM`` for the weighted family; ``total_weight``
-    is the exact weighted-unit total ``W`` the graph reports, and
-    summing hits (``1.0`` each) estimates the result count."""
-    if len(values) != len(weights):
+def _hansen_hurwitz(draws: Sequence[Tuple[float, float]],
+                    total_weight: float,
+                    n: Optional[int] = None) -> Estimate:
+    """Hansen-Hurwitz ``SUM`` for the weighted family over the kept
+    ``(value, weight)`` draws of ``n`` (default: all of them kept);
+    ``total_weight`` is the exact weighted-unit total ``W`` the graph
+    reports, and a value of ``1.0`` per draw estimates the result
+    count."""
+    if n is None:
+        n = len(draws)
+    if len(draws) > n:
         raise InvalidArgumentError(
-            f"{len(values)} samples but {len(weights)} weights")
+            f"{len(draws)} kept draws out of {n}")
     if total_weight == 0:
         return Estimate(0.0, 0.0)
-    if not values:
+    if n == 0:
         return Estimate(0.0, float("inf"))
     contributions = []
-    for value, weight in zip(values, weights):
+    for value, weight in draws:
         if weight <= 0:
             raise InvalidArgumentError(
                 f"sample weight must be positive, got {weight!r}")
         contributions.append(total_weight * float(value) / weight)
-    return _mean(contributions)
+    return _mean(contributions, n)
 
 
-def _horvitz_thompson(values: Sequence[float],
-                      inclusion_probs: Sequence[float]) -> Estimate:
-    """Horvitz-Thompson ``SUM`` for the subset family, with the
-    Poisson-sampling variance ``sum(v_i^2 (1-pi_i)/pi_i^2)``.  An empty
-    sample is ``Estimate(0, inf)``: callers that know ``J == 0``
-    short-circuit."""
-    if len(values) != len(inclusion_probs):
+def _horvitz_thompson(draws: Sequence[Tuple[float, float]],
+                      n: Optional[int] = None) -> Estimate:
+    """Horvitz-Thompson ``SUM`` for the subset family over the kept
+    ``(value, inclusion probability)`` draws of ``n`` (default: all of
+    them kept), with the Poisson-sampling variance ``sum(v_i^2
+    (1-pi_i)/pi_i^2)``.  An empty sample is ``Estimate(0, inf)``:
+    callers that know ``J == 0`` short-circuit."""
+    if n is None:
+        n = len(draws)
+    if len(draws) > n:
         raise InvalidArgumentError(
-            f"{len(values)} samples but {len(inclusion_probs)} "
-            "inclusion probabilities")
-    if not values:
+            f"{len(draws)} kept draws out of {n}")
+    if n == 0:
         return Estimate(0.0, float("inf"))
     estimate = 0.0
     variance = 0.0
-    for value, pi in zip(values, inclusion_probs):
+    for value, pi in draws:
         if not 0.0 < pi <= 1.0:
             raise InvalidArgumentError(
                 f"inclusion probability must be in (0, 1], got {pi!r}")
@@ -445,11 +473,16 @@ def _horvitz_thompson(values: Sequence[float],
     return Estimate(estimate, math.sqrt(max(variance, 0.0)))
 
 
-def _ratio(numerator: Estimate, denominator: Estimate) -> Estimate:
-    """``numerator / denominator`` (AVG = SUM / COUNT on the weighted
-    and subset families) with a delta-method standard error that
-    ignores their covariance; a zero or undefined denominator is
-    ``Estimate(nan, inf)``."""
+def _ratio(numerator: Estimate, denominator: Estimate,
+           residual: Callable[[float], Estimate]) -> Estimate:
+    """``R = numerator / denominator`` (AVG = SUM / COUNT on the
+    weighted and subset families) with the linearised standard error
+    ``stderr(residual(R)) / |denominator|``: ``residual(R)`` is the
+    family's ``SUM`` of ``v_i - R`` over the kept draws, which carries
+    the covariance of the two totals.  For Hansen-Hurwitz that is the
+    sample variance of ``z_i - R·y_i`` over the n draws over ``n·D²``;
+    for Horvitz-Thompson ``Σ (1 - pi_i)/pi_i² · (v_i - R)² / D²``.  A
+    zero or undefined denominator is ``Estimate(nan, inf)``."""
     if (denominator.value == 0 or math.isnan(denominator.value)
             or math.isnan(numerator.value)):
         return Estimate(float("nan"), float("inf"))
@@ -457,6 +490,4 @@ def _ratio(numerator: Estimate, denominator: Estimate) -> Estimate:
     if not (math.isfinite(numerator.stderr)
             and math.isfinite(denominator.stderr)):
         return Estimate(r, float("inf"))
-    variance = ((numerator.stderr / denominator.value) ** 2
-                + (r * denominator.stderr / denominator.value) ** 2)
-    return Estimate(r, math.sqrt(variance))
+    return Estimate(r, residual(r).stderr / abs(denominator.value))

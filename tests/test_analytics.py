@@ -9,11 +9,11 @@ from repro.aqp.estimation import _count, _mean, _sum
 class TestEstimators:
     def test_count_exact_on_full_sample(self):
         samples = list(range(100))
-        est = _count([x < 25 for x in samples], 100)
+        est = _count(sum(x < 25 for x in samples), len(samples), 100)
         assert est.value == 25
 
     def test_count_empty_sample(self):
-        est = _count([], 100)
+        est = _count(0, 0, 100)
         assert est.stderr == float("inf")
 
     def test_count_confidence_interval_covers(self):
@@ -25,7 +25,8 @@ class TestEstimators:
         for t in range(trials):
             rng2 = random.Random(t)
             sample = rng2.sample(population, 400)
-            est = _count([x < 3 for x in sample], len(population))
+            est = _count(sum(x < 3 for x in sample), len(sample),
+                         len(population))
             lo, hi = est.ci(0.95)
             if lo <= truth <= hi:
                 covered += 1

@@ -2,15 +2,17 @@
 
 An estimate is answered from the heap rows a view carries — resolved
 once per entry by the engine's entry store — with the request compiled
-into column terms and evaluated a column at a time.  The reference here
-is the estimator that used to run: resolve every sampled TID through
+into terms that each select the samples the previous one kept, and
+GROUP BY bucketing that selection once.  The reference here is the
+estimator that used to run: resolve every sampled TID through
 ``Table.peek`` on every call, then evaluate one closure predicate per
-sample (and one full pass per group) into the value lists the survey
-estimators take.  After every batch of a seeded insert/delete stream
-the shipped payload must equal it with ``==`` — value, stderr, CI, the
-groups and their order, sample size, epoch — on the leader, on a
-follower tailing its WAL, on a bare manager, and across checkpoint +
-recover.
+sample (and one full pass per group) into lists of its own — the kept
+values in sample order, or their ``(value, scale)`` draws — which it
+hands to the survey estimators with the sample size.  After every
+batch of a seeded insert/delete stream the shipped payload must equal
+it with ``==`` — value, stderr, CI, the groups and their order, sample
+size, epoch — on the leader, on a follower tailing its WAL, on a bare
+manager, and across checkpoint + recover.
 
 The second half counts ``Table.peek`` calls: that an estimate makes
 none, and a publish reads each range table's heap at most once per
@@ -66,7 +68,15 @@ def every_spelling(column):
 
 
 #: {COUNT, filtered COUNT, SUM, AVG, filtered GROUP BY SUM, GROUP BY
-#: COUNT} per workload, then a filtered COUNT per comparison spelling
+#: COUNT} per workload, the selection's edge cases (a first term that
+#: keeps nothing, a first term on a NULL-able column, groups of one
+#: sample), then a filtered COUNT per comparison spelling
+NOTHING = {
+    FkWorkload: [{"column": "fact.val", "op": ">", "value": 1000},
+                 {"column": "other.z", "op": "<", "value": 50}],
+    BandWorkload: [{"column": "lane1.pos", "op": "<", "value": 0},
+                   {"column": "lane2.ts", "op": ">=", "value": 2}],
+}
 REQUESTS = {
     FkWorkload: [
         dict(agg="count"),
@@ -79,6 +89,15 @@ REQUESTS = {
         dict(agg="sum", column="fact.val", group_by="dim.band", where=[
             {"column": "other.z", "op": ">=", "value": 20}]),
         dict(agg="count", group_by="fact.f_dim", confidence=0.8),
+        dict(agg="count", where=NOTHING[FkWorkload]),
+        dict(agg="avg", column="fact.val", where=NOTHING[FkWorkload]),
+        dict(agg="count", where=[
+            {"column": "other.z", "op": "<=", "value": 60},
+            {"column": "fact.w", "op": ">", "value": 1}]),
+        dict(agg="sum", column="other.z", where=[
+            {"column": "other.z", "op": "!=", "value": 35}]),
+        dict(agg="count", group_by="fact.val"),
+        dict(agg="avg", column="other.z", group_by="fact.val"),
         *every_spelling("fact.w"),
     ],
     BandWorkload: [
@@ -91,6 +110,10 @@ REQUESTS = {
         dict(agg="sum", column="lane3.pos", group_by="lane1.ts", where=[
             {"column": "lane2.pos", "op": ">", "value": 5}]),
         dict(agg="count", group_by="lane2.w", confidence=0.8),
+        dict(agg="count", where=NOTHING[BandWorkload]),
+        dict(agg="avg", column="lane1.pos", where=NOTHING[BandWorkload]),
+        dict(agg="count", group_by="lane3.pos"),
+        dict(agg="avg", column="lane1.pos", group_by="lane2.pos"),
         *every_spelling("lane1.w"),
     ],
 }
@@ -112,34 +135,52 @@ def _accessor(query, db, ref):
     return lambda rows: rows[t_idx][c_idx]
 
 
-def _family_sum(family, values, metas, total):
+def _family_sum(family, draws, total, n):
     if family == "weighted":
-        weights = [float(m.get("weight", 1)) for m in metas]
-        return _hansen_hurwitz(values, weights, total)
+        return _hansen_hurwitz(draws, total, n)
     if family == "subset":
         if total == 0:
             return Estimate(0.0, 0.0)
-        pis = [float(m.get("inclusion_probability", 1.0)) for m in metas]
-        return _horvitz_thompson(values, pis)
-    return _sum(values, total)
+        return _horvitz_thompson(draws, n)
+    return _sum(draws, total, n)
+
+
+def _scale(family, meta):
+    if family == "weighted":
+        return float(meta.get("weight", 1))
+    return float(meta.get("inclusion_probability", 1.0))
 
 
 def _aggregate(family, samples, metas, total, agg, value_of, predicate):
+    """``agg`` from lists built here: the hits, then the values of the
+    hits (uniform) or their ``(value, scale)`` draws, in sample order,
+    out of ``n`` samples — a NULL value left out as if filtered."""
+    n = len(samples)
     hits = [predicate(rows) for rows in samples]
-    indicator = [1.0 if hit else 0.0 for hit in hits]
     if agg == "count":
         if family == "uniform":
-            return _count(hits, total)
-        return _family_sum(family, indicator, metas, total)
-    masked = [float(value_of(rows)) if hit else 0.0
+            return _count(hits.count(True), n, total)
+        return _family_sum(family, [
+            (1.0, _scale(family, meta))
+            for meta, hit in zip(metas, hits) if hit], total, n)
+    values = [value_of(rows) if hit else None
               for rows, hit in zip(samples, hits)]
-    if agg == "sum":
-        return _family_sum(family, masked, metas, total)
     if family == "uniform":
-        return _mean([value_of(rows)
-                      for rows, hit in zip(samples, hits) if hit])
-    return _ratio(_family_sum(family, masked, metas, total),
-                  _family_sum(family, indicator, metas, total))
+        kept = [value for value in values if value is not None]
+        if agg == "avg":
+            return _mean(kept)
+        return _sum(kept, total, n)
+    draws = [(value, _scale(family, meta))
+             for value, meta in zip(values, metas) if value is not None]
+    total_est = _family_sum(family, draws, total, n)
+    if agg == "sum":
+        return total_est
+    return _ratio(
+        total_est,
+        _family_sum(family, [(1.0, scale) for _, scale in draws], total, n),
+        lambda r: _family_sum(
+            family, [(value - r, scale) for value, scale in draws],
+            total, n))
 
 
 def _fields(est, confidence):
@@ -160,7 +201,9 @@ def reference_estimate(query, db, *, family, total, results, metas, epoch,
              for c in where or ()]
 
     def predicate(rows):
-        return all(cmp(get(rows), value) for get, cmp, value in conds)
+        # SQL: a NULL satisfies no condition
+        return all(get(rows) is not None and cmp(get(rows), value)
+                   for get, cmp, value in conds)
 
     tables = [db.table(rt.table_name) for rt in query.range_tables]
     samples = [tuple(table.peek(tid) for table, tid in zip(tables, result))
@@ -177,14 +220,21 @@ def reference_estimate(query, db, *, family, total, results, metas, epoch,
             family, samples, metas, total, agg, value_of, predicate),
             confidence))
         return payload
+    def group_of(rows):
+        # every NaN is one group, as NULL is
+        key = key_of(rows)
+        return math.nan if key != key else key
+
     keys = []
     for rows in samples:
-        if predicate(rows) and key_of(rows) not in keys:
-            keys.append(key_of(rows))
+        if (predicate(rows) and group_of(rows) not in keys
+                and (agg == "count" or value_of(rows) is not None)):
+            keys.append(group_of(rows))
     groups = []
     for key in keys:
         def in_group(rows, _key=key):
-            return predicate(rows) and key_of(rows) == _key
+            key = group_of(rows)
+            return predicate(rows) and (key is _key or key == _key)
 
         entry = {"key": key}
         entry.update(_fields(_aggregate(

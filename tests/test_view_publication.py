@@ -58,7 +58,8 @@ class FkWorkload:
         db.create_table(TableSchema(
             "fact", [Column("f_dim"), Column("val"), Column("w")],
             foreign_keys=(ForeignKey(("f_dim",), "dim", ("d_id",)),)))
-        db.create_table(TableSchema("other", [Column("band"), Column("z")]))
+        db.create_table(TableSchema(
+            "other", [Column("band"), Column("z", nullable=True)]))
         return db
 
     @staticmethod
@@ -71,7 +72,9 @@ class FkWorkload:
         if table == "fact":
             return (rng.randrange(6), rng.randrange(100),
                     rng.randrange(1, 4))
-        return (rng.randrange(3), rng.randrange(100))
+        band, z = rng.randrange(3), rng.randrange(100)
+        # a tenth of ``other.z`` is NULL (a non-join column)
+        return (band, None if z % 10 == 0 else z)
 
 
 class BandWorkload:
