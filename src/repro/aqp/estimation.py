@@ -19,18 +19,20 @@ snapshot carries each sample's heap rows, resolved once when the sample
 entered the synopsis (:mod:`repro.core.entries`; TIDs are never reused
 and row payloads are immutable, so a possibly-stale view still answers
 from the rows it was published with, even if they were deleted since).
-The request is checked against the schemas and compiled once into
+The snapshot's samples are the first selection: those that pass the
+query's residual filters (§5.1), out of ``n`` = its ``drawn``.  The
+request is checked against the schemas and compiled once into
 ``(select, table index, column index, value)`` terms.  The terms then
-*select* samples: each is one list comprehension over what the terms
-before it kept, indexing a sample's row, comparing it and keeping the
-sample in the same pass.  A kept sample is its heap rows on a uniform
+narrow it: each is one list comprehension over what the terms before
+it kept, indexing a sample's row, comparing it and keeping the sample
+in the same pass.  A kept sample is its heap rows on a uniform
 synopsis and ``(heap rows, scale)`` on the others, the scale being its
 weight or inclusion probability.  The comprehensions are generated from
 one template over comparison × NULL-able column (which adds the SQL
 ``is not None`` test) × that shape, so no Python call runs per sample.
 
 Every aggregate reads that one selection of ``k`` out of the ``n``
-samples: a uniform ``COUNT`` is ``k / n``; ``SUM`` and ``AVG`` read
+samples: a uniform ``COUNT`` is ``J * k / n``; ``SUM`` and ``AVG`` read
 their column off the kept samples only, dropping NULLs in the same
 comprehension.  ``GROUP BY`` buckets the selection once and answers
 each group from its own members; the samples outside a group enter its
@@ -305,7 +307,9 @@ def estimate_from_snapshot(
     if group_by is not None:
         key_at = locate_column(query, db, group_by)
 
+    # §5.1: n counts the plan-level samples, the failing ones too
     family, total, rows = snapshot.family, snapshot.total, snapshot.rows
+    n = snapshot.drawn
     paired = family != "uniform"
     selection = rows
     if paired:
@@ -328,7 +332,7 @@ def estimate_from_snapshot(
         "agg": agg,
         "family": family,
         "total_results": total,
-        "sample_size": len(rows),
+        "sample_size": n,
         "confidence": confidence,
     }
     if snapshot.epoch is not None:
@@ -336,7 +340,7 @@ def estimate_from_snapshot(
     if column is not None:
         payload["column"] = column
     if key_at is None:
-        est = _aggregate(family, total, len(rows), agg, read(selection))
+        est = _aggregate(family, total, n, agg, read(selection))
         payload.update(_estimate_fields(est, confidence))
         return payload
     # GROUP BY: the selection bucketed once, in first-seen order; each
@@ -357,7 +361,7 @@ def estimate_from_snapshot(
             continue
         entry = {"key": key}
         entry.update(_estimate_fields(
-            _aggregate(family, total, len(rows), agg, kept), confidence))
+            _aggregate(family, total, n, agg, kept), confidence))
         groups.append(entry)
     groups.sort(key=lambda g: (-(g["value"] if g["value"] is not None
                                  else float("-inf")), repr(g["key"])))

@@ -2,11 +2,16 @@
 
 A plan-level sample becomes a reader-visible *entry* by expansion to
 original-range-table TIDs and the heap rows they name (each plan node's
-heap read once, §6 members by hash lookup), the residual multi-table
-filters of §5.1 and its sampling metadata (weight, inclusion probability).
-TIDs are never reused and heap rows never change, so an entry is a pure
-function of its sample: :class:`EntryStore` computes it once, when the
-sample enters the synopsis, and forgets it when the sample leaves.  A
+heap read once, §6 members by hash lookup), its sampling metadata
+(weight, inclusion probability) and its *pass bit*: whether it satisfies
+every residual multi-table filter of §5.1.  TIDs are never reused and
+heap rows never change, so an entry is a pure function of its sample:
+:class:`EntryStore` computes it once, when the sample enters the
+synopsis, and forgets it when the sample leaves.
+
+§5.1 lives in that bit: a read shows the passing samples with
+``drawn``, the plan-level sample count, which every estimator divides
+by (a failing sample is a zero of the sample).  A
 read then costs the samples that changed since the previous read, not
 the synopsis size — the same shape as the maintenance cost the paper
 argues for — and an estimate over the entries never goes back to the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
 from typing import Callable, List, Mapping, Optional, Tuple
 
@@ -42,18 +48,22 @@ UNIT_META: Mapping[str, object] = MappingProxyType({"weight": 1})
 class SynopsisEntries(SequenceABC):
     """An immutable sequence of ``(row, meta)`` pairs held as aligned
     columns, so a view builder takes ``rows`` and ``metas`` as they
-    are.  Each ``meta`` is a read-only mapping; consecutive reads of an
-    unchanged synopsis return the same object.
+    are: the plan-level samples that pass every residual filter, in
+    slot order.  Each ``meta`` is a read-only mapping; consecutive reads
+    of an unchanged synopsis return the same object.
 
     ``resolved`` is a third aligned column: per entry, the heap row
     tuples its TIDs name — references to the rows the tables hold, not
-    copies.  It is what an estimate reads instead of the tables."""
+    copies.  It is what an estimate reads instead of the tables.
+    ``drawn`` is the plan-level sample count (``len(self)`` without a
+    residual filter): the ``n`` an estimate divides by."""
 
-    __slots__ = ("rows", "metas", "resolved")
+    __slots__ = ("rows", "metas", "resolved", "drawn")
 
     rows: Tuple[Row, ...]
     metas: Tuple[Mapping[str, object], ...]
     resolved: Tuple[HeapRows, ...]
+    drawn: int
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -61,10 +71,10 @@ class SynopsisEntries(SequenceABC):
     def __iter__(self):
         return zip(self.rows, self.metas)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int):
         if isinstance(index, slice):
-            return SynopsisEntries(self.rows[index], self.metas[index],
-                                   self.resolved[index])
+            # a prefix of the entries has no plan-level count
+            raise TypeError("slice the rows / metas / resolved columns")
         return self.rows[index], self.metas[index]
 
 
@@ -79,8 +89,8 @@ class Snapshot:
     ``inclusion_probability`` on the subset family) and ``rows`` (the
     heap row tuples those TIDs name) are aligned with it index for
     index — the three columns of the engine's
-    :class:`SynopsisEntries`, shared, not copied.  ``sql`` and
-    ``engine`` are the registration's.  ``epoch`` is the published
+    :class:`SynopsisEntries`, shared, not copied, beside its ``drawn``.
+    ``sql`` and ``engine`` are the registration's.  ``epoch`` is the published
     view's, or None when read off a bare manager.
     """
 
@@ -89,6 +99,7 @@ class Snapshot:
     results: Tuple[Row, ...]
     meta: Tuple[Mapping[str, object], ...]
     rows: Tuple[HeapRows, ...]
+    drawn: int
     sql: str
     engine: str
     epoch: Optional[int] = None
@@ -103,7 +114,8 @@ def read_query(target, name: str, epoch: Optional[int] = None) -> Snapshot:
     entries = maintainer.synopsis_entries()
     return Snapshot(maintainer.family, maintainer.total_results(),
                     entries.rows, entries.metas, entries.resolved,
-                    maintainer.sql, maintainer.algorithm, epoch)
+                    entries.drawn, maintainer.sql, maintainer.algorithm,
+                    epoch)
 
 
 class EntryStore:
@@ -126,60 +138,68 @@ class EntryStore:
             for a, attr in mflt.inputs))
             for mflt in tuple(plan.demoted) + tuple(query.multi_filters))
         self._meta_of = meta_of
-        # per slot: the expanded row, its meta and its heap rows, or
-        # None for an empty slot and for a sample a residual filter
-        # rejects
+        # per slot: the expanded row, its meta, its heap rows and its
+        # pass bit — all None for an empty slot
         self._rows: List[Optional[Row]] = []
         self._metas: List[Optional[Mapping]] = []
         self._resolved: List[Optional[HeapRows]] = []
-        self._holes = 0     # how many of them are None
-        self._entries = SynopsisEntries((), (), ())
+        self._passes: List[Optional[bool]] = []
+        self._empty = 0     # slots holding no sample
+        self._failing = 0   # samples whose pass bit is False
+        self._entries = SynopsisEntries((), (), (), 0)
 
     def entries(self, synopsis) -> SynopsisEntries:
-        """The synopsis's current entries, in ``samples()`` order."""
+        """The synopsis's current passing entries, in ``samples()``
+        order, with the plan-level sample count."""
         changed = synopsis.changed_positions()
         if changed is not None and not changed:
             return self._entries
         slots = synopsis.slots()
-        rows, metas, resolved = self._rows, self._metas, self._resolved
-        columns = (rows, metas, resolved)
+        rows, metas, resolved, passes = columns = (
+            self._rows, self._metas, self._resolved, self._passes)
         size = len(slots)
         if changed is None:
             for column in columns:
                 column.clear()
-            self._holes = 0
+            self._empty = self._failing = 0
             changed = range(size)
         else:
-            self._holes -= rows[size:].count(None)
+            self._empty -= passes[size:].count(None)
+            self._failing -= passes[size:].count(False)
             for column in columns:
                 del column[size:]
         grow = size - len(rows)
         for column in columns:
             column.extend([None] * grow)
-        self._holes += grow
+        self._empty += grow
         for pos in changed:
             if pos < size:
-                row, meta, heap_rows = self._entry(slots[pos])
-                self._holes += (row is None) - (rows[pos] is None)
-                rows[pos], metas[pos], resolved[pos] = row, meta, heap_rows
-        if self._holes:
+                row, meta, heap_rows, ok = self._entry(slots[pos])
+                was = passes[pos]
+                self._empty += (ok is None) - (was is None)
+                self._failing += (ok is False) - (was is False)
+                rows[pos], metas[pos], resolved[pos], passes[pos] = \
+                    row, meta, heap_rows, ok
+        drawn = size - self._empty
+        if drawn < size or self._failing:
             self._entries = SynopsisEntries(*[
-                tuple([value for value in column if value is not None])
-                for column in columns])
+                tuple(compress(column, passes))
+                for column in columns[:3]], drawn)
         else:
-            self._entries = SynopsisEntries(*map(tuple, columns))
+            self._entries = SynopsisEntries(
+                tuple(rows), tuple(metas), tuple(resolved), drawn)
         # only now: a failed expansion above must fail the next read too
         synopsis.changes_read()
         return self._entries
 
     def _entry(self, plan_result: Optional[PlanResult]):
         if plan_result is None:
-            return None, None, None
+            return None, None, None, None
         row, heap_rows = self._plan.resolve_result(plan_result, self._runtimes)
+        meta = (UNIT_META if self._meta_of is None
+                else self._meta_of(plan_result))
         for mflt, inputs in self._residuals:
             if not mflt.matches([heap_rows[table][column]
                                  for table, column in inputs]):
-                return None, None, None
-        meta = (UNIT_META if self._meta_of is None
-                else self._meta_of(plan_result))
-        return row, meta, heap_rows
+                return row, meta, heap_rows, False
+        return row, meta, heap_rows, True

@@ -17,8 +17,8 @@ Ties together a database, a pre-specified join query (SQL text or a
 
 Residual multi-table filters (from demoted cycle edges or user-defined
 predicates) are applied at read time; per §5.1 the maintainer over-allocates
-a fixed-size synopsis by ``1/f`` (estimated filter selectivity) so the
-filtered sample still reaches the requested size with high probability.
+a fixed-size synopsis by ``1/f`` (estimated filter selectivity) so about
+the requested size of samples passes them, and shows every one that does.
 """
 
 from __future__ import annotations
@@ -251,41 +251,34 @@ class JoinSynopsisMaintainer:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def synopsis(self, limit: Optional[int] = None
-                 ) -> List[Tuple[int, ...]]:
+    def synopsis(self) -> List[Tuple[int, ...]]:
         """The current synopsis as original-range-table TID tuples: the
         rows of :meth:`synopsis_entries`, as a fresh list."""
-        return list(self.synopsis_entries(limit).rows)
+        return list(self.synopsis_entries().rows)
 
     @property
     def family(self) -> str:
         """Synopsis family of this maintainer (uniform/weighted/subset)."""
         return self.requested_spec.family
 
-    def synopsis_entries(self, limit: Optional[int] = None
-                         ) -> SynopsisEntries:
+    def synopsis_entries(self) -> SynopsisEntries:
         """The current synopsis as ``(result, meta)`` pairs: original-
-        range-table TID tuples with residual filters applied, each with
-        its read-only sampling metadata (``weight``; plus
-        ``inclusion_probability`` on the subset family).
+        range-table TID tuples, each with its read-only sampling
+        metadata (``weight``; plus ``inclusion_probability`` on the
+        subset family).
 
-        For fixed-size synopses at most the originally requested size is
-        returned (the engine over-allocates).  The engine keeps the
-        entries per sample (:mod:`repro.core.entries`), so the call
-        costs the samples that changed since the previous one.
+        These are every plan-level sample that passes the query's
+        residual filters (§5.1), so about the requested size on an
+        over-allocated fixed-size kind; ``drawn`` counts the plan-level
+        samples.  The engine keeps the entries per sample
+        (:mod:`repro.core.entries`), so the call costs the samples that
+        changed since the previous one.
         """
-        entries = self.engine.synopsis_entries()
-        cap = limit
-        if cap is None and self.requested_spec.size is not None:
-            cap = self.requested_spec.size
-        if cap is not None and len(entries) > cap:
-            entries = entries[:cap]
-        return entries
+        return self.engine.synopsis_entries()
 
-    def synopsis_rows(self, limit: Optional[int] = None
-                      ) -> List[Tuple[tuple, ...]]:
+    def synopsis_rows(self) -> List[Tuple[tuple, ...]]:
         """Like :meth:`synopsis` but materialised as row payloads."""
-        return list(self.synopsis_entries(limit).resolved)
+        return list(self.synopsis_entries().resolved)
 
     def total_results(self) -> int:
         """Exact number of (tree-predicate) join results currently held."""

@@ -411,9 +411,8 @@ class SynopsisManager:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def synopsis(self, name: str, limit: Optional[int] = None
-                 ) -> List[Tuple[int, ...]]:
-        return self.maintainer(name).synopsis(limit)
+    def synopsis(self, name: str) -> List[Tuple[int, ...]]:
+        return self.maintainer(name).synopsis()
 
     def total_results(self, name: str) -> int:
         return self.maintainer(name).total_results()

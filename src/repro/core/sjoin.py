@@ -340,8 +340,9 @@ class SJoinEngine:
     # reads
     # ------------------------------------------------------------------
     def synopsis_entries(self) -> SynopsisEntries:
-        """Current synopsis as original-range-table TID tuples, residual
-        multi-table filters applied (§5.1), each paired with its
+        """Current synopsis as original-range-table TID tuples, the
+        samples that pass the residual multi-table filters (§5.1) out of
+        ``drawn``, each paired with its
         read-only sampling metadata: ``{"weight": int}`` plus, for the
         subset family, ``{"inclusion_probability": float}``.
 

@@ -351,8 +351,8 @@ class PersistentManager:
     # ------------------------------------------------------------------
     # reads (pass-throughs)
     # ------------------------------------------------------------------
-    def synopsis(self, name: str, limit: Optional[int] = None):
-        return self.manager.synopsis(name, limit)
+    def synopsis(self, name: str):
+        return self.manager.synopsis(name)
 
     def total_results(self, name: str) -> int:
         return self.manager.total_results(name)

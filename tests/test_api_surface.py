@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "20.1.0"
+    assert repro.__version__ == "21.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -710,8 +710,8 @@ def test_a_view_holds_one_read_record_per_query():
 
     assert Snapshot is entries.Snapshot
     assert list(inspect.signature(Snapshot).parameters) == [
-        "family", "total", "results", "meta", "rows", "sql", "engine",
-        "epoch"]
+        "family", "total", "results", "meta", "rows", "drawn", "sql",
+        "engine", "epoch"]
     assert [f.name for f in dataclasses.fields(ReadView)] == [
         "epoch", "queries", "stats", "db", "published_ns"]
     for owner in (SynopsisManager, PersistentManager, SynopsisTarget):
@@ -764,3 +764,34 @@ def test_observability_comes_from_the_one_registry():
         256, 20, 3.0)
     assert quality.CHECK_EVERY == 2048
     assert SYNC_POLICIES == ("batch", "never")
+
+
+def test_a_residual_filter_is_the_first_selection_of_every_read():
+    """21.0: §5.1 lives in the entry store's pass bit and the plan-level
+    count a read carries; the maintainer shows every passing sample,
+    so no read below the service takes a ``limit`` (the service's
+    ``?limit=`` is a slot-order prefix of a published view)."""
+    import dataclasses
+    import inspect
+
+    from repro.core.entries import SynopsisEntries
+    from repro.core.maintainer import JoinSynopsisMaintainer
+    from repro.core.manager import SynopsisManager
+    from repro.persist import PersistentManager
+    from repro.service.runtime import ReadView
+
+    def params(function):
+        return list(inspect.signature(function).parameters)
+
+    assert params(JoinSynopsisMaintainer.synopsis) == ["self"]
+    assert params(JoinSynopsisMaintainer.synopsis_entries) == ["self"]
+    assert params(JoinSynopsisMaintainer.synopsis_rows) == ["self"]
+    for owner in (SynopsisManager, PersistentManager):
+        assert params(owner.synopsis) == ["self", "name"], owner
+    assert params(ReadView.synopsis) == ["self", "name", "limit"]
+    assert [f.name for f in dataclasses.fields(SynopsisEntries)] == [
+        "rows", "metas", "resolved", "drawn"]
+    entries = SynopsisEntries(((0, 1),), ({"weight": 1},), (((), ()),), 3)
+    assert entries[0] == ((0, 1), {"weight": 1})
+    with pytest.raises(TypeError):
+        entries[:1]     # a prefix has no plan-level count

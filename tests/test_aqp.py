@@ -17,6 +17,7 @@ from repro import (
     Database,
     DataType,
     InsertOp,
+    JoinExecutor,
     MaintainerConfig,
     QueryRegistry,
     SynopsisManager,
@@ -561,7 +562,7 @@ class TestRatioCoverage:
             snapshot = Snapshot(
                 family, sum(weights) if family == "weighted" else self.N,
                 tuple((i, i) for i in picked), tuple(metas),
-                tuple(rows[i] for i in picked), SQL, "sjoin")
+                tuple(rows[i] for i in picked), len(picked), SQL, "sjoin")
             lo, hi = estimate_from_snapshot(
                 query, db, snapshot, "avg", column="s.y",
                 where=self.WHERE)["ci"]
@@ -588,6 +589,83 @@ class TestRatioCoverage:
                             for i in picked]
 
         self.coverage(population, "subset", draw)
+
+
+class TestResidualCoverage:
+    """§5.1: on a triangle whose cycle-closing edge is a residual
+    filter, every kind's 95 % CI covers the ``JoinExecutor`` truth at
+    its nominal rate, for COUNT, a filtered COUNT, SUM and AVG.  The
+    synopsis samples the tree join; an estimate reads the passing
+    samples with n = the plan-level sample count.  Dividing by the
+    passing samples instead (before 21.0) read COUNT and SUM about ×2
+    high on every kind but subset, covering them in no run."""
+
+    SQL = ("SELECT * FROM r, s, t WHERE r.a = s.a AND s.b = t.b "
+           "AND t.c <= r.x")
+    RUNS = 300
+    REQUESTS = {
+        "count": dict(agg="count"),
+        "filtered count": dict(agg="count", where=[
+            {"column": "r.x", "op": ">=", "value": 5}]),
+        "sum": dict(agg="sum", column="r.w"),
+        "avg": dict(agg="avg", column="t.c"),
+    }
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        """One database (about 1 500 tree results, 55 % passing) and
+        each request's truth."""
+        db = Database()
+        db.create_table(TableSchema(
+            "r", [Column("a"), Column("x"), Column("w")]))
+        db.create_table(TableSchema("s", [Column("a"), Column("b")]))
+        db.create_table(TableSchema("t", [Column("b"), Column("c")]))
+        rng = random.Random(1)
+        manager = SynopsisManager(db, MaintainerConfig(seed=0))
+        manager.apply_batch(
+            [InsertOp("r", (rng.randrange(3), rng.randrange(10),
+                            rng.randrange(1, 4))) for _ in range(24)]
+            + [InsertOp("s", (rng.randrange(3), rng.randrange(3)))
+               for _ in range(24)]
+            + [InsertOp("t", (rng.randrange(3), rng.randrange(10)))
+               for _ in range(24)])
+        tables = [db.table(name) for name in ("r", "s", "t")]
+        rows = [tuple(table.peek(tid) for table, tid in zip(tables, result))
+                for result in JoinExecutor(
+                    db, parse_query(self.SQL, db)).results()]
+        truth = {
+            "count": len(rows),
+            "filtered count": sum(r[1] >= 5 for r, _, _ in rows),
+            "sum": sum(r[2] for r, _, _ in rows),
+            "avg": sum(t[1] for _, _, t in rows) / len(rows),
+        }
+        return manager, truth
+
+    @pytest.mark.parametrize("spec", [
+        SynopsisSpec.fixed_size(100),
+        SynopsisSpec.with_replacement(100),
+        SynopsisSpec.bernoulli(0.1),
+        SynopsisSpec.weighted_with_replacement(100, "r.w"),
+        SynopsisSpec.subset(0.1, "r.w"),
+    ], ids=lambda spec: spec.kind)
+    def test_every_kind_covers_a_residual_query(self, loaded, spec):
+        manager, truth = loaded
+        registry = QueryRegistry(manager)
+        covered = dict.fromkeys(self.REQUESTS, 0)
+        for seed in range(self.RUNS):
+            manager.register("q", self.SQL,
+                             MaintainerConfig(spec=spec, seed=seed))
+            query = registry.get("q")
+            assert query.has_residuals
+            for label, request in self.REQUESTS.items():
+                ci = query.estimate(**request)["ci"]
+                covered[label] += ci is not None and \
+                    ci[0] <= truth[label] <= ci[1]
+            manager.unregister("q")
+        band = 3.5 * math.sqrt(0.95 * 0.05 / self.RUNS)
+        rates = {label: hits / self.RUNS for label, hits in covered.items()}
+        assert all(abs(rate - 0.95) <= band for rate in rates.values()), \
+            rates
 
 
 # ---------------------------------------------------------------------------

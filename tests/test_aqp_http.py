@@ -2,8 +2,10 @@
 
 The ISSUE's acceptance demo: ``POST /query`` with a 3-table FK-join
 query provisions a synopsis; after >= 10k streamed ops the estimates
-return COUNT and GROUP BY answers whose 95% CIs cover the brute-force
-ground truth — on the leader and on a WAL-shipped follower replica.
+return COUNT and GROUP BY answers whose 95% CIs cover the ground truth
+— counted from the schema, and checked against a brute-force
+enumeration at a small size — on the leader and on a WAL-shipped
+follower replica.
 Also pins the HTTP error mapping (parse errors are 400s with position
 info, unknown queries are 404s, follower writes are 403s).
 """
@@ -99,7 +101,25 @@ def stream_ops(service, rng, n=N_OPS):
 
 
 def ground_truth(db):
-    """Brute-force per-band counts of results with fact.val <= 4."""
+    """Per-band counts of results with fact.val <= 4, counted from the
+    schema: a fact joins exactly its dim (an FK) and every other of
+    that dim's band, so band b holds facts(val <= 4, band b) x others(b)
+    results."""
+    band_of = {d_id: band for _, (d_id, band) in db.table("dim").scan()}
+    facts, others = {}, {}
+    for _, (f_dim, val) in db.table("fact").scan():
+        if val <= 4:
+            band = band_of[f_dim]
+            facts[band] = facts.get(band, 0) + 1
+    for _, (band, _z) in db.table("other").scan():
+        others[band] = others.get(band, 0) + 1
+    per_band = {band: count * others[band]
+                for band, count in facts.items() if band in others}
+    return sum(per_band.values()), per_band
+
+
+def enumerated_truth(db):
+    """:func:`ground_truth` by brute force: every join result visited."""
     query = parse_query(FK_SQL, db)
     fact, dim = db.table("fact"), db.table("dim")
     per_band = {}
@@ -110,6 +130,15 @@ def ground_truth(db):
             band = dim.peek(d_tid)[1]
             per_band[band] = per_band.get(band, 0) + 1
     return total, per_band
+
+
+def test_counted_truth_is_the_enumerated_truth():
+    db = fk_db()
+    stream_ops(SynopsisManager(db, MaintainerConfig(seed=7)),
+               random.Random(7), n=600)
+    total, per_band = ground_truth(db)
+    assert total > 1000 and len(per_band) == 5
+    assert (total, per_band) == enumerated_truth(db)
 
 
 WHERE = [{"column": "fact.val", "op": "<=", "value": 4}]
@@ -164,6 +193,13 @@ def leader(tmp_path_factory):
     pm.close()
 
 
+@pytest.fixture(scope="module")
+def truth(leader):
+    """The streamed database's truth, once: nothing writes after the
+    stream."""
+    return ground_truth(leader[0])
+
+
 class TestLeaderE2E:
     def test_register_provisions_synopsis(self, leader):
         db, pm, service, base, _ = leader
@@ -175,9 +211,9 @@ class TestLeaderE2E:
             assert 0 < q["sample_size"] <= SAMPLE_SIZE
             assert q["total_results"] > 0
 
-    def test_count_and_groupby_cis_cover_truth(self, leader):
+    def test_count_and_groupby_cis_cover_truth(self, leader, truth):
         db, pm, service, base, _ = leader
-        truth_total, truth_bands = ground_truth(db)
+        truth_total, truth_bands = truth
         assert truth_total > 0 and len(truth_bands) == 5
         checks = list(coverage_checks(base, truth_total, truth_bands))
         covered = sum(1 for ok, _ in checks if ok)
@@ -229,10 +265,10 @@ class TestFollowerE2E:
             on_leader.pop("epoch"), on_replica.pop("epoch")
             assert on_leader == on_replica
 
-    def test_follower_cis_cover_truth(self, leader, follower):
+    def test_follower_cis_cover_truth(self, leader, follower, truth):
         db, pm, service, base, _ = leader
         replica, fbase = follower
-        truth_total, truth_bands = ground_truth(db)
+        truth_total, truth_bands = truth
         checks = list(coverage_checks(fbase, truth_total, truth_bands))
         covered = sum(1 for ok, _ in checks if ok)
         assert covered >= 0.9 * len(checks)

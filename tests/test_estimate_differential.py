@@ -8,7 +8,13 @@ estimator that used to run: resolve every sampled TID through
 ``Table.peek`` on every call, then evaluate one closure predicate per
 sample (and one full pass per group) into lists of its own — the kept
 values in sample order, or their ``(value, scale)`` draws — which it
-hands to the survey estimators with the sample size.  After every
+hands to the survey estimators with the plan-level sample count.
+That count is the record's ``drawn``, not the number of samples shown:
+on the band workload, whose cycle-closing predicate is a residual
+filter, the samples that fail it are zeros of the sample (§5.1), where
+the estimator before 21.0 divided by the passing samples shown and read
+a residual COUNT about ×1.7 high — the one case whose payloads moved,
+once, on purpose.  After every
 batch of a seeded insert/delete stream the shipped payload must equal
 it with ``==`` — value, stderr, CI, the groups and their order, sample
 size, epoch — on the leader, on a follower tailing its WAL, on a bare
@@ -151,11 +157,10 @@ def _scale(family, meta):
     return float(meta.get("inclusion_probability", 1.0))
 
 
-def _aggregate(family, samples, metas, total, agg, value_of, predicate):
+def _aggregate(family, samples, metas, total, n, agg, value_of, predicate):
     """``agg`` from lists built here: the hits, then the values of the
     hits (uniform) or their ``(value, scale)`` draws, in sample order,
     out of ``n`` samples — a NULL value left out as if filtered."""
-    n = len(samples)
     hits = [predicate(rows) for rows in samples]
     if agg == "count":
         if family == "uniform":
@@ -192,8 +197,8 @@ def _fields(est, confidence):
     }
 
 
-def reference_estimate(query, db, *, family, total, results, metas, epoch,
-                       agg, column=None, where=None, group_by=None,
+def reference_estimate(query, db, *, family, total, results, metas, drawn,
+                       epoch, agg, column=None, where=None, group_by=None,
                        confidence=0.95):
     value_of = _accessor(query, db, column) if column else None
     key_of = _accessor(query, db, group_by) if group_by else None
@@ -210,14 +215,15 @@ def reference_estimate(query, db, *, family, total, results, metas, epoch,
                for result in results]
     metas = list(metas)
     payload = {"agg": agg, "family": family, "total_results": total,
-               "sample_size": len(samples), "confidence": confidence}
+               "sample_size": drawn, "confidence": confidence}
     if epoch is not None:
         payload["epoch"] = epoch
     if column is not None:
         payload["column"] = column
     if key_of is None:
         payload.update(_fields(_aggregate(
-            family, samples, metas, total, agg, value_of, predicate),
+            family, samples, metas, total, drawn, agg, value_of,
+            predicate),
             confidence))
         return payload
     def group_of(rows):
@@ -238,7 +244,8 @@ def reference_estimate(query, db, *, family, total, results, metas, epoch,
 
         entry = {"key": key}
         entry.update(_fields(_aggregate(
-            family, samples, metas, total, agg, value_of, in_group),
+            family, samples, metas, total, drawn, agg, value_of,
+            in_group),
             confidence))
         groups.append(entry)
     groups.sort(key=lambda g: (-(g["value"] if g["value"] is not None
@@ -259,12 +266,13 @@ def assert_estimates_match(target, manager, workload):
         entries = maintainer.synopsis_entries()
         state = dict(family=maintainer.family,
                      total=maintainer.total_results(),
-                     results=entries.rows, metas=entries.metas, epoch=None)
+                     results=entries.rows, metas=entries.metas,
+                     drawn=entries.drawn, epoch=None)
     else:
         record = target.view().queries[NAME]
         state = dict(family=record.family, total=record.total,
                      results=record.results, metas=record.meta,
-                     epoch=record.epoch)
+                     drawn=record.drawn, epoch=record.epoch)
     shipped = []
     for request in REQUESTS[workload]:
         want = reference_estimate(
@@ -382,7 +390,8 @@ def test_a_stale_view_answers_the_same_after_its_rows_are_deleted(workload):
             assert got == reference_estimate(
                 query, manager.db, family=record.family,
                 total=record.total, results=record.results,
-                metas=record.meta, epoch=record.epoch, **request)
+                metas=record.meta, drawn=record.drawn, epoch=record.epoch,
+                **request)
 
 
 # ----------------------------------------------------------------------
@@ -459,12 +468,12 @@ def test_peek_is_called_once_per_changed_entry_and_never_by_an_estimate(
         resolved = sum(pos < len(slots) and slots[pos] is not None
                        for pos in changed)
         assert peeks() == one_read_per_node(engine, resolved)
-        # ... and those a residual filter lets through are the entries
+        # ... and each is an entry, passing a residual filter or not
         entries = sum(pos < len(slots)
                       and engine._entries._rows[pos] is not None
                       for pos in changed)
         assert written_since(engine._entries, before) == entries
-        assert entries <= resolved
+        assert entries == resolved
         moved += bool(entries)
         # ... and K more estimates on the now static epoch resolve none
         for _ in range(3):

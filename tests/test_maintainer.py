@@ -83,7 +83,7 @@ class TestLifecycle:
         (rows,) = m.synopsis_rows()
         assert rows == ((1, 77), (1, 88))
 
-    def test_limit_caps_output(self):
+    def test_fixed_size_caps_output(self):
         db = make_db()
         m = JoinSynopsisMaintainer(
             db, "SELECT * FROM r, s WHERE r.a = s.a", MaintainerConfig(spec=SynopsisSpec.fixed_size(3), seed=0))
@@ -91,7 +91,10 @@ class TestLifecycle:
             m.insert("r", (1, i))
             m.insert("s", (1, i))
         assert len(m.synopsis()) == 3
-        assert len(m.synopsis(limit=2)) == 2
+        assert m.synopsis_entries().drawn == 3
+        # a prefix is the service's ``limit``, not the maintainer's
+        with pytest.raises(TypeError):
+            m.synopsis(limit=2)
 
 
 class TestResidualFilters:
@@ -135,11 +138,15 @@ class TestResidualFilters:
             db, query, MaintainerConfig(spec=SynopsisSpec.fixed_size(10), seed=0))
         # engine synopsis over-allocated by 1/0.25 = 4x
         assert m.engine.spec.size == 40
-        # the facade still caps at the requested size
         for i in range(30):
             m.insert("r", (1, 0))
-            m.insert("s", (1, i))
-        assert len(m.synopsis()) <= 10
+            m.insert("s", (1, i % 2))
+        # the facade shows every plan-level sample that passes (§5.1),
+        # about half of them here, and counts the 40 it selected them
+        # from
+        assert 10 < len(m.synopsis()) < 40
+        assert all(r_row[1] < s_row[1] for r_row, s_row in m.synopsis_rows())
+        assert m.synopsis_entries().drawn == 40
 
     def test_bernoulli_not_enlarged(self):
         db = make_db()

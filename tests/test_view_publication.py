@@ -1,12 +1,13 @@
 """Differential test of view publication.
 
 The engines keep one reader-visible entry per sample (expanded row,
-residual-filter verdict, sampling metadata) and re-derive only the
+residual-filter pass bit, sampling metadata) and re-derive only the
 positions a batch changed; the service and the follower publish those
 tuples as they are.  The reference here is the loop that publication
 used to run: expand *every* sample from scratch.  After every batch of
 a seeded insert/delete stream the published view must equal it bit for
-bit — rows, order, ``sample_meta`` and ``total_results`` — on the
+bit — rows, order, ``sample_meta``, the plan-level sample count and
+``total_results`` — on the
 leader, on a follower tailing its WAL, and across checkpoint + recover.
 """
 
@@ -170,7 +171,8 @@ def reference(maintainer):
             table.schema.index_of(attr)]
 
     rows, metas = [], []
-    for plan_result in engine.raw_samples():
+    samples = engine.raw_samples()
+    for plan_result in samples:
         row = plan.expand_result(plan_result, runtimes)
         if not all(
                 mflt.matches([value(row, alias, attr)
@@ -185,35 +187,33 @@ def reference(maintainer):
                 engine.synopsis.inclusion_probability(weight)
         rows.append(row)
         metas.append(meta)
-    cap = maintainer.requested_spec.size
-    if cap is not None:
-        rows, metas = rows[:cap], metas[:cap]
+    # §5.1: every passing sample is shown, out of all that were drawn
     tables = [maintainer.db.table(rt.table_name)
               for rt in maintainer.query.range_tables]
     heap_rows = tuple(
         tuple(table.get(tid) for table, tid in zip(tables, row))
         for row in rows)
-    return (tuple(rows), tuple(metas), heap_rows,
+    return (tuple(rows), tuple(metas), heap_rows, len(samples),
             maintainer.total_results())
 
 
 def entries_of(manager):
     entries = manager.maintainer(NAME).synopsis_entries()
     return (entries.rows, tuple(dict(meta) for meta in entries.metas),
-            entries.resolved, manager.total_results(NAME))
+            entries.resolved, entries.drawn, manager.total_results(NAME))
 
 
 def published(view):
     record = view.queries[NAME]
     return (record.results, tuple(dict(meta) for meta in record.meta),
-            record.rows, record.total)
+            record.rows, record.drawn, record.total)
 
 
 def assert_view_is_from_scratch(view, manager):
     want = reference(manager.maintainer(NAME))
     assert published(view) == want
     assert view.stats.queries[NAME].synopsis_size == len(want[0])
-    assert view.stats.queries[NAME].total_results == want[3]
+    assert view.stats.queries[NAME].total_results == want[4]
 
 
 # ----------------------------------------------------------------------
@@ -321,9 +321,13 @@ def test_entry_store_stays_bounded_under_churn(family):
             entries = read.maintainer(NAME).synopsis_entries()
             store = engine._entries
             assert len(store._rows) == len(store._metas) \
-                == len(store._resolved) == len(engine.synopsis.slots())
-            assert store._holes == store._rows.count(None)
-            assert len(entries) == len(store._rows) - store._holes
+                == len(store._resolved) == len(store._passes) \
+                == len(engine.synopsis.slots())
+            assert store._empty == store._passes.count(None) \
+                == store._rows.count(None)
+            assert store._failing == store._passes.count(False)
+            assert len(entries) == store._passes.count(True)
+            assert entries.drawn == len(store._rows) - store._empty
             assert engine.synopsis.changed_positions() == set()
     assert list(read.maintainer(NAME).synopsis_entries()) == \
         list(unread.maintainer(NAME).synopsis_entries())
