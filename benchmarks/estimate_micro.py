@@ -1,23 +1,29 @@
-"""Micro-benchmark of one filtered COUNT estimate, stage by stage: the
-``qy_churn`` stream applied whole, its end-to-end ``where`` asked of a
-``SynopsisService`` view at synopsis sizes m = 200, 500 and 2000.
+"""Micro-benchmark of the family reads: one ``qy_churn`` registration
+per synopsis family, each asked an unfiltered and a filtered COUNT.
 
-Four stages of ``RegisteredQuery.estimate("count", where=...)``, each
-the median of ``--calls`` timed calls after ``--warmup`` untimed ones:
+The ``qy_churn`` stream is applied whole to a ``SynopsisManager`` with
+one registration — uniform ``fixed_size(2000)``, weighted
+``weighted_with_replacement(2000, "ss.ss_quantity")`` or subset
+``subset(0.001, "ss.ss_quantity")`` — and the query is asked through a
+``SynopsisService`` view.  Per row, each the median of ``--calls`` timed
+calls after ``--warmup`` untimed ones, in microseconds:
 
-* ``select`` — the ``where`` terms run over the sample, each keeping
-  the samples that satisfy it (the selection);
-* ``count`` — the COUNT branch of ``_aggregate`` over that selection;
-* ``audit`` — ``AccuracyAuditor.observe`` of the unscored answer, its
-  ring already full (the steady state of a filtered-estimate loop);
-* ``rest`` — the whole call less those three: the view fetch, the
-  request checks and compile, the payload.
+* ``count`` — ``RegisteredQuery.estimate("count")``, the whole call
+  (view fetch, estimate, audit);
+* ``filtered`` — the same with the workload's end-to-end ``where``;
+* ``audit`` — ``AccuracyAuditor.observe`` of the unfiltered COUNT's
+  answer as the registry records it (scored against the exact ``J`` on
+  the uniform and subset families, unscored on the weighted one), its
+  ring already full of such records: the steady state of an
+  unfiltered-COUNT loop.
 
-Run it from the repository root::
+``n`` is the number of samples the estimate reads.  Run it from the
+repository root::
 
     PYTHONPATH=src python benchmarks/estimate_micro.py [--seed 101]
 
-It prints one line per synopsis size, in microseconds.
+It uses only names every release since 20.0 has, so the same file can
+time a parent checkout: put that checkout's ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -40,9 +46,15 @@ from repro import (  # noqa: E402
     SynopsisSpec,
 )
 from repro.aqp.audit import CAPACITY, AccuracyAuditor  # noqa: E402
-from repro.aqp.estimation import _aggregate, compile_where  # noqa: E402
 
-SIZES = (200, 500, 2000)
+WEIGHT = "ss.ss_quantity"
+#: one row per family: (label, spec, does the registry score its COUNT)
+FAMILIES = (
+    ("uniform m=2000", SynopsisSpec.fixed_size(2000), True),
+    ("weighted m=2000", SynopsisSpec.weighted_with_replacement(2000, WEIGHT),
+     False),
+    ("subset p=0.001", SynopsisSpec.subset(0.001, WEIGHT), True),
+)
 
 
 def median_us(fn, calls: int, warmup: int) -> float:
@@ -57,14 +69,6 @@ def median_us(fn, calls: int, warmup: int) -> float:
     return statistics.median(samples) / 1e3
 
 
-def select(rows, terms) -> list:
-    """The samples of ``rows`` that every term keeps (a uniform
-    synopsis: a kept sample is its heap rows)."""
-    for keep, t_idx, c_idx, value in terms:
-        rows = keep[False](rows, t_idx, c_idx, value)
-    return rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=101)
@@ -73,40 +77,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stream = materialise(BY_NAME["qy_churn"], args.seed)
     name, where = stream.spec.query, list(stream.spec.where)
-    print(f"{'m':>5} {'J':>8} {'hits':>5} {'select':>7} {'count':>7} "
-          f"{'audit':>7} {'rest':>7} {'total':>7}")
-    for size in SIZES:
+    print(f"{'family':<16} {'n':>6} {'J':>8} {'count':>9} "
+          f"{'filtered':>9} {'audit':>7}")
+    for label, spec, scored in FAMILIES:
         manager = SynopsisManager(stream.fresh_db(), MaintainerConfig())
         manager.register(name, stream.sql, MaintainerConfig(
-            engine="sjoin-opt", seed=QUERY_SEED,
-            spec=SynopsisSpec.fixed_size(size)))
+            engine="sjoin-opt", seed=QUERY_SEED, spec=spec))
         manager.apply_batch(stream.preload + stream.ops)
         with SynopsisService(manager) as service:
-            registry = QueryRegistry(service)
-            query = registry.get(name)
-            snapshot = registry.snapshot_of(name)
-            rows, total = snapshot.rows, snapshot.total
-            terms = compile_where(query.query, manager.db, where)
-            kept = select(rows, terms)
-            payload = query.estimate("count", where=where)
+            query = QueryRegistry(service).get(name)
+            payload = query.estimate("count")
+            truth = float(payload["total_results"]) if scored else None
             auditor = AccuracyAuditor()
             for _ in range(CAPACITY):
-                auditor.observe(name, payload, latency_ns=0)
+                auditor.observe(name, payload, latency_ns=0, truth=truth)
             gc.collect()
             stages = {
-                "select": lambda: select(rows, terms),
-                "count": lambda: _aggregate(
-                    snapshot.family, total, len(rows), "count", kept),
-                "audit": lambda: auditor.observe(name, payload,
-                                                 latency_ns=0),
-                "total": lambda: query.estimate("count", where=where),
+                "count": lambda: query.estimate("count"),
+                "filtered": lambda: query.estimate("count", where=where),
+                "audit": lambda: auditor.observe(
+                    name, payload, latency_ns=0, truth=truth),
             }
             us = {stage: median_us(fn, args.calls, args.warmup)
                   for stage, fn in stages.items()}
-        rest = us["total"] - us["select"] - us["count"] - us["audit"]
-        print(f"{len(rows):>5} {total:>8} {len(kept) / len(rows):>5.2f} "
-              f"{us['select']:>7.1f} {us['count']:>7.1f} {us['audit']:>7.1f} "
-              f"{rest:>7.1f} {us['total']:>7.1f}")
+        print(f"{label:<16} {payload['sample_size']:>6} "
+              f"{payload['total_results']:>8} {us['count']:>9.1f} "
+              f"{us['filtered']:>9.1f} {us['audit']:>7.1f}")
     return 0
 
 

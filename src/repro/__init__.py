@@ -138,7 +138,7 @@ from repro.service import (
     SynopsisService,
 )
 
-__version__ = "21.0.0"
+__version__ = "22.0.0"
 
 __all__ = [
     # catalog

@@ -110,37 +110,44 @@ class QueryAudit:
         self.audited = 0            # estimates actually scored
         self.coverage_flagged = False
         self.flag_count = 0
-        #: :meth:`tally` as of the last :meth:`append`
-        self.last_tally = Tally(0, 0, 0.0)
+        # the ring's scored records, counted as they enter and leave;
+        # confidences per value, so their total is order-independent
+        self._scored = self._covered = 0
+        self._confidences: Dict[float, int] = {}
+        self._tally = Tally(0, 0, 0.0)
 
     # -- scoring --------------------------------------------------------
     def append(self, record: AuditRecord) -> Tally:
-        """Put ``record`` in the ring and return the ring's tally.
-
-        The tally changes only when a scored record enters the ring or
-        is evicted from it; only then is the ring walked again (the
-        same walk as :meth:`tally`, so the sums are bit-identical), and
-        an unscored estimate costs O(1) here.
-        """
+        """Put ``record`` in the ring and return the ring's tally, kept
+        running: O(1) per estimate whatever the ring holds."""
         ring = self.ring
-        evicted = ring[0] if len(ring) == ring.maxlen else None
+        changed = self._count(record, 1)
+        if len(ring) == ring.maxlen:
+            changed |= self._count(ring[0], -1)
         ring.append(record)
-        if record.covered is not None or (
-                evicted is not None and evicted.covered is not None):
-            self.last_tally = self.tally()
-        return self.last_tally
+        if changed:
+            self._tally = Tally(self._scored, self._covered, math.fsum(
+                confidence * count
+                for confidence, count in self._confidences.items()))
+        return self._tally
+
+    def _count(self, record: AuditRecord, sign: int) -> bool:
+        if record.covered is None:
+            return False
+        self._scored += sign
+        self._covered += sign * record.covered
+        confidences = self._confidences
+        left = confidences.get(record.confidence, 0) + sign
+        if left:
+            confidences[record.confidence] = left
+        else:
+            del confidences[record.confidence]
+        return True
 
     def tally(self) -> Tally:
-        """One pass over the ring: everything the flag, the gauges and
-        :meth:`status` derive from the retained scored records."""
-        scored = covered = 0
-        confidence = 0.0
-        for record in self.ring:
-            if record.covered is not None:
-                scored += 1
-                covered += record.covered
-                confidence += record.confidence
-        return Tally(scored, covered, confidence)
+        """Everything the flag, the gauges and :meth:`status` derive
+        from the retained scored records: the running tally."""
+        return self._tally
 
     def coverage(self) -> Optional[float]:
         """Realized CI coverage over the retained scored records."""
@@ -243,8 +250,7 @@ class AccuracyAuditor:
             relative_error=relative_error, covered=covered,
         )
         # the flag, the gauges and the drift event share one tally,
-        # which walks the ring only when a scored record enters or
-        # leaves it
+        # kept running as records enter and leave the ring
         tally = audit.append(record)
         transition = audit.update_flag(tally)
         self._publish(name, audit, record, tally.coverage)

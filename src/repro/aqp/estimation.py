@@ -2,7 +2,7 @@
 
 The registry hands this module one
 :class:`~repro.core.entries.Snapshot` — the sampled result tuples, the
-heap rows they name, their per-row sampling metadata, the synopsis
+heap rows they name, their per-row scales, the synopsis
 family and the exact population total, the record a published view
 holds for the query — plus the parsed
 :class:`~repro.query.query.JoinQuery` and the database (for its
@@ -25,11 +25,12 @@ request is checked against the schemas and compiled once into
 ``(select, table index, column index, value)`` terms.  The terms then
 narrow it: each is one list comprehension over what the terms before
 it kept, indexing a sample's row, comparing it and keeping the sample
-in the same pass.  A kept sample is its heap rows on a uniform
-synopsis and ``(heap rows, scale)`` on the others, the scale being its
-weight or inclusion probability.  The comprehensions are generated from
-one template over comparison × NULL-able column (which adds the SQL
-``is not None`` test) × that shape, so no Python call runs per sample.
+in the same pass.  A kept sample is its heap rows, paired with its
+scale column entry as ``(heap rows, scale)`` on the weighted and subset
+families wherever a term, a group or a NULL could drop it.  The
+comprehensions are generated from one template over comparison ×
+NULL-able column (which adds the SQL ``is not None`` test) × that
+shape, so no Python call runs per sample.
 
 Every aggregate reads that one selection of ``k`` out of the ``n``
 samples: a uniform ``COUNT`` is ``J * k / n``; ``SUM`` and ``AVG`` read
@@ -39,8 +40,8 @@ each group from its own members; the samples outside a group enter its
 variance in closed form (as the ``n - k`` zeros of a padded mean), so
 a grouped answer costs O(n + groups), not a pass per group.
 
-The survey estimators at the bottom of the module take the kept values
-and ``n``.  Each returns an :class:`Estimate` with a
+The survey estimators at the bottom of the module take the kept values,
+their scales and ``n``.  Each returns an :class:`Estimate` with a
 normal-approximation standard error, and degenerate inputs are defined
 rather than exceptional: an exactly-empty population (``total == 0``)
 is ``Estimate(0.0, 0.0)``, an empty sample of a non-empty one has an
@@ -215,23 +216,23 @@ def compile_where(query: JoinQuery, db, where) -> List[Term]:
 # ----------------------------------------------------------------------
 # answering it from one selection
 # ----------------------------------------------------------------------
-def _family_sum(family: str, total: int, draws: list, n: int) -> Estimate:
+def _family_sum(family: str, total: int, values: Optional[Sequence],
+                scales: Sequence, n: int) -> Estimate:
     """Hansen-Hurwitz (weighted) or Horvitz-Thompson (subset) ``SUM``
-    over the kept ``(value, scale)`` draws of ``n``."""
+    over the kept ``values`` (None: 1.0 each) and ``scales`` of ``n``."""
     if family == "weighted":
-        return _hansen_hurwitz(draws, total, n)
+        return _hansen_hurwitz(values, scales, total, n)
     if total == 0:
         # the graph maintains the exact total: an empty join is an
         # exact zero, not an uninformative empty Poisson sample
         return Estimate(0.0, 0.0)
-    return _horvitz_thompson(draws, n)
+    return _horvitz_thompson(values, scales, n)
 
 
-def _aggregate(family: str, total: int, n: int, agg: str,
-               kept: list) -> Estimate:
-    """``agg`` over ``kept`` out of ``n`` samples: for ``COUNT`` the
-    selected samples, for ``SUM``/``AVG`` the values read off them
-    (``(value, scale)`` pairs outside the uniform family)."""
+def _aggregate(family: str, total: int, n: int, agg: str, kept: Sequence,
+               scales: Optional[Sequence] = None) -> Estimate:
+    """``agg`` over ``kept`` out of ``n`` samples (for ``SUM``/``AVG``
+    the values read off them) and, off the uniform family, ``scales``."""
     if family == "uniform":
         if agg == "count":
             return _count(len(kept), n, total)
@@ -239,15 +240,14 @@ def _aggregate(family: str, total: int, n: int, agg: str,
             return _mean(kept)
         return _sum(kept, total, n)
     if agg == "count":
-        return _family_sum(family, total, [(1.0, x[1]) for x in kept], n)
-    total_est = _family_sum(family, total, kept, n)
+        return _family_sum(family, total, None, scales, n)
+    total_est = _family_sum(family, total, kept, scales, n)
     if agg == "sum":
         return total_est
     return _ratio(
-        total_est,
-        _family_sum(family, total, [(1.0, scale) for _, scale in kept], n),
-        lambda r: _family_sum(family, total,
-                              [(v - r, scale) for v, scale in kept], n))
+        total_est, _family_sum(family, total, None, scales, n),
+        lambda r: _family_sum(family, total, [v - r for v in kept],
+                              scales, n))
 
 
 def _estimate_fields(est: Estimate, confidence: float) -> dict:
@@ -309,24 +309,24 @@ def estimate_from_snapshot(
 
     # §5.1: n counts the plan-level samples, the failing ones too
     family, total, rows = snapshot.family, snapshot.total, snapshot.rows
-    n = snapshot.drawn
-    paired = family != "uniform"
-    selection = rows
-    if paired:
-        # each sample carries its scale: weight or inclusion probability
-        field, default = (("weight", 1) if family == "weighted"
-                          else ("inclusion_probability", 1.0))
-        selection = list(zip(rows, [float(m.get(field, default))
-                                    for m in snapshot.meta]))
+    n, scales = snapshot.drawn, snapshot.scales
+    # a sample carries its scale only where it could be dropped: by a
+    # term, into a group, or for a NULL the aggregate leaves out
+    paired = scales is not None and bool(terms or key_at is not None or (
+        agg != "count" and value_at[2].nullable))
+    selection = list(zip(rows, scales)) if paired else rows
     for select, t_idx, c_idx, value in terms:
         selection = select[paired](selection, t_idx, c_idx, value)
 
-    def read(kept: list) -> list:
-        """What ``agg`` reads off ``kept``: the samples, or the values."""
+    def read(kept: list) -> Tuple[list, Optional[Sequence]]:
+        """What ``agg`` reads off ``kept``, and their scales."""
+        values = kept if agg == "count" else _VALUES[
+            value_at[2].nullable][paired](kept, value_at[0], value_at[1], None)
+        if not paired:
+            return values, scales
         if agg == "count":
-            return kept
-        return _VALUES[value_at[2].nullable][paired](
-            kept, value_at[0], value_at[1], None)
+            return kept, [x[1] for x in kept]
+        return [v for v, _ in values], [s for _, s in values]
 
     payload: dict = {
         "agg": agg,
@@ -340,7 +340,8 @@ def estimate_from_snapshot(
     if column is not None:
         payload["column"] = column
     if key_at is None:
-        est = _aggregate(family, total, n, agg, read(selection))
+        kept, kept_scales = read(selection)
+        est = _aggregate(family, total, n, agg, kept, kept_scales)
         payload.update(_estimate_fields(est, confidence))
         return payload
     # GROUP BY: the selection bucketed once, in first-seen order; each
@@ -355,13 +356,14 @@ def estimate_from_snapshot(
         members[key].append(sample)
     groups = []
     for key, in_group in members.items():
-        kept = read(in_group)
+        kept, kept_scales = read(in_group)
         if not kept:
             # every member's value is NULL: the group is filtered out
             continue
         entry = {"key": key}
         entry.update(_estimate_fields(
-            _aggregate(family, total, n, agg, kept), confidence))
+            _aggregate(family, total, n, agg, kept, kept_scales),
+            confidence))
         groups.append(entry)
     groups.sort(key=lambda g: (-(g["value"] if g["value"] is not None
                                  else float("-inf")), repr(g["key"])))
@@ -425,55 +427,48 @@ def _sum(values: Sequence[float], total: int,
     return Estimate(total * mean.value, total * mean.stderr)
 
 
-def _hansen_hurwitz(draws: Sequence[Tuple[float, float]],
-                    total_weight: float,
-                    n: Optional[int] = None) -> Estimate:
+def _hansen_hurwitz(values: Optional[Sequence[float]],
+                    weights: Sequence[float], total_weight: float,
+                    n: int) -> Estimate:
     """Hansen-Hurwitz ``SUM`` for the weighted family over the kept
-    ``(value, weight)`` draws of ``n`` (default: all of them kept);
-    ``total_weight`` is the exact weighted-unit total ``W`` the graph
-    reports, and a value of ``1.0`` per draw estimates the result
-    count."""
-    if n is None:
-        n = len(draws)
-    if len(draws) > n:
+    draws' ``values`` (None: ``1.0`` each, the result count) and
+    ``weights`` (checked positive by the entry store), of ``n`` draws;
+    ``total_weight`` is the exact ``W``."""
+    if len(weights) > n:
         raise InvalidArgumentError(
-            f"{len(draws)} kept draws out of {n}")
+            f"{len(weights)} kept draws out of {n}")
     if total_weight == 0:
         return Estimate(0.0, 0.0)
     if n == 0:
         return Estimate(0.0, float("inf"))
-    contributions = []
-    for value, weight in draws:
-        if weight <= 0:
-            raise InvalidArgumentError(
-                f"sample weight must be positive, got {weight!r}")
-        contributions.append(total_weight * float(value) / weight)
-    return _mean(contributions, n)
+    if values is None:
+        unit = total_weight * 1.0
+        return _mean([unit / weight for weight in weights], n)
+    return _mean([total_weight * float(value) / weight
+                  for value, weight in zip(values, weights)], n)
 
 
-def _horvitz_thompson(draws: Sequence[Tuple[float, float]],
-                      n: Optional[int] = None) -> Estimate:
+def _horvitz_thompson(values: Optional[Sequence[float]],
+                      pis: Sequence[float], n: int) -> Estimate:
     """Horvitz-Thompson ``SUM`` for the subset family over the kept
-    ``(value, inclusion probability)`` draws of ``n`` (default: all of
-    them kept), with the Poisson-sampling variance ``sum(v_i^2
-    (1-pi_i)/pi_i^2)``.  An empty sample is ``Estimate(0, inf)``:
-    callers that know ``J == 0`` short-circuit."""
-    if n is None:
-        n = len(draws)
-    if len(draws) > n:
+    draws' ``values`` (None: ``1.0`` each) and inclusion probabilities
+    ``pis`` (checked in (0, 1] by the entry store), of ``n`` draws,
+    with the Poisson-sampling variance ``sum(v_i^2 (1-pi_i)/pi_i^2)``.
+    An empty sample is ``Estimate(0, inf)``: callers that know
+    ``J == 0`` short-circuit."""
+    if len(pis) > n:
         raise InvalidArgumentError(
-            f"{len(draws)} kept draws out of {n}")
+            f"{len(pis)} kept draws out of {n}")
     if n == 0:
         return Estimate(0.0, float("inf"))
-    estimate = 0.0
-    variance = 0.0
-    for value, pi in draws:
-        if not 0.0 < pi <= 1.0:
-            raise InvalidArgumentError(
-                f"inclusion probability must be in (0, 1], got {pi!r}")
-        v = float(value)
-        estimate += v / pi
-        variance += v * v * (1.0 - pi) / (pi * pi)
+    if values is None:     # v = 1.0, exactly as below
+        estimate = sum([1.0 / pi for pi in pis], 0.0)
+        variance = sum([(1.0 - pi) / (pi * pi) for pi in pis], 0.0)
+    else:
+        values = [float(value) for value in values]
+        estimate = sum([v / pi for v, pi in zip(values, pis)], 0.0)
+        variance = sum([v * v * (1.0 - pi) / (pi * pi)
+                        for v, pi in zip(values, pis)], 0.0)
     return Estimate(estimate, math.sqrt(max(variance, 0.0)))
 
 

@@ -263,9 +263,9 @@ class JoinSynopsisMaintainer:
 
     def synopsis_entries(self) -> SynopsisEntries:
         """The current synopsis as ``(result, meta)`` pairs: original-
-        range-table TID tuples, each with its read-only sampling
-        metadata (``weight``; plus ``inclusion_probability`` on the
-        subset family).
+        range-table TID tuples, each with its sampling metadata
+        (``weight``; plus ``inclusion_probability`` on the subset
+        family), built from the entries' columns as it is read.
 
         These are every plan-level sample that passes the query's
         residual filters (§5.1), so about the requested size on an

@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog.database import Database
 from repro.core.entries import EntryStore, SynopsisEntries
 from repro.core.fk_runtime import CombinedNodeRuntime
 from repro.core.insert_run import InsertRun, RouteTable
-from repro.core.synopsis import SubsetSynopsis, SynopsisSpec
+from repro.core.synopsis import SynopsisSpec
 from repro.errors import SynopsisError
 from repro.graph.join_graph import DeleteRun, WeightedJoinGraph
 from repro.graph.views import DeltaJoinView
@@ -280,9 +278,8 @@ class SJoinEngine:
         self._combined: Dict[int, CombinedNodeRuntime] = {
             node.idx: CombinedNodeRuntime(node, db, filtered, weigh)
             for node in self.plan.nodes if node.is_combined}
-        self._entries = EntryStore(
-            self.plan, query, self._combined,
-            meta_of=None if tuple_weight is None else self._result_meta)
+        self._entries = EntryStore(self.plan, query, self._combined, spec,
+                                   self.synopsis)
         self._routes = RouteTable(self, self._combined, weigh)
         # runs time their stages with the registry's clock and report
         # each once (None: nobody is listening, no clock reads)
@@ -342,9 +339,8 @@ class SJoinEngine:
     def synopsis_entries(self) -> SynopsisEntries:
         """Current synopsis as original-range-table TID tuples, the
         samples that pass the residual multi-table filters (§5.1) out of
-        ``drawn``, each paired with its
-        read-only sampling metadata: ``{"weight": int}`` plus, for the
-        subset family, ``{"inclusion_probability": float}``.
+        ``drawn``, with each one's weight and scale as columns (None on
+        the uniform family).
 
         Costs the samples that changed since the previous call (see
         :mod:`repro.core.entries`); an unchanged synopsis returns the
@@ -382,24 +378,6 @@ class SJoinEngine:
         runtime = self._combined.get(node_idx)
         return node.vertex_key_of(row) if runtime is None \
             else runtime.key_of(tid, row)
-
-    def inclusion_probability(
-            self, plan_result: PlanResult) -> Optional[float]:
-        """For the subset family, the exact probability this result is
-        included (``1 - (1-p)**weight``); ``None`` otherwise."""
-        synopsis = self.synopsis
-        if not isinstance(synopsis, SubsetSynopsis):
-            return None
-        return synopsis.inclusion_probability(
-            self.result_weight(plan_result))
-
-    def _result_meta(self, plan_result: PlanResult) -> Mapping[str, object]:
-        weight = self.result_weight(plan_result)
-        meta = {"weight": weight}
-        if isinstance(self.synopsis, SubsetSynopsis):
-            meta["inclusion_probability"] = \
-                self.synopsis.inclusion_probability(weight)
-        return MappingProxyType(meta)
 
     def total_results(self) -> int:
         """``J``: exact current number of (tree-predicate) join results."""

@@ -241,12 +241,9 @@ class QualityMonitor:
         """
         if getattr(self.engine, "family", "uniform") != "subset":
             return None
-        weights = []
-        for member in members:
-            w = float(self.engine.result_weight(member))
-            pi = self.engine.inclusion_probability(member)
-            weights.append(w / pi if pi else 0.0)
-        return weights
+        law = self.engine.synopsis.inclusion_probability
+        weights = map(self.engine.result_weight, members)
+        return [w / pi if (pi := law(w)) else 0.0 for w in weights]
 
     def check_now(self) -> Optional[dict]:
         """Run one probe round immediately.

@@ -51,7 +51,7 @@ from typing import (
 )
 
 from repro.catalog.database import Database
-from repro.core.entries import Snapshot, read_query
+from repro.core.entries import Snapshot, entry_meta, read_query
 from repro.core.manager import SynopsisTarget
 from repro.core.stats_api import (
     BatchResult,
@@ -147,7 +147,7 @@ class ReadView:
     """One immutable, epoch-stamped snapshot served to readers.
 
     ``queries`` holds one :class:`~repro.core.entries.Snapshot` per
-    registered query name — its rows, metadata, heap rows, family,
+    registered query name — its rows, weights, scales, heap rows, family,
     total, SQL and engine, all stamped with this epoch.  ``stats`` is
     the target's typed :class:`~repro.core.stats_api.ManagerStats`
     taken at the same point and ``db`` the database whose schemas
@@ -223,10 +223,10 @@ class ReadView:
             "name": name,
             "total_results": record.total,
             "family": record.family,
-            # views share rows and metas with their successors: the
-            # reply gets its own mutable copies
+            # the reply's own mutable copies: views share their rows
             "synopsis": [list(row) for row in rows],
-            "meta": [dict(m) for m in record.meta[:len(rows)]],
+            "meta": [entry_meta(record.weights, record.scales, index)
+                     for index in range(len(rows))],
         }
 
     def metrics(self) -> dict:
@@ -259,7 +259,7 @@ def build_view(target: SynopsisTarget, epoch: int) -> ReadView:
     publish through it, so their views cannot drift.
 
     Each query's record comes from the one per-query reader,
-    :func:`~repro.core.entries.read_query`, whose row, meta and
+    :func:`~repro.core.entries.read_query`, whose row, scale and
     heap-row tuples are the ones the engine's entry store holds
     (:mod:`repro.core.entries`): building a view costs the samples that
     changed since the previous one, and a query whose synopsis did not

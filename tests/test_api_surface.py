@@ -13,7 +13,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "21.0.0"
+    assert repro.__version__ == "22.0.0"
 
 
 @pytest.mark.parametrize("module", [
@@ -533,8 +533,8 @@ def test_aqp_surface_is_stable():
         inspect.signature(RegisteredQuery.estimate).parameters)
     assert params[1] == "agg"
     # estimation helpers
-    assert list(inspect.signature(Snapshot).parameters)[:4] == [
-        "family", "total", "results", "meta"]
+    assert list(inspect.signature(Snapshot).parameters)[:5] == [
+        "family", "total", "results", "weights", "scales"]
     assert callable(estimate_from_snapshot)
     # local client parity with the HTTP routes
     for method in ("register_query", "estimate", "queries"):
@@ -671,15 +671,25 @@ def _resolve(dotted):
     raise ModuleNotFoundError(dotted)
 
 
-REMOVED = REMOVED_IN_17_0 + REMOVED_IN_19_0 + REMOVED_IN_20_0
+#: 22.0 keeps a sample's weight and scale as numbers in columns; the
+#: per-sample read-only mapping and the hook that made it are gone
+REMOVED_IN_22_0 = [
+    ("repro.core.entries", "UNIT_META"),
+    ("repro.core.sjoin.SJoinEngine", "_result_meta"),
+    ("repro.core.sjoin.SJoinEngine", "inclusion_probability"),
+    ("repro.core.entries.SynopsisEntries", "metas"),
+]
+
+REMOVED = (REMOVED_IN_17_0 + REMOVED_IN_19_0 + REMOVED_IN_20_0
+           + REMOVED_IN_22_0)
 
 
 @pytest.mark.parametrize(
     "owner, name", REMOVED,
     ids=[f"{owner}.{name}" if name else owner for owner, name in REMOVED])
 def test_removed_names_are_gone(owner, name):
-    """No alias, shim or re-export brings a 17.0, 19.0 or 20.0 deletion
-    back."""
+    """No alias, shim or re-export brings a 17.0, 19.0, 20.0 or 22.0
+    deletion back."""
     if name is None:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(owner)
@@ -710,8 +720,8 @@ def test_a_view_holds_one_read_record_per_query():
 
     assert Snapshot is entries.Snapshot
     assert list(inspect.signature(Snapshot).parameters) == [
-        "family", "total", "results", "meta", "rows", "drawn", "sql",
-        "engine", "epoch"]
+        "family", "total", "results", "weights", "scales", "rows", "drawn",
+        "sql", "engine", "epoch"]
     assert [f.name for f in dataclasses.fields(ReadView)] == [
         "epoch", "queries", "stats", "db", "published_ns"]
     for owner in (SynopsisManager, PersistentManager, SynopsisTarget):
@@ -790,8 +800,8 @@ def test_a_residual_filter_is_the_first_selection_of_every_read():
         assert params(owner.synopsis) == ["self", "name"], owner
     assert params(ReadView.synopsis) == ["self", "name", "limit"]
     assert [f.name for f in dataclasses.fields(SynopsisEntries)] == [
-        "rows", "metas", "resolved", "drawn"]
-    entries = SynopsisEntries(((0, 1),), ({"weight": 1},), (((), ()),), 3)
+        "rows", "weights", "scales", "resolved", "drawn"]
+    entries = SynopsisEntries(((0, 1),), None, None, (((), ()),), 3)
     assert entries[0] == ((0, 1), {"weight": 1})
     with pytest.raises(TypeError):
         entries[:1]     # a prefix has no plan-level count

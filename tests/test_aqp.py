@@ -110,35 +110,45 @@ class TestDegenerateEstimators:
         assert est.ci() is None
 
     def test_hansen_hurwitz_degenerates(self):
-        assert _hansen_hurwitz([], 0) == Estimate(0.0, 0.0)
-        est = _hansen_hurwitz([], 25)
+        # a weight is checked once, when its entry is made
+        # (tests/test_view_publication.py), not per draw here
+        assert _hansen_hurwitz([], [], 0, 0) == Estimate(0.0, 0.0)
+        est = _hansen_hurwitz([], [], 25, 0)
         assert est.value == 0.0 and est.ci() is None
         # none of three draws kept: an exact zero, not an empty sample
-        assert _hansen_hurwitz([], 25, 3) == Estimate(0.0, 0.0)
+        assert _hansen_hurwitz([], [], 25, 3) == Estimate(0.0, 0.0)
+        assert _hansen_hurwitz(None, [], 25, 3) == Estimate(0.0, 0.0)
         with pytest.raises(InvalidArgumentError):
-            _hansen_hurwitz([(1.0, 1.0)], 25, 0)
+            _hansen_hurwitz([1.0], [1.0], 25, 0)
         with pytest.raises(InvalidArgumentError):
-            _hansen_hurwitz([(1.0, 0.0)], 25)
+            _hansen_hurwitz(None, [1, 2], 25, 1)
 
     def test_hansen_hurwitz_exact_on_weight_itself(self):
         # each draw contributes W * w_i / w_i == W: zero variance
-        est = _hansen_hurwitz([(2, 2.0), (5, 5.0)], 7.0)
+        est = _hansen_hurwitz([2, 5], [2, 5], 7.0, 2)
         assert est == Estimate(7.0, 0.0)
+        # a COUNT (no values) reads W / w_i per draw
+        assert _hansen_hurwitz(None, [2, 5], 10, 2) == \
+            _hansen_hurwitz([1.0, 1.0], [2.0, 5.0], 10, 2)
 
     def test_horvitz_thompson_degenerates(self):
-        est = _horvitz_thompson([])
+        # an inclusion probability is checked once, when its entry is
+        # made (tests/test_view_publication.py), not per draw here
+        est = _horvitz_thompson([], [], 0)
         assert est.value == 0.0 and est.ci() is None
-        assert _horvitz_thompson([], 4) == Estimate(0.0, 0.0)
+        assert _horvitz_thompson([], [], 4) == Estimate(0.0, 0.0)
+        assert _horvitz_thompson(None, [], 4) == Estimate(0.0, 0.0)
         with pytest.raises(InvalidArgumentError):
-            _horvitz_thompson([(1.0, 0.0)])
+            _horvitz_thompson([1.0, 2.0], [0.5, 0.5], 1)
         with pytest.raises(InvalidArgumentError):
-            _horvitz_thompson([(1.0, 1.5)])
-        with pytest.raises(InvalidArgumentError):
-            _horvitz_thompson([(1.0, 0.5), (2.0, 0.5)], 1)
+            _horvitz_thompson(None, [0.5, 0.5], 1)
 
     def test_horvitz_thompson_certain_inclusion_is_exact(self):
-        est = _horvitz_thompson([(3, 1.0), (4, 1.0)])
+        est = _horvitz_thompson([3, 4], [1.0, 1.0], 2)
         assert est == Estimate(7.0, 0.0)
+        # a COUNT (no values) reads 1 / pi_i per draw
+        assert _horvitz_thompson(None, [0.5, 0.25], 2) == \
+            _horvitz_thompson([1.0, 1.0], [0.5, 0.25], 2)
 
     @staticmethod
     def unread_residual(r):
@@ -558,10 +568,11 @@ class TestRatioCoverage:
         query = parse_query(SQL, db)
         covered = 0
         for rep in range(self.REPS):
-            picked, metas = draw(random.Random(rep), weights)
+            picked, scales = draw(random.Random(rep), weights)
             snapshot = Snapshot(
                 family, sum(weights) if family == "weighted" else self.N,
-                tuple((i, i) for i in picked), tuple(metas),
+                tuple((i, i) for i in picked),
+                tuple(weights[i] for i in picked), tuple(scales),
                 tuple(rows[i] for i in picked), len(picked), SQL, "sjoin")
             lo, hi = estimate_from_snapshot(
                 query, db, snapshot, "avg", column="s.y",
@@ -575,7 +586,7 @@ class TestRatioCoverage:
             self, population):
         def draw(rng, weights):
             picked = rng.choices(range(self.N), weights=weights, k=200)
-            return picked, [{"weight": weights[i]} for i in picked]
+            return picked, [weights[i] for i in picked]
 
         self.coverage(population, "weighted", draw)
 
@@ -584,9 +595,7 @@ class TestRatioCoverage:
         def draw(rng, weights):
             pis = [1 - 0.9 ** w for w in weights]
             picked = [i for i, pi in enumerate(pis) if rng.random() < pi]
-            return picked, [{"weight": weights[i],
-                             "inclusion_probability": pis[i]}
-                            for i in picked]
+            return picked, [pis[i] for i in picked]
 
         self.coverage(population, "subset", draw)
 

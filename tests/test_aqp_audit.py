@@ -10,6 +10,7 @@ payload, the coverage gauge, the event log, and ``GET
 
 import http.client
 import json
+import math
 import random
 import sys
 import threading
@@ -159,28 +160,62 @@ class TestAuditorMechanics:
         for left in (4, 3, 2, 1):
             auditor.observe("q", payload_for(10.0, covered=True),
                             latency_ns=1)
-            assert audit.last_tally.scored == left
+            assert audit.tally().scored == left
             assert audit.coverage_flagged is True
         auditor.observe("q", payload_for(10.0, covered=True),
                         latency_ns=1)
-        assert audit.last_tally == Tally(0, 0, 0.0) == audit.tally()
+        assert audit.tally() == Tally(0, 0, 0.0)
         assert audit.coverage_flagged is False
         assert auditor.payload("q")["coverage_flagged"] is False
 
     def test_kept_tally_equals_a_walk_of_the_ring(self, monkeypatch):
-        monkeypatch.setattr(audit_module, "CAPACITY", 7)
-        rng = random.Random(38)
+        """The running tally against a fresh walk of the ring after each
+        of 2 000 seeded observes per ring size — scored and unscored
+        records, two confidences, coverage that flips between long
+        honest and long overconfident stretches: counts equal, nominal
+        within 1e-12, and the flag makes the same transitions as a flag
+        computed from the walk."""
+        monkeypatch.setattr(audit_module, "MIN_EVENTS", 5)
+        for capacity in (7, 256):
+            monkeypatch.setattr(audit_module, "CAPACITY", capacity)
+            self.against_a_walk(random.Random(38 + capacity))
+
+    @staticmethod
+    def against_a_walk(rng):
         auditor = AccuracyAuditor()
         audit = auditor.query_audit("q")
-        for _ in range(400):
+        flagged = False
+        rises = 0
+        for number in range(2000):
+            honest = (number // 300) % 2 == 0
             payload = payload_for(
-                10.0, covered=rng.random() < 0.8,
-                confidence=rng.choice((0.8, 0.9, 0.95, 0.99)))
+                10.0, covered=rng.random() < (0.97 if honest else 0.5),
+                confidence=rng.choice((0.9, 0.95)))
             if rng.random() < 0.1:
                 payload["ci"] = None        # truth, but no verdict
             auditor.observe("q", payload, latency_ns=1,
-                            truth=10.0 if rng.random() < 0.4 else None)
-            assert audit.last_tally == audit.tally()
+                            truth=10.0 if rng.random() < 0.6 else None)
+            scored = [r for r in audit.ring if r.covered is not None]
+            kept = audit.tally()
+            assert kept.scored == len(scored)
+            assert kept.covered == sum(r.covered for r in scored)
+            walked = 0.0
+            for record in scored:
+                walked += record.confidence
+            if scored:
+                assert abs(kept.nominal - walked / len(scored)) <= 1e-12
+            # the flag off the walk, by update_flag's rule
+            was = flagged
+            flagged = False
+            if len(scored) >= audit_module.MIN_EVENTS:
+                nominal = walked / len(scored)
+                flagged = kept.covered / len(scored) < nominal - (
+                    audit_module.Z_SLACK * math.sqrt(
+                        nominal * (1 - nominal) / len(scored)))
+            rises += flagged and not was
+            assert audit.coverage_flagged is flagged, number
+            assert audit.flag_count == rises
+        assert rises >= 3
 
     def test_labeled_metric_children_per_query(self):
         obs = MetricsRegistry()

@@ -8,7 +8,10 @@ estimator that used to run: resolve every sampled TID through
 ``Table.peek`` on every call, then evaluate one closure predicate per
 sample (and one full pass per group) into lists of its own — the kept
 values in sample order, or their ``(value, scale)`` draws — which it
-hands to the survey estimators with the plan-level sample count.
+hands to the survey estimators with the plan-level sample count.  Each
+sample's scale is derived here from its heap rows — its weight is the
+weight column's value, its inclusion probability ``1 - (1 - p)^w`` —
+never read off the entry store's ``weights`` / ``scales`` columns.
 That count is the record's ``drawn``, not the number of samples shown:
 on the band workload, whose cycle-closing predicate is a residual
 filter, the samples that fail it are zeros of the sample (§5.1), where
@@ -61,6 +64,7 @@ from test_view_publication import (
     BandWorkload,
     FkWorkload,
     build_manager,
+    spec_of,
     stream,
 )
 
@@ -104,6 +108,11 @@ REQUESTS = {
             {"column": "other.z", "op": "!=", "value": 35}]),
         dict(agg="count", group_by="fact.val"),
         dict(agg="avg", column="other.z", group_by="fact.val"),
+        # unfiltered and ungrouped over a NULL-able and a plain column,
+        # and an unfiltered GROUP BY AVG
+        dict(agg="sum", column="other.z"),
+        dict(agg="avg", column="fact.val"),
+        dict(agg="avg", column="fact.val", group_by="dim.band"),
         *every_spelling("fact.w"),
     ],
     BandWorkload: [
@@ -120,6 +129,8 @@ REQUESTS = {
         dict(agg="avg", column="lane1.pos", where=NOTHING[BandWorkload]),
         dict(agg="count", group_by="lane3.pos"),
         dict(agg="avg", column="lane1.pos", group_by="lane2.pos"),
+        dict(agg="avg", column="lane2.pos"),
+        dict(agg="sum", column="lane1.pos", group_by="lane3.ts"),
         *every_spelling("lane1.w"),
     ],
 }
@@ -142,22 +153,29 @@ def _accessor(query, db, ref):
 
 
 def _family_sum(family, draws, total, n):
+    values = [value for value, _ in draws]
+    scales = [scale for _, scale in draws]
     if family == "weighted":
-        return _hansen_hurwitz(draws, total, n)
-    if family == "subset":
-        if total == 0:
-            return Estimate(0.0, 0.0)
-        return _horvitz_thompson(draws, n)
-    return _sum(draws, total, n)
+        return _hansen_hurwitz(values, scales, total, n)
+    if total == 0:
+        return Estimate(0.0, 0.0)
+    return _horvitz_thompson(values, scales, n)
 
 
-def _scale(family, meta):
-    if family == "weighted":
-        return float(meta.get("weight", 1))
-    return float(meta.get("inclusion_probability", 1.0))
+def _scaler(query, db, spec):
+    """A sample's scale off its heap rows, derived here: the weight
+    column's value for Hansen-Hurwitz, ``1 - (1 - p)^w`` for
+    Horvitz-Thompson; None on the uniform family."""
+    if spec.family == "uniform":
+        return None
+    weight_of = _accessor(query, db, spec.weight_column)
+    if spec.family == "weighted":
+        return weight_of
+    return lambda rows: 1 - (1 - spec.rate) ** weight_of(rows)
 
 
-def _aggregate(family, samples, metas, total, n, agg, value_of, predicate):
+def _aggregate(family, samples, scales, total, n, agg, value_of,
+               predicate):
     """``agg`` from lists built here: the hits, then the values of the
     hits (uniform) or their ``(value, scale)`` draws, in sample order,
     out of ``n`` samples — a NULL value left out as if filtered."""
@@ -166,8 +184,8 @@ def _aggregate(family, samples, metas, total, n, agg, value_of, predicate):
         if family == "uniform":
             return _count(hits.count(True), n, total)
         return _family_sum(family, [
-            (1.0, _scale(family, meta))
-            for meta, hit in zip(metas, hits) if hit], total, n)
+            (1.0, scale) for scale, hit in zip(scales, hits) if hit],
+            total, n)
     values = [value_of(rows) if hit else None
               for rows, hit in zip(samples, hits)]
     if family == "uniform":
@@ -175,8 +193,8 @@ def _aggregate(family, samples, metas, total, n, agg, value_of, predicate):
         if agg == "avg":
             return _mean(kept)
         return _sum(kept, total, n)
-    draws = [(value, _scale(family, meta))
-             for value, meta in zip(values, metas) if value is not None]
+    draws = [(value, scale)
+             for value, scale in zip(values, scales) if value is not None]
     total_est = _family_sum(family, draws, total, n)
     if agg == "sum":
         return total_est
@@ -197,9 +215,10 @@ def _fields(est, confidence):
     }
 
 
-def reference_estimate(query, db, *, family, total, results, metas, drawn,
-                       epoch, agg, column=None, where=None, group_by=None,
+def reference_estimate(query, db, *, spec, total, results, drawn, epoch,
+                       agg, column=None, where=None, group_by=None,
                        confidence=0.95):
+    family = spec.family
     value_of = _accessor(query, db, column) if column else None
     key_of = _accessor(query, db, group_by) if group_by else None
     conds = [(_accessor(query, db, c["column"]), _OPS[c["op"]], c["value"])
@@ -213,7 +232,9 @@ def reference_estimate(query, db, *, family, total, results, metas, drawn,
     tables = [db.table(rt.table_name) for rt in query.range_tables]
     samples = [tuple(table.peek(tid) for table, tid in zip(tables, result))
                for result in results]
-    metas = list(metas)
+    scale_of = _scaler(query, db, spec)
+    scales = (None if scale_of is None
+              else [scale_of(rows) for rows in samples])
     payload = {"agg": agg, "family": family, "total_results": total,
                "sample_size": drawn, "confidence": confidence}
     if epoch is not None:
@@ -222,7 +243,7 @@ def reference_estimate(query, db, *, family, total, results, metas, drawn,
         payload["column"] = column
     if key_of is None:
         payload.update(_fields(_aggregate(
-            family, samples, metas, total, drawn, agg, value_of,
+            family, samples, scales, total, drawn, agg, value_of,
             predicate),
             confidence))
         return payload
@@ -244,7 +265,7 @@ def reference_estimate(query, db, *, family, total, results, metas, drawn,
 
         entry = {"key": key}
         entry.update(_fields(_aggregate(
-            family, samples, metas, total, drawn, agg, value_of,
+            family, samples, scales, total, drawn, agg, value_of,
             in_group),
             confidence))
         groups.append(entry)
@@ -261,18 +282,18 @@ def assert_estimates_match(target, manager, workload):
     service, a follower or a bare manager) whose rows ``manager`` holds.
     Returns the shipped payloads."""
     registered = QueryRegistry(target).get(NAME)
+    maintainer = manager.maintainer(NAME)
+    spec = maintainer.requested_spec
     if target is manager:
-        maintainer = manager.maintainer(NAME)
         entries = maintainer.synopsis_entries()
-        state = dict(family=maintainer.family,
-                     total=maintainer.total_results(),
-                     results=entries.rows, metas=entries.metas,
-                     drawn=entries.drawn, epoch=None)
+        state = dict(spec=spec, total=maintainer.total_results(),
+                     results=entries.rows, drawn=entries.drawn, epoch=None)
     else:
         record = target.view().queries[NAME]
-        state = dict(family=record.family, total=record.total,
-                     results=record.results, metas=record.meta,
-                     drawn=record.drawn, epoch=record.epoch)
+        assert record.family == spec.family
+        state = dict(spec=spec, total=record.total,
+                     results=record.results, drawn=record.drawn,
+                     epoch=record.epoch)
     shipped = []
     for request in REQUESTS[workload]:
         want = reference_estimate(
@@ -388,10 +409,10 @@ def test_a_stale_view_answers_the_same_after_its_rows_are_deleted(workload):
         record = stale.queries[NAME]
         for got, request in zip(before, REQUESTS[workload]):
             assert got == reference_estimate(
-                query, manager.db, family=record.family,
+                query, manager.db,
+                spec=spec_of(record.family, workload),
                 total=record.total, results=record.results,
-                metas=record.meta, drawn=record.drawn, epoch=record.epoch,
-                **request)
+                drawn=record.drawn, epoch=record.epoch, **request)
 
 
 # ----------------------------------------------------------------------
@@ -439,7 +460,7 @@ def written_since(store, before):
     tuple."""
     return sum(new is not None and (pos >= len(before)
                                     or new is not before[pos])
-               for pos, new in enumerate(store._resolved))
+               for pos, new in enumerate(store._columns[1]))
 
 
 @pytest.mark.parametrize("workload", [FkWorkload, BandWorkload])
@@ -459,7 +480,7 @@ def test_peek_is_called_once_per_changed_entry_and_never_by_an_estimate(
         if changed is None:         # a rebuild: every position
             changed = range(len(engine.synopsis.slots()))
         changed = set(changed)
-        before = list(engine._entries._resolved)
+        before = list(engine._entries._columns[1])
         # the first read after the batch resolves the samples the
         # synopsis reports changed, each reading every range table's
         # heap at most once (a combined node's members: none) ...
@@ -470,7 +491,7 @@ def test_peek_is_called_once_per_changed_entry_and_never_by_an_estimate(
         assert peeks() == one_read_per_node(engine, resolved)
         # ... and each is an entry, passing a residual filter or not
         entries = sum(pos < len(slots)
-                      and engine._entries._rows[pos] is not None
+                      and engine._entries._columns[0][pos] is not None
                       for pos in changed)
         assert written_since(engine._entries, before) == entries
         assert entries == resolved
@@ -491,7 +512,7 @@ def test_a_publish_pays_per_changed_entry_and_served_estimates_nothing(
         peeks()
         published = 0
         for batch in stream(FkWorkload, seed=13, batches=40):
-            before = list(engine._entries._resolved)
+            before = list(engine._entries._columns[1])
             # rows are resolved by the publish, on the ingest thread
             # (idle again once the batch is acknowledged); no residual
             # filter here, so every resolved sample is an entry

@@ -1,13 +1,14 @@
 """Differential test of view publication.
 
 The engines keep one reader-visible entry per sample (expanded row,
-residual-filter pass bit, sampling metadata) and re-derive only the
+residual-filter pass bit, weight and scale) and re-derive only the
 positions a batch changed; the service and the follower publish those
 tuples as they are.  The reference here is the loop that publication
-used to run: expand *every* sample from scratch.  After every batch of
-a seeded insert/delete stream the published view must equal it bit for
-bit — rows, order, ``sample_meta``, the plan-level sample count and
-``total_results`` — on the
+used to run: expand *every* sample from scratch, weighing it through
+the engine.  After every batch of a seeded insert/delete stream the
+published view must equal it bit for bit — rows, order, the weight and
+scale columns, the ``/synopsis`` metas built from them, the plan-level
+sample count and ``total_results`` — on the
 leader, on a follower tailing its WAL, and across checkpoint + recover.
 """
 
@@ -170,7 +171,7 @@ def reference(maintainer):
         return table.get(row[query.index_of(alias)])[
             table.schema.index_of(attr)]
 
-    rows, metas = [], []
+    rows, weights, scales = [], [], []
     samples = engine.raw_samples()
     for plan_result in samples:
         row = plan.expand_result(plan_result, runtimes)
@@ -181,39 +182,50 @@ def reference(maintainer):
             continue
         weight = (engine.result_weight(plan_result)
                   if maintainer.family != "uniform" else 1)
-        meta = {"weight": weight}
-        if subset:
-            meta["inclusion_probability"] = \
-                engine.synopsis.inclusion_probability(weight)
         rows.append(row)
-        metas.append(meta)
+        weights.append(weight)
+        scales.append(engine.synopsis.inclusion_probability(weight)
+                      if subset else weight)
+    metas = tuple({"weight": weight} if not subset else
+                  {"weight": weight, "inclusion_probability": scale}
+                  for weight, scale in zip(weights, scales))
+    if maintainer.family == "uniform":
+        weights = scales = None
+    else:
+        weights, scales = tuple(weights), tuple(scales)
     # §5.1: every passing sample is shown, out of all that were drawn
     tables = [maintainer.db.table(rt.table_name)
               for rt in maintainer.query.range_tables]
     heap_rows = tuple(
         tuple(table.get(tid) for table, tid in zip(tables, row))
         for row in rows)
-    return (tuple(rows), tuple(metas), heap_rows, len(samples),
+    return (tuple(rows), weights, scales, metas, heap_rows, len(samples),
             maintainer.total_results())
 
 
 def entries_of(manager):
+    """The entries' columns, and the metas their ``(result, meta)``
+    pairs show."""
     entries = manager.maintainer(NAME).synopsis_entries()
-    return (entries.rows, tuple(dict(meta) for meta in entries.metas),
-            entries.resolved, entries.drawn, manager.total_results(NAME))
+    return (entries.rows, entries.weights, entries.scales,
+            tuple(meta for _, meta in entries), entries.resolved,
+            entries.drawn, manager.total_results(NAME))
 
 
 def published(view):
+    """A view's record, with the metas its ``/synopsis`` reply shows."""
     record = view.queries[NAME]
-    return (record.results, tuple(dict(meta) for meta in record.meta),
-            record.rows, record.drawn, record.total)
+    return (record.results, record.weights, record.scales,
+            tuple(view.payload(NAME)["meta"]), record.rows, record.drawn,
+            record.total)
 
 
 def assert_view_is_from_scratch(view, manager):
     want = reference(manager.maintainer(NAME))
     assert published(view) == want
+    assert entries_of(manager) == want
     assert view.stats.queries[NAME].synopsis_size == len(want[0])
-    assert view.stats.queries[NAME].total_results == want[4]
+    assert view.stats.queries[NAME].total_results == want[-1]
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +308,7 @@ def test_a_restored_engine_starts_cold_and_still_matches():
     # nothing of the store is in the snapshot: the restored synopsis
     # reports every position as changed and the store holds nothing
     assert engine.synopsis.changed_positions() is None
-    assert engine._entries._rows == []
+    assert engine._entries._passes == []
     cold = restored.maintainer(NAME).synopsis_entries()
     assert list(cold) == list(warm)
     assert entries_of(restored) == reference(restored.maintainer(NAME))
@@ -320,14 +332,16 @@ def test_entry_store_stays_bounded_under_churn(family):
         if number % 50 == 0:
             entries = read.maintainer(NAME).synopsis_entries()
             store = engine._entries
-            assert len(store._rows) == len(store._metas) \
-                == len(store._resolved) == len(store._passes) \
-                == len(engine.synopsis.slots())
+            # rows and heap rows, then weight and scale off uniform
+            assert len(store._columns) == {
+                "uniform": 2, "weighted": 3, "subset": 4}[family]
+            assert {len(column) for column in store._columns} \
+                == {len(store._passes), len(engine.synopsis.slots())}
             assert store._empty == store._passes.count(None) \
-                == store._rows.count(None)
+                == store._columns[0].count(None)
             assert store._failing == store._passes.count(False)
             assert len(entries) == store._passes.count(True)
-            assert entries.drawn == len(store._rows) - store._empty
+            assert entries.drawn == len(store._passes) - store._empty
             assert engine.synopsis.changed_positions() == set()
     assert list(read.maintainer(NAME).synopsis_entries()) == \
         list(unread.maintainer(NAME).synopsis_entries())
@@ -352,7 +366,7 @@ def test_an_unchanged_query_shares_its_tuples_with_the_previous_view():
         fk, ab = first.queries["fk"], first.queries["ab"]
         assert second.queries["ab"].results != ab.results
         assert second.queries["fk"].results is fk.results
-        assert second.queries["fk"].meta is fk.meta
+        assert second.queries["fk"].weights is fk.weights is None
         assert second.queries["fk"].rows is fk.rows
         assert second.queries["ab"].rows is not ab.rows
         assert second.epoch == first.epoch + 1
@@ -379,7 +393,7 @@ def test_reader_mutation_cannot_leak_into_a_later_view():
         manager_rows.clear()
         # ... and what views share is read-only
         with pytest.raises(TypeError):
-            view.queries[NAME].meta[0]["weight"] = -1
+            view.queries[NAME].weights[0] = -1
         with pytest.raises(TypeError):
             view.queries[NAME].results[0][0] = -1
         with pytest.raises(TypeError):
@@ -408,3 +422,21 @@ def test_a_failed_expansion_fails_the_next_read_too(monkeypatch):
             manager.maintainer(NAME).synopsis_entries()
     monkeypatch.undo()
     assert entries_of(manager) == want
+
+
+def test_a_scale_is_checked_once_when_its_entry_is_made(monkeypatch):
+    """An entry's inclusion probability is checked where the entry is
+    made, not per draw in every estimate: one outside (0, 1] — as an
+    underflowing ``1 - (1-p)^w`` would give — fails the read, and the
+    next read too."""
+    from repro.core.synopsis import SubsetSynopsis
+    from repro.errors import SynopsisError
+
+    monkeypatch.setattr(SubsetSynopsis, "inclusion_probability",
+                        lambda self, weight: 0.0)
+    manager = build_manager(FkWorkload, "sjoin-opt", "subset")
+    for batch in stream(FkWorkload, seed=6, batches=10):
+        manager.apply_batch(batch)
+    for _ in range(2):
+        with pytest.raises(SynopsisError, match="inclusion probability"):
+            manager.maintainer(NAME).synopsis_entries()

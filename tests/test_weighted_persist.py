@@ -96,8 +96,11 @@ class TestSnapshotRoundTrip:
         assert restored.engine.raw_samples() == \
             maintainer.engine.raw_samples()
         assert restored.synopsis() == maintainer.synopsis()
-        assert restored.synopsis_entries().metas == \
-            maintainer.synopsis_entries().metas
+        restored_entries = restored.synopsis_entries()
+        entries = maintainer.synopsis_entries()
+        assert restored_entries.weights == entries.weights
+        assert restored_entries.scales == entries.scales
+        assert list(restored_entries) == list(entries)
         assert restored.engine.rng.getstate() == \
             maintainer.engine.rng.getstate()
         # the worlds stay merged: identical future update stream
@@ -120,6 +123,7 @@ class TestWalRecovery:
         expected_samples = maintainer.engine.raw_samples()
         expected_rng = maintainer.engine.rng.getstate()
         expected_total = pm.total_results(QUERY)
+        expected_entries = maintainer.synopsis_entries()
         pm.abandon()
 
         recovered = PersistentManager.recover(str(tmp_path))
@@ -130,6 +134,10 @@ class TestWalRecovery:
         assert recovered.total_results(QUERY) == expected_total
         assert engine.raw_samples() == expected_samples
         assert engine.rng.getstate() == expected_rng
+        entries = engine.synopsis_entries()
+        assert (entries.weights, entries.scales) == \
+            (expected_entries.weights, expected_entries.scales)
+        assert list(entries) == list(expected_entries)
         recovered.close()
 
     def test_checkpoint_pins_weighted_spec(self, tmp_path):
